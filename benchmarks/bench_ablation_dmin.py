@@ -28,10 +28,11 @@ def test_dmin_pruning(once):
     def run(pruning):
         ctx = DPContext(graph, blocks, profiler, 256)
         t0 = time.perf_counter()
-        sols = [
-            form_stage_dp(ctx, S, 8, 256, 4, 16, dmin_pruning=pruning)
-            for S in range(1, 9)
-        ]
+        # one sweep answers all 8 stage counts of the node level
+        sweep = form_stage_dp(
+            ctx, range(1, 9), 8, 256, 4, 16, dmin_pruning=pruning
+        )
+        sols = [sweep[S] for S in range(1, 9)]
         return sols, ctx.states_evaluated, time.perf_counter() - t0
 
     def both():

@@ -1,6 +1,6 @@
 """Optional numba-JIT kernel for the banded ``form_stage_dp`` reduction.
 
-The kernel reduces one stage count of the banded DP (see
+The kernel reduces one stage of the banded DP (see
 ``_banded_stage_numpy`` in ``stage_dp``) with explicit loops, which numba
 compiles to native code.  It is written to be *bit-identical* to the
 NumPy engine: the same float64 max/add expressions per transition, the
@@ -57,9 +57,9 @@ def banded_stage_kernel(
     prev_ok,       # (k+1, D+1) bool: finite V[s-1] states
     ptf,           # (k+1, D+1) float64: tf[s-1]
     ptb,           # (k+1, D+1) float64: tb[s-1]
-    s,             # current stage count
-    b_hi,          # k - (S - s)
-    d_hi,          # D - (S - s)
+    s,             # current stage
+    b_hi,          # last block row of stage s
+    d_hi,          # last device column of stage s
     M,             # usable device memory
     best,          # (k+1, D+1) float64, in/out
     best_tf,       # (k+1, D+1) float64, in/out

@@ -8,20 +8,20 @@ x n]`` and microbatch counts ``MB`` doubling from 1.  The first stage
 count that yields any feasible DP solution wins; among its microbatch
 variants the one with the best estimated iteration time is returned.
 
-The ``(S, MB)`` candidates of one node level are independent DP problems
+One Algorithm-1 sweep answers every stage count of a level at once
+(``form_stage_dp`` over a ``range`` of stage counts), so a level costs
+one DP call per microbatch count.  Those sweeps are independent problems
 over a shared :class:`DPContext`, so they can run on a worker pool.  Two
 backends are available (``backend=``): ``"thread"`` shares the context
 across a thread pool (the caches and counters are lock-guarded and NumPy
 releases the GIL inside the reductions), while ``"process"`` forks the
 context into a :class:`~concurrent.futures.ProcessPoolExecutor` for true
 parallelism on big sweeps -- the context pickles via its
-``export/import_cache_state`` snapshot, candidates are chunked by
-microbatch count so each worker shares its profile-tensor cache across
-the stage counts it owns, and the parent *replays* every worker's
-``dp_calls`` / ``states_evaluated`` deltas in candidate order.  Under
-every backend the winner is selected from the results in the serial
-sweep's candidate order, so the returned plan and all statistics are
-identical to a sequential search.
+``export/import_cache_state`` snapshot and the parent *replays* every
+worker's ``dp_calls`` / ``states_evaluated`` deltas in microbatch order.
+Under every backend the winner is selected from the results in the
+serial sweep's candidate order, so the returned plan and all statistics
+are identical to a sequential search.
 
 Aligning ``D`` to whole nodes keeps each pipeline inside as few nodes as
 possible, which is why stage-to-stage transfers are costed at intra-node
@@ -36,16 +36,24 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry, point_name
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.partitioner.stage_dp import DPContext, DPSolution, form_stage_dp
+from repro.partitioner.stage_dp import (
+    DPContext,
+    DPSolution,
+    form_stage_dp,
+    record_dp_call,
+)
 
 #: accepted values for the Algorithm-2 ``backend`` knob /
 #: ``PlannerConfig.search_backend``
 SEARCH_BACKENDS = ("serial", "thread", "process")
 
+#: one sweep's answers: ``{stage count: solution or None}``
+Sweep = Dict[int, Optional[DPSolution]]
+
 #: per-worker DP context of a process-pool sweep, installed once by the
-#: pool initializer so every chunk the worker executes shares its caches
+#: pool initializer so every sweep the worker executes shares its caches
 _WORKER_CTX: Optional[DPContext] = None
 
 
@@ -54,87 +62,71 @@ def _init_search_worker(ctx: DPContext) -> None:
     _WORKER_CTX = ctx
 
 
-def _run_candidate_chunk(
-    chunk: List[Tuple[int, int]],
+def _run_sweep(
+    stage_counts: range,
     D: int,
     batch_size: int,
     R: int,
+    MB: int,
     engine: str,
-) -> List[Tuple[Optional[DPSolution], bool, int]]:
-    """Worker body: solve a chunk of ``(S, MB)`` candidates on the
-    worker-global context, reporting per-candidate counter deltas
-    ``(solution, dp_call_made, states_evaluated)`` so the parent can
-    replay them deterministically."""
+) -> Tuple[Sweep, bool, int]:
+    """Worker body: one sweep on the worker-global context, reporting
+    its counter deltas ``(sweep, dp_call_made, states_evaluated)`` so the
+    parent can replay them deterministically."""
     ctx = _WORKER_CTX
     assert ctx is not None, "process-pool worker used before initialization"
-    out: List[Tuple[Optional[DPSolution], bool, int]] = []
-    for S, MB in chunk:
-        calls0 = ctx.dp_calls
-        states0 = ctx.states_evaluated
-        sol = form_stage_dp(ctx, S, D, batch_size, R, MB, engine=engine)
-        out.append(
-            (sol, ctx.dp_calls > calls0, ctx.states_evaluated - states0)
-        )
-    return out
+    calls0 = ctx.dp_calls
+    states0 = ctx.states_evaluated
+    sweep = form_stage_dp(
+        ctx, stage_counts, D, batch_size, R, MB, engine=engine
+    )
+    return sweep, ctx.dp_calls > calls0, ctx.states_evaluated - states0
 
 
-def _solve_candidates_process(
+def _solve_sweeps_process(
     ctx: DPContext,
-    pairs: List[Tuple[int, int]],
+    stage_counts: range,
+    microbatch_counts: List[int],
     D: int,
     batch_size: int,
     R: int,
     workers: int,
     engine: str,
     metrics: Optional[MetricsRegistry],
-) -> Dict[Tuple[int, int], Optional[DPSolution]]:
-    """Evaluate candidates on a process pool, then replay the workers'
-    counter deltas in candidate order.
+) -> Dict[int, Sweep]:
+    """Run a level's sweeps on a process pool, then replay the workers'
+    counter deltas in microbatch order.
 
     The replay makes ``ctx.dp_calls`` / ``ctx.states_evaluated`` and the
-    ``dp.*`` metrics (totals, per-``(S, MB)`` points, the states
-    histogram and the infeasible count) come out identical to a serial
-    sweep; per-candidate tracer spans are not recorded, since spans
-    cannot cross the process boundary.
+    ``dp.*`` metrics come out identical to a serial sweep; per-sweep
+    tracer spans are not recorded, since spans cannot cross the process
+    boundary.
     """
-    chunks: Dict[int, List[Tuple[int, int]]] = {}
-    for pair in pairs:
-        chunks.setdefault(pair[1], []).append(pair)
-    results: Dict[Tuple[int, int], Optional[DPSolution]] = {}
-    stats: Dict[Tuple[int, int], Tuple[bool, int]] = {}
     with ProcessPoolExecutor(
         max_workers=workers,
         initializer=_init_search_worker,
         initargs=(ctx,),
     ) as pool:
         futures = {
-            mb: pool.submit(
-                _run_candidate_chunk, chunk, D, batch_size, R, engine
+            MB: pool.submit(
+                _run_sweep, stage_counts, D, batch_size, R, MB, engine
             )
-            for mb, chunk in chunks.items()
+            for MB in microbatch_counts
         }
-        for mb, fut in futures.items():
-            for pair, (sol, made_call, states) in zip(
-                chunks[mb], fut.result()
-            ):
-                results[pair] = sol
-                stats[pair] = (made_call, states)
-    for S, MB in pairs:
-        made_call, states = stats[(S, MB)]
+        done = {MB: fut.result() for MB, fut in futures.items()}
+    sweeps: Dict[int, Sweep] = {}
+    for MB in microbatch_counts:
+        sweep, made_call, states = done[MB]
+        sweeps[MB] = sweep
         if not made_call:
-            continue  # stage count out of range: no DP call was made
+            continue  # stage counts out of range: no DP call was made
         ctx._count_dp_call()
         ctx._count_states(states)
-        if metrics is not None:
-            metrics.counter("dp.calls").inc()
-            metrics.counter("dp.states_evaluated").inc(states)
-            metrics.counter(
-                point_name("dp.states_evaluated", S=S, MB=MB)
-            ).inc(states)
-            metrics.histogram("dp.states_per_call").observe(states)
-            if results[(S, MB)] is None:
-                metrics.counter("dp.infeasible").inc()
-    return results
+        record_dp_call(
+            metrics, D, MB, states,
+            any(sol is not None for sol in sweep.values()),
+        )
+    return sweeps
 
 
 @dataclass
@@ -153,9 +145,10 @@ class SearchResult:
         return self.solution.num_stages
 
 
-def _solve_candidates(
+def _solve_level(
     ctx: DPContext,
-    pairs: List[Tuple[int, int]],
+    stage_counts: range,
+    microbatch_counts: List[int],
     D: int,
     batch_size: int,
     R: int,
@@ -166,50 +159,52 @@ def _solve_candidates(
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
     parent_id: Optional[int] = None,
-) -> Dict[Tuple[int, int], Optional[DPSolution]]:
-    """Run ``form_stage_dp`` for every ``(S, MB)`` candidate pair.
+) -> Dict[int, Sweep]:
+    """One ``form_stage_dp`` sweep over ``stage_counts`` per microbatch
+    count of a node level, keyed by microbatch count.
 
-    Returns results keyed by pair so the caller ranks them in candidate
-    order regardless of worker completion order.  When a tracer is
-    given, every candidate carries its own ``dp.form_stage_dp`` span
-    (thread/serial backends only); ``parent_id`` links spans recorded on
-    pool threads back to the node-level span of the coordinating thread.
+    When a tracer is given, every sweep carries its own
+    ``dp.form_stage_dp`` span (thread/serial backends only);
+    ``parent_id`` links spans recorded on pool threads back to the
+    node-level span of the coordinating thread.
     """
     if backend not in SEARCH_BACKENDS:
         raise ValueError(
             f"unknown search backend {backend!r}; "
             f"expected one of {SEARCH_BACKENDS}"
         )
-    workers = max_workers or min(len(pairs), os.cpu_count() or 1)
+    workers = max_workers or min(len(microbatch_counts), os.cpu_count() or 1)
     if (
         not parallel
         or backend == "serial"
-        or len(pairs) <= 1
+        or len(microbatch_counts) <= 1
         or (backend == "process" and workers <= 1)
     ):
         # A one-worker process pool would pay fork + context-pickle cost
         # for zero concurrency (e.g. single-core hosts), so it degrades
         # to the serial sweep -- same results, counters and plan.
         return {
-            (S, MB): form_stage_dp(
-                ctx, S, D, batch_size, R, MB, engine=engine,
+            MB: form_stage_dp(
+                ctx, stage_counts, D, batch_size, R, MB, engine=engine,
                 tracer=tracer, metrics=metrics, parent_id=parent_id,
             )
-            for S, MB in pairs
+            for MB in microbatch_counts
         }
     if backend == "process":
-        return _solve_candidates_process(
-            ctx, pairs, D, batch_size, R, workers, engine, metrics
+        return _solve_sweeps_process(
+            ctx, stage_counts, microbatch_counts, D, batch_size, R,
+            workers, engine, metrics,
         )
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {
-            (S, MB): pool.submit(
-                form_stage_dp, ctx, S, D, batch_size, R, MB, engine=engine,
-                tracer=tracer, metrics=metrics, parent_id=parent_id,
+            MB: pool.submit(
+                form_stage_dp, ctx, stage_counts, D, batch_size, R, MB,
+                engine=engine, tracer=tracer, metrics=metrics,
+                parent_id=parent_id,
             )
-            for S, MB in pairs
+            for MB in microbatch_counts
         }
-        return {pair: fut.result() for pair, fut in futures.items()}
+        return {MB: fut.result() for MB, fut in futures.items()}
 
 
 def form_stage(
@@ -239,27 +234,31 @@ def form_stage(
             stage counts of the current node level compete and the best
             estimated iteration time wins.  The strict reading can return
             a pipeline several stages shorter than optimal (see DESIGN.md,
-            deviation D2); both modes are tested.
-        parallel: evaluate the independent ``(S, MB)`` DP candidates of a
-            level on a worker pool (deterministic: same plan and counters
-            as the serial sweep).
+            deviation D2); both modes are tested, and both cost the same
+            one sweep per microbatch count.
+        parallel: run the independent per-``MB`` sweeps of a level on a
+            worker pool (deterministic: same plan and counters as the
+            serial sweep).
         max_workers: worker-pool size (default: CPU count, capped at the
-            candidate count).
+            number of sweeps in a level).
         backend: one of :data:`SEARCH_BACKENDS` -- ``"thread"``
             (default), ``"process"`` (true parallelism; the context is
             forked to the workers and counter deltas are replayed in
-            candidate order) or ``"serial"`` (force a sequential sweep
+            microbatch order) or ``"serial"`` (force a sequential sweep
             regardless of ``parallel``).
         engine: DP evaluation engine, forwarded to every
             :func:`form_stage_dp` call (see
             :data:`~repro.partitioner.stage_dp.DP_ENGINES`).
         tracer: optional tracer; each node level gets a ``search.level``
-            span and each ``(S, MB)`` candidate a ``dp.form_stage_dp``
-            span (parented to the level span even across pool threads).
+            span and each sweep a ``dp.form_stage_dp`` span (parented to
+            the level span even across pool threads).
         metrics: optional metrics registry, forwarded to every DP call.
 
     Returns:
         A :class:`SearchResult`, or ``None`` if no configuration fits.
+        Its ``dp_calls`` counts the sweeps made (one per node level and
+        microbatch count) and ``candidates_tried`` the feasible ``(S,
+        MB)`` candidates that competed.
     """
     if batch_size != ctx.batch_size:
         raise ValueError("batch size mismatch with DPContext")
@@ -314,19 +313,6 @@ def form_stage(
             microbatch_counts.append(MB)
             MB *= 2
 
-        def run_level(
-            pairs: List[Tuple[int, int]],
-            level_id: Optional[int] = None,
-        ) -> List[DPSolution]:
-            results = _solve_candidates(
-                ctx, pairs, D, batch_size, R, parallel, max_workers,
-                backend=backend, engine=engine,
-                tracer=tracer, metrics=metrics, parent_id=level_id,
-            )
-            return [
-                results[pair] for pair in pairs if results[pair] is not None
-            ]
-
         level_cm = (
             tracer.span(
                 "search.level", category="partitioner.search",
@@ -337,27 +323,30 @@ def form_stage(
         )
         with level_cm as level_span:
             level_id = level_span.span_id if level_span is not None else None
-            if search_all_stage_counts:
-                pairs = [
-                    (S, MB)
-                    for S in range(s_lo, s_hi + 1)
-                    for MB in microbatch_counts
-                ]
-                solutions = run_level(pairs, level_id)
-                dp_calls += len(pairs)
-                tried += len(solutions)
-            else:
-                # strict pseudocode: stop at the FIRST feasible stage
-                # count, so stage counts stay sequential (only MB fans
-                # out)
-                solutions = []
-                for S in range(s_lo, s_hi + 1):
-                    pairs = [(S, MB) for MB in microbatch_counts]
-                    solutions = run_level(pairs, level_id)
-                    dp_calls += len(pairs)
-                    tried += len(solutions)
-                    if solutions:
+            stage_counts = range(s_lo, s_hi + 1)
+            sweeps = _solve_level(
+                ctx, stage_counts, microbatch_counts, D, batch_size, R,
+                parallel, max_workers, backend=backend, engine=engine,
+                tracer=tracer, metrics=metrics, parent_id=level_id,
+            )
+            dp_calls += len(microbatch_counts)
+            if not search_all_stage_counts:
+                # strict pseudocode: only the FIRST feasible stage count
+                # competes
+                for S in stage_counts:
+                    if any(
+                        sweeps[MB][S] is not None for MB in microbatch_counts
+                    ):
+                        stage_counts = range(S, S + 1)
                         break
+            # candidate order (S outer, MB inner) fixes the tie-break
+            solutions = [
+                sweeps[MB][S]
+                for S in stage_counts
+                for MB in microbatch_counts
+                if sweeps[MB][S] is not None
+            ]
+            tried += len(solutions)
             if level_span is not None:
                 level_span.set(feasible_candidates=len(solutions))
             if solutions:

@@ -11,7 +11,10 @@ replica factor ``R`` and microbatch count ``MB``, over
 minimizing ``V = max_i t_f(stage_i) + max_i t_b(stage_i)`` where each
 stage is profiled at per-replica microbatch ``BS / R / MB / (d_i -
 d_{i-1})``, subject to the device-memory bound, with the paper's
-``d_min`` pruning rule.
+``d_min`` pruning rule.  ``S`` only bounds the reachable cells of the
+table ``V[s, b, d]``, so one table answers a whole range of stage counts
+(``form_stage_dp(ctx, range(...), ...)``); Algorithm 2 makes one such
+sweep per node level and microbatch count.
 
 Deviation noted from the pseudocode: we initialize ``V[0, b, d] = 0`` only
 at ``(b, d) = (0, 0)`` (the pseudocode's blanket ``V[0, b, d] = 0`` would
@@ -41,7 +44,7 @@ from __future__ import annotations
 import threading
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -191,11 +194,12 @@ class BandedProfile:
 
     A stage profile depends on the replica count ``r`` only through the
     per-replica microbatch ``bs = BS // (R * MB * r)``, so the replica
-    axis collapses to one plane per *distinct* ``bs`` -- and within one
-    DP call every reachable stage spans at most ``k - S + 1`` blocks, so
-    each plane needs only that diagonal band.  Entry ``[p, lo, j]``
-    profiles blocks ``(lo, lo + 1 + j]`` at microbatch ``bs_list[p]``;
-    entries past the block count hold +inf.  Peak memory is
+    axis collapses to one plane per *distinct* ``bs`` -- and within a DP
+    sweep whose smallest stage count is ``S`` every reachable stage spans
+    at most ``k - S + 1`` blocks, so each plane needs only that diagonal
+    band.  Entry ``[p, lo, j]`` profiles blocks ``(lo, lo + 1 + j]`` at
+    microbatch ``bs_list[p]``; entries past the block count hold +inf.
+    Peak memory is
     ``O(P * k * band)`` instead of the dense ``O(k^2 * D)``.
     """
 
@@ -743,8 +747,8 @@ class DPContext:
 
         Entry ``[lo, hi, r]`` profiles blocks ``(lo, hi]`` on ``r``
         devices; infeasible entries (bs < 1, empty range) hold +inf.
-        Cached across ``form_stage_dp`` calls (the tensors are identical
-        for every stage count S > 1 at the same D, R, MB).
+        Cached across DP calls (the tensors are identical for every
+        stage count S > 1 at the same D, R, MB).
 
         A profile depends on ``r`` only through ``bs = BS // (R*MB*r)``,
         so one :meth:`_profile_planes` call per distinct ``bs`` fills the
@@ -882,8 +886,7 @@ class DPContext:
 
         Cached per ``(D, R, MB, checkpointing)`` and grown on demand: a
         request wider than the cached band rebuilds it (Algorithm 2
-        issues the widest request of a node level first -- smallest
-        ``S`` -- so serial sweeps build each band exactly once).
+        makes one sweep per key, so it builds each band exactly once).
         """
         span = int(min(max(span, 1), self.k))
         key = (D, R, MB, checkpointing)
@@ -1054,26 +1057,26 @@ def _banded_stage_numpy(
     bsf: np.ndarray,
     slab_cache: Optional[Dict[int, Tuple]] = None,
 ) -> None:
-    """One stage count of the banded DP engine.
+    """One stage ``s`` of the banded DP engine.
 
     Mirrors the full-slab engine's per-``d'`` column reduction, but the
     per-stage slab lives in band coordinates -- ``(b', b)`` restricted to
-    the reachable rows/cols, which for stage ``s`` of an ``S``-stage DP
-    is exactly a ``(k - S + 1)``-square -- and the replica axis is
-    reduced one *bs-group* at a time: ``r`` values sharing a per-replica
-    microbatch have identical candidate values, so each group's argmin is
-    computed once and broadcast across the group's ``d`` range.  The
-    update rule, tie-breaks and failure-mask accumulation are the exact
-    expressions of the dense engine, so every written cell is
-    bit-identical.
+    the reachable rows/cols, a ``(b_hi - s + 1)``-square -- and the
+    replica axis is reduced one *bs-group* at a time: ``r`` values
+    sharing a per-replica microbatch have identical candidate values, so
+    each group's argmin is computed once and broadcast across the
+    group's ``d`` range.  The update rule, tie-breaks and failure-mask
+    accumulation are the exact expressions of the dense engine, so every
+    written cell is bit-identical.
 
     The per-stage ``(b', b)`` slab of plane ``p`` is a *diagonal shear*
     of the band matrix: ``slab[i, j] = band[s - 1 + i, j - i]``.  Each
-    plane is materialized once per DP call (``slab_cache``, shared
-    across the ``s`` loop since ``nb = k - S + 1`` is constant) as the
-    band padded on the right with ``nb`` INF columns; every stage's
-    slab is then a zero-copy strided view whose out-of-band cells
-    (``j < i``) land in the neighbouring row's INF padding.
+    plane is materialized once per DP sweep (``slab_cache``, shared
+    across the ``s`` loop) as the band padded on the right with ``nb``
+    INF columns; every stage's slab is then a zero-copy strided view
+    whose out-of-band cells (``j < i``) land in the neighbouring row's
+    INF padding.  ``nb = b_hi - s + 1`` never grows along a sweep, so
+    the padding of a plane's first use covers every later stage.
     Over-memory and out-of-band infeasibility are poisoned into the
     padded TF as INF, so the candidate value ``max(prev, TF) +
     max(prev, TB)`` is INF exactly where the dense engine's masked
@@ -1082,7 +1085,7 @@ def _banded_stage_numpy(
     INF = np.inf
     bsl = slice(s, b_hi + 1)
     psl = slice(s - 1, b_hi)
-    nb = b_hi - s + 1        # = k - S + 1: cols b = s .. b_hi
+    nb = b_hi - s + 1        # cols b = s .. b_hi
     col_ok = prev_ok.any(axis=0)
     cols = np.arange(nb)
     groups = _replica_groups(bands.plane_of_r, d_hi - (s - 1))
@@ -1147,8 +1150,8 @@ def _banded_stage_numpy(
                 view = (Ptf, Ptb, Pover)
                 views[p] = view
             Ptf, Ptb, Pover = view
-            # in-band entries are always finite (every span 1..k-S+1 is a
-            # real block range), so fin == in_band and valid & ~fin == 0:
+            # in-band entries are always finite (every in-band (b', b) is
+            # a real block range), so fin == in_band and valid & ~fin == 0:
             # present-bs groups never contribute to bsf
             if Pover is not None:
                 ovm_cols = (pok[:, None] & Pover).any(axis=0)
@@ -1179,7 +1182,7 @@ def _banded_stage_numpy(
 
 def form_stage_dp(
     ctx: DPContext,
-    S: int,
+    S: Union[int, range],
     D: int,
     BS: int,
     R: int,
@@ -1190,12 +1193,13 @@ def form_stage_dp(
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
     parent_id: Optional[int] = None,
-) -> Optional[DPSolution]:
+) -> Union[Optional[DPSolution], Dict[int, Optional[DPSolution]]]:
     """Algorithm 1: DP over stage boundaries and device allocations.
 
     Args:
         ctx: precomputed block-range profiles (carries ``BS``).
-        S: number of stages.
+        S: number of stages, or a contiguous ``range`` of stage counts
+            to answer from one DP sweep.
         D: number of devices available to one pipeline.
         BS: global batch size (must equal ``ctx.batch_size``).
         R: replica factor (whole-pipeline copies).
@@ -1207,33 +1211,58 @@ def form_stage_dp(
             :func:`resolve_dp_engine` for the mapping to concrete modes.
         tracer: optional :class:`~repro.obs.tracer.Tracer`; when given,
             the whole call is wrapped in a ``dp.form_stage_dp`` span
-            carrying ``(S, D, R, MB)``, the visited-state count and the
-            outcome.  ``parent_id`` links the span to the coordinating
-            Algorithm-2 span when this call runs on a pool thread.
+            carrying ``(S, D, R, MB)`` (``S`` the largest stage count,
+            ``S_min`` the smallest), the visited-state count and the
+            feasible stage counts.  ``parent_id`` links the span to the
+            coordinating Algorithm-2 span when this call runs on a pool
+            thread.
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
             records ``dp.calls``, ``dp.states_evaluated`` (total and per
-            ``(S, MB)`` point) and the ``dp.states_per_call`` histogram.
+            ``(D, MB)`` point) and the ``dp.states_per_call`` histogram.
 
     Returns:
-        The best :class:`DPSolution`, or ``None`` (INFEASIBLE).
+        The best :class:`DPSolution`, or ``None`` (INFEASIBLE); for a
+        ``range`` of stage counts, ``{S: solution or None}`` over it.
 
-    The transition for every ``(b, d)`` cell of one stage count is
-    evaluated as a tensor reduction.  When the 4-D candidate space
-    ``(b', b, d', d)`` fits under :data:`FULL_TENSOR_MAX_CELLS`, the
-    engine loops over the few feasible ``d'`` columns and reduces a
-    ``(b', b, r)`` slab per column -- each slab is a pure *slice* of the
-    cached profile tensors (``r = d - d'`` increases along the ``d``
-    axis), so no gather is materialized; a running lexicographic
-    ``(value, b', d')`` minimum reproduces the per-cell flat argmin
-    tie-break exactly.  Otherwise a per-``b`` row engine reduces
-    ``(b', d', d)`` slabs.  Both paths then *replay* the original cell
-    ordering (b ascending, d descending) over the precomputed memory/bs
-    failure masks to apply the ``d_min`` rule, so visited-state counts,
-    pruning decisions and tie-breaks (first minimum in ``(b', d')``
-    row-major order) are identical to the per-cell loop.
+    **One sweep, every stage count.**  The table ``V[s, b, d]`` does not
+    depend on the target stage count: ``S`` only bounds which cells can
+    still reach ``(S, |B|, D)`` (``b <= |B| - (S - s)`` and ``d <= D -
+    (S - s)``, since every later stage needs a block and a device), and
+    every cell reads only cells with smaller ``b`` and ``d``.  So one
+    table filled up to the largest ``S`` of a range, each stage ``s``
+    over the bounds of the smallest ``S >= s`` in it, holds ``V[S, |B|,
+    D]`` for every ``S`` at once: an Algorithm-2 node level costs one
+    call per ``(D, R, MB)`` instead of one per ``(S, MB)``.  ``S = 1``
+    is the exception: a lone stage runs without activation
+    checkpointing, so its profiles differ and it gets a one-stage table
+    of its own.  One call is one DP call in the counters, whatever the
+    range.  The ``d_min`` replay scans each stage over the sweep's
+    bounds, which for a larger ``S`` are wider than its own DP's; the
+    extra cells can only prune memory dead ends, which DESIGN.md D1b
+    argues are lossless, and the equivalence tests hold every ``S`` of
+    a sweep to the per-stage-count reference.
+
+    The transition for every ``(b, d)`` cell of one stage is evaluated
+    as a tensor reduction.  When the 4-D candidate space ``(b', b, d',
+    d)`` fits under :data:`FULL_TENSOR_MAX_CELLS`, the engine loops over
+    the few feasible ``d'`` columns and reduces a ``(b', b, r)`` slab per
+    column -- each slab is a pure *slice* of the cached profile tensors
+    (``r = d - d'`` increases along the ``d`` axis), so no gather is
+    materialized; a running lexicographic ``(value, b', d')`` minimum
+    reproduces the per-cell flat argmin tie-break exactly.  Above it the
+    banded engine reduces the same transitions, and heterogeneous
+    clusters and custom profiles use a per-``b`` row engine.  Every path
+    then *replays* the original cell ordering (b ascending, d
+    descending) over the precomputed memory/bs failure masks to apply
+    the ``d_min`` rule, so visited-state counts, pruning decisions and
+    tie-breaks (first minimum in ``(b', d')`` row-major order) are those
+    of the per-cell loop.
     """
     if BS != ctx.batch_size:
         raise ValueError("batch size mismatch with DPContext")
+    stage_counts = S if isinstance(S, range) else range(S, S + 1)
+    if stage_counts.step != 1:
+        raise ValueError("stage counts must be a contiguous range")
     with ExitStack() as stack:
         sp: Optional[Span] = None
         if tracer is not None and tracer.enabled:
@@ -1242,35 +1271,97 @@ def form_stage_dp(
                     "dp.form_stage_dp",
                     category="partitioner.dp",
                     parent_id=parent_id,
-                    S=S, D=D, R=R, MB=MB,
+                    S=stage_counts[-1] if stage_counts else None,
+                    S_min=stage_counts[0] if stage_counts else None,
+                    D=D, R=R, MB=MB,
                 )
             )
-        return _form_stage_dp_body(
-            ctx, S, D, BS, R, MB, dmin_pruning, engine, sp, metrics
+        results = _form_stage_dp_body(
+            ctx, stage_counts, D, R, MB, dmin_pruning, engine, sp, metrics
         )
+    return results if isinstance(S, range) else results[S]
 
 
 def _form_stage_dp_body(
     ctx: DPContext,
-    S: int,
+    stage_counts: range,
     D: int,
-    BS: int,
     R: int,
     MB: int,
     dmin_pruning: bool,
     engine: str,
     sp: Optional[Span],
     metrics: Optional[MetricsRegistry],
-) -> Optional[DPSolution]:
-    k = ctx.k
-    if S < 1 or S > k or S > D:
+) -> Dict[int, Optional[DPSolution]]:
+    results: Dict[int, Optional[DPSolution]] = dict.fromkeys(
+        stage_counts, INFEASIBLE
+    )
+    # a stage needs at least one block and one device
+    lo = max(stage_counts.start, 1)
+    hi = min(stage_counts.stop - 1, ctx.k, D)
+    if lo > hi:
         if sp is not None:
             sp.set(feasible=False, reason="stage count out of range")
-        return INFEASIBLE
+        return results
     ctx._count_dp_call()
-    if metrics is not None:
-        metrics.counter("dp.calls").inc()
-    checkpointing = S > 1
+    states = 0
+    if lo == 1:
+        states += _sweep_table(
+            ctx, 1, 1, D, R, MB, False, dmin_pruning, engine, results
+        )
+        lo = 2
+    if lo <= hi:
+        states += _sweep_table(
+            ctx, lo, hi, D, R, MB, True, dmin_pruning, engine, results
+        )
+    ctx._count_states(states)
+    feasible = [s for s, sol in results.items() if sol is not None]
+    record_dp_call(metrics, D, MB, states, bool(feasible))
+    if sp is not None:
+        sp.set(
+            states_evaluated=states,
+            feasible=bool(feasible),
+            feasible_stages=feasible,
+        )
+    return results
+
+
+def record_dp_call(
+    metrics: Optional[MetricsRegistry],
+    D: int,
+    MB: int,
+    states: int,
+    feasible: bool,
+) -> None:
+    """The ``dp.*`` metrics of one DP sweep: the call, its visited
+    states (total, per ``(D, MB)`` point and as a histogram) and whether
+    no stage count was feasible."""
+    if metrics is None:
+        return
+    metrics.counter("dp.calls").inc()
+    metrics.counter("dp.states_evaluated").inc(states)
+    metrics.counter(point_name("dp.states_evaluated", D=D, MB=MB)).inc(states)
+    metrics.histogram("dp.states_per_call").observe(states)
+    if not feasible:
+        metrics.counter("dp.infeasible").inc()
+
+
+def _sweep_table(
+    ctx: DPContext,
+    s_lo: int,
+    s_hi: int,
+    D: int,
+    R: int,
+    MB: int,
+    checkpointing: bool,
+    dmin_pruning: bool,
+    engine: str,
+    results: Dict[int, Optional[DPSolution]],
+) -> int:
+    """Fill one Algorithm-1 table up to ``s_hi`` stages, store the
+    solution of every ``S`` in ``[s_lo, s_hi]`` into ``results`` and
+    return the visited-state count."""
+    k = ctx.k
     M = ctx.usable_memory
     hetero = ctx.cluster.is_heterogeneous
     if hetero:
@@ -1295,11 +1386,12 @@ def _form_stage_dp_body(
         # b' < b (a stage must contain at least one block)
         LT = np.triu(np.ones((k + 1, k + 1), dtype=bool), 1)
     elif mode in ("banded", "kernel"):
-        # within this DP call every reachable stage spans at most
-        # k - S + 1 blocks, so the band covers the whole search space
-        bands = ctx.profile_bands(D, R, MB, checkpointing, k - S + 1)
-        # padded shear slabs are shared across the whole s loop: nb =
-        # k - S + 1 and the memory budget are constant within one call
+        # every stage that can still reach (S, k, D) for some S >= s_lo
+        # spans at most k - s_lo + 1 blocks, so the band covers the whole
+        # search space
+        bands = ctx.profile_bands(D, R, MB, checkpointing, k - s_lo + 1)
+        # padded shear slabs are shared across the whole s loop (the
+        # memory budget is constant within one sweep)
         band_slabs: Dict[int, Tuple] = {}
         if mode == "kernel":
             from repro.partitioner._dp_kernels import banded_stage_kernel
@@ -1313,26 +1405,30 @@ def _form_stage_dp_body(
     # of a (b', b, r) slab without take_along_axis overhead
     row_idx = np.arange(k + 1)[:, None]
     col_idx = np.arange(D + 1)[None, :]
-    V = np.full((S + 1, k + 1, D + 1), INF)
-    tf = np.zeros((S + 1, k + 1, D + 1))
-    tb = np.zeros((S + 1, k + 1, D + 1))
-    parent_b = np.full((S + 1, k + 1, D + 1), -1, dtype=np.int64)
-    parent_d = np.full((S + 1, k + 1, D + 1), -1, dtype=np.int64)
+    shape = (s_hi + 1, k + 1, D + 1)
+    V = np.full(shape, INF)
+    tf = np.zeros(shape)
+    tb = np.zeros(shape)
+    parent_b = np.full(shape, -1, dtype=np.int64)
+    parent_d = np.full(shape, -1, dtype=np.int64)
     # deviation from the pseudocode's blanket V[0, b, d] = 0 (see module
     # docstring): only the empty prefix is a valid 0-stage state.
     V[0, 0, 0] = 0.0
 
     states = 0
 
-    for s in range(1, S + 1):
-        # d_min resets at each stage count: memory infeasibility is
+    for s in range(1, s_hi + 1):
+        # d_min resets at each stage s: memory infeasibility is
         # monotone in d and in b for FIXED s, but a deeper prefix (larger
         # s) has smaller stages and may be feasible where a shallower one
         # was not (deviation D1b in DESIGN.md; the pseudocode keeps d_min
         # global, which can prune true optima)
         d_min = 1
-        b_hi = k - (S - s)
-        d_hi = D - (S - s)
+        # the bounds of the smallest stage count S >= s of the sweep:
+        # its S - s later stages each need a block and a device
+        slack = max(s_lo - s, 0)
+        b_hi = k - slack
+        d_hi = D - slack
         prev_ok = np.isfinite(V[s - 1])  # (b', d')
         best = np.full((k + 1, D + 1), INF)
         best_tf = np.zeros((k + 1, D + 1))
@@ -1504,60 +1600,46 @@ def _form_stage_dp_body(
         parent_b[s] = np.where(written, best_bp, -1)
         parent_d[s] = np.where(written, best_dp, -1)
 
-    ctx._count_states(states)
-    if metrics is not None:
-        metrics.counter("dp.states_evaluated").inc(states)
-        metrics.counter(point_name("dp.states_evaluated", S=S, MB=MB)).inc(
-            states
+    for S in range(s_lo, s_hi + 1):
+        if not np.isfinite(V[S, k, D]):
+            continue
+        # reconstruct boundaries / device counts
+        boundaries: List[int] = []
+        device_counts: List[int] = []
+        b, d = k, D
+        for s in range(S, 0, -1):
+            pb, pd = int(parent_b[s, b, d]), int(parent_d[s, b, d])
+            boundaries.append(b)
+            device_counts.append(d - pd)
+            b, d = pb, pd
+        assert (b, d) == (0, 0), "DP backtrack did not land on the origin"
+        boundaries.reverse()
+        device_counts.reverse()
+
+        profiles: List[StageProfile] = []
+        lo = 0
+        dlo = 0
+        for hi, devs in zip(boundaries, device_counts):
+            prof = ctx.stage_profile(lo, hi, devs, R, MB, checkpointing)
+            assert prof is not None
+            if hetero:
+                prof = scale_stage_profile(prof, float(SLOW[dlo, dlo + devs]))
+            profiles.append(prof)
+            lo = hi
+            dlo += devs
+
+        results[S] = DPSolution(
+            boundaries=boundaries,
+            device_counts=device_counts,
+            num_microbatches=MB,
+            num_stages=S,
+            replica_factor=R,
+            objective=float(V[S, k, D]),
+            max_tf=float(tf[S, k, D]),
+            max_tb=float(tb[S, k, D]),
+            stage_profiles=profiles,
         )
-        metrics.histogram("dp.states_per_call").observe(states)
-    if sp is not None:
-        sp.set(states_evaluated=states)
-    if not np.isfinite(V[S, k, D]):
-        if metrics is not None:
-            metrics.counter("dp.infeasible").inc()
-        if sp is not None:
-            sp.set(feasible=False, reason="no finite V[S, k, D]")
-        return INFEASIBLE
-
-    # reconstruct boundaries / device counts
-    boundaries: List[int] = []
-    device_counts: List[int] = []
-    b, d = k, D
-    for s in range(S, 0, -1):
-        pb, pd = int(parent_b[s, b, d]), int(parent_d[s, b, d])
-        boundaries.append(b)
-        device_counts.append(d - pd)
-        b, d = pb, pd
-    assert (b, d) == (0, 0), "DP backtrack did not land on the origin"
-    boundaries.reverse()
-    device_counts.reverse()
-
-    profiles: List[StageProfile] = []
-    lo = 0
-    dlo = 0
-    for hi, devs in zip(boundaries, device_counts):
-        prof = ctx.stage_profile(lo, hi, devs, R, MB, checkpointing)
-        assert prof is not None
-        if hetero:
-            prof = scale_stage_profile(prof, float(SLOW[dlo, dlo + devs]))
-        profiles.append(prof)
-        lo = hi
-        dlo += devs
-
-    if sp is not None:
-        sp.set(feasible=True, objective=float(V[S, k, D]))
-    return DPSolution(
-        boundaries=boundaries,
-        device_counts=device_counts,
-        num_microbatches=MB,
-        num_stages=S,
-        replica_factor=R,
-        objective=float(V[S, k, D]),
-        max_tf=float(tf[S, k, D]),
-        max_tb=float(tb[S, k, D]),
-        stage_profiles=profiles,
-    )
+    return states
 
 
 def reference_form_stage_dp(

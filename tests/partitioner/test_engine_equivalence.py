@@ -30,6 +30,7 @@ from repro.partitioner.stage_dp import (
     DPContext,
     FULL_TENSOR_MAX_CELLS,
     form_stage_dp,
+    reference_form_stage_dp,
     resolve_dp_engine,
 )
 from repro.planner import PlannerConfig
@@ -253,6 +254,63 @@ class TestEngineBitIdentity:
         a = form_stage_dp(ctx, 2, 4, 32, 1, 2, engine="banded")
         b = form_stage_dp(ctx, 2, 4, 32, 1, 2, engine="rows")
         assert solution_key(a) == solution_key(b)
+
+
+# ----------------------------------------------------------------------
+# one sweep answers every stage count of a range
+
+
+class TestStageCountSweep:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2_000),
+        lo=st.integers(min_value=1, max_value=4),
+        MB=st.sampled_from([1, 2, 4]),
+        R=st.sampled_from([1, 2]),
+        engine=st.sampled_from(ENGINES),
+    )
+    def test_sweep_matches_reference_per_stage_count(
+        self, seed, lo, MB, R, engine
+    ):
+        ctx = make_ctx(seed=seed, k=6, batch_size=32)
+        sweep = form_stage_dp(ctx, range(lo, 5), 4, 32, R, MB, engine=engine)
+        assert sorted(sweep) == list(range(lo, 5))
+        for S, sol in sweep.items():
+            ref = reference_form_stage_dp(ctx, S, 4, 32, R, MB)
+            assert solution_key(sol) == solution_key(ref), S
+
+    @pytest.mark.parametrize("mem_mib", [12, 16, 24, 48])
+    def test_sweep_matches_reference_under_memory_pressure(self, mem_mib):
+        # budgets tight enough that memory dead ends drive d_min pruning
+        # at every stage of the sweep
+        cluster = tiny_cluster(
+            num_nodes=1, devices_per_node=4, memory_bytes=mem_mib * 1024**2
+        )
+        g = build_mlp((64, 256, 256, 256, 256, 64))
+        ctx = make_ctx(graph=g, k=8, batch_size=64, cluster=cluster)
+        for MB in (1, 4, 16):
+            sweep = form_stage_dp(ctx, range(1, 5), 4, 64, 1, MB)
+            for S, sol in sweep.items():
+                ref = reference_form_stage_dp(ctx, S, 4, 64, 1, MB)
+                assert solution_key(sol) == solution_key(ref), (S, MB)
+
+    def test_one_dp_call_per_sweep(self):
+        ctx = make_ctx(k=6, batch_size=32)
+        m = MetricsRegistry()
+        form_stage_dp(ctx, range(1, 5), 4, 32, 1, 2, metrics=m)
+        assert ctx.dp_calls == m.counter("dp.calls").value == 1
+        assert ctx.states_evaluated == m.counter(
+            "dp.states_evaluated[D=4,MB=2]"
+        ).value > 0
+        # stage counts beyond the devices: answered, but no DP call
+        out = form_stage_dp(ctx, range(5, 7), 4, 32, 1, 2, metrics=m)
+        assert out == {5: None, 6: None}
+        assert ctx.dp_calls == 1
+
+    def test_stage_counts_must_be_contiguous(self):
+        ctx = make_ctx()
+        with pytest.raises(ValueError, match="contiguous"):
+            form_stage_dp(ctx, range(1, 5, 2), 4, 32, 1, 1)
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from repro.partitioner.allocation import allocate_devices
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import block_partition
 from repro.partitioner.search import form_stage
-from repro.partitioner.stage_dp import DPContext
+from repro.partitioner.stage_dp import DPContext, reference_form_stage_dp
 from repro.profiler import GraphProfiler
 
 
@@ -78,6 +78,33 @@ class TestFormStage:
         result = form_stage(ctx, 1, 2, 64, max_microbatches=2)
         assert result is not None
         assert result.solution.num_microbatches <= 2
+
+    @pytest.mark.parametrize("memory_mib", [36, 1024])
+    def test_matches_per_candidate_reference_search(self, memory_mib):
+        """Algorithm 2 with one sweep per (D, R, MB) picks exactly the
+        winner of the candidate-by-candidate search over the pure-Python
+        reference DP, with the same candidate counts."""
+        cluster = tiny_cluster(num_nodes=2, devices_per_node=2,
+                               memory_bytes=memory_mib * 1024**2)
+        g = build_mlp((256, 1024, 1024, 1024, 1024, 256))
+        ctx = make_ctx(g, cluster, 8, k=6)
+        result = form_stage(ctx, 2, 2, 8)
+
+        for n, (D, R) in enumerate([(2, 2), (4, 1)], start=1):
+            pairs = [(S, MB) for S in range(D - 1, D + 1)
+                     for MB in (1, 2, 4, 8) if MB <= 8 // R]
+            sols = [reference_form_stage_dp(ctx, S, D, 8, R, MB)
+                    for S, MB in pairs]
+            sols = [s for s in sols if s is not None]
+            if sols:
+                break
+        best = min(sols, key=lambda s: s.estimated_iteration_time())
+        assert result.num_pipeline_nodes == n
+        assert result.candidates_tried == len(sols)
+        assert result.solution.boundaries == best.boundaries
+        assert result.solution.device_counts == best.device_counts
+        assert result.solution.num_microbatches == best.num_microbatches
+        assert result.solution.objective == best.objective
 
     def test_batch_mismatch(self):
         cluster = tiny_cluster()
