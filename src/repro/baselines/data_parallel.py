@@ -29,7 +29,7 @@ from repro.profiler.profiler import GraphProfiler
 class DataParallelPass(PlannerPass):
     """Planner pass sizing pure DP (accumulation steps, feasibility)."""
 
-    name = "data_parallel_search"
+    name = "data_parallel_sizing"
     produces = (FRAMEWORK_RESULT,)
 
     def run(self, ctx: PlanningContext) -> Dict[str, Any]:

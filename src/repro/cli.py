@@ -87,20 +87,6 @@ def _add_plan(sub: argparse._SubParsersAction) -> None:
                    help="communication cost model: 'flat' is the paper's "
                         "two-scalar closed forms, 'topology' routes every "
                         "transfer over the link-level network model")
-    p.add_argument("--workers", type=int, default=None,
-                   help="Algorithm-2 worker-pool size (default: CPU "
-                        "count, capped at the candidate count)")
-    p.add_argument("--dp-engine",
-                   choices=("numpy", "numba", "banded", "dense", "rows"),
-                   default="numpy",
-                   help="Algorithm-1 evaluation engine; all engines "
-                        "produce bit-identical plans (see docs/SCALING.md)")
-    p.add_argument("--search-backend",
-                   choices=("thread", "process", "serial"),
-                   default="thread",
-                   help="Algorithm-2 sweep pool: threads (default), "
-                        "processes (true parallelism on large graphs) or "
-                        "a serial sweep")
     p.add_argument("--a100-nodes", type=int, default=0,
                    help="add this many 8-A100 nodes, making the cluster "
                         "heterogeneous (--nodes keeps counting the V100 "
@@ -464,9 +450,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             args.cache_budget_mb * 2**20
             if args.cache_budget_mb is not None else None
         ),
-        search_workers=args.workers,
-        search_backend=args.search_backend,
-        dp_engine=args.dp_engine,
     )
     ctx = PlanningContext(graph, cluster, config)
     if args.delta:
@@ -548,8 +531,8 @@ def _render_events(ctx) -> str:
     for event in ctx.events:
         keys = ("reason", "hit", "verified", "stored", "reuse",
                 "fingerprint", "dp_calls", "candidates_tried",
-                "states_evaluated", "parallel_search", "search_backend",
-                "dp_engine", "memo_hit_rate",
+                "states_evaluated", "dp_mode", "search_workers_used",
+                "memo_hit_rate",
                 "num_components", "num_blocks", "range_entries",
                 "num_stages", "throughput",
                 "bubble_frac", "comm_model", "allreduce_algorithm",

@@ -59,10 +59,10 @@ def gpt3_like(
 ) -> TaskGraph:
     """Synthetic GPT-3-shaped decoder graph with a configurable depth.
 
-    The planner-scaling workload (``benchmarks/bench_scale.py``,
+    The planner-scaling workload (the ledger's ``gpt10k-cold``,
     docs/SCALING.md): each decoder layer traces to ~25 tasks, so
     ``depth=420`` yields a >10k-task graph -- the regime where the dense
-    profile tensors stop fitting and the banded DP engine takes over.
+    profile tensors stop fitting and the banded DP path takes over.
     The per-layer width is kept at trainable-on-V100 scale so the stage
     search exercises real feasibility trade-offs instead of failing on
     memory outright.

@@ -48,9 +48,6 @@ def auto_partition(
     comm_model: Optional[str] = None,
     memory_budget: Optional[float] = None,
     cache_budget_bytes: Optional[int] = None,
-    dp_engine: str = "numpy",
-    search_backend: str = "thread",
-    search_workers: Optional[int] = None,
     reuse_from: Optional[PlanningContext] = None,
     mode: str = "training",
 ) -> PartitionPlan:
@@ -102,15 +99,6 @@ def auto_partition(
             the full capacity.
         cache_budget_bytes: LRU byte budget for the on-disk cache
             (deployment entries + artifacts); ``None`` is unbounded.
-        dp_engine: Algorithm-1 evaluation engine
-            (:data:`~repro.partitioner.stage_dp.DP_ENGINES`); every
-            engine is bit-identical, ``"numba"`` opts into the JIT
-            kernel with a NumPy fallback.
-        search_backend: Algorithm-2 sweep pool (``"thread"``,
-            ``"process"`` or ``"serial"``); bit-identical plans and
-            counters under every backend.
-        search_workers: worker-pool size for the sweep (``None``: CPU
-            count, capped at the candidate count).
         reuse_from: the :class:`PlanningContext` of a previous planning
             run; still-valid artifacts (coarsening, profile tensors,
             DP solution) are reused and only the invalidated passes
@@ -139,9 +127,6 @@ def auto_partition(
         comm_model=comm_model,
         memory_budget=memory_budget,
         cache_budget_bytes=cache_budget_bytes,
-        dp_engine=dp_engine,
-        search_backend=search_backend,
-        search_workers=search_workers,
         mode=mode,
     )
     if context is None:

@@ -11,17 +11,12 @@ variants the one with the best estimated iteration time is returned.
 One Algorithm-1 sweep answers every stage count of a level at once
 (``form_stage_dp`` over a ``range`` of stage counts), so a level costs
 one DP call per microbatch count.  Those sweeps are independent problems
-over a shared :class:`DPContext`, so they can run on a worker pool.  Two
-backends are available (``backend=``): ``"thread"`` shares the context
-across a thread pool (the caches and counters are lock-guarded and NumPy
-releases the GIL inside the reductions), while ``"process"`` forks the
-context into a :class:`~concurrent.futures.ProcessPoolExecutor` for true
-parallelism on big sweeps -- the context pickles via its
-``export/import_cache_state`` snapshot and the parent *replays* every
-worker's ``dp_calls`` / ``states_evaluated`` deltas in microbatch order.
-Under every backend the winner is selected from the results in the
-serial sweep's candidate order, so the returned plan and all statistics
-are identical to a sequential search.
+over a shared :class:`DPContext`, so they run on one thread pool of
+``min(#sweeps, os.cpu_count())`` workers (serially when that is 1): the
+context's caches and counters are lock-guarded and NumPy releases the
+GIL inside the reductions.  The winner is selected from the results in
+the serial sweep's candidate order, so the returned plan and all
+statistics are identical to a sequential search.
 
 Aligning ``D`` to whole nodes keeps each pipeline inside as few nodes as
 possible, which is why stage-to-stage transfers are costed at intra-node
@@ -31,102 +26,17 @@ bandwidth (footnote 3 of the paper).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.partitioner.stage_dp import (
-    DPContext,
-    DPSolution,
-    form_stage_dp,
-    record_dp_call,
-)
-
-#: accepted values for the Algorithm-2 ``backend`` knob /
-#: ``PlannerConfig.search_backend``
-SEARCH_BACKENDS = ("serial", "thread", "process")
+from repro.partitioner.stage_dp import DPContext, DPSolution, form_stage_dp
 
 #: one sweep's answers: ``{stage count: solution or None}``
 Sweep = Dict[int, Optional[DPSolution]]
-
-#: per-worker DP context of a process-pool sweep, installed once by the
-#: pool initializer so every sweep the worker executes shares its caches
-_WORKER_CTX: Optional[DPContext] = None
-
-
-def _init_search_worker(ctx: DPContext) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
-
-
-def _run_sweep(
-    stage_counts: range,
-    D: int,
-    batch_size: int,
-    R: int,
-    MB: int,
-    engine: str,
-) -> Tuple[Sweep, bool, int]:
-    """Worker body: one sweep on the worker-global context, reporting
-    its counter deltas ``(sweep, dp_call_made, states_evaluated)`` so the
-    parent can replay them deterministically."""
-    ctx = _WORKER_CTX
-    assert ctx is not None, "process-pool worker used before initialization"
-    calls0 = ctx.dp_calls
-    states0 = ctx.states_evaluated
-    sweep = form_stage_dp(
-        ctx, stage_counts, D, batch_size, R, MB, engine=engine
-    )
-    return sweep, ctx.dp_calls > calls0, ctx.states_evaluated - states0
-
-
-def _solve_sweeps_process(
-    ctx: DPContext,
-    stage_counts: range,
-    microbatch_counts: List[int],
-    D: int,
-    batch_size: int,
-    R: int,
-    workers: int,
-    engine: str,
-    metrics: Optional[MetricsRegistry],
-) -> Dict[int, Sweep]:
-    """Run a level's sweeps on a process pool, then replay the workers'
-    counter deltas in microbatch order.
-
-    The replay makes ``ctx.dp_calls`` / ``ctx.states_evaluated`` and the
-    ``dp.*`` metrics come out identical to a serial sweep; per-sweep
-    tracer spans are not recorded, since spans cannot cross the process
-    boundary.
-    """
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_search_worker,
-        initargs=(ctx,),
-    ) as pool:
-        futures = {
-            MB: pool.submit(
-                _run_sweep, stage_counts, D, batch_size, R, MB, engine
-            )
-            for MB in microbatch_counts
-        }
-        done = {MB: fut.result() for MB, fut in futures.items()}
-    sweeps: Dict[int, Sweep] = {}
-    for MB in microbatch_counts:
-        sweep, made_call, states = done[MB]
-        sweeps[MB] = sweep
-        if not made_call:
-            continue  # stage counts out of range: no DP call was made
-        ctx._count_dp_call()
-        ctx._count_states(states)
-        record_dp_call(
-            metrics, D, MB, states,
-            any(sol is not None for sol in sweep.values()),
-        )
-    return sweeps
 
 
 @dataclass
@@ -139,6 +49,9 @@ class SearchResult:
     replica_factor: int        # R
     candidates_tried: int
     dp_calls: int
+    #: the largest sweep pool a level ran on (1: every level serial);
+    #: a diagnostic of the run that produced the result, not persisted
+    sweep_workers: int = field(default=1, compare=False)
 
     @property
     def num_stages(self) -> int:
@@ -152,59 +65,40 @@ def _solve_level(
     D: int,
     batch_size: int,
     R: int,
-    parallel: bool,
-    max_workers: Optional[int],
-    backend: str = "thread",
-    engine: str = "numpy",
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
     parent_id: Optional[int] = None,
-) -> Dict[int, Sweep]:
+) -> Tuple[Dict[int, Sweep], int]:
     """One ``form_stage_dp`` sweep over ``stage_counts`` per microbatch
-    count of a node level, keyed by microbatch count.
+    count of a node level, keyed by microbatch count, plus the number of
+    pool workers that ran them.
 
-    When a tracer is given, every sweep carries its own
-    ``dp.form_stage_dp`` span (thread/serial backends only);
-    ``parent_id`` links spans recorded on pool threads back to the
-    node-level span of the coordinating thread.
+    The sweeps run on ``min(#sweeps, os.cpu_count())`` threads, or
+    serially when that is 1.  When a tracer is given, every sweep
+    carries its own ``dp.form_stage_dp`` span; ``parent_id`` links spans
+    recorded on pool threads back to the node-level span of the
+    coordinating thread.
     """
-    if backend not in SEARCH_BACKENDS:
-        raise ValueError(
-            f"unknown search backend {backend!r}; "
-            f"expected one of {SEARCH_BACKENDS}"
-        )
-    workers = max_workers or min(len(microbatch_counts), os.cpu_count() or 1)
-    if (
-        not parallel
-        or backend == "serial"
-        or len(microbatch_counts) <= 1
-        or (backend == "process" and workers <= 1)
-    ):
-        # A one-worker process pool would pay fork + context-pickle cost
-        # for zero concurrency (e.g. single-core hosts), so it degrades
-        # to the serial sweep -- same results, counters and plan.
+    workers = min(len(microbatch_counts), os.cpu_count() or 1)
+    # ``form_stage_dp`` is looked up as a module global at call time, so
+    # a wrapper installed on ``search.form_stage_dp`` sees every sweep
+    kwargs = dict(tracer=tracer, metrics=metrics, parent_id=parent_id)
+    if workers <= 1:
         return {
             MB: form_stage_dp(
-                ctx, stage_counts, D, batch_size, R, MB, engine=engine,
-                tracer=tracer, metrics=metrics, parent_id=parent_id,
+                ctx, stage_counts, D, batch_size, R, MB, **kwargs
             )
             for MB in microbatch_counts
-        }
-    if backend == "process":
-        return _solve_sweeps_process(
-            ctx, stage_counts, microbatch_counts, D, batch_size, R,
-            workers, engine, metrics,
-        )
+        }, 1
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {
             MB: pool.submit(
                 form_stage_dp, ctx, stage_counts, D, batch_size, R, MB,
-                engine=engine, tracer=tracer, metrics=metrics,
-                parent_id=parent_id,
+                **kwargs,
             )
             for MB in microbatch_counts
         }
-        return {MB: fut.result() for MB, fut in futures.items()}
+        return {MB: fut.result() for MB, fut in futures.items()}, workers
 
 
 def form_stage(
@@ -214,10 +108,6 @@ def form_stage(
     batch_size: int,
     max_microbatches: Optional[int] = None,
     search_all_stage_counts: bool = True,
-    parallel: bool = True,
-    max_workers: Optional[int] = None,
-    backend: str = "thread",
-    engine: str = "numpy",
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> Optional[SearchResult]:
@@ -236,19 +126,6 @@ def form_stage(
             a pipeline several stages shorter than optimal (see DESIGN.md,
             deviation D2); both modes are tested, and both cost the same
             one sweep per microbatch count.
-        parallel: run the independent per-``MB`` sweeps of a level on a
-            worker pool (deterministic: same plan and counters as the
-            serial sweep).
-        max_workers: worker-pool size (default: CPU count, capped at the
-            number of sweeps in a level).
-        backend: one of :data:`SEARCH_BACKENDS` -- ``"thread"``
-            (default), ``"process"`` (true parallelism; the context is
-            forked to the workers and counter deltas are replayed in
-            microbatch order) or ``"serial"`` (force a sequential sweep
-            regardless of ``parallel``).
-        engine: DP evaluation engine, forwarded to every
-            :func:`form_stage_dp` call (see
-            :data:`~repro.partitioner.stage_dp.DP_ENGINES`).
         tracer: optional tracer; each node level gets a ``search.level``
             span and each sweep a ``dp.form_stage_dp`` span (parented to
             the level span even across pool threads).
@@ -257,8 +134,9 @@ def form_stage(
     Returns:
         A :class:`SearchResult`, or ``None`` if no configuration fits.
         Its ``dp_calls`` counts the sweeps made (one per node level and
-        microbatch count) and ``candidates_tried`` the feasible ``(S,
-        MB)`` candidates that competed.
+        microbatch count), ``candidates_tried`` the feasible ``(S, MB)``
+        candidates that competed and ``sweep_workers`` the largest
+        sweep pool a level ran on.
     """
     if batch_size != ctx.batch_size:
         raise ValueError("batch size mismatch with DPContext")
@@ -293,6 +171,7 @@ def form_stage(
             lvl *= 2
     dp_calls = 0
     tried = 0
+    workers_used = 1
     for n in levels:
         if hetero:
             D = offsets[n]
@@ -324,11 +203,11 @@ def form_stage(
         with level_cm as level_span:
             level_id = level_span.span_id if level_span is not None else None
             stage_counts = range(s_lo, s_hi + 1)
-            sweeps = _solve_level(
+            sweeps, workers = _solve_level(
                 ctx, stage_counts, microbatch_counts, D, batch_size, R,
-                parallel, max_workers, backend=backend, engine=engine,
                 tracer=tracer, metrics=metrics, parent_id=level_id,
             )
+            workers_used = max(workers_used, workers)
             dp_calls += len(microbatch_counts)
             if not search_all_stage_counts:
                 # strict pseudocode: only the FIRST feasible stage count
@@ -365,5 +244,6 @@ def form_stage(
                     replica_factor=R,
                     candidates_tried=tried,
                     dp_calls=dp_calls,
+                    sweep_workers=workers_used,
                 )
     return None

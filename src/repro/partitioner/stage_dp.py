@@ -34,9 +34,13 @@ kept as ``profile_tensors_reference`` and property-tested against the
 vectorized one.  The DP reduction itself is likewise evaluated for a
 whole ``(b, d)`` grid per stage count, with the ``d_min`` pruning rule
 replayed over the precomputed failure masks so the visited-state count
-and all write decisions match the cell-by-cell loop bit for bit.  The
-pure-Python transcription stays in ``reference_form_stage_dp`` as the
-oracle.
+and all write decisions match the cell-by-cell loop bit for bit.
+
+The reduction has exactly two code paths, picked by input size
+(:func:`dp_mode`): the full slab over the dense profile tensors, and a
+banded path above :data:`FULL_TENSOR_MAX_CELLS`.  The pure-Python
+transcription stays in ``reference_form_stage_dp`` as the oracle both
+are tested against.
 """
 
 from __future__ import annotations
@@ -56,60 +60,24 @@ from repro.profiler.profiler import GraphProfiler, ProfileResult
 
 INFEASIBLE = None
 
-#: (k+1)^2 * (D+1)^2 ceiling for the all-(b, d) DP evaluation; above it
-#: (e.g. the no-coarsening ablation's atomic-level contexts, k in the
-#: hundreds) a banded engine is used instead, which never materializes
-#: the dense (k+1, k+1, D+1) candidate tensors.
+#: (k+1)^2 * (D+1)^2 ceiling for the full-slab DP evaluation; above it
+#: (e.g. a 10k-task graph coarsened to hundreds of blocks, or the
+#: no-coarsening ablation's atomic-level contexts) the banded path is used
+#: instead, which never materializes the dense (k+1, k+1, D+1) candidate
+#: tensors.
 FULL_TENSOR_MAX_CELLS = 2_000_000
 
-#: accepted values for the ``engine`` knob of :func:`form_stage_dp` /
-#: ``PlannerConfig.dp_engine``.  All engines are bit-identical (plans,
-#: tie-breaks and ``states_evaluated`` counters); the knob only selects
-#: the evaluation strategy:
-#:
-#: * ``"numpy"`` (default; ``"auto"`` is an alias): the dense full-slab
-#:   engine when the 4-D candidate space fits under
-#:   :data:`FULL_TENSOR_MAX_CELLS`, else the banded engine.
-#: * ``"numba"``: the banded layout reduced by a JIT-compiled kernel
-#:   (``repro.partitioner._dp_kernels``); falls back to the banded NumPy
-#:   engine when numba is not installed.
-#: * ``"banded"``: force the banded NumPy engine even when the dense
-#:   tensors would fit.
-#: * ``"dense"``: the pre-banded behavior (full slab when it fits, else
-#:   the per-(s, b) row engine) -- kept as the benchmarking baseline.
-#: * ``"rows"``: force the per-(s, b) row engine.
-DP_ENGINES = ("auto", "numpy", "numba", "banded", "dense", "rows")
 
-
-def resolve_dp_engine(
-    engine: str, k: int, D: int, *, banded_supported: bool = True
-) -> str:
-    """Resolve an ``engine`` knob value to a concrete evaluation mode
-    (``"full"``, ``"banded"``, ``"kernel"`` or ``"rows"``) for a DP call
-    of ``k`` blocks and ``D`` devices.
-
-    Contexts whose profiles cannot be deduplicated by per-replica
-    microbatch (a custom ``stage_profile`` without a matching
-    ``_profile_planes``; see :attr:`DPContext.supports_banded`) fall back
-    to the dense engines regardless of the knob.
-    """
-    if engine not in DP_ENGINES:
-        raise ValueError(
-            f"unknown dp engine {engine!r}; expected one of {DP_ENGINES}"
-        )
-    full_fits = (k + 1) * (k + 1) * (D + 1) * (D + 1) <= FULL_TENSOR_MAX_CELLS
-    if engine == "rows":
-        return "rows"
-    if engine == "dense" or not banded_supported:
-        return "full" if full_fits else "rows"
-    if engine in ("auto", "numpy"):
-        return "full" if full_fits else "banded"
-    if engine == "banded":
-        return "banded"
-    # engine == "numba"
-    from repro.partitioner._dp_kernels import kernel_available
-
-    return "kernel" if kernel_available() else "banded"
+def dp_mode(ctx: "DPContext", D: int) -> str:
+    """The evaluation path of an Algorithm-1 sweep over ``D`` devices:
+    ``"full"`` when the 4-D candidate space ``(b', b, d', d)`` fits under
+    :data:`FULL_TENSOR_MAX_CELLS`, and always on heterogeneous clusters
+    (their per-slot caps and speeds scale the slab column by column);
+    ``"banded"`` above the ceiling.  Both paths give identical results."""
+    if ctx.cluster.is_heterogeneous:
+        return "full"
+    cells = (ctx.k + 1) ** 2 * (D + 1) ** 2
+    return "full" if cells <= FULL_TENSOR_MAX_CELLS else "banded"
 
 
 @dataclass(frozen=True)
@@ -273,19 +241,14 @@ class DPContext:
         )
         self._saved_prefix = np.concatenate([[0.0], np.cumsum(saved)])
         # prefix over blocks of batch-1 attention K/V bytes (inference
-        # memory accounting; the training memory model ignores it).  The
-        # getattr guards profilers unpickled from pre-mode artifacts.
-        kv_task = getattr(profiler, "kv_saved_bytes", None)
-        if kv_task is None:
-            kv = np.zeros(k)
-        else:
-            kv = np.array(
-                [float(kv_task[idx].sum()) for idx in self._block_idx]
-            )
+        # memory accounting; the training memory model ignores it)
+        kv = np.array(
+            [float(profiler.kv_saved_bytes[idx].sum()) for idx in self._block_idx]
+        )
         self._kv_prefix = np.concatenate([[0.0], np.cumsum(kv)])
         #: forward-only profile semantics (no recompute, no gradient
         #: return traffic on the backward edge)
-        self._inference = getattr(profiler, "mode", "training") == "inference"
+        self._inference = profiler.mode == "inference"
 
         self._lock = threading.RLock()
         self._time_prefix: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -310,38 +273,17 @@ class DPContext:
         self.dp_calls = 0
         self.states_evaluated = 0
 
-    # ------------------------------------------------------------------
-    # pickling (process-pool Algorithm-2 workers)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        """Constructor arguments plus the reusable numeric caches.
-
-        The lock, the metrics sink and the derived tensor/band caches are
-        dropped: workers re-derive tensors from the exported prefix/range
-        arrays (pure broadcasting), aggregate their own counters, and the
-        parent replays those counters in candidate order so a process-pool
-        sweep stays bit-identical to a serial one.
-        """
-        with self._lock:
-            return {
-                "graph": self.graph,
-                "blocks": self.blocks,
-                "profiler": self.profiler,
-                "batch_size": self.batch_size,
-                "memory_budget": self.memory_budget,
-                "cache_state": self.export_cache_state(),
-            }
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__init__(
-            state["graph"],
-            state["blocks"],
-            state["profiler"],
-            state["batch_size"],
-            metrics=None,
-            memory_budget=state["memory_budget"],
-        )
-        self.import_cache_state(state["cache_state"])
+    def __init_subclass__(cls, **kwargs) -> None:
+        # both DP paths build their candidates plane by plane (one
+        # _profile_planes call per per-replica microbatch), so a custom
+        # per-entry profile is only honoured with its plane form alongside
+        super().__init_subclass__(**kwargs)
+        if "stage_profile" in vars(cls) and "_profile_planes" not in vars(cls):
+            raise TypeError(
+                f"{cls.__name__} overrides stage_profile without "
+                f"_profile_planes; the DP builds its candidates from "
+                f"_profile_planes, so override both together"
+            )
 
     # ------------------------------------------------------------------
     @property
@@ -752,9 +694,7 @@ class DPContext:
 
         A profile depends on ``r`` only through ``bs = BS // (R*MB*r)``,
         so one :meth:`_profile_planes` call per distinct ``bs`` fills the
-        whole replica axis.  Subclasses that override ``stage_profile``
-        without providing a matching ``_profile_planes`` fall back to the
-        per-entry builder so their profile semantics are preserved.
+        whole replica axis.
         """
         cache_key = (D, R, MB, checkpointing)
         with self._lock:
@@ -765,45 +705,31 @@ class DPContext:
                 return cached
             if self.metrics is not None:
                 self.metrics.counter("profiler.tensor_builds").inc()
-            vectorized = (
-                type(self).stage_profile is DPContext.stage_profile
-                or type(self)._profile_planes is not DPContext._profile_planes
-            )
-            if vectorized:
-                result = self._profile_tensors_vectorized(
-                    D, R, MB, checkpointing
+            k = self.k
+            TF = np.full((k + 1, k + 1, D + 1), np.inf)
+            TB = np.full((k + 1, k + 1, D + 1), np.inf)
+            MEM = np.full((k + 1, k + 1, D + 1), np.inf)
+            by_bs: Dict[int, List[int]] = {}
+            for r in range(1, D + 1):
+                bs = self.batch_size // (R * MB * r)
+                if bs < 1:
+                    continue  # microbatch collapsed: stays +inf
+                by_bs.setdefault(bs, []).append(r)
+            empty_range = ~np.triu(np.ones((k + 1, k + 1), dtype=bool), 1)
+            for bs, replica_counts in by_bs.items():
+                tf_plane, tb_plane, mem_plane = self._profile_planes(
+                    bs, MB, checkpointing
                 )
-            else:
-                result = self.profile_tensors_reference(D, R, MB, checkpointing)
+                tf_plane = np.where(empty_range, np.inf, tf_plane)
+                tb_plane = np.where(empty_range, np.inf, tb_plane)
+                mem_plane = np.where(empty_range, np.inf, mem_plane)
+                for r in replica_counts:
+                    TF[:, :, r] = tf_plane
+                    TB[:, :, r] = tb_plane
+                    MEM[:, :, r] = mem_plane
+            result = (TF, TB, MEM)
             self._tensor_cache[cache_key] = result
             return result
-
-    def _profile_tensors_vectorized(
-        self, D: int, R: int, MB: int, checkpointing: bool
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        k = self.k
-        TF = np.full((k + 1, k + 1, D + 1), np.inf)
-        TB = np.full((k + 1, k + 1, D + 1), np.inf)
-        MEM = np.full((k + 1, k + 1, D + 1), np.inf)
-        by_bs: Dict[int, List[int]] = {}
-        for r in range(1, D + 1):
-            bs = self.batch_size // (R * MB * r)
-            if bs < 1:
-                continue  # microbatch collapsed: stays +inf
-            by_bs.setdefault(bs, []).append(r)
-        empty_range = ~np.triu(np.ones((k + 1, k + 1), dtype=bool), 1)
-        for bs, replica_counts in by_bs.items():
-            tf_plane, tb_plane, mem_plane = self._profile_planes(
-                bs, MB, checkpointing
-            )
-            tf_plane = np.where(empty_range, np.inf, tf_plane)
-            tb_plane = np.where(empty_range, np.inf, tb_plane)
-            mem_plane = np.where(empty_range, np.inf, mem_plane)
-            for r in replica_counts:
-                TF[:, :, r] = tf_plane
-                TB[:, :, r] = tb_plane
-                MEM[:, :, r] = mem_plane
-        return TF, TB, MEM
 
     def _dp_tensors(
         self, D: int, R: int, MB: int, checkpointing: bool
@@ -833,52 +759,42 @@ class DPContext:
         ``r*D + d' .. r*D + d - 1``.  ``MINMEM[d', d]`` is the smallest
         usable memory over those ranks (the stage must fit its tightest
         device) and ``SLOW[d', d]`` the largest reference-relative time
-        factor (the stage runs at its slowest device's pace).  Cached per
-        ``(D, R)``; requires ``D * R <= cluster.total_devices``.
+        factor (the stage runs at its slowest device's pace).  ``MINMEM``
+        is further capped by :attr:`memory_budget` when one is set.
+        Cached per ``(D, R)``; requires ``D * R <= cluster.total_devices``.
         """
         key = (D, R)
         with self._lock:
             cached = self._hetero_cache.get(key)
-            if cached is not None:
-                return cached
-            mems = np.asarray(self.cluster.rank_memories())
-            facs = np.asarray(
-                self.cluster.rank_time_factors(self.profiler.precision)
-            )
-            if D * R > mems.size:
-                raise ValueError(
-                    f"D*R = {D * R} exceeds the cluster's "
-                    f"{mems.size} devices"
+            if cached is None:
+                mems = np.asarray(self.cluster.rank_memories())
+                facs = np.asarray(
+                    self.cluster.rank_time_factors(self.profiler.precision)
                 )
-            # collapse the replica axis first: slot j of a band maps to
-            # rank r*D + j, and a stage's constraint is the worst over
-            # every replica band it appears in
-            slot_mem = mems[: D * R].reshape(R, D).min(axis=0)
-            slot_fac = facs[: D * R].reshape(R, D).max(axis=0)
-            MINMEM = np.full((D + 1, D + 1), np.inf)
-            SLOW = np.ones((D + 1, D + 1))
-            for dp in range(D):
-                MINMEM[dp, dp + 1:] = np.minimum.accumulate(slot_mem[dp:])
-                SLOW[dp, dp + 1:] = np.maximum.accumulate(slot_fac[dp:])
-            result = (MINMEM, SLOW)
-            self._hetero_cache[key] = result
-            return result
+                if D * R > mems.size:
+                    raise ValueError(
+                        f"D*R = {D * R} exceeds the cluster's "
+                        f"{mems.size} devices"
+                    )
+                # collapse the replica axis first: slot j of a band maps
+                # to rank r*D + j, and a stage's constraint is the worst
+                # over every replica band it appears in
+                slot_mem = mems[: D * R].reshape(R, D).min(axis=0)
+                slot_fac = facs[: D * R].reshape(R, D).max(axis=0)
+                MINMEM = np.full((D + 1, D + 1), np.inf)
+                SLOW = np.ones((D + 1, D + 1))
+                for dp in range(D):
+                    MINMEM[dp, dp + 1:] = np.minimum.accumulate(slot_mem[dp:])
+                    SLOW[dp, dp + 1:] = np.maximum.accumulate(slot_fac[dp:])
+                cached = self._hetero_cache[key] = (MINMEM, SLOW)
+            MINMEM, SLOW = cached
+            if self.memory_budget is not None:
+                MINMEM = np.minimum(MINMEM, self.memory_budget)
+            return MINMEM, SLOW
 
     # ------------------------------------------------------------------
     # banded construction (O(band * D) peak memory)
     # ------------------------------------------------------------------
-    @property
-    def supports_banded(self) -> bool:
-        """Whether profiles may be deduplicated by per-replica microbatch
-        (the precondition of the banded/JIT engines): true for the default
-        profile semantics and for subclasses that provide a matching
-        ``_profile_planes``; false for a custom ``stage_profile`` alone,
-        which may depend on ``r`` directly."""
-        return (
-            type(self).stage_profile is DPContext.stage_profile
-            or type(self)._profile_planes is not DPContext._profile_planes
-        )
-
     def profile_bands(
         self, D: int, R: int, MB: int, checkpointing: bool, span: int
     ) -> BandedProfile:
@@ -996,8 +912,8 @@ class DPContext:
         self, D: int, R: int, MB: int, checkpointing: bool
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-entry O(k^2 * D) tensor builder: one ``stage_profile`` call
-        per ``(lo, hi, r)``.  The oracle for the plane-based builder, and
-        the fallback for contexts with a custom ``stage_profile``."""
+        per ``(lo, hi, r)``.  The test oracle for the plane-based
+        builders."""
         k = self.k
         TF = np.full((k + 1, k + 1, D + 1), np.inf)
         TB = np.full((k + 1, k + 1, D + 1), np.inf)
@@ -1039,7 +955,7 @@ def _replica_groups(plane_of_r: np.ndarray, max_r: int) -> List[Tuple[int, int, 
     return groups
 
 
-def _banded_stage_numpy(
+def _banded_stage(
     bands: BandedProfile,
     prev_ok: np.ndarray,
     ptf: np.ndarray,
@@ -1055,18 +971,18 @@ def _banded_stage_numpy(
     best_dp: np.ndarray,
     memf: np.ndarray,
     bsf: np.ndarray,
-    slab_cache: Optional[Dict[int, Tuple]] = None,
+    slab_cache: Dict[int, Tuple],
 ) -> None:
-    """One stage ``s`` of the banded DP engine.
+    """One stage ``s`` of the banded DP path.
 
-    Mirrors the full-slab engine's per-``d'`` column reduction, but the
+    Mirrors the full-slab path's per-``d'`` column reduction, but the
     per-stage slab lives in band coordinates -- ``(b', b)`` restricted to
     the reachable rows/cols, a ``(b_hi - s + 1)``-square -- and the
     replica axis is reduced one *bs-group* at a time: ``r`` values
     sharing a per-replica microbatch have identical candidate values, so
     each group's argmin is computed once and broadcast across the
     group's ``d`` range.  The update rule, tie-breaks and failure-mask
-    accumulation are the exact expressions of the dense engine, so every
+    accumulation are the exact expressions of the full-slab path, so every
     written cell is bit-identical.
 
     The per-stage ``(b', b)`` slab of plane ``p`` is a *diagonal shear*
@@ -1079,7 +995,7 @@ def _banded_stage_numpy(
     the padding of a plane's first use covers every later stage.
     Over-memory and out-of-band infeasibility are poisoned into the
     padded TF as INF, so the candidate value ``max(prev, TF) +
-    max(prev, TB)`` is INF exactly where the dense engine's masked
+    max(prev, TB)`` is INF exactly where the full-slab path's masked
     ``np.where(ok, ..., INF)`` is, with no mask passes at all.
     """
     INF = np.inf
@@ -1089,8 +1005,6 @@ def _banded_stage_numpy(
     col_ok = prev_ok.any(axis=0)
     cols = np.arange(nb)
     groups = _replica_groups(bands.plane_of_r, d_hi - (s - 1))
-    if slab_cache is None:
-        slab_cache = {}
     views: Dict[int, Tuple] = {}
     cand_tf = np.empty((nb, nb))
     cand_tb = np.empty((nb, nb))
@@ -1114,7 +1028,7 @@ def _banded_stage_numpy(
             g = slice(dp_ + r1, dp_ + min(r2, nd) + 1)
             if p < 0:
                 # microbatch collapsed for this whole run of r: the dense
-                # engine's FIN plane is all-False there, so every valid
+                # path's FIN plane is all-False there, so every valid
                 # transition records a bs failure
                 bsf[bsl, g] |= any_valid[:, None]
                 continue
@@ -1189,7 +1103,6 @@ def form_stage_dp(
     MB: int,
     dmin_pruning: bool = True,
     *,
-    engine: str = "numpy",
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
     parent_id: Optional[int] = None,
@@ -1206,13 +1119,11 @@ def form_stage_dp(
         MB: number of microbatches.
         dmin_pruning: the paper's d_min search-space reduction; disabling
             it is the ablation of DESIGN.md choice #1.
-        engine: evaluation strategy, one of :data:`DP_ENGINES`.  Every
-            engine returns bit-identical solutions and counters; see
-            :func:`resolve_dp_engine` for the mapping to concrete modes.
         tracer: optional :class:`~repro.obs.tracer.Tracer`; when given,
             the whole call is wrapped in a ``dp.form_stage_dp`` span
             carrying ``(S, D, R, MB)`` (``S`` the largest stage count,
-            ``S_min`` the smallest), the visited-state count and the
+            ``S_min`` the smallest), the evaluation ``mode`` that ran
+            (``"full"``/``"banded"``), the visited-state count and the
             feasible stage counts.  ``parent_id`` links the span to the
             coordinating Algorithm-2 span when this call runs on a pool
             thread.
@@ -1243,16 +1154,19 @@ def form_stage_dp(
     a sweep to the per-stage-count reference.
 
     The transition for every ``(b, d)`` cell of one stage is evaluated
-    as a tensor reduction.  When the 4-D candidate space ``(b', b, d',
-    d)`` fits under :data:`FULL_TENSOR_MAX_CELLS`, the engine loops over
-    the few feasible ``d'`` columns and reduces a ``(b', b, r)`` slab per
-    column -- each slab is a pure *slice* of the cached profile tensors
-    (``r = d - d'`` increases along the ``d`` axis), so no gather is
-    materialized; a running lexicographic ``(value, b', d')`` minimum
-    reproduces the per-cell flat argmin tie-break exactly.  Above it the
-    banded engine reduces the same transitions, and heterogeneous
-    clusters and custom profiles use a per-``b`` row engine.  Every path
-    then *replays* the original cell ordering (b ascending, d
+    as a tensor reduction, on one of two paths picked by :func:`dp_mode`.
+    When the 4-D candidate space ``(b', b, d', d)`` fits under
+    :data:`FULL_TENSOR_MAX_CELLS` (and always on heterogeneous clusters),
+    the full-slab path loops over the few feasible ``d'`` columns and
+    reduces a ``(b', b, r)`` slab per column -- each slab is a pure
+    *slice* of the cached profile tensors (``r = d - d'`` increases along
+    the ``d`` axis), so no gather is materialized; a running
+    lexicographic ``(value, b', d')`` minimum reproduces the per-cell
+    flat argmin tie-break exactly.  On a heterogeneous cluster each
+    column's slice is scaled by ``SLOW[d', d]`` and checked against
+    ``MINMEM[d', d]`` (see :meth:`DPContext.hetero_tables`).  Above the
+    ceiling the banded path reduces the same transitions.  Both paths
+    then *replay* the original cell ordering (b ascending, d
     descending) over the precomputed memory/bs failure masks to apply
     the ``d_min`` rule, so visited-state counts, pruning decisions and
     tie-breaks (first minimum in ``(b', d')`` row-major order) are those
@@ -1263,6 +1177,7 @@ def form_stage_dp(
     stage_counts = S if isinstance(S, range) else range(S, S + 1)
     if stage_counts.step != 1:
         raise ValueError("stage counts must be a contiguous range")
+    mode = dp_mode(ctx, D)
     with ExitStack() as stack:
         sp: Optional[Span] = None
         if tracer is not None and tracer.enabled:
@@ -1273,11 +1188,11 @@ def form_stage_dp(
                     parent_id=parent_id,
                     S=stage_counts[-1] if stage_counts else None,
                     S_min=stage_counts[0] if stage_counts else None,
-                    D=D, R=R, MB=MB,
+                    D=D, R=R, MB=MB, mode=mode,
                 )
             )
         results = _form_stage_dp_body(
-            ctx, stage_counts, D, R, MB, dmin_pruning, engine, sp, metrics
+            ctx, stage_counts, D, R, MB, dmin_pruning, mode, sp, metrics
         )
     return results if isinstance(S, range) else results[S]
 
@@ -1289,7 +1204,7 @@ def _form_stage_dp_body(
     R: int,
     MB: int,
     dmin_pruning: bool,
-    engine: str,
+    mode: str,
     sp: Optional[Span],
     metrics: Optional[MetricsRegistry],
 ) -> Dict[int, Optional[DPSolution]]:
@@ -1307,16 +1222,24 @@ def _form_stage_dp_body(
     states = 0
     if lo == 1:
         states += _sweep_table(
-            ctx, 1, 1, D, R, MB, False, dmin_pruning, engine, results
+            ctx, 1, 1, D, R, MB, False, dmin_pruning, mode, results
         )
         lo = 2
     if lo <= hi:
         states += _sweep_table(
-            ctx, lo, hi, D, R, MB, True, dmin_pruning, engine, results
+            ctx, lo, hi, D, R, MB, True, dmin_pruning, mode, results
         )
     ctx._count_states(states)
     feasible = [s for s, sol in results.items() if sol is not None]
-    record_dp_call(metrics, D, MB, states, bool(feasible))
+    if metrics is not None:
+        metrics.counter("dp.calls").inc()
+        metrics.counter("dp.states_evaluated").inc(states)
+        metrics.counter(
+            point_name("dp.states_evaluated", D=D, MB=MB)
+        ).inc(states)
+        metrics.histogram("dp.states_per_call").observe(states)
+        if not feasible:
+            metrics.counter("dp.infeasible").inc()
     if sp is not None:
         sp.set(
             states_evaluated=states,
@@ -1324,26 +1247,6 @@ def _form_stage_dp_body(
             feasible_stages=feasible,
         )
     return results
-
-
-def record_dp_call(
-    metrics: Optional[MetricsRegistry],
-    D: int,
-    MB: int,
-    states: int,
-    feasible: bool,
-) -> None:
-    """The ``dp.*`` metrics of one DP sweep: the call, its visited
-    states (total, per ``(D, MB)`` point and as a histogram) and whether
-    no stage count was feasible."""
-    if metrics is None:
-        return
-    metrics.counter("dp.calls").inc()
-    metrics.counter("dp.states_evaluated").inc(states)
-    metrics.counter(point_name("dp.states_evaluated", D=D, MB=MB)).inc(states)
-    metrics.histogram("dp.states_per_call").observe(states)
-    if not feasible:
-        metrics.counter("dp.infeasible").inc()
 
 
 def _sweep_table(
@@ -1355,7 +1258,7 @@ def _sweep_table(
     MB: int,
     checkpointing: bool,
     dmin_pruning: bool,
-    engine: str,
+    mode: str,
     results: Dict[int, Optional[DPSolution]],
 ) -> int:
     """Fill one Algorithm-1 table up to ``s_hi`` stages, store the
@@ -1365,27 +1268,19 @@ def _sweep_table(
     M = ctx.usable_memory
     hetero = ctx.cluster.is_heterogeneous
     if hetero:
-        # position-aware variant of the rows engine: the memory cap and
-        # stage speed depend on WHICH cumulative-device slots [d', d) a
-        # stage lands on, so the scalar-M engines cannot apply.  The
-        # d_min rule is also off: feasibility is no longer monotone in d
-        # once a class boundary sits inside the slot range.
+        # the memory cap and stage speed depend on WHICH cumulative-device
+        # slots [d', d) a stage lands on (the full slab scales each d'
+        # column's slice).  The d_min rule is off: feasibility is no
+        # longer monotone in d once a class boundary sits inside the
+        # slot range.
         MINMEM, SLOW = ctx.hetero_tables(D, R)
-        if ctx.memory_budget is not None:
-            MINMEM = np.minimum(MINMEM, ctx.memory_budget)
         dmin_pruning = False
-        mode = "rows"
-    else:
-        mode = resolve_dp_engine(
-            engine, k, D, banded_supported=ctx.supports_banded
-        )
     full = mode == "full"
-    kernel = None
     if full:
         TF, TB, MEM, FIN, OVER = ctx._dp_tensors(D, R, MB, checkpointing)
         # b' < b (a stage must contain at least one block)
         LT = np.triu(np.ones((k + 1, k + 1), dtype=bool), 1)
-    elif mode in ("banded", "kernel"):
+    else:
         # every stage that can still reach (S, k, D) for some S >= s_lo
         # spans at most k - s_lo + 1 blocks, so the band covers the whole
         # search space
@@ -1393,12 +1288,6 @@ def _sweep_table(
         # padded shear slabs are shared across the whole s loop (the
         # memory budget is constant within one sweep)
         band_slabs: Dict[int, Tuple] = {}
-        if mode == "kernel":
-            from repro.partitioner._dp_kernels import banded_stage_kernel
-
-            kernel = banded_stage_kernel
-    else:
-        TF, TB, MEM = ctx.profile_tensors(D, R, MB, checkpointing)
 
     INF = np.inf
     # broadcastable index planes for gathering the per-(b, r) argmin out
@@ -1464,7 +1353,16 @@ def _sweep_table(
                 pok = prev_ok[psl, dp]
                 valid2 = pok[:, None] & lt  # (b', b)
                 fin = FIN[psl, bsl, rsl]
-                over = OVER[psl, bsl, rsl]
+                stage_tf = TF[psl, bsl, rsl]
+                stage_tb = TB[psl, bsl, rsl]
+                if hetero:
+                    # caps/speeds of the slot ranges [d', d), d = d' + r
+                    dsl = slice(dp + 1, dp + nd + 1)
+                    stage_tf = stage_tf * SLOW[dp, dsl]
+                    stage_tb = stage_tb * SLOW[dp, dsl]
+                    over = MEM[psl, bsl, rsl] > MINMEM[dp, dsl]
+                else:
+                    over = OVER[psl, bsl, rsl]
                 vf = valid2[:, :, None] & fin
                 if over.any():
                     ok = vf & ~over
@@ -1475,12 +1373,8 @@ def _sweep_table(
                     bsf[bsl, ds_] |= (valid2[:, :, None] & ~fin).any(axis=0)
                 if not ok.any():
                     continue
-                cand_tf = np.maximum(
-                    ptf[psl, dp][:, None, None], TF[psl, bsl, rsl]
-                )
-                cand_tb = np.maximum(
-                    ptb[psl, dp][:, None, None], TB[psl, bsl, rsl]
-                )
+                cand_tf = np.maximum(ptf[psl, dp][:, None, None], stage_tf)
+                cand_tb = np.maximum(ptb[psl, dp][:, None, None], stage_tb)
                 v = np.where(ok, cand_tf + cand_tb, INF)
                 bp_idx = np.argmin(v, axis=0)  # (b, r): smallest b' wins
                 rows = row_idx[: bp_idx.shape[0]]
@@ -1501,65 +1395,13 @@ def _sweep_table(
                     best_tb[bsl, ds_] = np.where(upd, ctb, best_tb[bsl, ds_])
                     best_bp[bsl, ds_] = np.where(upd, bpg, cur_bp)
                     best_dp[bsl, ds_] = np.where(upd, dp, best_dp[bsl, ds_])
-        elif mode in ("banded", "kernel"):
-            if kernel is not None:
-                kernel(
-                    bands.tf, bands.tb, bands.mem, bands.plane_of_r,
-                    prev_ok, tf[s - 1], tb[s - 1],
-                    s, b_hi, d_hi, float(M),
-                    best, best_tf, best_tb, best_bp, best_dp, memf, bsf,
-                )
-            else:
-                _banded_stage_numpy(
-                    bands, prev_ok, tf[s - 1], tb[s - 1],
-                    s, b_hi, d_hi, M,
-                    best, best_tf, best_tb, best_bp, best_dp, memf, bsf,
-                    slab_cache=band_slabs,
-                )
         else:
-            dprimes = np.arange(s - 1, max(d_hi, s - 1))
-            ds = np.arange(s, d_hi + 1)
-            if dprimes.size and ds.size:
-                rmat = ds[None, :] - dprimes[:, None]  # (d', d)
-                r_idx = np.clip(rmat, 0, D)
-                valid_dp = rmat >= 1
-                if hetero:
-                    # per-boundary caps/speeds for the slot range [d', d)
-                    capmat = MINMEM[dprimes[:, None], ds[None, :]]
-                    slowmat = SLOW[dprimes[:, None], ds[None, :]]
-                prev_ok_sl = prev_ok[:, s - 1:d_hi]
-                tf_sl = tf[s - 1][:, s - 1:d_hi]
-                tb_sl = tb[s - 1][:, s - 1:d_hi]
-                for b in range(s, b_hi + 1):
-                    stage_tf = TF[s - 1:b, b, :][:, r_idx]  # (b', d', d)
-                    stage_tb = TB[s - 1:b, b, :][:, r_idx]
-                    stage_m = MEM[s - 1:b, b, :][:, r_idx]
-                    if hetero:
-                        stage_tf = stage_tf * slowmat[None, :, :]
-                        stage_tb = stage_tb * slowmat[None, :, :]
-                    cand_tf = np.maximum(tf_sl[s - 1:b, :, None], stage_tf)
-                    cand_tb = np.maximum(tb_sl[s - 1:b, :, None], stage_tb)
-                    v = cand_tf + cand_tb
-                    fin = np.isfinite(stage_tf)
-                    over = (
-                        stage_m > capmat[None, :, :]
-                        if hetero
-                        else stage_m > M
-                    )
-                    pok = prev_ok_sl[s - 1:b, :, None] & valid_dp[None, :, :]
-                    v = np.where(pok & fin & ~over, v, INF)
-                    nbp, ndp, nd = v.shape
-                    v2 = v.reshape(nbp * ndp, nd)
-                    flat = np.argmin(v2, axis=0)
-                    cols = np.arange(nd)
-                    ii, jj = np.unravel_index(flat, (nbp, ndp))
-                    best[b, s:d_hi + 1] = v2[flat, cols]
-                    best_tf[b, s:d_hi + 1] = cand_tf[ii, jj, cols]
-                    best_tb[b, s:d_hi + 1] = cand_tb[ii, jj, cols]
-                    best_bp[b, s:d_hi + 1] = ii + (s - 1)
-                    best_dp[b, s:d_hi + 1] = jj + (s - 1)
-                    memf[b, s:d_hi + 1] = (pok & fin & over).any(axis=(0, 1))
-                    bsf[b, s:d_hi + 1] = (pok & ~fin).any(axis=(0, 1))
+            _banded_stage(
+                bands, prev_ok, tf[s - 1], tb[s - 1],
+                s, b_hi, d_hi, M,
+                best, best_tf, best_tb, best_bp, best_dp, memf, bsf,
+                band_slabs,
+            )
 
         # replay the (b asc, d desc) cell order over the failure masks to
         # apply d_min pruning with the exact per-cell semantics
@@ -1652,9 +1494,12 @@ def reference_form_stage_dp(
 ) -> Optional[DPSolution]:
     """Line-by-line transcription of Algorithm 1 with pure-Python loops.
 
-    Kept as the reference implementation; tests assert it produces the
-    same objective as the vectorized :func:`form_stage_dp` on randomized
-    small instances.
+    Kept as the test oracle: both evaluation paths of
+    :func:`form_stage_dp` are held to it, field for field, on randomized
+    small instances.  On a heterogeneous cluster each stage at
+    cumulative-device boundary ``(d', d)`` is capped by ``MINMEM[d', d]``
+    and its times are scaled by ``SLOW[d', d]`` (see
+    :meth:`DPContext.hetero_tables`), with no ``d_min`` pruning.
     """
     if BS != ctx.batch_size:
         raise ValueError("batch size mismatch with DPContext")
@@ -1663,6 +1508,9 @@ def reference_form_stage_dp(
         return INFEASIBLE
     checkpointing = S > 1
     M = ctx.usable_memory
+    hetero = ctx.cluster.is_heterogeneous
+    if hetero:
+        MINMEM, SLOW = ctx.hetero_tables(D, R)
     INF = float("inf")
 
     V = {(0, 0, 0): 0.0}
@@ -1671,7 +1519,7 @@ def reference_form_stage_dp(
     parent: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
 
     for s in range(1, S + 1):
-        d_min = 1  # reset per stage count (see vectorized engine)
+        d_min = 1  # reset per stage count (see form_stage_dp)
         for b in range(s, k - (S - s) + 1):
             for d in range(D - (S - s), max(d_min, s) - 1, -1):
                 saw_mem_fail = False
@@ -1687,7 +1535,14 @@ def reference_form_stage_dp(
                         if prof is None:
                             saw_bs_fail = True
                             continue  # microbatch collapsed below 1
-                        if prof.memory > M:
+                        cap = M
+                        if hetero:
+                            # the slots [dp, d) set the stage's cap/pace
+                            cap = MINMEM[dp, d]
+                            prof = scale_stage_profile(
+                                prof, float(SLOW[dp, d])
+                            )
+                        if prof.memory > cap:
                             saw_mem_fail = True
                             continue  # does not fit device memory
                         cand_tf = max(tf[(s - 1, bp, dp)], prof.time_fwd)
@@ -1699,7 +1554,8 @@ def reference_form_stage_dp(
                             tb[(s, b, d)] = cand_tb
                             parent[(s, b, d)] = (bp, dp)
                 if (
-                    V.get((s, b, d), INF) == INF
+                    not hetero
+                    and V.get((s, b, d), INF) == INF
                     and saw_mem_fail
                     and not saw_bs_fail
                 ):
@@ -1723,11 +1579,15 @@ def reference_form_stage_dp(
 
     profiles = []
     lo = 0
+    dlo = 0
     for hi, devs in zip(boundaries, device_counts):
         prof = ctx.stage_profile(lo, hi, devs, R, MB, checkpointing)
         assert prof is not None
+        if hetero:
+            prof = scale_stage_profile(prof, float(SLOW[dlo, dlo + devs]))
         profiles.append(prof)
         lo = hi
+        dlo += devs
 
     return DPSolution(
         boundaries=boundaries,

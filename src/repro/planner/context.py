@@ -36,24 +36,12 @@ class PlannerConfig:
     The fields mirror the historical ``auto_partition`` keyword
     arguments; :meth:`fingerprint` hashes the plan-determining subset so
     the deployment cache can key on it (``validate``, ``verify``,
-    ``cache_dir``, ``parallel_search``, ``search_workers``,
-    ``search_backend``, ``dp_engine`` and ``trace`` change how the
-    pipeline runs, not what plan it produces, and are excluded -- the
-    parallel Algorithm-2 sweep and every DP engine are bit-identical by
-    construction, and tracing/verification only record or check what
-    happened).
-
-    ``dp_engine`` selects the Algorithm-1 evaluation strategy
-    (:data:`~repro.partitioner.stage_dp.DP_ENGINES`): ``"numpy"``
-    (default) picks the dense full-slab engine when it fits and the
-    banded engine above that, ``"numba"`` opts into the JIT kernel
-    (falling back to banded NumPy when numba is absent), and
-    ``"banded"`` / ``"dense"`` / ``"rows"`` force specific engines for
-    benchmarking.  ``search_backend`` selects the Algorithm-2 sweep pool
-    (:data:`~repro.partitioner.search.SEARCH_BACKENDS`): ``"thread"``
-    (default), ``"process"`` for true parallelism on large graphs, or
-    ``"serial"``.  Both are run-mode knobs: every combination produces
-    bit-identical plans and counters.
+    ``cache_dir`` and ``trace`` change how the pipeline runs, not what
+    plan it produces, and are excluded -- tracing/verification only
+    record or check what happened).  How Algorithm 1 is evaluated (full
+    slab or banded) and how many threads run Algorithm 2's sweeps follow
+    from the input and the host, not from a field: both are
+    bit-identical by construction (see ``docs/SCALING.md``).
 
     ``trace`` turns on fine-grained span recording (per-candidate
     Algorithm-2 spans, per-call Algorithm-1 DP spans) on the context's
@@ -91,7 +79,6 @@ class PlannerConfig:
             memory_budget=24 * 2**30, # cap the stage search at 24 GiB
             cache_dir="~/.cache/repro",
             cache_budget_bytes=256 * 2**20,
-            dp_engine="numpy",        # auto: dense small, banded large
             trace=True,
         )
 
@@ -110,29 +97,12 @@ class PlannerConfig:
     verify: bool = True
     schedule: str = "sync"
     cache_dir: Optional[Union[str, Path]] = None
-    parallel_search: bool = True
-    search_workers: Optional[int] = None
-    search_backend: str = "thread"
-    dp_engine: str = "numpy"
     trace: bool = False
     comm_model: Optional[str] = None
     memory_budget: Optional[float] = None
     cache_budget_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
-        from repro.partitioner.search import SEARCH_BACKENDS
-        from repro.partitioner.stage_dp import DP_ENGINES
-
-        if self.dp_engine not in DP_ENGINES:
-            raise ValueError(
-                f"unknown dp_engine {self.dp_engine!r}; "
-                f"expected one of {DP_ENGINES}"
-            )
-        if self.search_backend not in SEARCH_BACKENDS:
-            raise ValueError(
-                f"unknown search_backend {self.search_backend!r}; "
-                f"expected one of {SEARCH_BACKENDS}"
-            )
         if self.mode not in ("training", "inference"):
             raise ValueError(
                 f"unknown mode {self.mode!r}; "

@@ -33,7 +33,7 @@ from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import block_partition
 from repro.partitioner.plan import PartitionPlan, StageSpec
 from repro.partitioner.search import form_stage
-from repro.partitioner.stage_dp import DPContext
+from repro.partitioner.stage_dp import DPContext, dp_mode
 from repro.pipeline.hybrid import evaluate_plan
 from repro.planner.context import (
     BLOCKS,
@@ -173,10 +173,6 @@ class StageSearchPass(PlannerPass):
             devices_per_node=ctx.cluster.devices_per_node,
             batch_size=ctx.config.batch_size,
             max_microbatches=ctx.config.max_microbatches,
-            parallel=ctx.config.parallel_search,
-            max_workers=ctx.config.search_workers,
-            backend=ctx.config.search_backend,
-            engine=ctx.config.dp_engine,
             # fine-grained per-candidate spans are opt-in; the search
             # counters are cheap (per DP call, not per cell) and always on
             tracer=ctx.tracer if ctx.config.trace else None,
@@ -202,9 +198,10 @@ class StageSearchPass(PlannerPass):
             "num_stages": result.num_stages,
             "replica_factor": result.replica_factor,
             "devices_per_pipeline": result.devices_per_pipeline,
-            "parallel_search": ctx.config.parallel_search,
-            "search_backend": ctx.config.search_backend,
-            "dp_engine": ctx.config.dp_engine,
+            # the path and pool that actually ran (the winning level's
+            # evaluation path; the largest sweep pool of the search)
+            "dp_mode": dp_mode(dp_ctx, result.devices_per_pipeline),
+            "search_workers_used": result.sweep_workers,
             "memo_hit_rate": profiler.memo_hit_rate - memo_before,
         }
 

@@ -134,20 +134,6 @@ class GraphProfiler:
         return float(operands[1].nbytes(1))
 
     # ------------------------------------------------------------------
-    # pickling (process-pool Algorithm-2 workers ship the profiler with
-    # its memo tables; only the lock is recreated on the far side)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        with self._lock:
-            state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
-    # ------------------------------------------------------------------
     # delta-replan support
     # ------------------------------------------------------------------
     #: device fields the per-task cost tables were extracted from; a

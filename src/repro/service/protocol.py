@@ -323,8 +323,6 @@ OPTION_FIELDS = {
     "max_microbatches": "max_microbatches",
     "memory_budget_gb": "memory_budget",
     "comm_model": "comm_model",
-    "dp_engine": "dp_engine",
-    "search_backend": "search_backend",
     "schedule": "schedule",
     "mode": "mode",
 }
@@ -366,8 +364,7 @@ def build_config(
         kwargs["max_microbatches"] = int(options["max_microbatches"])
     if "memory_budget_gb" in options:
         kwargs["memory_budget"] = float(options["memory_budget_gb"]) * 2**30
-    for name in ("comm_model", "dp_engine", "search_backend", "schedule",
-                 "mode"):
+    for name in ("comm_model", "schedule", "mode"):
         if name in options:
             kwargs[name] = options[name]
     try:

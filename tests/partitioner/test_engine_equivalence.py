@@ -1,42 +1,55 @@
-"""Equivalence suite for the native-speed DP core.
+"""Equivalence suite for the Algorithm-1 evaluation paths.
 
-Every DP engine (dense slab, banded, JIT kernel, legacy rows) and every
-search backend (serial, thread, process) must produce *bit-identical*
-results: same plans, same tie-breaks, same ``dp_calls`` /
-``states_evaluated`` counters.  The banded profile construction is
-additionally checked against the per-entry ``stage_profile`` oracle
+Production evaluates Algorithm 1 on one of two paths, picked by input
+size (:func:`~repro.partitioner.stage_dp.dp_mode`): the full slab, and
+the banded path above ``FULL_TENSOR_MAX_CELLS`` (forced here on small
+inputs by setting the ceiling to 0).  Heterogeneous clusters always take
+the full slab.  Every path is held to the pure-Python
+``reference_form_stage_dp`` for every stage count of a sweep, and the
+paths and Algorithm 2's thread pool must agree *bit for bit*: same
+plans, same tie-breaks, same ``dp_calls`` / ``states_evaluated``
+counters.  The banded profile construction is additionally checked
+against the per-entry ``stage_profile`` oracle
 (:meth:`DPContext.profile_tensors_reference`) with hypothesis-driven
 shapes, so any drift between the vectorized band gather and the scalar
 profile arithmetic fails loudly.
 """
 
-import pickle
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware import tiny_cluster
+import repro.partitioner.stage_dp as stage_dp
+from repro.hardware import tiny_cluster, tiny_mixed_cluster
 from repro.models import build_mlp
 from repro.models.random_dag import build_random_dag
 from repro.obs import MetricsRegistry
-from repro.partitioner import _dp_kernels
+from repro.partitioner import auto_partition
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import block_partition
-from repro.partitioner.search import SEARCH_BACKENDS, form_stage
+from repro.partitioner.search import form_stage
 from repro.partitioner.stage_dp import (
-    DP_ENGINES,
     DPContext,
-    FULL_TENSOR_MAX_CELLS,
+    dp_mode,
     form_stage_dp,
     reference_form_stage_dp,
-    resolve_dp_engine,
 )
 from repro.planner import PlannerConfig
 from repro.profiler import GraphProfiler
 
-ENGINES = list(DP_ENGINES)
+#: evaluation path -> the ceiling that makes the size check pick it
+PATHS = {"full": 10**18, "banded": 0}
+
+
+@contextmanager
+def forced_path(path):
+    """Make :func:`dp_mode` pick ``path`` for every homogeneous input."""
+    with mock.patch.object(stage_dp, "FULL_TENSOR_MAX_CELLS", PATHS[path]):
+        yield
 
 
 def make_ctx(graph=None, k=6, batch_size=32, cluster=None, seed=None):
@@ -72,45 +85,50 @@ def solution_key(sol):
     )
 
 
+def sweep_with_counters(ctx, stage_counts, D, BS, R, MB):
+    """One sweep plus the counters it moved (context and metrics)."""
+    m = MetricsRegistry()
+    before = ctx.states_evaluated
+    sweep = form_stage_dp(ctx, stage_counts, D, BS, R, MB, metrics=m)
+    counters = (
+        ctx.states_evaluated - before,
+        m.counter("dp.states_evaluated").value,
+        m.counter("dp.calls").value,
+    )
+    return {S: solution_key(sol) for S, sol in sweep.items()}, counters
+
+
 # ----------------------------------------------------------------------
-# engine knob resolution
+# the size check that picks the path
 
 
 class TestResolveEngine:
     def test_small_instances_use_full_slab(self):
-        assert resolve_dp_engine("numpy", 6, 4) == "full"
-        assert resolve_dp_engine("auto", 6, 4) == "full"
-        assert resolve_dp_engine("dense", 6, 4) == "full"
+        assert dp_mode(make_ctx(k=6), 4) == "full"
 
-    def test_large_instances_split_by_knob(self):
-        k = 600  # (601^2)(33^2) >> FULL_TENSOR_MAX_CELLS
-        assert (k + 1) ** 2 * 33**2 > FULL_TENSOR_MAX_CELLS
-        assert resolve_dp_engine("numpy", k, 32) == "banded"
-        assert resolve_dp_engine("dense", k, 32) == "rows"
+    def test_large_instances_split_by_knob(self, monkeypatch):
+        # the ceiling on (k+1)^2 (D+1)^2 is the only thing that splits
+        ctx = make_ctx(k=6)
+        cells = (ctx.k + 1) ** 2 * (4 + 1) ** 2
+        monkeypatch.setattr(stage_dp, "FULL_TENSOR_MAX_CELLS", cells)
+        assert dp_mode(ctx, 4) == "full"
+        assert dp_mode(ctx, 5) == "banded"
 
     def test_forced_engines(self):
-        assert resolve_dp_engine("banded", 6, 4) == "banded"
-        assert resolve_dp_engine("rows", 6, 4) == "rows"
+        ctx = make_ctx(k=6)
+        for path in PATHS:
+            with forced_path(path):
+                assert dp_mode(ctx, 4) == path
 
-    def test_numba_knob_degrades_to_banded_without_numba(self):
-        expect = "kernel" if _dp_kernels.kernel_available() else "banded"
-        assert resolve_dp_engine("numba", 6, 4) == expect
-
-    def test_numba_knob_uses_kernel_when_available(self, monkeypatch):
-        monkeypatch.setattr(_dp_kernels, "NUMBA_AVAILABLE", True)
-        assert resolve_dp_engine("numba", 6, 4) == "kernel"
-
-    def test_unsupported_context_falls_back_dense(self):
-        assert resolve_dp_engine("banded", 6, 4, banded_supported=False) == (
-            "full"
-        )
-        assert resolve_dp_engine(
-            "numba", 600, 32, banded_supported=False
-        ) == "rows"
+    def test_heterogeneous_clusters_always_use_full_slab(self):
+        ctx = make_ctx(cluster=tiny_mixed_cluster(devices_per_node=2))
+        with forced_path("banded"):
+            assert dp_mode(ctx, 4) == "full"
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown dp engine"):
-            resolve_dp_engine("cuda", 6, 4)
+        ctx = make_ctx()
+        with pytest.raises(TypeError, match="engine"):
+            form_stage_dp(ctx, 2, 4, 32, 1, 1, engine="numpy")
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +193,7 @@ class TestBandedConstruction:
 
 
 # ----------------------------------------------------------------------
-# engine bit-identity (plans AND counters)
+# path bit-identity (plans AND counters)
 
 
 class TestEngineBitIdentity:
@@ -186,22 +204,12 @@ class TestEngineBitIdentity:
         MB=st.sampled_from([1, 2, 4]),
     )
     def test_engines_identical_on_random_dags(self, seed, S, MB):
-        ctx = make_ctx(seed=seed, k=6, batch_size=32)
-        keys, counters = {}, {}
-        for engine in ENGINES:
-            m = MetricsRegistry()
-            before = ctx.states_evaluated
-            sol = form_stage_dp(
-                ctx, S, 4, 32, 1, MB, engine=engine, metrics=m
-            )
-            keys[engine] = solution_key(sol)
-            counters[engine] = (
-                ctx.states_evaluated - before,
-                m.counter("dp.states_evaluated").value,
-                m.counter("dp.calls").value,
-            )
-        assert len(set(keys.values())) == 1, keys
-        assert len(set(counters.values())) == 1, counters
+        results = {}
+        for path in PATHS:
+            with forced_path(path):
+                ctx = make_ctx(seed=seed, k=6, batch_size=32)
+                results[path] = sweep_with_counters(ctx, range(S, 5), 4, 32, 1, MB)
+        assert results["full"] == results["banded"]
 
     def test_engines_identical_under_memory_pressure(self):
         # a budget tight enough that memory failures drive d_min pruning
@@ -209,51 +217,39 @@ class TestEngineBitIdentity:
             num_nodes=1, devices_per_node=4, memory_bytes=24 * 1024**2
         )
         g = build_mlp((64, 256, 256, 256, 64))
-        ctx = make_ctx(graph=g, k=8, batch_size=64, cluster=cluster)
-        keys = {
-            engine: solution_key(
-                form_stage_dp(ctx, 2, 4, 64, 1, 2, engine=engine)
-            )
-            for engine in ENGINES
-        }
-        assert len(set(keys.values())) == 1, keys
-
-    def test_python_kernel_matches_numpy(self, monkeypatch):
-        # pretend numba is importable so the "numba" knob takes the
-        # kernel path; the kernel body is plain Python without the JIT,
-        # so this exercises the exact loop nest numba would compile
-        monkeypatch.setattr(_dp_kernels, "NUMBA_AVAILABLE", True)
-        for S, MB in [(1, 1), (2, 2), (3, 1), (4, 4)]:
-            ctx = make_ctx(k=6, batch_size=32)
-            ref = form_stage_dp(ctx, S, 4, 32, 1, MB, engine="numpy")
-            got = form_stage_dp(ctx, S, 4, 32, 1, MB, engine="numba")
-            assert solution_key(got) == solution_key(ref)
-
-    def test_custom_stage_profile_context_avoids_bands(self):
-        class Perturbed(DPContext):
-            # r enters the profile directly: banding must be refused
-            def stage_profile(self, lo, hi, r, R, MB, checkpointing):
-                prof = super().stage_profile(lo, hi, r, R, MB, checkpointing)
-                if prof is None:
-                    return None
-                return type(prof)(
-                    time_fwd=prof.time_fwd * (1 + 0.01 * r),
-                    time_bwd=prof.time_bwd,
-                    memory=prof.memory,
-                    microbatch_size=prof.microbatch_size,
-                    in_bytes=prof.in_bytes,
-                    out_bytes=prof.out_bytes,
-                    param_count=prof.param_count,
+        results = {}
+        for path in PATHS:
+            with forced_path(path):
+                ctx = make_ctx(graph=g, k=8, batch_size=64, cluster=cluster)
+                results[path] = sweep_with_counters(
+                    ctx, range(1, 5), 4, 64, 1, 2
                 )
+        assert results["full"] == results["banded"]
 
-        base = make_ctx()
-        ctx = Perturbed(base.graph, base.blocks, base.profiler, 32)
-        assert not ctx.supports_banded
-        # "banded" silently falls back to a dense engine and still
-        # returns the perturbed-profile optimum
-        a = form_stage_dp(ctx, 2, 4, 32, 1, 2, engine="banded")
-        b = form_stage_dp(ctx, 2, 4, 32, 1, 2, engine="rows")
-        assert solution_key(a) == solution_key(b)
+    def test_custom_stage_profile_without_planes_rejected(self):
+        # both paths build candidates from _profile_planes: a per-entry
+        # override alone would be silently ignored, so it is refused
+        with pytest.raises(TypeError, match="_profile_planes"):
+            class Perturbed(DPContext):
+                def stage_profile(self, lo, hi, r, R, MB, checkpointing):
+                    return super().stage_profile(
+                        lo, hi, r, R, MB, checkpointing
+                    )
+
+        class Paired(DPContext):
+            def stage_profile(self, lo, hi, r, R, MB, checkpointing):
+                return super().stage_profile(lo, hi, r, R, MB, checkpointing)
+
+            def _profile_planes(self, bs, MB, checkpointing):
+                return super()._profile_planes(bs, MB, checkpointing)
+
+        # the rule applies per class, however deep the hierarchy
+        with pytest.raises(TypeError, match="_profile_planes"):
+            class Deeper(Paired):
+                def stage_profile(self, lo, hi, r, R, MB, checkpointing):
+                    return super().stage_profile(
+                        lo, hi, r, R, MB, checkpointing
+                    )
 
 
 # ----------------------------------------------------------------------
@@ -267,13 +263,14 @@ class TestStageCountSweep:
         lo=st.integers(min_value=1, max_value=4),
         MB=st.sampled_from([1, 2, 4]),
         R=st.sampled_from([1, 2]),
-        engine=st.sampled_from(ENGINES),
+        path=st.sampled_from(sorted(PATHS)),
     )
     def test_sweep_matches_reference_per_stage_count(
-        self, seed, lo, MB, R, engine
+        self, seed, lo, MB, R, path
     ):
         ctx = make_ctx(seed=seed, k=6, batch_size=32)
-        sweep = form_stage_dp(ctx, range(lo, 5), 4, 32, R, MB, engine=engine)
+        with forced_path(path):
+            sweep = form_stage_dp(ctx, range(lo, 5), 4, 32, R, MB)
         assert sorted(sweep) == list(range(lo, 5))
         for S, sol in sweep.items():
             ref = reference_form_stage_dp(ctx, S, 4, 32, R, MB)
@@ -282,17 +279,21 @@ class TestStageCountSweep:
     @pytest.mark.parametrize("mem_mib", [12, 16, 24, 48])
     def test_sweep_matches_reference_under_memory_pressure(self, mem_mib):
         # budgets tight enough that memory dead ends drive d_min pruning
-        # at every stage of the sweep
+        # at every stage of the sweep, on both paths
         cluster = tiny_cluster(
             num_nodes=1, devices_per_node=4, memory_bytes=mem_mib * 1024**2
         )
         g = build_mlp((64, 256, 256, 256, 256, 64))
         ctx = make_ctx(graph=g, k=8, batch_size=64, cluster=cluster)
-        for MB in (1, 4, 16):
-            sweep = form_stage_dp(ctx, range(1, 5), 4, 64, 1, MB)
-            for S, sol in sweep.items():
-                ref = reference_form_stage_dp(ctx, S, 4, 64, 1, MB)
-                assert solution_key(sol) == solution_key(ref), (S, MB)
+        for path in PATHS:
+            for MB in (1, 4, 16):
+                with forced_path(path):
+                    sweep = form_stage_dp(ctx, range(1, 5), 4, 64, 1, MB)
+                for S, sol in sweep.items():
+                    ref = reference_form_stage_dp(ctx, S, 4, 64, 1, MB)
+                    assert solution_key(sol) == solution_key(ref), (
+                        path, S, MB,
+                    )
 
     def test_one_dp_call_per_sweep(self):
         ctx = make_ctx(k=6, batch_size=32)
@@ -314,18 +315,80 @@ class TestStageCountSweep:
 
 
 # ----------------------------------------------------------------------
-# search backends
+# heterogeneous clusters: the full slab with per-slot caps and speeds
+
+
+class TestHeterogeneousSweep:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        small_mib=st.sampled_from([2.5, 3.0, 3.5, 4.0, 64.0]),
+        straggler=st.sampled_from([1.0, 1.25, 2.0]),
+        shape=st.sampled_from([(4, 1), (2, 2), (3, 1)]),
+        MB=st.sampled_from([1, 4, 16]),
+        budget_mib=st.sampled_from([None, 3.5]),
+        lo=st.integers(min_value=1, max_value=3),
+    )
+    def test_sweep_matches_reference_on_tiny_mixed(
+        self, small_mib, straggler, shape, MB, budget_mib, lo
+    ):
+        """Small-class memory from starved to ample, a straggling small
+        class and a memory budget: every S of a sweep equals the
+        reference, which caps each stage at MINMEM[d', d] and scales it
+        by SLOW[d', d]."""
+        cluster = tiny_mixed_cluster(
+            devices_per_node=2,
+            small_memory_bytes=int(small_mib * 2**20),
+            big_memory_bytes=64 * 2**20,
+            straggler_factor=straggler,
+        )
+        g = build_mlp((64, 256, 256, 256, 256, 64))
+        ctx = make_ctx(graph=g, k=8, batch_size=64, cluster=cluster)
+        if budget_mib is not None:
+            ctx.set_memory_budget(budget_mib * 2**20)
+        D, R = shape
+        sweep = form_stage_dp(ctx, range(lo, 5), D, 64, R, MB)
+        for S, sol in sweep.items():
+            ref = reference_form_stage_dp(ctx, S, D, 64, R, MB)
+            assert solution_key(sol) == solution_key(ref), S
+
+    def test_straggler_and_tight_memory_shape_the_answer(self):
+        # guards the test above against a vacuous grid: the per-slot
+        # tables must actually change solutions
+        def solve(small_mib, straggler):
+            cluster = tiny_mixed_cluster(
+                devices_per_node=2,
+                small_memory_bytes=int(small_mib * 2**20),
+                big_memory_bytes=64 * 2**20,
+                straggler_factor=straggler,
+            )
+            g = build_mlp((64, 256, 256, 256, 256, 64))
+            ctx = make_ctx(graph=g, k=8, batch_size=64, cluster=cluster)
+            return {
+                S: solution_key(sol)
+                for S, sol in form_stage_dp(
+                    ctx, range(1, 5), 4, 64, 1, 4
+                ).items()
+            }
+
+        ample = solve(64.0, 1.0)
+        assert solve(64.0, 2.0) != ample
+        starved = solve(2.5, 1.0)
+        assert starved != ample
+        assert any(sol is None for sol in starved.values())
+
+
+# ----------------------------------------------------------------------
+# Algorithm 2's sweep pool
 
 
 class TestSearchBackends:
-    def run_backend(self, backend):
+    def run_search(self, cpus):
         ctx = make_ctx(k=8, batch_size=32)
         m = MetricsRegistry()
-        res = form_stage(
-            ctx, 1, 4, 32, backend=backend, metrics=m, max_workers=2
-        )
+        with mock.patch("os.cpu_count", return_value=cpus):
+            res = form_stage(ctx, 1, 4, 32, metrics=m)
         assert res is not None
-        return (
+        return res, (
             solution_key(res.solution),
             res.candidates_tried,
             res.dp_calls,
@@ -335,25 +398,33 @@ class TestSearchBackends:
         )
 
     def test_backends_bit_identical(self):
-        results = {b: self.run_backend(b) for b in SEARCH_BACKENDS}
-        assert results["serial"] == results["thread"]
-        assert results["serial"] == results["process"]
+        serial, serial_key = self.run_search(cpus=1)
+        pooled, pooled_key = self.run_search(cpus=4)
+        assert serial_key == pooled_key
+        assert serial.sweep_workers == 1
+        assert pooled.sweep_workers > 1
 
     def test_unknown_backend_rejected(self):
         ctx = make_ctx()
-        with pytest.raises(ValueError, match="unknown search backend"):
-            form_stage(ctx, 1, 4, 32, backend="mpi")
+        with pytest.raises(TypeError, match="backend"):
+            form_stage(ctx, 1, 4, 32, backend="thread")
 
 
 # ----------------------------------------------------------------------
-# context snapshot/fork (the process backend's transport)
+# context snapshot round trip (the artifact store's disk codec transport)
 
 
 class TestContextPickle:
+    @staticmethod
+    def roundtrip(ctx):
+        clone = DPContext(ctx.graph, ctx.blocks, ctx.profiler, ctx.batch_size)
+        clone.import_cache_state(ctx.export_cache_state())
+        return clone
+
     def test_dp_context_roundtrip_preserves_solutions(self):
         ctx = make_ctx(k=6, batch_size=32)
         before = solution_key(form_stage_dp(ctx, 2, 4, 32, 1, 2))
-        clone = pickle.loads(pickle.dumps(ctx))
+        clone = self.roundtrip(ctx)
         assert clone.k == ctx.k
         assert clone.batch_size == ctx.batch_size
         after = solution_key(form_stage_dp(clone, 2, 4, 32, 1, 2))
@@ -363,48 +434,38 @@ class TestContextPickle:
         ctx = make_ctx(k=6, batch_size=32)
         form_stage_dp(ctx, 2, 4, 32, 1, 2)  # warm the profile caches
         exported = ctx.export_cache_state()
-        clone = pickle.loads(pickle.dumps(ctx))
+        clone = self.roundtrip(ctx)
         assert set(clone.export_cache_state()) == set(exported)
-
-    def test_profiler_lock_survives_roundtrip(self):
-        ctx = make_ctx()
-        clone_prof = pickle.loads(pickle.dumps(ctx.profiler))
-        # the re-created lock must actually work
-        with clone_prof._lock:
-            pass
-        tasks = list(ctx.graph.tasks)[:3]
-        assert (
-            clone_prof.profile(tasks, 4).time_fwd
-            == ctx.profiler.profile(tasks, 4).time_fwd
-        )
 
 
 # ----------------------------------------------------------------------
-# config plumbing
+# config plumbing: the run-mode knobs are gone
 
 
 class TestConfigKnobs:
-    def test_bad_engine_rejected(self):
-        with pytest.raises(ValueError, match="dp_engine"):
-            PlannerConfig(batch_size=32, dp_engine="cuda")
+    def test_bad_engine_rejected(self, tiny_bert, cluster):
+        with pytest.raises(TypeError, match="dp_engine"):
+            PlannerConfig(batch_size=32, dp_engine="banded")
+        with pytest.raises(TypeError, match="dp_engine"):
+            auto_partition(tiny_bert, cluster, 32, dp_engine="banded")
 
     def test_bad_backend_rejected(self):
-        with pytest.raises(ValueError, match="search_backend"):
-            PlannerConfig(batch_size=32, search_backend="mpi")
+        for knob, value in [
+            ("search_backend", "thread"),
+            ("parallel_search", False),
+            ("search_workers", 2),
+        ]:
+            with pytest.raises(TypeError, match=knob):
+                PlannerConfig(batch_size=32, **{knob: value})
 
-    def test_run_mode_knobs_not_fingerprinted(self):
+    def test_run_mode_knobs_not_fingerprinted(self, tmp_path):
         base = PlannerConfig(batch_size=32)
-        assert (
-            PlannerConfig(batch_size=32, dp_engine="banded").fingerprint()
-            == base.fingerprint()
-        )
-        assert (
-            PlannerConfig(
-                batch_size=32, search_backend="process"
-            ).fingerprint()
-            == base.fingerprint()
-        )
-        assert (
-            PlannerConfig(batch_size=32, search_workers=7).fingerprint()
-            == base.fingerprint()
-        )
+        for knob, value in [
+            ("trace", True),
+            ("verify", False),
+            ("validate", False),
+            ("cache_dir", tmp_path),
+            ("cache_budget_bytes", 2**20),
+        ]:
+            config = PlannerConfig(batch_size=32, **{knob: value})
+            assert config.fingerprint() == base.fingerprint(), knob

@@ -4,8 +4,9 @@ oracles.
 
 The vectorized paths must be *exactly* equal (not approximately): the
 plane builders reproduce the per-entry float64 arithmetic operation by
-operation, and both DP engines replay the reference cell ordering for
-``d_min`` pruning, so every comparison below uses strict equality.
+operation, and both DP paths (full slab and banded) replay the reference
+cell ordering for ``d_min`` pruning, so every comparison below uses
+strict equality.
 """
 
 import dataclasses
@@ -92,7 +93,7 @@ class TestProfileTensors:
     )
     def test_vectorized_matches_per_entry(self, D, R, MB, ckpt):
         ctx = make_ctx()
-        fast = ctx._profile_tensors_vectorized(D, R, MB, ckpt)
+        fast = ctx.profile_tensors(D, R, MB, ckpt)
         slow = ctx.profile_tensors_reference(D, R, MB, ckpt)
         for a, b in zip(fast, slow):
             assert np.array_equal(a, b)  # bit-exact, inf pattern included
@@ -114,7 +115,9 @@ class TestProfileTensors:
         m2 = ctx._dp_tensors(4, 1, 2, True)
         assert all(x is y for x, y in zip(m1, m2))
 
-    def test_overridden_stage_profile_falls_back(self):
+    def test_overridden_stage_profile_with_planes_is_used(self):
+        """A subclass that overrides ``stage_profile`` together with its
+        plane form gets its own profiles on both DP paths."""
         class Doubled(DPContext):
             def stage_profile(self, lo, hi, replicas, R, MB, checkpointing):
                 prof = super().stage_profile(
@@ -124,11 +127,18 @@ class TestProfileTensors:
                     return None
                 return dataclasses.replace(prof, time_fwd=prof.time_fwd * 2)
 
+            def _profile_planes(self, bs, MB, checkpointing):
+                tf, tb, mem = super()._profile_planes(bs, MB, checkpointing)
+                return tf * 2, tb, mem
+
         base = make_ctx()
         ctx = Doubled(base.graph, base.blocks, base.profiler, base.batch_size)
         TF, _, _ = ctx.profile_tensors(4, 1, 1, False)
         ref = ctx.profile_tensors_reference(4, 1, 1, False)
         assert np.array_equal(TF, ref[0])  # the subclass's doubled times
+        assert not np.array_equal(TF, base.profile_tensors(4, 1, 1, False)[0])
+        bands = ctx.profile_bands(4, 1, 1, False, ctx.k)
+        assert bands.tf[0, 0, ctx.k - 1] == ref[0][0, ctx.k, 1]
 
 
 class TestDPEngineEquivalence:
@@ -160,8 +170,9 @@ class TestDPEngineEquivalence:
         assert solution_key(fast) == solution_key(ref)
 
     def test_row_engine_matches_full_engine(self, monkeypatch):
-        """Forcing the per-(s, b) row engine (as used at atomic scale)
-        must not change any field of any solution."""
+        """Forcing the banded path (as used at atomic scale, above the
+        full-slab ceiling) must not change any field of any solution or
+        the visited-state count."""
         expected = {}
         ctx = make_ctx()
         for S, MB in itertools.product((1, 2, 3, 4), (1, 2, 4)):
@@ -191,11 +202,14 @@ class TestDPEngineEquivalence:
 
 
 class TestAlgorithm2:
-    def test_parallel_search_is_deterministic(self):
+    def test_parallel_search_is_deterministic(self, monkeypatch):
         serial = make_ctx(num_nodes=2, batch_size=32)
         threaded = make_ctx(num_nodes=2, batch_size=32)
-        a = form_stage(serial, 2, 4, 32, parallel=False)
-        b = form_stage(threaded, 2, 4, 32, parallel=True, max_workers=4)
+        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        a = form_stage(serial, 2, 4, 32)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        b = form_stage(threaded, 2, 4, 32)
+        assert (a.sweep_workers, b.sweep_workers) == (1, 4)
         assert (a is None) == (b is None)
         assert solution_key(a.solution) == solution_key(b.solution)
         assert a.num_pipeline_nodes == b.num_pipeline_nodes

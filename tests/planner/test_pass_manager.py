@@ -174,6 +174,6 @@ class TestBaselinePipelines:
         )
         assert result.framework == "data_parallel"
         assert ctx.artifacts[FRAMEWORK_RESULT] is result
-        event = ctx.events.find("data_parallel_search")
+        event = ctx.events.find("data_parallel_sizing")
         assert event.status == "ok"
         assert event.detail["feasible"] == result.feasible

@@ -17,7 +17,7 @@ import pytest
 from repro.hardware import paper_cluster
 from repro.models import BertConfig, ResNetConfig, build_bert, build_resnet
 from repro.partitioner import auto_partition
-from repro.partitioner.stage_dp import DP_ENGINES
+import repro.partitioner.stage_dp as stage_dp
 
 FIXTURE = Path(__file__).resolve().parents[1] / "data" / "pinned_plans.json"
 
@@ -83,23 +83,34 @@ def test_fixture_covers_full_matrix():
     }
 
 
-# every non-default DP engine must reproduce the same pinned plans the
-# default ("numpy") engine is held to above -- the engines are different
-# evaluation strategies over one DP, not different algorithms.  "numba"
-# degrades to the banded NumPy engine when numba is absent, so this test
-# is meaningful (and identical) with or without the JIT installed.
-ENGINES = [e for e in DP_ENGINES if e != "numpy"]
+# Both evaluation paths of Algorithm 1 must reproduce the pinned plans.
+# The size check picks the path, so each case sets the ceiling it reads.
+# The ids are the former ``dp_engine`` values, each mapped to the ceiling
+# that makes the size check run what that value ran on these presets:
+# "auto" and "dense" the full slab (every preset fits the default
+# ceiling), "banded" and "numba" (banded without the JIT) the banded path
+# everywhere, and "rows" -- the dense setting's above-the-ceiling path,
+# whose place banded took -- a ceiling between the 8- and 16-device
+# levels, so one search runs both paths.
+CEILINGS = {
+    "auto": stage_dp.FULL_TENSOR_MAX_CELLS,
+    "dense": 10**18,
+    "banded": 0,
+    "numba": 0,
+    "rows": 100_000,
+}
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", sorted(CEILINGS))
 @pytest.mark.parametrize("key", sorted(PINNED), ids=sorted(PINNED))
-def test_every_engine_matches_pinned_plan(key, engine):
+def test_every_engine_matches_pinned_plan(key, engine, monkeypatch):
     expected = PINNED[key]
     model_name, cluster_name = key.split("/")
     build, batch_size = MODELS[model_name]
     cluster = paper_cluster(CLUSTERS[cluster_name])
+    monkeypatch.setattr(stage_dp, "FULL_TENSOR_MAX_CELLS", CEILINGS[engine])
 
-    plan = auto_partition(build(), cluster, batch_size, dp_engine=engine)
+    plan = auto_partition(build(), cluster, batch_size)
 
     assert [list(s.block_range) for s in plan.stages] == expected["boundaries"]
     assert [s.devices_per_pipeline for s in plan.stages] == expected["devices"]

@@ -1,6 +1,6 @@
 """End-to-end tracing through the planning pipeline: pass spans, DP
-spans/counters, cross-thread parenting under ``parallel_search``, and
-the evaluate pass's pipeline gauges."""
+spans/counters, cross-thread parenting when Algorithm 2's sweeps run on
+a thread pool, and the evaluate pass's pipeline gauges."""
 
 from repro.hardware import paper_cluster
 from repro.planner import PlannerConfig, PlanningContext, plan_graph
@@ -45,6 +45,10 @@ class TestDPInstrumentation:
         for span in dp_spans:
             assert {"S", "MB"} <= set(span.attrs)
             assert "feasible" in span.attrs
+            assert span.attrs["mode"] == "full"  # tiny k: the slab fits
+        detail = ctx.events.find("stage_search").detail
+        assert detail["dp_mode"] == "full"
+        assert detail["search_workers_used"] >= 1
 
     def test_per_point_state_counters(self, tiny_bert):
         ctx, _ = run_plan(tiny_bert)
@@ -67,10 +71,13 @@ class TestDPInstrumentation:
 
 
 class TestParallelSearchTracing:
-    def test_cross_thread_parenting(self, tiny_bert):
-        ctx, _ = run_plan(
-            tiny_bert, trace=True, parallel_search=True, search_workers=4
-        )
+    def test_cross_thread_parenting(self, tiny_bert, monkeypatch):
+        # the pool size follows the host; pretend it has 4 cores
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        ctx, _ = run_plan(tiny_bert, trace=True)
+        assert ctx.events.find("stage_search").detail[
+            "search_workers_used"
+        ] > 1
         level_spans = ctx.tracer.spans("partitioner.search")
         dp_spans = ctx.tracer.spans("partitioner.dp")
         assert level_spans and dp_spans
@@ -82,11 +89,11 @@ class TestParallelSearchTracing:
         # the sweep actually fanned out
         assert len({s.thread_id for s in dp_spans}) >= 1
 
-    def test_parallel_counters_match_serial(self, tiny_bert):
-        serial, plan_s = run_plan(tiny_bert, parallel_search=False)
-        par, plan_p = run_plan(
-            tiny_bert, parallel_search=True, search_workers=4
-        )
+    def test_parallel_counters_match_serial(self, tiny_bert, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        serial, plan_s = run_plan(tiny_bert)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        par, plan_p = run_plan(tiny_bert)
         keys = ("dp.calls", "dp.states_evaluated", "dp.infeasible")
         for key in keys:
             assert (

@@ -145,6 +145,19 @@ class TestBuildConfig:
         assert "blokcs" in str(ei.value)
         assert "blocks" in str(ei.value)
 
+    @pytest.mark.parametrize(
+        "option", [{"dp_engine": "banded"}, {"search_backend": "thread"}]
+    )
+    def test_removed_run_mode_options_are_unknown(self, option):
+        # the evaluation path and sweep pool follow the input and host;
+        # requests naming the old knobs get the generic unknown-options 400
+        with pytest.raises(ServiceError) as ei:
+            build_config({"batch_size": 32, "options": option})
+        assert ei.value.code == "bad_request"
+        assert ei.value.status == 400
+        assert "unknown options" in str(ei.value)
+        assert next(iter(option)) in str(ei.value)
+
 
 class TestNormalize:
     def test_missing_model_or_cluster(self):
