@@ -1,10 +1,11 @@
-"""Planning-path overhead: cold plan vs. deployment-cache hit.
+"""Planning-path overhead: cold plan vs. whole-plan cache hit.
 
-The pass-based planner folds RaNNC's cached "deployments" into the
-pipeline (``CachePass``); this benchmark records ``auto_partition`` wall
-time for BERT-Base on the paper cluster with an empty cache (full
-three-phase search) and with a warm cache (fingerprint lookup + JSON
-restore + re-evaluation), so future PRs can track both paths.
+The planner keeps RaNNC's cached "deployments" as the artifact store's
+whole-plan entry; this benchmark records ``auto_partition`` wall time
+for BERT-Base on the paper cluster with an empty cache (full
+three-phase search) and with a warm ``cache_dir`` (fingerprint chain +
+one JSON read + re-evaluation + verification), so future PRs can track
+both paths.
 """
 
 import shutil
@@ -33,7 +34,7 @@ def test_plan_bert_base_cold(benchmark):
 
 
 def test_plan_bert_base_cache_hit(benchmark):
-    """Warm deployment cache: the stage search must be skipped."""
+    """Warm cache directory: every compute pass must be skipped."""
     cluster = paper_cluster()
     graph = _bert_base()
     cache_dir = tempfile.mkdtemp(prefix="bench_planner_cache_")

@@ -4,8 +4,9 @@ Three ways to obtain a plan for BERT on the paper cluster after the
 cluster grows from 2 to 4 nodes:
 
 * **cold** — a fresh ``auto_partition`` run (full three-phase search);
-* **cache_hit** — a warm whole-plan deployment cache (the legacy path:
-  fingerprint lookup + JSON restore + re-verification);
+* **cache_hit** — the same call again with a ``cache_dir``: a fresh
+  process's artifact store serves the finished plan from its one disk
+  entry (fingerprint chain + JSON restore + verification on decode);
 * **delta** — :func:`repro.planner.replan` against the previous run's
   artifact store, which reuses the atomic partition, the coarsening and
   the profile tensors and reruns only the stage search onward.

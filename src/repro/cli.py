@@ -71,17 +71,15 @@ def _add_plan(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--amp", action="store_true", help="mixed precision")
     p.add_argument("--blocks", type=int, default=32, help="block count k")
     p.add_argument("--cache-dir", type=str, default=None,
-                   help="deployment cache directory (reruns load the plan)")
-    p.add_argument("--delta", action="store_true",
-                   help="delta replan: persist per-pass artifacts under "
-                        "<cache-dir>/artifacts/ and reuse every artifact "
-                        "whose inputs are unchanged (requires --cache-dir)")
+                   help="plan cache directory: a rerun loads the stored "
+                        "plan, a changed run reuses every pass artifact "
+                        "whose inputs are unchanged")
     p.add_argument("--memory-budget-gb", type=float, default=None,
                    help="cap the per-device memory the stage search may "
                         "fill (GiB); default: hardware capacity")
     p.add_argument("--cache-budget-mb", type=int, default=None,
-                   help="LRU byte budget of the on-disk cache (MiB), "
-                        "deployments + artifacts; default: unbounded")
+                   help="LRU byte budget of the on-disk cache (MiB); "
+                        "default: unbounded")
     p.add_argument("--comm-model", choices=("flat", "topology"),
                    default="flat",
                    help="communication cost model: 'flat' is the paper's "
@@ -183,14 +181,14 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
         "serve",
         help="run the plan service: a long-lived HTTP/JSON daemon over "
              "the planning pipeline (coalescing, shared artifact store, "
-             "delta replanning; see docs/SERVICE.md)",
+             "whole-plan and delta reuse; see docs/SERVICE.md)",
     )
     p.add_argument("--host", type=str, default="127.0.0.1")
     p.add_argument("--port", type=int, default=8321,
                    help="listen port (0 picks a free port)")
     p.add_argument("--cache-dir", type=str, default=None,
-                   help="shared on-disk cache root (deployments + "
-                        "artifacts); omit for a memory-only store")
+                   help="shared on-disk artifact cache root; omit for a "
+                        "memory-only store")
     p.add_argument("--cache-budget-mb", type=int, default=None,
                    help="LRU byte budget of the on-disk cache (MiB)")
     p.add_argument("--store-budget-mb", type=int, default=None,
@@ -402,17 +400,8 @@ def _build_graph(args: argparse.Namespace):
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    from repro.planner import (
-        ArtifactStore,
-        PlannerConfig,
-        PlanningContext,
-        plan_graph,
-    )
+    from repro.planner import PlannerConfig, PlanningContext, plan_graph
 
-    if args.delta and args.cache_dir is None:
-        print("ERROR: --delta needs --cache-dir (the artifacts persist "
-              "under <cache-dir>/artifacts/)")
-        return 2
     event = None
     if args.repair is not None:
         try:
@@ -452,14 +441,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         ),
     )
     ctx = PlanningContext(graph, cluster, config)
-    if args.delta:
-        # the context lends the store its disk backend, so artifacts
-        # written by earlier --delta runs are picked up across processes
-        ctx.attach_store(ArtifactStore())
     print(f"{graph}  on {cluster.total_devices} devices, "
           f"BS={args.batch_size}, {precision.value}, "
-          f"comm={args.comm_model}"
-          + (", delta replan" if args.delta else ""))
+          f"comm={args.comm_model}")
     try:
         plan = plan_graph(graph, cluster, config, context=ctx)
     except PartitioningError as exc:
@@ -529,16 +513,14 @@ def _render_events(ctx) -> str:
              "  detail"]
     lines.append("-" * 72)
     for event in ctx.events:
-        keys = ("reason", "hit", "verified", "stored", "reuse",
-                "fingerprint", "dp_calls", "candidates_tried",
+        keys = ("reason", "reuse", "fingerprint", "dp_calls", "candidates_tried",
                 "states_evaluated", "dp_mode", "search_workers_used",
                 "memo_hit_rate",
                 "num_components", "num_blocks", "range_entries",
                 "num_stages", "throughput",
                 "bubble_frac", "comm_model", "allreduce_algorithm",
                 "internode_boundaries", "nvlink_boundary_frac",
-                "invariants_checked", "violations",
-                "cache_bytes", "cache_evictions")
+                "invariants_checked", "violations")
         detail = ", ".join(
             f"{k}={event.detail[k]}" for k in keys if k in event.detail
         )
@@ -569,10 +551,11 @@ def _render_events(ctx) -> str:
             "planner peak RSS: "
             f"{snap['planner.peak_rss_bytes'] / 2**20:.1f} MiB"
         )
-    if "cache.bytes" in snap:
+    if "planner.store.backend_bytes" in snap:
         lines.append(
-            f"cache: {int(snap['cache.bytes'])} bytes on disk, "
-            f"{int(snap.get('cache.evictions', 0))} eviction(s)"
+            f"cache: {int(snap['planner.store.backend_bytes'])} bytes on "
+            f"disk, {int(snap['planner.store.backend_evictions'])} "
+            "eviction(s)"
         )
     if "planner.reuse.passes_skipped" in snap:
         lines.append(

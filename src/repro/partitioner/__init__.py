@@ -13,8 +13,8 @@
   counts, stage counts and microbatch counts.
 * :mod:`repro.partitioner.api` -- ``auto_partition``: the one-call entry
   point, a thin wrapper over the pass pipeline of :mod:`repro.planner`
-  (which also folds in the deployment cache of
-  :mod:`repro.partitioner.deployment`).
+  (whose artifact store persists finished plans in the deployment format
+  of :mod:`repro.partitioner.deployment`).
 """
 
 from repro.partitioner.atomic import AtomicComponent, atomic_partition

@@ -2,10 +2,9 @@
 
 A thin wrapper over the pass-based planning engine
 (:mod:`repro.planner`): it assembles the default pass list — validate ->
-cache load -> atomic-level partitioning -> block-level coarsening ->
-profile-tensor construction -> Algorithm-2 stage search -> device
-allocation -> throughput evaluation -> cache store — and returns the
-finished plan.  Callers that need the event log or a custom pipeline use
+atomic-level partitioning -> block-level coarsening -> profile-tensor
+construction -> Algorithm-2 stage search -> device allocation ->
+throughput evaluation -> verification — and returns the finished plan.  Callers that need the event log or a custom pipeline use
 :func:`repro.planner.plan_graph` directly; ``reuse_from`` turns the call
 into a delta replan (see :mod:`repro.planner.replan`).
 """
@@ -20,6 +19,7 @@ from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
 from repro.partitioner.plan import PartitionPlan
 from repro.planner import (
+    ArtifactStore,
     PartitioningError,
     PlannerConfig,
     PlanningContext,
@@ -86,9 +86,10 @@ def auto_partition(
             :mod:`repro.verify` invariants; violations raise
             :class:`repro.verify.PlanVerificationError`.
         profiler: reuse an existing profiler (e.g. across experiments).
-        cache_dir: directory of cached deployments; a repeated call with
-            identical graph / cluster / planner config loads the plan
-            from disk instead of re-running the stage search.
+        cache_dir: directory of the on-disk artifact store; a repeated
+            call with identical graph / cluster / planner config loads
+            the plan from disk instead of re-running the search, and a
+            changed call reuses every still-valid artifact.
         context: supply a :class:`PlanningContext` to inspect the
             per-pass event log and artifacts after the call.
         comm_model: communication cost model (``"flat"`` or
@@ -97,8 +98,8 @@ def auto_partition(
         memory_budget: optional per-device memory cap (bytes) for the
             stage search, below the hardware capacity; ``None`` uses
             the full capacity.
-        cache_budget_bytes: LRU byte budget for the on-disk cache
-            (deployment entries + artifacts); ``None`` is unbounded.
+        cache_budget_bytes: LRU byte budget for the on-disk cache;
+            ``None`` is unbounded.
         reuse_from: the :class:`PlanningContext` of a previous planning
             run; still-valid artifacts (coarsening, profile tensors,
             DP solution) are reused and only the invalidated passes
@@ -141,4 +142,6 @@ def auto_partition(
         from repro.planner import ensure_store
 
         context.attach_store(ensure_store(reuse_from))
+    elif context.store is None and cache_dir is not None:
+        context.attach_store(ArtifactStore())
     return plan_graph(graph, cluster, config, context=context)

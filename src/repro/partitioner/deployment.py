@@ -1,10 +1,11 @@
-"""Deployment cache: (de)serialize partition plans to JSON.
+"""Deployments: (de)serialize partition plans to JSON.
 
 RaNNC saves partitioning results ("deployments") so that relaunching a
 job skips the search entirely; this module provides the same: a plan can
 be written next to a checkpoint and restored against the same graph and
 cluster.  A content hash of the graph guards against restoring a plan for
-a different (or modified) model.
+a different (or modified) model.  The planner's artifact store persists
+its whole-plan entries in this format (:mod:`repro.planner.store`).
 """
 
 from __future__ import annotations
@@ -92,14 +93,17 @@ def plan_from_json(
     cluster: ClusterSpec,
     *,
     verify: bool = True,
+    schedule: str = "sync",
     optimizer: OptimizerKind = OptimizerKind.ADAM,
     profiler: Optional[GraphProfiler] = None,
 ) -> PartitionPlan:
     """Restore a plan; re-validates it against graph and cluster.
 
     Raises :class:`DeploymentMismatchError` if the graph content or the
-    cluster shape changed since the plan was saved.  With ``verify``
-    (the default) the restored plan is additionally held to the full
+    cluster shape changed since the plan was saved.  The plan is
+    re-evaluated under ``schedule`` (the deployment JSON stores the
+    partition, not the schedule it runs under).  With ``verify`` (the
+    default) the restored plan is additionally held to the full
     :mod:`repro.verify` invariants -- a stored deployment that drops a
     stage, duplicates a task or no longer fits device memory raises
     :class:`repro.verify.PlanVerificationError` instead of being
@@ -154,15 +158,23 @@ def plan_from_json(
             cluster,
             [s.devices_per_pipeline for s in stages],
             doc["replica_factor"],
+            # the planner's placement input, so a topology-priced plan
+            # lands on the ranks it was searched for
+            boundary_bytes=[s.profile.out_bytes for s in stages[:-1]],
         ),
         mode=doc.get("mode", "training"),
     )
-    plan = evaluate_plan(plan, schedule="sync")
+    plan = evaluate_plan(plan, schedule=schedule)
     if verify:
         # local import: repro.verify depends on repro.partitioner types
         from repro.verify import verify_plan
 
         verify_plan(
-            plan, graph, cluster, profiler=profiler, optimizer=optimizer
+            plan,
+            graph,
+            cluster,
+            profiler=profiler,
+            optimizer=optimizer,
+            schedule=schedule,
         )
     return plan

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -81,9 +80,9 @@ class DeviceAssignment:
 class PlanDiagnostics:
     """Typed search/evaluation diagnostics attached to every plan.
 
-    Replaces the old stringly-keyed ``extras`` dict: the planner passes
-    fill in the fields they own, and :meth:`as_dict` provides a flat
-    float-valued view for JSON serialization and table rendering.
+    The planner passes fill in the fields they own, and :meth:`as_dict`
+    provides a flat float-valued view for JSON serialization and table
+    rendering.
     """
 
     # search statistics (StageSearchPass)
@@ -151,21 +150,6 @@ class PartitionPlan:
     iteration_time: float = 0.0
     throughput: float = 0.0
     diagnostics: PlanDiagnostics = field(default_factory=PlanDiagnostics)
-
-    @property
-    def extras(self) -> Dict[str, float]:
-        """Deprecated flat dict view of :attr:`diagnostics`.
-
-        Predates :class:`PlanDiagnostics`; read the typed fields (or
-        ``plan.diagnostics.as_dict()``) instead.
-        """
-        warnings.warn(
-            "PartitionPlan.extras is deprecated; use plan.diagnostics "
-            "(or plan.diagnostics.as_dict() for the flat view)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.diagnostics.as_dict()
 
     @property
     def num_stages(self) -> int:

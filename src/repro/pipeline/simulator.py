@@ -19,7 +19,6 @@ Two schedules:
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 import numpy as np
@@ -109,23 +108,3 @@ def sync_pipeline_wave_estimate(
     _validate(tf, tb, num_microbatches)
     S = len(tf)
     return (num_microbatches + S - 1) * (max(tf) + max(tb))
-
-
-def sync_pipeline_lower_bound(
-    tf: Sequence[float],
-    tb: Sequence[float],
-    num_microbatches: int,
-) -> float:
-    """Deprecated alias of :func:`sync_pipeline_wave_estimate`.
-
-    The historical name mischaracterized the bound direction: the wave
-    formula is an *upper*-bounding approximation of the simulated
-    makespan, not an admissible lower bound.
-    """
-    warnings.warn(
-        "sync_pipeline_lower_bound is a misnomer (the wave formula is an "
-        "upper bound); use sync_pipeline_wave_estimate",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return sync_pipeline_wave_estimate(tf, tb, num_microbatches)

@@ -17,7 +17,6 @@ from typing import List, Optional
 from repro.graph.ir import TaskGraph
 from repro.hardware.cluster import ClusterSpec
 from repro.partitioner.plan import PartitionPlan
-from repro.planner.cache import CachePass, cache_path
 from repro.planner.context import (
     BLOCKS,
     COMPONENTS,
@@ -66,18 +65,16 @@ from repro.profiler.profiler import GraphProfiler
 def default_passes() -> List[PlannerPass]:
     """The standard ``auto_partition`` pipeline.
 
-    ``validate`` always runs (it is cheap and guards the cache path too);
-    ``cache_load`` short-circuits every later compute pass on a hit; the
-    compute passes mirror the paper's phases, with ``profile_tensors``
-    building the reusable DP profile planes between coarsening and the
-    stage search; ``verify`` holds the fresh plan to the
-    :mod:`repro.verify` invariants (a cache hit was already verified
-    during the load); ``cache_store`` persists a freshly computed plan.
-    Both cache passes self-skip when no cache directory is configured.
+    ``validate`` always runs (it is cheap and also guards a stored
+    plan); the compute passes mirror the paper's phases, with
+    ``profile_tensors`` building the reusable DP profile planes between
+    coarsening and the stage search; ``verify`` holds the plan to the
+    :mod:`repro.verify` invariants.  With an artifact store (a
+    ``cache_dir``, or a delta replan), a stored finished plan skips
+    every compute pass (see :mod:`repro.planner.manager`).
     """
     return [
         ValidatePass(),
-        CachePass("load"),
         AtomicPartitionPass(),
         CoarsenPass(),
         ProfileTensorsPass(),
@@ -85,7 +82,6 @@ def default_passes() -> List[PlannerPass]:
         AllocatePass(),
         EvaluatePass(),
         VerifyPass(),
-        CachePass("store"),
     ]
 
 
@@ -141,7 +137,6 @@ __all__ = [
     "AtomicPartitionPass",
     "BLOCKS",
     "COMPONENTS",
-    "CachePass",
     "ClusterEvent",
     "CoarsenPass",
     "DP_CONTEXT",
@@ -171,7 +166,6 @@ __all__ = [
     "VERIFIED",
     "ValidatePass",
     "VerifyPass",
-    "cache_path",
     "compute_facets",
     "default_passes",
     "ensure_store",

@@ -35,10 +35,10 @@ class PlannerConfig:
 
     The fields mirror the historical ``auto_partition`` keyword
     arguments; :meth:`fingerprint` hashes the plan-determining subset so
-    the deployment cache can key on it (``validate``, ``verify``,
-    ``cache_dir`` and ``trace`` change how the pipeline runs, not what
-    plan it produces, and are excluded -- tracing/verification only
-    record or check what happened).  How Algorithm 1 is evaluated (full
+    the plan service can coalesce requests on it (``validate``,
+    ``verify``, ``cache_dir`` and ``trace`` change how the pipeline runs,
+    not what plan it produces, and are excluded -- tracing/verification
+    only record or check what happened).  How Algorithm 1 is evaluated (full
     slab or banded) and how many threads run Algorithm 2's sweeps follow
     from the input and the host, not from a field: both are
     bit-identical by construction (see ``docs/SCALING.md``).
@@ -64,8 +64,13 @@ class PlannerConfig:
     :meth:`fingerprint`; ``None`` is omitted from the hashed document to
     keep default-config fingerprints identical to earlier releases.
 
+    ``cache_dir`` gives every context built from this config a disk-backed
+    :class:`~repro.planner.store.ArtifactStore` rooted there: a repeated
+    run is served the stored plan whole, and a changed one reuses every
+    still-valid artifact, across processes.
+
     ``cache_budget_bytes`` is the LRU byte budget of the on-disk cache
-    backend (deployment entries + serialized artifacts); ``None`` leaves
+    backend (serialized artifacts, the finished plan included); ``None`` leaves
     the cache unbounded.  A run-mode knob: it changes what stays cached,
     never what plan is produced, so it is excluded from the fingerprint.
 
@@ -122,8 +127,8 @@ class PlannerConfig:
             "comm_model": self.comm_model,
         }
         if self.memory_budget is not None:
-            # only hashed when set, so pre-existing cache entries keyed
-            # without the field keep hitting
+            # only hashed when set, so default-config fingerprints stay
+            # identical to earlier releases
             doc["memory_budget"] = self.memory_budget
         if self.mode != "training":
             # same back-compat contract as memory_budget: training-mode
@@ -139,7 +144,8 @@ class PlanningContext:
     Holds the immutable inputs (graph, cluster, config), the lazily
     constructed profiler, the per-run artifact dict passes read from and
     write to, optionally a cross-run content-addressed
-    :class:`~repro.planner.store.ArtifactStore` (delta replanning), and
+    :class:`~repro.planner.store.ArtifactStore` (whole-plan hits and
+    delta replanning; always present when ``config.cache_dir`` is set), and
     the run's observability surface: a
     :class:`~repro.obs.tracer.Tracer` (also the storage behind the
     structured event log the :class:`~repro.planner.manager.PassManager`
@@ -180,7 +186,10 @@ class PlanningContext:
         #: fingerprints and seeds the store for later delta replans
         self.artifact_fps: Dict[str, str] = {}
         self.store: Optional["ArtifactStore"] = None
-        self._disk = None
+        if store is None and config.cache_dir is not None:
+            from repro.planner.store import ArtifactStore
+
+            store = ArtifactStore()
         if store is not None:
             self.attach_store(store)
 
@@ -211,38 +220,18 @@ class PlanningContext:
     # incremental replanning
     # ------------------------------------------------------------------
     def attach_store(self, store: "ArtifactStore") -> "ArtifactStore":
-        """Adopt a cross-run artifact store, wiring the on-disk backend.
-
-        When the store already carries a disk backend rooted at this
-        context's ``cache_dir`` the backend is shared with the legacy
-        deployment-cache path (one byte budget, one set of gauges);
-        otherwise, a configured ``cache_dir`` lends the store its
-        backend.
-        """
-        self.store = store
-        if self.config.cache_dir is not None:
-            root = Path(self.config.cache_dir)
-            if store.disk is not None and store.disk.root == root:
-                self._disk = store.disk
-            elif store.disk is None:
-                store.disk = self.deployment_backend()
-        return store
-
-    def deployment_backend(self):
-        """The on-disk cache backend for this context's ``cache_dir``
-        (``None`` when caching is off).  Shared with the artifact store
-        when one is attached, so deployment entries and serialized
-        artifacts live under one LRU byte budget."""
-        if self.config.cache_dir is None:
-            return None
-        root = Path(self.config.cache_dir)
-        if self._disk is None or self._disk.root != root:
+        """Adopt a cross-run artifact store.  A configured ``cache_dir``
+        lends a store without a disk tier its backend, so planning with
+        a ``cache_dir`` always persists and reuses artifacts on disk."""
+        if store.disk is None and self.config.cache_dir is not None:
             from repro.planner.store import DiskBackend
 
-            self._disk = DiskBackend(
-                root, byte_budget=self.config.cache_budget_bytes
+            store.disk = DiskBackend(
+                Path(self.config.cache_dir),
+                byte_budget=self.config.cache_budget_bytes,
             )
-        return self._disk
+        self.store = store
+        return store
 
     def facets(self) -> Dict[str, str]:
         """Digest of every input facet of this run (see
@@ -263,29 +252,3 @@ class PlanningContext:
                 mode=self.config.mode,
             )
         return self.profiler
-
-    def cache_key(self) -> str:
-        """Deployment-cache key: graph content + cluster shape + the
-        plan-determining planner configuration."""
-        from repro.partitioner.deployment import graph_fingerprint
-
-        doc = {
-            "graph": graph_fingerprint(self.graph),
-            "cluster": [
-                self.cluster.num_nodes,
-                self.cluster.devices_per_node,
-                self.cluster.comm_model,
-                self.cluster.nvlink_degree,
-                self.cluster.nic_count,
-            ],
-            "config": self.config.fingerprint(),
-        }
-        if self.cluster.device_classes:
-            # only keyed when present, so homogeneous cache keys stay
-            # identical to earlier releases
-            doc["classes"] = [
-                [c.name, c.num_nodes, c.devices_per_node, c.straggler_factor]
-                for c in self.cluster.device_classes
-            ]
-        blob = json.dumps(doc, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:20]

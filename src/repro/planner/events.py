@@ -14,13 +14,13 @@ accessor reconstructs :class:`PassEvent` records from those spans.  One
 store means ``repro plan --explain`` tables and an exported Perfetto
 ``trace.json`` can never disagree about what the planner did.
 
-A pass can be ``skipped`` for two distinct reasons, told apart by the
-event detail: a legacy whole-plan cache hit (every compute pass skipped,
-``cache_load`` carries the hit), or an **artifact reuse** during a delta
-replan — the skipped pass then carries ``reuse=True`` plus the input
-``fingerprint`` its artifact was loaded under, and a matching
-``planner.reuse.<pass>`` span rides on the same tracer (see
-``docs/INCREMENTAL.md``).
+A pass can be ``skipped`` because its work is not needed (the detail
+carries a ``reason``) or because the artifact store already holds its
+result.  A reuse skip carries ``reuse=True`` plus the pass's input
+``fingerprint``: either its own artifact was loaded under that address
+(a delta replan, with a ``planner.reuse.<pass>`` span on the same
+tracer), or the store served the finished plan whole and every compute
+pass was skipped (see ``docs/INCREMENTAL.md``).
 """
 
 from __future__ import annotations

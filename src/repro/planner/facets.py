@@ -19,7 +19,7 @@ and a change to the inter-node bandwidth alone reuses them.  See
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.graph.serialize import canonical_json
 
@@ -164,3 +164,34 @@ def pass_input_fingerprint(
             return None, {}
         inputs[f"artifact:{artifact}"] = fp
     return _digest({"pass": p.name, "inputs": inputs}), inputs
+
+
+def fingerprint_chain(
+    passes: Sequence["PlannerPass"],
+    facets: Dict[str, str],
+    artifact_fps: Dict[str, str],
+    feeds: Callable[["PlannerPass"], bool],
+) -> Dict[str, Tuple[str, Dict[str, str]]]:
+    """``{pass name: (fingerprint, inputs)}`` of every cacheable pass.
+
+    Walks ``passes`` in order.  Each cacheable pass is fingerprinted from
+    the facets and the fingerprints of its required artifacts, seeded
+    from ``artifact_fps`` (not mutated).  When ``feeds(p)`` holds, the
+    pass's fingerprint becomes the address of its artifacts for the
+    passes after it.  Needs no payloads, so the whole chain is known
+    before any pass runs.  A pass whose required artifacts have no
+    fingerprint is left out (see :func:`pass_input_fingerprint`).
+    """
+    chain = dict(artifact_fps)
+    out: Dict[str, Tuple[str, Dict[str, str]]] = {}
+    for p in passes:
+        if not (p.cacheable and p.produces):
+            continue
+        fp, inputs = pass_input_fingerprint(p, facets, chain)
+        if fp is None:
+            continue
+        out[p.name] = (fp, inputs)
+        if feeds(p):
+            for artifact in p.produces:
+                chain[artifact] = fp
+    return out

@@ -8,14 +8,18 @@ that existed at the time.
 
 Passes additionally declare the input *facets* they read (see
 :mod:`repro.planner.facets`).  When the context carries an
-:class:`~repro.planner.store.ArtifactStore`, the manager computes each
+:class:`~repro.planner.store.ArtifactStore`, the manager chains every
 cacheable pass's input fingerprint (facet digests + the fingerprints of
-its required artifacts) before running it; a store hit on every produced
-artifact skips the pass and installs the stored payloads instead, so a
-delta replan reruns only the invalidated suffix of the pipeline.  Reuse
-is observable: each skipped pass records a ``planner.reuse.<pass>`` span
-and the run ends with ``planner.reuse.*`` gauges.  Without a store the
-manager behaves exactly as before -- no fingerprinting, no extra I/O.
+its required artifacts) before running any pass.  It first probes the
+store for the finished ``evaluated`` plan: a hit installs it and skips
+every ``skip_when_planned`` pass, reading one entry and no intermediate
+artifact.  Otherwise, a store hit on every artifact a pass produces
+skips that pass and installs the stored payloads instead, so a delta
+replan reruns only the invalidated suffix of the pipeline.  Reuse is
+observable: each skipped pass records a ``planner.reuse.<pass>`` span
+(``planner.reuse.plan`` for a whole-plan hit) and the run ends with
+``planner.reuse.*`` gauges.  Without a store the manager does no
+fingerprinting and no extra I/O.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.obs.rss import peak_rss_bytes
 from repro.planner.context import EVALUATED, PLAN, PlanningContext
 from repro.planner.events import FAILED, OK, SKIPPED
+from repro.planner.facets import fingerprint_chain
+from repro.planner.store import materialize_for_reuse
 
 
 class PartitioningError(RuntimeError):
@@ -47,29 +53,27 @@ class PlannerPass:
     Subclasses set :attr:`name`, :attr:`requires` and :attr:`produces`
     and implement :meth:`run`, returning an optional detail dict that is
     attached to the pass's event.  Passes whose work is superseded by a
-    cache-restored plan set :attr:`skip_when_planned` so the manager can
+    stored finished plan set :attr:`skip_when_planned` so the manager can
     short-circuit them.
     """
 
     name: str = "pass"
     requires: Tuple[str, ...] = ()
     produces: Tuple[str, ...] = ()
-    #: skip this pass when a finished plan is already in the context
+    #: skip this pass when the store serves the finished plan
     skip_when_planned: bool = False
     #: input facets (beyond ``requires``) this pass reads; the basis of
     #: its input fingerprint under store-backed incremental replanning
     facets: Tuple[str, ...] = ()
     #: whether the pass's artifacts may be reused from / stored into an
     #: ArtifactStore.  False for passes with side effects or checks that
-    #: must re-run on every plan (validate, verify, the legacy cache).
+    #: must re-run on every plan (validate, verify).
     cacheable: bool = False
 
     def should_skip(self, ctx: PlanningContext) -> Optional[str]:
         """A human-readable skip reason, or ``None`` to run the pass."""
         if self.produces and all(ctx.has(a) for a in self.produces):
             return "artifacts already present"
-        if self.skip_when_planned and ctx.get("cache_hit"):
-            return "plan loaded from cache"
         return None
 
     def run(self, ctx: PlanningContext) -> Optional[Dict[str, Any]]:
@@ -92,24 +96,42 @@ class PassManager:
     def run(self, ctx: PlanningContext) -> PlanningContext:
         """Execute all passes in order; returns the (mutated) context."""
         store = ctx.store
-        facets = ctx.facets() if store is not None else None
+        fps: Dict[str, Tuple[str, Dict[str, str]]] = {}
+        probed: Optional[PlannerPass] = None
+        planned = False
+        if store is not None:
+            fps = fingerprint_chain(
+                self.passes,
+                ctx.facets(),
+                ctx.artifact_fps,
+                # a pre-supplied artifact is skipped, not produced: it
+                # has no content address to chain through
+                feeds=lambda p: not all(ctx.has(a) for a in p.produces),
+            )
+            probed, planned = self._probe_plan(ctx, store, fps)
         reused_passes = 0
-        artifacts_loaded = 0
-        store_misses = 0
+        artifacts_loaded = int(planned)
+        store_misses = int(probed is not None and not planned)
         for p in self.passes:
+            fp, inputs = fps.get(p.name, (None, {}))
+            if planned and p.skip_when_planned:
+                reused_passes += 1
+                ctx.events.record(
+                    p.name,
+                    SKIPPED,
+                    0.0,
+                    {
+                        "reason": "plan reused from store",
+                        "reuse": True,
+                        "fingerprint": fp,
+                    },
+                )
+                continue
             reason = p.should_skip(ctx)
             if reason is not None:
                 ctx.events.record(p.name, SKIPPED, 0.0, {"reason": reason})
                 continue
-            fp = None
-            inputs: Dict[str, str] = {}
-            if store is not None and p.cacheable and p.produces:
-                from repro.planner.facets import pass_input_fingerprint
-
-                fp, inputs = pass_input_fingerprint(
-                    p, facets, ctx.artifact_fps
-                )
-            if fp is not None:
+            if fp is not None and p is not probed:
                 reuse_start = time.perf_counter()
                 arts = []
                 for artifact in p.produces:
@@ -119,8 +141,6 @@ class PassManager:
                         break
                     arts.append(art)
                 if len(arts) == len(p.produces):
-                    from repro.planner.store import materialize_for_reuse
-
                     for artifact, art in zip(p.produces, arts):
                         ctx.put(
                             artifact,
@@ -202,6 +222,48 @@ class PassManager:
             ctx.metrics.gauge("planner.peak_rss_bytes").set(float(rss))
         self._stamp_diagnostics(ctx)
         return ctx
+
+    def _probe_plan(
+        self,
+        ctx: PlanningContext,
+        store,
+        fps: Dict[str, Tuple[str, Dict[str, str]]],
+    ) -> Tuple[Optional[PlannerPass], bool]:
+        """Look up the finished plan before any pass runs.
+
+        Returns ``(probed pass, hit)``: the pass producing ``evaluated``
+        whose store entry was looked up (``None`` when the pipeline has
+        no fingerprinted one), and whether it hit.  A hit installs the
+        plan as ``plan`` and ``evaluated``.  It reads the one plan entry
+        and no intermediate artifact.
+        """
+        probe = next(
+            (
+                p
+                for p in self.passes
+                if EVALUATED in p.produces and p.name in fps
+            ),
+            None,
+        )
+        if probe is None or ctx.has(EVALUATED):
+            return None, False
+        start = time.perf_counter()
+        fp = fps[probe.name][0]
+        art = store.get(EVALUATED, fp, ctx)
+        if art is None:
+            return probe, False
+        plan = materialize_for_reuse(EVALUATED, art.payload, ctx)
+        plan.diagnostics.cache_hit = True
+        ctx.put(PLAN, plan)
+        ctx.put(EVALUATED, plan)
+        ctx.artifact_fps[EVALUATED] = fp
+        ctx.tracer.add_span(
+            "planner.reuse.plan",
+            category="planner.reuse",
+            duration=time.perf_counter() - start,
+            attrs={"fingerprint": fp, "artifacts": EVALUATED},
+        )
+        return probe, True
 
     @staticmethod
     def _finish_store_run(

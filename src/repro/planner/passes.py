@@ -19,8 +19,8 @@ Each compute pass declares the input facets it reads (``facets``) and
 whether its artifacts are reusable across runs (``cacheable``); the
 facet boundaries are what let a delta replan that only changed the
 cluster size or memory budget skip everything up to and including
-``profile_tensors``.  The cache passes live in
-:mod:`repro.planner.cache`.
+``profile_tensors``.  The compute passes are ``skip_when_planned``: the
+pass manager skips them all when the store serves the finished plan.
 """
 
 from __future__ import annotations
@@ -322,9 +322,10 @@ class EvaluatePass(PlannerPass):
 class VerifyPass(PlannerPass):
     """Hold the finished plan to the :mod:`repro.verify` invariants.
 
-    Runs after :class:`EvaluatePass` on every fresh plan; a cache hit
-    skips it because ``CachePass("load")`` already verified the restored
-    deployment (it puts the ``VERIFIED`` artifact).  Disable with
+    Runs after :class:`EvaluatePass` on every fresh plan and on every
+    plan served from the store's memory tier.  A plan decoded from disk
+    was verified by the decode, which put the ``VERIFIED`` artifact, so
+    this pass skips it ("artifacts already present").  Disable with
     ``PlannerConfig.verify=False``.
     """
 

@@ -52,7 +52,9 @@ from repro.planner.context import (
     VALIDATED,
     PlanningContext,
 )
+from repro.planner.facets import fingerprint_chain
 from repro.planner.replan import replan
+from repro.planner.store import materialize_for_reuse
 
 __all__ = [
     "ClusterEvent",
@@ -260,7 +262,7 @@ def _inplace_plan(
     boundaries and device counts, new replica factor, re-profiled
     stages and a re-optimized microbatch count -- or ``(None, reason)``
     when infeasible."""
-    dp_ctx = prev_context.get(DP_CONTEXT)
+    dp_ctx = prev_context.get(DP_CONTEXT) or _stored_dp_context(prev_context)
     if dp_ctx is None:
         return None, "no dp_context artifact to re-profile with"
     D = prev_plan.devices_per_pipeline
@@ -379,6 +381,27 @@ def _inplace_plan(
     return best, ""
 
 
+def _stored_dp_context(ctx: PlanningContext):
+    """The profile-tensor context of ``ctx``'s inputs from its store, or
+    ``None``.  A run the store served whole never built one; it lives in
+    the store under the address the run would have given it."""
+    if ctx.store is None:
+        return None
+    from repro.planner import default_passes
+
+    passes = default_passes()
+    fps = fingerprint_chain(passes, ctx.facets(), {}, feeds=lambda p: True)
+    for p in passes:
+        if DP_CONTEXT in p.produces and p.name in fps:
+            art = ctx.store.get(DP_CONTEXT, fps[p.name][0], ctx)
+            if art is not None:
+                return ctx.put(
+                    DP_CONTEXT,
+                    materialize_for_reuse(DP_CONTEXT, art.payload, ctx),
+                )
+    return None
+
+
 def _chained_context(
     prev_context: PlanningContext,
     new_cluster: ClusterSpec,
@@ -395,6 +418,7 @@ def _chained_context(
         prev_context.config,
         tracer=prev_context.tracer,
         metrics=prev_context.metrics,
+        store=prev_context.store,
     )
     for name in (VALIDATED, COMPONENTS, BLOCKS, DP_CONTEXT):
         if prev_context.has(name):

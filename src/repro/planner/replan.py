@@ -32,8 +32,8 @@ or, through the one-call API::
         graph, bigger_cluster, batch_size=32, reuse_from=ctx
     )
 
-``repro plan --delta`` exposes the same mechanism on the command line by
-persisting the artifacts under ``<cache_dir>/artifacts/``.
+``repro plan --cache-dir`` exposes the same mechanism on the command
+line by persisting the artifacts under ``<cache_dir>/artifacts/``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Any, Optional
 from repro.graph.ir import TaskGraph
 from repro.hardware.cluster import ClusterSpec
 from repro.planner.context import PlannerConfig, PlanningContext
-from repro.planner.facets import pass_input_fingerprint
+from repro.planner.facets import fingerprint_chain
 from repro.planner.store import ArtifactStore
 
 __all__ = ["ensure_store", "replan"]
@@ -55,11 +55,12 @@ def ensure_store(prev_context: PlanningContext) -> ArtifactStore:
     one from the context's finished artifacts when it ran store-less.
 
     Seeding replays the fingerprint chain of the default pipeline over
-    the previous run's facets: each cacheable pass's input fingerprint
-    is recomputed exactly as the manager would have, and whichever of
-    its artifacts the context holds are put into the store under that
-    address.  A context that already carries a store (it ran with one)
-    is returned as-is -- its artifacts were stored during the run.
+    the previous run's facets (:func:`~repro.planner.facets.fingerprint_chain`,
+    the same chain the pass manager computes), chaining only through
+    the artifacts the context holds, and puts each of them into the
+    store under its pass's address.  A context that already carries a
+    store (it ran with one) is returned as-is -- its artifacts were
+    stored during the run.
     """
     if prev_context.store is not None:
         return prev_context.store
@@ -67,31 +68,27 @@ def ensure_store(prev_context: PlanningContext) -> ArtifactStore:
 
     store = ArtifactStore()
     prev_context.attach_store(store)
-    facets = prev_context.facets()
-    chain = dict(prev_context.artifact_fps)
-    for p in default_passes():
-        if not (p.cacheable and p.produces):
+    passes = default_passes()
+    fps = fingerprint_chain(
+        passes,
+        prev_context.facets(),
+        prev_context.artifact_fps,
+        feeds=lambda p: all(prev_context.has(a) for a in p.produces),
+    )
+    for p in passes:
+        if p.name not in fps:
             continue
-        fp, inputs = pass_input_fingerprint(p, facets, chain)
-        if fp is None:
-            continue
-        stored_all = True
+        fp, inputs = fps[p.name]
         for artifact in p.produces:
-            if not prev_context.has(artifact):
-                stored_all = False
-                continue
-            store.put(
-                artifact,
-                fp,
-                prev_context.get(artifact),
-                inputs,
-                prev_context,
-            )
-        if stored_all:
-            # downstream fingerprints chain through this artifact
-            for artifact in p.produces:
-                chain[artifact] = fp
-    prev_context.artifact_fps.update(chain)
+            if prev_context.has(artifact):
+                store.put(
+                    artifact,
+                    fp,
+                    prev_context.get(artifact),
+                    inputs,
+                    prev_context,
+                )
+                prev_context.artifact_fps[artifact] = fp
     return store
 
 
@@ -112,8 +109,8 @@ def replan(
         cluster: replacement cluster (default: the previous run's).
         config: replacement config (default: the previous run's).
         context: supply the new run's :class:`PlanningContext` to
-            inspect its event log afterwards; must not carry its own
-            store.  One is created when omitted.
+            inspect its event log afterwards; it is attached to the
+            previous run's store.  One is created when omitted.
         **config_overrides: individual :class:`PlannerConfig` fields to
             override on top of ``config`` (e.g. ``memory_budget=16e9``).
 

@@ -12,12 +12,15 @@ Two backends:
 
 * an in-memory LRU (optionally byte-budgeted) holding live payload
   objects, which makes same-process delta replans free, and
-* an optional :class:`DiskBackend` that serializes the artifacts that
-  have a codec (``components``/``blocks``/``search_result`` as JSON,
-  ``dp_context`` as ``npz``) under ``<cache_dir>/artifacts/``, with an
-  LRU byte budget over *all* files under the cache root -- including the
-  legacy whole-plan deployment entries, whose reads and writes
-  :mod:`repro.planner.cache` routes through the same backend.
+* an optional :class:`DiskBackend` that serializes every artifact kind
+  with a codec (``components``/``blocks``/``search_result`` as JSON,
+  ``dp_context`` as ``npz``, the ``evaluated`` plan as its deployment
+  JSON) under ``<cache_dir>/artifacts/``, with an LRU byte budget over
+  all files under the cache root.
+
+The ``evaluated`` entry is the store's whole-plan cache: the pass
+manager probes it before running any pass (see
+:mod:`repro.planner.manager`).
 
 Reusing a loaded artifact sometimes needs run-specific fix-up (a
 ``DPContext`` must be rebound to the new cluster, a plan must be
@@ -47,6 +50,7 @@ from repro.planner.context import (
     EVALUATED,
     PLAN,
     SEARCH_RESULT,
+    VERIFIED,
     PlanningContext,
 )
 
@@ -106,17 +110,17 @@ def _estimate_nbytes(obj: Any, depth: int = 0) -> int:
 
 
 # ----------------------------------------------------------------------
-# disk backend (shared by artifacts and the legacy deployment cache)
+# disk backend
 # ----------------------------------------------------------------------
 class DiskBackend:
     """Byte-budgeted file store rooted at the planner cache directory.
 
-    All reads and writes go through here -- artifact files under
-    ``artifacts/`` and the legacy whole-plan deployment JSONs at the
-    root -- so one LRU budget (least-recently-*used*, tracked via file
-    mtimes: reads touch) bounds the combined footprint.  Writes are
-    write-then-rename, so a crash or a concurrent planner never leaves a
-    truncated file at a final path.
+    All artifact reads and writes go through here, and one LRU budget
+    (least-recently-*used*, tracked via file mtimes: reads touch) bounds
+    every file under the root, including files nothing reads any more,
+    which therefore age out.  Writes are write-then-rename, so a crash
+    or a concurrent planner never leaves a truncated file at a final
+    path.
 
     Concurrency contract: safe for concurrent callers in one process
     (counters and budget enforcement are lock-guarded) *and* across
@@ -158,10 +162,6 @@ class DiskBackend:
             pass
         return data
 
-    def read_text(self, relpath: str) -> Optional[str]:
-        data = self.read_bytes(relpath)
-        return None if data is None else data.decode()
-
     # -- writes ---------------------------------------------------------
     def write_bytes(self, relpath: str, data: bytes) -> Path:
         path = self.path(relpath)
@@ -181,9 +181,6 @@ class DiskBackend:
             raise
         self._enforce_budget(protect=path)
         return path
-
-    def write_text(self, relpath: str, text: str) -> Path:
-        return self.write_bytes(relpath, text.encode())
 
     # -- accounting -----------------------------------------------------
     def _entries(self):
@@ -242,8 +239,11 @@ class DiskBackend:
 # ----------------------------------------------------------------------
 class ArtifactCodec:
     """Serialize one artifact kind for the disk backend.  Artifacts
-    without a codec (plans: the legacy deployment JSON already persists
-    them whole) live in the memory backend only."""
+    without a codec (the unevaluated ``plan``, which the ``evaluated``
+    entry supersedes) live in the memory backend only.
+
+    ``decode`` reads input from outside the program: any exception it
+    raises makes :meth:`ArtifactStore.get` report a miss."""
 
     ext = "json"
 
@@ -429,11 +429,53 @@ class _SearchResultCodec(ArtifactCodec):
         )
 
 
+class _PlanCodec(ArtifactCodec):
+    """The evaluated plan as its deployment JSON.
+
+    Decoding re-evaluates the plan under the run's schedule and, unless
+    ``config.verify`` is off, holds it to the :mod:`repro.verify`
+    invariants.  The report becomes the run's ``verified`` artifact, so
+    the verify pass does not check the same plan twice.
+    """
+
+    def encode(self, payload: Any, ctx: PlanningContext) -> bytes:
+        from repro.partitioner.deployment import plan_to_json
+
+        return plan_to_json(payload, ctx.graph).encode()
+
+    def decode(self, data: bytes, ctx: PlanningContext) -> Any:
+        from repro.partitioner.deployment import plan_from_json
+        from repro.verify import verify_plan
+
+        schedule = ctx.config.schedule
+        plan = plan_from_json(
+            data.decode(),
+            ctx.graph,
+            ctx.cluster,
+            verify=False,
+            schedule=schedule,
+        )
+        if ctx.config.verify:
+            ctx.put(
+                VERIFIED,
+                verify_plan(
+                    plan,
+                    ctx.graph,
+                    ctx.cluster,
+                    profiler=ctx.ensure_profiler(),
+                    optimizer=ctx.config.optimizer,
+                    schedule=schedule,
+                ),
+            )
+        return plan
+
+
 CODECS: Dict[str, ArtifactCodec] = {
     COMPONENTS: _ComponentsCodec(),
     BLOCKS: _BlocksCodec(),
     DP_CONTEXT: _DPContextCodec(),
     SEARCH_RESULT: _SearchResultCodec(),
+    EVALUATED: _PlanCodec(),
 }
 
 
@@ -543,8 +585,9 @@ class ArtifactStore:
                 if data is not None:
                     try:
                         payload = codec.decode(data, ctx)
-                    except (ValueError, KeyError, OSError):
-                        # a corrupt file is a miss, not a failure
+                    except Exception:  # noqa: BLE001 - see ArtifactCodec
+                        # a stale, corrupt or invariant-violating file is
+                        # a miss; the run recomputes and overwrites it
                         self.misses += 1
                         return None
                     art = self._insert(name, fingerprint, payload, {})

@@ -5,8 +5,9 @@ service.  It owns
 
 * one :class:`~repro.planner.store.ArtifactStore` shared by every
   request (optionally disk-backed under ``cache_dir`` with one LRU byte
-  budget across deployment entries and serialized artifacts, exactly as
-  ``repro plan --delta`` configures it),
+  budget over the serialized artifacts, exactly as ``repro plan
+  --cache-dir`` configures it), which serves repeated requests the
+  stored plan whole,
 * the **in-flight request table**: requests are keyed by the
   graph+cluster+config fingerprint
   (:attr:`~repro.service.protocol.PlanRequest.key`); concurrent
@@ -79,8 +80,8 @@ class PlanEngine:
     """Transport-independent plan service core (see module docstring).
 
     Args:
-        cache_dir: root of the shared on-disk cache (deployment JSONs +
-            serialized artifacts); ``None`` keeps everything in memory.
+        cache_dir: root of the shared on-disk artifact cache; ``None``
+            keeps everything in memory.
         cache_budget_bytes: LRU byte budget over the whole cache root.
         store_memory_budget_bytes: byte budget of the in-memory artifact
             tier (``None``: unbounded).
@@ -203,8 +204,9 @@ class PlanEngine:
         started = time.perf_counter()
         self.metrics.counter("service.repair_requests").inc()
         with self._model_lock(req.model_key):
-            ctx = PlanningContext(req.graph, req.cluster, req.config)
-            ctx.attach_store(self.store)
+            ctx = PlanningContext(
+                req.graph, req.cluster, req.config, store=self.store
+            )
             with self.tracer.span(
                 "service.repair",
                 category="service",
@@ -533,8 +535,9 @@ class PlanEngine:
         from repro.partitioner.deployment import plan_to_json
 
         with self._model_lock(req.model_key):
-            ctx = PlanningContext(req.graph, req.cluster, req.config)
-            ctx.attach_store(self.store)
+            ctx = PlanningContext(
+                req.graph, req.cluster, req.config, store=self.store
+            )
             run_started = time.perf_counter()
             with self.tracer.span(
                 "service.plan",
@@ -571,8 +574,8 @@ class PlanEngine:
     def _classify(ctx: PlanningContext) -> Tuple[str, List[str]]:
         """``(cache kind, reused pass names)`` from the run's event log.
 
-        * ``warm``: the whole-plan deployment entry hit, or every compute
-          pass up to ``evaluate`` was reused from the store;
+        * ``warm``: the store served the finished plan, or every compute
+          pass up to ``evaluate`` was reused from it;
         * ``delta``: a proper prefix was reused (the pipeline reran only
           the invalidated suffix);
         * ``cold``: nothing was reused.
@@ -581,8 +584,6 @@ class PlanEngine:
         for event in ctx.events:
             if event.detail.get("reuse"):
                 reused.append(event.name)
-            if event.name == "cache_load" and event.detail.get("hit"):
-                return "warm", reused
         if "evaluate" in reused:
             return "warm", reused
         if reused:
@@ -601,6 +602,7 @@ class PlanEngine:
         """The live plan for ``req`` (used by ``simulate``): rerun the
         pipeline, which is a full store reuse after ``_coalesced_plan``."""
         with self._model_lock(req.model_key):
-            ctx = PlanningContext(req.graph, req.cluster, req.config)
-            ctx.attach_store(self.store)
+            ctx = PlanningContext(
+                req.graph, req.cluster, req.config, store=self.store
+            )
             return plan_graph(req.graph, req.cluster, req.config, context=ctx)

@@ -177,7 +177,9 @@ class PlanServer:
                     break
                 verb, path, headers, body = request
                 status, payload = await self._dispatch(verb, path, body)
-                keep_alive = (
+                # after a rejected framing (a "/__...__" path) the rest of
+                # the stream cannot be delimited: answer, then close
+                keep_alive = not path.startswith("/__") and (
                     headers.get("connection", "keep-alive").lower()
                     != "close"
                 )
@@ -235,7 +237,12 @@ class PlanServer:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        try:
+            length = int(headers.get("content-length", "0") or "0")
+        except ValueError:
+            length = -1
+        if length < 0:
+            return verb.upper(), "/__bad_length__", headers, b""
         if length > _MAX_BODY_BYTES:
             return verb.upper(), "/__too_large__", headers, b""
         body = await reader.readexactly(length) if length else b""
@@ -250,6 +257,11 @@ class PlanServer:
             return 413, error_envelope(err)
         if path == "/__malformed__":
             err = ServiceError("bad_request", "malformed request line")
+            return 400, error_envelope(err)
+        if path == "/__bad_length__":
+            err = ServiceError(
+                "bad_request", "Content-Length must be a non-negative integer"
+            )
             return 400, error_envelope(err)
         if verb == "GET" and path == "/healthz":
             return 200, ok_envelope(

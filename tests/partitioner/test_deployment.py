@@ -68,6 +68,46 @@ class TestRoundTrip:
         with pytest.raises(DeploymentMismatchError, match="cluster"):
             plan_from_json(text, graph, tiny_cluster())
 
+    def test_topology_placement_survives_the_round_trip(self):
+        """Four 1-device stages on a 2x2 topology cluster: the restored
+        plan keeps the 1 GB boundary on NVLink, as the planner placed
+        it, instead of the contiguous order that crosses the node gap
+        there."""
+        graph = build_mlp((8, 16, 16, 16, 4))
+        cluster = tiny_cluster(num_nodes=2, devices_per_node=2,
+                               comm_model="topology")
+        tasks = list(graph.tasks)
+        chunks = [tasks[i:i + 2] for i in range(0, len(tasks), 2)]
+        out_bytes = [1e3, 1e9, 1e3, 0.0]
+        doc = {
+            "version": 1,
+            "model_name": graph.name,
+            "graph_fingerprint": graph_fingerprint(graph),
+            "batch_size": 8,
+            "precision": "fp32",
+            "num_microbatches": 1,
+            "replica_factor": 1,
+            "cluster": {"num_nodes": 2, "devices_per_node": 2},
+            "stages": [
+                {
+                    "index": i,
+                    "block_range": [i, i + 1],
+                    "tasks": chunk,
+                    "devices_per_pipeline": 1,
+                    "microbatch_size": 8,
+                    "profile": {
+                        "time_fwd": 1e-3, "time_bwd": 2e-3, "memory": 1e6,
+                        "param_count": 10, "in_bytes": 0.0,
+                        "out_bytes": out_bytes[i],
+                    },
+                }
+                for i, chunk in enumerate(chunks)
+            ],
+        }
+        restored = plan_from_json(json.dumps(doc), graph, cluster,
+                                  verify=False)
+        assert not restored.assignment.crossing_is_internode(0, 1)
+
     def test_corrupt_version_rejected(self, bert_setup):
         _, graph, cluster, plan = bert_setup
         text = plan_to_json(plan, graph).replace('"version": 1', '"version": 9')

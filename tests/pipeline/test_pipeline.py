@@ -13,7 +13,6 @@ from repro.pipeline.schedule import (
 from repro.pipeline.simulator import (
     simulate_async_1f1b,
     simulate_sync_pipeline,
-    sync_pipeline_lower_bound,
     sync_pipeline_wave_estimate,
 )
 
@@ -170,11 +169,4 @@ class TestBounds:
         tb = [b for _, b in times]
         assert sync_pipeline_wave_estimate(tf, tb, mb) >= (
             simulate_sync_pipeline(tf, tb, mb) - 1e-9
-        )
-
-    def test_deprecated_alias(self):
-        with pytest.warns(DeprecationWarning, match="upper bound"):
-            legacy = sync_pipeline_lower_bound([1.0, 2.0], [2.0, 1.0], 4)
-        assert legacy == sync_pipeline_wave_estimate(
-            [1.0, 2.0], [2.0, 1.0], 4
         )

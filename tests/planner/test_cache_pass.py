@@ -1,13 +1,31 @@
-"""Deployment-cache round trip through the planner's ``CachePass``:
-hits return an identical plan with zero DP work; any change to the
-graph, the cluster, or the planner config invalidates the key."""
+"""Whole-plan caching through the artifact store: a repeated run is
+served the stored plan with zero DP work, from memory or from disk;
+any change to the graph, the cluster, or the planner config changes the
+plan's address; a corrupt file of any artifact kind is a miss that the
+run repairs."""
 
+import json
+
+import numpy as np
 import pytest
 
-from repro.hardware import paper_cluster
+from repro.hardware import paper_cluster, tiny_cluster
 from repro.models import BertConfig, build_bert
 from repro.partitioner import auto_partition
-from repro.planner import PlannerConfig, PlanningContext, cache_path
+from repro.partitioner.deployment import plan_to_json
+from repro.planner import (
+    EVALUATED,
+    DiskBackend,
+    PlannerConfig,
+    PlanningContext,
+    plan_graph,
+)
+from repro.planner.store import CODECS
+
+COMPUTE_PASSES = [
+    "atomic_partition", "coarsen", "profile_tensors", "stage_search",
+    "allocate", "evaluate",
+]
 
 
 def plan_with_ctx(graph, cluster, batch_size, cache_dir, **kwargs):
@@ -22,6 +40,17 @@ def plan_with_ctx(graph, cluster, batch_size, cache_dir, **kwargs):
     return plan, ctx
 
 
+def entry_path(ctx, name=EVALUATED):
+    """The on-disk file of one of ``ctx``'s artifacts."""
+    return ctx.store.disk.path(
+        ctx.store._relpath(name, ctx.artifact_fps[name])
+    )
+
+
+def reused(ctx):
+    return [e.name for e in ctx.events if e.detail.get("reuse")]
+
+
 @pytest.fixture
 def cache_dir(tmp_path):
     return tmp_path / "deployments"
@@ -31,12 +60,12 @@ class TestCacheHit:
     def test_second_call_loads_identical_plan(self, tiny_bert, cache_dir):
         cluster = paper_cluster()
         cold, cold_ctx = plan_with_ctx(tiny_bert, cluster, 64, cache_dir)
-        assert cold_ctx.events.find("cache_load").detail["hit"] is False
-        assert cold_ctx.events.find("cache_store").detail["stored"] is True
+        assert reused(cold_ctx) == []
+        assert entry_path(cold_ctx).exists()
         assert not cold.diagnostics.cache_hit
 
         warm, warm_ctx = plan_with_ctx(tiny_bert, cluster, 64, cache_dir)
-        assert warm_ctx.events.find("cache_load").detail["hit"] is True
+        assert reused(warm_ctx) == COMPUTE_PASSES
         assert warm.diagnostics.cache_hit
         # plan identity: boundaries, devices, microbatches, replicas
         assert [s.block_range for s in warm.stages] == [
@@ -62,21 +91,33 @@ class TestCacheHit:
         import repro.partitioner.search as search_mod
 
         monkeypatch.setattr(search_mod, "form_stage_dp", _forbidden)
+        reads = []
+        read_bytes = DiskBackend.read_bytes
+
+        def _recording(self, relpath):
+            reads.append(relpath)
+            return read_bytes(self, relpath)
+
+        monkeypatch.setattr(DiskBackend, "read_bytes", _recording)
         warm, ctx = plan_with_ctx(tiny_bert, cluster, 64, cache_dir)
         assert warm.diagnostics.dp_calls == 0
         assert ctx.events.find("stage_search").status == "skipped"
         assert "pass_time.stage_search" not in warm.diagnostics.as_dict()
+        # a whole-plan hit reads the one plan entry, no intermediate
+        # artifact (the dp_context npz above all)
+        assert len(reads) == 1 and reads[0].startswith("artifacts/evaluated-")
 
     def test_stale_entry_treated_as_miss(self, tiny_bert, cache_dir):
         cluster = paper_cluster()
         _, ctx = plan_with_ctx(tiny_bert, cluster, 64, cache_dir)
-        path = cache_path(ctx)
+        path = entry_path(ctx)
         path.write_text(path.read_text().replace('"version": 1', '"version": 9'))
         warm, warm_ctx = plan_with_ctx(tiny_bert, cluster, 64, cache_dir)
-        load = warm_ctx.events.find("cache_load")
-        assert load.detail["hit"] is False
-        assert "version" in load.detail["reason"]
+        assert "evaluate" not in reused(warm_ctx)
+        assert warm_ctx.events.find("evaluate").status == "ok"
         assert not warm.diagnostics.cache_hit
+        # the run overwrote the stale entry with a current one
+        assert json.loads(path.read_text())["version"] == 1
 
 
 class TestCacheInvalidation:
@@ -88,8 +129,8 @@ class TestCacheInvalidation:
                        seq_len=16, vocab_size=101)
         )
         _, ctx2 = plan_with_ctx(other, cluster, 64, cache_dir)
-        assert cache_path(ctx1) != cache_path(ctx2)
-        assert ctx2.events.find("cache_load").detail["hit"] is False
+        assert entry_path(ctx1) != entry_path(ctx2)
+        assert reused(ctx2) == []
         assert ctx2.events.find("stage_search").status == "ok"
 
     def test_changed_cluster_replans(self, tiny_bert, cache_dir):
@@ -97,8 +138,8 @@ class TestCacheInvalidation:
         _, ctx2 = plan_with_ctx(
             tiny_bert, paper_cluster(num_nodes=2), 64, cache_dir
         )
-        assert cache_path(ctx1) != cache_path(ctx2)
-        assert ctx2.events.find("cache_load").detail["hit"] is False
+        assert entry_path(ctx1) != entry_path(ctx2)
+        assert "evaluate" not in reused(ctx2)
         assert ctx2.events.find("stage_search").status == "ok"
 
     def test_changed_planner_config_replans(self, tiny_bert, cache_dir):
@@ -107,15 +148,93 @@ class TestCacheInvalidation:
         _, ctx2 = plan_with_ctx(
             tiny_bert, cluster, 64, cache_dir, num_blocks=16
         )
-        assert cache_path(ctx1) != cache_path(ctx2)
-        assert ctx2.events.find("cache_load").detail["hit"] is False
+        assert entry_path(ctx1) != entry_path(ctx2)
+        assert "evaluate" not in reused(ctx2)
         assert ctx2.events.find("stage_search").status == "ok"
 
     def test_no_cache_dir_disables_both_passes(self, tiny_bert):
+        """Without a cache directory nothing is loaded or stored."""
         cluster = paper_cluster()
         ctx = PlanningContext(
             tiny_bert, cluster, PlannerConfig(batch_size=64)
         )
         auto_partition(tiny_bert, cluster, 64, context=ctx)
-        assert ctx.events.find("cache_load").status == "skipped"
-        assert ctx.events.find("cache_store").status == "skipped"
+        assert ctx.store is None
+        assert reused(ctx) == []
+        assert "planner.store.hits" not in ctx.metrics
+
+
+class TestScheduleRoundTrip:
+    """A served plan is priced under the run's schedule, not ``sync``."""
+
+    @pytest.mark.parametrize(
+        "schedule", ["sync", "sync_1f1b", "async_1f1b"]
+    )
+    def test_hits_keep_the_cold_iteration_time(self, tmp_path, schedule):
+        # tight memory forces a 2-stage, 16-microbatch pipeline, where
+        # the three schedules price the same partition differently
+        graph = build_bert(
+            BertConfig(hidden_size=256, num_layers=4, num_heads=8)
+        )
+        cluster = tiny_cluster(
+            num_nodes=1, devices_per_node=4, memory_bytes=512 * 2**20
+        )
+        config = PlannerConfig(
+            batch_size=64, schedule=schedule, cache_dir=tmp_path
+        )
+        cold = plan_graph(graph, cluster, PlannerConfig(
+            batch_size=64, schedule=schedule,
+        ))
+        first = PlanningContext(graph, cluster, config)
+        plan_graph(graph, cluster, config, context=first)
+
+        memory_ctx = PlanningContext(graph, cluster, config, store=first.store)
+        memory_hit = plan_graph(graph, cluster, config, context=memory_ctx)
+        disk_ctx = PlanningContext(graph, cluster, config)
+        disk_hit = plan_graph(graph, cluster, config, context=disk_ctx)
+
+        for ctx, plan in ((memory_ctx, memory_hit), (disk_ctx, disk_hit)):
+            assert plan.diagnostics.cache_hit
+            assert reused(ctx) == COMPUTE_PASSES
+            assert plan.iteration_time == cold.iteration_time
+            assert plan.throughput == cold.throughput
+        assert memory_ctx.metrics.snapshot()["planner.store.disk_hits"] == 0
+        assert disk_ctx.metrics.snapshot()["planner.store.disk_hits"] == 1
+
+
+def _truncated(data: bytes, name: str) -> bytes:
+    return data[: len(data) // 2]
+
+
+def _wrong_shape(data: bytes, name: str) -> bytes:
+    """Well-formed bytes of the codec's format holding the wrong thing."""
+    if CODECS[name].ext == "npz":
+        import io
+
+        buf = io.BytesIO()
+        np.savez_compressed(buf, x=np.zeros(3))
+        return buf.getvalue()
+    return b"5"
+
+
+class TestCorruptArtifacts:
+    @pytest.mark.parametrize("corrupt", [_truncated, _wrong_shape],
+                             ids=["truncated", "wrong_shape"])
+    @pytest.mark.parametrize("name", sorted(CODECS))
+    def test_corrupt_file_is_a_miss_then_rewritten(
+        self, tiny_bert, cache_dir, name, corrupt
+    ):
+        cluster = paper_cluster()
+        cold, ctx = plan_with_ctx(tiny_bert, cluster, 64, cache_dir)
+        path = entry_path(ctx, name)
+        bad = corrupt(path.read_bytes(), name)
+        path.write_bytes(bad)
+        if name != EVALUATED:
+            # make the next run look past the whole-plan entry
+            entry_path(ctx).unlink()
+
+        warm, warm_ctx = plan_with_ctx(tiny_bert, cluster, 64, cache_dir)
+        assert plan_to_json(warm, tiny_bert) == plan_to_json(cold, tiny_bert)
+        assert not warm.diagnostics.cache_hit
+        assert path.read_bytes() != bad
+        CODECS[name].decode(path.read_bytes(), warm_ctx)  # valid again

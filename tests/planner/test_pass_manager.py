@@ -75,16 +75,10 @@ class TestPassManager:
         plan_graph(tiny_bert, paper_cluster(), ctx.config, context=ctx)
         names = [e.name for e in ctx.events]
         assert names == [
-            "validate", "cache_load", "atomic_partition", "coarsen",
-            "profile_tensors", "stage_search", "allocate", "evaluate",
-            "verify", "cache_store",
-        ]
-        ran = {e.name for e in ctx.events if e.status == "ok"}
-        # no cache dir: both cache passes self-skip, the rest run
-        assert ran == {
             "validate", "atomic_partition", "coarsen", "profile_tensors",
             "stage_search", "allocate", "evaluate", "verify",
-        }
+        ]
+        assert all(e.status == "ok" for e in ctx.events)
         search = ctx.events.find("stage_search")
         assert search.wall_time > 0
         assert search.detail["dp_calls"] > 0
@@ -94,18 +88,17 @@ class TestDefaultPipeline:
     def test_default_passes_cover_all_phases(self):
         names = [p.name for p in default_passes()]
         assert names == [
-            "validate", "cache_load", "atomic_partition", "coarsen",
-            "profile_tensors", "stage_search", "allocate", "evaluate",
-            "verify", "cache_store",
+            "validate", "atomic_partition", "coarsen", "profile_tensors",
+            "stage_search", "allocate", "evaluate", "verify",
         ]
 
     def test_plan_has_pass_timings(self, tiny_bert, cluster):
-        plan = auto_partition(tiny_bert, cluster, 64)
+        plan = auto_partition(tiny_bert, cluster, 64, verify=False)
         timings = plan.diagnostics.pass_timings
         assert "stage_search" in timings and timings["stage_search"] > 0
         assert "coarsen" in timings
-        # skipped passes (cache without a directory) record no timing
-        assert "cache_load" not in timings
+        # skipped passes record no timing
+        assert "verify" not in timings
         flat = plan.diagnostics.as_dict()
         assert flat["pass_time.stage_search"] == pytest.approx(
             timings["stage_search"]

@@ -124,6 +124,23 @@ class TestInPlaceRepair:
         total = sum(t.nbytes for t in result.transfers)
         assert total == pytest.approx(result.migration_bytes)
 
+    def test_repairs_a_plan_the_store_served_whole(self, tmp_path):
+        # a whole-plan hit never builds the profile tensors; the repair
+        # loads them from the store instead of falling back to a replan
+        graph = build_mlp((64, 128, 64, 10))
+        cluster = tiny_cluster(num_nodes=2, devices_per_node=4)
+        config = PlannerConfig(batch_size=32, num_blocks=4,
+                               cache_dir=tmp_path)
+        plan_graph(graph, cluster, config)
+        ctx = PlanningContext(graph, cluster, config)
+        assert plan_graph(graph, cluster, config,
+                          context=ctx).diagnostics.cache_hit
+
+        result = repair(ctx, NodeLoss(0))
+
+        assert not result.used_full_replan
+        assert result.fallback_reason == ""
+
     def test_repairs_chain_through_result_context(self):
         graph, ctx, _ = plan_wide()
         first = repair(ctx, NodeLoss(1))

@@ -21,6 +21,7 @@ from repro.partitioner import auto_partition
 from repro.partitioner.deployment import plan_to_json
 from repro.planner import (
     ArtifactStore,
+    DiskBackend,
     PlannerConfig,
     PlanningContext,
     ensure_store,
@@ -84,9 +85,10 @@ def _reused(ctx):
 
 
 @pytest.mark.parametrize("key", sorted(PINNED), ids=sorted(PINNED))
-def test_cluster_change_delta_matches_pinned(key):
+def test_cluster_change_delta_matches_pinned(key, tmp_path):
     """Plan on a *different* cluster, delta-replan to the target, and
-    demand the pinned (cold-run) plan bit for bit."""
+    demand the pinned (cold-run) plan bit for bit; the whole-plan hits
+    of that plan, from memory and from disk, serialize identically."""
     model_name, cluster_name = key.split("/")
     build, batch_size = MODELS[model_name]
     graph = build()
@@ -96,7 +98,8 @@ def test_cluster_change_delta_matches_pinned(key):
     config = PlannerConfig(batch_size=batch_size)
 
     prev_ctx = PlanningContext(
-        graph, paper_cluster(CLUSTERS[prev_name]), config
+        graph, paper_cluster(CLUSTERS[prev_name]), config,
+        store=ArtifactStore(disk=DiskBackend(tmp_path)),
     )
     plan_graph(graph, prev_ctx.cluster, config, context=prev_ctx)
 
@@ -119,6 +122,14 @@ def test_cluster_change_delta_matches_pinned(key):
     assert {s.name for s in spans} == {
         f"planner.reuse.{p}" for p in PROFILE_PASSES
     }
+
+    served = plan_to_json(plan, graph)
+    for store in (prev_ctx.store, ArtifactStore(disk=DiskBackend(tmp_path))):
+        hit_ctx = PlanningContext(graph, target, config, store=store)
+        hit = plan_graph(graph, target, config, context=hit_ctx)
+        assert hit.diagnostics.cache_hit
+        assert plan_to_json(hit, graph) == served
+        assert hit.iteration_time == plan.iteration_time
 
 
 @pytest.mark.parametrize("model_name", sorted(MODELS), ids=sorted(MODELS))
@@ -212,20 +223,18 @@ def test_disk_artifacts_survive_process_boundary(tmp_path):
     config = PlannerConfig(batch_size=batch_size, cache_dir=tmp_path)
 
     ctx1 = PlanningContext(graph, cluster, config)
-    ctx1.attach_store(ArtifactStore())
     plan_graph(graph, cluster, config, context=ctx1)
     assert sorted(p.name.split("-")[0] for p in
                   (tmp_path / "artifacts").iterdir()) == [
-        "blocks", "components", "dp_context", "search_result",
+        "blocks", "components", "dp_context", "evaluated", "search_result",
     ]
 
-    # different budget: the legacy whole-plan cache misses, the
-    # artifact store hits from disk for the profile passes
+    # different budget: the whole-plan entry misses, the profile
+    # passes hit from disk
     budget = cluster.device.usable_memory * 0.7
     ctx2 = PlanningContext(
         graph, cluster, dataclasses.replace(config, memory_budget=budget)
     )
-    ctx2.attach_store(ArtifactStore())
     plan_graph(graph, cluster, ctx2.config, context=ctx2)
     assert _reused(ctx2) == list(PROFILE_PASSES)
     assert ctx2.metrics.snapshot()["planner.store.disk_hits"] == len(

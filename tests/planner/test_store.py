@@ -1,9 +1,8 @@
 """Unit tests for the content-addressed artifact store.
 
 Covers the :class:`Artifact` value type, the size estimator behind the
-memory LRU, the byte-budgeted :class:`DiskBackend` (shared by artifacts
-and the legacy deployment entries), every disk codec's round trip, and
-the reuse fix-up hooks.
+memory LRU, the byte-budgeted :class:`DiskBackend`, every disk codec's
+round trip, and the reuse fix-up hooks.
 """
 
 import os
@@ -26,6 +25,7 @@ from repro.planner.context import (
     DP_CONTEXT,
     EVALUATED,
     SEARCH_RESULT,
+    VERIFIED,
 )
 from repro.planner.store import (
     CODECS,
@@ -66,8 +66,8 @@ class TestDiskBackend:
         backend = DiskBackend(tmp_path)
         assert backend.read_bytes("missing.json") is None
         assert backend.misses == 1
-        backend.write_text("a.json", "payload")
-        assert backend.read_text("a.json") == "payload"
+        backend.write_bytes("a.json", b"payload")
+        assert backend.read_bytes("a.json") == b"payload"
         assert backend.hits == 1
 
     def test_write_is_atomic_no_tmp_left_behind(self, tmp_path):
@@ -143,6 +143,22 @@ class TestCodecs:
         for key in a:
             # exact equality: the floats travel through npz unmodified
             np.testing.assert_array_equal(a[key], b[key])
+
+    def test_plan_round_trip_verifies_on_decode(self, planned_ctx):
+        from repro.partitioner.deployment import plan_to_json
+        from repro.verify import VerificationReport
+
+        codec = CODECS[EVALUATED]
+        original = planned_ctx.require(EVALUATED)
+        ctx = PlanningContext(
+            planned_ctx.graph, planned_ctx.cluster, planned_ctx.config
+        )
+        restored = codec.decode(codec.encode(original, ctx), ctx)
+        assert plan_to_json(restored, ctx.graph) == plan_to_json(
+            original, ctx.graph
+        )
+        assert restored.iteration_time == original.iteration_time
+        assert isinstance(ctx.get(VERIFIED), VerificationReport)
 
     def test_dp_context_size_tracks_cache_state(self, planned_ctx):
         codec = CODECS[DP_CONTEXT]

@@ -90,13 +90,13 @@ class TestDiskBackendHammer:
                 version += 1
                 doc = {"writer": worker_id, "version": version,
                        "pad": "z" * 400}
-                backend.write_text(paths[worker_id % len(paths)],
-                                   json.dumps(doc))
+                backend.write_bytes(paths[worker_id % len(paths)],
+                                    json.dumps(doc).encode())
 
         def reader():
             while not stop.is_set():
                 for relpath in paths:
-                    text = backend.read_text(relpath)
+                    text = backend.read_bytes(relpath)
                     if text is None:
                         continue  # missing or evicted: a clean miss
                     try:

@@ -1,7 +1,8 @@
 """``VerifyPass`` wiring: on by default after evaluate, disabled by
-``PlannerConfig.verify``, skipped (not duplicated) on verified cache
-hits; the cache treats truncated or invariant-violating entries as
-misses and repairs them with an atomic write."""
+``PlannerConfig.verify``, skipped (not duplicated) when the disk decode
+already verified a stored plan; the store treats truncated or
+invariant-violating plan entries as misses and repairs them with an
+atomic write."""
 
 import json
 
@@ -10,11 +11,12 @@ import pytest
 from repro.hardware import paper_cluster
 from repro.partitioner import auto_partition
 from repro.planner import (
+    EVALUATED,
     VERIFIED,
     PlannerConfig,
     PlanningContext,
-    cache_path,
     default_passes,
+    plan_graph,
 )
 from repro.verify import VerificationReport
 
@@ -29,6 +31,12 @@ def plan_with_ctx(graph, cluster, batch_size, cache_dir=None, **kwargs):
         **kwargs,
     )
     return plan, ctx
+
+
+def plan_entry(ctx):
+    """The on-disk whole-plan entry of a store-backed run."""
+    fp = ctx.artifact_fps[EVALUATED]
+    return ctx.store.disk.path(ctx.store._relpath(EVALUATED, fp))
 
 
 @pytest.fixture
@@ -74,34 +82,41 @@ class TestCacheLoadVerification:
         cluster = paper_cluster()
         plan_with_ctx(tiny_bert, cluster, 64, cache_dir)
         warm, ctx = plan_with_ctx(tiny_bert, cluster, 64, cache_dir)
-        load = ctx.events.find("cache_load")
-        assert load.detail["hit"] is True
-        assert load.detail["verified"] is True
-        # the load already verified the restored plan; VerifyPass sees
-        # the artifact and does not re-check
-        assert ctx.events.find("verify").status == "skipped"
+        # the disk decode already verified the restored plan and put its
+        # report; VerifyPass sees the artifact and does not re-check
+        assert isinstance(ctx.get(VERIFIED), VerificationReport)
+        verify = ctx.events.find("verify")
+        assert verify.status == "skipped"
+        assert verify.detail["reason"] == "artifacts already present"
         assert warm.diagnostics.cache_hit
+
+    def test_memory_hit_is_verified_by_the_pass(self, tiny_bert, cache_dir):
+        cluster = paper_cluster()
+        _, first = plan_with_ctx(tiny_bert, cluster, 64, cache_dir)
+        config = first.config
+        ctx = PlanningContext(tiny_bert, cluster, config, store=first.store)
+        warm = plan_graph(tiny_bert, cluster, config, context=ctx)
+        assert warm.diagnostics.cache_hit
+        assert ctx.events.find("verify").status == "ok"
 
     def test_half_written_entry_is_miss_then_repaired(
         self, tiny_bert, cache_dir
     ):
         cluster = paper_cluster()
         _, ctx = plan_with_ctx(tiny_bert, cluster, 64, cache_dir)
-        path = cache_path(ctx)
+        path = plan_entry(ctx)
         full = path.read_text()
         path.write_text(full[: len(full) // 2])  # simulate a crash mid-write
 
         warm, warm_ctx = plan_with_ctx(tiny_bert, cluster, 64, cache_dir)
-        load = warm_ctx.events.find("cache_load")
-        assert load.detail["hit"] is False
         assert not warm.diagnostics.cache_hit
-        # the store pass replaced the truncated entry with a valid one
-        assert warm_ctx.events.find("cache_store").detail["stored"] is True
+        # the run replaced the truncated entry with a valid one
+        assert warm_ctx.events.find("evaluate").status == "ok"
         repaired = json.loads(path.read_text())
         assert repaired["version"] == 1
 
         third, third_ctx = plan_with_ctx(tiny_bert, cluster, 64, cache_dir)
-        assert third_ctx.events.find("cache_load").detail["hit"] is True
+        assert third_ctx.events.find("evaluate").detail["reuse"] is True
         assert third.diagnostics.cache_hit
 
     def test_invariant_violating_entry_is_miss(self, tiny_bert, cache_dir):
@@ -109,17 +124,16 @@ class TestCacheLoadVerification:
         load and is replanned, not deployed."""
         cluster = paper_cluster()
         _, ctx = plan_with_ctx(tiny_bert, cluster, 64, cache_dir)
-        path = cache_path(ctx)
+        path = plan_entry(ctx)
         doc = json.loads(path.read_text())
         doc["stages"][0]["tasks"] = doc["stages"][0]["tasks"][:-2]
         path.write_text(json.dumps(doc))
 
         warm, warm_ctx = plan_with_ctx(tiny_bert, cluster, 64, cache_dir)
-        load = warm_ctx.events.find("cache_load")
-        assert load.detail["hit"] is False
-        assert "violation" in load.detail["reason"]
         assert not warm.diagnostics.cache_hit
-        assert warm_ctx.events.find("stage_search").status == "ok"
+        assert warm_ctx.events.find("evaluate").status == "ok"
+        assert warm_ctx.events.find("verify").status == "ok"
+        assert json.loads(path.read_text()) != doc
 
     def test_verify_false_restores_legacy_load(self, tiny_bert, cache_dir):
         """With verification off, a structurally valid but tampered
@@ -127,19 +141,18 @@ class TestCacheLoadVerification:
         cluster = paper_cluster()
         _, ctx = plan_with_ctx(tiny_bert, cluster, 64, cache_dir,
                                verify=False)
-        path = cache_path(ctx)
+        path = plan_entry(ctx)
         doc = json.loads(path.read_text())
         doc["stages"][0]["tasks"] = doc["stages"][0]["tasks"][:-2]
         path.write_text(json.dumps(doc))
         warm, warm_ctx = plan_with_ctx(tiny_bert, cluster, 64, cache_dir,
                                        verify=False)
-        assert warm_ctx.events.find("cache_load").detail["hit"] is True
+        assert warm_ctx.events.find("evaluate").detail["reuse"] is True
         assert warm.diagnostics.cache_hit
+        assert not warm_ctx.has(VERIFIED)
 
     def test_store_leaves_no_temp_files(self, tiny_bert, cache_dir):
         _, ctx = plan_with_ctx(tiny_bert, paper_cluster(), 64, cache_dir)
-        assert ctx.events.find("cache_store").detail["stored"] is True
-        leftovers = [p for p in cache_dir.iterdir()
-                     if p.suffix == ".tmp"]
+        leftovers = [p for p in cache_dir.rglob("*") if p.suffix == ".tmp"]
         assert leftovers == []
-        assert cache_path(ctx).exists()
+        assert plan_entry(ctx).exists()

@@ -114,6 +114,16 @@ class TestRawHTTP:
         assert status == 413
         assert doc["error"]["code"] == "bad_request"
 
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_400(self, server, length):
+        status, doc = raw_request(
+            server, "POST", "/v1/plan", body=None,
+            headers={"Content-Length": length},
+        )
+        assert status == 400
+        assert doc["error"]["code"] == "bad_request"
+        assert "Content-Length" in doc["error"]["message"]
+
     def test_missing_params_is_400(self, server):
         status, doc = raw_request(
             server, "POST", "/v1/plan", body=b"{}",

@@ -73,12 +73,14 @@ class TestCLI:
         ]
         assert main(args) == 0
         first = capsys.readouterr().out
-        assert "hit=False" in first
+        assert "reuse=True" not in first
+        assert "restored from the deployment cache" not in first
         assert main(args) == 0
         second = capsys.readouterr().out
-        assert "hit=True" in second
+        assert "reuse=True" in second
         assert "restored from the deployment cache" in second
         assert "skipped" in second
+        assert "bytes on disk" in second
 
     def test_verify_roundtrip(self, capsys, tmp_path):
         dep = tmp_path / "dep.json"
