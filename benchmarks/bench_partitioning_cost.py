@@ -10,8 +10,10 @@ Run directly to emit a machine-readable perf snapshot::
     PYTHONPATH=src python benchmarks/bench_partitioning_cost.py \
         --out BENCH_partition.json
 
-The JSON records wall time, ``dp_calls`` and ``states_evaluated`` per
-workload so CI can archive the partitioning-cost trajectory across
+The JSON records wall time, the ``coarsen`` and ``stage_search`` pass
+times (``coarsen_s``, ``stage_search_s``, from
+``plan.diagnostics.pass_timings``), ``dp_calls`` and ``states_evaluated``
+per workload so CI can archive the partitioning-cost trajectory across
 commits (see the ``bench`` job in ``.github/workflows/ci.yml``).
 """
 
@@ -81,21 +83,27 @@ FULL_WORKLOADS = {
 
 def run_snapshot(workloads, rounds: int = 3) -> dict:
     """Partition every workload, keeping the best of ``rounds`` wall
-    times (graph construction is excluded from the timed region)."""
+    and pass times (graph construction is excluded from the timed
+    region)."""
     cluster = paper_cluster()
     doc = {}
     for name, (build, batch_size) in workloads.items():
         graph = build()
         walls = []
+        passes = {"coarsen": [], "stage_search": []}
         plan = None
         for _ in range(rounds):
             t0 = time.perf_counter()
             plan = auto_partition(graph, cluster, batch_size)
             walls.append(time.perf_counter() - t0)
+            for pass_name, times in passes.items():
+                times.append(plan.diagnostics.pass_timings[pass_name])
         diag = plan.diagnostics
         doc[name] = {
             "wall_time_s": min(walls),
             "wall_times_s": walls,
+            "coarsen_s": min(passes["coarsen"]),
+            "stage_search_s": min(passes["stage_search"]),
             "batch_size": batch_size,
             "dp_calls": int(diag.dp_calls),
             "states_evaluated": int(diag.states_evaluated),
@@ -104,7 +112,10 @@ def run_snapshot(workloads, rounds: int = 3) -> dict:
             "throughput": plan.throughput,
         }
         print(
-            f"{name:<12} wall={min(walls):.3f}s dp_calls={doc[name]['dp_calls']} "
+            f"{name:<12} wall={min(walls):.3f}s "
+            f"coarsen={doc[name]['coarsen_s']:.3f}s "
+            f"stage_search={doc[name]['stage_search_s']:.3f}s "
+            f"dp_calls={doc[name]['dp_calls']} "
             f"states={doc[name]['states_evaluated']}",
             file=sys.stderr,
         )
@@ -124,7 +135,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--budget-bert-large", type=float, default=None, metavar="SECONDS",
         help="fail when the best BERT-Large wall time exceeds this bound "
-        "(the CI no-regression gate for the DP-engine work)",
+        "(CI's end-to-end planning-time gate)",
     )
     args = parser.parse_args(argv)
     workloads = FULL_WORKLOADS if args.full else SMALL_WORKLOADS

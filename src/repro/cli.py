@@ -516,7 +516,8 @@ def _render_events(ctx) -> str:
         keys = ("reason", "reuse", "fingerprint", "dp_calls", "candidates_tried",
                 "states_evaluated", "dp_mode", "search_workers_used",
                 "memo_hit_rate",
-                "num_components", "num_blocks", "range_entries",
+                "num_components", "num_blocks", "levels", "merges", "moves",
+                "compaction", "range_entries",
                 "num_stages", "throughput",
                 "bubble_frac", "comm_model", "allreduce_algorithm",
                 "internode_boundaries", "nvlink_boundary_frac",

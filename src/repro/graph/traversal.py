@@ -250,6 +250,78 @@ class GroupGraph:
             if budget < 0:
                 self._level = None
 
+    def rewire_creates_cycle(
+        self,
+        succ: Dict[int, Set[int]],
+        pred: Dict[int, Set[int]],
+        drop: Iterable[int] = (),
+    ) -> bool:
+        """Would :meth:`rewire` with these arguments leave a cycle?
+
+        Edges between untouched nodes do not change, so on a DAG any new
+        cycle passes through a rewired node: search from each one for a
+        path back to itself over the rewired adjacency.  An untouched
+        node reaches a rewired one only through an untouched predecessor
+        of it, so the search skips untouched nodes levelled above every
+        such predecessor (same answer, as in :meth:`can_merge`)."""
+        gone = set(succ) | set(drop)
+        lv = self._level
+        entries = [p for c in succ for p in pred[c] if p not in gone]
+        bound = None
+        if lv is not None:
+            bound = max((lv[p] for p in entries), default=-1)
+
+        def out(n: int) -> Iterable[int]:
+            if n in succ:
+                nxt = list(succ[n])
+            else:
+                nxt = [s for s in self.succ[n] if s not in gone]
+                nxt += [c for c in succ if n in pred[c]]
+            if bound is None:
+                return nxt
+            return [s for s in nxt if s in succ or lv[s] <= bound]
+
+        for start in succ:
+            stack = out(start)
+            seen = set(stack)
+            while stack:
+                n = stack.pop()
+                if n == start:
+                    return True
+                for s in out(n):
+                    if s not in seen:
+                        seen.add(s)
+                        stack.append(s)
+        return False
+
+    def rewire(
+        self,
+        succ: Dict[int, Set[int]],
+        pred: Dict[int, Set[int]],
+        drop: Iterable[int] = (),
+    ) -> None:
+        """Replace every edge of the nodes keyed in ``succ`` / ``pred``
+        with the given successor / predecessor sets, and delete the
+        (edgeless afterwards) nodes in ``drop``.  Callers keep the graph
+        acyclic (see :meth:`rewire_creates_cycle`)."""
+        gone = set(succ) | set(drop)
+        for n in gone:
+            for s in self.succ.pop(n):
+                if s not in gone:
+                    self.pred[s].discard(n)
+            for p in self.pred.pop(n):
+                if p not in gone:
+                    self.succ[p].discard(n)
+        for n in succ:
+            self.succ[n] = set(succ[n])
+            self.pred[n] = set(pred[n])
+        for n in succ:
+            for s in succ[n]:
+                self.pred[s].add(n)
+            for p in pred[n]:
+                self.succ[p].add(n)
+        self._level = self._compute_levels()
+
     def topo_order(self) -> List[int]:
         indeg = {n: len(self.pred[n]) for n in self.succ}
         ready = deque(sorted(n for n, d in indeg.items() if d == 0))

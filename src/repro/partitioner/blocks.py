@@ -22,21 +22,27 @@ Karypis-Kumar / Huynh et al.:
    so no convexity check is needed here) until ``k`` blocks remain or no
    merge fits in memory.
 
-Implementation note (documented in DESIGN.md): on very large graphs
-(>#`uncoarsen_max_groups` groups) uncoarsening only revisits the coarse
-levels, where the final block boundaries are actually decided; fine-level
-moves on a 15 000-component graph cost O(records x |E|) for no measurable
-communication gain on the paper's chain-structured workloads.
+Implementation note: every step works from per-group aggregates that
+merges and moves update in place -- saved-activation bytes, a private
+parameter count plus the ids of parameters shared between atoms (all
+integers, so the sums equal a from-scratch recount exactly), and the
+group's time.  A merge candidate's memory check costs O(shared params),
+a move's cut costs O(the part's incident edges), and a move's convexity
+check searches the group DAG from the two changed groups only.  On very
+large graphs (>``uncoarsen_max_groups`` groups) uncoarsening still only
+revisits the coarse levels, where the final block boundaries are decided;
+lifting that cap would change plans (DESIGN.md, D4).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.graph.ir import TaskGraph, ValueKind
+from repro.graph.ir import TaskGraph
 from repro.graph.traversal import GroupGraph
 from repro.partitioner.atomic import AtomicComponent, classify_tasks
 from repro.profiler.profiler import GraphProfiler
@@ -62,6 +68,25 @@ class _MergeRecord:
     part_v: FrozenSet[int]
     part_w: FrozenSet[int]
     level_group_count: int
+
+
+@dataclass
+class _Load:
+    """The memory aggregates of one atom set.
+
+    ``saved`` is the batch-1 checkpointed-activation bytes (an integer
+    held in a float), ``private`` the size of the parameters no other
+    atom uses, ``shared`` the ids of parameters several atoms use and
+    ``shared_params`` their total size."""
+
+    saved: float
+    private: int
+    shared: Set[int]
+    shared_params: int
+
+    def copy(self) -> "_Load":
+        return _Load(self.saved, self.private, set(self.shared),
+                     self.shared_params)
 
 
 class BlockPartitioner:
@@ -124,6 +149,11 @@ class BlockPartitioner:
                     continue
                 key = (a, b)
                 self.edge_bytes[key] = self.edge_bytes.get(key, 0.0) + nbytes
+        # the same weights per atom, over both edge directions
+        self.atom_edges: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
+        for (a, b), w in self.edge_bytes.items():
+            self.atom_edges[a].append((b, w))
+            self.atom_edges[b].append((a, w))
 
         # --- per-component cost coefficients -----------------------------
         tf, tb = profiler._times_at(self.ref_batch_size)
@@ -140,22 +170,38 @@ class BlockPartitioner:
             for i in idx:
                 pids.update(profiler._task_param_ids[i])
             self.comp_param_ids.append(frozenset(pids))
+        # a parameter only one atom uses is counted once per group by
+        # plain addition; only the shared ones need deduplicating
+        self._param_sizes: List[int] = profiler._param_sizes
+        self._atom_saved: List[float] = self.comp_saved.tolist()
+        users = Counter(p for pids in self.comp_param_ids for p in pids)
+        self._atom_private = [
+            sum(self._param_sizes[p] for p in pids if users[p] == 1)
+            for pids in self.comp_param_ids
+        ]
+        self._atom_shared = [
+            frozenset(p for p in pids if users[p] > 1)
+            for pids in self.comp_param_ids
+        ]
+        self._saved_scale = self.ref_batch_size * act_factor
+        # ``static_bytes`` is ``param_count x`` a per-parameter constant
+        self._static_per_param = profiler.memory_model.static_bytes(1)
 
         # --- mutable partition state -------------------------------------
-        # group id -> set of atomic indices; group ids are stable ints
-        self.group_atoms: Dict[int, Set[int]] = {
-            i: {i} for i in range(n)
-        }
+        # group id -> set of atomic indices; group ids are stable ints.
+        # ``group_load`` / ``group_time`` are the per-group aggregates,
+        # kept equal to ``_group_memory`` / ``_group_time`` of the atoms.
         self.atom_owner: List[int] = list(range(n))
-        self.gg = GroupGraph(
-            range(n),
-            [(a, b) for a in range(n) for b in self.comp_succ[a]],
-        )
+        self._reset_groups({i: {i} for i in range(n)})
         self.records: List[_MergeRecord] = []
         self.memory_limit = profiler.cluster.device.usable_memory
+        # what the run did, reported by the coarsen pass
+        self.levels = 0
+        self.moves = 0
+        self.compaction = "none"
 
     # ------------------------------------------------------------------
-    # cost helpers (incremental aggregates)
+    # cost helpers
     # ------------------------------------------------------------------
     def _group_time(self, atoms: Set[int]) -> float:
         return float(self.comp_time[list(atoms)].sum())
@@ -163,7 +209,10 @@ class BlockPartitioner:
     def _group_memory(self, atoms: Set[int]) -> float:
         """Loose memory estimate used during block formation: static
         parameter/optimizer state plus one reference microbatch's
-        checkpointed activations.  The DP re-checks memory exactly."""
+        checkpointed activations.  The DP re-checks memory exactly.
+
+        This recounts from scratch; the steps read the equal
+        :meth:`_memory` of the maintained aggregates instead."""
         saved = float(self.comp_saved[list(atoms)].sum())
         saved *= self.ref_batch_size * self.profiler.precision.activation_bytes_factor
         pids: Set[int] = set()
@@ -176,14 +225,42 @@ class BlockPartitioner:
         ) if pids else 0
         return self.profiler.memory_model.static_bytes(params) + saved
 
-    def _cut_bytes_of_group(self, gid: int) -> float:
-        """Bytes on edges crossing the boundary of group ``gid``."""
-        atoms = self.group_atoms[gid]
-        total = 0.0
-        for (a, b), w in self.edge_bytes.items():
-            if (a in atoms) != (b in atoms):
-                total += w
-        return total
+    def _load_of(self, atoms) -> _Load:
+        shared: Set[int] = set()
+        for a in atoms:
+            shared |= self._atom_shared[a]
+        return _Load(
+            sum(self._atom_saved[a] for a in atoms),
+            sum(self._atom_private[a] for a in atoms),
+            shared,
+            sum(self._param_sizes[p] for p in shared),
+        )
+
+    def _overlap(self, x: _Load, y: _Load) -> int:
+        if not (x.shared and y.shared):
+            return 0
+        small, large = sorted((x.shared, y.shared), key=len)
+        return sum(self._param_sizes[p] for p in small if p in large)
+
+    def _params_memory(self, params: int, saved: float) -> float:
+        return params * self._static_per_param + saved * self._saved_scale
+
+    def _memory(self, load: _Load) -> float:
+        """``_group_memory`` of the atoms ``load`` aggregates."""
+        return self._params_memory(load.private + load.shared_params,
+                                   load.saved)
+
+    def _merged_memory(self, x: _Load, y: _Load) -> float:
+        """``_memory`` of the union of two disjoint atom sets."""
+        params = (x.private + y.private + x.shared_params + y.shared_params
+                  - self._overlap(x, y))
+        return self._params_memory(params, x.saved + y.saved)
+
+    def _absorb(self, into: _Load, other: _Load) -> None:
+        into.shared_params += other.shared_params - self._overlap(into, other)
+        into.shared |= other.shared
+        into.saved += other.saved
+        into.private += other.private
 
     def total_cut_bytes(self) -> float:
         """Bytes crossing any group boundary (the uncoarsening objective)."""
@@ -192,6 +269,22 @@ class BlockPartitioner:
             if self.atom_owner[a] != self.atom_owner[b]:
                 total += w
         return total
+
+    def _reset_groups(self, groups: Dict[int, Set[int]]) -> None:
+        """Install a whole new partition: owners, aggregates, group DAG."""
+        self.group_atoms = groups
+        for gid, atoms in groups.items():
+            for a in atoms:
+                self.atom_owner[a] = gid
+        self.group_load = {g: self._load_of(a) for g, a in groups.items()}
+        self.group_time = {g: self._group_time(a) for g, a in groups.items()}
+        edges = []
+        for a in range(len(self.components)):
+            for b in self.comp_succ[a]:
+                ga, gb = self.atom_owner[a], self.atom_owner[b]
+                if ga != gb:
+                    edges.append((ga, gb))
+        self.gg = GroupGraph(list(groups), edges)
 
     # ------------------------------------------------------------------
     # step 1: coarsening
@@ -208,10 +301,7 @@ class BlockPartitioner:
         """
         threshold = self.balance_factor * float(self.comp_time.sum()) / self.k
         while len(self.group_atoms) > self.k:
-            ordered = sorted(
-                self.group_atoms,
-                key=lambda g: self._group_time(self.group_atoms[g]),
-            )
+            ordered = sorted(self.group_atoms, key=self.group_time.__getitem__)
             consumed: Set[int] = set()
             merged_any = False
             level_count = len(self.group_atoms)
@@ -222,16 +312,17 @@ class BlockPartitioner:
                     break
                 best_w: Optional[int] = None
                 best_time = float("inf")
+                load_v = self.group_load[v]
                 neighbors = set(self.gg.succ[v]) | set(self.gg.pred[v])
                 for w in neighbors:
                     if w in consumed:
                         continue
                     if not self.gg.can_merge(v, w):
                         continue
-                    merged_atoms = self.group_atoms[v] | self.group_atoms[w]
-                    if self._group_memory(merged_atoms) > self.memory_limit:
+                    if (self._merged_memory(load_v, self.group_load[w])
+                            > self.memory_limit):
                         continue
-                    t = self._group_time(merged_atoms)
+                    t = self._group_time(self.group_atoms[v] | self.group_atoms[w])
                     if t > threshold:
                         continue
                     if t < best_time:
@@ -252,12 +343,17 @@ class BlockPartitioner:
                 merged_any = True
             if not merged_any:
                 break
+            self.levels += 1
 
     def _do_merge(self, keep: int, absorb: int) -> None:
-        for a in self.group_atoms[absorb]:
+        atoms = self.group_atoms.pop(absorb)
+        for a in atoms:
             self.atom_owner[a] = keep
-        self.group_atoms[keep] |= self.group_atoms.pop(absorb)
+        self.group_atoms[keep] |= atoms
         self.gg.merge(keep, absorb)
+        self._absorb(self.group_load[keep], self.group_load.pop(absorb))
+        del self.group_time[absorb]
+        self.group_time[keep] = self._group_time(self.group_atoms[keep])
 
     # ------------------------------------------------------------------
     # step 2: uncoarsening (boundary refinement)
@@ -275,6 +371,7 @@ class BlockPartitioner:
             for part in (record.part_v, record.part_w):
                 if self._try_move(part):
                     moves += 1
+        self.moves += moves
         return moves
 
     def _part_owner(self, part: FrozenSet[int]) -> Optional[int]:
@@ -283,7 +380,7 @@ class BlockPartitioner:
 
     def _try_move(self, part: FrozenSet[int]) -> bool:
         g = self._part_owner(part)
-        if g is None or part == frozenset(self.group_atoms[g]):
+        if g is None or len(part) == len(self.group_atoms[g]):
             return False  # scattered by an earlier move, or whole group
         # candidate target groups: those adjacent to the part
         targets: Set[int] = set()
@@ -311,75 +408,62 @@ class BlockPartitioner:
         """Bytes on edges incident to ``part`` that would cross a group
         boundary if ``part`` lived in ``owner_group``."""
         total = 0.0
-        for (a, b), w in self.edge_bytes.items():
-            a_in, b_in = a in part, b in part
-            if a_in == b_in:
-                continue
-            other = b if a_in else a
-            # edge crosses unless the other endpoint is in owner_group
-            # (edges internal to the part are excluded above)
-            if self.atom_owner[other] != owner_group:
-                total += w
+        for a in part:
+            for b, w in self.atom_edges[a]:
+                # edges internal to the part never cross
+                if b not in part and self.atom_owner[b] != owner_group:
+                    total += w
         return total
 
-    def _move_is_valid(self, part: FrozenSet[int], g: int, t: int) -> bool:
-        """Check convexity of (g - part) and (t + part) plus memory of
-        (t + part), on the contracted group DAG with g split."""
-        remaining = self.group_atoms[g] - part
-        target_atoms = self.group_atoms[t] | part
-        if self._group_memory(target_atoms) > self.memory_limit:
-            return False
-        # build a contracted adjacency over current groups, with g split
-        # into `remaining` and `part`; then both changed sets must be
-        # convex.  Node labels: group ids, plus -1 for `part`.
-        label: Dict[int, int] = {}
-        for a in part:
-            label[a] = -1
+    def _moved_adjacency(self, part: FrozenSet[int], g: int, t: int):
+        """Group-DAG edges of ``g`` and ``t`` once ``part`` moved from
+        ``g`` to ``t``: ``(succ, pred, dropped)``, where ``dropped`` names
+        ``g`` if the move empties it."""
+        rest = [a for a in self.group_atoms[g] if a not in part]
         succ: Dict[int, Set[int]] = {}
+        pred: Dict[int, Set[int]] = {}
+        for gid, atoms in ((g, rest), (t, [*self.group_atoms[t], *part])):
+            if not atoms:
+                continue
+            out = succ[gid] = set()
+            inc = pred[gid] = set()
+            for a in atoms:
+                for b in self.comp_succ[a]:
+                    o = t if b in part else self.atom_owner[b]
+                    if o != gid:
+                        out.add(o)
+                for b in self.comp_pred[a]:
+                    o = t if b in part else self.atom_owner[b]
+                    if o != gid:
+                        inc.add(o)
+        return succ, pred, () if rest else (g,)
 
-        def lab(atom: int) -> int:
-            lbl = label.get(atom)
-            return lbl if lbl is not None else self.atom_owner[atom]
-
-        for a in range(len(self.components)):
-            la = lab(a)
-            for b in self.comp_succ[a]:
-                lb = lab(b)
-                if la != lb:
-                    succ.setdefault(la, set()).add(lb)
-            succ.setdefault(la, set())
-        # after the move, `part` fuses with t: contract labels -1 and t
-        def final(lbl: int) -> int:
-            return t if lbl == -1 else lbl
-
-        fsucc: Dict[int, Set[int]] = {}
-        for a, bs in succ.items():
-            fa = final(a)
-            fsucc.setdefault(fa, set())
-            for b_ in bs:
-                fb = final(b_)
-                if fa != fb:
-                    fsucc[fa].add(fb)
-        return _is_dag(fsucc)
+    def _move_is_valid(self, part: FrozenSet[int], g: int, t: int) -> bool:
+        """Memory of (t + part), and convexity of (g - part) and
+        (t + part): the contracted group DAG after the move stays
+        acyclic."""
+        merged = self._merged_memory(self.group_load[t], self._load_of(part))
+        if merged > self.memory_limit:
+            return False
+        return not self.gg.rewire_creates_cycle(
+            *self._moved_adjacency(part, g, t)
+        )
 
     def _apply_move(self, part: FrozenSet[int], g: int, t: int) -> None:
+        self.gg.rewire(*self._moved_adjacency(part, g, t))
         for a in part:
             self.atom_owner[a] = t
         self.group_atoms[g] -= part
         self.group_atoms[t] |= part
-        if not self.group_atoms[g]:
-            del self.group_atoms[g]
-        self._rebuild_group_graph()
-
-    def _rebuild_group_graph(self) -> None:
-        gids = list(self.group_atoms)
-        edges = []
-        for a in range(len(self.components)):
-            for b in self.comp_succ[a]:
-                ga, gb = self.atom_owner[a], self.atom_owner[b]
-                if ga != gb:
-                    edges.append((ga, gb))
-        self.gg = GroupGraph(gids, edges)
+        for gid in (g, t):
+            atoms = self.group_atoms[gid]
+            if atoms:
+                self.group_load[gid] = self._load_of(atoms)
+                self.group_time[gid] = self._group_time(atoms)
+            else:
+                del self.group_atoms[gid]
+                del self.group_load[gid]
+                del self.group_time[gid]
 
     # ------------------------------------------------------------------
     # step 3: compaction
@@ -401,28 +485,26 @@ class BlockPartitioner:
         order = self.gg.topo_order()
         if len(order) <= self.k:
             return
-        times = [self._group_time(self.group_atoms[g]) for g in order]
+        times = [self.group_time[g] for g in order]
         best = None
         if len(order) <= 1024:
             best = self._exact_partition(order, times)
+            self.compaction = "exact"
         if best is None:
             lo = max(times)
             hi = sum(times)
-            # The binary search re-packs the same topological order 40
-            # times; part memory depends only on the (start, end) range of
-            # ``order``, so a shared memo returns the identical float on
-            # revisits instead of re-deduplicating parameter ids.
-            mem_memo: Dict[Tuple[int, int], float] = {}
             for _ in range(40):
                 cap = 0.5 * (lo + hi)
-                parts = self._pack(order, times, cap, mem_memo)
+                parts = self._pack(order, times, cap)
                 if parts is not None and len(parts) <= self.k:
                     best = parts
                     hi = cap
                 else:
                     lo = cap
+            self.compaction = "packed"
         if best is None:
             # memory constraints defeat every cap: fall back to greedy
+            self.compaction = "greedy"
             self.compact_greedy()
             return
         self._rebuild_from_parts(best)
@@ -432,7 +514,12 @@ class BlockPartitioner:
     ) -> Optional[List[List[int]]]:
         """Optimal minimax contiguous partition into exactly ``k`` parts
         (classic linear-partitioning DP); returns ``None`` if any part of
-        the optimum violates the memory cap (caller falls back)."""
+        the optimum violates the memory cap (caller falls back).
+
+        Each part count fills its whole row at once: an (end, start)
+        matrix of candidate costs, starts at or past their end masked to
+        infinity, and a row-wise ``argmin`` that keeps the first minimum.
+        """
         n = len(order)
         k = min(self.k, n)
         prefix = np.concatenate([[0.0], np.cumsum(times)])
@@ -441,13 +528,16 @@ class BlockPartitioner:
         cut = np.zeros((k + 1, n + 1), dtype=np.int64)
         cost[0, 0] = 0.0
         for parts in range(1, k + 1):
-            for end in range(parts, n - (k - parts) + 1):
-                starts = np.arange(parts - 1, end)
-                bins = prefix[end] - prefix[starts]
-                cand = np.maximum(cost[parts - 1, starts], bins)
-                j = int(np.argmin(cand))
-                cost[parts, end] = cand[j]
-                cut[parts, end] = starts[j]
+            ends = np.arange(parts, n - (k - parts) + 1)
+            starts = np.arange(parts - 1, ends[-1])
+            cand = np.maximum(
+                cost[parts - 1, starts][None, :],
+                prefix[ends][:, None] - prefix[starts][None, :],
+            )
+            cand[starts[None, :] >= ends[:, None]] = INF
+            j = np.argmin(cand, axis=1)
+            cost[parts, ends] = cand[np.arange(len(ends)), j]
+            cut[parts, ends] = starts[j]
         if not np.isfinite(cost[k, n]):
             return None
         bounds = [n]
@@ -459,61 +549,39 @@ class BlockPartitioner:
         parts_list: List[List[int]] = []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             part = order[lo:hi]
-            atoms: Set[int] = set()
-            for gid in part:
-                atoms |= self.group_atoms[gid]
-            if self._group_memory(atoms) > self.memory_limit:
+            load = self.group_load[part[0]].copy()
+            for gid in part[1:]:
+                self._absorb(load, self.group_load[gid])
+            if self._memory(load) > self.memory_limit:
                 return None
             parts_list.append(part)
         return parts_list
 
     def _pack(
-        self,
-        order: List[int],
-        times: List[float],
-        cap: float,
-        mem_memo: Optional[Dict[Tuple[int, int], float]] = None,
+        self, order: List[int], times: List[float], cap: float
     ) -> Optional[List[List[int]]]:
-        """Greedy prefix packing under a load cap and the memory cap.
-
-        ``mem_memo`` (shared across the caller's binary-search rounds)
-        caches part memory by ``(start, end)`` indices into ``order`` --
-        the candidate atom set, and hence the float, is fully determined
-        by the range, so hits reproduce the uncached value exactly.
-        """
+        """Greedy prefix packing under a load cap and the memory cap,
+        carrying the open part's aggregates along."""
         parts: List[List[int]] = []
         current: List[int] = []
-        atoms: Set[int] = set()
+        load: Optional[_Load] = None
         acc = 0.0
-        start = 0
-        for idx, (gid, t) in enumerate(zip(order, times)):
+        for gid, t in zip(order, times):
+            if current and (
+                acc + t > cap
+                or self._merged_memory(load, self.group_load[gid])
+                > self.memory_limit
+            ):
+                parts.append(current)
+                current = []
             if not current:
                 if t > cap:
                     return None  # a single group exceeds the load cap
-                current, atoms, acc = [gid], set(self.group_atoms[gid]), t
-                start = idx
-                continue
-            candidate = atoms | self.group_atoms[gid]
-            if acc + t > cap:
-                over = True
-            elif mem_memo is None:
-                over = self._group_memory(candidate) > self.memory_limit
-            else:
-                mem = mem_memo.get((start, idx))
-                if mem is None:
-                    mem = mem_memo[(start, idx)] = self._group_memory(
-                        candidate
-                    )
-                over = mem > self.memory_limit
-            if over:
-                parts.append(current)
-                if t > cap:
-                    return None
-                current, atoms, acc = [gid], set(self.group_atoms[gid]), t
-                start = idx
+                current, load, acc = [gid], self.group_load[gid].copy(), t
             else:
                 current.append(gid)
-                atoms, acc = candidate, acc + t
+                self._absorb(load, self.group_load[gid])
+                acc = acc + t
         if current:
             parts.append(current)
         return parts
@@ -525,10 +593,7 @@ class BlockPartitioner:
             for gid in gids:
                 atoms |= self.group_atoms[gid]
             new_groups[i] = atoms
-            for a in atoms:
-                self.atom_owner[a] = i
-        self.group_atoms = new_groups
-        self._rebuild_group_graph()
+        self._reset_groups(new_groups)
 
     def compact_greedy(self) -> None:
         """The paper's literal compaction rule: in ascending order of
@@ -537,9 +602,7 @@ class BlockPartitioner:
         while len(self.group_atoms) > self.k:
             order = self.gg.topo_order()
             pos = {g: i for i, g in enumerate(order)}
-            by_time = sorted(
-                order, key=lambda g: self._group_time(self.group_atoms[g])
-            )
+            by_time = sorted(order, key=self.group_time.__getitem__)
             merged = False
             for v in by_time:
                 i = pos[v]
@@ -550,12 +613,11 @@ class BlockPartitioner:
                     candidates.append(order[i + 1])
                 if not candidates:
                     continue
-                candidates.sort(
-                    key=lambda g: self._group_time(self.group_atoms[g])
-                )
+                candidates.sort(key=self.group_time.__getitem__)
                 for w in candidates:
-                    merged_atoms = self.group_atoms[v] | self.group_atoms[w]
-                    if self._group_memory(merged_atoms) > self.memory_limit:
+                    if (self._merged_memory(self.group_load[v],
+                                            self.group_load[w])
+                            > self.memory_limit):
                         continue
                     # merging list-adjacent groups of a topological order
                     # is always convex (interval argument), but the group
@@ -621,30 +683,3 @@ def block_partition(
         ref_batch_size=ref_batch_size,
         uncoarsen=uncoarsen,
     ).run()
-
-
-def _is_dag(succ: Dict[int, Set[int]]) -> bool:
-    """Cycle check via iterative DFS colouring."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {n: WHITE for n in succ}
-    for root in succ:
-        if colour[root] != WHITE:
-            continue
-        stack: List[Tuple[int, iter]] = [(root, iter(succ[root]))]
-        colour[root] = GREY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                c = colour.get(nxt, WHITE)
-                if c == GREY:
-                    return False
-                if c == WHITE:
-                    colour[nxt] = GREY
-                    stack.append((nxt, iter(succ.get(nxt, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                colour[node] = BLACK
-                stack.pop()
-    return True

@@ -30,7 +30,7 @@ from typing import Any, Dict, Optional
 from repro.graph.validate import validate_graph
 from repro.partitioner.allocation import allocate_devices, boundary_report
 from repro.partitioner.atomic import atomic_partition
-from repro.partitioner.blocks import block_partition
+from repro.partitioner.blocks import BlockPartitioner
 from repro.partitioner.plan import PartitionPlan, StageSpec
 from repro.partitioner.search import form_stage
 from repro.partitioner.stage_dp import DPContext, dp_mode
@@ -98,17 +98,21 @@ class CoarsenPass(PlannerPass):
     facets = ("arch", "capacity", "coarsen")
 
     def run(self, ctx: PlanningContext) -> Optional[Dict[str, Any]]:
-        blocks = ctx.put(
-            BLOCKS,
-            block_partition(
-                ctx.graph,
-                ctx.require(COMPONENTS),
-                ctx.ensure_profiler(),
-                num_blocks=ctx.config.num_blocks,
-                uncoarsen=ctx.config.uncoarsen,
-            ),
+        partitioner = BlockPartitioner(
+            ctx.graph,
+            ctx.require(COMPONENTS),
+            ctx.ensure_profiler(),
+            num_blocks=ctx.config.num_blocks,
+            uncoarsen=ctx.config.uncoarsen,
         )
-        return {"num_blocks": len(blocks)}
+        blocks = ctx.put(BLOCKS, partitioner.run())
+        return {
+            "num_blocks": len(blocks),
+            "levels": partitioner.levels,
+            "merges": len(partitioner.records),
+            "moves": partitioner.moves,
+            "compaction": partitioner.compaction,
+        }
 
 
 class ProfileTensorsPass(PlannerPass):

@@ -431,7 +431,7 @@ class PlanEngine:
                 if name.startswith("service.")
             },
             "store": self.store.stats(),
-            "spans": len(self.tracer.spans()),
+            "spans": len(self.tracer),
         }
 
     def export_trace(self, path) -> int:

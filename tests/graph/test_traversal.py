@@ -219,6 +219,48 @@ def test_level_pruned_reachability_matches_unpruned(dag, data):
             )
 
 
+def _contract(edges, owner):
+    """The group DAG of an atom DAG under ``owner``, built from scratch."""
+    return GroupGraph(
+        sorted(set(owner)),
+        {(owner[a], owner[b]) for a, b in edges if owner[a] != owner[b]},
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_dag(), st.data())
+def test_rewire_matches_rebuilt_contraction(dag, data):
+    """Property: moving atoms between two groups by ``rewire`` gives the
+    contraction rebuilt from scratch, and ``rewire_creates_cycle`` says
+    whether that contraction has a cycle."""
+    n, edges = dag
+    # contiguous ranges of the order 0..n-1 are convex groups
+    cuts = data.draw(st.sets(st.integers(min_value=1, max_value=n - 1),
+                             min_size=1))
+    owner = [sum(1 for c in cuts if c <= a) for a in range(n)]
+    gg = _contract(edges, owner)
+    g = data.draw(st.sampled_from(sorted(set(owner))))
+    members = [a for a in range(n) if owner[a] == g]
+    part = data.draw(st.sets(st.sampled_from(members), min_size=1))
+    t = data.draw(st.sampled_from(sorted(set(owner) - {g})))
+
+    moved = [t if a in part else owner[a] for a in range(n)]
+    expected = _contract(edges, moved)
+    changed = [c for c in (g, t) if c in expected.succ]
+    succ = {c: expected.succ[c] for c in changed}
+    pred = {c: expected.pred[c] for c in changed}
+    drop = () if g in expected.succ else (g,)
+
+    has_cycle = expected._level is None
+    assert gg.rewire_creates_cycle(succ, pred, drop) == has_cycle
+    if not has_cycle:
+        gg.rewire(succ, pred, drop)
+        assert gg.succ == expected.succ and gg.pred == expected.pred
+        for a in gg.nodes():
+            for b in gg.succ[a]:
+                assert gg._level[a] < gg._level[b]
+
+
 def test_cyclic_input_disables_pruning_not_reachability():
     """A cyclic input (callers are expected to avoid it, but nothing
     enforces that at construction) falls back to the unpruned search."""

@@ -22,7 +22,11 @@ def make_partitioner(graph, k=4, cluster=None, **kwargs):
 
 
 def check_block_invariants(graph, blocks, k):
-    """Structural invariants every block partition must satisfy."""
+    """Structural invariants every block partition must satisfy.
+
+    Callers plan on the paper cluster, where the memory cap never binds
+    for these models, so compaction always reaches exactly ``k`` blocks
+    (or one block per atomic component when there are fewer)."""
     # each non-constant task appears in exactly one block; coverage total
     from repro.partitioner.atomic import classify_tasks
 
@@ -35,7 +39,8 @@ def check_block_invariants(graph, blocks, k):
         assert c >= 1, f"task {t} uncovered"
         if nc[t]:
             assert c == 1, f"non-constant task {t} in {c} blocks"
-    assert len(blocks) <= max(k, len(blocks))
+    num_components = sum(1 for t in graph.tasks if nc[t])
+    assert len(blocks) == min(k, num_components)
     # every block is convex
     for b in blocks:
         assert is_convex(graph, b.tasks), f"block {b.index} not convex"
@@ -107,6 +112,9 @@ class TestBert:
         cluster = tiny_cluster(memory_bytes=64 * 1024**2)
         bp = make_partitioner(g, k=2, cluster=cluster)
         blocks = bp.run()
+        # memory binds: compaction may stop short of k, never past the
+        # atomic components
+        assert 2 <= len(blocks) <= len(bp.components)
         limit = cluster.device.usable_memory
         single_atom_max = max(
             bp._group_memory({i}) for i in range(len(bp.components))
@@ -176,10 +184,10 @@ class TestCompaction:
         bp = make_partitioner(tiny_bert, k=3)
         bp.coarsen()
         bp.compact_greedy()
-        assert len(bp.group_atoms) <= max(
-            3, len(bp.group_atoms)
-        )  # merges until k or stuck
-        # rebuild blocks and verify invariants regardless
+        # consecutive topo-list groups always merge while memory does not
+        # bind, so the greedy rule is never stuck short of k
+        assert len(bp.group_atoms) == 3
+        # rebuild blocks and verify invariants
         blocks = []
         order = bp.gg.topo_order()
         task_pos = {t: i for i, t in enumerate(tiny_bert.tasks)}
@@ -205,6 +213,50 @@ class TestCompaction:
             bp2._group_time(a) for a in bp2.group_atoms.values()
         )
         assert exact_max <= greedy_max + 1e-12
+
+
+def _exact_partition_per_cell(times, k):
+    """The minimax linear-partitioning DP one ``argmin`` per (parts,
+    end) cell: the reference for the row-vectorised ``_exact_partition``.
+    Returns the part boundaries."""
+    n = len(times)
+    k = min(k, n)
+    prefix = np.concatenate([[0.0], np.cumsum(times)])
+    cost = np.full((k + 1, n + 1), np.inf)
+    cut = np.zeros((k + 1, n + 1), dtype=np.int64)
+    cost[0, 0] = 0.0
+    for parts in range(1, k + 1):
+        for end in range(parts, n - (k - parts) + 1):
+            starts = np.arange(parts - 1, end)
+            cand = np.maximum(cost[parts - 1, starts], prefix[end] - prefix[starts])
+            j = int(np.argmin(cand))
+            cost[parts, end] = cand[j]
+            cut[parts, end] = starts[j]
+    bounds = [n]
+    for parts in range(k, 0, -1):
+        bounds.append(int(cut[parts, bounds[-1]]))
+    return bounds[::-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=10),
+    times=st.lists(st.integers(min_value=0, max_value=3), min_size=1,
+                   max_size=24),
+)
+def test_exact_partition_matches_per_cell_dp(k, times):
+    """Small integer times force ties: the row-vectorised DP must keep
+    the per-cell DP's first-minimum choice at every cell."""
+    g = build_mlp(tuple([16] * 13))
+    bp = make_partitioner(g, k=k)
+    order = list(range(len(times)))
+    parts = bp._exact_partition(order, [float(t) for t in times])
+    bounds = [0]
+    for part in parts:
+        bounds.append(bounds[-1] + len(part))
+    assert bounds == _exact_partition_per_cell(
+        [float(t) for t in times], k
+    )
 
 
 @settings(max_examples=15, deadline=None)

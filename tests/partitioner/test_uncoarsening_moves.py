@@ -50,14 +50,9 @@ class TestBoundaryMove:
         """Split the chain into two groups right after ``boundary_after``."""
         order = [c.non_constant_task for c in bp_obj.components]
         cut = order.index(boundary_after) + 1
-        g0 = set(range(cut))
-        g1 = set(range(cut, len(order)))
-        bp_obj.group_atoms = {0: g0, 1: g1}
-        for a in g0:
-            bp_obj.atom_owner[a] = 0
-        for a in g1:
-            bp_obj.atom_owner[a] = 1
-        bp_obj._rebuild_group_graph()
+        bp_obj._reset_groups(
+            {0: set(range(cut)), 1: set(range(cut, len(order)))}
+        )
 
     def test_move_reduces_wide_cut(self, bp):
         bp_obj, graph = bp

@@ -83,6 +83,16 @@ class TestPassManager:
         assert search.wall_time > 0
         assert search.detail["dp_calls"] > 0
 
+    def test_coarsen_reports_what_each_step_did(self, tiny_bert):
+        ctx = make_ctx(tiny_bert, paper_cluster(), num_blocks=4)
+        plan_graph(tiny_bert, paper_cluster(), ctx.config, context=ctx)
+        detail = ctx.events.find("coarsen").detail
+        assert detail["num_blocks"] == 4
+        assert detail["levels"] >= 1
+        assert detail["merges"] >= detail["levels"]
+        assert detail["moves"] >= 0
+        assert detail["compaction"] in ("none", "exact", "packed", "greedy")
+
 
 class TestDefaultPipeline:
     def test_default_passes_cover_all_phases(self):

@@ -170,6 +170,18 @@ class TestStats:
         assert stats["store"]["entries"] > 0
         assert stats["draining"] is False
 
+    def test_span_count_does_not_copy_the_span_list(
+        self, warm_engine, monkeypatch
+    ):
+        expected = len(warm_engine.tracer)
+        assert expected > 0
+
+        def no_copy(*args, **kwargs):
+            raise AssertionError("stats() copied the tracer's spans")
+
+        monkeypatch.setattr(warm_engine.tracer, "spans", no_copy)
+        assert warm_engine.stats()["spans"] == expected
+
     def test_unknown_method(self, warm_engine):
         with pytest.raises(ServiceError) as ei:
             warm_engine.handle("explode", {})

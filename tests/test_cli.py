@@ -62,6 +62,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "PartitionPlan" in out
         assert "stage_search" in out and "coarsen" in out
+        assert "merges=" in out and "compaction=" in out
         assert "ms" in out
         assert "profiler memo hit rate" in out
 
