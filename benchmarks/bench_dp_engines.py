@@ -1,9 +1,12 @@
-"""Ablation (DESIGN.md choice #6): vectorized vs. reference DP engines.
+"""Ablation (DESIGN.md choice #6): the vectorized Algorithm-1 evaluator
+vs. the pure-Python reference.
 
-The vectorized Algorithm-1 engine must match the pure-Python reference
-transcription exactly (also property-tested in the unit suite) while
-being substantially faster -- this benchmark quantifies the speedup on a
-realistic 32-block instance.
+``form_stage_dp`` evaluates Algorithm 1 on one path -- banded profiles,
+every replica plane of a ``d'`` column reduced in one pass -- and must
+match the pure-Python transcription ``reference_form_stage_dp`` exactly
+(also property-tested in the unit suite) while being substantially
+faster.  This benchmark quantifies the speedup on a realistic 16-block
+BERT instance.
 """
 
 import time

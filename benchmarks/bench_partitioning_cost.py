@@ -14,7 +14,11 @@ The JSON records wall time, the ``coarsen`` and ``stage_search`` pass
 times (``coarsen_s``, ``stage_search_s``, from
 ``plan.diagnostics.pass_timings``), ``dp_calls`` and ``states_evaluated``
 per workload so CI can archive the partitioning-cost trajectory across
-commits (see the ``bench`` job in ``.github/workflows/ci.yml``).
+commits (see the ``bench`` job in ``.github/workflows/ci.yml``).  The
+workloads run on the paper's 32-GPU cluster, except ``bert_large_mixed``:
+BERT-Large on the mixed V100/A100 cluster with a 1.25x V100 straggler,
+which times the heterogeneous stage search (per-slot memory caps and
+speeds).
 """
 
 import argparse
@@ -24,7 +28,7 @@ import time
 
 import pytest
 
-from repro.hardware import paper_cluster
+from repro.hardware import mixed_cluster, paper_cluster
 from repro.models import BertConfig, ResNetConfig, build_bert, build_resnet
 from repro.partitioner import auto_partition
 
@@ -60,23 +64,32 @@ def test_partition_resnet152x8(once):
 # ----------------------------------------------------------------------
 # standalone snapshot mode (CI artifact)
 
+# name -> (graph builder, batch size, cluster builder)
 SMALL_WORKLOADS = {
-    "bert_large": (lambda: build_bert(BertConfig()), 256),
+    "bert_large": (lambda: build_bert(BertConfig()), 256, paper_cluster),
+    "bert_large_mixed": (
+        lambda: build_bert(BertConfig()), 256,
+        lambda: mixed_cluster(straggler_factor=1.25),
+    ),
     "resnet50x8": (
-        lambda: build_resnet(ResNetConfig(depth=50, width_factor=8)), 512
+        lambda: build_resnet(ResNetConfig(depth=50, width_factor=8)), 512,
+        paper_cluster,
     ),
 }
 
 FULL_WORKLOADS = {
     **SMALL_WORKLOADS,
     "bert_2.8B": (
-        lambda: build_bert(BertConfig(hidden_size=1536, num_layers=96)), 256
+        lambda: build_bert(BertConfig(hidden_size=1536, num_layers=96)), 256,
+        paper_cluster,
     ),
     "bert_9.7B": (
-        lambda: build_bert(BertConfig(hidden_size=2048, num_layers=192)), 256
+        lambda: build_bert(BertConfig(hidden_size=2048, num_layers=192)),
+        256, paper_cluster,
     ),
     "resnet152x8": (
-        lambda: build_resnet(ResNetConfig(depth=152, width_factor=8)), 512
+        lambda: build_resnet(ResNetConfig(depth=152, width_factor=8)), 512,
+        paper_cluster,
     ),
 }
 
@@ -85,10 +98,10 @@ def run_snapshot(workloads, rounds: int = 3) -> dict:
     """Partition every workload, keeping the best of ``rounds`` wall
     and pass times (graph construction is excluded from the timed
     region)."""
-    cluster = paper_cluster()
     doc = {}
-    for name, (build, batch_size) in workloads.items():
+    for name, (build, batch_size, build_cluster) in workloads.items():
         graph = build()
+        cluster = build_cluster()
         walls = []
         passes = {"coarsen": [], "stage_search": []}
         plan = None
@@ -112,7 +125,7 @@ def run_snapshot(workloads, rounds: int = 3) -> dict:
             "throughput": plan.throughput,
         }
         print(
-            f"{name:<12} wall={min(walls):.3f}s "
+            f"{name:<16} wall={min(walls):.3f}s "
             f"coarsen={doc[name]['coarsen_s']:.3f}s "
             f"stage_search={doc[name]['stage_search_s']:.3f}s "
             f"dp_calls={doc[name]['dp_calls']} "

@@ -61,8 +61,9 @@ def gpt3_like(
 
     The planner-scaling workload (the ledger's ``gpt10k-cold``,
     docs/SCALING.md): each decoder layer traces to ~25 tasks, so
-    ``depth=420`` yields a >10k-task graph -- the regime where the dense
-    profile tensors stop fitting and the banded DP path takes over.
+    ``depth=420`` yields a >10k-task graph -- the regime where dense
+    ``(k+1, k+1, D+1)`` candidate-stage tensors would not fit and the
+    DP's banded profiles matter.
     The per-layer width is kept at trainable-on-V100 scale so the stage
     search exercises real feasibility trade-offs instead of failing on
     memory outright.

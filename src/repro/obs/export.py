@@ -20,8 +20,10 @@ Track layout in the Chrome trace:
   a :class:`~repro.pipeline.timeline.Timeline`, forward ("F") and
   backward ("B") phases colour-separated via the event ``cat``.
 
-The metrics snapshot rides along under the top-level ``"metrics"`` key
-(Chrome-trace consumers ignore unknown top-level keys).
+The metrics snapshot rides along under the top-level ``"metrics"`` key,
+and a :class:`~repro.obs.tracer.Tracer` source adds how many old spans
+its bounded buffer evicted under ``"dropped_spans"`` (Chrome-trace
+consumers ignore unknown top-level keys).
 """
 
 from __future__ import annotations
@@ -146,6 +148,8 @@ def chrome_trace(
         "traceEvents": events,
         "displayTimeUnit": "ms",
     }
+    if isinstance(tracer, Tracer):
+        doc["dropped_spans"] = tracer.dropped_spans
     if metrics is not None:
         doc["metrics"] = metrics.snapshot()
     return doc

@@ -23,6 +23,10 @@ Design points:
 * **Cheap when disabled.**  A ``Tracer(enabled=False)`` hands out a
   shared no-op span and appends nothing, so instrumented hot paths cost
   one attribute check.
+* **Bounded.**  Completed spans live in a ring of :data:`MAX_SPANS`;
+  once it is full each new span evicts the oldest and bumps
+  :attr:`Tracer.dropped_spans`, so a long-lived process (the plan
+  service) can leave tracing on without growing without bound.
 """
 
 from __future__ import annotations
@@ -30,8 +34,15 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Deque, Dict, Iterator, List, Optional
+
+#: completed spans a tracer keeps; the oldest are dropped beyond it.  A
+#: traced cold plan of a 10k-task graph records about ten thousand
+#: spans, so this holds several such runs (a span costs a few hundred
+#: bytes)
+MAX_SPANS = 1 << 16
 
 
 class Span:
@@ -120,6 +131,9 @@ NULL_SPAN = _NullSpan()
 class Tracer:
     """Collects completed :class:`Span` records, thread-safely.
 
+    Keeps the newest :data:`MAX_SPANS` spans; :attr:`dropped_spans`
+    counts the older ones evicted to make room.
+
     Args:
         enabled: when ``False``, :meth:`span` and :meth:`add_span` are
             no-ops (a shared null span is yielded), so instrumentation
@@ -130,9 +144,17 @@ class Tracer:
         self.enabled = enabled
         self.origin = time.perf_counter()
         self._lock = threading.Lock()
-        self._spans: List[Span] = []
+        self._spans: Deque[Span] = deque(maxlen=MAX_SPANS)
+        #: spans evicted from the full ring over the tracer's lifetime
+        self.dropped_spans = 0
         self._ids = itertools.count(1)
         self._local = threading.local()
+
+    def _record(self, span: Span) -> None:
+        with self._lock:
+            if len(self._spans) == self._spans.maxlen:
+                self.dropped_spans += 1
+            self._spans.append(span)
 
     # ------------------------------------------------------------------
     def _stack(self) -> List[Span]:
@@ -181,8 +203,7 @@ class Tracer:
         finally:
             span.duration = time.perf_counter() - span.start
             stack.pop()
-            with self._lock:
-                self._spans.append(span)
+            self._record(span)
 
     def add_span(
         self,
@@ -218,8 +239,7 @@ class Tracer:
             parent_id=parent_id,
             thread_id=threading.get_ident(),
         )
-        with self._lock:
-            self._spans.append(span)
+        self._record(span)
         return span
 
     # ------------------------------------------------------------------
@@ -236,6 +256,8 @@ class Tracer:
         return [s for s in snapshot if s.category == category]
 
     def clear(self) -> None:
+        """Forget the recorded spans (:attr:`dropped_spans` keeps its
+        lifetime count)."""
         with self._lock:
             self._spans.clear()
 

@@ -21,26 +21,22 @@ at ``(b, d) = (0, 0)`` (the pseudocode's blanket ``V[0, b, d] = 0`` would
 let solutions silently skip a prefix of blocks / devices, contradicting
 the recurrence for ``E_S`` in the text).
 
-All candidate-stage profiles for one DP call are precomputed into dense
-``(lo, hi, replicas)`` tensors.  The tensors are built without any
-per-entry Python work: a stage profile depends on the replica count only
-through the per-replica microbatch ``bs = BS // (R * MB * r)``, so one
-``(k+1, k+1)`` plane of broadcast prefix-sum differences per distinct
-``bs`` covers the whole replica axis.  Range boundary bytes come from an
-incremental per-``lo`` sweep (extend ``hi`` one block at a time) and
-unique-parameter sizes from a 2-D difference-array rectangle sum, both
-exactly reproducing the per-entry results -- the per-entry builder is
-kept as ``profile_tensors_reference`` and property-tested against the
-vectorized one.  The DP reduction itself is likewise evaluated for a
-whole ``(b, d)`` grid per stage count, with the ``d_min`` pruning rule
-replayed over the precomputed failure masks so the visited-state count
-and all write decisions match the cell-by-cell loop bit for bit.
-
-The reduction has exactly two code paths, picked by input size
-(:func:`dp_mode`): the full slab over the dense profile tensors, and a
-banded path above :data:`FULL_TENSOR_MAX_CELLS`.  The pure-Python
-transcription stays in ``reference_form_stage_dp`` as the oracle both
-are tested against.
+All candidate-stage profiles for one DP call are precomputed into
+banded ``(plane, lo, span)`` arrays (:class:`BandedProfile`).  The bands
+are built without any per-entry Python work: a stage profile depends on
+the replica count only through the per-replica microbatch ``bs = BS //
+(R * MB * r)``, so one plane of broadcast prefix-sum differences per
+distinct ``bs`` covers the whole replica axis.  Range boundary bytes come
+from an incremental per-``lo`` sweep (extend ``hi`` one block at a time)
+and unique-parameter sizes from a 2-D difference-array rectangle sum,
+both exactly reproducing the per-entry results -- the per-entry builder
+is kept as ``profile_tensors_reference`` and property-tested against the
+bands.  The DP reduction itself is evaluated for a whole ``(b, d)`` grid
+per stage, every replica plane of a ``d'`` column in one pass, with the
+``d_min`` pruning rule replayed over the precomputed failure masks so the
+visited-state count and all write decisions match the cell-by-cell loop
+bit for bit.  The pure-Python transcription stays in
+``reference_form_stage_dp`` as the oracle.
 """
 
 from __future__ import annotations
@@ -60,24 +56,11 @@ from repro.profiler.profiler import GraphProfiler, ProfileResult
 
 INFEASIBLE = None
 
-#: (k+1)^2 * (D+1)^2 ceiling for the full-slab DP evaluation; above it
-#: (e.g. a 10k-task graph coarsened to hundreds of blocks, or the
-#: no-coarsening ablation's atomic-level contexts) the banded path is used
-#: instead, which never materializes the dense (k+1, k+1, D+1) candidate
-#: tensors.
-FULL_TENSOR_MAX_CELLS = 2_000_000
-
-
-def dp_mode(ctx: "DPContext", D: int) -> str:
-    """The evaluation path of an Algorithm-1 sweep over ``D`` devices:
-    ``"full"`` when the 4-D candidate space ``(b', b, d', d)`` fits under
-    :data:`FULL_TENSOR_MAX_CELLS`, and always on heterogeneous clusters
-    (their per-slot caps and speeds scale the slab column by column);
-    ``"banded"`` above the ceiling.  Both paths give identical results."""
-    if ctx.cluster.is_heterogeneous:
-        return "full"
-    cells = (ctx.k + 1) ** 2 * (D + 1) ** 2
-    return "full" if cells <= FULL_TENSOR_MAX_CELLS else "banded"
+#: element budget of one chunk of stacked ``(b', b)`` stage slabs: a
+#: ``d'`` column reduces ``max(1, PLANE_CHUNK_CELLS // nb**2)`` replica
+#: planes per pass (``nb`` the stage's block span), which bounds the
+#: per-column temporaries at a few MiB on bands hundreds of blocks wide
+PLANE_CHUNK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -193,7 +176,7 @@ class DPContext:
 
     * **Intra-run** (reads + memoization): all mutable caches and
       counters are guarded by an RLock -- the Algorithm-2 sweep may issue
-      DP calls from a thread pool, and both the cached tensors and the
+      DP calls from a thread pool, and both the cached bands and the
       ``dp_calls`` / ``states_evaluated`` statistics must come out
       identical to a serial sweep.
     * **Cross-run** (rebinding): :meth:`rebind` and
@@ -221,7 +204,7 @@ class DPContext:
         self.blocks = list(blocks)
         self.profiler = profiler
         self.batch_size = batch_size
-        #: optional metrics sink (``profiler.tensor_*`` counters); safe
+        #: optional metrics sink (``profiler.band_*`` counters); safe
         #: to attach after construction too
         self.metrics = metrics
         self.cluster = profiler.cluster
@@ -256,14 +239,6 @@ class DPContext:
         self._range_mats: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = None
-        self._tensor_cache: Dict[
-            Tuple[int, int, int, bool],
-            Tuple[np.ndarray, np.ndarray, np.ndarray],
-        ] = {}
-        self._dp_tensor_cache: Dict[
-            Tuple[int, int, int, bool],
-            Tuple[np.ndarray, ...],
-        ] = {}
         self._band_cache: Dict[
             Tuple[int, int, int, bool], BandedProfile
         ] = {}
@@ -274,7 +249,7 @@ class DPContext:
         self.states_evaluated = 0
 
     def __init_subclass__(cls, **kwargs) -> None:
-        # both DP paths build their candidates plane by plane (one
+        # the DP builds its candidate bands plane by plane (one
         # _profile_planes call per per-replica microbatch), so a custom
         # per-entry profile is only honoured with its plane form alongside
         super().__init_subclass__(**kwargs)
@@ -296,12 +271,10 @@ class DPContext:
         return capacity
 
     def set_memory_budget(self, budget: Optional[float]) -> None:
-        """Change the memory cap; drops only the budget-dependent derived
-        masks (:meth:`_dp_tensors`), never the profile tensors."""
+        """Change the memory cap.  No cache depends on it: every sweep
+        applies the cap afresh to the cached profile bands."""
         with self._lock:
-            if budget != self.memory_budget:
-                self.memory_budget = budget
-                self._dp_tensor_cache.clear()
+            self.memory_budget = budget
 
     def rebind(
         self,
@@ -312,28 +285,22 @@ class DPContext:
         """Retarget a reused context at a new planning run.
 
         The expensive caches (range matrices, per-batch time prefixes,
-        profile tensors) depend only on the graph, the block list, the
+        profile bands) depend only on the graph, the block list, the
         batch size, the device's *performance* model and the same-node
         p2p affine -- exactly the facets the artifact store keys the
         ``dp_context`` artifact on -- so a delta replan that changes the
-        cluster shape, the capacity or the memory budget keeps them all.
-        The derived DP masks additionally depend on
-        :attr:`usable_memory` (their OVER plane), so they are dropped
-        only when the effective capacity/budget actually changed; the
-        per-run counters are reset so the new run's diagnostics start
-        from zero.
+        cluster shape, the capacity or the memory budget keeps them all
+        (each sweep applies :attr:`usable_memory` afresh).  Only the
+        per-slot heterogeneous tables follow the cluster; the per-run
+        counters are reset so the new run's diagnostics start from zero.
         """
         self.profiler.rebind_cluster(cluster)
         with self._lock:
-            old_usable = self.usable_memory
             if cluster != self.cluster:
                 self._hetero_cache.clear()
             self.cluster = cluster
             self.metrics = metrics
-            if memory_budget != self.memory_budget:
-                self.memory_budget = memory_budget
-            if self.usable_memory != old_usable:
-                self._dp_tensor_cache.clear()
+            self.memory_budget = memory_budget
             self.dp_calls = 0
             self.states_evaluated = 0
         return self
@@ -346,7 +313,7 @@ class DPContext:
         serialization by the artifact store's disk backend).
 
         Covers the saved-activation prefix, the range matrices and the
-        per-batch time prefixes; the profile/DP tensors are derived from
+        per-batch time prefixes; the profile bands are derived from
         these by pure broadcasting and are cheaper to rebuild than to
         store."""
         with self._lock:
@@ -682,73 +649,6 @@ class DPContext:
         )
         return tf_plane, tb_plane, mem_plane
 
-    def profile_tensors(
-        self, D: int, R: int, MB: int, checkpointing: bool
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense (k+1, k+1, D+1) tensors of stage t_f / t_b / memory.
-
-        Entry ``[lo, hi, r]`` profiles blocks ``(lo, hi]`` on ``r``
-        devices; infeasible entries (bs < 1, empty range) hold +inf.
-        Cached across DP calls (the tensors are identical for every
-        stage count S > 1 at the same D, R, MB).
-
-        A profile depends on ``r`` only through ``bs = BS // (R*MB*r)``,
-        so one :meth:`_profile_planes` call per distinct ``bs`` fills the
-        whole replica axis.
-        """
-        cache_key = (D, R, MB, checkpointing)
-        with self._lock:
-            cached = self._tensor_cache.get(cache_key)
-            if cached is not None:
-                if self.metrics is not None:
-                    self.metrics.counter("profiler.tensor_cache_hits").inc()
-                return cached
-            if self.metrics is not None:
-                self.metrics.counter("profiler.tensor_builds").inc()
-            k = self.k
-            TF = np.full((k + 1, k + 1, D + 1), np.inf)
-            TB = np.full((k + 1, k + 1, D + 1), np.inf)
-            MEM = np.full((k + 1, k + 1, D + 1), np.inf)
-            by_bs: Dict[int, List[int]] = {}
-            for r in range(1, D + 1):
-                bs = self.batch_size // (R * MB * r)
-                if bs < 1:
-                    continue  # microbatch collapsed: stays +inf
-                by_bs.setdefault(bs, []).append(r)
-            empty_range = ~np.triu(np.ones((k + 1, k + 1), dtype=bool), 1)
-            for bs, replica_counts in by_bs.items():
-                tf_plane, tb_plane, mem_plane = self._profile_planes(
-                    bs, MB, checkpointing
-                )
-                tf_plane = np.where(empty_range, np.inf, tf_plane)
-                tb_plane = np.where(empty_range, np.inf, tb_plane)
-                mem_plane = np.where(empty_range, np.inf, mem_plane)
-                for r in replica_counts:
-                    TF[:, :, r] = tf_plane
-                    TB[:, :, r] = tb_plane
-                    MEM[:, :, r] = mem_plane
-            result = (TF, TB, MEM)
-            self._tensor_cache[cache_key] = result
-            return result
-
-    def _dp_tensors(
-        self, D: int, R: int, MB: int, checkpointing: bool
-    ) -> Tuple[np.ndarray, ...]:
-        """Profile tensors plus the DP's derived masks (finite stage /
-        memory over budget), cached so repeated ``form_stage_dp`` calls
-        with the same parameters skip recomputing them."""
-        key = (D, R, MB, checkpointing)
-        with self._lock:
-            cached = self._dp_tensor_cache.get(key)
-            if cached is not None:
-                return cached
-            TF, TB, MEM = self.profile_tensors(D, R, MB, checkpointing)
-            FIN = np.isfinite(TF)
-            OVER = MEM > self.usable_memory
-            result = (TF, TB, MEM, FIN, OVER)
-            self._dp_tensor_cache[key] = result
-            return result
-
     def hetero_tables(self, D: int, R: int) -> Tuple[np.ndarray, np.ndarray]:
         """Position-dependent capacity/speed tables for a heterogeneous
         cluster: ``(MINMEM, SLOW)``, both ``(D+1, D+1)``.
@@ -866,8 +766,8 @@ class DPContext:
         materializing the dense plane.  Entry ``[lo, j]`` profiles blocks
         ``(lo, lo + 1 + j]``; the arithmetic (prefix difference,
         checkpointing recompute, p2p affine term, memory model) runs in
-        the exact order of the dense builder so every in-range entry is
-        the identical float64 result."""
+        the exact order of :meth:`_profile_planes` so every in-range entry
+        is the identical float64 result."""
         k = self.k
         IN1, OUT1, PARAMS = self._range_matrices()
         tf_prefix, tb_prefix = self._time_prefix_at(bs)
@@ -912,8 +812,8 @@ class DPContext:
         self, D: int, R: int, MB: int, checkpointing: bool
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-entry O(k^2 * D) tensor builder: one ``stage_profile`` call
-        per ``(lo, hi, r)``.  The test oracle for the plane-based
-        builders."""
+        per ``(lo, hi, r)``.  The test oracle for the banded builder
+        (:meth:`profile_bands`)."""
         k = self.k
         TF = np.full((k + 1, k + 1, D + 1), np.inf)
         TB = np.full((k + 1, k + 1, D + 1), np.inf)
@@ -940,30 +840,60 @@ def _band_from_plane(plane: np.ndarray, span: int) -> np.ndarray:
     return np.where(valid, plane[lo, np.minimum(hi, k)], np.inf)
 
 
-def _replica_groups(plane_of_r: np.ndarray, max_r: int) -> List[Tuple[int, int, int]]:
-    """Contiguous replica-count runs ``(r_start, r_end, plane)`` sharing
-    one per-replica microbatch plane (``plane = -1``: bs collapsed)."""
-    groups: List[Tuple[int, int, int]] = []
-    r = 1
-    while r <= max_r:
-        p = int(plane_of_r[r])
-        r2 = r
-        while r2 + 1 <= max_r and int(plane_of_r[r2 + 1]) == p:
-            r2 += 1
-        groups.append((r, r2, p))
-        r = r2 + 1
-    return groups
+def _shear(a: np.ndarray, s: int, nb: int) -> np.ndarray:
+    """Zero-copy ``(P, nb, nb)`` view of stacked band planes ``a`` (shape
+    ``(P, k, width)``) in stage-``s`` slab coordinates: ``view[p, i, j] =
+    a[p, s - 1 + i, j - i]``, i.e. row ``b' = s - 1 + i``, column ``b = s
+    + j``.  Out-of-band cells (``j < i``) read the tail of the previous
+    row, which is the caller's INF/False padding when ``width >= span +
+    nb`` and otherwise harmless finite values that the padded forward
+    times already make infeasible.  Every read stays inside ``a``."""
+    p0, r0, c0 = a.strides
+    return np.lib.stride_tricks.as_strided(
+        a[:, s - 1:], (a.shape[0], nb, nb), (p0, r0 - c0, c0)
+    )
 
 
-def _banded_stage(
+def _padded_tf(
     bands: BandedProfile,
+    P: int,
+    nb: int,
+    M: Optional[float],
+    want_over: bool,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The forward times of the first ``P`` planes (those the sweep can
+    read), stacked and padded on the right with ``nb`` INF columns
+    (``nb`` the widest stage slab of the sweep), so every stage's
+    :func:`_shear` puts INF in the out-of-band cells.  Entries over the
+    uniform memory cap ``M`` are poisoned to INF as well (``M is None``:
+    heterogeneous, capped per column instead).  Also returns the padded
+    over-memory mask when ``want_over`` and any entry is over (the
+    ``d_min`` replay's memory failures), else ``None``."""
+    _, k, span = bands.tf.shape
+    tfp = np.full((P, k, span + nb), np.inf)
+    body = tfp[:, :, :span]
+    body[...] = bands.tf[:P]
+    ovp = None
+    if M is not None:
+        over = bands.mem[:P] > M
+        np.copyto(body, np.inf, where=over)
+        if want_over and over.any():
+            ovp = np.zeros((P, k, span + nb), dtype=bool)
+            ovp[:, :, :span] = over
+    return tfp, ovp
+
+
+def _band_stage(
+    bands: BandedProfile,
+    tfp: np.ndarray,
+    ovp: Optional[np.ndarray],
+    hetero: Optional[Tuple[np.ndarray, np.ndarray]],
     prev_ok: np.ndarray,
     ptf: np.ndarray,
     ptb: np.ndarray,
     s: int,
     b_hi: int,
     d_hi: int,
-    M: float,
     best: np.ndarray,
     best_tf: np.ndarray,
     best_tb: np.ndarray,
@@ -971,127 +901,129 @@ def _banded_stage(
     best_dp: np.ndarray,
     memf: np.ndarray,
     bsf: np.ndarray,
-    slab_cache: Dict[int, Tuple],
 ) -> None:
-    """One stage ``s`` of the banded DP path.
+    """Reduce every ``(b', d') -> (b, d)`` transition of stage ``s``.
 
-    Mirrors the full-slab path's per-``d'`` column reduction, but the
-    per-stage slab lives in band coordinates -- ``(b', b)`` restricted to
-    the reachable rows/cols, a ``(b_hi - s + 1)``-square -- and the
-    replica axis is reduced one *bs-group* at a time: ``r`` values
-    sharing a per-replica microbatch have identical candidate values, so
-    each group's argmin is computed once and broadcast across the
-    group's ``d`` range.  The update rule, tie-breaks and failure-mask
-    accumulation are the exact expressions of the full-slab path, so every
-    written cell is bit-identical.
+    The stage slab lives in band coordinates -- ``(b', b)`` restricted to
+    the reachable rows/cols, a ``nb = b_hi - s + 1`` square -- and is a
+    :func:`_shear` view of the stacked planes, one ``(nb, nb)`` slab per
+    distinct per-replica microbatch.  Each feasible ``d'`` column reduces
+    all of its planes at once (in chunks of :data:`PLANE_CHUNK_CELLS`):
+    the candidate ``max(prev_tf, TF) + max(prev_tb, TB)`` over ``b'``,
+    first minimum wins.  ``plane_of_r`` then maps each plane's minimum
+    onto its ``d = d' + r`` columns; the replica counts whose microbatch
+    collapsed are a suffix of ``r`` and only record a bs failure.  A
+    running lexicographic ``(value, b', d')`` minimum across columns
+    equals the per-cell flat argmin over ``(b', d')`` in row-major order.
 
-    The per-stage ``(b', b)`` slab of plane ``p`` is a *diagonal shear*
-    of the band matrix: ``slab[i, j] = band[s - 1 + i, j - i]``.  Each
-    plane is materialized once per DP sweep (``slab_cache``, shared
-    across the ``s`` loop) as the band padded on the right with ``nb``
-    INF columns; every stage's slab is then a zero-copy strided view
-    whose out-of-band cells (``j < i``) land in the neighbouring row's
-    INF padding.  ``nb = b_hi - s + 1`` never grows along a sweep, so
-    the padding of a plane's first use covers every later stage.
-    Over-memory and out-of-band infeasibility are poisoned into the
-    padded TF as INF, so the candidate value ``max(prev, TF) +
-    max(prev, TB)`` is INF exactly where the full-slab path's masked
-    ``np.where(ok, ..., INF)`` is, with no mask passes at all.
+    Infeasibility needs no mask passes: out-of-band cells and stages over
+    the memory cap hold INF in the padded forward times, so the candidate
+    is INF exactly where a transition is invalid (a previous-stage state
+    that is infeasible carries INF in ``prev_tf``).  On a heterogeneous
+    cluster (``hetero = (MINMEM, SLOW)``) each replica count is its own
+    slab: the plane of ``r`` scaled by ``SLOW[d', d' + r]`` and poisoned
+    where its memory exceeds ``MINMEM[d', d' + r]``.
     """
     INF = np.inf
     bsl = slice(s, b_hi + 1)
     psl = slice(s - 1, b_hi)
     nb = b_hi - s + 1        # cols b = s .. b_hi
+    plane_of_r = bands.plane_of_r
+    # replica counts with a plane: the microbatch collapses for a suffix
+    n_ok = int((plane_of_r[1:] >= 0).sum())
+    Ptf = _shear(tfp, s, nb)
+    Ptb = _shear(bands.tb, s, nb)
+    Pover = None
+    if ovp is not None and ovp[:, psl].any():
+        Pover = _shear(ovp, s, nb)
+    if hetero is not None:
+        MINMEM, SLOW = hetero
+        Pmem = _shear(bands.mem, s, nb)
+        units = min(d_hi - s + 1, n_ok)   # one slab per replica count
+    else:
+        units = tfp.shape[0]              # one slab per plane
+    chunk = min(max(1, PLANE_CHUNK_CELLS // (nb * nb)), max(units, 1))
+    cand_tf = np.empty((chunk, nb, nb))
+    cand_tb = np.empty((chunk, nb, nb))
+    v = np.empty((chunk, nb, nb))
+    # flat offset of (unit, 0, b) in a chunk buffer
+    base = np.arange(chunk)[:, None] * (nb * nb) + np.arange(nb)[None, :]
+    vmin = np.empty((units, nb))
+    vtf = np.empty((units, nb))
+    vtb = np.empty((units, nb))
+    vbp = np.empty((units, nb), dtype=np.intp)
+    vover = np.zeros((units, nb), dtype=bool)
     col_ok = prev_ok.any(axis=0)
-    cols = np.arange(nb)
-    groups = _replica_groups(bands.plane_of_r, d_hi - (s - 1))
-    views: Dict[int, Tuple] = {}
-    cand_tf = np.empty((nb, nb))
-    cand_tb = np.empty((nb, nb))
-    v = np.empty((nb, nb))
-    pcol_tf = np.empty((nb, 1))
-    as_strided = np.lib.stride_tricks.as_strided
     for dp_ in range(s - 1, d_hi):
         if not col_ok[dp_]:
             continue
         nd = d_hi - dp_
+        nv = min(nd, n_ok)
         pok = prev_ok[psl, dp_]
-        # column b has a valid (b', b) pair iff some b' <= b has pok
-        any_valid = np.logical_or.accumulate(pok)
-        # prev TF carries INF at infeasible rows so they never win; TB
-        # needs no poisoning (one INF operand already forces v to INF)
-        pcol_tf[:, 0] = np.where(pok, ptf[psl, dp_], INF)
+        if nv < nd:
+            # microbatch collapsed: every valid transition (some b' <= b
+            # with a feasible previous state) records a bs failure
+            bsf[bsl, dp_ + nv + 1:d_hi + 1] |= np.logical_or.accumulate(
+                pok
+            )[:, None]
+        if nv == 0:
+            continue
+        pcol_tf = np.where(pok, ptf[psl, dp_], INF)[:, None]
         pcol_tb = ptb[psl, dp_][:, None]
-        for r1, r2, p in groups:
-            if r1 > nd:
-                break
-            g = slice(dp_ + r1, dp_ + min(r2, nd) + 1)
-            if p < 0:
-                # microbatch collapsed for this whole run of r: the dense
-                # path's FIN plane is all-False there, so every valid
-                # transition records a bs failure
-                bsf[bsl, g] |= any_valid[:, None]
-                continue
-            view = views.get(p)
-            if view is None:
-                padded = slab_cache.get(p)
-                if padded is None:
-                    kk, span = bands.tf[p].shape
-                    over_full = bands.mem[p] > M  # (k, span)
-                    tfp = np.full((kk, span + nb), INF)
-                    if over_full.any():
-                        tfp[:, :span] = np.where(over_full, INF, bands.tf[p])
-                        row_over = over_full.any(axis=1)
-                        ovp = np.zeros((kk, span + nb), dtype=bool)
-                        ovp[:, :span] = over_full
-                    else:
-                        tfp[:, :span] = bands.tf[p]
-                        row_over = None
-                        ovp = None
-                    tbp = np.full((kk, span + nb), INF)
-                    tbp[:, :span] = bands.tb[p]
-                    padded = (tfp, tbp, ovp, row_over)
-                    slab_cache[p] = padded
-                tfp, tbp, ovp, row_over = padded
-                t0, t1 = tfp.strides
-                shear = (nb, nb), (t0 - t1, t1)
-                Ptf = as_strided(tfp[s - 1:], *shear)
-                Ptb = as_strided(tbp[s - 1:], *shear)
-                Pover = None
-                if row_over is not None and row_over[psl].any():
-                    b0, b1 = ovp.strides
-                    Pover = as_strided(ovp[s - 1:], (nb, nb), (b0 - b1, b1))
-                view = (Ptf, Ptb, Pover)
-                views[p] = view
-            Ptf, Ptb, Pover = view
-            # in-band entries are always finite (every in-band (b', b) is
-            # a real block range), so fin == in_band and valid & ~fin == 0:
-            # present-bs groups never contribute to bsf
+        if hetero is not None:
+            n_units = nv
+            unit_of_d = slice(0, nv)
+        else:
+            unit_of_d = plane_of_r[1:nv + 1]
+            n_units = int(unit_of_d[-1]) + 1
+        for c0 in range(0, n_units, chunk):
+            c1 = min(n_units, c0 + chunk)
+            c = c1 - c0
+            if hetero is not None:
+                planes = plane_of_r[c0 + 1:c1 + 1]
+                dsl = slice(dp_ + c0 + 1, dp_ + c1 + 1)
+                slow = SLOW[dp_, dsl][:, None, None]
+                stf = Ptf[planes] * slow
+                np.copyto(
+                    stf, INF,
+                    where=Pmem[planes] > MINMEM[dp_, dsl][:, None, None],
+                )
+                stb = Ptb[planes] * slow
+            else:
+                stf = Ptf[c0:c1]
+                stb = Ptb[c0:c1]
             if Pover is not None:
-                ovm_cols = (pok[:, None] & Pover).any(axis=0)
-                if ovm_cols.any():
-                    memf[bsl, g] |= ovm_cols[:, None]
-            np.maximum(pcol_tf, Ptf, out=cand_tf)
-            np.maximum(pcol_tb, Ptb, out=cand_tb)
-            np.add(cand_tf, cand_tb, out=v)
-            bp_idx = np.argmin(v, axis=0)     # (b,): smallest b' wins
-            vmin = v[bp_idx, cols]
-            if not np.isfinite(vmin).any():   # == the dense ok.any() skip
-                continue
-            bpg = bp_idx + (s - 1)
-            cur = best[bsl, g]
-            cur_bp = best_bp[bsl, g]
-            upd = (vmin[:, None] < cur) | (
-                (vmin[:, None] == cur) & (bpg[:, None] < cur_bp)
+                np.any(Pover[c0:c1] & pok[:, None], axis=1, out=vover[c0:c1])
+            ctf = np.maximum(pcol_tf, stf, out=cand_tf[:c])
+            ctb = np.maximum(pcol_tb, stb, out=cand_tb[:c])
+            cv = np.add(ctf, ctb, out=v[:c])
+            bp = np.argmin(cv, axis=1, out=vbp[c0:c1])  # smallest b' wins
+            flat = bp * nb + base[:c]
+            np.take(cv, flat, out=vmin[c0:c1], mode="clip")
+            np.take(ctf, flat, out=vtf[c0:c1], mode="clip")
+            np.take(ctb, flat, out=vtb[c0:c1], mode="clip")
+        g = slice(dp_ + 1, dp_ + nv + 1)
+        if Pover is not None:
+            memf[bsl, g] |= vover[unit_of_d].T
+        if not np.isfinite(vmin[:n_units]).any():
+            continue
+        vd = vmin[unit_of_d].T                       # (b, d)
+        bpg = vbp[unit_of_d].T + (s - 1)
+        cur = best[bsl, g]
+        cur_bp = best_bp[bsl, g]
+        # strict improvement, or an equal value from a smaller b' (equal
+        # (value, b') keeps the earlier -- smaller -- d')
+        upd = (vd < cur) | ((vd == cur) & (bpg < cur_bp))
+        if upd.any():
+            best[bsl, g] = np.where(upd, vd, cur)
+            best_tf[bsl, g] = np.where(
+                upd, vtf[unit_of_d].T, best_tf[bsl, g]
             )
-            if upd.any():
-                ctf = cand_tf[bp_idx, cols]
-                ctb = cand_tb[bp_idx, cols]
-                best[bsl, g] = np.where(upd, vmin[:, None], cur)
-                best_tf[bsl, g] = np.where(upd, ctf[:, None], best_tf[bsl, g])
-                best_tb[bsl, g] = np.where(upd, ctb[:, None], best_tb[bsl, g])
-                best_bp[bsl, g] = np.where(upd, bpg[:, None], cur_bp)
-                best_dp[bsl, g] = np.where(upd, dp_, best_dp[bsl, g])
+            best_tb[bsl, g] = np.where(
+                upd, vtb[unit_of_d].T, best_tb[bsl, g]
+            )
+            best_bp[bsl, g] = np.where(upd, bpg, cur_bp)
+            best_dp[bsl, g] = np.where(upd, dp_, best_dp[bsl, g])
 
 
 def form_stage_dp(
@@ -1122,8 +1054,7 @@ def form_stage_dp(
         tracer: optional :class:`~repro.obs.tracer.Tracer`; when given,
             the whole call is wrapped in a ``dp.form_stage_dp`` span
             carrying ``(S, D, R, MB)`` (``S`` the largest stage count,
-            ``S_min`` the smallest), the evaluation ``mode`` that ran
-            (``"full"``/``"banded"``), the visited-state count and the
+            ``S_min`` the smallest), the visited-state count and the
             feasible stage counts.  ``parent_id`` links the span to the
             coordinating Algorithm-2 span when this call runs on a pool
             thread.
@@ -1154,30 +1085,25 @@ def form_stage_dp(
     a sweep to the per-stage-count reference.
 
     The transition for every ``(b, d)`` cell of one stage is evaluated
-    as a tensor reduction, on one of two paths picked by :func:`dp_mode`.
-    When the 4-D candidate space ``(b', b, d', d)`` fits under
-    :data:`FULL_TENSOR_MAX_CELLS` (and always on heterogeneous clusters),
-    the full-slab path loops over the few feasible ``d'`` columns and
-    reduces a ``(b', b, r)`` slab per column -- each slab is a pure
-    *slice* of the cached profile tensors (``r = d - d'`` increases along
-    the ``d`` axis), so no gather is materialized; a running
-    lexicographic ``(value, b', d')`` minimum reproduces the per-cell
-    flat argmin tie-break exactly.  On a heterogeneous cluster each
-    column's slice is scaled by ``SLOW[d', d]`` and checked against
-    ``MINMEM[d', d]`` (see :meth:`DPContext.hetero_tables`).  Above the
-    ceiling the banded path reduces the same transitions.  Both paths
-    then *replay* the original cell ordering (b ascending, d
-    descending) over the precomputed memory/bs failure masks to apply
-    the ``d_min`` rule, so visited-state counts, pruning decisions and
-    tie-breaks (first minimum in ``(b', d')`` row-major order) are those
-    of the per-cell loop.
+    as a tensor reduction over the banded profiles: the loop runs over
+    the few feasible ``d'`` columns, and each column reduces the
+    ``(b', b)`` slabs of all its replica planes in one pass (see
+    :func:`_band_stage`); a running lexicographic ``(value, b', d')``
+    minimum reproduces the per-cell flat argmin tie-break exactly.  On a
+    heterogeneous cluster each replica count's slab is scaled by
+    ``SLOW[d', d]`` and checked against ``MINMEM[d', d]`` (see
+    :meth:`DPContext.hetero_tables`).  The sweep then *replays* the
+    original cell ordering (b ascending, d descending) over the
+    precomputed memory/bs failure masks to apply the ``d_min`` rule, so
+    visited-state counts, pruning decisions and tie-breaks (first
+    minimum in ``(b', d')`` row-major order) are those of the per-cell
+    loop.
     """
     if BS != ctx.batch_size:
         raise ValueError("batch size mismatch with DPContext")
     stage_counts = S if isinstance(S, range) else range(S, S + 1)
     if stage_counts.step != 1:
         raise ValueError("stage counts must be a contiguous range")
-    mode = dp_mode(ctx, D)
     with ExitStack() as stack:
         sp: Optional[Span] = None
         if tracer is not None and tracer.enabled:
@@ -1188,11 +1114,11 @@ def form_stage_dp(
                     parent_id=parent_id,
                     S=stage_counts[-1] if stage_counts else None,
                     S_min=stage_counts[0] if stage_counts else None,
-                    D=D, R=R, MB=MB, mode=mode,
+                    D=D, R=R, MB=MB,
                 )
             )
         results = _form_stage_dp_body(
-            ctx, stage_counts, D, R, MB, dmin_pruning, mode, sp, metrics
+            ctx, stage_counts, D, R, MB, dmin_pruning, sp, metrics
         )
     return results if isinstance(S, range) else results[S]
 
@@ -1204,7 +1130,6 @@ def _form_stage_dp_body(
     R: int,
     MB: int,
     dmin_pruning: bool,
-    mode: str,
     sp: Optional[Span],
     metrics: Optional[MetricsRegistry],
 ) -> Dict[int, Optional[DPSolution]]:
@@ -1222,12 +1147,12 @@ def _form_stage_dp_body(
     states = 0
     if lo == 1:
         states += _sweep_table(
-            ctx, 1, 1, D, R, MB, False, dmin_pruning, mode, results
+            ctx, 1, 1, D, R, MB, False, dmin_pruning, results
         )
         lo = 2
     if lo <= hi:
         states += _sweep_table(
-            ctx, lo, hi, D, R, MB, True, dmin_pruning, mode, results
+            ctx, lo, hi, D, R, MB, True, dmin_pruning, results
         )
     ctx._count_states(states)
     feasible = [s for s, sol in results.items() if sol is not None]
@@ -1258,42 +1183,36 @@ def _sweep_table(
     MB: int,
     checkpointing: bool,
     dmin_pruning: bool,
-    mode: str,
     results: Dict[int, Optional[DPSolution]],
 ) -> int:
     """Fill one Algorithm-1 table up to ``s_hi`` stages, store the
     solution of every ``S`` in ``[s_lo, s_hi]`` into ``results`` and
     return the visited-state count."""
     k = ctx.k
-    M = ctx.usable_memory
-    hetero = ctx.cluster.is_heterogeneous
-    if hetero:
+    hetero = None
+    if ctx.cluster.is_heterogeneous:
         # the memory cap and stage speed depend on WHICH cumulative-device
-        # slots [d', d) a stage lands on (the full slab scales each d'
-        # column's slice).  The d_min rule is off: feasibility is no
-        # longer monotone in d once a class boundary sits inside the
-        # slot range.
-        MINMEM, SLOW = ctx.hetero_tables(D, R)
+        # slots [d', d) a stage lands on (applied per d' column).  The
+        # d_min rule is off: feasibility is no longer monotone in d once
+        # a class boundary sits inside the slot range.
+        hetero = ctx.hetero_tables(D, R)
         dmin_pruning = False
-    full = mode == "full"
-    if full:
-        TF, TB, MEM, FIN, OVER = ctx._dp_tensors(D, R, MB, checkpointing)
-        # b' < b (a stage must contain at least one block)
-        LT = np.triu(np.ones((k + 1, k + 1), dtype=bool), 1)
-    else:
-        # every stage that can still reach (S, k, D) for some S >= s_lo
-        # spans at most k - s_lo + 1 blocks, so the band covers the whole
-        # search space
-        bands = ctx.profile_bands(D, R, MB, checkpointing, k - s_lo + 1)
-        # padded shear slabs are shared across the whole s loop (the
-        # memory budget is constant within one sweep)
-        band_slabs: Dict[int, Tuple] = {}
+    # every stage that can still reach (S, k, D) for some S >= s_lo spans
+    # at most k - s_lo + 1 blocks, so the band covers the whole search
+    # space; that is also the widest stage slab of the sweep (nb never
+    # grows along it), so one padding serves every stage
+    nb_max = k - s_lo + 1
+    bands = ctx.profile_bands(D, R, MB, checkpointing, nb_max)
+    # likewise a stage spans at most D - s_lo + 1 devices: the planes of
+    # larger replica counts (a suffix, as bs falls with r) are never read
+    n_planes = int(bands.plane_of_r[1:D - s_lo + 2].max(initial=-1)) + 1
+    tfp, ovp = _padded_tf(
+        bands, n_planes, nb_max,
+        None if hetero is not None else ctx.usable_memory,
+        dmin_pruning,
+    )
 
     INF = np.inf
-    # broadcastable index planes for gathering the per-(b, r) argmin out
-    # of a (b', b, r) slab without take_along_axis overhead
-    row_idx = np.arange(k + 1)[:, None]
-    col_idx = np.arange(D + 1)[None, :]
     shape = (s_hi + 1, k + 1, D + 1)
     V = np.full(shape, INF)
     tf = np.zeros(shape)
@@ -1328,80 +1247,11 @@ def _sweep_table(
         bsf = np.zeros((k + 1, D + 1), dtype=bool)
         keep = np.zeros((k + 1, D + 1), dtype=bool)
 
-        if full:
-            # one (b', b, r) slab per feasible d' column: for fixed d',
-            # the replica count r = d - d' increases 1:1 along the d
-            # axis, so the slab is a pure *slice* TF[..., 1:nd+1] of the
-            # cached tensors (no gather materialized).  A running
-            # lexicographic (value, b', d') minimum across columns
-            # equals the flat (b', d') row-major argmin.
-            ptf = tf[s - 1]
-            ptb = tb[s - 1]
-            col_ok = prev_ok.any(axis=0)
-            # finite prev states at stage s-1 only exist for b' in
-            # [s-1, b_hi-1] and d' in [s-1, d_hi-1], so the slab can be
-            # restricted to those rows (views, no copies)
-            bsl = slice(s, b_hi + 1)
-            psl = slice(s - 1, b_hi)
-            lt = LT[psl, bsl]
-            for dp in range(s - 1, d_hi):
-                if not col_ok[dp]:
-                    continue
-                nd = d_hi - dp
-                rsl = slice(1, nd + 1)
-                ds_ = slice(dp + 1, d_hi + 1)
-                pok = prev_ok[psl, dp]
-                valid2 = pok[:, None] & lt  # (b', b)
-                fin = FIN[psl, bsl, rsl]
-                stage_tf = TF[psl, bsl, rsl]
-                stage_tb = TB[psl, bsl, rsl]
-                if hetero:
-                    # caps/speeds of the slot ranges [d', d), d = d' + r
-                    dsl = slice(dp + 1, dp + nd + 1)
-                    stage_tf = stage_tf * SLOW[dp, dsl]
-                    stage_tb = stage_tb * SLOW[dp, dsl]
-                    over = MEM[psl, bsl, rsl] > MINMEM[dp, dsl]
-                else:
-                    over = OVER[psl, bsl, rsl]
-                vf = valid2[:, :, None] & fin
-                if over.any():
-                    ok = vf & ~over
-                    memf[bsl, ds_] |= (vf & over).any(axis=0)
-                else:
-                    ok = vf
-                if not fin.all():
-                    bsf[bsl, ds_] |= (valid2[:, :, None] & ~fin).any(axis=0)
-                if not ok.any():
-                    continue
-                cand_tf = np.maximum(ptf[psl, dp][:, None, None], stage_tf)
-                cand_tb = np.maximum(ptb[psl, dp][:, None, None], stage_tb)
-                v = np.where(ok, cand_tf + cand_tb, INF)
-                bp_idx = np.argmin(v, axis=0)  # (b, r): smallest b' wins
-                rows = row_idx[: bp_idx.shape[0]]
-                cols = col_idx[:, :nd]
-                vmin = v[bp_idx, rows, cols]
-                bpg = bp_idx + (s - 1)
-                cur = best[bsl, ds_]
-                cur_bp = best_bp[bsl, ds_]
-                # strict improvement, or an equal value from a smaller
-                # b' (equal (value, b') keeps the earlier -- smaller --
-                # d'): the (b', d') row-major first-minimum tie-break
-                upd = (vmin < cur) | ((vmin == cur) & (bpg < cur_bp))
-                if upd.any():
-                    ctf = cand_tf[bp_idx, rows, cols]
-                    ctb = cand_tb[bp_idx, rows, cols]
-                    best[bsl, ds_] = np.where(upd, vmin, cur)
-                    best_tf[bsl, ds_] = np.where(upd, ctf, best_tf[bsl, ds_])
-                    best_tb[bsl, ds_] = np.where(upd, ctb, best_tb[bsl, ds_])
-                    best_bp[bsl, ds_] = np.where(upd, bpg, cur_bp)
-                    best_dp[bsl, ds_] = np.where(upd, dp, best_dp[bsl, ds_])
-        else:
-            _banded_stage(
-                bands, prev_ok, tf[s - 1], tb[s - 1],
-                s, b_hi, d_hi, M,
-                best, best_tf, best_tb, best_bp, best_dp, memf, bsf,
-                band_slabs,
-            )
+        _band_stage(
+            bands, tfp, ovp, hetero, prev_ok, tf[s - 1], tb[s - 1],
+            s, b_hi, d_hi,
+            best, best_tf, best_tb, best_bp, best_dp, memf, bsf,
+        )
 
         # replay the (b asc, d desc) cell order over the failure masks to
         # apply d_min pruning with the exact per-cell semantics
@@ -1464,8 +1314,10 @@ def _sweep_table(
         for hi, devs in zip(boundaries, device_counts):
             prof = ctx.stage_profile(lo, hi, devs, R, MB, checkpointing)
             assert prof is not None
-            if hetero:
-                prof = scale_stage_profile(prof, float(SLOW[dlo, dlo + devs]))
+            if hetero is not None:
+                prof = scale_stage_profile(
+                    prof, float(hetero[1][dlo, dlo + devs])
+                )
             profiles.append(prof)
             lo = hi
             dlo += devs
@@ -1494,8 +1346,7 @@ def reference_form_stage_dp(
 ) -> Optional[DPSolution]:
     """Line-by-line transcription of Algorithm 1 with pure-Python loops.
 
-    Kept as the test oracle: both evaluation paths of
-    :func:`form_stage_dp` are held to it, field for field, on randomized
+    Kept as the test oracle: :func:`form_stage_dp` is held to it, field for field, on randomized
     small instances.  On a heterogeneous cluster each stage at
     cumulative-device boundary ``(d', d)`` is capped by ``MINMEM[d', d]``
     and its times are scaled by ``SLOW[d', d]`` (see

@@ -33,7 +33,7 @@ from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import BlockPartitioner
 from repro.partitioner.plan import PartitionPlan, StageSpec
 from repro.partitioner.search import form_stage
-from repro.partitioner.stage_dp import DPContext, dp_mode
+from repro.partitioner.stage_dp import DPContext
 from repro.pipeline.hybrid import evaluate_plan
 from repro.planner.context import (
     BLOCKS,
@@ -118,13 +118,13 @@ class CoarsenPass(PlannerPass):
 class ProfileTensorsPass(PlannerPass):
     """Build the :class:`DPContext`: the profiling state of Algorithm 1.
 
-    The context's range matrices, per-batch time prefixes and dense
-    profile tensors depend on the graph, the block list, the batch size,
+    The context's range matrices, per-batch time prefixes and banded
+    profiles depend on the graph, the block list, the batch size,
     the device performance model and the same-node p2p affine -- *not*
     on the cluster shape, the memory capacity or the budget -- so a
     delta replan that only resized the cluster reuses it wholesale (the
     most expensive artifact to rebuild).  The range matrices are built
-    eagerly here; the per-``(D, R, MB)`` tensors fill in lazily during
+    eagerly here; the per-``(D, R, MB)`` bands fill in lazily during
     the stage search and travel with the artifact.
     """
 
@@ -168,8 +168,8 @@ class StageSearchPass(PlannerPass):
         profiler = ctx.ensure_profiler()
         memo_before = profiler.memo_hit_rate
         dp_ctx = ctx.require(DP_CONTEXT)
-        # the budget gates feasibility only; a reused context just drops
-        # its derived masks, never the profile tensors
+        # the budget gates feasibility only: each sweep applies it to the
+        # cached profile bands, so a reused context keeps them all
         dp_ctx.set_memory_budget(ctx.config.memory_budget)
         result = form_stage(
             dp_ctx,
@@ -202,9 +202,7 @@ class StageSearchPass(PlannerPass):
             "num_stages": result.num_stages,
             "replica_factor": result.replica_factor,
             "devices_per_pipeline": result.devices_per_pipeline,
-            # the path and pool that actually ran (the winning level's
-            # evaluation path; the largest sweep pool of the search)
-            "dp_mode": dp_mode(dp_ctx, result.devices_per_pipeline),
+            # the largest sweep pool of the search
             "search_workers_used": result.sweep_workers,
             "memo_hit_rate": profiler.memo_hit_rate - memo_before,
         }

@@ -617,7 +617,7 @@ class ArtifactStore:
 
         The ``dp_context`` payload accumulates caches *after* its
         producing pass finishes (the stage search fills the per-batch
-        time prefixes and profile tensors), so the manager refreshes it
+        time prefixes and profile bands), so the manager refreshes it
         once the run is over; without this, the on-disk entry would only
         ever hold the eagerly-built range matrices.
         """

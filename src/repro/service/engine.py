@@ -432,6 +432,7 @@ class PlanEngine:
             },
             "store": self.store.stats(),
             "spans": len(self.tracer),
+            "dropped_spans": self.tracer.dropped_spans,
         }
 
     def export_trace(self, path) -> int:

@@ -48,6 +48,18 @@ from repro.service.protocol import (
 __all__ = ["PlanServer", "serve"]
 
 _MAX_BODY_BYTES = 8 * 2**20
+#: header lines one request may carry; more get 431 and a close
+_MAX_HEADERS = 100
+#: seconds the client may take to send one whole request, counting the
+#: idle wait before it on a keep-alive connection; a connection that
+#: stalls longer -- idle, or a half-sent request -- is closed without an
+#: answer.  One deadline per request rather than per line: on Python
+#: 3.11 ``wait_for`` wraps every awaited read in a task, which measured
+#: +0.2 ms per request at a handful of header lines (2-vCPU VM)
+_IDLE_TIMEOUT_S = 60.0
+#: after answering a request whose framing was rejected, seconds each
+#: read of what the client still sends may take before the close
+_LINGER_S = 1.0
 _STATUS_TEXT = {
     200: "OK",
     400: "Bad Request",
@@ -56,6 +68,7 @@ _STATUS_TEXT = {
     409: "Conflict",
     413: "Payload Too Large",
     422: "Unprocessable Entity",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -172,14 +185,17 @@ class PlanServer:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                request = await asyncio.wait_for(
+                    self._read_request(reader), _IDLE_TIMEOUT_S
+                )
                 if request is None:
                     break
                 verb, path, headers, body = request
                 status, payload = await self._dispatch(verb, path, body)
                 # after a rejected framing (a "/__...__" path) the rest of
                 # the stream cannot be delimited: answer, then close
-                keep_alive = not path.startswith("/__") and (
+                framing_error = path.startswith("/__")
+                keep_alive = not framing_error and (
                     headers.get("connection", "keep-alive").lower()
                     != "close"
                 )
@@ -198,6 +214,8 @@ class PlanServer:
                 writer.write(data)
                 await writer.drain()
                 if not keep_alive:
+                    if framing_error:
+                        await _discard_input(reader, writer)
                     break
         except (
             asyncio.IncompleteReadError,
@@ -205,6 +223,8 @@ class PlanServer:
             BrokenPipeError,
         ):
             pass  # client went away; nothing to answer
+        except asyncio.TimeoutError:
+            pass  # client stalled past the idle timeout: drop it
         except asyncio.CancelledError:
             pass  # event loop tearing down mid-read; close quietly
         finally:
@@ -222,8 +242,14 @@ class PlanServer:
     async def _read_request(
         reader: asyncio.StreamReader,
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        """One HTTP/1.1 request, or ``None`` on a clean close."""
-        line = await reader.readline()
+        """One HTTP/1.1 request, or ``None`` on a clean close.
+
+        A line over the reader's limit and a header count over
+        :data:`_MAX_HEADERS` come back as ``/__...__`` paths, which are
+        answered and then close the connection."""
+        line = await _read_line(reader)
+        if line is None:
+            return "GET", "/__line_too_long__", {}, b""
         if not line or line in (b"\r\n", b"\n"):
             return None
         try:
@@ -231,10 +257,16 @@ class PlanServer:
         except ValueError:
             return "GET", "/__malformed__", {}, b""
         headers: Dict[str, str] = {}
+        count = 0
         while True:
-            raw = await reader.readline()
+            raw = await _read_line(reader)
+            if raw is None:
+                return verb.upper(), "/__line_too_long__", headers, b""
             if raw in (b"\r\n", b"\n", b""):
                 break
+            count += 1
+            if count > _MAX_HEADERS:
+                return verb.upper(), "/__too_many_headers__", headers, b""
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         try:
@@ -258,6 +290,14 @@ class PlanServer:
         if path == "/__malformed__":
             err = ServiceError("bad_request", "malformed request line")
             return 400, error_envelope(err)
+        if path == "/__line_too_long__":
+            err = ServiceError("bad_request", "request or header line too long")
+            return 400, error_envelope(err)
+        if path == "/__too_many_headers__":
+            err = ServiceError(
+                "bad_request", f"more than {_MAX_HEADERS} header lines"
+            )
+            return 431, error_envelope(err)
         if path == "/__bad_length__":
             err = ServiceError(
                 "bad_request", "Content-Length must be a non-negative integer"
@@ -299,6 +339,34 @@ class PlanServer:
             err = ServiceError("internal", f"{type(exc).__name__}: {exc}")
             return err.status, error_envelope(err)
         return 200, ok_envelope(result)
+
+
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """One line; ``None`` when it is longer than the reader's buffer
+    limit (``readline`` raises ``ValueError``)."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        return None
+
+
+async def _discard_input(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> None:
+    """Half-close, then read and drop what the client still sends (at
+    most :data:`_MAX_BODY_BYTES`, each read within :data:`_LINGER_S`):
+    closing a socket with unread input resets the connection, which can
+    destroy the answer before the client reads it."""
+    dropped = 0
+    try:
+        writer.write_eof()
+        while dropped <= _MAX_BODY_BYTES:
+            chunk = await asyncio.wait_for(reader.read(2**16), _LINGER_S)
+            if not chunk:
+                return
+            dropped += len(chunk)
+    except (asyncio.TimeoutError, OSError):
+        pass
 
 
 def serve(

@@ -131,3 +131,40 @@ class TestDisabledTracer:
         assert [s.name for s in tracer.spans("x")] == ["a"]
         tracer.clear()
         assert len(tracer) == 0
+
+
+class TestBoundedBuffer:
+    def test_ring_keeps_newest_spans_and_counts_dropped(self, monkeypatch):
+        import repro.obs.tracer as tracer_mod
+
+        cap, extra = 8, 5
+        monkeypatch.setattr(tracer_mod, "MAX_SPANS", cap)
+        tracer = Tracer()
+        for i in range(cap + extra):
+            if i % 2:
+                tracer.add_span(f"s{i}")
+            else:
+                with tracer.span(f"s{i}"):
+                    pass
+        assert len(tracer) == cap
+        assert [s.name for s in tracer.spans()] == [
+            f"s{i}" for i in range(extra, cap + extra)
+        ]
+        assert tracer.dropped_spans == extra
+        tracer.clear()
+        assert len(tracer) == 0
+        assert tracer.dropped_spans == extra  # a lifetime count
+
+    def test_default_cap_holds_a_large_traced_run(self):
+        from repro.obs.tracer import MAX_SPANS
+
+        tracer = Tracer()
+        for _ in range(10_000):
+            tracer.add_span("s")
+        assert len(tracer) == 10_000 < MAX_SPANS
+        assert tracer.dropped_spans == 0
+
+    def test_disabled_tracer_drops_nothing(self):
+        tracer = Tracer(enabled=False)
+        tracer.add_span("s")
+        assert tracer.dropped_spans == 0

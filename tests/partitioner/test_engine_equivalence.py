@@ -1,15 +1,14 @@
-"""Equivalence suite for the Algorithm-1 evaluation paths.
+"""Equivalence suite for the Algorithm-1 evaluator.
 
-Production evaluates Algorithm 1 on one of two paths, picked by input
-size (:func:`~repro.partitioner.stage_dp.dp_mode`): the full slab, and
-the banded path above ``FULL_TENSOR_MAX_CELLS`` (forced here on small
-inputs by setting the ceiling to 0).  Heterogeneous clusters always take
-the full slab.  Every path is held to the pure-Python
-``reference_form_stage_dp`` for every stage count of a sweep, and the
-paths and Algorithm 2's thread pool must agree *bit for bit*: same
-plans, same tie-breaks, same ``dp_calls`` / ``states_evaluated``
-counters.  The banded profile construction is additionally checked
-against the per-entry ``stage_profile`` oracle
+Production evaluates Algorithm 1 on one path: banded profiles, every
+replica plane of a ``d'`` column reduced in one pass, over chunks of at
+most ``PLANE_CHUNK_CELLS`` slab cells.  Every stage count of every sweep
+is held to the pure-Python ``reference_form_stage_dp``, homogeneous and
+heterogeneous clusters alike, and the chunking and Algorithm 2's thread
+pool must not change anything *bit for bit*: same plans, same
+tie-breaks, same ``dp_calls`` / ``states_evaluated`` counters.  The
+banded profile construction is additionally checked against the
+per-entry ``stage_profile`` oracle
 (:meth:`DPContext.profile_tensors_reference`) with hypothesis-driven
 shapes, so any drift between the vectorized band gather and the scalar
 profile arithmetic fails loudly.
@@ -34,21 +33,21 @@ from repro.partitioner.blocks import block_partition
 from repro.partitioner.search import form_stage
 from repro.partitioner.stage_dp import (
     DPContext,
-    dp_mode,
     form_stage_dp,
     reference_form_stage_dp,
 )
 from repro.planner import PlannerConfig
 from repro.profiler import GraphProfiler
 
-#: evaluation path -> the ceiling that makes the size check pick it
-PATHS = {"full": 10**18, "banded": 0}
+#: plane chunking -> slab-cell budget per reduction pass: the default
+#: takes every plane of these small inputs at once, 1 one plane per pass
+CHUNKINGS = {"default": stage_dp.PLANE_CHUNK_CELLS, "one_plane": 1}
 
 
 @contextmanager
-def forced_path(path):
-    """Make :func:`dp_mode` pick ``path`` for every homogeneous input."""
-    with mock.patch.object(stage_dp, "FULL_TENSOR_MAX_CELLS", PATHS[path]):
+def chunking(name):
+    """Reduce ``CHUNKINGS[name]`` slab cells per pass."""
+    with mock.patch.object(stage_dp, "PLANE_CHUNK_CELLS", CHUNKINGS[name]):
         yield
 
 
@@ -96,39 +95,6 @@ def sweep_with_counters(ctx, stage_counts, D, BS, R, MB):
         m.counter("dp.calls").value,
     )
     return {S: solution_key(sol) for S, sol in sweep.items()}, counters
-
-
-# ----------------------------------------------------------------------
-# the size check that picks the path
-
-
-class TestResolveEngine:
-    def test_small_instances_use_full_slab(self):
-        assert dp_mode(make_ctx(k=6), 4) == "full"
-
-    def test_large_instances_split_by_knob(self, monkeypatch):
-        # the ceiling on (k+1)^2 (D+1)^2 is the only thing that splits
-        ctx = make_ctx(k=6)
-        cells = (ctx.k + 1) ** 2 * (4 + 1) ** 2
-        monkeypatch.setattr(stage_dp, "FULL_TENSOR_MAX_CELLS", cells)
-        assert dp_mode(ctx, 4) == "full"
-        assert dp_mode(ctx, 5) == "banded"
-
-    def test_forced_engines(self):
-        ctx = make_ctx(k=6)
-        for path in PATHS:
-            with forced_path(path):
-                assert dp_mode(ctx, 4) == path
-
-    def test_heterogeneous_clusters_always_use_full_slab(self):
-        ctx = make_ctx(cluster=tiny_mixed_cluster(devices_per_node=2))
-        with forced_path("banded"):
-            assert dp_mode(ctx, 4) == "full"
-
-    def test_unknown_engine_rejected(self):
-        ctx = make_ctx()
-        with pytest.raises(TypeError, match="engine"):
-            form_stage_dp(ctx, 2, 4, 32, 1, 1, engine="numpy")
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +159,7 @@ class TestBandedConstruction:
 
 
 # ----------------------------------------------------------------------
-# path bit-identity (plans AND counters)
+# plane chunking bit-identity (plans AND counters)
 
 
 class TestEngineBitIdentity:
@@ -205,11 +171,13 @@ class TestEngineBitIdentity:
     )
     def test_engines_identical_on_random_dags(self, seed, S, MB):
         results = {}
-        for path in PATHS:
-            with forced_path(path):
+        for name in CHUNKINGS:
+            with chunking(name):
                 ctx = make_ctx(seed=seed, k=6, batch_size=32)
-                results[path] = sweep_with_counters(ctx, range(S, 5), 4, 32, 1, MB)
-        assert results["full"] == results["banded"]
+                results[name] = sweep_with_counters(
+                    ctx, range(S, 5), 4, 32, 1, MB
+                )
+        assert results["default"] == results["one_plane"]
 
     def test_engines_identical_under_memory_pressure(self):
         # a budget tight enough that memory failures drive d_min pruning
@@ -218,17 +186,21 @@ class TestEngineBitIdentity:
         )
         g = build_mlp((64, 256, 256, 256, 64))
         results = {}
-        for path in PATHS:
-            with forced_path(path):
+        for name in CHUNKINGS:
+            with chunking(name):
                 ctx = make_ctx(graph=g, k=8, batch_size=64, cluster=cluster)
-                results[path] = sweep_with_counters(
+                results[name] = sweep_with_counters(
                     ctx, range(1, 5), 4, 64, 1, 2
                 )
-        assert results["full"] == results["banded"]
+        assert results["default"] == results["one_plane"]
+        # the one-plane passes really split the columns: batch 64 at MB=2
+        # gives a plane per replica count
+        bands = ctx.profile_bands(4, 1, 2, True, ctx.k)
+        assert len(bands.bs_list) > 1
 
     def test_custom_stage_profile_without_planes_rejected(self):
-        # both paths build candidates from _profile_planes: a per-entry
-        # override alone would be silently ignored, so it is refused
+        # the bands are built from _profile_planes: a per-entry override
+        # alone would be silently ignored, so it is refused
         with pytest.raises(TypeError, match="_profile_planes"):
             class Perturbed(DPContext):
                 def stage_profile(self, lo, hi, r, R, MB, checkpointing):
@@ -263,14 +235,10 @@ class TestStageCountSweep:
         lo=st.integers(min_value=1, max_value=4),
         MB=st.sampled_from([1, 2, 4]),
         R=st.sampled_from([1, 2]),
-        path=st.sampled_from(sorted(PATHS)),
     )
-    def test_sweep_matches_reference_per_stage_count(
-        self, seed, lo, MB, R, path
-    ):
+    def test_sweep_matches_reference_per_stage_count(self, seed, lo, MB, R):
         ctx = make_ctx(seed=seed, k=6, batch_size=32)
-        with forced_path(path):
-            sweep = form_stage_dp(ctx, range(lo, 5), 4, 32, R, MB)
+        sweep = form_stage_dp(ctx, range(lo, 5), 4, 32, R, MB)
         assert sorted(sweep) == list(range(lo, 5))
         for S, sol in sweep.items():
             ref = reference_form_stage_dp(ctx, S, 4, 32, R, MB)
@@ -279,21 +247,17 @@ class TestStageCountSweep:
     @pytest.mark.parametrize("mem_mib", [12, 16, 24, 48])
     def test_sweep_matches_reference_under_memory_pressure(self, mem_mib):
         # budgets tight enough that memory dead ends drive d_min pruning
-        # at every stage of the sweep, on both paths
+        # at every stage of the sweep
         cluster = tiny_cluster(
             num_nodes=1, devices_per_node=4, memory_bytes=mem_mib * 1024**2
         )
         g = build_mlp((64, 256, 256, 256, 256, 64))
         ctx = make_ctx(graph=g, k=8, batch_size=64, cluster=cluster)
-        for path in PATHS:
-            for MB in (1, 4, 16):
-                with forced_path(path):
-                    sweep = form_stage_dp(ctx, range(1, 5), 4, 64, 1, MB)
-                for S, sol in sweep.items():
-                    ref = reference_form_stage_dp(ctx, S, 4, 64, 1, MB)
-                    assert solution_key(sol) == solution_key(ref), (
-                        path, S, MB,
-                    )
+        for MB in (1, 4, 16):
+            sweep = form_stage_dp(ctx, range(1, 5), 4, 64, 1, MB)
+            for S, sol in sweep.items():
+                ref = reference_form_stage_dp(ctx, S, 4, 64, 1, MB)
+                assert solution_key(sol) == solution_key(ref), (S, MB)
 
     def test_one_dp_call_per_sweep(self):
         ctx = make_ctx(k=6, batch_size=32)
@@ -313,9 +277,66 @@ class TestStageCountSweep:
         with pytest.raises(ValueError, match="contiguous"):
             form_stage_dp(ctx, range(1, 5, 2), 4, 32, 1, 1)
 
+    def test_unknown_engine_rejected(self):
+        ctx = make_ctx()
+        with pytest.raises(TypeError, match="engine"):
+            form_stage_dp(ctx, 2, 4, 32, 1, 1, engine="numpy")
+
 
 # ----------------------------------------------------------------------
-# heterogeneous clusters: the full slab with per-slot caps and speeds
+# one context reused across runs with different memory budgets
+
+
+class TestReusedContextBudget:
+    @pytest.mark.parametrize("kind", ["homogeneous", "heterogeneous"])
+    def test_budget_changes_match_reference(self, kind):
+        """None -> tight -> None -> tight on ONE context, the way a plan
+        service's delta replan reuses ``dp_context``: the stage-search
+        pass sets the budget, a rebind carries it over.  Each sweep
+        answers every S like the reference under the current budget."""
+        if kind == "homogeneous":
+            cluster = tiny_cluster(
+                num_nodes=1, devices_per_node=4, memory_bytes=64 * 2**20
+            )
+        else:
+            cluster = tiny_mixed_cluster(
+                devices_per_node=2,
+                small_memory_bytes=48 * 2**20,
+                big_memory_bytes=64 * 2**20,
+            )
+        g = build_mlp((64, 256, 256, 256, 256, 64))
+        ctx = make_ctx(graph=g, k=8, batch_size=64, cluster=cluster)
+        # stages need up to ~4 MiB here: 2 MiB rules out half the answers
+        tight = 2 * 2**20
+        answers = []
+        for step, budget in enumerate((None, tight, None, tight)):
+            if step % 2:
+                ctx.rebind(cluster, memory_budget=budget)
+            else:
+                ctx.set_memory_budget(budget)
+            before = ctx.states_evaluated
+            answer = {}
+            for MB in (1, 4, 16):
+                sweep = form_stage_dp(ctx, range(1, 5), 4, 64, 1, MB)
+                for S, sol in sweep.items():
+                    ref = reference_form_stage_dp(ctx, S, 4, 64, 1, MB)
+                    assert solution_key(sol) == solution_key(ref), (
+                        step, S, MB,
+                    )
+                    answer[S, MB] = solution_key(sol)
+            answers.append((answer, ctx.states_evaluated - before))
+        assert answers[0] == answers[2]
+        assert answers[1] == answers[3]
+        # the budget binds, and leaves some stage counts feasible
+        loose, tight_answer = answers[0][0], answers[1][0]
+        assert all(sol is not None for sol in loose.values())
+        assert 0 < sum(sol is None for sol in tight_answer.values()) < len(
+            tight_answer
+        )
+
+
+# ----------------------------------------------------------------------
+# heterogeneous clusters: per-slot caps and speeds
 
 
 class TestHeterogeneousSweep:

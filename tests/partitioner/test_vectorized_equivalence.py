@@ -1,12 +1,11 @@
 """Property tests for the vectorized candidate-stage builders and the
-vectorized Algorithm-1 engines against their per-entry / pure-Python
+vectorized Algorithm-1 evaluator against their per-entry / pure-Python
 oracles.
 
-The vectorized paths must be *exactly* equal (not approximately): the
-plane builders reproduce the per-entry float64 arithmetic operation by
-operation, and both DP paths (full slab and banded) replay the reference
-cell ordering for ``d_min`` pruning, so every comparison below uses
-strict equality.
+The vectorized code must be *exactly* equal (not approximately): the
+band builders reproduce the per-entry float64 arithmetic operation by
+operation, and the DP replays the reference cell ordering for ``d_min``
+pruning, so every comparison below uses strict equality.
 """
 
 import dataclasses
@@ -41,6 +40,27 @@ def make_ctx(k=6, batch_size=32, num_nodes=1, devices_per_node=4,
     blocks = block_partition(graph, atomic_partition(graph), profiler,
                              num_blocks=k)
     return DPContext(graph, blocks, profiler, batch_size)
+
+
+def dense_bands(ctx, D, R, MB, ckpt):
+    """The full-width bands of ``ctx`` scattered into the dense ``(k+1,
+    k+1, D+1)`` layout of ``profile_tensors_reference``: entry ``[lo,
+    hi, r]`` profiles blocks ``(lo, hi]`` on ``r`` replicas, +inf where
+    there is no stage."""
+    k = ctx.k
+    bands = ctx.profile_bands(D, R, MB, ckpt, k)
+    dense = [np.full((k + 1, k + 1, D + 1), np.inf) for _ in range(3)]
+    lo, hi = np.broadcast_arrays(
+        np.arange(k)[:, None], np.arange(k)[:, None] + 1 + np.arange(k)
+    )
+    valid = hi <= k
+    for r in range(1, D + 1):
+        p = int(bands.plane_of_r[r])
+        if p < 0:
+            continue
+        for out, band in zip(dense, (bands.tf, bands.tb, bands.mem)):
+            out[lo[valid], hi[valid], r] = band[p][valid]
+    return dense
 
 
 def solution_key(sol):
@@ -93,31 +113,36 @@ class TestProfileTensors:
     )
     def test_vectorized_matches_per_entry(self, D, R, MB, ckpt):
         ctx = make_ctx()
-        fast = ctx.profile_tensors(D, R, MB, ckpt)
+        fast = dense_bands(ctx, D, R, MB, ckpt)
         slow = ctx.profile_tensors_reference(D, R, MB, ckpt)
         for a, b in zip(fast, slow):
             assert np.array_equal(a, b)  # bit-exact, inf pattern included
 
     def test_dispatch_uses_vectorized_builder(self):
+        # the sweep reads the very bands that match the oracle
         ctx = make_ctx()
-        TF, TB, MEM = ctx.profile_tensors(4, 1, 2, True)
+        form_stage_dp(ctx, 2, 4, 32, 1, 2)
+        (key, bands), = ctx._band_cache.items()
+        assert key == (4, 1, 2, True)
+        assert bands is ctx.profile_bands(4, 1, 2, True, ctx.k - 1)
+        TF, TB, MEM = dense_bands(ctx, 4, 1, 2, True)
         ref = ctx.profile_tensors_reference(4, 1, 2, True)
         assert np.array_equal(TF, ref[0])
         assert np.array_equal(TB, ref[1])
         assert np.array_equal(MEM, ref[2])
 
     def test_tensor_and_mask_caches_reused(self):
+        # one band build per key, whatever the memory budget: the cap is
+        # applied per sweep, never baked into a cache
         ctx = make_ctx()
-        a = ctx.profile_tensors(4, 1, 2, True)
-        b = ctx.profile_tensors(4, 1, 2, True)
-        assert all(x is y for x, y in zip(a, b))
-        m1 = ctx._dp_tensors(4, 1, 2, True)
-        m2 = ctx._dp_tensors(4, 1, 2, True)
-        assert all(x is y for x, y in zip(m1, m2))
+        a = ctx.profile_bands(4, 1, 2, True, ctx.k)
+        ctx.set_memory_budget(1.0)
+        b = ctx.profile_bands(4, 1, 2, True, ctx.k)
+        assert a is b
 
     def test_overridden_stage_profile_with_planes_is_used(self):
         """A subclass that overrides ``stage_profile`` together with its
-        plane form gets its own profiles on both DP paths."""
+        plane form gets its own profiles in the DP's bands."""
         class Doubled(DPContext):
             def stage_profile(self, lo, hi, replicas, R, MB, checkpointing):
                 prof = super().stage_profile(
@@ -133,12 +158,16 @@ class TestProfileTensors:
 
         base = make_ctx()
         ctx = Doubled(base.graph, base.blocks, base.profiler, base.batch_size)
-        TF, _, _ = ctx.profile_tensors(4, 1, 1, False)
+        TF, _, _ = dense_bands(ctx, 4, 1, 1, False)
         ref = ctx.profile_tensors_reference(4, 1, 1, False)
         assert np.array_equal(TF, ref[0])  # the subclass's doubled times
-        assert not np.array_equal(TF, base.profile_tensors(4, 1, 1, False)[0])
+        assert not np.array_equal(TF, dense_bands(base, 4, 1, 1, False)[0])
         bands = ctx.profile_bands(4, 1, 1, False, ctx.k)
         assert bands.tf[0, 0, ctx.k - 1] == ref[0][0, ctx.k, 1]
+        # and the DP table is filled from them: one stage on one device
+        # over all blocks carries the doubled forward time
+        sol = form_stage_dp(ctx, 1, 1, 32, 1, 1)
+        assert sol.max_tf == ref[0][0, ctx.k, 1]
 
 
 class TestDPEngineEquivalence:
@@ -170,9 +199,9 @@ class TestDPEngineEquivalence:
         assert solution_key(fast) == solution_key(ref)
 
     def test_row_engine_matches_full_engine(self, monkeypatch):
-        """Forcing the banded path (as used at atomic scale, above the
-        full-slab ceiling) must not change any field of any solution or
-        the visited-state count."""
+        """Reducing one replica plane per pass (as large bands do, where
+        a chunk holds only a few planes) must not change any field of any
+        solution or the visited-state count."""
         expected = {}
         ctx = make_ctx()
         for S, MB in itertools.product((1, 2, 3, 4), (1, 2, 4)):
@@ -181,7 +210,7 @@ class TestDPEngineEquivalence:
             )
         full_states = ctx.states_evaluated
 
-        monkeypatch.setattr(stage_dp_mod, "FULL_TENSOR_MAX_CELLS", 0)
+        monkeypatch.setattr(stage_dp_mod, "PLANE_CHUNK_CELLS", 1)
         ctx2 = make_ctx()
         for (S, MB), want in expected.items():
             got = solution_key(form_stage_dp(ctx2, S, 4, 32, 1, MB))
@@ -268,7 +297,7 @@ class TestSummedAtomicContext:
         ctx = SummedAtomicContext(tiny_bert, atom_blocks, profiler, 32)
         for D, R, MB, ckpt in [(4, 1, 2, True), (2, 2, 1, False),
                                (4, 2, 4, True)]:
-            fast = ctx.profile_tensors(D, R, MB, ckpt)
+            fast = dense_bands(ctx, D, R, MB, ckpt)
             slow = ctx.profile_tensors_reference(D, R, MB, ckpt)
             for a, b in zip(fast, slow):
                 assert np.array_equal(a, b)

@@ -83,32 +83,31 @@ def test_fixture_covers_full_matrix():
     }
 
 
-# Both evaluation paths of Algorithm 1 must reproduce the pinned plans.
-# The size check picks the path, so each case sets the ceiling it reads.
-# The ids are the former ``dp_engine`` values, each mapped to the ceiling
-# that makes the size check run what that value ran on these presets:
-# "auto" and "dense" the full slab (every preset fits the default
-# ceiling), "banded" and "numba" (banded without the JIT) the banded path
-# everywhere, and "rows" -- the dense setting's above-the-ceiling path,
-# whose place banded took -- a ceiling between the 8- and 16-device
-# levels, so one search runs both paths.
-CEILINGS = {
-    "auto": stage_dp.FULL_TENSOR_MAX_CELLS,
+# How many replica planes one reduction pass takes must not change a
+# plan.  On these presets every stage slab is at most 32 blocks wide, so
+# the default chunk takes all planes of a column at once; the other cases
+# shrink the chunk until it splits them.  The ids are kept from when each
+# case forced an evaluation path ("auto", "dense", "banded", "numba",
+# "rows"); each now names a chunk size: the default, no cap at all, one
+# plane per pass, and two caps that split columns into unequal chunks
+# depending on the stage's block span.
+CHUNK_CELLS = {
+    "auto": stage_dp.PLANE_CHUNK_CELLS,
     "dense": 10**18,
-    "banded": 0,
-    "numba": 0,
-    "rows": 100_000,
+    "banded": 1,
+    "numba": 2_048,
+    "rows": 5_000,
 }
 
 
-@pytest.mark.parametrize("engine", sorted(CEILINGS))
+@pytest.mark.parametrize("engine", sorted(CHUNK_CELLS))
 @pytest.mark.parametrize("key", sorted(PINNED), ids=sorted(PINNED))
 def test_every_engine_matches_pinned_plan(key, engine, monkeypatch):
     expected = PINNED[key]
     model_name, cluster_name = key.split("/")
     build, batch_size = MODELS[model_name]
     cluster = paper_cluster(CLUSTERS[cluster_name])
-    monkeypatch.setattr(stage_dp, "FULL_TENSOR_MAX_CELLS", CEILINGS[engine])
+    monkeypatch.setattr(stage_dp, "PLANE_CHUNK_CELLS", CHUNK_CELLS[engine])
 
     plan = auto_partition(build(), cluster, batch_size)
 

@@ -45,9 +45,7 @@ class TestDPInstrumentation:
         for span in dp_spans:
             assert {"S", "MB"} <= set(span.attrs)
             assert "feasible" in span.attrs
-            assert span.attrs["mode"] == "full"  # tiny k: the slab fits
         detail = ctx.events.find("stage_search").detail
-        assert detail["dp_mode"] == "full"
         assert detail["search_workers_used"] >= 1
 
     def test_per_point_state_counters(self, tiny_bert):
@@ -67,7 +65,7 @@ class TestDPInstrumentation:
         assert snap["profiler.memo_hits"] == (
             snap["profiler.cache_hits"] + snap["profiler.table_hits"]
         )
-        assert snap["profiler.tensor_builds"] >= 1
+        assert snap["profiler.band_builds"] >= 1
 
 
 class TestParallelSearchTracing:

@@ -7,6 +7,7 @@ round trip, and the stats surface.
 """
 
 import concurrent.futures
+import json
 import threading
 
 import pytest
@@ -181,6 +182,21 @@ class TestStats:
 
         monkeypatch.setattr(warm_engine.tracer, "spans", no_copy)
         assert warm_engine.stats()["spans"] == expected
+
+    def test_dropped_spans_reported(self, monkeypatch, tmp_path):
+        import repro.obs.tracer as tracer_mod
+
+        # a tiny ring: every request records at least one span
+        monkeypatch.setattr(tracer_mod, "MAX_SPANS", 2)
+        engine = PlanEngine(workers=1)
+        for _ in range(4):
+            engine.plan(dict(PARAMS))
+        stats = engine.stats()
+        assert stats["spans"] == 2
+        assert stats["dropped_spans"] >= 2
+        engine.export_trace(tmp_path / "trace.json")
+        doc = json.loads((tmp_path / "trace.json").read_text())
+        assert doc["dropped_spans"] == engine.tracer.dropped_spans
 
     def test_unknown_method(self, warm_engine):
         with pytest.raises(ServiceError) as ei:

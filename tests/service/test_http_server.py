@@ -2,11 +2,13 @@
 
 Real sockets, the stdlib client, and the raw-HTTP edge cases a JSON
 client never sends (unknown routes, wrong verbs, malformed bodies,
-oversized payloads).
+oversized payloads, stalled requests, header floods, overlong lines).
 """
 
 import http.client
 import json
+import socket
+import time
 
 import pytest
 
@@ -158,3 +160,79 @@ class TestRepairRoute:
             assert ei.value.code == "no_base"
         finally:
             fresh.close()
+
+
+class TestHostileInput:
+    """Live sockets that misbehave the way real networks do."""
+
+    @staticmethod
+    def exchange(server, payload):
+        """Send ``payload`` raw and read until the server closes; returns
+        ``(status, doc)`` of the answer."""
+        with socket.create_connection(("127.0.0.1", server.port), 30) as s:
+            s.sendall(payload)
+            data = b""
+            while True:
+                chunk = s.recv(65536)
+                if not chunk:
+                    break
+                data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        status = int(head.split()[1])
+        assert b"Connection: close" in head
+        return status, json.loads(body)
+
+    def test_stalled_half_request_is_closed(self, server, monkeypatch):
+        import repro.service.server as server_mod
+
+        monkeypatch.setattr(server_mod, "_IDLE_TIMEOUT_S", 0.2)
+        with socket.create_connection(("127.0.0.1", server.port), 10) as s:
+            s.sendall(b"POST /v1/plan HTTP/1.1\r\nContent-Len")
+            started = time.monotonic()
+            assert s.recv(1) == b""  # closed, without an answer
+            assert time.monotonic() - started < 5.0
+
+    def test_stalled_body_is_closed(self, server, monkeypatch):
+        import repro.service.server as server_mod
+
+        monkeypatch.setattr(server_mod, "_IDLE_TIMEOUT_S", 0.2)
+        with socket.create_connection(("127.0.0.1", server.port), 10) as s:
+            s.sendall(b"POST /v1/plan HTTP/1.1\r\nContent-Length: 10\r\n\r\n{")
+            assert s.recv(1) == b""
+
+    def test_too_many_headers_is_431(self, server):
+        headers = "".join(f"X-Filler-{i}: {i}\r\n" for i in range(101))
+        status, doc = self.exchange(
+            server, f"GET /healthz HTTP/1.1\r\n{headers}\r\n".encode()
+        )
+        assert status == 431
+        assert doc["error"]["code"] == "bad_request"
+
+    def test_header_count_at_the_cap_is_served(self, server):
+        # Connection: close plus 99 fillers: exactly 100 header lines
+        headers = "".join(f"X-Filler-{i}: {i}\r\n" for i in range(99))
+        status, doc = self.exchange(
+            server,
+            f"GET /healthz HTTP/1.1\r\nConnection: close\r\n{headers}"
+            "\r\n".encode(),
+        )
+        assert status == 200
+        assert doc["ok"] is True
+
+    def test_overlong_header_line_is_400(self, server):
+        status, doc = self.exchange(
+            server,
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * (70 * 1024)
+            + b"\r\n\r\n",
+        )
+        assert status == 400
+        assert "too long" in doc["error"]["message"]
+
+    def test_overlong_request_line_is_400(self, server):
+        status, doc = self.exchange(
+            server, b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n\r\n"
+        )
+        assert status == 400
+
+    def test_server_still_serves_afterwards(self, client):
+        assert client.healthz()["status"] == "ok"
