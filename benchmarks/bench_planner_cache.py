@@ -6,6 +6,13 @@ for BERT-Base on the paper cluster with an empty cache (full
 three-phase search) and with a warm ``cache_dir`` (fingerprint chain +
 one JSON read + re-evaluation + verification), so future PRs can track
 both paths.
+
+Each ``auto_partition`` call gets a fresh artifact store, so every hit
+here is a disk hit and its decode verifies the plan.  Verification
+records, which let repeated hits skip the check, live on a long-lived
+store's memory tier: the plan service's warm path
+(``bench_service.py`` and the ledger's ``daemon-mixed`` workload)
+measures that case.
 """
 
 import shutil

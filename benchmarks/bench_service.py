@@ -25,8 +25,11 @@ client wall time and the server's ``plan_ms`` (pipeline execution
 alone) are reported; the delta/cold ratio is gated on ``plan_ms``
 because wall time under an open-loop load includes queueing delay,
 which on a single-core CI host says more about the arrival pattern
-than about what replanning reuses.  CI budgets, any violation exits
-non-zero:
+than about what replanning reuses.  The report also records the p50 of
+each server-side phase of the warm requests (``meta.timings``:
+normalize, model-lock wait, pipeline, encode) under
+``warm_timings_p50_ms``; it is reported, not gated.  CI budgets, any
+violation exits non-zero:
 
 * warm p50 <= 150 ms client wall (store reuse + verify + HTTP);
 * delta p50 <= 50 % of cold p50 on ``plan_ms`` (the reused
@@ -149,17 +152,21 @@ def run_poisson(port, rng, rate_hz, n_requests, delta_fraction, workers=8):
 def classify(samples):
     """Bucket (meta, wall_ms) samples by the server's own labels.
 
-    Returns ``{class: {"wall": [...], "plan": [...]}}`` plus the count
-    of unverified plans.  ``plan`` is the server-side pipeline time
-    (the leader's, for coalesced followers).
+    Returns ``{class: {"wall": [...], "plan": [...], "timings": [...]}}``
+    plus the count of unverified plans.  ``plan`` is the server-side
+    pipeline time (the leader's, for coalesced followers); ``timings``
+    holds each response's ``meta.timings`` phase breakdown.
     """
     byclass = {}
     unverified = 0
     for meta, wall_ms in samples:
         kind = "coalesced" if meta.get("coalesced") else meta["cache"]
-        bucket = byclass.setdefault(kind, {"wall": [], "plan": []})
+        bucket = byclass.setdefault(
+            kind, {"wall": [], "plan": [], "timings": []}
+        )
         bucket["wall"].append(wall_ms)
         bucket["plan"].append(meta["plan_ms"])
+        bucket["timings"].append(meta["timings"])
         if not meta.get("verified"):
             unverified += 1
     return byclass, unverified
@@ -209,6 +216,7 @@ def main(argv=None):
         byclass, unverified = classify(samples)
         coalesced_n = len(byclass.get("coalesced", {}).get("wall", []))
         rate = len(samples) / elapsed
+        warm_timings = byclass.get("warm", {}).get("timings", [])
         report = {
             "config": {
                 "seed": args.seed,
@@ -222,6 +230,10 @@ def main(argv=None):
             },
             "achieved_rate_hz": rate,
             "coalescing_rate": coalesced_n / len(samples),
+            "warm_timings_p50_ms": {
+                phase: percentile([t[phase] for t in warm_timings], 50)
+                for phase in (warm_timings[0] if warm_timings else ())
+            },
             "unverified_plans": unverified,
             "classes": {
                 kind: {
@@ -247,6 +259,9 @@ def main(argv=None):
               f"p50={stats['p50_ms']:8.1f}ms p99={stats['p99_ms']:8.1f}ms "
               f"plan_p50={stats['plan_p50_ms']:8.1f}ms")
     print(f"  coalescing rate: {report['coalescing_rate']:.1%}")
+    print("  warm phases (p50): " + ", ".join(
+        f"{phase}={ms:.2f}ms"
+        for phase, ms in report["warm_timings_p50_ms"].items()))
 
     failures = []
     warm = report["classes"].get("warm")

@@ -186,6 +186,10 @@ class PlanningContext:
         #: fingerprints and seeds the store for later delta replans
         self.artifact_fps: Dict[str, str] = {}
         self.store: Optional["ArtifactStore"] = None
+        #: a plan served whole from the store: its deployment JSON,
+        #: encoded once, and the report of the probe that verified it
+        self.plan_document: Optional[str] = None
+        self.plan_report: Optional[Any] = None
         if store is None and config.cache_dir is not None:
             from repro.planner.store import ArtifactStore
 

@@ -11,11 +11,15 @@ Passes additionally declare the input *facets* they read (see
 :class:`~repro.planner.store.ArtifactStore`, the manager chains every
 cacheable pass's input fingerprint (facet digests + the fingerprints of
 its required artifacts) before running any pass.  It first probes the
-store for the finished ``evaluated`` plan: a hit installs it and skips
-every ``skip_when_planned`` pass, reading one entry and no intermediate
-artifact.  Otherwise, a store hit on every artifact a pass produces
-skips that pass and installs the stored payloads instead, so a delta
-replan reruns only the invalidated suffix of the pipeline.  Reuse is
+store for the finished ``evaluated`` plan: a hit that has passed
+:mod:`repro.verify` under the run's inputs (checked once per content
+address, see :func:`~repro.planner.store.verify_served_plan`)
+installs it and skips every ``skip_when_planned`` pass, reading one
+entry and no intermediate artifact; a hit that fails the check is
+evicted and counts as a miss.  Otherwise, a store hit on every
+artifact a pass produces skips that pass and installs the stored
+payloads instead, so a delta replan reruns only the invalidated
+suffix of the pipeline.  Reuse is
 observable: each skipped pass records a ``planner.reuse.<pass>`` span
 (``planner.reuse.plan`` for a whole-plan hit) and the run ends with
 ``planner.reuse.*`` gauges.  Without a store the manager does no
@@ -31,7 +35,7 @@ from repro.obs.rss import peak_rss_bytes
 from repro.planner.context import EVALUATED, PLAN, PlanningContext
 from repro.planner.events import FAILED, OK, SKIPPED
 from repro.planner.facets import fingerprint_chain
-from repro.planner.store import materialize_for_reuse
+from repro.planner.store import materialize_for_reuse, verify_served_plan
 
 
 class PartitioningError(RuntimeError):
@@ -234,8 +238,12 @@ class PassManager:
         Returns ``(probed pass, hit)``: the pass producing ``evaluated``
         whose store entry was looked up (``None`` when the pipeline has
         no fingerprinted one), and whether it hit.  A hit installs the
-        plan as ``plan`` and ``evaluated``.  It reads the one plan entry
-        and no intermediate artifact.
+        plan as ``plan`` and ``evaluated``, its deployment JSON as
+        ``ctx.plan_document`` and its verification report as
+        ``ctx.plan_report`` (the verify pass reports it).  It reads the
+        one plan entry and no intermediate artifact.  An entry that
+        fails verification is evicted and reported as a miss, so the
+        run replans it.
         """
         probe = next(
             (
@@ -253,10 +261,15 @@ class PassManager:
         if art is None:
             return probe, False
         plan = materialize_for_reuse(EVALUATED, art.payload, ctx)
+        served = verify_served_plan(art, plan, ctx)
+        if served is None:
+            store.evict(EVALUATED, fp)
+            return probe, False
         plan.diagnostics.cache_hit = True
         ctx.put(PLAN, plan)
         ctx.put(EVALUATED, plan)
         ctx.artifact_fps[EVALUATED] = fp
+        ctx.plan_document, ctx.plan_report = served
         ctx.tracer.add_span(
             "planner.reuse.plan",
             category="planner.reuse",

@@ -31,6 +31,7 @@ from repro.graph.validate import validate_graph
 from repro.partitioner.allocation import allocate_devices, boundary_report
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import BlockPartitioner
+from repro.partitioner.deployment import graph_fingerprint
 from repro.partitioner.plan import PartitionPlan, StageSpec
 from repro.partitioner.search import form_stage
 from repro.partitioner.stage_dp import DPContext
@@ -50,7 +51,12 @@ from repro.planner.manager import PartitioningError, PlannerPass
 
 
 class ValidatePass(PlannerPass):
-    """Check the inputs before any expensive phase runs."""
+    """Check the inputs before any expensive phase runs.
+
+    With an artifact store, ``validate_graph`` runs once per graph
+    fingerprint per store: a graph that passed it through the store
+    before is a ``validate.memo_hits`` count, not a second check.
+    """
 
     name = "validate"
     produces = (VALIDATED,)
@@ -58,12 +64,24 @@ class ValidatePass(PlannerPass):
     def run(self, ctx: PlanningContext) -> Optional[Dict[str, Any]]:
         if ctx.config.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        memo_hit = False
         if ctx.config.validate:
-            validate_graph(ctx.graph)
+            store = ctx.store
+            graph_fp = (
+                graph_fingerprint(ctx.graph) if store is not None else None
+            )
+            memo_hit = graph_fp is not None and store.graph_validated(graph_fp)
+            if memo_hit:
+                ctx.metrics.counter("validate.memo_hits").inc()
+            else:
+                validate_graph(ctx.graph)
+                if graph_fp is not None:
+                    store.mark_graph_validated(graph_fp)
         ctx.put(VALIDATED, True)
         return {
             "tasks": len(ctx.graph.tasks),
             "structural_check": ctx.config.validate,
+            "memo_hit": memo_hit,
         }
 
 
@@ -324,10 +342,12 @@ class EvaluatePass(PlannerPass):
 class VerifyPass(PlannerPass):
     """Hold the finished plan to the :mod:`repro.verify` invariants.
 
-    Runs after :class:`EvaluatePass` on every fresh plan and on every
-    plan served from the store's memory tier.  A plan decoded from disk
-    was verified by the decode, which put the ``VERIFIED`` artifact, so
-    this pass skips it ("artifacts already present").  Disable with
+    Runs after :class:`EvaluatePass` on every fresh plan.  A plan served
+    whole from the store was checked at the probe, once per content
+    address (:func:`~repro.planner.store.verify_served_plan`): this pass
+    reports the probe's ``ctx.plan_report`` instead of checking again,
+    and skips a plan decoded from disk, whose decode put the
+    ``VERIFIED`` artifact ("artifacts already present").  Disable with
     ``PlannerConfig.verify=False``.
     """
 
@@ -344,24 +364,26 @@ class VerifyPass(PlannerPass):
         from repro.verify import check_plan
 
         plan = ctx.get(EVALUATED) or ctx.require(PLAN)
-        search = ctx.get(SEARCH_RESULT)
-        expected = (
-            search.solution.estimated_iteration_time()
-            if search is not None
-            else None
-        )
-        with ctx.tracer.span(
-            "verify.plan", category="verify", model=plan.model_name
-        ):
-            report = check_plan(
-                plan,
-                ctx.graph,
-                ctx.cluster,
-                profiler=ctx.ensure_profiler(),
-                optimizer=ctx.config.optimizer,
-                expected_iteration_time=expected,
-                schedule=ctx.config.schedule,
+        report = ctx.plan_report
+        if report is None:
+            search = ctx.get(SEARCH_RESULT)
+            expected = (
+                search.solution.estimated_iteration_time()
+                if search is not None
+                else None
             )
+            with ctx.tracer.span(
+                "verify.plan", category="verify", model=plan.model_name
+            ):
+                report = check_plan(
+                    plan,
+                    ctx.graph,
+                    ctx.cluster,
+                    profiler=ctx.ensure_profiler(),
+                    optimizer=ctx.config.optimizer,
+                    expected_iteration_time=expected,
+                    schedule=ctx.config.schedule,
+                )
         ctx.metrics.gauge("verify.invariants_checked").set(
             report.invariants_checked
         )
@@ -373,6 +395,7 @@ class VerifyPass(PlannerPass):
         detail: Dict[str, Any] = {
             "invariants_checked": report.invariants_checked,
             "violations": 0,
+            "checked_at_probe": ctx.plan_report is not None,
         }
         detail.update(report.stats)
         return detail

@@ -20,7 +20,12 @@ Two backends:
 
 The ``evaluated`` entry is the store's whole-plan cache: the pass
 manager probes it before running any pass (see
-:mod:`repro.planner.manager`).
+:mod:`repro.planner.manager`).  A served plan must have passed
+:mod:`repro.verify` under the run's inputs; the check runs once per
+content address and its pass is recorded on the memory-tier entry
+(:func:`verify_served_plan`), so a repeated hit costs a fingerprint,
+one probe, a copy and an encode.  The store also remembers which graphs
+passed ``validate_graph``.
 
 Reusing a loaded artifact sometimes needs run-specific fix-up (a
 ``DPContext`` must be rebound to the new cluster, a plan must be
@@ -31,6 +36,7 @@ live in :func:`materialize_for_reuse`.
 from __future__ import annotations
 
 import copy
+import hashlib
 import io
 import json
 import os
@@ -39,7 +45,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, is_dataclass, fields as dc_fields
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -71,6 +77,11 @@ class Artifact:
             -> ...), kept for provenance and debugging.
         payload: the live artifact object.
         nbytes: estimated in-memory size (LRU accounting).
+        verified: ``evaluated`` entries only: ``(key, report)`` of the
+            last :mod:`repro.verify` pass of the payload, keyed by
+            ``(fingerprint, plan digest, VERIFIER_VERSION)`` (see
+            :func:`verify_served_plan`).  In process only: it is
+            never persisted and goes when the entry is evicted.
     """
 
     name: str
@@ -78,6 +89,7 @@ class Artifact:
     inputs: Dict[str, str] = field(default_factory=dict)
     payload: Any = None
     nbytes: int = 0
+    verified: Optional[Tuple[Tuple[str, str, int], Any]] = None
 
     @property
     def key(self) -> str:
@@ -434,8 +446,9 @@ class _PlanCodec(ArtifactCodec):
 
     Decoding re-evaluates the plan under the run's schedule and, unless
     ``config.verify`` is off, holds it to the :mod:`repro.verify`
-    invariants.  The report becomes the run's ``verified`` artifact, so
-    the verify pass does not check the same plan twice.
+    invariants (:func:`check_stored_plan`).  The report becomes the
+    run's ``verified`` artifact, so neither the whole-plan probe nor the
+    verify pass checks the same plan twice.
     """
 
     def encode(self, payload: Any, ctx: PlanningContext) -> bytes:
@@ -445,28 +458,18 @@ class _PlanCodec(ArtifactCodec):
 
     def decode(self, data: bytes, ctx: PlanningContext) -> Any:
         from repro.partitioner.deployment import plan_from_json
-        from repro.verify import verify_plan
 
-        schedule = ctx.config.schedule
         plan = plan_from_json(
             data.decode(),
             ctx.graph,
             ctx.cluster,
             verify=False,
-            schedule=schedule,
+            schedule=ctx.config.schedule,
         )
         if ctx.config.verify:
-            ctx.put(
-                VERIFIED,
-                verify_plan(
-                    plan,
-                    ctx.graph,
-                    ctx.cluster,
-                    profiler=ctx.ensure_profiler(),
-                    optimizer=ctx.config.optimizer,
-                    schedule=schedule,
-                ),
-            )
+            report = check_stored_plan(plan, ctx)
+            report.raise_if_failed()
+            ctx.put(VERIFIED, report)
         return plan
 
 
@@ -477,6 +480,94 @@ CODECS: Dict[str, ArtifactCodec] = {
     SEARCH_RESULT: _SearchResultCodec(),
     EVALUATED: _PlanCodec(),
 }
+
+
+# ----------------------------------------------------------------------
+# verifying stored plans
+# ----------------------------------------------------------------------
+def check_stored_plan(plan: Any, ctx: PlanningContext) -> Any:
+    """:func:`repro.verify.check_plan` of a plan served from the store,
+    under the run's graph, cluster, optimizer and schedule.  There is no
+    DP estimate to compare against: the plan was not searched this run."""
+    from repro.verify import check_plan
+
+    with ctx.tracer.span(
+        "verify.plan", category="verify", model=plan.model_name
+    ):
+        return check_plan(
+            plan,
+            ctx.graph,
+            ctx.cluster,
+            profiler=ctx.ensure_profiler(),
+            optimizer=ctx.config.optimizer,
+            schedule=ctx.config.schedule,
+        )
+
+
+def _plan_digest(plan: Any, document: str) -> str:
+    """sha256 of everything :func:`~repro.verify.check_plan` reads off a
+    plan: its deployment JSON plus what the JSON does not carry (the
+    evaluated times, the device assignment and the cluster)."""
+    diag = plan.diagnostics
+    assignment = (
+        sorted(plan.assignment.ranks.items())
+        if plan.assignment is not None
+        else None
+    )
+    rest = (
+        plan.iteration_time,
+        plan.throughput,
+        diag.pipeline_time,
+        diag.allreduce_time,
+        diag.optimizer_time,
+        diag.comm_model,
+        assignment,
+        plan.cluster,
+    )
+    digest = hashlib.sha256(document.encode())
+    digest.update(repr(rest).encode())
+    return digest.hexdigest()
+
+
+def verify_served_plan(
+    art: Artifact, plan: Any, ctx: PlanningContext
+) -> Optional[Tuple[str, Any]]:
+    """``(deployment JSON, verification report)`` of ``plan`` -- a fresh
+    copy of the stored ``evaluated`` entry ``art`` -- once it has passed
+    :mod:`repro.verify` under the run's inputs; ``None`` when it fails.
+
+    The check runs once per content address.  A pass is recorded on the
+    entry under ``(art.fingerprint, plan digest, VERIFIER_VERSION)``:
+    the fingerprint pins every input the check reads besides the plan
+    (graph, cluster, precision, optimizer, mode, schedule), the digest
+    pins the plan itself (:func:`_plan_digest`), and the version pins
+    the invariant set.  A hit whose key matches the record reuses its
+    report and builds no profiler; any other hit is checked in place.
+    With ``config.verify`` off nothing is checked or recorded and the
+    report is ``None``.
+    """
+    from repro.partitioner.deployment import plan_to_json
+    from repro.verify import plan_checks
+
+    document = plan_to_json(plan, ctx.graph)
+    if not ctx.config.verify:
+        return document, None
+    key = (
+        art.fingerprint,
+        _plan_digest(plan, document),
+        plan_checks.VERIFIER_VERSION,
+    )
+    record = art.verified
+    if record is not None and record[0] == key:
+        report = record[1]
+        ctx.metrics.counter("verify.memo_hits").inc()
+    else:
+        # an entry just decoded from disk was checked by the decode
+        report = ctx.get(VERIFIED) or check_stored_plan(plan, ctx)
+        if not report.ok:
+            return None
+        art.verified = (key, report)
+    return document, report
 
 
 # ----------------------------------------------------------------------
@@ -508,6 +599,10 @@ def materialize_for_reuse(
 # ----------------------------------------------------------------------
 # the store
 # ----------------------------------------------------------------------
+#: graph fingerprints an :class:`ArtifactStore` remembers as validated
+VALIDATED_GRAPHS_MAX = 4096
+
+
 class ArtifactStore:
     """Content-addressed artifact storage with an in-memory LRU front
     and an optional :class:`DiskBackend` behind it.
@@ -518,6 +613,12 @@ class ArtifactStore:
     first); the disk tier persists every artifact that has a codec, and
     a memory miss that hits disk re-materializes the payload and
     promotes it.
+
+    The memory tier never aliases a caller's plan: ``plan`` and
+    ``evaluated`` payloads are copied on ``put`` (and again on reuse).
+    Beside the artifacts the store remembers the graph fingerprints that
+    passed ``validate_graph`` (at most :data:`VALIDATED_GRAPHS_MAX`,
+    oldest dropped first).
 
     Concurrency contract: ``get``/``put``/``refresh``/``stats`` are
     linearizable (one internal RLock), so one store may back many
@@ -544,6 +645,7 @@ class ArtifactStore:
         self.misses = 0
         self.disk_hits = 0
         self.memory_evictions = 0
+        self._validated: "OrderedDict[str, None]" = OrderedDict()
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -605,10 +707,35 @@ class ArtifactStore:
         inputs: Optional[Dict[str, str]] = None,
         ctx: Optional[PlanningContext] = None,
     ) -> Artifact:
+        if name in (PLAN, EVALUATED):
+            # the run keeps mutating its plan (diagnostics stamping, the
+            # caller); the entry must not see that
+            payload = copy.deepcopy(payload)
         with self._lock:
             art = self._insert(name, fingerprint, payload, dict(inputs or {}))
             self._write_disk(art, ctx)
             return art
+
+    def evict(self, name: str, fingerprint: str) -> None:
+        """Drop an entry (and its verification record) from the memory
+        tier; a disk copy stays until a later ``put`` overwrites it."""
+        with self._lock:
+            art = self._mem.pop(f"{name}:{fingerprint}", None)
+            if art is not None:
+                self._mem_bytes -= art.nbytes
+
+    def graph_validated(self, graph_fp: str) -> bool:
+        """Whether ``validate_graph`` passed on a graph with this
+        fingerprint through this store."""
+        with self._lock:
+            return graph_fp in self._validated
+
+    def mark_graph_validated(self, graph_fp: str) -> None:
+        with self._lock:
+            self._validated[graph_fp] = None
+            self._validated.move_to_end(graph_fp)
+            if len(self._validated) > VALIDATED_GRAPHS_MAX:
+                self._validated.popitem(last=False)
 
     def refresh(
         self, name: str, fingerprint: str, ctx: PlanningContext

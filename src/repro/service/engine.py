@@ -16,7 +16,14 @@ service.  It owns
 * the service-level observability surface: ``service.*`` spans on a
   :class:`~repro.obs.tracer.Tracer` and request / coalesce / hit
   counters plus per-class latency histograms on a
-  :class:`~repro.obs.metrics.MetricsRegistry`.
+  :class:`~repro.obs.metrics.MetricsRegistry`, and a per-request phase
+  breakdown (``meta.timings``: normalize, model-lock wait, pipeline,
+  encode) on every plan response.
+
+A warm hit costs a graph fingerprint, one store probe, a plan copy and
+one encode: the store verifies a stored plan once per content address
+and remembers validated graphs (see :mod:`repro.planner.store`), and
+the deployment JSON the probe hashed is the response body.
 
 Concurrency contract (the store/replan plumbing this engine relies on):
 
@@ -151,8 +158,9 @@ class PlanEngine:
     # plan / replan / simulate
     # ------------------------------------------------------------------
     def plan(self, params: Any) -> Dict[str, Any]:
+        started = time.perf_counter()
         req = self._normalize(params)
-        doc, meta = self._coalesced_plan(req)
+        doc, meta = self._coalesced_plan(req, started)
         return {"plan": doc, "meta": meta}
 
     def replan(self, params: Any) -> Dict[str, Any]:
@@ -162,6 +170,7 @@ class PlanEngine:
         finished a plan for the model family, instead of silently
         falling back to a cold run.
         """
+        started = time.perf_counter()
         req = self._normalize(params)
         if req.model_key not in self._planned_models:
             raise ServiceError(
@@ -170,7 +179,7 @@ class PlanEngine:
                 "POST /v1/plan first",
                 {"model": json.loads(req.model_spec)},
             )
-        doc, meta = self._coalesced_plan(req)
+        doc, meta = self._coalesced_plan(req, started)
         return {"plan": doc, "meta": meta}
 
     def repair(self, params: Any) -> Dict[str, Any]:
@@ -256,8 +265,9 @@ class PlanEngine:
         1F1B flush timeline: makespan, bubble, per-stage utilization."""
         from repro.pipeline.timeline import plan_timeline
 
+        started = time.perf_counter()
         req = self._normalize(params)
-        doc, meta = self._coalesced_plan(req)
+        doc, meta = self._coalesced_plan(req, started)
         plan = self._plan_object(req)
         timeline = plan_timeline(plan)
         return {
@@ -428,7 +438,7 @@ class PlanEngine:
             "counters": {
                 name: value
                 for name, value in self.metrics.snapshot().items()
-                if name.startswith("service.")
+                if name.startswith(("service.", "verify.", "validate."))
             },
             "store": self.store.stats(),
             "spans": len(self.tracer),
@@ -488,10 +498,15 @@ class PlanEngine:
             return lock
 
     def _coalesced_plan(
-        self, req: PlanRequest
+        self, req: PlanRequest, started: float
     ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-        """One pipeline run per in-flight key; followers share it."""
-        started = time.perf_counter()
+        """One pipeline run per in-flight key; followers share it.
+
+        ``started`` is when the request arrived, before normalization:
+        ``meta.wall_ms`` and ``meta.timings`` both count from it.  A
+        follower reports its wait on the leader as ``pipeline_ms``.
+        """
+        normalize_ms = (time.perf_counter() - started) * 1e3
         self.metrics.counter("service.requests").inc()
         with self._inflight_lock:
             future = self._inflight.get(req.key)
@@ -513,15 +528,27 @@ class PlanEngine:
                     self._inflight.pop(req.key, None)
         else:
             self.metrics.counter("service.coalesced").inc()
+        waited = time.perf_counter()
         try:
             doc, meta = future.result()
         except concurrent.futures.CancelledError:
             raise ServiceError(
                 "shutting_down", "request cancelled during shutdown"
             ) from None
-        wall_ms = (time.perf_counter() - started) * 1e3
+        done = time.perf_counter()
+        wall_ms = (done - started) * 1e3
         meta = dict(meta)
         meta["wall_ms"] = wall_ms
+        if leader:
+            timings = dict(meta["timings"])
+        else:
+            timings = {
+                "lock_wait_ms": 0.0,
+                "pipeline_ms": (done - waited) * 1e3,
+                "encode_ms": 0.0,
+            }
+        timings["normalize_ms"] = normalize_ms
+        meta["timings"] = timings
         if not leader:
             meta["coalesced"] = True
             self._observe_latency("coalesced", wall_ms)
@@ -535,6 +562,7 @@ class PlanEngine:
         """Run the planning pipeline for one (leader) request."""
         from repro.partitioner.deployment import plan_to_json
 
+        lock_started = time.perf_counter()
         with self._model_lock(req.model_key):
             ctx = PlanningContext(
                 req.graph, req.cluster, req.config, store=self.store
@@ -558,16 +586,29 @@ class PlanEngine:
                 span.set(outcome="ok", cache=cache_kind)
             self._planned_models.add(req.model_key)
             self.metrics.counter(f"service.{cache_kind}_results").inc()
-            doc = json.loads(plan_to_json(plan, req.graph))
+            for name in ("verify.memo_hits", "validate.memo_hits"):
+                hits = ctx.metrics.get(name)
+                if hits is not None:
+                    self.metrics.counter(name).inc(hits.value)
+            encode_started = time.perf_counter()
+            # a warm hit reuses the deployment JSON its probe verified
+            document = ctx.plan_document or plan_to_json(plan, req.graph)
+            doc = json.loads(document)
+            done = time.perf_counter()
             meta = {
                 "fingerprint": req.key,
                 "cache": cache_kind,
                 "reused_passes": reused,
                 "verified": bool(req.config.verify),
-                "plan_ms": (time.perf_counter() - run_started) * 1e3,
+                "plan_ms": (done - run_started) * 1e3,
                 "iteration_time": plan.iteration_time,
                 "throughput": plan.throughput,
                 "num_stages": plan.num_stages,
+                "timings": {
+                    "lock_wait_ms": (run_started - lock_started) * 1e3,
+                    "pipeline_ms": (encode_started - run_started) * 1e3,
+                    "encode_ms": (done - encode_started) * 1e3,
+                },
             }
             return doc, meta
 

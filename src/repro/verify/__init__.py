@@ -6,8 +6,9 @@ task coverage, stage topology, device budgets, microbatch divisibility,
 per-stage memory, and the simulated iteration time -- and raises a
 :class:`PlanVerificationError` listing *all* failed invariants.  The
 planner runs it as a ``VerifyPass`` after evaluation (``PlannerConfig.
-verify`` disables it), cache loads hold restored deployments to the same
-bar, and ``repro verify <plan.json>`` exposes it on the CLI.
+verify`` disables it), plans served from the artifact store are held to
+the same bar (once per content address and ``VERIFIER_VERSION``), and
+``repro verify <plan.json>`` exposes it on the CLI.
 
 The randomized differential harness lives in
 :mod:`repro.verify.harness` (imported explicitly to keep this package
@@ -18,6 +19,7 @@ from repro.verify.plan_checks import (
     MEM_REL_TOL,
     SIM_REL_TOL,
     TIME_REL_TOL,
+    VERIFIER_VERSION,
     PlanVerificationError,
     VerificationReport,
     Violation,
@@ -29,6 +31,7 @@ __all__ = [
     "MEM_REL_TOL",
     "SIM_REL_TOL",
     "TIME_REL_TOL",
+    "VERIFIER_VERSION",
     "PlanVerificationError",
     "VerificationReport",
     "Violation",

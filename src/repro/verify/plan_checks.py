@@ -92,6 +92,7 @@ __all__ = [
     "MEM_REL_TOL",
     "SIM_REL_TOL",
     "TIME_REL_TOL",
+    "VERIFIER_VERSION",
     "PlanVerificationError",
     "VerificationReport",
     "Violation",
@@ -105,6 +106,10 @@ SIM_REL_TOL = 1e-6
 MEM_REL_TOL = 1e-6
 #: relative tolerance of stored vs. re-derived stage times
 TIME_REL_TOL = 0.05
+#: version of the invariant set above.  The artifact store remembers
+#: which stored plans passed under which version; bump it whenever a
+#: check is added or tightened so every remembered pass is re-checked
+VERIFIER_VERSION = 1
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ round trip, and the stats surface.
 """
 
 import concurrent.futures
+import dataclasses
 import json
 import threading
 
@@ -202,6 +203,69 @@ class TestStats:
         with pytest.raises(ServiceError) as ei:
             warm_engine.handle("explode", {})
         assert ei.value.code == "not_found"
+
+
+class TestWarmPath:
+    TIMINGS = ("normalize_ms", "lock_wait_ms", "pipeline_ms", "encode_ms")
+
+    @pytest.mark.parametrize("method", ["plan", "replan"])
+    def test_every_response_has_a_phase_breakdown(self, warm_engine, method):
+        meta = getattr(warm_engine, method)(dict(PARAMS))["meta"]
+        timings = meta["timings"]
+        assert sorted(timings) == sorted(self.TIMINGS)
+        assert all(v >= 0 for v in timings.values())
+        assert sum(timings.values()) <= meta["wall_ms"]
+
+    def test_coalesced_follower_has_a_phase_breakdown(self):
+        engine = PlanEngine(workers=2)
+        with concurrent.futures.ThreadPoolExecutor(4) as pool:
+            metas = [r["meta"] for r in pool.map(engine.plan, [PARAMS] * 4)]
+        for meta in metas:
+            assert sorted(meta["timings"]) == sorted(self.TIMINGS)
+            assert sum(meta["timings"].values()) <= meta["wall_ms"]
+
+    def test_memo_counters_in_stats(self):
+        engine = PlanEngine(workers=1)
+        for _ in range(3):
+            engine.plan(dict(PARAMS))
+        counters = engine.stats()["counters"]
+        # hit 1 checks the stored plan in place, hit 2 reuses the record
+        assert counters["verify.memo_hits"] == 1
+        assert counters["validate.memo_hits"] == 2
+
+    def test_memory_and_disk_hits_serve_identical_documents(self, tmp_path):
+        first = PlanEngine(workers=1, cache_dir=tmp_path)
+        cold = first.plan(dict(PARAMS))
+        memory = first.plan(dict(PARAMS))
+        disk = PlanEngine(workers=1, cache_dir=tmp_path).plan(dict(PARAMS))
+        assert memory["meta"]["cache"] == disk["meta"]["cache"] == "warm"
+        body = json.dumps(cold["plan"], sort_keys=True)
+        assert json.dumps(memory["plan"], sort_keys=True) == body
+        assert json.dumps(disk["plan"], sort_keys=True) == body
+        assert (
+            memory["meta"]["iteration_time"]
+            == disk["meta"]["iteration_time"]
+            == cold["meta"]["iteration_time"]
+        )
+
+    def test_bad_memory_entry_is_replanned_not_an_error(self):
+        from repro.planner import EVALUATED
+
+        engine = PlanEngine(workers=1)
+        cold = engine.plan(dict(PARAMS))
+        engine.plan(dict(PARAMS))  # records the entry's verification
+        (art,) = [
+            a for a in engine.store._mem.values() if a.name == EVALUATED
+        ]
+        stage = art.payload.stages[0]
+        art.payload.stages[0] = dataclasses.replace(
+            stage, tasks=stage.tasks[:-2]
+        )
+        fresh = engine.plan(dict(PARAMS))
+        assert fresh["meta"]["cache"] != "warm"
+        assert fresh["meta"]["verified"] is True
+        assert fresh["plan"] == cold["plan"]
+        assert engine.plan(dict(PARAMS))["meta"]["cache"] == "warm"
 
 
 class TestRepairContract:
