@@ -514,7 +514,7 @@ def _render_events(ctx) -> str:
     lines.append("-" * 72)
     for event in ctx.events:
         keys = ("reason", "reuse", "fingerprint", "dp_calls", "candidates_tried",
-                "states_evaluated", "search_workers_used",
+                "states_evaluated", "band_width_max", "band_bytes",
                 "memo_hit_rate",
                 "num_components", "num_blocks", "levels", "merges", "moves",
                 "compaction", "range_entries",

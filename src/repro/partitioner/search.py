@@ -10,13 +10,8 @@ variants the one with the best estimated iteration time is returned.
 
 One Algorithm-1 sweep answers every stage count of a level at once
 (``form_stage_dp`` over a ``range`` of stage counts), so a level costs
-one DP call per microbatch count.  Those sweeps are independent problems
-over a shared :class:`DPContext`, so they run on one thread pool of
-``min(#sweeps, os.cpu_count())`` workers (serially when that is 1): the
-context's caches and counters are lock-guarded and NumPy releases the
-GIL inside the reductions.  The winner is selected from the results in
-the serial sweep's candidate order, so the returned plan and all
-statistics are identical to a sequential search.
+one DP call per microbatch count, made in increasing ``MB`` order over
+a shared :class:`DPContext`.
 
 Aligning ``D`` to whole nodes keeps each pipeline inside as few nodes as
 possible, which is why stage-to-stage transfers are costed at intra-node
@@ -25,18 +20,13 @@ bandwidth (footnote 3 of the paper).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.partitioner.stage_dp import DPContext, DPSolution, form_stage_dp
-
-#: one sweep's answers: ``{stage count: solution or None}``
-Sweep = Dict[int, Optional[DPSolution]]
 
 
 @dataclass
@@ -49,56 +39,10 @@ class SearchResult:
     replica_factor: int        # R
     candidates_tried: int
     dp_calls: int
-    #: the largest sweep pool a level ran on (1: every level serial);
-    #: a diagnostic of the run that produced the result, not persisted
-    sweep_workers: int = field(default=1, compare=False)
 
     @property
     def num_stages(self) -> int:
         return self.solution.num_stages
-
-
-def _solve_level(
-    ctx: DPContext,
-    stage_counts: range,
-    microbatch_counts: List[int],
-    D: int,
-    batch_size: int,
-    R: int,
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    parent_id: Optional[int] = None,
-) -> Tuple[Dict[int, Sweep], int]:
-    """One ``form_stage_dp`` sweep over ``stage_counts`` per microbatch
-    count of a node level, keyed by microbatch count, plus the number of
-    pool workers that ran them.
-
-    The sweeps run on ``min(#sweeps, os.cpu_count())`` threads, or
-    serially when that is 1.  When a tracer is given, every sweep
-    carries its own ``dp.form_stage_dp`` span; ``parent_id`` links spans
-    recorded on pool threads back to the node-level span of the
-    coordinating thread.
-    """
-    workers = min(len(microbatch_counts), os.cpu_count() or 1)
-    # ``form_stage_dp`` is looked up as a module global at call time, so
-    # a wrapper installed on ``search.form_stage_dp`` sees every sweep
-    kwargs = dict(tracer=tracer, metrics=metrics, parent_id=parent_id)
-    if workers <= 1:
-        return {
-            MB: form_stage_dp(
-                ctx, stage_counts, D, batch_size, R, MB, **kwargs
-            )
-            for MB in microbatch_counts
-        }, 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            MB: pool.submit(
-                form_stage_dp, ctx, stage_counts, D, batch_size, R, MB,
-                **kwargs,
-            )
-            for MB in microbatch_counts
-        }
-        return {MB: fut.result() for MB, fut in futures.items()}, workers
 
 
 def form_stage(
@@ -127,16 +71,14 @@ def form_stage(
             deviation D2); both modes are tested, and both cost the same
             one sweep per microbatch count.
         tracer: optional tracer; each node level gets a ``search.level``
-            span and each sweep a ``dp.form_stage_dp`` span (parented to
-            the level span even across pool threads).
+            span and each sweep a ``dp.form_stage_dp`` span under it.
         metrics: optional metrics registry, forwarded to every DP call.
 
     Returns:
         A :class:`SearchResult`, or ``None`` if no configuration fits.
         Its ``dp_calls`` counts the sweeps made (one per node level and
-        microbatch count), ``candidates_tried`` the feasible ``(S, MB)``
-        candidates that competed and ``sweep_workers`` the largest
-        sweep pool a level ran on.
+        microbatch count) and ``candidates_tried`` the feasible ``(S, MB)``
+        candidates that competed.
     """
     if batch_size != ctx.batch_size:
         raise ValueError("batch size mismatch with DPContext")
@@ -171,7 +113,6 @@ def form_stage(
             lvl *= 2
     dp_calls = 0
     tried = 0
-    workers_used = 1
     for n in levels:
         if hetero:
             D = offsets[n]
@@ -201,13 +142,17 @@ def form_stage(
             else nullcontext(None)
         )
         with level_cm as level_span:
-            level_id = level_span.span_id if level_span is not None else None
             stage_counts = range(s_lo, s_hi + 1)
-            sweeps, workers = _solve_level(
-                ctx, stage_counts, microbatch_counts, D, batch_size, R,
-                tracer=tracer, metrics=metrics, parent_id=level_id,
-            )
-            workers_used = max(workers_used, workers)
+            # ``form_stage_dp`` is looked up as a module global at call
+            # time, so a wrapper installed on ``search.form_stage_dp``
+            # sees every sweep
+            sweeps = {
+                MB: form_stage_dp(
+                    ctx, stage_counts, D, batch_size, R, MB,
+                    tracer=tracer, metrics=metrics,
+                )
+                for MB in microbatch_counts
+            }
             dp_calls += len(microbatch_counts)
             if not search_all_stage_counts:
                 # strict pseudocode: only the FIRST feasible stage count
@@ -244,6 +189,5 @@ def form_stage(
                     replica_factor=R,
                     candidates_tried=tried,
                     dp_calls=dp_calls,
-                    sweep_workers=workers_used,
                 )
     return None

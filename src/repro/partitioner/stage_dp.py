@@ -22,17 +22,21 @@ let solutions silently skip a prefix of blocks / devices, contradicting
 the recurrence for ``E_S`` in the text).
 
 All candidate-stage profiles for one DP call are precomputed into
-banded ``(plane, lo, span)`` arrays (:class:`BandedProfile`).  The bands
+banded ``(plane, hi, span)`` arrays (:class:`BandedProfile`).  The bands
 are built without any per-entry Python work: a stage profile depends on
 the replica count only through the per-replica microbatch ``bs = BS //
 (R * MB * r)``, so one plane of broadcast prefix-sum differences per
-distinct ``bs`` covers the whole replica axis.  Range boundary bytes come
-from an incremental per-``lo`` sweep (extend ``hi`` one block at a time)
-and unique-parameter sizes from a 2-D difference-array rectangle sum,
-both exactly reproducing the per-entry results -- the per-entry builder
-is kept as ``profile_tensors_reference`` and property-tested against the
+distinct ``bs`` covers the whole replica axis.  A band is only as wide
+as a stage that fits in device memory can be: a stage's memory is at
+least its parameter state plus its saved activations at the smallest
+microbatch, a floor that only grows with the span, so every wider stage
+is over the cap on every plane.  Range boundary bytes and
+unique-parameter sizes come from 2-D difference-array rectangle sums,
+exactly reproducing the per-entry results -- the per-entry builder is
+kept as ``profile_tensors_reference`` and property-tested against the
 bands.  The DP reduction itself is evaluated for a whole ``(b, d)`` grid
-per stage, every replica plane of a ``d'`` column in one pass, with the
+per stage, every replica plane of a ``d'`` column in one pass over
+``b' in [b - w, b - 1]`` (``w`` the widest span that fits), with the
 ``d_min`` pruning rule replayed over the precomputed failure masks so the
 visited-state count and all write decisions match the cell-by-cell loop
 bit for bit.  The pure-Python transcription stays in
@@ -47,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.graph.ir import TaskGraph, ValueKind
 from repro.obs.metrics import MetricsRegistry, point_name
@@ -56,10 +61,11 @@ from repro.profiler.profiler import GraphProfiler, ProfileResult
 
 INFEASIBLE = None
 
-#: element budget of one chunk of stacked ``(b', b)`` stage slabs: a
-#: ``d'`` column reduces ``max(1, PLANE_CHUNK_CELLS // nb**2)`` replica
-#: planes per pass (``nb`` the stage's block span), which bounds the
-#: per-column temporaries at a few MiB on bands hundreds of blocks wide
+#: element budget of one chunk of stacked ``(b, b')`` stage slabs: a
+#: ``d'`` column reduces ``max(1, PLANE_CHUNK_CELLS // (nb * w))``
+#: replica planes per pass (``nb`` the stage's block span, ``w`` its slab
+#: width), which bounds the per-column temporaries at a few MiB on bands
+#: hundreds of blocks wide
 PLANE_CHUNK_CELLS = 1 << 18
 
 
@@ -145,21 +151,27 @@ class BandedProfile:
 
     A stage profile depends on the replica count ``r`` only through the
     per-replica microbatch ``bs = BS // (R * MB * r)``, so the replica
-    axis collapses to one plane per *distinct* ``bs`` -- and within a DP
+    axis collapses to one plane per *distinct* ``bs``.  Within a DP
     sweep whose smallest stage count is ``S`` every reachable stage spans
-    at most ``k - S + 1`` blocks, so each plane needs only that diagonal
-    band.  Entry ``[p, lo, j]`` profiles blocks ``(lo, lo + 1 + j]`` at
-    microbatch ``bs_list[p]``; entries past the block count hold +inf.
-    Peak memory is
-    ``O(P * k * band)`` instead of the dense ``O(k^2 * D)``.
+    at most ``k - S + 1`` blocks, and no stage wider than ``fit_width``
+    fits ``capacity`` on any plane, so each plane needs only a diagonal
+    band of the narrower width.  Entry ``[p, hi, j]`` profiles blocks
+    ``(hi - 1 - j, hi]`` at microbatch ``bs_list[p]`` (hi-major, so the
+    stage slabs of a sweep are plain slices); entries reaching below
+    block 0 hold +inf.  Peak memory is ``O(P * k * band)`` instead of the
+    dense ``O(k^2 * D)``.
     """
 
     span: int                 # widest stored stage span (band width)
     bs_list: List[int]        # distinct per-replica microbatch sizes
     plane_of_r: np.ndarray    # (D+1,) plane index per r; -1 = bs < 1
-    tf: np.ndarray            # (P, k, span) forward time
-    tb: np.ndarray            # (P, k, span) backward time
-    mem: np.ndarray           # (P, k, span) memory bytes
+    tf: np.ndarray            # (P, k+1, span) forward time
+    tb: np.ndarray            # (P, k+1, span) backward time
+    mem: np.ndarray           # (P, k+1, span) memory bytes
+    #: per-device memory the band was sized for, and the widest span
+    #: that fits it on some plane: every wider stage is over ``capacity``
+    capacity: float
+    fit_width: int
 
     def nbytes(self) -> int:
         return self.tf.nbytes + self.tb.nbytes + self.mem.nbytes
@@ -175,10 +187,9 @@ class DPContext:
     Concurrency contract:
 
     * **Intra-run** (reads + memoization): all mutable caches and
-      counters are guarded by an RLock -- the Algorithm-2 sweep may issue
-      DP calls from a thread pool, and both the cached bands and the
-      ``dp_calls`` / ``states_evaluated`` statistics must come out
-      identical to a serial sweep.
+      counters are guarded by an RLock, so concurrent DP calls over one
+      context see one band per key and exact ``dp_calls`` /
+      ``states_evaluated`` / ``cells_reduced`` statistics.
     * **Cross-run** (rebinding): :meth:`rebind` and
       :meth:`set_memory_budget` mutate the shared payload *in place*
       when a ``dp_context`` artifact is reused from an
@@ -247,6 +258,12 @@ class DPContext:
         ] = {}
         self.dp_calls = 0
         self.states_evaluated = 0
+        #: candidate ``(b', b, d')`` cells the stage reductions evaluated
+        #: (the band-width cut shows here; ``states_evaluated`` counts
+        #: the ``d_min`` replay's visited cells and does not move)
+        self.cells_reduced = 0
+        #: widest stage slab any sweep of the run reduced
+        self.band_width_max = 0
 
     def __init_subclass__(cls, **kwargs) -> None:
         # the DP builds its candidate bands plane by plane (one
@@ -270,6 +287,20 @@ class DPContext:
             capacity = min(capacity, self.memory_budget)
         return capacity
 
+    @property
+    def capacity(self) -> float:
+        """Largest per-device memory any stage may fill, whatever the
+        budget: the device capacity (the largest device class's on a
+        heterogeneous cluster).  Bands are sized for it, so a reused
+        context serves every budget below it from cache."""
+        return float(max(self.cluster.rank_memories()))
+
+    @property
+    def band_bytes(self) -> int:
+        """Bytes held by the cached profile bands."""
+        with self._lock:
+            return sum(b.nbytes() for b in self._band_cache.values())
+
     def set_memory_budget(self, budget: Optional[float]) -> None:
         """Change the memory cap.  No cache depends on it: every sweep
         applies the cap afresh to the cached profile bands."""
@@ -290,9 +321,11 @@ class DPContext:
         p2p affine -- exactly the facets the artifact store keys the
         ``dp_context`` artifact on -- so a delta replan that changes the
         cluster shape, the capacity or the memory budget keeps them all
-        (each sweep applies :attr:`usable_memory` afresh).  Only the
-        per-slot heterogeneous tables follow the cluster; the per-run
-        counters are reset so the new run's diagnostics start from zero.
+        (each sweep applies :attr:`usable_memory` afresh; a band sized
+        for a smaller capacity is rebuilt wider when a sweep needs it).
+        Only the per-slot heterogeneous tables follow the cluster; the
+        per-run counters are reset so the new run's diagnostics start
+        from zero.
         """
         self.profiler.rebind_cluster(cluster)
         with self._lock:
@@ -303,6 +336,8 @@ class DPContext:
             self.memory_budget = memory_budget
             self.dp_calls = 0
             self.states_evaluated = 0
+            self.cells_reduced = 0
+            self.band_width_max = 0
         return self
 
     # ------------------------------------------------------------------
@@ -357,9 +392,11 @@ class DPContext:
         with self._lock:
             self.dp_calls += 1
 
-    def _count_states(self, n: int) -> None:
+    def _count_sweeps(self, states: int, cells: int, width: int) -> None:
         with self._lock:
-            self.states_evaluated += n
+            self.states_evaluated += states
+            self.cells_reduced += cells
+            self.band_width_max = max(self.band_width_max, width)
 
     # ------------------------------------------------------------------
     def _time_prefix_at(self, bs: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -384,16 +421,23 @@ class DPContext:
 
         ``IN1[lo, hi]`` / ``OUT1[lo, hi]`` are the precision-scaled
         boundary bytes of blocks ``(lo, hi]`` at batch size 1, and
-        ``PARAMS[lo, hi]`` the unique-parameter size of the range.  Both
-        byte matrices are built by extending ``hi`` one block at a time
-        (instead of re-walking ``graph.boundary_values`` per range) with
-        the running sums accumulated in exactly the discovery order the
-        per-range walk uses, so every entry is bit-identical to
-        ``_range_meta_reference``.  PARAMS uses a 2-D difference array:
-        a parameter occurring in block ``j`` with previous occurrence in
-        block ``q`` contributes its size to every range with
-        ``q < lo <= j < hi``, a rectangle, and the double cumulative sum
-        of the per-occurrence corner updates yields all ranges at once.
+        ``PARAMS[lo, hi]`` the unique-parameter size of the range.  Each
+        contribution covers a rectangle of ``(lo, hi)`` ranges, so all
+        three are 2-D difference arrays (see :func:`_rectangle_sums`):
+
+        * PARAMS: a parameter occurring in block ``j`` with previous
+          occurrence in block ``q`` counts for ``q < lo <= j < hi``;
+        * OUT1: a value produced in block ``p`` leaves every range with
+          ``lo <= p < hi <= e``, ``e`` its last consumer's block (``k``
+          for a graph output, which leaves every range holding it);
+        * IN1: an activation produced in block ``p`` (``-1``: a graph
+          input) and consumed in blocks ``c_1 < ... < c_m`` after ``p``
+          enters a range whose first consumer block is ``c_i``, one
+          rectangle per gap: ``c_{i-1} < lo <= c_i < hi`` (``c_0 = p``).
+
+        Every byte summand is an integer byte count times 1.0 or 0.5, so
+        the float sums are exact in any order and every entry is
+        bit-identical to ``_range_meta_reference``.
         """
         with self._lock:
             if self._range_mats is not None:
@@ -410,10 +454,18 @@ class DPContext:
                 for t in blk.tasks:
                     task_block[t] = j
 
-            # unique-parameter sizes via the rectangle difference array
+            def scaled_bytes1(vname: str) -> float:
+                value = values[vname]
+                scale = (
+                    factor if value.dtype.value.startswith("float") else 1.0
+                )
+                return value.nbytes(1) * scale
+
             sizes = profiler._param_sizes_arr
-            diff = np.zeros((k + 2, k + 2), dtype=np.int64)
+            param_rects: List[Tuple[int, int, int, int, int]] = []
             last_occ: Dict[int, int] = {}
+            consumer_blocks: Dict[str, set] = {}
+            out_rects: List[Tuple[int, int, int, int, float]] = []
             for j, blk in enumerate(self.blocks):
                 seen_here: set = set()
                 for t in blk.tasks:
@@ -422,98 +474,41 @@ class DPContext:
                             continue
                         seen_here.add(pid)
                         q = last_occ.get(pid, -1)
-                        sz = int(sizes[pid])
-                        diff[q + 1, j + 1] += sz
-                        diff[j + 1, j + 1] -= sz
-                        diff[q + 1, k + 1] -= sz
-                        diff[j + 1, k + 1] += sz
+                        param_rects.append(
+                            (q + 1, j, j + 1, k, int(sizes[pid]))
+                        )
                         last_occ[pid] = j
-            PARAMS = diff.cumsum(axis=0).cumsum(axis=1)[: k + 1, : k + 1]
-
-            def scaled_bytes1(vname: str) -> float:
-                value = values[vname]
-                scale = (
-                    factor if value.dtype.value.startswith("float") else 1.0
-                )
-                return value.nbytes(1) * scale
-
-            # per-block event lists, in task order, reused by every lo
-            block_inputs: List[List[Tuple[str, int, float]]] = []
-            block_outputs: List[List[Tuple[str, float, int, bool]]] = []
-            for j, blk in enumerate(self.blocks):
-                inp: List[Tuple[str, int, float]] = []
-                outp: List[Tuple[str, float, int, bool]] = []
-                for t in blk.tasks:
                     task = graph.tasks[t]
                     for vname in task.inputs:
-                        value = values[vname]
-                        producer = value.producer
-                        pb = task_block[producer] if producer else -1
-                        if value.kind in (ValueKind.PARAM, ValueKind.CONST):
-                            nbytes1 = 0.0  # listed at the cut, never summed
-                        else:
-                            nbytes1 = scaled_bytes1(vname)
-                        inp.append((vname, pb, nbytes1))
+                        consumer_blocks.setdefault(vname, set()).add(j)
                     for vname in task.outputs:
-                        ext0 = sum(
-                            1 for c in values[vname].consumers
-                            if task_block[c] > j
-                        )
-                        outp.append(
-                            (vname, scaled_bytes1(vname), ext0,
-                             vname in is_output)
-                        )
-                block_inputs.append(inp)
-                block_outputs.append(outp)
-            # values each block absorbs from earlier blocks of the range
-            consumed: List[List[Tuple[str, int]]] = [[] for _ in range(k)]
-            for vname, value in values.items():
-                if value.producer is None:
-                    continue
-                pb = task_block[value.producer]
-                per: Dict[int, int] = {}
-                for c in value.consumers:
-                    jb = task_block[c]
-                    if jb > pb:
-                        per[jb] = per.get(jb, 0) + 1
-                for jb, cnt in per.items():
-                    consumed[jb].append((vname, cnt))
+                        if vname in is_output:
+                            last = k
+                        else:
+                            last = max(
+                                (task_block[c] for c in values[vname].consumers),
+                                default=j,
+                            )
+                        if last > j:
+                            out_rects.append(
+                                (0, j, j + 1, last, scaled_bytes1(vname))
+                            )
 
-            IN1 = np.zeros((k + 1, k + 1))
-            OUT1 = np.zeros((k + 1, k + 1))
-            for lo in range(k):
-                seen_in: set = set()
-                in_run = 0.0
-                out_map: Dict[str, float] = {}
-                rem: Dict[str, int] = {}
-                for j in range(lo, k):
-                    for vname, pb, nbytes1 in block_inputs[j]:
-                        if pb < lo and vname not in seen_in:
-                            seen_in.add(vname)
-                            in_run += nbytes1
-                    if j > lo:
-                        for vname, cnt in consumed[j]:
-                            r = rem.get(vname)
-                            if r is None:
-                                continue  # produced before lo
-                            r -= cnt
-                            rem[vname] = r
-                            if (
-                                r == 0
-                                and vname in out_map
-                                and vname not in is_output
-                            ):
-                                del out_map[vname]
-                    for vname, nbytes1, ext0, is_out in block_outputs[j]:
-                        if ext0 > 0 or is_out:
-                            out_map[vname] = nbytes1
-                        rem[vname] = ext0
-                    total_out = 0.0
-                    for nbytes1 in out_map.values():
-                        total_out += nbytes1
-                    IN1[lo, j + 1] = in_run
-                    OUT1[lo, j + 1] = total_out
+            in_rects: List[Tuple[int, int, int, int, float]] = []
+            for vname, blocks_in in consumer_blocks.items():
+                value = values[vname]
+                if value.kind in (ValueKind.PARAM, ValueKind.CONST):
+                    continue  # listed at the cut, never summed
+                p = task_block[value.producer] if value.producer else -1
+                nbytes1 = scaled_bytes1(vname)
+                prev = p
+                for c in sorted(b for b in blocks_in if b > p):
+                    in_rects.append((prev + 1, c, c + 1, k, nbytes1))
+                    prev = c
 
+            IN1 = _rectangle_sums(k, in_rects, np.float64)
+            OUT1 = _rectangle_sums(k, out_rects, np.float64)
+            PARAMS = _rectangle_sums(k, param_rects, np.int64)
             self._range_mats = (IN1, OUT1, PARAMS)
             return self._range_mats
 
@@ -698,28 +693,47 @@ class DPContext:
     def profile_bands(
         self, D: int, R: int, MB: int, checkpointing: bool, span: int
     ) -> BandedProfile:
-        """Banded profiles covering stage spans up to ``span`` blocks.
+        """Banded profiles covering stage spans up to ``span`` blocks, or
+        up to the widest span that fits :attr:`capacity` when that is
+        narrower (every wider stage is over the device on every plane).
 
         Cached per ``(D, R, MB, checkpointing)`` and grown on demand: a
-        request wider than the cached band rebuilds it (Algorithm 2
-        makes one sweep per key, so it builds each band exactly once).
+        request the cached band does not cover -- wider than it, unless
+        the band already holds every span that fits its capacity and the
+        capacity has not grown since -- rebuilds it (Algorithm 2 makes
+        one sweep per key, so it builds each band exactly once).  The
+        memory budget plays no part, so one band serves every budget.
         """
         span = int(min(max(span, 1), self.k))
         key = (D, R, MB, checkpointing)
+        capacity = self.capacity
         with self._lock:
             cached = self._band_cache.get(key)
-            if cached is not None and cached.span >= span:
+            if cached is not None and (
+                cached.span >= span
+                or (
+                    capacity <= cached.capacity
+                    and cached.span >= cached.fit_width
+                )
+            ):
                 if self.metrics is not None:
                     self.metrics.counter("profiler.band_cache_hits").inc()
                 return cached
+            band = self._build_bands(D, R, MB, checkpointing, span, capacity)
+            self._band_cache[key] = band
             if self.metrics is not None:
                 self.metrics.counter("profiler.band_builds").inc()
-            band = self._build_bands(D, R, MB, checkpointing, span)
-            self._band_cache[key] = band
+                self.metrics.gauge("profiler.band_bytes").set(self.band_bytes)
             return band
 
     def _build_bands(
-        self, D: int, R: int, MB: int, checkpointing: bool, span: int
+        self,
+        D: int,
+        R: int,
+        MB: int,
+        checkpointing: bool,
+        span: int,
+        capacity: float,
     ) -> BandedProfile:
         k = self.k
         bs_list: List[int] = []
@@ -736,51 +750,85 @@ class DPContext:
                 bs_list.append(bs)
             plane_of_r[r] = p
         P = len(bs_list)
-        tf = np.full((P, k, span), np.inf)
-        tb = np.full((P, k, span), np.inf)
-        mem = np.full((P, k, span), np.inf)
-        direct = (
-            type(self)._profile_planes is DPContext._profile_planes
-        )
-        for p, bs in enumerate(bs_list):
-            if direct:
+        if type(self)._profile_planes is DPContext._profile_planes:
+            # every plane is at least the memory floor at the smallest
+            # microbatch, so the floor's fit bounds the band before it
+            # is built
+            fit = self._fit_width(bs_list[-1], capacity) if P else 0
+            width = max(1, min(span, fit))
+            tf = np.empty((P, k + 1, width))
+            tb = np.empty((P, k + 1, width))
+            mem = np.empty((P, k + 1, width))
+            for p, bs in enumerate(bs_list):
                 tf[p], tb[p], mem[p] = self._band_plane(
-                    bs, MB, checkpointing, span
+                    bs, MB, checkpointing, width
                 )
-            else:
-                # subclass planes: build dense once, slice the band out
-                # (transiently O(k^2) but still deduplicated over r)
+        else:
+            # subclass planes: build each dense once (transiently
+            # O(k^2) but still deduplicated over r), take the exact fit
+            # from its memory plane and slice the band out
+            fit = 0
+            tf = np.empty((P, k + 1, span))
+            tb = np.empty((P, k + 1, span))
+            mem = np.empty((P, k + 1, span))
+            for p, bs in enumerate(bs_list):
                 planes = self._profile_planes(bs, MB, checkpointing)
+                fit = max(fit, _widest_fit(planes[2], capacity))
                 tf[p] = _band_from_plane(planes[0], span)
                 tb[p] = _band_from_plane(planes[1], span)
                 mem[p] = _band_from_plane(planes[2], span)
+            width = max(1, min(span, fit))
+            if width < span:
+                tf, tb, mem = (
+                    np.ascontiguousarray(a[:, :, :width])
+                    for a in (tf, tb, mem)
+                )
         return BandedProfile(
-            span=span, bs_list=bs_list, plane_of_r=plane_of_r,
-            tf=tf, tb=tb, mem=mem,
+            span=width, bs_list=bs_list, plane_of_r=plane_of_r,
+            tf=tf, tb=tb, mem=mem, capacity=capacity, fit_width=fit,
         )
+
+    def _fit_width(self, bs: int, capacity: float) -> int:
+        """Widest block span whose memory floor at per-replica microbatch
+        ``bs`` fits ``capacity``.
+
+        The floor is the parameter state plus the saved activations of
+        one microbatch, ``static_bytes(PARAMS) + saved * bs * factor``,
+        with the same float64 operations as the memory model: every
+        training (checkpointing or not) and inference profile adds only
+        non-negative terms to it, and a microbatch of at least ``bs``
+        only grows it, so a stage whose floor is over ``capacity`` is
+        over it on every plane of a band whose smallest microbatch is
+        ``bs``."""
+        _, _, PARAMS = self._range_matrices()
+        act_factor = self.profiler.precision.activation_bytes_factor
+        floor = self.profiler.memory_model.static_bytes(PARAMS) + (
+            self._saved_prefix[None, :] - self._saved_prefix[:, None]
+        ) * bs * act_factor
+        return _widest_fit(floor, capacity)
 
     def _band_plane(
         self, bs: int, MB: int, checkpointing: bool, span: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The diagonal band of :meth:`_profile_planes`, gathered without
-        materializing the dense plane.  Entry ``[lo, j]`` profiles blocks
-        ``(lo, lo + 1 + j]``; the arithmetic (prefix difference,
+        materializing the dense plane.  Entry ``[hi, j]`` profiles blocks
+        ``(hi - 1 - j, hi]``; the arithmetic (prefix difference,
         checkpointing recompute, p2p affine term, memory model) runs in
         the exact order of :meth:`_profile_planes` so every in-range entry
         is the identical float64 result."""
         k = self.k
         IN1, OUT1, PARAMS = self._range_matrices()
         tf_prefix, tb_prefix = self._time_prefix_at(bs)
-        lo = np.arange(k)[:, None]
-        hi = lo + 1 + np.arange(span)[None, :]
-        valid = hi <= k
-        hic = np.minimum(hi, k)
-        tf_band = tf_prefix[hic] - tf_prefix[lo]
-        tb_band = tb_prefix[hic] - tb_prefix[lo]
+        hi = np.arange(k + 1)[:, None]
+        lo = hi - 1 - np.arange(span)[None, :]
+        valid = lo >= 0
+        lo = np.maximum(lo, 0)
+        tf_band = tf_prefix[hi] - tf_prefix[lo]
+        tb_band = tb_prefix[hi] - tb_prefix[lo]
         if checkpointing and not self._inference:
             tb_band = tb_band + tf_band
-        in_b = IN1[lo, hic] * bs
-        out_b = OUT1[lo, hic] * bs
+        in_b = IN1[lo, hi] * bs
+        out_b = OUT1[lo, hi] * bs
         lat, bw = self.cluster.comm.p2p_affine(same_node=True)
         tf_band = tf_band + np.where(out_b != 0.0, lat + out_b / bw, 0.0)
         if not self._inference:
@@ -789,13 +837,13 @@ class DPContext:
             )
         act_factor = self.profiler.precision.activation_bytes_factor
         saved = (
-            self._saved_prefix[hic] - self._saved_prefix[lo]
+            self._saved_prefix[hi] - self._saved_prefix[lo]
         ) * bs * act_factor
         kv = (
-            self._kv_prefix[hic] - self._kv_prefix[lo]
+            self._kv_prefix[hi] - self._kv_prefix[lo]
         ) * bs * act_factor
         mem_band = self.profiler.memory_model.total_bytes(
-            param_count=PARAMS[lo, hic],
+            param_count=PARAMS[lo, hi],
             saved_act_bytes_micro=saved,
             boundary_in_bytes_micro=in_b,
             microbatches_in_flight=MB if checkpointing else 1,
@@ -830,63 +878,54 @@ class DPContext:
         return TF, TB, MEM
 
 
+def _rectangle_sums(
+    k: int, rects: List[Tuple[int, int, int, int, float]], dtype
+) -> np.ndarray:
+    """``(k+1, k+1)`` matrix holding, at ``[lo, hi]``, the sum of ``w``
+    over every rectangle ``(lo0, lo1, hi0, hi1, w)`` with ``lo0 <= lo <=
+    lo1`` and ``hi0 <= hi <= hi1``: four corner updates per rectangle
+    and a double cumulative sum."""
+    diff = np.zeros((k + 2, k + 2), dtype=dtype)
+    if rects:
+        lo0, lo1, hi0, hi1, w = (np.array(c) for c in zip(*rects))
+        w = w.astype(dtype)
+        np.add.at(diff, (lo0, hi0), w)
+        np.add.at(diff, (lo0, hi1 + 1), -w)
+        np.add.at(diff, (lo1 + 1, hi0), -w)
+        np.add.at(diff, (lo1 + 1, hi1 + 1), w)
+    return diff.cumsum(axis=0).cumsum(axis=1)[: k + 1, : k + 1]
+
+
 def _band_from_plane(plane: np.ndarray, span: int) -> np.ndarray:
-    """Gather the diagonal band (``hi = lo + 1 + j``) out of a dense
-    ``(k+1, k+1)`` range plane; out-of-range entries become +inf."""
-    k = plane.shape[0] - 1
-    lo = np.arange(k)[:, None]
-    hi = lo + 1 + np.arange(span)[None, :]
-    valid = hi <= k
-    return np.where(valid, plane[lo, np.minimum(hi, k)], np.inf)
+    """Gather the hi-major diagonal band (``lo = hi - 1 - j``) out of a
+    dense ``(k+1, k+1)`` range plane; entries below block 0 become +inf."""
+    hi = np.arange(plane.shape[0])[:, None]
+    lo = hi - 1 - np.arange(span)[None, :]
+    return np.where(lo >= 0, plane[np.maximum(lo, 0), hi], np.inf)
 
 
-def _shear(a: np.ndarray, s: int, nb: int) -> np.ndarray:
-    """Zero-copy ``(P, nb, nb)`` view of stacked band planes ``a`` (shape
-    ``(P, k, width)``) in stage-``s`` slab coordinates: ``view[p, i, j] =
-    a[p, s - 1 + i, j - i]``, i.e. row ``b' = s - 1 + i``, column ``b = s
-    + j``.  Out-of-band cells (``j < i``) read the tail of the previous
-    row, which is the caller's INF/False padding when ``width >= span +
-    nb`` and otherwise harmless finite values that the padded forward
-    times already make infeasible.  Every read stays inside ``a``."""
-    p0, r0, c0 = a.strides
-    return np.lib.stride_tricks.as_strided(
-        a[:, s - 1:], (a.shape[0], nb, nb), (p0, r0 - c0, c0)
-    )
+def _widest_fit(mem_plane: np.ndarray, capacity: float) -> int:
+    """Widest span ``hi - lo`` of a dense ``(k+1, k+1)`` memory plane
+    whose stage ``(lo, hi]`` fits ``capacity`` (0: none does)."""
+    idx = np.arange(mem_plane.shape[0])
+    spans = idx[None, :] - idx[:, None]
+    return int(np.where(mem_plane <= capacity, spans, 0).max())
 
 
-def _padded_tf(
-    bands: BandedProfile,
-    P: int,
-    nb: int,
-    M: Optional[float],
-    want_over: bool,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """The forward times of the first ``P`` planes (those the sweep can
-    read), stacked and padded on the right with ``nb`` INF columns
-    (``nb`` the widest stage slab of the sweep), so every stage's
-    :func:`_shear` puts INF in the out-of-band cells.  Entries over the
-    uniform memory cap ``M`` are poisoned to INF as well (``M is None``:
-    heterogeneous, capped per column instead).  Also returns the padded
-    over-memory mask when ``want_over`` and any entry is over (the
-    ``d_min`` replay's memory failures), else ``None``."""
-    _, k, span = bands.tf.shape
-    tfp = np.full((P, k, span + nb), np.inf)
-    body = tfp[:, :, :span]
-    body[...] = bands.tf[:P]
-    ovp = None
-    if M is not None:
-        over = bands.mem[:P] > M
-        np.copyto(body, np.inf, where=over)
-        if want_over and over.any():
-            ovp = np.zeros((P, k, span + nb), dtype=bool)
-            ovp[:, :, :span] = over
-    return tfp, ovp
+def _slab_width(over: np.ndarray, nb_max: int) -> int:
+    """Widest span, at most ``nb_max``, at which some stage of the
+    ``(P, k+1, span)`` band is not ``over`` the memory cap: every wider
+    stage is over it on every plane, so a sweep's slabs stop there."""
+    fits = np.flatnonzero(~over.all(axis=(0, 1)))
+    return max(1, min(nb_max, int(fits[-1]) + 1 if fits.size else 0))
 
 
 def _band_stage(
-    bands: BandedProfile,
     tfp: np.ndarray,
+    tbv: np.ndarray,
+    memv: np.ndarray,
     ovp: Optional[np.ndarray],
+    plane_of_r: np.ndarray,
     hetero: Optional[Tuple[np.ndarray, np.ndarray]],
     prev_ok: np.ndarray,
     ptf: np.ndarray,
@@ -901,75 +940,106 @@ def _band_stage(
     best_dp: np.ndarray,
     memf: np.ndarray,
     bsf: np.ndarray,
-) -> None:
-    """Reduce every ``(b', d') -> (b, d)`` transition of stage ``s``.
+) -> int:
+    """Reduce every ``(b', d') -> (b, d)`` transition of stage ``s`` and
+    return the number of candidate cells evaluated.
 
-    The stage slab lives in band coordinates -- ``(b', b)`` restricted to
-    the reachable rows/cols, a ``nb = b_hi - s + 1`` square -- and is a
-    :func:`_shear` view of the stacked planes, one ``(nb, nb)`` slab per
-    distinct per-replica microbatch.  Each feasible ``d'`` column reduces
-    all of its planes at once (in chunks of :data:`PLANE_CHUNK_CELLS`):
-    the candidate ``max(prev_tf, TF) + max(prev_tb, TB)`` over ``b'``,
-    first minimum wins.  ``plane_of_r`` then maps each plane's minimum
-    onto its ``d = d' + r`` columns; the replica counts whose microbatch
-    collapsed are a suffix of ``r`` and only record a bs failure.  A
-    running lexicographic ``(value, b', d')`` minimum across columns
-    equals the per-cell flat argmin over ``(b', d')`` in row-major order.
+    ``tfp`` / ``tbv`` / ``memv`` are the sweep's ``(P, k+1, w)`` band
+    views (``w`` the widest span that fits; ``tfp`` with over-memory
+    entries poisoned to INF on a homogeneous cluster) and ``ovp`` the
+    over-memory mask when the ``d_min`` replay needs memory failures.
+    The stage slab of each plane is the plain slice of columns ``b = s ..
+    b_hi`` and spans reversed, so slab cell ``[i, t]`` is the stage
+    ``(b', b]`` with ``b = s + i`` and ``b' = b - ws + t`` (``ws = min(w,
+    nb)``, ``nb = b_hi - s + 1``): ``b'`` ascends along the reduced axis.
+    Each feasible ``d'`` column reduces all of its planes at once (in
+    chunks of :data:`PLANE_CHUNK_CELLS`): the candidate ``max(prev_tf,
+    TF) + max(prev_tb, TB)`` over ``b'``, first minimum wins, with the
+    previous stage read through a sliding window over its ``d'`` column.
+    ``plane_of_r`` then maps each plane's minimum onto its ``d = d' + r``
+    columns; the replica counts whose microbatch collapsed are a suffix
+    of ``r`` and only record a bs failure.  A running lexicographic
+    ``(value, b', d')`` minimum across columns equals the per-cell flat
+    argmin over ``(b', d')`` in row-major order.
 
-    Infeasibility needs no mask passes: out-of-band cells and stages over
-    the memory cap hold INF in the padded forward times, so the candidate
-    is INF exactly where a transition is invalid (a previous-stage state
-    that is infeasible carries INF in ``prev_tf``).  On a heterogeneous
-    cluster (``hetero = (MINMEM, SLOW)``) each replica count is its own
-    slab: the plane of ``r`` scaled by ``SLOW[d', d' + r]`` and poisoned
-    where its memory exceeds ``MINMEM[d', d' + r]``.
+    Infeasibility needs no mask passes: the window reads INF below block
+    0 and where the previous state is infeasible, and stages over the
+    memory cap hold INF in ``tfp``, so the candidate is INF exactly where
+    a transition is invalid.  A stage wider than ``ws`` is over the cap
+    on every plane, so it can never win, and its memory failure (when
+    the replay needs it) is a prefix-OR of the previous stage's feasible
+    rows.  On a heterogeneous cluster (``hetero = (MINMEM, SLOW)``) each
+    replica count is its own slab: the plane of ``r`` scaled by
+    ``SLOW[d', d' + r]`` and poisoned where its memory exceeds
+    ``MINMEM[d', d' + r]``.
     """
     INF = np.inf
     bsl = slice(s, b_hi + 1)
-    psl = slice(s - 1, b_hi)
     nb = b_hi - s + 1        # cols b = s .. b_hi
-    plane_of_r = bands.plane_of_r
+    ws = min(tfp.shape[2], nb)
+    jsl = slice(ws - 1, None, -1)   # span ws .. 1, i.e. b' ascending
     # replica counts with a plane: the microbatch collapses for a suffix
     n_ok = int((plane_of_r[1:] >= 0).sum())
-    Ptf = _shear(tfp, s, nb)
-    Ptb = _shear(bands.tb, s, nb)
+    Ptf = tfp[:, bsl, jsl]
+    Ptb = tbv[:, bsl, jsl]
     Pover = None
-    if ovp is not None and ovp[:, psl].any():
-        Pover = _shear(ovp, s, nb)
+    if ovp is not None:
+        Pover = ovp[:, bsl, jsl]
+        if not Pover.any():
+            Pover = None
+    # stages wider than the slab: over the cap, so a memory failure
+    # wherever some previous state below the slab is feasible
+    cut = ovp is not None and ws < nb
     if hetero is not None:
         MINMEM, SLOW = hetero
-        Pmem = _shear(bands.mem, s, nb)
+        Pmem = memv[:, bsl, jsl]
         units = min(d_hi - s + 1, n_ok)   # one slab per replica count
     else:
         units = tfp.shape[0]              # one slab per plane
-    chunk = min(max(1, PLANE_CHUNK_CELLS // (nb * nb)), max(units, 1))
-    cand_tf = np.empty((chunk, nb, nb))
-    cand_tb = np.empty((chunk, nb, nb))
-    v = np.empty((chunk, nb, nb))
-    # flat offset of (unit, 0, b) in a chunk buffer
-    base = np.arange(chunk)[:, None] * (nb * nb) + np.arange(nb)[None, :]
+    chunk = min(max(1, PLANE_CHUNK_CELLS // (nb * ws)), max(units, 1))
+    cand_tf = np.empty((chunk, nb, ws))
+    cand_tb = np.empty((chunk, nb, ws))
+    v = np.empty((chunk, nb, ws))
+    # flat offset of (unit, i, 0) in a chunk buffer
+    base = (np.arange(chunk)[:, None] * nb + np.arange(nb)[None, :]) * ws
     vmin = np.empty((units, nb))
     vtf = np.empty((units, nb))
     vtb = np.empty((units, nb))
     vbp = np.empty((units, nb), dtype=np.intp)
     vover = np.zeros((units, nb), dtype=bool)
+    # previous stage per d' row, padded with ws infeasible rows below
+    # b' = 0: window [d', b, t] holds b' = b - ws + t
+    n_rows = prev_ok.shape[0]
+    pad_ok = np.zeros((prev_ok.shape[1], ws + n_rows), dtype=bool)
+    pad_ok[:, ws:] = prev_ok.T
+    pad_tf = np.full(pad_ok.shape, INF)
+    pad_tf[:, ws:] = np.where(prev_ok, ptf, INF).T
+    pad_tb = np.zeros(pad_ok.shape)
+    pad_tb[:, ws:] = ptb.T
+    win_ok = sliding_window_view(pad_ok, ws, axis=1)
+    win_tf = sliding_window_view(pad_tf, ws, axis=1)
+    win_tb = sliding_window_view(pad_tb, ws, axis=1)
+    if cut:
+        # [d', b - 1]: a feasible previous state at some b' < b - ws
+        below = np.logical_or.accumulate(pad_ok, axis=1)[:, s - 1:b_hi]
+    bp_off = np.arange(s - ws, b_hi + 1 - ws)[:, None]
+    cells = 0
     col_ok = prev_ok.any(axis=0)
     for dp_ in range(s - 1, d_hi):
         if not col_ok[dp_]:
             continue
         nd = d_hi - dp_
         nv = min(nd, n_ok)
-        pok = prev_ok[psl, dp_]
         if nv < nd:
-            # microbatch collapsed: every valid transition (some b' <= b
+            # microbatch collapsed: every valid transition (some b' < b
             # with a feasible previous state) records a bs failure
             bsf[bsl, dp_ + nv + 1:d_hi + 1] |= np.logical_or.accumulate(
-                pok
+                prev_ok[s - 1:b_hi, dp_]
             )[:, None]
         if nv == 0:
             continue
-        pcol_tf = np.where(pok, ptf[psl, dp_], INF)[:, None]
-        pcol_tb = ptb[psl, dp_][:, None]
+        wtf = win_tf[dp_, bsl]
+        wtb = win_tb[dp_, bsl]
         if hetero is not None:
             n_units = nv
             unit_of_d = slice(0, nv)
@@ -993,22 +1063,28 @@ def _band_stage(
                 stf = Ptf[c0:c1]
                 stb = Ptb[c0:c1]
             if Pover is not None:
-                np.any(Pover[c0:c1] & pok[:, None], axis=1, out=vover[c0:c1])
-            ctf = np.maximum(pcol_tf, stf, out=cand_tf[:c])
-            ctb = np.maximum(pcol_tb, stb, out=cand_tb[:c])
+                np.any(
+                    Pover[c0:c1] & win_ok[dp_, bsl], axis=2,
+                    out=vover[c0:c1],
+                )
+            ctf = np.maximum(wtf, stf, out=cand_tf[:c])
+            ctb = np.maximum(wtb, stb, out=cand_tb[:c])
             cv = np.add(ctf, ctb, out=v[:c])
-            bp = np.argmin(cv, axis=1, out=vbp[c0:c1])  # smallest b' wins
-            flat = bp * nb + base[:c]
+            bp = np.argmin(cv, axis=2, out=vbp[c0:c1])  # smallest b' wins
+            flat = bp + base[:c]
             np.take(cv, flat, out=vmin[c0:c1], mode="clip")
             np.take(ctf, flat, out=vtf[c0:c1], mode="clip")
             np.take(ctb, flat, out=vtb[c0:c1], mode="clip")
+            cells += c * nb * ws
         g = slice(dp_ + 1, dp_ + nv + 1)
         if Pover is not None:
             memf[bsl, g] |= vover[unit_of_d].T
+        if cut:
+            memf[bsl, g] |= below[dp_][:, None]
         if not np.isfinite(vmin[:n_units]).any():
             continue
         vd = vmin[unit_of_d].T                       # (b, d)
-        bpg = vbp[unit_of_d].T + (s - 1)
+        bpg = vbp[unit_of_d].T + bp_off
         cur = best[bsl, g]
         cur_bp = best_bp[bsl, g]
         # strict improvement, or an equal value from a smaller b' (equal
@@ -1024,6 +1100,7 @@ def _band_stage(
             )
             best_bp[bsl, g] = np.where(upd, bpg, cur_bp)
             best_dp[bsl, g] = np.where(upd, dp_, best_dp[bsl, g])
+    return cells
 
 
 def form_stage_dp(
@@ -1037,7 +1114,6 @@ def form_stage_dp(
     *,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
-    parent_id: Optional[int] = None,
 ) -> Union[Optional[DPSolution], Dict[int, Optional[DPSolution]]]:
     """Algorithm 1: DP over stage boundaries and device allocations.
 
@@ -1054,13 +1130,13 @@ def form_stage_dp(
         tracer: optional :class:`~repro.obs.tracer.Tracer`; when given,
             the whole call is wrapped in a ``dp.form_stage_dp`` span
             carrying ``(S, D, R, MB)`` (``S`` the largest stage count,
-            ``S_min`` the smallest), the visited-state count and the
-            feasible stage counts.  ``parent_id`` links the span to the
-            coordinating Algorithm-2 span when this call runs on a pool
-            thread.
+            ``S_min`` the smallest), the visited-state count, the
+            feasible stage counts, the slab width (``band_width``) and
+            the candidate cells reduced (``cells_reduced``).
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
             records ``dp.calls``, ``dp.states_evaluated`` (total and per
-            ``(D, MB)`` point) and the ``dp.states_per_call`` histogram.
+            ``(D, MB)`` point), ``dp.cells_reduced`` and the
+            ``dp.states_per_call`` histogram.
 
     Returns:
         The best :class:`DPSolution`, or ``None`` (INFEASIBLE); for a
@@ -1087,9 +1163,11 @@ def form_stage_dp(
     The transition for every ``(b, d)`` cell of one stage is evaluated
     as a tensor reduction over the banded profiles: the loop runs over
     the few feasible ``d'`` columns, and each column reduces the
-    ``(b', b)`` slabs of all its replica planes in one pass (see
-    :func:`_band_stage`); a running lexicographic ``(value, b', d')``
-    minimum reproduces the per-cell flat argmin tie-break exactly.  On a
+    ``(b, b')`` slabs of all its replica planes in one pass, ``b'`` only
+    over ``[b - w, b - 1]`` with ``w`` the widest span that fits in
+    memory (see :func:`_band_stage`; wider stages are INF on every plane
+    and never win); a running lexicographic ``(value, b', d')`` minimum
+    reproduces the per-cell flat argmin tie-break exactly.  On a
     heterogeneous cluster each replica count's slab is scaled by
     ``SLOW[d', d]`` and checked against ``MINMEM[d', d]`` (see
     :meth:`DPContext.hetero_tables`).  The sweep then *replays* the
@@ -1111,7 +1189,6 @@ def form_stage_dp(
                 tracer.span(
                     "dp.form_stage_dp",
                     category="partitioner.dp",
-                    parent_id=parent_id,
                     S=stage_counts[-1] if stage_counts else None,
                     S_min=stage_counts[0] if stage_counts else None,
                     D=D, R=R, MB=MB,
@@ -1144,21 +1221,26 @@ def _form_stage_dp_body(
             sp.set(feasible=False, reason="stage count out of range")
         return results
     ctx._count_dp_call()
-    states = 0
+    states = cells = width = 0
+    tables = []
     if lo == 1:
-        states += _sweep_table(
-            ctx, 1, 1, D, R, MB, False, dmin_pruning, results
-        )
+        tables.append((1, 1, False))
         lo = 2
     if lo <= hi:
-        states += _sweep_table(
-            ctx, lo, hi, D, R, MB, True, dmin_pruning, results
+        tables.append((lo, hi, True))
+    for s_lo, s_hi, checkpointing in tables:
+        t_states, t_cells, t_width = _sweep_table(
+            ctx, s_lo, s_hi, D, R, MB, checkpointing, dmin_pruning, results
         )
-    ctx._count_states(states)
+        states += t_states
+        cells += t_cells
+        width = max(width, t_width)
+    ctx._count_sweeps(states, cells, width)
     feasible = [s for s, sol in results.items() if sol is not None]
     if metrics is not None:
         metrics.counter("dp.calls").inc()
         metrics.counter("dp.states_evaluated").inc(states)
+        metrics.counter("dp.cells_reduced").inc(cells)
         metrics.counter(
             point_name("dp.states_evaluated", D=D, MB=MB)
         ).inc(states)
@@ -1168,6 +1250,8 @@ def _form_stage_dp_body(
     if sp is not None:
         sp.set(
             states_evaluated=states,
+            cells_reduced=cells,
+            band_width=width,
             feasible=bool(feasible),
             feasible_stages=feasible,
         )
@@ -1184,10 +1268,11 @@ def _sweep_table(
     checkpointing: bool,
     dmin_pruning: bool,
     results: Dict[int, Optional[DPSolution]],
-) -> int:
+) -> Tuple[int, int, int]:
     """Fill one Algorithm-1 table up to ``s_hi`` stages, store the
     solution of every ``S`` in ``[s_lo, s_hi]`` into ``results`` and
-    return the visited-state count."""
+    return the visited-state count, the candidate cells reduced and the
+    slab width."""
     k = ctx.k
     hetero = None
     if ctx.cluster.is_heterogeneous:
@@ -1198,19 +1283,30 @@ def _sweep_table(
         hetero = ctx.hetero_tables(D, R)
         dmin_pruning = False
     # every stage that can still reach (S, k, D) for some S >= s_lo spans
-    # at most k - s_lo + 1 blocks, so the band covers the whole search
-    # space; that is also the widest stage slab of the sweep (nb never
-    # grows along it), so one padding serves every stage
+    # at most k - s_lo + 1 blocks (nb never grows along the sweep)
     nb_max = k - s_lo + 1
     bands = ctx.profile_bands(D, R, MB, checkpointing, nb_max)
     # likewise a stage spans at most D - s_lo + 1 devices: the planes of
     # larger replica counts (a suffix, as bs falls with r) are never read
     n_planes = int(bands.plane_of_r[1:D - s_lo + 2].max(initial=-1)) + 1
-    tfp, ovp = _padded_tf(
-        bands, n_planes, nb_max,
-        None if hetero is not None else ctx.usable_memory,
-        dmin_pruning,
-    )
+    if hetero is None:
+        cap = ctx.usable_memory
+    else:
+        # the largest per-slot cap (budget included) bounds every slot's
+        cap = float(hetero[0][np.isfinite(hetero[0])].max())
+    over = bands.mem[:n_planes] > cap
+    # every stage wider than the band is over the cap too: the band was
+    # sized for a capacity of at least ``cap``
+    width = _slab_width(over, nb_max)
+    over = over[:, :, :width]
+    tbv = bands.tb[:n_planes, :, :width]
+    memv = bands.mem[:n_planes, :, :width]
+    if hetero is None:
+        tfp = np.where(over, np.inf, bands.tf[:n_planes, :, :width])
+    else:
+        # capped per (d', d) column instead
+        tfp = bands.tf[:n_planes, :, :width]
+    ovp = over if dmin_pruning else None
 
     INF = np.inf
     shape = (s_hi + 1, k + 1, D + 1)
@@ -1224,6 +1320,7 @@ def _sweep_table(
     V[0, 0, 0] = 0.0
 
     states = 0
+    cells = 0
 
     for s in range(1, s_hi + 1):
         # d_min resets at each stage s: memory infeasibility is
@@ -1247,9 +1344,9 @@ def _sweep_table(
         bsf = np.zeros((k + 1, D + 1), dtype=bool)
         keep = np.zeros((k + 1, D + 1), dtype=bool)
 
-        _band_stage(
-            bands, tfp, ovp, hetero, prev_ok, tf[s - 1], tb[s - 1],
-            s, b_hi, d_hi,
+        cells += _band_stage(
+            tfp, tbv, memv, ovp, bands.plane_of_r, hetero,
+            prev_ok, tf[s - 1], tb[s - 1], s, b_hi, d_hi,
             best, best_tf, best_tb, best_bp, best_dp, memf, bsf,
         )
 
@@ -1333,7 +1430,7 @@ def _sweep_table(
             max_tb=float(tb[S, k, D]),
             stage_profiles=profiles,
         )
-    return states
+    return states, cells, width
 
 
 def reference_form_stage_dp(

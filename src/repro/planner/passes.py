@@ -220,8 +220,9 @@ class StageSearchPass(PlannerPass):
             "num_stages": result.num_stages,
             "replica_factor": result.replica_factor,
             "devices_per_pipeline": result.devices_per_pipeline,
-            # the largest sweep pool of the search
-            "search_workers_used": result.sweep_workers,
+            # widest stage slab a sweep reduced, and the cached bands
+            "band_width_max": dp_ctx.band_width_max,
+            "band_bytes": dp_ctx.band_bytes,
             "memo_hit_rate": profiler.memo_hit_rate - memo_before,
         }
 

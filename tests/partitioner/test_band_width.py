@@ -1,0 +1,342 @@
+"""The band-width cut of Algorithm 1.
+
+A sweep builds and reduces stage spans only up to the widest one that
+fits in device memory: bands are sized for the device capacity, stage
+slabs for the memory cap in force (capacity or budget).  Every wider
+stage is over the cap on every plane, so the cut must change nothing:
+every stage count of a sweep equals the pure-Python
+``reference_form_stage_dp``, and the ``states_evaluated`` / ``dp_calls``
+counters equal those of the uncut reduction (bands and slabs as wide as
+the sweep's stage spans).  The width must actually engage under tight
+caps, must be sound (no stage past it fits), and a reused context must
+answer like a fresh one whatever budget or capacity it is moved to.
+"""
+
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.partitioner.stage_dp as stage_dp
+from repro.experiments.coarsening_ablation import SummedAtomicContext
+from repro.hardware import tiny_cluster, tiny_mixed_cluster
+from repro.models import build_mlp
+from repro.models.random_dag import build_random_dag
+from repro.obs import MetricsRegistry
+from repro.partitioner.atomic import atomic_partition
+from repro.partitioner.blocks import Block, block_partition
+from repro.partitioner.stage_dp import (
+    DPContext,
+    form_stage_dp,
+    reference_form_stage_dp,
+)
+from repro.profiler import GraphProfiler
+
+MIB = 2**20
+RESERVE = tiny_cluster().device.memory_reserve_fraction
+
+
+@contextmanager
+def uncut():
+    """Bands and slabs as wide as the sweep's stage spans."""
+    with mock.patch.object(
+        stage_dp, "_widest_fit", lambda plane, cap: plane.shape[0] - 1
+    ), mock.patch.object(
+        stage_dp, "_slab_width", lambda over, nb_max: nb_max
+    ):
+        yield
+
+
+def cluster_with(usable_bytes, **kwargs):
+    """A tiny cluster whose devices may fill about ``usable_bytes``."""
+    return tiny_cluster(
+        num_nodes=1, devices_per_node=4,
+        memory_bytes=int(np.ceil(usable_bytes / (1.0 - RESERVE))),
+        **kwargs,
+    )
+
+
+def make_ctx(graph, cluster, k=8, batch_size=64, mode="training"):
+    profiler = GraphProfiler(graph, cluster, mode=mode)
+    blocks = block_partition(
+        graph, atomic_partition(graph), profiler, num_blocks=k
+    )
+    return DPContext(graph, blocks, profiler, batch_size)
+
+
+def atomic_ctx(graph, cluster, batch_size=64):
+    profiler = GraphProfiler(graph, cluster)
+    blocks = [
+        Block(index=i, atomic_indices=(i,), tasks=c.tasks)
+        for i, c in enumerate(atomic_partition(graph))
+    ]
+    return SummedAtomicContext(graph, blocks, profiler, batch_size)
+
+
+def solution_key(sol):
+    if sol is None:
+        return None
+    return (
+        tuple(sol.boundaries),
+        tuple(sol.device_counts),
+        sol.num_microbatches,
+        sol.replica_factor,
+        sol.objective,
+        sol.max_tf,
+        sol.max_tb,
+        tuple((p.time_fwd, p.time_bwd, p.memory) for p in sol.stage_profiles),
+    )
+
+
+def run_sweeps(ctx, stage_counts, D, R, mbs):
+    """Every sweep's answers plus the counters they moved."""
+    m = MetricsRegistry()
+    before = (ctx.dp_calls, ctx.states_evaluated)
+    answers = {}
+    for MB in mbs:
+        sweep = form_stage_dp(
+            ctx, stage_counts, D, ctx.batch_size, R, MB, metrics=m
+        )
+        for S, sol in sweep.items():
+            answers[S, MB] = solution_key(sol)
+    counters = (
+        ctx.dp_calls - before[0],
+        ctx.states_evaluated - before[1],
+        m.counter("dp.states_evaluated").value,
+    )
+    return answers, counters
+
+
+def assert_lossless(make, stage_counts, D, R, mbs, budget=None):
+    """The cut context answers like the reference and like the uncut
+    reduction, counters included; returns the cut context."""
+    ctx = make()
+    ctx.set_memory_budget(budget)
+    answers, counters = run_sweeps(ctx, stage_counts, D, R, mbs)
+    for (S, MB), key in answers.items():
+        ref = reference_form_stage_dp(ctx, S, D, ctx.batch_size, R, MB)
+        assert key == solution_key(ref), (S, MB)
+    with uncut():
+        full = make()
+        full.set_memory_budget(budget)
+        assert run_sweeps(full, stage_counts, D, R, mbs) == (
+            answers, counters,
+        )
+    assert ctx.cells_reduced <= full.cells_reduced
+    return ctx, full
+
+
+def whole_model_memory(graph, mode="training", k=8, batch_size=64):
+    """Memory of the one-replica stage over every block (the widest)."""
+    ctx = make_ctx(graph, cluster_with(1 << 40), k, batch_size, mode)
+    return ctx.stage_profile(0, ctx.k, 1, 1, 1, True).memory
+
+
+# ----------------------------------------------------------------------
+# lossless: plans and counters
+
+
+class TestCutIsLossless:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2_000),
+        frac=st.floats(min_value=0.1, max_value=0.9),
+        MB=st.sampled_from([1, 2, 4]),
+        lo=st.integers(min_value=1, max_value=3),
+        mode=st.sampled_from(["training", "inference"]),
+        via_budget=st.booleans(),
+    )
+    def test_random_dags_match_reference_and_uncut(
+        self, seed, frac, MB, lo, mode, via_budget
+    ):
+        graph = build_random_dag(seed=seed, num_nodes=14)
+        cap = frac * whole_model_memory(graph, mode, batch_size=32)
+        if via_budget:
+            # the band is sized for the ample capacity, the slabs for
+            # the budget
+            cluster, budget = cluster_with(1 << 40), cap
+        else:
+            cluster, budget = cluster_with(cap), None
+        assert_lossless(
+            lambda: make_ctx(graph, cluster, batch_size=32, mode=mode),
+            range(lo, 5), 4, 1, (MB,), budget=budget,
+        )
+
+    @pytest.mark.parametrize("mode", ["training", "inference"])
+    @pytest.mark.parametrize("cap_mib", [1.5, 2.5, 3.0])
+    def test_width_engages_on_tight_caps(self, mode, cap_mib):
+        graph = build_mlp((64, 256, 256, 256, 256, 64))
+        cluster = cluster_with(cap_mib * MIB)
+        ctx, full = assert_lossless(
+            lambda: make_ctx(graph, cluster, mode=mode),
+            range(1, 5), 4, 1, (1, 2, 4),
+        )
+        if mode == "training":
+            # S_min = 1 and 2 sweeps: their stages could span 8 and 7
+            # blocks, but no stage that wide fits
+            assert ctx.band_width_max < ctx.k - 1
+            assert full.band_width_max == ctx.k
+            assert ctx.cells_reduced < full.cells_reduced
+            spans = [b.span for b in ctx._band_cache.values()]
+            assert max(spans) < ctx.k - 1
+
+    def test_budget_narrows_slabs_not_bands(self):
+        graph = build_mlp((64, 256, 256, 256, 256, 64))
+        ctx, full = assert_lossless(
+            lambda: make_ctx(graph, cluster_with(1 << 30)),
+            range(1, 5), 4, 1, (1, 2, 4), budget=2.5 * MIB,
+        )
+        # bands as wide as the sweeps' spans: S = 1 and S >= 2 tables
+        bands = ctx._band_cache.values()
+        assert {b.fit_width for b in bands} == {ctx.k}
+        assert {b.span for b in bands} == {ctx.k, ctx.k - 1}
+        assert ctx.band_width_max < ctx.k - 1
+        assert ctx.cells_reduced < full.cells_reduced
+
+    @pytest.mark.parametrize("big_mib", [2.5, 3.0, 64.0])
+    @pytest.mark.parametrize("shape", [(4, 1), (2, 2)])
+    def test_heterogeneous_cluster(self, big_mib, shape):
+        """The width comes from the largest per-slot cap."""
+        graph = build_mlp((64, 256, 256, 256, 256, 64))
+        cluster = tiny_mixed_cluster(
+            devices_per_node=2,
+            small_memory_bytes=int(2.0 * MIB),
+            big_memory_bytes=int(big_mib * MIB),
+            straggler_factor=1.25,
+        )
+        D, R = shape
+        ctx, _ = assert_lossless(
+            lambda: make_ctx(graph, cluster),
+            range(1, D + 1), D, R, (1, 4),
+        )
+        if big_mib < 64:
+            assert ctx.band_width_max < ctx.k
+
+    @pytest.mark.parametrize("frac", [0.3, 0.6, 1.0])
+    def test_summed_atomic_context(self, tiny_bert, frac):
+        """A subclass with its own planes: the exact width comes from
+        the dense memory plane it builds."""
+        probe = atomic_ctx(tiny_bert, cluster_with(1 << 40), batch_size=32)
+        # the whole model at the sweeps' smallest microbatch (MB=2, r=2)
+        cap = frac * float(
+            probe._profile_planes(8, 2, False)[2][0, probe.k]
+        )
+        ctx, _ = assert_lossless(
+            lambda: atomic_ctx(tiny_bert, cluster_with(cap), batch_size=32),
+            range(1, 3), 2, 1, (1, 2),
+        )
+        if frac < 1.0:
+            assert ctx.band_width_max < ctx.k
+
+
+# ----------------------------------------------------------------------
+# soundness of the width
+
+
+class TestWidthIsSound:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2_000),
+        frac=st.floats(min_value=0.05, max_value=1.2),
+        D=st.integers(min_value=1, max_value=4),
+        MB=st.sampled_from([1, 2, 4]),
+        checkpointing=st.booleans(),
+        mode=st.sampled_from(["training", "inference"]),
+    )
+    def test_no_stage_past_the_width_fits(
+        self, seed, frac, D, MB, checkpointing, mode
+    ):
+        """Every valid entry wider than the band's ``fit_width`` is over
+        the capacity, on every plane, and the band stops there."""
+        graph = build_random_dag(seed=seed, num_nodes=14)
+        cap = frac * whole_model_memory(graph, mode, batch_size=32)
+        ctx = make_ctx(graph, cluster_with(cap), batch_size=32, mode=mode)
+        band = ctx.profile_bands(D, 1, MB, checkpointing, ctx.k)
+        assert band.capacity == ctx.capacity
+        assert band.span == max(1, min(ctx.k, band.fit_width))
+        _, _, MEM = ctx.profile_tensors_reference(D, 1, MB, checkpointing)
+        for r in range(1, D + 1):
+            for lo in range(ctx.k):
+                for hi in range(lo + 1 + band.fit_width, ctx.k + 1):
+                    if np.isfinite(MEM[lo, hi, r]):
+                        assert MEM[lo, hi, r] > ctx.capacity, (lo, hi, r)
+        # the band holds every stage that does fit, bit for bit
+        for r in range(1, D + 1):
+            p = int(band.plane_of_r[r])
+            if p < 0:
+                continue
+            for hi in range(ctx.k + 1):
+                for j in range(band.span):
+                    if hi - 1 - j >= 0:
+                        assert band.mem[p, hi, j] == MEM[hi - 1 - j, hi, r]
+
+    def test_slab_width_is_exact(self):
+        """The slabs stop at the widest span some plane fits: it fits at
+        that width, and nothing wider does."""
+        graph = build_mlp((64, 256, 256, 256, 256, 64))
+        ctx = make_ctx(graph, cluster_with(1 << 30))
+        band = ctx.profile_bands(4, 1, 2, True, ctx.k)
+        cap = 2.5 * MIB
+        over = band.mem > cap
+        w = stage_dp._slab_width(over, ctx.k)
+        assert 1 <= w < ctx.k
+        assert (~over[:, :, w - 1]).any()
+        assert over[:, :, w:].all()
+
+
+# ----------------------------------------------------------------------
+# one context reused across budgets and capacities
+
+
+class TestReusedContext:
+    GRAPH = build_mlp((64, 256, 256, 256, 256, 64))
+    MBS = (1, 2, 4)
+
+    def answer(self, ctx):
+        return run_sweeps(ctx, range(1, 5), 4, 1, self.MBS)
+
+    def fresh(self, cluster, budget=None):
+        ctx = make_ctx(self.GRAPH, cluster)
+        ctx.set_memory_budget(budget)
+        return self.answer(ctx)
+
+    def test_budget_lowered_then_raised(self):
+        cluster = cluster_with(4 * MIB)
+        ctx = make_ctx(self.GRAPH, cluster)
+        m = MetricsRegistry()
+        ctx.metrics = m
+        for budget in (None, 2.0 * MIB, None, 1.5 * MIB, 3.0 * MIB):
+            ctx.rebind(cluster, metrics=m, memory_budget=budget)
+            assert self.answer(ctx) == self.fresh(cluster, budget), budget
+        # the budget never rebuilds a band: one build per key
+        assert m.counter("profiler.band_builds").value == 2 * len(self.MBS)
+
+    def test_rebind_to_larger_capacity_rebuilds_wider(self):
+        small, large = cluster_with(2.0 * MIB), cluster_with(3.5 * MIB)
+        ctx = make_ctx(self.GRAPH, small)
+        m = MetricsRegistry()
+        assert self.answer(ctx) == self.fresh(small)
+        narrow = {key: b.span for key, b in ctx._band_cache.items()}
+
+        ctx.rebind(large, metrics=m)
+        assert self.answer(ctx) == self.fresh(large)
+        fresh_large = make_ctx(self.GRAPH, large)
+        self.answer(fresh_large)
+        # never narrower than a fresh context's band at the new capacity
+        for key, band in ctx._band_cache.items():
+            assert band.span >= fresh_large._band_cache[key].span
+            assert band.capacity == fresh_large.capacity
+        assert any(
+            ctx._band_cache[key].span > span for key, span in narrow.items()
+        )
+        assert m.counter("profiler.band_builds").value > 0
+
+        # back down: the wider bands serve the smaller capacity
+        m2 = MetricsRegistry()
+        ctx.rebind(small, metrics=m2)
+        assert self.answer(ctx) == self.fresh(small)
+        assert m2.counter("profiler.band_builds").value == 0
+        assert m2.counter("profiler.band_cache_hits").value > 0

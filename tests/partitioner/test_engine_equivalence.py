@@ -4,9 +4,10 @@ Production evaluates Algorithm 1 on one path: banded profiles, every
 replica plane of a ``d'`` column reduced in one pass, over chunks of at
 most ``PLANE_CHUNK_CELLS`` slab cells.  Every stage count of every sweep
 is held to the pure-Python ``reference_form_stage_dp``, homogeneous and
-heterogeneous clusters alike, and the chunking and Algorithm 2's thread
-pool must not change anything *bit for bit*: same plans, same
-tie-breaks, same ``dp_calls`` / ``states_evaluated`` counters.  The
+heterogeneous clusters alike, and neither the chunking, the band-width
+cut nor the host's core count may change anything *bit for bit*: same
+plans, same tie-breaks, same ``dp_calls`` / ``states_evaluated``
+counters.  The
 banded profile construction is additionally checked against the
 per-entry ``stage_profile`` oracle
 (:meth:`DPContext.profile_tensors_reference`) with hypothesis-driven
@@ -122,18 +123,18 @@ class TestBandedConstruction:
                 assert ctx.batch_size // (R * MB * r) < 1
                 assert not np.isfinite(TF[:, :, r]).any()
                 continue
-            for lo in range(ctx.k):
+            for hi in range(ctx.k + 1):
                 for j in range(span):
-                    hi = lo + 1 + j
+                    lo = hi - 1 - j
                     ref = (
                         (TF[lo, hi, r], TB[lo, hi, r], MEM[lo, hi, r])
-                        if hi <= ctx.k
+                        if lo >= 0
                         else (np.inf, np.inf, np.inf)
                     )
                     got = (
-                        bands.tf[p, lo, j],
-                        bands.tb[p, lo, j],
-                        bands.mem[p, lo, j],
+                        bands.tf[p, hi, j],
+                        bands.tb[p, hi, j],
+                        bands.mem[p, hi, j],
                     )
                     assert got == ref  # bit-identical, inf included
 
@@ -399,7 +400,7 @@ class TestHeterogeneousSweep:
 
 
 # ----------------------------------------------------------------------
-# Algorithm 2's sweep pool
+# Algorithm 2 does not depend on the host
 
 
 class TestSearchBackends:
@@ -422,8 +423,6 @@ class TestSearchBackends:
         serial, serial_key = self.run_search(cpus=1)
         pooled, pooled_key = self.run_search(cpus=4)
         assert serial_key == pooled_key
-        assert serial.sweep_workers == 1
-        assert pooled.sweep_workers > 1
 
     def test_unknown_backend_rejected(self):
         ctx = make_ctx()

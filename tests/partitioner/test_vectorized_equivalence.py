@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.partitioner.stage_dp as stage_dp_mod
+from repro.graph.builder import GraphBuilder
 from repro.hardware import tiny_cluster
 from repro.models import build_mlp
 from repro.partitioner.atomic import atomic_partition
@@ -50,10 +51,11 @@ def dense_bands(ctx, D, R, MB, ckpt):
     k = ctx.k
     bands = ctx.profile_bands(D, R, MB, ckpt, k)
     dense = [np.full((k + 1, k + 1, D + 1), np.inf) for _ in range(3)]
-    lo, hi = np.broadcast_arrays(
-        np.arange(k)[:, None], np.arange(k)[:, None] + 1 + np.arange(k)
+    hi, lo = np.broadcast_arrays(
+        np.arange(k + 1)[:, None],
+        np.arange(k + 1)[:, None] - 1 - np.arange(bands.span),
     )
-    valid = hi <= k
+    valid = lo >= 0
     for r in range(1, D + 1):
         p = int(bands.plane_of_r[r])
         if p < 0:
@@ -99,6 +101,34 @@ class TestRangeMatrices:
             tiny_bert, atomic_partition(tiny_bert), profiler, num_blocks=8
         )
         ctx = DPContext(tiny_bert, blocks, profiler, 32)
+        for lo in range(ctx.k):
+            for hi in range(lo + 1, ctx.k + 1):
+                assert ctx.range_meta(lo, hi) == \
+                    ctx._range_meta_reference(lo, hi), (lo, hi)
+
+
+    def test_all_ranges_match_reference_on_shared_values(self):
+        """Graph outputs also consumed inside the graph, PARAM and CONST
+        inputs, and a value consumed by several later blocks: every
+        rectangle of the difference-array builder, one block per task."""
+        b = GraphBuilder("shared")
+        x = b.input("x", (1, 32))
+        scale = b.const("scale", (1, 32))
+        h1 = b.op("relu", [b.linear(x, 32, name="fc1")])
+        h2 = b.op("mul", [h1, scale])
+        h3 = b.linear(h2, 32, name="fc2")
+        h5 = b.op("relu", [b.op("add", [h3, h1])])
+        h6 = b.op("add", [h5, h1])
+        h7 = b.linear(h6, 32, name="fc3")
+        loss = b.op("mse_loss", [h7, b.input("y", (1, 32))])
+        graph = b.finish(outputs=[loss, h3, h1])
+        profiler = GraphProfiler(graph, tiny_cluster())
+        blocks = [
+            Block(index=i, atomic_indices=(i,), tasks=c.tasks)
+            for i, c in enumerate(atomic_partition(graph))
+        ]
+        ctx = DPContext(graph, blocks, profiler, 8)
+        assert ctx.k == len(graph.tasks)
         for lo in range(ctx.k):
             for hi in range(lo + 1, ctx.k + 1):
                 assert ctx.range_meta(lo, hi) == \
@@ -163,7 +193,7 @@ class TestProfileTensors:
         assert np.array_equal(TF, ref[0])  # the subclass's doubled times
         assert not np.array_equal(TF, dense_bands(base, 4, 1, 1, False)[0])
         bands = ctx.profile_bands(4, 1, 1, False, ctx.k)
-        assert bands.tf[0, 0, ctx.k - 1] == ref[0][0, ctx.k, 1]
+        assert bands.tf[0, ctx.k, ctx.k - 1] == ref[0][0, ctx.k, 1]
         # and the DP table is filled from them: one stage on one device
         # over all blocks carries the doubled forward time
         sol = form_stage_dp(ctx, 1, 1, 32, 1, 1)
@@ -238,7 +268,6 @@ class TestAlgorithm2:
         a = form_stage(serial, 2, 4, 32)
         monkeypatch.setattr("os.cpu_count", lambda: 4)
         b = form_stage(threaded, 2, 4, 32)
-        assert (a.sweep_workers, b.sweep_workers) == (1, 4)
         assert (a is None) == (b is None)
         assert solution_key(a.solution) == solution_key(b.solution)
         assert a.num_pipeline_nodes == b.num_pipeline_nodes
