@@ -491,11 +491,12 @@ class BlockPartitioner:
             best = self._exact_partition(order, times)
             self.compaction = "exact"
         if best is None:
+            reach = self._memory_reach(order)
             lo = max(times)
             hi = sum(times)
             for _ in range(40):
                 cap = 0.5 * (lo + hi)
-                parts = self._pack(order, times, cap)
+                parts = self._pack(order, times, cap, reach)
                 if parts is not None and len(parts) <= self.k:
                     best = parts
                     hi = cap
@@ -557,33 +558,78 @@ class BlockPartitioner:
             parts_list.append(part)
         return parts_list
 
+    def _memory_reach(self, order: List[int]) -> List[int]:
+        """Per start ``i``, the end of the longest run ``order[i:j]`` that
+        fits the memory cap (``i + 1`` at least: a lone group always
+        forms a part).
+
+        A run's memory only grows as it extends and only shrinks as its
+        start advances, so the ends never decrease and two pointers find
+        them all in one pass.  The window keeps the aggregates of
+        ``_absorb``: saved bytes, private parameters, and a user count per
+        shared parameter id.  All are integers (saved bytes held in a
+        float), so adding and removing groups is exact and each test
+        equals ``_merged_memory(window, next group) > memory_limit``."""
+        n = len(order)
+        loads = [self.group_load[g] for g in order]
+        sizes = self._param_sizes
+        users: Dict[int, int] = {}
+        saved, private, shared_params = 0.0, 0, 0
+        reach = [0] * n
+        j = 0
+        for i in range(n):
+            while j < n:
+                y = loads[j]
+                if j > i:
+                    fresh = sum(sizes[p] for p in y.shared if p not in users)
+                    params = private + shared_params + y.private + fresh
+                    if (self._params_memory(params, saved + y.saved)
+                            > self.memory_limit):
+                        break
+                for p in y.shared:
+                    if p in users:
+                        users[p] += 1
+                    else:
+                        users[p] = 1
+                        shared_params += sizes[p]
+                saved += y.saved
+                private += y.private
+                j += 1
+            reach[i] = j
+            x = loads[i]
+            for p in x.shared:
+                users[p] -= 1
+                if not users[p]:
+                    del users[p]
+                    shared_params -= sizes[p]
+            saved -= x.saved
+            private -= x.private
+        return reach
+
+    @staticmethod
     def _pack(
-        self, order: List[int], times: List[float], cap: float
+        order: List[int], times: List[float], cap: float, reach: List[int]
     ) -> Optional[List[List[int]]]:
-        """Greedy prefix packing under a load cap and the memory cap,
-        carrying the open part's aggregates along."""
+        """Greedy prefix packing under a load cap and the memory cap: a
+        part opened at ``i`` takes groups while its load stays within
+        ``cap`` and it ends before ``reach[i]`` (:meth:`_memory_reach`)."""
         parts: List[List[int]] = []
-        current: List[int] = []
-        load: Optional[_Load] = None
-        acc = 0.0
-        for gid, t in zip(order, times):
-            if current and (
-                acc + t > cap
-                or self._merged_memory(load, self.group_load[gid])
-                > self.memory_limit
-            ):
-                parts.append(current)
-                current = []
-            if not current:
-                if t > cap:
-                    return None  # a single group exceeds the load cap
-                current, load, acc = [gid], self.group_load[gid].copy(), t
-            else:
-                current.append(gid)
-                self._absorb(load, self.group_load[gid])
-                acc = acc + t
-        if current:
-            parts.append(current)
+        n = len(order)
+        i = 0
+        while i < n:
+            acc = times[i]
+            if acc > cap:
+                return None  # a single group exceeds the load cap
+            j = i + 1
+            end = reach[i]
+            while j < end:
+                grown = acc + times[j]
+                if grown > cap:
+                    break
+                acc = grown
+                j += 1
+            parts.append(order[i:j])
+            i = j
         return parts
 
     def _rebuild_from_parts(self, parts: List[List[int]]) -> None:

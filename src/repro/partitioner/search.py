@@ -20,6 +20,7 @@ bandwidth (footnote 3 of the paper).
 
 from __future__ import annotations
 
+import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Optional
@@ -172,13 +173,18 @@ def form_stage(
             ]
             tried += len(solutions)
             if level_span is not None:
-                level_span.set(feasible_candidates=len(solutions))
+                level_span.set(candidates=len(solutions))
             if solutions:
+                # ranking simulates each candidate's flush schedule: the
+                # search's cost outside the DP sweeps
+                rank_started = time.perf_counter()
                 best = min(
                     solutions, key=lambda s: s.estimated_iteration_time()
                 )
+                rank_ms = (time.perf_counter() - rank_started) * 1e3
                 if level_span is not None:
                     level_span.set(
+                        rank_ms=rank_ms,
                         winner_stages=best.num_stages,
                         winner_microbatches=best.num_microbatches,
                     )

@@ -37,7 +37,8 @@ kept as ``profile_tensors_reference`` and property-tested against the
 bands.  The DP reduction itself is evaluated for a whole ``(b, d)`` grid
 per stage, every replica plane of a ``d'`` column in one pass over
 ``b' in [b - w, b - 1]`` (``w`` the widest span that fits), with the
-``d_min`` pruning rule replayed over the precomputed failure masks so the
+``d_min`` pruning rule applied to the precomputed failure masks in
+closed form (a running max over rows, :func:`_dmin_keep`) so the
 visited-state count and all write decisions match the cell-by-cell loop
 bit for bit.  The pure-Python transcription stays in
 ``reference_form_stage_dp`` as the oracle.
@@ -1170,12 +1171,12 @@ def form_stage_dp(
     reproduces the per-cell flat argmin tie-break exactly.  On a
     heterogeneous cluster each replica count's slab is scaled by
     ``SLOW[d', d]`` and checked against ``MINMEM[d', d]`` (see
-    :meth:`DPContext.hetero_tables`).  The sweep then *replays* the
-    original cell ordering (b ascending, d descending) over the
-    precomputed memory/bs failure masks to apply the ``d_min`` rule, so
-    visited-state counts, pruning decisions and tie-breaks (first
-    minimum in ``(b', d')`` row-major order) are those of the per-cell
-    loop.
+    :meth:`DPContext.hetero_tables`).  The sweep then applies the
+    ``d_min`` rule of the original cell ordering (b ascending, d
+    descending) to the precomputed memory/bs failure masks as a running
+    max over rows (:func:`_dmin_keep`), so visited-state counts, pruning
+    decisions and tie-breaks (first minimum in ``(b', d')`` row-major
+    order) are those of the per-cell loop.
     """
     if BS != ctx.batch_size:
         raise ValueError("batch size mismatch with DPContext")
@@ -1258,6 +1259,49 @@ def _form_stage_dp_body(
     return results
 
 
+def _dmin_keep(
+    fin: np.ndarray,
+    memf: np.ndarray,
+    bsf: np.ndarray,
+    s: int,
+    b_hi: int,
+    d_hi: int,
+    dmin_pruning: bool,
+) -> Tuple[np.ndarray, int]:
+    """The cells of stage ``s`` the ``d_min`` rule keeps, and how many
+    it visits.
+
+    Algorithm 1 walks rows ``b`` in ascending and columns ``d`` in
+    descending order over ``[max(d_min, s), d_hi]``.  A cell without a
+    solution that failed on MEMORY (``memf``), not on a collapsed
+    microbatch (``bsf``), ends its row and raises ``d_min`` past it:
+    fewer devices only raise per-device pressure.  A row therefore
+    breaks at its highest such cell ``m_b`` iff ``m_b >= max(d_min, s)``,
+    and ``d_min`` only ever grows to ``m_b + 1``, so the ``d_min`` each
+    row starts from is an exclusive running max over the earlier rows.
+    A row keeps ``[m_b, d_hi]`` if it breaks, else ``[d_lo, d_hi]``, and
+    visits exactly those cells.
+    """
+    keep = np.zeros(fin.shape, dtype=bool)
+    if b_hi < s or d_hi < s:
+        return keep, 0
+    rows = slice(s, b_hi + 1)
+    n_rows = b_hi - s + 1
+    top = np.full(n_rows, -1, dtype=np.int64)
+    if dmin_pruning:
+        cols = slice(s, d_hi + 1)
+        prune = ~fin[rows, cols] & memf[rows, cols] & ~bsf[rows, cols]
+        hit = prune.any(axis=1)
+        top[hit] = d_hi - np.argmax(prune[hit, ::-1], axis=1)
+    d_min = np.maximum.accumulate(np.concatenate(([1], top[:-1] + 1)))
+    d_lo = np.maximum(d_min, s)
+    lo = np.where(top >= d_lo, top, d_lo)
+    visited = int(np.maximum(d_hi - lo + 1, 0).sum())
+    col = np.arange(fin.shape[1])
+    keep[rows] = (col >= lo[:, None]) & (col <= d_hi)
+    return keep, visited
+
+
 def _sweep_table(
     ctx: DPContext,
     s_lo: int,
@@ -1323,12 +1367,6 @@ def _sweep_table(
     cells = 0
 
     for s in range(1, s_hi + 1):
-        # d_min resets at each stage s: memory infeasibility is
-        # monotone in d and in b for FIXED s, but a deeper prefix (larger
-        # s) has smaller stages and may be feasible where a shallower one
-        # was not (deviation D1b in DESIGN.md; the pseudocode keeps d_min
-        # global, which can prune true optima)
-        d_min = 1
         # the bounds of the smallest stage count S >= s of the sweep:
         # its S - s later stages each need a block and a device
         slack = max(s_lo - s, 0)
@@ -1342,7 +1380,6 @@ def _sweep_table(
         best_dp = np.full((k + 1, D + 1), -1, dtype=np.int64)
         memf = np.zeros((k + 1, D + 1), dtype=bool)
         bsf = np.zeros((k + 1, D + 1), dtype=bool)
-        keep = np.zeros((k + 1, D + 1), dtype=bool)
 
         cells += _band_stage(
             tfp, tbv, memv, ovp, bands.plane_of_r, hetero,
@@ -1350,39 +1387,17 @@ def _sweep_table(
             best, best_tf, best_tb, best_bp, best_dp, memf, bsf,
         )
 
-        # replay the (b asc, d desc) cell order over the failure masks to
-        # apply d_min pruning with the exact per-cell semantics
-        fin_rows = np.isfinite(best).tolist()
-        memf_rows = memf.tolist()
-        bsf_rows = bsf.tolist()
-        for b in range(s, b_hi + 1):
-            d_lo = max(d_min, s)
-            if d_lo > d_hi:
-                continue
-            row_fin = fin_rows[b]
-            row_memf = memf_rows[b]
-            row_bsf = bsf_rows[b]
-            stop = d_lo
-            for d in range(d_hi, d_lo - 1, -1):
-                states += 1
-                if (
-                    dmin_pruning
-                    and not row_fin[d]
-                    and row_memf[d]
-                    and not row_bsf[d]
-                ):
-                    # "No solution with d" due to MEMORY: fewer total
-                    # devices only raises per-device pressure, so prune
-                    # the remaining (descending) d range.  A microbatch-
-                    # collapse failure (bs < 1) is NOT monotone in d --
-                    # it occurs at HIGH replica counts -- so it must not
-                    # escalate d_min.
-                    stop = d
-                    d_min = d + 1
-                    break
-            keep[b, stop:d_hi + 1] = True
+        # d_min resets at each stage s: memory infeasibility is
+        # monotone in d and in b for FIXED s, but a deeper prefix (larger
+        # s) has smaller stages and may be feasible where a shallower one
+        # was not (deviation D1b in DESIGN.md; the pseudocode keeps d_min
+        # global, which can prune true optima)
+        fin = np.isfinite(best)
+        keep, visited = _dmin_keep(fin, memf, bsf, s, b_hi, d_hi,
+                                   dmin_pruning)
+        states += visited
 
-        written = keep & np.isfinite(best)
+        written = keep & fin
         V[s] = np.where(written, best, INF)
         tf[s] = np.where(written, best_tf, 0.0)
         tb[s] = np.where(written, best_tb, 0.0)

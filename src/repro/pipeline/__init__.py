@@ -9,6 +9,8 @@ paper's wall-clock throughput runs (see DESIGN.md).
 
 from repro.pipeline.schedule import ScheduleEvent, sync_pipeline_schedule
 from repro.pipeline.simulator import (
+    FlushTiming,
+    flush_schedule,
     simulate_async_1f1b,
     simulate_sync_pipeline,
     sync_pipeline_wave_estimate,
@@ -18,10 +20,12 @@ from repro.pipeline.timeline import Timeline, build_sync_timeline, render_gantt
 from repro.pipeline.hybrid import evaluate_plan
 
 __all__ = [
+    "FlushTiming",
     "ScheduleEvent",
     "Timeline",
     "build_sync_timeline",
     "evaluate_plan",
+    "flush_schedule",
     "render_gantt",
     "simulate_async_1f1b",
     "simulate_sync_1f1b",

@@ -10,7 +10,9 @@ Two schedules:
 
 * :func:`simulate_sync_pipeline` -- flush-synchronous (GPipe / RaNNC):
   all microbatches forward, then all backward in reverse, parameter
-  versions consistent, bubbles at fill and drain.
+  versions consistent, bubbles at fill and drain.  Its kernel
+  :func:`flush_schedule` also returns each stage's busy time, and the
+  interval replay of :mod:`repro.pipeline.timeline` runs through it.
 * :func:`simulate_async_1f1b` -- PipeDream-2BW-style one-forward-one-
   backward steady state with no flush: per-iteration time approaches
   ``MB x (t_f + t_b)`` of the bottleneck stage (parameter staleness is the
@@ -19,7 +21,8 @@ Two schedules:
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,42 +34,99 @@ def _validate(tf: Sequence[float], tb: Sequence[float], num_microbatches: int) -
         raise ValueError("need >= 1 microbatch")
 
 
+@dataclass(frozen=True)
+class FlushTiming:
+    """Scalar figures of one flush-synchronous iteration.
+
+    ``busy[s]`` is stage ``s``'s busy time: the sum of its interval
+    lengths ``end - start`` in interval order (forwards by ascending
+    microbatch, then backwards by descending microbatch), so it equals
+    the sum over the stage's intervals of the replayed
+    :class:`~repro.pipeline.timeline.Timeline` bit for bit."""
+
+    makespan: float
+    busy: List[float]
+
+    def utilization(self, stage: int) -> float:
+        """Busy fraction of the stage over the whole iteration (an
+        all-zero schedule divides 0/0 to NaN, as numpy does)."""
+        return float(np.float64(self.busy[stage]) / self.makespan)
+
+    def bubble_fraction(self) -> float:
+        """Mean idle fraction across stages (Fig. 1's bubble, measured)."""
+        utils = [self.utilization(s) for s in range(len(self.busy))]
+        return 1.0 - float(np.mean(utils))
+
+
+#: ``record(stage, microbatch, phase, start, end)`` -- one executed interval
+IntervalSink = Callable[[int, int, str, float, float], None]
+
+
+def flush_schedule(
+    tf: Sequence[float],
+    tb: Sequence[float],
+    num_microbatches: int,
+    record: Optional[IntervalSink] = None,
+) -> FlushTiming:
+    """Time one flush-synchronous iteration in one pass of Python floats.
+
+    Forward waves: microbatch ``m`` on stage ``s`` starts when both the
+    stage is free and the microbatch's previous-stage forward finished.
+    Backward waves run in reverse microbatch order after the last forward
+    of the last stage (loss flush), stage order S-1 .. 0.  ``record``,
+    if given, receives every interval in that order.
+
+    Each start is ``max(stage free, dependency)`` with the stage's free
+    time first, so ties and the arithmetic match the event-by-event
+    recurrence exactly.  The makespan is the max over the stages' last
+    interval ends; with non-negative stage times every stage's ends only
+    grow, so that is the max over all interval ends.
+    """
+    _validate(tf, tb, num_microbatches)
+    tf = [float(t) for t in tf]
+    tb = [float(t) for t in tb]
+    S = len(tf)
+    free = [0.0] * S
+    busy = [0.0] * S
+    # the last stage's forward end of each microbatch: the dependency of
+    # that microbatch's first backward (the flush point for m = MB-1)
+    last_fwd = [0.0] * num_microbatches
+    forward = range(S)
+    for m in range(num_microbatches):
+        end = 0.0
+        for s in forward:
+            start = free[s]
+            if end > start:
+                start = end
+            end = start + tf[s]
+            free[s] = end
+            busy[s] += end - start
+            if record is not None:
+                record(s, m, "F", start, end)
+        last_fwd[m] = end
+    backward = range(S - 1, -1, -1)
+    for m in range(num_microbatches - 1, -1, -1):
+        end = last_fwd[m]
+        for s in backward:
+            start = free[s]
+            if end > start:
+                start = end
+            end = start + tb[s]
+            free[s] = end
+            busy[s] += end - start
+            if record is not None:
+                record(s, m, "B", start, end)
+    return FlushTiming(makespan=max(free), busy=busy)
+
+
 def simulate_sync_pipeline(
     tf: Sequence[float],
     tb: Sequence[float],
     num_microbatches: int,
 ) -> float:
-    """Makespan of one flush-synchronous iteration.
-
-    Forward waves: microbatch ``m`` on stage ``s`` starts when both the
-    stage is free and the microbatch's previous-stage forward finished.
-    Backward waves run in reverse microbatch order after the last forward
-    of the last stage (loss flush), stage order S-1 .. 0.
-    """
-    _validate(tf, tb, num_microbatches)
-    S = len(tf)
-    MB = num_microbatches
-
-    f_done = np.zeros((S, MB))
-    stage_free = np.zeros(S)
-    for m in range(MB):
-        for s in range(S):
-            dep = f_done[s - 1, m] if s > 0 else 0.0
-            start = max(stage_free[s], dep)
-            f_done[s, m] = start + tf[s]
-            stage_free[s] = f_done[s, m]
-
-    b_done = np.zeros((S, MB))
-    # the backward of microbatch m on stage s depends on the backward of m
-    # on stage s+1; the last stage's first backward waits for that
-    # microbatch's own forward (which is the flush point for m = MB-1)
-    for m in reversed(range(MB)):
-        for s in reversed(range(S)):
-            dep = b_done[s + 1, m] if s + 1 < S else f_done[S - 1, m]
-            start = max(stage_free[s], dep)
-            b_done[s, m] = start + tb[s]
-            stage_free[s] = b_done[s, m]
-    return float(b_done.max())
+    """Makespan of one flush-synchronous iteration
+    (:func:`flush_schedule`)."""
+    return flush_schedule(tf, tb, num_microbatches).makespan
 
 
 def simulate_async_1f1b(

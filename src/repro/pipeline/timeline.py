@@ -2,15 +2,16 @@
 pipelines.
 
 :mod:`repro.pipeline.simulator` reduces a schedule to scalar figures
-(makespan, and via :func:`~repro.pipeline.hybrid.evaluate_plan` the
-iteration-time diagnostics stamped onto every plan); this module keeps
-the *full* event set instead — every (stage, microbatch, phase) interval
-of the flush-synchronous schedule with real per-stage times — and feeds
-the diagnostics layers built on top of it:
+(:func:`~repro.pipeline.simulator.flush_schedule`: makespan and per-stage
+busy time, the source of the ``stage.*.utilization`` /
+``stage.bubble_frac`` metrics of the planner's evaluate pass); this
+module keeps the *full* event set instead — every (stage, microbatch,
+phase) interval of the flush-synchronous schedule with real per-stage
+times, recorded by the same kernel — and feeds the diagnostics layers
+built on top of it:
 
 * utilization/bubble accounting per stage (the quantitative version of
-  Fig. 1's idle slots; surfaced as ``stage.*.utilization`` /
-  ``stage.bubble_frac`` metrics by the planner's evaluate pass),
+  Fig. 1's idle slots), read from the kernel's figures,
 * ASCII Gantt rendering of a concrete plan's iteration,
 * Chrome-trace/Perfetto export — :meth:`Timeline.to_trace_events` emits
   one track per stage with forward/backward colour-coded by category
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import numpy as np
+from repro.pipeline.simulator import FlushTiming, flush_schedule
 
 
 @dataclass(frozen=True)
@@ -43,27 +44,29 @@ class Interval:
 
 @dataclass
 class Timeline:
-    """All intervals of one training iteration."""
+    """All intervals of one training iteration, plus the scalar figures
+    the replay computed along the way (makespan and per-stage busy time),
+    so the accessors below read them instead of rescanning intervals."""
 
     intervals: List[Interval]
     num_stages: int
     num_microbatches: int
+    timing: FlushTiming
 
     @property
     def makespan(self) -> float:
-        return max(iv.end for iv in self.intervals)
+        return self.timing.makespan
 
     def stage_busy_time(self, stage: int) -> float:
-        return sum(iv.duration for iv in self.intervals if iv.stage == stage)
+        return self.timing.busy[stage]
 
     def stage_utilization(self, stage: int) -> float:
         """Busy fraction of the stage over the whole iteration."""
-        return self.stage_busy_time(stage) / self.makespan
+        return self.timing.utilization(stage)
 
     def bubble_fraction(self) -> float:
         """Mean idle fraction across stages (Fig. 1's bubble, measured)."""
-        utils = [self.stage_utilization(s) for s in range(self.num_stages)]
-        return 1.0 - float(np.mean(utils))
+        return self.timing.bubble_fraction()
 
     def to_trace_events(self, pid: int = 2) -> List[dict]:
         """Chrome-trace complete events: one track (``tid``) per stage,
@@ -104,32 +107,17 @@ def build_sync_timeline(
     tb: Sequence[float],
     num_microbatches: int,
 ) -> Timeline:
-    """Replay of :func:`simulate_sync_pipeline` that keeps every interval."""
-    if len(tf) != len(tb) or not tf:
-        raise ValueError("tf and tb must be equal-length, non-empty")
-    if num_microbatches < 1:
-        raise ValueError("need >= 1 microbatch")
-    S, MB = len(tf), num_microbatches
+    """Replay of :func:`~repro.pipeline.simulator.flush_schedule` that
+    keeps every interval."""
     intervals: List[Interval] = []
-    f_done = np.zeros((S, MB))
-    stage_free = np.zeros(S)
-    for m in range(MB):
-        for s in range(S):
-            dep = f_done[s - 1, m] if s > 0 else 0.0
-            start = max(stage_free[s], dep)
-            f_done[s, m] = start + tf[s]
-            stage_free[s] = f_done[s, m]
-            intervals.append(Interval(s, m, "F", start, f_done[s, m]))
-    b_done = np.zeros((S, MB))
-    for m in reversed(range(MB)):
-        for s in reversed(range(S)):
-            dep = b_done[s + 1, m] if s + 1 < S else f_done[S - 1, m]
-            start = max(stage_free[s], dep)
-            b_done[s, m] = start + tb[s]
-            stage_free[s] = b_done[s, m]
-            intervals.append(Interval(s, m, "B", start, b_done[s, m]))
-    return Timeline(intervals=intervals, num_stages=S,
-                    num_microbatches=MB)
+
+    def record(stage: int, microbatch: int, phase: str, start: float,
+               end: float) -> None:
+        intervals.append(Interval(stage, microbatch, phase, start, end))
+
+    timing = flush_schedule(tf, tb, num_microbatches, record)
+    return Timeline(intervals=intervals, num_stages=len(timing.busy),
+                    num_microbatches=num_microbatches, timing=timing)
 
 
 def render_gantt(timeline: Timeline, width: int = 80) -> str:
@@ -163,8 +151,17 @@ def render_gantt(timeline: Timeline, width: int = 80) -> str:
     return "\n".join(rows)
 
 
+def _stage_times(plan) -> Tuple[List[float], List[float]]:
+    return ([s.time_fwd for s in plan.stages],
+            [s.time_bwd for s in plan.stages])
+
+
+def plan_flush_timing(plan) -> FlushTiming:
+    """Makespan and per-stage busy time of one iteration of a partition
+    plan, without keeping the intervals."""
+    return flush_schedule(*_stage_times(plan), plan.num_microbatches)
+
+
 def plan_timeline(plan) -> Timeline:
     """Timeline of one iteration of a partition plan."""
-    tf = [s.time_fwd for s in plan.stages]
-    tb = [s.time_bwd for s in plan.stages]
-    return build_sync_timeline(tf, tb, plan.num_microbatches)
+    return build_sync_timeline(*_stage_times(plan), plan.num_microbatches)

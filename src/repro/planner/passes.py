@@ -327,14 +327,14 @@ class EvaluatePass(PlannerPass):
         if ctx.config.schedule == "sync":
             # the flush schedule's measured bubble (Fig. 1, quantified):
             # gauges per stage plus the mean idle fraction
-            from repro.pipeline.timeline import plan_timeline
+            from repro.pipeline.timeline import plan_flush_timing
 
-            timeline = plan_timeline(plan)
-            for s in range(timeline.num_stages):
+            timing = plan_flush_timing(plan)
+            for s in range(plan.num_stages):
                 ctx.metrics.gauge(f"stage.{s}.utilization").set(
-                    timeline.stage_utilization(s)
+                    timing.utilization(s)
                 )
-            bubble = timeline.bubble_fraction()
+            bubble = timing.bubble_fraction()
             ctx.metrics.gauge("stage.bubble_frac").set(bubble)
             detail["bubble_frac"] = bubble
         return detail

@@ -262,23 +262,23 @@ class PlanEngine:
 
     def simulate(self, params: Any) -> Dict[str, Any]:
         """Plan (warm requests reuse everything) and report the simulated
-        1F1B flush timeline: makespan, bubble, per-stage utilization."""
-        from repro.pipeline.timeline import plan_timeline
+        GPipe flush-synchronous timeline (all forwards, then all
+        backwards): makespan, bubble, per-stage utilization."""
+        from repro.pipeline.timeline import plan_flush_timing
 
         started = time.perf_counter()
         req = self._normalize(params)
         doc, meta = self._coalesced_plan(req, started)
         plan = self._plan_object(req)
-        timeline = plan_timeline(plan)
+        timing = plan_flush_timing(plan)
         return {
             "meta": meta,
             "timeline": {
-                "makespan": timeline.makespan,
-                "bubble_fraction": timeline.bubble_fraction(),
-                "num_stages": timeline.num_stages,
+                "makespan": timing.makespan,
+                "bubble_fraction": timing.bubble_fraction(),
+                "num_stages": plan.num_stages,
                 "stage_utilization": [
-                    timeline.stage_utilization(s)
-                    for s in range(timeline.num_stages)
+                    timing.utilization(s) for s in range(plan.num_stages)
                 ],
                 "iteration_time": plan.iteration_time,
                 "throughput": plan.throughput,

@@ -13,7 +13,7 @@ Routes (see ``docs/SERVICE.md`` for the schemas)::
     POST /v1/plan         plan (cold / warm / delta, coalesced)
     POST /v1/replan       plan against a warm base (409 without one)
     POST /v1/repair       replan-on-event plan repair (409 cold)
-    POST /v1/simulate     plan + 1F1B flush timeline summary
+    POST /v1/simulate     plan + GPipe flush-schedule timeline summary
     POST /v1/serving-sim  inference plan + serving simulation + SLO
                           autoscaling (see docs/SERVING_SIM.md)
     POST /v1/verify       round-trip verify a deployment document

@@ -272,3 +272,94 @@ def test_block_invariants_random_chains(k, layers):
     blocks = block_partition(g, atomic_partition(g), profiler, num_blocks=k)
     check_block_invariants(g, blocks, k)
     assert len(blocks) <= max(k, 1) or len(blocks) == len(g.tasks)
+
+
+def _pack_with_set_algebra(bp, order, times, cap):
+    """Greedy prefix packing that merges the open part's aggregates group
+    by group: the reference for ``_memory_reach`` + ``_pack``."""
+    parts = []
+    current = []
+    load = None
+    acc = 0.0
+    for gid, t in zip(order, times):
+        if current and (
+            acc + t > cap
+            or bp._merged_memory(load, bp.group_load[gid]) > bp.memory_limit
+        ):
+            parts.append(current)
+            current = []
+        if not current:
+            if t > cap:
+                return None
+            current, load, acc = [gid], bp.group_load[gid].copy(), t
+        else:
+            current.append(gid)
+            bp._absorb(load, bp.group_load[gid])
+            acc = acc + t
+    if current:
+        parts.append(current)
+    return parts
+
+
+def _random_packing_case(seed, n, num_params, tightness):
+    """A partitioner whose ``n`` groups carry random loads (shared
+    parameter ids overlapping across groups) under a memory cap
+    ``tightness`` of the way from the largest lone group to the whole
+    order, plus random group times."""
+    from repro.partitioner.blocks import _Load
+
+    rng = np.random.default_rng(seed)
+    bp = make_partitioner(build_mlp((16, 16, 16)), k=2)
+    bp._param_sizes = [int(x) for x in rng.integers(1, 1000, num_params)]
+    order = [int(g) for g in rng.permutation(n) + 100]
+    bp.group_load = {}
+    for gid in order:
+        shared = {int(p) for p in rng.choice(
+            num_params, size=int(rng.integers(0, num_params + 1)),
+            replace=False,
+        )}
+        bp.group_load[gid] = _Load(
+            float(rng.integers(0, 10**6)), int(rng.integers(0, 10**4)),
+            shared, sum(bp._param_sizes[p] for p in shared),
+        )
+    whole = bp.group_load[order[0]].copy()
+    for gid in order[1:]:
+        bp._absorb(whole, bp.group_load[gid])
+    lone = max(bp._memory(bp.group_load[g]) for g in order)
+    bp.memory_limit = lone + tightness * (bp._memory(whole) - lone)
+    times = [float(t) for t in rng.random(n)]
+    return bp, order, times, rng
+
+
+def _check_packing_probes(bp, order, times, rng):
+    reach = bp._memory_reach(order)
+    assert all(i < r <= len(order) for i, r in enumerate(reach))
+    lo, hi = max(times), sum(times)
+    caps = [0.5 * lo, lo, hi] + [lo + f * (hi - lo) for f in rng.random(8)]
+    for cap in caps:
+        assert bp._pack(order, times, cap, reach) == _pack_with_set_algebra(
+            bp, order, times, cap
+        )
+    return reach
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=60),
+    num_params=st.integers(min_value=1, max_value=12),
+    tightness=st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]),
+)
+def test_memory_reach_packing_matches_set_algebra(seed, n, num_params,
+                                                  tightness):
+    """Every probe's parts equal the group-by-group merge's."""
+    _check_packing_probes(
+        *_random_packing_case(seed, n, num_params, tightness)
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_tight_memory_ends_runs_early(seed):
+    bp, order, times, rng = _random_packing_case(seed, 50, 10, 0.1)
+    reach = _check_packing_probes(bp, order, times, rng)
+    assert max(reach[i] - i for i in range(len(order))) < len(order)

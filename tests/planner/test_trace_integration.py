@@ -81,6 +81,19 @@ class TestDPInstrumentation:
         assert snap["profiler.band_builds"] >= 1
 
 
+    def test_level_span_reports_ranking(self, tiny_bert):
+        ctx, plan = run_plan(tiny_bert, trace=True)
+        levels = ctx.tracer.spans("partitioner.search")
+        assert sum(s.attrs["candidates"] for s in levels) == (
+            plan.diagnostics.candidates_tried
+        ) > 0
+        # only the winning level ranks its candidates
+        ranked = [s for s in levels if "rank_ms" in s.attrs]
+        assert len(ranked) == 1 and ranked[0] is levels[-1]
+        assert 0.0 <= ranked[0].attrs["rank_ms"] <= ranked[0].duration * 1e3
+        assert ranked[0].attrs["winner_stages"] == plan.num_stages
+
+
 class TestParallelSearchTracing:
     def test_cross_thread_parenting(self, tiny_bert, monkeypatch):
         # the search must not depend on the host's core count
