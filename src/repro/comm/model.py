@@ -9,7 +9,8 @@ Two tiers of API, one namespace:
 closed forms, so ``comm_model="flat"`` is bit-for-bit identical to
 pre-subsystem behaviour.  ``p2p_affine`` exposes the ``(latency,
 bandwidth)`` pair those closed forms use, so vectorized planner code
-(``stage_dp._profile_planes``) can stay exact while being model-aware.
+(the stage-cost kernel ``DPContext._range_costs``) can stay exact while
+being model-aware.
 
 *Rank-aware tier* -- ``rank_p2p_time(src, dst, nbytes)`` and
 ``allreduce(nbytes, ranks)`` take actual device ranks and, under

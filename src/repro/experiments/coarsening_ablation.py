@@ -24,7 +24,7 @@ beyond that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from repro.models import BertConfig, build_bert
 from repro.partitioner import auto_partition
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import Block
-from repro.partitioner.stage_dp import DPContext, StageProfile, form_stage_dp
+from repro.partitioner.stage_dp import DPContext, form_stage_dp
 from repro.profiler import GraphProfiler
 
 
@@ -43,7 +43,9 @@ class SummedAtomicContext(DPContext):
     Per-range time = sum of per-atom compute PLUS per-atom boundary
     transfer; per-range memory = sum of per-atom static + activation +
     stash terms.  Both are monotone overestimates of the true merged
-    profile (property-tested).
+    profile (property-tested).  Only the stage-cost kernel
+    (:meth:`DPContext._range_costs`) is overridden, so the DP's bands and
+    its backtracked stage profiles read the same estimate.
     """
 
     def __init__(self, graph, blocks, profiler, batch_size):
@@ -66,69 +68,32 @@ class SummedAtomicContext(DPContext):
             ])]
         )
 
-    def _profile_planes(self, bs, MB, checkpointing):
-        """Whole-plane form of the summed estimate below, so
-        ``profile_tensors`` can use the vectorized builder; term order
-        mirrors ``stage_profile`` exactly for bit-identical entries."""
+    def _range_costs(self, lo, hi, bs, MB, checkpointing):
         tf_prefix, tb_prefix = self._time_prefix_at(bs)
-        tf_plane = tf_prefix[None, :] - tf_prefix[:, None]
-        tb_plane = tb_prefix[None, :] - tb_prefix[:, None]
+        t_f = tf_prefix[hi] - tf_prefix[lo]
+        t_b = tb_prefix[hi] - tb_prefix[lo]
         if checkpointing:
-            tb_plane = tb_plane + tf_plane
-        in_b = (self._in1_prefix[None, :] - self._in1_prefix[:, None]) * bs
-        out_b = (self._out1_prefix[None, :] - self._out1_prefix[:, None]) * bs
-        idx = np.arange(self.k + 1)
-        n_atoms = idx[None, :] - idx[:, None]
-        lat = self.cluster.comm_latency
-        bw = self.cluster.intra_node_bandwidth
-        tf_plane = tf_plane + (n_atoms * lat + out_b / bw)
-        tb_plane = tb_plane + (n_atoms * lat + in_b / bw)
-        act_factor = self.profiler.precision.activation_bytes_factor
-        saved = (
-            self._saved_prefix[None, :] - self._saved_prefix[:, None]
-        ) * bs * act_factor
-        mem_plane = (
-            self._static_prefix[None, :] - self._static_prefix[:, None]
-        ) + saved + in_b
-        return tf_plane, tb_plane, mem_plane
-
-    def stage_profile(
-        self, lo: int, hi: int, replicas: int, R: int, MB: int,
-        checkpointing: bool,
-    ) -> Optional[StageProfile]:
-        bs = self.batch_size // (R * MB * replicas)
-        if bs < 1:
-            return None
-        tf_prefix, tb_prefix = self._time_prefix_at(bs)
-        t_f = float(tf_prefix[hi] - tf_prefix[lo])
-        t_b = float(tb_prefix[hi] - tb_prefix[lo])
-        if checkpointing:
-            t_b += t_f
-        in_bytes = float(self._in1_prefix[hi] - self._in1_prefix[lo]) * bs
-        out_bytes = float(self._out1_prefix[hi] - self._out1_prefix[lo]) * bs
+            t_b = t_b + t_f
+        in_b = (self._in1_prefix[hi] - self._in1_prefix[lo]) * bs
+        out_b = (self._out1_prefix[hi] - self._out1_prefix[lo]) * bs
         # every atomic boundary charged a transfer (the overestimation)
         n_atoms = hi - lo
-        t_f += n_atoms * self.cluster.comm_latency + out_bytes / self.cluster.intra_node_bandwidth
-        t_b += n_atoms * self.cluster.comm_latency + in_bytes / self.cluster.intra_node_bandwidth
+        lat = self.cluster.comm_latency
+        bw = self.cluster.intra_node_bandwidth
+        t_f = t_f + (n_atoms * lat + out_b / bw)
+        t_b = t_b + (n_atoms * lat + in_b / bw)
         act_factor = self.profiler.precision.activation_bytes_factor
-        saved = float(
+        saved = (
             self._saved_prefix[hi] - self._saved_prefix[lo]
         ) * bs * act_factor
         # summing per-atom profiles counts every interior boundary once
         # (each atom's own input stash); the paper's variant sums single
         # microbatch profiles, so no MB multiplier appears here
-        memory = float(
+        memory = (
             self._static_prefix[hi] - self._static_prefix[lo]
-        ) + saved + in_bytes
-        return StageProfile(
-            time_fwd=t_f,
-            time_bwd=t_b,
-            memory=memory,
-            microbatch_size=bs,
-            in_bytes=in_bytes,
-            out_bytes=out_bytes,
-            param_count=int(self._param_prefix[hi] - self._param_prefix[lo]),
-        )
+        ) + saved + in_b
+        params = self._param_prefix[hi] - self._param_prefix[lo]
+        return t_f, t_b, memory, in_b, out_b, params
 
 
 @dataclass
@@ -180,7 +145,7 @@ def run_coarsening_ablation(
                 AblationRow(
                     model=name,
                     full_throughput=plan.throughput,
-                    full_dp_states=int(plan.diagnostics.dp_calls),
+                    full_dp_states=plan.diagnostics.states_evaluated,
                     ablated_finished=False,
                     projected_states=projected,
                 )
@@ -223,7 +188,7 @@ def run_coarsening_ablation(
             AblationRow(
                 model=name,
                 full_throughput=plan.throughput,
-                full_dp_states=int(plan.diagnostics.dp_calls),
+                full_dp_states=plan.diagnostics.states_evaluated,
                 ablated_finished=best is not None,
                 ablated_throughput=best or 0.0,
                 ablated_dp_states=ctx.states_evaluated,

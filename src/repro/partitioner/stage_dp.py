@@ -21,27 +21,29 @@ at ``(b, d) = (0, 0)`` (the pseudocode's blanket ``V[0, b, d] = 0`` would
 let solutions silently skip a prefix of blocks / devices, contradicting
 the recurrence for ``E_S`` in the text).
 
-All candidate-stage profiles for one DP call are precomputed into
-banded ``(plane, hi, span)`` arrays (:class:`BandedProfile`).  The bands
-are built without any per-entry Python work: a stage profile depends on
-the replica count only through the per-replica microbatch ``bs = BS //
-(R * MB * r)``, so one plane of broadcast prefix-sum differences per
-distinct ``bs`` covers the whole replica axis.  A band is only as wide
-as a stage that fits in device memory can be: a stage's memory is at
-least its parameter state plus its saved activations at the smallest
-microbatch, a floor that only grows with the span, so every wider stage
-is over the cap on every plane.  Range boundary bytes and
-unique-parameter sizes come from 2-D difference-array rectangle sums,
-exactly reproducing the per-entry results -- the per-entry builder is
-kept as ``profile_tensors_reference`` and property-tested against the
-bands.  The DP reduction itself is evaluated for a whole ``(b, d)`` grid
-per stage, every replica plane of a ``d'`` column in one pass over
-``b' in [b - w, b - 1]`` (``w`` the widest span that fits), with the
+Every stage is priced by one kernel, :meth:`DPContext._range_costs`,
+which reads block ranges ``(lo, hi]`` off prefix sums and range matrices
+and takes ints or whole index grids alike: a backtracked stage is one
+call at scalar indices, and all candidate-stage profiles of one DP call
+are the same call over banded ``(hi, span)`` grids
+(:class:`BandedProfile`).  A stage profile depends on the replica count
+only through the per-replica microbatch ``bs = BS // (R * MB * r)``, so
+one band plane per distinct ``bs`` covers the whole replica axis.  A
+band is only as wide as a stage that fits in device memory can be: a
+stage's memory is at least its parameter state plus its saved
+activations at the smallest microbatch, a floor that only grows with the
+span, so every wider stage is over the cap on every plane.  Range
+boundary bytes and unique-parameter sizes come from 2-D difference-array
+rectangle sums.  The DP reduction itself is evaluated for a whole ``(b,
+d)`` grid per stage, every replica plane of a ``d'`` column in one pass
+over ``b' in [b - w, b - 1]`` (``w`` the widest span that fits), with the
 ``d_min`` pruning rule applied to the precomputed failure masks in
 closed form (a running max over rows, :func:`_dmin_keep`) so the
 visited-state count and all write decisions match the cell-by-cell loop
-bit for bit.  The pure-Python transcription stays in
-``reference_form_stage_dp`` as the oracle.
+bit for bit.  The per-entry profile transcription, the per-range
+metadata recomputation and the pure-Python Algorithm 1 that the test
+suite holds all of this to live with the tests
+(``tests/partitioner/oracles.py``).
 """
 
 from __future__ import annotations
@@ -185,22 +187,17 @@ class DPContext:
     block-range aggregates (task times, activation sizes, boundary bytes,
     unique parameter counts) are computed once.
 
-    Concurrency contract:
-
-    * **Intra-run** (reads + memoization): all mutable caches and
-      counters are guarded by an RLock, so concurrent DP calls over one
-      context see one band per key and exact ``dp_calls`` /
-      ``states_evaluated`` / ``cells_reduced`` statistics.
-    * **Cross-run** (rebinding): :meth:`rebind` and
-      :meth:`set_memory_budget` mutate the shared payload *in place*
-      when a ``dp_context`` artifact is reused from an
-      :class:`~repro.planner.store.ArtifactStore`
-      (``materialize_for_reuse``).  They are single-writer operations:
-      they must not race with another run's DP calls on the same
-      payload.  The RLock does not serialize whole runs -- callers that
-      can share a payload (same model family, e.g. the plan service in
-      :mod:`repro.service.engine`) must hold their own per-model mutex
-      around the entire pipeline execution.
+    Concurrency contract: one planning run uses a context at a time.
+    Algorithm 2's sweeps run serially, so no two DP calls share a context
+    at once.  Runs that reuse a ``dp_context`` artifact from an
+    :class:`~repro.planner.store.ArtifactStore` share this object, and
+    :meth:`rebind` / :meth:`set_memory_budget` mutate it in place
+    (``materialize_for_reuse``), so callers that share one store across
+    threads must serialize whole runs per model family: the plan service
+    (:mod:`repro.service.engine`) holds its per-model mutex around every
+    pipeline run, and none of its other paths reaches a stored context
+    (DESIGN.md, "Who reaches a shared context").  The RLock around the
+    caches and counters adds no guarantee beyond that.
     """
 
     def __init__(
@@ -247,7 +244,6 @@ class DPContext:
 
         self._lock = threading.RLock()
         self._time_prefix: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._range_meta: Dict[Tuple[int, int], Tuple[int, float, float]] = {}
         self._range_mats: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = None
@@ -265,18 +261,6 @@ class DPContext:
         self.cells_reduced = 0
         #: widest stage slab any sweep of the run reduced
         self.band_width_max = 0
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        # the DP builds its candidate bands plane by plane (one
-        # _profile_planes call per per-replica microbatch), so a custom
-        # per-entry profile is only honoured with its plane form alongside
-        super().__init_subclass__(**kwargs)
-        if "stage_profile" in vars(cls) and "_profile_planes" not in vars(cls):
-            raise TypeError(
-                f"{cls.__name__} overrides stage_profile without "
-                f"_profile_planes; the DP builds its candidates from "
-                f"_profile_planes, so override both together"
-            )
 
     # ------------------------------------------------------------------
     @property
@@ -438,7 +422,8 @@ class DPContext:
 
         Every byte summand is an integer byte count times 1.0 or 0.5, so
         the float sums are exact in any order and every entry is
-        bit-identical to ``_range_meta_reference``.
+        bit-identical to a per-range recomputation (the test suite's
+        ``range_meta_reference``).
         """
         with self._lock:
             if self._range_mats is not None:
@@ -513,28 +498,6 @@ class DPContext:
             self._range_mats = (IN1, OUT1, PARAMS)
             return self._range_mats
 
-    def range_meta(self, lo: int, hi: int) -> Tuple[int, float, float]:
-        """(unique params, in_bytes@bs1, out_bytes@bs1) of blocks (lo, hi]."""
-        key = (lo, hi)
-        cached = self._range_meta.get(key)
-        if cached is not None:
-            return cached
-        IN1, OUT1, PARAMS = self._range_matrices()
-        result = (int(PARAMS[lo, hi]), float(IN1[lo, hi]), float(OUT1[lo, hi]))
-        self._range_meta[key] = result
-        return result
-
-    def _range_meta_reference(self, lo: int, hi: int) -> Tuple[int, float, float]:
-        """Per-range recomputation of :meth:`range_meta` (the pre-sweep
-        implementation); kept as the oracle for the matrix builder."""
-        tasks: List[str] = []
-        for j in range(lo, hi):
-            tasks.extend(self.blocks[j].tasks)
-        idx = np.concatenate([self._block_idx[j] for j in range(lo, hi)])
-        params = self.profiler.unique_param_count(idx)
-        in_bytes, out_bytes = self.profiler.boundary_bytes(tasks, 1)
-        return (params, in_bytes, out_bytes)
-
     def range_tasks(self, lo: int, hi: int) -> Tuple[str, ...]:
         tasks: List[str] = []
         seen = set()
@@ -550,100 +513,72 @@ class DPContext:
         self, lo: int, hi: int, replicas: int, R: int, MB: int, checkpointing: bool
     ) -> Optional[StageProfile]:
         """Profile blocks ``(lo, hi]`` on ``replicas`` devices; ``None`` if
-        the per-replica microbatch collapses below one sample.
+        the per-replica microbatch collapses below one sample."""
+        bs = self.batch_size // (R * MB * replicas)
+        if bs < 1:
+            return None
+        t_f, t_b, memory, in_bytes, out_bytes, params = self._range_costs(
+            lo, hi, bs, MB, checkpointing
+        )
+        return StageProfile(
+            time_fwd=float(t_f),
+            time_bwd=float(t_b),
+            memory=float(memory),
+            microbatch_size=bs,
+            in_bytes=float(in_bytes),
+            out_bytes=float(out_bytes),
+            param_count=int(params),
+        )
+
+    def _range_costs(self, lo, hi, bs: int, MB: int, checkpointing: bool):
+        """``(t_f, t_b, memory, in_bytes, out_bytes, params)`` of blocks
+        ``(lo, hi]`` at per-replica microbatch ``bs``: the one stage-cost
+        kernel of Algorithm 1.
+
+        ``lo`` / ``hi`` are ints or broadcastable index arrays, so the
+        same float64 operations price one backtracked stage and a whole
+        profile band: prefix differences, the checkpointing recompute,
+        then the same-node p2p affine term ``latency + bytes /
+        bandwidth`` of ``ClusterSpec.p2p_time`` gated on non-zero
+        traffic, and the memory model's total.
 
         With a single stage (``checkpointing=False``), microbatches are
         plain gradient accumulation: backward runs right after each
         forward, so only ONE microbatch's activations are ever live.  In a
         flush-synchronous pipeline every stage stashes all ``MB``
-        microbatch inputs."""
-        bs = self.batch_size // (R * MB * replicas)
-        if bs < 1:
-            return None
-        tf_prefix, tb_prefix = self._time_prefix_at(bs)
-        t_f = float(tf_prefix[hi] - tf_prefix[lo])
-        t_b = float(tb_prefix[hi] - tb_prefix[lo])
-        if checkpointing and not self._inference:
-            t_b += t_f
-        params, in1, out1 = self.range_meta(lo, hi)
-        in_bytes = in1 * bs
-        out_bytes = out1 * bs
-        # execution time includes sending outputs forward / input grads back
-        # (inference never returns input gradients: t_b stays exactly 0)
-        t_f += self.cluster.p2p_time(out_bytes) if out_bytes else 0.0
-        if not self._inference:
-            t_b += self.cluster.p2p_time(in_bytes) if in_bytes else 0.0
-        act_factor = self.profiler.precision.activation_bytes_factor
-        saved = float(
-            self._saved_prefix[hi] - self._saved_prefix[lo]
-        ) * bs * act_factor
-        kv = float(
-            self._kv_prefix[hi] - self._kv_prefix[lo]
-        ) * bs * act_factor
-        memory = self.profiler.memory_model.total_bytes(
-            param_count=params,
-            saved_act_bytes_micro=saved,
-            boundary_in_bytes_micro=in_bytes,
-            microbatches_in_flight=MB if checkpointing else 1,
-            checkpointing=checkpointing,
-            kv_bytes_micro=kv,
-        )
-        return StageProfile(
-            time_fwd=t_f,
-            time_bwd=t_b,
-            memory=memory,
-            microbatch_size=bs,
-            in_bytes=in_bytes,
-            out_bytes=out_bytes,
-            param_count=params,
-        )
-
-    # ------------------------------------------------------------------
-    def _profile_planes(
-        self, bs: int, MB: int, checkpointing: bool
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(k+1, k+1)`` t_f / t_b / memory planes at one per-replica
-        microbatch size: the whole-plane form of :meth:`stage_profile`.
-
-        Operation order mirrors ``stage_profile`` exactly (prefix
-        difference, checkpointing recompute, then the same-node p2p
-        affine term ``latency + bytes / bandwidth`` of
-        ``ClusterSpec.p2p_time`` gated on non-zero traffic) so each entry
-        is the identical float64 arithmetic, just elementwise.  The
-        ``(latency, bandwidth)`` pair comes from the cluster's configured
-        communication model (``p2p_affine``), which keeps the plane and
-        the scalar path exact under both the flat and topology models.
+        microbatch inputs.  A subclass reprices stages by overriding this
+        method alone; its memory must stay at least the floor of
+        :meth:`_fit_width`, which sizes the bands.
         """
         IN1, OUT1, PARAMS = self._range_matrices()
         tf_prefix, tb_prefix = self._time_prefix_at(bs)
-        tf_plane = tf_prefix[None, :] - tf_prefix[:, None]
-        tb_plane = tb_prefix[None, :] - tb_prefix[:, None]
+        t_f = tf_prefix[hi] - tf_prefix[lo]
+        t_b = tb_prefix[hi] - tb_prefix[lo]
         if checkpointing and not self._inference:
-            tb_plane = tb_plane + tf_plane
-        in_b = IN1 * bs
-        out_b = OUT1 * bs
+            t_b = t_b + t_f
+        in_b = IN1[lo, hi] * bs
+        out_b = OUT1[lo, hi] * bs
+        # execution time includes sending outputs forward / input grads
+        # back (inference never returns input gradients)
         lat, bw = self.cluster.comm.p2p_affine(same_node=True)
-        tf_plane = tf_plane + np.where(out_b != 0.0, lat + out_b / bw, 0.0)
+        t_f = t_f + np.where(out_b != 0.0, lat + out_b / bw, 0.0)
         if not self._inference:
-            tb_plane = tb_plane + np.where(
-                in_b != 0.0, lat + in_b / bw, 0.0
-            )
+            t_b = t_b + np.where(in_b != 0.0, lat + in_b / bw, 0.0)
         act_factor = self.profiler.precision.activation_bytes_factor
         saved = (
-            self._saved_prefix[None, :] - self._saved_prefix[:, None]
+            self._saved_prefix[hi] - self._saved_prefix[lo]
         ) * bs * act_factor
-        kv = (
-            self._kv_prefix[None, :] - self._kv_prefix[:, None]
-        ) * bs * act_factor
-        mem_plane = self.profiler.memory_model.total_bytes(
-            param_count=PARAMS,
+        kv = (self._kv_prefix[hi] - self._kv_prefix[lo]) * bs * act_factor
+        params = PARAMS[lo, hi]
+        memory = self.profiler.memory_model.total_bytes(
+            param_count=params,
             saved_act_bytes_micro=saved,
             boundary_in_bytes_micro=in_b,
             microbatches_in_flight=MB if checkpointing else 1,
             checkpointing=checkpointing,
             kv_bytes_micro=kv,
         )
-        return tf_plane, tb_plane, mem_plane
+        return t_f, t_b, memory, in_b, out_b, params
 
     def hetero_tables(self, D: int, R: int) -> Tuple[np.ndarray, np.ndarray]:
         """Position-dependent capacity/speed tables for a heterogeneous
@@ -751,39 +686,22 @@ class DPContext:
                 bs_list.append(bs)
             plane_of_r[r] = p
         P = len(bs_list)
-        if type(self)._profile_planes is DPContext._profile_planes:
-            # every plane is at least the memory floor at the smallest
-            # microbatch, so the floor's fit bounds the band before it
-            # is built
-            fit = self._fit_width(bs_list[-1], capacity) if P else 0
-            width = max(1, min(span, fit))
-            tf = np.empty((P, k + 1, width))
-            tb = np.empty((P, k + 1, width))
-            mem = np.empty((P, k + 1, width))
-            for p, bs in enumerate(bs_list):
-                tf[p], tb[p], mem[p] = self._band_plane(
-                    bs, MB, checkpointing, width
-                )
-        else:
-            # subclass planes: build each dense once (transiently
-            # O(k^2) but still deduplicated over r), take the exact fit
-            # from its memory plane and slice the band out
-            fit = 0
-            tf = np.empty((P, k + 1, span))
-            tb = np.empty((P, k + 1, span))
-            mem = np.empty((P, k + 1, span))
-            for p, bs in enumerate(bs_list):
-                planes = self._profile_planes(bs, MB, checkpointing)
-                fit = max(fit, _widest_fit(planes[2], capacity))
-                tf[p] = _band_from_plane(planes[0], span)
-                tb[p] = _band_from_plane(planes[1], span)
-                mem[p] = _band_from_plane(planes[2], span)
-            width = max(1, min(span, fit))
-            if width < span:
-                tf, tb, mem = (
-                    np.ascontiguousarray(a[:, :, :width])
-                    for a in (tf, tb, mem)
-                )
+        # every plane is at least the memory floor at the smallest
+        # microbatch, so the floor's fit bounds the band before it is built
+        fit = self._fit_width(bs_list[-1], capacity) if P else 0
+        width = max(1, min(span, fit))
+        # entry [hi, j] prices blocks (hi - 1 - j, hi]; +inf below block 0
+        hi = np.arange(k + 1)[:, None]
+        lo = hi - 1 - np.arange(width)[None, :]
+        below = lo < 0
+        lo = np.maximum(lo, 0)
+        tf = np.empty((P, k + 1, width))
+        tb = np.empty((P, k + 1, width))
+        mem = np.empty((P, k + 1, width))
+        for p, bs in enumerate(bs_list):
+            costs = self._range_costs(lo, hi, bs, MB, checkpointing)
+            for out, cost in zip((tf, tb, mem), costs):
+                out[p] = np.where(below, np.inf, cost)
         return BandedProfile(
             span=width, bs_list=bs_list, plane_of_r=plane_of_r,
             tf=tf, tb=tb, mem=mem, capacity=capacity, fit_width=fit,
@@ -800,83 +718,17 @@ class DPContext:
         non-negative terms to it, and a microbatch of at least ``bs``
         only grows it, so a stage whose floor is over ``capacity`` is
         over it on every plane of a band whose smallest microbatch is
-        ``bs``."""
+        ``bs``.  A :meth:`_range_costs` override must keep its memory at
+        or above this floor; the coarsening ablation's summed estimate
+        does (``static_bytes`` is linear, so the per-atom static bytes
+        sum to at least those of the unique parameters, and it adds only
+        non-negative activation and boundary bytes)."""
         _, _, PARAMS = self._range_matrices()
         act_factor = self.profiler.precision.activation_bytes_factor
         floor = self.profiler.memory_model.static_bytes(PARAMS) + (
             self._saved_prefix[None, :] - self._saved_prefix[:, None]
         ) * bs * act_factor
         return _widest_fit(floor, capacity)
-
-    def _band_plane(
-        self, bs: int, MB: int, checkpointing: bool, span: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The diagonal band of :meth:`_profile_planes`, gathered without
-        materializing the dense plane.  Entry ``[hi, j]`` profiles blocks
-        ``(hi - 1 - j, hi]``; the arithmetic (prefix difference,
-        checkpointing recompute, p2p affine term, memory model) runs in
-        the exact order of :meth:`_profile_planes` so every in-range entry
-        is the identical float64 result."""
-        k = self.k
-        IN1, OUT1, PARAMS = self._range_matrices()
-        tf_prefix, tb_prefix = self._time_prefix_at(bs)
-        hi = np.arange(k + 1)[:, None]
-        lo = hi - 1 - np.arange(span)[None, :]
-        valid = lo >= 0
-        lo = np.maximum(lo, 0)
-        tf_band = tf_prefix[hi] - tf_prefix[lo]
-        tb_band = tb_prefix[hi] - tb_prefix[lo]
-        if checkpointing and not self._inference:
-            tb_band = tb_band + tf_band
-        in_b = IN1[lo, hi] * bs
-        out_b = OUT1[lo, hi] * bs
-        lat, bw = self.cluster.comm.p2p_affine(same_node=True)
-        tf_band = tf_band + np.where(out_b != 0.0, lat + out_b / bw, 0.0)
-        if not self._inference:
-            tb_band = tb_band + np.where(
-                in_b != 0.0, lat + in_b / bw, 0.0
-            )
-        act_factor = self.profiler.precision.activation_bytes_factor
-        saved = (
-            self._saved_prefix[hi] - self._saved_prefix[lo]
-        ) * bs * act_factor
-        kv = (
-            self._kv_prefix[hi] - self._kv_prefix[lo]
-        ) * bs * act_factor
-        mem_band = self.profiler.memory_model.total_bytes(
-            param_count=PARAMS[lo, hi],
-            saved_act_bytes_micro=saved,
-            boundary_in_bytes_micro=in_b,
-            microbatches_in_flight=MB if checkpointing else 1,
-            checkpointing=checkpointing,
-            kv_bytes_micro=kv,
-        )
-        return (
-            np.where(valid, tf_band, np.inf),
-            np.where(valid, tb_band, np.inf),
-            np.where(valid, mem_band, np.inf),
-        )
-
-    def profile_tensors_reference(
-        self, D: int, R: int, MB: int, checkpointing: bool
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-entry O(k^2 * D) tensor builder: one ``stage_profile`` call
-        per ``(lo, hi, r)``.  The test oracle for the banded builder
-        (:meth:`profile_bands`)."""
-        k = self.k
-        TF = np.full((k + 1, k + 1, D + 1), np.inf)
-        TB = np.full((k + 1, k + 1, D + 1), np.inf)
-        MEM = np.full((k + 1, k + 1, D + 1), np.inf)
-        for lo in range(k):
-            for hi in range(lo + 1, k + 1):
-                for r in range(1, D + 1):
-                    prof = self.stage_profile(lo, hi, r, R, MB, checkpointing)
-                    if prof is None:
-                        continue
-                    TF[lo, hi, r] = prof.time_fwd
-                    TB[lo, hi, r] = prof.time_bwd
-                    MEM[lo, hi, r] = prof.memory
-        return TF, TB, MEM
 
 
 def _rectangle_sums(
@@ -897,17 +749,9 @@ def _rectangle_sums(
     return diff.cumsum(axis=0).cumsum(axis=1)[: k + 1, : k + 1]
 
 
-def _band_from_plane(plane: np.ndarray, span: int) -> np.ndarray:
-    """Gather the hi-major diagonal band (``lo = hi - 1 - j``) out of a
-    dense ``(k+1, k+1)`` range plane; entries below block 0 become +inf."""
-    hi = np.arange(plane.shape[0])[:, None]
-    lo = hi - 1 - np.arange(span)[None, :]
-    return np.where(lo >= 0, plane[np.maximum(lo, 0), hi], np.inf)
-
-
 def _widest_fit(mem_plane: np.ndarray, capacity: float) -> int:
-    """Widest span ``hi - lo`` of a dense ``(k+1, k+1)`` memory plane
-    whose stage ``(lo, hi]`` fits ``capacity`` (0: none does)."""
+    """Widest span ``hi - lo`` of a dense ``(k+1, k+1)`` memory(-floor)
+    plane whose stage ``(lo, hi]`` fits ``capacity`` (0: none does)."""
     idx = np.arange(mem_plane.shape[0])
     spans = idx[None, :] - idx[:, None]
     return int(np.where(mem_plane <= capacity, spans, 0).max())
@@ -1446,120 +1290,3 @@ def _sweep_table(
             stage_profiles=profiles,
         )
     return states, cells, width
-
-
-def reference_form_stage_dp(
-    ctx: DPContext,
-    S: int,
-    D: int,
-    BS: int,
-    R: int,
-    MB: int,
-) -> Optional[DPSolution]:
-    """Line-by-line transcription of Algorithm 1 with pure-Python loops.
-
-    Kept as the test oracle: :func:`form_stage_dp` is held to it, field for field, on randomized
-    small instances.  On a heterogeneous cluster each stage at
-    cumulative-device boundary ``(d', d)`` is capped by ``MINMEM[d', d]``
-    and its times are scaled by ``SLOW[d', d]`` (see
-    :meth:`DPContext.hetero_tables`), with no ``d_min`` pruning.
-    """
-    if BS != ctx.batch_size:
-        raise ValueError("batch size mismatch with DPContext")
-    k = ctx.k
-    if S < 1 or S > k or S > D:
-        return INFEASIBLE
-    checkpointing = S > 1
-    M = ctx.usable_memory
-    hetero = ctx.cluster.is_heterogeneous
-    if hetero:
-        MINMEM, SLOW = ctx.hetero_tables(D, R)
-    INF = float("inf")
-
-    V = {(0, 0, 0): 0.0}
-    tf: Dict[Tuple[int, int, int], float] = {(0, 0, 0): 0.0}
-    tb: Dict[Tuple[int, int, int], float] = {(0, 0, 0): 0.0}
-    parent: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
-
-    for s in range(1, S + 1):
-        d_min = 1  # reset per stage count (see form_stage_dp)
-        for b in range(s, k - (S - s) + 1):
-            for d in range(D - (S - s), max(d_min, s) - 1, -1):
-                saw_mem_fail = False
-                saw_bs_fail = False
-                for bp in range(s - 1, b):
-                    for dp in range(s - 1, d):
-                        prev = V.get((s - 1, bp, dp), INF)
-                        if prev == INF:
-                            continue  # previous stage infeasible
-                        prof = ctx.stage_profile(
-                            bp, b, d - dp, R, MB, checkpointing
-                        )
-                        if prof is None:
-                            saw_bs_fail = True
-                            continue  # microbatch collapsed below 1
-                        cap = M
-                        if hetero:
-                            # the slots [dp, d) set the stage's cap/pace
-                            cap = MINMEM[dp, d]
-                            prof = scale_stage_profile(
-                                prof, float(SLOW[dp, d])
-                            )
-                        if prof.memory > cap:
-                            saw_mem_fail = True
-                            continue  # does not fit device memory
-                        cand_tf = max(tf[(s - 1, bp, dp)], prof.time_fwd)
-                        cand_tb = max(tb[(s - 1, bp, dp)], prof.time_bwd)
-                        v = cand_tf + cand_tb
-                        if v < V.get((s, b, d), INF):
-                            V[(s, b, d)] = v
-                            tf[(s, b, d)] = cand_tf
-                            tb[(s, b, d)] = cand_tb
-                            parent[(s, b, d)] = (bp, dp)
-                if (
-                    not hetero
-                    and V.get((s, b, d), INF) == INF
-                    and saw_mem_fail
-                    and not saw_bs_fail
-                ):
-                    # memory-driven dead end: monotone in d, prune
-                    d_min = d + 1
-                    break
-
-    if V.get((S, k, D), INF) == INF:
-        return INFEASIBLE
-
-    boundaries: List[int] = []
-    device_counts: List[int] = []
-    b, d = k, D
-    for s in range(S, 0, -1):
-        bp, dp = parent[(s, b, d)]
-        boundaries.append(b)
-        device_counts.append(d - dp)
-        b, d = bp, dp
-    boundaries.reverse()
-    device_counts.reverse()
-
-    profiles = []
-    lo = 0
-    dlo = 0
-    for hi, devs in zip(boundaries, device_counts):
-        prof = ctx.stage_profile(lo, hi, devs, R, MB, checkpointing)
-        assert prof is not None
-        if hetero:
-            prof = scale_stage_profile(prof, float(SLOW[dlo, dlo + devs]))
-        profiles.append(prof)
-        lo = hi
-        dlo += devs
-
-    return DPSolution(
-        boundaries=boundaries,
-        device_counts=device_counts,
-        num_microbatches=MB,
-        num_stages=S,
-        replica_factor=R,
-        objective=V[(S, k, D)],
-        max_tf=tf[(S, k, D)],
-        max_tb=tb[(S, k, D)],
-        stage_profiles=profiles,
-    )

@@ -38,10 +38,10 @@ class PlannerConfig:
     the plan service can coalesce requests on it (``validate``,
     ``verify``, ``cache_dir`` and ``trace`` change how the pipeline runs,
     not what plan it produces, and are excluded -- tracing/verification
-    only record or check what happened).  How Algorithm 1 is evaluated (full
-    slab or banded) and how many threads run Algorithm 2's sweeps follow
-    from the input and the host, not from a field: both are
-    bit-identical by construction (see ``docs/SCALING.md``).
+    only record or check what happened).  How the stage search runs is
+    not a field either: Algorithm 1 has one evaluation path (banded
+    profiles, see ``docs/SCALING.md``) and Algorithm 2 runs its sweeps
+    serially, in one thread.
 
     ``trace`` turns on fine-grained span recording (per-candidate
     Algorithm-2 spans, per-call Algorithm-1 DP spans) on the context's

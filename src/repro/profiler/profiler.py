@@ -101,8 +101,9 @@ class GraphProfiler:
             self._task_param_ids.append(tuple(ids))
         self._param_sizes_arr = np.asarray(self._param_sizes, dtype=np.int64)
 
-        # the parallel Algorithm-2 sweep profiles from worker threads;
-        # the lock keeps the memo tables and hit counters deterministic
+        # guards the memo tables and hit counters; runs that share this
+        # profiler through a stored dp_context are already serialized
+        # per model family (DESIGN.md, "Who reaches a shared context")
         self._lock = threading.RLock()
         self._time_tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._cache: Dict[Hashable, ProfileResult] = {}

@@ -20,6 +20,8 @@ from repro.experiments.fig4_bert import headline_claims
 from repro.experiments.runner import SweepRow
 from repro.experiments.table1_features import format_table1
 from repro.hardware import Precision, paper_cluster
+from repro.models import BertConfig, build_bert
+from repro.partitioner import auto_partition
 
 
 class TestRunner:
@@ -116,12 +118,25 @@ class TestCoarseningAblation:
         assert row.ablated_throughput < row.full_throughput
         assert not math.isnan(row.slowdown_pct)
         assert "slowdown" in format_ablation(rows) or "%" in format_ablation(rows)
+        # the exact h1024/L24 row: the summed-atomic context is the only
+        # DPContext subclass, so its search is pinned bit for bit
+        assert row.model == "h1024/L24"
+        assert row.ablated_throughput == 144.24500282216366
+        assert row.ablated_dp_states == 55680
+        assert row.full_throughput == 171.96355326283134
+        # both sides count visited DP states, not DP calls
+        assert row.full_dp_states == 8431
 
     def test_dnf_marker(self):
         rows = run_coarsening_ablation(layer_counts=(96,), state_budget=1000)
         assert not rows[0].ablated_finished
         assert rows[0].projected_states > 1000
         assert "DNF" in format_ablation(rows)
+        # the full side still reports visited DP states, not DP calls
+        graph = build_bert(BertConfig(hidden_size=1024, num_layers=96))
+        plan = auto_partition(graph, paper_cluster(), 256)
+        assert rows[0].full_dp_states == plan.diagnostics.states_evaluated
+        assert rows[0].full_dp_states > plan.diagnostics.dp_calls
 
     def test_summed_estimates_overestimate(self, tiny_bert, cluster):
         """Property: the summed-atomic estimate dominates the true merged
@@ -145,6 +160,25 @@ class TestCoarseningAblation:
             b = true.stage_profile(lo, hi, 1, 1, 1, True)
             assert a.time_fwd >= b.time_fwd - 1e-12
             assert a.time_bwd >= b.time_bwd - 1e-12
+
+        # memory over every (lo, hi): at MB=1 with checkpointing the
+        # summed estimate holds at least the true merged memory
+        lo, hi = np.triu_indices(summed.k + 1, 1)
+        summed_mem = summed._range_costs(lo, hi, 32, 1, True)[2]
+        assert (summed_mem >= true._range_costs(lo, hi, 32, 1, True)[2]).all()
+
+        # and, at every microbatch a sweep reads, at least the memory
+        # floor the bands are sized by: static bytes of the range's
+        # unique parameters plus one microbatch of saved activations
+        # (the summed memory does not depend on MB or checkpointing)
+        _, _, PARAMS = true._range_matrices()
+        factor = profiler.precision.activation_bytes_factor
+        saved = true._saved_prefix[hi] - true._saved_prefix[lo]
+        static = profiler.memory_model.static_bytes(PARAMS[lo, hi])
+        for bs in {32 // (MB * r) for MB in (1, 2, 4, 8, 16, 32)
+                   for r in (1, 2, 3, 4)} - {0}:
+            mem = summed._range_costs(lo, hi, bs, 2, True)[2]
+            assert (mem >= static + saved * bs * factor).all(), bs
 
 
 class TestLossValidation:

@@ -1,0 +1,282 @@
+"""Test oracles for Algorithm 1 and its stage-cost kernel.
+
+Straightforward per-entry transcriptions that the vectorized code in
+:mod:`repro.partitioner.stage_dp` is held to, bit for bit:
+
+* :func:`range_meta_reference` recomputes a block range's unique
+  parameters and boundary bytes from the profiler, the oracle for the
+  difference-array range matrices;
+* :func:`stage_profile_reference` prices one stage with Python floats
+  and ``ClusterSpec.p2p_time``, independently of the ``_range_costs``
+  kernel, and :func:`profile_tensors_reference` lays it out over every
+  ``(lo, hi, r)``;
+* :func:`reference_form_stage_dp` is Algorithm 1 as pure-Python loops.
+"""
+
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
+
+from repro.partitioner.stage_dp import (
+    INFEASIBLE,
+    DPContext,
+    DPSolution,
+    StageProfile,
+    scale_stage_profile,
+)
+
+
+def range_meta(ctx: DPContext, lo: int, hi: int) -> Tuple[int, float, float]:
+    """(unique params, in_bytes@bs1, out_bytes@bs1) of blocks (lo, hi],
+    read off the context's range matrices."""
+    IN1, OUT1, PARAMS = ctx._range_matrices()
+    return int(PARAMS[lo, hi]), float(IN1[lo, hi]), float(OUT1[lo, hi])
+
+
+def range_meta_reference(
+    ctx: DPContext, lo: int, hi: int
+) -> Tuple[int, float, float]:
+    """Per-range recomputation of :func:`range_meta` from the profiler."""
+    tasks: List[str] = []
+    for j in range(lo, hi):
+        tasks.extend(ctx.blocks[j].tasks)
+    idx = np.concatenate([ctx._block_idx[j] for j in range(lo, hi)])
+    params = ctx.profiler.unique_param_count(idx)
+    in_bytes, out_bytes = ctx.profiler.boundary_bytes(tasks, 1)
+    return (params, in_bytes, out_bytes)
+
+
+def stage_profile_reference(
+    ctx: DPContext,
+    lo: int,
+    hi: int,
+    replicas: int,
+    R: int,
+    MB: int,
+    checkpointing: bool,
+) -> Optional[StageProfile]:
+    """Scalar transcription of ``DPContext.stage_profile``: blocks
+    ``(lo, hi]`` on ``replicas`` devices, ``None`` if the per-replica
+    microbatch collapses below one sample."""
+    bs = ctx.batch_size // (R * MB * replicas)
+    if bs < 1:
+        return None
+    tf_prefix, tb_prefix = ctx._time_prefix_at(bs)
+    t_f = float(tf_prefix[hi] - tf_prefix[lo])
+    t_b = float(tb_prefix[hi] - tb_prefix[lo])
+    inference = ctx.profiler.mode == "inference"
+    if checkpointing and not inference:
+        t_b += t_f
+    params, in1, out1 = range_meta(ctx, lo, hi)
+    in_bytes = in1 * bs
+    out_bytes = out1 * bs
+    t_f += ctx.cluster.p2p_time(out_bytes) if out_bytes else 0.0
+    if not inference:
+        t_b += ctx.cluster.p2p_time(in_bytes) if in_bytes else 0.0
+    act_factor = ctx.profiler.precision.activation_bytes_factor
+    saved = float(
+        ctx._saved_prefix[hi] - ctx._saved_prefix[lo]
+    ) * bs * act_factor
+    kv = float(ctx._kv_prefix[hi] - ctx._kv_prefix[lo]) * bs * act_factor
+    memory = ctx.profiler.memory_model.total_bytes(
+        param_count=params,
+        saved_act_bytes_micro=saved,
+        boundary_in_bytes_micro=in_bytes,
+        microbatches_in_flight=MB if checkpointing else 1,
+        checkpointing=checkpointing,
+        kv_bytes_micro=kv,
+    )
+    return StageProfile(
+        time_fwd=t_f,
+        time_bwd=t_b,
+        memory=memory,
+        microbatch_size=bs,
+        in_bytes=in_bytes,
+        out_bytes=out_bytes,
+        param_count=params,
+    )
+
+
+def profile_tensors_reference(
+    ctx: DPContext,
+    D: int,
+    R: int,
+    MB: int,
+    checkpointing: bool,
+    stage_profile=stage_profile_reference,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense ``(k+1, k+1, D+1)`` t_f / t_b / memory tensors, one
+    ``stage_profile(ctx, lo, hi, r, R, MB, checkpointing)`` call per
+    ``(lo, hi, r)``; +inf where there is no stage."""
+    k = ctx.k
+    TF = np.full((k + 1, k + 1, D + 1), np.inf)
+    TB = np.full((k + 1, k + 1, D + 1), np.inf)
+    MEM = np.full((k + 1, k + 1, D + 1), np.inf)
+    for lo in range(k):
+        for hi in range(lo + 1, k + 1):
+            for r in range(1, D + 1):
+                prof = stage_profile(ctx, lo, hi, r, R, MB, checkpointing)
+                if prof is None:
+                    continue
+                TF[lo, hi, r] = prof.time_fwd
+                TB[lo, hi, r] = prof.time_bwd
+                MEM[lo, hi, r] = prof.memory
+    return TF, TB, MEM
+
+
+def summed_stage_profile_reference(
+    ctx, lo, hi, replicas, R, MB, checkpointing
+) -> Optional[StageProfile]:
+    """Scalar transcription of the coarsening ablation's summed-atomic
+    estimate (``SummedAtomicContext``): per-atom compute plus a transfer
+    per atomic boundary, and summed per-atom static, activation and
+    stash bytes."""
+    bs = ctx.batch_size // (R * MB * replicas)
+    if bs < 1:
+        return None
+    tf_prefix, tb_prefix = ctx._time_prefix_at(bs)
+    t_f = float(tf_prefix[hi] - tf_prefix[lo])
+    t_b = float(tb_prefix[hi] - tb_prefix[lo])
+    if checkpointing:
+        t_b += t_f
+    in_bytes = float(ctx._in1_prefix[hi] - ctx._in1_prefix[lo]) * bs
+    out_bytes = float(ctx._out1_prefix[hi] - ctx._out1_prefix[lo]) * bs
+    n_atoms = hi - lo
+    lat = ctx.cluster.comm_latency
+    bw = ctx.cluster.intra_node_bandwidth
+    t_f += n_atoms * lat + out_bytes / bw
+    t_b += n_atoms * lat + in_bytes / bw
+    act_factor = ctx.profiler.precision.activation_bytes_factor
+    saved = float(
+        ctx._saved_prefix[hi] - ctx._saved_prefix[lo]
+    ) * bs * act_factor
+    memory = float(
+        ctx._static_prefix[hi] - ctx._static_prefix[lo]
+    ) + saved + in_bytes
+    return StageProfile(
+        time_fwd=t_f,
+        time_bwd=t_b,
+        memory=memory,
+        microbatch_size=bs,
+        in_bytes=in_bytes,
+        out_bytes=out_bytes,
+        param_count=int(ctx._param_prefix[hi] - ctx._param_prefix[lo]),
+    )
+
+
+def reference_form_stage_dp(
+    ctx: DPContext,
+    S: int,
+    D: int,
+    BS: int,
+    R: int,
+    MB: int,
+) -> Optional[DPSolution]:
+    """Line-by-line transcription of Algorithm 1 with pure-Python loops.
+
+    :func:`form_stage_dp` is held to it, field for field, on randomized
+    small instances.  Stages are priced by ``ctx.stage_profile``, so a
+    context subclass is searched under its own pricing.  On a heterogeneous cluster each stage at
+    cumulative-device boundary ``(d', d)`` is capped by ``MINMEM[d', d]``
+    and its times are scaled by ``SLOW[d', d]`` (see
+    ``DPContext.hetero_tables``), with no ``d_min`` pruning.
+    """
+    if BS != ctx.batch_size:
+        raise ValueError("batch size mismatch with DPContext")
+    k = ctx.k
+    if S < 1 or S > k or S > D:
+        return INFEASIBLE
+    checkpointing = S > 1
+    M = ctx.usable_memory
+    hetero = ctx.cluster.is_heterogeneous
+    if hetero:
+        MINMEM, SLOW = ctx.hetero_tables(D, R)
+    INF = float("inf")
+
+    V = {(0, 0, 0): 0.0}
+    tf: Dict[Tuple[int, int, int], float] = {(0, 0, 0): 0.0}
+    tb: Dict[Tuple[int, int, int], float] = {(0, 0, 0): 0.0}
+    parent: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
+
+    for s in range(1, S + 1):
+        d_min = 1  # reset per stage count (see form_stage_dp)
+        for b in range(s, k - (S - s) + 1):
+            for d in range(D - (S - s), max(d_min, s) - 1, -1):
+                saw_mem_fail = False
+                saw_bs_fail = False
+                for bp in range(s - 1, b):
+                    for dp in range(s - 1, d):
+                        prev = V.get((s - 1, bp, dp), INF)
+                        if prev == INF:
+                            continue  # previous stage infeasible
+                        prof = ctx.stage_profile(
+                            bp, b, d - dp, R, MB, checkpointing
+                        )
+                        if prof is None:
+                            saw_bs_fail = True
+                            continue  # microbatch collapsed below 1
+                        cap = M
+                        if hetero:
+                            # the slots [dp, d) set the stage's cap/pace
+                            cap = MINMEM[dp, d]
+                            prof = scale_stage_profile(
+                                prof, float(SLOW[dp, d])
+                            )
+                        if prof.memory > cap:
+                            saw_mem_fail = True
+                            continue  # does not fit device memory
+                        cand_tf = max(tf[(s - 1, bp, dp)], prof.time_fwd)
+                        cand_tb = max(tb[(s - 1, bp, dp)], prof.time_bwd)
+                        v = cand_tf + cand_tb
+                        if v < V.get((s, b, d), INF):
+                            V[(s, b, d)] = v
+                            tf[(s, b, d)] = cand_tf
+                            tb[(s, b, d)] = cand_tb
+                            parent[(s, b, d)] = (bp, dp)
+                if (
+                    not hetero
+                    and V.get((s, b, d), INF) == INF
+                    and saw_mem_fail
+                    and not saw_bs_fail
+                ):
+                    # memory-driven dead end: monotone in d, prune
+                    d_min = d + 1
+                    break
+
+    if V.get((S, k, D), INF) == INF:
+        return INFEASIBLE
+
+    boundaries: List[int] = []
+    device_counts: List[int] = []
+    b, d = k, D
+    for s in range(S, 0, -1):
+        bp, dp = parent[(s, b, d)]
+        boundaries.append(b)
+        device_counts.append(d - dp)
+        b, d = bp, dp
+    boundaries.reverse()
+    device_counts.reverse()
+
+    profiles = []
+    lo = 0
+    dlo = 0
+    for hi, devs in zip(boundaries, device_counts):
+        prof = ctx.stage_profile(lo, hi, devs, R, MB, checkpointing)
+        assert prof is not None
+        if hetero:
+            prof = scale_stage_profile(prof, float(SLOW[dlo, dlo + devs]))
+        profiles.append(prof)
+        lo = hi
+        dlo += devs
+
+    return DPSolution(
+        boundaries=boundaries,
+        device_counts=device_counts,
+        num_microbatches=MB,
+        num_stages=S,
+        replica_factor=R,
+        objective=V[(S, k, D)],
+        max_tf=tf[(S, k, D)],
+        max_tb=tb[(S, k, D)],
+        stage_profiles=profiles,
+    )

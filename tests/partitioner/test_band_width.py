@@ -28,12 +28,12 @@ from repro.models.random_dag import build_random_dag
 from repro.obs import MetricsRegistry
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import Block, block_partition
-from repro.partitioner.stage_dp import (
-    DPContext,
-    form_stage_dp,
+from repro.partitioner.stage_dp import DPContext, form_stage_dp
+from repro.profiler import GraphProfiler
+from tests.partitioner.oracles import (
+    profile_tensors_reference,
     reference_form_stage_dp,
 )
-from repro.profiler import GraphProfiler
 
 MIB = 2**20
 RESERVE = tiny_cluster().device.memory_reserve_fraction
@@ -217,13 +217,11 @@ class TestCutIsLossless:
 
     @pytest.mark.parametrize("frac", [0.3, 0.6, 1.0])
     def test_summed_atomic_context(self, tiny_bert, frac):
-        """A subclass with its own planes: the exact width comes from
-        the dense memory plane it builds."""
+        """A subclass with its own stage-cost kernel: its bands are
+        sized by the memory floor, its slabs by its own memory."""
         probe = atomic_ctx(tiny_bert, cluster_with(1 << 40), batch_size=32)
         # the whole model at the sweeps' smallest microbatch (MB=2, r=2)
-        cap = frac * float(
-            probe._profile_planes(8, 2, False)[2][0, probe.k]
-        )
+        cap = frac * float(probe._range_costs(0, probe.k, 8, 2, False)[2])
         ctx, _ = assert_lossless(
             lambda: atomic_ctx(tiny_bert, cluster_with(cap), batch_size=32),
             range(1, 3), 2, 1, (1, 2),
@@ -257,7 +255,7 @@ class TestWidthIsSound:
         band = ctx.profile_bands(D, 1, MB, checkpointing, ctx.k)
         assert band.capacity == ctx.capacity
         assert band.span == max(1, min(ctx.k, band.fit_width))
-        _, _, MEM = ctx.profile_tensors_reference(D, 1, MB, checkpointing)
+        _, _, MEM = profile_tensors_reference(ctx, D, 1, MB, checkpointing)
         for r in range(1, D + 1):
             for lo in range(ctx.k):
                 for hi in range(lo + 1 + band.fit_width, ctx.k + 1):

@@ -9,9 +9,9 @@ cut nor the host's core count may change anything *bit for bit*: same
 plans, same tie-breaks, same ``dp_calls`` / ``states_evaluated``
 counters.  The
 banded profile construction is additionally checked against the
-per-entry ``stage_profile`` oracle
-(:meth:`DPContext.profile_tensors_reference`) with hypothesis-driven
-shapes, so any drift between the vectorized band gather and the scalar
+per-entry scalar profile oracle (``profile_tensors_reference`` in
+``tests/partitioner/oracles.py``) with hypothesis-driven shapes, so any
+drift between the stage-cost kernel over band grids and the scalar
 profile arithmetic fails loudly.
 """
 
@@ -32,13 +32,13 @@ from repro.partitioner import auto_partition
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import block_partition
 from repro.partitioner.search import form_stage
-from repro.partitioner.stage_dp import (
-    DPContext,
-    form_stage_dp,
-    reference_form_stage_dp,
-)
+from repro.partitioner.stage_dp import DPContext, form_stage_dp
 from repro.planner import PlannerConfig
 from repro.profiler import GraphProfiler
+from tests.partitioner.oracles import (
+    profile_tensors_reference,
+    reference_form_stage_dp,
+)
 
 #: plane chunking -> slab-cell budget per reduction pass: the default
 #: takes every plane of these small inputs at once, 1 one plane per pass
@@ -115,7 +115,7 @@ class TestBandedConstruction:
         ctx = make_ctx(seed=seed, k=5, batch_size=16)
         span = ctx.k  # widest possible band: covers every (lo, hi]
         bands = ctx.profile_bands(D, R, MB, checkpointing, span)
-        TF, TB, MEM = ctx.profile_tensors_reference(D, R, MB, checkpointing)
+        TF, TB, MEM = profile_tensors_reference(ctx, D, R, MB, checkpointing)
         for r in range(1, D + 1):
             p = int(bands.plane_of_r[r])
             if p < 0:
@@ -198,31 +198,6 @@ class TestEngineBitIdentity:
         # gives a plane per replica count
         bands = ctx.profile_bands(4, 1, 2, True, ctx.k)
         assert len(bands.bs_list) > 1
-
-    def test_custom_stage_profile_without_planes_rejected(self):
-        # the bands are built from _profile_planes: a per-entry override
-        # alone would be silently ignored, so it is refused
-        with pytest.raises(TypeError, match="_profile_planes"):
-            class Perturbed(DPContext):
-                def stage_profile(self, lo, hi, r, R, MB, checkpointing):
-                    return super().stage_profile(
-                        lo, hi, r, R, MB, checkpointing
-                    )
-
-        class Paired(DPContext):
-            def stage_profile(self, lo, hi, r, R, MB, checkpointing):
-                return super().stage_profile(lo, hi, r, R, MB, checkpointing)
-
-            def _profile_planes(self, bs, MB, checkpointing):
-                return super()._profile_planes(bs, MB, checkpointing)
-
-        # the rule applies per class, however deep the hierarchy
-        with pytest.raises(TypeError, match="_profile_planes"):
-            class Deeper(Paired):
-                def stage_profile(self, lo, hi, r, R, MB, checkpointing):
-                    return super().stage_profile(
-                        lo, hi, r, R, MB, checkpointing
-                    )
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,9 @@ from repro.partitioner.allocation import allocate_devices
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import block_partition
 from repro.partitioner.search import form_stage
-from repro.partitioner.stage_dp import DPContext, reference_form_stage_dp
+from repro.partitioner.stage_dp import DPContext
 from repro.profiler import GraphProfiler
+from tests.partitioner.oracles import reference_form_stage_dp
 
 
 def make_ctx(graph, cluster, batch_size, k=8):

@@ -12,12 +12,9 @@ from repro.hardware import paper_cluster, tiny_cluster
 from repro.models import BertConfig, build_bert, build_mlp
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import block_partition
-from repro.partitioner.stage_dp import (
-    DPContext,
-    form_stage_dp,
-    reference_form_stage_dp,
-)
+from repro.partitioner.stage_dp import DPContext, form_stage_dp
 from repro.profiler import GraphProfiler
+from tests.partitioner.oracles import reference_form_stage_dp
 
 
 def make_ctx(graph=None, k=6, batch_size=32, cluster=None):
@@ -47,12 +44,6 @@ class TestStageProfile:
         plain = ctx.stage_profile(0, 2, 1, 1, 1, False)
         ckpt = ctx.stage_profile(0, 2, 1, 1, 1, True)
         assert ckpt.time_bwd > plain.time_bwd
-
-    def test_range_meta_cached(self):
-        ctx, _ = make_ctx()
-        a = ctx.range_meta(0, 3)
-        b = ctx.range_meta(0, 3)
-        assert a is b
 
     def test_range_tasks_dedup(self, tiny_bert, cluster):
         profiler = GraphProfiler(tiny_bert, cluster)

@@ -23,12 +23,16 @@ from repro.models import build_mlp
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import Block, block_partition
 from repro.partitioner.search import form_stage
-from repro.partitioner.stage_dp import (
-    DPContext,
-    form_stage_dp,
-    reference_form_stage_dp,
-)
+from repro.partitioner.stage_dp import DPContext, form_stage_dp
 from repro.profiler import GraphProfiler
+from tests.partitioner.oracles import (
+    profile_tensors_reference,
+    range_meta,
+    range_meta_reference,
+    reference_form_stage_dp,
+    stage_profile_reference,
+    summed_stage_profile_reference,
+)
 
 
 def make_ctx(k=6, batch_size=32, num_nodes=1, devices_per_node=4,
@@ -45,7 +49,7 @@ def make_ctx(k=6, batch_size=32, num_nodes=1, devices_per_node=4,
 
 def dense_bands(ctx, D, R, MB, ckpt):
     """The full-width bands of ``ctx`` scattered into the dense ``(k+1,
-    k+1, D+1)`` layout of ``profile_tensors_reference``: entry ``[lo,
+    k+1, D+1)`` layout of :func:`profile_tensors_reference`: entry ``[lo,
     hi, r]`` profiles blocks ``(lo, hi]`` on ``r`` replicas, +inf where
     there is no stage."""
     k = ctx.k
@@ -92,8 +96,8 @@ class TestRangeMatrices:
         ctx = make_ctx()
         for lo in range(ctx.k):
             for hi in range(lo + 1, ctx.k + 1):
-                assert ctx.range_meta(lo, hi) == \
-                    ctx._range_meta_reference(lo, hi), (lo, hi)
+                assert range_meta(ctx, lo, hi) == \
+                    range_meta_reference(ctx, lo, hi), (lo, hi)
 
     def test_all_ranges_match_reference_bert(self, tiny_bert, cluster):
         profiler = GraphProfiler(tiny_bert, cluster)
@@ -103,8 +107,8 @@ class TestRangeMatrices:
         ctx = DPContext(tiny_bert, blocks, profiler, 32)
         for lo in range(ctx.k):
             for hi in range(lo + 1, ctx.k + 1):
-                assert ctx.range_meta(lo, hi) == \
-                    ctx._range_meta_reference(lo, hi), (lo, hi)
+                assert range_meta(ctx, lo, hi) == \
+                    range_meta_reference(ctx, lo, hi), (lo, hi)
 
 
     def test_all_ranges_match_reference_on_shared_values(self):
@@ -131,8 +135,8 @@ class TestRangeMatrices:
         assert ctx.k == len(graph.tasks)
         for lo in range(ctx.k):
             for hi in range(lo + 1, ctx.k + 1):
-                assert ctx.range_meta(lo, hi) == \
-                    ctx._range_meta_reference(lo, hi), (lo, hi)
+                assert range_meta(ctx, lo, hi) == \
+                    range_meta_reference(ctx, lo, hi), (lo, hi)
 
 
 class TestProfileTensors:
@@ -144,7 +148,7 @@ class TestProfileTensors:
     def test_vectorized_matches_per_entry(self, D, R, MB, ckpt):
         ctx = make_ctx()
         fast = dense_bands(ctx, D, R, MB, ckpt)
-        slow = ctx.profile_tensors_reference(D, R, MB, ckpt)
+        slow = profile_tensors_reference(ctx, D, R, MB, ckpt)
         for a, b in zip(fast, slow):
             assert np.array_equal(a, b)  # bit-exact, inf pattern included
 
@@ -156,7 +160,7 @@ class TestProfileTensors:
         assert key == (4, 1, 2, True)
         assert bands is ctx.profile_bands(4, 1, 2, True, ctx.k - 1)
         TF, TB, MEM = dense_bands(ctx, 4, 1, 2, True)
-        ref = ctx.profile_tensors_reference(4, 1, 2, True)
+        ref = profile_tensors_reference(ctx, 4, 1, 2, True)
         assert np.array_equal(TF, ref[0])
         assert np.array_equal(TB, ref[1])
         assert np.array_equal(MEM, ref[2])
@@ -170,34 +174,38 @@ class TestProfileTensors:
         b = ctx.profile_bands(4, 1, 2, True, ctx.k)
         assert a is b
 
-    def test_overridden_stage_profile_with_planes_is_used(self):
-        """A subclass that overrides ``stage_profile`` together with its
-        plane form gets its own profiles in the DP's bands."""
+    def test_range_costs_override_used(self):
+        """A subclass that overrides the stage-cost kernel gets its own
+        profiles in the DP's bands and in its backtracked stages."""
         class Doubled(DPContext):
-            def stage_profile(self, lo, hi, replicas, R, MB, checkpointing):
-                prof = super().stage_profile(
-                    lo, hi, replicas, R, MB, checkpointing
+            def _range_costs(self, lo, hi, bs, MB, checkpointing):
+                t_f, *rest = super()._range_costs(
+                    lo, hi, bs, MB, checkpointing
                 )
-                if prof is None:
-                    return None
-                return dataclasses.replace(prof, time_fwd=prof.time_fwd * 2)
+                return (t_f * 2, *rest)
 
-            def _profile_planes(self, bs, MB, checkpointing):
-                tf, tb, mem = super()._profile_planes(bs, MB, checkpointing)
-                return tf * 2, tb, mem
+        def doubled_reference(ctx, *args):
+            prof = stage_profile_reference(ctx, *args)
+            if prof is None:
+                return None
+            return dataclasses.replace(prof, time_fwd=prof.time_fwd * 2)
 
         base = make_ctx()
         ctx = Doubled(base.graph, base.blocks, base.profiler, base.batch_size)
         TF, _, _ = dense_bands(ctx, 4, 1, 1, False)
-        ref = ctx.profile_tensors_reference(4, 1, 1, False)
+        ref = profile_tensors_reference(
+            ctx, 4, 1, 1, False, stage_profile=doubled_reference
+        )
         assert np.array_equal(TF, ref[0])  # the subclass's doubled times
         assert not np.array_equal(TF, dense_bands(base, 4, 1, 1, False)[0])
         bands = ctx.profile_bands(4, 1, 1, False, ctx.k)
         assert bands.tf[0, ctx.k, ctx.k - 1] == ref[0][0, ctx.k, 1]
         # and the DP table is filled from them: one stage on one device
-        # over all blocks carries the doubled forward time
+        # over all blocks carries the doubled forward time, and so does
+        # the profile the backtrack attaches to it
         sol = form_stage_dp(ctx, 1, 1, 32, 1, 1)
         assert sol.max_tf == ref[0][0, ctx.k, 1]
+        assert sol.stage_profiles[0].time_fwd == sol.max_tf
 
 
 class TestDPEngineEquivalence:
@@ -313,8 +321,9 @@ class TestAlgorithm2:
 
 class TestSummedAtomicContext:
     def test_vectorized_planes_match_per_entry(self, tiny_bert, cluster):
-        """The ablation context overrides stage_profile AND supplies a
-        matching plane builder; both must agree entry for entry."""
+        """The ablation context overrides only the stage-cost kernel;
+        its bands must equal the scalar summed-atomic transcription entry
+        for entry."""
         from repro.experiments.coarsening_ablation import SummedAtomicContext
 
         profiler = GraphProfiler(tiny_bert, cluster)
@@ -327,6 +336,9 @@ class TestSummedAtomicContext:
         for D, R, MB, ckpt in [(4, 1, 2, True), (2, 2, 1, False),
                                (4, 2, 4, True)]:
             fast = dense_bands(ctx, D, R, MB, ckpt)
-            slow = ctx.profile_tensors_reference(D, R, MB, ckpt)
+            slow = profile_tensors_reference(
+                ctx, D, R, MB, ckpt,
+                stage_profile=summed_stage_profile_reference,
+            )
             for a, b in zip(fast, slow):
                 assert np.array_equal(a, b)
