@@ -18,12 +18,21 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 Shape = Tuple[int, ...]
 
 
+#: bytes per element of each :class:`DataType` value
+_ITEMSIZE = {"float32": 4, "float16": 2, "int64": 8, "bool": 1}
+
+
 class DataType(enum.Enum):
     """Element types supported by the IR.
 
     Only the byte width matters to the cost and memory models, but keeping
     the distinction allows mixed-precision (AMP) experiments where
     activations are FP16 while master weights stay FP32.
+
+    ``itemsize`` (bytes per element) and ``is_float`` (whether the
+    working precision scales the tensor) are plain member attributes,
+    set once when the enum is created: the profiler reads them for every
+    value of a graph.
     """
 
     FLOAT32 = "float32"
@@ -31,15 +40,9 @@ class DataType(enum.Enum):
     INT64 = "int64"
     BOOL = "bool"
 
-    @property
-    def itemsize(self) -> int:
-        """Bytes per element."""
-        return {
-            DataType.FLOAT32: 4,
-            DataType.FLOAT16: 2,
-            DataType.INT64: 8,
-            DataType.BOOL: 1,
-        }[self]
+    def __init__(self, value: str) -> None:
+        self.itemsize: int = _ITEMSIZE[value]
+        self.is_float: bool = value.startswith("float")
 
 
 class ValueKind(enum.Enum):

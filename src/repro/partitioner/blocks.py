@@ -32,6 +32,17 @@ check searches the group DAG from the two changed groups only.  On very
 large graphs (>``uncoarsen_max_groups`` groups) uncoarsening still only
 revisits the coarse levels, where the final block boundaries are decided;
 lifting that cap would change plans (DESIGN.md, D4).
+
+The atom DAG, its edge bytes and the per-atom aggregates are read off the
+profiler's graph table (one edge per value and distinct consumer, in the
+order ``TaskGraph.iter_edges`` visits them; integer byte sums by
+``np.bincount``), with lone-task atoms and singleton groups taking their
+own entries.  A group's time is the one float sum that is not exact in
+every order, so it keeps NumPy's: ``_group_time`` sums unions of fewer
+than 8 atoms left to right over Python floats, which is what
+``ndarray.sum`` does below its 8-way unrolling, and hands larger unions
+to NumPy.  (The builtin ``sum`` would not do: from Python 3.12 it
+compensates float sums.)
 """
 
 from __future__ import annotations
@@ -44,8 +55,8 @@ import numpy as np
 
 from repro.graph.ir import TaskGraph
 from repro.graph.traversal import GroupGraph
-from repro.partitioner.atomic import AtomicComponent, classify_tasks
-from repro.profiler.profiler import GraphProfiler
+from repro.partitioner.atomic import AtomicComponent
+from repro.profiler.profiler import GraphProfiler, distinct
 
 
 @dataclass(frozen=True)
@@ -118,49 +129,61 @@ class BlockPartitioner:
 
         # --- atomic-level DAG over components (edges between the unique
         # owners of non-constant tasks; cloned constants are internal) ----
-        non_constant = classify_tasks(graph)
-        owner: Dict[str, int] = {}
-        for comp in self.components:
-            owner[comp.non_constant_task] = comp.index
+        # read off the profiler's graph table: one edge per (value,
+        # distinct consumer), in value order -- the order ``iter_edges``
+        # visits them, so every successor set iterates as it always did.
+        # A reader of a non-constant task's output is non-constant itself.
+        owner = np.full(len(profiler.non_constant), -1, dtype=np.int64)
+        owner[profiler.indices_of(c.non_constant_task for c in self.components)] = [
+            c.index for c in self.components
+        ]
+        counts = np.diff(profiler.value_consumer_ptr)
+        value = np.repeat(np.arange(len(counts)), counts)
+        src = profiler.value_producer[value]
+        dst = profiler.value_consumers
+        keep = src >= 0
+        keep[keep] = profiler.non_constant[src[keep]]
+        a, b, value = owner[src[keep]], owner[dst[keep]], value[keep]
+        cross = a != b
+        a, b, value = a[cross], b[cross], value[cross]
         self.comp_succ: List[Set[int]] = [set() for _ in range(n)]
         self.comp_pred: List[Set[int]] = [set() for _ in range(n)]
-        self.edge_bytes: Dict[Tuple[int, int], float] = {}
+        for x, y in zip(a.tolist(), b.tolist()):
+            self.comp_succ[x].add(y)
+            self.comp_pred[y].add(x)
+        # byte weight per cross-component atom pair (for comm objective);
+        # the summands are integers, so bincount's sums are exact
         act_factor = profiler.precision.activation_bytes_factor
-        for producer, consumer in graph.iter_edges():
-            if not (non_constant.get(producer) and non_constant.get(consumer)):
-                continue
-            a, b = owner[producer], owner[consumer]
-            if a == b:
-                continue
-            self.comp_succ[a].add(b)
-            self.comp_pred[b].add(a)
-        # byte weight per cross-component value edge (for comm objective)
-        for value in graph.values.values():
-            if value.producer is None or not non_constant.get(value.producer):
-                continue
-            a = owner[value.producer]
-            scale = act_factor if value.dtype.value.startswith("float") else 1.0
-            nbytes = value.nbytes(self.ref_batch_size) * scale
-            for consumer in set(value.consumers):
-                if not non_constant.get(consumer):
-                    continue
-                b = owner[consumer]
-                if a == b:
-                    continue
-                key = (a, b)
-                self.edge_bytes[key] = self.edge_bytes.get(key, 0.0) + nbytes
+        key = a * n + b
+        pairs = distinct(key)
+        weights = np.bincount(
+            np.searchsorted(pairs, key),
+            weights=profiler.scaled_value_bytes(self.ref_batch_size, value),
+            minlength=len(pairs),
+        )
+        self.edge_bytes: Dict[Tuple[int, int], float] = dict(zip(
+            zip((pairs // n).tolist(), (pairs % n).tolist()), weights.tolist()
+        ))
         # the same weights per atom, over both edge directions
         self.atom_edges: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
-        for (a, b), w in self.edge_bytes.items():
-            self.atom_edges[a].append((b, w))
-            self.atom_edges[b].append((a, w))
+        for (x, y), w in self.edge_bytes.items():
+            self.atom_edges[x].append((y, w))
+            self.atom_edges[y].append((x, w))
 
         # --- per-component cost coefficients -----------------------------
+        # a lone task's sums are its own entries; only components holding
+        # cloned constants take the fancy-indexed sums
         tf, tb = profiler._times_at(self.ref_batch_size)
         self.comp_time = np.zeros(n)
         self.comp_saved = np.zeros(n)
-        self.comp_param_ids: List[FrozenSet[int]] = []
+        self.comp_param_ids: List[FrozenSet[int]] = [frozenset()] * n
+        task_pids = profiler._task_param_ids
+        lone_atoms, lone_tasks = [], []
         for comp in self.components:
+            if len(comp.tasks) == 1:
+                lone_atoms.append(comp.index)
+                lone_tasks.append(profiler._index[comp.tasks[0]])
+                continue
             idx = profiler.indices_of(comp.tasks)
             self.comp_time[comp.index] = float(tf[idx].sum() + tb[idx].sum())
             self.comp_saved[comp.index] = float(
@@ -168,8 +191,14 @@ class BlockPartitioner:
             )
             pids: Set[int] = set()
             for i in idx:
-                pids.update(profiler._task_param_ids[i])
-            self.comp_param_ids.append(frozenset(pids))
+                pids.update(task_pids[i])
+            self.comp_param_ids[comp.index] = frozenset(pids)
+        self.comp_time[lone_atoms] = tf[lone_tasks] + tb[lone_tasks]
+        self.comp_saved[lone_atoms] = profiler.saved_bytes[lone_tasks]
+        for atom, task in zip(lone_atoms, lone_tasks):
+            if task_pids[task]:
+                self.comp_param_ids[atom] = frozenset(task_pids[task])
+        self._atom_time: List[float] = self.comp_time.tolist()
         # a parameter only one atom uses is counted once per group by
         # plain addition; only the shared ones need deduplicating
         self._param_sizes: List[int] = profiler._param_sizes
@@ -204,6 +233,17 @@ class BlockPartitioner:
     # cost helpers
     # ------------------------------------------------------------------
     def _group_time(self, atoms: Set[int]) -> float:
+        """``float(comp_time[list(atoms)].sum())``, bit for bit.
+
+        NumPy sums fewer than 8 elements left to right from ``0.0`` (its
+        pairwise summation only unrolls from 8 up), so small unions take
+        the same loop over Python floats, in the set's iteration order."""
+        if len(atoms) < 8:
+            total = 0.0
+            times = self._atom_time
+            for a in atoms:
+                total += times[a]
+            return total
         return float(self.comp_time[list(atoms)].sum())
 
     def _group_memory(self, atoms: Set[int]) -> float:
@@ -226,6 +266,12 @@ class BlockPartitioner:
         return self.profiler.memory_model.static_bytes(params) + saved
 
     def _load_of(self, atoms) -> _Load:
+        if len(atoms) == 1:
+            # a lone atom's aggregates are its own entries
+            (a,) = atoms
+            shared = set(self._atom_shared[a])
+            return _Load(self._atom_saved[a], self._atom_private[a], shared,
+                         sum(self._param_sizes[p] for p in shared))
         shared: Set[int] = set()
         for a in atoms:
             shared |= self._atom_shared[a]
@@ -317,17 +363,19 @@ class BlockPartitioner:
                 for w in neighbors:
                     if w in consumed:
                         continue
+                    # the pure checks run cheapest first: a candidate
+                    # that cannot beat the best time so far is out
+                    # whatever its convexity and memory
+                    t = self._group_time(self.group_atoms[v] | self.group_atoms[w])
+                    if t > threshold or t >= best_time:
+                        continue
                     if not self.gg.can_merge(v, w):
                         continue
                     if (self._merged_memory(load_v, self.group_load[w])
                             > self.memory_limit):
                         continue
-                    t = self._group_time(self.group_atoms[v] | self.group_atoms[w])
-                    if t > threshold:
-                        continue
-                    if t < best_time:
-                        best_time = t
-                        best_w = w
+                    best_time = t
+                    best_w = w
                 if best_w is None:
                     continue
                 self.records.append(

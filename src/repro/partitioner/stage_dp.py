@@ -48,7 +48,6 @@ suite holds all of this to live with the tests
 
 from __future__ import annotations
 
-import threading
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -56,11 +55,16 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.graph.ir import TaskGraph, ValueKind
+from repro.graph.ir import TaskGraph
 from repro.obs.metrics import MetricsRegistry, point_name
 from repro.obs.tracer import Span, Tracer
 from repro.partitioner.blocks import Block
-from repro.profiler.profiler import GraphProfiler, ProfileResult
+from repro.profiler.profiler import (
+    GraphProfiler,
+    ProfileResult,
+    csr_rows,
+    distinct,
+)
 
 INFEASIBLE = None
 
@@ -196,8 +200,8 @@ class DPContext:
     threads must serialize whole runs per model family: the plan service
     (:mod:`repro.service.engine`) holds its per-model mutex around every
     pipeline run, and none of its other paths reaches a stored context
-    (DESIGN.md, "Who reaches a shared context").  The RLock around the
-    caches and counters adds no guarantee beyond that.
+    (DESIGN.md, "Who reaches a shared context").  Its caches and
+    counters are plain attributes, with no lock of their own.
     """
 
     def __init__(
@@ -227,22 +231,28 @@ class DPContext:
         self._block_idx = [
             profiler.indices_of(b.tasks) for b in self.blocks
         ]
-        # prefix over blocks of batch-1 saved-activation bytes
-        saved = np.array(
-            [float(profiler.saved_bytes[idx].sum()) for idx in self._block_idx]
+        #: every (block, task) membership: the task ids block by block,
+        #: and the block of each
+        self._member_task = (
+            np.concatenate(self._block_idx) if k else np.zeros(0, np.int64)
+        )
+        self._member_block = np.repeat(
+            np.arange(k), [len(idx) for idx in self._block_idx]
+        )
+        # prefixes over blocks of batch-1 saved-activation bytes and of
+        # attention K/V bytes (inference memory accounting; the training
+        # memory model ignores it); integer sums, exact in any order
+        saved, kv = (
+            np.bincount(self._member_block, weights=col[self._member_task],
+                        minlength=k)
+            for col in (profiler.saved_bytes, profiler.kv_saved_bytes)
         )
         self._saved_prefix = np.concatenate([[0.0], np.cumsum(saved)])
-        # prefix over blocks of batch-1 attention K/V bytes (inference
-        # memory accounting; the training memory model ignores it)
-        kv = np.array(
-            [float(profiler.kv_saved_bytes[idx].sum()) for idx in self._block_idx]
-        )
         self._kv_prefix = np.concatenate([[0.0], np.cumsum(kv)])
         #: forward-only profile semantics (no recompute, no gradient
         #: return traffic on the backward edge)
         self._inference = profiler.mode == "inference"
 
-        self._lock = threading.RLock()
         self._time_prefix: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._range_mats: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -283,14 +293,12 @@ class DPContext:
     @property
     def band_bytes(self) -> int:
         """Bytes held by the cached profile bands."""
-        with self._lock:
-            return sum(b.nbytes() for b in self._band_cache.values())
+        return sum(b.nbytes() for b in self._band_cache.values())
 
     def set_memory_budget(self, budget: Optional[float]) -> None:
         """Change the memory cap.  No cache depends on it: every sweep
         applies the cap afresh to the cached profile bands."""
-        with self._lock:
-            self.memory_budget = budget
+        self.memory_budget = budget
 
     def rebind(
         self,
@@ -313,16 +321,15 @@ class DPContext:
         from zero.
         """
         self.profiler.rebind_cluster(cluster)
-        with self._lock:
-            if cluster != self.cluster:
-                self._hetero_cache.clear()
-            self.cluster = cluster
-            self.metrics = metrics
-            self.memory_budget = memory_budget
-            self.dp_calls = 0
-            self.states_evaluated = 0
-            self.cells_reduced = 0
-            self.band_width_max = 0
+        if cluster != self.cluster:
+            self._hetero_cache.clear()
+        self.cluster = cluster
+        self.metrics = metrics
+        self.memory_budget = memory_budget
+        self.dp_calls = 0
+        self.states_evaluated = 0
+        self.cells_reduced = 0
+        self.band_width_max = 0
         return self
 
     # ------------------------------------------------------------------
@@ -336,69 +343,64 @@ class DPContext:
         per-batch time prefixes; the profile bands are derived from
         these by pure broadcasting and are cheaper to rebuild than to
         store."""
-        with self._lock:
-            arrays: Dict[str, np.ndarray] = {
-                "saved_prefix": self._saved_prefix,
-                "kv_prefix": self._kv_prefix,
-            }
-            if self._range_mats is not None:
-                in1, out1, params = self._range_mats
-                arrays["range_in1"] = in1
-                arrays["range_out1"] = out1
-                arrays["range_params"] = params
-            for bs, (tf, tb) in self._time_prefix.items():
-                arrays[f"time_tf_{bs}"] = tf
-                arrays[f"time_tb_{bs}"] = tb
-            return arrays
+        arrays: Dict[str, np.ndarray] = {
+            "saved_prefix": self._saved_prefix,
+            "kv_prefix": self._kv_prefix,
+        }
+        if self._range_mats is not None:
+            in1, out1, params = self._range_mats
+            arrays["range_in1"] = in1
+            arrays["range_out1"] = out1
+            arrays["range_params"] = params
+        for bs, (tf, tb) in self._time_prefix.items():
+            arrays[f"time_tf_{bs}"] = tf
+            arrays[f"time_tb_{bs}"] = tb
+        return arrays
 
     def import_cache_state(self, arrays: Dict[str, np.ndarray]) -> None:
         """Restore the caches exported by :meth:`export_cache_state`."""
-        with self._lock:
-            if "saved_prefix" in arrays:
-                self._saved_prefix = np.asarray(arrays["saved_prefix"])
-            if "kv_prefix" in arrays:
-                self._kv_prefix = np.asarray(arrays["kv_prefix"])
-            if "range_in1" in arrays:
-                self._range_mats = (
-                    np.asarray(arrays["range_in1"]),
-                    np.asarray(arrays["range_out1"]),
-                    np.asarray(arrays["range_params"]),
+        if "saved_prefix" in arrays:
+            self._saved_prefix = np.asarray(arrays["saved_prefix"])
+        if "kv_prefix" in arrays:
+            self._kv_prefix = np.asarray(arrays["kv_prefix"])
+        if "range_in1" in arrays:
+            self._range_mats = (
+                np.asarray(arrays["range_in1"]),
+                np.asarray(arrays["range_out1"]),
+                np.asarray(arrays["range_params"]),
+            )
+        for name, arr in arrays.items():
+            if name.startswith("time_tf_"):
+                bs = int(name[len("time_tf_"):])
+                self._time_prefix[bs] = (
+                    np.asarray(arr),
+                    np.asarray(arrays[f"time_tb_{bs}"]),
                 )
-            for name, arr in arrays.items():
-                if name.startswith("time_tf_"):
-                    bs = int(name[len("time_tf_"):])
-                    self._time_prefix[bs] = (
-                        np.asarray(arr),
-                        np.asarray(arrays[f"time_tb_{bs}"]),
-                    )
 
     # ------------------------------------------------------------------
     def _count_dp_call(self) -> None:
-        with self._lock:
-            self.dp_calls += 1
+        self.dp_calls += 1
 
     def _count_sweeps(self, states: int, cells: int, width: int) -> None:
-        with self._lock:
-            self.states_evaluated += states
-            self.cells_reduced += cells
-            self.band_width_max = max(self.band_width_max, width)
+        self.states_evaluated += states
+        self.cells_reduced += cells
+        self.band_width_max = max(self.band_width_max, width)
 
     # ------------------------------------------------------------------
     def _time_prefix_at(self, bs: int) -> Tuple[np.ndarray, np.ndarray]:
         """Prefix sums over blocks of per-block (t_f, t_b) at batch bs."""
-        with self._lock:
-            cached = self._time_prefix.get(bs)
-            if cached is not None:
-                return cached
-            tf_all, tb_all = self.profiler._times_at(bs)
-            tf = np.array([float(tf_all[idx].sum()) for idx in self._block_idx])
-            tb = np.array([float(tb_all[idx].sum()) for idx in self._block_idx])
-            result = (
-                np.concatenate([[0.0], np.cumsum(tf)]),
-                np.concatenate([[0.0], np.cumsum(tb)]),
-            )
-            self._time_prefix[bs] = result
-            return result
+        cached = self._time_prefix.get(bs)
+        if cached is not None:
+            return cached
+        tf_all, tb_all = self.profiler._times_at(bs)
+        tf = np.array([float(tf_all[idx].sum()) for idx in self._block_idx])
+        tb = np.array([float(tb_all[idx].sum()) for idx in self._block_idx])
+        result = (
+            np.concatenate([[0.0], np.cumsum(tf)]),
+            np.concatenate([[0.0], np.cumsum(tb)]),
+        )
+        self._time_prefix[bs] = result
+        return result
 
     # ------------------------------------------------------------------
     def _range_matrices(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -420,83 +422,79 @@ class DPContext:
           enters a range whose first consumer block is ``c_i``, one
           rectangle per gap: ``c_{i-1} < lo <= c_i < hi`` (``c_0 = p``).
 
-        Every byte summand is an integer byte count times 1.0 or 0.5, so
-        the float sums are exact in any order and every entry is
-        bit-identical to a per-range recomputation (the test suite's
+        The rectangles of every ``(block, task)`` membership come at once
+        from the profiler's graph table (task inputs, outputs and
+        parameter ids; value producers, readers and bytes).  Every byte
+        summand is an integer byte count times 1.0 or 0.5, so the float
+        sums are exact in any order and every entry is bit-identical to a
+        per-range recomputation (the test suite's
         ``range_meta_reference``).
         """
-        with self._lock:
-            if self._range_mats is not None:
-                return self._range_mats
-            k = self.k
-            graph = self.graph
-            profiler = self.profiler
-            values = graph.values
-            factor = profiler.precision.activation_bytes_factor
-            is_output = set(graph.output_names)
-
-            task_block: Dict[str, int] = {}
-            for j, blk in enumerate(self.blocks):
-                for t in blk.tasks:
-                    task_block[t] = j
-
-            def scaled_bytes1(vname: str) -> float:
-                value = values[vname]
-                scale = (
-                    factor if value.dtype.value.startswith("float") else 1.0
-                )
-                return value.nbytes(1) * scale
-
-            sizes = profiler._param_sizes_arr
-            param_rects: List[Tuple[int, int, int, int, int]] = []
-            last_occ: Dict[int, int] = {}
-            consumer_blocks: Dict[str, set] = {}
-            out_rects: List[Tuple[int, int, int, int, float]] = []
-            for j, blk in enumerate(self.blocks):
-                seen_here: set = set()
-                for t in blk.tasks:
-                    for pid in profiler._task_param_ids[profiler._index[t]]:
-                        if pid in seen_here:
-                            continue
-                        seen_here.add(pid)
-                        q = last_occ.get(pid, -1)
-                        param_rects.append(
-                            (q + 1, j, j + 1, k, int(sizes[pid]))
-                        )
-                        last_occ[pid] = j
-                    task = graph.tasks[t]
-                    for vname in task.inputs:
-                        consumer_blocks.setdefault(vname, set()).add(j)
-                    for vname in task.outputs:
-                        if vname in is_output:
-                            last = k
-                        else:
-                            last = max(
-                                (task_block[c] for c in values[vname].consumers),
-                                default=j,
-                            )
-                        if last > j:
-                            out_rects.append(
-                                (0, j, j + 1, last, scaled_bytes1(vname))
-                            )
-
-            in_rects: List[Tuple[int, int, int, int, float]] = []
-            for vname, blocks_in in consumer_blocks.items():
-                value = values[vname]
-                if value.kind in (ValueKind.PARAM, ValueKind.CONST):
-                    continue  # listed at the cut, never summed
-                p = task_block[value.producer] if value.producer else -1
-                nbytes1 = scaled_bytes1(vname)
-                prev = p
-                for c in sorted(b for b in blocks_in if b > p):
-                    in_rects.append((prev + 1, c, c + 1, k, nbytes1))
-                    prev = c
-
-            IN1 = _rectangle_sums(k, in_rects, np.float64)
-            OUT1 = _rectangle_sums(k, out_rects, np.float64)
-            PARAMS = _rectangle_sums(k, param_rects, np.int64)
-            self._range_mats = (IN1, OUT1, PARAMS)
+        if self._range_mats is not None:
             return self._range_mats
+        k = self.k
+        p = self.profiler
+        members, member_block = self._member_task, self._member_block
+        # a task cloned into several blocks counts in the last of them
+        task_block = np.full(len(p.non_constant), -1, dtype=np.int64)
+        np.maximum.at(task_block, members, member_block)
+        scaled = p.scaled_value_bytes(1)
+
+        # PARAMS: one rectangle per (block, parameter), sorted by
+        # parameter then block, reaching back past the previous block
+        # that holds the same parameter
+        pids = p._task_param_ids
+        member_list = members.tolist()
+        pid = np.fromiter(
+            (q for t in member_list for q in pids[t]), dtype=np.int64
+        )
+        pid_block = np.repeat(
+            member_block, [len(pids[t]) for t in member_list]
+        )
+        key = distinct(pid * (k + 1) + pid_block)
+        pid, j = key // (k + 1), key % (k + 1)
+        prev = np.full(len(key), -1, dtype=np.int64)
+        same = pid[1:] == pid[:-1]
+        prev[1:][same] = j[:-1][same]
+        param_rects = (prev + 1, j, j + 1, np.full_like(j, k),
+                       p._param_sizes_arr[pid])
+
+        # OUT1: every output of every member task leaves the ranges
+        # ending between its block and its last consumer's block
+        out_v, which = csr_rows(p.task_out_ptr, p.task_out, members)
+        j = member_block[which]
+        last_reader = np.full(len(scaled), -1, dtype=np.int64)
+        counts = np.diff(p.value_consumer_ptr)
+        np.maximum.at(
+            last_reader,
+            np.repeat(np.arange(len(counts)), counts),
+            task_block[p.value_consumers],
+        )
+        last = np.where(p.value_output[out_v], k, last_reader[out_v])
+        keep = last > j
+        out_rects = (np.zeros(int(keep.sum()), dtype=np.int64), j[keep],
+                     j[keep] + 1, last[keep], scaled[out_v[keep]])
+
+        # IN1: per non-constant value, its distinct consumer blocks after
+        # its producer's block, one rectangle per gap
+        in_v, which = csr_rows(p.task_in_ptr, p.task_in, members)
+        keep = ~p.value_const[in_v]
+        key = distinct(in_v[keep] * (k + 1) + member_block[which[keep]])
+        v, c = key // (k + 1), key % (k + 1)
+        producer = p.value_producer[v]
+        start = np.where(producer >= 0, task_block[producer], -1)
+        keep = c > start
+        v, c, start = v[keep], c[keep], start[keep]
+        prev = start.copy()
+        same = v[1:] == v[:-1]
+        prev[1:][same] = c[:-1][same]
+        in_rects = (prev + 1, c, c + 1, np.full_like(c, k), scaled[v])
+
+        IN1 = _rectangle_sums(k, in_rects, np.float64)
+        OUT1 = _rectangle_sums(k, out_rects, np.float64)
+        PARAMS = _rectangle_sums(k, param_rects, np.int64)
+        self._range_mats = (IN1, OUT1, PARAMS)
+        return self._range_mats
 
     def range_tasks(self, lo: int, hi: int) -> Tuple[str, ...]:
         tasks: List[str] = []
@@ -595,33 +593,32 @@ class DPContext:
         Cached per ``(D, R)``; requires ``D * R <= cluster.total_devices``.
         """
         key = (D, R)
-        with self._lock:
-            cached = self._hetero_cache.get(key)
-            if cached is None:
-                mems = np.asarray(self.cluster.rank_memories())
-                facs = np.asarray(
-                    self.cluster.rank_time_factors(self.profiler.precision)
+        cached = self._hetero_cache.get(key)
+        if cached is None:
+            mems = np.asarray(self.cluster.rank_memories())
+            facs = np.asarray(
+                self.cluster.rank_time_factors(self.profiler.precision)
+            )
+            if D * R > mems.size:
+                raise ValueError(
+                    f"D*R = {D * R} exceeds the cluster's "
+                    f"{mems.size} devices"
                 )
-                if D * R > mems.size:
-                    raise ValueError(
-                        f"D*R = {D * R} exceeds the cluster's "
-                        f"{mems.size} devices"
-                    )
-                # collapse the replica axis first: slot j of a band maps
-                # to rank r*D + j, and a stage's constraint is the worst
-                # over every replica band it appears in
-                slot_mem = mems[: D * R].reshape(R, D).min(axis=0)
-                slot_fac = facs[: D * R].reshape(R, D).max(axis=0)
-                MINMEM = np.full((D + 1, D + 1), np.inf)
-                SLOW = np.ones((D + 1, D + 1))
-                for dp in range(D):
-                    MINMEM[dp, dp + 1:] = np.minimum.accumulate(slot_mem[dp:])
-                    SLOW[dp, dp + 1:] = np.maximum.accumulate(slot_fac[dp:])
-                cached = self._hetero_cache[key] = (MINMEM, SLOW)
-            MINMEM, SLOW = cached
-            if self.memory_budget is not None:
-                MINMEM = np.minimum(MINMEM, self.memory_budget)
-            return MINMEM, SLOW
+            # collapse the replica axis first: slot j of a band maps
+            # to rank r*D + j, and a stage's constraint is the worst
+            # over every replica band it appears in
+            slot_mem = mems[: D * R].reshape(R, D).min(axis=0)
+            slot_fac = facs[: D * R].reshape(R, D).max(axis=0)
+            MINMEM = np.full((D + 1, D + 1), np.inf)
+            SLOW = np.ones((D + 1, D + 1))
+            for dp in range(D):
+                MINMEM[dp, dp + 1:] = np.minimum.accumulate(slot_mem[dp:])
+                SLOW[dp, dp + 1:] = np.maximum.accumulate(slot_fac[dp:])
+            cached = self._hetero_cache[key] = (MINMEM, SLOW)
+        MINMEM, SLOW = cached
+        if self.memory_budget is not None:
+            MINMEM = np.minimum(MINMEM, self.memory_budget)
+        return MINMEM, SLOW
 
     # ------------------------------------------------------------------
     # banded construction (O(band * D) peak memory)
@@ -643,24 +640,23 @@ class DPContext:
         span = int(min(max(span, 1), self.k))
         key = (D, R, MB, checkpointing)
         capacity = self.capacity
-        with self._lock:
-            cached = self._band_cache.get(key)
-            if cached is not None and (
-                cached.span >= span
-                or (
-                    capacity <= cached.capacity
-                    and cached.span >= cached.fit_width
-                )
-            ):
-                if self.metrics is not None:
-                    self.metrics.counter("profiler.band_cache_hits").inc()
-                return cached
-            band = self._build_bands(D, R, MB, checkpointing, span, capacity)
-            self._band_cache[key] = band
+        cached = self._band_cache.get(key)
+        if cached is not None and (
+            cached.span >= span
+            or (
+                capacity <= cached.capacity
+                and cached.span >= cached.fit_width
+            )
+        ):
             if self.metrics is not None:
-                self.metrics.counter("profiler.band_builds").inc()
-                self.metrics.gauge("profiler.band_bytes").set(self.band_bytes)
-            return band
+                self.metrics.counter("profiler.band_cache_hits").inc()
+            return cached
+        band = self._build_bands(D, R, MB, checkpointing, span, capacity)
+        self._band_cache[key] = band
+        if self.metrics is not None:
+            self.metrics.counter("profiler.band_builds").inc()
+            self.metrics.gauge("profiler.band_bytes").set(self.band_bytes)
+        return band
 
     def _build_bands(
         self,
@@ -731,21 +727,18 @@ class DPContext:
         return _widest_fit(floor, capacity)
 
 
-def _rectangle_sums(
-    k: int, rects: List[Tuple[int, int, int, int, float]], dtype
-) -> np.ndarray:
+def _rectangle_sums(k: int, rects: Tuple[np.ndarray, ...], dtype) -> np.ndarray:
     """``(k+1, k+1)`` matrix holding, at ``[lo, hi]``, the sum of ``w``
-    over every rectangle ``(lo0, lo1, hi0, hi1, w)`` with ``lo0 <= lo <=
-    lo1`` and ``hi0 <= hi <= hi1``: four corner updates per rectangle
-    and a double cumulative sum."""
+    over every rectangle of the column arrays ``(lo0, lo1, hi0, hi1, w)``
+    with ``lo0 <= lo <= lo1`` and ``hi0 <= hi <= hi1``: four corner
+    updates per rectangle and a double cumulative sum."""
+    lo0, lo1, hi0, hi1, w = rects
+    w = w.astype(dtype)
     diff = np.zeros((k + 2, k + 2), dtype=dtype)
-    if rects:
-        lo0, lo1, hi0, hi1, w = (np.array(c) for c in zip(*rects))
-        w = w.astype(dtype)
-        np.add.at(diff, (lo0, hi0), w)
-        np.add.at(diff, (lo0, hi1 + 1), -w)
-        np.add.at(diff, (lo1 + 1, hi0), -w)
-        np.add.at(diff, (lo1 + 1, hi1 + 1), w)
+    np.add.at(diff, (lo0, hi0), w)
+    np.add.at(diff, (lo0, hi1 + 1), -w)
+    np.add.at(diff, (lo1 + 1, hi0), -w)
+    np.add.at(diff, (lo1 + 1, hi1 + 1), w)
     return diff.cumsum(axis=0).cumsum(axis=1)[: k + 1, : k + 1]
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
@@ -246,13 +247,31 @@ class PlanningContext:
 
     # ------------------------------------------------------------------
     def ensure_profiler(self) -> GraphProfiler:
-        """The run's profiler, constructing the default one on demand."""
+        """The run's profiler, constructing the default one on demand.
+
+        Construction is the one pass that builds the graph table every
+        pre-search layer reads; it is recorded as a ``profiler.build``
+        span (``tasks``, ``values``, ``ms``) inside whichever pass first
+        asked (``coarsen`` on a cold plan)."""
         if self.profiler is None:
+            start = time.perf_counter()
             self.profiler = GraphProfiler(
                 self.graph,
                 self.cluster,
                 self.config.precision,
                 self.config.optimizer,
                 mode=self.config.mode,
+            )
+            elapsed = time.perf_counter() - start
+            self.tracer.add_span(
+                "profiler.build",
+                category="profiler",
+                start=start,
+                duration=elapsed,
+                attrs={
+                    "tasks": len(self.graph.tasks),
+                    "values": len(self.graph.values),
+                    "ms": elapsed * 1e3,
+                },
             )
         return self.profiler

@@ -82,16 +82,20 @@ class EventLog:
         status: str,
         wall_time: float = 0.0,
         detail: Optional[Dict[str, Any]] = None,
+        start: Optional[float] = None,
     ) -> PassEvent:
         """Record a pass outcome as a completed span on the tracer.
 
-        The span is back-dated by ``wall_time`` so it ends "now" — the
+        The span starts at ``start`` (a ``time.perf_counter()`` reading)
+        when given, so spans recorded inside the pass lie within it;
+        otherwise it is back-dated by ``wall_time`` to end "now" — the
         pass manager measures first and records after.
         """
         span = self.tracer.add_span(
             name,
             category=PASS_CATEGORY,
             duration=wall_time,
+            start=start,
             attrs={"status": status, **(detail or {})},
         )
         return _event_of(span)

@@ -194,6 +194,7 @@ class PassManager:
                     FAILED,
                     time.perf_counter() - start,
                     {"error": str(exc)},
+                    start=start,
                 )
                 if isinstance(exc, (PartitioningError, ValueError, KeyError)):
                     raise  # domain errors keep their type for callers
@@ -212,7 +213,7 @@ class PassManager:
                         f"declared artifact {artifact!r} but did not "
                         f"produce it",
                     )
-            ctx.events.record(p.name, OK, elapsed, detail)
+            ctx.events.record(p.name, OK, elapsed, detail, start=start)
             if fp is not None:
                 for artifact in p.produces:
                     store.put(artifact, fp, ctx.get(artifact), inputs, ctx)

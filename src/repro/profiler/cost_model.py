@@ -12,9 +12,9 @@ exactly as real kernels do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Sequence, Tuple
 
-from repro.graph.ir import TaskGraph, TaskNode, ValueKind
+from repro.graph.ir import TaskGraph, TaskNode, ValueKind, ValueNode
 from repro.graph.ops import registry
 from repro.hardware.device import DeviceSpec, Precision
 
@@ -46,6 +46,52 @@ class TaskCost:
     is_free: bool
 
 
+#: what :func:`task_row` reads of one value: ``(batch-1 bytes, batch-1
+#: element count, batched, is a trainable parameter)``
+ValueRecord = Tuple[int, int, bool, bool]
+
+
+def value_record(value: ValueNode) -> ValueRecord:
+    """The :data:`ValueRecord` of one value."""
+    numel = value.numel(1)
+    return (numel * value.dtype.itemsize, numel, value.batched,
+            value.kind is ValueKind.PARAM)
+
+
+def task_row(
+    graph: TaskGraph,
+    task: TaskNode,
+    inputs: Sequence[ValueRecord],
+    outputs: Sequence[ValueRecord],
+) -> Tuple:
+    """The :class:`TaskCost` fields of one task, in field order, from the
+    records of its input and output values (positional, as listed by the
+    task).  The one extraction rule: :meth:`CostModel.task_cost` and the
+    profiler's per-graph table both call it."""
+    fwd = registry.flops(task, graph, 1)
+    bwd = fwd * registry.get(task.op_type).bwd_factor
+    act_bytes = 0.0
+    param_bytes = 0.0
+    param_count = 0
+    for nbytes, numel, batched, is_param in inputs:
+        if batched:
+            act_bytes += nbytes
+        else:
+            param_bytes += nbytes
+            if is_param:
+                param_count += numel
+    saved = 0.0
+    for nbytes, _, batched, _ in outputs:
+        if batched:
+            act_bytes += nbytes
+            saved += nbytes
+        else:
+            param_bytes += nbytes
+    is_free = task.op_type in FREE_OPS
+    return (fwd, bwd, act_bytes, param_bytes, 0.0 if is_free else saved,
+            param_count, task.op_type in MATMUL_OPS, is_free)
+
+
 class CostModel:
     """Computes :class:`TaskCost` entries and evaluates roofline times."""
 
@@ -56,39 +102,13 @@ class CostModel:
     # ------------------------------------------------------------------
     def task_cost(self, graph: TaskGraph, task: TaskNode) -> TaskCost:
         """Extract the cost coefficients of one task instance."""
-        fwd = registry.flops(task, graph, 1)
-        bwd = registry.backward_flops(task, graph, 1)
-        act_bytes = 0.0
-        param_bytes = 0.0
-        param_count = 0
-        for vname in task.inputs:
-            value = graph.values[vname]
-            if value.batched:
-                act_bytes += value.nbytes(1)
-            else:
-                param_bytes += value.nbytes(1)
-                if value.kind is ValueKind.PARAM:
-                    param_count += value.numel(1)
-        saved = 0.0
-        for vname in task.outputs:
-            value = graph.values[vname]
-            nbytes = value.nbytes(1)
-            if value.batched:
-                act_bytes += nbytes
-                saved += nbytes
-            else:
-                param_bytes += nbytes
-        is_free = task.op_type in FREE_OPS
-        return TaskCost(
-            fwd_flops=fwd,
-            bwd_flops=bwd,
-            act_bytes=act_bytes,
-            param_bytes=param_bytes,
-            saved_bytes=0.0 if is_free else saved,
-            param_count=param_count,
-            is_matmul=task.op_type in MATMUL_OPS,
-            is_free=is_free,
-        )
+        values = graph.values
+        return TaskCost(*task_row(
+            graph,
+            task,
+            [value_record(values[v]) for v in task.inputs],
+            [value_record(values[v]) for v in task.outputs],
+        ))
 
     # ------------------------------------------------------------------
     def _compute_time(self, flops: float, is_matmul: bool) -> float:

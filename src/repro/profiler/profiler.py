@@ -1,17 +1,35 @@
-"""Graph profiler: vectorized per-task times + the Algorithm-1 oracle.
+"""Graph profiler: the per-graph table and the Algorithm-1 oracle.
 
 ``GraphProfiler`` plays the role of the paper's ``profile(U, batch)``
-procedure.  Per-task cost coefficients are extracted once into NumPy
-arrays (one slot per task, in the graph's topological insertion order) and
-every batch size seen gets a vectorized time table, so profiling any
-subcomponent is a fancy-indexed sum -- fast enough for the DP's thousands
-of candidate stages.  Results are memoized per ``(key, batch, ...)``
-exactly where RaNNC caches device profiles.
+procedure.  Its construction is one pass over the task graph that
+builds the **table** every pre-search layer reads instead of the graph's
+dicts (tasks indexed in the graph's topological insertion order, values
+in insertion order):
+
+* per value: batch-1 bytes, and whether the value is floating point
+  (the working precision scales it), batched, a parameter or constant,
+  or a graph output; its producer task (``-1`` for a leaf) and its
+  distinct consumer tasks (CSR, first-use order);
+* per task: forward and backward FLOPs at batch 1 (computed once),
+  activation, parameter, saved and attention K/V bytes, the parameter
+  count, the matmul / free / non-constant flags, the ids of the
+  parameters it reads (with one size per parameter), and its input and
+  output value ids (CSR).
+
+Profiling a subcomponent is then fancy-indexed sums over per-batch time
+tables, fast enough for the DP's thousands of candidate stages; block
+coarsening builds its atom aggregates and the stage DP its range
+matrices from the same arrays.  Results are memoized per ``(key, batch,
+...)`` exactly where RaNNC caches device profiles.
+
+The memo tables are plain dicts: the planner is serial, and callers that
+share one profiler across threads (through a stored ``dp_context``)
+must serialize whole runs per model family, as the plan service does
+(DESIGN.md, "Who reaches a shared context").
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -20,7 +38,7 @@ import numpy as np
 from repro.graph.ir import TaskGraph, ValueKind
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
-from repro.profiler.cost_model import CostModel
+from repro.profiler.cost_model import CostModel, task_row, value_record
 from repro.profiler.memory import MemoryModel, OptimizerKind
 
 
@@ -35,6 +53,29 @@ class ProfileResult:
     param_count: int
     in_bytes: float
     out_bytes: float
+
+
+def csr_rows(
+    ptr: np.ndarray, data: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Entries of CSR ``rows`` (concatenated, row by row) and, per entry,
+    its position in ``rows``."""
+    starts = ptr[rows]
+    lens = ptr[rows + 1] - starts
+    which = np.repeat(np.arange(len(rows)), lens)
+    offsets = np.arange(len(which)) - np.repeat(np.cumsum(lens) - lens, lens)
+    return data[starts[which] + offsets], which
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of an integer array.
+
+    Stands in for ``np.unique``, which in NumPy 2 imports ``numpy.ma`` on
+    first use: about 1 MiB of peak RSS the planner never needs."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 class GraphProfiler:
@@ -54,57 +95,8 @@ class GraphProfiler:
         self.mode = mode
         self.cost_model = CostModel(cluster.device, precision)
         self.memory_model = MemoryModel(precision, optimizer, mode)
+        self._build_table(graph)
 
-        names = list(graph.tasks)
-        self._index: Dict[str, int] = {t: i for i, t in enumerate(names)}
-        self._names = names
-        n = len(names)
-        self.fwd_flops = np.zeros(n)
-        self.bwd_flops = np.zeros(n)
-        self.act_bytes = np.zeros(n)
-        self.param_bytes = np.zeros(n)
-        self.saved_bytes = np.zeros(n)
-        self.kv_saved_bytes = np.zeros(n)
-        self.param_count = np.zeros(n, dtype=np.int64)
-        self.is_matmul = np.zeros(n, dtype=bool)
-        self.is_free = np.zeros(n, dtype=bool)
-        for i, tname in enumerate(names):
-            task = graph.tasks[tname]
-            cost = self.cost_model.task_cost(graph, task)
-            self.fwd_flops[i] = cost.fwd_flops
-            self.bwd_flops[i] = cost.bwd_flops
-            self.act_bytes[i] = cost.act_bytes
-            self.param_bytes[i] = cost.param_bytes
-            self.saved_bytes[i] = cost.saved_bytes
-            self.kv_saved_bytes[i] = self._kv_bytes(graph, task)
-            self.param_count[i] = cost.param_count
-            self.is_matmul[i] = cost.is_matmul
-            self.is_free[i] = cost.is_free
-
-        # param values consumed per task, for unique-parameter accounting
-        # (a tied/shared weight must be stored once per stage, not once per
-        # consuming task)
-        param_ids: Dict[str, int] = {}
-        self._task_param_ids: List[Tuple[int, ...]] = []
-        self._param_sizes: List[int] = []
-        for tname in names:
-            ids = []
-            for vname in graph.tasks[tname].inputs:
-                value = graph.values[vname]
-                if value.kind is ValueKind.PARAM:
-                    pid = param_ids.get(vname)
-                    if pid is None:
-                        pid = len(self._param_sizes)
-                        param_ids[vname] = pid
-                        self._param_sizes.append(value.numel(1))
-                    ids.append(pid)
-            self._task_param_ids.append(tuple(ids))
-        self._param_sizes_arr = np.asarray(self._param_sizes, dtype=np.int64)
-
-        # guards the memo tables and hit counters; runs that share this
-        # profiler through a stored dp_context are already serialized
-        # per model family (DESIGN.md, "Who reaches a shared context")
-        self._lock = threading.RLock()
         self._time_tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._cache: Dict[Hashable, ProfileResult] = {}
         self.profile_calls = 0
@@ -112,9 +104,101 @@ class GraphProfiler:
         self.table_calls = 0
         self.table_hits = 0
 
+    def _build_table(self, graph: TaskGraph) -> None:
+        """One pass over the values, then one over the tasks."""
+        tasks = graph.tasks
+        self._names: List[str] = list(tasks)
+        index = self._index = {t: i for i, t in enumerate(self._names)}
+
+        value_index: Dict[str, int] = {}
+        records = []
+        is_float, const, producer = [], [], []
+        consumer_ptr, consumers = [0], []
+        # a value depends on the model input: seeded at the graph
+        # inputs, propagated to the outputs of non-constant tasks
+        depends = []
+        for i, (vname, value) in enumerate(graph.values.items()):
+            value_index[vname] = i
+            records.append(value_record(value))
+            is_float.append(value.dtype.is_float)
+            kind = value.kind
+            const.append(kind is ValueKind.PARAM or kind is ValueKind.CONST)
+            depends.append(kind is ValueKind.INPUT)
+            producer.append(
+                -1 if value.producer is None else index[value.producer]
+            )
+            consumers.extend(dict.fromkeys(index[c] for c in value.consumers))
+            consumer_ptr.append(len(consumers))
+
+        rows = []
+        kv = []
+        non_constant = []
+        in_ptr, ins_all, out_ptr, outs_all = [0], [], [0], []
+        param_of: Dict[int, int] = {}
+        self._task_param_ids: List[Tuple[int, ...]] = []
+        self._param_sizes: List[int] = []
+        for task in tasks.values():
+            ins = [value_index[v] for v in task.inputs]
+            outs = [value_index[v] for v in task.outputs]
+            in_recs = [records[v] for v in ins]
+            rows.append(task_row(graph, task, in_recs,
+                                 [records[v] for v in outs]))
+            kv.append(self._kv_bytes(task.op_type, ins, in_recs, const))
+            flag = any(depends[v] for v in ins)
+            non_constant.append(flag)
+            if flag:
+                for v in outs:
+                    depends[v] = True
+            # parameters read, for unique-parameter accounting (a
+            # tied/shared weight is stored once per stage, not once per
+            # consuming task)
+            pids = []
+            for v, rec in zip(ins, in_recs):
+                if rec[3]:
+                    pid = param_of.get(v)
+                    if pid is None:
+                        pid = param_of[v] = len(self._param_sizes)
+                        self._param_sizes.append(rec[1])
+                    pids.append(pid)
+            self._task_param_ids.append(tuple(pids))
+            ins_all.extend(ins)
+            in_ptr.append(len(ins_all))
+            outs_all.extend(outs)
+            out_ptr.append(len(outs_all))
+
+        (self.fwd_flops, self.bwd_flops, self.act_bytes, self.param_bytes,
+         self.saved_bytes, param_count, is_matmul, is_free) = (
+            np.array(rows, dtype=float).reshape(-1, 8).T.copy()
+        )
+        self.param_count = param_count.astype(np.int64)
+        self.is_matmul = is_matmul != 0
+        self.is_free = is_free != 0
+        self.kv_saved_bytes = np.array(kv, dtype=float)
+        self.non_constant = np.array(non_constant, dtype=bool)
+        self._param_sizes_arr = np.asarray(self._param_sizes, dtype=np.int64)
+        self.task_in_ptr = np.array(in_ptr, dtype=np.int64)
+        self.task_in = np.array(ins_all, dtype=np.int64)
+        self.task_out_ptr = np.array(out_ptr, dtype=np.int64)
+        self.task_out = np.array(outs_all, dtype=np.int64)
+
+        nv = len(records)
+        self.value_bytes = np.array(
+            [r[0] for r in records], dtype=np.int64
+        )
+        self.value_batched = np.array([r[2] for r in records], dtype=bool)
+        self.value_float = np.array(is_float, dtype=bool)
+        self.value_const = np.array(const, dtype=bool)
+        self.value_output = np.zeros(nv, dtype=bool)
+        self.value_output[
+            [value_index[v] for v in graph.output_names]
+        ] = True
+        self.value_producer = np.array(producer, dtype=np.int64)
+        self.value_consumer_ptr = np.array(consumer_ptr, dtype=np.int64)
+        self.value_consumers = np.array(consumers, dtype=np.int64)
+
     @staticmethod
-    def _kv_bytes(graph: TaskGraph, task) -> float:
-        """Per-sample attention K/V bytes persisted by ``task`` while a
+    def _kv_bytes(op_type: str, ins, in_recs, const) -> float:
+        """Per-sample attention K/V bytes persisted by a task while a
         microbatch stays in flight during inference.
 
         Structural rule: a ``matmul`` whose two operands are both batched
@@ -124,15 +208,22 @@ class GraphProfiler:
         value derived only from them, e.g. a transposed embedding table)
         is not batched, so ``lm_head``-style projections are excluded.
         """
-        if task.op_type != "matmul" or len(task.inputs) != 2:
+        if op_type != "matmul" or len(ins) != 2:
             return 0.0
-        operands = [graph.values[v] for v in task.inputs]
-        for value in operands:
-            if value.kind in (ValueKind.PARAM, ValueKind.CONST):
+        for v, rec in zip(ins, in_recs):
+            if const[v] or not rec[2]:
                 return 0.0
-            if not value.batched:
-                return 0.0
-        return float(operands[1].nbytes(1))
+        return float(in_recs[1][0])
+
+    def scaled_value_bytes(self, batch_size: int, values=slice(None)) -> np.ndarray:
+        """Bytes of ``values`` (ids; default all) at ``batch_size``,
+        floating-point values scaled to the working precision: each entry
+        is an integer (``1.0`` or ``0.5`` times an even byte count), so
+        sums of them are exact in any order."""
+        factor = self.precision.activation_bytes_factor
+        batched = np.where(self.value_batched[values], batch_size, 1)
+        scale = np.where(self.value_float[values], factor, 1.0)
+        return (self.value_bytes[values] * batched) * scale
 
     # ------------------------------------------------------------------
     # delta-replan support
@@ -177,13 +268,12 @@ class GraphProfiler:
     # ------------------------------------------------------------------
     def _times_at(self, batch_size: int) -> Tuple[np.ndarray, np.ndarray]:
         """Per-task (t_f, t_b) arrays at one batch size (cached)."""
-        with self._lock:
-            self.table_calls += 1
-            table = self._time_tables.get(batch_size)
-            if table is not None:
-                self.table_hits += 1
-                return table
-            return self._build_time_table(batch_size)
+        self.table_calls += 1
+        table = self._time_tables.get(batch_size)
+        if table is not None:
+            self.table_hits += 1
+            return table
+        return self._build_time_table(batch_size)
 
     def _build_time_table(self, batch_size: int) -> Tuple[np.ndarray, np.ndarray]:
         device = self.cost_model.device
@@ -245,16 +335,13 @@ class GraphProfiler:
         """
         batch_size = max(1, int(batch_size))
         cache_key = None
-        with self._lock:
-            if key is not None:
-                cache_key = (
-                    key, batch_size, microbatches_in_flight, checkpointing
-                )
-                hit = self._cache.get(cache_key)
-                if hit is not None:
-                    self.cache_hits += 1
-                    return hit
-            self.profile_calls += 1
+        if key is not None:
+            cache_key = (key, batch_size, microbatches_in_flight, checkpointing)
+            hit = self._cache.get(cache_key)
+            if hit is not None:
+                self.cache_hits += 1
+                return hit
+        self.profile_calls += 1
 
         idx = self.indices_of(task_names)
         tf_all, tb_all = self._times_at(batch_size)
@@ -268,7 +355,7 @@ class GraphProfiler:
         kv = float(self.kv_saved_bytes[idx].sum()) * batch_size * act_factor
         params = self.unique_param_count(idx)
 
-        in_bytes, out_bytes = self.boundary_bytes(task_names, batch_size)
+        in_bytes, out_bytes = self._boundary_bytes(idx, batch_size)
         memory = self.memory_model.total_bytes(
             param_count=params,
             saved_act_bytes_micro=saved,
@@ -286,8 +373,7 @@ class GraphProfiler:
             out_bytes=out_bytes,
         )
         if cache_key is not None:
-            with self._lock:
-                self._cache[cache_key] = result
+            self._cache[cache_key] = result
         return result
 
     def unique_param_count(self, task_indices: np.ndarray) -> int:
@@ -308,22 +394,33 @@ class GraphProfiler:
     def boundary_bytes(
         self, task_names: Sequence[str], batch_size: int
     ) -> Tuple[float, float]:
-        """Precision-scaled activation bytes crossing the boundary of U."""
-        in_values, out_values = self.graph.boundary_values(task_names)
-        factor = self.precision.activation_bytes_factor
-        in_bytes = 0.0
-        for vname in in_values:
-            value = self.graph.values[vname]
-            if value.kind in (ValueKind.PARAM, ValueKind.CONST):
-                continue
-            scale = factor if value.dtype.value.startswith("float") else 1.0
-            in_bytes += value.nbytes(batch_size) * scale
-        out_bytes = 0.0
-        for vname in out_values:
-            value = self.graph.values[vname]
-            scale = factor if value.dtype.value.startswith("float") else 1.0
-            out_bytes += value.nbytes(batch_size) * scale
-        return in_bytes, out_bytes
+        """Precision-scaled activation bytes crossing the boundary of U:
+        the values of ``TaskGraph.boundary_values``, parameters and
+        constants left out of the inputs."""
+        return self._boundary_bytes(self.indices_of(task_names), batch_size)
+
+    def _boundary_bytes(
+        self, idx: np.ndarray, batch_size: int
+    ) -> Tuple[float, float]:
+        member = np.zeros(len(self._names), dtype=bool)
+        member[idx] = True
+        # inputs produced outside U (or graph leaves)
+        ins, _ = csr_rows(self.task_in_ptr, self.task_in, idx)
+        producer = self.value_producer[ins]
+        ins = distinct(
+            ins[((producer < 0) | ~member[producer]) & ~self.value_const[ins]]
+        )
+        # outputs read outside U, or graph outputs
+        outs = distinct(csr_rows(self.task_out_ptr, self.task_out, idx)[0])
+        readers, which = csr_rows(
+            self.value_consumer_ptr, self.value_consumers, outs
+        )
+        leaving = self.value_output[outs]
+        leaving[which[~member[readers]]] = True
+        return (
+            float(self.scaled_value_bytes(batch_size, ins).sum()),
+            float(self.scaled_value_bytes(batch_size, outs[leaving]).sum()),
+        )
 
     def comm_time(self, nbytes: float, same_node: bool = True) -> float:
         """Stage-to-stage transfer time (footnote 3: intra-node bandwidth).

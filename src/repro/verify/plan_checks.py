@@ -82,7 +82,6 @@ from typing import Dict, List, Optional
 
 from repro.graph.ir import TaskGraph
 from repro.hardware.cluster import ClusterSpec
-from repro.partitioner.atomic import classify_tasks
 from repro.partitioner.plan import PartitionPlan
 from repro.pipeline.simulator import simulate_sync_pipeline
 from repro.profiler.memory import OptimizerKind
@@ -187,12 +186,20 @@ class _Checker:
         self.expected_iteration_time = expected_iteration_time
         self.schedule = schedule
         self.report = VerificationReport(model_name=plan.model_name)
-        self.non_constant = classify_tasks(graph)
+        # the table of the profiler the re-derivation checks use carries
+        # the non-constant flags (the forward traversal of
+        # ``classify_tasks``), so the plan's own profiler serves both
+        profiler = self._ensure_profiler()
+        self._task_index = profiler._index
+        self._non_constant_flags = profiler.non_constant.tolist()
         #: task -> sorted list of stage indices it appears in
         self.placement: Dict[str, List[int]] = {}
         self.unknown_tasks = False
 
     # ------------------------------------------------------------------
+    def _non_constant(self, task: str) -> bool:
+        return self._non_constant_flags[self._task_index[task]]
+
     def _checked(self, n: int = 1) -> None:
         self.report.invariants_checked += n
 
@@ -246,7 +253,7 @@ class _Checker:
                 self._fail(
                     "coverage", f"task {t!r} is not assigned to any stage"
                 )
-            elif self.non_constant[t] and len(stages_of) > 1:
+            elif self._non_constant(t) and len(stages_of) > 1:
                 self._fail(
                     "coverage",
                     f"non-constant task {t!r} appears in stages "
@@ -291,13 +298,13 @@ class _Checker:
         stage_of = {
             t: stages[0]
             for t, stages in self.placement.items()
-            if self.non_constant[t] and len(stages) == 1
+            if self._non_constant(t) and len(stages) == 1
         }
         for producer, consumer in self.graph.iter_edges():
             if producer not in self.placement or consumer not in stage_of:
                 continue  # unplaced tasks were already reported
             self._checked()
-            if self.non_constant[producer]:
+            if self._non_constant(producer):
                 if producer in stage_of and stage_of[producer] > stage_of[consumer]:
                     self._fail(
                         "topology",

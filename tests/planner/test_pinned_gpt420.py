@@ -1,0 +1,74 @@
+"""Bit-identity guard for the large-graph path: ``gpt3_like(depth=420)``.
+
+The 10,086-task graph is the one input where coarsening leaves more than
+1,024 groups for compaction (the packed path), the stage search runs
+banded sweeps hundreds of blocks deep and the pre-search layers dominate
+plan time.  ``tests/data/pinned_gpt420.json`` holds what the planner
+produced for it on ``paper_cluster(4)`` at batch 2048 with ``k = 768``:
+
+* ``blocks_sha256`` -- the sha256 of ``[b.atomic_indices for b in
+  blocks]``, hashed as ``tests/partitioner/test_blocks_pinned.py``
+  hashes its scenarios;
+* ``plan_sha256`` -- the sha256 of the plan's deployment JSON
+  (:func:`repro.partitioner.deployment.plan_to_json`);
+* the stage-search counters and the evaluated throughput.
+
+Regenerate only for a change that is meant to alter the plan::
+
+    PYTHONPATH=src python tests/planner/test_pinned_gpt420.py --write
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+from repro.hardware import paper_cluster
+from repro.models.gpt import gpt3_like
+from repro.partitioner.deployment import plan_to_json
+from repro.planner import PlannerConfig, PlanningContext, plan_graph
+from repro.planner.context import BLOCKS, DP_CONTEXT
+
+FIXTURE = Path(__file__).resolve().parents[1] / "data" / "pinned_gpt420.json"
+SCENARIO = (
+    "gpt3_like(depth=420) on paper_cluster(4), batch 2048, num_blocks 768"
+)
+
+
+def _snapshot():
+    graph = gpt3_like(depth=420)
+    cluster = paper_cluster(4)
+    config = PlannerConfig(batch_size=2048, num_blocks=768)
+    ctx = PlanningContext(graph, cluster, config)
+    plan = plan_graph(graph, cluster, config, context=ctx)
+    blocks = ctx.require(BLOCKS)
+    dp_ctx = ctx.require(DP_CONTEXT)
+    indices = [list(b.atomic_indices) for b in blocks]
+    return {
+        "scenario": SCENARIO,
+        "blocks_sha256": hashlib.sha256(
+            json.dumps(indices).encode()
+        ).hexdigest(),
+        "plan_sha256": hashlib.sha256(
+            plan_to_json(plan, graph).encode()
+        ).hexdigest(),
+        "dp_calls": plan.diagnostics.dp_calls,
+        "states_evaluated": dp_ctx.states_evaluated,
+        "cells_reduced": dp_ctx.cells_reduced,
+        "band_width_max": dp_ctx.band_width_max,
+        "num_blocks": len(blocks),
+        "throughput": plan.throughput,
+    }
+
+
+def test_gpt420_plan_matches_pinned():
+    with FIXTURE.open() as fh:
+        pinned = json.load(fh)
+    assert _snapshot() == pinned
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_pinned_gpt420.py --write")
+    FIXTURE.write_text(json.dumps(_snapshot(), indent=1) + "\n")
+    print(f"wrote {FIXTURE}")

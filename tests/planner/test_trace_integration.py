@@ -3,7 +3,7 @@ spans/counters, the parenting of DP spans under Algorithm 2's level
 spans, and the evaluate pass's pipeline gauges."""
 
 from repro.hardware import paper_cluster
-from repro.planner import PlannerConfig, PlanningContext, plan_graph
+from repro.planner import PlannerConfig, PlanningContext, plan_graph, replan
 from repro.planner.events import PASS_CATEGORY
 
 
@@ -32,6 +32,32 @@ class TestPassSpans:
         # coarse pass spans and DP counters stay on regardless
         assert len(ctx.tracer.spans(PASS_CATEGORY)) > 0
         assert ctx.metrics.counter("dp.calls").value > 0
+
+
+class TestProfilerBuildSpan:
+    def test_cold_plan_builds_profiler_inside_coarsen(self, tiny_bert):
+        ctx, _ = run_plan(tiny_bert, trace=True)
+        builds = ctx.tracer.spans("profiler")
+        assert [s.name for s in builds] == ["profiler.build"]
+        build = builds[0]
+        assert build.attrs["tasks"] == len(tiny_bert.tasks)
+        assert build.attrs["values"] == len(tiny_bert.values)
+        assert build.attrs["ms"] == build.duration * 1e3 > 0
+        coarsen = next(
+            s for s in ctx.tracer.spans(PASS_CATEGORY) if s.name == "coarsen"
+        )
+        assert coarsen.start <= build.start
+        assert build.end <= coarsen.end
+        detail = ctx.events.find("coarsen").detail
+        assert build.attrs["ms"] <= detail["profiler_build_ms"]
+
+    def test_delta_replan_reuses_the_stored_profiler(self, tiny_bert):
+        prev, _ = run_plan(tiny_bert, trace=True)
+        ctx = PlanningContext(tiny_bert, paper_cluster(2), prev.config)
+        replan(prev, cluster=paper_cluster(2), context=ctx)
+        assert ctx.events.find("coarsen").status == "skipped"
+        assert ctx.profiler is prev.profiler
+        assert ctx.tracer.spans("profiler") == []
 
 
 class TestDPInstrumentation:
