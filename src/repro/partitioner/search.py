@@ -144,6 +144,13 @@ def form_stage(
         )
         with level_cm as level_span:
             stage_counts = range(s_lo, s_hi + 1)
+            if s_lo <= ctx.k:
+                # every sweep below builds a band over its batch sizes:
+                # price them all in one pass over the blocks
+                ctx.fill_time_prefixes(
+                    bs for MB in microbatch_counts
+                    for bs in ctx.plane_batch_sizes(D, R, MB)[0]
+                )
             # ``form_stage_dp`` is looked up as a module global at call
             # time, so a wrapper installed on ``search.form_stage_dp``
             # sees every sweep

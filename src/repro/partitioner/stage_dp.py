@@ -40,7 +40,9 @@ over ``b' in [b - w, b - 1]`` (``w`` the widest span that fits), with the
 ``d_min`` pruning rule applied to the precomputed failure masks in
 closed form (a running max over rows, :func:`_dmin_keep`) so the
 visited-state count and all write decisions match the cell-by-cell loop
-bit for bit.  The per-entry profile transcription, the per-range
+bit for bit.  The float reduction runs only on rows that can reach an
+answer; the rows that cannot but still feed the ``d_min`` replay get a
+boolean feasibility pass instead (:func:`_live_rows`).  The per-entry profile transcription, the per-range
 metadata recomputation and the pure-Python Algorithm 1 that the test
 suite holds all of this to live with the tests
 (``tests/partitioner/oracles.py``).
@@ -53,7 +55,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from repro.graph.ir import TaskGraph
 from repro.obs.metrics import MetricsRegistry, point_name
@@ -257,6 +259,10 @@ class DPContext:
         self._range_mats: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = None
+        #: ``_fit_width``'s batch-size-independent planes
+        self._floor_planes: Optional[
+            Tuple[np.ndarray, np.ndarray, np.ndarray]
+        ] = None
         self._band_cache: Dict[
             Tuple[int, int, int, bool], BandedProfile
         ] = {}
@@ -265,10 +271,14 @@ class DPContext:
         ] = {}
         self.dp_calls = 0
         self.states_evaluated = 0
-        #: candidate ``(b', b, d')`` cells the stage reductions evaluated
-        #: (the band-width cut shows here; ``states_evaluated`` counts
-        #: the ``d_min`` replay's visited cells and does not move)
+        #: candidate ``(b', b, d')`` cells the stage reductions
+        #: float-reduced (the band-width cut and the row trim show here;
+        #: ``states_evaluated`` counts the ``d_min`` replay's visited
+        #: cells and does not move), and the cells of the boolean pass
+        #: that checks only the feasibility of rows that cannot reach an
+        #: answer
         self.cells_reduced = 0
+        self.cells_checked = 0
         #: widest stage slab any sweep of the run reduced
         self.band_width_max = 0
 
@@ -329,6 +339,7 @@ class DPContext:
         self.dp_calls = 0
         self.states_evaluated = 0
         self.cells_reduced = 0
+        self.cells_checked = 0
         self.band_width_max = 0
         return self
 
@@ -369,6 +380,7 @@ class DPContext:
                 np.asarray(arrays["range_out1"]),
                 np.asarray(arrays["range_params"]),
             )
+        self._floor_planes = None  # rebuilt from the restored arrays
         for name, arr in arrays.items():
             if name.startswith("time_tf_"):
                 bs = int(name[len("time_tf_"):])
@@ -381,26 +393,68 @@ class DPContext:
     def _count_dp_call(self) -> None:
         self.dp_calls += 1
 
-    def _count_sweeps(self, states: int, cells: int, width: int) -> None:
+    def _count_sweeps(
+        self, states: int, cells: int, checked: int, width: int
+    ) -> None:
         self.states_evaluated += states
         self.cells_reduced += cells
+        self.cells_checked += checked
         self.band_width_max = max(self.band_width_max, width)
 
     # ------------------------------------------------------------------
     def _time_prefix_at(self, bs: int) -> Tuple[np.ndarray, np.ndarray]:
         """Prefix sums over blocks of per-block (t_f, t_b) at batch bs."""
         cached = self._time_prefix.get(bs)
-        if cached is not None:
-            return cached
-        tf_all, tb_all = self.profiler._times_at(bs)
-        tf = np.array([float(tf_all[idx].sum()) for idx in self._block_idx])
-        tb = np.array([float(tb_all[idx].sum()) for idx in self._block_idx])
-        result = (
-            np.concatenate([[0.0], np.cumsum(tf)]),
-            np.concatenate([[0.0], np.cumsum(tb)]),
+        if cached is None:
+            self.fill_time_prefixes((bs,))
+            cached = self._time_prefix[bs]
+        return cached
+
+    def fill_time_prefixes(self, batch_sizes) -> None:
+        """Build the time prefixes of every batch size not cached yet in
+        one pass over the blocks: one ``take`` per block from a
+        C-contiguous ``(2 * n_bs, n_tasks)`` table of per-task times.
+        Each row of a block's take is contiguous, so its sum is the same
+        pairwise sum as a 1-D sum over the block's tasks, bit for bit."""
+        missing = [
+            bs for bs in dict.fromkeys(batch_sizes)
+            if bs not in self._time_prefix
+        ]
+        if not missing:
+            return
+        table = np.array(
+            [row for bs in missing for row in self.profiler._times_at(bs)]
         )
-        self._time_prefix[bs] = result
-        return result
+        sums = np.zeros((len(table), self.k))
+        for j, idx in enumerate(self._block_idx):
+            sums[:, j] = np.take(table, idx, axis=1).sum(axis=1)
+        for i, bs in enumerate(missing):
+            self._time_prefix[bs] = tuple(
+                np.concatenate([[0.0], np.cumsum(row)])
+                for row in sums[2 * i:2 * i + 2]
+            )
+
+    def plane_batch_sizes(
+        self, D: int, R: int, MB: int
+    ) -> Tuple[List[int], np.ndarray]:
+        """The distinct per-replica microbatches ``BS // (R * MB * r)``
+        over ``r = 1 .. D`` (one band plane each, in ``r`` order) and
+        the plane of every ``r`` (``-1`` where the microbatch collapses
+        below one sample)."""
+        bs_list: List[int] = []
+        plane_index: Dict[int, int] = {}
+        plane_of_r = np.full(D + 1, -1, dtype=np.int64)
+        for r in range(1, D + 1):
+            bs = self.batch_size // (R * MB * r)
+            if bs < 1:
+                continue  # microbatch collapsed: stays -1
+            p = plane_index.get(bs)
+            if p is None:
+                p = len(bs_list)
+                plane_index[bs] = p
+                bs_list.append(bs)
+            plane_of_r[r] = p
+        return bs_list, plane_of_r
 
     # ------------------------------------------------------------------
     def _range_matrices(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -668,19 +722,7 @@ class DPContext:
         capacity: float,
     ) -> BandedProfile:
         k = self.k
-        bs_list: List[int] = []
-        plane_index: Dict[int, int] = {}
-        plane_of_r = np.full(D + 1, -1, dtype=np.int64)
-        for r in range(1, D + 1):
-            bs = self.batch_size // (R * MB * r)
-            if bs < 1:
-                continue  # microbatch collapsed: stays -1
-            p = plane_index.get(bs)
-            if p is None:
-                p = len(bs_list)
-                plane_index[bs] = p
-                bs_list.append(bs)
-            plane_of_r[r] = p
+        bs_list, plane_of_r = self.plane_batch_sizes(D, R, MB)
         P = len(bs_list)
         # every plane is at least the memory floor at the smallest
         # microbatch, so the floor's fit bounds the band before it is built
@@ -718,13 +760,21 @@ class DPContext:
         or above this floor; the coarsening ablation's summed estimate
         does (``static_bytes`` is linear, so the per-atom static bytes
         sum to at least those of the unique parameters, and it adds only
-        non-negative activation and boundary bytes)."""
-        _, _, PARAMS = self._range_matrices()
+        non-negative activation and boundary bytes).  The static plane,
+        the saved-bytes difference plane and the span grid do not depend
+        on ``bs`` and are kept per context."""
+        if self._floor_planes is None:
+            _, _, PARAMS = self._range_matrices()
+            idx = np.arange(self.k + 1)
+            self._floor_planes = (
+                self.profiler.memory_model.static_bytes(PARAMS),
+                self._saved_prefix[None, :] - self._saved_prefix[:, None],
+                idx[None, :] - idx[:, None],
+            )
+        static, saved, spans = self._floor_planes
         act_factor = self.profiler.precision.activation_bytes_factor
-        floor = self.profiler.memory_model.static_bytes(PARAMS) + (
-            self._saved_prefix[None, :] - self._saved_prefix[:, None]
-        ) * bs * act_factor
-        return _widest_fit(floor, capacity)
+        floor = static + saved * bs * act_factor
+        return _widest_fit(floor, capacity, spans)
 
 
 def _rectangle_sums(k: int, rects: Tuple[np.ndarray, ...], dtype) -> np.ndarray:
@@ -742,11 +792,12 @@ def _rectangle_sums(k: int, rects: Tuple[np.ndarray, ...], dtype) -> np.ndarray:
     return diff.cumsum(axis=0).cumsum(axis=1)[: k + 1, : k + 1]
 
 
-def _widest_fit(mem_plane: np.ndarray, capacity: float) -> int:
+def _widest_fit(
+    mem_plane: np.ndarray, capacity: float, spans: np.ndarray
+) -> int:
     """Widest span ``hi - lo`` of a dense ``(k+1, k+1)`` memory(-floor)
-    plane whose stage ``(lo, hi]`` fits ``capacity`` (0: none does)."""
-    idx = np.arange(mem_plane.shape[0])
-    spans = idx[None, :] - idx[:, None]
+    plane whose stage ``(lo, hi]`` fits ``capacity`` (0: none does);
+    ``spans`` is the ``hi - lo`` grid."""
     return int(np.where(mem_plane <= capacity, spans, 0).max())
 
 
@@ -758,11 +809,44 @@ def _slab_width(over: np.ndarray, nb_max: int) -> int:
     return max(1, min(nb_max, int(fits[-1]) + 1 if fits.size else 0))
 
 
+def _live_rows(
+    prev_ok: np.ndarray, ws: int, back: int
+) -> Tuple[List[int], List[int], List[int]]:
+    """Per ``d'`` column, the slab rows ``[lo, mid)`` the boolean pass
+    checks and ``[mid, hi)`` the float pass reduces.
+
+    ``prev_ok`` holds the previous stage's feasibility at ``b' = s - 1 ..
+    b_hi - 1``, so slab row ``i`` (``b = s + i``) reads its rows ``i - ws
+    + 1 .. i``.  Forward bound: a row can have a candidate only between
+    the first feasible ``b'`` of the column and ``ws`` past its last.
+    Backward bound: slab rows below ``back`` cannot reach block ``k`` in
+    the stages left, so they need feasibility only (for the ``d_min``
+    replay), not values.  One ``argmax`` per end for the whole stage."""
+    n = prev_ok.shape[0]
+    lo = prev_ok.argmax(axis=0).tolist()
+    last = (n - 1 - prev_ok[::-1].argmax(axis=0)).tolist()
+    hi = [min(j + ws, n) for j in last]
+    mid = [min(max(i, back), h) for i, h in zip(lo, hi)]
+    return lo, mid, hi
+
+
+def _windows(pad: np.ndarray, ws: int) -> np.ndarray:
+    """Read-only ``[row, i, t] = pad[row, i + t]``: the sliding windows
+    of ``sliding_window_view(pad, ws, axis=1)``, without its argument
+    checks (a sweep takes three per stage)."""
+    rows, n = pad.shape
+    s0, s1 = pad.strides
+    return as_strided(
+        pad, (rows, n - ws + 1, ws), (s0, s1, s1), writeable=False
+    )
+
+
 def _band_stage(
     tfp: np.ndarray,
     tbv: np.ndarray,
     memv: np.ndarray,
     ovp: Optional[np.ndarray],
+    fitp: Optional[np.ndarray],
     plane_of_r: np.ndarray,
     hetero: Optional[Tuple[np.ndarray, np.ndarray]],
     prev_ok: np.ndarray,
@@ -771,6 +855,7 @@ def _band_stage(
     s: int,
     b_hi: int,
     d_hi: int,
+    b_back: int,
     best: np.ndarray,
     best_tf: np.ndarray,
     best_tb: np.ndarray,
@@ -778,15 +863,17 @@ def _band_stage(
     best_dp: np.ndarray,
     memf: np.ndarray,
     bsf: np.ndarray,
-) -> int:
-    """Reduce every ``(b', d') -> (b, d)`` transition of stage ``s`` and
-    return the number of candidate cells evaluated.
+    checked: np.ndarray,
+) -> Tuple[int, int]:
+    """Reduce the ``(b', d') -> (b, d)`` transitions of stage ``s`` and
+    return the candidate cells float-reduced and boolean-checked.
 
     ``tfp`` / ``tbv`` / ``memv`` are the sweep's ``(P, k+1, w)`` band
     views (``w`` the widest span that fits; ``tfp`` with over-memory
     entries poisoned to INF on a homogeneous cluster) and ``ovp`` the
-    over-memory mask when the ``d_min`` replay needs memory failures.
-    The stage slab of each plane is the plain slice of columns ``b = s ..
+    over-memory mask when the ``d_min`` replay needs memory failures,
+    ``fitp`` (``isfinite(tfp)``) when it needs feasibility.  The stage
+    slab of each plane is the plain slice of columns ``b = s ..
     b_hi`` and spans reversed, so slab cell ``[i, t]`` is the stage
     ``(b', b]`` with ``b = s + i`` and ``b' = b - ws + t`` (``ws = min(w,
     nb)``, ``nb = b_hi - s + 1``): ``b'`` ascends along the reduced axis.
@@ -800,13 +887,27 @@ def _band_stage(
     ``(value, b', d')`` minimum across columns equals the per-cell flat
     argmin over ``(b', d')`` in row-major order.
 
+    The float reduction runs only on the rows :func:`_live_rows` marks
+    as able to matter: rows with a feasible ``b'`` in their window
+    (forward bound) at ``b >= b_back`` (backward bound: no stage is wider
+    than ``w``, so a lower row cannot reach block ``k`` in the stages
+    left).  A row above the backward bound reads only rows above the
+    previous stage's, so values, parents and tie-breaks are those of the
+    full reduction.  The forward-live rows below it still feed the
+    ``d_min`` replay, which needs their feasibility and memory failures
+    but no values: when the replay runs (``fitp`` given) a boolean pass
+    ORs ``window_ok & fitp`` over ``b'`` and the replica planes into
+    ``checked``.  (The replay is off on heterogeneous clusters, so
+    that path has no boolean pass.)
+
     Infeasibility needs no mask passes: the window reads INF below block
     0 and where the previous state is infeasible, and stages over the
     memory cap hold INF in ``tfp``, so the candidate is INF exactly where
     a transition is invalid.  A stage wider than ``ws`` is over the cap
     on every plane, so it can never win, and its memory failure (when
     the replay needs it) is a prefix-OR of the previous stage's feasible
-    rows.  On a heterogeneous cluster (``hetero = (MINMEM, SLOW)``) each
+    rows: every row ``ws`` or more past the column's first feasible
+    ``b'``.  On a heterogeneous cluster (``hetero = (MINMEM, SLOW)``) each
     replica count is its own slab: the plane of ``r`` scaled by
     ``SLOW[d', d' + r]`` and poisoned where its memory exceeds
     ``MINMEM[d', d' + r]``.
@@ -820,11 +921,12 @@ def _band_stage(
     n_ok = int((plane_of_r[1:] >= 0).sum())
     Ptf = tfp[:, bsl, jsl]
     Ptb = tbv[:, bsl, jsl]
-    Pover = None
-    if ovp is not None:
+    lo_of, mid_of, hi_of = _live_rows(prev_ok[s - 1:b_hi], ws, b_back - s)
+    Pover = Pfit = None
+    if ovp is not None and ovp[:, bsl, :ws].any():
         Pover = ovp[:, bsl, jsl]
-        if not Pover.any():
-            Pover = None
+    if fitp is not None:
+        Pfit = fitp[:, bsl, jsl]
     # stages wider than the slab: over the cap, so a memory failure
     # wherever some previous state below the slab is feasible
     cut = ovp is not None and ws < nb
@@ -835,6 +937,7 @@ def _band_stage(
     else:
         units = tfp.shape[0]              # one slab per plane
     chunk = min(max(1, PLANE_CHUNK_CELLS // (nb * ws)), max(units, 1))
+    # a column fills the first ``hi - mid`` rows of each buffer
     cand_tf = np.empty((chunk, nb, ws))
     cand_tb = np.empty((chunk, nb, ws))
     v = np.empty((chunk, nb, ws))
@@ -845,6 +948,7 @@ def _band_stage(
     vtb = np.empty((units, nb))
     vbp = np.empty((units, nb), dtype=np.intp)
     vover = np.zeros((units, nb), dtype=bool)
+    vfit = np.zeros((units, nb), dtype=bool)
     # previous stage per d' row, padded with ws infeasible rows below
     # b' = 0: window [d', b, t] holds b' = b - ws + t
     n_rows = prev_ok.shape[0]
@@ -854,15 +958,14 @@ def _band_stage(
     pad_tf[:, ws:] = np.where(prev_ok, ptf, INF).T
     pad_tb = np.zeros(pad_ok.shape)
     pad_tb[:, ws:] = ptb.T
-    win_ok = sliding_window_view(pad_ok, ws, axis=1)
-    win_tf = sliding_window_view(pad_tf, ws, axis=1)
-    win_tb = sliding_window_view(pad_tb, ws, axis=1)
-    if cut:
-        # [d', b - 1]: a feasible previous state at some b' < b - ws
-        below = np.logical_or.accumulate(pad_ok, axis=1)[:, s - 1:b_hi]
+    win_ok = _windows(pad_ok, ws)
+    win_tf = _windows(pad_tf, ws)
+    win_tb = _windows(pad_tb, ws)
     bp_off = np.arange(s - ws, b_hi + 1 - ws)[:, None]
-    cells = 0
-    col_ok = prev_ok.any(axis=0)
+    cells = n_checked = 0
+    # a column whose feasible states all lie at b' >= b_hi has no
+    # transition into the stage
+    col_ok = prev_ok[s - 1:b_hi].any(axis=0)
     for dp_ in range(s - 1, d_hi):
         if not col_ok[dp_]:
             continue
@@ -876,8 +979,11 @@ def _band_stage(
             )[:, None]
         if nv == 0:
             continue
-        wtf = win_tf[dp_, bsl]
-        wtb = win_tb[dp_, bsl]
+        lo, mid, hi = lo_of[dp_], mid_of[dp_], hi_of[dp_]
+        nf = hi - mid
+        wok = win_ok[dp_, bsl]
+        wtf = win_tf[dp_, s + mid:s + hi]
+        wtb = win_tb[dp_, s + mid:s + hi]
         if hetero is not None:
             n_units = nv
             unit_of_d = slice(0, nv)
@@ -887,58 +993,72 @@ def _band_stage(
         for c0 in range(0, n_units, chunk):
             c1 = min(n_units, c0 + chunk)
             c = c1 - c0
+            if Pover is not None:
+                np.any(
+                    Pover[c0:c1, lo:hi] & wok[lo:hi], axis=2,
+                    out=vover[c0:c1, lo:hi],
+                )
+            if Pfit is not None and mid > lo:
+                np.any(
+                    Pfit[c0:c1, lo:mid] & wok[lo:mid], axis=2,
+                    out=vfit[c0:c1, lo:mid],
+                )
+                n_checked += c * (mid - lo) * ws
+            if nf == 0:
+                continue
             if hetero is not None:
                 planes = plane_of_r[c0 + 1:c1 + 1]
                 dsl = slice(dp_ + c0 + 1, dp_ + c1 + 1)
                 slow = SLOW[dp_, dsl][:, None, None]
-                stf = Ptf[planes] * slow
+                stf = Ptf[planes, mid:hi] * slow
                 np.copyto(
                     stf, INF,
-                    where=Pmem[planes] > MINMEM[dp_, dsl][:, None, None],
+                    where=Pmem[planes, mid:hi]
+                    > MINMEM[dp_, dsl][:, None, None],
                 )
-                stb = Ptb[planes] * slow
+                stb = Ptb[planes, mid:hi] * slow
             else:
-                stf = Ptf[c0:c1]
-                stb = Ptb[c0:c1]
-            if Pover is not None:
-                np.any(
-                    Pover[c0:c1] & win_ok[dp_, bsl], axis=2,
-                    out=vover[c0:c1],
-                )
-            ctf = np.maximum(wtf, stf, out=cand_tf[:c])
-            ctb = np.maximum(wtb, stb, out=cand_tb[:c])
-            cv = np.add(ctf, ctb, out=v[:c])
-            bp = np.argmin(cv, axis=2, out=vbp[c0:c1])  # smallest b' wins
-            flat = bp + base[:c]
-            np.take(cv, flat, out=vmin[c0:c1], mode="clip")
-            np.take(ctf, flat, out=vtf[c0:c1], mode="clip")
-            np.take(ctb, flat, out=vtb[c0:c1], mode="clip")
-            cells += c * nb * ws
+                stf = Ptf[c0:c1, mid:hi]
+                stb = Ptb[c0:c1, mid:hi]
+            ctf = np.maximum(wtf, stf, out=cand_tf[:c, :nf])
+            ctb = np.maximum(wtb, stb, out=cand_tb[:c, :nf])
+            cv = np.add(ctf, ctb, out=v[:c, :nf])
+            # smallest b' wins
+            bp = np.argmin(cv, axis=2, out=vbp[c0:c1, :nf])
+            flat = bp + base[:c, :nf]   # into the whole buffers
+            np.take(v, flat, out=vmin[c0:c1, :nf], mode="clip")
+            np.take(cand_tf, flat, out=vtf[c0:c1, :nf], mode="clip")
+            np.take(cand_tb, flat, out=vtb[c0:c1, :nf], mode="clip")
+            cells += c * nf * ws
         g = slice(dp_ + 1, dp_ + nv + 1)
         if Pover is not None:
-            memf[bsl, g] |= vover[unit_of_d].T
+            memf[s + lo:s + hi, g] |= vover[unit_of_d, lo:hi].T
         if cut:
-            memf[bsl, g] |= below[dp_][:, None]
-        if not np.isfinite(vmin[:n_units]).any():
+            # a feasible previous state at some b' < b - ws
+            memf[s + lo + ws:b_hi + 1, g] = True
+        if Pfit is not None and mid > lo:
+            checked[s + lo:s + mid, g] |= vfit[unit_of_d, lo:mid].T
+        if nf == 0 or not np.isfinite(vmin[:n_units, :nf]).any():
             continue
-        vd = vmin[unit_of_d].T                       # (b, d)
-        bpg = vbp[unit_of_d].T + bp_off
-        cur = best[bsl, g]
-        cur_bp = best_bp[bsl, g]
+        rows = slice(s + mid, s + hi)
+        vd = vmin[unit_of_d, :nf].T                # (b, d)
+        bpg = vbp[unit_of_d, :nf].T + bp_off[mid:hi]
+        cur = best[rows, g]
+        cur_bp = best_bp[rows, g]
         # strict improvement, or an equal value from a smaller b' (equal
         # (value, b') keeps the earlier -- smaller -- d')
         upd = (vd < cur) | ((vd == cur) & (bpg < cur_bp))
         if upd.any():
-            best[bsl, g] = np.where(upd, vd, cur)
-            best_tf[bsl, g] = np.where(
-                upd, vtf[unit_of_d].T, best_tf[bsl, g]
+            best[rows, g] = np.where(upd, vd, cur)
+            best_tf[rows, g] = np.where(
+                upd, vtf[unit_of_d, :nf].T, best_tf[rows, g]
             )
-            best_tb[bsl, g] = np.where(
-                upd, vtb[unit_of_d].T, best_tb[bsl, g]
+            best_tb[rows, g] = np.where(
+                upd, vtb[unit_of_d, :nf].T, best_tb[rows, g]
             )
-            best_bp[bsl, g] = np.where(upd, bpg, cur_bp)
-            best_dp[bsl, g] = np.where(upd, dp_, best_dp[bsl, g])
-    return cells
+            best_bp[rows, g] = np.where(upd, bpg, cur_bp)
+            best_dp[rows, g] = np.where(upd, dp_, best_dp[rows, g])
+    return cells, n_checked
 
 
 def form_stage_dp(
@@ -969,12 +1089,14 @@ def form_stage_dp(
             the whole call is wrapped in a ``dp.form_stage_dp`` span
             carrying ``(S, D, R, MB)`` (``S`` the largest stage count,
             ``S_min`` the smallest), the visited-state count, the
-            feasible stage counts, the slab width (``band_width``) and
-            the candidate cells reduced (``cells_reduced``).
+            feasible stage counts, the slab width (``band_width``), the
+            candidate cells float-reduced (``cells_reduced``) and those
+            only checked for feasibility (``cells_checked``).
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
             records ``dp.calls``, ``dp.states_evaluated`` (total and per
-            ``(D, MB)`` point), ``dp.cells_reduced`` and the
-            ``dp.states_per_call`` histogram.
+            ``(D, MB)`` point), ``dp.cells_reduced``,
+            ``dp.cells_checked`` and the ``dp.states_per_call``
+            histogram.
 
     Returns:
         The best :class:`DPSolution`, or ``None`` (INFEASIBLE); for a
@@ -1004,7 +1126,8 @@ def form_stage_dp(
     ``(b, b')`` slabs of all its replica planes in one pass, ``b'`` only
     over ``[b - w, b - 1]`` with ``w`` the widest span that fits in
     memory (see :func:`_band_stage`; wider stages are INF on every plane
-    and never win); a running lexicographic ``(value, b', d')`` minimum
+    and never win), and only on the rows that can reach an answer
+    (DESIGN.md D1d); a running lexicographic ``(value, b', d')`` minimum
     reproduces the per-cell flat argmin tie-break exactly.  On a
     heterogeneous cluster each replica count's slab is scaled by
     ``SLOW[d', d]`` and checked against ``MINMEM[d', d]`` (see
@@ -1059,7 +1182,7 @@ def _form_stage_dp_body(
             sp.set(feasible=False, reason="stage count out of range")
         return results
     ctx._count_dp_call()
-    states = cells = width = 0
+    states = cells = checked = width = 0
     tables = []
     if lo == 1:
         tables.append((1, 1, False))
@@ -1067,18 +1190,20 @@ def _form_stage_dp_body(
     if lo <= hi:
         tables.append((lo, hi, True))
     for s_lo, s_hi, checkpointing in tables:
-        t_states, t_cells, t_width = _sweep_table(
+        t_states, t_cells, t_checked, t_width = _sweep_table(
             ctx, s_lo, s_hi, D, R, MB, checkpointing, dmin_pruning, results
         )
         states += t_states
         cells += t_cells
+        checked += t_checked
         width = max(width, t_width)
-    ctx._count_sweeps(states, cells, width)
+    ctx._count_sweeps(states, cells, checked, width)
     feasible = [s for s, sol in results.items() if sol is not None]
     if metrics is not None:
         metrics.counter("dp.calls").inc()
         metrics.counter("dp.states_evaluated").inc(states)
         metrics.counter("dp.cells_reduced").inc(cells)
+        metrics.counter("dp.cells_checked").inc(checked)
         metrics.counter(
             point_name("dp.states_evaluated", D=D, MB=MB)
         ).inc(states)
@@ -1089,6 +1214,7 @@ def _form_stage_dp_body(
         sp.set(
             states_evaluated=states,
             cells_reduced=cells,
+            cells_checked=checked,
             band_width=width,
             feasible=bool(feasible),
             feasible_stages=feasible,
@@ -1152,8 +1278,16 @@ def _sweep_table(
 ) -> Tuple[int, int, int]:
     """Fill one Algorithm-1 table up to ``s_hi`` stages, store the
     solution of every ``S`` in ``[s_lo, s_hi]`` into ``results`` and
-    return the visited-state count, the candidate cells reduced and the
-    slab width."""
+    return the visited-state count, the candidate cells float-reduced
+    and boolean-checked, and the slab width.
+
+    Each stage float-reduces only the rows that can still reach block
+    ``k`` in the ``s_hi - s`` stages left, each at most the slab width
+    wide (:func:`_band_stage`).  Rows below that backward bound are
+    boolean-checked when the ``d_min`` replay runs, so they can be
+    feasible without a value: feasibility lives in its own table
+    ``ok[s]`` (the written cells of the replay), not in ``isfinite(V)``.
+    """
     k = ctx.k
     hetero = None
     if ctx.cluster.is_heterogeneous:
@@ -1187,11 +1321,17 @@ def _sweep_table(
     else:
         # capped per (d', d) column instead
         tfp = bands.tf[:n_planes, :, :width]
+    # the d_min replay reads memory failures and the feasibility of
+    # rows that cannot reach an answer
     ovp = over if dmin_pruning else None
+    fitp = np.isfinite(tfp) if dmin_pruning else None
 
     INF = np.inf
     shape = (s_hi + 1, k + 1, D + 1)
     V = np.full(shape, INF)
+    # feasibility apart from V: rows the boolean pass checks are feasible
+    # without a value
+    ok = np.zeros(shape, dtype=bool)
     tf = np.zeros(shape)
     tb = np.zeros(shape)
     parent_b = np.full(shape, -1, dtype=np.int64)
@@ -1199,9 +1339,9 @@ def _sweep_table(
     # deviation from the pseudocode's blanket V[0, b, d] = 0 (see module
     # docstring): only the empty prefix is a valid 0-stage state.
     V[0, 0, 0] = 0.0
+    ok[0, 0, 0] = True
 
-    states = 0
-    cells = 0
+    states = cells = n_checked = 0
 
     for s in range(1, s_hi + 1):
         # the bounds of the smallest stage count S >= s of the sweep:
@@ -1209,7 +1349,6 @@ def _sweep_table(
         slack = max(s_lo - s, 0)
         b_hi = k - slack
         d_hi = D - slack
-        prev_ok = np.isfinite(V[s - 1])  # (b', d')
         best = np.full((k + 1, D + 1), INF)
         best_tf = np.zeros((k + 1, D + 1))
         best_tb = np.zeros((k + 1, D + 1))
@@ -1217,24 +1356,30 @@ def _sweep_table(
         best_dp = np.full((k + 1, D + 1), -1, dtype=np.int64)
         memf = np.zeros((k + 1, D + 1), dtype=bool)
         bsf = np.zeros((k + 1, D + 1), dtype=bool)
+        checked = np.zeros((k + 1, D + 1), dtype=bool)
 
-        cells += _band_stage(
-            tfp, tbv, memv, ovp, bands.plane_of_r, hetero,
-            prev_ok, tf[s - 1], tb[s - 1], s, b_hi, d_hi,
-            best, best_tf, best_tb, best_bp, best_dp, memf, bsf,
+        # no stage is wider than the slab, so a row below b_back cannot
+        # reach block k in the s_hi - s stages left
+        s_cells, s_checked = _band_stage(
+            tfp, tbv, memv, ovp, fitp, bands.plane_of_r, hetero,
+            ok[s - 1], tf[s - 1], tb[s - 1], s, b_hi, d_hi,
+            k - (s_hi - s) * width,
+            best, best_tf, best_tb, best_bp, best_dp, memf, bsf, checked,
         )
+        cells += s_cells
+        n_checked += s_checked
 
         # d_min resets at each stage s: memory infeasibility is
         # monotone in d and in b for FIXED s, but a deeper prefix (larger
         # s) has smaller stages and may be feasible where a shallower one
         # was not (deviation D1b in DESIGN.md; the pseudocode keeps d_min
         # global, which can prune true optima)
-        fin = np.isfinite(best)
+        fin = np.isfinite(best) | checked
         keep, visited = _dmin_keep(fin, memf, bsf, s, b_hi, d_hi,
                                    dmin_pruning)
         states += visited
 
-        written = keep & fin
+        written = ok[s] = keep & fin
         V[s] = np.where(written, best, INF)
         tf[s] = np.where(written, best_tf, 0.0)
         tb[s] = np.where(written, best_tb, 0.0)
@@ -1282,4 +1427,4 @@ def _sweep_table(
             max_tb=float(tb[S, k, D]),
             stage_profiles=profiles,
         )
-    return states, cells, width
+    return states, cells, n_checked, width

@@ -645,6 +645,9 @@ class ArtifactStore:
         self.misses = 0
         self.disk_hits = 0
         self.memory_evictions = 0
+        #: persists the disk backend refused (``OSError``: a full or
+        #: read-only disk); the memory tier kept those entries
+        self.write_errors = 0
         self._validated: "OrderedDict[str, None]" = OrderedDict()
 
     # ------------------------------------------------------------------
@@ -804,9 +807,14 @@ class ArtifactStore:
             data = codec.encode(art.payload, ctx)
         except (TypeError, ValueError):  # pragma: no cover - defensive
             return
-        self.disk.write_bytes(
-            self._relpath(art.name, art.fingerprint), data
-        )
+        try:
+            self.disk.write_bytes(
+                self._relpath(art.name, art.fingerprint), data
+            )
+        except OSError:
+            # the artifact is already computed and held in memory; only
+            # persisting it failed, which must not fail the run
+            self.write_errors += 1
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, float]:
@@ -818,6 +826,7 @@ class ArtifactStore:
                 "misses": float(self.misses),
                 "disk_hits": float(self.disk_hits),
                 "memory_evictions": float(self.memory_evictions),
+                "write_errors": float(self.write_errors),
             }
         if self.disk is not None:
             # "backend_" prefix: "disk_hits" above counts decoded

@@ -3,6 +3,8 @@
 Straightforward per-entry transcriptions that the vectorized code in
 :mod:`repro.partitioner.stage_dp` is held to, bit for bit:
 
+* :func:`time_prefix_reference` sums each block's task times with one
+  1-D sum per block, the oracle for the batched time prefixes;
 * :func:`range_meta_reference` recomputes a block range's unique
   parameters and boundary bytes from the profiler, the oracle for the
   difference-array range matrices;
@@ -24,6 +26,20 @@ from repro.partitioner.stage_dp import (
     StageProfile,
     scale_stage_profile,
 )
+
+
+def time_prefix_reference(
+    ctx: DPContext, bs: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-block recomputation of ``DPContext._time_prefix_at``: prefix
+    sums over blocks of the per-block ``(t_f, t_b)`` at batch ``bs``."""
+    tf_all, tb_all = ctx.profiler._times_at(bs)
+    tf = np.array([float(tf_all[idx].sum()) for idx in ctx._block_idx])
+    tb = np.array([float(tb_all[idx].sum()) for idx in ctx._block_idx])
+    return (
+        np.concatenate([[0.0], np.cumsum(tf)]),
+        np.concatenate([[0.0], np.cumsum(tb)]),
+    )
 
 
 def range_meta(ctx: DPContext, lo: int, hi: int) -> Tuple[int, float, float]:

@@ -20,6 +20,7 @@ import repro.partitioner.stage_dp as stage_dp_mod
 from repro.graph.builder import GraphBuilder
 from repro.hardware import tiny_cluster
 from repro.models import build_mlp
+from repro.models.gpt import gpt3_like
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import Block, block_partition
 from repro.partitioner.search import form_stage
@@ -32,6 +33,7 @@ from tests.partitioner.oracles import (
     reference_form_stage_dp,
     stage_profile_reference,
     summed_stage_profile_reference,
+    time_prefix_reference,
 )
 
 
@@ -89,6 +91,51 @@ def solution_key(sol):
         sol.max_tb,
         [dataclasses.astuple(p)[:7] for p in sol.stage_profiles],
     )
+
+
+class TestTimePrefixes:
+    #: block sizes around numpy's 8-way unrolled and 128-element
+    #: pairwise summation blocks
+    SIZES = (1, 3, 7, 8, 9, 64, 127, 128, 129, 200, 300)
+
+    def ctx(self):
+        graph = gpt3_like(depth=60)
+        profiler = GraphProfiler(graph, tiny_cluster())
+        order = list(graph.tasks)
+        blocks, start = [], 0
+        for i, size in enumerate(self.SIZES * 3):
+            if start + size > len(order):
+                break
+            blocks.append(Block(
+                index=i, atomic_indices=(i,),
+                tasks=tuple(order[start:start + size]),
+            ))
+            start += size
+        assert len(blocks) > len(self.SIZES)
+        return DPContext(graph, blocks, profiler, 256)
+
+    def test_batched_prefixes_match_per_block_sums(self):
+        """One ``take`` per block over every batch size equals one 1-D
+        sum per block and batch size, bit for bit."""
+        ctx = self.ctx()
+        sizes = (256, 128, 37, 5, 1)
+        ctx.fill_time_prefixes(sizes)
+        for bs in sizes:
+            ref = time_prefix_reference(ctx, bs)
+            got = ctx._time_prefix_at(bs)
+            assert all(np.array_equal(g, r) for g, r in zip(got, ref)), bs
+
+    def test_single_batch_size_and_profiler_counters(self):
+        """A lone batch size takes the same path; each batch size asks
+        the profiler's time table once, however it is requested."""
+        ctx = self.ctx()
+        calls = ctx.profiler.table_calls
+        got = ctx._time_prefix_at(64)
+        ctx.fill_time_prefixes((64, 32, 32))
+        ctx._time_prefix_at(32)
+        assert ctx.profiler.table_calls - calls == 2
+        ref = time_prefix_reference(ctx, 64)
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
 
 class TestRangeMatrices:

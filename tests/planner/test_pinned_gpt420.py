@@ -13,15 +13,22 @@ produced for it on ``paper_cluster(4)`` at batch 2048 with ``k = 768``:
   (:func:`repro.partitioner.deployment.plan_to_json`);
 * the stage-search counters and the evaluated throughput.
 
-Regenerate only for a change that is meant to alter the plan::
+Update only the fields a change is meant to move, by name::
 
-    PYTHONPATH=src python tests/planner/test_pinned_gpt420.py --write
+    PYTHONPATH=src python tests/planner/test_pinned_gpt420.py \\
+        --write cells_reduced
+
+The script prints every field of a fresh snapshot against the committed
+fixture and writes only the named fields; it refuses to write when any
+other field changed too.
 """
 
 import hashlib
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from repro.hardware import paper_cluster
 from repro.models.gpt import gpt3_like
@@ -61,14 +68,60 @@ def _snapshot():
     }
 
 
+def field_diff(pinned, fresh):
+    """``(field, old, new)`` for every field of either snapshot, in
+    order; ``old == new`` where the field did not change."""
+    fields = list(pinned) + [f for f in fresh if f not in pinned]
+    return [(f, pinned.get(f), fresh.get(f)) for f in fields]
+
+
+def updated_fixture(pinned, fresh, fields):
+    """The fixture with ``fields`` taken from ``fresh``; ``ValueError``
+    if a field is unknown or any other field changed."""
+    unknown = sorted(set(fields) - set(fresh))
+    if unknown:
+        raise ValueError(f"unknown field(s): {', '.join(unknown)}")
+    others = [
+        f for f, old, new in field_diff(pinned, fresh)
+        if old != new and f not in fields
+    ]
+    if others:
+        raise ValueError(f"other field(s) changed: {', '.join(others)}")
+    return {**pinned, **{f: fresh[f] for f in fields}}
+
+
 def test_gpt420_plan_matches_pinned():
     with FIXTURE.open() as fh:
         pinned = json.load(fh)
     assert _snapshot() == pinned
 
 
+def test_write_takes_only_the_named_fields():
+    pinned = {"plan_sha256": "a", "cells_reduced": 10, "dp_calls": 21}
+    fresh = dict(pinned, cells_reduced=7)
+    assert updated_fixture(pinned, fresh, ["cells_reduced"]) == fresh
+    assert list(updated_fixture(pinned, fresh, ["cells_reduced"])) == list(
+        pinned
+    )
+    with pytest.raises(ValueError, match="plan_sha256"):
+        updated_fixture(
+            pinned, dict(fresh, plan_sha256="b"), ["cells_reduced"]
+        )
+    with pytest.raises(ValueError, match="unknown"):
+        updated_fixture(pinned, fresh, ["cells"])
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_pinned_gpt420.py --write")
-    FIXTURE.write_text(json.dumps(_snapshot(), indent=1) + "\n")
-    print(f"wrote {FIXTURE}")
+    fields = sys.argv[2:]
+    if sys.argv[1:2] != ["--write"] or not fields:
+        sys.exit("usage: test_pinned_gpt420.py --write FIELD [FIELD ...]")
+    pinned = json.loads(FIXTURE.read_text())
+    fresh = _snapshot()
+    for name, old, new in field_diff(pinned, fresh):
+        print(f"{name}: {old!r}" + ("" if old == new else f" -> {new!r}"))
+    try:
+        update = updated_fixture(pinned, fresh, fields)
+    except ValueError as exc:
+        sys.exit(f"not written: {exc}")
+    FIXTURE.write_text(json.dumps(update, indent=1) + "\n")
+    print(f"wrote {', '.join(fields)} to {FIXTURE}")

@@ -5,6 +5,7 @@ memory LRU, the byte-budgeted :class:`DiskBackend`, every disk codec's
 round trip, and the reuse fix-up hooks.
 """
 
+import errno
 import os
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.planner.context import (
     SEARCH_RESULT,
     VERIFIED,
 )
+from repro.partitioner.deployment import plan_to_json
 from repro.planner.store import (
     CODECS,
     Artifact,
@@ -215,6 +217,43 @@ class TestArtifactStore:
         store = ArtifactStore(disk=DiskBackend(tmp_path))
         stats = store.stats()
         assert "disk_hits" in stats and "backend_hits" in stats
+
+
+class FullDisk(DiskBackend):
+    """A backend on a full disk: every write fails with ``ENOSPC``."""
+
+    def write_bytes(self, relpath, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), relpath)
+
+
+class TestFullDisk:
+    def test_failed_persist_keeps_the_memory_entry(
+        self, planned_ctx, tmp_path
+    ):
+        blocks = planned_ctx.require(BLOCKS)
+        store = ArtifactStore(disk=FullDisk(tmp_path))
+        store.put(BLOCKS, "fp01", blocks, ctx=planned_ctx)
+        assert store.get(BLOCKS, "fp01").payload == blocks
+        assert store.write_errors == 1
+        assert store.stats()["write_errors"] == 1.0
+
+    def test_plan_graph_over_a_full_disk(self, planned_ctx, tmp_path):
+        """The plan is computed before it is persisted: a failing
+        backend leaves the same plan as a run with no store."""
+        graph = planned_ctx.graph
+        store = ArtifactStore(disk=FullDisk(tmp_path))
+        ctx = PlanningContext(
+            graph, planned_ctx.cluster, planned_ctx.config, store=store
+        )
+        plan = plan_graph(graph, ctx.cluster, ctx.config, context=ctx)
+        assert plan_to_json(plan, graph) == plan_to_json(
+            planned_ctx.require(EVALUATED), graph
+        )
+        assert store.write_errors > 0
+        assert ctx.metrics.snapshot()["planner.store.write_errors"] == (
+            store.write_errors
+        )
+        assert not any(tmp_path.rglob("*.*"))
 
 
 class TestMaterializeForReuse:

@@ -8,7 +8,9 @@ round trip, and the stats surface.
 
 import concurrent.futures
 import dataclasses
+import errno
 import json
+import os
 import threading
 
 import pytest
@@ -54,6 +56,24 @@ class TestClassification:
             dict(PARAMS, options={"max_microbatches": 2})
         )
         assert capped["meta"]["cache"] in ("cold", "delta")
+
+
+class TestFullDisk:
+    def test_plans_verified_when_the_cache_disk_is_full(
+        self, tmp_path, monkeypatch
+    ):
+        """A disk that refuses every write fails the persist, not the
+        request; the store reports the refused writes."""
+        engine = PlanEngine(cache_dir=tmp_path, workers=1)
+
+        def full(relpath, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), relpath)
+
+        monkeypatch.setattr(engine.store.disk, "write_bytes", full)
+        out = engine.plan(dict(PARAMS))
+        assert out["meta"]["verified"] is True
+        assert out["plan"]["stages"]
+        assert engine.stats()["store"]["write_errors"] > 0
 
 
 class TestReplanContract:
