@@ -196,7 +196,8 @@ class DPContext:
     Concurrency contract: one planning run uses a context at a time.
     Algorithm 2's sweeps run serially, so no two DP calls share a context
     at once.  Runs that reuse a ``dp_context`` artifact from an
-    :class:`~repro.planner.store.ArtifactStore` share this object, and
+    :class:`~repro.planner.store.ArtifactStore` share this object (the
+    store holds it in its memory tier only; it is never serialized), and
     :meth:`rebind` / :meth:`set_memory_budget` mutate it in place
     (``materialize_for_reuse``), so callers that share one store across
     threads must serialize whole runs per model family: the plan service
@@ -343,51 +344,20 @@ class DPContext:
         self.band_width_max = 0
         return self
 
-    # ------------------------------------------------------------------
-    # cache snapshot (artifact-store disk codec)
-    # ------------------------------------------------------------------
-    def export_cache_state(self) -> Dict[str, np.ndarray]:
-        """The reusable numeric caches as named arrays (for ``npz``
-        serialization by the artifact store's disk backend).
-
-        Covers the saved-activation prefix, the range matrices and the
-        per-batch time prefixes; the profile bands are derived from
-        these by pure broadcasting and are cheaper to rebuild than to
-        store."""
-        arrays: Dict[str, np.ndarray] = {
-            "saved_prefix": self._saved_prefix,
-            "kv_prefix": self._kv_prefix,
-        }
-        if self._range_mats is not None:
-            in1, out1, params = self._range_mats
-            arrays["range_in1"] = in1
-            arrays["range_out1"] = out1
-            arrays["range_params"] = params
-        for bs, (tf, tb) in self._time_prefix.items():
-            arrays[f"time_tf_{bs}"] = tf
-            arrays[f"time_tb_{bs}"] = tb
-        return arrays
-
-    def import_cache_state(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Restore the caches exported by :meth:`export_cache_state`."""
-        if "saved_prefix" in arrays:
-            self._saved_prefix = np.asarray(arrays["saved_prefix"])
-        if "kv_prefix" in arrays:
-            self._kv_prefix = np.asarray(arrays["kv_prefix"])
-        if "range_in1" in arrays:
-            self._range_mats = (
-                np.asarray(arrays["range_in1"]),
-                np.asarray(arrays["range_out1"]),
-                np.asarray(arrays["range_params"]),
-            )
-        self._floor_planes = None  # rebuilt from the restored arrays
-        for name, arr in arrays.items():
-            if name.startswith("time_tf_"):
-                bs = int(name[len("time_tf_"):])
-                self._time_prefix[bs] = (
-                    np.asarray(arr),
-                    np.asarray(arrays[f"time_tb_{bs}"]),
-                )
+    def nbytes(self) -> int:
+        """Bytes of every array the context holds: the block membership
+        and the saved/KV prefixes, the range matrices, the memory-floor
+        planes, the per-batch time prefixes, the heterogeneous tables
+        and the profile bands (the artifact store weighs its memory
+        tier with it)."""
+        arrays = [self._member_task, self._member_block,
+                  self._saved_prefix, self._kv_prefix, *self._block_idx]
+        for cached in (self._range_mats, self._floor_planes):
+            arrays.extend(cached or ())
+        for pair in (*self._time_prefix.values(),
+                     *self._hetero_cache.values()):
+            arrays.extend(pair)
+        return sum(a.nbytes for a in arrays) + self.band_bytes
 
     # ------------------------------------------------------------------
     def _count_dp_call(self) -> None:

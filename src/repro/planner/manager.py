@@ -287,11 +287,11 @@ class PassManager:
         artifacts_loaded: int,
         store_misses: int,
     ) -> None:
-        """Flush accumulating artifacts and record the reuse gauges."""
+        """Re-weigh accumulating artifacts and record the reuse gauges."""
         from repro.planner.context import DP_CONTEXT
 
-        # the DP context keeps warming during the stage search; sync the
-        # on-disk entry to the post-search state
+        # the DP context keeps growing during the stage search; re-weigh
+        # its memory-tier entry at the post-search size
         fp = ctx.artifact_fps.get(DP_CONTEXT)
         if fp is not None and ctx.has(DP_CONTEXT):
             store.refresh(DP_CONTEXT, fp, ctx)

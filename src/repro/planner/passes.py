@@ -146,10 +146,11 @@ class ProfileTensorsPass(PlannerPass):
     profiles depend on the graph, the block list, the batch size,
     the device performance model and the same-node p2p affine -- *not*
     on the cluster shape, the memory capacity or the budget -- so a
-    delta replan that only resized the cluster reuses it wholesale (the
-    most expensive artifact to rebuild).  The range matrices are built
-    eagerly here; the per-``(D, R, MB)`` bands fill in lazily during
-    the stage search and travel with the artifact.
+    delta replan that only resized the cluster reuses it wholesale from
+    the store's memory tier.  It is never written to disk: a run in a
+    new process rebuilds it from the stored ``blocks``.  The range
+    matrices are built eagerly here; the per-``(D, R, MB)`` bands fill
+    in lazily during the stage search and travel with the artifact.
     """
 
     name = "profile_tensors"

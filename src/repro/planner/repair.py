@@ -382,24 +382,30 @@ def _inplace_plan(
 
 
 def _stored_dp_context(ctx: PlanningContext):
-    """The profile-tensor context of ``ctx``'s inputs from its store, or
-    ``None``.  A run the store served whole never built one; it lives in
-    the store under the address the run would have given it."""
+    """The profile-tensor context of ``ctx``'s inputs, or ``None``.  A
+    run the store served whole never built one.  The store's memory tier
+    may hold it under the address the run would have given it; otherwise
+    it is rebuilt from the stored ``blocks`` (memory or disk) the way
+    the ``profile_tensors`` pass builds it."""
     if ctx.store is None:
         return None
     from repro.planner import default_passes
 
     passes = default_passes()
     fps = fingerprint_chain(passes, ctx.facets(), {}, feeds=lambda p: True)
-    for p in passes:
-        if DP_CONTEXT in p.produces and p.name in fps:
-            art = ctx.store.get(DP_CONTEXT, fps[p.name][0], ctx)
-            if art is not None:
-                return ctx.put(
-                    DP_CONTEXT,
-                    materialize_for_reuse(DP_CONTEXT, art.payload, ctx),
-                )
-    return None
+    address = {a: fps[p.name][0] for p in passes if p.name in fps
+               for a in p.produces}
+    art = ctx.store.get(DP_CONTEXT, address[DP_CONTEXT], ctx)
+    if art is not None:
+        return ctx.put(
+            DP_CONTEXT, materialize_for_reuse(DP_CONTEXT, art.payload, ctx)
+        )
+    blocks = ctx.store.get(BLOCKS, address[BLOCKS], ctx)
+    if blocks is None:
+        return None
+    ctx.put(BLOCKS, blocks.payload)
+    next(p for p in passes if DP_CONTEXT in p.produces).run(ctx)
+    return ctx.get(DP_CONTEXT)
 
 
 def _chained_context(

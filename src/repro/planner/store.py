@@ -12,11 +12,13 @@ Two backends:
 
 * an in-memory LRU (optionally byte-budgeted) holding live payload
   objects, which makes same-process delta replans free, and
-* an optional :class:`DiskBackend` that serializes every artifact kind
-  with a codec (``components``/``blocks``/``search_result`` as JSON,
-  ``dp_context`` as ``npz``, the ``evaluated`` plan as its deployment
-  JSON) under ``<cache_dir>/artifacts/``, with an LRU byte budget over
-  all files under the cache root.
+* an optional :class:`DiskBackend` that serializes the artifact kinds
+  with a codec as JSON (``components``/``blocks``/``search_result``,
+  and the ``evaluated`` plan as its deployment JSON) under
+  ``<cache_dir>/artifacts/``, with an LRU byte budget over all files
+  under the cache root.  The ``dp_context`` lives in the memory tier
+  only: a run that misses it rebuilds it from the stored ``blocks``
+  faster than a snapshot of it would decode.
 
 The ``evaluated`` entry is the store's whole-plan cache: the pass
 manager probes it before running any pass (see
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import io
 import json
 import os
 import tempfile
@@ -250,23 +251,19 @@ class DiskBackend:
 # disk codecs
 # ----------------------------------------------------------------------
 class ArtifactCodec:
-    """Serialize one artifact kind for the disk backend.  Artifacts
-    without a codec (the unevaluated ``plan``, which the ``evaluated``
-    entry supersedes) live in the memory backend only.
+    """Serialize one artifact kind as JSON for the disk backend.
+    Artifacts without a codec (the ``dp_context``, and the unevaluated
+    ``plan``, which the ``evaluated`` entry supersedes) live in the
+    memory backend only.
 
     ``decode`` reads input from outside the program: any exception it
     raises makes :meth:`ArtifactStore.get` report a miss."""
-
-    ext = "json"
 
     def encode(self, payload: Any, ctx: PlanningContext) -> bytes:
         raise NotImplementedError
 
     def decode(self, data: bytes, ctx: PlanningContext) -> Any:
         raise NotImplementedError
-
-    def size_of(self, payload: Any) -> Optional[int]:
-        return None
 
 
 class _ComponentsCodec(ArtifactCodec):
@@ -305,68 +302,6 @@ class _BlocksCodec(ArtifactCodec):
             )
             for idx, atoms, tasks in json.loads(data.decode())
         ]
-
-
-class _DPContextCodec(ArtifactCodec):
-    """``npz`` of the reusable numeric caches plus a JSON header.
-
-    The context is rebuilt against the *current* run's graph and
-    profiler at decode time; that is sound because the artifact address
-    already pins the graph, block list, batch size, device performance
-    model and same-node p2p affine (anything else and the fingerprint
-    would differ, so this entry would never be looked up).
-    """
-
-    ext = "npz"
-
-    def encode(self, payload: Any, ctx: PlanningContext) -> bytes:
-        meta = {
-            "batch_size": payload.batch_size,
-            "blocks": [
-                [b.index, list(b.atomic_indices), list(b.tasks)]
-                for b in payload.blocks
-            ],
-        }
-        header = np.frombuffer(
-            json.dumps(meta).encode(), dtype=np.uint8
-        )
-        buf = io.BytesIO()
-        np.savez_compressed(
-            buf, __meta__=header, **payload.export_cache_state()
-        )
-        return buf.getvalue()
-
-    def decode(self, data: bytes, ctx: PlanningContext) -> Any:
-        from repro.partitioner.blocks import Block
-        from repro.partitioner.stage_dp import DPContext
-
-        with np.load(io.BytesIO(data), allow_pickle=False) as npz:
-            arrays = {name: npz[name] for name in npz.files}
-        meta = json.loads(arrays.pop("__meta__").tobytes().decode())
-        blocks = [
-            Block(
-                index=idx,
-                atomic_indices=tuple(atoms),
-                tasks=tuple(tasks),
-            )
-            for idx, atoms, tasks in meta["blocks"]
-        ]
-        dp_ctx = DPContext(
-            ctx.graph,
-            blocks,
-            ctx.ensure_profiler(),
-            meta["batch_size"],
-            metrics=ctx.metrics,
-            memory_budget=ctx.config.memory_budget,
-        )
-        dp_ctx.import_cache_state(arrays)
-        return dp_ctx
-
-    def size_of(self, payload: Any) -> Optional[int]:
-        total = 1024
-        for arr in payload.export_cache_state().values():
-            total += int(arr.nbytes)
-        return total
 
 
 class _SearchResultCodec(ArtifactCodec):
@@ -476,7 +411,6 @@ class _PlanCodec(ArtifactCodec):
 CODECS: Dict[str, ArtifactCodec] = {
     COMPONENTS: _ComponentsCodec(),
     BLOCKS: _BlocksCodec(),
-    DP_CONTEXT: _DPContextCodec(),
     SEARCH_RESULT: _SearchResultCodec(),
     EVALUATED: _PlanCodec(),
 }
@@ -653,8 +587,7 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     @staticmethod
     def _relpath(name: str, fingerprint: str) -> str:
-        codec = CODECS[name]
-        return f"artifacts/{name}-{fingerprint}.{codec.ext}"
+        return f"artifacts/{name}-{fingerprint}.json"
 
     def __len__(self) -> int:
         with self._lock:
@@ -743,28 +676,28 @@ class ArtifactStore:
     def refresh(
         self, name: str, fingerprint: str, ctx: PlanningContext
     ) -> None:
-        """Re-serialize a (mutable) artifact's current state to disk.
+        """Re-weigh a (mutable) artifact's memory-tier entry.
 
-        The ``dp_context`` payload accumulates caches *after* its
-        producing pass finishes (the stage search fills the per-batch
-        time prefixes and profile bands), so the manager refreshes it
-        once the run is over; without this, the on-disk entry would only
-        ever hold the eagerly-built range matrices.
+        The ``dp_context`` payload grows *after* its producing pass
+        finishes (the stage search fills the per-batch time prefixes and
+        the profile bands), so the manager refreshes it once the run is
+        over: the tier's byte count follows the entry, and the budget
+        then evicts older entries (never this one).
         """
+        key = f"{name}:{fingerprint}"
         with self._lock:
-            art = self._mem.get(f"{name}:{fingerprint}")
+            art = self._mem.get(key)
             if art is not None:
-                art.nbytes = self._payload_nbytes(name, art.payload)
-                self._write_disk(art, ctx)
+                nbytes = self._payload_nbytes(name, art.payload)
+                self._mem_bytes += nbytes - art.nbytes
+                art.nbytes = nbytes
+                self._evict_over_budget(keep=key)
 
     # ------------------------------------------------------------------
     @staticmethod
     def _payload_nbytes(name: str, payload: Any) -> int:
-        codec = CODECS.get(name)
-        if codec is not None:
-            size = codec.size_of(payload)
-            if size is not None:
-                return size
+        if name == DP_CONTEXT:
+            return payload.nbytes()
         return _estimate_nbytes(payload)
 
     def _insert(
@@ -787,15 +720,22 @@ class ArtifactStore:
         )
         self._mem[key] = art
         self._mem_bytes += art.nbytes
-        if self.memory_budget_bytes is not None:
-            while (
-                self._mem_bytes > self.memory_budget_bytes
-                and len(self._mem) > 1
-            ):
-                _, evicted = self._mem.popitem(last=False)
-                self._mem_bytes -= evicted.nbytes
-                self.memory_evictions += 1
+        self._evict_over_budget(keep=key)
         return art
+
+    def _evict_over_budget(self, keep: str) -> None:
+        """Drop least recently used entries until the memory tier fits
+        ``memory_budget_bytes``, sparing ``keep`` (the entry just stored
+        or re-weighed), which may exceed the budget on its own."""
+        budget = self.memory_budget_bytes
+        if budget is None or self._mem_bytes <= budget:
+            return
+        for key in list(self._mem):
+            if key != keep:
+                self._mem_bytes -= self._mem.pop(key).nbytes
+                self.memory_evictions += 1
+                if self._mem_bytes <= budget:
+                    return
 
     def _write_disk(
         self, art: Artifact, ctx: Optional[PlanningContext]

@@ -34,11 +34,12 @@ Concurrency contract (the store/replan plumbing this engine relies on):
 * :class:`~repro.planner.store.ArtifactStore` ``get``/``put``/
   ``refresh`` are linearizable (internal lock), so requests for
   *different* models run fully in parallel against one store.
-* A reused ``dp_context`` artifact is **shared and rebound in place**
+* A reused ``dp_context`` artifact (held in the store's memory tier
+  only) is **shared and rebound in place**
   (:func:`~repro.planner.store.materialize_for_reuse`), and
-  :class:`~repro.partitioner.stage_dp.DPContext` guards its memo caches
-  for the intra-run Algorithm-2 sweep only -- ``rebind()`` /
-  ``set_memory_budget()`` must not race with another run's DP calls.
+  :class:`~repro.partitioner.stage_dp.DPContext` takes no lock: its
+  caches and counters are plain attributes, so ``rebind()`` /
+  ``set_memory_budget()`` and the DP calls of two runs must not overlap.
   The engine therefore serializes pipeline executions **per model
   family** (one keyed mutex per graph fingerprint): same-model requests
   -- the only ones that can share mutable artifacts -- are single-writer,

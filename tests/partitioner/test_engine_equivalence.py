@@ -406,34 +406,6 @@ class TestSearchBackends:
 
 
 # ----------------------------------------------------------------------
-# context snapshot round trip (the artifact store's disk codec transport)
-
-
-class TestContextPickle:
-    @staticmethod
-    def roundtrip(ctx):
-        clone = DPContext(ctx.graph, ctx.blocks, ctx.profiler, ctx.batch_size)
-        clone.import_cache_state(ctx.export_cache_state())
-        return clone
-
-    def test_dp_context_roundtrip_preserves_solutions(self):
-        ctx = make_ctx(k=6, batch_size=32)
-        before = solution_key(form_stage_dp(ctx, 2, 4, 32, 1, 2))
-        clone = self.roundtrip(ctx)
-        assert clone.k == ctx.k
-        assert clone.batch_size == ctx.batch_size
-        after = solution_key(form_stage_dp(clone, 2, 4, 32, 1, 2))
-        assert after == before
-
-    def test_dp_context_roundtrip_carries_warm_caches(self):
-        ctx = make_ctx(k=6, batch_size=32)
-        form_stage_dp(ctx, 2, 4, 32, 1, 2)  # warm the profile caches
-        exported = ctx.export_cache_state()
-        clone = self.roundtrip(ctx)
-        assert set(clone.export_cache_state()) == set(exported)
-
-
-# ----------------------------------------------------------------------
 # config plumbing: the run-mode knobs are gone
 
 

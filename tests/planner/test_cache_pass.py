@@ -6,7 +6,6 @@ run repairs."""
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.hardware import paper_cluster, tiny_cluster
@@ -104,7 +103,7 @@ class TestCacheHit:
         assert ctx.events.find("stage_search").status == "skipped"
         assert "pass_time.stage_search" not in warm.diagnostics.as_dict()
         # a whole-plan hit reads the one plan entry, no intermediate
-        # artifact (the dp_context npz above all)
+        # artifact
         assert len(reads) == 1 and reads[0].startswith("artifacts/evaluated-")
 
     def test_stale_entry_treated_as_miss(self, tiny_bert, cache_dir):
@@ -207,13 +206,7 @@ def _truncated(data: bytes, name: str) -> bytes:
 
 
 def _wrong_shape(data: bytes, name: str) -> bytes:
-    """Well-formed bytes of the codec's format holding the wrong thing."""
-    if CODECS[name].ext == "npz":
-        import io
-
-        buf = io.BytesIO()
-        np.savez_compressed(buf, x=np.zeros(3))
-        return buf.getvalue()
+    """Well-formed JSON holding the wrong thing."""
     return b"5"
 
 

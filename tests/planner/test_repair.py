@@ -20,6 +20,7 @@ import pytest
 from repro.hardware import tiny_cluster, tiny_mixed_cluster
 from repro.models import build_mlp
 from repro.partitioner import PartitioningError
+from repro.partitioner.deployment import plan_to_json
 from repro.planner import (
     NodeLoss,
     PlannerConfig,
@@ -31,6 +32,7 @@ from repro.planner import (
     replan,
     survivor_map,
 )
+from repro.planner.context import DP_CONTEXT
 from repro.verify import check_plan
 
 #: deep/wide enough that S=3 R=2 on 4x2 devices -- losing a node drops
@@ -140,6 +142,35 @@ class TestInPlaceRepair:
 
         assert not result.used_full_replan
         assert result.fallback_reason == ""
+
+    def test_rebuilt_context_repairs_like_the_in_memory_one(self, tmp_path):
+        # a run served whole by a fresh store rebuilds the profile
+        # tensors from the stored blocks; the repair must not notice
+        graph = build_mlp(WIDE_MLP)
+        cluster = tiny_cluster(
+            num_nodes=4, devices_per_node=2, memory_bytes=4 * 2**30
+        )
+        config = PlannerConfig(batch_size=32, num_blocks=12,
+                               cache_dir=tmp_path)
+        memory_ctx = PlanningContext(graph, cluster, config)
+        plan_graph(graph, cluster, config, context=memory_ctx)
+        disk_ctx = PlanningContext(graph, cluster, config)
+        assert plan_graph(graph, cluster, config,
+                          context=disk_ctx).diagnostics.cache_hit
+        assert not disk_ctx.has(DP_CONTEXT)
+
+        rebuilt = repair(disk_ctx, NodeLoss(0))
+        in_memory = repair(memory_ctx, NodeLoss(0))
+
+        assert disk_ctx.get(DP_CONTEXT) is not memory_ctx.get(DP_CONTEXT)
+        for result in (rebuilt, in_memory):
+            assert not result.used_full_replan
+            assert result.fallback_reason == ""
+        assert rebuilt.migration_bytes == in_memory.migration_bytes
+        assert rebuilt.migration_bytes > 0
+        assert plan_to_json(rebuilt.plan, graph) == plan_to_json(
+            in_memory.plan, graph
+        )
 
     def test_repairs_chain_through_result_context(self):
         graph, ctx, _ = plan_wide()

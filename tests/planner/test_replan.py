@@ -11,6 +11,7 @@ and the ``planner.reuse.*`` gauges.
 
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -216,7 +217,10 @@ def test_auto_partition_reuse_from():
 
 def test_disk_artifacts_survive_process_boundary(tmp_path):
     """A fresh store over the same cache dir (a new process, in effect)
-    reloads the serialized artifacts from disk."""
+    reloads the serialized artifacts from disk and rebuilds the DP
+    context, which lives in the memory tier only, from the stored
+    blocks.  The delta plans what an in-process delta plans against the
+    in-memory context."""
     build, batch_size = MODELS["bert-base"]
     graph = build()
     cluster = paper_cluster(1)
@@ -226,20 +230,71 @@ def test_disk_artifacts_survive_process_boundary(tmp_path):
     plan_graph(graph, cluster, config, context=ctx1)
     assert sorted(p.name.split("-")[0] for p in
                   (tmp_path / "artifacts").iterdir()) == [
-        "blocks", "components", "dp_context", "evaluated", "search_result",
+        "blocks", "components", "evaluated", "search_result",
     ]
 
-    # different budget: the whole-plan entry misses, the profile
-    # passes hit from disk
+    # different budget: the whole-plan entry misses, the coarsening
+    # passes hit from disk and the profile tensors are rebuilt
     budget = cluster.device.usable_memory * 0.7
-    ctx2 = PlanningContext(
-        graph, cluster, dataclasses.replace(config, memory_budget=budget)
+    delta_config = dataclasses.replace(config, memory_budget=budget)
+    ctx2 = PlanningContext(graph, cluster, delta_config)
+    from_disk = plan_graph(graph, cluster, delta_config, context=ctx2)
+    assert _reused(ctx2) == ["atomic_partition", "coarsen"]
+    assert ctx2.events.find("profile_tensors").status == "ok"
+    assert ctx2.metrics.snapshot()["planner.store.disk_hits"] == 2
+
+    # the same delta in one process, against the in-memory context
+    store = ArtifactStore()
+    memory_config = dataclasses.replace(config, cache_dir=None)
+    plan_graph(graph, cluster, memory_config,
+               context=PlanningContext(graph, cluster, memory_config,
+                                       store=store))
+    memory_config = dataclasses.replace(memory_config, memory_budget=budget)
+    ctx3 = PlanningContext(graph, cluster, memory_config, store=store)
+    in_memory = plan_graph(graph, cluster, memory_config, context=ctx3)
+    assert _reused(ctx3) == list(PROFILE_PASSES)
+    assert plan_to_json(from_disk, graph) == plan_to_json(in_memory, graph)
+
+
+def test_leftover_dp_context_npz_is_never_read_and_ages_out(
+    tmp_path, monkeypatch
+):
+    """Older releases wrote the DP context as ``dp_context-<fp>.npz``.
+    Such a file is never read; it is one more file under the byte
+    budget and ages out as the least recently used."""
+    build, batch_size = MODELS["bert-base"]
+    graph = build()
+    cluster = paper_cluster(1)
+    config = PlannerConfig(batch_size=batch_size, cache_dir=tmp_path)
+    ctx1 = PlanningContext(graph, cluster, config)
+    plan_graph(graph, cluster, config, context=ctx1)
+    used = DiskBackend(tmp_path).bytes_used()
+
+    leftover = (
+        tmp_path / "artifacts"
+        / f"dp_context-{ctx1.artifact_fps['dp_context']}.npz"
     )
-    plan_graph(graph, cluster, ctx2.config, context=ctx2)
-    assert _reused(ctx2) == list(PROFILE_PASSES)
-    assert ctx2.metrics.snapshot()["planner.store.disk_hits"] == len(
-        PROFILE_PASSES
+    leftover.write_bytes(b"\0" * 2**20)
+    os.utime(leftover, (0, 0))  # older than every current entry
+    reads = []
+    read_bytes = DiskBackend.read_bytes
+
+    def _recording(self, relpath):
+        reads.append(relpath)
+        return read_bytes(self, relpath)
+
+    monkeypatch.setattr(DiskBackend, "read_bytes", _recording)
+    delta_config = dataclasses.replace(
+        config,
+        memory_budget=cluster.device.usable_memory * 0.7,
+        cache_budget_bytes=used + 2**20 - 1,
     )
+    ctx2 = PlanningContext(graph, cluster, delta_config)
+    plan_graph(graph, cluster, delta_config, context=ctx2)
+    assert _reused(ctx2) == ["atomic_partition", "coarsen"]
+    assert not any("dp_context" in r for r in reads)
+    assert not leftover.exists()
+    assert ctx2.store.disk.evictions == 1
 
 
 def test_ensure_store_is_idempotent():

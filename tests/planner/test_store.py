@@ -29,6 +29,7 @@ from repro.planner.context import (
     VERIFIED,
 )
 from repro.partitioner.deployment import plan_to_json
+from repro.partitioner.stage_dp import DPContext
 from repro.planner.store import (
     CODECS,
     Artifact,
@@ -131,21 +132,6 @@ class TestCodecs:
         else:
             assert restored == original
 
-    def test_dp_context_round_trip(self, planned_ctx):
-        codec = CODECS[DP_CONTEXT]
-        original = planned_ctx.require(DP_CONTEXT)
-        restored = codec.decode(
-            codec.encode(original, planned_ctx), planned_ctx
-        )
-        assert restored.batch_size == original.batch_size
-        assert restored.blocks == original.blocks
-        a = original.export_cache_state()
-        b = restored.export_cache_state()
-        assert sorted(a) == sorted(b)
-        for key in a:
-            # exact equality: the floats travel through npz unmodified
-            np.testing.assert_array_equal(a[key], b[key])
-
     def test_plan_round_trip_verifies_on_decode(self, planned_ctx):
         from repro.partitioner.deployment import plan_to_json
         from repro.verify import VerificationReport
@@ -161,15 +147,6 @@ class TestCodecs:
         )
         assert restored.iteration_time == original.iteration_time
         assert isinstance(ctx.get(VERIFIED), VerificationReport)
-
-    def test_dp_context_size_tracks_cache_state(self, planned_ctx):
-        codec = CODECS[DP_CONTEXT]
-        dp_ctx = planned_ctx.require(DP_CONTEXT)
-        floor = sum(
-            arr.nbytes for arr in dp_ctx.export_cache_state().values()
-        )
-        assert codec.size_of(dp_ctx) >= floor
-
 
 class TestArtifactStore:
     def test_put_get_and_lru_order(self):
@@ -217,6 +194,57 @@ class TestArtifactStore:
         store = ArtifactStore(disk=DiskBackend(tmp_path))
         stats = store.stats()
         assert "disk_hits" in stats and "backend_hits" in stats
+
+
+def _plan_into(store, graph):
+    ctx = PlanningContext(
+        graph, paper_cluster(1), PlannerConfig(batch_size=64), store=store
+    )
+    plan_graph(graph, ctx.cluster, ctx.config, context=ctx)
+    return ctx
+
+
+class TestMemoryAccounting:
+    """``memory_bytes`` is what the memory tier holds, so the budget
+    bounds it."""
+
+    def test_memory_bytes_is_the_sum_of_the_entries(self, planned_ctx):
+        store = ArtifactStore()
+        other = build_bert(
+            BertConfig(hidden_size=128, num_layers=2, num_heads=4)
+        )
+        for graph in (planned_ctx.graph, other):
+            _plan_into(store, graph)
+        assert store.stats()["memory_bytes"] == sum(
+            art.nbytes for art in store._mem.values()
+        )
+
+    def test_dp_context_weighs_its_bands(self, planned_ctx):
+        store = ArtifactStore()
+        ctx = _plan_into(store, planned_ctx.graph)
+        art = store.get(DP_CONTEXT, ctx.artifact_fps[DP_CONTEXT])
+        assert art.payload.band_bytes > 0
+        assert art.nbytes == art.payload.nbytes() >= art.payload.band_bytes
+
+    def test_refresh_applies_the_budget(self, planned_ctx):
+        warm = planned_ctx.require(DP_CONTEXT)
+        fresh = DPContext(
+            warm.graph, warm.blocks, warm.profiler, warm.batch_size
+        )
+        store = ArtifactStore(memory_budget_bytes=warm.band_bytes - 1)
+        store.put(BLOCKS, "older", warm.blocks)
+        store.put(DP_CONTEXT, "fp", fresh)
+        assert store.memory_evictions == 0  # both fit before the bands
+        for (D, R, MB, checkpointing), band in warm._band_cache.items():
+            fresh.profile_bands(D, R, MB, checkpointing, band.span)
+        assert fresh.band_bytes == warm.band_bytes
+
+        store.refresh(DP_CONTEXT, "fp", planned_ctx)
+
+        assert f"{BLOCKS}:older" not in store
+        assert f"{DP_CONTEXT}:fp" in store  # over budget on its own
+        assert store.memory_evictions == 1
+        assert store.stats()["memory_bytes"] == fresh.nbytes()
 
 
 class FullDisk(DiskBackend):
