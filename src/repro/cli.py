@@ -1,12 +1,20 @@
 """Command-line interface: partition models and regenerate paper results.
 
+``plan`` and ``verify`` describe the model and cluster with one flag
+group that builds the plan service's ``model`` and ``cluster`` objects
+(:mod:`repro.service.protocol`), so the CLI and ``repro serve`` accept
+the same presets and plan the same thing.
+
 Examples::
 
-    python -m repro partition --model bert --hidden 1536 --layers 96 \
-        --nodes 4 --batch-size 256
+    python -m repro plan --model bert --hidden 1536 --layers 96 \
+        --nodes 4 --batch-size 256 --save deployment.json
     python -m repro plan --model bert --explain --cache-dir ~/.cache/repro
-    python -m repro trace --model bert-base --cluster v100x8 --out trace.json
-    python -m repro verify deployment.json --model bert --nodes 4
+    python -m repro plan --model bert-base --nodes 1 --trace-out trace.json
+    python -m repro plan --model bert-base --nodes 2 --a100-nodes 2 \
+        --straggler 1.25 --repair node-loss:1
+    python -m repro verify deployment.json --model bert --hidden 1536 \
+        --layers 96 --nodes 4
     python -m repro serve --port 8321 --cache-dir ~/.cache/repro \
         --cache-budget-mb 256 --workers 4
     python -m repro serve-sim --model gpt-tiny --cluster v100x8 \
@@ -25,35 +33,59 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.hardware import Precision, paper_cluster
-from repro.models import BertConfig, GPTConfig, ResNetConfig
-from repro.models import build_bert, build_gpt, build_resnet
-from repro.partitioner import PartitioningError, auto_partition
-
-#: named model presets accepted wherever --model takes a value
-MODEL_PRESETS = (
-    "bert", "resnet", "gpt",
-    "bert-base", "bert-large",
-    "gpt-tiny", "gpt-small", "gpt-medium",
+from repro.hardware import Precision
+from repro.partitioner import PartitioningError
+from repro.service.protocol import (
+    CLUSTER_PRESETS,
+    MODEL_PRESETS,
+    ServiceError,
+    build_cluster,
+    build_config,
+    build_model,
+    parse_event,
 )
 
-#: --cluster shorthand -> number of 8-V100 nodes
-CLUSTER_PRESETS = {"v100x8": 1, "v100x16": 2, "v100x32": 4}
+def _add_model_cluster(p: argparse.ArgumentParser) -> None:
+    """The model and cluster flags shared by ``plan`` and ``verify``."""
+    g = p.add_argument_group("model and cluster")
+    g.add_argument("--model", choices=("bert", "gpt", "resnet") + MODEL_PRESETS,
+                   default="bert",
+                   help="model family (sized by the flags below) or a "
+                        "named preset")
+    g.add_argument("--hidden", type=int, default=1024, help="BERT/GPT hidden size")
+    g.add_argument("--layers", type=int, default=24, help="BERT/GPT layer count")
+    g.add_argument("--depth", type=int, default=50, help="ResNet depth")
+    g.add_argument("--width-factor", type=int, default=8, help="ResNet width factor")
+    g.add_argument("--nodes", type=int, default=4,
+                   help="number of 8-V100 nodes")
+    g.add_argument("--a100-nodes", type=int, default=0,
+                   help="add this many 8-A100 nodes, making the cluster "
+                        "heterogeneous (flat comm model only)")
+    g.add_argument("--straggler", type=float, default=1.0,
+                   help="slowdown factor of the V100 class in a "
+                        "heterogeneous cluster (with --a100-nodes)")
 
 
-def _add_partition(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("partition", help="auto-partition one model")
-    p.add_argument("--model", choices=("bert", "resnet", "gpt"), default="bert")
-    p.add_argument("--hidden", type=int, default=1024, help="BERT/GPT hidden size")
-    p.add_argument("--layers", type=int, default=24, help="BERT/GPT layer count")
-    p.add_argument("--depth", type=int, default=50, help="ResNet depth")
-    p.add_argument("--width-factor", type=int, default=8, help="ResNet width factor")
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--amp", action="store_true", help="mixed precision")
-    p.add_argument("--blocks", type=int, default=32, help="block count k")
-    p.add_argument("--save", type=str, default=None,
-                   help="write the deployment JSON to this path")
+def _build_model_cluster(args: argparse.Namespace):
+    """The graph and cluster the shared flags describe, built from the
+    same ``model`` and ``cluster`` objects the plan service accepts."""
+    if args.model in MODEL_PRESETS:
+        model = {"preset": args.model}
+    elif args.model == "resnet":
+        model = {"family": "resnet", "depth": args.depth,
+                 "width_factor": args.width_factor}
+    else:
+        model = {"family": args.model, "hidden": args.hidden,
+                 "layers": args.layers}
+    if args.a100_nodes:
+        cluster = {"classes": [
+            {"name": "v100", "device": "v100", "nodes": args.nodes,
+             "straggler_factor": args.straggler},
+            {"name": "a100", "device": "a100", "nodes": args.a100_nodes},
+        ]}
+    else:
+        cluster = {"nodes": args.nodes}
+    return build_model(model)[0], build_cluster(cluster)[0]
 
 
 def _add_plan(sub: argparse._SubParsersAction) -> None:
@@ -61,12 +93,7 @@ def _add_plan(sub: argparse._SubParsersAction) -> None:
         "plan",
         help="run the pass-based planning pipeline on one model",
     )
-    p.add_argument("--model", choices=("bert", "resnet", "gpt"), default="bert")
-    p.add_argument("--hidden", type=int, default=1024, help="BERT/GPT hidden size")
-    p.add_argument("--layers", type=int, default=24, help="BERT/GPT layer count")
-    p.add_argument("--depth", type=int, default=50, help="ResNet depth")
-    p.add_argument("--width-factor", type=int, default=8, help="ResNet width factor")
-    p.add_argument("--nodes", type=int, default=4)
+    _add_model_cluster(p)
     p.add_argument("--batch-size", type=int, default=256)
     p.add_argument("--amp", action="store_true", help="mixed precision")
     p.add_argument("--blocks", type=int, default=32, help="block count k")
@@ -81,17 +108,11 @@ def _add_plan(sub: argparse._SubParsersAction) -> None:
                    help="LRU byte budget of the on-disk cache (MiB); "
                         "default: unbounded")
     p.add_argument("--comm-model", choices=("flat", "topology"),
-                   default="flat",
+                   default=None,
                    help="communication cost model: 'flat' is the paper's "
                         "two-scalar closed forms, 'topology' routes every "
-                        "transfer over the link-level network model")
-    p.add_argument("--a100-nodes", type=int, default=0,
-                   help="add this many 8-A100 nodes, making the cluster "
-                        "heterogeneous (--nodes keeps counting the V100 "
-                        "nodes; forces the flat comm model)")
-    p.add_argument("--straggler", type=float, default=1.0,
-                   help="slowdown factor of the V100 class in a "
-                        "heterogeneous cluster (with --a100-nodes)")
+                        "transfer over the link-level network model; "
+                        "default: the cluster's own (flat)")
     p.add_argument("--repair", type=str, default=None, metavar="EVENT",
                    help="after planning, repair the plan for a cluster "
                         "event: 'node-loss:IDX', 'preemption:IDX' or "
@@ -100,80 +121,16 @@ def _add_plan(sub: argparse._SubParsersAction) -> None:
                    help="print per-pass timings, peak-RSS deltas, "
                         "profiler statistics, and cache / artifact-reuse "
                         "gauges")
-    p.add_argument("--save", type=str, default=None,
-                   help="write the deployment JSON to this path")
-
-
-def _add_trace(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "trace",
-        help="plan a model with tracing on and export a Perfetto "
-             "trace.json (planner spans + DP counters + one track per "
-             "pipeline stage)",
-    )
-    p.add_argument("--model", choices=MODEL_PRESETS, default="bert-base",
-                   help="model family, or a named preset (bert-base, "
-                        "bert-large)")
-    p.add_argument("--hidden", type=int, default=1024, help="BERT/GPT hidden size")
-    p.add_argument("--layers", type=int, default=24, help="BERT/GPT layer count")
-    p.add_argument("--depth", type=int, default=50, help="ResNet depth")
-    p.add_argument("--width-factor", type=int, default=8, help="ResNet width factor")
-    p.add_argument("--cluster", choices=sorted(CLUSTER_PRESETS),
-                   default="v100x32",
-                   help="testbed preset (number of 8-V100 nodes)")
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--amp", action="store_true", help="mixed precision")
-    p.add_argument("--blocks", type=int, default=32, help="block count k")
-    p.add_argument("--out", type=str, default="trace.json",
-                   help="Chrome-trace output path (load in "
+    p.add_argument("--trace-out", type=str, default=None,
+                   help="plan with fine-grained tracing on and write a "
+                        "Perfetto trace.json here (planner spans, DP "
+                        "counters, one track per pipeline stage; load in "
                         "https://ui.perfetto.dev)")
     p.add_argument("--jsonl", type=str, default=None,
-                   help="also write the raw spans + metrics as JSON-lines")
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import write_chrome_trace, write_jsonl
-    from repro.pipeline.timeline import plan_timeline
-    from repro.planner import PlannerConfig, PlanningContext, plan_graph
-
-    graph = _build_graph(args)
-    cluster = paper_cluster(num_nodes=CLUSTER_PRESETS[args.cluster])
-    precision = Precision.AMP if args.amp else Precision.FP32
-    config = PlannerConfig(
-        batch_size=args.batch_size,
-        precision=precision,
-        num_blocks=args.blocks,
-        trace=True,
-    )
-    ctx = PlanningContext(graph, cluster, config)
-    print(f"{graph}  on {cluster.total_devices} devices "
-          f"({args.cluster}), BS={args.batch_size}, {precision.value}")
-    try:
-        plan = plan_graph(graph, cluster, config, context=ctx)
-    except PartitioningError as exc:
-        print(f"INFEASIBLE: {exc}")
-        # still export whatever the planner recorded before failing
-        write_chrome_trace(args.out, tracer=ctx.tracer, metrics=ctx.metrics)
-        print(f"partial trace written to {args.out}")
-        return 1
-    print(plan.summary())
-    timeline = plan_timeline(plan)
-    doc = write_chrome_trace(
-        args.out, tracer=ctx.tracer, timeline=timeline, metrics=ctx.metrics
-    )
-    spans = ctx.tracer.spans()
-    dp_spans = sum(1 for s in spans if s.category == "partitioner.dp")
-    print(
-        f"trace written to {args.out}: {len(doc['traceEvents'])} events "
-        f"({len(spans)} spans, {dp_spans} DP calls, "
-        f"{timeline.num_stages} stage tracks, "
-        f"{len(ctx.metrics)} metrics)"
-    )
-    print("open it at https://ui.perfetto.dev (or chrome://tracing)")
-    if args.jsonl:
-        write_jsonl(args.jsonl, ctx.tracer, ctx.metrics)
-        print(f"spans written to {args.jsonl}")
-    return 0
+                   help="plan with tracing on and write the raw spans + "
+                        "metrics here as JSON-lines")
+    p.add_argument("--save", type=str, default=None,
+                   help="write the deployment JSON to this path")
 
 
 def _add_serve(sub: argparse._SubParsersAction) -> None:
@@ -204,6 +161,7 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import repro.models  # noqa: F401  -- loaded before the first request
     from repro.service import serve
 
     return serve(
@@ -263,7 +221,6 @@ def _add_serve_sim(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_serve_sim(args: argparse.Namespace) -> int:
-    from repro.service.protocol import ServiceError
     from repro.serving import run_serving_sim
 
     try:
@@ -280,9 +237,6 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
             workload_trace=args.workload_trace,
             trace_out=args.trace_out,
         )
-    except ServiceError as exc:
-        print(f"ERROR: {exc}")
-        return 2
     except PartitioningError as exc:
         print(f"INFEASIBLE: {exc}")
         return 1
@@ -330,14 +284,8 @@ def _add_verify(sub: argparse._SubParsersAction) -> None:
              "(static invariants + differential re-simulation)",
     )
     p.add_argument("plan", help="deployment JSON written by "
-                                "'repro plan/partition --save'")
-    p.add_argument("--model", choices=MODEL_PRESETS, default="bert")
-    p.add_argument("--hidden", type=int, default=1024, help="BERT/GPT hidden size")
-    p.add_argument("--layers", type=int, default=24, help="BERT/GPT layer count")
-    p.add_argument("--depth", type=int, default=50, help="ResNet depth")
-    p.add_argument("--width-factor", type=int, default=8, help="ResNet width factor")
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--amp", action="store_true", help="mixed precision")
+                                "'repro plan --save'")
+    _add_model_cluster(p)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -352,8 +300,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"FAIL: cannot read {args.plan}: {exc}")
         return 1
-    graph = _build_graph(args)
-    cluster = paper_cluster(num_nodes=args.nodes)
+    graph, cluster = _build_model_cluster(args)
     try:
         plan = plan_from_json(text, graph, cluster)
     except PlanVerificationError as exc:
@@ -372,84 +319,55 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-#: gpt preset name -> GPTConfig keyword arguments
-GPT_PRESETS = {
-    "gpt-tiny": dict(hidden_size=256, num_layers=4, num_heads=4,
-                     seq_len=256, vocab_size=8192),
-    "gpt-small": dict(),  # GPT-2 small: GPTConfig defaults
-    "gpt-medium": dict(hidden_size=1024, num_layers=24, num_heads=16),
-}
-
-
-def _build_graph(args: argparse.Namespace):
-    if args.model == "bert-base":
-        return build_bert(BertConfig(hidden_size=768, num_layers=12,
-                                     num_heads=12))
-    if args.model == "bert-large":
-        return build_bert(BertConfig())
-    if args.model == "bert":
-        return build_bert(BertConfig(hidden_size=args.hidden,
-                                     num_layers=args.layers))
-    if args.model in GPT_PRESETS:
-        return build_gpt(GPTConfig(**GPT_PRESETS[args.model]))
-    if args.model == "gpt":
-        return build_gpt(GPTConfig(hidden_size=args.hidden,
-                                   num_layers=args.layers))
-    return build_resnet(ResNetConfig(depth=args.depth,
-                                     width_factor=args.width_factor))
-
-
 def _cmd_plan(args: argparse.Namespace) -> int:
-    from repro.planner import PlannerConfig, PlanningContext, plan_graph
+    import dataclasses
+
+    from repro.planner import PlanningContext, plan_graph
 
     event = None
     if args.repair is not None:
-        try:
-            event = _parse_repair_event(args.repair)
-        except ValueError as exc:
-            print(f"ERROR: {exc}")
-            return 2
-    graph = _build_graph(args)
-    if args.a100_nodes > 0:
-        from repro.hardware import mixed_cluster
-
-        if args.comm_model != "flat":
-            print("ERROR: heterogeneous clusters support only the flat "
-                  "comm model")
-            return 2
-        cluster = mixed_cluster(
-            v100_nodes=args.nodes,
-            a100_nodes=args.a100_nodes,
-            straggler_factor=args.straggler,
-        )
-    else:
-        cluster = paper_cluster(num_nodes=args.nodes)
-    precision = Precision.AMP if args.amp else Precision.FP32
-    config = PlannerConfig(
-        batch_size=args.batch_size,
-        precision=precision,
-        num_blocks=args.blocks,
+        # 'node-loss:1' -> {"type": "node_loss", "node_index": "1"}
+        kind, _, arg = args.repair.partition(":")
+        kind = kind.replace("-", "_").lower()
+        field = "extra_nodes" if kind == "scale_up" else "node_index"
+        event = parse_event({"type": kind, field: arg})
+    graph, cluster = _build_model_cluster(args)
+    options = {
+        "amp": args.amp,
+        "blocks": args.blocks,
+        "comm_model": args.comm_model,
+        "memory_budget_gb": args.memory_budget_gb,
+    }
+    config = build_config(
+        {
+            "batch_size": args.batch_size,
+            "options": {k: v for k, v in options.items() if v is not None},
+        },
         cache_dir=args.cache_dir,
-        comm_model=args.comm_model,
-        memory_budget=(
-            args.memory_budget_gb * 2**30
-            if args.memory_budget_gb is not None else None
-        ),
         cache_budget_bytes=(
             args.cache_budget_mb * 2**20
             if args.cache_budget_mb is not None else None
         ),
     )
-    ctx = PlanningContext(graph, cluster, config)
+    tracing = args.trace_out is not None or args.jsonl is not None
+    if tracing:
+        config = dataclasses.replace(config, trace=True)
+    try:
+        ctx = PlanningContext(graph, cluster, config)
+    except ValueError as exc:
+        raise ServiceError("bad_request", str(exc)) from exc
     print(f"{graph}  on {cluster.total_devices} devices, "
-          f"BS={args.batch_size}, {precision.value}, "
-          f"comm={args.comm_model}")
+          f"BS={config.batch_size}, {config.precision.value}, "
+          f"comm={ctx.cluster.comm_model}")
     try:
         plan = plan_graph(graph, cluster, config, context=ctx)
     except PartitioningError as exc:
         print(f"INFEASIBLE: {exc}")
         if args.explain:
             print(_render_events(ctx))
+        if tracing:
+            # still export whatever the planner recorded before failing
+            _write_traces(args, ctx, None)
         return 1
     print(plan.summary())
     if plan.diagnostics.cache_hit:
@@ -474,6 +392,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         print(plan.summary())
     if args.explain:
         print(_render_events(ctx))
+    if tracing:
+        _write_traces(args, ctx, plan)
     if args.save:
         from repro.partitioner.deployment import plan_to_json
 
@@ -483,28 +403,32 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_repair_event(spec: str):
-    """``node-loss:IDX`` / ``preemption:IDX`` / ``scale-up:N`` -> event."""
-    from repro.planner import NodeLoss, Preemption, ScaleUp
+def _write_traces(args: argparse.Namespace, ctx, plan) -> None:
+    """Export the run's spans and metrics; ``plan=None`` (an infeasible
+    run) writes the partial trace without pipeline stage tracks."""
+    from repro.obs import write_chrome_trace, write_jsonl
+    from repro.pipeline.timeline import plan_timeline
 
-    kind, _, arg = spec.partition(":")
-    kind = kind.replace("_", "-").lower()
-    if not arg:
-        raise ValueError(
-            f"--repair needs an argument, e.g. 'node-loss:1' "
-            f"(got {spec!r})"
-        )
-    value = int(arg)
-    if kind == "node-loss":
-        return NodeLoss(node_index=value)
-    if kind == "preemption":
-        return Preemption(node_index=value)
-    if kind == "scale-up":
-        return ScaleUp(extra_nodes=value)
-    raise ValueError(
-        f"unknown repair event {kind!r}; expected node-loss, "
-        f"preemption or scale-up"
-    )
+    if args.trace_out is not None:
+        timeline = plan_timeline(plan) if plan is not None else None
+        doc = write_chrome_trace(args.trace_out, tracer=ctx.tracer,
+                                 timeline=timeline, metrics=ctx.metrics)
+        if plan is None:
+            print(f"partial trace written to {args.trace_out}")
+        else:
+            spans = ctx.tracer.spans()
+            dp_spans = sum(1 for s in spans if s.category == "partitioner.dp")
+            print(
+                f"trace written to {args.trace_out}: "
+                f"{len(doc['traceEvents'])} events "
+                f"({len(spans)} spans, {dp_spans} DP calls, "
+                f"{timeline.num_stages} stage tracks, "
+                f"{len(ctx.metrics)} metrics)"
+            )
+            print("open it at https://ui.perfetto.dev (or chrome://tracing)")
+    if args.jsonl is not None:
+        write_jsonl(args.jsonl, ctx.tracer, ctx.metrics)
+        print(f"spans written to {args.jsonl}")
 
 
 def _render_events(ctx) -> str:
@@ -568,28 +492,6 @@ def _render_events(ctx) -> str:
             f"{int(snap['planner.reuse.store_misses'])} store miss(es)"
         )
     return "\n".join(lines)
-
-
-def _cmd_partition(args: argparse.Namespace) -> int:
-    graph = _build_graph(args)
-    cluster = paper_cluster(num_nodes=args.nodes)
-    precision = Precision.AMP if args.amp else Precision.FP32
-    print(f"{graph}  on {cluster.total_devices} devices, BS={args.batch_size}, "
-          f"{precision.value}")
-    try:
-        plan = auto_partition(graph, cluster, args.batch_size,
-                              precision=precision, num_blocks=args.blocks)
-    except PartitioningError as exc:
-        print(f"INFEASIBLE: {exc}")
-        return 1
-    print(plan.summary())
-    if args.save:
-        from repro.partitioner.deployment import plan_to_json
-
-        with open(args.save, "w") as fh:
-            fh.write(plan_to_json(plan, graph))
-        print(f"deployment written to {args.save}")
-    return 0
 
 
 def _cmd_fig4(args: argparse.Namespace) -> int:
@@ -661,8 +563,8 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point: parse arguments and dispatch to a subcommand."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser, every subcommand included."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="RaNNC reproduction: automatic graph partitioning "
@@ -670,9 +572,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_partition(sub)
     _add_plan(sub)
-    _add_trace(sub)
     _add_verify(sub)
     _add_serve(sub)
     _add_serve_sim(sub)
@@ -692,12 +592,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     psc = sub.add_parser("schedule", help="render a pipeline schedule (Fig. 1)")
     psc.add_argument("--stages", type=int, default=4)
     psc.add_argument("--microbatches", type=int, default=8)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Entry point: parse arguments and dispatch to a subcommand."""
+    args = build_parser().parse_args(argv)
     handler = {
-        "partition": _cmd_partition,
         "plan": _cmd_plan,
-        "trace": _cmd_trace,
         "verify": _cmd_verify,
         "serve": _cmd_serve,
         "serve-sim": _cmd_serve_sim,
@@ -708,7 +610,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "loss-validation": _cmd_loss_validation,
         "schedule": _cmd_schedule,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ServiceError as exc:
+        print(f"ERROR: {exc}")
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

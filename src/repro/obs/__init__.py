@@ -7,8 +7,8 @@ pipeline simulator (per-stage timeline tracks) and the runtime
 JSON-lines or a Chrome-trace ``trace.json`` that Perfetto loads.
 
 See ``docs/OBSERVABILITY.md`` for the span/metric naming scheme, the
-exporter formats, and a Perfetto walkthrough; ``repro trace`` on the CLI
-produces a trace file in one command.
+exporter formats, and a Perfetto walkthrough; ``repro plan --trace-out``
+on the CLI produces a trace file in one command.
 """
 
 from repro.obs.export import (

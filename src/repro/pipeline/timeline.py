@@ -15,7 +15,8 @@ built on top of it:
 * ASCII Gantt rendering of a concrete plan's iteration,
 * Chrome-trace/Perfetto export — :meth:`Timeline.to_trace_events` emits
   one track per stage with forward/backward colour-coded by category
-  (see :mod:`repro.obs.export` and ``repro trace`` on the CLI),
+  (see :mod:`repro.obs.export` and ``repro plan --trace-out`` on the
+  CLI),
 * exact agreement with the scalar simulator (tested).
 """
 

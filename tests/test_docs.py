@@ -24,6 +24,7 @@ class TestRepoDocs:
         assert result.returncode == 0, result.stdout + result.stderr
         assert "links OK" in result.stdout
         assert "doctests OK" in result.stdout
+        assert "documented commands OK" in result.stdout
 
     def test_observability_examples_exist(self):
         text = (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text()
@@ -61,3 +62,20 @@ class TestChecker:
         )
         failures, attempts = check_docs.run_doctests(tmp_path, ["two.md"])
         assert (failures, attempts) == (0, 2)
+
+    def test_unparsable_command_detected(self, tmp_path):
+        (tmp_path / "cli.md").write_text(
+            "```console\n"
+            "$ python -m repro plan --model bert \\\n"
+            "    --nodes 2 --explain   # fine\n"
+            "TaskGraph(...) output lines are not commands\n"
+            "PYTHONPATH=src python -m repro.verify.harness --seeds 2\n"
+            "repro plan --model bert \\\n"
+            "    --cluster v100x8\n"
+            "python -m repro serve --port 0 &\n"
+            "```\n"
+        )
+        errors = check_docs.check_commands(REPO_ROOT, [tmp_path / "cli.md"])
+        assert len(errors) == 1
+        assert errors[0].endswith("unrecognized arguments: --cluster v100x8")
+        assert f"{tmp_path / 'cli.md'}:6:" in errors[0]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checks, run by the CI ``docs`` job.
 
-Three checks:
+Four checks:
 
 1. **Intra-repo links** — every relative markdown link in the checked
    files must point at a file (or directory) that exists.  External
@@ -15,6 +15,11 @@ Three checks:
 3. **Config coverage** — every ``PlannerConfig`` field name must appear
    somewhere in the docs corpus, so a new planner knob cannot land
    undocumented.
+4. **Documented commands** — every ``python -m repro …`` or ``repro …``
+   command line in a fenced block of :data:`LINKED_DOCS` (``\\``
+   continuations joined, a ``$`` prompt, environment assignments and
+   ``# comments`` dropped) must parse with the CLI's own argument
+   parser.  Commands are parsed, never run.
 
 Usage::
 
@@ -25,8 +30,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import doctest
+import io
 import re
+import shlex
 import sys
 from pathlib import Path
 from typing import List, Tuple
@@ -70,6 +78,7 @@ COVERAGE_DOCS = LINKED_DOCS
 
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FENCE_RE = re.compile(r"```python\n(.*?)```", re.DOTALL)
+_ANY_FENCE_RE = re.compile(r"^```[^\n]*\n(.*?)^```", re.DOTALL | re.MULTILINE)
 
 
 def check_links(root: Path, rel_paths=LINKED_DOCS) -> List[str]:
@@ -148,6 +157,64 @@ def check_config_coverage(root: Path, rel_paths=COVERAGE_DOCS) -> List[str]:
     return errors
 
 
+def documented_commands(text: str) -> List[Tuple[int, List[str]]]:
+    """``(line, argv)`` for each ``repro`` command in a fenced block;
+    ``argv`` excludes the ``python -m repro`` / ``repro`` prefix."""
+    commands = []
+    for fence in _ANY_FENCE_RE.finditer(text):
+        first = text.count("\n", 0, fence.start(1)) + 1
+        lines = fence.group(1).split("\n")
+        i = 0
+        while i < len(lines):
+            start, line = first + i, lines[i]
+            while line.endswith("\\") and i + 1 < len(lines):
+                i += 1
+                line = line[:-1] + " " + lines[i]
+            i += 1
+            try:
+                words = shlex.split(line.removeprefix("$ "), comments=True)
+            except ValueError:  # unbalanced quotes: not a command line
+                continue
+            while words and re.fullmatch(r"\w+=\S*", words[0]):
+                words.pop(0)
+            if words[:3] == ["python", "-m", "repro"]:
+                words = words[3:]
+            elif words[:1] == ["repro"]:
+                words = words[1:]
+            else:
+                continue
+            if words[-1:] == ["&"]:
+                words.pop()
+            commands.append((start, words))
+    return commands
+
+
+def check_commands(root: Path, rel_paths=LINKED_DOCS) -> List[str]:
+    """One error per documented command the CLI parser rejects."""
+    sys.path.insert(0, str(root / "src"))
+    try:
+        from repro.cli import build_parser
+    finally:
+        sys.path.pop(0)
+
+    parser = build_parser()
+    errors: List[str] = []
+    for rel in rel_paths:
+        md = root / rel
+        if not md.exists():
+            continue
+        for line, argv in documented_commands(md.read_text()):
+            stderr = io.StringIO()
+            try:
+                with contextlib.redirect_stderr(stderr):
+                    parser.parse_args(argv)
+            except SystemExit as exc:
+                if exc.code:
+                    message = stderr.getvalue().strip().splitlines()[-1]
+                    errors.append(f"{rel}:{line}: {message}")
+    return errors
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=REPO_ROOT)
@@ -180,6 +247,14 @@ def main(argv=None) -> int:
             print(f"COVERAGE FAIL  {err}")
     else:
         print("PlannerConfig coverage OK (every field documented)")
+
+    command_errors = check_commands(args.root)
+    if command_errors:
+        rc = 1
+        for err in command_errors:
+            print(f"COMMAND FAIL  {err}")
+    else:
+        print("documented commands OK (every one parses)")
     return rc
 
 
