@@ -166,24 +166,14 @@ def run_coarsening_ablation(
                 if sol is None:
                     continue
                 # re-cost the chosen plan with the TRUE merged profile
-                lo = 0
-                tf, tb = [], []
-                for hi, devs in zip(sol.boundaries, sol.device_counts):
-                    prof = true_ctx.stage_profile(
-                        lo, hi, devs, R, MB, checkpointing=S > 1
-                    )
-                    if prof is None:
-                        break
-                    tf.append(prof.time_fwd)
-                    tb.append(prof.time_bwd)
-                    lo = hi
-                else:
-                    from repro.pipeline.simulator import simulate_sync_pipeline
-
-                    iteration = simulate_sync_pipeline(tf, tb, MB)
-                    throughput = batch_size / iteration
-                    if best is None or throughput > best:
-                        best = throughput
+                true_sol, _ = true_ctx.price_layout(
+                    sol.boundaries, sol.device_counts, R, MB
+                )
+                if true_sol is None:
+                    continue
+                throughput = batch_size / true_sol.estimated_iteration_time()
+                if best is None or throughput > best:
+                    best = throughput
         rows.append(
             AblationRow(
                 model=name,

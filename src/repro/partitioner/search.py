@@ -4,9 +4,11 @@ Iterates over the number of compute nodes ``n`` (doubling from 1, skipping
 spans that do not divide the node count), derives the devices available to
 one pipeline ``D = D_node x n`` and the pipeline replica factor ``R = N /
 n``, then tries stage counts ``S`` in the range ``(D_node x (n-1), D_node
-x n]`` and microbatch counts ``MB`` doubling from 1.  The first stage
-count that yields any feasible DP solution wins; among its microbatch
-variants the one with the best estimated iteration time is returned.
+x n]`` and microbatch counts ``MB`` doubling from 1.  The first node
+level that yields any feasible DP solution wins; among its ``(S, MB)``
+candidates the one with the best estimated iteration time is returned
+(the pseudocode stops at the first feasible stage count instead; see
+DESIGN.md, deviation D2).
 
 One Algorithm-1 sweep answers every stage count of a level at once
 (``form_stage_dp`` over a ``range`` of stage counts), so a level costs
@@ -52,7 +54,6 @@ def form_stage(
     devices_per_node: int,
     batch_size: int,
     max_microbatches: Optional[int] = None,
-    search_all_stage_counts: bool = True,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> Optional[SearchResult]:
@@ -64,13 +65,6 @@ def form_stage(
         devices_per_node: devices per node (D_node).
         batch_size: global batch size BS.
         max_microbatches: optional cap on MB (None: up to BS / R).
-        search_all_stage_counts: the pseudocode returns at the FIRST stage
-            count with any feasible solution; with this flag (default) all
-            stage counts of the current node level compete and the best
-            estimated iteration time wins.  The strict reading can return
-            a pipeline several stages shorter than optimal (see DESIGN.md,
-            deviation D2); both modes are tested, and both cost the same
-            one sweep per microbatch count.
         tracer: optional tracer; each node level gets a ``search.level``
             span and each sweep a ``dp.form_stage_dp`` span under it.
         metrics: optional metrics registry, forwarded to every DP call.
@@ -162,16 +156,9 @@ def form_stage(
                 for MB in microbatch_counts
             }
             dp_calls += len(microbatch_counts)
-            if not search_all_stage_counts:
-                # strict pseudocode: only the FIRST feasible stage count
-                # competes
-                for S in stage_counts:
-                    if any(
-                        sweeps[MB][S] is not None for MB in microbatch_counts
-                    ):
-                        stage_counts = range(S, S + 1)
-                        break
-            # candidate order (S outer, MB inner) fixes the tie-break
+            # every stage count of the level competes, not only the first
+            # feasible one (DESIGN.md, deviation D2); candidate order (S
+            # outer, MB inner) fixes the tie-break
             solutions = [
                 sweeps[MB][S]
                 for S in stage_counts

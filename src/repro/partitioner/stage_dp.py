@@ -23,16 +23,20 @@ the recurrence for ``E_S`` in the text).
 
 Every stage is priced by one kernel, :meth:`DPContext._range_costs`,
 which reads block ranges ``(lo, hi]`` off prefix sums and range matrices
-and takes ints or whole index grids alike: a backtracked stage is one
-call at scalar indices, and all candidate-stage profiles of one DP call
-are the same call over banded ``(hi, span)`` grids
-(:class:`BandedProfile`).  A stage profile depends on the replica count
-only through the per-replica microbatch ``bs = BS // (R * MB * r)``, so
-one band plane per distinct ``bs`` covers the whole replica axis.  A
-band is only as wide as a stage that fits in device memory can be: a
-stage's memory is at least its parameter state plus its saved
-activations at the smallest microbatch, a floor that only grows with the
-span, so every wider stage is over the cap on every plane.  Range
+and takes ints or whole index grids alike: all candidate-stage profiles
+of one DP call are one call over banded ``(hi, span)`` grids
+(:class:`BandedProfile`), and a fixed layout -- a backtracked answer,
+the one-stage answer, a repaired plan -- is priced one call per stage
+at scalar indices by :meth:`DPContext.price_layout`, the one place that
+turns activation checkpointing on (iff the layout has more than one
+stage), caps a stage by its device slots and paces it by the slowest.
+A stage profile depends on the replica count only through the
+per-replica microbatch ``bs = BS // (R * MB * r)``, so one band plane
+per distinct ``bs`` covers the whole replica axis.  A band is only as
+wide as a stage that fits in device memory can be: a stage's memory is
+at least its parameter state plus its saved activations at the smallest
+microbatch, a floor that only grows with the span, so every wider stage
+is over the cap on every plane.  Range
 boundary bytes and unique-parameter sizes come from 2-D difference-array
 rectangle sums.  The DP reduction itself is evaluated for a whole ``(b,
 d)`` grid per stage, every replica plane of a ``d'`` column in one pass
@@ -42,10 +46,10 @@ closed form (a running max over rows, :func:`_dmin_keep`) so the
 visited-state count and all write decisions match the cell-by-cell loop
 bit for bit.  The float reduction runs only on rows that can reach an
 answer; the rows that cannot but still feed the ``d_min`` replay get a
-boolean feasibility pass instead (:func:`_live_rows`).  The per-entry profile transcription, the per-range
-metadata recomputation and the pure-Python Algorithm 1 that the test
-suite holds all of this to live with the tests
-(``tests/partitioner/oracles.py``).
+boolean feasibility pass instead (:func:`_live_rows`).  The per-entry
+profile transcription, the per-range metadata recomputation and the
+pure-Python Algorithm 1 that the test suite holds all of this to live
+with the tests (``tests/partitioner/oracles.py``).
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from repro.graph.ir import TaskGraph
 from repro.obs.metrics import MetricsRegistry, point_name
 from repro.obs.tracer import Span, Tracer
 from repro.partitioner.blocks import Block
+from repro.partitioner.plan import StageSpec
 from repro.profiler.profiler import (
     GraphProfiler,
     ProfileResult,
@@ -120,6 +125,17 @@ def scale_stage_profile(prof: StageProfile, factor: float) -> StageProfile:
     )
 
 
+@dataclass(frozen=True)
+class LayoutFailure:
+    """The first stage :meth:`DPContext.price_layout` rejects, with its
+    memory and its slots' cap (``memory`` is ``None``: the per-replica
+    microbatch collapsed below one sample)."""
+
+    stage: int
+    memory: Optional[float] = None
+    cap: float = 0.0
+
+
 @dataclass
 class DPSolution:
     """Result of one ``form_stage_dp`` call."""
@@ -155,8 +171,7 @@ class DPSolution:
 
 @dataclass
 class BandedProfile:
-    """Banded candidate-stage profiles for one ``(D, R, MB,
-    checkpointing)`` key.
+    """Banded candidate-stage profiles for one ``(D, R, MB)`` key.
 
     A stage profile depends on the replica count ``r`` only through the
     per-replica microbatch ``bs = BS // (R * MB * r)``, so the replica
@@ -264,11 +279,9 @@ class DPContext:
         self._floor_planes: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = None
-        self._band_cache: Dict[
-            Tuple[int, int, int, bool], BandedProfile
-        ] = {}
+        self._band_cache: Dict[Tuple[int, int, int], BandedProfile] = {}
         self._hetero_cache: Dict[
-            Tuple[int, int], Tuple[np.ndarray, np.ndarray]
+            Tuple[int, int, Optional[float]], Tuple[np.ndarray, np.ndarray]
         ] = {}
         self.dp_calls = 0
         self.states_evaluated = 0
@@ -358,18 +371,6 @@ class DPContext:
                      *self._hetero_cache.values()):
             arrays.extend(pair)
         return sum(a.nbytes for a in arrays) + self.band_bytes
-
-    # ------------------------------------------------------------------
-    def _count_dp_call(self) -> None:
-        self.dp_calls += 1
-
-    def _count_sweeps(
-        self, states: int, cells: int, checked: int, width: int
-    ) -> None:
-        self.states_evaluated += states
-        self.cells_reduced += cells
-        self.cells_checked += checked
-        self.band_width_max = max(self.band_width_max, width)
 
     # ------------------------------------------------------------------
     def _time_prefix_at(self, bs: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -520,6 +521,27 @@ class DPContext:
         self._range_mats = (IN1, OUT1, PARAMS)
         return self._range_mats
 
+    def stage_specs(
+        self,
+        boundaries: Sequence[int],
+        device_counts: Sequence[int],
+        profiles: Sequence[StageProfile],
+    ) -> List[StageSpec]:
+        """The plan stages of a priced layout (see :meth:`price_layout`)."""
+        return [
+            StageSpec(
+                index=i,
+                block_range=(lo, hi),
+                tasks=self.range_tasks(lo, hi),
+                devices_per_pipeline=devs,
+                microbatch_size=prof.microbatch_size,
+                profile=prof.to_profile_result(),
+            )
+            for i, (lo, hi, devs, prof) in enumerate(
+                zip([0, *boundaries], boundaries, device_counts, profiles)
+            )
+        ]
+
     def range_tasks(self, lo: int, hi: int) -> Tuple[str, ...]:
         tasks: List[str] = []
         seen = set()
@@ -603,58 +625,77 @@ class DPContext:
         return t_f, t_b, memory, in_b, out_b, params
 
     def hetero_tables(self, D: int, R: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Position-dependent capacity/speed tables for a heterogeneous
-        cluster: ``(MINMEM, SLOW)``, both ``(D+1, D+1)``.
-
-        A stage at cumulative-device boundary ``(d', d)`` occupies slot
-        range ``[d', d)`` of every one of the ``R`` contiguous replica
-        bands (the contract of ``allocate_devices``), i.e. global ranks
-        ``r*D + d' .. r*D + d - 1``.  ``MINMEM[d', d]`` is the smallest
-        usable memory over those ranks (the stage must fit its tightest
-        device) and ``SLOW[d', d]`` the largest reference-relative time
-        factor (the stage runs at its slowest device's pace).  ``MINMEM``
-        is further capped by :attr:`memory_budget` when one is set.
-        Cached per ``(D, R)``; requires ``D * R <= cluster.total_devices``.
-        """
-        key = (D, R)
-        cached = self._hetero_cache.get(key)
-        if cached is None:
-            mems = np.asarray(self.cluster.rank_memories())
-            facs = np.asarray(
-                self.cluster.rank_time_factors(self.profiler.precision)
+        """The :func:`slot_tables` of this context's cluster, precision
+        and :attr:`memory_budget`, cached per ``(D, R, budget)``."""
+        key = (D, R, self.memory_budget)
+        if key not in self._hetero_cache:
+            self._hetero_cache[key] = slot_tables(
+                self.cluster, self.profiler.precision, D, R, self.memory_budget
             )
-            if D * R > mems.size:
-                raise ValueError(
-                    f"D*R = {D * R} exceeds the cluster's "
-                    f"{mems.size} devices"
-                )
-            # collapse the replica axis first: slot j of a band maps
-            # to rank r*D + j, and a stage's constraint is the worst
-            # over every replica band it appears in
-            slot_mem = mems[: D * R].reshape(R, D).min(axis=0)
-            slot_fac = facs[: D * R].reshape(R, D).max(axis=0)
-            MINMEM = np.full((D + 1, D + 1), np.inf)
-            SLOW = np.ones((D + 1, D + 1))
-            for dp in range(D):
-                MINMEM[dp, dp + 1:] = np.minimum.accumulate(slot_mem[dp:])
-                SLOW[dp, dp + 1:] = np.maximum.accumulate(slot_fac[dp:])
-            cached = self._hetero_cache[key] = (MINMEM, SLOW)
-        MINMEM, SLOW = cached
-        if self.memory_budget is not None:
-            MINMEM = np.minimum(MINMEM, self.memory_budget)
-        return MINMEM, SLOW
+        return self._hetero_cache[key]
+
+    def price_layout(
+        self,
+        boundaries: Sequence[int],
+        device_counts: Sequence[int],
+        R: int,
+        MB: int,
+        slots: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> Tuple[Optional[DPSolution], Optional[LayoutFailure]]:
+        """Price a fixed layout: stage ``i`` holds blocks ending at
+        ``boundaries[i]`` on ``device_counts[i]`` devices of each of
+        ``R`` pipelines, at ``MB`` microbatches.  Checkpointing is on iff
+        there is more than one stage.  A stage on the slots ``[d', d)``
+        must fit their cap and runs at their slowest device's pace, read
+        off ``slots = (MINMEM, SLOW)`` (:func:`slot_tables`; without it,
+        :attr:`usable_memory` and the reference pace).
+
+        Returns ``(solution, None)`` -- its objective ``max t_f + max
+        t_b`` is the same float as Algorithm 1's running maxima give --
+        or ``(None, failure)`` for the first stage that fails."""
+        checkpointing = len(boundaries) > 1
+        profiles: List[StageProfile] = []
+        lo = dlo = 0
+        for i, (hi, devs) in enumerate(zip(boundaries, device_counts)):
+            prof = self.stage_profile(lo, hi, devs, R, MB, checkpointing)
+            if prof is None:
+                return None, LayoutFailure(i)
+            if slots is None:
+                cap, factor = self.usable_memory, 1.0
+            else:
+                cap = slots[0][dlo, dlo + devs]
+                factor = float(slots[1][dlo, dlo + devs])
+            if prof.memory > cap:
+                return None, LayoutFailure(i, prof.memory, cap)
+            profiles.append(scale_stage_profile(prof, factor))
+            lo = hi
+            dlo += devs
+        max_tf = max(p.time_fwd for p in profiles)
+        max_tb = max(p.time_bwd for p in profiles)
+        return DPSolution(
+            boundaries=list(boundaries),
+            device_counts=list(device_counts),
+            num_microbatches=MB,
+            num_stages=len(boundaries),
+            replica_factor=R,
+            objective=max_tf + max_tb,
+            max_tf=max_tf,
+            max_tb=max_tb,
+            stage_profiles=profiles,
+        ), None
 
     # ------------------------------------------------------------------
     # banded construction (O(band * D) peak memory)
     # ------------------------------------------------------------------
     def profile_bands(
-        self, D: int, R: int, MB: int, checkpointing: bool, span: int
+        self, D: int, R: int, MB: int, span: int
     ) -> BandedProfile:
         """Banded profiles covering stage spans up to ``span`` blocks, or
         up to the widest span that fits :attr:`capacity` when that is
         narrower (every wider stage is over the device on every plane).
 
-        Cached per ``(D, R, MB, checkpointing)`` and grown on demand: a
+        Bands price multi-stage layouts, so checkpointing is on.
+        Cached per ``(D, R, MB)`` and grown on demand: a
         request the cached band does not cover -- wider than it, unless
         the band already holds every span that fits its capacity and the
         capacity has not grown since -- rebuilds it (Algorithm 2 makes
@@ -662,7 +703,7 @@ class DPContext:
         memory budget plays no part, so one band serves every budget.
         """
         span = int(min(max(span, 1), self.k))
-        key = (D, R, MB, checkpointing)
+        key = (D, R, MB)
         capacity = self.capacity
         cached = self._band_cache.get(key)
         if cached is not None and (
@@ -675,7 +716,7 @@ class DPContext:
             if self.metrics is not None:
                 self.metrics.counter("profiler.band_cache_hits").inc()
             return cached
-        band = self._build_bands(D, R, MB, checkpointing, span, capacity)
+        band = self._build_bands(D, R, MB, span, capacity)
         self._band_cache[key] = band
         if self.metrics is not None:
             self.metrics.counter("profiler.band_builds").inc()
@@ -683,13 +724,7 @@ class DPContext:
         return band
 
     def _build_bands(
-        self,
-        D: int,
-        R: int,
-        MB: int,
-        checkpointing: bool,
-        span: int,
-        capacity: float,
+        self, D: int, R: int, MB: int, span: int, capacity: float
     ) -> BandedProfile:
         k = self.k
         bs_list, plane_of_r = self.plane_batch_sizes(D, R, MB)
@@ -707,7 +742,7 @@ class DPContext:
         tb = np.empty((P, k + 1, width))
         mem = np.empty((P, k + 1, width))
         for p, bs in enumerate(bs_list):
-            costs = self._range_costs(lo, hi, bs, MB, checkpointing)
+            costs = self._range_costs(lo, hi, bs, MB, True)
             for out, cost in zip((tf, tb, mem), costs):
                 out[p] = np.where(below, np.inf, cost)
         return BandedProfile(
@@ -745,6 +780,47 @@ class DPContext:
         act_factor = self.profiler.precision.activation_bytes_factor
         floor = static + saved * bs * act_factor
         return _widest_fit(floor, capacity, spans)
+
+
+def slot_tables(
+    cluster: "ClusterSpec",
+    precision: "Precision",
+    D: int,
+    R: int,
+    memory_budget: Optional[float] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Position-dependent capacity/speed tables: ``(MINMEM, SLOW)``,
+    both ``(D+1, D+1)``.
+
+    A stage at cumulative-device boundary ``(d', d)`` occupies slot
+    range ``[d', d)`` of every one of the ``R`` contiguous replica bands
+    (the contract of ``allocate_devices``), i.e. global ranks ``r*D +
+    d' .. r*D + d - 1``.  ``MINMEM[d', d]`` is the smallest usable
+    memory over those ranks (the stage must fit its tightest device),
+    further capped by ``memory_budget`` when one is set, and ``SLOW[d',
+    d]`` the largest reference-relative time factor at ``precision``
+    (the stage runs at its slowest device's pace).  Requires ``D * R <=
+    cluster.total_devices``.
+    """
+    mems = np.asarray(cluster.rank_memories())
+    facs = np.asarray(cluster.rank_time_factors(precision))
+    if D * R > mems.size:
+        raise ValueError(
+            f"D*R = {D * R} exceeds the cluster's {mems.size} devices"
+        )
+    # collapse the replica axis first: slot j of a band maps to rank
+    # r*D + j, and a stage's constraint is the worst over every replica
+    # band it appears in
+    slot_mem = mems[: D * R].reshape(R, D).min(axis=0)
+    slot_fac = facs[: D * R].reshape(R, D).max(axis=0)
+    MINMEM = np.full((D + 1, D + 1), np.inf)
+    SLOW = np.ones((D + 1, D + 1))
+    for dp in range(D):
+        MINMEM[dp, dp + 1:] = np.minimum.accumulate(slot_mem[dp:])
+        SLOW[dp, dp + 1:] = np.maximum.accumulate(slot_fac[dp:])
+    if memory_budget is not None:
+        MINMEM = np.minimum(MINMEM, memory_budget)
+    return MINMEM, SLOW
 
 
 def _rectangle_sums(k: int, rects: Tuple[np.ndarray, ...], dtype) -> np.ndarray:
@@ -1081,14 +1157,15 @@ def form_stage_dp(
     over the bounds of the smallest ``S >= s`` in it, holds ``V[S, |B|,
     D]`` for every ``S`` at once: an Algorithm-2 node level costs one
     call per ``(D, R, MB)`` instead of one per ``(S, MB)``.  ``S = 1``
-    is the exception: a lone stage runs without activation
-    checkpointing, so its profiles differ and it gets a one-stage table
-    of its own.  One call is one DP call in the counters, whatever the
-    range.  The ``d_min`` replay scans each stage over the sweep's
-    bounds, which for a larger ``S`` are wider than its own DP's; the
-    extra cells can only prune memory dead ends, which DESIGN.md D1b
-    argues are lossless, and the equivalence tests hold every ``S`` of
-    a sweep to the per-stage-count reference.
+    needs no table: a lone stage has one layout, blocks ``(0, |B|]`` on
+    all ``D`` devices, run without activation checkpointing, so
+    :meth:`DPContext.price_layout` prices it as it stands (one visited
+    state) and the table starts at ``S = 2``.  One call is one DP call
+    in the counters, whatever the range.  The ``d_min`` replay scans
+    each stage over the sweep's bounds, which for a larger ``S`` are
+    wider than its own DP's; the extra cells can only prune memory dead
+    ends, which DESIGN.md D1b argues are lossless, and the equivalence
+    tests hold every ``S`` of a sweep to the per-stage-count reference.
 
     The transition for every ``(b, d)`` cell of one stage is evaluated
     as a tensor reduction over the banded profiles: the loop runs over
@@ -1151,23 +1228,26 @@ def _form_stage_dp_body(
         if sp is not None:
             sp.set(feasible=False, reason="stage count out of range")
         return results
-    ctx._count_dp_call()
+    ctx.dp_calls += 1
+    # on a heterogeneous cluster the memory cap and stage speed depend on
+    # WHICH cumulative-device slots [d', d) a stage lands on
+    slots = ctx.hetero_tables(D, R) if ctx.cluster.is_heterogeneous else None
     states = cells = checked = width = 0
-    tables = []
     if lo == 1:
-        tables.append((1, 1, False))
+        # a lone stage has one layout, blocks (0, k] on all D devices:
+        # one state, priced without checkpointing
+        results[1], _ = ctx.price_layout([ctx.k], [D], R, MB, slots)
+        states = 1
         lo = 2
     if lo <= hi:
-        tables.append((lo, hi, True))
-    for s_lo, s_hi, checkpointing in tables:
-        t_states, t_cells, t_checked, t_width = _sweep_table(
-            ctx, s_lo, s_hi, D, R, MB, checkpointing, dmin_pruning, results
+        t_states, cells, checked, width = _sweep_table(
+            ctx, lo, hi, D, R, MB, slots, dmin_pruning, results
         )
         states += t_states
-        cells += t_cells
-        checked += t_checked
-        width = max(width, t_width)
-    ctx._count_sweeps(states, cells, checked, width)
+    ctx.states_evaluated += states
+    ctx.cells_reduced += cells
+    ctx.cells_checked += checked
+    ctx.band_width_max = max(ctx.band_width_max, width)
     feasible = [s for s, sol in results.items() if sol is not None]
     if metrics is not None:
         metrics.counter("dp.calls").inc()
@@ -1242,43 +1322,43 @@ def _sweep_table(
     D: int,
     R: int,
     MB: int,
-    checkpointing: bool,
+    slots: Optional[Tuple[np.ndarray, np.ndarray]],
     dmin_pruning: bool,
     results: Dict[int, Optional[DPSolution]],
-) -> Tuple[int, int, int]:
-    """Fill one Algorithm-1 table up to ``s_hi`` stages, store the
-    solution of every ``S`` in ``[s_lo, s_hi]`` into ``results`` and
-    return the visited-state count, the candidate cells float-reduced
-    and boolean-checked, and the slab width.
+) -> Tuple[int, int, int, int]:
+    """Fill one Algorithm-1 table up to ``s_hi`` stages (``s_lo >= 2``),
+    store the solution of every ``S`` in ``[s_lo, s_hi]`` into
+    ``results`` and return the visited-state count, the candidate cells
+    float-reduced and boolean-checked, and the slab width.  ``slots``:
+    see :meth:`DPContext.price_layout`.
 
     Each stage float-reduces only the rows that can still reach block
     ``k`` in the ``s_hi - s`` stages left, each at most the slab width
     wide (:func:`_band_stage`).  Rows below that backward bound are
     boolean-checked when the ``d_min`` replay runs, so they can be
     feasible without a value: feasibility lives in its own table
-    ``ok[s]`` (the written cells of the replay), not in ``isfinite(V)``.
+    ``ok[s]`` (the written cells of the replay).  Row ``k`` is always
+    float-reduced, so ``ok[S, k, D]`` holds exactly the answers, each
+    priced from its backtracked layout (:meth:`DPContext.price_layout`).
     """
     k = ctx.k
-    hetero = None
-    if ctx.cluster.is_heterogeneous:
-        # the memory cap and stage speed depend on WHICH cumulative-device
-        # slots [d', d) a stage lands on (applied per d' column).  The
-        # d_min rule is off: feasibility is no longer monotone in d once
-        # a class boundary sits inside the slot range.
-        hetero = ctx.hetero_tables(D, R)
+    if slots is not None:
+        # the slot tables apply per d' column.  The d_min rule is off:
+        # feasibility is no longer monotone in d once a class boundary
+        # sits inside the slot range.
         dmin_pruning = False
     # every stage that can still reach (S, k, D) for some S >= s_lo spans
     # at most k - s_lo + 1 blocks (nb never grows along the sweep)
     nb_max = k - s_lo + 1
-    bands = ctx.profile_bands(D, R, MB, checkpointing, nb_max)
+    bands = ctx.profile_bands(D, R, MB, nb_max)
     # likewise a stage spans at most D - s_lo + 1 devices: the planes of
     # larger replica counts (a suffix, as bs falls with r) are never read
     n_planes = int(bands.plane_of_r[1:D - s_lo + 2].max(initial=-1)) + 1
-    if hetero is None:
+    if slots is None:
         cap = ctx.usable_memory
     else:
         # the largest per-slot cap (budget included) bounds every slot's
-        cap = float(hetero[0][np.isfinite(hetero[0])].max())
+        cap = float(slots[0][np.isfinite(slots[0])].max())
     over = bands.mem[:n_planes] > cap
     # every stage wider than the band is over the cap too: the band was
     # sized for a capacity of at least ``cap``
@@ -1286,7 +1366,7 @@ def _sweep_table(
     over = over[:, :, :width]
     tbv = bands.tb[:n_planes, :, :width]
     memv = bands.mem[:n_planes, :, :width]
-    if hetero is None:
+    if slots is None:
         tfp = np.where(over, np.inf, bands.tf[:n_planes, :, :width])
     else:
         # capped per (d', d) column instead
@@ -1298,9 +1378,8 @@ def _sweep_table(
 
     INF = np.inf
     shape = (s_hi + 1, k + 1, D + 1)
-    V = np.full(shape, INF)
-    # feasibility apart from V: rows the boolean pass checks are feasible
-    # without a value
+    # feasibility apart from the values: rows the boolean pass checks
+    # are feasible without one
     ok = np.zeros(shape, dtype=bool)
     tf = np.zeros(shape)
     tb = np.zeros(shape)
@@ -1308,7 +1387,6 @@ def _sweep_table(
     parent_d = np.full(shape, -1, dtype=np.int64)
     # deviation from the pseudocode's blanket V[0, b, d] = 0 (see module
     # docstring): only the empty prefix is a valid 0-stage state.
-    V[0, 0, 0] = 0.0
     ok[0, 0, 0] = True
 
     states = cells = n_checked = 0
@@ -1331,7 +1409,7 @@ def _sweep_table(
         # no stage is wider than the slab, so a row below b_back cannot
         # reach block k in the s_hi - s stages left
         s_cells, s_checked = _band_stage(
-            tfp, tbv, memv, ovp, fitp, bands.plane_of_r, hetero,
+            tfp, tbv, memv, ovp, fitp, bands.plane_of_r, slots,
             ok[s - 1], tf[s - 1], tb[s - 1], s, b_hi, d_hi,
             k - (s_hi - s) * width,
             best, best_tf, best_tb, best_bp, best_dp, memf, bsf, checked,
@@ -1350,14 +1428,13 @@ def _sweep_table(
         states += visited
 
         written = ok[s] = keep & fin
-        V[s] = np.where(written, best, INF)
         tf[s] = np.where(written, best_tf, 0.0)
         tb[s] = np.where(written, best_tb, 0.0)
         parent_b[s] = np.where(written, best_bp, -1)
         parent_d[s] = np.where(written, best_dp, -1)
 
     for S in range(s_lo, s_hi + 1):
-        if not np.isfinite(V[S, k, D]):
+        if not ok[S, k, D]:
             continue
         # reconstruct boundaries / device counts
         boundaries: List[int] = []
@@ -1371,30 +1448,8 @@ def _sweep_table(
         assert (b, d) == (0, 0), "DP backtrack did not land on the origin"
         boundaries.reverse()
         device_counts.reverse()
-
-        profiles: List[StageProfile] = []
-        lo = 0
-        dlo = 0
-        for hi, devs in zip(boundaries, device_counts):
-            prof = ctx.stage_profile(lo, hi, devs, R, MB, checkpointing)
-            assert prof is not None
-            if hetero is not None:
-                prof = scale_stage_profile(
-                    prof, float(hetero[1][dlo, dlo + devs])
-                )
-            profiles.append(prof)
-            lo = hi
-            dlo += devs
-
-        results[S] = DPSolution(
-            boundaries=boundaries,
-            device_counts=device_counts,
-            num_microbatches=MB,
-            num_stages=S,
-            replica_factor=R,
-            objective=float(V[S, k, D]),
-            max_tf=float(tf[S, k, D]),
-            max_tb=float(tb[S, k, D]),
-            stage_profiles=profiles,
+        results[S], failure = ctx.price_layout(
+            boundaries, device_counts, R, MB, slots
         )
+        assert failure is None, "the DP kept a layout that does not fit"
     return states, cells, n_checked, width

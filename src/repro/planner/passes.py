@@ -33,7 +33,7 @@ from repro.partitioner.allocation import allocate_devices, boundary_report
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import BlockPartitioner
 from repro.partitioner.deployment import graph_fingerprint
-from repro.partitioner.plan import PartitionPlan, StageSpec
+from repro.partitioner.plan import PartitionPlan
 from repro.partitioner.search import form_stage
 from repro.partitioner.stage_dp import DPContext
 from repro.pipeline.hybrid import evaluate_plan
@@ -248,23 +248,9 @@ class AllocatePass(PlannerPass):
         result = ctx.require(SEARCH_RESULT)
         dp_ctx = ctx.require(DP_CONTEXT)
         sol = result.solution
-        stages = []
-        lo = 0
-        for i, (hi, devs) in enumerate(
-            zip(sol.boundaries, sol.device_counts)
-        ):
-            prof = sol.stage_profiles[i]
-            stages.append(
-                StageSpec(
-                    index=i,
-                    block_range=(lo, hi),
-                    tasks=dp_ctx.range_tasks(lo, hi),
-                    devices_per_pipeline=devs,
-                    microbatch_size=prof.microbatch_size,
-                    profile=prof.to_profile_result(),
-                )
-            )
-            lo = hi
+        stages = dp_ctx.stage_specs(
+            sol.boundaries, sol.device_counts, sol.stage_profiles
+        )
         assignment = allocate_devices(
             ctx.cluster,
             sol.device_counts,

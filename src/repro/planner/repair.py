@@ -40,8 +40,8 @@ from repro.comm.topology import NetworkTopology
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
 from repro.partitioner.allocation import allocate_devices
-from repro.partitioner.plan import PartitionPlan, StageSpec
-from repro.partitioner.stage_dp import scale_stage_profile
+from repro.partitioner.plan import PartitionPlan
+from repro.partitioner.stage_dp import slot_tables
 from repro.pipeline.hybrid import evaluate_plan
 from repro.planner.context import (
     BLOCKS,
@@ -270,63 +270,32 @@ def _inplace_plan(
     R_new = total // D
     if R_new < 1:
         return None, f"pipeline needs {D} devices, {total} remain"
-    S = prev_plan.num_stages
-    checkpointing = S > 1
     config = prev_context.config
-
-    # per-slot capacity / speed under the new cluster: slot j of every
-    # replica band maps to ranks {rep * D + j}, and a stage occupying
-    # slots [dlo, dhi) is capped by the weakest and paced by the slowest
-    mems = new_cluster.rank_memories()
-    facs = new_cluster.rank_time_factors(prev_plan.precision)
-    slot_mem = [
-        min(mems[rep * D + j] for rep in range(R_new)) for j in range(D)
-    ]
-    slot_fac = [
-        max(facs[rep * D + j] for rep in range(R_new)) for j in range(D)
-    ]
-    if config.memory_budget is not None:
-        slot_mem = [min(m, config.memory_budget) for m in slot_mem]
+    # per-slot capacity / speed under the new cluster
+    slots = slot_tables(
+        new_cluster, prev_plan.precision, D, R_new, config.memory_budget
+    )
+    boundaries = [s.block_range[1] for s in prev_plan.stages]
+    device_counts = [s.devices_per_pipeline for s in prev_plan.stages]
 
     def build(MB: int) -> Tuple[Optional[PartitionPlan], str]:
-        stages: List[StageSpec] = []
-        device_counts: List[int] = []
-        lo = 0
-        dlo = 0
-        for old_stage in prev_plan.stages:
-            hi = old_stage.block_range[1]
-            devs = old_stage.devices_per_pipeline
-            prof = dp_ctx.stage_profile(
-                lo, hi, devs, R_new, MB, checkpointing
-            )
-            if prof is None:
+        priced, failure = dp_ctx.price_layout(
+            boundaries, device_counts, R_new, MB, slots
+        )
+        if failure is not None:
+            if failure.memory is None:
                 return None, (
-                    f"stage {old_stage.index}: microbatch collapses at "
+                    f"stage {failure.stage}: microbatch collapses at "
                     f"R={R_new}"
                 )
-            cap = min(slot_mem[dlo : dlo + devs])
-            factor = max(slot_fac[dlo : dlo + devs])
-            if prof.memory > cap:
-                return None, (
-                    f"stage {old_stage.index}: "
-                    f"{prof.memory / 2**30:.2f} GiB exceeds "
-                    f"{cap / 2**30:.2f} GiB on surviving devices"
-                )
-            prof = scale_stage_profile(prof, factor)
-            stages.append(
-                StageSpec(
-                    index=old_stage.index,
-                    block_range=(lo, hi),
-                    tasks=dp_ctx.range_tasks(lo, hi),
-                    devices_per_pipeline=devs,
-                    microbatch_size=prof.microbatch_size,
-                    profile=prof.to_profile_result(),
-                )
+            return None, (
+                f"stage {failure.stage}: "
+                f"{failure.memory / 2**30:.2f} GiB exceeds "
+                f"{failure.cap / 2**30:.2f} GiB on surviving devices"
             )
-            device_counts.append(devs)
-            lo = hi
-            dlo += devs
-
+        stages = dp_ctx.stage_specs(
+            boundaries, device_counts, priced.stage_profiles
+        )
         assignment = allocate_devices(
             new_cluster,
             device_counts,

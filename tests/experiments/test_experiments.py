@@ -125,7 +125,7 @@ class TestCoarseningAblation:
         assert row.ablated_dp_states == 55680
         assert row.full_throughput == 171.96355326283134
         # both sides count visited DP states, not DP calls
-        assert row.full_dp_states == 8431
+        assert row.full_dp_states == 6815
 
     def test_dnf_marker(self):
         rows = run_coarsening_ablation(layer_counts=(96,), state_budget=1000)

@@ -175,10 +175,11 @@ class TestCutIsLossless:
             range(1, 5), 4, 1, (1, 2, 4),
         )
         if mode == "training":
-            # S_min = 1 and 2 sweeps: their stages could span 8 and 7
-            # blocks, but no stage that wide fits
+            # the S >= 2 table's stages could span k - 1 blocks (a lone
+            # stage is priced without a band), but no stage that wide
+            # fits
             assert ctx.band_width_max < ctx.k - 1
-            assert full.band_width_max == ctx.k
+            assert full.band_width_max == ctx.k - 1
             assert ctx.cells_reduced < full.cells_reduced
             spans = [b.span for b in ctx._band_cache.values()]
             assert max(spans) < ctx.k - 1
@@ -189,10 +190,10 @@ class TestCutIsLossless:
             lambda: make_ctx(graph, cluster_with(1 << 30)),
             range(1, 5), 4, 1, (1, 2, 4), budget=2.5 * MIB,
         )
-        # bands as wide as the sweeps' spans: S = 1 and S >= 2 tables
+        # bands as wide as the S >= 2 table's spans
         bands = ctx._band_cache.values()
         assert {b.fit_width for b in bands} == {ctx.k}
-        assert {b.span for b in bands} == {ctx.k, ctx.k - 1}
+        assert {b.span for b in bands} == {ctx.k - 1}
         assert ctx.band_width_max < ctx.k - 1
         assert ctx.cells_reduced < full.cells_reduced
 
@@ -241,21 +242,18 @@ class TestWidthIsSound:
         frac=st.floats(min_value=0.05, max_value=1.2),
         D=st.integers(min_value=1, max_value=4),
         MB=st.sampled_from([1, 2, 4]),
-        checkpointing=st.booleans(),
         mode=st.sampled_from(["training", "inference"]),
     )
-    def test_no_stage_past_the_width_fits(
-        self, seed, frac, D, MB, checkpointing, mode
-    ):
+    def test_no_stage_past_the_width_fits(self, seed, frac, D, MB, mode):
         """Every valid entry wider than the band's ``fit_width`` is over
         the capacity, on every plane, and the band stops there."""
         graph = build_random_dag(seed=seed, num_nodes=14)
         cap = frac * whole_model_memory(graph, mode, batch_size=32)
         ctx = make_ctx(graph, cluster_with(cap), batch_size=32, mode=mode)
-        band = ctx.profile_bands(D, 1, MB, checkpointing, ctx.k)
+        band = ctx.profile_bands(D, 1, MB, ctx.k)
         assert band.capacity == ctx.capacity
         assert band.span == max(1, min(ctx.k, band.fit_width))
-        _, _, MEM = profile_tensors_reference(ctx, D, 1, MB, checkpointing)
+        _, _, MEM = profile_tensors_reference(ctx, D, 1, MB, True)
         for r in range(1, D + 1):
             for lo in range(ctx.k):
                 for hi in range(lo + 1 + band.fit_width, ctx.k + 1):
@@ -276,7 +274,7 @@ class TestWidthIsSound:
         that width, and nothing wider does."""
         graph = build_mlp((64, 256, 256, 256, 256, 64))
         ctx = make_ctx(graph, cluster_with(1 << 30))
-        band = ctx.profile_bands(4, 1, 2, True, ctx.k)
+        band = ctx.profile_bands(4, 1, 2, ctx.k)
         cap = 2.5 * MIB
         over = band.mem > cap
         w = stage_dp._slab_width(over, ctx.k)
@@ -310,7 +308,7 @@ class TestReusedContext:
             ctx.rebind(cluster, metrics=m, memory_budget=budget)
             assert self.answer(ctx) == self.fresh(cluster, budget), budget
         # the budget never rebuilds a band: one build per key
-        assert m.counter("profiler.band_builds").value == 2 * len(self.MBS)
+        assert m.counter("profiler.band_builds").value == len(self.MBS)
 
     def test_rebind_to_larger_capacity_rebuilds_wider(self):
         small, large = cluster_with(2.0 * MIB), cluster_with(3.5 * MIB)
@@ -338,3 +336,14 @@ class TestReusedContext:
         assert self.answer(ctx) == self.fresh(small)
         assert m2.counter("profiler.band_builds").value == 0
         assert m2.counter("profiler.band_cache_hits").value > 0
+
+    def test_one_band_per_key(self):
+        # the S >= 2 table of each sweep builds the one band of its
+        # (D, R, MB); the lone stage reads none
+        ctx = make_ctx(self.GRAPH, cluster_with(4 * MIB))
+        self.answer(ctx)
+        assert sorted(ctx._band_cache) == [(4, 1, MB) for MB in self.MBS]
+        alone = make_ctx(self.GRAPH, cluster_with(4 * MIB))
+        run_sweeps(alone, range(1, 2), 4, 1, self.MBS)
+        assert alone._band_cache == {}
+        assert alone.states_evaluated == len(self.MBS)

@@ -109,13 +109,13 @@ class TestBandedConstruction:
         D=st.integers(min_value=1, max_value=4),
         R=st.integers(min_value=1, max_value=2),
         MB=st.sampled_from([1, 2, 4]),
-        checkpointing=st.booleans(),
     )
-    def test_bands_match_reference(self, seed, D, R, MB, checkpointing):
+    def test_bands_match_reference(self, seed, D, R, MB):
         ctx = make_ctx(seed=seed, k=5, batch_size=16)
         span = ctx.k  # widest possible band: covers every (lo, hi]
-        bands = ctx.profile_bands(D, R, MB, checkpointing, span)
-        TF, TB, MEM = profile_tensors_reference(ctx, D, R, MB, checkpointing)
+        bands = ctx.profile_bands(D, R, MB, span)
+        # bands price multi-stage layouts: checkpointing is on
+        TF, TB, MEM = profile_tensors_reference(ctx, D, R, MB, True)
         for r in range(1, D + 1):
             p = int(bands.plane_of_r[r])
             if p < 0:
@@ -142,18 +142,18 @@ class TestBandedConstruction:
         ctx = make_ctx()
         m = MetricsRegistry()
         ctx.metrics = m
-        narrow = ctx.profile_bands(4, 1, 2, True, 2)
+        narrow = ctx.profile_bands(4, 1, 2, 2)
         assert narrow.span == 2
-        wide = ctx.profile_bands(4, 1, 2, True, 4)
+        wide = ctx.profile_bands(4, 1, 2, 4)
         assert wide.span == 4
-        again = ctx.profile_bands(4, 1, 2, True, 3)  # narrower: cache hit
+        again = ctx.profile_bands(4, 1, 2, 3)  # narrower: cache hit
         assert again is wide
         assert m.counter("profiler.band_builds").value == 2
         assert m.counter("profiler.band_cache_hits").value == 1
 
     def test_plane_dedup_by_microbatch(self):
         ctx = make_ctx(batch_size=32)
-        bands = ctx.profile_bands(4, 1, 4, False, ctx.k)
+        bands = ctx.profile_bands(4, 1, 4, ctx.k)
         # bs = 32 // (4 * r) = 8, 4, 2, 2 -> r=3 and r=4 share a plane
         assert bands.plane_of_r[3] == bands.plane_of_r[4]
         assert len(bands.bs_list) == len(set(bands.bs_list))
@@ -196,7 +196,7 @@ class TestEngineBitIdentity:
         assert results["default"] == results["one_plane"]
         # the one-plane passes really split the columns: batch 64 at MB=2
         # gives a plane per replica count
-        bands = ctx.profile_bands(4, 1, 2, True, ctx.k)
+        bands = ctx.profile_bands(4, 1, 2, ctx.k)
         assert len(bands.bs_list) > 1
 
 

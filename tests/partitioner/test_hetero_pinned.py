@@ -11,9 +11,15 @@ Algorithm 1 end to end: the V100/A100 ``mixed_cluster`` with and
 without a straggling V100 class, and ``tiny_mixed_cluster`` with a
 memory-starved small class, each with and without a memory budget.
 
-Regenerate the fixture only for a change that is meant to alter plans::
+Update only the fields a change is meant to move, by name, in every
+scenario that has them::
 
-    PYTHONPATH=src python tests/partitioner/test_hetero_pinned.py --write
+    PYTHONPATH=src python -m tests.partitioner.test_hetero_pinned \\
+        --write states_evaluated
+
+The script prints every field of every scenario against the committed
+fixture and writes only the named fields; it refuses to write when any
+other field of any scenario changed too (:mod:`tests.pinning`).
 """
 
 import json
@@ -25,6 +31,7 @@ import pytest
 from repro.hardware import mixed_cluster, tiny_mixed_cluster
 from repro.models import BertConfig, build_bert, build_mlp
 from repro.partitioner import PartitioningError, auto_partition
+from tests.pinning import updated_scenarios, write_fixture
 
 FIXTURE = (
     Path(__file__).resolve().parents[1] / "data" / "pinned_hetero_plans.json"
@@ -133,9 +140,34 @@ def test_plan_matches_pinned(name):
     assert _snapshot(name) == PINNED[name]
 
 
+def test_write_takes_only_the_named_fields():
+    pinned = {
+        "a": {"feasible": True, "dp_calls": 7, "states_evaluated": 10},
+        "b": {"feasible": False},
+    }
+    fresh = {"a": dict(pinned["a"], states_evaluated=8), "b": pinned["b"]}
+    assert updated_scenarios(pinned, fresh, ["states_evaluated"]) == fresh
+    with pytest.raises(ValueError, match="a: other field.*dp_calls"):
+        updated_scenarios(
+            pinned,
+            {"a": dict(fresh["a"], dp_calls=6), "b": pinned["b"]},
+            ["states_evaluated"],
+        )
+    with pytest.raises(ValueError, match="b: other field.*feasible"):
+        updated_scenarios(
+            pinned, {"a": fresh["a"], "b": {"feasible": True}},
+            ["states_evaluated"],
+        )
+    with pytest.raises(ValueError, match="unknown"):
+        updated_scenarios(pinned, fresh, ["states"])
+    with pytest.raises(ValueError, match="scenario set"):
+        updated_scenarios(pinned, {"a": fresh["a"]}, ["states_evaluated"])
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_hetero_pinned.py --write")
-    snapshot = {name: _snapshot(name) for name in sorted(SCENARIOS)}
-    FIXTURE.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(snapshot)} scenarios to {FIXTURE}")
+    write_fixture(
+        FIXTURE,
+        lambda: {name: _snapshot(name) for name in sorted(SCENARIOS)},
+        sys.argv[1:],
+        scenarios=True,
+    )

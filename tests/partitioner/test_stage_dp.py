@@ -5,16 +5,18 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.hardware import paper_cluster, tiny_cluster
+from repro.hardware import paper_cluster, tiny_cluster, tiny_mixed_cluster
 from repro.models import BertConfig, build_bert, build_mlp
+from repro.models.random_dag import build_random_dag
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import block_partition
 from repro.partitioner.stage_dp import DPContext, form_stage_dp
 from repro.profiler import GraphProfiler
 from tests.partitioner.oracles import reference_form_stage_dp
+from tests.partitioner.test_band_width import cluster_with, solution_key
 
 
 def make_ctx(graph=None, k=6, batch_size=32, cluster=None):
@@ -189,3 +191,70 @@ class TestOnBert:
         assert sol is not None
         assert len(sol.boundaries) == 4
         assert sum(sol.device_counts) == 8
+
+
+KIB = 2**10
+
+
+class TestOneStageAnswer:
+    """``S = 1`` has one layout, blocks ``(0, k]`` on all ``D`` devices,
+    priced without checkpointing and without a table; it must still be
+    Algorithm 1's answer."""
+
+    BS = 16
+
+    @staticmethod
+    def ctx_for(seed, kib, hetero, budget_kib):
+        graph = build_random_dag(seed=seed, num_nodes=12)
+        if hetero:
+            cluster = tiny_mixed_cluster(
+                small_memory_bytes=int(kib * KIB),
+                big_memory_bytes=int(8 * kib * KIB),
+                straggler_factor=1.5,
+            )
+        else:
+            cluster = cluster_with(kib * KIB)
+        ctx, _ = make_ctx(graph, k=5, batch_size=16, cluster=cluster)
+        ctx.set_memory_budget(
+            None if budget_kib is None else budget_kib * KIB
+        )
+        return ctx
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2_000),
+        D=st.integers(min_value=1, max_value=4),
+        R=st.sampled_from([1, 2]),
+        MB=st.sampled_from([1, 2, 4, 8]),
+        kib=st.floats(min_value=4.0, max_value=128.0),
+        hetero=st.booleans(),
+        budget_kib=st.one_of(st.none(), st.floats(4.0, 128.0)),
+    )
+    @example(seed=0, D=4, R=2, MB=8, kib=128.0, hetero=False, budget_kib=None)
+    @example(seed=0, D=1, R=1, MB=1, kib=4.0, hetero=False, budget_kib=None)
+    @example(seed=0, D=4, R=2, MB=1, kib=32.0, hetero=True, budget_kib=8.0)
+    def test_matches_reference(self, seed, D, R, MB, kib, hetero,
+                               budget_kib):
+        ctx = self.ctx_for(seed, kib, hetero, budget_kib)
+        got = form_stage_dp(ctx, 1, D, self.BS, R, MB)
+        ref = reference_form_stage_dp(ctx, 1, D, self.BS, R, MB)
+        assert solution_key(got) == solution_key(ref)
+
+    def test_covers_collapse_memory_and_slots(self):
+        # R * MB * D > BS: the microbatch collapses
+        ctx = self.ctx_for(0, 128.0, False, None)
+        assert ctx.stage_profile(0, ctx.k, 4, 2, 8, False) is None
+        assert form_stage_dp(ctx, 1, 4, self.BS, 2, 8) is None
+        # over the cap on every device count
+        ctx = self.ctx_for(0, 4.0, False, None)
+        assert ctx.stage_profile(0, ctx.k, 1, 1, 1, False) is not None
+        assert form_stage_dp(ctx, 1, 1, self.BS, 1, 1) is None
+        # heterogeneous: the budget, not the devices, decides, and the
+        # answer runs at the straggler's pace
+        roomy = self.ctx_for(0, 128.0, True, None)
+        sol = form_stage_dp(roomy, 1, 4, self.BS, 2, 1)
+        plain = roomy.stage_profile(0, roomy.k, 4, 2, 1, False)
+        assert sol.stage_profiles[0].time_fwd == plain.time_fwd * 1.5
+        assert sol.objective == sol.max_tf + sol.max_tb
+        capped = self.ctx_for(0, 128.0, True, plain.memory / KIB / 2)
+        assert form_stage_dp(capped, 1, 4, self.BS, 2, 1) is None

@@ -49,13 +49,13 @@ def make_ctx(k=6, batch_size=32, num_nodes=1, devices_per_node=4,
     return DPContext(graph, blocks, profiler, batch_size)
 
 
-def dense_bands(ctx, D, R, MB, ckpt):
-    """The full-width bands of ``ctx`` scattered into the dense ``(k+1,
-    k+1, D+1)`` layout of :func:`profile_tensors_reference`: entry ``[lo,
-    hi, r]`` profiles blocks ``(lo, hi]`` on ``r`` replicas, +inf where
-    there is no stage."""
+def dense_bands(ctx, D, R, MB):
+    """The full-width (checkpointed) bands of ``ctx`` scattered into the
+    dense ``(k+1, k+1, D+1)`` layout of :func:`profile_tensors_reference`:
+    entry ``[lo, hi, r]`` profiles blocks ``(lo, hi]`` on ``r`` replicas,
+    +inf where there is no stage."""
     k = ctx.k
-    bands = ctx.profile_bands(D, R, MB, ckpt, k)
+    bands = ctx.profile_bands(D, R, MB, k)
     dense = [np.full((k + 1, k + 1, D + 1), np.inf) for _ in range(3)]
     hi, lo = np.broadcast_arrays(
         np.arange(k + 1)[:, None],
@@ -69,6 +69,18 @@ def dense_bands(ctx, D, R, MB, ckpt):
         for out, band in zip(dense, (bands.tf, bands.tb, bands.mem)):
             out[lo[valid], hi[valid], r] = band[p][valid]
     return dense
+
+
+def kernel_tensors(ctx, D, R, MB, ckpt):
+    """What ``ctx`` prices every ``(lo, hi, r)`` stage at, in the dense
+    layout of :func:`dense_bands`: its bands with checkpointing, its
+    scalar ``stage_profile`` without (only a one-stage layout is priced
+    so, never a band)."""
+    if ckpt:
+        return dense_bands(ctx, D, R, MB)
+    return profile_tensors_reference(
+        ctx, D, R, MB, False, stage_profile=type(ctx).stage_profile
+    )
 
 
 def solution_key(sol):
@@ -194,7 +206,7 @@ class TestProfileTensors:
     )
     def test_vectorized_matches_per_entry(self, D, R, MB, ckpt):
         ctx = make_ctx()
-        fast = dense_bands(ctx, D, R, MB, ckpt)
+        fast = kernel_tensors(ctx, D, R, MB, ckpt)
         slow = profile_tensors_reference(ctx, D, R, MB, ckpt)
         for a, b in zip(fast, slow):
             assert np.array_equal(a, b)  # bit-exact, inf pattern included
@@ -204,9 +216,9 @@ class TestProfileTensors:
         ctx = make_ctx()
         form_stage_dp(ctx, 2, 4, 32, 1, 2)
         (key, bands), = ctx._band_cache.items()
-        assert key == (4, 1, 2, True)
-        assert bands is ctx.profile_bands(4, 1, 2, True, ctx.k - 1)
-        TF, TB, MEM = dense_bands(ctx, 4, 1, 2, True)
+        assert key == (4, 1, 2)
+        assert bands is ctx.profile_bands(4, 1, 2, ctx.k - 1)
+        TF, TB, MEM = dense_bands(ctx, 4, 1, 2)
         ref = profile_tensors_reference(ctx, 4, 1, 2, True)
         assert np.array_equal(TF, ref[0])
         assert np.array_equal(TB, ref[1])
@@ -216,9 +228,9 @@ class TestProfileTensors:
         # one band build per key, whatever the memory budget: the cap is
         # applied per sweep, never baked into a cache
         ctx = make_ctx()
-        a = ctx.profile_bands(4, 1, 2, True, ctx.k)
+        a = ctx.profile_bands(4, 1, 2, ctx.k)
         ctx.set_memory_budget(1.0)
-        b = ctx.profile_bands(4, 1, 2, True, ctx.k)
+        b = ctx.profile_bands(4, 1, 2, ctx.k)
         assert a is b
 
     def test_range_costs_override_used(self):
@@ -239,19 +251,27 @@ class TestProfileTensors:
 
         base = make_ctx()
         ctx = Doubled(base.graph, base.blocks, base.profiler, base.batch_size)
-        TF, _, _ = dense_bands(ctx, 4, 1, 1, False)
+        TF, _, _ = dense_bands(ctx, 4, 1, 1)
         ref = profile_tensors_reference(
-            ctx, 4, 1, 1, False, stage_profile=doubled_reference
+            ctx, 4, 1, 1, True, stage_profile=doubled_reference
         )
         assert np.array_equal(TF, ref[0])  # the subclass's doubled times
-        assert not np.array_equal(TF, dense_bands(base, 4, 1, 1, False)[0])
-        bands = ctx.profile_bands(4, 1, 1, False, ctx.k)
+        assert not np.array_equal(TF, dense_bands(base, 4, 1, 1)[0])
+        bands = ctx.profile_bands(4, 1, 1, ctx.k)
         assert bands.tf[0, ctx.k, ctx.k - 1] == ref[0][0, ctx.k, 1]
-        # and the DP table is filled from them: one stage on one device
-        # over all blocks carries the doubled forward time, and so does
-        # the profile the backtrack attaches to it
+        # and the DP table is filled from them: two stages on one device
+        # each carry the doubled forward times, and so do the profiles
+        # the backtrack attaches to them
+        sol = form_stage_dp(ctx, 2, 2, 32, 1, 1)
+        lo, hi = 0, sol.boundaries[0]
+        assert sol.stage_profiles[0].time_fwd == ref[0][lo, hi, 1]
+        assert sol.max_tf == max(p.time_fwd for p in sol.stage_profiles)
+        # a lone stage over all blocks is priced by the same kernel
+        one = profile_tensors_reference(
+            ctx, 1, 1, 1, False, stage_profile=doubled_reference
+        )
         sol = form_stage_dp(ctx, 1, 1, 32, 1, 1)
-        assert sol.max_tf == ref[0][0, ctx.k, 1]
+        assert sol.max_tf == one[0][0, ctx.k, 1]
         assert sol.stage_profiles[0].time_fwd == sol.max_tf
 
 
@@ -333,14 +353,11 @@ class TestAlgorithm2:
         assert serial.dp_calls == threaded.dp_calls
         assert serial.states_evaluated == threaded.states_evaluated
 
-    @pytest.mark.parametrize("search_all", [True, False])
-    def test_non_divisor_node_count_is_skipped(self, search_all):
+    def test_non_divisor_node_count_is_skipped(self):
         """3 nodes at n=2 used to raise ValueError mid-search; the level
         must be skipped and the search continue."""
         ctx = make_ctx(num_nodes=3, batch_size=48)
-        result = form_stage(
-            ctx, 3, 4, 48, search_all_stage_counts=search_all
-        )
+        result = form_stage(ctx, 3, 4, 48)
         assert result is not None
         assert result.num_pipeline_nodes == 1
         assert result.replica_factor == 3
@@ -382,7 +399,7 @@ class TestSummedAtomicContext:
         ctx = SummedAtomicContext(tiny_bert, atom_blocks, profiler, 32)
         for D, R, MB, ckpt in [(4, 1, 2, True), (2, 2, 1, False),
                                (4, 2, 4, True)]:
-            fast = dense_bands(ctx, D, R, MB, ckpt)
+            fast = kernel_tensors(ctx, D, R, MB, ckpt)
             slow = profile_tensors_reference(
                 ctx, D, R, MB, ckpt,
                 stage_profile=summed_stage_profile_reference,

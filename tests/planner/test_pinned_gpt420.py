@@ -15,12 +15,12 @@ produced for it on ``paper_cluster(4)`` at batch 2048 with ``k = 768``:
 
 Update only the fields a change is meant to move, by name::
 
-    PYTHONPATH=src python tests/planner/test_pinned_gpt420.py \\
+    PYTHONPATH=src python -m tests.planner.test_pinned_gpt420 \\
         --write cells_reduced
 
 The script prints every field of a fresh snapshot against the committed
 fixture and writes only the named fields; it refuses to write when any
-other field changed too.
+other field changed too (:mod:`tests.pinning`).
 """
 
 import hashlib
@@ -35,6 +35,7 @@ from repro.models.gpt import gpt3_like
 from repro.partitioner.deployment import plan_to_json
 from repro.planner import PlannerConfig, PlanningContext, plan_graph
 from repro.planner.context import BLOCKS, DP_CONTEXT
+from tests.pinning import updated_fixture, write_fixture
 
 FIXTURE = Path(__file__).resolve().parents[1] / "data" / "pinned_gpt420.json"
 SCENARIO = (
@@ -68,28 +69,6 @@ def _snapshot():
     }
 
 
-def field_diff(pinned, fresh):
-    """``(field, old, new)`` for every field of either snapshot, in
-    order; ``old == new`` where the field did not change."""
-    fields = list(pinned) + [f for f in fresh if f not in pinned]
-    return [(f, pinned.get(f), fresh.get(f)) for f in fields]
-
-
-def updated_fixture(pinned, fresh, fields):
-    """The fixture with ``fields`` taken from ``fresh``; ``ValueError``
-    if a field is unknown or any other field changed."""
-    unknown = sorted(set(fields) - set(fresh))
-    if unknown:
-        raise ValueError(f"unknown field(s): {', '.join(unknown)}")
-    others = [
-        f for f, old, new in field_diff(pinned, fresh)
-        if old != new and f not in fields
-    ]
-    if others:
-        raise ValueError(f"other field(s) changed: {', '.join(others)}")
-    return {**pinned, **{f: fresh[f] for f in fields}}
-
-
 def test_gpt420_plan_matches_pinned():
     with FIXTURE.open() as fh:
         pinned = json.load(fh)
@@ -112,16 +91,4 @@ def test_write_takes_only_the_named_fields():
 
 
 if __name__ == "__main__":
-    fields = sys.argv[2:]
-    if sys.argv[1:2] != ["--write"] or not fields:
-        sys.exit("usage: test_pinned_gpt420.py --write FIELD [FIELD ...]")
-    pinned = json.loads(FIXTURE.read_text())
-    fresh = _snapshot()
-    for name, old, new in field_diff(pinned, fresh):
-        print(f"{name}: {old!r}" + ("" if old == new else f" -> {new!r}"))
-    try:
-        update = updated_fixture(pinned, fresh, fields)
-    except ValueError as exc:
-        sys.exit(f"not written: {exc}")
-    FIXTURE.write_text(json.dumps(update, indent=1) + "\n")
-    print(f"wrote {', '.join(fields)} to {FIXTURE}")
+    write_fixture(FIXTURE, _snapshot, sys.argv[1:])

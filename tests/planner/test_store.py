@@ -235,8 +235,8 @@ class TestMemoryAccounting:
         store.put(BLOCKS, "older", warm.blocks)
         store.put(DP_CONTEXT, "fp", fresh)
         assert store.memory_evictions == 0  # both fit before the bands
-        for (D, R, MB, checkpointing), band in warm._band_cache.items():
-            fresh.profile_bands(D, R, MB, checkpointing, band.span)
+        for (D, R, MB), band in warm._band_cache.items():
+            fresh.profile_bands(D, R, MB, band.span)
         assert fresh.band_bytes == warm.band_bytes
 
         store.refresh(DP_CONTEXT, "fp", planned_ctx)
