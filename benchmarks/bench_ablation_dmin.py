@@ -1,12 +1,19 @@
 """Ablation (DESIGN.md choice #1): the d_min pruning rule of Algorithm 1.
 
 The paper: "we incrementally update the minimum number of accelerator
-devices d_min ... this significantly reduces the search space".  Measures
-DP states evaluated and wall time with and without the rule on a
-memory-tight configuration, asserting identical solutions.
+devices d_min ... this significantly reduces the search space".  The
+rule trims the cells a one-by-one loop visits, so only the pure-Python
+reference (``tests/partitioner/oracles.py``) still applies it; the
+engine reduces whole grids and counts every cell inside its bounds
+(DESIGN.md D1b).  On a memory-tight configuration this compares, per
+stage count, the cells the reference's pruned loop visits with the
+engine's ``states_evaluated``, asserting identical answers, and prints
+the engine's one-sweep count for all stage counts alongside.
 """
 
+import sys
 import time
+from pathlib import Path
 
 from repro.hardware import paper_cluster
 from repro.models import BertConfig, build_bert
@@ -15,38 +22,62 @@ from repro.partitioner.blocks import block_partition
 from repro.partitioner.stage_dp import DPContext, form_stage_dp
 from repro.profiler import GraphProfiler
 
+# the reference lives with the tests, at the repository root
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.partitioner.oracles import reference_dp_visits  # noqa: E402
+
+STAGE_COUNTS = range(2, 9)
+D, BS, R, MB = 8, 256, 4, 16
+
+
+def answer(sol):
+    if sol is None:
+        return None
+    return (sol.boundaries, sol.device_counts, sol.objective,
+            sol.max_tf, sol.max_tb)
+
 
 def test_dmin_pruning(once):
     cluster = paper_cluster()
-    # a memory-tight model so the DP actually hits memory dead ends
+    # a memory-tight model so the loop actually hits memory dead ends
     graph = build_bert(BertConfig(hidden_size=2048, num_layers=144))
     profiler = GraphProfiler(graph, cluster)
     blocks = block_partition(
         graph, atomic_partition(graph), profiler, num_blocks=32
     )
 
-    def run(pruning):
-        ctx = DPContext(graph, blocks, profiler, 256)
-        t0 = time.perf_counter()
-        # one sweep answers all 8 stage counts of the node level
-        sweep = form_stage_dp(
-            ctx, range(1, 9), 8, 256, 4, 16, dmin_pruning=pruning
-        )
-        sols = [sweep[S] for S in range(1, 9)]
-        return sols, ctx.states_evaluated, time.perf_counter() - t0
+    def fresh():
+        return DPContext(graph, blocks, profiler, BS)
 
-    def both():
-        return run(True), run(False)
+    def run():
+        rows = []
+        for S in STAGE_COUNTS:
+            ctx = fresh()
+            t0 = time.perf_counter()
+            ref, visited = reference_dp_visits(ctx, S, D, BS, R, MB)
+            t_ref = time.perf_counter() - t0
+            ctx = fresh()
+            t0 = time.perf_counter()
+            sol = form_stage_dp(ctx, S, D, BS, R, MB)
+            t_dp = time.perf_counter() - t0
+            rows.append((S, answer(ref), answer(sol), visited,
+                         ctx.states_evaluated, t_ref, t_dp))
+        sweep_ctx = fresh()
+        sweep = form_stage_dp(sweep_ctx, STAGE_COUNTS, D, BS, R, MB)
+        return rows, sweep, sweep_ctx.states_evaluated
 
-    (sols_p, states_p, t_p), (sols_n, states_n, t_n) = once(both)
-    print(
-        f"\nwith d_min: {states_p} states {t_p:.2f}s | "
-        f"without: {states_n} states {t_n:.2f}s"
-    )
-    # identical feasibility and objectives
-    for a, b in zip(sols_p, sols_n):
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert abs(a.objective - b.objective) < 1e-12
-    # pruning must cut the evaluated state count
-    assert states_p < states_n
+    rows, sweep, sweep_states = once(run)
+    print("\n  S  d_min loop  engine   loop s  engine s")
+    for S, _, _, visited, states, t_ref, t_dp in rows:
+        print(f"{S:3d} {visited:11d} {states:7d} {t_ref:8.2f} {t_dp:9.3f}")
+    visited = sum(row[3] for row in rows)
+    states = sum(row[4] for row in rows)
+    print(f"total: d_min loop {visited} cells | engine {states} states "
+          f"per stage count, {sweep_states} in one sweep for all of them")
+    for S, ref, sol, *_ in rows:
+        # identical answers, field for field, per call and in the sweep
+        assert ref == sol, S
+        assert answer(sweep[S]) == sol, S
+    assert any(ref is not None for _, ref, *_ in rows)
+    # the rule cuts the cells a one-by-one loop visits
+    assert visited < states

@@ -16,7 +16,7 @@ granularity (greedy prefix balancing over whole residual blocks).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.base import FrameworkResult
 from repro.comm.model import stage_boundary_p2p_times
@@ -100,8 +100,16 @@ def _evaluate_pipeline(
     key_prefix: str,
     extra_static_bytes_per_param: float = 0.0,
     in_flight: Optional[int] = None,
+    simulate: Callable[
+        [Sequence[float], Sequence[float], int], float
+    ] = simulate_sync_pipeline,
 ) -> Optional[Tuple[float, float, float]]:
-    """(iteration_time, pipeline_time, max_mem) or None if OOM/invalid."""
+    """(iteration_time, pipeline_time, max_mem) or None if OOM/invalid.
+
+    Every stage holds ``in_flight`` microbatches' stashes (default: all
+    of them) plus ``extra_static_bytes_per_param`` per parameter, and
+    ``simulate(tf, tb, MB)`` times the pipeline (default: the flush
+    schedule)."""
     per_pipeline_batch = batch_size // replicas
     if per_pipeline_batch == 0 or per_pipeline_batch % num_microbatches:
         return None
@@ -136,7 +144,7 @@ def _evaluate_pipeline(
         )
         tf.append(prof.time_fwd + send)
         tb.append(prof.time_bwd + recv)
-    pipe = simulate_sync_pipeline(tf, tb, num_microbatches)
+    pipe = simulate(tf, tb, num_microbatches)
     allreduce = (
         cluster.allreduce_time(
             max_param * 4.0, replicas, spans_nodes=cluster.num_nodes > 1

@@ -24,11 +24,11 @@ from typing import Any, Dict, Optional, Sequence
 
 from repro.baselines.base import FrameworkResult
 from repro.baselines.gpipe import (
+    _evaluate_pipeline,
     _transformer_layer_count,
     _uniform_layer_stages,
     layer_units,
 )
-from repro.comm.model import stage_boundary_p2p_times
 from repro.graph.ir import TaskGraph
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
@@ -98,9 +98,7 @@ def _search_pipedream_2bw(
             reason="available implementation is specialized to BERT",
         )
     world = cluster.total_devices
-    M = cluster.device.usable_memory
     best: Optional[FrameworkResult] = None
-
     for S in stage_counts:
         if world % S:
             continue
@@ -112,61 +110,31 @@ def _search_pipedream_2bw(
             continue
         MB = 1
         while MB <= batch_size // replicas:
-            per_pipeline = batch_size // replicas
-            if per_pipeline % MB == 0:
-                bs_micro = per_pipeline // MB
-                tf, tb = [], []
-                max_mem, max_param = 0.0, 0
-                feasible = True
-                for i, tasks in enumerate(stages):
-                    prof = profiler.profile(
-                        tasks,
-                        bs_micro,
-                        # 1F1B keeps at most S microbatches in flight
-                        microbatches_in_flight=min(MB, S),
-                        checkpointing=True,
-                        key=("2bw", S, i),
-                    )
-                    memory = prof.memory + prof.param_count * 4.0  # 2nd buffer
-                    if memory > M:
-                        feasible = False
-                        break
-                    max_mem = max(max_mem, memory)
-                    max_param = max(max_param, prof.param_count)
-                    # boundary-aware p2p: a stage boundary that crosses
-                    # nodes pays the inter-node rate, not NVLink
-                    send, recv = stage_boundary_p2p_times(
-                        cluster, [1] * S, replicas, i,
-                        prof.out_bytes, prof.in_bytes,
-                    )
-                    tf.append(prof.time_fwd + send)
-                    tb.append(prof.time_bwd + recv)
-                if feasible:
-                    pipe = simulate_async_1f1b(tf, tb, MB)
-                    allreduce = (
-                        cluster.allreduce_time(
-                            max_param * 4.0, replicas,
-                            spans_nodes=cluster.num_nodes > 1,
-                        )
-                        if replicas > 1
-                        else 0.0
-                    )
-                    opt = max_param * 28.0 / cluster.device.mem_bandwidth
-                    iteration = pipe + allreduce + opt
-                    result = FrameworkResult(
-                        "pipedream_2bw",
-                        True,
-                        throughput=batch_size / iteration,
-                        iteration_time=iteration,
-                        config={
-                            "stages": S,
-                            "replicas": replicas,
-                            "microbatches": MB,
-                            "memory_gib": max_mem / 2**30,
-                        },
-                    )
-                    if best is None or result.throughput > best.throughput:
-                        best = result
+            outcome = _evaluate_pipeline(
+                profiler, cluster, stages, batch_size, replicas, MB,
+                key_prefix="2bw",
+                # the second weight buffer, and 1F1B keeps at most S
+                # microbatches in flight
+                extra_static_bytes_per_param=4.0,
+                in_flight=min(MB, S),
+                simulate=simulate_async_1f1b,
+            )
+            if outcome is not None:
+                iteration, _, mem = outcome
+                result = FrameworkResult(
+                    "pipedream_2bw",
+                    True,
+                    throughput=batch_size / iteration,
+                    iteration_time=iteration,
+                    config={
+                        "stages": S,
+                        "replicas": replicas,
+                        "microbatches": MB,
+                        "memory_gib": mem / 2**30,
+                    },
+                )
+                if best is None or result.throughput > best.throughput:
+                    best = result
             MB *= 2
     if best is None:
         return FrameworkResult(

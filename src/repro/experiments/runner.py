@@ -75,33 +75,6 @@ def rannc_sweep_row(
     )
 
 
-def aggregate_pass_timings(rows: Sequence[SweepRow]) -> Dict[str, float]:
-    """Total per-pass planning time across every row that recorded one
-    (i.e. how the sweep's planning overhead splits across passes)."""
-    totals: Dict[str, float] = {}
-    for row in rows:
-        timings = row.detail.get("pass_timings")
-        if not isinstance(timings, dict):
-            continue
-        for name, seconds in timings.items():
-            totals[name] = totals.get(name, 0.0) + float(seconds)
-    return totals
-
-
-def format_pass_timings(totals: Dict[str, float]) -> str:
-    """Render the aggregate as a small two-column table."""
-    if not totals:
-        return "(no planner timings recorded)"
-    width = max(len(n) for n in totals) + 2
-    lines = ["planner pass".ljust(width) + "total".rjust(10)]
-    lines.append("-" * (width + 10))
-    for name, seconds in sorted(
-        totals.items(), key=lambda kv: kv[1], reverse=True
-    ):
-        lines.append(name.ljust(width) + f"{seconds * 1e3:8.1f}ms")
-    return "\n".join(lines)
-
-
 def format_rows(
     rows: Sequence[SweepRow],
     title: str = "",

@@ -59,16 +59,6 @@ def _canon_attr_runtime(value: Any) -> Any:
     return value
 
 
-def canonicalize_attrs(attrs: Dict[str, Any], task: str = "?") -> Dict[str, Any]:
-    """The canonical runtime form of an attrs dict (tuples for
-    sequences, plain python scalars); raises :class:`TypeError` for
-    attrs JSON cannot represent."""
-    return {
-        k: _canon_attr_runtime(_canon_attr_json(v, task, k))
-        for k, v in attrs.items()
-    }
-
-
 def canonical_json(doc: Any) -> str:
     """Deterministic JSON text for hashing: sorted keys, no whitespace
     variance, NumPy scalars coerced to plain Python.

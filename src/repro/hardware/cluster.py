@@ -197,17 +197,6 @@ class ClusterSpec:
                 hi = mid - 1
         return lo
 
-    def class_of_rank(self, device_rank: int) -> DeviceClass:
-        """The device class hosting a global rank (heterogeneous only)."""
-        return self.node_classes()[self.node_of(device_rank)]
-
-    def device_at(self, device_rank: int) -> DeviceSpec:
-        """The :class:`DeviceSpec` of one global rank."""
-        if not self.device_classes:
-            self.node_of(device_rank)  # range check
-            return self.device
-        return self.class_of_rank(device_rank).device
-
     # ------------------------------------------------------------------
     # per-rank capacity / speed tables (heterogeneity-aware)
     # ------------------------------------------------------------------

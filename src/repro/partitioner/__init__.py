@@ -8,7 +8,7 @@
   convex, memory-feasible blocks.
 * :mod:`repro.partitioner.stage_dp` -- stage-level partitioning
   (Sec. III-C, Algorithm 1): dynamic programming over stage boundaries and
-  per-stage replica counts with the ``d_min`` pruning rule.
+  per-stage replica counts.
 * :mod:`repro.partitioner.search` -- Algorithm 2: the outer loop over node
   counts, stage counts and microbatch counts.
 * :mod:`repro.partitioner.api` -- ``auto_partition``: the one-call entry

@@ -29,7 +29,7 @@ integers, so the sums equal a from-scratch recount exactly), and the
 group's time.  A merge candidate's memory check costs O(shared params),
 a move's cut costs O(the part's incident edges), and a move's convexity
 check searches the group DAG from the two changed groups only.  On very
-large graphs (>``uncoarsen_max_groups`` groups) uncoarsening still only
+large graphs (>:data:`UNCOARSEN_MAX_GROUPS` groups) uncoarsening still only
 revisits the coarse levels, where the final block boundaries are decided;
 lifting that cap would change plans (DESIGN.md, D4).
 
@@ -57,6 +57,10 @@ from repro.graph.ir import TaskGraph
 from repro.graph.traversal import GroupGraph
 from repro.partitioner.atomic import AtomicComponent
 from repro.profiler.profiler import GraphProfiler, distinct
+
+#: uncoarsening revisits only the merge levels with at most this many
+#: groups (DESIGN.md, D4)
+UNCOARSEN_MAX_GROUPS = 512
 
 
 @dataclass(frozen=True)
@@ -111,7 +115,6 @@ class BlockPartitioner:
         num_blocks: int = 32,
         ref_batch_size: int = 1,
         uncoarsen: bool = True,
-        uncoarsen_max_groups: int = 512,
         balance_factor: float = 0.25,
     ) -> None:
         self.graph = graph
@@ -120,7 +123,6 @@ class BlockPartitioner:
         self.k = num_blocks
         self.ref_batch_size = max(1, ref_batch_size)
         self.uncoarsen_enabled = uncoarsen
-        self.uncoarsen_max_groups = uncoarsen_max_groups
         self.balance_factor = balance_factor
 
         n = len(self.components)
@@ -414,7 +416,7 @@ class BlockPartitioner:
             return 0
         moves = 0
         for record in reversed(self.records):
-            if record.level_group_count > self.uncoarsen_max_groups:
+            if record.level_group_count > UNCOARSEN_MAX_GROUPS:
                 continue
             for part in (record.part_v, record.part_w):
                 if self._try_move(part):

@@ -10,11 +10,10 @@ replica factor ``R`` and microbatch count ``MB``, over
 
 minimizing ``V = max_i t_f(stage_i) + max_i t_b(stage_i)`` where each
 stage is profiled at per-replica microbatch ``BS / R / MB / (d_i -
-d_{i-1})``, subject to the device-memory bound, with the paper's
-``d_min`` pruning rule.  ``S`` only bounds the reachable cells of the
-table ``V[s, b, d]``, so one table answers a whole range of stage counts
-(``form_stage_dp(ctx, range(...), ...)``); Algorithm 2 makes one such
-sweep per node level and microbatch count.
+d_{i-1})``, subject to the device-memory bound.  ``S`` only bounds the
+reachable cells of the table ``V[s, b, d]``, so one table answers a
+whole range of stage counts (``form_stage_dp(ctx, range(...), ...)``);
+Algorithm 2 makes one such sweep per node level and microbatch count.
 
 Deviation noted from the pseudocode: we initialize ``V[0, b, d] = 0`` only
 at ``(b, d) = (0, 0)`` (the pseudocode's blanket ``V[0, b, d] = 0`` would
@@ -40,16 +39,14 @@ is over the cap on every plane.  Range
 boundary bytes and unique-parameter sizes come from 2-D difference-array
 rectangle sums.  The DP reduction itself is evaluated for a whole ``(b,
 d)`` grid per stage, every replica plane of a ``d'`` column in one pass
-over ``b' in [b - w, b - 1]`` (``w`` the widest span that fits), with the
-``d_min`` pruning rule applied to the precomputed failure masks in
-closed form (a running max over rows, :func:`_dmin_keep`) so the
-visited-state count and all write decisions match the cell-by-cell loop
-bit for bit.  The float reduction runs only on rows that can reach an
-answer; the rows that cannot but still feed the ``d_min`` replay get a
-boolean feasibility pass instead (:func:`_live_rows`).  The per-entry
-profile transcription, the per-range metadata recomputation and the
-pure-Python Algorithm 1 that the test suite holds all of this to live
-with the tests (``tests/partitioner/oracles.py``).
+over ``b' in [b - w, b - 1]`` (``w`` the widest span that fits), and
+only on the rows that can reach an answer (:func:`_live_rows`).  The
+paper's ``d_min`` rule, which trims the cells a one-by-one loop visits,
+saves this evaluation nothing and is not applied: every finite cell is
+written.  The per-entry profile transcription, the per-range metadata
+recomputation and the pure-Python Algorithm 1 (with its ``d_min`` loop)
+that the test suite holds all of this to live with the tests
+(``tests/partitioner/oracles.py``).
 """
 
 from __future__ import annotations
@@ -284,15 +281,12 @@ class DPContext:
             Tuple[int, int, Optional[float]], Tuple[np.ndarray, np.ndarray]
         ] = {}
         self.dp_calls = 0
+        #: table cells ``(s, b, d)`` inside the sweeps' bounds
         self.states_evaluated = 0
         #: candidate ``(b', b, d')`` cells the stage reductions
         #: float-reduced (the band-width cut and the row trim show here;
-        #: ``states_evaluated`` counts the ``d_min`` replay's visited
-        #: cells and does not move), and the cells of the boolean pass
-        #: that checks only the feasibility of rows that cannot reach an
-        #: answer
+        #: ``states_evaluated`` does not move)
         self.cells_reduced = 0
-        self.cells_checked = 0
         #: widest stage slab any sweep of the run reduced
         self.band_width_max = 0
 
@@ -353,7 +347,6 @@ class DPContext:
         self.dp_calls = 0
         self.states_evaluated = 0
         self.cells_reduced = 0
-        self.cells_checked = 0
         self.band_width_max = 0
         return self
 
@@ -857,29 +850,27 @@ def _slab_width(over: np.ndarray, nb_max: int) -> int:
 
 def _live_rows(
     prev_ok: np.ndarray, ws: int, back: int
-) -> Tuple[List[int], List[int], List[int]]:
-    """Per ``d'`` column, the slab rows ``[lo, mid)`` the boolean pass
-    checks and ``[mid, hi)`` the float pass reduces.
+) -> Tuple[List[int], List[int]]:
+    """Per ``d'`` column, the slab rows ``[lo, hi)`` the reduction runs on.
 
     ``prev_ok`` holds the previous stage's feasibility at ``b' = s - 1 ..
     b_hi - 1``, so slab row ``i`` (``b = s + i``) reads its rows ``i - ws
     + 1 .. i``.  Forward bound: a row can have a candidate only between
     the first feasible ``b'`` of the column and ``ws`` past its last.
     Backward bound: slab rows below ``back`` cannot reach block ``k`` in
-    the stages left, so they need feasibility only (for the ``d_min``
-    replay), not values.  One ``argmax`` per end for the whole stage."""
+    the stages left.  One ``argmax`` per end for the whole stage."""
     n = prev_ok.shape[0]
-    lo = prev_ok.argmax(axis=0).tolist()
+    first = prev_ok.argmax(axis=0).tolist()
     last = (n - 1 - prev_ok[::-1].argmax(axis=0)).tolist()
     hi = [min(j + ws, n) for j in last]
-    mid = [min(max(i, back), h) for i, h in zip(lo, hi)]
-    return lo, mid, hi
+    lo = [min(max(i, back), h) for i, h in zip(first, hi)]
+    return lo, hi
 
 
 def _windows(pad: np.ndarray, ws: int) -> np.ndarray:
     """Read-only ``[row, i, t] = pad[row, i + t]``: the sliding windows
     of ``sliding_window_view(pad, ws, axis=1)``, without its argument
-    checks (a sweep takes three per stage)."""
+    checks (a sweep takes two per stage)."""
     rows, n = pad.shape
     s0, s1 = pad.strides
     return as_strided(
@@ -891,8 +882,6 @@ def _band_stage(
     tfp: np.ndarray,
     tbv: np.ndarray,
     memv: np.ndarray,
-    ovp: Optional[np.ndarray],
-    fitp: Optional[np.ndarray],
     plane_of_r: np.ndarray,
     hetero: Optional[Tuple[np.ndarray, np.ndarray]],
     prev_ok: np.ndarray,
@@ -907,18 +896,13 @@ def _band_stage(
     best_tb: np.ndarray,
     best_bp: np.ndarray,
     best_dp: np.ndarray,
-    memf: np.ndarray,
-    bsf: np.ndarray,
-    checked: np.ndarray,
-) -> Tuple[int, int]:
+) -> int:
     """Reduce the ``(b', d') -> (b, d)`` transitions of stage ``s`` and
-    return the candidate cells float-reduced and boolean-checked.
+    return the candidate cells float-reduced.
 
     ``tfp`` / ``tbv`` / ``memv`` are the sweep's ``(P, k+1, w)`` band
     views (``w`` the widest span that fits; ``tfp`` with over-memory
-    entries poisoned to INF on a homogeneous cluster) and ``ovp`` the
-    over-memory mask when the ``d_min`` replay needs memory failures,
-    ``fitp`` (``isfinite(tfp)``) when it needs feasibility.  The stage
+    entries poisoned to INF on a homogeneous cluster).  The stage
     slab of each plane is the plain slice of columns ``b = s ..
     b_hi`` and spans reversed, so slab cell ``[i, t]`` is the stage
     ``(b', b]`` with ``b = s + i`` and ``b' = b - ws + t`` (``ws = min(w,
@@ -929,34 +913,26 @@ def _band_stage(
     previous stage read through a sliding window over its ``d'`` column.
     ``plane_of_r`` then maps each plane's minimum onto its ``d = d' + r``
     columns; the replica counts whose microbatch collapsed are a suffix
-    of ``r`` and only record a bs failure.  A running lexicographic
+    of ``r`` and have no candidate.  A running lexicographic
     ``(value, b', d')`` minimum across columns equals the per-cell flat
     argmin over ``(b', d')`` in row-major order.
 
-    The float reduction runs only on the rows :func:`_live_rows` marks
-    as able to matter: rows with a feasible ``b'`` in their window
-    (forward bound) at ``b >= b_back`` (backward bound: no stage is wider
-    than ``w``, so a lower row cannot reach block ``k`` in the stages
-    left).  A row above the backward bound reads only rows above the
-    previous stage's, so values, parents and tie-breaks are those of the
-    full reduction.  The forward-live rows below it still feed the
-    ``d_min`` replay, which needs their feasibility and memory failures
-    but no values: when the replay runs (``fitp`` given) a boolean pass
-    ORs ``window_ok & fitp`` over ``b'`` and the replica planes into
-    ``checked``.  (The replay is off on heterogeneous clusters, so
-    that path has no boolean pass.)
+    The reduction runs only on the rows :func:`_live_rows` marks as able
+    to matter: rows with a feasible ``b'`` in their window (forward
+    bound) at ``b >= b_back`` (backward bound: no stage is wider than
+    ``w``, so a lower row cannot reach block ``k`` in the stages left).
+    A row above the backward bound reads only rows above the previous
+    stage's, so values, parents and tie-breaks are those of the full
+    reduction.
 
     Infeasibility needs no mask passes: the window reads INF below block
     0 and where the previous state is infeasible, and stages over the
     memory cap hold INF in ``tfp``, so the candidate is INF exactly where
     a transition is invalid.  A stage wider than ``ws`` is over the cap
-    on every plane, so it can never win, and its memory failure (when
-    the replay needs it) is a prefix-OR of the previous stage's feasible
-    rows: every row ``ws`` or more past the column's first feasible
-    ``b'``.  On a heterogeneous cluster (``hetero = (MINMEM, SLOW)``) each
-    replica count is its own slab: the plane of ``r`` scaled by
-    ``SLOW[d', d' + r]`` and poisoned where its memory exceeds
-    ``MINMEM[d', d' + r]``.
+    on every plane, so it can never win.  On a heterogeneous cluster
+    (``hetero = (MINMEM, SLOW)``) each replica count is its own slab: the
+    plane of ``r`` scaled by ``SLOW[d', d' + r]`` and poisoned where its
+    memory exceeds ``MINMEM[d', d' + r]``.
     """
     INF = np.inf
     bsl = slice(s, b_hi + 1)
@@ -967,15 +943,7 @@ def _band_stage(
     n_ok = int((plane_of_r[1:] >= 0).sum())
     Ptf = tfp[:, bsl, jsl]
     Ptb = tbv[:, bsl, jsl]
-    lo_of, mid_of, hi_of = _live_rows(prev_ok[s - 1:b_hi], ws, b_back - s)
-    Pover = Pfit = None
-    if ovp is not None and ovp[:, bsl, :ws].any():
-        Pover = ovp[:, bsl, jsl]
-    if fitp is not None:
-        Pfit = fitp[:, bsl, jsl]
-    # stages wider than the slab: over the cap, so a memory failure
-    # wherever some previous state below the slab is feasible
-    cut = ovp is not None and ws < nb
+    lo_of, hi_of = _live_rows(prev_ok[s - 1:b_hi], ws, b_back - s)
     if hetero is not None:
         MINMEM, SLOW = hetero
         Pmem = memv[:, bsl, jsl]
@@ -983,7 +951,7 @@ def _band_stage(
     else:
         units = tfp.shape[0]              # one slab per plane
     chunk = min(max(1, PLANE_CHUNK_CELLS // (nb * ws)), max(units, 1))
-    # a column fills the first ``hi - mid`` rows of each buffer
+    # a column fills the first ``hi - lo`` rows of each buffer
     cand_tf = np.empty((chunk, nb, ws))
     cand_tb = np.empty((chunk, nb, ws))
     v = np.empty((chunk, nb, ws))
@@ -993,43 +961,29 @@ def _band_stage(
     vtf = np.empty((units, nb))
     vtb = np.empty((units, nb))
     vbp = np.empty((units, nb), dtype=np.intp)
-    vover = np.zeros((units, nb), dtype=bool)
-    vfit = np.zeros((units, nb), dtype=bool)
     # previous stage per d' row, padded with ws infeasible rows below
     # b' = 0: window [d', b, t] holds b' = b - ws + t
-    n_rows = prev_ok.shape[0]
-    pad_ok = np.zeros((prev_ok.shape[1], ws + n_rows), dtype=bool)
-    pad_ok[:, ws:] = prev_ok.T
-    pad_tf = np.full(pad_ok.shape, INF)
+    n_rows, n_cols = prev_ok.shape
+    pad_tf = np.full((n_cols, ws + n_rows), INF)
     pad_tf[:, ws:] = np.where(prev_ok, ptf, INF).T
-    pad_tb = np.zeros(pad_ok.shape)
+    pad_tb = np.zeros(pad_tf.shape)
     pad_tb[:, ws:] = ptb.T
-    win_ok = _windows(pad_ok, ws)
     win_tf = _windows(pad_tf, ws)
     win_tb = _windows(pad_tb, ws)
     bp_off = np.arange(s - ws, b_hi + 1 - ws)[:, None]
-    cells = n_checked = 0
+    cells = 0
     # a column whose feasible states all lie at b' >= b_hi has no
     # transition into the stage
     col_ok = prev_ok[s - 1:b_hi].any(axis=0)
     for dp_ in range(s - 1, d_hi):
-        if not col_ok[dp_]:
+        lo, hi = lo_of[dp_], hi_of[dp_]
+        nf = hi - lo
+        # no replica count with a plane, or no row that can matter
+        nv = min(d_hi - dp_, n_ok)
+        if not col_ok[dp_] or nv == 0 or nf == 0:
             continue
-        nd = d_hi - dp_
-        nv = min(nd, n_ok)
-        if nv < nd:
-            # microbatch collapsed: every valid transition (some b' < b
-            # with a feasible previous state) records a bs failure
-            bsf[bsl, dp_ + nv + 1:d_hi + 1] |= np.logical_or.accumulate(
-                prev_ok[s - 1:b_hi, dp_]
-            )[:, None]
-        if nv == 0:
-            continue
-        lo, mid, hi = lo_of[dp_], mid_of[dp_], hi_of[dp_]
-        nf = hi - mid
-        wok = win_ok[dp_, bsl]
-        wtf = win_tf[dp_, s + mid:s + hi]
-        wtb = win_tb[dp_, s + mid:s + hi]
+        wtf = win_tf[dp_, s + lo:s + hi]
+        wtb = win_tb[dp_, s + lo:s + hi]
         if hetero is not None:
             n_units = nv
             unit_of_d = slice(0, nv)
@@ -1039,33 +993,20 @@ def _band_stage(
         for c0 in range(0, n_units, chunk):
             c1 = min(n_units, c0 + chunk)
             c = c1 - c0
-            if Pover is not None:
-                np.any(
-                    Pover[c0:c1, lo:hi] & wok[lo:hi], axis=2,
-                    out=vover[c0:c1, lo:hi],
-                )
-            if Pfit is not None and mid > lo:
-                np.any(
-                    Pfit[c0:c1, lo:mid] & wok[lo:mid], axis=2,
-                    out=vfit[c0:c1, lo:mid],
-                )
-                n_checked += c * (mid - lo) * ws
-            if nf == 0:
-                continue
             if hetero is not None:
                 planes = plane_of_r[c0 + 1:c1 + 1]
                 dsl = slice(dp_ + c0 + 1, dp_ + c1 + 1)
                 slow = SLOW[dp_, dsl][:, None, None]
-                stf = Ptf[planes, mid:hi] * slow
+                stf = Ptf[planes, lo:hi] * slow
                 np.copyto(
                     stf, INF,
-                    where=Pmem[planes, mid:hi]
+                    where=Pmem[planes, lo:hi]
                     > MINMEM[dp_, dsl][:, None, None],
                 )
-                stb = Ptb[planes, mid:hi] * slow
+                stb = Ptb[planes, lo:hi] * slow
             else:
-                stf = Ptf[c0:c1, mid:hi]
-                stb = Ptb[c0:c1, mid:hi]
+                stf = Ptf[c0:c1, lo:hi]
+                stb = Ptb[c0:c1, lo:hi]
             ctf = np.maximum(wtf, stf, out=cand_tf[:c, :nf])
             ctb = np.maximum(wtb, stb, out=cand_tb[:c, :nf])
             cv = np.add(ctf, ctb, out=v[:c, :nf])
@@ -1076,19 +1017,12 @@ def _band_stage(
             np.take(cand_tf, flat, out=vtf[c0:c1, :nf], mode="clip")
             np.take(cand_tb, flat, out=vtb[c0:c1, :nf], mode="clip")
             cells += c * nf * ws
-        g = slice(dp_ + 1, dp_ + nv + 1)
-        if Pover is not None:
-            memf[s + lo:s + hi, g] |= vover[unit_of_d, lo:hi].T
-        if cut:
-            # a feasible previous state at some b' < b - ws
-            memf[s + lo + ws:b_hi + 1, g] = True
-        if Pfit is not None and mid > lo:
-            checked[s + lo:s + mid, g] |= vfit[unit_of_d, lo:mid].T
-        if nf == 0 or not np.isfinite(vmin[:n_units, :nf]).any():
+        if not np.isfinite(vmin[:n_units, :nf]).any():
             continue
-        rows = slice(s + mid, s + hi)
+        rows = slice(s + lo, s + hi)
+        g = slice(dp_ + 1, dp_ + nv + 1)
         vd = vmin[unit_of_d, :nf].T                # (b, d)
-        bpg = vbp[unit_of_d, :nf].T + bp_off[mid:hi]
+        bpg = vbp[unit_of_d, :nf].T + bp_off[lo:hi]
         cur = best[rows, g]
         cur_bp = best_bp[rows, g]
         # strict improvement, or an equal value from a smaller b' (equal
@@ -1104,7 +1038,7 @@ def _band_stage(
             )
             best_bp[rows, g] = np.where(upd, bpg, cur_bp)
             best_dp[rows, g] = np.where(upd, dp_, best_dp[rows, g])
-    return cells, n_checked
+    return cells
 
 
 def form_stage_dp(
@@ -1114,7 +1048,6 @@ def form_stage_dp(
     BS: int,
     R: int,
     MB: int,
-    dmin_pruning: bool = True,
     *,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
@@ -1129,20 +1062,16 @@ def form_stage_dp(
         BS: global batch size (must equal ``ctx.batch_size``).
         R: replica factor (whole-pipeline copies).
         MB: number of microbatches.
-        dmin_pruning: the paper's d_min search-space reduction; disabling
-            it is the ablation of DESIGN.md choice #1.
         tracer: optional :class:`~repro.obs.tracer.Tracer`; when given,
             the whole call is wrapped in a ``dp.form_stage_dp`` span
             carrying ``(S, D, R, MB)`` (``S`` the largest stage count,
-            ``S_min`` the smallest), the visited-state count, the
-            feasible stage counts, the slab width (``band_width``), the
-            candidate cells float-reduced (``cells_reduced``) and those
-            only checked for feasibility (``cells_checked``).
+            ``S_min`` the smallest), the state count, the feasible
+            stage counts, the slab width (``band_width``) and the
+            candidate cells float-reduced (``cells_reduced``).
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
             records ``dp.calls``, ``dp.states_evaluated`` (total and per
-            ``(D, MB)`` point), ``dp.cells_reduced``,
-            ``dp.cells_checked`` and the ``dp.states_per_call``
-            histogram.
+            ``(D, MB)`` point), ``dp.cells_reduced`` and the
+            ``dp.states_per_call`` histogram.
 
     Returns:
         The best :class:`DPSolution`, or ``None`` (INFEASIBLE); for a
@@ -1159,13 +1088,10 @@ def form_stage_dp(
     call per ``(D, R, MB)`` instead of one per ``(S, MB)``.  ``S = 1``
     needs no table: a lone stage has one layout, blocks ``(0, |B|]`` on
     all ``D`` devices, run without activation checkpointing, so
-    :meth:`DPContext.price_layout` prices it as it stands (one visited
-    state) and the table starts at ``S = 2``.  One call is one DP call
-    in the counters, whatever the range.  The ``d_min`` replay scans
-    each stage over the sweep's bounds, which for a larger ``S`` are
-    wider than its own DP's; the extra cells can only prune memory dead
-    ends, which DESIGN.md D1b argues are lossless, and the equivalence
-    tests hold every ``S`` of a sweep to the per-stage-count reference.
+    :meth:`DPContext.price_layout` prices it as it stands (one state)
+    and the table starts at ``S = 2``.  One call is one DP call in the
+    counters, whatever the range, and its state count is the number of
+    table cells inside the sweep's bounds (plus one for ``S = 1``).
 
     The transition for every ``(b, d)`` cell of one stage is evaluated
     as a tensor reduction over the banded profiles: the loop runs over
@@ -1178,12 +1104,11 @@ def form_stage_dp(
     reproduces the per-cell flat argmin tie-break exactly.  On a
     heterogeneous cluster each replica count's slab is scaled by
     ``SLOW[d', d]`` and checked against ``MINMEM[d', d]`` (see
-    :meth:`DPContext.hetero_tables`).  The sweep then applies the
-    ``d_min`` rule of the original cell ordering (b ascending, d
-    descending) to the precomputed memory/bs failure masks as a running
-    max over rows (:func:`_dmin_keep`), so visited-state counts, pruning
-    decisions and tie-breaks (first minimum in ``(b', d')`` row-major
-    order) are those of the per-cell loop.
+    :meth:`DPContext.hetero_tables`).  The paper's ``d_min`` rule is
+    not applied: it only spares a per-cell loop the cells left of a
+    memory dead end, which DESIGN.md D1b argues no answer passes
+    through, and the equivalence tests hold every answer to the pruned
+    loop of the test suite's reference.
     """
     if BS != ctx.batch_size:
         raise ValueError("batch size mismatch with DPContext")
@@ -1203,7 +1128,7 @@ def form_stage_dp(
                 )
             )
         results = _form_stage_dp_body(
-            ctx, stage_counts, D, R, MB, dmin_pruning, sp, metrics
+            ctx, stage_counts, D, R, MB, sp, metrics
         )
     return results if isinstance(S, range) else results[S]
 
@@ -1214,7 +1139,6 @@ def _form_stage_dp_body(
     D: int,
     R: int,
     MB: int,
-    dmin_pruning: bool,
     sp: Optional[Span],
     metrics: Optional[MetricsRegistry],
 ) -> Dict[int, Optional[DPSolution]]:
@@ -1232,7 +1156,7 @@ def _form_stage_dp_body(
     # on a heterogeneous cluster the memory cap and stage speed depend on
     # WHICH cumulative-device slots [d', d) a stage lands on
     slots = ctx.hetero_tables(D, R) if ctx.cluster.is_heterogeneous else None
-    states = cells = checked = width = 0
+    states = cells = width = 0
     if lo == 1:
         # a lone stage has one layout, blocks (0, k] on all D devices:
         # one state, priced without checkpointing
@@ -1240,20 +1164,18 @@ def _form_stage_dp_body(
         states = 1
         lo = 2
     if lo <= hi:
-        t_states, cells, checked, width = _sweep_table(
-            ctx, lo, hi, D, R, MB, slots, dmin_pruning, results
+        t_states, cells, width = _sweep_table(
+            ctx, lo, hi, D, R, MB, slots, results
         )
         states += t_states
     ctx.states_evaluated += states
     ctx.cells_reduced += cells
-    ctx.cells_checked += checked
     ctx.band_width_max = max(ctx.band_width_max, width)
     feasible = [s for s, sol in results.items() if sol is not None]
     if metrics is not None:
         metrics.counter("dp.calls").inc()
         metrics.counter("dp.states_evaluated").inc(states)
         metrics.counter("dp.cells_reduced").inc(cells)
-        metrics.counter("dp.cells_checked").inc(checked)
         metrics.counter(
             point_name("dp.states_evaluated", D=D, MB=MB)
         ).inc(states)
@@ -1264,55 +1186,11 @@ def _form_stage_dp_body(
         sp.set(
             states_evaluated=states,
             cells_reduced=cells,
-            cells_checked=checked,
             band_width=width,
             feasible=bool(feasible),
             feasible_stages=feasible,
         )
     return results
-
-
-def _dmin_keep(
-    fin: np.ndarray,
-    memf: np.ndarray,
-    bsf: np.ndarray,
-    s: int,
-    b_hi: int,
-    d_hi: int,
-    dmin_pruning: bool,
-) -> Tuple[np.ndarray, int]:
-    """The cells of stage ``s`` the ``d_min`` rule keeps, and how many
-    it visits.
-
-    Algorithm 1 walks rows ``b`` in ascending and columns ``d`` in
-    descending order over ``[max(d_min, s), d_hi]``.  A cell without a
-    solution that failed on MEMORY (``memf``), not on a collapsed
-    microbatch (``bsf``), ends its row and raises ``d_min`` past it:
-    fewer devices only raise per-device pressure.  A row therefore
-    breaks at its highest such cell ``m_b`` iff ``m_b >= max(d_min, s)``,
-    and ``d_min`` only ever grows to ``m_b + 1``, so the ``d_min`` each
-    row starts from is an exclusive running max over the earlier rows.
-    A row keeps ``[m_b, d_hi]`` if it breaks, else ``[d_lo, d_hi]``, and
-    visits exactly those cells.
-    """
-    keep = np.zeros(fin.shape, dtype=bool)
-    if b_hi < s or d_hi < s:
-        return keep, 0
-    rows = slice(s, b_hi + 1)
-    n_rows = b_hi - s + 1
-    top = np.full(n_rows, -1, dtype=np.int64)
-    if dmin_pruning:
-        cols = slice(s, d_hi + 1)
-        prune = ~fin[rows, cols] & memf[rows, cols] & ~bsf[rows, cols]
-        hit = prune.any(axis=1)
-        top[hit] = d_hi - np.argmax(prune[hit, ::-1], axis=1)
-    d_min = np.maximum.accumulate(np.concatenate(([1], top[:-1] + 1)))
-    d_lo = np.maximum(d_min, s)
-    lo = np.where(top >= d_lo, top, d_lo)
-    visited = int(np.maximum(d_hi - lo + 1, 0).sum())
-    col = np.arange(fin.shape[1])
-    keep[rows] = (col >= lo[:, None]) & (col <= d_hi)
-    return keep, visited
 
 
 def _sweep_table(
@@ -1323,30 +1201,21 @@ def _sweep_table(
     R: int,
     MB: int,
     slots: Optional[Tuple[np.ndarray, np.ndarray]],
-    dmin_pruning: bool,
     results: Dict[int, Optional[DPSolution]],
-) -> Tuple[int, int, int, int]:
+) -> Tuple[int, int, int]:
     """Fill one Algorithm-1 table up to ``s_hi`` stages (``s_lo >= 2``),
     store the solution of every ``S`` in ``[s_lo, s_hi]`` into
-    ``results`` and return the visited-state count, the candidate cells
-    float-reduced and boolean-checked, and the slab width.  ``slots``:
-    see :meth:`DPContext.price_layout`.
+    ``results`` and return the state count (the table cells inside the
+    sweep's bounds), the candidate cells float-reduced and the slab
+    width.  ``slots``: see :meth:`DPContext.price_layout`.
 
     Each stage float-reduces only the rows that can still reach block
     ``k`` in the ``s_hi - s`` stages left, each at most the slab width
-    wide (:func:`_band_stage`).  Rows below that backward bound are
-    boolean-checked when the ``d_min`` replay runs, so they can be
-    feasible without a value: feasibility lives in its own table
-    ``ok[s]`` (the written cells of the replay).  Row ``k`` is always
-    float-reduced, so ``ok[S, k, D]`` holds exactly the answers, each
-    priced from its backtracked layout (:meth:`DPContext.price_layout`).
+    wide (:func:`_band_stage`), and every finite cell is written, so
+    ``V[S, k, D]`` holds exactly the answers, each priced from its
+    backtracked layout (:meth:`DPContext.price_layout`).
     """
     k = ctx.k
-    if slots is not None:
-        # the slot tables apply per d' column.  The d_min rule is off:
-        # feasibility is no longer monotone in d once a class boundary
-        # sits inside the slot range.
-        dmin_pruning = False
     # every stage that can still reach (S, k, D) for some S >= s_lo spans
     # at most k - s_lo + 1 blocks (nb never grows along the sweep)
     nb_max = k - s_lo + 1
@@ -1363,78 +1232,42 @@ def _sweep_table(
     # every stage wider than the band is over the cap too: the band was
     # sized for a capacity of at least ``cap``
     width = _slab_width(over, nb_max)
-    over = over[:, :, :width]
     tbv = bands.tb[:n_planes, :, :width]
     memv = bands.mem[:n_planes, :, :width]
+    tfp = bands.tf[:n_planes, :, :width]
     if slots is None:
-        tfp = np.where(over, np.inf, bands.tf[:n_planes, :, :width])
-    else:
-        # capped per (d', d) column instead
-        tfp = bands.tf[:n_planes, :, :width]
-    # the d_min replay reads memory failures and the feasibility of
-    # rows that cannot reach an answer
-    ovp = over if dmin_pruning else None
-    fitp = np.isfinite(tfp) if dmin_pruning else None
+        tfp = np.where(over[:, :, :width], np.inf, tfp)
+    # (on a heterogeneous cluster the cap applies per (d', d) column)
 
-    INF = np.inf
     shape = (s_hi + 1, k + 1, D + 1)
-    # feasibility apart from the values: rows the boolean pass checks
-    # are feasible without one
-    ok = np.zeros(shape, dtype=bool)
+    V = np.full(shape, np.inf)
     tf = np.zeros(shape)
     tb = np.zeros(shape)
     parent_b = np.full(shape, -1, dtype=np.int64)
     parent_d = np.full(shape, -1, dtype=np.int64)
     # deviation from the pseudocode's blanket V[0, b, d] = 0 (see module
     # docstring): only the empty prefix is a valid 0-stage state.
-    ok[0, 0, 0] = True
+    V[0, 0, 0] = 0.0
 
-    states = cells = n_checked = 0
-
+    states = cells = 0
     for s in range(1, s_hi + 1):
         # the bounds of the smallest stage count S >= s of the sweep:
         # its S - s later stages each need a block and a device
         slack = max(s_lo - s, 0)
         b_hi = k - slack
         d_hi = D - slack
-        best = np.full((k + 1, D + 1), INF)
-        best_tf = np.zeros((k + 1, D + 1))
-        best_tb = np.zeros((k + 1, D + 1))
-        best_bp = np.full((k + 1, D + 1), -1, dtype=np.int64)
-        best_dp = np.full((k + 1, D + 1), -1, dtype=np.int64)
-        memf = np.zeros((k + 1, D + 1), dtype=bool)
-        bsf = np.zeros((k + 1, D + 1), dtype=bool)
-        checked = np.zeros((k + 1, D + 1), dtype=bool)
-
+        states += (b_hi - s + 1) * (d_hi - s + 1)
         # no stage is wider than the slab, so a row below b_back cannot
         # reach block k in the s_hi - s stages left
-        s_cells, s_checked = _band_stage(
-            tfp, tbv, memv, ovp, fitp, bands.plane_of_r, slots,
-            ok[s - 1], tf[s - 1], tb[s - 1], s, b_hi, d_hi,
+        cells += _band_stage(
+            tfp, tbv, memv, bands.plane_of_r, slots,
+            np.isfinite(V[s - 1]), tf[s - 1], tb[s - 1], s, b_hi, d_hi,
             k - (s_hi - s) * width,
-            best, best_tf, best_tb, best_bp, best_dp, memf, bsf, checked,
+            V[s], tf[s], tb[s], parent_b[s], parent_d[s],
         )
-        cells += s_cells
-        n_checked += s_checked
-
-        # d_min resets at each stage s: memory infeasibility is
-        # monotone in d and in b for FIXED s, but a deeper prefix (larger
-        # s) has smaller stages and may be feasible where a shallower one
-        # was not (deviation D1b in DESIGN.md; the pseudocode keeps d_min
-        # global, which can prune true optima)
-        fin = np.isfinite(best) | checked
-        keep, visited = _dmin_keep(fin, memf, bsf, s, b_hi, d_hi,
-                                   dmin_pruning)
-        states += visited
-
-        written = ok[s] = keep & fin
-        tf[s] = np.where(written, best_tf, 0.0)
-        tb[s] = np.where(written, best_tb, 0.0)
-        parent_b[s] = np.where(written, best_bp, -1)
-        parent_d[s] = np.where(written, best_dp, -1)
 
     for S in range(s_lo, s_hi + 1):
-        if not ok[S, k, D]:
+        if V[S, k, D] == np.inf:
             continue
         # reconstruct boundaries / device counts
         boundaries: List[int] = []
@@ -1452,4 +1285,4 @@ def _sweep_table(
             boundaries, device_counts, R, MB, slots
         )
         assert failure is None, "the DP kept a layout that does not fit"
-    return states, cells, n_checked, width
+    return states, cells, width

@@ -197,6 +197,25 @@ class TestPipeDream2BW:
         result = run_pipedream_2bw(small_resnet, cluster, 256)
         assert not result.feasible
 
+    @pytest.mark.parametrize(
+        "hidden,layers,nodes,throughput,config",
+        [
+            (1024, 24, 1, 34.76879199484103, (2, 4, 8, 16.44714780151844)),
+            (1536, 48, 2, 18.14103484561945, (2, 8, 8, 28.40148574113846)),
+            (2048, 96, 4, 10.625082682637043, (4, 8, 32, 28.10209295526147)),
+        ],
+    )
+    def test_pinned_sweeps(self, hidden, layers, nodes, throughput, config):
+        """The 2BW sweep prices through GPipe's stage evaluator with a
+        second weight buffer, ``min(MB, S)`` stashes and the 1F1B
+        timing; these are its results bit for bit."""
+        g = build_bert(BertConfig(hidden_size=hidden, num_layers=layers))
+        result = run_pipedream_2bw(g, paper_cluster(nodes), 256)
+        assert result.throughput == throughput
+        assert tuple(result.config[key] for key in (
+            "stages", "replicas", "microbatches", "memory_gib",
+        )) == config
+
 
 class TestTable1Rows:
     def test_thirteen_rows(self):

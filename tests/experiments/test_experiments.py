@@ -122,17 +122,17 @@ class TestCoarseningAblation:
         # DPContext subclass, so its search is pinned bit for bit
         assert row.model == "h1024/L24"
         assert row.ablated_throughput == 144.24500282216366
-        assert row.ablated_dp_states == 55680
+        assert row.ablated_dp_states == 55768
         assert row.full_throughput == 171.96355326283134
-        # both sides count visited DP states, not DP calls
-        assert row.full_dp_states == 6815
+        # both sides count DP states, not DP calls
+        assert row.full_dp_states == 7210
 
     def test_dnf_marker(self):
         rows = run_coarsening_ablation(layer_counts=(96,), state_budget=1000)
         assert not rows[0].ablated_finished
         assert rows[0].projected_states > 1000
         assert "DNF" in format_ablation(rows)
-        # the full side still reports visited DP states, not DP calls
+        # the full side still reports DP states, not DP calls
         graph = build_bert(BertConfig(hidden_size=1024, num_layers=96))
         plan = auto_partition(graph, paper_cluster(), 256)
         assert rows[0].full_dp_states == plan.diagnostics.states_evaluated

@@ -12,7 +12,9 @@ Straightforward per-entry transcriptions that the vectorized code in
   and ``ClusterSpec.p2p_time``, independently of the ``_range_costs``
   kernel, and :func:`profile_tensors_reference` lays it out over every
   ``(lo, hi, r)``;
-* :func:`reference_form_stage_dp` is Algorithm 1 as pure-Python loops.
+* :func:`reference_form_stage_dp` is Algorithm 1 as pure-Python loops,
+  with the paper's ``d_min`` rule (:func:`reference_dp_visits` also
+  counts the cells the loop visits).
 """
 
 from typing import Dict, List, Optional, Tuple
@@ -192,16 +194,32 @@ def reference_form_stage_dp(
 
     :func:`form_stage_dp` is held to it, field for field, on randomized
     small instances.  Stages are priced by ``ctx.stage_profile``, so a
-    context subclass is searched under its own pricing.  On a heterogeneous cluster each stage at
-    cumulative-device boundary ``(d', d)`` is capped by ``MINMEM[d', d]``
-    and its times are scaled by ``SLOW[d', d]`` (see
-    ``DPContext.hetero_tables``), with no ``d_min`` pruning.
+    context subclass is searched under its own pricing.  On a
+    heterogeneous cluster each stage at cumulative-device boundary
+    ``(d', d)`` is capped by ``MINMEM[d', d]`` and its times are scaled
+    by ``SLOW[d', d]`` (see ``DPContext.hetero_tables``), with no
+    ``d_min`` pruning.
     """
+    return reference_dp_visits(ctx, S, D, BS, R, MB)[0]
+
+
+def reference_dp_visits(
+    ctx: DPContext,
+    S: int,
+    D: int,
+    BS: int,
+    R: int,
+    MB: int,
+) -> Tuple[Optional[DPSolution], int]:
+    """:func:`reference_form_stage_dp` and the number of ``(s, b, d)``
+    cells its loop visits: after a memory dead end at column ``d``, the
+    ``d_min`` rule skips the cells left of it in its row and those at or
+    left of it in every later row of the stage."""
     if BS != ctx.batch_size:
         raise ValueError("batch size mismatch with DPContext")
     k = ctx.k
     if S < 1 or S > k or S > D:
-        return INFEASIBLE
+        return INFEASIBLE, 0
     checkpointing = S > 1
     M = ctx.usable_memory
     hetero = ctx.cluster.is_heterogeneous
@@ -213,11 +231,13 @@ def reference_form_stage_dp(
     tf: Dict[Tuple[int, int, int], float] = {(0, 0, 0): 0.0}
     tb: Dict[Tuple[int, int, int], float] = {(0, 0, 0): 0.0}
     parent: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
+    visited = 0
 
     for s in range(1, S + 1):
-        d_min = 1  # reset per stage count (see form_stage_dp)
+        d_min = 1  # reset per stage (DESIGN.md D1b)
         for b in range(s, k - (S - s) + 1):
             for d in range(D - (S - s), max(d_min, s) - 1, -1):
+                visited += 1
                 saw_mem_fail = False
                 saw_bs_fail = False
                 for bp in range(s - 1, b):
@@ -260,7 +280,7 @@ def reference_form_stage_dp(
                     break
 
     if V.get((S, k, D), INF) == INF:
-        return INFEASIBLE
+        return INFEASIBLE, visited
 
     boundaries: List[int] = []
     device_counts: List[int] = []
@@ -295,4 +315,4 @@ def reference_form_stage_dp(
         max_tf=tf[(S, k, D)],
         max_tb=tb[(S, k, D)],
         stage_profiles=profiles,
-    )
+    ), visited

@@ -181,7 +181,7 @@ class TestEngineBitIdentity:
         assert results["default"] == results["one_plane"]
 
     def test_engines_identical_under_memory_pressure(self):
-        # a budget tight enough that memory failures drive d_min pruning
+        # a budget tight enough that memory failures shape the plans
         cluster = tiny_cluster(
             num_nodes=1, devices_per_node=4, memory_bytes=24 * 1024**2
         )
@@ -222,8 +222,8 @@ class TestStageCountSweep:
 
     @pytest.mark.parametrize("mem_mib", [12, 16, 24, 48])
     def test_sweep_matches_reference_under_memory_pressure(self, mem_mib):
-        # budgets tight enough that memory dead ends drive d_min pruning
-        # at every stage of the sweep
+        # budgets tight enough that memory dead ends drive the
+        # reference's d_min pruning at every stage of the sweep
         cluster = tiny_cluster(
             num_nodes=1, devices_per_node=4, memory_bytes=mem_mib * 1024**2
         )

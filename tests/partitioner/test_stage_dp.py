@@ -1,5 +1,5 @@
 """Tests for Algorithm 1 (form_stage_dp): correctness, optimality on
-brute-forceable instances, pruning, and engine equivalence."""
+brute-forceable instances, and engine equivalence."""
 
 import itertools
 
@@ -135,15 +135,6 @@ class TestFormStageDP:
                 )
                 best = min(best, v)
         assert sol.objective == pytest.approx(best)
-
-    def test_dmin_pruning_preserves_solution(self):
-        ctx1, _ = make_ctx()
-        ctx2, _ = make_ctx()
-        a = form_stage_dp(ctx1, 3, 4, 32, 1, 2, dmin_pruning=True)
-        b = form_stage_dp(ctx2, 3, 4, 32, 1, 2, dmin_pruning=False)
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a.objective == pytest.approx(b.objective)
 
     def test_estimated_iteration_time_positive(self):
         ctx, _ = make_ctx()
