@@ -136,6 +136,17 @@ class TestFormStageDP:
                 best = min(best, v)
         assert sol.objective == pytest.approx(best)
 
+    def test_dmin_pruning_preserves_solution(self):
+        """The reference loop skips cells by the ``d_min`` rule; the
+        engine evaluates them all.  The answers must agree."""
+        ctx1, _ = make_ctx()
+        ctx2, _ = make_ctx()
+        a = reference_form_stage_dp(ctx1, 3, 4, 32, 1, 2)
+        b = form_stage_dp(ctx2, 3, 4, 32, 1, 2)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.objective == pytest.approx(b.objective)
+
     def test_estimated_iteration_time_positive(self):
         ctx, _ = make_ctx()
         sol = form_stage_dp(ctx, 2, 4, 32, 1, 2)

@@ -330,6 +330,18 @@ class TestDPEngineEquivalence:
             assert got == want, (S, MB)
         assert ctx2.states_evaluated == full_states
 
+    def test_dmin_pruning_reduces_states(self):
+        """With tight memory the reference's ``d_min`` loop must visit no
+        more cells than the engine counts and return the same objective."""
+        pruned = make_ctx(memory_bytes=48 * 1024**2)
+        unpruned = make_ctx(memory_bytes=48 * 1024**2)
+        a, visited = reference_dp_visits(pruned, 2, 4, 32, 1, 2)
+        b = form_stage_dp(unpruned, 2, 4, 32, 1, 2)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.objective == b.objective
+        assert visited <= unpruned.states_evaluated
+
     def test_matches_pruned_reference(self):
         """Memory-tight random DAGs, where the reference's ``d_min`` loop
         skips cells: the engine, which evaluates every cell of the
