@@ -476,11 +476,11 @@ def _render_events(ctx) -> str:
             "planner peak RSS: "
             f"{snap['planner.peak_rss_bytes'] / 2**20:.1f} MiB"
         )
-    if "planner.store.backend_bytes" in snap:
+    store = ctx.store.stats() if ctx.store is not None else {}
+    if "backend_bytes" in store:
         lines.append(
-            f"cache: {int(snap['planner.store.backend_bytes'])} bytes on "
-            f"disk, {int(snap['planner.store.backend_evictions'])} "
-            "eviction(s)"
+            f"cache: {int(store['backend_bytes'])} bytes on disk, "
+            f"{int(store['backend_evictions'])} eviction(s)"
         )
     if "planner.reuse.passes_skipped" in snap:
         lines.append(

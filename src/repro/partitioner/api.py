@@ -38,7 +38,6 @@ def auto_partition(
     precision: Precision = Precision.FP32,
     num_blocks: int = 32,
     optimizer: OptimizerKind = OptimizerKind.ADAM,
-    uncoarsen: bool = True,
     max_microbatches: Optional[int] = None,
     validate: bool = True,
     verify: bool = True,
@@ -79,7 +78,6 @@ def auto_partition(
         precision: FP32 or AMP mixed precision.
         num_blocks: ``k`` of block-level partitioning (paper uses 32).
         optimizer: optimizer whose state enters the memory estimate.
-        uncoarsen: enable the uncoarsening refinement step.
         max_microbatches: optional cap on the microbatch search.
         validate: structurally validate the graph first.
         verify: hold the finished plan (fresh or cache-restored) to the
@@ -120,7 +118,6 @@ def auto_partition(
         precision=precision,
         num_blocks=num_blocks,
         optimizer=optimizer,
-        uncoarsen=uncoarsen,
         max_microbatches=max_microbatches,
         validate=validate,
         verify=verify,

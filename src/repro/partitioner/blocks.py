@@ -114,7 +114,6 @@ class BlockPartitioner:
         profiler: GraphProfiler,
         num_blocks: int = 32,
         ref_batch_size: int = 1,
-        uncoarsen: bool = True,
         balance_factor: float = 0.25,
     ) -> None:
         self.graph = graph
@@ -122,7 +121,6 @@ class BlockPartitioner:
         self.profiler = profiler
         self.k = num_blocks
         self.ref_batch_size = max(1, ref_batch_size)
-        self.uncoarsen_enabled = uncoarsen
         self.balance_factor = balance_factor
 
         n = len(self.components)
@@ -412,8 +410,6 @@ class BlockPartitioner:
         """Walk merge records coarse-to-fine, moving merge parts into
         adjacent groups when it reduces crossing bytes.  Returns the number
         of moves applied."""
-        if not self.uncoarsen_enabled:
-            return 0
         moves = 0
         for record in reversed(self.records):
             if record.level_group_count > UNCOARSEN_MAX_GROUPS:
@@ -768,7 +764,6 @@ def block_partition(
     profiler: GraphProfiler,
     num_blocks: int = 32,
     ref_batch_size: int = 1,
-    uncoarsen: bool = True,
 ) -> List[Block]:
     """Convenience wrapper running the full block-level phase."""
     return BlockPartitioner(
@@ -777,5 +772,4 @@ def block_partition(
         profiler,
         num_blocks=num_blocks,
         ref_batch_size=ref_batch_size,
-        uncoarsen=uncoarsen,
     ).run()

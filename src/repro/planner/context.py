@@ -97,7 +97,6 @@ class PlannerConfig:
     num_blocks: int = 32
     optimizer: OptimizerKind = OptimizerKind.ADAM
     mode: str = "training"
-    uncoarsen: bool = True
     max_microbatches: Optional[int] = None
     validate: bool = True
     verify: bool = True
@@ -122,7 +121,6 @@ class PlannerConfig:
             "precision": self.precision.value,
             "num_blocks": self.num_blocks,
             "optimizer": self.optimizer.value,
-            "uncoarsen": self.uncoarsen,
             "max_microbatches": self.max_microbatches,
             "schedule": self.schedule,
             "comm_model": self.comm_model,
@@ -246,6 +244,28 @@ class PlanningContext:
         return compute_facets(self.graph, self.cluster, self.config)
 
     # ------------------------------------------------------------------
+    def check_plan(
+        self, plan: Any, expected_iteration_time: Optional[float] = None
+    ) -> Any:
+        """:func:`repro.verify.check_plan` of ``plan`` under this run's
+        graph, cluster, optimizer and schedule, inside a ``verify.plan``
+        span.  ``expected_iteration_time`` is the stage search's estimate
+        for a plan searched this run (``None`` for a stored plan)."""
+        from repro.verify import check_plan
+
+        with self.tracer.span(
+            "verify.plan", category="verify", model=plan.model_name
+        ):
+            return check_plan(
+                plan,
+                self.graph,
+                self.cluster,
+                profiler=self.ensure_profiler(),
+                optimizer=self.config.optimizer,
+                expected_iteration_time=expected_iteration_time,
+                schedule=self.config.schedule,
+            )
+
     def ensure_profiler(self) -> GraphProfiler:
         """The run's profiler, constructing the default one on demand.
 

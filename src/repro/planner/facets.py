@@ -115,7 +115,7 @@ def compute_facets(
         # the planner-level cap below capacity (DP feasibility only)
         "budget": _digest(config.memory_budget),
         # block-level partitioning knobs
-        "coarsen": _digest([config.num_blocks, config.uncoarsen]),
+        "coarsen": _digest([config.num_blocks]),
         # global minibatch size
         "batch": _digest(config.batch_size),
         # how many devices Algorithm 2 may spread a pipeline over

@@ -300,7 +300,7 @@ class PassManager:
         metrics.gauge("planner.reuse.artifacts_loaded").set(artifacts_loaded)
         metrics.gauge("planner.reuse.store_hits").set(artifacts_loaded)
         metrics.gauge("planner.reuse.store_misses").set(store_misses)
-        for stat, value in store.stats().items():
+        for stat, value in store.counters().items():
             metrics.gauge(f"planner.store.{stat}").set(value)
 
     @staticmethod

@@ -126,7 +126,6 @@ class CoarsenPass(PlannerPass):
             ctx.require(COMPONENTS),
             profiler,
             num_blocks=ctx.config.num_blocks,
-            uncoarsen=ctx.config.uncoarsen,
         )
         blocks = ctx.put(BLOCKS, partitioner.run())
         return {
@@ -355,29 +354,18 @@ class VerifyPass(PlannerPass):
         return super().should_skip(ctx)
 
     def run(self, ctx: PlanningContext) -> Optional[Dict[str, Any]]:
-        from repro.verify import check_plan
-
         plan = ctx.get(EVALUATED) or ctx.require(PLAN)
         report = ctx.plan_report
         if report is None:
             search = ctx.get(SEARCH_RESULT)
-            expected = (
-                search.solution.estimated_iteration_time()
-                if search is not None
-                else None
+            report = ctx.check_plan(
+                plan,
+                expected_iteration_time=(
+                    search.solution.estimated_iteration_time()
+                    if search is not None
+                    else None
+                ),
             )
-            with ctx.tracer.span(
-                "verify.plan", category="verify", model=plan.model_name
-            ):
-                report = check_plan(
-                    plan,
-                    ctx.graph,
-                    ctx.cluster,
-                    profiler=ctx.ensure_profiler(),
-                    optimizer=ctx.config.optimizer,
-                    expected_iteration_time=expected,
-                    schedule=ctx.config.schedule,
-                )
         ctx.metrics.gauge("verify.invariants_checked").set(
             report.invariants_checked
         )

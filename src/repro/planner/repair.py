@@ -8,11 +8,12 @@ latency: *migration* -- every (replica, stage) pair whose parameters are
 not already resident on its newly assigned devices must fetch them over
 the network before training resumes.
 
-:func:`repair` therefore tries an **in-place repair** first: keep the
-previous plan's stage boundaries and device counts, recompute the
-replica factor for the surviving devices, re-profile the stages at the
-new per-device batch size (re-optimizing the microbatch count for the
-new replica factor), and re-verify the result with :mod:`repro.verify`.
+:func:`repair` therefore tries an **in-place repair** first: a planner
+run on the new cluster whose ``stage_search`` pass is the deployed
+layout (:class:`FixedLayoutPass`: the previous plan's stage boundaries
+and device counts, the replica factor the surviving devices allow, the
+microbatch count re-ranked for it), followed by the planner's own
+allocate, evaluate and verify passes under the run's config.
 Only the pairs whose devices actually changed migrate, and the
 migration is priced by the max-min-fair transfer simulator
 (:func:`repro.comm.contention.simulate_transfers`) over the new
@@ -33,28 +34,36 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.comm.contention import Transfer, simulate_transfers
 from repro.comm.topology import NetworkTopology
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
-from repro.partitioner.allocation import allocate_devices
 from repro.partitioner.plan import PartitionPlan
+from repro.partitioner.search import SearchResult
 from repro.partitioner.stage_dp import slot_tables
-from repro.pipeline.hybrid import evaluate_plan
 from repro.planner.context import (
     BLOCKS,
     COMPONENTS,
     DP_CONTEXT,
     EVALUATED,
     PLAN,
+    SEARCH_RESULT,
     VALIDATED,
     PlanningContext,
 )
-from repro.planner.facets import fingerprint_chain
+from repro.planner.manager import PartitioningError, PassManager, PlannerPass
+from repro.planner.passes import (
+    AllocatePass,
+    AtomicPartitionPass,
+    CoarsenPass,
+    EvaluatePass,
+    ProfileTensorsPass,
+    VerifyPass,
+)
 from repro.planner.replan import replan
-from repro.planner.store import materialize_for_reuse
+from repro.verify import PlanVerificationError
 
 __all__ = [
     "ClusterEvent",
@@ -253,153 +262,144 @@ def _price_migration(
 # ----------------------------------------------------------------------
 # in-place repair
 # ----------------------------------------------------------------------
-def _inplace_plan(
-    prev_context: PlanningContext,
-    prev_plan: PartitionPlan,
-    new_cluster: ClusterSpec,
-) -> Tuple[Optional[PartitionPlan], str]:
-    """The previous plan re-targeted at ``new_cluster`` -- same stage
-    boundaries and device counts, new replica factor, re-profiled
-    stages and a re-optimized microbatch count -- or ``(None, reason)``
-    when infeasible."""
-    dp_ctx = prev_context.get(DP_CONTEXT) or _stored_dp_context(prev_context)
-    if dp_ctx is None:
-        return None, "no dp_context artifact to re-profile with"
-    D = prev_plan.devices_per_pipeline
-    total = new_cluster.total_devices
-    R_new = total // D
-    if R_new < 1:
-        return None, f"pipeline needs {D} devices, {total} remain"
-    config = prev_context.config
-    # per-slot capacity / speed under the new cluster
-    slots = slot_tables(
-        new_cluster, prev_plan.precision, D, R_new, config.memory_budget
-    )
-    boundaries = [s.block_range[1] for s in prev_plan.stages]
-    device_counts = [s.devices_per_pipeline for s in prev_plan.stages]
+class FixedLayoutPass(PlannerPass):
+    """The ``stage_search`` of an in-place repair: the deployed layout
+    instead of a search.
 
-    def build(MB: int) -> Tuple[Optional[PartitionPlan], str]:
-        priced, failure = dp_ctx.price_layout(
-            boundaries, device_counts, R_new, MB, slots
+    Keeps ``prev_plan``'s stage boundaries and per-pipeline device
+    counts, takes the replica factor the run's cluster allows, prices
+    the layout with :meth:`DPContext.price_layout` on that cluster's
+    slots at each microbatch count the stage search would try (powers
+    of two up to the per-replica batch, plus the deployed count), and
+    keeps the one Algorithm 2 would rank first: the lowest
+    ``estimated_iteration_time``, first minimum wins.  Raises
+    :class:`PartitioningError` naming the first candidate's failing
+    stage when no count fits.
+
+    Not cacheable: the pass reads the deployed plan, which no facet
+    hashes, so neither its result nor anything downstream of it ever
+    gets a store address.
+    """
+
+    name = "stage_search"
+    requires = (BLOCKS, DP_CONTEXT)
+    produces = (SEARCH_RESULT,)
+
+    def __init__(self, prev_plan: PartitionPlan) -> None:
+        self.prev_plan = prev_plan
+
+    def run(self, ctx: PlanningContext) -> Optional[Dict[str, Any]]:
+        prev = self.prev_plan
+        D = prev.devices_per_pipeline
+        total = ctx.cluster.total_devices
+        R = total // D
+        if R < 1:
+            raise PartitioningError(
+                f"pipeline needs {D} devices, {total} remain"
+            )
+        config = ctx.config
+        dp_ctx = ctx.require(DP_CONTEXT)
+        slots = slot_tables(
+            ctx.cluster, config.precision, D, R, config.memory_budget
         )
-        if failure is not None:
+        boundaries = [s.block_range[1] for s in prev.stages]
+        device_counts = [s.devices_per_pipeline for s in prev.stages]
+        mb_cap = config.batch_size // R
+        if config.max_microbatches is not None:
+            mb_cap = min(mb_cap, config.max_microbatches)
+        candidates = [2**i for i in range(mb_cap.bit_length())]
+        deployed = min(prev.num_microbatches, max(1, mb_cap))
+        if deployed not in candidates:
+            candidates.append(deployed)
+
+        priced = [
+            dp_ctx.price_layout(boundaries, device_counts, R, MB, slots)
+            for MB in candidates
+        ]
+        solutions = [sol for sol, _ in priced if sol is not None]
+        if not solutions:
+            failure = priced[0][1]
             if failure.memory is None:
-                return None, (
-                    f"stage {failure.stage}: microbatch collapses at "
-                    f"R={R_new}"
+                raise PartitioningError(
+                    f"stage {failure.stage}: microbatch collapses at R={R}"
                 )
-            return None, (
+            raise PartitioningError(
                 f"stage {failure.stage}: "
                 f"{failure.memory / 2**30:.2f} GiB exceeds "
                 f"{failure.cap / 2**30:.2f} GiB on surviving devices"
             )
-        stages = dp_ctx.stage_specs(
-            boundaries, device_counts, priced.stage_profiles
+        best = min(solutions, key=lambda s: s.estimated_iteration_time())
+        ctx.put(
+            SEARCH_RESULT,
+            SearchResult(
+                solution=best,
+                num_pipeline_nodes=-(-D // ctx.cluster.devices_per_node),
+                devices_per_pipeline=D,
+                replica_factor=R,
+                candidates_tried=len(solutions),
+                dp_calls=0,
+            ),
         )
-        assignment = allocate_devices(
-            new_cluster,
-            device_counts,
-            R_new,
-            boundary_bytes=[s.profile.out_bytes for s in stages[:-1]],
-        )
-        plan = PartitionPlan(
-            model_name=prev_plan.model_name,
-            stages=stages,
-            num_microbatches=MB,
-            replica_factor=R_new,
-            batch_size=prev_plan.batch_size,
-            precision=prev_plan.precision,
-            cluster=new_cluster,
-            assignment=assignment,
-            mode=prev_plan.mode,
-        )
-        plan.diagnostics.num_blocks = prev_plan.diagnostics.num_blocks
-        plan.diagnostics.num_atomic_components = (
-            prev_plan.diagnostics.num_atomic_components
-        )
-        evaluate_plan(plan, schedule=config.schedule)
-        return plan, ""
-
-    # the microbatch count was tuned for the old replica factor; sweep
-    # the same candidate set the stage search uses (powers of two up to
-    # the per-replica batch) and keep the fastest feasible schedule, so
-    # a structure-stable repair lands on the plan a full replan would
-    mb_cap = config.batch_size // R_new
-    if config.max_microbatches is not None:
-        mb_cap = min(mb_cap, config.max_microbatches)
-    candidates = []
-    mb = 1
-    while mb <= mb_cap:
-        candidates.append(mb)
-        mb *= 2
-    deployed = min(prev_plan.num_microbatches, max(1, mb_cap))
-    if deployed not in candidates:
-        candidates.append(deployed)
-
-    best: Optional[PartitionPlan] = None
-    reason = ""
-    for MB in candidates:
-        plan, why = build(MB)
-        if plan is None:
-            reason = reason or why
-            continue
-        if best is None or plan.iteration_time < best.iteration_time:
-            best = plan
-    if best is None:
-        return None, reason or "no feasible microbatch count"
-    return best, ""
+        return {
+            "candidates_tried": len(solutions),
+            "num_stages": best.num_stages,
+            "replica_factor": R,
+            "num_microbatches": best.num_microbatches,
+        }
 
 
-def _stored_dp_context(ctx: PlanningContext):
-    """The profile-tensor context of ``ctx``'s inputs, or ``None``.  A
-    run the store served whole never built one.  The store's memory tier
-    may hold it under the address the run would have given it; otherwise
-    it is rebuilt from the stored ``blocks`` (memory or disk) the way
-    the ``profile_tensors`` pass builds it."""
-    if ctx.store is None:
-        return None
-    from repro.planner import default_passes
-
-    passes = default_passes()
-    fps = fingerprint_chain(passes, ctx.facets(), {}, feeds=lambda p: True)
-    address = {a: fps[p.name][0] for p in passes if p.name in fps
-               for a in p.produces}
-    art = ctx.store.get(DP_CONTEXT, address[DP_CONTEXT], ctx)
-    if art is not None:
-        return ctx.put(
-            DP_CONTEXT, materialize_for_reuse(DP_CONTEXT, art.payload, ctx)
-        )
-    blocks = ctx.store.get(BLOCKS, address[BLOCKS], ctx)
-    if blocks is None:
-        return None
-    ctx.put(BLOCKS, blocks.payload)
-    next(p for p in passes if DP_CONTEXT in p.produces).run(ctx)
-    return ctx.get(DP_CONTEXT)
-
-
-def _chained_context(
+def _inplace_context(
     prev_context: PlanningContext,
+    prev_plan: PartitionPlan,
     new_cluster: ClusterSpec,
-    plan: PartitionPlan,
 ) -> PlanningContext:
-    """A context for the repaired state that keeps the cluster-agnostic
-    artifacts (components, blocks, the profile-tensor DP context) so a
-    later repair or full replan reuses them.  The search result is *not*
-    carried over: an in-place plan is not what a cold search on the new
-    cluster would produce, and must never be stored as if it were."""
-    ctx = PlanningContext(
-        prev_context.graph,
+    """The finished in-place run on ``new_cluster``: the deployed layout
+    (:class:`FixedLayoutPass`) allocated, evaluated and verified by the
+    planner's own passes under the run's config.
+
+    The layout indexes the previous run's blocks, so the run starts from
+    the previous context's atomic components, blocks and profile
+    tensors.  A run the store served whole never built the profile
+    tensors: the upstream passes load or rebuild what is missing, from
+    the store where there is one, over the previous cluster.  The
+    returned context keeps them, and the store, for a later repair or
+    replan, but not the search result: a fixed layout is not what a
+    search on the new cluster would pick.
+
+    Raises :class:`PartitioningError` when no microbatch count fits and
+    :class:`~repro.verify.PlanVerificationError` when the plan fails
+    verification.
+    """
+
+    def run(cluster, passes, seed):
+        ctx = PlanningContext(
+            prev_context.graph,
+            cluster,
+            prev_context.config,
+            tracer=prev_context.tracer,
+            metrics=prev_context.metrics,
+            store=prev_context.store,
+        )
+        for name in (VALIDATED, COMPONENTS, BLOCKS, DP_CONTEXT):
+            if seed.has(name):
+                ctx.put(name, seed.get(name))
+        PassManager(passes).run(ctx)
+        return ctx
+
+    source = prev_context
+    if not source.has(DP_CONTEXT):
+        source = run(
+            prev_context.cluster,
+            [AtomicPartitionPass(), CoarsenPass(), ProfileTensorsPass()],
+            prev_context,
+        )
+    ctx = run(
         new_cluster,
-        prev_context.config,
-        tracer=prev_context.tracer,
-        metrics=prev_context.metrics,
-        store=prev_context.store,
+        [FixedLayoutPass(prev_plan), AllocatePass(), EvaluatePass(),
+         VerifyPass()],
+        source,
     )
-    for name in (VALIDATED, COMPONENTS, BLOCKS, DP_CONTEXT):
-        if prev_context.has(name):
-            ctx.put(name, prev_context.get(name))
-    ctx.put(PLAN, plan)
-    ctx.put(EVALUATED, plan)
+    ctx.artifacts.pop(SEARCH_RESULT)
     return ctx
 
 
@@ -455,39 +455,19 @@ def repair(
     t0 = time.perf_counter()
 
     with tracer.span("repair", category="repair", event=event.kind):
-        candidate: Optional[PartitionPlan]
+        ctx: Optional[PlanningContext] = None
+        reason = ""
         with tracer.span("repair.inplace", category="repair"):
-            candidate, reason = _inplace_plan(
-                prev_context, prev_plan, new_cluster
-            )
-        transfers: List[Transfer] = []
-        migrated = 0
-        if candidate is not None:
-            from repro.verify import check_plan
-
-            with tracer.span("repair.verify", category="repair"):
-                report = check_plan(candidate, prev_context.graph)
-            if not report.ok:
-                candidate = None
+            try:
+                ctx = _inplace_context(prev_context, prev_plan, new_cluster)
+            except PartitioningError as exc:
+                reason = str(exc)
+            except PlanVerificationError as exc:
                 reason = "verification failed: " + "; ".join(
-                    str(v) for v in report.violations[:3]
+                    str(v) for v in exc.violations[:3]
                 )
-            else:
-                # zero transfers means the event removed (or added)
-                # whole replicas: every surviving shard is already where
-                # the repaired plan needs it, so adopting in place is
-                # zero-disruption -- and coincides with what a full
-                # replan chooses for replica-aligned events (asserted
-                # by the randomized repair harness)
-                transfers, migrated = _migration_transfers(
-                    prev_plan, candidate, smap
-                )
-
-        if candidate is not None:
-            ctx = _chained_context(prev_context, new_cluster, candidate)
-            used_full = False
-            final = candidate
-        else:
+        used_full = ctx is None
+        if used_full:
             with tracer.span(
                 "repair.full_replan", category="repair", reason=reason
             ):
@@ -497,10 +477,15 @@ def repair(
                 final = replan(
                     prev_context, cluster=new_cluster, context=ctx
                 )
-            used_full = True
-            transfers, migrated = _migration_transfers(
-                prev_plan, final, smap
-            )
+        else:
+            final = ctx.require(EVALUATED)
+        # zero transfers on the in-place path means the event removed
+        # (or added) whole replicas: every surviving shard is already
+        # where the repaired plan needs it, so adopting in place is
+        # zero-disruption -- and coincides with what a full replan
+        # chooses for replica-aligned events (asserted by the
+        # randomized repair harness)
+        transfers, migrated = _migration_transfers(prev_plan, final, smap)
 
         with tracer.span(
             "repair.migrate", category="repair", transfers=len(transfers)
@@ -527,6 +512,6 @@ def repair(
         migration_bytes=migration_bytes,
         migration_time=migration_time,
         repair_latency=latency,
-        fallback_reason=reason if used_full else "",
+        fallback_reason=reason,
         transfers=transfers,
     )

@@ -381,9 +381,9 @@ class _PlanCodec(ArtifactCodec):
 
     Decoding re-evaluates the plan under the run's schedule and, unless
     ``config.verify`` is off, holds it to the :mod:`repro.verify`
-    invariants (:func:`check_stored_plan`).  The report becomes the
-    run's ``verified`` artifact, so neither the whole-plan probe nor the
-    verify pass checks the same plan twice.
+    invariants (:meth:`PlanningContext.check_plan`).  The report becomes
+    the run's ``verified`` artifact, so neither the whole-plan probe nor
+    the verify pass checks the same plan twice.
     """
 
     def encode(self, payload: Any, ctx: PlanningContext) -> bytes:
@@ -402,7 +402,7 @@ class _PlanCodec(ArtifactCodec):
             schedule=ctx.config.schedule,
         )
         if ctx.config.verify:
-            report = check_stored_plan(plan, ctx)
+            report = ctx.check_plan(plan)
             report.raise_if_failed()
             ctx.put(VERIFIED, report)
         return plan
@@ -419,25 +419,6 @@ CODECS: Dict[str, ArtifactCodec] = {
 # ----------------------------------------------------------------------
 # verifying stored plans
 # ----------------------------------------------------------------------
-def check_stored_plan(plan: Any, ctx: PlanningContext) -> Any:
-    """:func:`repro.verify.check_plan` of a plan served from the store,
-    under the run's graph, cluster, optimizer and schedule.  There is no
-    DP estimate to compare against: the plan was not searched this run."""
-    from repro.verify import check_plan
-
-    with ctx.tracer.span(
-        "verify.plan", category="verify", model=plan.model_name
-    ):
-        return check_plan(
-            plan,
-            ctx.graph,
-            ctx.cluster,
-            profiler=ctx.ensure_profiler(),
-            optimizer=ctx.config.optimizer,
-            schedule=ctx.config.schedule,
-        )
-
-
 def _plan_digest(plan: Any, document: str) -> str:
     """sha256 of everything :func:`~repro.verify.check_plan` reads off a
     plan: its deployment JSON plus what the JSON does not carry (the
@@ -497,7 +478,7 @@ def verify_served_plan(
         ctx.metrics.counter("verify.memo_hits").inc()
     else:
         # an entry just decoded from disk was checked by the decode
-        report = ctx.get(VERIFIED) or check_stored_plan(plan, ctx)
+        report = ctx.get(VERIFIED) or ctx.check_plan(plan)
         if not report.ok:
             return None
         art.verified = (key, report)
@@ -757,9 +738,11 @@ class ArtifactStore:
             self.write_errors += 1
 
     # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, float]:
+    def counters(self) -> Dict[str, float]:
+        """The store's own counters; reads no file (the pass manager
+        copies them into ``planner.store.*`` gauges on every run)."""
         with self._lock:
-            doc = {
+            return {
                 "entries": float(len(self._mem)),
                 "memory_bytes": float(self._mem_bytes),
                 "hits": float(self.hits),
@@ -768,6 +751,11 @@ class ArtifactStore:
                 "memory_evictions": float(self.memory_evictions),
                 "write_errors": float(self.write_errors),
             }
+
+    def stats(self) -> Dict[str, float]:
+        """:meth:`counters` plus the disk backend's footprint, which
+        walks every file under the cache root."""
+        doc = self.counters()
         if self.disk is not None:
             # "backend_" prefix: "disk_hits" above counts decoded
             # artifact promotions, the backend's "hits" counts raw reads

@@ -137,6 +137,11 @@ class ServiceClient:
     ) -> Dict[str, Any]:
         return self.request("POST", "/v1/replan", params, timeout=timeout)
 
+    def repair(
+        self, *, timeout: Optional[float] = None, **params: Any
+    ) -> Dict[str, Any]:
+        return self.request("POST", "/v1/repair", params, timeout=timeout)
+
     def simulate(
         self, *, timeout: Optional[float] = None, **params: Any
     ) -> Dict[str, Any]:

@@ -157,11 +157,6 @@ class TestUncoarsening:
         bp.uncoarsen()
         assert bp.total_cut_bytes() <= before + 1e-9
 
-    def test_disabled(self, tiny_bert):
-        bp = make_partitioner(tiny_bert, k=4, uncoarsen=False)
-        bp.coarsen()
-        assert bp.uncoarsen() == 0
-
     def test_moves_keep_convexity(self, tiny_bert):
         bp = make_partitioner(tiny_bert, k=4)
         bp.coarsen()

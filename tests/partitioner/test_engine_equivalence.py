@@ -416,6 +416,13 @@ class TestConfigKnobs:
         with pytest.raises(TypeError, match="dp_engine"):
             auto_partition(tiny_bert, cluster, 32, dp_engine="banded")
 
+    def test_uncoarsen_knob_rejected(self, tiny_bert, cluster):
+        # uncoarsening always runs; the switch that disabled it is gone
+        with pytest.raises(TypeError, match="uncoarsen"):
+            PlannerConfig(batch_size=32, uncoarsen=False)
+        with pytest.raises(TypeError, match="uncoarsen"):
+            auto_partition(tiny_bert, cluster, 32, uncoarsen=False)
+
     def test_bad_backend_rejected(self):
         for knob, value in [
             ("search_backend", "thread"),

@@ -14,6 +14,7 @@ Three layers of guarantees:
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -32,7 +33,8 @@ from repro.planner import (
     replan,
     survivor_map,
 )
-from repro.planner.context import DP_CONTEXT
+from repro.planner.context import DP_CONTEXT, SEARCH_RESULT
+from repro.profiler.memory import OptimizerKind
 from repro.verify import check_plan
 
 #: deep/wide enough that S=3 R=2 on 4x2 devices -- losing a node drops
@@ -179,6 +181,73 @@ class TestInPlaceRepair:
         assert second.cluster.num_nodes == 2
         report = check_plan(second.plan, graph)
         assert report.ok and not report.violations
+
+
+class TestRepairUnderRunConfig:
+    """The in-place plan is allocated, evaluated and verified under the
+    run's own optimizer and schedule, not the planner defaults."""
+
+    @pytest.mark.parametrize(
+        "overrides, event",
+        [
+            ({"optimizer": OptimizerKind.SGD}, NodeLoss(1)),
+            ({"optimizer": OptimizerKind.SGD_MOMENTUM}, NodeLoss(1)),
+            ({"schedule": "sync_1f1b"}, NodeLoss(1)),
+            ({"schedule": "async_1f1b"}, NodeLoss(1)),
+            ({"schedule": "async_1f1b"}, ScaleUp(4)),
+        ],
+        ids=["sgd", "sgd-momentum", "sync-1f1b", "async-1f1b",
+             "async-1f1b-scale-up"],
+    )
+    def test_repairs_in_place(self, overrides, event):
+        graph = build_mlp(WIDE_MLP)
+        cluster = tiny_cluster(
+            num_nodes=4, devices_per_node=2, memory_bytes=4 * 2**30
+        )
+        config = PlannerConfig(batch_size=32, num_blocks=12, **overrides)
+        ctx = PlanningContext(graph, cluster, config)
+        plan = plan_graph(graph, cluster, config, context=ctx)
+
+        result = repair(ctx, event)
+
+        assert result.fallback_reason == ""
+        assert not result.used_full_replan
+        assert [s.block_range for s in result.plan.stages] == (
+            [s.block_range for s in plan.stages]
+        )
+        report = check_plan(
+            result.plan,
+            graph,
+            optimizer=config.optimizer,
+            schedule=config.schedule,
+        )
+        assert report.ok, report.violations
+
+    def test_replan_from_repaired_context_equals_cold_plan(self):
+        # the fixed-layout search result must not leave the repair: a
+        # replan from the repaired context searches the new cluster
+        graph = build_mlp(WIDE_MLP)
+        cluster = tiny_cluster(
+            num_nodes=2, devices_per_node=2, memory_bytes=4 * 2**30
+        )
+        config = PlannerConfig(batch_size=32, num_blocks=12)
+        ctx = PlanningContext(graph, cluster, config)
+        plan_graph(graph, cluster, config, context=ctx)
+        result = repair(ctx, ScaleUp(2))
+        assert not result.used_full_replan
+        assert [s.devices_per_pipeline for s in result.plan.stages] == (
+            [1, 1, 1, 1]
+        )
+        assert result.plan.replica_factor == 2
+        assert not result.context.has(SEARCH_RESULT)
+
+        async_config = replace(config, schedule="async_1f1b")
+        replanned = replan(result.context, config=async_config)
+        cold = plan_graph(graph, result.cluster, async_config)
+
+        assert [s.devices_per_pipeline for s in cold.stages] == [2, 1, 1]
+        assert plan_to_json(replanned, graph) == plan_to_json(cold, graph)
+        assert replanned.iteration_time == cold.iteration_time
 
 
 class TestZeroMigrationEqualsReplan:

@@ -146,6 +146,14 @@ class TestRepairRoute:
         assert out["repair"]["event"] == "ScaleUp"
         assert out["repair"]["surviving_devices"] == 16  # 1+1 nodes x 8
 
+    def test_client_repair_method(self, client):
+        client.plan(**PARAMS)
+        out = client.repair(
+            **PARAMS, event={"type": "scale_up", "extra_nodes": 1}
+        )
+        assert out["repair"]["used_full_replan"] is False
+        assert out["repair"]["fallback_reason"] == ""
+
     def test_repair_cold_is_409(self, server):
         fresh = ServiceClient(port=server.port)
         try:

@@ -3,7 +3,8 @@
 
 Exercises the daemon's whole contract end to end against a live
 socket -- cold plan, warm repeat, delta replan through ``/v1/replan``,
-verify round-trip of the served document, simulate, stats -- and exits
+in-place repair through ``/v1/repair``, verify round-trip of the served
+document, simulate, stats -- and exits
 non-zero the moment any response disagrees with ``docs/SERVICE.md``.
 
 Usage (the server must already be listening)::
@@ -56,6 +57,24 @@ def main(argv=None) -> int:
     ok &= check(
         "profile_tensors" in delta["meta"]["reused_passes"],
         "delta reused the profile tensors",
+    )
+
+    # a pipelined plan evaluated under a 1F1B schedule repairs in place:
+    # the repair re-verifies under the run's own schedule
+    pipelined = dict(REQUEST, cluster={"preset": "v100x16"},
+                     options={"schedule": "sync_1f1b"})
+    client.plan(**pipelined)
+    repaired = client.repair(
+        **pipelined, event={"type": "node_loss", "node_index": 1}
+    )
+    ok &= check(
+        repaired["repair"]["used_full_replan"] is False,
+        "sync_1f1b node loss repairs in place "
+        f"({repaired['repair']['fallback_reason'] or 'no fallback'})",
+    )
+    ok &= check(
+        repaired["repair"]["surviving_devices"] == 8,
+        "repair plans for the surviving devices",
     )
 
     try:
