@@ -20,7 +20,7 @@ import time
 
 from repro.hardware import paper_cluster
 from repro.models import BertConfig, build_bert
-from repro.planner import PlannerConfig, PlanningContext, plan_graph
+from repro.planner import PlannerConfig, PlanningContext
 from repro.planner.context import EVALUATED
 
 
@@ -37,7 +37,7 @@ def plan_under(graph, cluster, comm_model):
     config = PlannerConfig(batch_size=256, verify=False,
                            comm_model=comm_model)
     ctx = PlanningContext(graph, cluster, config)
-    plan_graph(graph, cluster, config, context=ctx)
+    ctx.run()
     return ctx.require(EVALUATED)
 
 

@@ -36,7 +36,6 @@ from repro.planner import (
     PlanningContext,
     ScaleUp,
     ensure_store,
-    plan_graph,
     repair,
     replan,
 )
@@ -69,7 +68,7 @@ def bench_model(name, build, batch_size, rounds):
 
     # the deployed run both paths start from
     prev_ctx = PlanningContext(graph, cluster, config)
-    plan_graph(graph, cluster, config, context=prev_ctx)
+    prev_ctx.run()
 
     rows = {}
     for event_name, make_event in EVENTS.items():
@@ -95,9 +94,8 @@ def bench_model(name, build, batch_size, rounds):
             # previous run, not once per event.
             prev_ctx.store = None
             ensure_store(prev_ctx)
-            ctx = PlanningContext(graph, target, config)
             t0 = time.perf_counter()
-            replan(prev_ctx, cluster=target, context=ctx)
+            replan(prev_ctx, cluster=target)
             replan_walls.append(time.perf_counter() - t0)
 
         rows[event_name] = {

@@ -7,8 +7,8 @@ cluster grows from 2 to 4 nodes:
 * **cache_hit** — the same call again with a ``cache_dir``: a fresh
   process's artifact store serves the finished plan from its one disk
   entry (fingerprint chain + JSON restore + verification on decode);
-* **delta** — :func:`repro.planner.replan` against the previous run's
-  artifact store, which reuses the atomic partition, the coarsening and
+* **delta** — a run on the new cluster over the previous run's artifact
+  store (:func:`repro.planner.ensure_store`), which reuses the atomic partition, the coarsening and
   the profile tensors and reruns only the stage search onward.
 
 The cache hit is the floor (nothing recomputed) and only exists when
@@ -39,13 +39,7 @@ from repro.hardware import paper_cluster
 from repro.models import BertConfig, build_bert
 from repro.partitioner import auto_partition
 from repro.partitioner.deployment import plan_to_json
-from repro.planner import (
-    PlannerConfig,
-    PlanningContext,
-    ensure_store,
-    plan_graph,
-    replan,
-)
+from repro.planner import PlannerConfig, PlanningContext, ensure_store
 
 #: total delta-replan time may cost at most this fraction of the total
 #: cold time across the suite
@@ -70,7 +64,7 @@ def bench_model(name, build, batch_size, rounds):
 
     # the previous run whose artifacts the delta replans reuse
     prev_ctx = PlanningContext(graph, prev_cluster, config)
-    plan_graph(graph, prev_cluster, config, context=prev_ctx)
+    prev_ctx.run()
 
     cold_walls, cold_plan = [], None
     for _ in range(rounds):
@@ -101,10 +95,11 @@ def bench_model(name, build, batch_size, rounds):
         # Seeding is outside the timer -- it happens once per previous
         # run, not once per replan.
         prev_ctx.store = None
-        ensure_store(prev_ctx)
-        ctx = PlanningContext(graph, target_cluster, config)
+        ctx = PlanningContext(
+            graph, target_cluster, config, store=ensure_store(prev_ctx)
+        )
         t0 = time.perf_counter()
-        delta_plan = replan(prev_ctx, cluster=target_cluster, context=ctx)
+        delta_plan = ctx.run()
         delta_walls.append(time.perf_counter() - t0)
         reused = [e.name for e in ctx.events if e.detail.get("reuse")]
 

@@ -17,7 +17,7 @@ import time
 
 from repro.hardware import paper_cluster
 from repro.models import BertConfig, build_bert
-from repro.planner import PlannerConfig, PlanningContext, plan_graph
+from repro.planner import PlannerConfig, PlanningContext
 
 
 def best_of(fn, rounds):
@@ -33,7 +33,7 @@ def time_plan(graph, cluster, verify, rounds):
     def run():
         config = PlannerConfig(batch_size=256, verify=verify)
         ctx = PlanningContext(graph, cluster, config)
-        plan_graph(graph, cluster, config, context=ctx)
+        ctx.run()
         return ctx
 
     return best_of(run, rounds)

@@ -30,7 +30,7 @@ from repro.hardware import paper_cluster
 from repro.models import BertConfig, build_bert
 from repro.obs import Tracer, chrome_trace, spans_to_trace_events
 from repro.pipeline.timeline import plan_timeline, render_gantt
-from repro.planner import PlannerConfig, PlanningContext, plan_graph
+from repro.planner import PlannerConfig, PlanningContext
 from repro.runtime import Executor
 
 
@@ -46,7 +46,7 @@ def main() -> None:
     cluster = paper_cluster(num_nodes=1)
     config = PlannerConfig(batch_size=64, trace=True)
     ctx = PlanningContext(graph, cluster, config)
-    plan = plan_graph(graph, cluster, config, context=ctx)
+    plan = ctx.run()
     print(plan.summary())
 
     dp_spans = ctx.tracer.spans("partitioner.dp")

@@ -12,24 +12,14 @@ shared cost model (see DESIGN.md for the substitution rationale).
 """
 
 from repro.baselines.base import FrameworkInfo, FrameworkResult, TABLE1_ROWS
-from repro.baselines.data_parallel import DataParallelPass, run_data_parallel
-from repro.baselines.megatron import MegatronPass, run_megatron
-from repro.baselines.gpipe import (
-    GpipeHybridPass,
-    GpipeModelPass,
-    run_gpipe_hybrid,
-    run_gpipe_model,
-)
-from repro.baselines.pipedream_2bw import PipeDream2BWPass, run_pipedream_2bw
+from repro.baselines.data_parallel import run_data_parallel
+from repro.baselines.megatron import run_megatron
+from repro.baselines.gpipe import run_gpipe_hybrid, run_gpipe_model
+from repro.baselines.pipedream_2bw import run_pipedream_2bw
 
 __all__ = [
-    "DataParallelPass",
     "FrameworkInfo",
     "FrameworkResult",
-    "GpipeHybridPass",
-    "GpipeModelPass",
-    "MegatronPass",
-    "PipeDream2BWPass",
     "TABLE1_ROWS",
     "run_data_parallel",
     "run_gpipe_hybrid",

@@ -10,37 +10,13 @@ behaviour.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from repro.baselines.base import FrameworkResult
 from repro.graph.ir import TaskGraph
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
-from repro.planner import (
-    FRAMEWORK_RESULT,
-    PlannerConfig,
-    PlannerPass,
-    PlanningContext,
-    run_framework_pipeline,
-)
 from repro.profiler.profiler import GraphProfiler
-
-
-class DataParallelPass(PlannerPass):
-    """Planner pass sizing pure DP (accumulation steps, feasibility)."""
-
-    name = "data_parallel_sizing"
-    produces = (FRAMEWORK_RESULT,)
-
-    def run(self, ctx: PlanningContext) -> Dict[str, Any]:
-        result = _search_data_parallel(
-            ctx.graph,
-            ctx.cluster,
-            ctx.config.batch_size,
-            ctx.ensure_profiler(),
-        )
-        ctx.put(FRAMEWORK_RESULT, result)
-        return {"feasible": result.feasible}
 
 
 def run_data_parallel(
@@ -51,14 +27,11 @@ def run_data_parallel(
     profiler: Optional[GraphProfiler] = None,
 ) -> FrameworkResult:
     """Evaluate pure DP: feasibility, accumulation steps, throughput."""
-    return run_framework_pipeline(
+    return _search_data_parallel(
         graph,
         cluster,
-        PlannerConfig(
-            batch_size=batch_size, precision=precision, validate=False
-        ),
-        [DataParallelPass()],
-        profiler=profiler,
+        batch_size,
+        profiler or GraphProfiler(graph, cluster, precision),
     )
 
 
@@ -86,7 +59,7 @@ def _search_data_parallel(
         if per_device % accum == 0:
             prof = profiler.profile(
                 tasks, chunk, microbatches_in_flight=1,
-                checkpointing=False, key="__dp__",
+                checkpointing=False,
             )
             if prof.memory <= M:
                 chosen = (accum, chunk, prof)
@@ -95,7 +68,6 @@ def _search_data_parallel(
     if chosen is None:
         smallest = profiler.profile(
             tasks, 1, microbatches_in_flight=1, checkpointing=False,
-            key="__dp__",
         )
         return FrameworkResult(
             "data_parallel", False,

@@ -16,7 +16,7 @@ granularity (greedy prefix balancing over whole residual blocks).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.base import FrameworkResult
 from repro.comm.model import stage_boundary_p2p_times
@@ -24,13 +24,6 @@ from repro.graph.ir import TaskGraph
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
 from repro.pipeline.simulator import simulate_sync_pipeline
-from repro.planner import (
-    FRAMEWORK_RESULT,
-    PlannerConfig,
-    PlannerPass,
-    PlanningContext,
-    run_framework_pipeline,
-)
 from repro.profiler.profiler import GraphProfiler
 
 
@@ -97,7 +90,6 @@ def _evaluate_pipeline(
     batch_size: int,
     replicas: int,
     num_microbatches: int,
-    key_prefix: str,
     extra_static_bytes_per_param: float = 0.0,
     in_flight: Optional[int] = None,
     simulate: Callable[
@@ -127,7 +119,6 @@ def _evaluate_pipeline(
                 in_flight if in_flight is not None else num_microbatches
             ),
             checkpointing=True,
-            key=(key_prefix, len(stages), i),
         )
         memory = prof.memory + prof.param_count * extra_static_bytes_per_param
         if memory > M:
@@ -156,51 +147,6 @@ def _evaluate_pipeline(
     return pipe + allreduce + opt, pipe, max_mem
 
 
-class GpipeHybridPass(PlannerPass):
-    """Planner pass running the GPipe-Hybrid (stages, MB) sweep."""
-
-    name = "gpipe_hybrid_search"
-    produces = (FRAMEWORK_RESULT,)
-
-    def __init__(self, stage_counts: Sequence[int] = (2, 4, 8, 16)) -> None:
-        self.stage_counts = tuple(stage_counts)
-
-    def run(self, ctx: PlanningContext) -> Dict[str, Any]:
-        result = _search_gpipe_hybrid(
-            ctx.graph,
-            ctx.cluster,
-            ctx.config.batch_size,
-            ctx.config.precision,
-            self.stage_counts,
-            ctx.ensure_profiler(),
-        )
-        ctx.put(FRAMEWORK_RESULT, result)
-        return {"feasible": result.feasible}
-
-
-class GpipeModelPass(PlannerPass):
-    """Planner pass running the torchgpipe single-node split."""
-
-    name = "gpipe_model_search"
-    produces = (FRAMEWORK_RESULT,)
-
-    def __init__(self, num_stages: int = 8, num_microbatches: int = 64) -> None:
-        self.num_stages = num_stages
-        self.num_microbatches = num_microbatches
-
-    def run(self, ctx: PlanningContext) -> Dict[str, Any]:
-        result = _search_gpipe_model(
-            ctx.graph,
-            ctx.cluster,
-            ctx.config.batch_size,
-            self.num_stages,
-            self.num_microbatches,
-            ctx.ensure_profiler(),
-        )
-        ctx.put(FRAMEWORK_RESULT, result)
-        return {"feasible": result.feasible}
-
-
 def run_gpipe_hybrid(
     graph: TaskGraph,
     cluster: ClusterSpec,
@@ -210,14 +156,13 @@ def run_gpipe_hybrid(
     profiler: Optional[GraphProfiler] = None,
 ) -> FrameworkResult:
     """GPipe with hybrid parallelism on a Transformer graph."""
-    return run_framework_pipeline(
+    return _search_gpipe_hybrid(
         graph,
         cluster,
-        PlannerConfig(
-            batch_size=batch_size, precision=precision, validate=False
-        ),
-        [GpipeHybridPass(stage_counts)],
-        profiler=profiler,
+        batch_size,
+        precision,
+        stage_counts,
+        profiler or GraphProfiler(graph, cluster, precision),
     )
 
 
@@ -250,7 +195,6 @@ def _search_gpipe_hybrid(
         while MB <= batch_size // replicas:
             outcome = _evaluate_pipeline(
                 profiler, cluster, stages, batch_size, replicas, MB,
-                key_prefix="gpipe_hybrid",
             )
             if outcome is not None:
                 iteration, pipe, mem = outcome
@@ -287,14 +231,13 @@ def run_gpipe_model(
     profiler: Optional[GraphProfiler] = None,
 ) -> FrameworkResult:
     """torchgpipe-style model parallelism on one node (Fig. 5 baseline)."""
-    return run_framework_pipeline(
+    return _search_gpipe_model(
         graph,
         cluster,
-        PlannerConfig(
-            batch_size=batch_size, precision=precision, validate=False
-        ),
-        [GpipeModelPass(num_stages, num_microbatches)],
-        profiler=profiler,
+        batch_size,
+        num_stages,
+        num_microbatches,
+        profiler or GraphProfiler(graph, cluster, precision),
     )
 
 
@@ -320,7 +263,6 @@ def _search_gpipe_model(
         if batch_size % MB == 0:
             outcome = _evaluate_pipeline(
                 profiler, cluster, stages, batch_size, 1, MB,
-                key_prefix="gpipe_model",
             )
             if outcome is not None:
                 iteration, pipe, mem = outcome

@@ -21,7 +21,7 @@ feasible configuration is reported (the paper manually tried all).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,13 +30,6 @@ from repro.graph.ir import TaskGraph
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
 from repro.models.configs import BertConfig
-from repro.planner import (
-    FRAMEWORK_RESULT,
-    PlannerConfig,
-    PlannerPass,
-    PlanningContext,
-    run_framework_pipeline,
-)
 from repro.profiler.profiler import GraphProfiler
 
 #: op types whose compute and weights Megatron splits across t devices
@@ -45,28 +38,6 @@ _SPLIT_OPS = frozenset({"matmul", "linear", "softmax", "gelu", "embedding"})
 
 def _is_transformer(graph: TaskGraph) -> bool:
     return any(t.startswith("layer0.attn.") for t in graph.tasks)
-
-
-class MegatronPass(PlannerPass):
-    """Planner pass sweeping Megatron's tensor-parallel degree ``t``."""
-
-    name = "megatron_search"
-    produces = (FRAMEWORK_RESULT,)
-
-    def __init__(self, cfg: BertConfig) -> None:
-        self.cfg = cfg
-
-    def run(self, ctx: PlanningContext) -> Dict[str, Any]:
-        result = _search_megatron(
-            ctx.graph,
-            self.cfg,
-            ctx.cluster,
-            ctx.config.batch_size,
-            ctx.config.precision,
-            ctx.ensure_profiler(),
-        )
-        ctx.put(FRAMEWORK_RESULT, result)
-        return {"feasible": result.feasible}
 
 
 def run_megatron(
@@ -78,14 +49,13 @@ def run_megatron(
     profiler: Optional[GraphProfiler] = None,
 ) -> FrameworkResult:
     """Evaluate Megatron-LM tensor parallelism on a BERT-family graph."""
-    return run_framework_pipeline(
+    return _search_megatron(
         graph,
+        cfg,
         cluster,
-        PlannerConfig(
-            batch_size=batch_size, precision=precision, validate=False
-        ),
-        [MegatronPass(cfg)],
-        profiler=profiler,
+        batch_size,
+        precision,
+        profiler or GraphProfiler(graph, cluster, precision),
     )
 
 

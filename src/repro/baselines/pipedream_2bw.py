@@ -20,7 +20,7 @@ the authors -- we sweep S over {2, 4, 8, 16} and keep the best.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.baselines.base import FrameworkResult
 from repro.baselines.gpipe import (
@@ -33,35 +33,7 @@ from repro.graph.ir import TaskGraph
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
 from repro.pipeline.simulator import simulate_async_1f1b
-from repro.planner import (
-    FRAMEWORK_RESULT,
-    PlannerConfig,
-    PlannerPass,
-    PlanningContext,
-    run_framework_pipeline,
-)
 from repro.profiler.profiler import GraphProfiler
-
-
-class PipeDream2BWPass(PlannerPass):
-    """Planner pass running the PipeDream-2BW (stages, MB) sweep."""
-
-    name = "pipedream_2bw_search"
-    produces = (FRAMEWORK_RESULT,)
-
-    def __init__(self, stage_counts: Sequence[int] = (2, 4, 8, 16)) -> None:
-        self.stage_counts = tuple(stage_counts)
-
-    def run(self, ctx: PlanningContext) -> Dict[str, Any]:
-        result = _search_pipedream_2bw(
-            ctx.graph,
-            ctx.cluster,
-            ctx.config.batch_size,
-            self.stage_counts,
-            ctx.ensure_profiler(),
-        )
-        ctx.put(FRAMEWORK_RESULT, result)
-        return {"feasible": result.feasible}
 
 
 def run_pipedream_2bw(
@@ -73,14 +45,12 @@ def run_pipedream_2bw(
     profiler: Optional[GraphProfiler] = None,
 ) -> FrameworkResult:
     """Evaluate PipeDream-2BW on a Transformer graph."""
-    return run_framework_pipeline(
+    return _search_pipedream_2bw(
         graph,
         cluster,
-        PlannerConfig(
-            batch_size=batch_size, precision=precision, validate=False
-        ),
-        [PipeDream2BWPass(stage_counts)],
-        profiler=profiler,
+        batch_size,
+        stage_counts,
+        profiler or GraphProfiler(graph, cluster, precision),
     )
 
 
@@ -112,7 +82,6 @@ def _search_pipedream_2bw(
         while MB <= batch_size // replicas:
             outcome = _evaluate_pipeline(
                 profiler, cluster, stages, batch_size, replicas, MB,
-                key_prefix="2bw",
                 # the second weight buffer, and 1F1B keeps at most S
                 # microbatches in flight
                 extra_static_bytes_per_param=4.0,

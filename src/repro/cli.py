@@ -322,7 +322,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     import dataclasses
 
-    from repro.planner import PlanningContext, plan_graph
+    from repro.planner import PlanningContext
 
     event = None
     if args.repair is not None:
@@ -360,7 +360,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
           f"BS={config.batch_size}, {config.precision.value}, "
           f"comm={ctx.cluster.comm_model}")
     try:
-        plan = plan_graph(graph, cluster, config, context=ctx)
+        plan = ctx.run()
     except PartitioningError as exc:
         print(f"INFEASIBLE: {exc}")
         if args.explain:
@@ -465,8 +465,8 @@ def _render_events(ctx) -> str:
         stats = ctx.profiler.stats()
         lines.append(
             f"profiler memo hit rate: {stats['memo_hit_rate']:.1%} "
-            f"({int(stats['cache_hits'] + stats['table_hits'])} hits / "
-            f"{int(stats['profile_calls'] + stats['cache_hits'] + stats['table_calls'])} lookups)"
+            f"({int(stats['table_hits'])} hits / "
+            f"{int(stats['table_calls'])} time-table lookups)"
         )
     else:
         lines.append("profiler memo hit rate: n/a (profiler never built)")

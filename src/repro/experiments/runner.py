@@ -9,12 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.graph.ir import TaskGraph
 from repro.hardware.cluster import ClusterSpec
 from repro.partitioner.plan import PartitionPlan
-from repro.planner import (
-    EventLog,
-    PlannerConfig,
-    PlanningContext,
-    plan_graph,
-)
+from repro.planner import EventLog, PlannerConfig, PlanningContext
 from repro.profiler.profiler import GraphProfiler
 
 
@@ -48,8 +43,7 @@ def plan_with_events(
     ``auto_partition``.
     """
     ctx = PlanningContext(graph, cluster, config, profiler)
-    plan = plan_graph(graph, cluster, config, context=ctx)
-    return plan, ctx.events
+    return ctx.run(), ctx.events
 
 
 def rannc_sweep_row(

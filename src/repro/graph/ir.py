@@ -193,10 +193,6 @@ class TaskGraph:
         """Total number of trainable parameters (batch-independent)."""
         return sum(v.numel(1) for v in self.params())
 
-    def task_list(self) -> List[TaskNode]:
-        """Tasks in insertion (topological) order."""
-        return list(self.tasks.values())
-
     def producer_of(self, value_name: str) -> Optional[TaskNode]:
         """The task producing a value, or None for leaves."""
         producer = self.values[value_name].producer

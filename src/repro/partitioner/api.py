@@ -4,9 +4,10 @@ A thin wrapper over the pass-based planning engine
 (:mod:`repro.planner`): it assembles the default pass list — validate ->
 atomic-level partitioning -> block-level coarsening -> profile-tensor
 construction -> Algorithm-2 stage search -> device allocation ->
-throughput evaluation -> verification — and returns the finished plan.  Callers that need the event log or a custom pipeline use
-:func:`repro.planner.plan_graph` directly; ``reuse_from`` turns the call
-into a delta replan (see :mod:`repro.planner.replan`).
+throughput evaluation -> verification — and returns the finished plan.
+Callers that need the event log or a custom pipeline build a
+:class:`repro.planner.PlanningContext` and run it; a delta replan goes
+through :func:`repro.planner.replan`.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from repro.graph.ir import TaskGraph
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
 from repro.partitioner.plan import PartitionPlan
-from repro.planner import (
-    ArtifactStore,
-    PartitioningError,
-    PlannerConfig,
-    PlanningContext,
-    plan_graph,
-)
+from repro.planner import PartitioningError, PlannerConfig, plan_graph
 from repro.profiler.memory import OptimizerKind
 from repro.profiler.profiler import GraphProfiler
 
@@ -39,15 +34,12 @@ def auto_partition(
     num_blocks: int = 32,
     optimizer: OptimizerKind = OptimizerKind.ADAM,
     max_microbatches: Optional[int] = None,
-    validate: bool = True,
     verify: bool = True,
     profiler: Optional[GraphProfiler] = None,
     cache_dir: Optional[Union[str, Path]] = None,
-    context: Optional[PlanningContext] = None,
     comm_model: Optional[str] = None,
     memory_budget: Optional[float] = None,
     cache_budget_bytes: Optional[int] = None,
-    reuse_from: Optional[PlanningContext] = None,
     mode: str = "training",
 ) -> PartitionPlan:
     """Automatically partition ``graph`` for hybrid parallelism.
@@ -55,21 +47,20 @@ def auto_partition(
     This is the user-facing equivalent of wrapping a PyTorch module in
     ``pyrannc.RaNNCModule``: no annotations, no manual stages.
 
-    Example -- partition BERT-base for one 8-V100 node and re-plan the
-    same model for two nodes, reusing the profiling work::
+    Example -- partition BERT-base for one 8-V100 node in mixed
+    precision::
 
-        from repro.hardware import paper_cluster
+        from repro.hardware import Precision, paper_cluster
         from repro.models import BertConfig, build_bert
-        from repro.planner import PlannerConfig, PlanningContext
 
         graph = build_bert(BertConfig(hidden_size=768, num_layers=12,
                                       num_heads=12))
-        ctx = PlanningContext(graph, paper_cluster(1),
-                              PlannerConfig(batch_size=64))
         plan = auto_partition(graph, paper_cluster(1), batch_size=64,
-                              context=ctx)
-        bigger = auto_partition(graph, paper_cluster(2), batch_size=64,
-                                reuse_from=ctx)   # delta replan
+                              precision=Precision.AMP)
+
+    To re-plan the same model for two nodes reusing the profiling work,
+    run a :class:`~repro.planner.PlanningContext` and pass it to
+    :func:`~repro.planner.replan`.
 
     Args:
         graph: the traced model (see :mod:`repro.models`).
@@ -79,7 +70,6 @@ def auto_partition(
         num_blocks: ``k`` of block-level partitioning (paper uses 32).
         optimizer: optimizer whose state enters the memory estimate.
         max_microbatches: optional cap on the microbatch search.
-        validate: structurally validate the graph first.
         verify: hold the finished plan (fresh or cache-restored) to the
             :mod:`repro.verify` invariants; violations raise
             :class:`repro.verify.PlanVerificationError`.
@@ -88,8 +78,6 @@ def auto_partition(
             call with identical graph / cluster / planner config loads
             the plan from disk instead of re-running the search, and a
             changed call reuses every still-valid artifact.
-        context: supply a :class:`PlanningContext` to inspect the
-            per-pass event log and artifacts after the call.
         comm_model: communication cost model (``"flat"`` or
             ``"topology"``, see :mod:`repro.comm`); ``None`` inherits
             the cluster's own ``comm_model`` setting.
@@ -98,10 +86,6 @@ def auto_partition(
             the full capacity.
         cache_budget_bytes: LRU byte budget for the on-disk cache;
             ``None`` is unbounded.
-        reuse_from: the :class:`PlanningContext` of a previous planning
-            run; still-valid artifacts (coarsening, profile tensors,
-            DP solution) are reused and only the invalidated passes
-            rerun -- a *delta replan* (see :mod:`repro.planner.replan`).
         mode: ``"training"`` (default) plans a full training iteration;
             ``"inference"`` plans forward-only serving (no backward or
             optimizer cost, weights-plus-KV memory accounting; see
@@ -119,7 +103,6 @@ def auto_partition(
         num_blocks=num_blocks,
         optimizer=optimizer,
         max_microbatches=max_microbatches,
-        validate=validate,
         verify=verify,
         cache_dir=cache_dir,
         comm_model=comm_model,
@@ -127,18 +110,4 @@ def auto_partition(
         cache_budget_bytes=cache_budget_bytes,
         mode=mode,
     )
-    if context is None:
-        context = PlanningContext(graph, cluster, config, profiler)
-    else:
-        context.config = config
-        if comm_model is not None:
-            context.cluster = context.cluster.with_comm_model(comm_model)
-        if profiler is not None:
-            context.profiler = profiler
-    if reuse_from is not None:
-        from repro.planner import ensure_store
-
-        context.attach_store(ensure_store(reuse_from))
-    elif context.store is None and cache_dir is not None:
-        context.attach_store(ArtifactStore())
-    return plan_graph(graph, cluster, config, context=context)
+    return plan_graph(graph, cluster, config, profiler=profiler)

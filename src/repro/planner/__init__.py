@@ -4,10 +4,15 @@ The paper's three-phase flow (atomic partitioning, block coarsening, the
 Algorithm-1/2 stage search) is expressed as discrete
 :class:`~repro.planner.manager.PlannerPass` objects threaded through a
 shared :class:`~repro.planner.context.PlanningContext` by a
-:class:`~repro.planner.manager.PassManager`.  ``auto_partition`` is a
-thin wrapper over :func:`default_passes`; baselines and experiments
-assemble their own pipelines from the same building blocks, and every
-run yields a structured per-pass event log (``repro plan --explain``).
+:class:`~repro.planner.manager.PassManager`.
+
+A run has one way in: build a context from the run's inputs (graph,
+cluster, config) and call :meth:`PlanningContext.run`.
+:func:`plan_graph` does both; ``auto_partition`` builds the config from
+keyword arguments; :func:`replan` builds the context of a delta run
+over the previous run's store; :func:`repair` runs plan repair as a
+pipeline.  Every run yields a structured per-pass event log
+(``repro plan --explain``) on its context.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from repro.planner.context import (
     COMPONENTS,
     DP_CONTEXT,
     EVALUATED,
-    FRAMEWORK_RESULT,
     PLAN,
     SEARCH_RESULT,
     VALIDATED,
@@ -89,45 +93,15 @@ def plan_graph(
     graph: TaskGraph,
     cluster: ClusterSpec,
     config: PlannerConfig,
+    *,
     profiler: Optional[GraphProfiler] = None,
     passes: Optional[List[PlannerPass]] = None,
-    context: Optional[PlanningContext] = None,
 ) -> PartitionPlan:
-    """Run a planning pipeline and return the finished plan.
-
-    Pass ``context`` to keep a handle on the artifacts and event log
-    (e.g. for ``--explain`` rendering); otherwise one is created.
-    """
-    ctx = context or PlanningContext(graph, cluster, config, profiler)
-    PassManager(passes if passes is not None else default_passes()).run(ctx)
-    plan = ctx.get(EVALUATED) or ctx.get(PLAN)
-    if plan is None:
-        raise PassError(
-            "pipeline",
-            "no pass produced a plan artifact "
-            f"(artifacts: {sorted(ctx.artifacts)})",
-        )
-    return plan
-
-
-def run_framework_pipeline(
-    graph: TaskGraph,
-    cluster: ClusterSpec,
-    config: PlannerConfig,
-    passes: List[PlannerPass],
-    profiler: Optional[GraphProfiler] = None,
-    context: Optional[PlanningContext] = None,
-):
-    """Run a baseline-framework pipeline and return its result artifact.
-
-    Baselines (GPipe, PipeDream-2BW, Megatron-LM, data parallelism)
-    share this entry point: each contributes a search pass producing the
-    ``FRAMEWORK_RESULT`` artifact, and gets the same context, event log
-    and profiler handling as ``auto_partition``.
-    """
-    ctx = context or PlanningContext(graph, cluster, config, profiler)
-    PassManager(passes).run(ctx)
-    return ctx.require(FRAMEWORK_RESULT)
+    """Plan ``graph`` on ``cluster`` under ``config`` and return the
+    finished plan: ``PlanningContext(...).run(passes)``.  Build the
+    context yourself to keep a handle on its artifacts and event log
+    (e.g. for ``--explain`` rendering)."""
+    return PlanningContext(graph, cluster, config, profiler).run(passes)
 
 
 __all__ = [
@@ -145,7 +119,6 @@ __all__ = [
     "EvaluatePass",
     "EventLog",
     "FACET_NAMES",
-    "FRAMEWORK_RESULT",
     "GraphProfiler",
     "NodeLoss",
     "PLAN",
@@ -172,6 +145,5 @@ __all__ = [
     "plan_graph",
     "repair",
     "replan",
-    "run_framework_pipeline",
     "survivor_map",
 ]

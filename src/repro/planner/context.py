@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Union
 
 from repro.graph.ir import TaskGraph
 from repro.hardware.cluster import ClusterSpec
@@ -18,6 +16,11 @@ from repro.planner.events import EventLog
 from repro.profiler.memory import OptimizerKind
 from repro.profiler.profiler import GraphProfiler
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.partitioner.plan import PartitionPlan
+    from repro.planner.manager import PlannerPass
+    from repro.planner.store import ArtifactStore
+
 #: canonical artifact names produced by the built-in passes
 VALIDATED = "validated"
 COMPONENTS = "components"
@@ -27,22 +30,22 @@ SEARCH_RESULT = "search_result"
 PLAN = "plan"
 EVALUATED = "evaluated"
 VERIFIED = "verified"
-FRAMEWORK_RESULT = "framework_result"
 
 
 @dataclass(frozen=True)
 class PlannerConfig:
     """Everything the planning pipeline needs besides graph + cluster.
 
-    The fields mirror the historical ``auto_partition`` keyword
-    arguments; :meth:`fingerprint` hashes the plan-determining subset so
-    the plan service can coalesce requests on it (``validate``,
-    ``verify``, ``cache_dir`` and ``trace`` change how the pipeline runs,
-    not what plan it produces, and are excluded -- tracing/verification
-    only record or check what happened).  How the stage search runs is
-    not a field either: Algorithm 1 has one evaluation path (banded
-    profiles, see ``docs/SCALING.md``) and Algorithm 2 runs its sweeps
-    serially, in one thread.
+    The fields mirror the ``auto_partition`` keyword arguments.  Which of
+    them determine the plan is decided by the passes that read them: each
+    pass declares its input facets (:mod:`repro.planner.facets`), and the
+    ``evaluate`` pass's input fingerprint is the finished plan's address
+    (:func:`~repro.planner.facets.plan_address`).  ``verify``,
+    ``cache_dir``, ``cache_budget_bytes`` and ``trace`` change how the
+    pipeline runs, not what plan it produces, so no facet reads them.
+    How the stage search runs is not a field either: Algorithm 1 has one
+    evaluation path (banded profiles, see ``docs/SCALING.md``) and
+    Algorithm 2 runs its sweeps serially, in one thread.
 
     ``trace`` turns on fine-grained span recording (per-candidate
     Algorithm-2 spans, per-call Algorithm-1 DP spans) on the context's
@@ -52,18 +55,15 @@ class PlannerConfig:
 
     ``comm_model`` selects the communication cost model
     (:mod:`repro.comm`): ``None`` inherits the cluster's own setting,
-    ``"flat"``/``"topology"`` override it for this run.  The model is
-    plan-determining (it prices stage boundaries and allreduce), so it
-    participates in :meth:`fingerprint`.
+    ``"flat"``/``"topology"`` override it for this run (see
+    :func:`effective_cluster`).
 
     ``memory_budget`` optionally caps the per-device memory the stage
     search may fill *below* the hardware capacity (bytes; ``None`` means
     capacity).  It bounds only the DP's feasibility check -- coarsening
     keeps using the raw device capacity -- so a budget change invalidates
     the stage search but reuses the coarsening and profile-tensor
-    artifacts under delta replanning.  Plan-determining, so it enters
-    :meth:`fingerprint`; ``None`` is omitted from the hashed document to
-    keep default-config fingerprints identical to earlier releases.
+    artifacts under delta replanning.
 
     ``cache_dir`` gives every context built from this config a disk-backed
     :class:`~repro.planner.store.ArtifactStore` rooted there: a repeated
@@ -72,8 +72,8 @@ class PlannerConfig:
 
     ``cache_budget_bytes`` is the LRU byte budget of the on-disk cache
     backend (serialized artifacts, the finished plan included); ``None`` leaves
-    the cache unbounded.  A run-mode knob: it changes what stays cached,
-    never what plan is produced, so it is excluded from the fingerprint.
+    the cache unbounded.  It changes what stays cached, never what plan
+    is produced.
 
     Example -- the paper's BERT setup with tracing and a bounded disk
     cache::
@@ -98,7 +98,6 @@ class PlannerConfig:
     optimizer: OptimizerKind = OptimizerKind.ADAM
     mode: str = "training"
     max_microbatches: Optional[int] = None
-    validate: bool = True
     verify: bool = True
     schedule: str = "sync"
     cache_dir: Optional[Union[str, Path]] = None
@@ -114,42 +113,38 @@ class PlannerConfig:
                 f"expected 'training' or 'inference'"
             )
 
-    def fingerprint(self) -> str:
-        """Stable content hash of the plan-determining fields."""
-        doc = {
-            "batch_size": self.batch_size,
-            "precision": self.precision.value,
-            "num_blocks": self.num_blocks,
-            "optimizer": self.optimizer.value,
-            "max_microbatches": self.max_microbatches,
-            "schedule": self.schedule,
-            "comm_model": self.comm_model,
-        }
-        if self.memory_budget is not None:
-            # only hashed when set, so default-config fingerprints stay
-            # identical to earlier releases
-            doc["memory_budget"] = self.memory_budget
-        if self.mode != "training":
-            # same back-compat contract as memory_budget: training-mode
-            # fingerprints are byte-identical to earlier releases
-            doc["mode"] = self.mode
-        blob = json.dumps(doc, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+
+def effective_cluster(cluster: ClusterSpec, config: PlannerConfig) -> ClusterSpec:
+    """``cluster`` under ``config.comm_model``: an explicit model
+    overrides the cluster's own setting, so every pass (and the plan
+    itself) sees one consistent communication model."""
+    if config.comm_model is not None and config.comm_model != cluster.comm_model:
+        return cluster.with_comm_model(config.comm_model)
+    return cluster
 
 
 class PlanningContext:
-    """Mutable state shared by the passes of one planning run.
+    """One planning run: its inputs and the state its passes share.
 
-    Holds the immutable inputs (graph, cluster, config), the lazily
-    constructed profiler, the per-run artifact dict passes read from and
-    write to, optionally a cross-run content-addressed
-    :class:`~repro.planner.store.ArtifactStore` (whole-plan hits and
-    delta replanning; always present when ``config.cache_dir`` is set), and
-    the run's observability surface: a
+    Holds the run's inputs (graph, cluster, config), fixed at
+    construction, the lazily constructed profiler, the per-run artifact
+    dict passes read from and write to, optionally a cross-run
+    content-addressed :class:`~repro.planner.store.ArtifactStore`
+    (whole-plan hits and delta replanning; always present when
+    ``config.cache_dir`` is set), and the run's observability surface: a
     :class:`~repro.obs.tracer.Tracer` (also the storage behind the
     structured event log the :class:`~repro.planner.manager.PassManager`
     appends to) and a :class:`~repro.obs.metrics.MetricsRegistry` the
     search layers record counters into.
+
+    Build one per run and call :meth:`run`; keep the context to read the
+    event log and artifacts afterwards, or to seed a delta run::
+
+        ctx = PlanningContext(graph, cluster, config)
+        plan = ctx.run()
+        ctx.events            # per-pass event log (``--explain``)
+        delta = PlanningContext(graph, bigger, config,
+                                store=ensure_store(ctx)).run()
     """
 
     def __init__(
@@ -163,15 +158,7 @@ class PlanningContext:
         store: Optional["ArtifactStore"] = None,
     ) -> None:
         self.graph = graph
-        # an explicit config.comm_model overrides the cluster's own
-        # setting, so every pass (and the plan itself) sees one
-        # consistent communication model
-        if (
-            config.comm_model is not None
-            and config.comm_model != cluster.comm_model
-        ):
-            cluster = cluster.with_comm_model(config.comm_model)
-        self.cluster = cluster
+        self.cluster = effective_cluster(cluster, config)
         self.config = config
         self.profiler = profiler
         self.artifacts: Dict[str, Any] = {}
@@ -184,17 +171,50 @@ class PlanningContext:
         #: keyed by artifact name; feeds downstream passes' input
         #: fingerprints and seeds the store for later delta replans
         self.artifact_fps: Dict[str, str] = {}
-        self.store: Optional["ArtifactStore"] = None
         #: a plan served whole from the store: its deployment JSON,
         #: encoded once, and the report of the probe that verified it
         self.plan_document: Optional[str] = None
         self.plan_report: Optional[Any] = None
-        if store is None and config.cache_dir is not None:
-            from repro.planner.store import ArtifactStore
+        if config.cache_dir is not None:
+            # a configured cache_dir lends the store (a fresh one, or a
+            # delta run's without a disk tier) its disk backend, so
+            # planning with a cache_dir always persists and reuses
+            # artifacts on disk
+            from repro.planner.store import ArtifactStore, DiskBackend
 
-            store = ArtifactStore()
-        if store is not None:
-            self.attach_store(store)
+            if store is None:
+                store = ArtifactStore()
+            if store.disk is None:
+                store.disk = DiskBackend(
+                    Path(config.cache_dir),
+                    byte_budget=config.cache_budget_bytes,
+                )
+        self.store: Optional["ArtifactStore"] = store
+
+    def run(
+        self, passes: Optional[Sequence["PlannerPass"]] = None
+    ) -> "PartitionPlan":
+        """Run ``passes`` (default: :func:`~repro.planner.default_passes`)
+        over this context and return the finished
+        :class:`~repro.partitioner.plan.PartitionPlan`.
+
+        Running a finished context again skips every pass ("artifacts
+        already present") and returns the same plan.
+        """
+        from repro.planner import default_passes
+        from repro.planner.manager import PassError, PassManager
+
+        PassManager(passes if passes is not None else default_passes()).run(
+            self
+        )
+        plan = self.get(EVALUATED) or self.get(PLAN)
+        if plan is None:
+            raise PassError(
+                "pipeline",
+                "no pass produced a plan artifact "
+                f"(artifacts: {sorted(self.artifacts)})",
+            )
+        return plan
 
     # ------------------------------------------------------------------
     # artifact store
@@ -220,22 +240,6 @@ class PlanningContext:
         return value
 
     # ------------------------------------------------------------------
-    # incremental replanning
-    # ------------------------------------------------------------------
-    def attach_store(self, store: "ArtifactStore") -> "ArtifactStore":
-        """Adopt a cross-run artifact store.  A configured ``cache_dir``
-        lends a store without a disk tier its backend, so planning with
-        a ``cache_dir`` always persists and reuses artifacts on disk."""
-        if store.disk is None and self.config.cache_dir is not None:
-            from repro.planner.store import DiskBackend
-
-            store.disk = DiskBackend(
-                Path(self.config.cache_dir),
-                byte_budget=self.config.cache_budget_bytes,
-            )
-        self.store = store
-        return store
-
     def facets(self) -> Dict[str, str]:
         """Digest of every input facet of this run (see
         :mod:`repro.planner.facets`)."""

@@ -48,14 +48,6 @@ class PassEvent:
     wall_time: float = 0.0
     detail: Dict[str, Any] = field(default_factory=dict)
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "wall_time": self.wall_time,
-            "detail": dict(self.detail),
-        }
-
 
 def _event_of(span: Span) -> PassEvent:
     detail = {k: v for k, v in span.attrs.items() if k != "status"}
@@ -120,9 +112,6 @@ class EventLog:
         return {
             e.name: e.wall_time for e in self.events if e.status != SKIPPED
         }
-
-    def as_dicts(self) -> List[Dict[str, Any]]:
-        return [e.as_dict() for e in self.events]
 
     def __iter__(self) -> Iterator[PassEvent]:
         return iter(self.events)

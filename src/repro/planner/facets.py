@@ -195,3 +195,24 @@ def fingerprint_chain(
             for artifact in p.produces:
                 chain[artifact] = fp
     return out
+
+
+def plan_address(
+    passes: Sequence["PlannerPass"],
+    fps: Dict[str, Tuple[str, Dict[str, str]]],
+) -> Optional[Tuple["PlannerPass", str]]:
+    """The pass that produces the finished ``evaluated`` plan, with its
+    input fingerprint from ``fps`` (a :func:`fingerprint_chain`): the
+    store address of the finished plan.  ``None`` when no such pass is
+    fingerprinted.
+
+    The pass manager probes the store at this address before any pass
+    runs, and the plan service keys requests on it, so one list -- the
+    facets each pass declares -- says what determines a plan.
+    """
+    from repro.planner.context import EVALUATED
+
+    for p in passes:
+        if EVALUATED in p.produces and p.name in fps:
+            return p, fps[p.name][0]
+    return None

@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.obs.rss import peak_rss_bytes
 from repro.planner.context import EVALUATED, PLAN, PlanningContext
 from repro.planner.events import FAILED, OK, SKIPPED
-from repro.planner.facets import fingerprint_chain
+from repro.planner.facets import fingerprint_chain, plan_address
 from repro.planner.store import materialize_for_reuse, verify_served_plan
 
 
@@ -246,18 +246,11 @@ class PassManager:
         fails verification is evicted and reported as a miss, so the
         run replans it.
         """
-        probe = next(
-            (
-                p
-                for p in self.passes
-                if EVALUATED in p.produces and p.name in fps
-            ),
-            None,
-        )
-        if probe is None or ctx.has(EVALUATED):
+        address = plan_address(self.passes, fps)
+        if address is None or ctx.has(EVALUATED):
             return None, False
+        probe, fp = address
         start = time.perf_counter()
-        fp = fps[probe.name][0]
         art = store.get(EVALUATED, fp, ctx)
         if art is None:
             return probe, False

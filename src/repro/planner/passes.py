@@ -65,25 +65,17 @@ class ValidatePass(PlannerPass):
     def run(self, ctx: PlanningContext) -> Optional[Dict[str, Any]]:
         if ctx.config.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        memo_hit = False
-        if ctx.config.validate:
-            store = ctx.store
-            graph_fp = (
-                graph_fingerprint(ctx.graph) if store is not None else None
-            )
-            memo_hit = graph_fp is not None and store.graph_validated(graph_fp)
-            if memo_hit:
-                ctx.metrics.counter("validate.memo_hits").inc()
-            else:
-                validate_graph(ctx.graph)
-                if graph_fp is not None:
-                    store.mark_graph_validated(graph_fp)
+        store = ctx.store
+        graph_fp = graph_fingerprint(ctx.graph) if store is not None else None
+        memo_hit = graph_fp is not None and store.graph_validated(graph_fp)
+        if memo_hit:
+            ctx.metrics.counter("validate.memo_hits").inc()
+        else:
+            validate_graph(ctx.graph)
+            if graph_fp is not None:
+                store.mark_graph_validated(graph_fp)
         ctx.put(VALIDATED, True)
-        return {
-            "tasks": len(ctx.graph.tasks),
-            "structural_check": ctx.config.validate,
-            "memo_hit": memo_hit,
-        }
+        return {"tasks": len(ctx.graph.tasks), "memo_hit": memo_hit}
 
 
 class AtomicPartitionPass(PlannerPass):
@@ -209,9 +201,7 @@ class StageSearchPass(PlannerPass):
         stats = profiler.stats()
         for name, value in stats.items():
             ctx.metrics.gauge(f"profiler.{name}").set(value)
-        ctx.metrics.gauge("profiler.memo_hits").set(
-            stats["cache_hits"] + stats["table_hits"]
-        )
+        ctx.metrics.gauge("profiler.memo_hits").set(stats["table_hits"])
         if result is None:
             raise PartitioningError(
                 f"no feasible partition for {ctx.graph.name!r} on "

@@ -21,8 +21,9 @@ cluster's topology.  A repair that needs *zero* migrations is
 zero-disruption -- the event removed or added whole replicas -- and is
 adopted as-is.  Only when the in-place plan is infeasible (replica
 collapse, memory violation, verification failure) does repair fall back
-to a full :func:`~repro.planner.replan.replan`, which reuses every
-still-valid artifact of the previous run.
+to a full replan: a run on the new cluster over the previous run's
+store (:func:`~repro.planner.replan.ensure_store`), which reuses every
+still-valid artifact.
 
 Every repair emits ``repair.*`` spans on the context's tracer and
 ``repair.*`` counters/gauges on its metrics registry; the plan service
@@ -62,7 +63,7 @@ from repro.planner.passes import (
     ProfileTensorsPass,
     VerifyPass,
 )
-from repro.planner.replan import replan
+from repro.planner.replan import ensure_store
 from repro.verify import PlanVerificationError
 
 __all__ = [
@@ -436,7 +437,7 @@ def repair(
 
     Example -- lose node 1 of a 4-node job and keep training::
 
-        plan = plan_graph(graph, cluster, config, context=ctx)
+        plan = ctx.run()
         result = repair(ctx, NodeLoss(1))
         result.plan            # re-verified plan on the 3 survivors
         result.migration_time  # seconds to re-shard the parameters
@@ -472,11 +473,12 @@ def repair(
                 "repair.full_replan", category="repair", reason=reason
             ):
                 ctx = PlanningContext(
-                    prev_context.graph, new_cluster, prev_context.config
+                    prev_context.graph,
+                    new_cluster,
+                    prev_context.config,
+                    store=ensure_store(prev_context),
                 )
-                final = replan(
-                    prev_context, cluster=new_cluster, context=ctx
-                )
+                final = ctx.run()
         else:
             final = ctx.require(EVALUATED)
         # zero transfers on the in-place path means the event removed

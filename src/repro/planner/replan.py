@@ -21,16 +21,16 @@ pass still re-checks every delta-produced plan, reuse or not.
 Typical use::
 
     ctx = PlanningContext(graph, cluster, config)
-    plan = plan_graph(graph, cluster, config, context=ctx)
+    plan = ctx.run()
     # ... the cluster doubles ...
     new_plan = replan(ctx, cluster=bigger_cluster)
 
-or, through the one-call API::
+or, to keep the delta run's event log, build its context over the
+previous run's store and run it::
 
-    plan = auto_partition(graph, cluster, batch_size=32, context=ctx)
-    new_plan = auto_partition(
-        graph, bigger_cluster, batch_size=32, reuse_from=ctx
-    )
+    new_ctx = PlanningContext(graph, bigger_cluster, config,
+                              store=ensure_store(ctx))
+    new_plan = new_ctx.run()
 
 ``repro plan --cache-dir`` exposes the same mechanism on the command
 line by persisting the artifacts under ``<cache_dir>/artifacts/``.
@@ -66,8 +66,7 @@ def ensure_store(prev_context: PlanningContext) -> ArtifactStore:
         return prev_context.store
     from repro.planner import default_passes
 
-    store = ArtifactStore()
-    prev_context.attach_store(store)
+    store = prev_context.store = ArtifactStore()
     passes = default_passes()
     fps = fingerprint_chain(
         passes,
@@ -98,7 +97,6 @@ def replan(
     graph: Optional[TaskGraph] = None,
     cluster: Optional[ClusterSpec] = None,
     config: Optional[PlannerConfig] = None,
-    context: Optional[PlanningContext] = None,
     **config_overrides: Any,
 ):
     """Re-plan after a change, reusing every still-valid artifact.
@@ -108,9 +106,6 @@ def replan(
         graph: replacement graph (default: the previous run's).
         cluster: replacement cluster (default: the previous run's).
         config: replacement config (default: the previous run's).
-        context: supply the new run's :class:`PlanningContext` to
-            inspect its event log afterwards; it is attached to the
-            previous run's store.  One is created when omitted.
         **config_overrides: individual :class:`PlannerConfig` fields to
             override on top of ``config`` (e.g. ``memory_budget=16e9``).
 
@@ -121,22 +116,16 @@ def replan(
     Example -- after a finished run, tighten the memory budget and grow
     the cluster; only the stage search onward reruns::
 
-        plan = plan_graph(graph, cluster, config, context=ctx)
+        plan = ctx.run()
         tighter = replan(ctx, memory_budget=16 * 2**30)
         wider = replan(ctx, cluster=paper_cluster(4))
     """
-    from repro.planner import plan_graph
-
-    store = ensure_store(prev_context)
-    new_graph = graph if graph is not None else prev_context.graph
-    new_cluster = cluster if cluster is not None else prev_context.cluster
     new_config = config if config is not None else prev_context.config
     if config_overrides:
         new_config = dataclasses.replace(new_config, **config_overrides)
-    if context is None:
-        context = PlanningContext(
-            new_graph, new_cluster, new_config, store=store
-        )
-    else:
-        context.attach_store(store)
-    return plan_graph(new_graph, new_cluster, new_config, context=context)
+    return PlanningContext(
+        graph if graph is not None else prev_context.graph,
+        cluster if cluster is not None else prev_context.cluster,
+        new_config,
+        store=ensure_store(prev_context),
+    ).run()

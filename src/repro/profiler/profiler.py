@@ -19,11 +19,11 @@ in insertion order):
 Profiling a subcomponent is then fancy-indexed sums over per-batch time
 tables, fast enough for the DP's thousands of candidate stages; block
 coarsening builds its atom aggregates and the stage DP its range
-matrices from the same arrays.  Results are memoized per ``(key, batch,
-...)`` exactly where RaNNC caches device profiles.
+matrices from the same arrays.  The time tables are memoized per batch
+size.
 
-The memo tables are plain dicts: the planner is serial, and callers that
-share one profiler across threads (through a stored ``dp_context``)
+The time-table memo is a plain dict: the planner is serial, and callers
+that share one profiler across threads (through a stored ``dp_context``)
 must serialize whole runs per model family, as the plan service does
 (DESIGN.md, "Who reaches a shared context").
 """
@@ -31,7 +31,7 @@ must serialize whole runs per model family, as the plan service does
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -98,9 +98,7 @@ class GraphProfiler:
         self._build_table(graph)
 
         self._time_tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._cache: Dict[Hashable, ProfileResult] = {}
         self.profile_calls = 0
-        self.cache_hits = 0
         self.table_calls = 0
         self.table_hits = 0
 
@@ -318,7 +316,6 @@ class GraphProfiler:
         batch_size: int,
         microbatches_in_flight: int = 1,
         checkpointing: bool = False,
-        key: Optional[Hashable] = None,
     ) -> ProfileResult:
         """Profile a subcomponent: ``(t_f, t_b, m)`` plus boundary bytes.
 
@@ -331,16 +328,8 @@ class GraphProfiler:
             checkpointing: activation checkpointing (adds one forward
                 recompute to ``t_b`` and shrinks the stash to the stage
                 boundary).
-            key: optional hashable identity of ``U`` for memoization.
         """
         batch_size = max(1, int(batch_size))
-        cache_key = None
-        if key is not None:
-            cache_key = (key, batch_size, microbatches_in_flight, checkpointing)
-            hit = self._cache.get(cache_key)
-            if hit is not None:
-                self.cache_hits += 1
-                return hit
         self.profile_calls += 1
 
         idx = self.indices_of(task_names)
@@ -364,7 +353,7 @@ class GraphProfiler:
             checkpointing=checkpointing,
             kv_bytes_micro=kv,
         )
-        result = ProfileResult(
+        return ProfileResult(
             time_fwd=t_f,
             time_bwd=t_b,
             memory=memory,
@@ -372,9 +361,6 @@ class GraphProfiler:
             in_bytes=in_bytes,
             out_bytes=out_bytes,
         )
-        if cache_key is not None:
-            self._cache[cache_key] = result
-        return result
 
     def unique_param_count(self, task_indices: np.ndarray) -> int:
         """Number of distinct parameters consumed by a set of tasks
@@ -436,17 +422,13 @@ class GraphProfiler:
     # ------------------------------------------------------------------
     @property
     def memo_hit_rate(self) -> float:
-        """Fraction of profiling lookups (subcomponent memo + per-batch
-        time tables) answered from a cache."""
-        hits = self.cache_hits + self.table_hits
-        total = self.profile_calls + self.cache_hits + self.table_calls
-        return hits / total if total else 0.0
+        """Fraction of per-batch time-table lookups answered from the
+        memo."""
+        return self.table_hits / self.table_calls if self.table_calls else 0.0
 
     def stats(self) -> Dict[str, float]:
         return {
             "profile_calls": self.profile_calls,
-            "cache_hits": self.cache_hits,
-            "cached_entries": len(self._cache),
             "table_calls": self.table_calls,
             "table_hits": self.table_hits,
             "memo_hit_rate": self.memo_hit_rate,

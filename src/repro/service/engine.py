@@ -8,8 +8,8 @@ service.  It owns
   budget over the serialized artifacts, exactly as ``repro plan
   --cache-dir`` configures it), which serves repeated requests the
   stored plan whole,
-* the **in-flight request table**: requests are keyed by the
-  graph+cluster+config fingerprint
+* the **in-flight request table**: requests are keyed by the store
+  address of the plan they determine
   (:attr:`~repro.service.protocol.PlanRequest.key`); concurrent
   duplicates coalesce onto the first caller's future, so N identical
   requests cost one pipeline run and N-1 waits,
@@ -66,7 +66,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.planner import PartitioningError, PlanningContext, plan_graph
+from repro.planner import PartitioningError, PlanningContext
 from repro.planner.store import ArtifactStore, DiskBackend
 from repro.service.protocol import (
     PlanRequest,
@@ -224,7 +224,7 @@ class PlanEngine:
                 event=event.kind,
             ) as span:
                 try:
-                    plan_graph(req.graph, req.cluster, req.config, context=ctx)
+                    ctx.run()
                     result = plan_repair(ctx, event)
                 except PartitioningError as exc:
                     span.set(outcome="infeasible")
@@ -577,9 +577,7 @@ class PlanEngine:
                 fingerprint=req.key,
             ) as span:
                 try:
-                    plan = plan_graph(
-                        req.graph, req.cluster, req.config, context=ctx
-                    )
+                    plan = ctx.run()
                 except PartitioningError as exc:
                     span.set(outcome="infeasible")
                     raise ServiceError("infeasible", str(exc)) from exc
@@ -645,7 +643,6 @@ class PlanEngine:
         """The live plan for ``req`` (used by ``simulate``): rerun the
         pipeline, which is a full store reuse after ``_coalesced_plan``."""
         with self._model_lock(req.model_key):
-            ctx = PlanningContext(
+            return PlanningContext(
                 req.graph, req.cluster, req.config, store=self.store
-            )
-            return plan_graph(req.graph, req.cluster, req.config, context=ctx)
+            ).run()

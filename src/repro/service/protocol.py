@@ -9,8 +9,8 @@ The request side of the protocol is *normalized* here, away from any
 transport: :func:`normalize_plan_request` turns a raw ``plan`` /
 ``replan`` / ``simulate`` params object into a :class:`PlanRequest`
 carrying the built graph, cluster and :class:`PlannerConfig`, plus the
-request *fingerprint* (graph content + cluster shape + plan-determining
-config) that keys coalescing and cache lookups.  The engine
+request *key* -- the store address of the plan those inputs determine
+(:func:`request_key`) -- that keys coalescing.  The engine
 (:mod:`repro.service.engine`) never re-parses JSON, and the HTTP front
 end (:mod:`repro.service.server`) never builds graphs.
 
@@ -28,7 +28,10 @@ from repro.graph.ir import TaskGraph
 from repro.hardware import paper_cluster
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
-from repro.planner.context import PlannerConfig
+from repro.partitioner.deployment import graph_fingerprint
+from repro.planner import default_passes
+from repro.planner.context import PlannerConfig, effective_cluster
+from repro.planner.facets import compute_facets, fingerprint_chain, plan_address
 
 #: named model presets (also accepted by the CLI's ``--model``)
 MODEL_PRESETS = (
@@ -99,9 +102,9 @@ class ServiceError(Exception):
 class PlanRequest:
     """A normalized ``plan``/``replan``/``simulate`` request.
 
-    ``key`` is the coalescing fingerprint: requests with equal keys are
-    guaranteed to produce byte-identical plans (same graph content, same
-    cluster shape, same plan-determining config), so concurrent
+    ``key`` is the store address of the finished plan (see
+    :func:`request_key`): requests with equal keys have the same
+    effective inputs and produce byte-identical plans, so concurrent
     duplicates may share one pipeline run.  ``model_key`` identifies the
     model *family* (graph content only); it scopes the per-model
     single-writer lock and the ``replan`` base check.
@@ -414,38 +417,30 @@ def normalize_plan_request(
         cache_dir=cache_dir,
         cache_budget_bytes=cache_budget_bytes,
     )
-    from repro.partitioner.deployment import graph_fingerprint
-
-    model_key = graph_fingerprint(graph)
-    parts = [
-        model_key,
-        f"{cluster.num_nodes}x{cluster.devices_per_node}",
-        cluster.comm_model,
-        str(cluster.nvlink_degree),
-        str(cluster.nic_count),
-        config.fingerprint(),
-    ]
-    if cluster.device_classes:
-        # only keyed when present, so homogeneous request keys stay
-        # identical to earlier releases
-        parts.append(
-            ";".join(
-                f"{c.name}:{c.num_nodes}x{c.devices_per_node}"
-                f"@{c.straggler_factor}:{c.device.name}"
-                f":{c.device.memory_bytes}"
-                for c in cluster.device_classes
-            )
-        )
-    key = "|".join(parts)
     return PlanRequest(
         graph=graph,
         cluster=cluster,
         config=config,
-        key=key,
-        model_key=model_key,
+        key=request_key(graph, cluster, config),
+        model_key=graph_fingerprint(graph),
         model_spec=canonical_model,
         cluster_spec=canonical_cluster,
     )
+
+
+def request_key(
+    graph: TaskGraph, cluster: ClusterSpec, config: PlannerConfig
+) -> str:
+    """The store address of the plan these inputs determine: the
+    default pipeline's ``evaluate`` input fingerprint
+    (:func:`~repro.planner.facets.plan_address`), the address the pass
+    manager probes.  Requests whose effective inputs agree share it,
+    however they spelled them (``options.comm_model`` or the cluster
+    spec's)."""
+    passes = default_passes()
+    facets = compute_facets(graph, effective_cluster(cluster, config), config)
+    fps = fingerprint_chain(passes, facets, {}, feeds=lambda p: True)
+    return plan_address(passes, fps)[1]
 
 
 #: event type names accepted by ``parse_event`` / ``POST /v1/repair``

@@ -81,7 +81,7 @@ def run_serving_sim(
         replica count, ``met_slo``, latency percentiles, throughput,
         utilization and the full autoscaler sweep.
     """
-    from repro.planner import PlannerConfig, PlanningContext, plan_graph
+    from repro.planner import PlannerConfig, PlanningContext
     from repro.serving.autoscale import autoscale_replicas
     from repro.serving.simulator import ServiceModel, write_serving_trace
     from repro.serving.workload import poisson_arrivals, trace_arrivals
@@ -91,10 +91,7 @@ def run_serving_sim(
     config = PlannerConfig(
         batch_size=batch_size, mode="inference", verify=True
     )
-    ctx = PlanningContext(graph, cluster_obj, config)
-    if store is not None:
-        ctx.attach_store(store)
-    plan = plan_graph(graph, cluster_obj, config, context=ctx)
+    plan = PlanningContext(graph, cluster_obj, config, store=store).run()
 
     if workload_trace is not None:
         requests = trace_arrivals(workload_trace)

@@ -217,6 +217,132 @@ class TestPipeDream2BW:
         )) == config
 
 
+_BERT_24 = BertConfig(hidden_size=1024, num_layers=24)
+_BERT_48 = BertConfig(hidden_size=1536, num_layers=48)
+_BERT_96 = BertConfig(hidden_size=2048, num_layers=96)
+_RESNET_50X8 = ResNetConfig(depth=50, width_factor=8)
+
+#: (framework, model config, nodes, precision, run kwargs) -> the
+#: result fields (feasible, throughput, iteration_time, config, reason)
+PINNED_RESULTS = [
+    ("dp", _BERT_24, 1, Precision.FP32, {}, (
+        True, 49.40984881375127, 5.181153275027884,
+        {"accumulation_steps": 8, "per_device_chunk": 4,
+         "memory_gib": 17.54624654352665}, "")),
+    ("dp", _BERT_24, 1, Precision.AMP, {}, (
+        True, 263.4511650928632, 0.9717170918935326,
+        {"accumulation_steps": 4, "per_device_chunk": 8,
+         "memory_gib": 18.172516472637653}, "")),
+    ("dp", _BERT_48, 2, Precision.FP32, {}, (
+        True, 23.37041687961909, 10.954019404902139,
+        {"accumulation_steps": 16, "per_device_chunk": 1,
+         "memory_gib": 28.31340690329671}, "")),
+    ("dp", _BERT_48, 2, Precision.AMP, {}, (
+        True, 101.10967755425202, 2.531904029291747,
+        {"accumulation_steps": 16, "per_device_chunk": 1,
+         "memory_gib": 27.310197414830327}, "")),
+    ("dp", _BERT_96, 1, Precision.FP32, {}, (
+        False, 0.0, 0.0, {},
+        "model needs 89.8 GiB at batch 1, device has 29.4 GiB")),
+    ("dp", _RESNET_50X8, 1, Precision.FP32, {}, (
+        True, 36.97744815367331, 6.9231386367198295,
+        {"accumulation_steps": 8, "per_device_chunk": 4,
+         "memory_gib": 27.08835531771183}, "")),
+    ("megatron", _BERT_24, 1, Precision.FP32, {}, (
+        True, 37.5391361540207, 6.819549574866299,
+        {"tensor_parallel": 1, "data_parallel": 8, "per_device_batch": 32,
+         "memory_gib": 12.435574471950531}, "")),
+    ("megatron", _BERT_24, 1, Precision.AMP, {}, (
+        True, 206.76750190926325, 1.238105590269895,
+        {"tensor_parallel": 1, "data_parallel": 8, "per_device_batch": 32,
+         "memory_gib": 9.349136881530285}, "")),
+    ("megatron", _BERT_48, 2, Precision.FP32, {}, (
+        True, 18.166946450367632, 14.091526096550998,
+        {"tensor_parallel": 1, "data_parallel": 16, "per_device_batch": 16,
+         "memory_gib": 26.648922860622406}, "")),
+    ("megatron", _BERT_48, 2, Precision.AMP, {}, (
+        True, 89.44672184565383, 2.862038929070478,
+        {"tensor_parallel": 1, "data_parallel": 16, "per_device_batch": 16,
+         "memory_gib": 26.477955393493176}, "")),
+    ("megatron", _BERT_96, 1, Precision.FP32, {}, (
+        False, 0.0, 0.0, {},
+        "no tensor-parallel degree fits device memory (no gradient "
+        "accumulation: per-device batch 256/dp_ways must be resident at "
+        "once)")),
+    ("gpipe_hybrid", _BERT_24, 1, Precision.FP32, {}, (
+        True, 33.37737323066532, 7.669866595877026,
+        {"stages": 2, "replicas": 4, "microbatches": 32,
+         "memory_gib": 6.119878269731998}, "")),
+    ("gpipe_hybrid", _BERT_24, 1, Precision.AMP, {}, (
+        True, 182.71003255620997, 1.40112722010075,
+        {"stages": 2, "replicas": 4, "microbatches": 16,
+         "memory_gib": 6.401055425405502}, "")),
+    ("gpipe_hybrid", _BERT_48, 2, Precision.FP32, {}, (
+        True, 17.388455996403252, 14.7224112395576,
+        {"stages": 2, "replicas": 8, "microbatches": 32,
+         "memory_gib": 14.683310706168413}, "")),
+    ("gpipe_hybrid", _BERT_48, 2, Precision.AMP, {}, (
+        True, 95.18071530716638, 2.689620467484816,
+        {"stages": 4, "replicas": 4, "microbatches": 32,
+         "memory_gib": 8.56555850431323}, "")),
+    ("gpipe_hybrid", _BERT_96, 1, Precision.FP32, {"stage_counts": (2,)}, (
+        False, 0.0, 0.0, {},
+        "no (stages, microbatches) setting fits device memory")),
+    ("gpipe_model", _RESNET_50X8, 1, Precision.FP32, {}, (
+        True, 9.976469328376087, 25.66038059896188,
+        {"stages": 8, "microbatches": 64, "memory_gib": 19.85995604097843},
+        "")),
+    ("gpipe_model", _BERT_96, 1, Precision.FP32, {"num_stages": 2}, (
+        False, 0.0, 0.0, {}, "stages exceed device memory at all MB")),
+]
+
+
+@pytest.fixture(scope="module")
+def pinned_graphs():
+    """One graph per model config, built on first use."""
+    graphs = {}
+
+    def get(cfg):
+        if cfg not in graphs:
+            graphs[cfg] = (
+                build_bert(cfg) if isinstance(cfg, BertConfig)
+                else build_resnet(cfg)
+            )
+        return graphs[cfg]
+
+    return get
+
+
+class TestPinnedResults:
+    @pytest.mark.parametrize(
+        "framework,model,nodes,precision,kwargs,expected", PINNED_RESULTS,
+        ids=[
+            f"{f}-{m.name}-v100x{8 * n}-{p.name}"
+            for f, m, n, p, _, _ in PINNED_RESULTS
+        ],
+    )
+    def test_pinned(self, pinned_graphs, framework, model, nodes, precision,
+                    kwargs, expected):
+        """Each baseline's sweep on the Fig. 4/5 workloads at batch 256,
+        every result field bit for bit."""
+        graph = pinned_graphs(model)
+        cluster = paper_cluster(nodes)
+        if framework == "dp":
+            result = run_data_parallel(graph, cluster, 256, precision)
+        elif framework == "megatron":
+            result = run_megatron(graph, model, cluster, 256, precision)
+        elif framework == "gpipe_hybrid":
+            result = run_gpipe_hybrid(graph, cluster, 256, precision,
+                                      **kwargs)
+        else:
+            result = run_gpipe_model(graph, cluster, 256, precision,
+                                     **kwargs)
+        assert (
+            result.feasible, result.throughput, result.iteration_time,
+            result.config, result.reason,
+        ) == expected
+
+
 class TestTable1Rows:
     def test_thirteen_rows(self):
         assert len(TABLE1_ROWS) == 13

@@ -423,6 +423,13 @@ class TestConfigKnobs:
         with pytest.raises(TypeError, match="uncoarsen"):
             auto_partition(tiny_bert, cluster, 32, uncoarsen=False)
 
+    def test_validate_knob_rejected(self, tiny_bert, cluster):
+        # the graph is always validated; the switch that skipped it is gone
+        with pytest.raises(TypeError, match="validate"):
+            PlannerConfig(batch_size=32, validate=False)
+        with pytest.raises(TypeError, match="validate"):
+            auto_partition(tiny_bert, cluster, 32, validate=False)
+
     def test_bad_backend_rejected(self):
         for knob, value in [
             ("search_backend", "thread"),
@@ -432,14 +439,17 @@ class TestConfigKnobs:
             with pytest.raises(TypeError, match=knob):
                 PlannerConfig(batch_size=32, **{knob: value})
 
-    def test_run_mode_knobs_not_fingerprinted(self, tmp_path):
-        base = PlannerConfig(batch_size=32)
+    def test_run_mode_knobs_not_fingerprinted(self, tiny_bert, cluster,
+                                              tmp_path):
+        # the run-mode knobs leave the finished plan's store address alone
+        from repro.service.protocol import request_key
+
+        base = request_key(tiny_bert, cluster, PlannerConfig(batch_size=32))
         for knob, value in [
             ("trace", True),
             ("verify", False),
-            ("validate", False),
             ("cache_dir", tmp_path),
             ("cache_budget_bytes", 2**20),
         ]:
             config = PlannerConfig(batch_size=32, **{knob: value})
-            assert config.fingerprint() == base.fingerprint(), knob
+            assert request_key(tiny_bert, cluster, config) == base, knob

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import repro.pipeline.timeline as timeline_mod
 from repro.hardware import paper_cluster
-from repro.partitioner import auto_partition
 from repro.pipeline.simulator import flush_schedule, simulate_sync_pipeline
 from repro.pipeline.timeline import build_sync_timeline
 from repro.planner import PlannerConfig, PlanningContext
@@ -168,7 +167,7 @@ def test_evaluate_gauges_without_timeline(key, monkeypatch):
         cluster_name
     ])
     ctx = PlanningContext(graph, cluster, PlannerConfig(batch_size=batch_size))
-    plan = auto_partition(graph, cluster, batch_size, context=ctx)
+    plan = ctx.run()
 
     assert plan.num_microbatches == PINNED[key]["num_microbatches"]
     _, _, _, utils, bubble = _numpy_oracle(

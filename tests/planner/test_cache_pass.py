@@ -10,7 +10,6 @@ import pytest
 
 from repro.hardware import paper_cluster, tiny_cluster
 from repro.models import BertConfig, build_bert
-from repro.partitioner import auto_partition
 from repro.partitioner.deployment import plan_to_json
 from repro.planner import (
     EVALUATED,
@@ -32,11 +31,7 @@ def plan_with_ctx(graph, cluster, batch_size, cache_dir, **kwargs):
         graph, cluster,
         PlannerConfig(batch_size=batch_size, cache_dir=cache_dir, **kwargs),
     )
-    plan = auto_partition(
-        graph, cluster, batch_size, cache_dir=cache_dir, context=ctx,
-        **kwargs,
-    )
-    return plan, ctx
+    return ctx.run(), ctx
 
 
 def entry_path(ctx, name=EVALUATED):
@@ -157,7 +152,7 @@ class TestCacheInvalidation:
         ctx = PlanningContext(
             tiny_bert, cluster, PlannerConfig(batch_size=64)
         )
-        auto_partition(tiny_bert, cluster, 64, context=ctx)
+        ctx.run()
         assert ctx.store is None
         assert reused(ctx) == []
         assert "planner.store.hits" not in ctx.metrics
@@ -185,12 +180,12 @@ class TestScheduleRoundTrip:
             batch_size=64, schedule=schedule,
         ))
         first = PlanningContext(graph, cluster, config)
-        plan_graph(graph, cluster, config, context=first)
+        first.run()
 
         memory_ctx = PlanningContext(graph, cluster, config, store=first.store)
-        memory_hit = plan_graph(graph, cluster, config, context=memory_ctx)
+        memory_hit = memory_ctx.run()
         disk_ctx = PlanningContext(graph, cluster, config)
-        disk_hit = plan_graph(graph, cluster, config, context=disk_ctx)
+        disk_hit = disk_ctx.run()
 
         for ctx, plan in ((memory_ctx, memory_hit), (disk_ctx, disk_hit)):
             assert plan.diagnostics.cache_hit

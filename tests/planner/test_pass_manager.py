@@ -72,7 +72,7 @@ class TestPassManager:
 
     def test_event_per_pass_with_timings(self, tiny_bert):
         ctx = make_ctx(tiny_bert, paper_cluster())
-        plan_graph(tiny_bert, paper_cluster(), ctx.config, context=ctx)
+        ctx.run()
         names = [e.name for e in ctx.events]
         assert names == [
             "validate", "atomic_partition", "coarsen", "profile_tensors",
@@ -85,7 +85,7 @@ class TestPassManager:
 
     def test_coarsen_reports_what_each_step_did(self, tiny_bert):
         ctx = make_ctx(tiny_bert, paper_cluster(), num_blocks=4)
-        plan_graph(tiny_bert, paper_cluster(), ctx.config, context=ctx)
+        ctx.run()
         detail = ctx.events.find("coarsen").detail
         assert detail["num_blocks"] == 4
         assert detail["levels"] >= 1
@@ -127,18 +127,16 @@ class TestDefaultPipeline:
         g = build_mlp((256, 1024, 1024, 256))
         ctx = make_ctx(g, starved, batch_size=8)
         with pytest.raises(PartitioningError, match="no feasible"):
-            plan_graph(g, starved, ctx.config, context=ctx)
+            ctx.run()
         assert ctx.events.find("stage_search").status == "failed"
 
     def test_custom_pipeline_without_evaluate(self, tiny_bert, cluster):
         """Baselines-style assembly: the same building blocks compose
         into a shorter pipeline that stops at allocation."""
-        config = PlannerConfig(batch_size=64)
-        ctx = PlanningContext(tiny_bert, cluster, config)
         plan = plan_graph(
             tiny_bert,
             cluster,
-            config,
+            PlannerConfig(batch_size=64),
             passes=[
                 ValidatePass(),
                 AtomicPartitionPass(),
@@ -147,7 +145,6 @@ class TestDefaultPipeline:
                 StageSearchPass(),
                 AllocatePass(),
             ],
-            context=ctx,
         )
         assert plan.num_stages >= 1
         assert plan.iteration_time == 0.0  # never evaluated
@@ -164,19 +161,3 @@ class TestDefaultPipeline:
         assert plan.diagnostics.as_dict()["pipeline_time"] == pytest.approx(
             plan.diagnostics.pipeline_time
         )
-
-
-class TestBaselinePipelines:
-    def test_baselines_share_planner_context(self, tiny_bert, cluster):
-        from repro.baselines import DataParallelPass
-        from repro.planner import FRAMEWORK_RESULT, run_framework_pipeline
-
-        ctx = make_ctx(tiny_bert, cluster, validate=False)
-        result = run_framework_pipeline(
-            tiny_bert, cluster, ctx.config, [DataParallelPass()], context=ctx
-        )
-        assert result.framework == "data_parallel"
-        assert ctx.artifacts[FRAMEWORK_RESULT] is result
-        event = ctx.events.find("data_parallel_sizing")
-        assert event.status == "ok"
-        assert event.detail["feasible"] == result.feasible

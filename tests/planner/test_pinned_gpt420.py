@@ -33,7 +33,7 @@ import pytest
 from repro.hardware import paper_cluster
 from repro.models.gpt import gpt3_like
 from repro.partitioner.deployment import plan_to_json
-from repro.planner import PlannerConfig, PlanningContext, plan_graph
+from repro.planner import PlannerConfig, PlanningContext
 from repro.planner.context import BLOCKS, DP_CONTEXT
 from tests.pinning import updated_fixture, write_fixture
 
@@ -48,7 +48,7 @@ def _snapshot():
     cluster = paper_cluster(4)
     config = PlannerConfig(batch_size=2048, num_blocks=768)
     ctx = PlanningContext(graph, cluster, config)
-    plan = plan_graph(graph, cluster, config, context=ctx)
+    plan = ctx.run()
     blocks = ctx.require(BLOCKS)
     dp_ctx = ctx.require(DP_CONTEXT)
     indices = [list(b.atomic_indices) for b in blocks]

@@ -27,7 +27,6 @@ from repro.planner import (
     DiskBackend,
     PlannerConfig,
     PlanningContext,
-    plan_graph,
 )
 from repro.planner import passes as planner_passes
 from repro.profiler.profiler import GraphProfiler
@@ -65,7 +64,7 @@ def run(graph, store, **overrides):
     """One planning run against ``store``; returns ``(plan, ctx)``."""
     config = PlannerConfig(**{"batch_size": 64, **overrides})
     ctx = PlanningContext(graph, paper_cluster(), config, store=store)
-    return plan_graph(graph, ctx.cluster, config, context=ctx), ctx
+    return ctx.run(), ctx
 
 
 def entry(store, ctx):
@@ -259,14 +258,6 @@ class TestValidateOnce:
         assert store.graph_validated(graph_fingerprint(tiny_bert))
         run(tiny_bert, ArtifactStore())
         assert calls["validate_graph"] == 2
-
-    def test_unvalidated_run_leaves_no_mark(self, tiny_bert, calls):
-        store = ArtifactStore()
-        _, ctx = run(tiny_bert, store, validate=False)
-        assert not store.graph_validated(graph_fingerprint(tiny_bert))
-        assert ctx.events.find("validate").detail["memo_hit"] is False
-        run(tiny_bert, store)
-        assert calls["validate_graph"] == 1
 
     def test_storeless_run_always_validates(self, tiny_bert, calls):
         for _ in range(2):

@@ -49,7 +49,7 @@ def plan_wide():
     )
     config = PlannerConfig(batch_size=32, num_blocks=12)
     ctx = PlanningContext(graph, cluster, config)
-    plan = plan_graph(graph, cluster, config, context=ctx)
+    plan = ctx.run()
     return graph, ctx, plan
 
 
@@ -60,7 +60,7 @@ def plan_small():
     cluster = tiny_cluster(num_nodes=2, devices_per_node=4)
     config = PlannerConfig(batch_size=32, num_blocks=4)
     ctx = PlanningContext(graph, cluster, config)
-    plan = plan_graph(graph, cluster, config, context=ctx)
+    plan = ctx.run()
     return graph, ctx, plan
 
 
@@ -137,8 +137,7 @@ class TestInPlaceRepair:
                                cache_dir=tmp_path)
         plan_graph(graph, cluster, config)
         ctx = PlanningContext(graph, cluster, config)
-        assert plan_graph(graph, cluster, config,
-                          context=ctx).diagnostics.cache_hit
+        assert ctx.run().diagnostics.cache_hit
 
         result = repair(ctx, NodeLoss(0))
 
@@ -155,10 +154,9 @@ class TestInPlaceRepair:
         config = PlannerConfig(batch_size=32, num_blocks=12,
                                cache_dir=tmp_path)
         memory_ctx = PlanningContext(graph, cluster, config)
-        plan_graph(graph, cluster, config, context=memory_ctx)
+        memory_ctx.run()
         disk_ctx = PlanningContext(graph, cluster, config)
-        assert plan_graph(graph, cluster, config,
-                          context=disk_ctx).diagnostics.cache_hit
+        assert disk_ctx.run().diagnostics.cache_hit
         assert not disk_ctx.has(DP_CONTEXT)
 
         rebuilt = repair(disk_ctx, NodeLoss(0))
@@ -206,7 +204,7 @@ class TestRepairUnderRunConfig:
         )
         config = PlannerConfig(batch_size=32, num_blocks=12, **overrides)
         ctx = PlanningContext(graph, cluster, config)
-        plan = plan_graph(graph, cluster, config, context=ctx)
+        plan = ctx.run()
 
         result = repair(ctx, event)
 
@@ -232,7 +230,7 @@ class TestRepairUnderRunConfig:
         )
         config = PlannerConfig(batch_size=32, num_blocks=12)
         ctx = PlanningContext(graph, cluster, config)
-        plan_graph(graph, cluster, config, context=ctx)
+        ctx.run()
         result = repair(ctx, ScaleUp(2))
         assert not result.used_full_replan
         assert [s.devices_per_pipeline for s in result.plan.stages] == (
@@ -312,7 +310,7 @@ class TestHeteroFeasibilityAcceptance:
 
         mixed = tiny_mixed_cluster()  # same shape, one big-memory node
         ctx = PlanningContext(graph, mixed, config)
-        plan = plan_graph(graph, mixed, config, context=ctx)
+        plan = ctx.run()
         report = check_plan(plan, graph)
         assert report.ok and not report.violations
         assert plan.num_stages > 1
@@ -381,7 +379,7 @@ class TestRandomizedRepairHarness:
         cluster = tiny_mixed_cluster()
         config = PlannerConfig(batch_size=16, num_blocks=8)
         ctx = PlanningContext(graph, cluster, config)
-        plan_graph(graph, cluster, config, context=ctx)
+        ctx.run()
         for seed in range(3):
             rng = random.Random(seed)
             event = _random_event(rng, cluster)

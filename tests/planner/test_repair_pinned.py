@@ -34,7 +34,6 @@ from repro.planner import (
     PlannerConfig,
     PlanningContext,
     ScaleUp,
-    plan_graph,
     repair,
 )
 from tests.pinning import write_fixture
@@ -87,7 +86,7 @@ def _snapshot(name):
     graph = build_mlp(widths)
     cluster = build_cluster()
     ctx = PlanningContext(graph, cluster, config)
-    plan_graph(graph, cluster, config, context=ctx)
+    ctx.run()
     result = repair(ctx, event)
     plan = result.plan
     return {

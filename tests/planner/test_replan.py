@@ -18,7 +18,6 @@ import pytest
 
 from repro.hardware import paper_cluster
 from repro.models import BertConfig, ResNetConfig, build_bert, build_resnet
-from repro.partitioner import auto_partition
 from repro.partitioner.deployment import plan_to_json
 from repro.planner import (
     ArtifactStore,
@@ -102,11 +101,13 @@ def test_cluster_change_delta_matches_pinned(key, tmp_path):
         graph, paper_cluster(CLUSTERS[prev_name]), config,
         store=ArtifactStore(disk=DiskBackend(tmp_path)),
     )
-    plan_graph(graph, prev_ctx.cluster, config, context=prev_ctx)
+    prev_ctx.run()
 
     target = paper_cluster(CLUSTERS[cluster_name])
-    new_ctx = PlanningContext(graph, target, config)
-    plan = replan(prev_ctx, cluster=target, context=new_ctx)
+    new_ctx = PlanningContext(
+        graph, target, config, store=ensure_store(prev_ctx)
+    )
+    plan = new_ctx.run()
 
     _assert_matches_pinned(plan, PINNED[key])
     # a cluster-size change invalidates the stage search onward but
@@ -127,7 +128,7 @@ def test_cluster_change_delta_matches_pinned(key, tmp_path):
     served = plan_to_json(plan, graph)
     for store in (prev_ctx.store, ArtifactStore(disk=DiskBackend(tmp_path))):
         hit_ctx = PlanningContext(graph, target, config, store=store)
-        hit = plan_graph(graph, target, config, context=hit_ctx)
+        hit = hit_ctx.run()
         assert hit.diagnostics.cache_hit
         assert plan_to_json(hit, graph) == served
         assert hit.iteration_time == plan.iteration_time
@@ -143,7 +144,7 @@ def test_perturb_then_restore_reuses_everything(model_name):
     config = PlannerConfig(batch_size=batch_size)
 
     prev_ctx = PlanningContext(graph, cluster, config)
-    original = plan_graph(graph, cluster, config, context=prev_ctx)
+    original = prev_ctx.run()
 
     # perturb: cap the memory budget, which invalidates the search
     budget = cluster.device.usable_memory * 0.75
@@ -151,13 +152,16 @@ def test_perturb_then_restore_reuses_everything(model_name):
         graph,
         cluster,
         dataclasses.replace(config, memory_budget=budget),
+        store=ensure_store(prev_ctx),
     )
-    replan(prev_ctx, memory_budget=budget, context=perturbed_ctx)
+    perturbed_ctx.run()
     assert _reused(perturbed_ctx) == list(PROFILE_PASSES)
 
     # restore: every cacheable pass's inputs are unchanged again
-    restored_ctx = PlanningContext(graph, cluster, config)
-    restored = replan(perturbed_ctx, config=config, context=restored_ctx)
+    restored_ctx = PlanningContext(
+        graph, cluster, config, store=ensure_store(perturbed_ctx)
+    )
+    restored = restored_ctx.run()
     assert _reused(restored_ctx) == [
         "atomic_partition",
         "coarsen",
@@ -179,12 +183,15 @@ def test_memory_budget_change_matches_cold_run():
     budget = cluster.device.usable_memory * 0.6
 
     prev_ctx = PlanningContext(graph, cluster, config)
-    plan_graph(graph, cluster, config, context=prev_ctx)
+    prev_ctx.run()
 
     new_ctx = PlanningContext(
-        graph, cluster, dataclasses.replace(config, memory_budget=budget)
+        graph,
+        cluster,
+        dataclasses.replace(config, memory_budget=budget),
+        store=ensure_store(prev_ctx),
     )
-    delta = replan(prev_ctx, memory_budget=budget, context=new_ctx)
+    delta = new_ctx.run()
     assert _reused(new_ctx) == list(PROFILE_PASSES)
     assert new_ctx.events.find("stage_search").status == "ok"
 
@@ -194,24 +201,21 @@ def test_memory_budget_change_matches_cold_run():
     assert plan_to_json(delta, graph) == plan_to_json(cold, graph)
 
 
-def test_auto_partition_reuse_from():
-    """The one-call API: ``reuse_from=`` turns the second call into a
-    delta replan."""
+def test_replan_to_bigger_cluster():
+    """The one-call delta: ``replan(prev, cluster=...)`` reuses the
+    profile passes and plans what a cold run plans."""
     build, batch_size = MODELS["bert-base"]
     graph = build()
     prev_ctx = PlanningContext(
         graph, paper_cluster(1), PlannerConfig(batch_size=batch_size)
     )
-    auto_partition(graph, prev_ctx.cluster, batch_size, context=prev_ctx)
+    prev_ctx.run()
 
-    bigger = paper_cluster(4)
-    new_ctx = PlanningContext(
-        graph, bigger, PlannerConfig(batch_size=batch_size)
-    )
-    plan = auto_partition(
-        graph, bigger, batch_size, context=new_ctx, reuse_from=prev_ctx
-    )
-    assert _reused(new_ctx) == list(PROFILE_PASSES)
+    store = ensure_store(prev_ctx)
+    hits = store.counters()["hits"]
+    plan = replan(prev_ctx, cluster=paper_cluster(4))
+    # the store served the profile passes' artifacts and nothing else
+    assert store.counters()["hits"] - hits == len(PROFILE_PASSES)
     _assert_matches_pinned(plan, PINNED["bert-base/v100x32"])
 
 
@@ -227,7 +231,7 @@ def test_disk_artifacts_survive_process_boundary(tmp_path):
     config = PlannerConfig(batch_size=batch_size, cache_dir=tmp_path)
 
     ctx1 = PlanningContext(graph, cluster, config)
-    plan_graph(graph, cluster, config, context=ctx1)
+    ctx1.run()
     assert sorted(p.name.split("-")[0] for p in
                   (tmp_path / "artifacts").iterdir()) == [
         "blocks", "components", "evaluated", "search_result",
@@ -238,7 +242,7 @@ def test_disk_artifacts_survive_process_boundary(tmp_path):
     budget = cluster.device.usable_memory * 0.7
     delta_config = dataclasses.replace(config, memory_budget=budget)
     ctx2 = PlanningContext(graph, cluster, delta_config)
-    from_disk = plan_graph(graph, cluster, delta_config, context=ctx2)
+    from_disk = ctx2.run()
     assert _reused(ctx2) == ["atomic_partition", "coarsen"]
     assert ctx2.events.find("profile_tensors").status == "ok"
     assert ctx2.metrics.snapshot()["planner.store.disk_hits"] == 2
@@ -246,12 +250,10 @@ def test_disk_artifacts_survive_process_boundary(tmp_path):
     # the same delta in one process, against the in-memory context
     store = ArtifactStore()
     memory_config = dataclasses.replace(config, cache_dir=None)
-    plan_graph(graph, cluster, memory_config,
-               context=PlanningContext(graph, cluster, memory_config,
-                                       store=store))
+    PlanningContext(graph, cluster, memory_config, store=store).run()
     memory_config = dataclasses.replace(memory_config, memory_budget=budget)
     ctx3 = PlanningContext(graph, cluster, memory_config, store=store)
-    in_memory = plan_graph(graph, cluster, memory_config, context=ctx3)
+    in_memory = ctx3.run()
     assert _reused(ctx3) == list(PROFILE_PASSES)
     assert plan_to_json(from_disk, graph) == plan_to_json(in_memory, graph)
 
@@ -267,7 +269,7 @@ def test_leftover_dp_context_npz_is_never_read_and_ages_out(
     cluster = paper_cluster(1)
     config = PlannerConfig(batch_size=batch_size, cache_dir=tmp_path)
     ctx1 = PlanningContext(graph, cluster, config)
-    plan_graph(graph, cluster, config, context=ctx1)
+    ctx1.run()
     used = DiskBackend(tmp_path).bytes_used()
 
     leftover = (
@@ -290,7 +292,7 @@ def test_leftover_dp_context_npz_is_never_read_and_ages_out(
         cache_budget_bytes=used + 2**20 - 1,
     )
     ctx2 = PlanningContext(graph, cluster, delta_config)
-    plan_graph(graph, cluster, delta_config, context=ctx2)
+    ctx2.run()
     assert _reused(ctx2) == ["atomic_partition", "coarsen"]
     assert not any("dp_context" in r for r in reads)
     assert not leftover.exists()
@@ -303,7 +305,7 @@ def test_ensure_store_is_idempotent():
     ctx = PlanningContext(
         graph, paper_cluster(1), PlannerConfig(batch_size=batch_size)
     )
-    plan_graph(graph, ctx.cluster, ctx.config, context=ctx)
+    ctx.run()
     store = ensure_store(ctx)
     assert ensure_store(ctx) is store
     # seeded under the exact fingerprints a store-backed run computes

@@ -18,7 +18,6 @@ from repro.planner import (
     DiskBackend,
     PlannerConfig,
     PlanningContext,
-    plan_graph,
 )
 from repro.planner.context import (
     BLOCKS,
@@ -47,7 +46,7 @@ def planned_ctx():
     ctx = PlanningContext(
         graph, paper_cluster(1), PlannerConfig(batch_size=64)
     )
-    plan_graph(graph, ctx.cluster, ctx.config, context=ctx)
+    ctx.run()
     return ctx
 
 
@@ -200,7 +199,7 @@ def _plan_into(store, graph):
     ctx = PlanningContext(
         graph, paper_cluster(1), PlannerConfig(batch_size=64), store=store
     )
-    plan_graph(graph, ctx.cluster, ctx.config, context=ctx)
+    ctx.run()
     return ctx
 
 
@@ -273,7 +272,7 @@ class TestFullDisk:
         ctx = PlanningContext(
             graph, planned_ctx.cluster, planned_ctx.config, store=store
         )
-        plan = plan_graph(graph, ctx.cluster, ctx.config, context=ctx)
+        plan = ctx.run()
         assert plan_to_json(plan, graph) == plan_to_json(
             planned_ctx.require(EVALUATED), graph
         )

@@ -9,14 +9,12 @@ import json
 import pytest
 
 from repro.hardware import paper_cluster
-from repro.partitioner import auto_partition
 from repro.planner import (
     EVALUATED,
     VERIFIED,
     PlannerConfig,
     PlanningContext,
     default_passes,
-    plan_graph,
 )
 from repro.verify import VerificationReport
 
@@ -26,11 +24,7 @@ def plan_with_ctx(graph, cluster, batch_size, cache_dir=None, **kwargs):
         graph, cluster,
         PlannerConfig(batch_size=batch_size, cache_dir=cache_dir, **kwargs),
     )
-    plan = auto_partition(
-        graph, cluster, batch_size, cache_dir=cache_dir, context=ctx,
-        **kwargs,
-    )
-    return plan, ctx
+    return ctx.run(), ctx
 
 
 def plan_entry(ctx):
@@ -95,7 +89,7 @@ class TestCacheLoadVerification:
         _, first = plan_with_ctx(tiny_bert, cluster, 64, cache_dir)
         config = first.config
         ctx = PlanningContext(tiny_bert, cluster, config, store=first.store)
-        warm = plan_graph(tiny_bert, cluster, config, context=ctx)
+        warm = ctx.run()
         assert warm.diagnostics.cache_hit
         assert ctx.events.find("verify").status == "ok"
 

@@ -1,7 +1,7 @@
 """Unit tests for the plan-service wire protocol.
 
 Request normalization (model/cluster/config builders), the coalescing
-fingerprint, and the error-code table that maps protocol failures onto
+key, and the error-code table that maps protocol failures onto
 HTTP statuses.
 """
 
@@ -185,6 +185,47 @@ class TestNormalize:
         )
         assert other_model.model_key != base.model_key
 
+    def test_key_follows_effective_inputs(self):
+        # comm_model picked through the options or through the cluster
+        # spec: the same effective inputs, so the same plan and key
+        via_options = normalize_plan_request(plan_params(
+            cluster={"nodes": 1},
+            options={"comm_model": "topology"},
+        ))
+        via_cluster = normalize_plan_request(plan_params(
+            cluster={"nodes": 1, "comm_model": "topology"},
+        ))
+        assert via_options.key == via_cluster.key
+        flat = normalize_plan_request(plan_params(cluster={"nodes": 1}))
+        assert flat.key != via_options.key
+
+    def test_plan_determining_inputs_change_the_key(self):
+        base = normalize_plan_request(plan_params())
+        variants = [
+            plan_params(batch_size=128),
+            plan_params(options={"schedule": "sync_1f1b"}),
+            plan_params(options={"memory_budget_gb": 16}),
+            plan_params(cluster={"classes": [
+                {"name": "a", "device": "v100", "nodes": 1,
+                 "devices_per_node": 8},
+            ]}),
+        ]
+        keys = {normalize_plan_request(p).key for p in variants}
+        assert base.key not in keys and len(keys) == len(variants)
+
+    def test_key_is_the_plan_store_address(self):
+        # the key is the address the pass manager probes and stores the
+        # finished plan under
+        from repro.planner import ArtifactStore, PlanningContext
+        from repro.planner.context import EVALUATED
+
+        req = normalize_plan_request(plan_params())
+        ctx = PlanningContext(
+            req.graph, req.cluster, req.config, store=ArtifactStore()
+        )
+        ctx.run()
+        assert ctx.artifact_fps[EVALUATED] == req.key
+
     def test_graph_cache_shares_built_graphs(self):
         cache = {}
         first = normalize_plan_request(plan_params(), graph_cache=cache)
@@ -268,16 +309,12 @@ class TestHeterogeneousCluster:
             build_cluster({"classes": []})
         assert ei.value.code == "bad_request"
 
-    def test_request_key_appends_classes_only_when_present(self):
+    def test_device_classes_change_the_key(self):
         homogeneous = normalize_plan_request(plan_params())
         hetero = normalize_plan_request(
             plan_params(cluster=dict(self.CLASSES))
         )
         assert homogeneous.key != hetero.key
-        # homogeneous keys never mention device classes, so they stay
-        # bit-identical to what earlier releases computed
-        assert "slow" not in homogeneous.key
-        assert "slow:" in hetero.key and "fast:" in hetero.key
 
     def test_straggler_changes_the_key(self):
         spec = dict(self.CLASSES)
