@@ -20,7 +20,6 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.traversal import (
     ancestors,
     descendants,
-    group_graph,
     is_convex,
     task_predecessors,
     task_successors,
@@ -42,7 +41,6 @@ __all__ = [
     "descendants",
     "graph_from_json",
     "graph_to_json",
-    "group_graph",
     "is_convex",
     "registry",
     "task_predecessors",

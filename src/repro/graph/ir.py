@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 Shape = Tuple[int, ...]
 
@@ -122,6 +125,17 @@ class TaskGraph:
     Insertion order of tasks is preserved and is required to be a valid
     topological order (builders construct graphs that way; ``validate_graph``
     checks it).  This makes topological traversal free and deterministic.
+
+    Besides the name-keyed dicts, the graph keeps integer ids and the
+    task-value incidence in CSR (compressed sparse row) form, filled as
+    :meth:`add_value` and :meth:`add_task` run: a value's id is its
+    insertion index (``value_index``), a task's its position in
+    ``tasks``.  Task ``t`` reads the value ids
+    ``task_in[task_in_ptr[t]:task_in_ptr[t + 1]]`` and writes
+    ``task_out[task_out_ptr[t]:task_out_ptr[t + 1]]``, both positional
+    as the task lists them; ``value_producer[v]`` is the producing
+    task's id (``-1`` for a leaf).  The profiler and the atomic
+    partition read these columns instead of walking the dicts.
     """
 
     def __init__(self, name: str = "graph") -> None:
@@ -130,6 +144,12 @@ class TaskGraph:
         self.tasks: Dict[str, TaskNode] = {}
         self.input_names: List[str] = []
         self.output_names: List[str] = []
+        self.value_index: Dict[str, int] = {}
+        self.value_producer = array("q")
+        self.task_in_ptr = array("q", [0])
+        self.task_in = array("q")
+        self.task_out_ptr = array("q", [0])
+        self.task_out = array("q")
 
     # ------------------------------------------------------------------
     # construction
@@ -138,32 +158,95 @@ class TaskGraph:
         """Register a value node (name must be unique)."""
         if value.name in self.values:
             raise ValueError(f"duplicate value name: {value.name!r}")
+        self.value_index[value.name] = len(self.values)
         self.values[value.name] = value
+        self.value_producer.append(-1)
         if value.kind is ValueKind.INPUT:
             self.input_names.append(value.name)
         return value
 
     def add_task(self, task: TaskNode) -> TaskNode:
-        """Register a task; wires producer/consumer links on its values."""
-        if task.name in self.tasks:
-            raise ValueError(f"duplicate task name: {task.name!r}")
+        """Register a task; wires producer/consumer links on its values
+        and appends its input and output value ids to the task CSR."""
+        name = task.name
+        if name in self.tasks:
+            raise ValueError(f"duplicate task name: {name!r}")
+        values = self.values
         for vname in task.inputs:
-            if vname not in self.values:
+            if vname not in values:
                 raise ValueError(
-                    f"task {task.name!r} consumes unknown value {vname!r}"
+                    f"task {name!r} consumes unknown value {vname!r}"
                 )
-        self.tasks[task.name] = task
-        for vname in task.inputs:
-            self.values[vname].consumers.append(task.name)
         for vname in task.outputs:
-            if vname not in self.values:
+            if vname not in values:
                 raise ValueError(
-                    f"task {task.name!r} produces unknown value {vname!r}"
+                    f"task {name!r} produces unknown value {vname!r}"
                 )
-            if self.values[vname].producer is not None:
+            if values[vname].producer is not None:
                 raise ValueError(f"value {vname!r} has two producers")
-            self.values[vname].producer = task.name
+        outs = task.outputs
+        if len(outs) > 1 and len(set(outs)) < len(outs):
+            raise ValueError(f"task {name!r} produces a value twice")
+        tid = len(self.tasks)
+        self.tasks[name] = task
+        index, task_in = self.value_index, self.task_in
+        for vname in task.inputs:
+            values[vname].consumers.append(name)
+            task_in.append(index[vname])
+        self.task_in_ptr.append(len(task_in))
+        task_out, producer = self.task_out, self.value_producer
+        for vname in outs:
+            values[vname].producer = name
+            vid = index[vname]
+            producer[vid] = tid
+            task_out.append(vid)
+        self.task_out_ptr.append(len(task_out))
         return task
+
+    def task_readers(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(ptr, readers)``: the tasks reading task ``t``'s outputs are
+        ``readers[ptr[t]:ptr[t + 1]]``, one entry per read, in task
+        order."""
+        n = len(self.tasks)
+        reader = np.repeat(np.arange(n), np.diff(self.task_in_ptr))
+        producer = np.array(self.value_producer, dtype=np.int64)[
+            np.array(self.task_in, dtype=np.int64)
+        ]
+        order = np.argsort(producer, kind="stable")
+        return (np.searchsorted(producer[order], np.arange(n + 1)),
+                reader[order])
+
+    def non_constant_flags(self) -> List[bool]:
+        """Per task id: is the task *non-constant* (Sec. III-A)?
+
+        A task is non-constant iff some input is a model input or the
+        output of a non-constant task.  The walk finds the constant tasks
+        instead: starting from the tasks that read neither a model input
+        nor any task's output, a task becomes constant once every input
+        it reads from a task has come from a constant one (Kahn's
+        order).  Only the constant tasks are visited one by one;
+        everything else is array work over the CSR."""
+        n = len(self.tasks)
+        ptr, readers = self.task_readers()
+        seed = np.zeros(len(self.values), dtype=bool)
+        seed[[self.value_index[v] for v in self.input_names
+              if self.values[v].kind is ValueKind.INPUT]] = True
+        blocked = np.zeros(n, dtype=bool)
+        blocked[np.repeat(np.arange(n), np.diff(self.task_in_ptr))[
+            seed[np.array(self.task_in, dtype=np.int64)]
+        ]] = True
+        pending = np.bincount(readers[ptr[0]:], minlength=n)
+        queue = np.flatnonzero((pending == 0) & ~blocked).tolist()
+        pending, blocked = pending.tolist(), blocked.tolist()
+        ptr, readers = ptr.tolist(), readers.tolist()
+        flags = [True] * n
+        for t in queue:  # grows while it is walked
+            flags[t] = False
+            for r in readers[ptr[t]:ptr[t + 1]]:
+                pending[r] -= 1
+                if not pending[r] and not blocked[r]:
+                    queue.append(r)
+        return flags
 
     def mark_output(self, value_name: str) -> None:
         """Declare a value as a model output."""

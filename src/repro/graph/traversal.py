@@ -10,7 +10,7 @@ every uncoarsening move must preserve it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.ir import TaskGraph
 
@@ -129,9 +129,10 @@ class GroupGraph:
     the destination's level -- near-O(1) on chain-like graphs instead of
     a full-graph sweep, with bit-identical answers (the bound only skips
     nodes that provably cannot reach ``dst``).  Levels are repaired
-    incrementally on :meth:`merge`; if the input has a cycle (callers
-    are expected to keep the graph a DAG) pruning disables itself and
-    the unpruned search is used.
+    incrementally on :meth:`merge` and :meth:`rewire`, by pushing levels
+    down from the changed nodes; any valid level function gives the same
+    answers.  If the input has a cycle (callers are expected to keep the
+    graph a DAG) pruning disables itself and the unpruned search is used.
     """
 
     def __init__(
@@ -139,35 +140,35 @@ class GroupGraph:
         node_ids: Sequence[int],
         edges: Iterable[Tuple[int, int]],
     ) -> None:
-        self.succ: Dict[int, Set[int]] = {n: set() for n in node_ids}
-        self.pred: Dict[int, Set[int]] = {n: set() for n in node_ids}
+        succ: Dict[int, Set[int]] = {n: set() for n in node_ids}
+        pred: Dict[int, Set[int]] = {n: set() for n in node_ids}
         for a, b in edges:
             if a == b:
                 continue
-            self.succ[a].add(b)
-            self.pred[b].add(a)
+            succ[a].add(b)
+            pred[b].add(a)
+        self.succ, self.pred = succ, pred
         self._level: Optional[Dict[int, int]] = self._compute_levels()
 
     def _compute_levels(self) -> Optional[Dict[int, int]]:
         """Longest-path-from-source level per node; None on a cycle."""
-        level = {n: 0 for n in self.succ}
-        indeg = {n: len(self.pred[n]) for n in self.succ}
+        succ = self.succ
+        level = dict.fromkeys(succ, 0)
+        indeg = {n: len(p) for n, p in self.pred.items()}
         stack = [n for n, d in indeg.items() if d == 0]
         processed = 0
         while stack:
             n = stack.pop()
             processed += 1
             floor = level[n] + 1
-            for s in self.succ[n]:
+            for s in succ[n]:
                 if level[s] < floor:
                     level[s] = floor
-                indeg[s] -= 1
-                if indeg[s] == 0:
+                d = indeg[s] - 1
+                indeg[s] = d
+                if not d:
                     stack.append(s)
-        return level if processed == len(self.succ) else None
-
-    def nodes(self) -> List[int]:
-        return list(self.succ)
+        return level if processed == len(succ) else None
 
     def adjacent(self, v: int, w: int) -> bool:
         return w in self.succ[v] or w in self.pred[v]
@@ -232,23 +233,29 @@ class GroupGraph:
         if self._level is not None:
             lv = self._level
             lv[keep] = max(lv[keep], lv.pop(absorb))
-            # Push-down repair: keep's level may have risen, and absorb's
-            # successors now hang off keep.  Predecessor edges cannot be
-            # violated (keep's level only grew).  A budget bounds the
-            # worklist so a caller-introduced cycle degrades to unpruned
-            # searches instead of looping forever.
-            budget = 4 * len(self.succ) + 16
-            stack = [keep]
-            while stack and budget >= 0:
-                n = stack.pop()
-                floor = lv[n] + 1
-                for s in self.succ[n]:
-                    if lv[s] < floor:
-                        lv[s] = floor
-                        stack.append(s)
-                        budget -= 1
-            if budget < 0:
-                self._level = None
+            # keep's level may have risen, and absorb's successors now
+            # hang off keep.  Predecessor edges cannot be violated (keep's
+            # level only grew).
+            self._push_levels([keep])
+
+    def _push_levels(self, stack: List[int]) -> None:
+        """Repair the level function below the nodes on ``stack``, whose
+        incoming edges already hold: raise each successor to one above
+        its predecessor, transitively.  A budget bounds the worklist so
+        a caller-introduced cycle degrades to unpruned searches instead
+        of looping forever."""
+        lv = self._level
+        budget = 4 * len(self.succ) + 16
+        while stack and budget >= 0:
+            n = stack.pop()
+            floor = lv[n] + 1
+            for s in self.succ[n]:
+                if lv[s] < floor:
+                    lv[s] = floor
+                    stack.append(s)
+                    budget -= 1
+        if budget < 0:
+            self._level = None
 
     def rewire_creates_cycle(
         self,
@@ -303,8 +310,11 @@ class GroupGraph:
         """Replace every edge of the nodes keyed in ``succ`` / ``pred``
         with the given successor / predecessor sets, and delete the
         (edgeless afterwards) nodes in ``drop``.  Callers keep the graph
-        acyclic (see :meth:`rewire_creates_cycle`)."""
-        gone = set(succ) | set(drop)
+        acyclic (see :meth:`rewire_creates_cycle`).  The level function
+        is repaired from the rewired nodes, as :meth:`merge` repairs it
+        from the kept node."""
+        drop = set(drop)
+        gone = set(succ) | drop
         for n in gone:
             for s in self.succ.pop(n):
                 if s not in gone:
@@ -320,7 +330,18 @@ class GroupGraph:
                 self.pred[s].add(n)
             for p in pred[n]:
                 self.succ[p].add(n)
-        self._level = self._compute_levels()
+        lv = self._level
+        if lv is None:
+            return
+        # Only edges at the rewired nodes can be violated: lift each
+        # rewired node above its predecessors, then push down from them
+        # all (a predecessor lifted later pushes down to it again).
+        for n in drop:
+            lv.pop(n, None)
+        for n in succ:
+            lv[n] = max([lv.get(n, 0)] + [lv[p] + 1 for p in pred[n]
+                                          if p in lv])
+        self._push_levels(list(succ))
 
     def topo_order(self) -> List[int]:
         indeg = {n: len(self.pred[n]) for n in self.succ}
@@ -337,21 +358,3 @@ class GroupGraph:
             raise ValueError("group graph contains a cycle")
         return order
 
-
-def group_graph(
-    graph: TaskGraph, groups: Sequence[FrozenSet[str]]
-) -> GroupGraph:
-    """Contract a task graph onto a partition into disjoint groups."""
-    owner: Dict[str, int] = {}
-    for gid, members in enumerate(groups):
-        for t in members:
-            if t in owner:
-                raise ValueError(f"task {t!r} in two groups")
-            owner[t] = gid
-    edges = set()
-    for producer, consumer in graph.iter_edges():
-        a, b = owner.get(producer), owner.get(consumer)
-        if a is None or b is None or a == b:
-            continue
-        edges.add((a, b))
-    return GroupGraph(range(len(groups)), edges)

@@ -23,9 +23,10 @@ under data parallelism is never wasted work.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Set, Tuple
 
-from repro.graph.ir import TaskGraph, ValueKind
+from repro.graph.ir import TaskGraph
 
 
 @dataclass(frozen=True)
@@ -49,45 +50,31 @@ def classify_tasks(graph: TaskGraph) -> Dict[str, bool]:
     """Forward traversal: map task name -> is_non_constant.
 
     A task is non-constant iff any of its inputs is a model input or the
-    output of a non-constant task.  Tasks are visited in the graph's
-    topological insertion order, so producers are classified first.
-    """
-    non_constant: Dict[str, bool] = {}
-    for tname, task in graph.tasks.items():
-        flag = False
-        for vname in task.inputs:
-            value = graph.values[vname]
-            if value.kind is ValueKind.INPUT:
-                flag = True
-                break
-            if value.producer is not None and non_constant[value.producer]:
-                flag = True
-                break
-        non_constant[tname] = flag
-    return non_constant
+    output of a non-constant task (:meth:`TaskGraph.non_constant_flags`,
+    the walk the profiler's table reads too)."""
+    return dict(zip(graph.tasks, graph.non_constant_flags()))
 
 
-def _constant_closure(
-    graph: TaskGraph, seed: str, non_constant: Dict[str, bool]
-) -> List[str]:
-    """The constant task ``seed`` plus all its (necessarily constant)
-    predecessors, in topological order."""
-    members: Set[str] = set()
+def _constant_closure(graph: TaskGraph, seed: int, flags) -> Set[int]:
+    """The ids of the constant task ``seed`` and all its (necessarily
+    constant) predecessors."""
+    ins, ptr, producer = graph.task_in, graph.task_in_ptr, graph.value_producer
+    members: Set[int] = set()
     stack = [seed]
     while stack:
-        tname = stack.pop()
-        if tname in members:
+        t = stack.pop()
+        if t in members:
             continue
-        members.add(tname)
-        for vname in graph.tasks[tname].inputs:
-            producer = graph.values[vname].producer
-            if producer is not None:
-                if non_constant[producer]:  # pragma: no cover - impossible
+        members.add(t)
+        for v in ins[ptr[t]:ptr[t + 1]]:
+            p = producer[v]
+            if p >= 0:
+                if flags[p]:  # pragma: no cover - impossible
                     raise AssertionError(
-                        f"constant task {tname} consumes non-constant {producer}"
+                        f"constant task {t} consumes non-constant {p}"
                     )
-                stack.append(producer)
-    return [t for t in graph.tasks if t in members]
+                stack.append(p)
+    return members
 
 
 def atomic_partition(graph: TaskGraph) -> List[AtomicComponent]:
@@ -95,55 +82,53 @@ def atomic_partition(graph: TaskGraph) -> List[AtomicComponent]:
 
     Returns components in topological order of their non-constant tasks.
     Constant tasks shared by several components appear in each of them
-    (clones); non-constant tasks appear in exactly one.
+    (clones); non-constant tasks appear in exactly one.  Tasks are
+    handled by id (position in ``graph.tasks``), which is topological.
     """
-    non_constant = classify_tasks(graph)
-    order = list(graph.tasks)
-
-    # one component per non-constant task, keyed by that task's name
-    component_of_nc: Dict[str, int] = {}
-    nc_order: List[str] = [t for t in order if non_constant[t]]
-    if not nc_order:
+    flags = graph.non_constant_flags()
+    names = list(graph.tasks)
+    nc_ids = list(compress(range(len(names)), flags))
+    if not nc_ids:
         raise ValueError(
             "model has no non-constant task: nothing depends on its inputs"
         )
-    for i, tname in enumerate(nc_order):
-        component_of_nc[tname] = i
-
-    members: List[Set[str]] = [set([t]) for t in nc_order]
+    nc_names = [names[t] for t in nc_ids]
 
     # Backward traversal: attach each constant task (with its constant
     # predecessor closure) to every component that consumes its output.
-    targets_of_const: Dict[str, Set[int]] = {}
-    for tname in reversed(order):
-        if non_constant[tname]:
-            continue
-        task = graph.tasks[tname]
-        targets: Set[int] = set()
-        for vname in task.outputs:
-            for consumer in graph.values[vname].consumers:
-                if non_constant[consumer]:
+    constant = [t for t, flag in enumerate(flags) if not flag]
+    cloned: Dict[int, Set[int]] = {}  # component -> constant task ids
+    if constant:
+        component_of_nc = dict(zip(nc_ids, range(len(nc_ids))))
+        ptr, readers = (column.tolist() for column in graph.task_readers())
+        targets_of_const: Dict[int, Set[int]] = {}
+        for t in reversed(constant):
+            targets: Set[int] = set()
+            for consumer in readers[ptr[t]:ptr[t + 1]]:
+                if flags[consumer]:
                     targets.add(component_of_nc[consumer])
                 else:
                     # consumed by another constant task: inherit that
-                    # task's targets (it was processed already -- it is a
-                    # successor, hence later in topological order)
+                    # task's targets (it was processed already -- it is
+                    # a successor, hence a later id)
                     targets.update(targets_of_const.get(consumer, ()))
-        if not targets:
-            # dead constant subtree (no path to any non-constant task):
-            # attach to the first component so every task is placed
-            targets = {0}
-        targets_of_const[tname] = targets
-        closure = _constant_closure(graph, tname, non_constant)
-        for idx in targets:
-            members[idx].update(closure)
+            if not targets:
+                # dead constant subtree (no path to any non-constant
+                # task): attach to the first component so every task is
+                # placed
+                targets = {0}
+            targets_of_const[t] = targets
+            closure = _constant_closure(graph, t, flags)
+            for idx in targets:
+                cloned.setdefault(idx, set()).update(closure)
 
-    order_index = {t: j for j, t in enumerate(order)}
-    components: List[AtomicComponent] = []
-    for i, nc_task in enumerate(nc_order):
-        ordered = sorted(members[i], key=order_index.__getitem__)
-        components.append(
-            AtomicComponent(index=i, non_constant_task=nc_task, tasks=tuple(ordered))
+    # a component without clones is its lone task: nothing to sort
+    components = list(map(AtomicComponent, range(len(nc_ids)), nc_names,
+                          zip(nc_names)))
+    for i, extra in cloned.items():
+        components[i] = AtomicComponent(
+            i, nc_names[i],
+            tuple(names[t] for t in sorted(extra | {nc_ids[i]})),
         )
     return components
 

@@ -36,20 +36,32 @@ lifting that cap would change plans (DESIGN.md, D4).
 The atom DAG, its edge bytes and the per-atom aggregates are read off the
 profiler's graph table (one edge per value and distinct consumer, in the
 order ``TaskGraph.iter_edges`` visits them; integer byte sums by
-``np.bincount``), with lone-task atoms and singleton groups taking their
-own entries.  A group's time is the one float sum that is not exact in
-every order, so it keeps NumPy's: ``_group_time`` sums unions of fewer
-than 8 atoms left to right over Python floats, which is what
-``ndarray.sum`` does below its 8-way unrolling, and hands larger unions
-to NumPy.  (The builtin ``sum`` would not do: from Python 3.12 it
-compensates float sums.)
+``np.bincount``), with lone-task atoms taking their own entries.  A
+whole new partition -- the singleton start, the compacted blocks -- is
+installed from the atom arrays: owners, saved bytes and private
+parameters by array ops, the group DAG's edges in the order ``a``
+ascending, then ``comp_succ[a]``, so its sets iterate (and coarsening
+breaks ties) as they always did.  The edge bytes and the predecessor
+sets are built on first use: only uncoarsening reads them, and a large
+graph's coarse levels never reach it.
+
+A group's time is the one float sum that is not exact in every order, so
+it keeps NumPy's: ``_group_time`` sums unions of fewer than 8 atoms left
+to right over Python floats, which is what ``ndarray.sum`` does below
+its 8-way unrolling, and hands larger unions to NumPy.  (The builtin
+``sum`` would not do: from Python 3.12 it compensates float sums.)  The
+merge loop bounds a candidate union's time from below before it sums
+it, and skips the candidates whose bound already loses (exact:
+:data:`PRUNE_SLACK`, DESIGN.md D4b).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from itertools import chain, compress, repeat
+from operator import attrgetter
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -61,6 +73,13 @@ from repro.profiler.profiler import GraphProfiler, distinct
 #: uncoarsening revisits only the merge levels with at most this many
 #: groups (DESIGN.md, D4)
 UNCOARSEN_MAX_GROUPS = 512
+
+#: the merge loop's prune scales a candidate's part-time sum by ``1 -
+#: PRUNE_SLACK x`` the atom count: ``4 x 2**-53`` per atom bounds the
+#: rounding of any float sum of that many nonnegative terms with room to
+#: spare, so the scaled sum never exceeds the union's computed time
+#: (DESIGN.md, D4b)
+PRUNE_SLACK = 4 * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -85,18 +104,20 @@ class _MergeRecord:
     level_group_count: int
 
 
-@dataclass
+@dataclass(slots=True)
 class _Load:
     """The memory aggregates of one atom set.
 
     ``saved`` is the batch-1 checkpointed-activation bytes (an integer
     held in a float), ``private`` the size of the parameters no other
     atom uses, ``shared`` the ids of parameters several atoms use and
-    ``shared_params`` their total size."""
+    ``shared_params`` their total size.  ``shared`` may be a frozenset
+    (most groups share the empty one); :meth:`BlockPartitioner._absorb`
+    rebinds it then instead of growing it in place."""
 
     saved: float
     private: int
-    shared: Set[int]
+    shared: AbstractSet[int]
     shared_params: int
 
     def copy(self) -> "_Load":
@@ -133,10 +154,14 @@ class BlockPartitioner:
         # distinct consumer), in value order -- the order ``iter_edges``
         # visits them, so every successor set iterates as it always did.
         # A reader of a non-constant task's output is non-constant itself.
+        comp_index = np.fromiter(
+            map(attrgetter("index"), self.components), np.int64, n
+        )
+        comp_task = profiler.indices_of(
+            map(attrgetter("non_constant_task"), self.components)
+        )
         owner = np.full(len(profiler.non_constant), -1, dtype=np.int64)
-        owner[profiler.indices_of(c.non_constant_task for c in self.components)] = [
-            c.index for c in self.components
-        ]
+        owner[comp_task] = comp_index
         counts = np.diff(profiler.value_consumer_ptr)
         value = np.repeat(np.arange(len(counts)), counts)
         src = profiler.value_producer[value]
@@ -147,43 +172,35 @@ class BlockPartitioner:
         cross = a != b
         a, b, value = a[cross], b[cross], value[cross]
         self.comp_succ: List[Set[int]] = [set() for _ in range(n)]
-        self.comp_pred: List[Set[int]] = [set() for _ in range(n)]
         for x, y in zip(a.tolist(), b.tolist()):
             self.comp_succ[x].add(y)
-            self.comp_pred[y].add(x)
-        # byte weight per cross-component atom pair (for comm objective);
-        # the summands are integers, so bincount's sums are exact
+        # the cross-atom edges, one per (value, distinct consumer), for
+        # the views only uncoarsening reads (built on first use: a large
+        # graph's coarse levels never reach it)
+        self._cross_edges = (a, b, value)
         act_factor = profiler.precision.activation_bytes_factor
-        key = a * n + b
-        pairs = distinct(key)
-        weights = np.bincount(
-            np.searchsorted(pairs, key),
-            weights=profiler.scaled_value_bytes(self.ref_batch_size, value),
-            minlength=len(pairs),
-        )
-        self.edge_bytes: Dict[Tuple[int, int], float] = dict(zip(
-            zip((pairs // n).tolist(), (pairs % n).tolist()), weights.tolist()
-        ))
-        # the same weights per atom, over both edge directions
-        self.atom_edges: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
-        for (x, y), w in self.edge_bytes.items():
-            self.atom_edges[x].append((y, w))
-            self.atom_edges[y].append((x, w))
 
         # --- per-component cost coefficients -----------------------------
-        # a lone task's sums are its own entries; only components holding
-        # cloned constants take the fancy-indexed sums
+        # a lone task's sums are its own entries (a lone component's task
+        # is its non-constant task); only components holding cloned
+        # constants take the fancy-indexed sums
         tf, tb = profiler._times_at(self.ref_batch_size)
         self.comp_time = np.zeros(n)
         self.comp_saved = np.zeros(n)
         self.comp_param_ids: List[FrozenSet[int]] = [frozenset()] * n
         task_pids = profiler._task_param_ids
-        lone_atoms, lone_tasks = [], []
-        for comp in self.components:
-            if len(comp.tasks) == 1:
-                lone_atoms.append(comp.index)
-                lone_tasks.append(profiler._index[comp.tasks[0]])
-                continue
+        lone = np.fromiter(
+            map(len, map(attrgetter("tasks"), self.components)), np.int64, n
+        ) == 1
+        atoms, tasks = comp_index[lone], comp_task[lone]
+        self.comp_time[atoms] = tf[tasks] + tb[tasks]
+        self.comp_saved[atoms] = profiler.saved_bytes[tasks]
+        reads = np.fromiter(map(len, task_pids), np.int64, len(task_pids))
+        with_params = reads[tasks] > 0
+        for atom, task in zip(atoms[with_params].tolist(),
+                              tasks[with_params].tolist()):
+            self.comp_param_ids[atom] = frozenset(task_pids[task])
+        for comp in compress(self.components, ~lone):
             idx = profiler.indices_of(comp.tasks)
             self.comp_time[comp.index] = float(tf[idx].sum() + tb[idx].sum())
             self.comp_saved[comp.index] = float(
@@ -193,34 +210,45 @@ class BlockPartitioner:
             for i in idx:
                 pids.update(task_pids[i])
             self.comp_param_ids[comp.index] = frozenset(pids)
-        self.comp_time[lone_atoms] = tf[lone_tasks] + tb[lone_tasks]
-        self.comp_saved[lone_atoms] = profiler.saved_bytes[lone_tasks]
-        for atom, task in zip(lone_atoms, lone_tasks):
-            if task_pids[task]:
-                self.comp_param_ids[atom] = frozenset(task_pids[task])
         self._atom_time: List[float] = self.comp_time.tolist()
         # a parameter only one atom uses is counted once per group by
         # plain addition; only the shared ones need deduplicating
         self._param_sizes: List[int] = profiler._param_sizes
+        counts = list(map(len, self.comp_param_ids))
+        pid = np.fromiter(chain.from_iterable(self.comp_param_ids), np.int64,
+                          sum(counts))
+        atom = np.repeat(np.arange(n), counts)
+        lone_user = np.bincount(pid)[pid] == 1
         self._atom_saved: List[float] = self.comp_saved.tolist()
-        users = Counter(p for pids in self.comp_param_ids for p in pids)
-        self._atom_private = [
-            sum(self._param_sizes[p] for p in pids if users[p] == 1)
-            for pids in self.comp_param_ids
-        ]
-        self._atom_shared = [
-            frozenset(p for p in pids if users[p] > 1)
-            for pids in self.comp_param_ids
-        ]
+        self._atom_private: List[int] = np.bincount(
+            atom, weights=profiler._param_sizes_arr[pid] * lone_user,
+            minlength=n,
+        ).astype(np.int64).tolist()
+        shared: Dict[int, List[int]] = {}
+        for a, p in zip(atom[~lone_user].tolist(), pid[~lone_user].tolist()):
+            shared.setdefault(a, []).append(p)
+        self._atom_shared: List[FrozenSet[int]] = [frozenset()] * n
+        for a, pids in shared.items():
+            self._atom_shared[a] = frozenset(pids)
+        self._shared_atoms = list(shared)
         self._saved_scale = self.ref_batch_size * act_factor
         # ``static_bytes`` is ``param_count x`` a per-parameter constant
         self._static_per_param = profiler.memory_model.static_bytes(1)
+        # the merge loop's exact prune needs finite nonnegative atom times
+        assert np.all(np.isfinite(self.comp_time) & (self.comp_time >= 0))
 
         # --- mutable partition state -------------------------------------
         # group id -> set of atomic indices; group ids are stable ints.
         # ``group_load`` / ``group_time`` are the per-group aggregates,
-        # kept equal to ``_group_memory`` / ``_group_time`` of the atoms.
-        self.atom_owner: List[int] = list(range(n))
+        # kept equal to a recount from the atoms.  ``_edge_ends`` lists
+        # the atom DAG's edges in the order ``_reset_groups`` inserts them
+        # into the group graph: ``a`` ascending, then ``comp_succ[a]``'s
+        # iteration order.  The group graph's set orders, and so
+        # coarsening's tie-breaks, follow it.
+        self._edge_ends = np.array([
+            np.repeat(np.arange(n), list(map(len, self.comp_succ))),
+            np.fromiter(chain.from_iterable(self.comp_succ), np.int64),
+        ])
         self._reset_groups({i: {i} for i in range(n)})
         self.records: List[_MergeRecord] = []
         self.memory_limit = profiler.cluster.device.usable_memory
@@ -228,6 +256,45 @@ class BlockPartitioner:
         self.levels = 0
         self.moves = 0
         self.compaction = "none"
+
+    @cached_property
+    def comp_pred(self) -> List[Set[int]]:
+        """Predecessor set per atom (inserted in value order)."""
+        pred: List[Set[int]] = [set() for _ in range(len(self.components))]
+        a, b, _ = self._cross_edges
+        for x, y in zip(a.tolist(), b.tolist()):
+            pred[y].add(x)
+        return pred
+
+    @cached_property
+    def edge_bytes(self) -> Dict[Tuple[int, int], float]:
+        """Byte weight per cross-component atom pair (the communication
+        objective); the summands are integers, so bincount's sums are
+        exact."""
+        n = len(self.components)
+        a, b, value = self._cross_edges
+        key = a * n + b
+        pairs = distinct(key)
+        weights = np.bincount(
+            np.searchsorted(pairs, key),
+            weights=self.profiler.scaled_value_bytes(self.ref_batch_size,
+                                                     value),
+            minlength=len(pairs),
+        )
+        return dict(zip(
+            zip((pairs // n).tolist(), (pairs % n).tolist()), weights.tolist()
+        ))
+
+    @cached_property
+    def atom_edges(self) -> List[List[Tuple[int, float]]]:
+        """:attr:`edge_bytes` per atom, over both edge directions."""
+        edges: List[List[Tuple[int, float]]] = [
+            [] for _ in range(len(self.components))
+        ]
+        for (x, y), w in self.edge_bytes.items():
+            edges[x].append((y, w))
+            edges[y].append((x, w))
+        return edges
 
     # ------------------------------------------------------------------
     # cost helpers
@@ -245,25 +312,6 @@ class BlockPartitioner:
                 total += times[a]
             return total
         return float(self.comp_time[list(atoms)].sum())
-
-    def _group_memory(self, atoms: Set[int]) -> float:
-        """Loose memory estimate used during block formation: static
-        parameter/optimizer state plus one reference microbatch's
-        checkpointed activations.  The DP re-checks memory exactly.
-
-        This recounts from scratch; the steps read the equal
-        :meth:`_memory` of the maintained aggregates instead."""
-        saved = float(self.comp_saved[list(atoms)].sum())
-        saved *= self.ref_batch_size * self.profiler.precision.activation_bytes_factor
-        pids: Set[int] = set()
-        for a in atoms:
-            pids.update(self.comp_param_ids[a])
-        params = int(
-            self.profiler._param_sizes_arr[
-                np.fromiter(pids, dtype=np.int64)
-            ].sum()
-        ) if pids else 0
-        return self.profiler.memory_model.static_bytes(params) + saved
 
     def _load_of(self, atoms) -> _Load:
         if len(atoms) == 1:
@@ -292,7 +340,10 @@ class BlockPartitioner:
         return params * self._static_per_param + saved * self._saved_scale
 
     def _memory(self, load: _Load) -> float:
-        """``_group_memory`` of the atoms ``load`` aggregates."""
+        """Loose memory estimate of the atoms ``load`` aggregates, used
+        during block formation: static parameter/optimizer state plus one
+        reference microbatch's checkpointed activations.  The DP
+        re-checks memory exactly."""
         return self._params_memory(load.private + load.shared_params,
                                    load.saved)
 
@@ -308,29 +359,42 @@ class BlockPartitioner:
         into.saved += other.saved
         into.private += other.private
 
-    def total_cut_bytes(self) -> float:
-        """Bytes crossing any group boundary (the uncoarsening objective)."""
-        total = 0.0
-        for (a, b), w in self.edge_bytes.items():
-            if self.atom_owner[a] != self.atom_owner[b]:
-                total += w
-        return total
-
     def _reset_groups(self, groups: Dict[int, Set[int]]) -> None:
-        """Install a whole new partition: owners, aggregates, group DAG."""
+        """Install a whole new partition: owners, aggregates, group DAG.
+
+        Owners, saved bytes and private parameters come from the atom
+        arrays (integer sums, exact in any order); a group's time is
+        :meth:`_group_time` of its atoms, its shared ids the union over
+        the few atoms that have any."""
         self.group_atoms = groups
-        for gid, atoms in groups.items():
-            for a in atoms:
-                self.atom_owner[a] = gid
-        self.group_load = {g: self._load_of(a) for g, a in groups.items()}
-        self.group_time = {g: self._group_time(a) for g, a in groups.items()}
-        edges = []
-        for a in range(len(self.components)):
-            for b in self.comp_succ[a]:
-                ga, gb = self.atom_owner[a], self.atom_owner[b]
-                if ga != gb:
-                    edges.append((ga, gb))
-        self.gg = GroupGraph(list(groups), edges)
+        gids = np.array(list(groups), dtype=np.int64)
+        sizes = list(map(len, groups.values()))
+        members = np.fromiter(chain.from_iterable(groups.values()),
+                              np.int64, sum(sizes))
+        slot = np.repeat(np.arange(len(gids)), sizes)
+        owner = np.full(len(self.components), -1, dtype=np.int64)
+        owner[members] = gids[slot]
+        self.atom_owner = owner.tolist()
+        saved = np.bincount(slot, weights=self.comp_saved[members],
+                            minlength=len(gids))
+        private = np.bincount(slot,
+                              weights=np.array(self._atom_private)[members],
+                              minlength=len(gids)).astype(np.int64)
+        self.group_load = dict(zip(groups, map(
+            _Load, saved.tolist(), private.tolist(),
+            repeat(frozenset()), repeat(0),
+        )))
+        for a in self._shared_atoms:
+            self.group_load[self.atom_owner[a]].shared |= self._atom_shared[a]
+        for g in {self.atom_owner[a] for a in self._shared_atoms}:
+            load = self.group_load[g]
+            load.shared_params = sum(self._param_sizes[p] for p in load.shared)
+        self.group_time = dict(zip(groups, map(self._group_time,
+                                                groups.values())))
+        ga, gb = owner[self._edge_ends]
+        cross = ga != gb
+        self.gg = GroupGraph(list(groups),
+                             zip(ga[cross].tolist(), gb[cross].tolist()))
 
     # ------------------------------------------------------------------
     # step 1: coarsening
@@ -346,32 +410,41 @@ class BlockPartitioner:
         are still needed to reach exactly ``k`` groups.
         """
         threshold = self.balance_factor * float(self.comp_time.sum()) / self.k
-        while len(self.group_atoms) > self.k:
-            ordered = sorted(self.group_atoms, key=self.group_time.__getitem__)
-            consumed: Set[int] = set()
+        shrink = 1.0 - PRUNE_SLACK * len(self.components)
+        # merges mutate these in place; ``gg`` is never replaced here
+        group_atoms, group_time = self.group_atoms, self.group_time
+        succ, pred = self.gg.succ, self.gg.pred
+        while len(group_atoms) > self.k:
+            ordered = sorted(group_atoms, key=group_time.__getitem__)
+            consumed: Set[int] = set()  # merged this level (absorbed too)
             merged_any = False
-            level_count = len(self.group_atoms)
+            level_count = len(group_atoms)
             for v in ordered:
-                if v in consumed or v not in self.group_atoms:
+                if v in consumed:
                     continue
-                if len(self.group_atoms) <= self.k:
+                if len(group_atoms) <= self.k:
                     break
                 best_w: Optional[int] = None
                 best_time = float("inf")
-                load_v = self.group_load[v]
-                neighbors = set(self.gg.succ[v]) | set(self.gg.pred[v])
-                for w in neighbors:
+                time_v = group_time[v]
+                for w in set(succ[v]) | set(pred[v]):
                     if w in consumed:
                         continue
                     # the pure checks run cheapest first: a candidate
                     # that cannot beat the best time so far is out
-                    # whatever its convexity and memory
-                    t = self._group_time(self.group_atoms[v] | self.group_atoms[w])
+                    # whatever its convexity and memory.  ``lo`` is a
+                    # lower bound on the union's time (PRUNE_SLACK), so
+                    # it drops only candidates the exact test rejects
+                    lo = (time_v + group_time[w]) * shrink
+                    if lo > threshold or lo > best_time:
+                        continue
+                    t = self._group_time(group_atoms[v] | group_atoms[w])
                     if t > threshold or t >= best_time:
                         continue
                     if not self.gg.can_merge(v, w):
                         continue
-                    if (self._merged_memory(load_v, self.group_load[w])
+                    if (self._merged_memory(self.group_load[v],
+                                            self.group_load[w])
                             > self.memory_limit):
                         continue
                     best_time = t
@@ -380,8 +453,8 @@ class BlockPartitioner:
                     continue
                 self.records.append(
                     _MergeRecord(
-                        part_v=frozenset(self.group_atoms[v]),
-                        part_w=frozenset(self.group_atoms[best_w]),
+                        part_v=frozenset(group_atoms[v]),
+                        part_w=frozenset(group_atoms[best_w]),
                         level_group_count=level_count,
                     )
                 )
@@ -741,7 +814,7 @@ class BlockPartitioner:
         if len(self.group_atoms) > self.k:
             self.compact()
         order = self.gg.topo_order()
-        task_pos = {t: i for i, t in enumerate(self.graph.tasks)}
+        task_pos = self.profiler._index
         blocks: List[Block] = []
         for new_idx, gid in enumerate(order):
             atoms = sorted(self.group_atoms[gid])

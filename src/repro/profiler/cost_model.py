@@ -66,8 +66,10 @@ def task_row(
 ) -> Tuple:
     """The :class:`TaskCost` fields of one task, in field order, from the
     records of its input and output values (positional, as listed by the
-    task).  The one extraction rule: :meth:`CostModel.task_cost` and the
-    profiler's per-graph table both call it."""
+    task): the per-task rule behind :meth:`CostModel.task_cost`.  The
+    profiler's per-graph table derives the same fields for every task at
+    once from the graph's CSR; ``tests/profiler/oracles.py`` judges
+    both."""
     fwd = registry.flops(task, graph, 1)
     bwd = fwd * registry.get(task.op_type).bwd_factor
     act_bytes = 0.0

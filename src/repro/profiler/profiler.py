@@ -1,10 +1,10 @@
 """Graph profiler: the per-graph table and the Algorithm-1 oracle.
 
 ``GraphProfiler`` plays the role of the paper's ``profile(U, batch)``
-procedure.  Its construction is one pass over the task graph that
-builds the **table** every pre-search layer reads instead of the graph's
-dicts (tasks indexed in the graph's topological insertion order, values
-in insertion order):
+procedure.  Its construction builds the **table** every pre-search
+layer reads instead of the graph's dicts, with NumPy over the graph's
+own value ids and task CSR (tasks indexed in the graph's topological
+insertion order, values in insertion order):
 
 * per value: batch-1 bytes, and whether the value is floating point
   (the working precision scales it), batched, a parameter or constant,
@@ -30,15 +30,19 @@ must serialize whole runs per model family, as the plan service does
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import attrgetter, is_
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.ir import TaskGraph, ValueKind
+from repro.graph.ops import registry
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
-from repro.profiler.cost_model import CostModel, task_row, value_record
+from repro.profiler.cost_model import FREE_OPS, MATMUL_OPS, CostModel
 from repro.profiler.memory import MemoryModel, OptimizerKind
 
 
@@ -103,115 +107,144 @@ class GraphProfiler:
         self.table_hits = 0
 
     def _build_table(self, graph: TaskGraph) -> None:
-        """One pass over the values, then one over the tasks."""
-        tasks = graph.tasks
-        self._names: List[str] = list(tasks)
-        index = self._index = {t: i for i, t in enumerate(self._names)}
+        """The table, from the graph's value columns and task CSR.
 
-        value_index: Dict[str, int] = {}
-        records = []
-        is_float, const, producer = [], [], []
-        consumer_ptr, consumers = [0], []
-        # a value depends on the model input: seeded at the graph
-        # inputs, propagated to the outputs of non-constant tasks
-        depends = []
-        for i, (vname, value) in enumerate(graph.values.items()):
-            value_index[vname] = i
-            records.append(value_record(value))
-            is_float.append(value.dtype.is_float)
-            kind = value.kind
-            const.append(kind is ValueKind.PARAM or kind is ValueKind.CONST)
-            depends.append(kind is ValueKind.INPUT)
-            producer.append(
-                -1 if value.producer is None else index[value.producer]
-            )
-            consumers.extend(dict.fromkeys(index[c] for c in value.consumers))
-            consumer_ptr.append(len(consumers))
+        The value columns come from C-level ``map`` reads of the value
+        nodes; every per-task sum is a ``bincount`` over the CSR entries.
+        Each summand is an integer byte or element count held in a
+        float, so the sums are exact in any order.  Only the op's FLOP
+        count is a per-task Python call."""
+        tasks = list(graph.tasks.values())
+        values = list(graph.values.values())
+        n, nv = len(tasks), len(values)
+        self._names: List[str] = list(graph.tasks)
+        self._index = dict(zip(self._names, range(n)))
 
-        rows = []
-        kv = []
-        non_constant = []
-        in_ptr, ins_all, out_ptr, outs_all = [0], [], [0], []
-        param_of: Dict[int, int] = {}
-        self._task_param_ids: List[Tuple[int, ...]] = []
-        self._param_sizes: List[int] = []
-        for task in tasks.values():
-            ins = [value_index[v] for v in task.inputs]
-            outs = [value_index[v] for v in task.outputs]
-            in_recs = [records[v] for v in ins]
-            rows.append(task_row(graph, task, in_recs,
-                                 [records[v] for v in outs]))
-            kv.append(self._kv_bytes(task.op_type, ins, in_recs, const))
-            flag = any(depends[v] for v in ins)
-            non_constant.append(flag)
-            if flag:
-                for v in outs:
-                    depends[v] = True
-            # parameters read, for unique-parameter accounting (a
-            # tied/shared weight is stored once per stage, not once per
-            # consuming task)
-            pids = []
-            for v, rec in zip(ins, in_recs):
-                if rec[3]:
-                    pid = param_of.get(v)
-                    if pid is None:
-                        pid = param_of[v] = len(self._param_sizes)
-                        self._param_sizes.append(rec[1])
-                    pids.append(pid)
-            self._task_param_ids.append(tuple(pids))
-            ins_all.extend(ins)
-            in_ptr.append(len(ins_all))
-            outs_all.extend(outs)
-            out_ptr.append(len(outs_all))
-
-        (self.fwd_flops, self.bwd_flops, self.act_bytes, self.param_bytes,
-         self.saved_bytes, param_count, is_matmul, is_free) = (
-            np.array(rows, dtype=float).reshape(-1, 8).T.copy()
+        # --- per value ----------------------------------------------------
+        shapes = list(map(attrgetter("shape"), values))
+        numel = np.fromiter(map(math.prod, shapes), np.int64, nv)
+        self.value_bytes = numel * np.fromiter(
+            map(attrgetter("dtype.itemsize"), values), np.int64, nv
         )
-        self.param_count = param_count.astype(np.int64)
-        self.is_matmul = is_matmul != 0
-        self.is_free = is_free != 0
-        self.kv_saved_bytes = np.array(kv, dtype=float)
-        self.non_constant = np.array(non_constant, dtype=bool)
-        self._param_sizes_arr = np.asarray(self._param_sizes, dtype=np.int64)
-        self.task_in_ptr = np.array(in_ptr, dtype=np.int64)
-        self.task_in = np.array(ins_all, dtype=np.int64)
-        self.task_out_ptr = np.array(out_ptr, dtype=np.int64)
-        self.task_out = np.array(outs_all, dtype=np.int64)
-
-        nv = len(records)
-        self.value_bytes = np.array(
-            [r[0] for r in records], dtype=np.int64
+        batched = self.value_batched = np.fromiter(
+            map(attrgetter("batched"), values), bool, nv
         )
-        self.value_batched = np.array([r[2] for r in records], dtype=bool)
-        self.value_float = np.array(is_float, dtype=bool)
-        self.value_const = np.array(const, dtype=bool)
+        self.value_float = np.fromiter(
+            map(attrgetter("dtype.is_float"), values), bool, nv
+        )
+        kinds = list(map(attrgetter("kind"), values))
+        is_param = np.fromiter(map(is_, kinds, repeat(ValueKind.PARAM)),
+                               bool, nv)
+        const = self.value_const = is_param | np.fromiter(
+            map(is_, kinds, repeat(ValueKind.CONST)), bool, nv
+        )
         self.value_output = np.zeros(nv, dtype=bool)
         self.value_output[
-            [value_index[v] for v in graph.output_names]
+            [graph.value_index[v] for v in graph.output_names]
         ] = True
-        self.value_producer = np.array(producer, dtype=np.int64)
-        self.value_consumer_ptr = np.array(consumer_ptr, dtype=np.int64)
-        self.value_consumers = np.array(consumers, dtype=np.int64)
+        self.value_producer = np.array(graph.value_producer, dtype=np.int64)
 
-    @staticmethod
-    def _kv_bytes(op_type: str, ins, in_recs, const) -> float:
-        """Per-sample attention K/V bytes persisted by a task while a
-        microbatch stays in flight during inference.
+        # --- the task CSR and its entries' tasks ----------------------------
+        in_ptr = self.task_in_ptr = np.array(graph.task_in_ptr, dtype=np.int64)
+        ins = self.task_in = np.array(graph.task_in, dtype=np.int64)
+        out_ptr = self.task_out_ptr = np.array(graph.task_out_ptr,
+                                               dtype=np.int64)
+        outs = self.task_out = np.array(graph.task_out, dtype=np.int64)
+        in_task = np.repeat(np.arange(n), np.diff(in_ptr))
+        out_task = np.repeat(np.arange(n), np.diff(out_ptr))
 
-        Structural rule: a ``matmul`` whose two operands are both batched
-        activations is an attention contraction (``q @ k^T`` or
-        ``probs @ v``); its second operand is the cached K (or V) tensor.
-        Weight matmuls never qualify -- a PARAM/CONST operand (or any
-        value derived only from them, e.g. a transposed embedding table)
-        is not batched, so ``lm_head``-style projections are excluded.
-        """
-        if op_type != "matmul" or len(ins) != 2:
-            return 0.0
-        for v, rec in zip(ins, in_recs):
-            if const[v] or not rec[2]:
-                return 0.0
-        return float(in_recs[1][0])
+        def per_task(entry_task, weights):
+            return np.bincount(entry_task, weights=weights, minlength=n)
+
+        in_bytes = self.value_bytes[ins].astype(float)
+        out_bytes = self.value_bytes[outs].astype(float)
+        in_batched, out_batched = batched[ins], batched[outs]
+        self.act_bytes = (per_task(in_task, in_bytes * in_batched)
+                          + per_task(out_task, out_bytes * out_batched))
+        self.param_bytes = (per_task(in_task, in_bytes * ~in_batched)
+                            + per_task(out_task, out_bytes * ~out_batched))
+        self.param_count = per_task(
+            in_task, numel[ins] * (is_param[ins] & ~in_batched)
+        ).astype(np.int64)
+
+        ops = list(map(attrgetter("op_type"), tasks))
+        specs = {op: registry.get(op) for op in set(ops)}
+        self.is_matmul = np.fromiter(map(MATMUL_OPS.__contains__, ops),
+                                     bool, n)
+        self.is_free = np.fromiter(map(FREE_OPS.__contains__, ops), bool, n)
+        self.saved_bytes = per_task(out_task, out_bytes * out_batched)
+        self.saved_bytes[self.is_free] = 0.0
+        # the FLOPs of ``registry.flops(task, graph, 1)``: one call per task
+        in_shapes = list(map(shapes.__getitem__, ins.tolist()))
+        out_shapes = list(map(shapes.__getitem__, outs.tolist()))
+        in_lo, out_lo = in_ptr.tolist(), out_ptr.tolist()
+        self.fwd_flops = np.fromiter(
+            (
+                specs[op].flops(in_shapes[a:b], out_shapes[c:d], task.attrs)
+                for op, task, a, b, c, d in zip(
+                    ops, tasks, in_lo, in_lo[1:], out_lo, out_lo[1:]
+                )
+            ),
+            float,
+            n,
+        )
+        self.bwd_flops = self.fwd_flops * np.fromiter(
+            map({op: spec.bwd_factor for op, spec in specs.items()}
+                .__getitem__, ops),
+            float,
+            n,
+        )
+
+        # per-sample attention K/V bytes persisted while a microbatch
+        # stays in flight during inference.  Structural rule: a ``matmul``
+        # whose two operands are both batched activations is an attention
+        # contraction (``q @ k^T`` or ``probs @ v``); its second operand
+        # is the cached K (or V) tensor.  Weight matmuls never qualify --
+        # a PARAM/CONST operand (or any value derived only from them, e.g.
+        # a transposed embedding table) is not batched, so ``lm_head``-
+        # style projections are excluded.
+        self.kv_saved_bytes = np.zeros(n)
+        pair = np.flatnonzero(
+            np.fromiter(map("matmul".__eq__, ops), bool, n)
+            & (np.diff(in_ptr) == 2)
+        )
+        first, second = ins[in_ptr[pair]], ins[in_ptr[pair] + 1]
+        activation = batched & ~const
+        cached = activation[first] & activation[second]
+        self.kv_saved_bytes[pair[cached]] = self.value_bytes[second[cached]]
+
+        self.non_constant = np.array(graph.non_constant_flags(), dtype=bool)
+
+        # parameters read, for unique-parameter accounting (a tied/shared
+        # weight is stored once per stage, not once per consuming task):
+        # ids in order of first read, one per read
+        entry = np.flatnonzero(is_param[ins])
+        read = ins[entry]
+        order = np.argsort(read, kind="stable")
+        head = np.ones(len(order), dtype=bool)
+        head[1:] = read[order][1:] != read[order][:-1]
+        pid_of_head = np.empty(int(head.sum()), dtype=np.int64)
+        pid_of_head[np.argsort(order[head])] = np.arange(len(pid_of_head))
+        pid = np.empty(len(read), dtype=np.int64)
+        pid[order] = pid_of_head[np.cumsum(head) - 1]
+        sizes = np.empty(len(pid_of_head), dtype=np.int64)
+        sizes[pid_of_head] = numel[read[order][head]]
+        self._param_sizes: List[int] = sizes.tolist()
+        self._param_sizes_arr = sizes
+        # one tuple per task, cut from the per-read ids in CSR order
+        reads = iter(pid.tolist())
+        self._task_param_ids: List[Tuple[int, ...]] = list(map(
+            tuple, map(islice, repeat(reads),
+                       np.bincount(in_task[entry], minlength=n).tolist())
+        ))
+
+        # distinct readers per value, in task order
+        width = max(n, 1)
+        key = distinct(ins * width + in_task)
+        self.value_consumers = key % width
+        self.value_consumer_ptr = np.zeros(nv + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key // width, minlength=nv),
+                  out=self.value_consumer_ptr[1:])
 
     def scaled_value_bytes(self, batch_size: int, values=slice(None)) -> np.ndarray:
         """Bytes of ``values`` (ids; default all) at ``batch_size``,

@@ -1,6 +1,8 @@
 """Tests for traversal utilities: topo sort, reachability, convexity and
 the incremental GroupGraph (including hypothesis property tests)."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,13 +12,13 @@ from repro.graph.traversal import (
     GroupGraph,
     ancestors,
     descendants,
-    group_graph,
     is_convex,
     task_predecessors,
     task_successors,
     topo_sort_tasks,
 )
 from tests.conftest import chain_graph
+from tests.profiler.oracles import group_graph
 
 
 class TestTopoSort:
@@ -203,7 +205,7 @@ def test_level_pruned_reachability_matches_unpruned(dag, data):
     for _ in range(data.draw(st.integers(min_value=0, max_value=n - 1))):
         pairs = [
             (a, b)
-            for a in gg.nodes()
+            for a in list(gg.succ)
             for b in sorted(gg.succ[a])
             if gg.can_merge(a, b)
         ]
@@ -211,7 +213,7 @@ def test_level_pruned_reachability_matches_unpruned(dag, data):
             break
         gg.merge(*data.draw(st.sampled_from(pairs)))
     assert gg._level is not None
-    for a in gg.nodes():
+    for a in list(gg.succ):
         for b in sorted(gg.succ[a]):
             assert gg._level[a] < gg._level[b]
             assert gg._reachable_avoiding_edge(a, b) == _reachable_brute(
@@ -256,9 +258,56 @@ def test_rewire_matches_rebuilt_contraction(dag, data):
     if not has_cycle:
         gg.rewire(succ, pred, drop)
         assert gg.succ == expected.succ and gg.pred == expected.pred
-        for a in gg.nodes():
+        for a in list(gg.succ):
             for b in gg.succ[a]:
                 assert gg._level[a] < gg._level[b]
+
+
+def _unpruned(gg):
+    """A view of ``gg`` that answers every query by unpruned search."""
+    view = copy.copy(gg)
+    view._level = None
+    return view
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_dag(), st.data())
+def test_rewire_sequence_keeps_a_valid_level_function(dag, data):
+    """Property: through a sequence of random valid rewires (parts moved
+    between contiguous groups), the incrementally repaired level function
+    keeps ``lv[a] < lv[b]`` on every edge, and ``can_merge`` and
+    ``rewire_creates_cycle`` answer as the unpruned searches do."""
+    n, edges = dag
+    cuts = data.draw(st.sets(st.integers(min_value=1, max_value=n - 1),
+                             min_size=1))
+    owner = [sum(1 for c in cuts if c <= a) for a in range(n)]
+    gg = _contract(edges, owner)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        groups = sorted(set(owner))
+        if len(groups) < 2:
+            break
+        g = data.draw(st.sampled_from(groups))
+        members = [a for a in range(n) if owner[a] == g]
+        part = data.draw(st.sets(st.sampled_from(members), min_size=1))
+        t = data.draw(st.sampled_from([c for c in groups if c != g]))
+        moved = [t if a in part else owner[a] for a in range(n)]
+        expected = _contract(edges, moved)
+        changed = [c for c in (g, t) if c in expected.succ]
+        succ = {c: expected.succ[c] for c in changed}
+        pred = {c: expected.pred[c] for c in changed}
+        drop = () if g in expected.succ else (g,)
+        creates = gg.rewire_creates_cycle(succ, pred, drop)
+        assert creates == _unpruned(gg).rewire_creates_cycle(succ, pred, drop)
+        if creates:
+            continue
+        gg.rewire(succ, pred, drop)
+        owner = moved
+        lv = gg._level
+        assert lv is not None and set(lv) == set(gg.succ)
+        for a in gg.succ:
+            for b in gg.succ[a]:
+                assert lv[a] < lv[b]
+                assert gg.can_merge(a, b) == _unpruned(gg).can_merge(a, b)
 
 
 def test_cyclic_input_disables_pruning_not_reachability():

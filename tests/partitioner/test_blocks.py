@@ -12,6 +12,7 @@ from repro.models import BertConfig, build_bert, build_diamond, build_mlp
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import Block, BlockPartitioner, block_partition
 from repro.profiler import GraphProfiler
+from tests.profiler.oracles import group_memory, total_cut_bytes
 
 
 def make_partitioner(graph, k=4, cluster=None, **kwargs):
@@ -117,10 +118,10 @@ class TestBert:
         assert 2 <= len(blocks) <= len(bp.components)
         limit = cluster.device.usable_memory
         single_atom_max = max(
-            bp._group_memory({i}) for i in range(len(bp.components))
+            group_memory(bp, {i}) for i in range(len(bp.components))
         )
         for b in blocks:
-            mem = bp._group_memory(set(b.atomic_indices))
+            mem = group_memory(bp, set(b.atomic_indices))
             assert mem <= max(limit, single_atom_max) + 1e-6
 
 
@@ -153,9 +154,9 @@ class TestUncoarsening:
     def test_never_increases_cut(self, tiny_bert):
         bp = make_partitioner(tiny_bert, k=4)
         bp.coarsen()
-        before = bp.total_cut_bytes()
+        before = total_cut_bytes(bp)
         bp.uncoarsen()
-        assert bp.total_cut_bytes() <= before + 1e-9
+        assert total_cut_bytes(bp) <= before + 1e-9
 
     def test_moves_keep_convexity(self, tiny_bert):
         bp = make_partitioner(tiny_bert, k=4)

@@ -37,6 +37,7 @@ from repro.models.random_dag import build_random_dag
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import BlockPartitioner
 from repro.profiler import GraphProfiler
+from tests.profiler.oracles import group_memory
 
 FIXTURE = Path(__file__).resolve().parents[1] / "data" / "pinned_blocks.json"
 
@@ -123,14 +124,14 @@ def _check_aggregates(bp):
     assert set(bp.group_load) == set(bp.group_atoms)
     for gid, atoms in bp.group_atoms.items():
         assert bp.group_time[gid] == bp._group_time(atoms)
-        assert bp._memory(bp.group_load[gid]) == bp._group_memory(atoms)
+        assert bp._memory(bp.group_load[gid]) == group_memory(bp, atoms)
         for a in atoms:
             assert bp.atom_owner[a] == gid
         # a merge candidate's memory, as coarsening checks it
         for nbr in bp.gg.succ[gid]:
             assert bp._merged_memory(
                 bp.group_load[gid], bp.group_load[nbr]
-            ) == bp._group_memory(atoms | bp.group_atoms[nbr])
+            ) == group_memory(bp, atoms | bp.group_atoms[nbr])
 
 
 def _check_local_cuts(bp):

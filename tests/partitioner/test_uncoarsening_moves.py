@@ -10,6 +10,7 @@ from repro.hardware import paper_cluster
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import BlockPartitioner
 from repro.profiler import GraphProfiler
+from tests.profiler.oracles import total_cut_bytes
 
 
 def bottleneck_chain():
@@ -58,7 +59,7 @@ class TestBoundaryMove:
         bp_obj, graph = bp
         # boundary on the WIDE edge (after relu_a): 256-float cut
         self._force_partition(bp_obj, "relu_a")
-        wide_cut = bp_obj.total_cut_bytes()
+        wide_cut = total_cut_bytes(bp_obj)
 
         # moving {fc_b, relu_b} into group 0 shifts the boundary to the
         # narrow edge
@@ -67,7 +68,7 @@ class TestBoundaryMove:
         )
         moved = bp_obj._try_move(part)
         assert moved
-        assert bp_obj.total_cut_bytes() < wide_cut / 8
+        assert total_cut_bytes(bp_obj) < wide_cut / 8
 
     def test_move_keeps_convexity(self, bp):
         bp_obj, graph = bp
@@ -86,10 +87,10 @@ class TestBoundaryMove:
         bp_obj, graph = bp
         # boundary already on the NARROW edge: no single part move helps
         self._force_partition(bp_obj, "relu_b")
-        narrow_cut = bp_obj.total_cut_bytes()
+        narrow_cut = total_cut_bytes(bp_obj)
         part = frozenset({comp_index(bp_obj, "fc_b")})
         bp_obj._try_move(part)
-        assert bp_obj.total_cut_bytes() <= narrow_cut
+        assert total_cut_bytes(bp_obj) <= narrow_cut
 
     def test_full_pipeline_prefers_narrow_boundary(self):
         """End-to-end: with k=2, the final blocks should cut the narrow

@@ -11,7 +11,10 @@ produced for it on ``paper_cluster(4)`` at batch 2048 with ``k = 768``:
   hashes its scenarios;
 * ``plan_sha256`` -- the sha256 of the plan's deployment JSON
   (:func:`repro.partitioner.deployment.plan_to_json`);
-* the stage-search counters and the evaluated throughput.
+* the stage-search counters and the evaluated throughput;
+* the coarsening counters (merge levels, merges, uncoarsening moves and
+  the compaction path), so a change to the merge loop shows up as a
+  named field and not only as a changed ``blocks_sha256``.
 
 Update only the fields a change is meant to move, by name::
 
@@ -51,6 +54,7 @@ def _snapshot():
     plan = ctx.run()
     blocks = ctx.require(BLOCKS)
     dp_ctx = ctx.require(DP_CONTEXT)
+    coarsen = ctx.events.find("coarsen").detail
     indices = [list(b.atomic_indices) for b in blocks]
     return {
         "scenario": SCENARIO,
@@ -66,6 +70,10 @@ def _snapshot():
         "band_width_max": dp_ctx.band_width_max,
         "num_blocks": len(blocks),
         "throughput": plan.throughput,
+        "coarsen_levels": coarsen["levels"],
+        "coarsen_merges": coarsen["merges"],
+        "coarsen_moves": coarsen["moves"],
+        "compaction": coarsen["compaction"],
     }
 
 

@@ -1,8 +1,8 @@
 """Test oracles for the profiler's graph table and the block aggregates.
 
 Per-task and per-atom transcriptions that walk the ``TaskGraph`` dicts
-directly, held against the arrays the one-pass table build and
-``BlockPartitioner.__init__`` produce from it:
+directly, held against the arrays the table build (NumPy over the
+graph's CSR) and ``BlockPartitioner.__init__`` produce:
 
 * :func:`task_cost_reference` and :func:`kv_bytes_reference` extract one
   task's cost coefficients (``registry.flops`` for each FLOP count,
@@ -10,18 +10,36 @@ directly, held against the arrays the one-pass table build and
   runs them over every task together with the parameter-id walk;
 * :func:`block_aggregates_reference` recomputes the atom DAG, its edge
   bytes and the per-atom time, saved bytes and parameter sets from
-  ``iter_edges``, ``classify_tasks`` and per-component sums.
+  ``iter_edges``, :func:`classify_reference` and per-component sums;
+* :func:`group_memory` and :func:`total_cut_bytes` recount a group's
+  memory estimate and the bytes crossing group boundaries from scratch,
+  and :func:`group_graph` contracts a task graph onto task groups.
 """
 
 from collections import Counter
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.graph.ir import TaskGraph, ValueKind
 from repro.graph.ops import registry
-from repro.partitioner.atomic import classify_tasks
+from repro.graph.traversal import GroupGraph
 from repro.profiler.cost_model import FREE_OPS, MATMUL_OPS, TaskCost
+
+
+def classify_reference(graph: TaskGraph) -> Dict[str, bool]:
+    """Task name -> is non-constant, walking the value dicts: a task is
+    non-constant iff some input is a model input or the output of a
+    non-constant task."""
+    non_constant: Dict[str, bool] = {}
+    for tname, task in graph.tasks.items():
+        non_constant[tname] = any(
+            graph.values[v].kind is ValueKind.INPUT
+            or (graph.values[v].producer is not None
+                and non_constant[graph.values[v].producer])
+            for v in task.inputs
+        )
+    return non_constant
 
 
 def task_cost_reference(graph: TaskGraph, task) -> TaskCost:
@@ -119,7 +137,7 @@ def table_reference(graph: TaskGraph) -> Dict[str, object]:
                     param_sizes.append(value.numel(1))
                 ids.append(pid)
         task_param_ids.append(tuple(ids))
-    nc = classify_tasks(graph)
+    nc = classify_reference(graph)
     ref["non_constant"] = np.array([nc[t] for t in names], dtype=bool)
     ref["_task_param_ids"] = task_param_ids
     ref["_param_sizes"] = param_sizes
@@ -132,7 +150,7 @@ def block_aggregates_reference(bp) -> Dict[str, object]:
     and reference batch size."""
     graph, profiler = bp.graph, bp.profiler
     n = len(bp.components)
-    non_constant = classify_tasks(graph)
+    non_constant = classify_reference(graph)
     owner: Dict[str, int] = {}
     for comp in bp.components:
         owner[comp.non_constant_task] = comp.index
@@ -201,3 +219,48 @@ def group_aggregates_reference(bp, atoms) -> Tuple[float, float, int]:
         pids.update(bp.comp_param_ids[a])
     params = sum(bp.profiler._param_sizes[p] for p in pids)
     return time, saved, params
+
+
+def group_memory(bp, atoms) -> float:
+    """The loose block-formation memory estimate of an atom set, recounted
+    from scratch: static parameter/optimizer state of the union of the
+    atoms' parameters plus one reference microbatch's checkpointed
+    activations."""
+    profiler = bp.profiler
+    saved = float(bp.comp_saved[list(atoms)].sum())
+    saved *= bp.ref_batch_size * profiler.precision.activation_bytes_factor
+    pids: Set[int] = set()
+    for a in atoms:
+        pids.update(bp.comp_param_ids[a])
+    params = int(
+        profiler._param_sizes_arr[np.fromiter(pids, dtype=np.int64)].sum()
+    ) if pids else 0
+    return profiler.memory_model.static_bytes(params) + saved
+
+
+def total_cut_bytes(bp) -> float:
+    """Bytes crossing any group boundary (the uncoarsening objective)."""
+    total = 0.0
+    for (a, b), w in bp.edge_bytes.items():
+        if bp.atom_owner[a] != bp.atom_owner[b]:
+            total += w
+    return total
+
+
+def group_graph(
+    graph: TaskGraph, groups: Sequence[FrozenSet[str]]
+) -> GroupGraph:
+    """Contract a task graph onto a partition into disjoint groups."""
+    owner: Dict[str, int] = {}
+    for gid, members in enumerate(groups):
+        for t in members:
+            if t in owner:
+                raise ValueError(f"task {t!r} in two groups")
+            owner[t] = gid
+    edges = set()
+    for producer, consumer in graph.iter_edges():
+        a, b = owner.get(producer), owner.get(consumer)
+        if a is None or b is None or a == b:
+            continue
+        edges.add((a, b))
+    return GroupGraph(range(len(groups)), edges)

@@ -1,4 +1,4 @@
-"""The profiler's one-pass graph table against per-task oracles, and the
+"""The profiler's graph table against per-task oracles, and the
 block aggregates built from it against a from-scratch recomputation.
 
 ``tests/profiler/oracles.py`` extracts every task's costs, K/V bytes and
@@ -26,6 +26,7 @@ from repro.profiler.cost_model import CostModel
 from tests.profiler.oracles import (
     block_aggregates_reference,
     group_aggregates_reference,
+    group_memory,
     table_reference,
     task_cost_reference,
 )
@@ -214,7 +215,7 @@ def _check_groups(bp):
         assert bp.group_time[gid] == time
         assert load.saved == saved
         assert load.private + load.shared_params == params
-        assert bp._memory(load) == bp._group_memory(atoms)
+        assert bp._memory(load) == group_memory(bp, atoms)
 
 
 @pytest.mark.parametrize("ref_batch_size", [1, 4])
