@@ -33,7 +33,11 @@ from repro.models import BertConfig, build_bert
 from repro.partitioner import auto_partition
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import Block
-from repro.partitioner.stage_dp import DPContext, form_stage_dp
+from repro.partitioner.stage_dp import (
+    DPContext,
+    covering_sweeps,
+    form_stage_dp,
+)
 from repro.profiler import GraphProfiler
 
 
@@ -161,7 +165,10 @@ def run_coarsening_ablation(
         R = cluster.num_nodes
         best = None
         for S in stage_counts:
-            for MB in microbatch_counts:
+            # a sweep whose stages cannot cover the atoms has no answer
+            for MB in covering_sweeps(
+                ctx, range(S, S + 1), D, R, microbatch_counts
+            ):
                 sol = form_stage_dp(ctx, S, D, batch_size, R, MB)
                 if sol is None:
                     continue

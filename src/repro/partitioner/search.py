@@ -12,8 +12,10 @@ DESIGN.md, deviation D2).
 
 One Algorithm-1 sweep answers every stage count of a level at once
 (``form_stage_dp`` over a ``range`` of stage counts), so a level costs
-one DP call per microbatch count, made in increasing ``MB`` order over
-a shared :class:`DPContext`.
+at most one DP call per microbatch count, made in increasing ``MB``
+order over a shared :class:`DPContext`.  A sweep whose stages cannot
+cover the blocks in memory has no answer and is skipped before any of
+its profiles are built (``covering_sweeps``, DESIGN.md deviation D2b).
 
 Aligning ``D`` to whole nodes keeps each pipeline inside as few nodes as
 possible, which is why stage-to-stage transfers are costed at intra-node
@@ -29,7 +31,12 @@ from typing import List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.partitioner.stage_dp import DPContext, DPSolution, form_stage_dp
+from repro.partitioner.stage_dp import (
+    DPContext,
+    DPSolution,
+    covering_sweeps,
+    form_stage_dp,
+)
 
 
 @dataclass
@@ -66,14 +73,16 @@ def form_stage(
         batch_size: global batch size BS.
         max_microbatches: optional cap on MB (None: up to BS / R).
         tracer: optional tracer; each node level gets a ``search.level``
-            span and each sweep a ``dp.form_stage_dp`` span under it.
-        metrics: optional metrics registry, forwarded to every DP call.
+            span (its ``pruned_mb`` lists the microbatch counts skipped)
+            and each sweep made a ``dp.form_stage_dp`` span under it.
+        metrics: optional metrics registry, forwarded to every DP call;
+            ``search.sweeps_pruned`` counts the sweeps skipped.
 
     Returns:
         A :class:`SearchResult`, or ``None`` if no configuration fits.
-        Its ``dp_calls`` counts the sweeps made (one per node level and
-        microbatch count) and ``candidates_tried`` the feasible ``(S, MB)``
-        candidates that competed.
+        Its ``dp_calls`` counts the sweeps made (at most one per node
+        level and microbatch count) and ``candidates_tried`` the feasible
+        ``(S, MB)`` candidates that competed.
     """
     if batch_size != ctx.batch_size:
         raise ValueError("batch size mismatch with DPContext")
@@ -138,13 +147,22 @@ def form_stage(
         )
         with level_cm as level_span:
             stage_counts = range(s_lo, s_hi + 1)
-            if s_lo <= ctx.k:
-                # every sweep below builds a band over its batch sizes:
-                # price them all in one pass over the blocks
-                ctx.fill_time_prefixes(
-                    bs for MB in microbatch_counts
-                    for bs in ctx.plane_batch_sizes(D, R, MB)[0]
-                )
+            # a sweep whose stages cannot cover the blocks in memory has
+            # no answer (DESIGN.md, deviation D2b): skip it whole
+            swept = covering_sweeps(
+                ctx, stage_counts, D, R, microbatch_counts
+            )
+            pruned = [MB for MB in microbatch_counts if MB not in swept]
+            if metrics is not None:
+                metrics.counter("search.sweeps_pruned").inc(len(pruned))
+            if level_span is not None:
+                level_span.set(pruned_mb=pruned)
+            # every sweep below builds a band over its batch sizes:
+            # price them all in one pass over the blocks
+            ctx.fill_time_prefixes(
+                bs for MB in swept
+                for bs in ctx.plane_batch_sizes(D, R, MB)[0]
+            )
             # ``form_stage_dp`` is looked up as a module global at call
             # time, so a wrapper installed on ``search.form_stage_dp``
             # sees every sweep
@@ -153,16 +171,16 @@ def form_stage(
                     ctx, stage_counts, D, batch_size, R, MB,
                     tracer=tracer, metrics=metrics,
                 )
-                for MB in microbatch_counts
+                for MB in swept
             }
-            dp_calls += len(microbatch_counts)
+            dp_calls += len(swept)
             # every stage count of the level competes, not only the first
             # feasible one (DESIGN.md, deviation D2); candidate order (S
             # outer, MB inner) fixes the tie-break
             solutions = [
                 sweeps[MB][S]
                 for S in stage_counts
-                for MB in microbatch_counts
+                for MB in swept
                 if sweeps[MB][S] is not None
             ]
             tried += len(solutions)

@@ -51,6 +51,7 @@ that the test suite holds all of this to live with the tests
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -272,10 +273,8 @@ class DPContext:
         self._range_mats: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = None
-        #: ``_fit_width``'s batch-size-independent planes
-        self._floor_planes: Optional[
-            Tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = None
+        #: ``_fit_width``'s per-span thresholds, per capacity
+        self._fit_tables: Dict[float, List[int]] = {}
         self._band_cache: Dict[Tuple[int, int, int], BandedProfile] = {}
         self._hetero_cache: Dict[
             Tuple[int, int, Optional[float]], Tuple[np.ndarray, np.ndarray]
@@ -352,14 +351,13 @@ class DPContext:
 
     def nbytes(self) -> int:
         """Bytes of every array the context holds: the block membership
-        and the saved/KV prefixes, the range matrices, the memory-floor
-        planes, the per-batch time prefixes, the heterogeneous tables
+        and the saved/KV prefixes, the range matrices, the per-batch
+        time prefixes, the heterogeneous tables
         and the profile bands (the artifact store weighs its memory
         tier with it)."""
         arrays = [self._member_task, self._member_block,
                   self._saved_prefix, self._kv_prefix, *self._block_idx]
-        for cached in (self._range_mats, self._floor_planes):
-            arrays.extend(cached or ())
+        arrays.extend(self._range_mats or ())
         for pair in (*self._time_prefix.values(),
                      *self._hetero_cache.values()):
             arrays.extend(pair)
@@ -584,8 +582,14 @@ class DPContext:
         forward, so only ONE microbatch's activations are ever live.  In a
         flush-synchronous pipeline every stage stashes all ``MB``
         microbatch inputs.  A subclass reprices stages by overriding this
-        method alone; its memory must stay at least the floor of
-        :meth:`_fit_width`, which sizes the bands.
+        method alone.
+
+        Precondition, for this method and every override: at every
+        ``(lo, hi]``, ``bs >= 1``, ``MB`` and ``checkpointing``, the
+        memory is at least the floor of :meth:`_fit_width`,
+        ``static_bytes(PARAMS[lo, hi]) + saved(lo, hi) * bs *
+        act_factor``.  The band width (DESIGN.md D1c) and the sweep
+        prune (D2b) are lossless only under it.
         """
         IN1, OUT1, PARAMS = self._range_matrices()
         tf_prefix, tb_prefix = self._time_prefix_at(bs)
@@ -745,7 +749,8 @@ class DPContext:
 
     def _fit_width(self, bs: int, capacity: float) -> int:
         """Widest block span whose memory floor at per-replica microbatch
-        ``bs`` fits ``capacity``.
+        ``bs`` (``1 <= bs <= BS``) fits ``capacity`` (0: no single block
+        does).
 
         The floor is the parameter state plus the saved activations of
         one microbatch, ``static_bytes(PARAMS) + saved * bs * factor``,
@@ -758,21 +763,52 @@ class DPContext:
         or above this floor; the coarsening ablation's summed estimate
         does (``static_bytes`` is linear, so the per-atom static bytes
         sum to at least those of the unique parameters, and it adds only
-        non-negative activation and boundary bytes).  The static plane,
-        the saved-bytes difference plane and the span grid do not depend
-        on ``bs`` and are kept per context."""
-        if self._floor_planes is None:
-            _, _, PARAMS = self._range_matrices()
-            idx = np.arange(self.k + 1)
-            self._floor_planes = (
-                self.profiler.memory_model.static_bytes(PARAMS),
-                self._saved_prefix[None, :] - self._saved_prefix[:, None],
-                idx[None, :] - idx[:, None],
-            )
-        static, saved, spans = self._floor_planes
+        non-negative activation and boundary bytes).
+
+        The floor only grows with ``bs``, so ``fit(bs) <= fit(1)``, and
+        a stage's floor is at most that of any range holding it.  Per
+        capacity, ``fit(1)`` is read once off the dense ``(k+1, k+1)``
+        floor plane, and each stage of the band of spans up to ``fit(1)``
+        gets the largest ``bs <= BS`` at which it fits
+        (:func:`_fit_thresholds`); the per-span maxima answer every
+        ``bs`` of that capacity by bisection."""
+        table = self._fit_tables.get(capacity)
+        if table is None:
+            table = self._fit_tables[capacity] = self._fit_table(capacity)
+        return bisect_right(table, -bs)
+
+    def _fit_table(self, capacity: float) -> List[int]:
+        """``-t[j]`` for spans ``j + 1 <= fit(1)``, ascending: ``t[j]`` is
+        the largest ``bs <= BS`` at which some stage of at least ``j +
+        1`` blocks fits ``capacity``, so ``fit(bs)`` is the number of
+        ``t[j] >= bs``."""
         act_factor = self.profiler.precision.activation_bytes_factor
-        floor = static + saved * bs * act_factor
-        return _widest_fit(floor, capacity, spans)
+        static_bytes = self.profiler.memory_model.static_bytes
+        _, _, PARAMS = self._range_matrices()
+        saved = self._saved_prefix
+        idx = np.arange(self.k + 1)
+        floor = static_bytes(PARAMS) + (
+            saved[None, :] - saved[:, None]
+        ) * 1 * act_factor
+        # fit(1): the widest span hi - lo whose floor fits
+        width = int(np.where(floor <= capacity, idx - idx[:, None], 0).max())
+        # band entry [hi, j] is the stage (hi - 1 - j, hi]; one reaching
+        # below block 0 gets an infinite floor, so it never fits
+        hi = idx[:, None]
+        lo = hi - 1 - idx[None, :width]
+        below = lo < 0
+        lo[below] = 0
+        static = static_bytes(PARAMS[lo, hi])
+        static[below] = np.inf
+        best = _fit_thresholds(
+            static, saved[hi] - saved[lo], act_factor, capacity,
+            self.batch_size,
+        ).max(axis=0, initial=0)
+        # a stage wider than j + 1 holds one of j + 1 blocks that fits
+        # wherever it does; the suffix maximum keeps t non-increasing
+        # whatever the rounding
+        best = np.maximum.accumulate(best[::-1])[::-1]
+        return (-best).astype(np.int64).tolist()
 
 
 def slot_tables(
@@ -831,13 +867,32 @@ def _rectangle_sums(k: int, rects: Tuple[np.ndarray, ...], dtype) -> np.ndarray:
     return diff.cumsum(axis=0).cumsum(axis=1)[: k + 1, : k + 1]
 
 
-def _widest_fit(
-    mem_plane: np.ndarray, capacity: float, spans: np.ndarray
-) -> int:
-    """Widest span ``hi - lo`` of a dense ``(k+1, k+1)`` memory(-floor)
-    plane whose stage ``(lo, hi]`` fits ``capacity`` (0: none does);
-    ``spans`` is the ``hi - lo`` grid."""
-    return int(np.where(mem_plane <= capacity, spans, 0).max())
+def _fit_thresholds(
+    static: np.ndarray,
+    saved: np.ndarray,
+    act_factor: float,
+    capacity: float,
+    bs_max: int,
+) -> np.ndarray:
+    """Per stage, the largest ``bs`` in ``[0, bs_max]`` whose floor
+    ``static + saved * bs * act_factor`` (the float64 operations of
+    :meth:`DPContext._fit_width`) fits ``capacity``.  The floor does not
+    fall as ``bs`` grows, so a division estimates the answer and single
+    steps correct it until the floor fits at it and not one above."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        est = np.floor((capacity - static) / (saved * act_factor))
+    # a stage with no saved bytes fits at every bs or at none: +inf,
+    # -inf, or nan for a floor exactly at the capacity
+    est = np.maximum(np.fmin(est, bs_max), 0)
+    while True:
+        up = static + saved * (est + 1) * act_factor <= capacity
+        up &= est < bs_max
+        down = static + saved * est * act_factor > capacity
+        down &= est > 0
+        if not (up.any() or down.any()):
+            return est
+        est += up
+        est -= down
 
 
 def _slab_width(over: np.ndarray, nb_max: int) -> int:
@@ -1223,11 +1278,7 @@ def _sweep_table(
     # likewise a stage spans at most D - s_lo + 1 devices: the planes of
     # larger replica counts (a suffix, as bs falls with r) are never read
     n_planes = int(bands.plane_of_r[1:D - s_lo + 2].max(initial=-1)) + 1
-    if slots is None:
-        cap = ctx.usable_memory
-    else:
-        # the largest per-slot cap (budget included) bounds every slot's
-        cap = float(slots[0][np.isfinite(slots[0])].max())
+    cap = _sweep_cap(ctx, slots)
     over = bands.mem[:n_planes] > cap
     # every stage wider than the band is over the cap too: the band was
     # sized for a capacity of at least ``cap``
@@ -1286,3 +1337,94 @@ def _sweep_table(
         )
         assert failure is None, "the DP kept a layout that does not fit"
     return states, cells, width
+
+
+def _sweep_cap(
+    ctx: DPContext, slots: Optional[Tuple[np.ndarray, np.ndarray]]
+) -> float:
+    """The memory cap a sweep's bands are held to: :attr:`DPContext.
+    usable_memory`, or on a heterogeneous cluster the largest per-slot
+    cap (budget included), which bounds every slot's."""
+    if slots is None:
+        return ctx.usable_memory
+    return float(slots[0][np.isfinite(slots[0])].max())
+
+
+def covering_sweeps(
+    ctx: DPContext,
+    stage_counts: range,
+    D: int,
+    R: int,
+    microbatch_counts: Sequence[int],
+) -> List[int]:
+    """The microbatch counts ``MB`` whose sweep ``form_stage_dp(ctx,
+    stage_counts, D, BS, R, MB)`` can have an answer, in order; the
+    sweep of any other has none (DESIGN.md D2b).
+
+    A feasible stage on ``r`` replicas spans at most ``fit(r)`` blocks,
+    the :meth:`DPContext._fit_width` of its per-replica microbatch
+    ``BS // (R * MB * r)`` under the sweep's cap (:func:`_sweep_cap`),
+    and an answer with ``S`` stages gives them spans summing to ``k`` on
+    replica counts summing to ``D``.  So unless some split of ``D``
+    devices into ``S`` stages, ``S`` in range, has ``sum fit(r_i) >=
+    k``, the sweep has no answer (:func:`_can_cover` decides each
+    sweep on its fits).
+    """
+    k = ctx.k
+    s_lo = max(stage_counts.start, 1)
+    s_hi = min(stage_counts.stop - 1, k, D)
+    if s_lo > s_hi:
+        return []
+    slots = ctx.hetero_tables(D, R) if ctx.cluster.is_heterogeneous else None
+    cap = _sweep_cap(ctx, slots)
+    BS = ctx.batch_size
+
+    def fits(MB: int) -> List[int]:
+        # a stage of an S >= s_lo layout spans at most D - s_lo + 1
+        # devices, and one of more than BS // (R * MB) gets no sample
+        top = min(D - s_lo + 1, BS // (R * MB))
+        return [
+            min(ctx._fit_width(BS // (R * MB * r), cap), k)
+            for r in range(1, top + 1)
+        ]
+
+    return [
+        MB for MB in microbatch_counts
+        if _can_cover(fits(MB), k, D, s_lo, s_hi)
+    ]
+
+
+def _can_cover(fits: List[int], k: int, D: int, s_lo: int, s_hi: int) -> bool:
+    """Whether some split of ``D`` devices into ``S`` stages, ``s_lo <= S
+    <= s_hi``, with ``fits[r - 1]`` blocks at most on a stage of ``r``
+    devices (``r <= len(fits)``, no stage on ``0``-fit replicas), covers
+    ``k`` blocks.
+
+    ``fits`` does not fall with ``r`` (a smaller per-replica microbatch
+    has a smaller floor), so the last fit on every stage rejects, and an
+    even split accepts, before a max-plus DP over (stages, devices)
+    decides the rest."""
+    r_top = len(fits)
+    if s_hi * r_top < D or s_hi * fits[-1] < k:
+        return False
+    for S in (max(s_lo, -(-D // r_top)), s_hi):
+        # S stages split as evenly as they can be: rem of them on q + 1
+        # devices (q + 1 <= r_top when rem > 0, as S * r_top >= D)
+        q, rem = divmod(D, S)
+        if fits[q - 1] >= 1 and (S - rem) * fits[q - 1] + (
+            rem and rem * fits[q]
+        ) >= k:
+            return True
+    # cover[d]: the most blocks s stages on d devices can cover (-inf:
+    # none can)
+    gain = np.array([f or -np.inf for f in fits])
+    src = np.arange(D + 1)[:, None] - np.arange(1, r_top + 1)[None, :]
+    gain = np.where(src >= 0, gain[None, :], -np.inf)
+    src = np.maximum(src, 0)
+    cover = np.full(D + 1, -np.inf)
+    cover[0] = 0.0
+    for s in range(1, s_hi + 1):
+        cover = (cover[src] + gain).max(axis=1)
+        if s >= s_lo and cover[D] >= k:
+            return True
+    return False

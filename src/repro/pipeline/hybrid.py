@@ -17,9 +17,13 @@ run at full rate).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
-from repro.pipeline.simulator import simulate_async_1f1b, simulate_sync_pipeline
+from repro.pipeline.simulator import (
+    FlushTiming,
+    flush_schedule,
+    simulate_async_1f1b,
+)
 
 if TYPE_CHECKING:  # avoid a circular import with repro.partitioner
     from repro.partitioner.plan import PartitionPlan
@@ -106,10 +110,22 @@ def evaluate_plan(plan: "PartitionPlan", schedule: str = "sync") -> "PartitionPl
         schedule: "sync" (RaNNC/GPipe flush) or "async_1f1b"
             (PipeDream-2BW steady state).
     """
+    return evaluate_plan_timing(plan, schedule)[0]
+
+
+def evaluate_plan_timing(
+    plan: "PartitionPlan", schedule: str = "sync"
+) -> Tuple["PartitionPlan", Optional[FlushTiming]]:
+    """:func:`evaluate_plan`, plus the flush schedule's timing (makespan
+    and per-stage busy time) it took the pipeline makespan from under
+    the ``sync`` schedule (``None`` under the others), so a caller that
+    reports the bubble simulates the schedule once."""
     tf = [s.time_fwd for s in plan.stages]
     tb = [s.time_bwd for s in plan.stages]
+    timing = None
     if schedule == "sync":
-        pipe_time = simulate_sync_pipeline(tf, tb, plan.num_microbatches)
+        timing = flush_schedule(tf, tb, plan.num_microbatches)
+        pipe_time = timing.makespan
     elif schedule == "sync_1f1b":
         from repro.pipeline.one_f_one_b import simulate_sync_1f1b
 
@@ -145,4 +161,4 @@ def evaluate_plan(plan: "PartitionPlan", schedule: str = "sync") -> "PartitionPl
     plan.diagnostics.allreduce_algorithm = comm_details.get(
         "allreduce_algorithm", ""
     )
-    return plan
+    return plan, timing

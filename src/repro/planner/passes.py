@@ -36,7 +36,7 @@ from repro.partitioner.deployment import graph_fingerprint
 from repro.partitioner.plan import PartitionPlan
 from repro.partitioner.search import form_stage
 from repro.partitioner.stage_dp import DPContext
-from repro.pipeline.hybrid import evaluate_plan
+from repro.pipeline.hybrid import evaluate_plan_timing
 from repro.planner.context import (
     BLOCKS,
     COMPONENTS,
@@ -290,7 +290,9 @@ class EvaluatePass(PlannerPass):
     facets = ("schedule", "comm")
 
     def run(self, ctx: PlanningContext) -> Optional[Dict[str, Any]]:
-        plan = evaluate_plan(ctx.require(PLAN), schedule=ctx.config.schedule)
+        plan, timing = evaluate_plan_timing(
+            ctx.require(PLAN), schedule=ctx.config.schedule
+        )
         ctx.put(EVALUATED, plan)
         detail: Dict[str, Any] = {
             "schedule": ctx.config.schedule,
@@ -306,12 +308,9 @@ class EvaluatePass(PlannerPass):
         )
         if plan.diagnostics.allreduce_algorithm:
             detail["allreduce_algorithm"] = plan.diagnostics.allreduce_algorithm
-        if ctx.config.schedule == "sync":
+        if timing is not None:
             # the flush schedule's measured bubble (Fig. 1, quantified):
             # gauges per stage plus the mean idle fraction
-            from repro.pipeline.timeline import plan_flush_timing
-
-            timing = plan_flush_timing(plan)
             for s in range(plan.num_stages):
                 ctx.metrics.gauge(f"stage.{s}.utilization").set(
                     timing.utilization(s)

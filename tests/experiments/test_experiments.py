@@ -2,6 +2,7 @@
 the full paper-scale sweeps live in benchmarks/)."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repro.experiments import (
     run_loss_validation,
     run_table1,
 )
+from repro.experiments import coarsening_ablation
 from repro.experiments.coarsening_ablation import SummedAtomicContext, format_ablation
 from repro.experiments.fig4_bert import headline_claims
 from repro.experiments.runner import SweepRow
@@ -122,10 +124,22 @@ class TestCoarseningAblation:
         # DPContext subclass, so its search is pinned bit for bit
         assert row.model == "h1024/L24"
         assert row.ablated_throughput == 144.24500282216366
-        assert row.ablated_dp_states == 55768
+        # (S, MB) sweeps whose stages cannot cover the atoms are skipped
+        assert row.ablated_dp_states == 33164
         assert row.full_throughput == 171.96355326283134
         # both sides count DP states, not DP calls
         assert row.full_dp_states == 7210
+
+    def test_small_instance_unpruned(self):
+        """With the coverage prune patched off, every (S, MB) sweep runs:
+        the same answer from more states."""
+        with mock.patch.object(
+            coarsening_ablation, "covering_sweeps",
+            lambda ctx, stage_counts, D, R, mbs: list(mbs),
+        ):
+            row = run_coarsening_ablation(layer_counts=(24,))[0]
+        assert row.ablated_throughput == 144.24500282216366
+        assert row.ablated_dp_states == 55768
 
     def test_dnf_marker(self):
         rows = run_coarsening_ablation(layer_counts=(96,), state_budget=1000)

@@ -12,6 +12,10 @@ Straightforward per-entry transcriptions that the vectorized code in
   and ``ClusterSpec.p2p_time``, independently of the ``_range_costs``
   kernel, and :func:`profile_tensors_reference` lays it out over every
   ``(lo, hi, r)``;
+* :func:`memory_floor_reference` lays the memory floor of every
+  ``(lo, hi]`` out as one dense plane, and :func:`fit_width_reference`
+  reads the widest fitting span off it, the oracle for the cached,
+  band-restricted ``DPContext._fit_width``;
 * :func:`reference_form_stage_dp` is Algorithm 1 as pure-Python loops,
   with the paper's ``d_min`` rule (:func:`reference_dp_visits` also
   counts the cells the loop visits).
@@ -180,6 +184,26 @@ def summed_stage_profile_reference(
         out_bytes=out_bytes,
         param_count=int(ctx._param_prefix[hi] - ctx._param_prefix[lo]),
     )
+
+
+def memory_floor_reference(ctx: DPContext, bs: int) -> np.ndarray:
+    """Dense ``(k+1, k+1)`` plane of the memory floor at per-replica
+    microbatch ``bs``: at ``[lo, hi]``, ``static_bytes(PARAMS[lo, hi]) +
+    saved(lo, hi) * bs * act_factor`` (meaningful for ``lo < hi``)."""
+    _, _, PARAMS = ctx._range_matrices()
+    static = ctx.profiler.memory_model.static_bytes(PARAMS)
+    saved = ctx._saved_prefix[None, :] - ctx._saved_prefix[:, None]
+    act_factor = ctx.profiler.precision.activation_bytes_factor
+    return static + saved * bs * act_factor
+
+
+def fit_width_reference(ctx: DPContext, bs: int, capacity: float) -> int:
+    """Widest span ``hi - lo`` whose floor at ``bs`` fits ``capacity``,
+    read off the whole dense floor plane (0: no single block fits)."""
+    idx = np.arange(ctx.k + 1)
+    spans = idx[None, :] - idx[:, None]
+    floor = memory_floor_reference(ctx, bs)
+    return int(np.where(floor <= capacity, spans, 0).max())
 
 
 def reference_form_stage_dp(

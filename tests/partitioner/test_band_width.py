@@ -43,7 +43,7 @@ RESERVE = tiny_cluster().device.memory_reserve_fraction
 def uncut():
     """Bands and slabs as wide as the sweep's stage spans."""
     with mock.patch.object(
-        stage_dp, "_widest_fit", lambda plane, cap, spans: plane.shape[0] - 1
+        DPContext, "_fit_width", lambda self, bs, capacity: self.k
     ), mock.patch.object(
         stage_dp, "_slab_width", lambda over, nb_max: nb_max
     ):

@@ -25,12 +25,13 @@ other field of any scenario changed too (:mod:`tests.pinning`).
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from repro.hardware import mixed_cluster, tiny_mixed_cluster
 from repro.models import BertConfig, build_bert, build_mlp
-from repro.partitioner import PartitioningError, auto_partition
+from repro.partitioner import PartitioningError, auto_partition, search
 from tests.pinning import updated_scenarios, write_fixture
 
 FIXTURE = (
@@ -138,6 +139,32 @@ def test_fixture_is_not_vacuous():
 def test_plan_matches_pinned(name):
     # exact equality throughout: iteration times and counters included
     assert _snapshot(name) == PINNED[name]
+
+
+@pytest.mark.parametrize(
+    "name, unpruned",
+    [
+        ("bert-large/mixed/budget2048MiB", (7, 7210)),
+        ("bert-base/tiny-mixed-starved/nobudget", (17, 8670)),
+    ],
+)
+def test_sweep_prune_counters(name, unpruned):
+    """The pinned counters count the sweeps the coverage prune leaves
+    (DESIGN.md D2b); with it patched off every sweep runs again, and the
+    plan does not move."""
+    with mock.patch.object(
+        search, "covering_sweeps",
+        lambda ctx, stage_counts, D, R, mbs: list(mbs),
+    ):
+        snap = _snapshot(name)
+    assert (snap["dp_calls"], snap["states_evaluated"]) == unpruned
+    pinned = PINNED[name]
+    assert pinned["dp_calls"] < unpruned[0]
+    assert pinned["states_evaluated"] < unpruned[1]
+    fields = ("dp_calls", "states_evaluated")
+    assert {k: v for k, v in snap.items() if k not in fields} == {
+        k: v for k, v in pinned.items() if k not in fields
+    }
 
 
 def test_write_takes_only_the_named_fields():

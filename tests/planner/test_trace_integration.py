@@ -158,3 +158,41 @@ class TestEvaluateGauges:
             util = snap[f"stage.{s}.utilization"]
             assert 0.0 < util <= 1.0
         assert ctx.events.find("evaluate").detail["bubble_frac"] == bubble
+
+    def test_sync_plan_simulated_once(self, tiny_bert, monkeypatch):
+        """The evaluate pass takes the makespan and the busy times from
+        one flush simulation; both equal separate simulations bit for
+        bit."""
+        from repro.pipeline import hybrid, simulator, timeline
+        from repro.planner import default_passes
+        from repro.planner.manager import PassManager
+
+        ctx = PlanningContext(
+            tiny_bert, paper_cluster(), PlannerConfig(batch_size=64)
+        )
+        passes = default_passes()
+        names = [p.name for p in passes]
+        PassManager(passes[:names.index("evaluate")]).run(ctx)
+        calls = []
+        real = simulator.flush_schedule
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (simulator, hybrid, timeline):
+            monkeypatch.setattr(module, "flush_schedule", counting)
+        PassManager([passes[names.index("evaluate")]]).run(ctx)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        plan = ctx.require("evaluated")
+        tf = [s.time_fwd for s in plan.stages]
+        tb = [s.time_bwd for s in plan.stages]
+        assert plan.diagnostics.pipeline_time == (
+            simulator.simulate_sync_pipeline(tf, tb, plan.num_microbatches)
+        )
+        timing = timeline.plan_flush_timing(plan)
+        snap = ctx.metrics.snapshot()
+        for s in range(plan.num_stages):
+            assert snap[f"stage.{s}.utilization"] == timing.utilization(s)
+        assert snap["stage.bubble_frac"] == timing.bubble_fraction()
