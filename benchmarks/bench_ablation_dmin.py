@@ -19,7 +19,7 @@ from repro.hardware import paper_cluster
 from repro.models import BertConfig, build_bert
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import block_partition
-from repro.partitioner.stage_dp import DPContext, form_stage_dp
+from repro.partitioner.stage_dp import DPContext, DPRun, form_stage_dp
 from repro.profiler import GraphProfiler
 
 # the reference lives with the tests, at the repository root
@@ -43,11 +43,11 @@ def test_dmin_pruning(once):
     graph = build_bert(BertConfig(hidden_size=2048, num_layers=144))
     profiler = GraphProfiler(graph, cluster)
     blocks = block_partition(
-        graph, atomic_partition(graph), profiler, num_blocks=32
+        graph, atomic_partition(graph), profiler, cluster, num_blocks=32
     )
 
     def fresh():
-        return DPContext(graph, blocks, profiler, BS)
+        return DPRun(DPContext(graph, blocks, profiler, BS), cluster)
 
     def run():
         rows = []

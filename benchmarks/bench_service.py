@@ -27,7 +27,7 @@ because wall time under an open-loop load includes queueing delay,
 which on a single-core CI host says more about the arrival pattern
 than about what replanning reuses.  The report also records the p50 of
 each server-side phase of the warm requests (``meta.timings``:
-normalize, model-lock wait, pipeline, encode) under
+normalize, pipeline, encode) under
 ``warm_timings_p50_ms``; it is reported, not gated.  CI budgets, any
 violation exits non-zero:
 

@@ -151,8 +151,8 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--store-budget-mb", type=int, default=None,
                    help="byte budget of the in-memory artifact tier (MiB)")
     p.add_argument("--workers", type=int, default=2,
-                   help="pipeline thread-pool size (distinct-model "
-                        "requests that can plan concurrently)")
+                   help="pipeline thread-pool size (plans that can "
+                        "run concurrently)")
     p.add_argument("--drain-timeout", type=float, default=30.0,
                    help="seconds to wait for in-flight plans on shutdown")
     p.add_argument("--trace-out", type=str, default=None,
@@ -439,7 +439,6 @@ def _render_events(ctx) -> str:
     for event in ctx.events:
         keys = ("reason", "reuse", "fingerprint", "dp_calls", "candidates_tried",
                 "states_evaluated", "band_width_max", "band_bytes",
-                "memo_hit_rate",
                 "num_components", "num_blocks", "levels", "merges", "moves",
                 "compaction", "range_entries",
                 "num_stages", "throughput",

@@ -35,6 +35,7 @@ from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import Block
 from repro.partitioner.stage_dp import (
     DPContext,
+    DPRun,
     covering_sweeps,
     form_stage_dp,
 )
@@ -82,8 +83,7 @@ class SummedAtomicContext(DPContext):
         out_b = (self._out1_prefix[hi] - self._out1_prefix[lo]) * bs
         # every atomic boundary charged a transfer (the overestimation)
         n_atoms = hi - lo
-        lat = self.cluster.comm_latency
-        bw = self.cluster.intra_node_bandwidth
+        lat, bw = self._p2p
         t_f = t_f + (n_atoms * lat + out_b / bw)
         t_b = t_b + (n_atoms * lat + in_b / bw)
         act_factor = self.profiler.precision.activation_bytes_factor
@@ -160,20 +160,25 @@ def run_coarsening_ablation(
             Block(index=i, atomic_indices=(i,), tasks=c.tasks)
             for i, c in enumerate(comps)
         ]
-        ctx = SummedAtomicContext(graph, atom_blocks, profiler, batch_size)
-        true_ctx = DPContext(graph, atom_blocks, profiler, batch_size)
+        run = DPRun(
+            SummedAtomicContext(graph, atom_blocks, profiler, batch_size),
+            cluster,
+        )
+        true_run = DPRun(
+            DPContext(graph, atom_blocks, profiler, batch_size), cluster
+        )
         R = cluster.num_nodes
         best = None
         for S in stage_counts:
             # a sweep whose stages cannot cover the atoms has no answer
             for MB in covering_sweeps(
-                ctx, range(S, S + 1), D, R, microbatch_counts
+                run, range(S, S + 1), D, R, microbatch_counts
             ):
-                sol = form_stage_dp(ctx, S, D, batch_size, R, MB)
+                sol = form_stage_dp(run, S, D, batch_size, R, MB)
                 if sol is None:
                     continue
                 # re-cost the chosen plan with the TRUE merged profile
-                true_sol, _ = true_ctx.price_layout(
+                true_sol, _ = true_run.price_layout(
                     sol.boundaries, sol.device_counts, R, MB
                 )
                 if true_sol is None:
@@ -188,7 +193,7 @@ def run_coarsening_ablation(
                 full_dp_states=plan.diagnostics.states_evaluated,
                 ablated_finished=best is not None,
                 ablated_throughput=best or 0.0,
-                ablated_dp_states=ctx.states_evaluated,
+                ablated_dp_states=run.states_evaluated,
                 projected_states=projected,
             )
         )

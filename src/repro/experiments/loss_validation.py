@@ -86,7 +86,8 @@ def run_loss_validation(
                            memory_bytes=8 * 1024**3)
     profiler = GraphProfiler(graph, cluster)
     components = atomic_partition(graph)
-    blocks = block_partition(graph, components, profiler, num_blocks=8)
+    blocks = block_partition(graph, components, profiler, cluster,
+                             num_blocks=8)
     half = len(blocks) // 2
     stage_tasks = [
         [t for b in blocks[:half] for t in b.tasks],

@@ -67,6 +67,7 @@ import numpy as np
 
 from repro.graph.ir import TaskGraph
 from repro.graph.traversal import GroupGraph
+from repro.hardware.cluster import ClusterSpec
 from repro.partitioner.atomic import AtomicComponent
 from repro.profiler.profiler import GraphProfiler, distinct
 
@@ -133,6 +134,7 @@ class BlockPartitioner:
         graph: TaskGraph,
         components: Sequence[AtomicComponent],
         profiler: GraphProfiler,
+        cluster: ClusterSpec,
         num_blocks: int = 32,
         ref_batch_size: int = 1,
         balance_factor: float = 0.25,
@@ -251,7 +253,7 @@ class BlockPartitioner:
         ])
         self._reset_groups({i: {i} for i in range(n)})
         self.records: List[_MergeRecord] = []
-        self.memory_limit = profiler.cluster.device.usable_memory
+        self.memory_limit = cluster.device.usable_memory
         # what the run did, reported by the coarsen pass
         self.levels = 0
         self.moves = 0
@@ -835,6 +837,7 @@ def block_partition(
     graph: TaskGraph,
     components: Sequence[AtomicComponent],
     profiler: GraphProfiler,
+    cluster: ClusterSpec,
     num_blocks: int = 32,
     ref_batch_size: int = 1,
 ) -> List[Block]:
@@ -843,6 +846,7 @@ def block_partition(
         graph,
         components,
         profiler,
+        cluster,
         num_blocks=num_blocks,
         ref_batch_size=ref_batch_size,
     ).run()

@@ -13,9 +13,10 @@ DESIGN.md, deviation D2).
 One Algorithm-1 sweep answers every stage count of a level at once
 (``form_stage_dp`` over a ``range`` of stage counts), so a level costs
 at most one DP call per microbatch count, made in increasing ``MB``
-order over a shared :class:`DPContext`.  A sweep whose stages cannot
-cover the blocks in memory has no answer and is skipped before any of
-its profiles are built (``covering_sweeps``, DESIGN.md deviation D2b).
+order through the run's :class:`DPRun` over a shared
+:class:`DPContext`.  A sweep whose stages cannot cover the blocks in
+memory has no answer and is skipped before any of its profiles are
+built (``covering_sweeps``, DESIGN.md deviation D2b).
 
 Aligning ``D`` to whole nodes keeps each pipeline inside as few nodes as
 possible, which is why stage-to-stage transfers are costed at intra-node
@@ -32,7 +33,7 @@ from typing import List, Optional
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.partitioner.stage_dp import (
-    DPContext,
+    DPRun,
     DPSolution,
     covering_sweeps,
     form_stage_dp,
@@ -49,6 +50,8 @@ class SearchResult:
     replica_factor: int        # R
     candidates_tried: int
     dp_calls: int
+    #: table cells the search's sweeps evaluated
+    states_evaluated: int
 
     @property
     def num_stages(self) -> int:
@@ -56,7 +59,7 @@ class SearchResult:
 
 
 def form_stage(
-    ctx: DPContext,
+    run: DPRun,
     num_nodes: int,
     devices_per_node: int,
     batch_size: int,
@@ -67,7 +70,9 @@ def form_stage(
     """Algorithm 2: search over (n, S, MB) for the best feasible plan.
 
     Args:
-        ctx: DP context over the block list (fixes the model + profiler).
+        run: the run's use of the DP context over the block list (the
+            context fixes the model + profiler, the run the cluster and
+            memory budget the sweeps apply).
         num_nodes: total compute nodes N.
         devices_per_node: devices per node (D_node).
         batch_size: global batch size BS.
@@ -81,14 +86,18 @@ def form_stage(
     Returns:
         A :class:`SearchResult`, or ``None`` if no configuration fits.
         Its ``dp_calls`` counts the sweeps made (at most one per node
-        level and microbatch count) and ``candidates_tried`` the feasible
-        ``(S, MB)`` candidates that competed.
+        level and microbatch count), ``states_evaluated`` their table
+        cells and ``candidates_tried`` the feasible ``(S, MB)``
+        candidates that competed.
     """
+    ctx = run.memo
     if batch_size != ctx.batch_size:
         raise ValueError("batch size mismatch with DPContext")
     if tracer is not None and not tracer.enabled:
         tracer = None
-    hetero = ctx.cluster.is_heterogeneous
+    states_before = run.states_evaluated
+    cluster = run.cluster
+    hetero = cluster.is_heterogeneous
     if hetero:
         # heterogeneous levels: ``n`` counts a PREFIX of nodes in class
         # declaration order, so ``D`` is that prefix's device total (the
@@ -97,8 +106,8 @@ def form_stage(
         # the DP's position-aware tables price the slots each band
         # actually lands on -- so the doubling sweep always ends on the
         # full-cluster level.
-        offsets = ctx.cluster.node_first_ranks()
-        total_devices = ctx.cluster.total_devices
+        offsets = cluster.node_first_ranks()
+        total_devices = cluster.total_devices
         levels: List[int] = []
         lvl = 1
         while lvl < num_nodes:
@@ -150,7 +159,7 @@ def form_stage(
             # a sweep whose stages cannot cover the blocks in memory has
             # no answer (DESIGN.md, deviation D2b): skip it whole
             swept = covering_sweeps(
-                ctx, stage_counts, D, R, microbatch_counts
+                run, stage_counts, D, R, microbatch_counts
             )
             pruned = [MB for MB in microbatch_counts if MB not in swept]
             if metrics is not None:
@@ -168,7 +177,7 @@ def form_stage(
             # sees every sweep
             sweeps = {
                 MB: form_stage_dp(
-                    ctx, stage_counts, D, batch_size, R, MB,
+                    run, stage_counts, D, batch_size, R, MB,
                     tracer=tracer, metrics=metrics,
                 )
                 for MB in swept
@@ -207,5 +216,6 @@ def form_stage(
                     replica_factor=R,
                     candidates_tried=tried,
                     dp_calls=dp_calls,
+                    states_evaluated=run.states_evaluated - states_before,
                 )
     return None

@@ -26,7 +26,7 @@ and takes ints or whole index grids alike: all candidate-stage profiles
 of one DP call are one call over banded ``(hi, span)`` grids
 (:class:`BandedProfile`), and a fixed layout -- a backtracked answer,
 the one-stage answer, a repaired plan -- is priced one call per stage
-at scalar indices by :meth:`DPContext.price_layout`, the one place that
+at scalar indices by :meth:`DPRun.price_layout`, the one place that
 turns activation checkpointing on (iff the layout has more than one
 stage), caps a stage by its device slots and paces it by the slowest.
 A stage profile depends on the replica count only through the
@@ -125,7 +125,7 @@ def scale_stage_profile(prof: StageProfile, factor: float) -> StageProfile:
 
 @dataclass(frozen=True)
 class LayoutFailure:
-    """The first stage :meth:`DPContext.price_layout` rejects, with its
+    """The first stage :meth:`DPRun.price_layout` rejects, with its
     memory and its slots' cap (``memory`` is ``None``: the per-replica
     microbatch collapsed below one sample)."""
 
@@ -200,24 +200,26 @@ class BandedProfile:
 
 
 class DPContext:
-    """Precomputed range profiles over one fixed block list.
+    """Algorithm 1's memo over one fixed block list.
 
     Shared across every ``form_stage_dp`` call of an Algorithm-2 search so
     block-range aggregates (task times, activation sizes, boundary bytes,
-    unique parameter counts) are computed once.
+    unique parameter counts) are computed once.  Everything it holds is
+    a pure function of the graph, the block list, the batch size, the
+    profiler's device performance model and the same-node p2p affine
+    (taken from the profiler at construction) -- exactly the facets the
+    artifact store keys the ``dp_context`` artifact on -- so one context
+    serves every run that reaches it through a store, whatever its
+    cluster shape, capacity or memory budget.  A run's own state (its
+    cluster, budget, metrics and counters) lives in a :class:`DPRun`
+    each caller builds.
 
-    Concurrency contract: one planning run uses a context at a time.
-    Algorithm 2's sweeps run serially, so no two DP calls share a context
-    at once.  Runs that reuse a ``dp_context`` artifact from an
-    :class:`~repro.planner.store.ArtifactStore` share this object (the
-    store holds it in its memory tier only; it is never serialized), and
-    :meth:`rebind` / :meth:`set_memory_budget` mutate it in place
-    (``materialize_for_reuse``), so callers that share one store across
-    threads must serialize whole runs per model family: the plan service
-    (:mod:`repro.service.engine`) holds its per-model mutex around every
-    pipeline run, and none of its other paths reaches a stored context
-    (DESIGN.md, "Who reaches a shared context").  Its caches and
-    counters are plain attributes, with no lock of their own.
+    The caches (range matrices, per-batch time prefixes, fit tables and
+    profile bands) fill on demand, and every fill is idempotent: two
+    runs that build the same entry at once build the same values and
+    the last write wins (a band sized for a larger capacity may replace
+    a narrower one; DESIGN.md D1c).  So concurrent runs may share one
+    context without a lock.
     """
 
     def __init__(
@@ -226,21 +228,14 @@ class DPContext:
         blocks: Sequence[Block],
         profiler: GraphProfiler,
         batch_size: int,
-        metrics: Optional[MetricsRegistry] = None,
-        memory_budget: Optional[float] = None,
     ) -> None:
         self.graph = graph
         self.blocks = list(blocks)
         self.profiler = profiler
         self.batch_size = batch_size
-        #: optional metrics sink (``profiler.band_*`` counters); safe
-        #: to attach after construction too
-        self.metrics = metrics
-        self.cluster = profiler.cluster
-        #: optional per-device memory cap below the hardware capacity
-        #: (``PlannerConfig.memory_budget``); bounds the DP's feasibility
-        #: check without touching the profiles themselves
-        self.memory_budget = memory_budget
+        #: ``(latency, bandwidth)`` stage boundaries are priced at
+        #: (footnote 3: same-node transfers)
+        self._p2p = profiler.p2p_local
         k = len(self.blocks)
         self.k = k
 
@@ -276,90 +271,25 @@ class DPContext:
         #: ``_fit_width``'s per-span thresholds, per capacity
         self._fit_tables: Dict[float, List[int]] = {}
         self._band_cache: Dict[Tuple[int, int, int], BandedProfile] = {}
-        self._hetero_cache: Dict[
-            Tuple[int, int, Optional[float]], Tuple[np.ndarray, np.ndarray]
-        ] = {}
-        self.dp_calls = 0
-        #: table cells ``(s, b, d)`` inside the sweeps' bounds
-        self.states_evaluated = 0
-        #: candidate ``(b', b, d')`` cells the stage reductions
-        #: float-reduced (the band-width cut and the row trim show here;
-        #: ``states_evaluated`` does not move)
-        self.cells_reduced = 0
-        #: widest stage slab any sweep of the run reduced
-        self.band_width_max = 0
 
     # ------------------------------------------------------------------
-    @property
-    def usable_memory(self) -> float:
-        """Per-device memory the DP may fill: hardware capacity, further
-        capped by :attr:`memory_budget` when one is set."""
-        capacity = self.cluster.device.usable_memory
-        if self.memory_budget is not None:
-            capacity = min(capacity, self.memory_budget)
-        return capacity
-
-    @property
-    def capacity(self) -> float:
-        """Largest per-device memory any stage may fill, whatever the
-        budget: the device capacity (the largest device class's on a
-        heterogeneous cluster).  Bands are sized for it, so a reused
-        context serves every budget below it from cache."""
-        return float(max(self.cluster.rank_memories()))
-
+    # The two readers below may run while another run inserts into the
+    # caches: each copies the dict's values (one C-level step) before
+    # it iterates.
     @property
     def band_bytes(self) -> int:
         """Bytes held by the cached profile bands."""
-        return sum(b.nbytes() for b in self._band_cache.values())
-
-    def set_memory_budget(self, budget: Optional[float]) -> None:
-        """Change the memory cap.  No cache depends on it: every sweep
-        applies the cap afresh to the cached profile bands."""
-        self.memory_budget = budget
-
-    def rebind(
-        self,
-        cluster: "ClusterSpec",
-        metrics: Optional[MetricsRegistry] = None,
-        memory_budget: Optional[float] = None,
-    ) -> "DPContext":
-        """Retarget a reused context at a new planning run.
-
-        The expensive caches (range matrices, per-batch time prefixes,
-        profile bands) depend only on the graph, the block list, the
-        batch size, the device's *performance* model and the same-node
-        p2p affine -- exactly the facets the artifact store keys the
-        ``dp_context`` artifact on -- so a delta replan that changes the
-        cluster shape, the capacity or the memory budget keeps them all
-        (each sweep applies :attr:`usable_memory` afresh; a band sized
-        for a smaller capacity is rebuilt wider when a sweep needs it).
-        Only the per-slot heterogeneous tables follow the cluster; the
-        per-run counters are reset so the new run's diagnostics start
-        from zero.
-        """
-        self.profiler.rebind_cluster(cluster)
-        if cluster != self.cluster:
-            self._hetero_cache.clear()
-        self.cluster = cluster
-        self.metrics = metrics
-        self.memory_budget = memory_budget
-        self.dp_calls = 0
-        self.states_evaluated = 0
-        self.cells_reduced = 0
-        self.band_width_max = 0
-        return self
+        return sum(b.nbytes() for b in list(self._band_cache.values()))
 
     def nbytes(self) -> int:
         """Bytes of every array the context holds: the block membership
         and the saved/KV prefixes, the range matrices, the per-batch
-        time prefixes, the heterogeneous tables
-        and the profile bands (the artifact store weighs its memory
-        tier with it)."""
+        time prefixes and the profile bands (the artifact store weighs
+        its memory tier with it)."""
         arrays = [self._member_task, self._member_block,
                   self._saved_prefix, self._kv_prefix, *self._block_idx]
         arrays.extend(self._range_mats or ())
-        for pair in (*self._time_prefix.values(),
-                     *self._hetero_cache.values()):
+        for pair in list(self._time_prefix.values()):
             arrays.extend(pair)
         return sum(a.nbytes for a in arrays) + self.band_bytes
 
@@ -518,7 +448,8 @@ class DPContext:
         device_counts: Sequence[int],
         profiles: Sequence[StageProfile],
     ) -> List[StageSpec]:
-        """The plan stages of a priced layout (see :meth:`price_layout`)."""
+        """The plan stages of a priced layout (see
+        :meth:`DPRun.price_layout`)."""
         return [
             StageSpec(
                 index=i,
@@ -601,7 +532,7 @@ class DPContext:
         out_b = OUT1[lo, hi] * bs
         # execution time includes sending outputs forward / input grads
         # back (inference never returns input gradients)
-        lat, bw = self.cluster.comm.p2p_affine(same_node=True)
+        lat, bw = self._p2p
         t_f = t_f + np.where(out_b != 0.0, lat + out_b / bw, 0.0)
         if not self._inference:
             t_b = t_b + np.where(in_b != 0.0, lat + in_b / bw, 0.0)
@@ -621,105 +552,9 @@ class DPContext:
         )
         return t_f, t_b, memory, in_b, out_b, params
 
-    def hetero_tables(self, D: int, R: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The :func:`slot_tables` of this context's cluster, precision
-        and :attr:`memory_budget`, cached per ``(D, R, budget)``."""
-        key = (D, R, self.memory_budget)
-        if key not in self._hetero_cache:
-            self._hetero_cache[key] = slot_tables(
-                self.cluster, self.profiler.precision, D, R, self.memory_budget
-            )
-        return self._hetero_cache[key]
-
-    def price_layout(
-        self,
-        boundaries: Sequence[int],
-        device_counts: Sequence[int],
-        R: int,
-        MB: int,
-        slots: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> Tuple[Optional[DPSolution], Optional[LayoutFailure]]:
-        """Price a fixed layout: stage ``i`` holds blocks ending at
-        ``boundaries[i]`` on ``device_counts[i]`` devices of each of
-        ``R`` pipelines, at ``MB`` microbatches.  Checkpointing is on iff
-        there is more than one stage.  A stage on the slots ``[d', d)``
-        must fit their cap and runs at their slowest device's pace, read
-        off ``slots = (MINMEM, SLOW)`` (:func:`slot_tables`; without it,
-        :attr:`usable_memory` and the reference pace).
-
-        Returns ``(solution, None)`` -- its objective ``max t_f + max
-        t_b`` is the same float as Algorithm 1's running maxima give --
-        or ``(None, failure)`` for the first stage that fails."""
-        checkpointing = len(boundaries) > 1
-        profiles: List[StageProfile] = []
-        lo = dlo = 0
-        for i, (hi, devs) in enumerate(zip(boundaries, device_counts)):
-            prof = self.stage_profile(lo, hi, devs, R, MB, checkpointing)
-            if prof is None:
-                return None, LayoutFailure(i)
-            if slots is None:
-                cap, factor = self.usable_memory, 1.0
-            else:
-                cap = slots[0][dlo, dlo + devs]
-                factor = float(slots[1][dlo, dlo + devs])
-            if prof.memory > cap:
-                return None, LayoutFailure(i, prof.memory, cap)
-            profiles.append(scale_stage_profile(prof, factor))
-            lo = hi
-            dlo += devs
-        max_tf = max(p.time_fwd for p in profiles)
-        max_tb = max(p.time_bwd for p in profiles)
-        return DPSolution(
-            boundaries=list(boundaries),
-            device_counts=list(device_counts),
-            num_microbatches=MB,
-            num_stages=len(boundaries),
-            replica_factor=R,
-            objective=max_tf + max_tb,
-            max_tf=max_tf,
-            max_tb=max_tb,
-            stage_profiles=profiles,
-        ), None
-
     # ------------------------------------------------------------------
     # banded construction (O(band * D) peak memory)
     # ------------------------------------------------------------------
-    def profile_bands(
-        self, D: int, R: int, MB: int, span: int
-    ) -> BandedProfile:
-        """Banded profiles covering stage spans up to ``span`` blocks, or
-        up to the widest span that fits :attr:`capacity` when that is
-        narrower (every wider stage is over the device on every plane).
-
-        Bands price multi-stage layouts, so checkpointing is on.
-        Cached per ``(D, R, MB)`` and grown on demand: a
-        request the cached band does not cover -- wider than it, unless
-        the band already holds every span that fits its capacity and the
-        capacity has not grown since -- rebuilds it (Algorithm 2 makes
-        one sweep per key, so it builds each band exactly once).  The
-        memory budget plays no part, so one band serves every budget.
-        """
-        span = int(min(max(span, 1), self.k))
-        key = (D, R, MB)
-        capacity = self.capacity
-        cached = self._band_cache.get(key)
-        if cached is not None and (
-            cached.span >= span
-            or (
-                capacity <= cached.capacity
-                and cached.span >= cached.fit_width
-            )
-        ):
-            if self.metrics is not None:
-                self.metrics.counter("profiler.band_cache_hits").inc()
-            return cached
-        band = self._build_bands(D, R, MB, span, capacity)
-        self._band_cache[key] = band
-        if self.metrics is not None:
-            self.metrics.counter("profiler.band_builds").inc()
-            self.metrics.gauge("profiler.band_bytes").set(self.band_bytes)
-        return band
-
     def _build_bands(
         self, D: int, R: int, MB: int, span: int, capacity: float
     ) -> BandedProfile:
@@ -809,6 +644,161 @@ class DPContext:
         # whatever the rounding
         best = np.maximum.accumulate(best[::-1])[::-1]
         return (-best).astype(np.int64).tolist()
+
+
+class DPRun:
+    """One run's use of a shared :class:`DPContext`.
+
+    Holds what depends on the run rather than on the memo's address: the
+    run's cluster and memory budget (the caps a sweep applies to the
+    cached bands, and the heterogeneous slot tables), its metrics sink
+    (``profiler.band_*`` counters) and its search counters, which start
+    at zero.  Each caller builds its own, so concurrent runs over one
+    context share nothing mutable but the memo's idempotent fills.
+    """
+
+    def __init__(
+        self,
+        memo: DPContext,
+        cluster: "ClusterSpec",
+        memory_budget: Optional[float] = None,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> None:
+        self.memo = memo
+        self.cluster = cluster
+        #: optional per-device memory cap below the hardware capacity
+        #: (``PlannerConfig.memory_budget``); bounds the DP's feasibility
+        #: check without touching the profiles themselves
+        self.memory_budget = memory_budget
+        self.metrics = metrics
+        self._slot_tables: Dict[
+            Tuple[int, int], Tuple[np.ndarray, np.ndarray]
+        ] = {}
+        self.dp_calls = 0
+        #: table cells ``(s, b, d)`` inside the sweeps' bounds
+        self.states_evaluated = 0
+        #: candidate ``(b', b, d')`` cells the stage reductions
+        #: float-reduced (the band-width cut and the row trim show here;
+        #: ``states_evaluated`` does not move)
+        self.cells_reduced = 0
+        #: widest stage slab any sweep of the run reduced
+        self.band_width_max = 0
+
+    @property
+    def usable_memory(self) -> float:
+        """Per-device memory the DP may fill: hardware capacity, further
+        capped by :attr:`memory_budget` when one is set."""
+        capacity = self.cluster.device.usable_memory
+        if self.memory_budget is not None:
+            capacity = min(capacity, self.memory_budget)
+        return capacity
+
+    @property
+    def capacity(self) -> float:
+        """Largest per-device memory any stage may fill, whatever the
+        budget: the device capacity (the largest device class's on a
+        heterogeneous cluster).  Bands are sized for it, so one context
+        serves every budget below it from cache."""
+        return float(max(self.cluster.rank_memories()))
+
+    def hetero_tables(self, D: int, R: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The :func:`slot_tables` of the run's cluster, precision and
+        :attr:`memory_budget`, cached per ``(D, R)``."""
+        key = (D, R)
+        if key not in self._slot_tables:
+            self._slot_tables[key] = slot_tables(
+                self.cluster, self.memo.profiler.precision, D, R,
+                self.memory_budget,
+            )
+        return self._slot_tables[key]
+
+    def price_layout(
+        self,
+        boundaries: Sequence[int],
+        device_counts: Sequence[int],
+        R: int,
+        MB: int,
+        slots: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> Tuple[Optional[DPSolution], Optional[LayoutFailure]]:
+        """Price a fixed layout: stage ``i`` holds blocks ending at
+        ``boundaries[i]`` on ``device_counts[i]`` devices of each of
+        ``R`` pipelines, at ``MB`` microbatches.  Checkpointing is on iff
+        there is more than one stage.  A stage on the slots ``[d', d)``
+        must fit their cap and runs at their slowest device's pace, read
+        off ``slots = (MINMEM, SLOW)`` (:func:`slot_tables`; without it,
+        :attr:`usable_memory` and the reference pace).
+
+        Returns ``(solution, None)`` -- its objective ``max t_f + max
+        t_b`` is the same float as Algorithm 1's running maxima give --
+        or ``(None, failure)`` for the first stage that fails."""
+        checkpointing = len(boundaries) > 1
+        profiles: List[StageProfile] = []
+        lo = dlo = 0
+        for i, (hi, devs) in enumerate(zip(boundaries, device_counts)):
+            prof = self.memo.stage_profile(lo, hi, devs, R, MB, checkpointing)
+            if prof is None:
+                return None, LayoutFailure(i)
+            if slots is None:
+                cap, factor = self.usable_memory, 1.0
+            else:
+                cap = slots[0][dlo, dlo + devs]
+                factor = float(slots[1][dlo, dlo + devs])
+            if prof.memory > cap:
+                return None, LayoutFailure(i, prof.memory, cap)
+            profiles.append(scale_stage_profile(prof, factor))
+            lo = hi
+            dlo += devs
+        max_tf = max(p.time_fwd for p in profiles)
+        max_tb = max(p.time_bwd for p in profiles)
+        return DPSolution(
+            boundaries=list(boundaries),
+            device_counts=list(device_counts),
+            num_microbatches=MB,
+            num_stages=len(boundaries),
+            replica_factor=R,
+            objective=max_tf + max_tb,
+            max_tf=max_tf,
+            max_tb=max_tb,
+            stage_profiles=profiles,
+        ), None
+
+    def profile_bands(
+        self, D: int, R: int, MB: int, span: int
+    ) -> BandedProfile:
+        """The memo's banded profiles covering stage spans up to ``span``
+        blocks, or up to the widest span that fits :attr:`capacity` when
+        that is narrower (every wider stage is over the device on every
+        plane).
+
+        Bands price multi-stage layouts, so checkpointing is on.
+        Cached per ``(D, R, MB)`` and grown on demand: a
+        request the cached band does not cover -- wider than it, unless
+        the band already holds every span that fits its capacity and the
+        capacity is no larger than that -- rebuilds it (Algorithm 2 makes
+        one sweep per key, so a run builds each band at most once).  The
+        memory budget plays no part, so one band serves every budget.
+        """
+        memo = self.memo
+        span = int(min(max(span, 1), memo.k))
+        key = (D, R, MB)
+        capacity = self.capacity
+        cached = memo._band_cache.get(key)
+        if cached is not None and (
+            cached.span >= span
+            or (
+                capacity <= cached.capacity
+                and cached.span >= cached.fit_width
+            )
+        ):
+            if self.metrics is not None:
+                self.metrics.counter("profiler.band_cache_hits").inc()
+            return cached
+        band = memo._build_bands(D, R, MB, span, capacity)
+        memo._band_cache[key] = band
+        if self.metrics is not None:
+            self.metrics.counter("profiler.band_builds").inc()
+            self.metrics.gauge("profiler.band_bytes").set(memo.band_bytes)
+        return band
 
 
 def slot_tables(
@@ -1097,7 +1087,7 @@ def _band_stage(
 
 
 def form_stage_dp(
-    ctx: DPContext,
+    run: DPRun,
     S: Union[int, range],
     D: int,
     BS: int,
@@ -1110,11 +1100,13 @@ def form_stage_dp(
     """Algorithm 1: DP over stage boundaries and device allocations.
 
     Args:
-        ctx: precomputed block-range profiles (carries ``BS``).
+        run: the run's use of the memo over the block list (its
+            :class:`DPContext` carries ``BS``); the call adds to its
+            counters.
         S: number of stages, or a contiguous ``range`` of stage counts
             to answer from one DP sweep.
         D: number of devices available to one pipeline.
-        BS: global batch size (must equal ``ctx.batch_size``).
+        BS: global batch size (must equal the memo's ``batch_size``).
         R: replica factor (whole-pipeline copies).
         MB: number of microbatches.
         tracer: optional :class:`~repro.obs.tracer.Tracer`; when given,
@@ -1143,7 +1135,7 @@ def form_stage_dp(
     call per ``(D, R, MB)`` instead of one per ``(S, MB)``.  ``S = 1``
     needs no table: a lone stage has one layout, blocks ``(0, |B|]`` on
     all ``D`` devices, run without activation checkpointing, so
-    :meth:`DPContext.price_layout` prices it as it stands (one state)
+    :meth:`DPRun.price_layout` prices it as it stands (one state)
     and the table starts at ``S = 2``.  One call is one DP call in the
     counters, whatever the range, and its state count is the number of
     table cells inside the sweep's bounds (plus one for ``S = 1``).
@@ -1159,13 +1151,13 @@ def form_stage_dp(
     reproduces the per-cell flat argmin tie-break exactly.  On a
     heterogeneous cluster each replica count's slab is scaled by
     ``SLOW[d', d]`` and checked against ``MINMEM[d', d]`` (see
-    :meth:`DPContext.hetero_tables`).  The paper's ``d_min`` rule is
+    :meth:`DPRun.hetero_tables`).  The paper's ``d_min`` rule is
     not applied: it only spares a per-cell loop the cells left of a
     memory dead end, which DESIGN.md D1b argues no answer passes
     through, and the equivalence tests hold every answer to the pruned
     loop of the test suite's reference.
     """
-    if BS != ctx.batch_size:
+    if BS != run.memo.batch_size:
         raise ValueError("batch size mismatch with DPContext")
     stage_counts = S if isinstance(S, range) else range(S, S + 1)
     if stage_counts.step != 1:
@@ -1183,13 +1175,13 @@ def form_stage_dp(
                 )
             )
         results = _form_stage_dp_body(
-            ctx, stage_counts, D, R, MB, sp, metrics
+            run, stage_counts, D, R, MB, sp, metrics
         )
     return results if isinstance(S, range) else results[S]
 
 
 def _form_stage_dp_body(
-    ctx: DPContext,
+    run: DPRun,
     stage_counts: range,
     D: int,
     R: int,
@@ -1202,30 +1194,31 @@ def _form_stage_dp_body(
     )
     # a stage needs at least one block and one device
     lo = max(stage_counts.start, 1)
-    hi = min(stage_counts.stop - 1, ctx.k, D)
+    k = run.memo.k
+    hi = min(stage_counts.stop - 1, k, D)
     if lo > hi:
         if sp is not None:
             sp.set(feasible=False, reason="stage count out of range")
         return results
-    ctx.dp_calls += 1
+    run.dp_calls += 1
     # on a heterogeneous cluster the memory cap and stage speed depend on
     # WHICH cumulative-device slots [d', d) a stage lands on
-    slots = ctx.hetero_tables(D, R) if ctx.cluster.is_heterogeneous else None
+    slots = run.hetero_tables(D, R) if run.cluster.is_heterogeneous else None
     states = cells = width = 0
     if lo == 1:
         # a lone stage has one layout, blocks (0, k] on all D devices:
         # one state, priced without checkpointing
-        results[1], _ = ctx.price_layout([ctx.k], [D], R, MB, slots)
+        results[1], _ = run.price_layout([k], [D], R, MB, slots)
         states = 1
         lo = 2
     if lo <= hi:
         t_states, cells, width = _sweep_table(
-            ctx, lo, hi, D, R, MB, slots, results
+            run, lo, hi, D, R, MB, slots, results
         )
         states += t_states
-    ctx.states_evaluated += states
-    ctx.cells_reduced += cells
-    ctx.band_width_max = max(ctx.band_width_max, width)
+    run.states_evaluated += states
+    run.cells_reduced += cells
+    run.band_width_max = max(run.band_width_max, width)
     feasible = [s for s, sol in results.items() if sol is not None]
     if metrics is not None:
         metrics.counter("dp.calls").inc()
@@ -1249,7 +1242,7 @@ def _form_stage_dp_body(
 
 
 def _sweep_table(
-    ctx: DPContext,
+    run: DPRun,
     s_lo: int,
     s_hi: int,
     D: int,
@@ -1262,23 +1255,23 @@ def _sweep_table(
     store the solution of every ``S`` in ``[s_lo, s_hi]`` into
     ``results`` and return the state count (the table cells inside the
     sweep's bounds), the candidate cells float-reduced and the slab
-    width.  ``slots``: see :meth:`DPContext.price_layout`.
+    width.  ``slots``: see :meth:`DPRun.price_layout`.
 
     Each stage float-reduces only the rows that can still reach block
     ``k`` in the ``s_hi - s`` stages left, each at most the slab width
     wide (:func:`_band_stage`), and every finite cell is written, so
     ``V[S, k, D]`` holds exactly the answers, each priced from its
-    backtracked layout (:meth:`DPContext.price_layout`).
+    backtracked layout (:meth:`DPRun.price_layout`).
     """
-    k = ctx.k
+    k = run.memo.k
     # every stage that can still reach (S, k, D) for some S >= s_lo spans
     # at most k - s_lo + 1 blocks (nb never grows along the sweep)
     nb_max = k - s_lo + 1
-    bands = ctx.profile_bands(D, R, MB, nb_max)
+    bands = run.profile_bands(D, R, MB, nb_max)
     # likewise a stage spans at most D - s_lo + 1 devices: the planes of
     # larger replica counts (a suffix, as bs falls with r) are never read
     n_planes = int(bands.plane_of_r[1:D - s_lo + 2].max(initial=-1)) + 1
-    cap = _sweep_cap(ctx, slots)
+    cap = _sweep_cap(run, slots)
     over = bands.mem[:n_planes] > cap
     # every stage wider than the band is over the cap too: the band was
     # sized for a capacity of at least ``cap``
@@ -1332,7 +1325,7 @@ def _sweep_table(
         assert (b, d) == (0, 0), "DP backtrack did not land on the origin"
         boundaries.reverse()
         device_counts.reverse()
-        results[S], failure = ctx.price_layout(
+        results[S], failure = run.price_layout(
             boundaries, device_counts, R, MB, slots
         )
         assert failure is None, "the DP kept a layout that does not fit"
@@ -1340,24 +1333,24 @@ def _sweep_table(
 
 
 def _sweep_cap(
-    ctx: DPContext, slots: Optional[Tuple[np.ndarray, np.ndarray]]
+    run: DPRun, slots: Optional[Tuple[np.ndarray, np.ndarray]]
 ) -> float:
-    """The memory cap a sweep's bands are held to: :attr:`DPContext.
+    """The memory cap a sweep's bands are held to: :attr:`DPRun.
     usable_memory`, or on a heterogeneous cluster the largest per-slot
     cap (budget included), which bounds every slot's."""
     if slots is None:
-        return ctx.usable_memory
+        return run.usable_memory
     return float(slots[0][np.isfinite(slots[0])].max())
 
 
 def covering_sweeps(
-    ctx: DPContext,
+    run: DPRun,
     stage_counts: range,
     D: int,
     R: int,
     microbatch_counts: Sequence[int],
 ) -> List[int]:
-    """The microbatch counts ``MB`` whose sweep ``form_stage_dp(ctx,
+    """The microbatch counts ``MB`` whose sweep ``form_stage_dp(run,
     stage_counts, D, BS, R, MB)`` can have an answer, in order; the
     sweep of any other has none (DESIGN.md D2b).
 
@@ -1370,13 +1363,14 @@ def covering_sweeps(
     k``, the sweep has no answer (:func:`_can_cover` decides each
     sweep on its fits).
     """
+    ctx = run.memo
     k = ctx.k
     s_lo = max(stage_counts.start, 1)
     s_hi = min(stage_counts.stop - 1, k, D)
     if s_lo > s_hi:
         return []
-    slots = ctx.hetero_tables(D, R) if ctx.cluster.is_heterogeneous else None
-    cap = _sweep_cap(ctx, slots)
+    slots = run.hetero_tables(D, R) if run.cluster.is_heterogeneous else None
+    cap = _sweep_cap(run, slots)
     BS = ctx.batch_size
 
     def fits(MB: int) -> List[int]:

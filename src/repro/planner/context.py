@@ -273,10 +273,14 @@ class PlanningContext:
     def ensure_profiler(self) -> GraphProfiler:
         """The run's profiler, constructing the default one on demand.
 
-        Construction is the one pass that builds the graph table every
-        pre-search layer reads; it is recorded as a ``profiler.build``
-        span (``tasks``, ``values``, ``ms``) inside whichever pass first
-        asked (``coarsen`` on a cold plan)."""
+        A run that reused the ``dp_context`` shares its profiler (with
+        its time-table memo), so a warm delta replan profiles nothing
+        afresh.  Otherwise construction is the one pass that builds the
+        graph table every pre-search layer reads; it is recorded as a
+        ``profiler.build`` span (``tasks``, ``values``, ``ms``) inside
+        whichever pass first asked (``coarsen`` on a cold plan)."""
+        if self.profiler is None and self.has(DP_CONTEXT):
+            self.profiler = self.require(DP_CONTEXT).profiler
         if self.profiler is None:
             start = time.perf_counter()
             self.profiler = GraphProfiler(

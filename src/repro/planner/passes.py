@@ -35,7 +35,7 @@ from repro.partitioner.blocks import BlockPartitioner
 from repro.partitioner.deployment import graph_fingerprint
 from repro.partitioner.plan import PartitionPlan
 from repro.partitioner.search import form_stage
-from repro.partitioner.stage_dp import DPContext
+from repro.partitioner.stage_dp import DPContext, DPRun
 from repro.pipeline.hybrid import evaluate_plan_timing
 from repro.planner.context import (
     BLOCKS,
@@ -117,6 +117,7 @@ class CoarsenPass(PlannerPass):
             ctx.graph,
             ctx.require(COMPONENTS),
             profiler,
+            ctx.cluster,
             num_blocks=ctx.config.num_blocks,
         )
         blocks = ctx.put(BLOCKS, partitioner.run())
@@ -131,17 +132,19 @@ class CoarsenPass(PlannerPass):
 
 
 class ProfileTensorsPass(PlannerPass):
-    """Build the :class:`DPContext`: the profiling state of Algorithm 1.
+    """Build the :class:`DPContext`: Algorithm 1's memo.
 
     The context's range matrices, per-batch time prefixes and banded
     profiles depend on the graph, the block list, the batch size,
     the device performance model and the same-node p2p affine -- *not*
     on the cluster shape, the memory capacity or the budget -- so a
     delta replan that only resized the cluster reuses it wholesale from
-    the store's memory tier.  It is never written to disk: a run in a
-    new process rebuilds it from the stored ``blocks``.  The range
-    matrices are built eagerly here; the per-``(D, R, MB)`` bands fill
-    in lazily during the stage search and travel with the artifact.
+    the store's memory tier, as it stands: each run keeps its own state
+    in a :class:`~repro.partitioner.stage_dp.DPRun`.  It is never
+    written to disk: a run in a new process rebuilds it from the stored
+    ``blocks``.  The range matrices are built eagerly here; the
+    per-``(D, R, MB)`` bands fill in lazily during the stage search and
+    travel with the artifact.
     """
 
     name = "profile_tensors"
@@ -159,8 +162,6 @@ class ProfileTensorsPass(PlannerPass):
                 ctx.require(BLOCKS),
                 ctx.ensure_profiler(),
                 ctx.config.batch_size,
-                metrics=ctx.metrics,
-                memory_budget=ctx.config.memory_budget,
             ),
         )
         dp_ctx._range_matrices()
@@ -182,13 +183,14 @@ class StageSearchPass(PlannerPass):
 
     def run(self, ctx: PlanningContext) -> Optional[Dict[str, Any]]:
         profiler = ctx.ensure_profiler()
-        memo_before = profiler.memo_hit_rate
         dp_ctx = ctx.require(DP_CONTEXT)
         # the budget gates feasibility only: each sweep applies it to the
         # cached profile bands, so a reused context keeps them all
-        dp_ctx.set_memory_budget(ctx.config.memory_budget)
+        run = DPRun(
+            dp_ctx, ctx.cluster, ctx.config.memory_budget, ctx.metrics
+        )
         result = form_stage(
-            dp_ctx,
+            run,
             num_nodes=ctx.cluster.num_nodes,
             devices_per_node=ctx.cluster.devices_per_node,
             batch_size=ctx.config.batch_size,
@@ -212,14 +214,15 @@ class StageSearchPass(PlannerPass):
         return {
             "dp_calls": result.dp_calls,
             "candidates_tried": result.candidates_tried,
-            "states_evaluated": dp_ctx.states_evaluated,
+            "states_evaluated": result.states_evaluated,
             "num_stages": result.num_stages,
             "replica_factor": result.replica_factor,
             "devices_per_pipeline": result.devices_per_pipeline,
-            # widest stage slab a sweep reduced, and the cached bands
-            "band_width_max": dp_ctx.band_width_max,
+            # slab cells the sweeps reduced, the widest slab, and the
+            # cached bands
+            "cells_reduced": run.cells_reduced,
+            "band_width_max": run.band_width_max,
             "band_bytes": dp_ctx.band_bytes,
-            "memo_hit_rate": profiler.memo_hit_rate - memo_before,
         }
 
 
@@ -263,7 +266,7 @@ class AllocatePass(PlannerPass):
         diag = plan.diagnostics
         diag.dp_calls = result.dp_calls
         diag.candidates_tried = result.candidates_tried
-        diag.states_evaluated = dp_ctx.states_evaluated
+        diag.states_evaluated = result.states_evaluated
         diag.num_blocks = len(ctx.get(BLOCKS, ()))
         diag.num_atomic_components = len(ctx.get(COMPONENTS, ()))
         ctx.put(PLAN, plan)

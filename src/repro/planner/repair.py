@@ -43,7 +43,7 @@ from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
 from repro.partitioner.plan import PartitionPlan
 from repro.partitioner.search import SearchResult
-from repro.partitioner.stage_dp import slot_tables
+from repro.partitioner.stage_dp import DPRun
 from repro.planner.context import (
     BLOCKS,
     COMPONENTS,
@@ -269,7 +269,7 @@ class FixedLayoutPass(PlannerPass):
 
     Keeps ``prev_plan``'s stage boundaries and per-pipeline device
     counts, takes the replica factor the run's cluster allows, prices
-    the layout with :meth:`DPContext.price_layout` on that cluster's
+    the layout with :meth:`DPRun.price_layout` on that cluster's
     slots at each microbatch count the stage search would try (powers
     of two up to the per-replica batch, plus the deployed count), and
     keeps the one Algorithm 2 would rank first: the lowest
@@ -299,10 +299,8 @@ class FixedLayoutPass(PlannerPass):
                 f"pipeline needs {D} devices, {total} remain"
             )
         config = ctx.config
-        dp_ctx = ctx.require(DP_CONTEXT)
-        slots = slot_tables(
-            ctx.cluster, config.precision, D, R, config.memory_budget
-        )
+        run = DPRun(ctx.require(DP_CONTEXT), ctx.cluster, config.memory_budget)
+        slots = run.hetero_tables(D, R)
         boundaries = [s.block_range[1] for s in prev.stages]
         device_counts = [s.devices_per_pipeline for s in prev.stages]
         mb_cap = config.batch_size // R
@@ -314,7 +312,7 @@ class FixedLayoutPass(PlannerPass):
             candidates.append(deployed)
 
         priced = [
-            dp_ctx.price_layout(boundaries, device_counts, R, MB, slots)
+            run.price_layout(boundaries, device_counts, R, MB, slots)
             for MB in candidates
         ]
         solutions = [sol for sol, _ in priced if sol is not None]
@@ -339,6 +337,7 @@ class FixedLayoutPass(PlannerPass):
                 replica_factor=R,
                 candidates_tried=len(solutions),
                 dp_calls=0,
+                states_evaluated=0,
             ),
         )
         return {

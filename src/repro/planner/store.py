@@ -29,10 +29,11 @@ content address and its pass is recorded on the memory-tier entry
 one probe, a copy and an encode.  The store also remembers which graphs
 passed ``validate_graph``.
 
-Reusing a loaded artifact sometimes needs run-specific fix-up (a
-``DPContext`` must be rebound to the new cluster, a plan must be
-deep-copied so later mutation cannot leak between runs); those hooks
-live in :func:`materialize_for_reuse`.
+Reusing a loaded plan needs one run-specific fix-up: it is deep-copied
+so later mutation cannot leak between runs (:func:`materialize_for_reuse`).
+Every other payload is reused as it stands; a ``dp_context`` is a
+content-addressed memo that each run reads through its own
+:class:`~repro.partitioner.stage_dp.DPRun`.
 """
 
 from __future__ import annotations
@@ -335,6 +336,7 @@ class _SearchResultCodec(ArtifactCodec):
             "replica_factor": payload.replica_factor,
             "candidates_tried": payload.candidates_tried,
             "dp_calls": payload.dp_calls,
+            "states_evaluated": payload.states_evaluated,
         }
         return json.dumps(doc).encode()
 
@@ -373,6 +375,7 @@ class _SearchResultCodec(ArtifactCodec):
             replica_factor=doc["replica_factor"],
             candidates_tried=doc["candidates_tried"],
             dp_calls=doc["dp_calls"],
+            states_evaluated=doc["states_evaluated"],
         )
 
 
@@ -492,18 +495,6 @@ def materialize_for_reuse(
     name: str, payload: Any, ctx: PlanningContext
 ) -> Any:
     """Prepare a stored payload for use in a new planning run."""
-    if name == DP_CONTEXT:
-        # keep every numeric cache; retarget cluster/metrics/budget, and
-        # let the run share the context's profiler (with its memo) so a
-        # warm delta replan performs no fresh profiling at all
-        payload.rebind(
-            ctx.cluster,
-            metrics=ctx.metrics,
-            memory_budget=ctx.config.memory_budget,
-        )
-        if ctx.profiler is None:
-            ctx.profiler = payload.profiler
-        return payload
     if name in (PLAN, EVALUATED):
         # plans are mutated downstream (evaluation, diagnostics
         # stamping, callers); isolate each run with a copy
@@ -538,12 +529,11 @@ class ArtifactStore:
     Concurrency contract: ``get``/``put``/``refresh``/``stats`` are
     linearizable (one internal RLock), so one store may back many
     concurrent planning runs -- the plan service shares a single store
-    across all requests.  The lock covers the store's own state only:
-    a *payload* handed out by ``get`` may still be mutated by its reuse
-    fix-up (:func:`materialize_for_reuse` rebinds a ``dp_context`` in
-    place), which is why runs that can share payloads -- same model
-    family -- must be serialized by the caller (see
-    :mod:`repro.service.engine` for the keyed-mutex pattern).
+    across all requests.  The lock covers the store's own state only.
+    Payloads handed out by ``get`` are shared as they stand: plans are
+    copied on reuse, and a ``dp_context`` only grows by idempotent memo
+    fills, which concurrent runs may make at once (``refresh`` weighs it
+    while they do).
     """
 
     def __init__(

@@ -22,15 +22,17 @@ coarsening builds its atom aggregates and the stage DP its range
 matrices from the same arrays.  The time tables are memoized per batch
 size.
 
-The time-table memo is a plain dict: the planner is serial, and callers
-that share one profiler across threads (through a stored ``dp_context``)
-must serialize whole runs per model family, as the plan service does
-(DESIGN.md, "Who reaches a shared context").
+The time-table memo is a plain dict whose fills are idempotent: runs
+that share one profiler across threads (through a stored
+``dp_context``) may both build a batch size's table, and the last
+write wins.  Its lookup counters are cumulative over every run, and a
+lock guards their increments.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import attrgetter, is_
@@ -83,7 +85,7 @@ def distinct(values: np.ndarray) -> np.ndarray:
 
 
 class GraphProfiler:
-    """Profiling oracle over one task graph on one cluster."""
+    """Profiling oracle over one task graph on one device."""
 
     def __init__(
         self,
@@ -94,14 +96,21 @@ class GraphProfiler:
         mode: str = "training",
     ) -> None:
         self.graph = graph
-        self.cluster = cluster
         self.precision = precision
         self.mode = mode
         self.cost_model = CostModel(cluster.device, precision)
+        #: ``(latency, bandwidth)`` of a same-node transfer on
+        #: ``cluster``: the stage DP prices stage boundaries at it
+        #: (footnote 3).  No other part of the cluster is kept: runs that
+        #: share this profiler may plan on different clusters.
+        self.p2p_local = cluster.comm.p2p_affine(same_node=True)
         self.memory_model = MemoryModel(precision, optimizer, mode)
         self._build_table(graph)
 
         self._time_tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        #: cumulative over every run that shares this profiler; the lock
+        #: keeps concurrent runs from losing increments
+        self._counter_lock = threading.Lock()
         self.profile_calls = 0
         self.table_calls = 0
         self.table_hits = 0
@@ -257,52 +266,15 @@ class GraphProfiler:
         return (self.value_bytes[values] * batched) * scale
 
     # ------------------------------------------------------------------
-    # delta-replan support
-    # ------------------------------------------------------------------
-    #: device fields the per-task cost tables were extracted from; a
-    #: rebind target must agree on all of them (capacity fields --
-    #: ``memory_bytes``, ``memory_reserve_fraction`` -- may differ: they
-    #: never enter a time table or a profile result)
-    _PERF_FIELDS = (
-        "peak_flops_fp32",
-        "peak_flops_fp16",
-        "mem_bandwidth",
-        "matmul_efficiency",
-        "kernel_overhead",
-    )
-
-    def rebind_cluster(self, cluster: ClusterSpec) -> "GraphProfiler":
-        """Retarget the profiler at a new cluster, keeping every memo.
-
-        Used by delta replanning: the per-task cost arrays and time
-        tables depend on the device's *performance* model only, so a
-        cluster that merely changed shape, interconnect or memory
-        capacity can reuse them all.  ``comm_time`` prices through
-        ``self.cluster``, so it immediately sees the new topology.
-
-        Raises:
-            ValueError: if the new device's performance fields differ
-                (the memoized tables would be silently wrong).
-        """
-        old, new = self.cluster.device, cluster.device
-        for fname in self._PERF_FIELDS:
-            if getattr(old, fname) != getattr(new, fname):
-                raise ValueError(
-                    f"cannot rebind profiler: device.{fname} changed "
-                    f"({getattr(old, fname)!r} -> {getattr(new, fname)!r})"
-                )
-        self.cluster = cluster
-        return self
-
-    # ------------------------------------------------------------------
     # vectorized time tables
     # ------------------------------------------------------------------
     def _times_at(self, batch_size: int) -> Tuple[np.ndarray, np.ndarray]:
         """Per-task (t_f, t_b) arrays at one batch size (cached)."""
-        self.table_calls += 1
         table = self._time_tables.get(batch_size)
+        with self._counter_lock:
+            self.table_calls += 1
+            self.table_hits += table is not None
         if table is not None:
-            self.table_hits += 1
             return table
         return self._build_time_table(batch_size)
 
@@ -363,7 +335,8 @@ class GraphProfiler:
                 boundary).
         """
         batch_size = max(1, int(batch_size))
-        self.profile_calls += 1
+        with self._counter_lock:
+            self.profile_calls += 1
 
         idx = self.indices_of(task_names)
         tf_all, tb_all = self._times_at(batch_size)
@@ -440,17 +413,6 @@ class GraphProfiler:
             float(self.scaled_value_bytes(batch_size, ins).sum()),
             float(self.scaled_value_bytes(batch_size, outs[leaving]).sum()),
         )
-
-    def comm_time(self, nbytes: float, same_node: bool = True) -> float:
-        """Stage-to-stage transfer time (footnote 3: intra-node bandwidth).
-
-        Delegates to the cluster's configured communication model
-        (:mod:`repro.comm`): the flat model reproduces the paper's
-        closed form, the topology model prices the transfer over the
-        actual NVLink/NIC route."""
-        if nbytes <= 0:
-            return 0.0
-        return self.cluster.p2p_time(nbytes, same_node=same_node)
 
     # ------------------------------------------------------------------
     @property

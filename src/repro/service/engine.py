@@ -17,8 +17,8 @@ service.  It owns
   :class:`~repro.obs.tracer.Tracer` and request / coalesce / hit
   counters plus per-class latency histograms on a
   :class:`~repro.obs.metrics.MetricsRegistry`, and a per-request phase
-  breakdown (``meta.timings``: normalize, model-lock wait, pipeline,
-  encode) on every plan response.
+  breakdown (``meta.timings``: normalize, pipeline, encode) on every
+  plan response.
 
 A warm hit costs a graph fingerprint, one store probe, a plan copy and
 one encode: the store verifies a stored plan once per content address
@@ -32,18 +32,13 @@ Concurrency contract (the store/replan plumbing this engine relies on):
   engine process over the same ``cache_dir`` -- never observe a torn
   file, and a crash mid-write leaves at most an orphaned ``*.tmp``.
 * :class:`~repro.planner.store.ArtifactStore` ``get``/``put``/
-  ``refresh`` are linearizable (internal lock), so requests for
-  *different* models run fully in parallel against one store.
+  ``refresh`` are linearizable (internal lock), so requests run fully
+  in parallel against one store.
 * A reused ``dp_context`` artifact (held in the store's memory tier
-  only) is **shared and rebound in place**
-  (:func:`~repro.planner.store.materialize_for_reuse`), and
-  :class:`~repro.partitioner.stage_dp.DPContext` takes no lock: its
-  caches and counters are plain attributes, so ``rebind()`` /
-  ``set_memory_budget()`` and the DP calls of two runs must not overlap.
-  The engine therefore serializes pipeline executions **per model
-  family** (one keyed mutex per graph fingerprint): same-model requests
-  -- the only ones that can share mutable artifacts -- are single-writer,
-  while different models planned concurrently never share state.
+  only) is a content-addressed memo that concurrent runs of one model
+  family share as it stands: each run keeps its cluster, budget and
+  counters in its own :class:`~repro.partitioner.stage_dp.DPRun`, and
+  the memo's fills are idempotent, so no request waits on another.
 
 Delta requests need no special endpoint plumbing: every run attaches the
 shared store, so the pass manager reruns exactly the invalidated
@@ -94,7 +89,7 @@ class PlanEngine:
         store_memory_budget_bytes: byte budget of the in-memory artifact
             tier (``None``: unbounded).
         workers: size of the pipeline thread pool -- the number of
-            *distinct-model* requests that can plan concurrently.
+            plans that can run concurrently, for any mix of models.
         tracer / metrics: observability sinks; fresh ones are created
             when omitted (exported via :meth:`export_trace`).
     """
@@ -123,7 +118,6 @@ class PlanEngine:
         self._graph_cache_lock = threading.Lock()
         self._inflight: Dict[str, concurrent.futures.Future] = {}
         self._inflight_lock = threading.Lock()
-        self._model_locks: Dict[str, threading.Lock] = {}
         #: model families (graph fingerprints) that completed >= 1 plan;
         #: the ``replan`` endpoint's base check
         self._planned_models: Set[str] = set()
@@ -213,30 +207,29 @@ class PlanEngine:
             )
         started = time.perf_counter()
         self.metrics.counter("service.repair_requests").inc()
-        with self._model_lock(req.model_key):
-            ctx = PlanningContext(
-                req.graph, req.cluster, req.config, store=self.store
+        ctx = PlanningContext(
+            req.graph, req.cluster, req.config, store=self.store
+        )
+        with self.tracer.span(
+            "service.repair",
+            category="service",
+            model=req.graph.name,
+            event=event.kind,
+        ) as span:
+            try:
+                ctx.run()
+                result = plan_repair(ctx, event)
+            except PartitioningError as exc:
+                span.set(outcome="infeasible")
+                raise ServiceError("infeasible", str(exc)) from exc
+            except ValueError as exc:
+                span.set(outcome="bad_request")
+                raise ServiceError("bad_request", str(exc)) from exc
+            span.set(
+                outcome="ok",
+                full_replan=result.used_full_replan,
+                migrated=result.migrated_pairs,
             )
-            with self.tracer.span(
-                "service.repair",
-                category="service",
-                model=req.graph.name,
-                event=event.kind,
-            ) as span:
-                try:
-                    ctx.run()
-                    result = plan_repair(ctx, event)
-                except PartitioningError as exc:
-                    span.set(outcome="infeasible")
-                    raise ServiceError("infeasible", str(exc)) from exc
-                except ValueError as exc:
-                    span.set(outcome="bad_request")
-                    raise ServiceError("bad_request", str(exc)) from exc
-                span.set(
-                    outcome="ok",
-                    full_replan=result.used_full_replan,
-                    migrated=result.migrated_pairs,
-                )
         wall_ms = (time.perf_counter() - started) * 1e3
         self._observe_latency("repair", wall_ms)
         doc = json.loads(plan_to_json(result.plan, req.graph))
@@ -491,13 +484,6 @@ class PlanEngine:
                 graph_cache=graph_cache,
             )
 
-    def _model_lock(self, model_key: str) -> threading.Lock:
-        with self._inflight_lock:
-            lock = self._model_locks.get(model_key)
-            if lock is None:
-                lock = self._model_locks[model_key] = threading.Lock()
-            return lock
-
     def _coalesced_plan(
         self, req: PlanRequest, started: float
     ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
@@ -544,7 +530,6 @@ class PlanEngine:
             timings = dict(meta["timings"])
         else:
             timings = {
-                "lock_wait_ms": 0.0,
                 "pipeline_ms": (done - waited) * 1e3,
                 "encode_ms": 0.0,
             }
@@ -563,53 +548,50 @@ class PlanEngine:
         """Run the planning pipeline for one (leader) request."""
         from repro.partitioner.deployment import plan_to_json
 
-        lock_started = time.perf_counter()
-        with self._model_lock(req.model_key):
-            ctx = PlanningContext(
-                req.graph, req.cluster, req.config, store=self.store
-            )
-            run_started = time.perf_counter()
-            with self.tracer.span(
-                "service.plan",
-                category="service",
-                model=req.graph.name,
-                devices=req.cluster.total_devices,
-                fingerprint=req.key,
-            ) as span:
-                try:
-                    plan = ctx.run()
-                except PartitioningError as exc:
-                    span.set(outcome="infeasible")
-                    raise ServiceError("infeasible", str(exc)) from exc
-                cache_kind, reused = self._classify(ctx)
-                span.set(outcome="ok", cache=cache_kind)
-            self._planned_models.add(req.model_key)
-            self.metrics.counter(f"service.{cache_kind}_results").inc()
-            for name in ("verify.memo_hits", "validate.memo_hits"):
-                hits = ctx.metrics.get(name)
-                if hits is not None:
-                    self.metrics.counter(name).inc(hits.value)
-            encode_started = time.perf_counter()
-            # a warm hit reuses the deployment JSON its probe verified
-            document = ctx.plan_document or plan_to_json(plan, req.graph)
-            doc = json.loads(document)
-            done = time.perf_counter()
-            meta = {
-                "fingerprint": req.key,
-                "cache": cache_kind,
-                "reused_passes": reused,
-                "verified": bool(req.config.verify),
-                "plan_ms": (done - run_started) * 1e3,
-                "iteration_time": plan.iteration_time,
-                "throughput": plan.throughput,
-                "num_stages": plan.num_stages,
-                "timings": {
-                    "lock_wait_ms": (run_started - lock_started) * 1e3,
-                    "pipeline_ms": (encode_started - run_started) * 1e3,
-                    "encode_ms": (done - encode_started) * 1e3,
-                },
-            }
-            return doc, meta
+        ctx = PlanningContext(
+            req.graph, req.cluster, req.config, store=self.store
+        )
+        run_started = time.perf_counter()
+        with self.tracer.span(
+            "service.plan",
+            category="service",
+            model=req.graph.name,
+            devices=req.cluster.total_devices,
+            fingerprint=req.key,
+        ) as span:
+            try:
+                plan = ctx.run()
+            except PartitioningError as exc:
+                span.set(outcome="infeasible")
+                raise ServiceError("infeasible", str(exc)) from exc
+            cache_kind, reused = self._classify(ctx)
+            span.set(outcome="ok", cache=cache_kind)
+        self._planned_models.add(req.model_key)
+        self.metrics.counter(f"service.{cache_kind}_results").inc()
+        for name in ("verify.memo_hits", "validate.memo_hits"):
+            hits = ctx.metrics.get(name)
+            if hits is not None:
+                self.metrics.counter(name).inc(hits.value)
+        encode_started = time.perf_counter()
+        # a warm hit reuses the deployment JSON its probe verified
+        document = ctx.plan_document or plan_to_json(plan, req.graph)
+        doc = json.loads(document)
+        done = time.perf_counter()
+        meta = {
+            "fingerprint": req.key,
+            "cache": cache_kind,
+            "reused_passes": reused,
+            "verified": bool(req.config.verify),
+            "plan_ms": (done - run_started) * 1e3,
+            "iteration_time": plan.iteration_time,
+            "throughput": plan.throughput,
+            "num_stages": plan.num_stages,
+            "timings": {
+                "pipeline_ms": (encode_started - run_started) * 1e3,
+                "encode_ms": (done - encode_started) * 1e3,
+            },
+        }
+        return doc, meta
 
     @staticmethod
     def _classify(ctx: PlanningContext) -> Tuple[str, List[str]]:
@@ -642,7 +624,6 @@ class PlanEngine:
     def _plan_object(self, req: PlanRequest):
         """The live plan for ``req`` (used by ``simulate``): rerun the
         pipeline, which is a full store reuse after ``_coalesced_plan``."""
-        with self._model_lock(req.model_key):
-            return PlanningContext(
-                req.graph, req.cluster, req.config, store=self.store
-            ).run()
+        return PlanningContext(
+            req.graph, req.cluster, req.config, store=self.store
+        ).run()

@@ -9,9 +9,9 @@ Straightforward per-entry transcriptions that the vectorized code in
   parameters and boundary bytes from the profiler, the oracle for the
   difference-array range matrices;
 * :func:`stage_profile_reference` prices one stage with Python floats
-  and ``ClusterSpec.p2p_time``, independently of the ``_range_costs``
-  kernel, and :func:`profile_tensors_reference` lays it out over every
-  ``(lo, hi, r)``;
+  and the run's ``ClusterSpec.p2p_time``, independently of the
+  ``_range_costs`` kernel, and :func:`profile_tensors_reference` lays it
+  out over every ``(lo, hi, r)``;
 * :func:`memory_floor_reference` lays the memory floor of every
   ``(lo, hi]`` out as one dense plane, and :func:`fit_width_reference`
   reads the widest fitting span off it, the oracle for the cached,
@@ -19,6 +19,10 @@ Straightforward per-entry transcriptions that the vectorized code in
 * :func:`reference_form_stage_dp` is Algorithm 1 as pure-Python loops,
   with the paper's ``d_min`` rule (:func:`reference_dp_visits` also
   counts the cells the loop visits).
+
+The oracles that price a stage against a cluster or a memory cap take a
+:class:`DPRun` (the run's cluster and budget over its memo); the others
+read the memo, a :class:`DPContext`, alone.
 """
 
 from typing import Dict, List, Optional, Tuple
@@ -28,6 +32,7 @@ import numpy as np
 from repro.partitioner.stage_dp import (
     INFEASIBLE,
     DPContext,
+    DPRun,
     DPSolution,
     StageProfile,
     scale_stage_profile,
@@ -69,7 +74,7 @@ def range_meta_reference(
 
 
 def stage_profile_reference(
-    ctx: DPContext,
+    run: DPRun,
     lo: int,
     hi: int,
     replicas: int,
@@ -80,6 +85,7 @@ def stage_profile_reference(
     """Scalar transcription of ``DPContext.stage_profile``: blocks
     ``(lo, hi]`` on ``replicas`` devices, ``None`` if the per-replica
     microbatch collapses below one sample."""
+    ctx = run.memo
     bs = ctx.batch_size // (R * MB * replicas)
     if bs < 1:
         return None
@@ -92,9 +98,9 @@ def stage_profile_reference(
     params, in1, out1 = range_meta(ctx, lo, hi)
     in_bytes = in1 * bs
     out_bytes = out1 * bs
-    t_f += ctx.cluster.p2p_time(out_bytes) if out_bytes else 0.0
+    t_f += run.cluster.p2p_time(out_bytes) if out_bytes else 0.0
     if not inference:
-        t_b += ctx.cluster.p2p_time(in_bytes) if in_bytes else 0.0
+        t_b += run.cluster.p2p_time(in_bytes) if in_bytes else 0.0
     act_factor = ctx.profiler.precision.activation_bytes_factor
     saved = float(
         ctx._saved_prefix[hi] - ctx._saved_prefix[lo]
@@ -120,7 +126,7 @@ def stage_profile_reference(
 
 
 def profile_tensors_reference(
-    ctx: DPContext,
+    run: DPRun,
     D: int,
     R: int,
     MB: int,
@@ -128,16 +134,16 @@ def profile_tensors_reference(
     stage_profile=stage_profile_reference,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense ``(k+1, k+1, D+1)`` t_f / t_b / memory tensors, one
-    ``stage_profile(ctx, lo, hi, r, R, MB, checkpointing)`` call per
+    ``stage_profile(run, lo, hi, r, R, MB, checkpointing)`` call per
     ``(lo, hi, r)``; +inf where there is no stage."""
-    k = ctx.k
+    k = run.memo.k
     TF = np.full((k + 1, k + 1, D + 1), np.inf)
     TB = np.full((k + 1, k + 1, D + 1), np.inf)
     MEM = np.full((k + 1, k + 1, D + 1), np.inf)
     for lo in range(k):
         for hi in range(lo + 1, k + 1):
             for r in range(1, D + 1):
-                prof = stage_profile(ctx, lo, hi, r, R, MB, checkpointing)
+                prof = stage_profile(run, lo, hi, r, R, MB, checkpointing)
                 if prof is None:
                     continue
                 TF[lo, hi, r] = prof.time_fwd
@@ -147,12 +153,13 @@ def profile_tensors_reference(
 
 
 def summed_stage_profile_reference(
-    ctx, lo, hi, replicas, R, MB, checkpointing
+    run, lo, hi, replicas, R, MB, checkpointing
 ) -> Optional[StageProfile]:
     """Scalar transcription of the coarsening ablation's summed-atomic
     estimate (``SummedAtomicContext``): per-atom compute plus a transfer
     per atomic boundary, and summed per-atom static, activation and
     stash bytes."""
+    ctx = run.memo
     bs = ctx.batch_size // (R * MB * replicas)
     if bs < 1:
         return None
@@ -164,8 +171,8 @@ def summed_stage_profile_reference(
     in_bytes = float(ctx._in1_prefix[hi] - ctx._in1_prefix[lo]) * bs
     out_bytes = float(ctx._out1_prefix[hi] - ctx._out1_prefix[lo]) * bs
     n_atoms = hi - lo
-    lat = ctx.cluster.comm_latency
-    bw = ctx.cluster.intra_node_bandwidth
+    lat = run.cluster.comm_latency
+    bw = run.cluster.intra_node_bandwidth
     t_f += n_atoms * lat + out_bytes / bw
     t_b += n_atoms * lat + in_bytes / bw
     act_factor = ctx.profiler.precision.activation_bytes_factor
@@ -207,7 +214,7 @@ def fit_width_reference(ctx: DPContext, bs: int, capacity: float) -> int:
 
 
 def reference_form_stage_dp(
-    ctx: DPContext,
+    run: DPRun,
     S: int,
     D: int,
     BS: int,
@@ -217,18 +224,18 @@ def reference_form_stage_dp(
     """Line-by-line transcription of Algorithm 1 with pure-Python loops.
 
     :func:`form_stage_dp` is held to it, field for field, on randomized
-    small instances.  Stages are priced by ``ctx.stage_profile``, so a
-    context subclass is searched under its own pricing.  On a
-    heterogeneous cluster each stage at cumulative-device boundary
-    ``(d', d)`` is capped by ``MINMEM[d', d]`` and its times are scaled
-    by ``SLOW[d', d]`` (see ``DPContext.hetero_tables``), with no
-    ``d_min`` pruning.
+    small instances.  Stages are priced by the memo's ``stage_profile``,
+    so a context subclass is searched under its own pricing, and capped
+    by the run's ``usable_memory``.  On a heterogeneous cluster each
+    stage at cumulative-device boundary ``(d', d)`` is capped by
+    ``MINMEM[d', d]`` and its times are scaled by ``SLOW[d', d]`` (see
+    ``DPRun.hetero_tables``), with no ``d_min`` pruning.
     """
-    return reference_dp_visits(ctx, S, D, BS, R, MB)[0]
+    return reference_dp_visits(run, S, D, BS, R, MB)[0]
 
 
 def reference_dp_visits(
-    ctx: DPContext,
+    run: DPRun,
     S: int,
     D: int,
     BS: int,
@@ -239,16 +246,17 @@ def reference_dp_visits(
     cells its loop visits: after a memory dead end at column ``d``, the
     ``d_min`` rule skips the cells left of it in its row and those at or
     left of it in every later row of the stage."""
+    ctx = run.memo
     if BS != ctx.batch_size:
         raise ValueError("batch size mismatch with DPContext")
     k = ctx.k
     if S < 1 or S > k or S > D:
         return INFEASIBLE, 0
     checkpointing = S > 1
-    M = ctx.usable_memory
-    hetero = ctx.cluster.is_heterogeneous
+    M = run.usable_memory
+    hetero = run.cluster.is_heterogeneous
     if hetero:
-        MINMEM, SLOW = ctx.hetero_tables(D, R)
+        MINMEM, SLOW = run.hetero_tables(D, R)
     INF = float("inf")
 
     V = {(0, 0, 0): 0.0}

@@ -9,7 +9,8 @@ every stage count of a sweep equals the pure-Python
 counters equal those of the uncut reduction (bands and slabs as wide as
 the sweep's stage spans).  The width must actually engage under tight
 caps, must be sound (no stage past it fits), and a reused context must
-answer like a fresh one whatever budget or capacity it is moved to.
+answer like a fresh one whatever budget or capacity the run that reads
+it has.
 """
 
 from contextlib import contextmanager
@@ -28,7 +29,7 @@ from repro.models.random_dag import build_random_dag
 from repro.obs import MetricsRegistry
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import Block, block_partition
-from repro.partitioner.stage_dp import DPContext, form_stage_dp
+from repro.partitioner.stage_dp import DPContext, DPRun, form_stage_dp
 from repro.profiler import GraphProfiler
 from tests.partitioner.oracles import (
     profile_tensors_reference,
@@ -59,12 +60,15 @@ def cluster_with(usable_bytes, **kwargs):
     )
 
 
-def make_ctx(graph, cluster, k=8, batch_size=64, mode="training"):
+def make_ctx(graph, cluster, k=8, batch_size=64, mode="training",
+             memory_budget=None):
+    """A run on ``cluster`` over a fresh context (``run.memo``)."""
     profiler = GraphProfiler(graph, cluster, mode=mode)
     blocks = block_partition(
-        graph, atomic_partition(graph), profiler, num_blocks=k
+        graph, atomic_partition(graph), profiler, cluster, num_blocks=k
     )
-    return DPContext(graph, blocks, profiler, batch_size)
+    ctx = DPContext(graph, blocks, profiler, batch_size)
+    return DPRun(ctx, cluster, memory_budget)
 
 
 def atomic_ctx(graph, cluster, batch_size=64):
@@ -73,7 +77,9 @@ def atomic_ctx(graph, cluster, batch_size=64):
         Block(index=i, atomic_indices=(i,), tasks=c.tasks)
         for i, c in enumerate(atomic_partition(graph))
     ]
-    return SummedAtomicContext(graph, blocks, profiler, batch_size)
+    return DPRun(
+        SummedAtomicContext(graph, blocks, profiler, batch_size), cluster
+    )
 
 
 def solution_key(sol):
@@ -98,7 +104,7 @@ def run_sweeps(ctx, stage_counts, D, R, mbs):
     answers = {}
     for MB in mbs:
         sweep = form_stage_dp(
-            ctx, stage_counts, D, ctx.batch_size, R, MB, metrics=m
+            ctx, stage_counts, D, ctx.memo.batch_size, R, MB, metrics=m
         )
         for S, sol in sweep.items():
             answers[S, MB] = solution_key(sol)
@@ -112,16 +118,15 @@ def run_sweeps(ctx, stage_counts, D, R, mbs):
 
 def assert_lossless(make, stage_counts, D, R, mbs, budget=None):
     """The cut context answers like the reference and like the uncut
-    reduction, counters included; returns the cut context."""
-    ctx = make()
-    ctx.set_memory_budget(budget)
+    reduction, counters included; returns the cut run and the uncut one
+    (each under ``budget``)."""
+    ctx = with_budget(make(), budget)
     answers, counters = run_sweeps(ctx, stage_counts, D, R, mbs)
     for (S, MB), key in answers.items():
-        ref = reference_form_stage_dp(ctx, S, D, ctx.batch_size, R, MB)
+        ref = reference_form_stage_dp(ctx, S, D, ctx.memo.batch_size, R, MB)
         assert key == solution_key(ref), (S, MB)
     with uncut():
-        full = make()
-        full.set_memory_budget(budget)
+        full = with_budget(make(), budget)
         assert run_sweeps(full, stage_counts, D, R, mbs) == (
             answers, counters,
         )
@@ -129,9 +134,15 @@ def assert_lossless(make, stage_counts, D, R, mbs, budget=None):
     return ctx, full
 
 
+def with_budget(run, budget):
+    """A new run over ``run``'s context, on its cluster, under
+    ``budget``."""
+    return DPRun(run.memo, run.cluster, budget)
+
+
 def whole_model_memory(graph, mode="training", k=8, batch_size=64):
     """Memory of the one-replica stage over every block (the widest)."""
-    ctx = make_ctx(graph, cluster_with(1 << 40), k, batch_size, mode)
+    ctx = make_ctx(graph, cluster_with(1 << 40), k, batch_size, mode).memo
     return ctx.stage_profile(0, ctx.k, 1, 1, 1, True).memory
 
 
@@ -178,11 +189,12 @@ class TestCutIsLossless:
             # the S >= 2 table's stages could span k - 1 blocks (a lone
             # stage is priced without a band), but no stage that wide
             # fits
-            assert ctx.band_width_max < ctx.k - 1
-            assert full.band_width_max == ctx.k - 1
+            k = ctx.memo.k
+            assert ctx.band_width_max < k - 1
+            assert full.band_width_max == k - 1
             assert ctx.cells_reduced < full.cells_reduced
-            spans = [b.span for b in ctx._band_cache.values()]
-            assert max(spans) < ctx.k - 1
+            spans = [b.span for b in ctx.memo._band_cache.values()]
+            assert max(spans) < k - 1
 
     def test_budget_narrows_slabs_not_bands(self):
         graph = build_mlp((64, 256, 256, 256, 256, 64))
@@ -191,10 +203,11 @@ class TestCutIsLossless:
             range(1, 5), 4, 1, (1, 2, 4), budget=2.5 * MIB,
         )
         # bands as wide as the S >= 2 table's spans
-        bands = ctx._band_cache.values()
-        assert {b.fit_width for b in bands} == {ctx.k}
-        assert {b.span for b in bands} == {ctx.k - 1}
-        assert ctx.band_width_max < ctx.k - 1
+        k = ctx.memo.k
+        bands = ctx.memo._band_cache.values()
+        assert {b.fit_width for b in bands} == {k}
+        assert {b.span for b in bands} == {k - 1}
+        assert ctx.band_width_max < k - 1
         assert ctx.cells_reduced < full.cells_reduced
 
     @pytest.mark.parametrize("big_mib", [2.5, 3.0, 64.0])
@@ -214,13 +227,15 @@ class TestCutIsLossless:
             range(1, D + 1), D, R, (1, 4),
         )
         if big_mib < 64:
-            assert ctx.band_width_max < ctx.k
+            assert ctx.band_width_max < ctx.memo.k
 
     @pytest.mark.parametrize("frac", [0.3, 0.6, 1.0])
     def test_summed_atomic_context(self, tiny_bert, frac):
         """A subclass with its own stage-cost kernel: its bands are
         sized by the memory floor, its slabs by its own memory."""
-        probe = atomic_ctx(tiny_bert, cluster_with(1 << 40), batch_size=32)
+        probe = atomic_ctx(
+            tiny_bert, cluster_with(1 << 40), batch_size=32
+        ).memo
         # the whole model at the sweeps' smallest microbatch (MB=2, r=2)
         cap = frac * float(probe._range_costs(0, probe.k, 8, 2, False)[2])
         ctx, _ = assert_lossless(
@@ -228,7 +243,7 @@ class TestCutIsLossless:
             range(1, 3), 2, 1, (1, 2),
         )
         if frac < 1.0:
-            assert ctx.band_width_max < ctx.k
+            assert ctx.band_width_max < ctx.memo.k
 
 
 # ----------------------------------------------------------------------
@@ -249,22 +264,23 @@ class TestWidthIsSound:
         the capacity, on every plane, and the band stops there."""
         graph = build_random_dag(seed=seed, num_nodes=14)
         cap = frac * whole_model_memory(graph, mode, batch_size=32)
-        ctx = make_ctx(graph, cluster_with(cap), batch_size=32, mode=mode)
-        band = ctx.profile_bands(D, 1, MB, ctx.k)
-        assert band.capacity == ctx.capacity
-        assert band.span == max(1, min(ctx.k, band.fit_width))
-        _, _, MEM = profile_tensors_reference(ctx, D, 1, MB, True)
+        run = make_ctx(graph, cluster_with(cap), batch_size=32, mode=mode)
+        k = run.memo.k
+        band = run.profile_bands(D, 1, MB, k)
+        assert band.capacity == run.capacity
+        assert band.span == max(1, min(k, band.fit_width))
+        _, _, MEM = profile_tensors_reference(run, D, 1, MB, True)
         for r in range(1, D + 1):
-            for lo in range(ctx.k):
-                for hi in range(lo + 1 + band.fit_width, ctx.k + 1):
+            for lo in range(k):
+                for hi in range(lo + 1 + band.fit_width, k + 1):
                     if np.isfinite(MEM[lo, hi, r]):
-                        assert MEM[lo, hi, r] > ctx.capacity, (lo, hi, r)
+                        assert MEM[lo, hi, r] > run.capacity, (lo, hi, r)
         # the band holds every stage that does fit, bit for bit
         for r in range(1, D + 1):
             p = int(band.plane_of_r[r])
             if p < 0:
                 continue
-            for hi in range(ctx.k + 1):
+            for hi in range(k + 1):
                 for j in range(band.span):
                     if hi - 1 - j >= 0:
                         assert band.mem[p, hi, j] == MEM[hi - 1 - j, hi, r]
@@ -273,77 +289,80 @@ class TestWidthIsSound:
         """The slabs stop at the widest span some plane fits: it fits at
         that width, and nothing wider does."""
         graph = build_mlp((64, 256, 256, 256, 256, 64))
-        ctx = make_ctx(graph, cluster_with(1 << 30))
-        band = ctx.profile_bands(4, 1, 2, ctx.k)
+        run = make_ctx(graph, cluster_with(1 << 30))
+        k = run.memo.k
+        band = run.profile_bands(4, 1, 2, k)
         cap = 2.5 * MIB
         over = band.mem > cap
-        w = stage_dp._slab_width(over, ctx.k)
-        assert 1 <= w < ctx.k
+        w = stage_dp._slab_width(over, k)
+        assert 1 <= w < k
         assert (~over[:, :, w - 1]).any()
         assert over[:, :, w:].all()
 
 
 # ----------------------------------------------------------------------
-# one context reused across budgets and capacities
+# one context reused across budgets and capacities, each by its own run
 
 
 class TestReusedContext:
     GRAPH = build_mlp((64, 256, 256, 256, 256, 64))
     MBS = (1, 2, 4)
 
-    def answer(self, ctx):
-        return run_sweeps(ctx, range(1, 5), 4, 1, self.MBS)
+    def answer(self, run):
+        return run_sweeps(run, range(1, 5), 4, 1, self.MBS)
 
     def fresh(self, cluster, budget=None):
-        ctx = make_ctx(self.GRAPH, cluster)
-        ctx.set_memory_budget(budget)
-        return self.answer(ctx)
+        return self.answer(
+            make_ctx(self.GRAPH, cluster, memory_budget=budget)
+        )
 
     def test_budget_lowered_then_raised(self):
         cluster = cluster_with(4 * MIB)
-        ctx = make_ctx(self.GRAPH, cluster)
+        memo = make_ctx(self.GRAPH, cluster).memo
         m = MetricsRegistry()
-        ctx.metrics = m
         for budget in (None, 2.0 * MIB, None, 1.5 * MIB, 3.0 * MIB):
-            ctx.rebind(cluster, metrics=m, memory_budget=budget)
-            assert self.answer(ctx) == self.fresh(cluster, budget), budget
+            run = DPRun(memo, cluster, budget, m)
+            assert self.answer(run) == self.fresh(cluster, budget), budget
         # the budget never rebuilds a band: one build per key
         assert m.counter("profiler.band_builds").value == len(self.MBS)
 
     def test_rebind_to_larger_capacity_rebuilds_wider(self):
+        """A run on a larger capacity than the context's bands were
+        sized for rebuilds them wider; a later run on the smaller one
+        reads the wider bands."""
         small, large = cluster_with(2.0 * MIB), cluster_with(3.5 * MIB)
-        ctx = make_ctx(self.GRAPH, small)
-        m = MetricsRegistry()
-        assert self.answer(ctx) == self.fresh(small)
-        narrow = {key: b.span for key, b in ctx._band_cache.items()}
+        first = make_ctx(self.GRAPH, small)
+        memo = first.memo
+        assert self.answer(first) == self.fresh(small)
+        narrow = {key: b.span for key, b in memo._band_cache.items()}
 
-        ctx.rebind(large, metrics=m)
-        assert self.answer(ctx) == self.fresh(large)
+        m = MetricsRegistry()
+        assert self.answer(DPRun(memo, large, metrics=m)) == self.fresh(large)
         fresh_large = make_ctx(self.GRAPH, large)
         self.answer(fresh_large)
         # never narrower than a fresh context's band at the new capacity
-        for key, band in ctx._band_cache.items():
-            assert band.span >= fresh_large._band_cache[key].span
+        for key, band in memo._band_cache.items():
+            assert band.span >= fresh_large.memo._band_cache[key].span
             assert band.capacity == fresh_large.capacity
         assert any(
-            ctx._band_cache[key].span > span for key, span in narrow.items()
+            memo._band_cache[key].span > span for key, span in narrow.items()
         )
-        assert m.counter("profiler.band_builds").value > 0
+        # at most one build per key
+        assert 0 < m.counter("profiler.band_builds").value <= len(self.MBS)
 
         # back down: the wider bands serve the smaller capacity
         m2 = MetricsRegistry()
-        ctx.rebind(small, metrics=m2)
-        assert self.answer(ctx) == self.fresh(small)
+        assert self.answer(DPRun(memo, small, metrics=m2)) == self.fresh(small)
         assert m2.counter("profiler.band_builds").value == 0
         assert m2.counter("profiler.band_cache_hits").value > 0
 
     def test_one_band_per_key(self):
         # the S >= 2 table of each sweep builds the one band of its
         # (D, R, MB); the lone stage reads none
-        ctx = make_ctx(self.GRAPH, cluster_with(4 * MIB))
-        self.answer(ctx)
-        assert sorted(ctx._band_cache) == [(4, 1, MB) for MB in self.MBS]
+        run = make_ctx(self.GRAPH, cluster_with(4 * MIB))
+        self.answer(run)
+        assert sorted(run.memo._band_cache) == [(4, 1, MB) for MB in self.MBS]
         alone = make_ctx(self.GRAPH, cluster_with(4 * MIB))
         run_sweeps(alone, range(1, 2), 4, 1, self.MBS)
-        assert alone._band_cache == {}
+        assert alone.memo._band_cache == {}
         assert alone.states_evaluated == len(self.MBS)

@@ -19,7 +19,9 @@ def make_partitioner(graph, k=4, cluster=None, **kwargs):
     cluster = cluster or paper_cluster()
     profiler = GraphProfiler(graph, cluster)
     comps = atomic_partition(graph)
-    return BlockPartitioner(graph, comps, profiler, num_blocks=k, **kwargs)
+    return BlockPartitioner(
+        graph, comps, profiler, cluster, num_blocks=k, **kwargs
+    )
 
 
 def check_block_invariants(graph, blocks, k):
@@ -265,7 +267,8 @@ def test_block_invariants_random_chains(k, layers):
     g = build_mlp(tuple([16] * (layers + 1)))
     cluster = paper_cluster()
     profiler = GraphProfiler(g, cluster)
-    blocks = block_partition(g, atomic_partition(g), profiler, num_blocks=k)
+    blocks = block_partition(g, atomic_partition(g), profiler, cluster,
+                             num_blocks=k)
     check_block_invariants(g, blocks, k)
     assert len(blocks) <= max(k, 1) or len(blocks) == len(g.tasks)
 

@@ -72,7 +72,7 @@ for _seed in range(3):
 def _partitioner(graph, cluster, k):
     return BlockPartitioner(
         graph, atomic_partition(graph), GraphProfiler(graph, cluster),
-        num_blocks=k,
+        cluster, num_blocks=k,
     )
 
 

@@ -32,7 +32,7 @@ from repro.partitioner import auto_partition
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import block_partition
 from repro.partitioner.search import form_stage
-from repro.partitioner.stage_dp import DPContext, form_stage_dp
+from repro.partitioner.stage_dp import DPContext, DPRun, form_stage_dp
 from repro.planner import PlannerConfig
 from repro.profiler import GraphProfiler
 from tests.partitioner.oracles import (
@@ -52,7 +52,9 @@ def chunking(name):
         yield
 
 
-def make_ctx(graph=None, k=6, batch_size=32, cluster=None, seed=None):
+def make_ctx(graph=None, k=6, batch_size=32, cluster=None, seed=None,
+             memory_budget=None):
+    """A run on ``cluster`` over a fresh context (``run.memo``)."""
     if graph is None:
         graph = (
             build_random_dag(seed=seed, num_nodes=10)
@@ -64,9 +66,10 @@ def make_ctx(graph=None, k=6, batch_size=32, cluster=None, seed=None):
     )
     profiler = GraphProfiler(graph, cluster)
     blocks = block_partition(
-        graph, atomic_partition(graph), profiler, num_blocks=k
+        graph, atomic_partition(graph), profiler, cluster, num_blocks=k
     )
-    return DPContext(graph, blocks, profiler, batch_size)
+    ctx = DPContext(graph, blocks, profiler, batch_size)
+    return DPRun(ctx, cluster, memory_budget)
 
 
 def solution_key(sol):
@@ -112,7 +115,7 @@ class TestBandedConstruction:
     )
     def test_bands_match_reference(self, seed, D, R, MB):
         ctx = make_ctx(seed=seed, k=5, batch_size=16)
-        span = ctx.k  # widest possible band: covers every (lo, hi]
+        span = ctx.memo.k  # widest possible band: covers every (lo, hi]
         bands = ctx.profile_bands(D, R, MB, span)
         # bands price multi-stage layouts: checkpointing is on
         TF, TB, MEM = profile_tensors_reference(ctx, D, R, MB, True)
@@ -120,10 +123,10 @@ class TestBandedConstruction:
             p = int(bands.plane_of_r[r])
             if p < 0:
                 # collapsed microbatch: the oracle has no entries either
-                assert ctx.batch_size // (R * MB * r) < 1
+                assert ctx.memo.batch_size // (R * MB * r) < 1
                 assert not np.isfinite(TF[:, :, r]).any()
                 continue
-            for hi in range(ctx.k + 1):
+            for hi in range(ctx.memo.k + 1):
                 for j in range(span):
                     lo = hi - 1 - j
                     ref = (
@@ -153,7 +156,7 @@ class TestBandedConstruction:
 
     def test_plane_dedup_by_microbatch(self):
         ctx = make_ctx(batch_size=32)
-        bands = ctx.profile_bands(4, 1, 4, ctx.k)
+        bands = ctx.profile_bands(4, 1, 4, ctx.memo.k)
         # bs = 32 // (4 * r) = 8, 4, 2, 2 -> r=3 and r=4 share a plane
         assert bands.plane_of_r[3] == bands.plane_of_r[4]
         assert len(bands.bs_list) == len(set(bands.bs_list))
@@ -196,7 +199,7 @@ class TestEngineBitIdentity:
         assert results["default"] == results["one_plane"]
         # the one-plane passes really split the columns: batch 64 at MB=2
         # gives a plane per replica count
-        bands = ctx.profile_bands(4, 1, 2, ctx.k)
+        bands = ctx.profile_bands(4, 1, 2, ctx.memo.k)
         assert len(bands.bs_list) > 1
 
 
@@ -267,9 +270,10 @@ class TestReusedContextBudget:
     @pytest.mark.parametrize("kind", ["homogeneous", "heterogeneous"])
     def test_budget_changes_match_reference(self, kind):
         """None -> tight -> None -> tight on ONE context, the way a plan
-        service's delta replan reuses ``dp_context``: the stage-search
-        pass sets the budget, a rebind carries it over.  Each sweep
-        answers every S like the reference under the current budget."""
+        service's delta replan reuses ``dp_context``: each stage-search
+        pass builds its own run with its budget over the shared context.
+        Each sweep answers every S like the reference under the run's
+        budget."""
         if kind == "homogeneous":
             cluster = tiny_cluster(
                 num_nodes=1, devices_per_node=4, memory_bytes=64 * 2**20
@@ -281,16 +285,12 @@ class TestReusedContextBudget:
                 big_memory_bytes=64 * 2**20,
             )
         g = build_mlp((64, 256, 256, 256, 256, 64))
-        ctx = make_ctx(graph=g, k=8, batch_size=64, cluster=cluster)
+        memo = make_ctx(graph=g, k=8, batch_size=64, cluster=cluster).memo
         # stages need up to ~4 MiB here: 2 MiB rules out half the answers
         tight = 2 * 2**20
         answers = []
         for step, budget in enumerate((None, tight, None, tight)):
-            if step % 2:
-                ctx.rebind(cluster, memory_budget=budget)
-            else:
-                ctx.set_memory_budget(budget)
-            before = ctx.states_evaluated
+            ctx = DPRun(memo, cluster, budget)
             answer = {}
             for MB in (1, 4, 16):
                 sweep = form_stage_dp(ctx, range(1, 5), 4, 64, 1, MB)
@@ -300,7 +300,7 @@ class TestReusedContextBudget:
                         step, S, MB,
                     )
                     answer[S, MB] = solution_key(sol)
-            answers.append((answer, ctx.states_evaluated - before))
+            answers.append((answer, ctx.states_evaluated))
         assert answers[0] == answers[2]
         assert answers[1] == answers[3]
         # the budget binds, and leaves some stage counts feasible
@@ -339,9 +339,10 @@ class TestHeterogeneousSweep:
             straggler_factor=straggler,
         )
         g = build_mlp((64, 256, 256, 256, 256, 64))
-        ctx = make_ctx(graph=g, k=8, batch_size=64, cluster=cluster)
-        if budget_mib is not None:
-            ctx.set_memory_budget(budget_mib * 2**20)
+        ctx = make_ctx(
+            graph=g, k=8, batch_size=64, cluster=cluster,
+            memory_budget=None if budget_mib is None else budget_mib * 2**20,
+        )
         D, R = shape
         sweep = form_stage_dp(ctx, range(lo, 5), D, 64, R, MB)
         for S, sol in sweep.items():

@@ -36,7 +36,7 @@ def _run(graph, cluster, k):
     """Blocks, merge records and level count of one partitioner run, and
     how many union times the merge loop computed."""
     bp = BlockPartitioner(graph, atomic_partition(graph),
-                          GraphProfiler(graph, cluster), num_blocks=k)
+                          GraphProfiler(graph, cluster), cluster, num_blocks=k)
     calls = [0]
     group_time = bp._group_time
 

@@ -32,9 +32,10 @@ def test_atomic_invariants_random(seed):
 )
 def test_block_invariants_random(seed, k):
     g = build_random_dag(seed=seed, num_nodes=10)
-    profiler = GraphProfiler(g, paper_cluster())
+    cluster = paper_cluster()
+    profiler = GraphProfiler(g, cluster)
     comps = atomic_partition(g)
-    blocks = block_partition(g, comps, profiler, num_blocks=k)
+    blocks = block_partition(g, comps, profiler, cluster, num_blocks=k)
     # coverage + convexity + topological block order
     covered = set()
     for blk in blocks:

@@ -78,9 +78,9 @@ def assert_trim_lossless(make, stage_counts, D, R, mbs):
     ctx = make()
     with trim_probe() as seen:
         answers, counters = run_sweeps(ctx, stage_counts, D, R, mbs)
-    assert ctx.k >= K
+    assert ctx.memo.k >= K
     for (S, MB), key in answers.items():
-        ref = reference_form_stage_dp(ctx, S, D, ctx.batch_size, R, MB)
+        ref = reference_form_stage_dp(ctx, S, D, ctx.memo.batch_size, R, MB)
         assert key == solution_key(ref), (S, MB)
     with untrimmed():
         full = make()

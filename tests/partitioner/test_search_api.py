@@ -11,16 +11,17 @@ from repro.partitioner.allocation import allocate_devices
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import block_partition
 from repro.partitioner.search import form_stage
-from repro.partitioner.stage_dp import DPContext, form_stage_dp
+from repro.partitioner.stage_dp import DPContext, DPRun, form_stage_dp
 from repro.profiler import GraphProfiler
 from tests.partitioner.oracles import reference_form_stage_dp
 
 
 def make_ctx(graph, cluster, batch_size, k=8):
+    """A run on ``cluster`` over a fresh context."""
     profiler = GraphProfiler(graph, cluster)
     blocks = block_partition(graph, atomic_partition(graph), profiler,
-                             num_blocks=k)
-    return DPContext(graph, blocks, profiler, batch_size)
+                             cluster, num_blocks=k)
+    return DPRun(DPContext(graph, blocks, profiler, batch_size), cluster)
 
 
 class TestFormStage:

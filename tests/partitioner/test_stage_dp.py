@@ -13,44 +13,48 @@ from repro.models import BertConfig, build_bert, build_mlp
 from repro.models.random_dag import build_random_dag
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import block_partition
-from repro.partitioner.stage_dp import DPContext, form_stage_dp
+from repro.partitioner.stage_dp import DPContext, DPRun, form_stage_dp
 from repro.profiler import GraphProfiler
 from tests.partitioner.oracles import reference_form_stage_dp
 from tests.partitioner.test_band_width import cluster_with, solution_key
 
 
-def make_ctx(graph=None, k=6, batch_size=32, cluster=None):
+def make_ctx(graph=None, k=6, batch_size=32, cluster=None,
+             memory_budget=None):
+    """A run over a fresh context (``run.memo``), and its cluster."""
     graph = graph or build_mlp((32, 64, 64, 64, 64, 16))
     cluster = cluster or tiny_cluster(num_nodes=1, devices_per_node=4,
                                       memory_bytes=4 * 1024**3)
     profiler = GraphProfiler(graph, cluster)
     blocks = block_partition(graph, atomic_partition(graph), profiler,
-                             num_blocks=k)
-    return DPContext(graph, blocks, profiler, batch_size), cluster
+                             cluster, num_blocks=k)
+    ctx = DPContext(graph, blocks, profiler, batch_size)
+    return DPRun(ctx, cluster, memory_budget), cluster
 
 
 class TestStageProfile:
     def test_microbatch_collapse_infeasible(self):
         ctx, _ = make_ctx(batch_size=4)
         # bs = 4/(1*4*2) < 1
-        assert ctx.stage_profile(0, 1, 2, 1, 4, True) is None
+        assert ctx.memo.stage_profile(0, 1, 2, 1, 4, True) is None
 
     def test_comm_included(self):
         ctx, cluster = make_ctx()
-        prof = ctx.stage_profile(0, 1, 1, 1, 1, False)
+        prof = ctx.memo.stage_profile(0, 1, 1, 1, 1, False)
         # stage output must be sent: fwd time includes a p2p latency
         assert prof.time_fwd > cluster.comm_latency
 
     def test_checkpoint_recompute(self):
         ctx, _ = make_ctx()
-        plain = ctx.stage_profile(0, 2, 1, 1, 1, False)
-        ckpt = ctx.stage_profile(0, 2, 1, 1, 1, True)
+        plain = ctx.memo.stage_profile(0, 2, 1, 1, 1, False)
+        ckpt = ctx.memo.stage_profile(0, 2, 1, 1, 1, True)
         assert ckpt.time_bwd > plain.time_bwd
 
     def test_range_tasks_dedup(self, tiny_bert, cluster):
         profiler = GraphProfiler(tiny_bert, cluster)
         blocks = block_partition(
-            tiny_bert, atomic_partition(tiny_bert), profiler, num_blocks=4
+            tiny_bert, atomic_partition(tiny_bert), profiler, cluster,
+            num_blocks=4,
         )
         ctx = DPContext(tiny_bert, blocks, profiler, 8)
         tasks = ctx.range_tasks(0, 4)
@@ -63,7 +67,7 @@ class TestFormStageDP:
         ctx, _ = make_ctx()
         sol = form_stage_dp(ctx, 1, 4, 32, 1, 1)
         assert sol is not None
-        assert sol.boundaries == [ctx.k]
+        assert sol.boundaries == [ctx.memo.k]
         assert sol.device_counts == [4]
 
     def test_full_coverage_and_devices(self):
@@ -72,7 +76,7 @@ class TestFormStageDP:
             sol = form_stage_dp(ctx, S, 4, 32, 1, 2)
             if sol is None:
                 continue
-            assert sol.boundaries[-1] == ctx.k
+            assert sol.boundaries[-1] == ctx.memo.k
             assert len(sol.boundaries) == S
             assert sum(sol.device_counts) == 4
             assert all(d >= 1 for d in sol.device_counts)
@@ -91,8 +95,9 @@ class TestFormStageDP:
                                memory_bytes=2 * 1024**2)  # 2 MiB
         g = build_mlp((256, 512, 512, 256))
         profiler = GraphProfiler(g, cluster)
-        blocks = block_partition(g, atomic_partition(g), profiler, num_blocks=4)
-        ctx = DPContext(g, blocks, profiler, 8)
+        blocks = block_partition(g, atomic_partition(g), profiler, cluster,
+                                 num_blocks=4)
+        ctx = DPRun(DPContext(g, blocks, profiler, 8), cluster)
         assert form_stage_dp(ctx, 1, 2, 8, 1, 1) is None
 
     def test_batch_mismatch_raises(self):
@@ -119,11 +124,12 @@ class TestFormStageDP:
         assert sol is not None
 
         best = float("inf")
-        for b1 in range(1, ctx.k):
+        memo = ctx.memo
+        for b1 in range(1, memo.k):
             for d1 in range(1, D):
                 profs = [
-                    ctx.stage_profile(0, b1, d1, 1, MB, True),
-                    ctx.stage_profile(b1, ctx.k, D - d1, 1, MB, True),
+                    memo.stage_profile(0, b1, d1, 1, MB, True),
+                    memo.stage_profile(b1, memo.k, D - d1, 1, MB, True),
                 ]
                 if any(p is None for p in profs):
                     continue
@@ -186,9 +192,10 @@ class TestOnBert:
     def test_bert_multistage(self, tiny_bert, cluster):
         profiler = GraphProfiler(tiny_bert, cluster)
         blocks = block_partition(
-            tiny_bert, atomic_partition(tiny_bert), profiler, num_blocks=8
+            tiny_bert, atomic_partition(tiny_bert), profiler, cluster,
+            num_blocks=8,
         )
-        ctx = DPContext(tiny_bert, blocks, profiler, 32)
+        ctx = DPRun(DPContext(tiny_bert, blocks, profiler, 32), cluster)
         sol = form_stage_dp(ctx, 4, 8, 32, 4, 2)
         assert sol is not None
         assert len(sol.boundaries) == 4
@@ -216,9 +223,9 @@ class TestOneStageAnswer:
             )
         else:
             cluster = cluster_with(kib * KIB)
-        ctx, _ = make_ctx(graph, k=5, batch_size=16, cluster=cluster)
-        ctx.set_memory_budget(
-            None if budget_kib is None else budget_kib * KIB
+        ctx, _ = make_ctx(
+            graph, k=5, batch_size=16, cluster=cluster,
+            memory_budget=None if budget_kib is None else budget_kib * KIB,
         )
         return ctx
 
@@ -245,17 +252,17 @@ class TestOneStageAnswer:
     def test_covers_collapse_memory_and_slots(self):
         # R * MB * D > BS: the microbatch collapses
         ctx = self.ctx_for(0, 128.0, False, None)
-        assert ctx.stage_profile(0, ctx.k, 4, 2, 8, False) is None
+        assert ctx.memo.stage_profile(0, ctx.memo.k, 4, 2, 8, False) is None
         assert form_stage_dp(ctx, 1, 4, self.BS, 2, 8) is None
         # over the cap on every device count
         ctx = self.ctx_for(0, 4.0, False, None)
-        assert ctx.stage_profile(0, ctx.k, 1, 1, 1, False) is not None
+        assert ctx.memo.stage_profile(0, ctx.memo.k, 1, 1, 1, False) is not None
         assert form_stage_dp(ctx, 1, 1, self.BS, 1, 1) is None
         # heterogeneous: the budget, not the devices, decides, and the
         # answer runs at the straggler's pace
         roomy = self.ctx_for(0, 128.0, True, None)
         sol = form_stage_dp(roomy, 1, 4, self.BS, 2, 1)
-        plain = roomy.stage_profile(0, roomy.k, 4, 2, 1, False)
+        plain = roomy.memo.stage_profile(0, roomy.memo.k, 4, 2, 1, False)
         assert sol.stage_profiles[0].time_fwd == plain.time_fwd * 1.5
         assert sol.objective == sol.max_tf + sol.max_tb
         capped = self.ctx_for(0, 128.0, True, plain.memory / KIB / 2)

@@ -28,7 +28,12 @@ from repro.partitioner import search
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import Block
 from repro.partitioner.search import form_stage
-from repro.partitioner.stage_dp import DPContext, _can_cover, covering_sweeps
+from repro.partitioner.stage_dp import (
+    DPContext,
+    DPRun,
+    _can_cover,
+    covering_sweeps,
+)
 from repro.planner import PlannerConfig, PlanningContext, default_passes
 from repro.planner.context import DP_CONTEXT
 from repro.planner.manager import PassManager
@@ -53,17 +58,20 @@ def no_prune():
 
 
 def dp_context(graph, cluster, **config):
-    """The planner's DP context for ``graph`` (the passes up to the
-    stage search)."""
+    """A run over the planner's DP context for ``graph`` (the passes up
+    to the stage search), on its cluster and memory budget."""
     ctx = PlanningContext(graph, cluster, PlannerConfig(**config))
     PassManager(default_passes()[:4]).run(ctx)
-    return ctx.require(DP_CONTEXT)
+    return DPRun(
+        ctx.require(DP_CONTEXT), ctx.cluster, ctx.config.memory_budget
+    )
 
 
 def fresh(dp):
-    return DPContext(
-        dp.graph, dp.blocks, dp.profiler, dp.batch_size,
-        memory_budget=dp.memory_budget,
+    memo = dp.memo
+    return DPRun(
+        DPContext(memo.graph, memo.blocks, memo.profiler, memo.batch_size),
+        dp.cluster, dp.memory_budget,
     )
 
 
@@ -122,7 +130,8 @@ def search_both(dp, max_microbatches=None):
                 mock.patch.object(search, "form_stage_dp", recording_sweep):
             res = form_stage(
                 ctx, cluster.num_nodes, cluster.devices_per_node,
-                dp.batch_size, max_microbatches=max_microbatches, metrics=m,
+                dp.memo.batch_size, max_microbatches=max_microbatches,
+                metrics=m,
             )
         runs[prune] = (res, ctx, m, swept)
     return runs, skipped
@@ -270,12 +279,13 @@ def test_covering_sweeps_rejects_exactly_the_uncoverable():
             for MB in mbs:
                 def fit(r):
                     bs = 64 // (MB * r)
-                    return fit_width_reference(dp, bs, cap) if bs else 0
+                    return fit_width_reference(dp.memo, bs, cap) if bs else 0
 
+                k = dp.memo.k
                 expect = any(
-                    sum(fit(r) for r in split) >= dp.k
+                    sum(fit(r) for r in split) >= k
                     and all(fit(r) for r in split)
-                    for S in range(s_lo, min(s_hi, dp.k) + 1)
+                    for S in range(s_lo, min(s_hi, k) + 1)
                     for split in compositions(4, S)
                 )
                 assert (MB in kept) == expect, (kib, s_lo, s_hi, MB)

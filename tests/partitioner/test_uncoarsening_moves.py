@@ -34,9 +34,12 @@ def bottleneck_chain():
 @pytest.fixture
 def bp():
     graph = bottleneck_chain()
-    profiler = GraphProfiler(graph, paper_cluster())
+    cluster = paper_cluster()
+    profiler = GraphProfiler(graph, cluster)
     comps = atomic_partition(graph)
-    return BlockPartitioner(graph, comps, profiler, num_blocks=2), graph
+    return BlockPartitioner(
+        graph, comps, profiler, cluster, num_blocks=2
+    ), graph
 
 
 def comp_index(bp_obj, task_name):
@@ -96,10 +99,11 @@ class TestBoundaryMove:
         """End-to-end: with k=2, the final blocks should cut the narrow
         edge, not the wide one."""
         graph = bottleneck_chain()
-        profiler = GraphProfiler(graph, paper_cluster())
+        cluster = paper_cluster()
+        profiler = GraphProfiler(graph, cluster)
         comps = atomic_partition(graph)
         blocks = BlockPartitioner(
-            graph, comps, profiler, num_blocks=2
+            graph, comps, profiler, cluster, num_blocks=2
         ).run()
         if len(blocks) == 2:
             in_bytes, out_bytes = graph.cut_bytes(blocks[0].tasks, 1)

@@ -27,7 +27,7 @@ from repro.models.random_dag import build_random_dag
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import Block, block_partition
 from repro.partitioner.search import form_stage
-from repro.partitioner.stage_dp import DPContext, form_stage_dp
+from repro.partitioner.stage_dp import DPContext, DPRun, form_stage_dp
 from repro.profiler import GraphProfiler
 from tests.partitioner.oracles import (
     profile_tensors_reference,
@@ -48,14 +48,15 @@ from tests.partitioner.test_band_width import (
 
 def make_ctx(k=6, batch_size=32, num_nodes=1, devices_per_node=4,
              memory_bytes=4 * 1024**3):
+    """A run on a tiny cluster over a fresh context (``run.memo``)."""
     graph = build_mlp((32, 64, 64, 64, 64, 16))
     cluster = tiny_cluster(num_nodes=num_nodes,
                            devices_per_node=devices_per_node,
                            memory_bytes=memory_bytes)
     profiler = GraphProfiler(graph, cluster)
     blocks = block_partition(graph, atomic_partition(graph), profiler,
-                             num_blocks=k)
-    return DPContext(graph, blocks, profiler, batch_size)
+                             cluster, num_blocks=k)
+    return DPRun(DPContext(graph, blocks, profiler, batch_size), cluster)
 
 
 def dense_bands(ctx, D, R, MB):
@@ -63,7 +64,7 @@ def dense_bands(ctx, D, R, MB):
     dense ``(k+1, k+1, D+1)`` layout of :func:`profile_tensors_reference`:
     entry ``[lo, hi, r]`` profiles blocks ``(lo, hi]`` on ``r`` replicas,
     +inf where there is no stage."""
-    k = ctx.k
+    k = ctx.memo.k
     bands = ctx.profile_bands(D, R, MB, k)
     dense = [np.full((k + 1, k + 1, D + 1), np.inf) for _ in range(3)]
     hi, lo = np.broadcast_arrays(
@@ -88,7 +89,8 @@ def kernel_tensors(ctx, D, R, MB, ckpt):
     if ckpt:
         return dense_bands(ctx, D, R, MB)
     return profile_tensors_reference(
-        ctx, D, R, MB, False, stage_profile=type(ctx).stage_profile
+        ctx, D, R, MB, False,
+        stage_profile=lambda run, *args: run.memo.stage_profile(*args),
     )
 
 
@@ -161,7 +163,7 @@ class TestTimePrefixes:
 
 class TestRangeMatrices:
     def test_all_ranges_match_reference(self):
-        ctx = make_ctx()
+        ctx = make_ctx().memo
         for lo in range(ctx.k):
             for hi in range(lo + 1, ctx.k + 1):
                 assert range_meta(ctx, lo, hi) == \
@@ -170,7 +172,8 @@ class TestRangeMatrices:
     def test_all_ranges_match_reference_bert(self, tiny_bert, cluster):
         profiler = GraphProfiler(tiny_bert, cluster)
         blocks = block_partition(
-            tiny_bert, atomic_partition(tiny_bert), profiler, num_blocks=8
+            tiny_bert, atomic_partition(tiny_bert), profiler, cluster,
+            num_blocks=8,
         )
         ctx = DPContext(tiny_bert, blocks, profiler, 32)
         for lo in range(ctx.k):
@@ -224,9 +227,9 @@ class TestProfileTensors:
         # the sweep reads the very bands that match the oracle
         ctx = make_ctx()
         form_stage_dp(ctx, 2, 4, 32, 1, 2)
-        (key, bands), = ctx._band_cache.items()
+        (key, bands), = ctx.memo._band_cache.items()
         assert key == (4, 1, 2)
-        assert bands is ctx.profile_bands(4, 1, 2, ctx.k - 1)
+        assert bands is ctx.profile_bands(4, 1, 2, ctx.memo.k - 1)
         TF, TB, MEM = dense_bands(ctx, 4, 1, 2)
         ref = profile_tensors_reference(ctx, 4, 1, 2, True)
         assert np.array_equal(TF, ref[0])
@@ -237,9 +240,9 @@ class TestProfileTensors:
         # one band build per key, whatever the memory budget: the cap is
         # applied per sweep, never baked into a cache
         ctx = make_ctx()
-        a = ctx.profile_bands(4, 1, 2, ctx.k)
-        ctx.set_memory_budget(1.0)
-        b = ctx.profile_bands(4, 1, 2, ctx.k)
+        a = ctx.profile_bands(4, 1, 2, ctx.memo.k)
+        tight = DPRun(ctx.memo, ctx.cluster, memory_budget=1.0)
+        b = tight.profile_bands(4, 1, 2, ctx.memo.k)
         assert a is b
 
     def test_range_costs_override_used(self):
@@ -259,15 +262,20 @@ class TestProfileTensors:
             return dataclasses.replace(prof, time_fwd=prof.time_fwd * 2)
 
         base = make_ctx()
-        ctx = Doubled(base.graph, base.blocks, base.profiler, base.batch_size)
+        memo = base.memo
+        ctx = DPRun(
+            Doubled(memo.graph, memo.blocks, memo.profiler, memo.batch_size),
+            base.cluster,
+        )
         TF, _, _ = dense_bands(ctx, 4, 1, 1)
         ref = profile_tensors_reference(
             ctx, 4, 1, 1, True, stage_profile=doubled_reference
         )
         assert np.array_equal(TF, ref[0])  # the subclass's doubled times
         assert not np.array_equal(TF, dense_bands(base, 4, 1, 1)[0])
-        bands = ctx.profile_bands(4, 1, 1, ctx.k)
-        assert bands.tf[0, ctx.k, ctx.k - 1] == ref[0][0, ctx.k, 1]
+        k = memo.k
+        bands = ctx.profile_bands(4, 1, 1, k)
+        assert bands.tf[0, k, k - 1] == ref[0][0, k, 1]
         # and the DP table is filled from them: two stages on one device
         # each carry the doubled forward times, and so do the profiles
         # the backtrack attaches to them
@@ -280,7 +288,7 @@ class TestProfileTensors:
             ctx, 1, 1, 1, False, stage_profile=doubled_reference
         )
         sol = form_stage_dp(ctx, 1, 1, 32, 1, 1)
-        assert sol.max_tf == one[0][0, ctx.k, 1]
+        assert sol.max_tf == one[0][0, k, 1]
         assert sol.stage_profiles[0].time_fwd == sol.max_tf
 
 
@@ -432,7 +440,10 @@ class TestSummedAtomicContext:
             Block(index=i, atomic_indices=(i,), tasks=c.tasks)
             for i, c in enumerate(comps)
         ]
-        ctx = SummedAtomicContext(tiny_bert, atom_blocks, profiler, 32)
+        ctx = DPRun(
+            SummedAtomicContext(tiny_bert, atom_blocks, profiler, 32),
+            cluster,
+        )
         for D, R, MB, ckpt in [(4, 1, 2, True), (2, 2, 1, False),
                                (4, 2, 4, True)]:
             fast = kernel_tensors(ctx, D, R, MB, ckpt)

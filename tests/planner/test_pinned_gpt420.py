@@ -37,7 +37,7 @@ from repro.hardware import paper_cluster
 from repro.models.gpt import gpt3_like
 from repro.partitioner.deployment import plan_to_json
 from repro.planner import PlannerConfig, PlanningContext
-from repro.planner.context import BLOCKS, DP_CONTEXT
+from repro.planner.context import BLOCKS
 from tests.pinning import updated_fixture, write_fixture
 
 FIXTURE = Path(__file__).resolve().parents[1] / "data" / "pinned_gpt420.json"
@@ -53,7 +53,7 @@ def _snapshot():
     ctx = PlanningContext(graph, cluster, config)
     plan = ctx.run()
     blocks = ctx.require(BLOCKS)
-    dp_ctx = ctx.require(DP_CONTEXT)
+    search = ctx.events.find("stage_search").detail
     coarsen = ctx.events.find("coarsen").detail
     indices = [list(b.atomic_indices) for b in blocks]
     return {
@@ -65,9 +65,9 @@ def _snapshot():
             plan_to_json(plan, graph).encode()
         ).hexdigest(),
         "dp_calls": plan.diagnostics.dp_calls,
-        "states_evaluated": dp_ctx.states_evaluated,
-        "cells_reduced": dp_ctx.cells_reduced,
-        "band_width_max": dp_ctx.band_width_max,
+        "states_evaluated": search["states_evaluated"],
+        "cells_reduced": search["cells_reduced"],
+        "band_width_max": search["band_width_max"],
         "num_blocks": len(blocks),
         "throughput": plan.throughput,
         "coarsen_levels": coarsen["levels"],

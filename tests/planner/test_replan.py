@@ -314,3 +314,59 @@ def test_ensure_store_is_idempotent():
     }
     for name, fp in ctx.artifact_fps.items():
         assert store.get(name, fp) is not None
+
+
+def test_comm_only_delta_reports_the_cold_search_counters(tmp_path):
+    """Halving the inter-node bandwidth reuses the stage search and
+    reruns the allocation onward.  The delta plan's search counters are
+    the cold plan's, whether the search result comes from memory or
+    from disk; a stored search result without its state count decodes
+    as a miss and is searched again."""
+    build, batch_size = MODELS["bert-base"]
+    graph = build()
+    cluster = paper_cluster(2)
+    config = PlannerConfig(batch_size=batch_size)
+
+    def slower(factor):
+        return dataclasses.replace(
+            cluster,
+            inter_node_bandwidth=cluster.inter_node_bandwidth / factor,
+        )
+
+    def counters(plan):
+        diag = plan.diagnostics
+        return diag.dp_calls, diag.candidates_tried, diag.states_evaluated
+
+    prev_ctx = PlanningContext(
+        graph, cluster, config, store=ArtifactStore(disk=DiskBackend(tmp_path))
+    )
+    prev_ctx.run()
+
+    # in memory
+    delta_ctx = PlanningContext(graph, slower(2), config, store=prev_ctx.store)
+    delta = delta_ctx.run()
+    assert _reused(delta_ctx) == [*PROFILE_PASSES, "stage_search"]
+    cold = plan_graph(graph, slower(2), config)
+    assert plan_to_json(delta, graph) == plan_to_json(cold, graph)
+    assert counters(delta) == counters(cold)
+    assert counters(cold)[2] > 0
+
+    # from disk, in a new store: the search result is decoded
+    disk_ctx = PlanningContext(
+        graph, slower(4), config, store=ArtifactStore(disk=DiskBackend(tmp_path))
+    )
+    from_disk = disk_ctx.run()
+    assert "stage_search" in _reused(disk_ctx)
+    assert counters(from_disk) == counters(plan_graph(graph, slower(4), config))
+
+    # an entry written before the count was stored is a miss
+    for path in (tmp_path / "artifacts").glob("search_result-*.json"):
+        doc = json.loads(path.read_text())
+        del doc["states_evaluated"]
+        path.write_text(json.dumps(doc))
+    old_ctx = PlanningContext(
+        graph, slower(8), config, store=ArtifactStore(disk=DiskBackend(tmp_path))
+    )
+    old = old_ctx.run()
+    assert old_ctx.events.find("stage_search").status == "ok"
+    assert counters(old) == counters(cold)

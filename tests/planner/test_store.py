@@ -28,7 +28,7 @@ from repro.planner.context import (
     VERIFIED,
 )
 from repro.partitioner.deployment import plan_to_json
-from repro.partitioner.stage_dp import DPContext
+from repro.partitioner.stage_dp import DPContext, DPRun
 from repro.planner.store import (
     CODECS,
     Artifact,
@@ -234,8 +234,9 @@ class TestMemoryAccounting:
         store.put(BLOCKS, "older", warm.blocks)
         store.put(DP_CONTEXT, "fp", fresh)
         assert store.memory_evictions == 0  # both fit before the bands
+        run = DPRun(fresh, planned_ctx.cluster)
         for (D, R, MB), band in warm._band_cache.items():
-            fresh.profile_bands(D, R, MB, band.span)
+            run.profile_bands(D, R, MB, band.span)
         assert fresh.band_bytes == warm.band_bytes
 
         store.refresh(DP_CONTEXT, "fp", planned_ctx)

@@ -82,8 +82,8 @@ class TestDPInstrumentation:
             "dp.cells_reduced"
         ] > 0
         dp_ctx = ctx.require("dp_context")
-        assert dp_ctx.cells_reduced == snap["dp.cells_reduced"]
         detail = ctx.events.find("stage_search").detail
+        assert detail["cells_reduced"] == snap["dp.cells_reduced"]
         assert detail["band_width_max"] == max(
             s.attrs["band_width"] for s in dp_spans
         ) >= 1

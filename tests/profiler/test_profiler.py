@@ -105,12 +105,6 @@ class TestBoundaryBytes:
         ids = tiny_bert.values["input_ids"]
         assert in_bytes == ids.nbytes(1)
 
-    def test_comm_time(self, bert_profiler):
-        assert bert_profiler.comm_time(0) == 0.0
-        assert bert_profiler.comm_time(25e9) == pytest.approx(
-            1.0 + bert_profiler.cluster.comm_latency
-        )
-
 
 @settings(max_examples=25, deadline=None)
 @given(

@@ -180,7 +180,7 @@ def _partitioner(name, ref_batch_size, precision=Precision.FP32):
     cluster = tiny_cluster(memory_bytes=1024**3)
     return BlockPartitioner(
         graph, atomic_partition(graph),
-        GraphProfiler(graph, cluster, precision),
+        GraphProfiler(graph, cluster, precision), cluster,
         num_blocks=4, ref_batch_size=ref_batch_size,
     )
 

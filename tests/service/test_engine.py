@@ -226,7 +226,7 @@ class TestStats:
 
 
 class TestWarmPath:
-    TIMINGS = ("normalize_ms", "lock_wait_ms", "pipeline_ms", "encode_ms")
+    TIMINGS = ("normalize_ms", "pipeline_ms", "encode_ms")
 
     @pytest.mark.parametrize("method", ["plan", "replan"])
     def test_every_response_has_a_phase_breakdown(self, warm_engine, method):

@@ -3,7 +3,8 @@
 
 Exercises the daemon's whole contract end to end against a live
 socket -- cold plan, warm repeat, delta replan through ``/v1/replan``,
-in-place repair through ``/v1/repair``, verify round-trip of the served
+concurrent same-model replans over one shared DP context, in-place
+repair through ``/v1/repair``, verify round-trip of the served
 document, simulate, stats -- and exits
 non-zero the moment any response disagrees with ``docs/SERVICE.md``.
 
@@ -16,6 +17,7 @@ Usage (the server must already be listening)::
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import sys
 
 REQUEST = {
@@ -38,7 +40,11 @@ def main(argv=None) -> int:
                     help="seconds to wait for the daemon to be healthy")
     args = ap.parse_args(argv)
 
-    from repro.service import ServiceHTTPError, wait_until_healthy
+    from repro.service import (
+        ServiceClient,
+        ServiceHTTPError,
+        wait_until_healthy,
+    )
 
     client = wait_until_healthy(args.host, args.port, timeout=args.timeout)
     ok = check(client.healthz()["status"] == "ok", "healthz answers")
@@ -58,6 +64,34 @@ def main(argv=None) -> int:
         "profile_tensors" in delta["meta"]["reused_passes"],
         "delta reused the profile tensors",
     )
+
+    # same-model deltas at once (two clusters x two budgets): they share
+    # the stored DP context and none waits on another
+    deltas = [
+        dict(REQUEST, cluster={"preset": preset},
+             options={"memory_budget_gb": gb})
+        for preset in ("v100x16", "v100x32") for gb in (2, 4)
+    ]
+
+    def replan(params):
+        own = ServiceClient(args.host, args.port)
+        try:
+            return own.replan(**params)
+        finally:
+            own.close()
+
+    with concurrent.futures.ThreadPoolExecutor(len(deltas)) as pool:
+        answers = list(pool.map(replan, deltas))
+    for params, answer in zip(deltas, answers):
+        label = (f"concurrent replan {params['cluster']['preset']} at "
+                 f"{params['options']['memory_budget_gb']} GiB")
+        ok &= check(answer["meta"]["cache"] == "delta", f"{label} is delta")
+        ok &= check(answer["meta"]["verified"] is True, f"{label} verified")
+        checked = client.verify(plan=answer["plan"], model=params["model"],
+                                cluster=params["cluster"],
+                                batch_size=params["batch_size"])
+        ok &= check(checked["verified"] is True,
+                    f"{label} round-trip verifies")
 
     # a pipelined plan evaluated under a 1F1B schedule repairs in place:
     # the repair re-verifies under the run's own schedule
