@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import weakref
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.graph.ir import TaskGraph
 from repro.graph.serialize import graph_to_json
@@ -21,7 +21,8 @@ from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
 from repro.partitioner.allocation import allocate_devices
 from repro.partitioner.plan import PartitionPlan, StageSpec
-from repro.pipeline.hybrid import evaluate_plan
+from repro.pipeline.hybrid import evaluate_plan_timing
+from repro.pipeline.simulator import FlushTiming
 from repro.profiler.memory import OptimizerKind
 from repro.profiler.profiler import GraphProfiler, ProfileResult
 
@@ -45,6 +46,42 @@ def graph_fingerprint(graph: TaskGraph) -> str:
         fp = hashlib.sha256(graph_to_json(graph).encode()).hexdigest()[:16]
         _fingerprint_memo[graph] = fp
     return fp
+
+
+def build_plan(
+    stages: List[StageSpec],
+    *,
+    model_name: str,
+    num_microbatches: int,
+    replica_factor: int,
+    batch_size: int,
+    precision: Precision,
+    cluster: ClusterSpec,
+    mode: str,
+    schedule: str,
+) -> Tuple[PartitionPlan, Optional[FlushTiming]]:
+    """``(plan, flush timing)`` of ``stages`` placed on ``cluster`` and
+    priced under ``schedule`` (:func:`~repro.pipeline.hybrid.evaluate_plan_timing`):
+    the one way the ``evaluate`` pass and :func:`plan_from_json` build a
+    plan.  The stage boundary bytes steer the placement, so a
+    topology-priced plan lands on the ranks it was searched for."""
+    plan = PartitionPlan(
+        model_name=model_name,
+        stages=stages,
+        num_microbatches=num_microbatches,
+        replica_factor=replica_factor,
+        batch_size=batch_size,
+        precision=precision,
+        cluster=cluster,
+        assignment=allocate_devices(
+            cluster,
+            [s.devices_per_pipeline for s in stages],
+            replica_factor,
+            boundary_bytes=[s.profile.out_bytes for s in stages[:-1]],
+        ),
+        mode=mode,
+    )
+    return evaluate_plan_timing(plan, schedule=schedule)
 
 
 def plan_to_json(plan: PartitionPlan, graph: TaskGraph) -> str:
@@ -146,25 +183,17 @@ def plan_from_json(
         )
         for sdoc in doc["stages"]
     ]
-    plan = PartitionPlan(
+    plan, _ = build_plan(
+        stages,
         model_name=doc["model_name"],
-        stages=stages,
         num_microbatches=doc["num_microbatches"],
         replica_factor=doc["replica_factor"],
         batch_size=doc["batch_size"],
         precision=Precision(doc["precision"]),
         cluster=cluster,
-        assignment=allocate_devices(
-            cluster,
-            [s.devices_per_pipeline for s in stages],
-            doc["replica_factor"],
-            # the planner's placement input, so a topology-priced plan
-            # lands on the ranks it was searched for
-            boundary_bytes=[s.profile.out_bytes for s in stages[:-1]],
-        ),
         mode=doc.get("mode", "training"),
+        schedule=schedule,
     )
-    plan = evaluate_plan(plan, schedule=schedule)
     if verify:
         # local import: repro.verify depends on repro.partitioner types
         from repro.verify import verify_plan

@@ -73,8 +73,12 @@ def form_stage(
         run: the run's use of the DP context over the block list (the
             context fixes the model + profiler, the run the cluster and
             memory budget the sweeps apply).
-        num_nodes: total compute nodes N.
-        devices_per_node: devices per node (D_node).
+        num_nodes: total compute nodes N of the run's cluster.
+        devices_per_node: devices per node (D_node) of the run's
+            cluster; a shape that differs raises ``ValueError``.  Each
+            level's ``D``, ``R`` and stage-count range come from the
+            cluster's per-node rank offsets (``D = D_node x n`` and
+            ``R = N / n`` on a homogeneous cluster).
         batch_size: global batch size BS.
         max_microbatches: optional cap on MB (None: up to BS / R).
         tracer: optional tracer; each node level gets a ``search.level``
@@ -97,19 +101,22 @@ def form_stage(
         tracer = None
     states_before = run.states_evaluated
     cluster = run.cluster
-    hetero = cluster.is_heterogeneous
-    if hetero:
-        # heterogeneous levels: ``n`` counts a PREFIX of nodes in class
-        # declaration order, so ``D`` is that prefix's device total (the
-        # per-node counts may differ across classes).  Divisibility is
-        # not required -- replicas beyond ``total // D`` stay idle and
-        # the DP's position-aware tables price the slots each band
-        # actually lands on -- so the doubling sweep always ends on the
-        # full-cluster level.
-        offsets = cluster.node_first_ranks()
-        total_devices = cluster.total_devices
-        levels: List[int] = []
-        lvl = 1
+    if (num_nodes, devices_per_node) != (
+        cluster.num_nodes, cluster.devices_per_node
+    ):
+        raise ValueError("cluster shape mismatch with the run's cluster")
+    # level ``n`` spans the first ``n`` nodes: ``D`` is their device
+    # total, and its stage counts are those too many for the first
+    # ``n - 1`` nodes' devices
+    offsets = cluster.node_first_ranks()
+    levels: List[int] = []
+    lvl = 1
+    if cluster.is_heterogeneous:
+        # heterogeneous levels need not divide the node count (the
+        # per-node counts may differ across classes): replicas beyond
+        # ``total // D`` stay idle and the DP's position-aware tables
+        # price the slots each band actually lands on -- so the doubling
+        # sweep always ends on the full-cluster level
         while lvl < num_nodes:
             levels.append(lvl)
             lvl *= 2
@@ -118,8 +125,6 @@ def form_stage(
         # a span that does not divide the node count (e.g. n=2 on 3
         # nodes) has no integral replica factor; skip the level and
         # keep doubling rather than aborting the search
-        levels = []
-        lvl = 1
         while lvl <= num_nodes:
             if num_nodes % lvl == 0:
                 levels.append(lvl)
@@ -127,16 +132,10 @@ def form_stage(
     dp_calls = 0
     tried = 0
     for n in levels:
-        if hetero:
-            D = offsets[n]
-            R = total_devices // D
-            s_lo = offsets[n - 1] + 1
-            s_hi = offsets[n]
-        else:
-            D = devices_per_node * n
-            R = num_nodes // n
-            s_lo = devices_per_node * (n - 1) + 1
-            s_hi = devices_per_node * n
+        D = offsets[n]
+        R = cluster.total_devices // D
+        s_lo = offsets[n - 1] + 1
+        s_hi = D
         mb_cap = batch_size // R
         if max_microbatches is not None:
             mb_cap = min(mb_cap, max_microbatches)

@@ -107,10 +107,15 @@ def evaluate_plan(plan: "PartitionPlan", schedule: str = "sync") -> "PartitionPl
 
     Args:
         plan: a populated partition plan.
-        schedule: "sync" (RaNNC/GPipe flush) or "async_1f1b"
-            (PipeDream-2BW steady state).
+        schedule: one of :data:`SCHEDULES`: "sync" (RaNNC/GPipe
+            flush), "sync_1f1b" or "async_1f1b" (PipeDream-2BW steady
+            state).
     """
     return evaluate_plan_timing(plan, schedule)[0]
+
+
+#: the pipeline schedules :func:`evaluate_plan_timing` prices
+SCHEDULES = ("sync", "sync_1f1b", "async_1f1b")
 
 
 def evaluate_plan_timing(

@@ -27,7 +27,6 @@ from repro.planner.context import (
     COMPONENTS,
     DP_CONTEXT,
     EVALUATED,
-    PLAN,
     SEARCH_RESULT,
     VALIDATED,
     VERIFIED,
@@ -43,7 +42,6 @@ from repro.planner.manager import (
     PlannerPass,
 )
 from repro.planner.passes import (
-    AllocatePass,
     AtomicPartitionPass,
     CoarsenPass,
     EvaluatePass,
@@ -83,7 +81,6 @@ def default_passes() -> List[PlannerPass]:
         CoarsenPass(),
         ProfileTensorsPass(),
         StageSearchPass(),
-        AllocatePass(),
         EvaluatePass(),
         VerifyPass(),
     ]
@@ -107,7 +104,6 @@ def plan_graph(
 __all__ = [
     "Artifact",
     "ArtifactStore",
-    "AllocatePass",
     "AtomicPartitionPass",
     "BLOCKS",
     "COMPONENTS",
@@ -121,7 +117,6 @@ __all__ = [
     "FACET_NAMES",
     "GraphProfiler",
     "NodeLoss",
-    "PLAN",
     "PartitioningError",
     "PassError",
     "PassEvent",

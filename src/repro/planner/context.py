@@ -7,11 +7,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Union
 
+from repro.comm.model import COMM_MODELS
 from repro.graph.ir import TaskGraph
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
+from repro.pipeline.hybrid import SCHEDULES
 from repro.planner.events import EventLog
 from repro.profiler.memory import OptimizerKind
 from repro.profiler.profiler import GraphProfiler
@@ -27,7 +29,6 @@ COMPONENTS = "components"
 BLOCKS = "blocks"
 DP_CONTEXT = "dp_context"
 SEARCH_RESULT = "search_result"
-PLAN = "plan"
 EVALUATED = "evaluated"
 VERIFIED = "verified"
 
@@ -112,6 +113,18 @@ class PlannerConfig:
                 f"unknown mode {self.mode!r}; "
                 f"expected 'training' or 'inference'"
             )
+        if self.schedule not in SCHEDULES:
+            raise ValueError(
+                f"unknown schedule {self.schedule!r}; "
+                f"expected one of {SCHEDULES}"
+            )
+        if self.comm_model is not None and self.comm_model not in COMM_MODELS:
+            raise ValueError(
+                f"unknown comm_model {self.comm_model!r}; "
+                f"expected one of {COMM_MODELS}"
+            )
+        if self.num_blocks < 1:
+            raise ValueError(f"num_blocks must be >= 1, got {self.num_blocks}")
 
 
 def effective_cluster(cluster: ClusterSpec, config: PlannerConfig) -> ClusterSpec:
@@ -207,7 +220,7 @@ class PlanningContext:
         PassManager(passes if passes is not None else default_passes()).run(
             self
         )
-        plan = self.get(EVALUATED) or self.get(PLAN)
+        plan = self.get(EVALUATED)
         if plan is None:
             raise PassError(
                 "pipeline",

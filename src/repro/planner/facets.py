@@ -5,9 +5,9 @@ cluster, config) that some passes depend on and others do not.  Each
 pass declares the facets it reads (``PlannerPass.facets``); its *input
 fingerprint* is the hash of those facet digests plus the fingerprints of
 the artifacts it requires, so invalidation propagates transitively: a
-``comm_model`` change re-fingerprints ``allocate`` and ``evaluate`` but
-leaves ``coarsen`` and ``profile_tensors`` untouched, while a graph edit
-re-fingerprints everything downstream of ``atomic_partition``.
+schedule change re-fingerprints ``evaluate`` but leaves ``coarsen``
+and ``profile_tensors`` untouched, while a graph edit re-fingerprints
+everything downstream of ``atomic_partition``.
 
 The facet boundaries encode real dataflow, not convention -- e.g. the
 profile tensors price stage boundaries at the *same-node* p2p affine

@@ -32,7 +32,7 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.rss import peak_rss_bytes
-from repro.planner.context import EVALUATED, PLAN, PlanningContext
+from repro.planner.context import EVALUATED, PlanningContext
 from repro.planner.events import FAILED, OK, SKIPPED
 from repro.planner.facets import fingerprint_chain, plan_address
 from repro.planner.store import materialize_for_reuse, verify_served_plan
@@ -239,7 +239,7 @@ class PassManager:
         Returns ``(probed pass, hit)``: the pass producing ``evaluated``
         whose store entry was looked up (``None`` when the pipeline has
         no fingerprinted one), and whether it hit.  A hit installs the
-        plan as ``plan`` and ``evaluated``, its deployment JSON as
+        plan as ``evaluated``, its deployment JSON as
         ``ctx.plan_document`` and its verification report as
         ``ctx.plan_report`` (the verify pass reports it).  It reads the
         one plan entry and no intermediate artifact.  An entry that
@@ -260,7 +260,6 @@ class PassManager:
             store.evict(EVALUATED, fp)
             return probe, False
         plan.diagnostics.cache_hit = True
-        ctx.put(PLAN, plan)
         ctx.put(EVALUATED, plan)
         ctx.artifact_fps[EVALUATED] = fp
         ctx.plan_document, ctx.plan_report = served
@@ -299,7 +298,7 @@ class PassManager:
     @staticmethod
     def _stamp_diagnostics(ctx: PlanningContext) -> None:
         """Copy the event log's timings onto the final plan (if any)."""
-        plan = ctx.get(EVALUATED) or ctx.get(PLAN)
+        plan = ctx.get(EVALUATED)
         if plan is None:
             return
         plan.diagnostics.pass_timings.update(ctx.events.timings())

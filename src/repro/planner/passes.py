@@ -9,9 +9,8 @@ Mapping to the paper:
   list (range matrices + the lazily-filled (k+1, k+1, D+1) profile
   tensors Algorithm 1 reduces over).
 * :class:`StageSearchPass` -- Algorithm 2 over Algorithm 1 (Sec. III-C).
-* :class:`AllocatePass` -- device-rank assignment for the winning DP
-  solution.
-* :class:`EvaluatePass` -- hybrid-parallel throughput estimate.
+* :class:`EvaluatePass` -- the finished plan: the winning DP solution
+  placed on device ranks and priced by the hybrid-parallel simulator.
 * :class:`VerifyPass` -- hold the finished plan to the
   :mod:`repro.verify` invariants (static + differential).
 
@@ -29,20 +28,17 @@ import time
 from typing import Any, Dict, Optional
 
 from repro.graph.validate import validate_graph
-from repro.partitioner.allocation import allocate_devices, boundary_report
+from repro.partitioner.allocation import boundary_report
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import BlockPartitioner
-from repro.partitioner.deployment import graph_fingerprint
-from repro.partitioner.plan import PartitionPlan
+from repro.partitioner.deployment import build_plan, graph_fingerprint
 from repro.partitioner.search import form_stage
 from repro.partitioner.stage_dp import DPContext, DPRun
-from repro.pipeline.hybrid import evaluate_plan_timing
 from repro.planner.context import (
     BLOCKS,
     COMPONENTS,
     DP_CONTEXT,
     EVALUATED,
-    PLAN,
     SEARCH_RESULT,
     VALIDATED,
     VERIFIED,
@@ -226,42 +222,34 @@ class StageSearchPass(PlannerPass):
         }
 
 
-class AllocatePass(PlannerPass):
-    """Turn the winning DP solution into a device-assigned plan."""
+class EvaluatePass(PlannerPass):
+    """Turn the winning DP solution into the finished plan: its stages
+    placed on device ranks and its iteration time and throughput filled
+    by the pipeline simulator (:func:`~repro.partitioner.deployment.build_plan`)."""
 
-    name = "allocate"
+    name = "evaluate"
     requires = (SEARCH_RESULT, DP_CONTEXT)
-    produces = (PLAN,)
+    produces = (EVALUATED,)
     skip_when_planned = True
     cacheable = True
-    facets = ("cluster_shape", "comm", "batch")
+    facets = ("cluster_shape", "comm", "batch", "schedule")
 
     def run(self, ctx: PlanningContext) -> Optional[Dict[str, Any]]:
         result = ctx.require(SEARCH_RESULT)
-        dp_ctx = ctx.require(DP_CONTEXT)
         sol = result.solution
-        stages = dp_ctx.stage_specs(
-            sol.boundaries, sol.device_counts, sol.stage_profiles
-        )
-        assignment = allocate_devices(
-            ctx.cluster,
-            sol.device_counts,
-            result.replica_factor,
-            boundary_bytes=[
-                sol.stage_profiles[i].out_bytes
-                for i in range(len(sol.device_counts) - 1)
-            ],
-        )
-        plan = PartitionPlan(
+        config = ctx.config
+        plan, timing = build_plan(
+            ctx.require(DP_CONTEXT).stage_specs(
+                sol.boundaries, sol.device_counts, sol.stage_profiles
+            ),
             model_name=ctx.graph.name,
-            stages=stages,
             num_microbatches=sol.num_microbatches,
             replica_factor=result.replica_factor,
-            batch_size=ctx.config.batch_size,
-            precision=ctx.config.precision,
+            batch_size=config.batch_size,
+            precision=config.precision,
             cluster=ctx.cluster,
-            assignment=assignment,
-            mode=ctx.config.mode,
+            mode=config.mode,
+            schedule=config.schedule,
         )
         diag = plan.diagnostics
         diag.dp_calls = result.dp_calls
@@ -269,48 +257,26 @@ class AllocatePass(PlannerPass):
         diag.states_evaluated = result.states_evaluated
         diag.num_blocks = len(ctx.get(BLOCKS, ()))
         diag.num_atomic_components = len(ctx.get(COMPONENTS, ()))
-        ctx.put(PLAN, plan)
+        ctx.put(EVALUATED, plan)
         # footnote-3 accounting: did the placement actually earn the
         # NVLink rate the cost model charges stage boundaries at?
         report = boundary_report(
-            assignment, result.replica_factor, plan.num_stages
+            plan.assignment, result.replica_factor, plan.num_stages
         )
         for name, value in report.items():
             ctx.metrics.gauge(f"comm.{name}").set(value)
-        detail: Dict[str, Any] = {"num_stages": plan.num_stages}
-        detail.update(report)
-        return detail
-
-
-class EvaluatePass(PlannerPass):
-    """Fill iteration time / throughput via the pipeline simulator."""
-
-    name = "evaluate"
-    requires = (PLAN,)
-    produces = (EVALUATED,)
-    skip_when_planned = True
-    cacheable = True
-    facets = ("schedule", "comm")
-
-    def run(self, ctx: PlanningContext) -> Optional[Dict[str, Any]]:
-        plan, timing = evaluate_plan_timing(
-            ctx.require(PLAN), schedule=ctx.config.schedule
-        )
-        ctx.put(EVALUATED, plan)
+        ctx.metrics.gauge("comm.allreduce_time").set(diag.allreduce_time)
+        ctx.metrics.gauge("comm.pipeline_time").set(diag.pipeline_time)
         detail: Dict[str, Any] = {
-            "schedule": ctx.config.schedule,
+            "num_stages": plan.num_stages,
+            **report,
+            "schedule": config.schedule,
             "iteration_time": plan.iteration_time,
             "throughput": plan.throughput,
-            "comm_model": plan.diagnostics.comm_model,
+            "comm_model": diag.comm_model,
         }
-        ctx.metrics.gauge("comm.allreduce_time").set(
-            plan.diagnostics.allreduce_time
-        )
-        ctx.metrics.gauge("comm.pipeline_time").set(
-            plan.diagnostics.pipeline_time
-        )
-        if plan.diagnostics.allreduce_algorithm:
-            detail["allreduce_algorithm"] = plan.diagnostics.allreduce_algorithm
+        if diag.allreduce_algorithm:
+            detail["allreduce_algorithm"] = diag.allreduce_algorithm
         if timing is not None:
             # the flush schedule's measured bubble (Fig. 1, quantified):
             # gauges per stage plus the mean idle fraction
@@ -328,16 +294,15 @@ class VerifyPass(PlannerPass):
     """Hold the finished plan to the :mod:`repro.verify` invariants.
 
     Runs after :class:`EvaluatePass` on every fresh plan.  A plan served
-    whole from the store was checked at the probe, once per content
-    address (:func:`~repro.planner.store.verify_served_plan`): this pass
-    reports the probe's ``ctx.plan_report`` instead of checking again,
-    and skips a plan decoded from disk, whose decode put the
-    ``VERIFIED`` artifact ("artifacts already present").  Disable with
-    ``PlannerConfig.verify=False``.
+    whole from the store, from either tier, was checked at the probe,
+    once per content address
+    (:func:`~repro.planner.store.verify_served_plan`): this pass reports
+    the probe's ``ctx.plan_report`` instead of checking again.  Disable
+    with ``PlannerConfig.verify=False``.
     """
 
     name = "verify"
-    requires = (PLAN,)
+    requires = (EVALUATED,)
     produces = (VERIFIED,)
 
     def should_skip(self, ctx: PlanningContext) -> Optional[str]:
@@ -346,7 +311,7 @@ class VerifyPass(PlannerPass):
         return super().should_skip(ctx)
 
     def run(self, ctx: PlanningContext) -> Optional[Dict[str, Any]]:
-        plan = ctx.get(EVALUATED) or ctx.require(PLAN)
+        plan = ctx.require(EVALUATED)
         report = ctx.plan_report
         if report is None:
             search = ctx.get(SEARCH_RESULT)

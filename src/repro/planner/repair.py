@@ -13,7 +13,7 @@ run on the new cluster whose ``stage_search`` pass is the deployed
 layout (:class:`FixedLayoutPass`: the previous plan's stage boundaries
 and device counts, the replica factor the surviving devices allow, the
 microbatch count re-ranked for it), followed by the planner's own
-allocate, evaluate and verify passes under the run's config.
+evaluate and verify passes under the run's config.
 Only the pairs whose devices actually changed migrate, and the
 migration is priced by the max-min-fair transfer simulator
 (:func:`repro.comm.contention.simulate_transfers`) over the new
@@ -49,14 +49,12 @@ from repro.planner.context import (
     COMPONENTS,
     DP_CONTEXT,
     EVALUATED,
-    PLAN,
     SEARCH_RESULT,
     VALIDATED,
     PlanningContext,
 )
 from repro.planner.manager import PartitioningError, PassManager, PlannerPass
 from repro.planner.passes import (
-    AllocatePass,
     AtomicPartitionPass,
     CoarsenPass,
     EvaluatePass,
@@ -354,7 +352,7 @@ def _inplace_context(
     new_cluster: ClusterSpec,
 ) -> PlanningContext:
     """The finished in-place run on ``new_cluster``: the deployed layout
-    (:class:`FixedLayoutPass`) allocated, evaluated and verified by the
+    (:class:`FixedLayoutPass`) placed, priced and verified by the
     planner's own passes under the run's config.
 
     The layout indexes the previous run's blocks, so the run starts from
@@ -395,8 +393,7 @@ def _inplace_context(
         )
     ctx = run(
         new_cluster,
-        [FixedLayoutPass(prev_plan), AllocatePass(), EvaluatePass(),
-         VerifyPass()],
+        [FixedLayoutPass(prev_plan), EvaluatePass(), VerifyPass()],
         source,
     )
     ctx.artifacts.pop(SEARCH_RESULT)
@@ -441,7 +438,7 @@ def repair(
         result.plan            # re-verified plan on the 3 survivors
         result.migration_time  # seconds to re-shard the parameters
     """
-    prev_plan = plan or prev_context.get(EVALUATED) or prev_context.get(PLAN)
+    prev_plan = plan or prev_context.get(EVALUATED)
     if prev_plan is None:
         raise ValueError(
             "repair needs a finished planning run: the context holds no "

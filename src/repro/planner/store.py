@@ -56,9 +56,7 @@ from repro.planner.context import (
     COMPONENTS,
     DP_CONTEXT,
     EVALUATED,
-    PLAN,
     SEARCH_RESULT,
-    VERIFIED,
     PlanningContext,
 )
 
@@ -253,9 +251,8 @@ class DiskBackend:
 # ----------------------------------------------------------------------
 class ArtifactCodec:
     """Serialize one artifact kind as JSON for the disk backend.
-    Artifacts without a codec (the ``dp_context``, and the unevaluated
-    ``plan``, which the ``evaluated`` entry supersedes) live in the
-    memory backend only.
+    Artifacts without a codec (the ``dp_context``) live in the memory
+    backend only.
 
     ``decode`` reads input from outside the program: any exception it
     raises makes :meth:`ArtifactStore.get` report a miss."""
@@ -382,11 +379,10 @@ class _SearchResultCodec(ArtifactCodec):
 class _PlanCodec(ArtifactCodec):
     """The evaluated plan as its deployment JSON.
 
-    Decoding re-evaluates the plan under the run's schedule and, unless
-    ``config.verify`` is off, holds it to the :mod:`repro.verify`
-    invariants (:meth:`PlanningContext.check_plan`).  The report becomes
-    the run's ``verified`` artifact, so neither the whole-plan probe nor
-    the verify pass checks the same plan twice.
+    Decoding re-evaluates the plan under the run's schedule and checks
+    nothing else: the whole-plan probe holds a served plan to the
+    :mod:`repro.verify` invariants, whichever tier served it
+    (:func:`verify_served_plan`).
     """
 
     def encode(self, payload: Any, ctx: PlanningContext) -> bytes:
@@ -397,18 +393,13 @@ class _PlanCodec(ArtifactCodec):
     def decode(self, data: bytes, ctx: PlanningContext) -> Any:
         from repro.partitioner.deployment import plan_from_json
 
-        plan = plan_from_json(
+        return plan_from_json(
             data.decode(),
             ctx.graph,
             ctx.cluster,
             verify=False,
             schedule=ctx.config.schedule,
         )
-        if ctx.config.verify:
-            report = ctx.check_plan(plan)
-            report.raise_if_failed()
-            ctx.put(VERIFIED, report)
-        return plan
 
 
 CODECS: Dict[str, ArtifactCodec] = {
@@ -480,8 +471,7 @@ def verify_served_plan(
         report = record[1]
         ctx.metrics.counter("verify.memo_hits").inc()
     else:
-        # an entry just decoded from disk was checked by the decode
-        report = ctx.get(VERIFIED) or ctx.check_plan(plan)
+        report = ctx.check_plan(plan)
         if not report.ok:
             return None
         art.verified = (key, report)
@@ -495,9 +485,9 @@ def materialize_for_reuse(
     name: str, payload: Any, ctx: PlanningContext
 ) -> Any:
     """Prepare a stored payload for use in a new planning run."""
-    if name in (PLAN, EVALUATED):
-        # plans are mutated downstream (evaluation, diagnostics
-        # stamping, callers); isolate each run with a copy
+    if name == EVALUATED:
+        # plans are mutated downstream (diagnostics stamping, callers);
+        # isolate each run with a copy
         return copy.deepcopy(payload)
     return payload
 
@@ -520,8 +510,8 @@ class ArtifactStore:
     a memory miss that hits disk re-materializes the payload and
     promotes it.
 
-    The memory tier never aliases a caller's plan: ``plan`` and
-    ``evaluated`` payloads are copied on ``put`` (and again on reuse).
+    The memory tier never aliases a caller's plan: ``evaluated``
+    payloads are copied on ``put`` (and again on reuse).
     Beside the artifacts the store remembers the graph fingerprints that
     passed ``validate_graph`` (at most :data:`VALIDATED_GRAPHS_MAX`,
     oldest dropped first).
@@ -595,8 +585,8 @@ class ArtifactStore:
                     try:
                         payload = codec.decode(data, ctx)
                     except Exception:  # noqa: BLE001 - see ArtifactCodec
-                        # a stale, corrupt or invariant-violating file is
-                        # a miss; the run recomputes and overwrites it
+                        # a stale or corrupt file is a miss; the run
+                        # recomputes and overwrites it
                         self.misses += 1
                         return None
                     art = self._insert(name, fingerprint, payload, {})
@@ -614,7 +604,7 @@ class ArtifactStore:
         inputs: Optional[Dict[str, str]] = None,
         ctx: Optional[PlanningContext] = None,
     ) -> Artifact:
-        if name in (PLAN, EVALUATED):
+        if name == EVALUATED:
             # the run keeps mutating its plan (diagnostics stamping, the
             # caller); the entry must not see that
             payload = copy.deepcopy(payload)

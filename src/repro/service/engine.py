@@ -56,6 +56,7 @@ import concurrent.futures
 import json
 import threading
 import time
+from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -71,12 +72,46 @@ from repro.service.protocol import (
 
 __all__ = ["PlanEngine"]
 
+#: built graphs a :class:`PlanEngine` keeps, least recently used
+#: dropped first
+GRAPH_CACHE_MAX = 32
+
 
 def _percentile(values: List[float], q: float) -> float:
     """Nearest-rank percentile of a non-empty list (q in [0, 100])."""
     ordered = sorted(values)
     rank = max(0, min(len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1)))))
     return ordered[rank]
+
+
+class _GraphCache:
+    """Built graphs keyed by canonical model spec: an LRU of at most
+    ``maxsize`` entries.  Each lookup and insert takes the lock on its
+    own, so a request building a graph blocks no other request's
+    lookup (two cold builds of one spec may race; the last one stays)."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._graphs: "OrderedDict[str, Any]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, spec: str) -> Any:
+        with self._lock:
+            graph = self._graphs.get(spec)
+            if graph is not None:
+                self._graphs.move_to_end(spec)
+            return graph
+
+    def __setitem__(self, spec: str, graph: Any) -> None:
+        with self._lock:
+            self._graphs[spec] = graph
+            self._graphs.move_to_end(spec)
+            if len(self._graphs) > self.maxsize:
+                self._graphs.popitem(last=False)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._graphs)
 
 
 class PlanEngine:
@@ -114,8 +149,7 @@ class PlanEngine:
         self.workers = max(1, int(workers))
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._graph_cache: Dict[str, Any] = {}
-        self._graph_cache_lock = threading.Lock()
+        self._graph_cache = _GraphCache(GRAPH_CACHE_MAX)
         self._inflight: Dict[str, concurrent.futures.Future] = {}
         self._inflight_lock = threading.Lock()
         #: model families (graph fingerprints) that completed >= 1 plan;
@@ -475,14 +509,12 @@ class PlanEngine:
     # internals
     # ------------------------------------------------------------------
     def _normalize(self, params: Any) -> PlanRequest:
-        with self._graph_cache_lock:
-            graph_cache = self._graph_cache
-            return normalize_plan_request(
-                params,
-                cache_dir=self.cache_dir,
-                cache_budget_bytes=self.cache_budget_bytes,
-                graph_cache=graph_cache,
-            )
+        return normalize_plan_request(
+            params,
+            cache_dir=self.cache_dir,
+            cache_budget_bytes=self.cache_budget_bytes,
+            graph_cache=self._graph_cache,
+        )
 
     def _coalesced_plan(
         self, req: PlanRequest, started: float

@@ -385,14 +385,15 @@ def normalize_plan_request(
     *,
     cache_dir=None,
     cache_budget_bytes: Optional[int] = None,
-    graph_cache: Optional[Dict[str, TaskGraph]] = None,
+    graph_cache: Optional[Any] = None,
 ) -> PlanRequest:
     """Validate raw ``plan``/``replan``/``simulate`` params into a
     :class:`PlanRequest`.
 
-    ``graph_cache`` (canonical model spec -> built graph) makes repeated
-    requests skip the graph build; graphs are immutable, so sharing them
-    across requests is safe and keeps the fingerprint memo warm.
+    ``graph_cache`` (canonical model spec -> built graph; anything with
+    a dict's ``get`` and item assignment) makes repeated requests skip
+    the graph build; graphs are immutable, so sharing them across
+    requests is safe and keeps the fingerprint memo warm.
     """
     params = _expect_object(params, "params")
     model_spec = params.get("model")

@@ -326,15 +326,17 @@ class PlanServer:
             params = {}
         loop = asyncio.get_running_loop()
         try:
-            result = await loop.run_in_executor(
+            future = loop.run_in_executor(
                 self._pool, self.engine.handle, method, params
             )
-        except ServiceError as exc:
-            return exc.status, error_envelope(exc)
         except RuntimeError as exc:
-            # pool shut down mid-request during a non-graceful exit
+            # the pool refuses new work: shut down by a non-graceful exit
             err = ServiceError("shutting_down", str(exc))
             return err.status, error_envelope(err)
+        try:
+            result = await future
+        except ServiceError as exc:
+            return exc.status, error_envelope(exc)
         except Exception as exc:  # noqa: BLE001 - boundary of the daemon
             err = ServiceError("internal", f"{type(exc).__name__}: {exc}")
             return err.status, error_envelope(err)

@@ -431,6 +431,16 @@ class TestConfigKnobs:
         with pytest.raises(TypeError, match="validate"):
             auto_partition(tiny_bert, cluster, 32, validate=False)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("schedule", "foo"), ("comm_model", "bogus"), ("num_blocks", 0),
+         ("num_blocks", -3)],
+    )
+    def test_malformed_value_rejected(self, field, value):
+        # rejected when the config is built, before any pass runs
+        with pytest.raises(ValueError, match=field):
+            PlannerConfig(batch_size=32, **{field: value})
+
     def test_bad_backend_rejected(self):
         for knob, value in [
             ("search_backend", "thread"),

@@ -22,7 +22,7 @@ from repro.planner.store import CODECS
 
 COMPUTE_PASSES = [
     "atomic_partition", "coarsen", "profile_tensors", "stage_search",
-    "allocate", "evaluate",
+    "evaluate",
 ]
 
 

@@ -6,16 +6,12 @@ import pytest
 from repro.hardware import paper_cluster
 from repro.partitioner import PartitioningError, auto_partition
 from repro.planner import (
-    AllocatePass,
-    AtomicPartitionPass,
     CoarsenPass,
     PassError,
     PassManager,
     PlannerConfig,
     PlannerPass,
     PlanningContext,
-    ProfileTensorsPass,
-    StageSearchPass,
     ValidatePass,
     default_passes,
     plan_graph,
@@ -76,7 +72,7 @@ class TestPassManager:
         names = [e.name for e in ctx.events]
         assert names == [
             "validate", "atomic_partition", "coarsen", "profile_tensors",
-            "stage_search", "allocate", "evaluate", "verify",
+            "stage_search", "evaluate", "verify",
         ]
         assert all(e.status == "ok" for e in ctx.events)
         search = ctx.events.find("stage_search")
@@ -99,7 +95,7 @@ class TestDefaultPipeline:
         names = [p.name for p in default_passes()]
         assert names == [
             "validate", "atomic_partition", "coarsen", "profile_tensors",
-            "stage_search", "allocate", "evaluate", "verify",
+            "stage_search", "evaluate", "verify",
         ]
 
     def test_plan_has_pass_timings(self, tiny_bert, cluster):
@@ -129,29 +125,6 @@ class TestDefaultPipeline:
         with pytest.raises(PartitioningError, match="no feasible"):
             ctx.run()
         assert ctx.events.find("stage_search").status == "failed"
-
-    def test_custom_pipeline_without_evaluate(self, tiny_bert, cluster):
-        """Baselines-style assembly: the same building blocks compose
-        into a shorter pipeline that stops at allocation."""
-        plan = plan_graph(
-            tiny_bert,
-            cluster,
-            PlannerConfig(batch_size=64),
-            passes=[
-                ValidatePass(),
-                AtomicPartitionPass(),
-                CoarsenPass(),
-                ProfileTensorsPass(),
-                StageSearchPass(),
-                AllocatePass(),
-            ],
-        )
-        assert plan.num_stages >= 1
-        assert plan.iteration_time == 0.0  # never evaluated
-        full = auto_partition(tiny_bert, cluster, 64)
-        assert [s.block_range for s in plan.stages] == [
-            s.block_range for s in full.stages
-        ]
 
     def test_evaluate_pass_matches_legacy_evaluate(self, tiny_bert, cluster):
         config = PlannerConfig(batch_size=64)

@@ -113,7 +113,7 @@ def test_cluster_change_delta_matches_pinned(key, tmp_path):
     # a cluster-size change invalidates the stage search onward but
     # reuses the partitioning and the profile tensors
     assert _reused(new_ctx) == list(PROFILE_PASSES)
-    for name in ("stage_search", "allocate", "evaluate", "verify"):
+    for name in ("stage_search", "evaluate", "verify"):
         assert new_ctx.events.find(name).status == "ok"
     snap = new_ctx.metrics.snapshot()
     assert snap["planner.reuse.passes_skipped"] == len(PROFILE_PASSES)
@@ -167,7 +167,6 @@ def test_perturb_then_restore_reuses_everything(model_name):
         "coarsen",
         "profile_tensors",
         "stage_search",
-        "allocate",
         "evaluate",
     ]
     # verify still re-checks the reused plan

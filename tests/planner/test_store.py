@@ -131,21 +131,45 @@ class TestCodecs:
         else:
             assert restored == original
 
-    def test_plan_round_trip_verifies_on_decode(self, planned_ctx):
-        from repro.partitioner.deployment import plan_to_json
-        from repro.verify import VerificationReport
-
+    def test_plan_round_trip_re_evaluates_without_checking(
+        self, planned_ctx, monkeypatch
+    ):
+        """Decoding restores and re-prices the plan and checks nothing:
+        the whole-plan probe verifies a served plan, whichever tier
+        served it."""
         codec = CODECS[EVALUATED]
         original = planned_ctx.require(EVALUATED)
         ctx = PlanningContext(
             planned_ctx.graph, planned_ctx.cluster, planned_ctx.config
         )
-        restored = codec.decode(codec.encode(original, ctx), ctx)
+        data = codec.encode(original, ctx)
+
+        def no_check(*args, **kwargs):
+            raise AssertionError("decode must not call check_plan")
+
+        monkeypatch.setattr(PlanningContext, "check_plan", no_check)
+        restored = codec.decode(data, ctx)
         assert plan_to_json(restored, ctx.graph) == plan_to_json(
             original, ctx.graph
         )
         assert restored.iteration_time == original.iteration_time
-        assert isinstance(ctx.get(VERIFIED), VerificationReport)
+        assert not ctx.has(VERIFIED)
+
+    def test_store_backed_run_holds_one_plan_entry(self, planned_ctx):
+        """One pass builds the finished plan: the store holds a single
+        ``evaluated`` entry and no intermediate ``plan:`` entry."""
+        ctx = PlanningContext(
+            planned_ctx.graph,
+            planned_ctx.cluster,
+            planned_ctx.config,
+            store=ArtifactStore(),
+        )
+        ctx.run()
+        keys = list(ctx.store._mem)
+        assert not [k for k in keys if k.startswith("plan:")]
+        assert [k for k in keys if k.startswith(EVALUATED + ":")] == [
+            f"{EVALUATED}:{ctx.artifact_fps[EVALUATED]}"
+        ]
 
 class TestArtifactStore:
     def test_put_get_and_lru_order(self):

@@ -1,6 +1,6 @@
 """``VerifyPass`` wiring: on by default after evaluate, disabled by
-``PlannerConfig.verify``, skipped (not duplicated) when the disk decode
-already verified a stored plan; the store treats truncated or
+``PlannerConfig.verify``, reporting (not repeating) the probe's check of
+a stored plan from either store tier; the store treats truncated or
 invariant-violating plan entries as misses and repairs them with an
 atomic write."""
 
@@ -31,6 +31,20 @@ def plan_entry(ctx):
     """The on-disk whole-plan entry of a store-backed run."""
     fp = ctx.artifact_fps[EVALUATED]
     return ctx.store.disk.path(ctx.store._relpath(EVALUATED, fp))
+
+
+def count_checks(monkeypatch):
+    """The plans :meth:`PlanningContext.check_plan` is called on from
+    now on."""
+    calls = []
+    check = PlanningContext.check_plan
+
+    def counting(self, plan, expected_iteration_time=None):
+        calls.append(plan)
+        return check(self, plan, expected_iteration_time)
+
+    monkeypatch.setattr(PlanningContext, "check_plan", counting)
+    return calls
 
 
 @pytest.fixture
@@ -71,18 +85,41 @@ class TestVerifyPassWiring:
 
 class TestCacheLoadVerification:
     def test_cache_hit_skips_duplicate_verification(
-        self, tiny_bert, cache_dir
+        self, tiny_bert, cache_dir, monkeypatch
     ):
         cluster = paper_cluster()
         plan_with_ctx(tiny_bert, cluster, 64, cache_dir)
+        calls = count_checks(monkeypatch)
         warm, ctx = plan_with_ctx(tiny_bert, cluster, 64, cache_dir)
-        # the disk decode already verified the restored plan and put its
-        # report; VerifyPass sees the artifact and does not re-check
+        # the probe verified the plan read from disk once; VerifyPass
+        # reports that report and does not re-check
+        assert len(calls) == 1
         assert isinstance(ctx.get(VERIFIED), VerificationReport)
         verify = ctx.events.find("verify")
-        assert verify.status == "skipped"
-        assert verify.detail["reason"] == "artifacts already present"
+        assert verify.status == "ok"
+        assert verify.detail["checked_at_probe"] is True
         assert warm.diagnostics.cache_hit
+
+    def test_disk_and_memory_hits_verify_alike(
+        self, tiny_bert, cache_dir, monkeypatch
+    ):
+        cluster = paper_cluster()
+        _, first = plan_with_ctx(tiny_bert, cluster, 64, cache_dir)
+        calls = count_checks(monkeypatch)
+        seen = {}
+        # the cold run's store serves from memory; a fresh store over
+        # the same cache_dir serves from disk
+        for tier, store in (("memory", first.store), ("disk", None)):
+            calls.clear()
+            ctx = PlanningContext(tiny_bert, cluster, first.config, store=store)
+            assert ctx.run().diagnostics.cache_hit
+            disk_hits = ctx.metrics.snapshot()["planner.store.disk_hits"]
+            assert disk_hits == (tier == "disk")
+            assert len(calls) == 1, tier
+            event = ctx.events.find("verify")
+            seen[tier] = (event.status, event.detail)
+        assert seen["memory"] == seen["disk"]
+        assert seen["disk"][0] == "ok"
 
     def test_memory_hit_is_verified_by_the_pass(self, tiny_bert, cache_dir):
         cluster = paper_cluster()

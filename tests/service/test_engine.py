@@ -326,6 +326,54 @@ class TestRepairContract:
         assert ei.value.code == "bad_request"
 
 
+def mlp_params(width):
+    return dict(PARAMS, model={"family": "mlp", "widths": [8, width, 4]})
+
+
+class TestGraphCache:
+    def test_keeps_the_most_recent_specs(self, monkeypatch):
+        from repro.service import engine as engine_module
+
+        monkeypatch.setattr(engine_module, "GRAPH_CACHE_MAX", 2)
+        engine = PlanEngine(workers=1)
+        graphs = [engine._normalize(mlp_params(w)).graph for w in (8, 16, 32)]
+        assert len(engine._graph_cache) == 2
+        # the oldest spec was dropped and is rebuilt; the others are kept
+        assert engine._normalize(mlp_params(32)).graph is graphs[2]
+        assert engine._normalize(mlp_params(16)).graph is graphs[1]
+        assert engine._normalize(mlp_params(8)).graph is not graphs[0]
+
+    def test_warm_lookup_does_not_wait_on_a_cold_build(self, monkeypatch):
+        from repro.service import protocol
+
+        engine = PlanEngine(workers=1)
+        engine._normalize(mlp_params(8))
+        building, release = threading.Event(), threading.Event()
+        build = protocol.build_model
+
+        def blocked_build(spec):
+            building.set()
+            release.wait(30)
+            return build(spec)
+
+        monkeypatch.setattr(protocol, "build_model", blocked_build)
+        cold = threading.Thread(
+            target=engine._normalize, args=(mlp_params(16),)
+        )
+        cold.start()
+        try:
+            assert building.wait(30)
+            warm = concurrent.futures.ThreadPoolExecutor(1)
+            done = warm.submit(engine._normalize, mlp_params(8))
+            # the cold build is still blocked while the warm lookup ends
+            assert done.result(timeout=10).graph is not None
+            assert cold.is_alive()
+            warm.shutdown()
+        finally:
+            release.set()
+            cold.join()
+
+
 class TestUptimeClock:
     def test_uptime_is_monotonic_not_wall_clock(self):
         # regression: uptime_s used to be time.time() deltas, so an NTP

@@ -135,6 +135,56 @@ class TestRawHTTP:
         assert "model" in doc["error"]["message"]
 
 
+def post_plan(server, params):
+    body = json.dumps(params).encode()
+    return raw_request(
+        server, "POST", "/v1/plan", body=body,
+        headers={"Content-Length": str(len(body))},
+    )
+
+
+class TestMalformedOptions:
+    """A bad option is the client's fault: 400 before any pass runs; a
+    pass that crashes is the server's: 500, not a retry-elsewhere 503."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"blocks": 0}, {"blocks": -3}, {"schedule": "foo"},
+         {"comm_model": "bogus"}],
+        ids=["blocks0", "blocks-3", "schedule", "comm_model"],
+    )
+    def test_bad_option_is_400_before_any_pass(
+        self, server, monkeypatch, options
+    ):
+        from repro.planner.manager import PassManager
+
+        runs = []
+        run = PassManager.run
+
+        def recording(self, ctx):
+            runs.append(ctx)
+            return run(self, ctx)
+
+        monkeypatch.setattr(PassManager, "run", recording)
+        status, doc = post_plan(server, dict(PARAMS, options=options))
+        assert status == 400
+        assert doc["error"]["code"] == "bad_request"
+        assert runs == []
+
+    def test_crashing_pass_is_500(self, server, monkeypatch):
+        from repro.planner.passes import StageSearchPass
+
+        def boom(self, ctx):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(StageSearchPass, "run", boom)
+        # a batch size no other test plans, so the stage search runs
+        status, doc = post_plan(server, dict(PARAMS, batch_size=40))
+        assert status == 500
+        assert doc["error"]["code"] == "internal"
+        assert "boom" in doc["error"]["message"]
+
+
 class TestRepairRoute:
     def test_repair_round_trip(self, client):
         client.plan(**PARAMS)  # establish the base

@@ -4,9 +4,10 @@
 Exercises the daemon's whole contract end to end against a live
 socket -- cold plan, warm repeat, delta replan through ``/v1/replan``,
 concurrent same-model replans over one shared DP context, in-place
-repair through ``/v1/repair``, verify round-trip of the served
-document, simulate, stats -- and exits
-non-zero the moment any response disagrees with ``docs/SERVICE.md``.
+repair through ``/v1/repair``, a malformed option rejected as
+``bad_request``, verify round-trip of the served document, simulate,
+stats -- and exits non-zero the moment any response disagrees with
+``docs/SERVICE.md``.
 
 Usage (the server must already be listening)::
 
@@ -119,6 +120,15 @@ def main(argv=None) -> int:
         ok &= check(
             exc.http_status == 409 and exc.code == "no_base",
             "replan without a base returns 409 no_base",
+        )
+
+    try:
+        client.plan(**dict(REQUEST, options={"schedule": "foo"}))
+        ok &= check(False, "malformed option returns 400 bad_request")
+    except ServiceHTTPError as exc:
+        ok &= check(
+            exc.http_status == 400 and exc.code == "bad_request",
+            "malformed option returns 400 bad_request",
         )
 
     verify = client.verify(plan=cold["plan"], model=REQUEST["model"],
