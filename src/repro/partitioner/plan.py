@@ -34,6 +34,11 @@ class StageSpec:
     microbatch_size: int
     profile: ProfileResult
 
+    def __deepcopy__(self, memo: dict) -> "StageSpec":
+        # frozen, and every field is immutable: a copied plan shares its
+        # stages and copies only the containers around them
+        return self
+
     @property
     def time_fwd(self) -> float:
         return self.profile.time_fwd

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +32,13 @@ DP_CONTEXT = "dp_context"
 SEARCH_RESULT = "search_result"
 EVALUATED = "evaluated"
 VERIFIED = "verified"
+
+#: the largest global batch size a plan may have.  Algorithm 2 tries
+#: microbatch counts up to ``BS / R`` and simulates each candidate's
+#: flush schedule one microbatch at a time, so the search grows linearly
+#: with the batch size (~9 s at 2**24 for a 3-layer MLP on one 8-V100
+#: node); from 2**62 numpy cannot index the search's arrays at all
+MAX_BATCH_SIZE = 2**24
 
 
 @dataclass(frozen=True)
@@ -125,6 +133,21 @@ class PlannerConfig:
             )
         if self.num_blocks < 1:
             raise ValueError(f"num_blocks must be >= 1, got {self.num_blocks}")
+        if self.batch_size > MAX_BATCH_SIZE:
+            raise ValueError(
+                f"batch_size must be <= {MAX_BATCH_SIZE}, got {self.batch_size}"
+            )
+        if self.max_microbatches is not None and self.max_microbatches < 1:
+            raise ValueError(
+                f"max_microbatches must be >= 1, got {self.max_microbatches}"
+            )
+        if self.memory_budget is not None and not (
+            math.isfinite(self.memory_budget) and self.memory_budget > 0
+        ):
+            raise ValueError(
+                "memory_budget must be a finite positive number of bytes, "
+                f"got {self.memory_budget}"
+            )
 
 
 def effective_cluster(cluster: ClusterSpec, config: PlannerConfig) -> ClusterSpec:

@@ -13,7 +13,7 @@ cacheable pass's input fingerprint (facet digests + the fingerprints of
 its required artifacts) before running any pass.  It first probes the
 store for the finished ``evaluated`` plan: a hit that has passed
 :mod:`repro.verify` under the run's inputs (checked once per content
-address, see :func:`~repro.planner.store.verify_served_plan`)
+address, see :meth:`~repro.planner.store.ArtifactStore.verified_plan`)
 installs it and skips every ``skip_when_planned`` pass, reading one
 entry and no intermediate artifact; a hit that fails the check is
 evicted and counts as a miss.  Otherwise, a store hit on every
@@ -35,7 +35,7 @@ from repro.obs.rss import peak_rss_bytes
 from repro.planner.context import EVALUATED, PlanningContext
 from repro.planner.events import FAILED, OK, SKIPPED
 from repro.planner.facets import fingerprint_chain, plan_address
-from repro.planner.store import materialize_for_reuse, verify_served_plan
+from repro.planner.store import materialize_for_reuse
 
 
 class PartitioningError(RuntimeError):
@@ -251,18 +251,13 @@ class PassManager:
             return None, False
         probe, fp = address
         start = time.perf_counter()
-        art = store.get(EVALUATED, fp, ctx)
-        if art is None:
-            return probe, False
-        plan = materialize_for_reuse(EVALUATED, art.payload, ctx)
-        served = verify_served_plan(art, plan, ctx)
+        served = store.verified_plan(fp, ctx.graph, ctx)
         if served is None:
-            store.evict(EVALUATED, fp)
             return probe, False
+        plan, ctx.plan_document, ctx.plan_report = served
         plan.diagnostics.cache_hit = True
         ctx.put(EVALUATED, plan)
         ctx.artifact_fps[EVALUATED] = fp
-        ctx.plan_document, ctx.plan_report = served
         ctx.tracer.add_span(
             "planner.reuse.plan",
             category="planner.reuse",

@@ -296,9 +296,9 @@ class VerifyPass(PlannerPass):
     Runs after :class:`EvaluatePass` on every fresh plan.  A plan served
     whole from the store, from either tier, was checked at the probe,
     once per content address
-    (:func:`~repro.planner.store.verify_served_plan`): this pass reports
-    the probe's ``ctx.plan_report`` instead of checking again.  Disable
-    with ``PlannerConfig.verify=False``.
+    (:meth:`~repro.planner.store.ArtifactStore.verified_plan`): this
+    pass reports the probe's ``ctx.plan_report`` instead of checking
+    again.  Disable with ``PlannerConfig.verify=False``.
     """
 
     name = "verify"

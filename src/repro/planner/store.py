@@ -25,12 +25,14 @@ manager probes it before running any pass (see
 :mod:`repro.planner.manager`).  A served plan must have passed
 :mod:`repro.verify` under the run's inputs; the check runs once per
 content address and its pass is recorded on the memory-tier entry
-(:func:`verify_served_plan`), so a repeated hit costs a fingerprint,
-one probe, a copy and an encode.  The store also remembers which graphs
-passed ``validate_graph``.
+(:meth:`ArtifactStore.verified_plan`), so a repeated hit costs a
+fingerprint, one probe, a copy and an encode (the plan service answers
+it without the copy, see :mod:`repro.service.engine`).  The store also
+remembers which graphs passed ``validate_graph``.
 
 Reusing a loaded plan needs one run-specific fix-up: it is deep-copied
-so later mutation cannot leak between runs (:func:`materialize_for_reuse`).
+so later mutation cannot leak between runs (:func:`materialize_for_reuse`;
+the copy shares the frozen stages and copies only their containers).
 Every other payload is reused as it stands; a ``dp_context`` is a
 content-addressed memo that each run reads through its own
 :class:`~repro.partitioner.stage_dp.DPRun`.
@@ -80,7 +82,7 @@ class Artifact:
         verified: ``evaluated`` entries only: ``(key, report)`` of the
             last :mod:`repro.verify` pass of the payload, keyed by
             ``(fingerprint, plan digest, VERIFIER_VERSION)`` (see
-            :func:`verify_served_plan`).  In process only: it is
+            :meth:`ArtifactStore.verified_plan`).  In process only: it is
             never persisted and goes when the entry is evicted.
     """
 
@@ -382,7 +384,7 @@ class _PlanCodec(ArtifactCodec):
     Decoding re-evaluates the plan under the run's schedule and checks
     nothing else: the whole-plan probe holds a served plan to the
     :mod:`repro.verify` invariants, whichever tier served it
-    (:func:`verify_served_plan`).
+    (:meth:`ArtifactStore.verified_plan`).
     """
 
     def encode(self, payload: Any, ctx: PlanningContext) -> bytes:
@@ -438,46 +440,6 @@ def _plan_digest(plan: Any, document: str) -> str:
     return digest.hexdigest()
 
 
-def verify_served_plan(
-    art: Artifact, plan: Any, ctx: PlanningContext
-) -> Optional[Tuple[str, Any]]:
-    """``(deployment JSON, verification report)`` of ``plan`` -- a fresh
-    copy of the stored ``evaluated`` entry ``art`` -- once it has passed
-    :mod:`repro.verify` under the run's inputs; ``None`` when it fails.
-
-    The check runs once per content address.  A pass is recorded on the
-    entry under ``(art.fingerprint, plan digest, VERIFIER_VERSION)``:
-    the fingerprint pins every input the check reads besides the plan
-    (graph, cluster, precision, optimizer, mode, schedule), the digest
-    pins the plan itself (:func:`_plan_digest`), and the version pins
-    the invariant set.  A hit whose key matches the record reuses its
-    report and builds no profiler; any other hit is checked in place.
-    With ``config.verify`` off nothing is checked or recorded and the
-    report is ``None``.
-    """
-    from repro.partitioner.deployment import plan_to_json
-    from repro.verify import plan_checks
-
-    document = plan_to_json(plan, ctx.graph)
-    if not ctx.config.verify:
-        return document, None
-    key = (
-        art.fingerprint,
-        _plan_digest(plan, document),
-        plan_checks.VERIFIER_VERSION,
-    )
-    record = art.verified
-    if record is not None and record[0] == key:
-        report = record[1]
-        ctx.metrics.counter("verify.memo_hits").inc()
-    else:
-        report = ctx.check_plan(plan)
-        if not report.ok:
-            return None
-        art.verified = (key, report)
-    return document, report
-
-
 # ----------------------------------------------------------------------
 # reuse fix-up
 # ----------------------------------------------------------------------
@@ -519,7 +481,10 @@ class ArtifactStore:
     Concurrency contract: ``get``/``put``/``refresh``/``stats`` are
     linearizable (one internal RLock), so one store may back many
     concurrent planning runs -- the plan service shares a single store
-    across all requests.  The lock covers the store's own state only.
+    across all requests.  The lock covers the store's own state only
+    and is never held across disk I/O or a codec: a disk read and its
+    decode, and a ``put``'s encode and write, run outside it, so a
+    memory-tier lookup never waits on another request's I/O.
     Payloads handed out by ``get`` are shared as they stand: plans are
     copied on reuse, and a ``dp_context`` only grows by idempotent memo
     fills, which concurrent runs may make at once (``refresh`` weighs it
@@ -572,29 +537,32 @@ class ArtifactStore:
                 self._mem.move_to_end(key)
                 self.hits += 1
                 return art
-            codec = CODECS.get(name)
-            if (
-                self.disk is not None
-                and codec is not None
-                and ctx is not None
-            ):
-                data = self.disk.read_bytes(
-                    self._relpath(name, fingerprint)
-                )
-                if data is not None:
-                    try:
-                        payload = codec.decode(data, ctx)
-                    except Exception:  # noqa: BLE001 - see ArtifactCodec
-                        # a stale or corrupt file is a miss; the run
-                        # recomputes and overwrites it
-                        self.misses += 1
-                        return None
-                    art = self._insert(name, fingerprint, payload, {})
-                    self.hits += 1
-                    self.disk_hits += 1
-                    return art
-            self.misses += 1
-            return None
+        # read and decode outside the lock: no lookup waits on this I/O
+        payload = None
+        codec = CODECS.get(name)
+        if self.disk is not None and codec is not None and ctx is not None:
+            data = self.disk.read_bytes(self._relpath(name, fingerprint))
+            if data is not None:
+                try:
+                    payload = codec.decode(data, ctx)
+                except Exception:  # noqa: BLE001 - see ArtifactCodec
+                    # a stale or corrupt file is a miss; the run
+                    # recomputes and overwrites it
+                    payload = None
+        with self._lock:
+            if payload is None:
+                self.misses += 1
+                return None
+            art = self._mem.get(key)
+            if art is None:
+                art = self._insert(name, fingerprint, payload, {})
+            else:
+                # another run promoted the entry meanwhile: keep it and
+                # its verification record
+                self._mem.move_to_end(key)
+            self.hits += 1
+            self.disk_hits += 1
+            return art
 
     def put(
         self,
@@ -610,8 +578,8 @@ class ArtifactStore:
             payload = copy.deepcopy(payload)
         with self._lock:
             art = self._insert(name, fingerprint, payload, dict(inputs or {}))
-            self._write_disk(art, ctx)
-            return art
+        self._write_disk(art, ctx)
+        return art
 
     def evict(self, name: str, fingerprint: str) -> None:
         """Drop an entry (and its verification record) from the memory
@@ -620,6 +588,73 @@ class ArtifactStore:
             art = self._mem.pop(f"{name}:{fingerprint}", None)
             if art is not None:
                 self._mem_bytes -= art.nbytes
+
+    def verified_plan(
+        self,
+        fingerprint: str,
+        graph: Any,
+        ctx: Optional[PlanningContext] = None,
+    ) -> Optional[Tuple[Any, str, Any]]:
+        """``(plan, deployment JSON, verification report)`` of the stored
+        ``evaluated`` entry at ``fingerprint`` once it has passed
+        :mod:`repro.verify`; ``None`` for a miss.
+
+        A pass is recorded on the entry under ``(fingerprint, plan
+        digest, VERIFIER_VERSION)``: the fingerprint pins every input the
+        check reads besides the plan (graph, cluster, precision,
+        optimizer, mode, schedule), the digest pins the plan itself
+        (:func:`_plan_digest`, taken afresh on every hit), and the
+        version pins the invariant set.  A hit whose key matches the
+        record reuses its report.
+
+        With a run's ``ctx`` (the pass manager's probe) the entry may
+        come from either tier, the run gets its own copy of the plan,
+        and a hit without a matching record is checked in place: a pass
+        is recorded, a failure evicts the entry and is a miss.  With
+        ``config.verify`` off nothing is checked or recorded and the
+        report is ``None``.  Without ``ctx`` (the plan service's event
+        loop) only the memory tier is read, the stored plan is returned
+        as it stands (read it, never change it), and only a hit whose
+        record matches is served: nothing is checked, decoded or read
+        from disk.
+        """
+        from repro.partitioner.deployment import plan_to_json
+        from repro.verify import plan_checks
+
+        if ctx is None:
+            with self._lock:
+                art = self._mem.get(f"{EVALUATED}:{fingerprint}")
+                if art is None or art.verified is None:
+                    return None
+                self._mem.move_to_end(art.key)
+                self.hits += 1
+            plan = art.payload
+        else:
+            art = self.get(EVALUATED, fingerprint, ctx)
+            if art is None:
+                return None
+            plan = materialize_for_reuse(EVALUATED, art.payload, ctx)
+            if not ctx.config.verify:
+                return plan, plan_to_json(plan, graph), None
+        document = plan_to_json(plan, graph)
+        key = (
+            fingerprint,
+            _plan_digest(plan, document),
+            plan_checks.VERIFIER_VERSION,
+        )
+        record = art.verified
+        if record is not None and record[0] == key:
+            if ctx is not None:
+                ctx.metrics.counter("verify.memo_hits").inc()
+            return plan, document, record[1]
+        if ctx is None:
+            return None
+        report = ctx.check_plan(plan)
+        if not report.ok:
+            self.evict(EVALUATED, fingerprint)
+            return None
+        art.verified = (key, report)
+        return plan, document, report
 
     def graph_validated(self, graph_fp: str) -> bool:
         """Whether ``validate_graph`` passed on a graph with this
@@ -701,6 +736,10 @@ class ArtifactStore:
     def _write_disk(
         self, art: Artifact, ctx: Optional[PlanningContext]
     ) -> None:
+        """Persist ``art`` through its codec.  Runs outside the store
+        lock: the payload is never mutated once stored, and the write is
+        atomic, so a concurrent ``put`` of the same address (the same
+        bytes) or ``get`` sees one whole file."""
         codec = CODECS.get(art.name)
         if self.disk is None or codec is None or ctx is None:
             return
@@ -715,7 +754,8 @@ class ArtifactStore:
         except OSError:
             # the artifact is already computed and held in memory; only
             # persisting it failed, which must not fail the run
-            self.write_errors += 1
+            with self._lock:
+                self.write_errors += 1
 
     # ------------------------------------------------------------------
     def counters(self) -> Dict[str, float]:

@@ -20,10 +20,19 @@ service.  It owns
   breakdown (``meta.timings``: normalize, pipeline, encode) on every
   plan response.
 
-A warm hit costs a graph fingerprint, one store probe, a plan copy and
-one encode: the store verifies a stored plan once per content address
-and remembers validated graphs (see :mod:`repro.planner.store`), and
-the deployment JSON the probe hashed is the response body.
+A warm hit that needs no computation -- its graph built and validated,
+its plan in the store's memory tier with a matching verification
+record -- is answered by :meth:`PlanEngine.warm_plan`: the request key,
+one memory-tier lookup and the per-hit digest of the stored plan, whose
+deployment JSON is the response body as it stands.  No worker hand-off,
+plan copy or pass runs (the HTTP server calls it on its event loop).
+Any other request goes through the pass manager, where a warm hit
+costs a probe, a plan copy and the same digest: the store verifies a
+stored plan once per content address and remembers validated graphs
+(see :mod:`repro.planner.store`).  A plan response is never parsed and
+re-encoded: results carry the document as
+:class:`~repro.service.protocol.RawJSON` and only the in-process
+methods parse it.
 
 Concurrency contract (the store/replan plumbing this engine relies on):
 
@@ -57,15 +66,17 @@ import json
 import threading
 import time
 from collections import OrderedDict
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.planner import PartitioningError, PlanningContext
+from repro.planner import PartitioningError, PlanningContext, default_passes
 from repro.planner.store import ArtifactStore, DiskBackend
 from repro.service.protocol import (
     PlanRequest,
+    RawJSON,
     ServiceError,
     normalize_plan_request,
 )
@@ -75,6 +86,30 @@ __all__ = ["PlanEngine"]
 #: built graphs a :class:`PlanEngine` keeps, least recently used
 #: dropped first
 GRAPH_CACHE_MAX = 32
+
+#: the passes a whole-plan store hit skips, in pipeline order: the
+#: ``reused_passes`` of every warm answer
+WARM_REUSED_PASSES = tuple(
+    p.name for p in default_passes() if p.skip_when_planned
+)
+
+
+@dataclass(frozen=True)
+class _Normalized:
+    """A plan request normalized on arrival: ``started`` is when it
+    arrived, ``normalize_ms`` how long normalizing took.  The event loop
+    hands a warm miss to the pool in this form, so it is not normalized
+    twice."""
+
+    req: PlanRequest
+    started: float
+    normalize_ms: float
+
+
+def _parsed(result: Dict[str, Any]) -> Dict[str, Any]:
+    """``result`` with its :class:`RawJSON` plan parsed, for in-process
+    callers."""
+    return dict(result, plan=json.loads(result["plan"].text))
 
 
 def _percentile(values: List[float], q: float) -> float:
@@ -167,13 +202,20 @@ class PlanEngine:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def handle(self, method: str, params: Any) -> Dict[str, Any]:
+    def handle(
+        self, method: str, params: Any, raw: bool = False
+    ) -> Dict[str, Any]:
         """Serve one request; returns the ``result`` object or raises
-        :class:`ServiceError`.  Thread-safe; blocks until done."""
+        :class:`ServiceError`.  Thread-safe; blocks until done.
+
+        With ``raw`` a result's ``plan`` stays the deployment document
+        as :class:`~repro.service.protocol.RawJSON`, which the transport
+        writes as it stands; otherwise it is parsed.  ``plan`` params
+        may be the work :meth:`warm_plan` handed back."""
         handler = {
-            "plan": self.plan,
-            "replan": self.replan,
-            "repair": self.repair,
+            "plan": self._plan,
+            "replan": self._replan,
+            "repair": self._repair,
             "verify": self.verify,
             "simulate": self.simulate,
             "serving_sim": self.serving_sim,
@@ -181,16 +223,105 @@ class PlanEngine:
         }.get(method)
         if handler is None:
             raise ServiceError("not_found", f"unknown method {method!r}")
-        return handler(params)
+        result = handler(params)
+        if not raw and isinstance(result.get("plan"), RawJSON):
+            return _parsed(result)
+        return result
 
     # ------------------------------------------------------------------
     # plan / replan / simulate
     # ------------------------------------------------------------------
     def plan(self, params: Any) -> Dict[str, Any]:
+        return _parsed(self._plan(params))
+
+    def _plan(self, params: Any) -> Dict[str, Any]:
+        if not isinstance(params, _Normalized):
+            result, params = self.warm_plan(params)
+            if result is not None:
+                return result
+        document, meta = self._coalesced_plan(self._normalized(params))
+        return {"plan": RawJSON(document), "meta": meta}
+
+    def warm_plan(self, params: Any) -> Tuple[Optional[Dict[str, Any]], Any]:
+        """Answer a ``plan`` request whose plan needs no computation.
+
+        The one warm path: the server runs it on its event loop before
+        handing a request to the worker pool, and :meth:`plan` runs it
+        first too.  It answers only when the pool would compute
+        nothing: the request's graph is in the graph cache (this path
+        never builds one), the store remembers the graph as validated,
+        and the plan's ``evaluated`` entry is in the store's memory tier
+        with a verification record that the entry's per-hit digest
+        matches (:meth:`ArtifactStore.verified_plan` without a run).
+        It reads no file and runs no pass or check.
+
+        Returns ``(result, None)`` for an answer -- the stored document
+        as it stands, with the counters and warm latency sample a pool
+        hit records -- and otherwise ``(None, work)``: what to hand
+        :meth:`handle`, the request normalized here or, when its graph
+        is not built yet, the raw ``params``.  Raises
+        :class:`ServiceError` for a malformed request, and
+        ``shutting_down`` while draining unless a run of the same plan
+        is in flight (which the pool's caller then joins).
+        """
         started = time.perf_counter()
-        req = self._normalize(params)
-        doc, meta = self._coalesced_plan(req, started)
-        return {"plan": doc, "meta": meta}
+        req = self._normalize(params, build_graph=False)
+        if req is None:
+            return None, params
+        looked_up = time.perf_counter()
+        work = _Normalized(req, started, (looked_up - started) * 1e3)
+        if self._closing.is_set():
+            with self._inflight_lock:
+                inflight = req.key in self._inflight
+            if not inflight:
+                self.metrics.counter("service.requests").inc()
+                raise ServiceError(
+                    "shutting_down", "service is draining; retry elsewhere"
+                )
+            return None, work
+        if not self.store.graph_validated(req.model_key):
+            return None, work
+        served = self.store.verified_plan(req.key, req.graph)
+        if served is None:
+            return None, work
+        plan, document, _report = served
+        done = time.perf_counter()
+        lookup_ms = (done - looked_up) * 1e3
+        wall_ms = (done - started) * 1e3
+        self._planned_models.add(req.model_key)
+        for name in (
+            "service.requests",
+            "service.warm_results",
+            "service.loop_answers",
+            "verify.memo_hits",
+            "validate.memo_hits",
+        ):
+            self.metrics.counter(name).inc()
+        self._observe_latency("warm", wall_ms)
+        self.tracer.add_span(
+            "service.warm_answer",
+            category="service",
+            start=started,
+            duration=done - started,
+            attrs={"fingerprint": req.key},
+        )
+        meta = {
+            "fingerprint": req.key,
+            "cache": "warm",
+            "reused_passes": list(WARM_REUSED_PASSES),
+            "verified": bool(req.config.verify),
+            "plan_ms": lookup_ms,
+            "iteration_time": plan.iteration_time,
+            "throughput": plan.throughput,
+            "num_stages": plan.num_stages,
+            "timings": {
+                "pipeline_ms": lookup_ms,
+                "encode_ms": 0.0,
+                "normalize_ms": work.normalize_ms,
+            },
+            "wall_ms": wall_ms,
+        }
+        return {"plan": RawJSON(document), "meta": meta}, None
 
     def replan(self, params: Any) -> Dict[str, Any]:
         """Delta contract: like ``plan``, but only against a warm base.
@@ -199,8 +330,11 @@ class PlanEngine:
         finished a plan for the model family, instead of silently
         falling back to a cold run.
         """
-        started = time.perf_counter()
-        req = self._normalize(params)
+        return _parsed(self._replan(params))
+
+    def _replan(self, params: Any) -> Dict[str, Any]:
+        work = self._normalized(params)
+        req = work.req
         if req.model_key not in self._planned_models:
             raise ServiceError(
                 "no_base",
@@ -208,8 +342,8 @@ class PlanEngine:
                 "POST /v1/plan first",
                 {"model": json.loads(req.model_spec)},
             )
-        doc, meta = self._coalesced_plan(req, started)
-        return {"plan": doc, "meta": meta}
+        document, meta = self._coalesced_plan(work)
+        return {"plan": RawJSON(document), "meta": meta}
 
     def repair(self, params: Any) -> Dict[str, Any]:
         """Replan-on-event: repair the deployed plan after a cluster
@@ -223,6 +357,9 @@ class PlanEngine:
         model family; the base plan itself is rebuilt from the shared
         store, which is a full reuse after any earlier ``plan``.
         """
+        return _parsed(self._repair(params))
+
+    def _repair(self, params: Any) -> Dict[str, Any]:
         from repro.partitioner.deployment import plan_to_json
         from repro.planner.repair import repair as plan_repair
         from repro.service.protocol import parse_event
@@ -266,9 +403,8 @@ class PlanEngine:
             )
         wall_ms = (time.perf_counter() - started) * 1e3
         self._observe_latency("repair", wall_ms)
-        doc = json.loads(plan_to_json(result.plan, req.graph))
         return {
-            "plan": doc,
+            "plan": RawJSON(plan_to_json(result.plan, req.graph)),
             "repair": {
                 "event": event.kind,
                 "used_full_replan": result.used_full_replan,
@@ -294,10 +430,9 @@ class PlanEngine:
         backwards): makespan, bubble, per-stage utilization."""
         from repro.pipeline.timeline import plan_flush_timing
 
-        started = time.perf_counter()
-        req = self._normalize(params)
-        doc, meta = self._coalesced_plan(req, started)
-        plan = self._plan_object(req)
+        work = self._normalized(params)
+        _document, meta = self._coalesced_plan(work)
+        plan = self._plan_object(work.req)
         timing = plan_flush_timing(plan)
         return {
             "meta": meta,
@@ -508,24 +643,37 @@ class PlanEngine:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _normalize(self, params: Any) -> PlanRequest:
+    def _normalize(
+        self, params: Any, build_graph: bool = True
+    ) -> Optional[PlanRequest]:
         return normalize_plan_request(
             params,
             cache_dir=self.cache_dir,
             cache_budget_bytes=self.cache_budget_bytes,
             graph_cache=self._graph_cache,
+            build_graph=build_graph,
         )
 
-    def _coalesced_plan(
-        self, req: PlanRequest, started: float
-    ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-        """One pipeline run per in-flight key; followers share it.
+    def _normalized(self, params: Any) -> _Normalized:
+        """``params`` normalized and timed (as it stands when the event
+        loop normalized it already)."""
+        if isinstance(params, _Normalized):
+            return params
+        started = time.perf_counter()
+        req = self._normalize(params)
+        return _Normalized(
+            req, started, (time.perf_counter() - started) * 1e3
+        )
 
-        ``started`` is when the request arrived, before normalization:
-        ``meta.wall_ms`` and ``meta.timings`` both count from it.  A
-        follower reports its wait on the leader as ``pipeline_ms``.
+    def _coalesced_plan(self, work: _Normalized) -> Tuple[str, Dict[str, Any]]:
+        """``(deployment JSON, meta)``: one pipeline run per in-flight
+        key; followers share it.
+
+        ``work.started`` is when the request arrived, before
+        normalization: ``meta.wall_ms`` counts from it.  A follower
+        reports its wait on the leader as ``pipeline_ms``.
         """
-        normalize_ms = (time.perf_counter() - started) * 1e3
+        req, started = work.req, work.started
         self.metrics.counter("service.requests").inc()
         with self._inflight_lock:
             future = self._inflight.get(req.key)
@@ -549,7 +697,7 @@ class PlanEngine:
             self.metrics.counter("service.coalesced").inc()
         waited = time.perf_counter()
         try:
-            doc, meta = future.result()
+            document, meta = future.result()
         except concurrent.futures.CancelledError:
             raise ServiceError(
                 "shutting_down", "request cancelled during shutdown"
@@ -565,19 +713,18 @@ class PlanEngine:
                 "pipeline_ms": (done - waited) * 1e3,
                 "encode_ms": 0.0,
             }
-        timings["normalize_ms"] = normalize_ms
+        timings["normalize_ms"] = work.normalize_ms
         meta["timings"] = timings
         if not leader:
             meta["coalesced"] = True
             self._observe_latency("coalesced", wall_ms)
         else:
             self._observe_latency(meta["cache"], wall_ms)
-        return doc, meta
+        return document, meta
 
-    def _execute(
-        self, req: PlanRequest
-    ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-        """Run the planning pipeline for one (leader) request."""
+    def _execute(self, req: PlanRequest) -> Tuple[str, Dict[str, Any]]:
+        """Run the planning pipeline for one (leader) request; returns
+        the plan's deployment JSON and the response meta."""
         from repro.partitioner.deployment import plan_to_json
 
         ctx = PlanningContext(
@@ -607,7 +754,6 @@ class PlanEngine:
         encode_started = time.perf_counter()
         # a warm hit reuses the deployment JSON its probe verified
         document = ctx.plan_document or plan_to_json(plan, req.graph)
-        doc = json.loads(document)
         done = time.perf_counter()
         meta = {
             "fingerprint": req.key,
@@ -623,7 +769,7 @@ class PlanEngine:
                 "encode_ms": (done - encode_started) * 1e3,
             },
         }
-        return doc, meta
+        return document, meta
 
     @staticmethod
     def _classify(ctx: PlanningContext) -> Tuple[str, List[str]]:

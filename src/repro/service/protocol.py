@@ -21,6 +21,7 @@ request/response examples and the full error-code table.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -331,6 +332,25 @@ OPTION_FIELDS = {
 }
 
 
+def _is_json_int(value: Any) -> bool:
+    """A JSON integer: ``true``/``false`` parse as Python bools, which
+    are ints too, and are not accepted."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite_float(value: Any) -> Optional[float]:
+    """``value`` as a float when it is a finite JSON number, else
+    ``None`` (``NaN``/``Infinity`` parse as floats, huge integers
+    overflow one)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def build_config(
     params: Dict[str, Any],
     *,
@@ -340,13 +360,16 @@ def build_config(
     """The :class:`PlannerConfig` for one request.
 
     ``batch_size`` is required; everything else comes from the optional
-    ``options`` object (see :data:`OPTION_FIELDS`).  ``verify`` is
+    ``options`` object (see :data:`OPTION_FIELDS`).  ``batch_size``,
+    ``blocks`` and ``max_microbatches`` must be JSON integers and
+    ``memory_budget_gb`` a finite JSON number; :class:`PlannerConfig`
+    checks their ranges.  ``verify`` is
     always on -- the service's contract is that every served plan passed
     :mod:`repro.verify` -- and the cache knobs come from the service
     deployment, not the request.
     """
     batch_size = params.get("batch_size")
-    if not isinstance(batch_size, int) or batch_size < 1:
+    if not _is_json_int(batch_size) or batch_size < 1:
         raise ServiceError(
             "bad_request", "batch_size must be a positive integer"
         )
@@ -358,15 +381,28 @@ def build_config(
             f"unknown options {unknown}; "
             f"supported: {sorted(OPTION_FIELDS)}",
         )
+    for name in ("blocks", "max_microbatches"):
+        if name in options and not _is_json_int(options[name]):
+            raise ServiceError(
+                "bad_request", f"option {name!r} must be an integer"
+            )
+    budget = None
+    if "memory_budget_gb" in options:
+        budget = _finite_float(options["memory_budget_gb"])
+        if budget is None:
+            raise ServiceError(
+                "bad_request",
+                "option 'memory_budget_gb' must be a finite number",
+            )
     kwargs: Dict[str, Any] = {"batch_size": batch_size, "verify": True}
     if options.get("amp"):
         kwargs["precision"] = Precision.AMP
     if "blocks" in options:
-        kwargs["num_blocks"] = int(options["blocks"])
+        kwargs["num_blocks"] = options["blocks"]
     if "max_microbatches" in options:
-        kwargs["max_microbatches"] = int(options["max_microbatches"])
-    if "memory_budget_gb" in options:
-        kwargs["memory_budget"] = float(options["memory_budget_gb"]) * 2**30
+        kwargs["max_microbatches"] = options["max_microbatches"]
+    if budget is not None:
+        kwargs["memory_budget"] = budget * 2**30
     for name in ("comm_model", "schedule", "mode"):
         if name in options:
             kwargs[name] = options[name]
@@ -386,14 +422,18 @@ def normalize_plan_request(
     cache_dir=None,
     cache_budget_bytes: Optional[int] = None,
     graph_cache: Optional[Any] = None,
-) -> PlanRequest:
+    build_graph: bool = True,
+) -> Optional[PlanRequest]:
     """Validate raw ``plan``/``replan``/``simulate`` params into a
     :class:`PlanRequest`.
 
     ``graph_cache`` (canonical model spec -> built graph; anything with
     a dict's ``get`` and item assignment) makes repeated requests skip
     the graph build; graphs are immutable, so sharing them across
-    requests is safe and keeps the fingerprint memo warm.
+    requests is safe and keeps the fingerprint memo warm.  With
+    ``build_graph`` off a graph missing from the cache is not built:
+    the call returns ``None`` once the params object and its model spec
+    have been checked.
     """
     params = _expect_object(params, "params")
     model_spec = params.get("model")
@@ -409,6 +449,8 @@ def normalize_plan_request(
     if graph_cache is not None:
         graph = graph_cache.get(canonical_model)
     if graph is None:
+        if not build_graph:
+            return None
         graph, canonical_model = build_model(model_spec)
         if graph_cache is not None:
             graph_cache[canonical_model] = graph
@@ -483,8 +525,32 @@ def parse_event(spec: Any):
     )
 
 
+@dataclass(frozen=True)
+class RawJSON:
+    """JSON text that goes into a response as it stands: a plan's
+    deployment document, encoded once and never parsed to be encoded
+    again (see :func:`encode_body`).  ``json.dumps`` refuses it, so it
+    cannot be written as a quoted string by mistake."""
+
+    text: str
+
+
 def ok_envelope(result: Dict[str, Any]) -> Dict[str, Any]:
     return {"ok": True, "result": result}
+
+
+def encode_body(envelope: Dict[str, Any]) -> bytes:
+    """The JSON bytes of a response envelope.  A result's :class:`RawJSON`
+    ``plan`` is written as its text, so the bytes equal
+    ``json.dumps`` of the envelope with the plan parsed."""
+    result = envelope.get("result")
+    if not (isinstance(result, dict) and isinstance(result.get("plan"), RawJSON)):
+        return json.dumps(envelope).encode()
+    fields = ", ".join(
+        f"{json.dumps(k)}: {v.text if isinstance(v, RawJSON) else json.dumps(v)}"
+        for k, v in result.items()
+    )
+    return f'{{"ok": true, "result": {{{fields}}}}}'.encode()
 
 
 def error_envelope(exc: ServiceError) -> Dict[str, Any]:

@@ -4,7 +4,10 @@ Stdlib-only: :func:`asyncio.start_server` with a minimal HTTP/1.1
 reader/writer (request line + headers + ``Content-Length`` body,
 keep-alive supported), dispatching JSON bodies into a
 :class:`~repro.service.engine.PlanEngine` on a bounded thread pool so
-the event loop never blocks on a pipeline run.
+the event loop never blocks on a pipeline run.  A warm ``plan`` hit
+that needs no computation is answered on the loop itself
+(:meth:`~repro.service.engine.PlanEngine.warm_plan`), and a plan's
+deployment document is written into the response as it stands.
 
 Routes (see ``docs/SERVICE.md`` for the schemas)::
 
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import functools
 import json
 import signal
 import threading
@@ -41,6 +45,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.service.engine import PlanEngine
 from repro.service.protocol import (
     ServiceError,
+    encode_body,
     error_envelope,
     ok_envelope,
 )
@@ -199,7 +204,7 @@ class PlanServer:
                     headers.get("connection", "keep-alive").lower()
                     != "close"
                 )
-                data = json.dumps(payload).encode()
+                data = encode_body(payload)
                 writer.write(
                     (
                         f"HTTP/1.1 {status} "
@@ -324,17 +329,25 @@ class PlanServer:
                 return err.status, error_envelope(err)
         else:
             params = {}
-        loop = asyncio.get_running_loop()
         try:
-            future = loop.run_in_executor(
-                self._pool, self.engine.handle, method, params
-            )
-        except RuntimeError as exc:
-            # the pool refuses new work: shut down by a non-graceful exit
-            err = ServiceError("shutting_down", str(exc))
-            return err.status, error_envelope(err)
-        try:
-            result = await future
+            result = None
+            if method == "plan":
+                # a warm hit that needs no computation is answered here,
+                # on the loop; anything else goes to the pool
+                result, params = self.engine.warm_plan(params)
+            if result is None:
+                try:
+                    future = asyncio.get_running_loop().run_in_executor(
+                        self._pool,
+                        functools.partial(
+                            self.engine.handle, method, params, raw=True
+                        ),
+                    )
+                except RuntimeError as exc:
+                    # the pool refuses new work: shut down by a
+                    # non-graceful exit
+                    raise ServiceError("shutting_down", str(exc)) from None
+                result = await future
         except ServiceError as exc:
             return exc.status, error_envelope(exc)
         except Exception as exc:  # noqa: BLE001 - boundary of the daemon

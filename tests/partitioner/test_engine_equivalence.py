@@ -434,12 +434,21 @@ class TestConfigKnobs:
     @pytest.mark.parametrize(
         "field, value",
         [("schedule", "foo"), ("comm_model", "bogus"), ("num_blocks", 0),
-         ("num_blocks", -3)],
+         ("num_blocks", -3), ("max_microbatches", 0),
+         ("memory_budget", 0.0), ("memory_budget", -1.0),
+         ("memory_budget", float("nan")), ("memory_budget", float("inf"))],
     )
     def test_malformed_value_rejected(self, field, value):
         # rejected when the config is built, before any pass runs
         with pytest.raises(ValueError, match=field):
             PlannerConfig(batch_size=32, **{field: value})
+
+    def test_batch_size_bound(self):
+        from repro.planner.context import MAX_BATCH_SIZE
+
+        assert PlannerConfig(batch_size=MAX_BATCH_SIZE).batch_size
+        with pytest.raises(ValueError, match="batch_size"):
+            PlannerConfig(batch_size=MAX_BATCH_SIZE + 1)
 
     def test_bad_backend_rejected(self):
         for knob, value in [

@@ -315,6 +315,13 @@ class TestMaterializeForReuse:
         assert copy1 is not plan
         assert copy1.stages == plan.stages
 
+    def test_plan_copy_shares_the_frozen_stages(self, planned_ctx):
+        plan = planned_ctx.require(EVALUATED)
+        copy1 = materialize_for_reuse(EVALUATED, plan, planned_ctx)
+        assert copy1.stages is not plan.stages
+        assert all(a is b for a, b in zip(copy1.stages, plan.stages))
+        assert copy1.diagnostics is not plan.diagnostics
+
     def test_blocks_pass_through(self, planned_ctx):
         blocks = planned_ctx.require(BLOCKS)
         assert materialize_for_reuse(BLOCKS, blocks, planned_ctx) is blocks

@@ -144,3 +144,67 @@ class TestDiskBackendHammer:
         for path in tmp_path.rglob("*.bin"):
             assert path.stat().st_size == 256
         assert backend.bytes_used() <= 2 * 1024 + 256
+
+
+class TestNoLockAcrossIO:
+    """The store lock guards the store's own state only: a memory-tier
+    lookup never waits on another request's disk write or read."""
+
+    #: the blocks codec reads nothing off the run, so any context will do
+    CTX = object()
+
+    @staticmethod
+    def blocks():
+        from repro.partitioner.blocks import Block
+
+        return [Block(index=0, atomic_indices=(0,), tasks=("t0",))]
+
+    def blocked(self, store, method):
+        """Make ``store.disk.<method>`` wait until released; returns
+        ``(entered, release)`` events."""
+        entered, release = threading.Event(), threading.Event()
+        real = getattr(store.disk, method)
+
+        def gated(*args):
+            entered.set()
+            assert release.wait(30)
+            return real(*args)
+
+        setattr(store.disk, method, gated)
+        return entered, release
+
+    def test_memory_get_returns_during_a_blocked_put(self, tmp_path):
+        store = ArtifactStore(disk=DiskBackend(tmp_path))
+        store.put("blocks", "warm", self.blocks(), ctx=self.CTX)
+        entered, release = self.blocked(store, "write_bytes")
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            writer = pool.submit(
+                store.put, "blocks", "cold", self.blocks(), None, self.CTX
+            )
+            try:
+                assert entered.wait(30)
+                reader = pool.submit(store.get, "blocks", "warm")
+                assert reader.result(timeout=5) is not None
+                assert not writer.done()
+            finally:
+                release.set()
+            writer.result(timeout=30)
+        assert (tmp_path / store._relpath("blocks", "cold")).exists()
+
+    def test_memory_get_returns_during_a_blocked_disk_read(self, tmp_path):
+        store = ArtifactStore(disk=DiskBackend(tmp_path))
+        store.put("blocks", "warm", self.blocks(), ctx=self.CTX)
+        store.put("blocks", "on_disk", self.blocks(), ctx=self.CTX)
+        store.evict("blocks", "on_disk")
+        entered, release = self.blocked(store, "read_bytes")
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            disk_get = pool.submit(store.get, "blocks", "on_disk", self.CTX)
+            try:
+                assert entered.wait(30)
+                reader = pool.submit(store.get, "blocks", "warm")
+                assert reader.result(timeout=5) is not None
+            finally:
+                release.set()
+            promoted = disk_get.result(timeout=30)
+        assert promoted.payload == self.blocks()
+        assert store.disk_hits == 1

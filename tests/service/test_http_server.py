@@ -171,6 +171,43 @@ class TestMalformedOptions:
         assert doc["error"]["code"] == "bad_request"
         assert runs == []
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"batch_size": True},
+            {"batch_size": 10**30},
+            {"options": {"memory_budget_gb": float("nan")}},
+            {"options": {"memory_budget_gb": float("inf")}},
+            {"options": {"memory_budget_gb": True}},
+            {"options": {"memory_budget_gb": 0}},
+            {"options": {"memory_budget_gb": "abc"}},
+            {"options": {"blocks": 2.7}},
+            {"options": {"blocks": "x"}},
+            {"options": {"max_microbatches": 0}},
+            {"options": {"max_microbatches": [1]}},
+        ],
+        ids=["batch_true", "batch_huge", "budget_nan", "budget_inf",
+             "budget_true", "budget0", "budget_str", "blocks_float",
+             "blocks_str", "mb0", "mb_list"],
+    )
+    def test_malformed_number_is_400_before_any_pass(
+        self, server, monkeypatch, overrides
+    ):
+        from repro.planner.manager import PassManager
+
+        runs = []
+        run = PassManager.run
+
+        def recording(self, ctx):
+            runs.append(ctx)
+            return run(self, ctx)
+
+        monkeypatch.setattr(PassManager, "run", recording)
+        status, doc = post_plan(server, dict(PARAMS, **overrides))
+        assert status == 400
+        assert doc["error"]["code"] == "bad_request"
+        assert runs == []
+
     def test_crashing_pass_is_500(self, server, monkeypatch):
         from repro.planner.passes import StageSearchPass
 

@@ -5,15 +5,19 @@ key, and the error-code table that maps protocol failures onto
 HTTP statuses.
 """
 
+import json
+
 import pytest
 
 from repro.hardware.device import Precision
 from repro.service.protocol import (
     ERROR_STATUS,
+    RawJSON,
     ServiceError,
     build_cluster,
     build_config,
     build_model,
+    encode_body,
     error_envelope,
     normalize_plan_request,
     ok_envelope,
@@ -53,6 +57,24 @@ class TestServiceError:
 
 
 class TestEnvelopes:
+    def test_raw_plan_is_written_as_it_stands(self):
+        plan = {"stages": [{"index": 0, "tasks": ["a", "b"]}], "x": 0.1}
+        result = {"plan": RawJSON(json.dumps(plan, sort_keys=True)),
+                  "meta": {"cache": "warm", "wall_ms": 1.5}}
+        body = encode_body(ok_envelope(result))
+        parsed = dict(result, plan=plan)
+        assert body == json.dumps(ok_envelope(parsed)).encode()
+
+    def test_envelopes_without_a_raw_plan_are_plain_json(self):
+        env = error_envelope(ServiceError("not_found", "nope"))
+        assert encode_body(env) == json.dumps(env).encode()
+        plain = ok_envelope({"a": [1]})
+        assert encode_body(plain) == json.dumps(plain).encode()
+
+    def test_raw_json_is_never_quoted_by_mistake(self):
+        with pytest.raises(TypeError):
+            json.dumps({"plan": RawJSON("{}")})
+
     def test_shapes(self):
         assert ok_envelope({"a": 1}) == {"ok": True, "result": {"a": 1}}
         env = error_envelope(ServiceError("not_found", "nope"))
@@ -138,6 +160,24 @@ class TestBuildConfig:
         assert cfg.max_microbatches == 4
         assert cfg.memory_budget == 2.0 * 2**30
         assert cfg.comm_model == "topology"
+
+    def test_numbers_must_be_json_numbers_of_the_right_kind(self):
+        cfg = build_config(
+            {"batch_size": 32, "options": {"memory_budget_gb": 2}}
+        )
+        assert cfg.memory_budget == 2 * 2**30
+        for bad in (
+            {"batch_size": True},
+            {"batch_size": 32.0},
+            {"batch_size": 32, "options": {"blocks": 8.0}},
+            {"batch_size": 32, "options": {"max_microbatches": False}},
+            {"batch_size": 32, "options": {"memory_budget_gb": None}},
+            {"batch_size": 32, "options": {"memory_budget_gb": 10**400}},
+            {"batch_size": 32, "options": {"memory_budget_gb": 1e308}},
+        ):
+            with pytest.raises(ServiceError) as ei:
+                build_config(bad)
+            assert ei.value.code == "bad_request", bad
 
     def test_unknown_option_is_rejected_with_the_supported_list(self):
         with pytest.raises(ServiceError) as ei:

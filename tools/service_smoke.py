@@ -2,11 +2,12 @@
 """Smoke-test a running plan service, used by the CI ``service`` job.
 
 Exercises the daemon's whole contract end to end against a live
-socket -- cold plan, warm repeat, delta replan through ``/v1/replan``,
+socket -- cold plan, warm repeats (answered on the server's event loop
+and counted in ``/v1/stats``), delta replan through ``/v1/replan``,
 concurrent same-model replans over one shared DP context, in-place
-repair through ``/v1/repair``, a malformed option rejected as
-``bad_request``, verify round-trip of the served document, simulate,
-stats -- and exits non-zero the moment any response disagrees with
+repair through ``/v1/repair``, a malformed option and malformed
+numbers rejected as ``bad_request``, verify round-trip of the served
+document, simulate, stats -- and exits non-zero the moment any response disagrees with
 ``docs/SERVICE.md``.
 
 Usage (the server must already be listening)::
@@ -26,6 +27,25 @@ REQUEST = {
     "cluster": {"preset": "v100x8"},
     "batch_size": 256,
 }
+
+#: repeats of the warm request whose answers are checked one by one
+WARM_REPEATS = 20
+
+#: malformed numbers, each answered 400 ``bad_request`` before any pass
+MALFORMED_NUMBERS = [
+    ("batch_size true", {"batch_size": True}),
+    ("batch_size 10**30", {"batch_size": 10**30}),
+    ("memory_budget_gb NaN", {"options": {"memory_budget_gb": float("nan")}}),
+    ("memory_budget_gb Infinity",
+     {"options": {"memory_budget_gb": float("inf")}}),
+    ("memory_budget_gb true", {"options": {"memory_budget_gb": True}}),
+    ("memory_budget_gb 0", {"options": {"memory_budget_gb": 0}}),
+    ("memory_budget_gb string", {"options": {"memory_budget_gb": "abc"}}),
+    ("blocks 2.7", {"options": {"blocks": 2.7}}),
+    ("blocks string", {"options": {"blocks": "x"}}),
+    ("max_microbatches 0", {"options": {"max_microbatches": 0}}),
+    ("max_microbatches list", {"options": {"max_microbatches": [1]}}),
+]
 
 
 def check(condition: bool, label: str) -> bool:
@@ -58,6 +78,23 @@ def main(argv=None) -> int:
     warm = client.plan(**REQUEST)
     ok &= check(warm["meta"]["cache"] == "warm", "repeat is a warm hit")
     ok &= check(warm["plan"] == cold["plan"], "warm plan is byte-identical")
+
+    # from here on a repeat is answered on the server's event loop
+    warm_before = client.stats()["counters"]["service.warm_results"]
+    repeats = [client.plan(**REQUEST) for _ in range(WARM_REPEATS)]
+    ok &= check(
+        all(r["meta"]["cache"] == "warm" for r in repeats),
+        f"{WARM_REPEATS} warm repeats are warm hits",
+    )
+    ok &= check(
+        all(r["plan"] == cold["plan"] for r in repeats),
+        f"{WARM_REPEATS} warm repeats equal the cold plan",
+    )
+    warm_after = client.stats()["counters"]["service.warm_results"]
+    ok &= check(
+        warm_after - warm_before == WARM_REPEATS,
+        f"stats count the {WARM_REPEATS} warm repeats",
+    )
 
     delta = client.replan(**dict(REQUEST, cluster={"preset": "v100x16"}))
     ok &= check(delta["meta"]["cache"] == "delta", "replan after resize is delta")
@@ -122,14 +159,16 @@ def main(argv=None) -> int:
             "replan without a base returns 409 no_base",
         )
 
-    try:
-        client.plan(**dict(REQUEST, options={"schedule": "foo"}))
-        ok &= check(False, "malformed option returns 400 bad_request")
-    except ServiceHTTPError as exc:
-        ok &= check(
-            exc.http_status == 400 and exc.code == "bad_request",
-            "malformed option returns 400 bad_request",
-        )
+    malformed = [("option", {"options": {"schedule": "foo"}})]
+    for label, overrides in malformed + MALFORMED_NUMBERS:
+        try:
+            client.plan(**dict(REQUEST, **overrides))
+            ok &= check(False, f"malformed {label} returns 400 bad_request")
+        except ServiceHTTPError as exc:
+            ok &= check(
+                exc.http_status == 400 and exc.code == "bad_request",
+                f"malformed {label} returns 400 bad_request",
+            )
 
     verify = client.verify(plan=cold["plan"], model=REQUEST["model"],
                            cluster=REQUEST["cluster"],
