@@ -27,7 +27,8 @@ manager probes it before running any pass (see
 content address and its pass is recorded on the memory-tier entry
 (:meth:`ArtifactStore.verified_plan`), so a repeated hit costs a
 fingerprint, one probe, a copy and an encode (the plan service answers
-it without the copy, see :mod:`repro.service.engine`).  The store also
+it without the copy through :meth:`ArtifactStore.recorded_plan`, see
+:mod:`repro.service.engine`).  The store also
 remembers which graphs passed ``validate_graph``.
 
 Reusing a loaded plan needs one run-specific fix-up: it is deep-copied
@@ -454,6 +455,27 @@ def materialize_for_reuse(
     return payload
 
 
+def _matching_record(
+    art: Artifact, plan: Any, graph: Any
+) -> Tuple[str, Tuple[str, str, int], Any]:
+    """``(deployment JSON, record key, report)`` of a stored plan: the
+    key ``(fingerprint, plan digest, VERIFIER_VERSION)`` its
+    verification is recorded under, and the recorded report when the
+    entry's record has that key (else ``None``)."""
+    from repro.partitioner.deployment import plan_to_json
+    from repro.verify import plan_checks
+
+    document = plan_to_json(plan, graph)
+    key = (
+        art.fingerprint,
+        _plan_digest(plan, document),
+        plan_checks.VERIFIER_VERSION,
+    )
+    record = art.verified
+    report = record[1] if record is not None and record[0] == key else None
+    return document, key, report
+
+
 # ----------------------------------------------------------------------
 # the store
 # ----------------------------------------------------------------------
@@ -482,9 +504,11 @@ class ArtifactStore:
     linearizable (one internal RLock), so one store may back many
     concurrent planning runs -- the plan service shares a single store
     across all requests.  The lock covers the store's own state only
-    and is never held across disk I/O or a codec: a disk read and its
-    decode, and a ``put``'s encode and write, run outside it, so a
-    memory-tier lookup never waits on another request's I/O.
+    and is never held across disk I/O, a codec or the weighing of a
+    payload: a disk read and its decode, a ``put``'s encode and write,
+    and the walk that sizes an entry (a whole ``dp_context`` memo on
+    ``refresh``) run outside it, so a memory-tier lookup never waits on
+    another request's I/O or on a large entry being weighed.
     Payloads handed out by ``get`` are shared as they stand: plans are
     copied on reuse, and a ``dp_context`` only grows by idempotent memo
     fills, which concurrent runs may make at once (``refresh`` weighs it
@@ -549,13 +573,15 @@ class ArtifactStore:
                     # a stale or corrupt file is a miss; the run
                     # recomputes and overwrites it
                     payload = None
-        with self._lock:
-            if payload is None:
+        if payload is None:
+            with self._lock:
                 self.misses += 1
-                return None
+            return None
+        nbytes = self._payload_nbytes(name, payload)
+        with self._lock:
             art = self._mem.get(key)
             if art is None:
-                art = self._insert(name, fingerprint, payload, {})
+                art = self._insert(name, fingerprint, payload, {}, nbytes)
             else:
                 # another run promoted the entry meanwhile: keep it and
                 # its verification record
@@ -576,8 +602,11 @@ class ArtifactStore:
             # the run keeps mutating its plan (diagnostics stamping, the
             # caller); the entry must not see that
             payload = copy.deepcopy(payload)
+        nbytes = self._payload_nbytes(name, payload)
         with self._lock:
-            art = self._insert(name, fingerprint, payload, dict(inputs or {}))
+            art = self._insert(
+                name, fingerprint, payload, dict(inputs or {}), nbytes
+            )
         self._write_disk(art, ctx)
         return art
 
@@ -590,14 +619,13 @@ class ArtifactStore:
                 self._mem_bytes -= art.nbytes
 
     def verified_plan(
-        self,
-        fingerprint: str,
-        graph: Any,
-        ctx: Optional[PlanningContext] = None,
+        self, fingerprint: str, graph: Any, ctx: PlanningContext
     ) -> Optional[Tuple[Any, str, Any]]:
         """``(plan, deployment JSON, verification report)`` of the stored
         ``evaluated`` entry at ``fingerprint`` once it has passed
-        :mod:`repro.verify`; ``None`` for a miss.
+        :mod:`repro.verify`; ``None`` for a miss.  The pass manager's
+        probe: the entry may come from either tier and the run gets its
+        own copy of the plan.
 
         A pass is recorded on the entry under ``(fingerprint, plan
         digest, VERIFIER_VERSION)``: the fingerprint pins every input the
@@ -605,56 +633,50 @@ class ArtifactStore:
         optimizer, mode, schedule), the digest pins the plan itself
         (:func:`_plan_digest`, taken afresh on every hit), and the
         version pins the invariant set.  A hit whose key matches the
-        record reuses its report.
-
-        With a run's ``ctx`` (the pass manager's probe) the entry may
-        come from either tier, the run gets its own copy of the plan,
-        and a hit without a matching record is checked in place: a pass
-        is recorded, a failure evicts the entry and is a miss.  With
-        ``config.verify`` off nothing is checked or recorded and the
-        report is ``None``.  Without ``ctx`` (the plan service's event
-        loop) only the memory tier is read, the stored plan is returned
-        as it stands (read it, never change it), and only a hit whose
-        record matches is served: nothing is checked, decoded or read
-        from disk.
+        record reuses its report; any other hit is checked in place: a
+        pass is recorded, a failure evicts the entry and is a miss.
+        With ``config.verify`` off nothing is checked or recorded and
+        the report is ``None``.
         """
         from repro.partitioner.deployment import plan_to_json
-        from repro.verify import plan_checks
 
-        if ctx is None:
-            with self._lock:
-                art = self._mem.get(f"{EVALUATED}:{fingerprint}")
-                if art is None or art.verified is None:
-                    return None
-                self._mem.move_to_end(art.key)
-                self.hits += 1
-            plan = art.payload
-        else:
-            art = self.get(EVALUATED, fingerprint, ctx)
-            if art is None:
-                return None
-            plan = materialize_for_reuse(EVALUATED, art.payload, ctx)
-            if not ctx.config.verify:
-                return plan, plan_to_json(plan, graph), None
-        document = plan_to_json(plan, graph)
-        key = (
-            fingerprint,
-            _plan_digest(plan, document),
-            plan_checks.VERIFIER_VERSION,
-        )
-        record = art.verified
-        if record is not None and record[0] == key:
-            if ctx is not None:
-                ctx.metrics.counter("verify.memo_hits").inc()
-            return plan, document, record[1]
-        if ctx is None:
+        art = self.get(EVALUATED, fingerprint, ctx)
+        if art is None:
             return None
+        plan = materialize_for_reuse(EVALUATED, art.payload, ctx)
+        if not ctx.config.verify:
+            return plan, plan_to_json(plan, graph), None
+        document, key, report = _matching_record(art, plan, graph)
+        if report is not None:
+            ctx.metrics.counter("verify.memo_hits").inc()
+            return plan, document, report
         report = ctx.check_plan(plan)
         if not report.ok:
             self.evict(EVALUATED, fingerprint)
             return None
         art.verified = (key, report)
         return plan, document, report
+
+    def recorded_plan(
+        self, fingerprint: str, graph: Any
+    ) -> Optional[Tuple[Any, str, Any]]:
+        """``(plan, deployment JSON, verification report)`` of the
+        ``evaluated`` entry at ``fingerprint`` when the memory tier holds
+        it and its verification record matches its per-hit digest (see
+        :meth:`verified_plan`); ``None`` otherwise.  Nothing is read
+        from disk, decoded, copied or checked: the plan is the stored
+        one as it stands (read it, never change it).  The plan
+        service's event loop answers warm hits from it."""
+        with self._lock:
+            art = self._mem.get(f"{EVALUATED}:{fingerprint}")
+            if art is None or art.verified is None:
+                return None
+            self._mem.move_to_end(art.key)
+            self.hits += 1
+        document, _key, report = _matching_record(art, art.payload, graph)
+        if report is None:
+            return None
+        return art.payload, document, report
 
     def graph_validated(self, graph_fp: str) -> bool:
         """Whether ``validate_graph`` passed on a graph with this
@@ -683,8 +705,11 @@ class ArtifactStore:
         key = f"{name}:{fingerprint}"
         with self._lock:
             art = self._mem.get(key)
-            if art is not None:
-                nbytes = self._payload_nbytes(name, art.payload)
+        if art is None:
+            return
+        nbytes = self._payload_nbytes(name, art.payload)
+        with self._lock:
+            if self._mem.get(key) is art:
                 self._mem_bytes += nbytes - art.nbytes
                 art.nbytes = nbytes
                 self._evict_over_budget(keep=key)
@@ -702,6 +727,7 @@ class ArtifactStore:
         fingerprint: str,
         payload: Any,
         inputs: Dict[str, str],
+        nbytes: int,
     ) -> Artifact:
         key = f"{name}:{fingerprint}"
         old = self._mem.pop(key, None)
@@ -712,7 +738,7 @@ class ArtifactStore:
             fingerprint=fingerprint,
             inputs=inputs,
             payload=payload,
-            nbytes=self._payload_nbytes(name, payload),
+            nbytes=nbytes,
         )
         self._mem[key] = art
         self._mem_bytes += art.nbytes

@@ -96,13 +96,11 @@ WARM_REUSED_PASSES = tuple(
 
 @dataclass(frozen=True)
 class _Normalized:
-    """A plan request normalized on arrival: ``started`` is when it
-    arrived, ``normalize_ms`` how long normalizing took.  The event loop
-    hands a warm miss to the pool in this form, so it is not normalized
-    twice."""
+    """A plan request normalized, and how long normalizing took.  The
+    event loop hands a warm miss to the pool in this form, so it is not
+    normalized twice."""
 
     req: PlanRequest
-    started: float
     normalize_ms: float
 
 
@@ -202,15 +200,15 @@ class PlanEngine:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def handle(
-        self, method: str, params: Any, raw: bool = False
-    ) -> Dict[str, Any]:
-        """Serve one request; returns the ``result`` object or raises
-        :class:`ServiceError`.  Thread-safe; blocks until done.
+    def handle(self, method: str, params: Any) -> Dict[str, Any]:
+        """Serve one request; returns the ``result`` object in transport
+        form or raises :class:`ServiceError`.  Thread-safe; blocks until
+        done.
 
-        With ``raw`` a result's ``plan`` stays the deployment document
-        as :class:`~repro.service.protocol.RawJSON`, which the transport
-        writes as it stands; otherwise it is parsed.  ``plan`` params
+        A result's ``plan`` is the deployment document as
+        :class:`~repro.service.protocol.RawJSON`, which the transport
+        writes as it stands (:meth:`plan`, :meth:`replan` and
+        :meth:`repair` are the parsed in-process API).  ``plan`` params
         may be the work :meth:`warm_plan` handed back."""
         handler = {
             "plan": self._plan,
@@ -223,10 +221,7 @@ class PlanEngine:
         }.get(method)
         if handler is None:
             raise ServiceError("not_found", f"unknown method {method!r}")
-        result = handler(params)
-        if not raw and isinstance(result.get("plan"), RawJSON):
-            return _parsed(result)
-        return result
+        return handler(params)
 
     # ------------------------------------------------------------------
     # plan / replan / simulate
@@ -252,36 +247,29 @@ class PlanEngine:
         never builds one), the store remembers the graph as validated,
         and the plan's ``evaluated`` entry is in the store's memory tier
         with a verification record that the entry's per-hit digest
-        matches (:meth:`ArtifactStore.verified_plan` without a run).
-        It reads no file and runs no pass or check.
+        matches (:meth:`ArtifactStore.recorded_plan`).  It reads no
+        file and runs no pass or check.
 
         Returns ``(result, None)`` for an answer -- the stored document
         as it stands, with the counters and warm latency sample a pool
         hit records -- and otherwise ``(None, work)``: what to hand
         :meth:`handle`, the request normalized here or, when its graph
-        is not built yet, the raw ``params``.  Raises
-        :class:`ServiceError` for a malformed request, and
-        ``shutting_down`` while draining unless a run of the same plan
-        is in flight (which the pool's caller then joins).
+        is not built yet, the raw ``params``.  A draining engine answers
+        nothing here: the pool joins an in-flight run of the same plan
+        or refuses with ``shutting_down``.  Raises :class:`ServiceError`
+        for a malformed request.
         """
         started = time.perf_counter()
         req = self._normalize(params, build_graph=False)
         if req is None:
             return None, params
         looked_up = time.perf_counter()
-        work = _Normalized(req, started, (looked_up - started) * 1e3)
-        if self._closing.is_set():
-            with self._inflight_lock:
-                inflight = req.key in self._inflight
-            if not inflight:
-                self.metrics.counter("service.requests").inc()
-                raise ServiceError(
-                    "shutting_down", "service is draining; retry elsewhere"
-                )
+        work = _Normalized(req, (looked_up - started) * 1e3)
+        if self._closing.is_set() or not self.store.graph_validated(
+            req.model_key
+        ):
             return None, work
-        if not self.store.graph_validated(req.model_key):
-            return None, work
-        served = self.store.verified_plan(req.key, req.graph)
+        served = self.store.recorded_plan(req.key, req.graph)
         if served is None:
             return None, work
         plan, document, _report = served
@@ -661,19 +649,20 @@ class PlanEngine:
             return params
         started = time.perf_counter()
         req = self._normalize(params)
-        return _Normalized(
-            req, started, (time.perf_counter() - started) * 1e3
-        )
+        return _Normalized(req, (time.perf_counter() - started) * 1e3)
 
     def _coalesced_plan(self, work: _Normalized) -> Tuple[str, Dict[str, Any]]:
         """``(deployment JSON, meta)``: one pipeline run per in-flight
         key; followers share it.
 
-        ``work.started`` is when the request arrived, before
-        normalization: ``meta.wall_ms`` counts from it.  A follower
-        reports its wait on the leader as ``pipeline_ms``.
+        ``meta.wall_ms`` counts from ``now`` less ``work.normalize_ms``:
+        the normalization and everything after it, but never the wait
+        in the pool's queue, whether the request was normalized in the
+        pool or on the event loop.  A follower reports its wait on the
+        leader as ``pipeline_ms``.
         """
-        req, started = work.req, work.started
+        req = work.req
+        started = time.perf_counter() - work.normalize_ms / 1e3
         self.metrics.counter("service.requests").inc()
         with self._inflight_lock:
             future = self._inflight.get(req.key)

@@ -339,9 +339,7 @@ class PlanServer:
                 try:
                     future = asyncio.get_running_loop().run_in_executor(
                         self._pool,
-                        functools.partial(
-                            self.engine.handle, method, params, raw=True
-                        ),
+                        functools.partial(self.engine.handle, method, params),
                     )
                 except RuntimeError as exc:
                     # the pool refuses new work: shut down by a

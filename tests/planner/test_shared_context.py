@@ -75,7 +75,7 @@ def engine_job(graph, engine, name, gb):
     }
     if gb is not None:
         params["options"] = {"memory_budget_gb": gb}
-    result = engine.handle("plan", params)
+    result = engine.plan(params)
     # the stored plan carries the run's counters
     stored = engine.store.get(EVALUATED, result["meta"]["fingerprint"])
     assert result["plan"] == outcome(stored.payload, graph)[0]

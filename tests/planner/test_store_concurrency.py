@@ -13,7 +13,7 @@ import concurrent.futures
 import json
 import threading
 
-from repro.planner import ArtifactStore, DiskBackend
+from repro.planner import DP_CONTEXT, ArtifactStore, DiskBackend
 
 THREADS = 8
 OPS_PER_THREAD = 120
@@ -208,3 +208,36 @@ class TestNoLockAcrossIO:
             promoted = disk_get.result(timeout=30)
         assert promoted.payload == self.blocks()
         assert store.disk_hits == 1
+
+    def test_memory_get_returns_while_refresh_weighs_a_context(self):
+        """``refresh`` weighs a ``dp_context`` (a walk over its whole
+        memo) outside the lock, then adjusts the tier's byte count."""
+        entered, release = threading.Event(), threading.Event()
+
+        class SlowContext:
+            gate = False
+            size = 100
+
+            def nbytes(self):
+                if self.gate:
+                    entered.set()
+                    assert release.wait(30)
+                return self.size
+
+        store = ArtifactStore()
+        store.put("blocks", "warm", self.blocks())
+        context = SlowContext()
+        store.put(DP_CONTEXT, "memo", context)
+        before = store.stats()["memory_bytes"]
+        context.gate, context.size = True, 250
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            weigher = pool.submit(store.refresh, DP_CONTEXT, "memo", None)
+            try:
+                assert entered.wait(30)
+                reader = pool.submit(store.get, "blocks", "warm")
+                assert reader.result(timeout=5) is not None
+                assert not weigher.done()
+            finally:
+                release.set()
+            weigher.result(timeout=30)
+        assert store.stats()["memory_bytes"] == before + 150

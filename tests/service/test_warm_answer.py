@@ -6,8 +6,8 @@ plan carries a matching verification record is answered by
 hand-off, no pass, no plan copy, and the stored deployment document
 written into the response as it stands.  Every other request -- a cold
 graph, an entry not yet recorded, an entry tampered after its record --
-goes to the pool exactly as before, and the loop refuses new work while
-the engine drains.
+goes to the pool exactly as before, and so does every request while the
+engine drains.
 """
 
 import concurrent.futures
@@ -16,6 +16,7 @@ import dataclasses
 import http.client
 import json
 import threading
+import time
 
 import pytest
 
@@ -199,6 +200,20 @@ class TestPoolFallback:
         assert meta["verified"] is True
         assert doc["result"]["plan"] == cold["plan"]
 
+    def test_pool_queue_wait_is_not_in_wall_ms(self):
+        """A miss the loop normalized counts its clock from when a
+        worker picks it up, as a request normalized in the pool does:
+        ``wall_ms`` never includes the wait in the pool's queue."""
+        engine = PlanEngine(workers=1)
+        engine.plan(dict(PARAMS))  # the graph is built and cached
+        result, work = engine.warm_plan(dict(PARAMS, batch_size=32))
+        assert result is None and work.req is not None
+        time.sleep(1.0)  # queued behind other work
+        meta = engine.handle("plan", work)["meta"]
+        assert meta["timings"]["normalize_ms"] == work.normalize_ms
+        assert sum(meta["timings"].values()) <= meta["wall_ms"]
+        assert meta["wall_ms"] < sum(meta["timings"].values()) + 500
+
     def test_miss_is_normalized_once(self, server, pool, monkeypatch):
         warmed(server)  # the graph is built and cached
         calls = []
@@ -219,14 +234,14 @@ class TestDrain:
     def test_loop_hit_during_drain_is_503(self, server, pool):
         warmed(server)
         assert server.engine.drain(timeout=1.0) is True
-        pool.refuse = True
         status, doc = plan(server)
         assert status == 503
         assert doc["error"]["code"] == "shutting_down"
 
-    def test_hit_of_an_inflight_key_during_drain_joins_it(self):
-        """While draining, a request whose plan is being computed still
-        gets the leader's result, as a pool request would."""
+    def test_hit_during_drain_is_left_to_the_pool(self):
+        """While draining the loop answers nothing: the pool joins a run
+        of the same plan in flight, as for any request, and refuses a
+        key nobody is computing."""
         engine = PlanEngine(workers=2)
         engine.plan(dict(PARAMS))
         engine.plan(dict(PARAMS))  # recorded: later hits are loop answers
@@ -235,10 +250,11 @@ class TestDrain:
         engine._inflight[key] = concurrent.futures.Future()
         result, work = engine.warm_plan(dict(PARAMS))
         assert result is None and work.req.key == key
-        # a key nobody is computing is refused
         del engine._inflight[key]
+        result, work = engine.warm_plan(dict(PARAMS))
+        assert result is None and work.req.key == key
         with pytest.raises(ServiceError) as ei:
-            engine.warm_plan(dict(PARAMS))
+            engine.plan(dict(PARAMS))
         assert ei.value.code == "shutting_down"
 
 
