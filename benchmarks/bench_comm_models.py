@@ -1,6 +1,6 @@
 """Planning cost of the topology communication model vs. the flat one.
 
-``comm_model="topology"`` routes every p2p/allreduce price through the
+A topology cluster routes every p2p/allreduce price through the
 link-level network model (ISSUE acceptance bar: <=10% plan-time
 overhead over the flat closed forms on BERT-Large / v100x32).  This
 bench times full planning under both models, best-of-N, reports the
@@ -34,9 +34,8 @@ def best_of(fn, rounds):
 
 
 def plan_under(graph, cluster, comm_model):
-    config = PlannerConfig(batch_size=256, verify=False,
-                           comm_model=comm_model)
-    ctx = PlanningContext(graph, cluster, config)
+    config = PlannerConfig(batch_size=256, verify=False)
+    ctx = PlanningContext(graph, cluster.with_comm_model(comm_model), config)
     ctx.run()
     return ctx.require(EVALUATED)
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from repro.hardware import Precision
@@ -66,9 +67,12 @@ def _add_model_cluster(p: argparse.ArgumentParser) -> None:
                         "heterogeneous cluster (with --a100-nodes)")
 
 
-def _build_model_cluster(args: argparse.Namespace):
+def _build_model_cluster(
+    args: argparse.Namespace, comm_model: Optional[str] = None
+):
     """The graph and cluster the shared flags describe, built from the
-    same ``model`` and ``cluster`` objects the plan service accepts."""
+    same ``model`` and ``cluster`` objects the plan service accepts;
+    ``comm_model`` (``plan --comm-model``) goes into the cluster object."""
     if args.model in MODEL_PRESETS:
         model = {"preset": args.model}
     elif args.model == "resnet":
@@ -85,6 +89,8 @@ def _build_model_cluster(args: argparse.Namespace):
         ]}
     else:
         cluster = {"nodes": args.nodes}
+    if comm_model is not None:
+        cluster["comm_model"] = comm_model
     return build_model(model)[0], build_cluster(cluster)[0]
 
 
@@ -322,7 +328,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     import dataclasses
 
-    from repro.planner import PlanningContext
+    from repro.planner import ArtifactStore, DiskBackend, PlanningContext
 
     event = None
     if args.repair is not None:
@@ -331,31 +337,31 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         kind = kind.replace("-", "_").lower()
         field = "extra_nodes" if kind == "scale_up" else "node_index"
         event = parse_event({"type": kind, field: arg})
-    graph, cluster = _build_model_cluster(args)
+    graph, cluster = _build_model_cluster(args, args.comm_model)
     options = {
         "amp": args.amp,
         "blocks": args.blocks,
-        "comm_model": args.comm_model,
         "memory_budget_gb": args.memory_budget_gb,
     }
     config = build_config(
         {
             "batch_size": args.batch_size,
             "options": {k: v for k, v in options.items() if v is not None},
-        },
-        cache_dir=args.cache_dir,
-        cache_budget_bytes=(
-            args.cache_budget_mb * 2**20
-            if args.cache_budget_mb is not None else None
-        ),
+        }
     )
     tracing = args.trace_out is not None or args.jsonl is not None
     if tracing:
         config = dataclasses.replace(config, trace=True)
-    try:
-        ctx = PlanningContext(graph, cluster, config)
-    except ValueError as exc:
-        raise ServiceError("bad_request", str(exc)) from exc
+    store = None
+    if args.cache_dir is not None:
+        store = ArtifactStore(disk=DiskBackend(
+            Path(args.cache_dir),
+            byte_budget=(
+                args.cache_budget_mb * 2**20
+                if args.cache_budget_mb is not None else None
+            ),
+        ))
+    ctx = PlanningContext(graph, cluster, config, store=store)
     print(f"{graph}  on {cluster.total_devices} devices, "
           f"BS={config.batch_size}, {config.precision.value}, "
           f"comm={ctx.cluster.comm_model}")

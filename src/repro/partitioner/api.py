@@ -19,7 +19,13 @@ from repro.graph.ir import TaskGraph
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
 from repro.partitioner.plan import PartitionPlan
-from repro.planner import PartitioningError, PlannerConfig, plan_graph
+from repro.planner import (
+    ArtifactStore,
+    DiskBackend,
+    PartitioningError,
+    PlannerConfig,
+    PlanningContext,
+)
 from repro.profiler.memory import OptimizerKind
 from repro.profiler.profiler import GraphProfiler
 
@@ -37,7 +43,6 @@ def auto_partition(
     verify: bool = True,
     profiler: Optional[GraphProfiler] = None,
     cache_dir: Optional[Union[str, Path]] = None,
-    comm_model: Optional[str] = None,
     memory_budget: Optional[float] = None,
     cache_budget_bytes: Optional[int] = None,
     mode: str = "training",
@@ -60,7 +65,9 @@ def auto_partition(
 
     To re-plan the same model for two nodes reusing the profiling work,
     run a :class:`~repro.planner.PlanningContext` and pass it to
-    :func:`~repro.planner.replan`.
+    :func:`~repro.planner.replan`.  The communication cost model is the
+    cluster's: pass ``cluster.with_comm_model("topology")`` to price
+    link-level transfers (see :mod:`repro.comm`).
 
     Args:
         graph: the traced model (see :mod:`repro.models`).
@@ -74,18 +81,16 @@ def auto_partition(
             :mod:`repro.verify` invariants; violations raise
             :class:`repro.verify.PlanVerificationError`.
         profiler: reuse an existing profiler (e.g. across experiments).
-        cache_dir: directory of the on-disk artifact store; a repeated
+        cache_dir: root of the on-disk artifact store the call plans
+            against (a :class:`~repro.planner.DiskBackend`); a repeated
             call with identical graph / cluster / planner config loads
             the plan from disk instead of re-running the search, and a
             changed call reuses every still-valid artifact.
-        comm_model: communication cost model (``"flat"`` or
-            ``"topology"``, see :mod:`repro.comm`); ``None`` inherits
-            the cluster's own ``comm_model`` setting.
         memory_budget: optional per-device memory cap (bytes) for the
             stage search, below the hardware capacity; ``None`` uses
             the full capacity.
-        cache_budget_bytes: LRU byte budget for the on-disk cache;
-            ``None`` is unbounded.
+        cache_budget_bytes: LRU byte budget of the ``cache_dir``
+            store's disk tier; ``None`` is unbounded.
         mode: ``"training"`` (default) plans a full training iteration;
             ``"inference"`` plans forward-only serving (no backward or
             optimizer cost, weights-plus-KV memory accounting; see
@@ -104,10 +109,14 @@ def auto_partition(
         optimizer=optimizer,
         max_microbatches=max_microbatches,
         verify=verify,
-        cache_dir=cache_dir,
-        comm_model=comm_model,
         memory_budget=memory_budget,
-        cache_budget_bytes=cache_budget_bytes,
         mode=mode,
     )
-    return plan_graph(graph, cluster, config, profiler=profiler)
+    store = None
+    if cache_dir is not None:
+        store = ArtifactStore(
+            disk=DiskBackend(Path(cache_dir), byte_budget=cache_budget_bytes)
+        )
+    return PlanningContext(
+        graph, cluster, config, profiler, store=store
+    ).run()

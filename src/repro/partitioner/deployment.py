@@ -58,10 +58,9 @@ def build_plan(
     precision: Precision,
     cluster: ClusterSpec,
     mode: str,
-    schedule: str,
-) -> Tuple[PartitionPlan, Optional[FlushTiming]]:
+) -> Tuple[PartitionPlan, FlushTiming]:
     """``(plan, flush timing)`` of ``stages`` placed on ``cluster`` and
-    priced under ``schedule`` (:func:`~repro.pipeline.hybrid.evaluate_plan_timing`):
+    priced under the flush schedule (:func:`~repro.pipeline.hybrid.evaluate_plan_timing`):
     the one way the ``evaluate`` pass and :func:`plan_from_json` build a
     plan.  The stage boundary bytes steer the placement, so a
     topology-priced plan lands on the ranks it was searched for."""
@@ -81,7 +80,7 @@ def build_plan(
         ),
         mode=mode,
     )
-    return evaluate_plan_timing(plan, schedule=schedule)
+    return evaluate_plan_timing(plan)
 
 
 def plan_to_json(plan: PartitionPlan, graph: TaskGraph) -> str:
@@ -130,7 +129,6 @@ def plan_from_json(
     cluster: ClusterSpec,
     *,
     verify: bool = True,
-    schedule: str = "sync",
     optimizer: OptimizerKind = OptimizerKind.ADAM,
     profiler: Optional[GraphProfiler] = None,
 ) -> PartitionPlan:
@@ -138,8 +136,8 @@ def plan_from_json(
 
     Raises :class:`DeploymentMismatchError` if the graph content or the
     cluster shape changed since the plan was saved.  The plan is
-    re-evaluated under ``schedule`` (the deployment JSON stores the
-    partition, not the schedule it runs under).  With ``verify`` (the
+    re-evaluated under the flush schedule (the deployment JSON stores
+    the partition, not its timing).  With ``verify`` (the
     default) the restored plan is additionally held to the full
     :mod:`repro.verify` invariants -- a stored deployment that drops a
     stage, duplicates a task or no longer fits device memory raises
@@ -192,7 +190,6 @@ def plan_from_json(
         precision=Precision(doc["precision"]),
         cluster=cluster,
         mode=doc.get("mode", "training"),
-        schedule=schedule,
     )
     if verify:
         # local import: repro.verify depends on repro.partitioner types
@@ -204,6 +201,5 @@ def plan_from_json(
             cluster,
             profiler=profiler,
             optimizer=optimizer,
-            schedule=schedule,
         )
     return plan

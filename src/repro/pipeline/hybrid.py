@@ -17,7 +17,7 @@ run at full rate).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Tuple
 
 from repro.pipeline.simulator import (
     FlushTiming,
@@ -107,31 +107,17 @@ def evaluate_plan(plan: "PartitionPlan", schedule: str = "sync") -> "PartitionPl
 
     Args:
         plan: a populated partition plan.
-        schedule: one of :data:`SCHEDULES`: "sync" (RaNNC/GPipe
-            flush), "sync_1f1b" or "async_1f1b" (PipeDream-2BW steady
-            state).
+        schedule: "sync" is the RaNNC/GPipe flush, the schedule the
+            planner prices every plan under (see
+            :func:`evaluate_plan_timing`); "sync_1f1b" and "async_1f1b"
+            (PipeDream-2BW steady state) re-price a finished plan under
+            another schedule.
     """
-    return evaluate_plan_timing(plan, schedule)[0]
-
-
-#: the pipeline schedules :func:`evaluate_plan_timing` prices
-SCHEDULES = ("sync", "sync_1f1b", "async_1f1b")
-
-
-def evaluate_plan_timing(
-    plan: "PartitionPlan", schedule: str = "sync"
-) -> Tuple["PartitionPlan", Optional[FlushTiming]]:
-    """:func:`evaluate_plan`, plus the flush schedule's timing (makespan
-    and per-stage busy time) it took the pipeline makespan from under
-    the ``sync`` schedule (``None`` under the others), so a caller that
-    reports the bubble simulates the schedule once."""
+    if schedule == "sync":
+        return evaluate_plan_timing(plan)[0]
     tf = [s.time_fwd for s in plan.stages]
     tb = [s.time_bwd for s in plan.stages]
-    timing = None
-    if schedule == "sync":
-        timing = flush_schedule(tf, tb, plan.num_microbatches)
-        pipe_time = timing.makespan
-    elif schedule == "sync_1f1b":
+    if schedule == "sync_1f1b":
         from repro.pipeline.one_f_one_b import simulate_sync_1f1b
 
         pipe_time = simulate_sync_1f1b(tf, tb, plan.num_microbatches).makespan
@@ -139,7 +125,27 @@ def evaluate_plan_timing(
         pipe_time = simulate_async_1f1b(tf, tb, plan.num_microbatches)
     else:
         raise ValueError(f"unknown schedule {schedule!r}")
+    return _fill_iteration(plan, pipe_time)
 
+
+def evaluate_plan_timing(
+    plan: "PartitionPlan",
+) -> Tuple["PartitionPlan", FlushTiming]:
+    """:func:`evaluate_plan` under the flush schedule, plus the flush
+    timing (makespan and per-stage busy time) it took the pipeline
+    makespan from, so a caller that reports the bubble simulates the
+    schedule once."""
+    timing = flush_schedule(
+        [s.time_fwd for s in plan.stages],
+        [s.time_bwd for s in plan.stages],
+        plan.num_microbatches,
+    )
+    return _fill_iteration(plan, timing.makespan), timing
+
+
+def _fill_iteration(plan: "PartitionPlan", pipe_time: float) -> "PartitionPlan":
+    """Fill ``plan``'s iteration time, throughput and phase breakdown
+    from its pipeline makespan ``pipe_time``."""
     cluster = plan.cluster
     device = cluster.device
     if plan.mode == "inference":
@@ -166,4 +172,4 @@ def evaluate_plan_timing(
     plan.diagnostics.allreduce_algorithm = comm_details.get(
         "allreduce_algorithm", ""
     )
-    return plan, timing
+    return plan

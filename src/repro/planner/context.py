@@ -5,16 +5,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
 
-from repro.comm.model import COMM_MODELS
 from repro.graph.ir import TaskGraph
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.pipeline.hybrid import SCHEDULES
 from repro.planner.events import EventLog
 from repro.profiler.memory import OptimizerKind
 from repro.profiler.profiler import GraphProfiler
@@ -49,23 +46,32 @@ class PlannerConfig:
     them determine the plan is decided by the passes that read them: each
     pass declares its input facets (:mod:`repro.planner.facets`), and the
     ``evaluate`` pass's input fingerprint is the finished plan's address
-    (:func:`~repro.planner.facets.plan_address`).  ``verify``,
-    ``cache_dir``, ``cache_budget_bytes`` and ``trace`` change how the
-    pipeline runs, not what plan it produces, so no facet reads them.
-    How the stage search runs is not a field either: Algorithm 1 has one
-    evaluation path (banded profiles, see ``docs/SCALING.md``) and
-    Algorithm 2 runs its sweeps serially, in one thread.
+    (:func:`~repro.planner.facets.plan_address`).  ``verify`` and
+    ``trace`` change how the pipeline runs, not what plan it produces,
+    so no facet reads them.  How the stage search runs is not a field
+    either: Algorithm 1 has one evaluation path (banded profiles, see
+    ``docs/SCALING.md``) and Algorithm 2 runs its sweeps serially, in
+    one thread.
+
+    Each planner input has one owner, and three that look like knobs
+    are not fields here (DESIGN.md "One owner per planner input"):
+
+    * every plan is priced under the flush-synchronous schedule the
+      stage search ranks candidates by;
+      :func:`~repro.pipeline.hybrid.evaluate_plan` re-prices a finished
+      plan under a 1F1B schedule;
+    * the communication cost model is the cluster's
+      (``ClusterSpec.comm_model``, see :mod:`repro.comm`);
+    * a run persists its artifacts when the
+      :class:`~repro.planner.store.ArtifactStore` it is handed has a
+      :class:`~repro.planner.store.DiskBackend` (the cache root and its
+      byte budget).
 
     ``trace`` turns on fine-grained span recording (per-candidate
     Algorithm-2 spans, per-call Algorithm-1 DP spans) on the context's
     tracer; pass-level spans and search counters are always on -- they
     back the event log and ``PlanDiagnostics`` -- and are too few to
     measure.
-
-    ``comm_model`` selects the communication cost model
-    (:mod:`repro.comm`): ``None`` inherits the cluster's own setting,
-    ``"flat"``/``"topology"`` override it for this run (see
-    :func:`effective_cluster`).
 
     ``memory_budget`` optionally caps the per-device memory the stage
     search may fill *below* the hardware capacity (bytes; ``None`` means
@@ -74,28 +80,21 @@ class PlannerConfig:
     the stage search but reuses the coarsening and profile-tensor
     artifacts under delta replanning.
 
-    ``cache_dir`` gives every context built from this config a disk-backed
-    :class:`~repro.planner.store.ArtifactStore` rooted there: a repeated
-    run is served the stored plan whole, and a changed one reuses every
-    still-valid artifact, across processes.
-
-    ``cache_budget_bytes`` is the LRU byte budget of the on-disk cache
-    backend (serialized artifacts, the finished plan included); ``None`` leaves
-    the cache unbounded.  It changes what stays cached, never what plan
-    is produced.
-
-    Example -- the paper's BERT setup with tracing and a bounded disk
-    cache::
+    Example -- the paper's BERT setup with tracing, planned under the
+    topology communication model with a bounded disk cache::
 
         config = PlannerConfig(
             batch_size=256,
             num_blocks=32,            # block-level partitioning k
-            comm_model="topology",    # link-level communication costs
             memory_budget=24 * 2**30, # cap the stage search at 24 GiB
-            cache_dir="~/.cache/repro",
-            cache_budget_bytes=256 * 2**20,
             trace=True,
         )
+        store = ArtifactStore(disk=DiskBackend(
+            Path("~/.cache/repro").expanduser(), byte_budget=256 * 2**20,
+        ))
+        plan = PlanningContext(
+            graph, cluster.with_comm_model("topology"), config, store=store,
+        ).run()
 
     The full knob-by-knob table lives in ``docs/SERVICE.md`` (the plan
     service exposes most of these as request ``options``).
@@ -108,28 +107,14 @@ class PlannerConfig:
     mode: str = "training"
     max_microbatches: Optional[int] = None
     verify: bool = True
-    schedule: str = "sync"
-    cache_dir: Optional[Union[str, Path]] = None
     trace: bool = False
-    comm_model: Optional[str] = None
     memory_budget: Optional[float] = None
-    cache_budget_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("training", "inference"):
             raise ValueError(
                 f"unknown mode {self.mode!r}; "
                 f"expected 'training' or 'inference'"
-            )
-        if self.schedule not in SCHEDULES:
-            raise ValueError(
-                f"unknown schedule {self.schedule!r}; "
-                f"expected one of {SCHEDULES}"
-            )
-        if self.comm_model is not None and self.comm_model not in COMM_MODELS:
-            raise ValueError(
-                f"unknown comm_model {self.comm_model!r}; "
-                f"expected one of {COMM_MODELS}"
             )
         if self.num_blocks < 1:
             raise ValueError(f"num_blocks must be >= 1, got {self.num_blocks}")
@@ -150,15 +135,6 @@ class PlannerConfig:
             )
 
 
-def effective_cluster(cluster: ClusterSpec, config: PlannerConfig) -> ClusterSpec:
-    """``cluster`` under ``config.comm_model``: an explicit model
-    overrides the cluster's own setting, so every pass (and the plan
-    itself) sees one consistent communication model."""
-    if config.comm_model is not None and config.comm_model != cluster.comm_model:
-        return cluster.with_comm_model(config.comm_model)
-    return cluster
-
-
 class PlanningContext:
     """One planning run: its inputs and the state its passes share.
 
@@ -166,8 +142,9 @@ class PlanningContext:
     construction, the lazily constructed profiler, the per-run artifact
     dict passes read from and write to, optionally a cross-run
     content-addressed :class:`~repro.planner.store.ArtifactStore`
-    (whole-plan hits and delta replanning; always present when
-    ``config.cache_dir`` is set), and the run's observability surface: a
+    (whole-plan hits and delta replanning; the run persists its
+    artifacts when the store has a disk tier), and the run's
+    observability surface: a
     :class:`~repro.obs.tracer.Tracer` (also the storage behind the
     structured event log the :class:`~repro.planner.manager.PassManager`
     appends to) and a :class:`~repro.obs.metrics.MetricsRegistry` the
@@ -194,7 +171,7 @@ class PlanningContext:
         store: Optional["ArtifactStore"] = None,
     ) -> None:
         self.graph = graph
-        self.cluster = effective_cluster(cluster, config)
+        self.cluster = cluster
         self.config = config
         self.profiler = profiler
         self.artifacts: Dict[str, Any] = {}
@@ -211,20 +188,6 @@ class PlanningContext:
         #: encoded once, and the report of the probe that verified it
         self.plan_document: Optional[str] = None
         self.plan_report: Optional[Any] = None
-        if config.cache_dir is not None:
-            # a configured cache_dir lends the store (a fresh one, or a
-            # delta run's without a disk tier) its disk backend, so
-            # planning with a cache_dir always persists and reuses
-            # artifacts on disk
-            from repro.planner.store import ArtifactStore, DiskBackend
-
-            if store is None:
-                store = ArtifactStore()
-            if store.disk is None:
-                store.disk = DiskBackend(
-                    Path(config.cache_dir),
-                    byte_budget=config.cache_budget_bytes,
-                )
         self.store: Optional["ArtifactStore"] = store
 
     def run(
@@ -288,7 +251,7 @@ class PlanningContext:
         self, plan: Any, expected_iteration_time: Optional[float] = None
     ) -> Any:
         """:func:`repro.verify.check_plan` of ``plan`` under this run's
-        graph, cluster, optimizer and schedule, inside a ``verify.plan``
+        graph, cluster and optimizer, inside a ``verify.plan``
         span.  ``expected_iteration_time`` is the stage search's estimate
         for a plan searched this run (``None`` for a stored plan)."""
         from repro.verify import check_plan
@@ -303,7 +266,6 @@ class PlanningContext:
                 profiler=self.ensure_profiler(),
                 optimizer=self.config.optimizer,
                 expected_iteration_time=expected_iteration_time,
-                schedule=self.config.schedule,
             )
 
     def ensure_profiler(self) -> GraphProfiler:

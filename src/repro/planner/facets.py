@@ -5,9 +5,9 @@ cluster, config) that some passes depend on and others do not.  Each
 pass declares the facets it reads (``PlannerPass.facets``); its *input
 fingerprint* is the hash of those facet digests plus the fingerprints of
 the artifacts it requires, so invalidation propagates transitively: a
-schedule change re-fingerprints ``evaluate`` but leaves ``coarsen``
-and ``profile_tensors`` untouched, while a graph edit re-fingerprints
-everything downstream of ``atomic_partition``.
+memory-budget change re-fingerprints ``stage_search`` and ``evaluate``
+but leaves ``coarsen`` and ``profile_tensors`` untouched, while a graph
+edit re-fingerprints everything downstream of ``atomic_partition``.
 
 The facet boundaries encode real dataflow, not convention -- e.g. the
 profile tensors price stage boundaries at the *same-node* p2p affine
@@ -41,7 +41,6 @@ FACET_NAMES = (
     "comm_local",
     "comm",
     "search",
-    "schedule",
 )
 
 
@@ -56,8 +55,8 @@ def compute_facets(
 
     Args:
         graph: the traced model.
-        cluster: the *effective* cluster (after any ``config.comm_model``
-            override has been applied, i.e. ``PlanningContext.cluster``).
+        cluster: the target cluster (``PlanningContext.cluster``),
+            communication model included.
         config: the planner configuration.
     """
     from repro.partitioner.deployment import graph_fingerprint
@@ -136,8 +135,6 @@ def compute_facets(
         ),
         # stage-search envelope
         "search": _digest(config.max_microbatches),
-        # pipeline schedule the plan is evaluated under
-        "schedule": _digest(config.schedule),
     }
 
 

@@ -232,7 +232,7 @@ class EvaluatePass(PlannerPass):
     produces = (EVALUATED,)
     skip_when_planned = True
     cacheable = True
-    facets = ("cluster_shape", "comm", "batch", "schedule")
+    facets = ("cluster_shape", "comm", "batch")
 
     def run(self, ctx: PlanningContext) -> Optional[Dict[str, Any]]:
         result = ctx.require(SEARCH_RESULT)
@@ -249,7 +249,6 @@ class EvaluatePass(PlannerPass):
             precision=config.precision,
             cluster=ctx.cluster,
             mode=config.mode,
-            schedule=config.schedule,
         )
         diag = plan.diagnostics
         diag.dp_calls = result.dp_calls
@@ -270,23 +269,21 @@ class EvaluatePass(PlannerPass):
         detail: Dict[str, Any] = {
             "num_stages": plan.num_stages,
             **report,
-            "schedule": config.schedule,
             "iteration_time": plan.iteration_time,
             "throughput": plan.throughput,
             "comm_model": diag.comm_model,
         }
         if diag.allreduce_algorithm:
             detail["allreduce_algorithm"] = diag.allreduce_algorithm
-        if timing is not None:
-            # the flush schedule's measured bubble (Fig. 1, quantified):
-            # gauges per stage plus the mean idle fraction
-            for s in range(plan.num_stages):
-                ctx.metrics.gauge(f"stage.{s}.utilization").set(
-                    timing.utilization(s)
-                )
-            bubble = timing.bubble_fraction()
-            ctx.metrics.gauge("stage.bubble_frac").set(bubble)
-            detail["bubble_frac"] = bubble
+        # the flush schedule's measured bubble (Fig. 1, quantified):
+        # gauges per stage plus the mean idle fraction
+        for s in range(plan.num_stages):
+            ctx.metrics.gauge(f"stage.{s}.utilization").set(
+                timing.utilization(s)
+            )
+        bubble = timing.bubble_fraction()
+        ctx.metrics.gauge("stage.bubble_frac").set(bubble)
+        detail["bubble_frac"] = bubble
         return detail
 
 

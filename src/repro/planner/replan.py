@@ -4,7 +4,8 @@ A finished :class:`~repro.planner.context.PlanningContext` holds every
 intermediate the pipeline produced (atomic components, coarsened blocks,
 the profile-tensor ``DPContext``, the DP solution).  When the cluster or
 the planner config changes *partially* -- more nodes, a different memory
-budget, another communication model -- most of those artifacts are still
+budget, another communication model (a cluster change:
+``cluster.with_comm_model(...)``) -- most of those artifacts are still
 valid, and recomputing them (profiling above all) dominates replanning
 latency.
 
@@ -32,8 +33,11 @@ previous run's store and run it::
                               store=ensure_store(ctx))
     new_plan = new_ctx.run()
 
-``repro plan --cache-dir`` exposes the same mechanism on the command
-line by persisting the artifacts under ``<cache_dir>/artifacts/``.
+A delta run shares the previous run's store as it stands: it persists
+artifacts only if that store has a disk tier.  ``repro plan --cache-dir``
+exposes the same mechanism on the command line: it hands each run a
+store whose :class:`~repro.planner.store.DiskBackend` persists the
+artifacts under ``<cache root>/artifacts/``.
 """
 
 from __future__ import annotations
@@ -113,12 +117,15 @@ def replan(
         The new :class:`~repro.partitioner.plan.PartitionPlan`,
         bit-identical to what a cold run with the same inputs produces.
 
-    Example -- after a finished run, tighten the memory budget and grow
-    the cluster; only the stage search onward reruns::
+    Example -- after a finished run, tighten the memory budget or grow
+    the cluster (only the stage search onward reruns), or switch to the
+    topology communication model, which the cluster carries (the profile
+    tensors onward rerun)::
 
         plan = ctx.run()
         tighter = replan(ctx, memory_budget=16 * 2**30)
         wider = replan(ctx, cluster=paper_cluster(4))
+        topo = replan(ctx, cluster=ctx.cluster.with_comm_model("topology"))
     """
     new_config = config if config is not None else prev_context.config
     if config_overrides:

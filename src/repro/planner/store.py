@@ -13,12 +13,13 @@ Two backends:
 * an in-memory LRU (optionally byte-budgeted) holding live payload
   objects, which makes same-process delta replans free, and
 * an optional :class:`DiskBackend` that serializes the artifact kinds
-  with a codec as JSON (``components``/``blocks``/``search_result``,
-  and the ``evaluated`` plan as its deployment JSON) under
-  ``<cache_dir>/artifacts/``, with an LRU byte budget over all files
-  under the cache root.  The ``dp_context`` lives in the memory tier
-  only: a run that misses it rebuilds it from the stored ``blocks``
-  faster than a snapshot of it would decode.
+  with a codec as JSON (``blocks``/``search_result``, and the
+  ``evaluated`` plan as its deployment JSON) under
+  ``<cache root>/artifacts/``, with an LRU byte budget over all files
+  under the cache root.  The ``components`` and the ``dp_context`` live
+  in the memory tier only: a run that misses them recomputes them
+  (the atomic partition, or the profile tensors from the stored
+  ``blocks``) faster than a stored copy would decode.
 
 The ``evaluated`` entry is the store's whole-plan cache: the pass
 manager probes it before running any pass (see
@@ -56,7 +57,6 @@ import numpy as np
 
 from repro.planner.context import (
     BLOCKS,
-    COMPONENTS,
     DP_CONTEXT,
     EVALUATED,
     SEARCH_RESULT,
@@ -254,8 +254,8 @@ class DiskBackend:
 # ----------------------------------------------------------------------
 class ArtifactCodec:
     """Serialize one artifact kind as JSON for the disk backend.
-    Artifacts without a codec (the ``dp_context``) live in the memory
-    backend only.
+    Artifacts without a codec (the ``components`` and the
+    ``dp_context``) live in the memory backend only.
 
     ``decode`` reads input from outside the program: any exception it
     raises makes :meth:`ArtifactStore.get` report a miss."""
@@ -265,24 +265,6 @@ class ArtifactCodec:
 
     def decode(self, data: bytes, ctx: PlanningContext) -> Any:
         raise NotImplementedError
-
-
-class _ComponentsCodec(ArtifactCodec):
-    def encode(self, payload: Any, ctx: PlanningContext) -> bytes:
-        doc = [
-            [c.index, c.non_constant_task, list(c.tasks)] for c in payload
-        ]
-        return json.dumps(doc).encode()
-
-    def decode(self, data: bytes, ctx: PlanningContext) -> Any:
-        from repro.partitioner.atomic import AtomicComponent
-
-        return [
-            AtomicComponent(
-                index=idx, non_constant_task=nct, tasks=tuple(tasks)
-            )
-            for idx, nct, tasks in json.loads(data.decode())
-        ]
 
 
 class _BlocksCodec(ArtifactCodec):
@@ -382,7 +364,7 @@ class _SearchResultCodec(ArtifactCodec):
 class _PlanCodec(ArtifactCodec):
     """The evaluated plan as its deployment JSON.
 
-    Decoding re-evaluates the plan under the run's schedule and checks
+    Decoding re-evaluates the plan under the flush schedule and checks
     nothing else: the whole-plan probe holds a served plan to the
     :mod:`repro.verify` invariants, whichever tier served it
     (:meth:`ArtifactStore.verified_plan`).
@@ -401,12 +383,10 @@ class _PlanCodec(ArtifactCodec):
             ctx.graph,
             ctx.cluster,
             verify=False,
-            schedule=ctx.config.schedule,
         )
 
 
 CODECS: Dict[str, ArtifactCodec] = {
-    COMPONENTS: _ComponentsCodec(),
     BLOCKS: _BlocksCodec(),
     SEARCH_RESULT: _SearchResultCodec(),
     EVALUATED: _PlanCodec(),
@@ -630,7 +610,7 @@ class ArtifactStore:
         A pass is recorded on the entry under ``(fingerprint, plan
         digest, VERIFIER_VERSION)``: the fingerprint pins every input the
         check reads besides the plan (graph, cluster, precision,
-        optimizer, mode, schedule), the digest pins the plan itself
+        optimizer, mode), the digest pins the plan itself
         (:func:`_plan_digest`, taken afresh on every hit), and the
         version pins the invariant set.  A hit whose key matches the
         record reuses its report; any other hit is checked in place: a

@@ -171,11 +171,9 @@ class PlanEngine:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.cache_budget_bytes = cache_budget_bytes
         disk = None
-        if self.cache_dir is not None:
-            disk = DiskBackend(self.cache_dir, byte_budget=cache_budget_bytes)
+        if cache_dir is not None:
+            disk = DiskBackend(Path(cache_dir), byte_budget=cache_budget_bytes)
         self.store = ArtifactStore(
             memory_budget_bytes=store_memory_budget_bytes, disk=disk
         )
@@ -415,24 +413,30 @@ class PlanEngine:
     def simulate(self, params: Any) -> Dict[str, Any]:
         """Plan (warm requests reuse everything) and report the simulated
         GPipe flush-synchronous timeline (all forwards, then all
-        backwards): makespan, bubble, per-stage utilization."""
-        from repro.pipeline.timeline import plan_flush_timing
+        backwards): makespan, bubble, per-stage utilization.  The
+        timeline is simulated from the plan's deployment document, which
+        carries each stage's times and the microbatch count."""
+        from repro.pipeline.simulator import flush_schedule
 
-        work = self._normalized(params)
-        _document, meta = self._coalesced_plan(work)
-        plan = self._plan_object(work.req)
-        timing = plan_flush_timing(plan)
+        document, meta = self._coalesced_plan(self._normalized(params))
+        doc = json.loads(document)
+        stages = [s["profile"] for s in doc["stages"]]
+        timing = flush_schedule(
+            [p["time_fwd"] for p in stages],
+            [p["time_bwd"] for p in stages],
+            doc["num_microbatches"],
+        )
         return {
             "meta": meta,
             "timeline": {
                 "makespan": timing.makespan,
                 "bubble_fraction": timing.bubble_fraction(),
-                "num_stages": plan.num_stages,
+                "num_stages": len(stages),
                 "stage_utilization": [
-                    timing.utilization(s) for s in range(plan.num_stages)
+                    timing.utilization(s) for s in range(len(stages))
                 ],
-                "iteration_time": plan.iteration_time,
-                "throughput": plan.throughput,
+                "iteration_time": meta["iteration_time"],
+                "throughput": meta["throughput"],
             },
         }
 
@@ -636,8 +640,6 @@ class PlanEngine:
     ) -> Optional[PlanRequest]:
         return normalize_plan_request(
             params,
-            cache_dir=self.cache_dir,
-            cache_budget_bytes=self.cache_budget_bytes,
             graph_cache=self._graph_cache,
             build_graph=build_graph,
         )
@@ -787,10 +789,3 @@ class PlanEngine:
             samples.append(wall_ms)
             if len(samples) > 4096:  # bound stats memory under load
                 del samples[: len(samples) - 4096]
-
-    def _plan_object(self, req: PlanRequest):
-        """The live plan for ``req`` (used by ``simulate``): rerun the
-        pipeline, which is a full store reuse after ``_coalesced_plan``."""
-        return PlanningContext(
-            req.graph, req.cluster, req.config, store=self.store
-        ).run()

@@ -31,7 +31,7 @@ from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
 from repro.partitioner.deployment import graph_fingerprint
 from repro.planner import default_passes
-from repro.planner.context import PlannerConfig, effective_cluster
+from repro.planner.context import PlannerConfig
 from repro.planner.facets import compute_facets, fingerprint_chain, plan_address
 
 #: named model presets (also accepted by the CLI's ``--model``)
@@ -275,44 +275,43 @@ def build_cluster(spec: Any) -> Tuple[ClusterSpec, str]:
 
         {"preset": "v100x8" | "v100x16" | "v100x32"}
         {"nodes": 2}                        # 2 x 8 V100, paper testbed
-        {"nodes": 2, "comm_model": "topology", "nic_count": 2}
+        {"nodes": 2, "nvlink_degree": 2, "nic_count": 2}
         {"classes": [{"name": "fast", "device": "a100", "nodes": 2,
                       "devices_per_node": 8}, ...]}   # heterogeneous
+
+    Every shape takes a ``comm_model`` (``"flat"``, the default, or
+    ``"topology"``; see :mod:`repro.comm`): the cluster is the one owner
+    of the communication cost model.  A heterogeneous cluster must stay
+    flat.
     """
     spec = _expect_object(spec, "cluster")
     canonical = json.dumps(spec, sort_keys=True)
-    if "classes" in spec:
-        try:
-            return _build_hetero_cluster(spec), canonical
-        except ServiceError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ServiceError(
-                "bad_request", f"invalid cluster spec: {exc}"
-            ) from exc
-    preset = spec.get("preset")
-    if preset is not None:
-        if preset not in CLUSTER_PRESETS:
+    try:
+        if "classes" in spec:
+            cluster = _build_hetero_cluster(spec)
+        elif spec.get("preset") is not None:
+            preset = spec["preset"]
+            if preset not in CLUSTER_PRESETS:
+                raise ServiceError(
+                    "bad_request",
+                    f"unknown cluster preset {preset!r}; "
+                    f"expected one of {sorted(CLUSTER_PRESETS)}",
+                )
+            cluster = paper_cluster(CLUSTER_PRESETS[preset])
+        elif spec.get("nodes") is not None:
+            cluster = paper_cluster(
+                num_nodes=int(spec["nodes"]),
+                nvlink_degree=spec.get("nvlink_degree"),
+                nic_count=int(spec.get("nic_count", 1)),
+            )
+        else:
             raise ServiceError(
                 "bad_request",
-                f"unknown cluster preset {preset!r}; "
-                f"expected one of {sorted(CLUSTER_PRESETS)}",
+                "cluster needs a 'preset' (v100x8/v100x16/v100x32) or "
+                "'nodes' (number of 8-V100 nodes)",
             )
-        return paper_cluster(CLUSTER_PRESETS[preset]), canonical
-    nodes = spec.get("nodes")
-    if nodes is None:
-        raise ServiceError(
-            "bad_request",
-            "cluster needs a 'preset' (v100x8/v100x16/v100x32) or "
-            "'nodes' (number of 8-V100 nodes)",
-        )
-    try:
-        cluster = paper_cluster(
-            num_nodes=int(nodes),
-            comm_model=spec.get("comm_model", "flat"),
-            nvlink_degree=spec.get("nvlink_degree"),
-            nic_count=int(spec.get("nic_count", 1)),
-        )
+        if "comm_model" in spec:
+            cluster = cluster.with_comm_model(spec["comm_model"])
     except (TypeError, ValueError) as exc:
         raise ServiceError(
             "bad_request", f"invalid cluster spec: {exc}"
@@ -326,8 +325,6 @@ OPTION_FIELDS = {
     "amp": "precision",
     "max_microbatches": "max_microbatches",
     "memory_budget_gb": "memory_budget",
-    "comm_model": "comm_model",
-    "schedule": "schedule",
     "mode": "mode",
 }
 
@@ -351,12 +348,7 @@ def _finite_float(value: Any) -> Optional[float]:
     return value if math.isfinite(value) else None
 
 
-def build_config(
-    params: Dict[str, Any],
-    *,
-    cache_dir=None,
-    cache_budget_bytes: Optional[int] = None,
-) -> PlannerConfig:
+def build_config(params: Dict[str, Any]) -> PlannerConfig:
     """The :class:`PlannerConfig` for one request.
 
     ``batch_size`` is required; everything else comes from the optional
@@ -364,9 +356,8 @@ def build_config(
     ``blocks`` and ``max_microbatches`` must be JSON integers and
     ``memory_budget_gb`` a finite JSON number; :class:`PlannerConfig`
     checks their ranges.  ``verify`` is
-    always on -- the service's contract is that every served plan passed
-    :mod:`repro.verify` -- and the cache knobs come from the service
-    deployment, not the request.
+    always on: the service's contract is that every served plan passed
+    :mod:`repro.verify`.
     """
     batch_size = params.get("batch_size")
     if not _is_json_int(batch_size) or batch_size < 1:
@@ -403,15 +394,10 @@ def build_config(
         kwargs["max_microbatches"] = options["max_microbatches"]
     if budget is not None:
         kwargs["memory_budget"] = budget * 2**30
-    for name in ("comm_model", "schedule", "mode"):
-        if name in options:
-            kwargs[name] = options[name]
+    if "mode" in options:
+        kwargs["mode"] = options["mode"]
     try:
-        return PlannerConfig(
-            cache_dir=cache_dir,
-            cache_budget_bytes=cache_budget_bytes,
-            **kwargs,
-        )
+        return PlannerConfig(**kwargs)
     except ValueError as exc:
         raise ServiceError("bad_request", str(exc)) from exc
 
@@ -419,8 +405,6 @@ def build_config(
 def normalize_plan_request(
     params: Any,
     *,
-    cache_dir=None,
-    cache_budget_bytes: Optional[int] = None,
     graph_cache: Optional[Any] = None,
     build_graph: bool = True,
 ) -> Optional[PlanRequest]:
@@ -455,11 +439,7 @@ def normalize_plan_request(
         if graph_cache is not None:
             graph_cache[canonical_model] = graph
     cluster, canonical_cluster = build_cluster(cluster_spec)
-    config = build_config(
-        params,
-        cache_dir=cache_dir,
-        cache_budget_bytes=cache_budget_bytes,
-    )
+    config = build_config(params)
     return PlanRequest(
         graph=graph,
         cluster=cluster,
@@ -477,11 +457,9 @@ def request_key(
     """The store address of the plan these inputs determine: the
     default pipeline's ``evaluate`` input fingerprint
     (:func:`~repro.planner.facets.plan_address`), the address the pass
-    manager probes.  Requests whose effective inputs agree share it,
-    however they spelled them (``options.comm_model`` or the cluster
-    spec's)."""
+    manager probes.  Requests whose inputs agree share it."""
     passes = default_passes()
-    facets = compute_facets(graph, effective_cluster(cluster, config), config)
+    facets = compute_facets(graph, cluster, config)
     fps = fingerprint_chain(passes, facets, {}, feeds=lambda p: True)
     return plan_address(passes, fps)[1]
 

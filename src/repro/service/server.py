@@ -40,7 +40,7 @@ import functools
 import json
 import signal
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.service.engine import PlanEngine
 from repro.service.protocol import (
@@ -88,6 +88,17 @@ _ROUTES = {
     ("POST", "/v1/serving-sim"): "serving_sim",
     ("GET", "/v1/stats"): "stats",
 }
+
+
+class _Rejected:
+    """A request whose framing was rejected: the HTTP status and the
+    ``bad_request`` error it is answered with."""
+
+    __slots__ = ("status", "error")
+
+    def __init__(self, status: int, message: str) -> None:
+        self.status = status
+        self.error = ServiceError("bad_request", message)
 
 
 class PlanServer:
@@ -195,15 +206,19 @@ class PlanServer:
                 )
                 if request is None:
                     break
-                verb, path, headers, body = request
-                status, payload = await self._dispatch(verb, path, body)
-                # after a rejected framing (a "/__...__" path) the rest of
-                # the stream cannot be delimited: answer, then close
-                framing_error = path.startswith("/__")
-                keep_alive = not framing_error and (
-                    headers.get("connection", "keep-alive").lower()
-                    != "close"
-                )
+                if isinstance(request, _Rejected):
+                    # the rest of the stream cannot be delimited:
+                    # answer, then close
+                    status = request.status
+                    payload = error_envelope(request.error)
+                    keep_alive = False
+                else:
+                    verb, path, headers, body = request
+                    status, payload = await self._dispatch(verb, path, body)
+                    keep_alive = (
+                        headers.get("connection", "keep-alive").lower()
+                        != "close"
+                    )
                 data = encode_body(payload)
                 writer.write(
                     (
@@ -219,7 +234,7 @@ class PlanServer:
                 writer.write(data)
                 await writer.drain()
                 if not keep_alive:
-                    if framing_error:
+                    if isinstance(request, _Rejected):
                         await _discard_input(reader, writer)
                     break
         except (
@@ -246,32 +261,34 @@ class PlanServer:
     @staticmethod
     async def _read_request(
         reader: asyncio.StreamReader,
-    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
+    ) -> Union[None, "_Rejected", Tuple[str, str, Dict[str, str], bytes]]:
         """One HTTP/1.1 request, or ``None`` on a clean close.
 
-        A line over the reader's limit and a header count over
-        :data:`_MAX_HEADERS` come back as ``/__...__`` paths, which are
-        answered and then close the connection."""
+        A request whose framing is rejected -- a line over the reader's
+        limit, a malformed request line, more than :data:`_MAX_HEADERS`
+        header lines, a bad or oversized ``Content-Length`` -- comes
+        back as a :class:`_Rejected`, which is answered and then closes
+        the connection."""
         line = await _read_line(reader)
         if line is None:
-            return "GET", "/__line_too_long__", {}, b""
+            return _Rejected(400, "request or header line too long")
         if not line or line in (b"\r\n", b"\n"):
             return None
         try:
             verb, path, _version = line.decode("latin-1").split(None, 2)
         except ValueError:
-            return "GET", "/__malformed__", {}, b""
+            return _Rejected(400, "malformed request line")
         headers: Dict[str, str] = {}
         count = 0
         while True:
             raw = await _read_line(reader)
             if raw is None:
-                return verb.upper(), "/__line_too_long__", headers, b""
+                return _Rejected(400, "request or header line too long")
             if raw in (b"\r\n", b"\n", b""):
                 break
             count += 1
             if count > _MAX_HEADERS:
-                return verb.upper(), "/__too_many_headers__", headers, b""
+                return _Rejected(431, f"more than {_MAX_HEADERS} header lines")
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         try:
@@ -279,9 +296,11 @@ class PlanServer:
         except ValueError:
             length = -1
         if length < 0:
-            return verb.upper(), "/__bad_length__", headers, b""
+            return _Rejected(
+                400, "Content-Length must be a non-negative integer"
+            )
         if length > _MAX_BODY_BYTES:
-            return verb.upper(), "/__too_large__", headers, b""
+            return _Rejected(413, "request body too large")
         body = await reader.readexactly(length) if length else b""
         return verb.upper(), path, headers, body
 
@@ -289,25 +308,6 @@ class PlanServer:
         self, verb: str, path: str, body: bytes
     ) -> Tuple[int, Dict[str, Any]]:
         path = path.split("?", 1)[0]
-        if path == "/__too_large__":
-            err = ServiceError("bad_request", "request body too large")
-            return 413, error_envelope(err)
-        if path == "/__malformed__":
-            err = ServiceError("bad_request", "malformed request line")
-            return 400, error_envelope(err)
-        if path == "/__line_too_long__":
-            err = ServiceError("bad_request", "request or header line too long")
-            return 400, error_envelope(err)
-        if path == "/__too_many_headers__":
-            err = ServiceError(
-                "bad_request", f"more than {_MAX_HEADERS} header lines"
-            )
-            return 431, error_envelope(err)
-        if path == "/__bad_length__":
-            err = ServiceError(
-                "bad_request", "Content-Length must be a non-negative integer"
-            )
-            return 400, error_envelope(err)
         if verb == "GET" and path == "/healthz":
             return 200, ok_envelope(
                 {"status": "draining" if self.engine.draining else "ok"}
@@ -413,10 +413,11 @@ def serve(
                 loop.add_signal_handler(sig, server.request_stop)
             except NotImplementedError:  # pragma: no cover - non-posix
                 pass
+        disk = server.engine.store.disk
         announce(
             f"plan service listening on http://{server.host}:{server.port} "
             f"(workers={server.engine.workers}, "
-            f"cache_dir={server.engine.cache_dir})"
+            f"cache_dir={disk.root if disk is not None else None})"
         )
         await server.serve_until_stopped()
         if trace_out:

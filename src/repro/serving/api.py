@@ -46,7 +46,6 @@ def run_serving_sim(
     samples_per_request: int = 1,
     workload_trace: Optional[str] = None,
     trace_out: Optional[str] = None,
-    store=None,
 ) -> Dict[str, Any]:
     """Plan ``model`` in inference mode, simulate the offered load, and
     autoscale to the smallest replica count meeting the latency SLO.
@@ -71,10 +70,6 @@ def run_serving_sim(
             :func:`repro.serving.workload.trace_arrivals`).
         trace_out: write the window's per-request/per-batch spans as a
             Perfetto trace to this path.
-        store: optional shared
-            :class:`~repro.planner.store.ArtifactStore` (the daemon
-            passes its own, so repeated simulations reuse planning
-            artifacts).
 
     Returns:
         A JSON-safe summary: plan shape, workload description, chosen
@@ -91,7 +86,7 @@ def run_serving_sim(
     config = PlannerConfig(
         batch_size=batch_size, mode="inference", verify=True
     )
-    plan = PlanningContext(graph, cluster_obj, config, store=store).run()
+    plan = PlanningContext(graph, cluster_obj, config).run()
 
     if workload_trace is not None:
         requests = trace_arrivals(workload_trace)

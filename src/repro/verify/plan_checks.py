@@ -176,7 +176,6 @@ class _Checker:
         profiler: Optional[GraphProfiler],
         optimizer: OptimizerKind,
         expected_iteration_time: Optional[float],
-        schedule: str,
     ) -> None:
         self.plan = plan
         self.graph = graph
@@ -184,7 +183,6 @@ class _Checker:
         self.profiler = profiler
         self.optimizer = optimizer
         self.expected_iteration_time = expected_iteration_time
-        self.schedule = schedule
         self.report = VerificationReport(model_name=plan.model_name)
         # the table of the profiler the re-derivation checks use carries
         # the non-constant flags (the forward traversal of
@@ -589,7 +587,7 @@ class _Checker:
                     f"(rel err {err:.2e} > {SIM_REL_TOL:.0e})",
                 )
         recorded = plan.diagnostics.pipeline_time
-        if self.schedule == "sync" and recorded > 0.0:
+        if recorded > 0.0:
             err = _rel_err(sim, recorded)
             self.report.stats.setdefault("sim_rel_err", err)
             self._checked()
@@ -689,7 +687,6 @@ def check_plan(
     profiler: Optional[GraphProfiler] = None,
     optimizer: OptimizerKind = OptimizerKind.ADAM,
     expected_iteration_time: Optional[float] = None,
-    schedule: str = "sync",
 ) -> VerificationReport:
     """Check every plan invariant; returns a report, never raises.
 
@@ -706,9 +703,6 @@ def check_plan(
         expected_iteration_time: the DP's ``estimated_iteration_time``
             for the differential check, when the caller has it (the
             planner's ``VerifyPass`` does; a cache load does not).
-        schedule: the schedule the plan was evaluated under; the
-            recorded ``diagnostics.pipeline_time`` is only compared to
-            the synchronous re-simulation when this is ``"sync"``.
     """
     checker = _Checker(
         plan,
@@ -717,7 +711,6 @@ def check_plan(
         profiler,
         optimizer,
         expected_iteration_time,
-        schedule,
     )
     return checker.run()
 
@@ -730,7 +723,6 @@ def verify_plan(
     profiler: Optional[GraphProfiler] = None,
     optimizer: OptimizerKind = OptimizerKind.ADAM,
     expected_iteration_time: Optional[float] = None,
-    schedule: str = "sync",
 ) -> VerificationReport:
     """:func:`check_plan`, raising :class:`PlanVerificationError` (with
     *all* violations) if any invariant failed."""
@@ -741,7 +733,6 @@ def verify_plan(
         profiler=profiler,
         optimizer=optimizer,
         expected_iteration_time=expected_iteration_time,
-        schedule=schedule,
     )
     report.raise_if_failed()
     return report

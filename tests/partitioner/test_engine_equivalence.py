@@ -433,7 +433,7 @@ class TestConfigKnobs:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("schedule", "foo"), ("comm_model", "bogus"), ("num_blocks", 0),
+        [("num_blocks", 0),
          ("num_blocks", -3), ("max_microbatches", 0),
          ("memory_budget", 0.0), ("memory_budget", -1.0),
          ("memory_budget", float("nan")), ("memory_budget", float("inf"))],
@@ -459,8 +459,22 @@ class TestConfigKnobs:
             with pytest.raises(TypeError, match=knob):
                 PlannerConfig(batch_size=32, **{knob: value})
 
-    def test_run_mode_knobs_not_fingerprinted(self, tiny_bert, cluster,
-                                              tmp_path):
+    def test_inputs_owned_elsewhere_rejected(self, tiny_bert, cluster,
+                                             tmp_path):
+        # the schedule is always the flush one, the comm model is the
+        # cluster's, and the cache belongs to the store a run is handed
+        for knob, value in [
+            ("schedule", "sync"),
+            ("comm_model", "topology"),
+            ("cache_dir", tmp_path),
+            ("cache_budget_bytes", 2**20),
+        ]:
+            with pytest.raises(TypeError, match=knob):
+                PlannerConfig(batch_size=32, **{knob: value})
+        with pytest.raises(TypeError, match="comm_model"):
+            auto_partition(tiny_bert, cluster, 32, comm_model="topology")
+
+    def test_run_mode_knobs_not_fingerprinted(self, tiny_bert, cluster):
         # the run-mode knobs leave the finished plan's store address alone
         from repro.service.protocol import request_key
 
@@ -468,8 +482,6 @@ class TestConfigKnobs:
         for knob, value in [
             ("trace", True),
             ("verify", False),
-            ("cache_dir", tmp_path),
-            ("cache_budget_bytes", 2**20),
         ]:
             config = PlannerConfig(batch_size=32, **{knob: value})
             assert request_key(tiny_bert, cluster, config) == base, knob

@@ -13,6 +13,7 @@ from repro.models import BertConfig, build_bert
 from repro.partitioner.deployment import plan_to_json
 from repro.planner import (
     EVALUATED,
+    ArtifactStore,
     DiskBackend,
     PlannerConfig,
     PlanningContext,
@@ -27,9 +28,11 @@ COMPUTE_PASSES = [
 
 
 def plan_with_ctx(graph, cluster, batch_size, cache_dir, **kwargs):
+    """Plan with a fresh store over ``cache_dir`` (a new process, in
+    effect)."""
     ctx = PlanningContext(
-        graph, cluster,
-        PlannerConfig(batch_size=batch_size, cache_dir=cache_dir, **kwargs),
+        graph, cluster, PlannerConfig(batch_size=batch_size, **kwargs),
+        store=ArtifactStore(disk=DiskBackend(cache_dir)),
     )
     return ctx.run(), ctx
 
@@ -158,33 +161,62 @@ class TestCacheInvalidation:
         assert "planner.store.hits" not in ctx.metrics
 
 
-class TestScheduleRoundTrip:
-    """A served plan is priced under the run's schedule, not ``sync``."""
+class TestStoreOwnsTheCache:
+    def test_context_writes_only_to_its_store_root(
+        self, tiny_bert, tmp_path, monkeypatch
+    ):
+        """A run persists through the store it is handed and nowhere
+        else; a memory-only store (a delta run's) stays memory-only."""
+        monkeypatch.chdir(tmp_path)
+        cluster = paper_cluster()
+        first, second = tmp_path / "first", tmp_path / "second"
+        plan_with_ctx(tiny_bert, cluster, 64, first)
+        kept = {p: p.read_bytes() for p in first.rglob("*") if p.is_file()}
+        assert kept
 
-    @pytest.mark.parametrize(
-        "schedule", ["sync", "sync_1f1b", "async_1f1b"]
-    )
-    def test_hits_keep_the_cold_iteration_time(self, tmp_path, schedule):
-        # tight memory forces a 2-stage, 16-microbatch pipeline, where
-        # the three schedules price the same partition differently
+        _, ctx = plan_with_ctx(tiny_bert, cluster, 64, second, num_blocks=16)
+        assert ctx.store.disk.root == second
+        assert ctx.store.write_errors == 0
+        files = {p for p in tmp_path.rglob("*") if p.is_file()}
+        written = {p for p in files if second in p.parents}
+        assert written
+        assert files == set(kept) | written
+        assert {p: p.read_bytes() for p in kept} == kept
+
+        memory = ArtifactStore()
+        PlanningContext(
+            tiny_bert, cluster, PlannerConfig(batch_size=32), store=memory
+        ).run()
+        assert memory.disk is None
+        assert {p for p in tmp_path.rglob("*") if p.is_file()} == files
+
+
+class TestStoreRoundTrip:
+    """A served plan keeps the cold plan's iteration time, from either
+    store tier."""
+
+    def test_hits_keep_the_cold_iteration_time(self, tmp_path):
+        # tight memory forces a 2-stage, 16-microbatch pipeline
         graph = build_bert(
             BertConfig(hidden_size=256, num_layers=4, num_heads=8)
         )
         cluster = tiny_cluster(
             num_nodes=1, devices_per_node=4, memory_bytes=512 * 2**20
         )
-        config = PlannerConfig(
-            batch_size=64, schedule=schedule, cache_dir=tmp_path
+        config = PlannerConfig(batch_size=64)
+        cold = plan_graph(graph, cluster, config)
+        first = PlanningContext(
+            graph, cluster, config,
+            store=ArtifactStore(disk=DiskBackend(tmp_path)),
         )
-        cold = plan_graph(graph, cluster, PlannerConfig(
-            batch_size=64, schedule=schedule,
-        ))
-        first = PlanningContext(graph, cluster, config)
         first.run()
 
         memory_ctx = PlanningContext(graph, cluster, config, store=first.store)
         memory_hit = memory_ctx.run()
-        disk_ctx = PlanningContext(graph, cluster, config)
+        disk_ctx = PlanningContext(
+            graph, cluster, config,
+            store=ArtifactStore(disk=DiskBackend(tmp_path)),
+        )
         disk_hit = disk_ctx.run()
 
         for ctx, plan in ((memory_ctx, memory_hit), (disk_ctx, disk_hit)):

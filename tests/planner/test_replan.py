@@ -227,30 +227,36 @@ def test_disk_artifacts_survive_process_boundary(tmp_path):
     build, batch_size = MODELS["bert-base"]
     graph = build()
     cluster = paper_cluster(1)
-    config = PlannerConfig(batch_size=batch_size, cache_dir=tmp_path)
+    config = PlannerConfig(batch_size=batch_size)
 
-    ctx1 = PlanningContext(graph, cluster, config)
+    ctx1 = PlanningContext(
+        graph, cluster, config, store=ArtifactStore(disk=DiskBackend(tmp_path))
+    )
     ctx1.run()
     assert sorted(p.name.split("-")[0] for p in
                   (tmp_path / "artifacts").iterdir()) == [
-        "blocks", "components", "evaluated", "search_result",
+        "blocks", "evaluated", "search_result",
     ]
 
-    # different budget: the whole-plan entry misses, the coarsening
-    # passes hit from disk and the profile tensors are rebuilt
+    # different budget: the whole-plan entry misses, the atomic
+    # partition is recomputed, the coarsening hits from disk and the
+    # profile tensors are rebuilt
     budget = cluster.device.usable_memory * 0.7
     delta_config = dataclasses.replace(config, memory_budget=budget)
-    ctx2 = PlanningContext(graph, cluster, delta_config)
+    ctx2 = PlanningContext(
+        graph, cluster, delta_config,
+        store=ArtifactStore(disk=DiskBackend(tmp_path)),
+    )
     from_disk = ctx2.run()
-    assert _reused(ctx2) == ["atomic_partition", "coarsen"]
+    assert _reused(ctx2) == ["coarsen"]
+    assert ctx2.events.find("atomic_partition").status == "ok"
     assert ctx2.events.find("profile_tensors").status == "ok"
-    assert ctx2.metrics.snapshot()["planner.store.disk_hits"] == 2
+    assert ctx2.metrics.snapshot()["planner.store.disk_hits"] == 1
 
     # the same delta in one process, against the in-memory context
     store = ArtifactStore()
-    memory_config = dataclasses.replace(config, cache_dir=None)
-    PlanningContext(graph, cluster, memory_config, store=store).run()
-    memory_config = dataclasses.replace(memory_config, memory_budget=budget)
+    PlanningContext(graph, cluster, config, store=store).run()
+    memory_config = dataclasses.replace(config, memory_budget=budget)
     ctx3 = PlanningContext(graph, cluster, memory_config, store=store)
     in_memory = ctx3.run()
     assert _reused(ctx3) == list(PROFILE_PASSES)
@@ -266,8 +272,10 @@ def test_leftover_dp_context_npz_is_never_read_and_ages_out(
     build, batch_size = MODELS["bert-base"]
     graph = build()
     cluster = paper_cluster(1)
-    config = PlannerConfig(batch_size=batch_size, cache_dir=tmp_path)
-    ctx1 = PlanningContext(graph, cluster, config)
+    config = PlannerConfig(batch_size=batch_size)
+    ctx1 = PlanningContext(
+        graph, cluster, config, store=ArtifactStore(disk=DiskBackend(tmp_path))
+    )
     ctx1.run()
     used = DiskBackend(tmp_path).bytes_used()
 
@@ -286,13 +294,16 @@ def test_leftover_dp_context_npz_is_never_read_and_ages_out(
 
     monkeypatch.setattr(DiskBackend, "read_bytes", _recording)
     delta_config = dataclasses.replace(
-        config,
-        memory_budget=cluster.device.usable_memory * 0.7,
-        cache_budget_bytes=used + 2**20 - 1,
+        config, memory_budget=cluster.device.usable_memory * 0.7
     )
-    ctx2 = PlanningContext(graph, cluster, delta_config)
+    ctx2 = PlanningContext(
+        graph, cluster, delta_config,
+        store=ArtifactStore(
+            disk=DiskBackend(tmp_path, byte_budget=used + 2**20 - 1)
+        ),
+    )
     ctx2.run()
-    assert _reused(ctx2) == ["atomic_partition", "coarsen"]
+    assert _reused(ctx2) == ["coarsen"]
     assert not any("dp_context" in r for r in reads)
     assert not leftover.exists()
     assert ctx2.store.disk.evictions == 1

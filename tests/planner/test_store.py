@@ -21,7 +21,6 @@ from repro.planner import (
 )
 from repro.planner.context import (
     BLOCKS,
-    COMPONENTS,
     DP_CONTEXT,
     EVALUATED,
     SEARCH_RESULT,
@@ -117,7 +116,7 @@ class TestDiskBackend:
 
 
 class TestCodecs:
-    @pytest.mark.parametrize("name", [COMPONENTS, BLOCKS, SEARCH_RESULT])
+    @pytest.mark.parametrize("name", [BLOCKS, SEARCH_RESULT])
     def test_json_round_trip(self, planned_ctx, name):
         codec = CODECS[name]
         original = planned_ctx.require(name)

@@ -12,6 +12,8 @@ from repro.hardware import paper_cluster
 from repro.planner import (
     EVALUATED,
     VERIFIED,
+    ArtifactStore,
+    DiskBackend,
     PlannerConfig,
     PlanningContext,
     default_passes,
@@ -20,9 +22,15 @@ from repro.verify import VerificationReport
 
 
 def plan_with_ctx(graph, cluster, batch_size, cache_dir=None, **kwargs):
+    """Plan with a fresh store over ``cache_dir`` (a new process, in
+    effect), or store-less without one."""
+    store = (
+        ArtifactStore(disk=DiskBackend(cache_dir))
+        if cache_dir is not None else None
+    )
     ctx = PlanningContext(
-        graph, cluster,
-        PlannerConfig(batch_size=batch_size, cache_dir=cache_dir, **kwargs),
+        graph, cluster, PlannerConfig(batch_size=batch_size, **kwargs),
+        store=store,
     )
     return ctx.run(), ctx
 
@@ -109,7 +117,10 @@ class TestCacheLoadVerification:
         seen = {}
         # the cold run's store serves from memory; a fresh store over
         # the same cache_dir serves from disk
-        for tier, store in (("memory", first.store), ("disk", None)):
+        for tier, store in (
+            ("memory", first.store),
+            ("disk", ArtifactStore(disk=DiskBackend(cache_dir))),
+        ):
             calls.clear()
             ctx = PlanningContext(tiny_bert, cluster, first.config, store=store)
             assert ctx.run().diagnostics.cache_hit

@@ -181,6 +181,50 @@ class TestSimulate:
         assert len(timeline["stage_utilization"]) == timeline["num_stages"]
 
 
+    def test_cold_simulate_runs_the_pipeline_once(self, monkeypatch):
+        # the timeline is simulated from the deployment document: one
+        # pipeline run, and the numbers of the live plan's flush timing
+        from repro.pipeline.timeline import plan_flush_timing
+        from repro.planner import PlanningContext
+        from repro.planner.manager import PassManager
+        from repro.service.protocol import normalize_plan_request
+
+        runs = []
+        run = PassManager.run
+
+        def counting(self, ctx):
+            runs.append(ctx)
+            return run(self, ctx)
+
+        # a tight budget forces a two-stage pipeline with a bubble
+        params = {
+            "model": {"family": "mlp",
+                      "widths": [512, 4096, 4096, 4096, 512]},
+            "cluster": {"preset": "v100x8"},
+            "batch_size": 64,
+            "options": {"memory_budget_gb": 0.3},
+        }
+        monkeypatch.setattr(PassManager, "run", counting)
+        out = PlanEngine(workers=1).simulate(params)
+        assert len(runs) == 1
+        monkeypatch.undo()
+
+        req = normalize_plan_request(params)
+        plan = PlanningContext(req.graph, req.cluster, req.config).run()
+        timing = plan_flush_timing(plan)
+        assert plan.num_stages == 2 and timing.bubble_fraction() > 0
+        assert out["timeline"] == {
+            "makespan": timing.makespan,
+            "bubble_fraction": timing.bubble_fraction(),
+            "num_stages": plan.num_stages,
+            "stage_utilization": [
+                timing.utilization(s) for s in range(plan.num_stages)
+            ],
+            "iteration_time": plan.iteration_time,
+            "throughput": plan.throughput,
+        }
+
+
 class TestStats:
     def test_surface(self, warm_engine):
         warm_engine.plan(dict(PARAMS))

@@ -96,6 +96,29 @@ class TestRawHTTP:
         assert status == 404
         assert doc["error"]["code"] == "not_found"
 
+    def test_framing_error_lookalike_path_is_404_and_keeps_alive(
+        self, server
+    ):
+        # a well-formed request whose path merely looks like a rejected
+        # framing is an unknown route on a connection that stays open
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        try:
+            conn.request("GET", "/__too_large__")
+            response = conn.getresponse()
+            doc = json.loads(response.read().decode())
+            assert response.status == 404
+            assert doc["error"]["code"] == "not_found"
+            assert response.getheader("Connection") == "keep-alive"
+            sock = conn.sock
+            assert sock is not None
+            conn.request("GET", "/healthz")
+            again = conn.getresponse()
+            assert again.status == 200
+            again.read()
+            assert conn.sock is sock
+        finally:
+            conn.close()
+
     def test_wrong_verb_on_known_route_is_405(self, server):
         status, _doc = raw_request(server, "GET", "/v1/plan")
         assert status == 405
@@ -150,8 +173,12 @@ class TestMalformedOptions:
     @pytest.mark.parametrize(
         "options",
         [{"blocks": 0}, {"blocks": -3}, {"schedule": "foo"},
-         {"comm_model": "bogus"}],
-        ids=["blocks0", "blocks-3", "schedule", "comm_model"],
+         {"comm_model": "bogus"},
+         # every plan is priced under the flush schedule, and the comm
+         # model belongs to the cluster object: neither is an option
+         {"schedule": "sync"}, {"comm_model": "topology"}],
+        ids=["blocks0", "blocks-3", "schedule", "comm_model",
+             "schedule-sync", "comm_model-topology"],
     )
     def test_bad_option_is_400_before_any_pass(
         self, server, monkeypatch, options

@@ -151,7 +151,6 @@ class TestBuildConfig:
                     "blocks": 8,
                     "max_microbatches": 4,
                     "memory_budget_gb": 2.0,
-                    "comm_model": "topology",
                 },
             }
         )
@@ -159,7 +158,6 @@ class TestBuildConfig:
         assert cfg.num_blocks == 8
         assert cfg.max_microbatches == 4
         assert cfg.memory_budget == 2.0 * 2**30
-        assert cfg.comm_model == "topology"
 
     def test_numbers_must_be_json_numbers_of_the_right_kind(self):
         cfg = build_config(
@@ -225,25 +223,38 @@ class TestNormalize:
         )
         assert other_model.model_key != base.model_key
 
-    def test_key_follows_effective_inputs(self):
-        # comm_model picked through the options or through the cluster
-        # spec: the same effective inputs, so the same plan and key
-        via_options = normalize_plan_request(plan_params(
-            cluster={"nodes": 1},
-            options={"comm_model": "topology"},
+    def test_preset_takes_the_comm_model(self):
+        # the cluster object owns the comm model on every shape, the
+        # preset form included
+        from repro.hardware import paper_cluster
+
+        topo = normalize_plan_request(plan_params(
+            cluster={"preset": "v100x16", "comm_model": "topology"},
         ))
-        via_cluster = normalize_plan_request(plan_params(
-            cluster={"nodes": 1, "comm_model": "topology"},
+        flat = normalize_plan_request(plan_params(
+            cluster={"preset": "v100x16"},
         ))
-        assert via_options.key == via_cluster.key
-        flat = normalize_plan_request(plan_params(cluster={"nodes": 1}))
-        assert flat.key != via_options.key
+        assert topo.cluster == paper_cluster(2, comm_model="topology")
+        assert flat.cluster == paper_cluster(2)
+        assert topo.key != flat.key
+
+    def test_bad_comm_model_is_bad_request(self):
+        for cluster in (
+            {"preset": "v100x8", "comm_model": "bogus"},
+            {"nodes": 1, "comm_model": "bogus"},
+            # a heterogeneous cluster must stay flat
+            {"classes": [{"name": "a", "device": "v100", "nodes": 1}],
+             "comm_model": "topology"},
+        ):
+            with pytest.raises(ServiceError) as ei:
+                build_cluster(cluster)
+            assert ei.value.code == "bad_request", cluster
 
     def test_plan_determining_inputs_change_the_key(self):
         base = normalize_plan_request(plan_params())
         variants = [
             plan_params(batch_size=128),
-            plan_params(options={"schedule": "sync_1f1b"}),
+            plan_params(options={"max_microbatches": 4}),
             plan_params(options={"memory_budget_gb": 16}),
             plan_params(cluster={"classes": [
                 {"name": "a", "device": "v100", "nodes": 1,

@@ -5,8 +5,10 @@ Exercises the daemon's whole contract end to end against a live
 socket -- cold plan, warm repeats (answered on the server's event loop
 and counted in ``/v1/stats``), delta replan through ``/v1/replan``,
 concurrent same-model replans over one shared DP context, in-place
-repair through ``/v1/repair``, a malformed option and malformed
-numbers rejected as ``bad_request``, verify round-trip of the served
+repair through ``/v1/repair``, a preset cluster planned under the
+topology comm model, a malformed option, the removed ``schedule`` and
+``comm_model`` options and malformed numbers rejected as
+``bad_request``, verify round-trip of the served
 document, simulate, stats -- and exits non-zero the moment any response disagrees with
 ``docs/SERVICE.md``.
 
@@ -131,17 +133,15 @@ def main(argv=None) -> int:
         ok &= check(checked["verified"] is True,
                     f"{label} round-trip verifies")
 
-    # a pipelined plan evaluated under a 1F1B schedule repairs in place:
-    # the repair re-verifies under the run's own schedule
-    pipelined = dict(REQUEST, cluster={"preset": "v100x16"},
-                     options={"schedule": "sync_1f1b"})
-    client.plan(**pipelined)
+    # a node loss on the two-node plan repairs in place and
+    # re-verifies the repaired plan
+    two_nodes = dict(REQUEST, cluster={"preset": "v100x16"})
     repaired = client.repair(
-        **pipelined, event={"type": "node_loss", "node_index": 1}
+        **two_nodes, event={"type": "node_loss", "node_index": 1}
     )
     ok &= check(
         repaired["repair"]["used_full_replan"] is False,
-        "sync_1f1b node loss repairs in place "
+        "node loss repairs in place "
         f"({repaired['repair']['fallback_reason'] or 'no fallback'})",
     )
     ok &= check(
@@ -159,7 +159,22 @@ def main(argv=None) -> int:
             "replan without a base returns 409 no_base",
         )
 
-    malformed = [("option", {"options": {"schedule": "foo"}})]
+    # the cluster object owns the comm model, presets included
+    topology = client.plan(**dict(
+        REQUEST, cluster={"preset": "v100x8", "comm_model": "topology"}
+    ))
+    ok &= check(
+        topology["meta"]["fingerprint"] != cold["meta"]["fingerprint"],
+        "a topology preset cluster plans under its own key",
+    )
+
+    malformed = [
+        ("option", {"options": {"mode": "foo"}}),
+        # every plan is priced under the flush schedule, and the comm
+        # model belongs to the cluster object: neither is an option
+        ("option schedule", {"options": {"schedule": "sync"}}),
+        ("option comm_model", {"options": {"comm_model": "topology"}}),
+    ]
     for label, overrides in malformed + MALFORMED_NUMBERS:
         try:
             client.plan(**dict(REQUEST, **overrides))
