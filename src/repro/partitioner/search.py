@@ -16,7 +16,12 @@ at most one DP call per microbatch count, made in increasing ``MB``
 order through the run's :class:`DPRun` over a shared
 :class:`DPContext`.  A sweep whose stages cannot cover the blocks in
 memory has no answer and is skipped before any of its profiles are
-built (``covering_sweeps``, DESIGN.md deviation D2b).
+built (``covering_sweeps``, DESIGN.md deviation D2b).  Each sweep's
+answers are ranked as soon as it finishes, and the best flush makespan
+so far bounds the sweeps after it: an answer whose objective is over
+``sweep_bound`` cannot beat or tie that makespan, so the sweep drops
+it and every table cell that could only lead to it (DESIGN.md
+deviation D2c).
 
 Aligning ``D`` to whole nodes keeps each pipeline inside as few nodes as
 possible, which is why stage-to-stage transfers are costed at intra-node
@@ -25,6 +30,7 @@ bandwidth (footnote 3 of the paper).
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -38,6 +44,28 @@ from repro.partitioner.stage_dp import (
     covering_sweeps,
     form_stage_dp,
 )
+
+#: relative slack of :func:`sweep_bound`: it covers the rounding of the
+#: bound and of the flush simulation the incumbent came from (DESIGN.md
+#: deviation D2c)
+BOUND_SLACK = 1e-9
+#: the slack covers simulations of up to this many stages plus
+#: microbatches; a longer sweep runs unbounded
+BOUND_MAX_STEPS = 10**6
+
+
+def sweep_bound(incumbent: float, num_stages: int, MB: int) -> float:
+    """The largest Algorithm-1 objective an answer of a sweep at ``MB``
+    microbatches and at most ``num_stages`` stages may have and still
+    beat or tie the flush makespan ``incumbent`` (``inf``: no bound).
+
+    A flush makespan is at least ``MB`` times the objective ``max t_f +
+    max t_b``, so an answer over ``incumbent / MB`` is strictly slower
+    than the incumbent; the slack keeps that true in floats (DESIGN.md
+    deviation D2c)."""
+    if num_stages + MB > BOUND_MAX_STEPS:
+        return math.inf
+    return incumbent / MB * (1 + BOUND_SLACK)
 
 
 @dataclass
@@ -82,17 +110,21 @@ def form_stage(
         batch_size: global batch size BS.
         max_microbatches: optional cap on MB (None: up to BS / R).
         tracer: optional tracer; each node level gets a ``search.level``
-            span (its ``pruned_mb`` lists the microbatch counts skipped)
-            and each sweep made a ``dp.form_stage_dp`` span under it.
+            span (its ``pruned_mb`` lists the microbatch counts skipped,
+            ``bounds`` each sweep's bound, ``incumbent`` the level's best
+            flush makespan and ``answers_bounded`` the answers the
+            bounds removed) and each sweep made a ``dp.form_stage_dp``
+            span under it.
         metrics: optional metrics registry, forwarded to every DP call;
-            ``search.sweeps_pruned`` counts the sweeps skipped.
+            ``search.sweeps_pruned`` counts the sweeps skipped and
+            ``search.answers_bounded`` the answers the bounds removed.
 
     Returns:
         A :class:`SearchResult`, or ``None`` if no configuration fits.
         Its ``dp_calls`` counts the sweeps made (at most one per node
         level and microbatch count), ``states_evaluated`` their table
-        cells and ``candidates_tried`` the feasible ``(S, MB)``
-        candidates that competed.
+        cells and ``candidates_tried`` the ``(S, MB)`` answers ranked:
+        the feasible candidates the sweep bounds kept.
     """
     ctx = run.memo
     if batch_size != ctx.batch_size:
@@ -171,39 +203,61 @@ def form_stage(
                 bs for MB in swept
                 for bs in ctx.plane_batch_sizes(D, R, MB)[0]
             )
-            # ``form_stage_dp`` is looked up as a module global at call
-            # time, so a wrapper installed on ``search.form_stage_dp``
-            # sees every sweep
-            sweeps = {
-                MB: form_stage_dp(
+            bounded_before = run.answers_bounded
+            sweeps_before = len(run.sweep_bounds)
+            # each sweep is ranked as soon as it finishes: the best flush
+            # makespan so far bounds the sweeps after it (DESIGN.md,
+            # deviation D2c)
+            incumbent = math.inf
+            ranked = {}
+            rank_ms = 0.0
+            for MB in swept:
+                bound = sweep_bound(incumbent, s_hi, MB)
+                # ``form_stage_dp`` and ``sweep_bound`` are looked up as
+                # module globals at call time, so a wrapper installed on
+                # ``search`` sees every sweep
+                answers = form_stage_dp(
                     run, stage_counts, D, batch_size, R, MB,
-                    tracer=tracer, metrics=metrics,
+                    bound=bound, tracer=tracer, metrics=metrics,
                 )
-                for MB in swept
-            }
+                # ranking simulates each answer's flush schedule: the
+                # search's cost outside the DP sweeps
+                rank_started = time.perf_counter()
+                for S, sol in answers.items():
+                    if sol is not None:
+                        ranked[S, MB] = sol
+                        incumbent = min(
+                            incumbent, sol.estimated_iteration_time()
+                        )
+                rank_ms += (time.perf_counter() - rank_started) * 1e3
             dp_calls += len(swept)
+            bounded = run.answers_bounded - bounded_before
+            if metrics is not None:
+                metrics.counter("search.answers_bounded").inc(bounded)
             # every stage count of the level competes, not only the first
             # feasible one (DESIGN.md, deviation D2); candidate order (S
-            # outer, MB inner) fixes the tie-break
+            # outer, MB inner) fixes the tie-break, and an answer the
+            # bound removed is strictly slower than one ranked
             solutions = [
-                sweeps[MB][S]
+                ranked[S, MB]
                 for S in stage_counts
                 for MB in swept
-                if sweeps[MB][S] is not None
+                if (S, MB) in ranked
             ]
             tried += len(solutions)
             if level_span is not None:
-                level_span.set(candidates=len(solutions))
+                level_span.set(
+                    candidates=len(solutions),
+                    bounds=run.sweep_bounds[sweeps_before:],
+                    answers_bounded=bounded,
+                )
             if solutions:
-                # ranking simulates each candidate's flush schedule: the
-                # search's cost outside the DP sweeps
-                rank_started = time.perf_counter()
                 best = min(
                     solutions, key=lambda s: s.estimated_iteration_time()
                 )
-                rank_ms = (time.perf_counter() - rank_started) * 1e3
                 if level_span is not None:
                     level_span.set(
+                        incumbent=incumbent,
                         rank_ms=rank_ms,
                         winner_stages=best.num_stages,
                         winner_microbatches=best.num_microbatches,

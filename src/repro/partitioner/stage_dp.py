@@ -51,6 +51,7 @@ that the test suite holds all of this to live with the tests
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -683,6 +684,10 @@ class DPRun:
         self.cells_reduced = 0
         #: widest stage slab any sweep of the run reduced
         self.band_width_max = 0
+        #: answers the sweeps found above their bound and dropped
+        #: (DESIGN.md D2c), and each sweep's bound (``None``: unbounded)
+        self.answers_bounded = 0
+        self.sweep_bounds: List[Optional[float]] = []
 
     @property
     def usable_memory(self) -> float:
@@ -1094,6 +1099,7 @@ def form_stage_dp(
     R: int,
     MB: int,
     *,
+    bound: float = math.inf,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> Union[Optional[DPSolution], Dict[int, Optional[DPSolution]]]:
@@ -1109,12 +1115,18 @@ def form_stage_dp(
         BS: global batch size (must equal the memo's ``batch_size``).
         R: replica factor (whole-pipeline copies).
         MB: number of microbatches.
+        bound: the largest objective an answer may have (``inf``: no
+            bound).  Answers over it are ``None``, and so is every table
+            cell over it, so the sweep never backtracks, prices or
+            returns one; every answer at or below it is exactly the
+            unbounded sweep's (DESIGN.md D2c).
         tracer: optional :class:`~repro.obs.tracer.Tracer`; when given,
             the whole call is wrapped in a ``dp.form_stage_dp`` span
             carrying ``(S, D, R, MB)`` (``S`` the largest stage count,
-            ``S_min`` the smallest), the state count, the feasible
-            stage counts, the slab width (``band_width``) and the
-            candidate cells float-reduced (``cells_reduced``).
+            ``S_min`` the smallest), the bound, the state count, the
+            feasible stage counts, the slab width (``band_width``), the
+            candidate cells float-reduced (``cells_reduced``) and the
+            answers found above the bound (``answers_bounded``).
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
             records ``dp.calls``, ``dp.states_evaluated`` (total and per
             ``(D, MB)`` point), ``dp.cells_reduced`` and the
@@ -1172,10 +1184,11 @@ def form_stage_dp(
                     S=stage_counts[-1] if stage_counts else None,
                     S_min=stage_counts[0] if stage_counts else None,
                     D=D, R=R, MB=MB,
+                    bound=bound if math.isfinite(bound) else None,
                 )
             )
         results = _form_stage_dp_body(
-            run, stage_counts, D, R, MB, sp, metrics
+            run, stage_counts, D, R, MB, bound, sp, metrics
         )
     return results if isinstance(S, range) else results[S]
 
@@ -1186,6 +1199,7 @@ def _form_stage_dp_body(
     D: int,
     R: int,
     MB: int,
+    bound: float,
     sp: Optional[Span],
     metrics: Optional[MetricsRegistry],
 ) -> Dict[int, Optional[DPSolution]]:
@@ -1201,24 +1215,30 @@ def _form_stage_dp_body(
             sp.set(feasible=False, reason="stage count out of range")
         return results
     run.dp_calls += 1
+    run.sweep_bounds.append(bound if math.isfinite(bound) else None)
     # on a heterogeneous cluster the memory cap and stage speed depend on
     # WHICH cumulative-device slots [d', d) a stage lands on
     slots = run.hetero_tables(D, R) if run.cluster.is_heterogeneous else None
-    states = cells = width = 0
+    states = cells = width = bounded = 0
     if lo == 1:
         # a lone stage has one layout, blocks (0, k] on all D devices:
         # one state, priced without checkpointing
         results[1], _ = run.price_layout([k], [D], R, MB, slots)
+        if results[1] is not None and results[1].objective > bound:
+            results[1] = INFEASIBLE
+            bounded = 1
         states = 1
         lo = 2
     if lo <= hi:
-        t_states, cells, width = _sweep_table(
-            run, lo, hi, D, R, MB, slots, results
+        t_states, cells, width, t_bounded = _sweep_table(
+            run, lo, hi, D, R, MB, slots, bound, results
         )
         states += t_states
+        bounded += t_bounded
     run.states_evaluated += states
     run.cells_reduced += cells
     run.band_width_max = max(run.band_width_max, width)
+    run.answers_bounded += bounded
     feasible = [s for s, sol in results.items() if sol is not None]
     if metrics is not None:
         metrics.counter("dp.calls").inc()
@@ -1235,6 +1255,7 @@ def _form_stage_dp_body(
             states_evaluated=states,
             cells_reduced=cells,
             band_width=width,
+            answers_bounded=bounded,
             feasible=bool(feasible),
             feasible_stages=feasible,
         )
@@ -1249,19 +1270,28 @@ def _sweep_table(
     R: int,
     MB: int,
     slots: Optional[Tuple[np.ndarray, np.ndarray]],
+    bound: float,
     results: Dict[int, Optional[DPSolution]],
-) -> Tuple[int, int, int]:
+) -> Tuple[int, int, int, int]:
     """Fill one Algorithm-1 table up to ``s_hi`` stages (``s_lo >= 2``),
     store the solution of every ``S`` in ``[s_lo, s_hi]`` into
     ``results`` and return the state count (the table cells inside the
-    sweep's bounds), the candidate cells float-reduced and the slab
-    width.  ``slots``: see :meth:`DPRun.price_layout`.
+    sweep's bounds), the candidate cells float-reduced, the slab width
+    and the answer cells found above ``bound``.  ``slots``: see
+    :meth:`DPRun.price_layout`.
 
     Each stage float-reduces only the rows that can still reach block
     ``k`` in the ``s_hi - s`` stages left, each at most the slab width
     wide (:func:`_band_stage`), and every finite cell is written, so
     ``V[S, k, D]`` holds exactly the answers, each priced from its
     backtracked layout (:meth:`DPRun.price_layout`).
+
+    A finite ``bound`` treats every value over it as infeasible
+    (DESIGN.md D2c): a candidate is at least its stage's ``TF + TB``
+    and at least its previous cell, so on a homogeneous cluster the
+    band entries over it are poisoned like those over the memory cap
+    (narrowing the slab), and after each stage every cell over it is
+    cleared.  Every cell at or below it keeps its value and parent.
     """
     k = run.memo.k
     # every stage that can still reach (S, k, D) for some S >= s_lo spans
@@ -1273,6 +1303,12 @@ def _sweep_table(
     n_planes = int(bands.plane_of_r[1:D - s_lo + 2].max(initial=-1)) + 1
     cap = _sweep_cap(run, slots)
     over = bands.mem[:n_planes] > cap
+    has_bound = math.isfinite(bound)
+    if has_bound and slots is None:
+        # every candidate through a stage over the bound is over it too
+        # (on a heterogeneous cluster the times scale per slot, so only
+        # the cells are cleared)
+        over |= bands.tf[:n_planes] + bands.tb[:n_planes] > bound
     # every stage wider than the band is over the cap too: the band was
     # sized for a capacity of at least ``cap``
     width = _slab_width(over, nb_max)
@@ -1293,7 +1329,7 @@ def _sweep_table(
     # docstring): only the empty prefix is a valid 0-stage state.
     V[0, 0, 0] = 0.0
 
-    states = cells = 0
+    states = cells = answers_bounded = 0
     for s in range(1, s_hi + 1):
         # the bounds of the smallest stage count S >= s of the sweep:
         # its S - s later stages each need a block and a device
@@ -1309,6 +1345,11 @@ def _sweep_table(
             k - (s_hi - s) * width,
             V[s], tf[s], tb[s], parent_b[s], parent_d[s],
         )
+        if has_bound:
+            above = V[s] > bound
+            if s >= s_lo and above[k, D] and V[s, k, D] < np.inf:
+                answers_bounded += 1
+            V[s][above] = np.inf
 
     for S in range(s_lo, s_hi + 1):
         if V[S, k, D] == np.inf:
@@ -1329,7 +1370,7 @@ def _sweep_table(
             boundaries, device_counts, R, MB, slots
         )
         assert failure is None, "the DP kept a layout that does not fit"
-    return states, cells, width
+    return states, cells, width, answers_bounded
 
 
 def _sweep_cap(

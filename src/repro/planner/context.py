@@ -251,9 +251,10 @@ class PlanningContext:
         self, plan: Any, expected_iteration_time: Optional[float] = None
     ) -> Any:
         """:func:`repro.verify.check_plan` of ``plan`` under this run's
-        graph, cluster and optimizer, inside a ``verify.plan``
-        span.  ``expected_iteration_time`` is the stage search's estimate
-        for a plan searched this run (``None`` for a stored plan)."""
+        graph, cluster, optimizer and memory budget, inside a
+        ``verify.plan`` span.  ``expected_iteration_time`` is the stage
+        search's estimate for a plan searched this run (``None`` for a
+        stored plan)."""
         from repro.verify import check_plan
 
         with self.tracer.span(
@@ -266,6 +267,7 @@ class PlanningContext:
                 profiler=self.ensure_profiler(),
                 optimizer=self.config.optimizer,
                 expected_iteration_time=expected_iteration_time,
+                memory_budget=self.config.memory_budget,
             )
 
     def ensure_profiler(self) -> GraphProfiler:

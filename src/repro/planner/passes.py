@@ -219,6 +219,12 @@ class StageSearchPass(PlannerPass):
             "cells_reduced": run.cells_reduced,
             "band_width_max": run.band_width_max,
             "band_bytes": dp_ctx.band_bytes,
+            # the winner's flush makespan (the winning level's final
+            # incumbent), each sweep's bound (None: unbounded) and the
+            # answers found above a bound (DESIGN.md D2c)
+            "incumbent": result.solution.estimated_iteration_time(),
+            "sweep_bounds": run.sweep_bounds,
+            "answers_bounded": run.answers_bounded,
         }
 
 

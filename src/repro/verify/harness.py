@@ -9,6 +9,10 @@ several cluster presets, and holds every emitted plan to the
 
     PYTHONPATH=src python -m repro.verify.harness --seeds 25
 
+Every seed is planned once more on ``tiny-1x4`` under a memory budget
+of 0.75x its unbudgeted plan's peak stage memory, and that plan is held
+to the budget as well.
+
 Exit status is non-zero if any plan fails verification (infeasible
 combinations are reported but are not failures: the planner refusing to
 emit a plan is the correct behaviour when no placement fits).
@@ -20,6 +24,7 @@ import argparse
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.graph.ir import TaskGraph
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.presets import tiny_cluster
 from repro.models.random_dag import build_random_dag
@@ -43,15 +48,24 @@ def default_clusters() -> Dict[str, ClusterSpec]:
     }
 
 
+#: the cluster whose plans the harness repeats under a memory budget,
+#: and the budget's share of the unbudgeted plan's peak stage memory
+BUDGET_CLUSTER = "tiny-1x4"
+BUDGET_FRACTION = 0.75
+
+
 @dataclass
 class HarnessCase:
-    """Outcome of one (seed, cluster, comm model, mode) planner run."""
+    """Outcome of one (seed, cluster, comm model, mode, budget) planner
+    run."""
 
     seed: int
     cluster_name: str
     feasible: bool
     comm_model: str = "flat"
     mode: str = "training"
+    #: per-device memory budget of the run (bytes; ``None``: none)
+    memory_budget: Optional[float] = None
     num_stages: int = 0
     violations: Tuple[Violation, ...] = ()
     invariants_checked: int = 0
@@ -60,6 +74,13 @@ class HarnessCase:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def label(self) -> str:
+        label = f"{self.cluster_name}/{self.comm_model}/{self.mode}"
+        if self.memory_budget is not None:
+            label += f"/budget={self.memory_budget / 1024:.0f}KiB"
+        return label
 
 
 @dataclass
@@ -103,53 +124,89 @@ def run_harness(
     column does the same for forward-only inference plans
     (``mode="inference"``), which the verifier holds to the extra
     inference invariant family.
+
+    Each seed is then planned once more on :data:`BUDGET_CLUSTER`, under
+    the first comm model and mode, with a memory budget of
+    :data:`BUDGET_FRACTION` of that cluster's unbudgeted plan's peak
+    stage memory, and the plan is checked against the budget too.  The
+    tighter cap exercises the stage search's memory and time bounds
+    together; a budget no plan fits is reported infeasible.
     """
     if clusters is None:
         clusters = default_clusters()
     result = HarnessResult()
     for seed in seeds:
         graph = build_random_dag(seed=seed, num_nodes=num_nodes, width=width)
+        base_plan = None
         for cname, base_cluster in clusters.items():
             for comm_model in comm_models:
                 cluster = base_cluster.with_comm_model(comm_model)
                 for mode in modes:
-                    try:
-                        plan = auto_partition(
-                            graph,
-                            cluster,
-                            batch_size=batch_size,
-                            num_blocks=num_blocks,
-                            verify=False,
-                            mode=mode,
-                        )
-                    except PartitioningError:
-                        result.cases.append(
-                            HarnessCase(
-                                seed=seed,
-                                cluster_name=cname,
-                                feasible=False,
-                                comm_model=comm_model,
-                                mode=mode,
-                            )
-                        )
-                        continue
-                    report: VerificationReport = check_plan(
-                        plan, graph, cluster
+                    case, plan = _run_case(
+                        seed, graph, cname, cluster, comm_model, mode,
+                        batch_size, num_blocks,
                     )
-                    result.cases.append(
-                        HarnessCase(
-                            seed=seed,
-                            cluster_name=cname,
-                            feasible=True,
-                            comm_model=comm_model,
-                            mode=mode,
-                            num_stages=plan.num_stages,
-                            violations=tuple(report.violations),
-                            invariants_checked=report.invariants_checked,
-                            sim_rel_err=report.stats.get("sim_rel_err", 0.0),
-                        )
-                    )
+                    result.cases.append(case)
+                    if (cname, comm_model, mode) == (
+                        BUDGET_CLUSTER, comm_models[0], modes[0]
+                    ):
+                        base_plan = plan
+        if base_plan is not None:
+            budget = BUDGET_FRACTION * max(
+                stage.profile.memory for stage in base_plan.stages
+            )
+            comm_model = comm_models[0]
+            case, _ = _run_case(
+                seed, graph, BUDGET_CLUSTER,
+                clusters[BUDGET_CLUSTER].with_comm_model(comm_model),
+                comm_model, modes[0], batch_size, num_blocks, budget,
+            )
+            result.cases.append(case)
     return result
+
+
+def _run_case(
+    seed: int,
+    graph: TaskGraph,
+    cluster_name: str,
+    cluster: ClusterSpec,
+    comm_model: str,
+    mode: str,
+    batch_size: int,
+    num_blocks: int,
+    memory_budget: Optional[float] = None,
+):
+    """Plan one combination and check the plan: ``(case, plan)``, with
+    ``plan`` ``None`` when no plan fits."""
+    case = HarnessCase(
+        seed=seed,
+        cluster_name=cluster_name,
+        feasible=False,
+        comm_model=comm_model,
+        mode=mode,
+        memory_budget=memory_budget,
+    )
+    try:
+        plan = auto_partition(
+            graph,
+            cluster,
+            batch_size=batch_size,
+            num_blocks=num_blocks,
+            verify=False,
+            mode=mode,
+            memory_budget=memory_budget,
+        )
+    except PartitioningError:
+        return case, None
+    report: VerificationReport = check_plan(
+        plan, graph, cluster, memory_budget=memory_budget
+    )
+    case.feasible = True
+    case.num_stages = plan.num_stages
+    case.violations = tuple(report.violations)
+    case.invariants_checked = report.invariants_checked
+    case.sim_rel_err = report.stats.get("sim_rel_err", 0.0)
+    return case, plan
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -181,13 +238,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         modes=tuple(args.modes),
     )
     for case in result.cases:
-        label = f"{case.cluster_name}/{case.comm_model}/{case.mode}"
+        label = case.label
         if not case.feasible:
-            print(f"seed {case.seed:3d} {label:30s} INFEASIBLE")
+            print(f"seed {case.seed:3d} {label:38s} INFEASIBLE")
             continue
         status = "OK" if case.ok else "FAIL"
         print(
-            f"seed {case.seed:3d} {label:30s} {status}  "
+            f"seed {case.seed:3d} {label:38s} {status}  "
             f"stages={case.num_stages} checks={case.invariants_checked} "
             f"sim_rel_err={case.sim_rel_err:.2e}"
         )

@@ -29,7 +29,8 @@ The invariant families (see ``docs/VERIFICATION.md``):
   ``microbatch_size`` equals ``batch_size // (R * MB * devices)`` with at
   least one sample per replica.
 * **memory** -- each stage's stored peak memory fits the device's usable
-  memory, and the memory *re-derived* from
+  memory and, when the run set one, its memory budget; the memory
+  *re-derived* from
   :mod:`repro.profiler.memory` via a fresh profile of the stage's tasks
   agrees with the stored value within :data:`MEM_REL_TOL` (and also fits).
 * **differential** -- per-stage times re-derived from the profiler (plus
@@ -108,7 +109,7 @@ TIME_REL_TOL = 0.05
 #: version of the invariant set above.  The artifact store remembers
 #: which stored plans passed under which version; bump it whenever a
 #: check is added or tightened so every remembered pass is re-checked
-VERIFIER_VERSION = 1
+VERIFIER_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -176,6 +177,7 @@ class _Checker:
         profiler: Optional[GraphProfiler],
         optimizer: OptimizerKind,
         expected_iteration_time: Optional[float],
+        memory_budget: Optional[float],
     ) -> None:
         self.plan = plan
         self.graph = graph
@@ -183,6 +185,7 @@ class _Checker:
         self.profiler = profiler
         self.optimizer = optimizer
         self.expected_iteration_time = expected_iteration_time
+        self.memory_budget = memory_budget
         self.report = VerificationReport(model_name=plan.model_name)
         # the table of the profiler the re-derivation checks use carries
         # the non-constant flags (the forward traversal of
@@ -458,6 +461,7 @@ class _Checker:
 
     def _check_memory_static(self) -> None:
         limits = self._stage_limits()
+        budget = self.memory_budget
         for stage, (usable, _factor) in zip(self.plan.stages, limits):
             self._checked()
             if stage.profile.memory > usable * (1.0 + MEM_REL_TOL):
@@ -466,6 +470,16 @@ class _Checker:
                     f"stage {stage.index} stores peak memory "
                     f"{stage.profile.memory / 2**30:.3f} GiB exceeding "
                     f"usable device memory {usable / 2**30:.3f} GiB",
+                )
+            if budget is None:
+                continue
+            self._checked()
+            if stage.profile.memory > budget * (1.0 + MEM_REL_TOL):
+                self._fail(
+                    "memory",
+                    f"stage {stage.index} stores peak memory "
+                    f"{stage.profile.memory / 2**30:.3f} GiB exceeding "
+                    f"the run's memory budget {budget / 2**30:.3f} GiB",
                 )
 
     # ------------------------------------------------------------------
@@ -687,6 +701,7 @@ def check_plan(
     profiler: Optional[GraphProfiler] = None,
     optimizer: OptimizerKind = OptimizerKind.ADAM,
     expected_iteration_time: Optional[float] = None,
+    memory_budget: Optional[float] = None,
 ) -> VerificationReport:
     """Check every plan invariant; returns a report, never raises.
 
@@ -703,6 +718,10 @@ def check_plan(
         expected_iteration_time: the DP's ``estimated_iteration_time``
             for the differential check, when the caller has it (the
             planner's ``VerifyPass`` does; a cache load does not).
+        memory_budget: the per-device memory cap of the run the plan
+            serves (``PlannerConfig.memory_budget``); every stage's peak
+            memory must fit it too.  ``None``: the devices' capacity
+            only.
     """
     checker = _Checker(
         plan,
@@ -711,6 +730,7 @@ def check_plan(
         profiler,
         optimizer,
         expected_iteration_time,
+        memory_budget,
     )
     return checker.run()
 
@@ -723,6 +743,7 @@ def verify_plan(
     profiler: Optional[GraphProfiler] = None,
     optimizer: OptimizerKind = OptimizerKind.ADAM,
     expected_iteration_time: Optional[float] = None,
+    memory_budget: Optional[float] = None,
 ) -> VerificationReport:
     """:func:`check_plan`, raising :class:`PlanVerificationError` (with
     *all* violations) if any invariant failed."""
@@ -733,6 +754,7 @@ def verify_plan(
         profiler=profiler,
         optimizer=optimizer,
         expected_iteration_time=expected_iteration_time,
+        memory_budget=memory_budget,
     )
     report.raise_if_failed()
     return report

@@ -1,6 +1,8 @@
 """Tests for Algorithm 2 (form_stage), device allocation, plans and the
 auto_partition public API."""
 
+import math
+
 import pytest
 
 from repro.hardware import Precision, paper_cluster, tiny_cluster
@@ -10,7 +12,7 @@ from repro.partitioner import PartitioningError, auto_partition
 from repro.partitioner.allocation import allocate_devices
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import block_partition
-from repro.partitioner.search import form_stage
+from repro.partitioner.search import form_stage, sweep_bound
 from repro.partitioner.stage_dp import DPContext, DPRun, form_stage_dp
 from repro.profiler import GraphProfiler
 from tests.partitioner.oracles import reference_form_stage_dp
@@ -97,7 +99,9 @@ class TestFormStage:
     def test_matches_per_candidate_reference_search(self, memory_mib):
         """Algorithm 2 with one sweep per (D, R, MB) picks exactly the
         winner of the candidate-by-candidate search over the pure-Python
-        reference DP, with the same candidate counts."""
+        reference DP.  It ranks exactly the candidates the sweep bound
+        keeps (DESIGN.md D2c): those whose objective is within the bound
+        of the best makespan of the earlier microbatch counts."""
         cluster = tiny_cluster(num_nodes=2, devices_per_node=2,
                                memory_bytes=memory_mib * 1024**2)
         g = build_mlp((256, 1024, 1024, 1024, 1024, 256))
@@ -113,8 +117,16 @@ class TestFormStage:
             if sols:
                 break
         best = min(sols, key=lambda s: s.estimated_iteration_time())
+
+        def incumbent_before(MB):
+            return min((s.estimated_iteration_time() for s in sols
+                        if s.num_microbatches < MB), default=math.inf)
+
+        kept = [s for s in sols if s.objective <= sweep_bound(
+            incumbent_before(s.num_microbatches), D, s.num_microbatches)]
+        assert len(kept) < len(sols)
         assert result.num_pipeline_nodes == n
-        assert result.candidates_tried == len(sols)
+        assert result.candidates_tried == len(kept)
         assert result.solution.boundaries == best.boundaries
         assert result.solution.device_counts == best.device_counts
         assert result.solution.num_microbatches == best.num_microbatches

@@ -59,9 +59,10 @@ def test_bert_base_full_snapshot():
     plan = auto_partition(graph, paper_cluster(), 256)
     assert [s.microbatch_size for s in plan.stages] == [8]
     # one DP sweep per microbatch count (1..64) answers all 8 stage
-    # counts of the node level; the 56 (S, MB) candidates are unchanged
+    # counts of the node level; of the 45 feasible (S, MB) candidates,
+    # the sweep bounds keep 9 for ranking (DESIGN.md D2c)
     assert plan.diagnostics.dp_calls == 7
-    assert plan.diagnostics.candidates_tried == 45
+    assert plan.diagnostics.candidates_tried == 9
     assert plan.diagnostics.num_blocks == 32
     assert plan.diagnostics.num_atomic_components == 343
     assert plan.iteration_time == pytest.approx(0.499316, rel=1e-3)

@@ -1,14 +1,21 @@
 """The randomized differential harness: 25 seeded random DAGs x 3
-cluster presets x 2 communication models, full planner, every emitted
-plan verified."""
+cluster presets x 2 communication models, plus one memory-budget case
+per seed, full planner, every emitted plan verified."""
 
-from repro.verify.harness import default_clusters, main, run_harness
+from repro.verify.harness import (
+    BUDGET_CLUSTER,
+    default_clusters,
+    main,
+    run_harness,
+)
 
 
 class TestHarness:
     def test_full_seed_matrix_has_zero_violations(self):
         result = run_harness(seeds=range(25))
-        assert len(result.cases) == 25 * len(default_clusters()) * 2
+        # every (seed, cluster, comm model) once, and every seed once
+        # more under a memory budget
+        assert len(result.cases) == 25 * len(default_clusters()) * 2 + 25
         assert result.total_violations == 0, [
             str(v) for c in result.cases for v in c.violations
         ]
@@ -38,7 +45,7 @@ class TestHarness:
             comm_models=("flat",),
             modes=("training", "inference"),
         )
-        assert len(result.cases) == 5 * len(default_clusters()) * 2
+        assert len(result.cases) == 5 * len(default_clusters()) * 2 + 5
         assert result.total_violations == 0, [
             str(v) for c in result.cases for v in c.violations
         ]
@@ -58,6 +65,28 @@ class TestHarness:
             for c in by_mode["inference"] if c.feasible
         }
         assert train_feasible <= inf_feasible
+
+    def test_budget_cases_hold_plans_to_the_budget(self):
+        """Each seed's extra ``tiny-1x4`` case plans under 0.75x the
+        unbudgeted plan's peak stage memory; the budget check is one more
+        invariant per stage, and a plan over the budget would fail it."""
+        result = run_harness(seeds=range(4), comm_models=("flat",))
+        base = {
+            c.seed: c for c in result.cases
+            if c.cluster_name == BUDGET_CLUSTER and c.memory_budget is None
+        }
+        budgeted = [c for c in result.cases if c.memory_budget is not None]
+        assert [c.seed for c in budgeted] == [0, 1, 2, 3]
+        assert result.total_violations == 0
+        for case in budgeted:
+            assert case.cluster_name == BUDGET_CLUSTER
+            assert "/budget=" in case.label
+            if case.feasible:
+                # the tighter cap splits the model
+                assert case.num_stages > base[case.seed].num_stages
+                assert case.invariants_checked > (
+                    base[case.seed].invariants_checked
+                )
 
     def test_cli_entry(self, capsys):
         assert main(["--seeds", "2", "--comm-models", "flat",

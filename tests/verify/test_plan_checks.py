@@ -246,6 +246,33 @@ class TestMemoryAndDifferential:
         )
 
 
+class TestMemoryBudget:
+    def test_plan_over_the_runs_budget_fails(self):
+        """A plan made without a budget, checked by a run whose budget is
+        below the plan's peak stage memory, reports a memory violation;
+        a run whose budget is the peak passes it."""
+        from repro.planner import PlannerConfig, PlanningContext
+
+        graph = build_random_dag(seed=0, num_nodes=14, width=64)
+        cluster = tiny_cluster(num_nodes=1, devices_per_node=4)
+
+        def run(budget):
+            config = PlannerConfig(batch_size=32, num_blocks=8,
+                                   memory_budget=budget)
+            return PlanningContext(graph, cluster, config)
+
+        plan = run(None).run()
+        peak = max(s.profile.memory for s in plan.stages)
+        report = run(0.75 * peak).check_plan(plan)
+        assert [v.message for v in violations_of(report, "memory")
+                if "memory budget" in v.message]
+        assert run(peak).check_plan(plan).ok
+        assert check_plan(plan, graph, cluster).ok
+        assert not check_plan(
+            plan, graph, cluster, memory_budget=0.75 * peak
+        ).ok
+
+
 class TestCollectThenRaise:
     def test_all_violations_reported(self, pipelined):
         """Two independent tamperings -> one error listing both."""
