@@ -16,6 +16,7 @@ from repro.baselines.base import FrameworkResult
 from repro.graph.ir import TaskGraph
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
+from repro.pipeline.hybrid import GRAD_BYTES_PER_PARAM, OPT_STEP_BYTES_PER_PARAM
 from repro.profiler.profiler import GraphProfiler
 
 
@@ -27,20 +28,7 @@ def run_data_parallel(
     profiler: Optional[GraphProfiler] = None,
 ) -> FrameworkResult:
     """Evaluate pure DP: feasibility, accumulation steps, throughput."""
-    return _search_data_parallel(
-        graph,
-        cluster,
-        batch_size,
-        profiler or GraphProfiler(graph, cluster, precision),
-    )
-
-
-def _search_data_parallel(
-    graph: TaskGraph,
-    cluster: ClusterSpec,
-    batch_size: int,
-    profiler: GraphProfiler,
-) -> FrameworkResult:
+    profiler = profiler or GraphProfiler(graph, cluster, precision)
     world = cluster.total_devices
     if batch_size % world:
         return FrameworkResult(
@@ -79,11 +67,11 @@ def _search_data_parallel(
 
     accum, chunk, prof = chosen
     compute = accum * (prof.time_fwd + prof.time_bwd)
-    grad_bytes = graph.num_parameters() * 4.0
+    grad_bytes = graph.num_parameters() * GRAD_BYTES_PER_PARAM
     allreduce = cluster.allreduce_time(
         grad_bytes, world, spans_nodes=cluster.num_nodes > 1
     )
-    opt = graph.num_parameters() * 28.0 / cluster.device.mem_bandwidth
+    opt = graph.num_parameters() * OPT_STEP_BYTES_PER_PARAM / cluster.device.mem_bandwidth
     iteration = compute + allreduce + opt
     return FrameworkResult(
         "data_parallel",

@@ -16,13 +16,14 @@ granularity (greedy prefix balancing over whole residual blocks).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.base import FrameworkResult
 from repro.comm.model import stage_boundary_p2p_times
 from repro.graph.ir import TaskGraph
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
+from repro.pipeline.hybrid import GRAD_BYTES_PER_PARAM, OPT_STEP_BYTES_PER_PARAM
 from repro.pipeline.simulator import simulate_sync_pipeline
 from repro.profiler.profiler import GraphProfiler
 
@@ -95,8 +96,8 @@ def _evaluate_pipeline(
     simulate: Callable[
         [Sequence[float], Sequence[float], int], float
     ] = simulate_sync_pipeline,
-) -> Optional[Tuple[float, float, float]]:
-    """(iteration_time, pipeline_time, max_mem) or None if OOM/invalid.
+) -> Optional[Tuple[float, float]]:
+    """(iteration_time, max_mem) or None if OOM/invalid.
 
     Every stage holds ``in_flight`` microbatches' stashes (default: all
     of them) plus ``extra_static_bytes_per_param`` per parameter, and
@@ -138,13 +139,13 @@ def _evaluate_pipeline(
     pipe = simulate(tf, tb, num_microbatches)
     allreduce = (
         cluster.allreduce_time(
-            max_param * 4.0, replicas, spans_nodes=cluster.num_nodes > 1
+            max_param * GRAD_BYTES_PER_PARAM, replicas, spans_nodes=cluster.num_nodes > 1
         )
         if replicas > 1
         else 0.0
     )
-    opt = max_param * 28.0 / cluster.device.mem_bandwidth
-    return pipe + allreduce + opt, pipe, max_mem
+    opt = max_param * OPT_STEP_BYTES_PER_PARAM / cluster.device.mem_bandwidth
+    return pipe + allreduce + opt, max_mem
 
 
 def run_gpipe_hybrid(
@@ -156,30 +157,41 @@ def run_gpipe_hybrid(
     profiler: Optional[GraphProfiler] = None,
 ) -> FrameworkResult:
     """GPipe with hybrid parallelism on a Transformer graph."""
-    return _search_gpipe_hybrid(
+    return sweep_uniform_pipelines(
+        "gpipe_hybrid",
+        "implementation is specialized to BERT-style models",
         graph,
         cluster,
         batch_size,
-        precision,
         stage_counts,
         profiler or GraphProfiler(graph, cluster, precision),
     )
 
 
-def _search_gpipe_hybrid(
+def sweep_uniform_pipelines(
+    framework: str,
+    unsupported: str,
     graph: TaskGraph,
     cluster: ClusterSpec,
     batch_size: int,
-    precision: Precision,
     stage_counts: Sequence[int],
     profiler: GraphProfiler,
+    pipeline: Optional[Callable[[int, int], Dict[str, Any]]] = None,
 ) -> FrameworkResult:
+    """Sec. IV-B's sweep of a uniformly split, uniformly replicated
+    pipeline (GPipe-Hybrid and PipeDream-2BW): every stage count ``S``
+    in ``stage_counts`` that divides the devices and the layer count,
+    and every power-of-two microbatch count ``MB``; the fastest feasible
+    setting wins (the first on a tie).
+
+    ``pipeline(MB, S)`` gives the framework's extra
+    :func:`_evaluate_pipeline` arguments (default: none, the flush
+    schedule with every microbatch in flight); ``unsupported`` is the
+    reason reported for a graph with no Transformer layers.
+    """
     units = layer_units(graph)
     if _transformer_layer_count(units) == 0:
-        return FrameworkResult(
-            "gpipe_hybrid", False,
-            reason="implementation is specialized to BERT-style models",
-        )
+        return FrameworkResult(framework, False, reason=unsupported)
     world = cluster.total_devices
     best: Optional[FrameworkResult] = None
     for S in stage_counts:
@@ -195,11 +207,12 @@ def _search_gpipe_hybrid(
         while MB <= batch_size // replicas:
             outcome = _evaluate_pipeline(
                 profiler, cluster, stages, batch_size, replicas, MB,
+                **(pipeline(MB, S) if pipeline is not None else {}),
             )
             if outcome is not None:
-                iteration, pipe, mem = outcome
+                iteration, mem = outcome
                 result = FrameworkResult(
-                    "gpipe_hybrid",
+                    framework,
                     True,
                     throughput=batch_size / iteration,
                     iteration_time=iteration,
@@ -215,7 +228,7 @@ def _search_gpipe_hybrid(
             MB *= 2
     if best is None:
         return FrameworkResult(
-            "gpipe_hybrid", False,
+            framework, False,
             reason="no (stages, microbatches) setting fits device memory",
         )
     return best
@@ -231,24 +244,7 @@ def run_gpipe_model(
     profiler: Optional[GraphProfiler] = None,
 ) -> FrameworkResult:
     """torchgpipe-style model parallelism on one node (Fig. 5 baseline)."""
-    return _search_gpipe_model(
-        graph,
-        cluster,
-        batch_size,
-        num_stages,
-        num_microbatches,
-        profiler or GraphProfiler(graph, cluster, precision),
-    )
-
-
-def _search_gpipe_model(
-    graph: TaskGraph,
-    cluster: ClusterSpec,
-    batch_size: int,
-    num_stages: int,
-    num_microbatches: int,
-    profiler: GraphProfiler,
-) -> FrameworkResult:
+    profiler = profiler or GraphProfiler(graph, cluster, precision)
     if cluster.num_nodes != 1:
         return FrameworkResult(
             "gpipe_model", False,
@@ -265,7 +261,7 @@ def _search_gpipe_model(
                 profiler, cluster, stages, batch_size, 1, MB,
             )
             if outcome is not None:
-                iteration, pipe, mem = outcome
+                iteration, mem = outcome
                 return FrameworkResult(
                     "gpipe_model",
                     True,
@@ -300,9 +296,7 @@ def _balanced_unit_stages(
     stages: List[List[str]] = []
     current: List[str] = []
     acc = 0.0
-    remaining = num_stages
     for (_key, tasks), w in zip(units, weights):
-        units_left = len(units) - len(stages)
         if (
             current
             and acc + w > target * 1.05

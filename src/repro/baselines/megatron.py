@@ -30,6 +30,7 @@ from repro.graph.ir import TaskGraph
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
 from repro.models.configs import BertConfig
+from repro.pipeline.hybrid import GRAD_BYTES_PER_PARAM, OPT_STEP_BYTES_PER_PARAM
 from repro.profiler.profiler import GraphProfiler
 
 #: op types whose compute and weights Megatron splits across t devices
@@ -49,24 +50,7 @@ def run_megatron(
     profiler: Optional[GraphProfiler] = None,
 ) -> FrameworkResult:
     """Evaluate Megatron-LM tensor parallelism on a BERT-family graph."""
-    return _search_megatron(
-        graph,
-        cfg,
-        cluster,
-        batch_size,
-        precision,
-        profiler or GraphProfiler(graph, cluster, precision),
-    )
-
-
-def _search_megatron(
-    graph: TaskGraph,
-    cfg: BertConfig,
-    cluster: ClusterSpec,
-    batch_size: int,
-    precision: Precision,
-    profiler: GraphProfiler,
-) -> FrameworkResult:
+    profiler = profiler or GraphProfiler(graph, cluster, precision)
     if not _is_transformer(graph):
         return FrameworkResult(
             "megatron_lm", False,
@@ -180,9 +164,9 @@ def _throughput(
         cfg.num_layers * 4 * cluster.allreduce_time(layer_act_bytes, t, spans)
     )
     grad_allreduce = cluster.allreduce_time(
-        params_dev * 4.0, dp_ways, spans_nodes=cluster.num_nodes > 1
+        params_dev * GRAD_BYTES_PER_PARAM, dp_ways, spans_nodes=cluster.num_nodes > 1
     ) if dp_ways > 1 else 0.0
-    opt = params_dev * 28.0 / cluster.device.mem_bandwidth
+    opt = params_dev * OPT_STEP_BYTES_PER_PARAM / cluster.device.mem_bandwidth
     iteration = tf_dev + tb_dev + tensor_comm + grad_allreduce + opt
     return FrameworkResult(
         "megatron_lm",

@@ -20,20 +20,26 @@ the authors -- we sweep S over {2, 4, 8, 16} and keep the best.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.baselines.base import FrameworkResult
-from repro.baselines.gpipe import (
-    _evaluate_pipeline,
-    _transformer_layer_count,
-    _uniform_layer_stages,
-    layer_units,
-)
+from repro.baselines.gpipe import sweep_uniform_pipelines
 from repro.graph.ir import TaskGraph
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
 from repro.pipeline.simulator import simulate_async_1f1b
 from repro.profiler.profiler import GraphProfiler
+
+
+def _two_bw_pipeline(MB: int, S: int) -> Dict[str, Any]:
+    """How a 2BW pipeline differs from GPipe's in the shared sweep: the
+    second weight buffer, at most ``S`` microbatches in flight under
+    1F1B, and the asynchronous 1F1B timing."""
+    return {
+        "extra_static_bytes_per_param": 4.0,
+        "in_flight": min(MB, S),
+        "simulate": simulate_async_1f1b,
+    }
 
 
 def run_pipedream_2bw(
@@ -45,69 +51,13 @@ def run_pipedream_2bw(
     profiler: Optional[GraphProfiler] = None,
 ) -> FrameworkResult:
     """Evaluate PipeDream-2BW on a Transformer graph."""
-    return _search_pipedream_2bw(
+    return sweep_uniform_pipelines(
+        "pipedream_2bw",
+        "available implementation is specialized to BERT",
         graph,
         cluster,
         batch_size,
         stage_counts,
         profiler or GraphProfiler(graph, cluster, precision),
+        pipeline=_two_bw_pipeline,
     )
-
-
-def _search_pipedream_2bw(
-    graph: TaskGraph,
-    cluster: ClusterSpec,
-    batch_size: int,
-    stage_counts: Sequence[int],
-    profiler: GraphProfiler,
-) -> FrameworkResult:
-    units = layer_units(graph)
-    if _transformer_layer_count(units) == 0:
-        return FrameworkResult(
-            "pipedream_2bw", False,
-            reason="available implementation is specialized to BERT",
-        )
-    world = cluster.total_devices
-    best: Optional[FrameworkResult] = None
-    for S in stage_counts:
-        if world % S:
-            continue
-        stages = _uniform_layer_stages(units, S)
-        if stages is None:
-            continue
-        replicas = world // S
-        if batch_size % replicas:
-            continue
-        MB = 1
-        while MB <= batch_size // replicas:
-            outcome = _evaluate_pipeline(
-                profiler, cluster, stages, batch_size, replicas, MB,
-                # the second weight buffer, and 1F1B keeps at most S
-                # microbatches in flight
-                extra_static_bytes_per_param=4.0,
-                in_flight=min(MB, S),
-                simulate=simulate_async_1f1b,
-            )
-            if outcome is not None:
-                iteration, _, mem = outcome
-                result = FrameworkResult(
-                    "pipedream_2bw",
-                    True,
-                    throughput=batch_size / iteration,
-                    iteration_time=iteration,
-                    config={
-                        "stages": S,
-                        "replicas": replicas,
-                        "microbatches": MB,
-                        "memory_gib": mem / 2**30,
-                    },
-                )
-                if best is None or result.throughput > best.throughput:
-                    best = result
-            MB *= 2
-    if best is None:
-        return FrameworkResult(
-            "pipedream_2bw", False,
-            reason="no (stages, microbatches) setting fits device memory",
-        )
-    return best

@@ -86,6 +86,24 @@ class SearchResult:
         return self.solution.num_stages
 
 
+def microbatch_cap(
+    batch_size: int, R: int, max_microbatches: Optional[int]
+) -> int:
+    """The most microbatches a pipeline replicated ``R`` times may take:
+    ``BS // R`` (a sample each), capped by ``max_microbatches``
+    (``None``: no cap)."""
+    mb_cap = batch_size // R
+    if max_microbatches is not None:
+        mb_cap = min(mb_cap, max_microbatches)
+    return mb_cap
+
+
+def microbatch_candidates(mb_cap: int) -> List[int]:
+    """Algorithm 2's microbatch counts: the powers of two up to
+    ``mb_cap`` (a :func:`microbatch_cap`)."""
+    return [2**i for i in range(mb_cap.bit_length())]
+
+
 def form_stage(
     run: DPRun,
     num_nodes: int,
@@ -168,14 +186,9 @@ def form_stage(
         R = cluster.total_devices // D
         s_lo = offsets[n - 1] + 1
         s_hi = D
-        mb_cap = batch_size // R
-        if max_microbatches is not None:
-            mb_cap = min(mb_cap, max_microbatches)
-        microbatch_counts: List[int] = []
-        MB = 1
-        while MB <= mb_cap:
-            microbatch_counts.append(MB)
-            MB *= 2
+        microbatch_counts = microbatch_candidates(
+            microbatch_cap(batch_size, R, max_microbatches)
+        )
 
         level_cm = (
             tracer.span(

@@ -327,18 +327,26 @@ class DPContext:
                 for row in sums[2 * i:2 * i + 2]
             )
 
+    def replica_microbatch(self, R: int, MB: int, r: int) -> int:
+        """The per-replica microbatch ``BS // (R * MB * r)`` of a stage
+        on ``r`` replicas, in a pipeline replicated ``R`` times and fed
+        ``MB`` microbatches: ``0`` once the microbatch collapses below
+        one sample.  At ``r = 1`` it is also the most replicas a stage
+        may have before that happens."""
+        return self.batch_size // (R * MB * r)
+
     def plane_batch_sizes(
         self, D: int, R: int, MB: int
     ) -> Tuple[List[int], np.ndarray]:
-        """The distinct per-replica microbatches ``BS // (R * MB * r)``
-        over ``r = 1 .. D`` (one band plane each, in ``r`` order) and
-        the plane of every ``r`` (``-1`` where the microbatch collapses
-        below one sample)."""
+        """The distinct per-replica microbatches
+        (:meth:`replica_microbatch`) over ``r = 1 .. D`` (one band plane
+        each, in ``r`` order) and the plane of every ``r`` (``-1`` where
+        the microbatch collapses below one sample)."""
         bs_list: List[int] = []
         plane_index: Dict[int, int] = {}
         plane_of_r = np.full(D + 1, -1, dtype=np.int64)
         for r in range(1, D + 1):
-            bs = self.batch_size // (R * MB * r)
+            bs = self.replica_microbatch(R, MB, r)
             if bs < 1:
                 continue  # microbatch collapsed: stays -1
             p = plane_index.get(bs)
@@ -481,7 +489,7 @@ class DPContext:
     ) -> Optional[StageProfile]:
         """Profile blocks ``(lo, hi]`` on ``replicas`` devices; ``None`` if
         the per-replica microbatch collapses below one sample."""
-        bs = self.batch_size // (R * MB * replicas)
+        bs = self.replica_microbatch(R, MB, replicas)
         if bs < 1:
             return None
         t_f, t_b, memory, in_bytes, out_bytes, params = self._range_costs(
@@ -1397,7 +1405,8 @@ def covering_sweeps(
 
     A feasible stage on ``r`` replicas spans at most ``fit(r)`` blocks,
     the :meth:`DPContext._fit_width` of its per-replica microbatch
-    ``BS // (R * MB * r)`` under the sweep's cap (:func:`_sweep_cap`),
+    (:meth:`DPContext.replica_microbatch`) under the sweep's cap
+    (:func:`_sweep_cap`),
     and an answer with ``S`` stages gives them spans summing to ``k`` on
     replica counts summing to ``D``.  So unless some split of ``D``
     devices into ``S`` stages, ``S`` in range, has ``sum fit(r_i) >=
@@ -1412,14 +1421,14 @@ def covering_sweeps(
         return []
     slots = run.hetero_tables(D, R) if run.cluster.is_heterogeneous else None
     cap = _sweep_cap(run, slots)
-    BS = ctx.batch_size
 
     def fits(MB: int) -> List[int]:
         # a stage of an S >= s_lo layout spans at most D - s_lo + 1
-        # devices, and one of more than BS // (R * MB) gets no sample
-        top = min(D - s_lo + 1, BS // (R * MB))
+        # devices, and one of more than the one-replica microbatch
+        # gets no sample
+        top = min(D - s_lo + 1, ctx.replica_microbatch(R, MB, 1))
         return [
-            min(ctx._fit_width(BS // (R * MB * r), cap), k)
+            min(ctx._fit_width(ctx.replica_microbatch(R, MB, r), cap), k)
             for r in range(1, top + 1)
         ]
 

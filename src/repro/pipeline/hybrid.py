@@ -30,7 +30,11 @@ if TYPE_CHECKING:  # avoid a circular import with repro.partitioner
 
 #: bytes per parameter moved by the optimizer update (read p, g, m, v;
 #: write p, m, v -- Adam in FP32)
-_OPT_BYTES_PER_PARAM = 28.0
+OPT_STEP_BYTES_PER_PARAM = 28.0
+
+#: bytes per parameter of the gradient a data-parallel group allreduces
+#: (FP32)
+GRAD_BYTES_PER_PARAM = 4.0
 
 
 def allreduce_phase(plan: "PartitionPlan") -> Tuple[float, Dict[str, Any]]:
@@ -56,7 +60,7 @@ def allreduce_phase(plan: "PartitionPlan") -> Tuple[float, Dict[str, Any]]:
                 for replica in range(plan.replica_factor)
                 for rank in plan.assignment.devices_of(replica, stage.index)
             })
-            grad_bytes = stage.profile.param_count * 4.0
+            grad_bytes = stage.profile.param_count * GRAD_BYTES_PER_PARAM
             if len(group) <= 1 or grad_bytes <= 0:
                 continue
             cost = comm.allreduce(grad_bytes, group)
@@ -77,7 +81,7 @@ def allreduce_phase(plan: "PartitionPlan") -> Tuple[float, Dict[str, Any]]:
     allreduce = 0.0
     for stage in plan.stages:
         n_ranks = stage.devices_per_pipeline * plan.replica_factor
-        grad_bytes = stage.profile.param_count * 4.0
+        grad_bytes = stage.profile.param_count * GRAD_BYTES_PER_PARAM
         # a replica group spans nodes whenever whole-pipeline replicas
         # exist (they live on different nodes) or the intra-pipeline
         # replicas straddle a node boundary; with non-uniform nodes the
@@ -159,7 +163,7 @@ def _fill_iteration(plan: "PartitionPlan", pipe_time: float) -> "PartitionPlan":
         for stage in plan.stages:
             opt_step = max(
                 opt_step,
-                stage.profile.param_count * _OPT_BYTES_PER_PARAM
+                stage.profile.param_count * OPT_STEP_BYTES_PER_PARAM
                 / device.mem_bandwidth,
             )
 

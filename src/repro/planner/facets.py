@@ -142,15 +142,14 @@ def pass_input_fingerprint(
     p: "PlannerPass",
     facets: Dict[str, str],
     artifact_fps: Dict[str, str],
-) -> Tuple[Optional[str], Dict[str, str]]:
-    """``(fingerprint, inputs)`` of one pass given the run's facets.
+) -> Optional[str]:
+    """The input fingerprint of one pass given the run's facets.
 
-    ``inputs`` maps each declared input (``facet:<name>`` or
-    ``artifact:<name>``) to its digest; the fingerprint hashes the pass
-    name together with that mapping.  Returns ``(None, {})`` when a
-    required artifact has no recorded fingerprint (e.g. it was restored
-    through a non-content-addressed path), which disables store reuse
-    for the pass rather than guessing.
+    Hashes the pass name together with each declared input
+    (``facet:<name>`` or ``artifact:<name>``) mapped to its digest.
+    Returns ``None`` when a required artifact has no recorded
+    fingerprint (e.g. it was restored through a non-content-addressed
+    path), which disables store reuse for the pass rather than guessing.
     """
     inputs: Dict[str, str] = {}
     for facet in p.facets:
@@ -158,9 +157,9 @@ def pass_input_fingerprint(
     for artifact in p.requires:
         fp = artifact_fps.get(artifact)
         if fp is None:
-            return None, {}
+            return None
         inputs[f"artifact:{artifact}"] = fp
-    return _digest({"pass": p.name, "inputs": inputs}), inputs
+    return _digest({"pass": p.name, "inputs": inputs})
 
 
 def fingerprint_chain(
@@ -168,8 +167,8 @@ def fingerprint_chain(
     facets: Dict[str, str],
     artifact_fps: Dict[str, str],
     feeds: Callable[["PlannerPass"], bool],
-) -> Dict[str, Tuple[str, Dict[str, str]]]:
-    """``{pass name: (fingerprint, inputs)}`` of every cacheable pass.
+) -> Dict[str, str]:
+    """``{pass name: input fingerprint}`` of every cacheable pass.
 
     Walks ``passes`` in order.  Each cacheable pass is fingerprinted from
     the facets and the fingerprints of its required artifacts, seeded
@@ -180,14 +179,14 @@ def fingerprint_chain(
     fingerprint is left out (see :func:`pass_input_fingerprint`).
     """
     chain = dict(artifact_fps)
-    out: Dict[str, Tuple[str, Dict[str, str]]] = {}
+    out: Dict[str, str] = {}
     for p in passes:
         if not (p.cacheable and p.produces):
             continue
-        fp, inputs = pass_input_fingerprint(p, facets, chain)
+        fp = pass_input_fingerprint(p, facets, chain)
         if fp is None:
             continue
-        out[p.name] = (fp, inputs)
+        out[p.name] = fp
         if feeds(p):
             for artifact in p.produces:
                 chain[artifact] = fp
@@ -196,7 +195,7 @@ def fingerprint_chain(
 
 def plan_address(
     passes: Sequence["PlannerPass"],
-    fps: Dict[str, Tuple[str, Dict[str, str]]],
+    fps: Dict[str, str],
 ) -> Optional[Tuple["PlannerPass", str]]:
     """The pass that produces the finished ``evaluated`` plan, with its
     input fingerprint from ``fps`` (a :func:`fingerprint_chain`): the
@@ -211,5 +210,5 @@ def plan_address(
 
     for p in passes:
         if EVALUATED in p.produces and p.name in fps:
-            return p, fps[p.name][0]
+            return p, fps[p.name]
     return None

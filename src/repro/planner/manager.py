@@ -100,7 +100,7 @@ class PassManager:
     def run(self, ctx: PlanningContext) -> PlanningContext:
         """Execute all passes in order; returns the (mutated) context."""
         store = ctx.store
-        fps: Dict[str, Tuple[str, Dict[str, str]]] = {}
+        fps: Dict[str, str] = {}
         probed: Optional[PlannerPass] = None
         planned = False
         if store is not None:
@@ -117,7 +117,7 @@ class PassManager:
         artifacts_loaded = int(planned)
         store_misses = int(probed is not None and not planned)
         for p in self.passes:
-            fp, inputs = fps.get(p.name, (None, {}))
+            fp = fps.get(p.name)
             if planned and p.skip_when_planned:
                 reused_passes += 1
                 ctx.events.record(
@@ -216,7 +216,7 @@ class PassManager:
             ctx.events.record(p.name, OK, elapsed, detail, start=start)
             if fp is not None:
                 for artifact in p.produces:
-                    store.put(artifact, fp, ctx.get(artifact), inputs, ctx)
+                    store.put(artifact, fp, ctx.get(artifact), ctx)
                     ctx.artifact_fps[artifact] = fp
         if store is not None:
             self._finish_store_run(
@@ -232,7 +232,7 @@ class PassManager:
         self,
         ctx: PlanningContext,
         store,
-        fps: Dict[str, Tuple[str, Dict[str, str]]],
+        fps: Dict[str, str],
     ) -> Tuple[Optional[PlannerPass], bool]:
         """Look up the finished plan before any pass runs.
 
@@ -251,7 +251,7 @@ class PassManager:
             return None, False
         probe, fp = address
         start = time.perf_counter()
-        served = store.verified_plan(fp, ctx.graph, ctx)
+        served = store.verified_plan(fp, ctx)
         if served is None:
             return probe, False
         plan, ctx.plan_document, ctx.plan_report = served

@@ -296,12 +296,16 @@ class EvaluatePass(PlannerPass):
 class VerifyPass(PlannerPass):
     """Hold the finished plan to the :mod:`repro.verify` invariants.
 
-    Runs after :class:`EvaluatePass` on every fresh plan.  A plan served
-    whole from the store, from either tier, was checked at the probe,
-    once per content address
+    Runs after :class:`EvaluatePass` on every fresh plan.  A fresh plan
+    the run stored is checked here once per content address: the pass
+    records its report on the store entry
+    (:meth:`~repro.planner.store.ArtifactStore.record_verification`) and
+    keeps the deployment JSON the record key encodes as
+    ``ctx.plan_document``.  A plan served whole from the store, from
+    either tier, comes with the report the probe reused or made
     (:meth:`~repro.planner.store.ArtifactStore.verified_plan`): this
-    pass reports the probe's ``ctx.plan_report`` instead of checking
-    again.  Disable with ``PlannerConfig.verify=False``.
+    pass reports that ``ctx.plan_report`` instead of checking again.
+    Disable with ``PlannerConfig.verify=False``.
     """
 
     name = "verify"
@@ -326,6 +330,11 @@ class VerifyPass(PlannerPass):
                     else None
                 ),
             )
+            fp = ctx.artifact_fps.get(EVALUATED)
+            if fp is not None and ctx.store is not None:
+                ctx.plan_document = ctx.store.record_verification(
+                    fp, plan, ctx, report
+                )
         ctx.metrics.gauge("verify.invariants_checked").set(
             report.invariants_checked
         )

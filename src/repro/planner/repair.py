@@ -42,7 +42,7 @@ from repro.comm.topology import NetworkTopology
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
 from repro.partitioner.plan import PartitionPlan
-from repro.partitioner.search import SearchResult
+from repro.partitioner.search import SearchResult, microbatch_candidates, microbatch_cap
 from repro.partitioner.stage_dp import DPRun
 from repro.planner.context import (
     BLOCKS,
@@ -301,10 +301,8 @@ class FixedLayoutPass(PlannerPass):
         slots = run.hetero_tables(D, R)
         boundaries = [s.block_range[1] for s in prev.stages]
         device_counts = [s.devices_per_pipeline for s in prev.stages]
-        mb_cap = config.batch_size // R
-        if config.max_microbatches is not None:
-            mb_cap = min(mb_cap, config.max_microbatches)
-        candidates = [2**i for i in range(mb_cap.bit_length())]
+        mb_cap = microbatch_cap(config.batch_size, R, config.max_microbatches)
+        candidates = microbatch_candidates(mb_cap)
         deployed = min(prev.num_microbatches, max(1, mb_cap))
         if deployed not in candidates:
             candidates.append(deployed)

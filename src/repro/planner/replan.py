@@ -81,15 +81,11 @@ def ensure_store(prev_context: PlanningContext) -> ArtifactStore:
     for p in passes:
         if p.name not in fps:
             continue
-        fp, inputs = fps[p.name]
+        fp = fps[p.name]
         for artifact in p.produces:
             if prev_context.has(artifact):
                 store.put(
-                    artifact,
-                    fp,
-                    prev_context.get(artifact),
-                    inputs,
-                    prev_context,
+                    artifact, fp, prev_context.get(artifact), prev_context
                 )
                 prev_context.artifact_fps[artifact] = fp
     return store

@@ -12,21 +12,25 @@ Two backends:
 
 * an in-memory LRU (optionally byte-budgeted) holding live payload
   objects, which makes same-process delta replans free, and
-* an optional :class:`DiskBackend` that serializes the artifact kinds
-  with a codec as JSON (``blocks``/``search_result``, and the
-  ``evaluated`` plan as its deployment JSON) under
-  ``<cache root>/artifacts/``, with an LRU byte budget over all files
-  under the cache root.  The ``components`` and the ``dp_context`` live
-  in the memory tier only: a run that misses them recomputes them
-  (the atomic partition, or the profile tensors from the stored
-  ``blocks``) faster than a stored copy would decode.
+* an optional :class:`DiskBackend` that holds what a restarted process
+  reads: the coarsened ``blocks`` and the ``evaluated`` plan (as its
+  deployment JSON), each serialized by a codec under ``<cache
+  root>/artifacts/``, with an LRU byte budget over all files under the
+  cache root.  The ``components``, the ``dp_context`` and the
+  ``search_result`` live in the memory tier only: a run that misses
+  them recomputes them (the atomic partition, the profile tensors from
+  the stored ``blocks``, the stage search) and in-process deltas reuse
+  them from memory.
 
 The ``evaluated`` entry is the store's whole-plan cache: the pass
 manager probes it before running any pass (see
 :mod:`repro.planner.manager`).  A served plan must have passed
-:mod:`repro.verify` under the run's inputs; the check runs once per
-content address and its pass is recorded on the memory-tier entry
-(:meth:`ArtifactStore.verified_plan`), so a repeated hit costs a
+:mod:`repro.verify` under the run's inputs, and the check runs once per
+content address: the verify pass of the run that stored a plan records
+its pass on the memory-tier entry
+(:meth:`ArtifactStore.record_verification`), and an entry without a
+matching record (one promoted from disk) is checked at the probe
+(:meth:`ArtifactStore.verified_plan`).  So a repeated hit costs a
 fingerprint, one probe, a copy and an encode (the plan service answers
 it without the copy through :meth:`ArtifactStore.recorded_plan`, see
 :mod:`repro.service.engine`).  The store also
@@ -49,7 +53,7 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, is_dataclass, fields as dc_fields
+from dataclasses import dataclass, is_dataclass, fields as dc_fields
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
@@ -59,7 +63,6 @@ from repro.planner.context import (
     BLOCKS,
     DP_CONTEXT,
     EVALUATED,
-    SEARCH_RESULT,
     PlanningContext,
 )
 
@@ -75,21 +78,18 @@ class Artifact:
         name: artifact kind (``blocks``, ``dp_context``, ...).
         fingerprint: the producing pass's input fingerprint; together
             with ``name`` this is the store address.
-        inputs: the declared inputs behind the fingerprint, each mapped
-            to its own digest (``facet:arch`` -> ..., ``artifact:blocks``
-            -> ...), kept for provenance and debugging.
         payload: the live artifact object.
         nbytes: estimated in-memory size (LRU accounting).
         verified: ``evaluated`` entries only: ``(key, report)`` of the
             last :mod:`repro.verify` pass of the payload, keyed by
-            ``(fingerprint, plan digest, VERIFIER_VERSION)`` (see
+            ``(fingerprint, plan digest, VERIFIER_VERSION)`` (recorded
+            by the verify pass of the run that stored it, or by
             :meth:`ArtifactStore.verified_plan`).  In process only: it is
             never persisted and goes when the entry is evicted.
     """
 
     name: str
     fingerprint: str
-    inputs: Dict[str, str] = field(default_factory=dict)
     payload: Any = None
     nbytes: int = 0
     verified: Optional[Tuple[Tuple[str, str, int], Any]] = None
@@ -254,8 +254,8 @@ class DiskBackend:
 # ----------------------------------------------------------------------
 class ArtifactCodec:
     """Serialize one artifact kind as JSON for the disk backend.
-    Artifacts without a codec (the ``components`` and the
-    ``dp_context``) live in the memory backend only.
+    Artifacts without a codec (the ``components``, the ``dp_context``
+    and the ``search_result``) live in the memory backend only.
 
     ``decode`` reads input from outside the program: any exception it
     raises makes :meth:`ArtifactStore.get` report a miss."""
@@ -287,86 +287,12 @@ class _BlocksCodec(ArtifactCodec):
         ]
 
 
-class _SearchResultCodec(ArtifactCodec):
-    def encode(self, payload: Any, ctx: PlanningContext) -> bytes:
-        sol = payload.solution
-        doc = {
-            "solution": {
-                "boundaries": sol.boundaries,
-                "device_counts": sol.device_counts,
-                "num_microbatches": sol.num_microbatches,
-                "num_stages": sol.num_stages,
-                "replica_factor": sol.replica_factor,
-                "objective": sol.objective,
-                "max_tf": sol.max_tf,
-                "max_tb": sol.max_tb,
-                "stage_profiles": [
-                    [
-                        p.time_fwd,
-                        p.time_bwd,
-                        p.memory,
-                        p.microbatch_size,
-                        p.in_bytes,
-                        p.out_bytes,
-                        p.param_count,
-                    ]
-                    for p in sol.stage_profiles
-                ],
-            },
-            "num_pipeline_nodes": payload.num_pipeline_nodes,
-            "devices_per_pipeline": payload.devices_per_pipeline,
-            "replica_factor": payload.replica_factor,
-            "candidates_tried": payload.candidates_tried,
-            "dp_calls": payload.dp_calls,
-            "states_evaluated": payload.states_evaluated,
-        }
-        return json.dumps(doc).encode()
-
-    def decode(self, data: bytes, ctx: PlanningContext) -> Any:
-        from repro.partitioner.search import SearchResult
-        from repro.partitioner.stage_dp import DPSolution, StageProfile
-
-        doc = json.loads(data.decode())
-        s = doc["solution"]
-        solution = DPSolution(
-            boundaries=list(s["boundaries"]),
-            device_counts=list(s["device_counts"]),
-            num_microbatches=s["num_microbatches"],
-            num_stages=s["num_stages"],
-            replica_factor=s["replica_factor"],
-            objective=s["objective"],
-            max_tf=s["max_tf"],
-            max_tb=s["max_tb"],
-            stage_profiles=[
-                StageProfile(
-                    time_fwd=tf,
-                    time_bwd=tb,
-                    memory=mem,
-                    microbatch_size=mb,
-                    in_bytes=inb,
-                    out_bytes=outb,
-                    param_count=params,
-                )
-                for tf, tb, mem, mb, inb, outb, params in s["stage_profiles"]
-            ],
-        )
-        return SearchResult(
-            solution=solution,
-            num_pipeline_nodes=doc["num_pipeline_nodes"],
-            devices_per_pipeline=doc["devices_per_pipeline"],
-            replica_factor=doc["replica_factor"],
-            candidates_tried=doc["candidates_tried"],
-            dp_calls=doc["dp_calls"],
-            states_evaluated=doc["states_evaluated"],
-        )
-
-
 class _PlanCodec(ArtifactCodec):
     """The evaluated plan as its deployment JSON.
 
     Decoding re-evaluates the plan under the flush schedule and checks
-    nothing else: the whole-plan probe holds a served plan to the
-    :mod:`repro.verify` invariants, whichever tier served it
+    nothing else: a decoded plan carries no verification record, so the
+    whole-plan probe holds it to the :mod:`repro.verify` invariants
     (:meth:`ArtifactStore.verified_plan`).
     """
 
@@ -388,7 +314,6 @@ class _PlanCodec(ArtifactCodec):
 
 CODECS: Dict[str, ArtifactCodec] = {
     BLOCKS: _BlocksCodec(),
-    SEARCH_RESULT: _SearchResultCodec(),
     EVALUATED: _PlanCodec(),
 }
 
@@ -435,25 +360,22 @@ def materialize_for_reuse(
     return payload
 
 
-def _matching_record(
-    art: Artifact, plan: Any, graph: Any
-) -> Tuple[str, Tuple[str, str, int], Any]:
-    """``(deployment JSON, record key, report)`` of a stored plan: the
-    key ``(fingerprint, plan digest, VERIFIER_VERSION)`` its
-    verification is recorded under, and the recorded report when the
-    entry's record has that key (else ``None``)."""
+def _record_key(
+    fingerprint: str, plan: Any, graph: Any
+) -> Tuple[str, Tuple[str, str, int]]:
+    """``(deployment JSON, record key)`` of a plan stored at
+    ``fingerprint``: the key ``(fingerprint, plan digest,
+    VERIFIER_VERSION)`` its verification is recorded under."""
     from repro.partitioner.deployment import plan_to_json
     from repro.verify import plan_checks
 
     document = plan_to_json(plan, graph)
     key = (
-        art.fingerprint,
+        fingerprint,
         _plan_digest(plan, document),
         plan_checks.VERIFIER_VERSION,
     )
-    record = art.verified
-    report = record[1] if record is not None and record[0] == key else None
-    return document, key, report
+    return document, key
 
 
 # ----------------------------------------------------------------------
@@ -561,7 +483,7 @@ class ArtifactStore:
         with self._lock:
             art = self._mem.get(key)
             if art is None:
-                art = self._insert(name, fingerprint, payload, {}, nbytes)
+                art = self._insert(name, fingerprint, payload, nbytes)
             else:
                 # another run promoted the entry meanwhile: keep it and
                 # its verification record
@@ -575,7 +497,6 @@ class ArtifactStore:
         name: str,
         fingerprint: str,
         payload: Any,
-        inputs: Optional[Dict[str, str]] = None,
         ctx: Optional[PlanningContext] = None,
     ) -> Artifact:
         if name == EVALUATED:
@@ -584,9 +505,7 @@ class ArtifactStore:
             payload = copy.deepcopy(payload)
         nbytes = self._payload_nbytes(name, payload)
         with self._lock:
-            art = self._insert(
-                name, fingerprint, payload, dict(inputs or {}), nbytes
-            )
+            art = self._insert(name, fingerprint, payload, nbytes)
         self._write_disk(art, ctx)
         return art
 
@@ -599,7 +518,7 @@ class ArtifactStore:
                 self._mem_bytes -= art.nbytes
 
     def verified_plan(
-        self, fingerprint: str, graph: Any, ctx: PlanningContext
+        self, fingerprint: str, ctx: PlanningContext
     ) -> Optional[Tuple[Any, str, Any]]:
         """``(plan, deployment JSON, verification report)`` of the stored
         ``evaluated`` entry at ``fingerprint`` once it has passed
@@ -612,11 +531,14 @@ class ArtifactStore:
         check reads besides the plan (graph, cluster, precision,
         optimizer, mode), the digest pins the plan itself
         (:func:`_plan_digest`, taken afresh on every hit), and the
-        version pins the invariant set.  A hit whose key matches the
-        record reuses its report; any other hit is checked in place: a
-        pass is recorded, a failure evicts the entry and is a miss.
-        With ``config.verify`` off nothing is checked or recorded and
-        the report is ``None``.
+        version pins the invariant set.  The verify pass of the run that
+        stored a plan records its check
+        (:meth:`record_verification`), so a hit whose key matches the
+        record reuses its report.  Any other hit (an entry promoted from
+        disk, one stored without a check, or one changed since) is
+        checked in place: a pass is recorded, a failure evicts the entry
+        and is a miss.  With ``config.verify`` off nothing is checked or
+        recorded and the report is ``None``.
         """
         from repro.partitioner.deployment import plan_to_json
 
@@ -625,17 +547,54 @@ class ArtifactStore:
             return None
         plan = materialize_for_reuse(EVALUATED, art.payload, ctx)
         if not ctx.config.verify:
-            return plan, plan_to_json(plan, graph), None
-        document, key, report = _matching_record(art, plan, graph)
-        if report is not None:
-            ctx.metrics.counter("verify.memo_hits").inc()
-            return plan, document, report
-        report = ctx.check_plan(plan)
+            return plan, plan_to_json(plan, ctx.graph), None
+        checked = self._verify_entry(art, plan, ctx)
+        if checked is None:
+            return None
+        document, report = checked
+        return plan, document, report
+
+    def record_verification(
+        self, fingerprint: str, plan: Any, ctx: PlanningContext, report: Any
+    ) -> Optional[str]:
+        """Record ``report``, the verify pass's check of ``plan``, on the
+        memory-tier ``evaluated`` entry at ``fingerprint`` that the same
+        run stored (a copy of ``plan``).  Returns the plan's deployment
+        JSON, which the record key hashes; ``None`` when the memory tier
+        no longer holds the entry or the report failed, which evicts it.
+        """
+        with self._lock:
+            art = self._mem.get(f"{EVALUATED}:{fingerprint}")
+        if art is None:
+            return None
+        checked = self._verify_entry(art, plan, ctx, report)
+        return None if checked is None else checked[0]
+
+    def _verify_entry(
+        self,
+        art: Artifact,
+        plan: Any,
+        ctx: PlanningContext,
+        report: Any = None,
+    ) -> Optional[Tuple[str, Any]]:
+        """``(deployment JSON, report)`` of ``plan``, the payload of the
+        ``evaluated`` entry ``art`` or a copy of it, once it has passed
+        :mod:`repro.verify`; ``None`` once it failed, which evicts
+        ``art``.  Without a ``report`` a record whose key matches is
+        reused, and otherwise the plan is checked here; a pass is
+        recorded on ``art``."""
+        document, key = _record_key(art.fingerprint, plan, ctx.graph)
+        if report is None:
+            record = art.verified
+            if record is not None and record[0] == key:
+                ctx.metrics.counter("verify.memo_hits").inc()
+                return document, record[1]
+            report = ctx.check_plan(plan)
         if not report.ok:
-            self.evict(EVALUATED, fingerprint)
+            self.evict(EVALUATED, art.fingerprint)
             return None
         art.verified = (key, report)
-        return plan, document, report
+        return document, report
 
     def recorded_plan(
         self, fingerprint: str, graph: Any
@@ -653,10 +612,11 @@ class ArtifactStore:
                 return None
             self._mem.move_to_end(art.key)
             self.hits += 1
-        document, _key, report = _matching_record(art, art.payload, graph)
-        if report is None:
+        record = art.verified
+        document, key = _record_key(fingerprint, art.payload, graph)
+        if record[0] != key:
             return None
-        return art.payload, document, report
+        return art.payload, document, record[1]
 
     def graph_validated(self, graph_fp: str) -> bool:
         """Whether ``validate_graph`` passed on a graph with this
@@ -706,7 +666,6 @@ class ArtifactStore:
         name: str,
         fingerprint: str,
         payload: Any,
-        inputs: Dict[str, str],
         nbytes: int,
     ) -> Artifact:
         key = f"{name}:{fingerprint}"
@@ -716,7 +675,6 @@ class ArtifactStore:
         art = Artifact(
             name=name,
             fingerprint=fingerprint,
-            inputs=inputs,
             payload=payload,
             nbytes=nbytes,
         )

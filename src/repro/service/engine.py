@@ -110,6 +110,30 @@ def _parsed(result: Dict[str, Any]) -> Dict[str, Any]:
     return dict(result, plan=json.loads(result["plan"].text))
 
 
+def _plan_meta(
+    req: PlanRequest,
+    cache: str,
+    reused: List[str],
+    plan: Any,
+    plan_ms: float,
+    timings: Dict[str, float],
+) -> Dict[str, Any]:
+    """The ``meta`` of a plan answer, from the event loop or the pool:
+    the same keys in the same order either way (callers add
+    ``wall_ms``)."""
+    return {
+        "fingerprint": req.key,
+        "cache": cache,
+        "reused_passes": reused,
+        "verified": bool(req.config.verify),
+        "plan_ms": plan_ms,
+        "iteration_time": plan.iteration_time,
+        "throughput": plan.throughput,
+        "num_stages": plan.num_stages,
+        "timings": timings,
+    }
+
+
 def _percentile(values: List[float], q: float) -> float:
     """Nearest-rank percentile of a non-empty list (q in [0, 100])."""
     ordered = sorted(values)
@@ -291,22 +315,15 @@ class PlanEngine:
             duration=done - started,
             attrs={"fingerprint": req.key},
         )
-        meta = {
-            "fingerprint": req.key,
-            "cache": "warm",
-            "reused_passes": list(WARM_REUSED_PASSES),
-            "verified": bool(req.config.verify),
-            "plan_ms": lookup_ms,
-            "iteration_time": plan.iteration_time,
-            "throughput": plan.throughput,
-            "num_stages": plan.num_stages,
-            "timings": {
+        meta = _plan_meta(
+            req, "warm", list(WARM_REUSED_PASSES), plan, lookup_ms,
+            {
                 "pipeline_ms": lookup_ms,
                 "encode_ms": 0.0,
                 "normalize_ms": work.normalize_ms,
             },
-            "wall_ms": wall_ms,
-        }
+        )
+        meta["wall_ms"] = wall_ms
         return {"plan": RawJSON(document), "meta": meta}, None
 
     def replan(self, params: Any) -> Dict[str, Any]:
@@ -743,23 +760,18 @@ class PlanEngine:
             if hits is not None:
                 self.metrics.counter(name).inc(hits.value)
         encode_started = time.perf_counter()
-        # a warm hit reuses the deployment JSON its probe verified
+        # the verify pass or the store probe encoded the document its
+        # verification record hashes; a run that recorded none encodes
+        # it here
         document = ctx.plan_document or plan_to_json(plan, req.graph)
         done = time.perf_counter()
-        meta = {
-            "fingerprint": req.key,
-            "cache": cache_kind,
-            "reused_passes": reused,
-            "verified": bool(req.config.verify),
-            "plan_ms": (done - run_started) * 1e3,
-            "iteration_time": plan.iteration_time,
-            "throughput": plan.throughput,
-            "num_stages": plan.num_stages,
-            "timings": {
+        meta = _plan_meta(
+            req, cache_kind, reused, plan, (done - run_started) * 1e3,
+            {
                 "pipeline_ms": (encode_started - run_started) * 1e3,
                 "encode_ms": (done - encode_started) * 1e3,
             },
-        }
+        )
         return document, meta
 
     @staticmethod

@@ -1,8 +1,9 @@
 """A warm hit is verified once per content address and validated once
 per graph.
 
-The store records a passed :mod:`repro.verify` check on the ``evaluated``
-entry under ``(fingerprint, plan digest, VERIFIER_VERSION)``.  A hit
+The verify pass of the run that stores a plan records its passed
+:mod:`repro.verify` check on the ``evaluated`` entry under
+``(fingerprint, plan digest, VERIFIER_VERSION)``.  A hit
 whose key matches builds no profiler and calls neither ``check_plan``
 nor ``validate_graph``; a changed plan, a version bump or an evicted
 entry forces a fresh check, and a hit that fails it is a miss in both
@@ -84,7 +85,7 @@ class TestVerifyOnce:
     ):
         store = ArtifactStore()
         cold, _ = run(tiny_bert, store)
-        run(tiny_bert, store)  # first hit: verified in place, recorded
+        run(tiny_bert, store)  # first hit: the cold run's record serves
         before = dict(calls)
         warm, ctx = run(tiny_bert, store)
         assert warm.diagnostics.cache_hit
@@ -96,13 +97,18 @@ class TestVerifyOnce:
         assert ctx.get(VERIFIED).ok
         assert ctx.plan_document == plan_to_json(cold, tiny_bert)
 
-    def test_first_hit_checks_in_place_once(self, tiny_bert, calls):
+    def test_fresh_plan_is_checked_once(self, tiny_bert, calls):
+        """The verify pass of the run that stores a plan records its
+        check on the entry and keeps the document the record key
+        encodes: no hit checks the plan again."""
         store = ArtifactStore()
+        cold, ctx = run(tiny_bert, store)
+        assert calls["check_plan"] == 1
+        assert entry(store, ctx).verified[1] is ctx.get(VERIFIED)
+        assert ctx.plan_document == plan_to_json(cold, tiny_bert)
         run(tiny_bert, store)
-        checks = calls["check_plan"]
         run(tiny_bert, store)
-        run(tiny_bert, store)
-        assert calls["check_plan"] == checks + 1
+        assert calls["check_plan"] == 1
 
     def test_tampered_memory_payload_is_rechecked(self, tiny_bert, calls):
         store = ArtifactStore()

@@ -233,9 +233,11 @@ def test_disk_artifacts_survive_process_boundary(tmp_path):
         graph, cluster, config, store=ArtifactStore(disk=DiskBackend(tmp_path))
     )
     ctx1.run()
+    # the disk tier holds what a restart reads: the blocks (so it skips
+    # coarsening) and the finished plan
     assert sorted(p.name.split("-")[0] for p in
                   (tmp_path / "artifacts").iterdir()) == [
-        "blocks", "evaluated", "search_result",
+        "blocks", "evaluated",
     ]
 
     # different budget: the whole-plan entry misses, the atomic
@@ -329,9 +331,9 @@ def test_ensure_store_is_idempotent():
 def test_comm_only_delta_reports_the_cold_search_counters(tmp_path):
     """Halving the inter-node bandwidth reuses the stage search and
     reruns the allocation onward.  The delta plan's search counters are
-    the cold plan's, whether the search result comes from memory or
-    from disk; a stored search result without its state count decodes
-    as a miss and is searched again."""
+    the cold plan's, whether the search result comes from memory or, in
+    a new process, from rerunning the search: the search result lives
+    in the memory tier only."""
     build, batch_size = MODELS["bert-base"]
     graph = build()
     cluster = paper_cluster(2)
@@ -361,22 +363,12 @@ def test_comm_only_delta_reports_the_cold_search_counters(tmp_path):
     assert counters(delta) == counters(cold)
     assert counters(cold)[2] > 0
 
-    # from disk, in a new store: the search result is decoded
+    # in a new store over the same cache: the search reruns from the
+    # stored blocks and counts what a cold search counts
     disk_ctx = PlanningContext(
         graph, slower(4), config, store=ArtifactStore(disk=DiskBackend(tmp_path))
     )
     from_disk = disk_ctx.run()
-    assert "stage_search" in _reused(disk_ctx)
+    assert _reused(disk_ctx) == ["coarsen"]
+    assert disk_ctx.events.find("stage_search").status == "ok"
     assert counters(from_disk) == counters(plan_graph(graph, slower(4), config))
-
-    # an entry written before the count was stored is a miss
-    for path in (tmp_path / "artifacts").glob("search_result-*.json"):
-        doc = json.loads(path.read_text())
-        del doc["states_evaluated"]
-        path.write_text(json.dumps(doc))
-    old_ctx = PlanningContext(
-        graph, slower(8), config, store=ArtifactStore(disk=DiskBackend(tmp_path))
-    )
-    old = old_ctx.run()
-    assert old_ctx.events.find("stage_search").status == "ok"
-    assert counters(old) == counters(cold)

@@ -23,7 +23,6 @@ from repro.planner.context import (
     BLOCKS,
     DP_CONTEXT,
     EVALUATED,
-    SEARCH_RESULT,
     VERIFIED,
 )
 from repro.partitioner.deployment import plan_to_json
@@ -116,19 +115,14 @@ class TestDiskBackend:
 
 
 class TestCodecs:
-    @pytest.mark.parametrize("name", [BLOCKS, SEARCH_RESULT])
+    @pytest.mark.parametrize("name", [BLOCKS])
     def test_json_round_trip(self, planned_ctx, name):
         codec = CODECS[name]
         original = planned_ctx.require(name)
         restored = codec.decode(
             codec.encode(original, planned_ctx), planned_ctx
         )
-        if name == SEARCH_RESULT:
-            assert restored.solution == original.solution
-            assert restored.dp_calls == original.dp_calls
-            assert restored.replica_factor == original.replica_factor
-        else:
-            assert restored == original
+        assert restored == original
 
     def test_plan_round_trip_re_evaluates_without_checking(
         self, planned_ctx, monkeypatch
@@ -196,13 +190,7 @@ class TestArtifactStore:
     def test_disk_promotion(self, planned_ctx, tmp_path):
         disk = DiskBackend(tmp_path)
         writer = ArtifactStore(disk=disk)
-        writer.put(
-            BLOCKS,
-            "fp01",
-            planned_ctx.require(BLOCKS),
-            {"facet:graph": "g"},
-            planned_ctx,
-        )
+        writer.put(BLOCKS, "fp01", planned_ctx.require(BLOCKS), planned_ctx)
         reader = ArtifactStore(disk=disk)
         art = reader.get(BLOCKS, "fp01", planned_ctx)
         assert art is not None

@@ -179,7 +179,7 @@ class TestNoLockAcrossIO:
         entered, release = self.blocked(store, "write_bytes")
         with concurrent.futures.ThreadPoolExecutor(2) as pool:
             writer = pool.submit(
-                store.put, "blocks", "cold", self.blocks(), None, self.CTX
+                store.put, "blocks", "cold", self.blocks(), self.CTX
             )
             try:
                 assert entered.wait(30)

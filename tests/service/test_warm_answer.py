@@ -4,8 +4,10 @@ A repeated ``plan`` whose graph is built and validated and whose stored
 plan carries a matching verification record is answered by
 ``PlanEngine.warm_plan`` on the server's event loop: no worker pool
 hand-off, no pass, no plan copy, and the stored deployment document
-written into the response as it stands.  Every other request -- a cold
-graph, an entry not yet recorded, an entry tampered after its record --
+written into the response as it stands.  The cold run's verify pass
+records its check on the entry it stores, so the first repeat is such
+an answer.  Every other request -- a cold graph, an entry without a
+record (one promoted from disk), an entry tampered after its record --
 goes to the pool exactly as before, and so does every request while the
 engine drains.
 """
@@ -21,7 +23,7 @@ import time
 import pytest
 
 from repro.partitioner.deployment import plan_to_json
-from repro.planner import EVALUATED, default_passes
+from repro.planner import EVALUATED, PlanningContext, default_passes
 from repro.planner.manager import PassManager
 from repro.service import PlanEngine, PlanServer, ServiceError
 from repro.service import engine as engine_module
@@ -85,8 +87,8 @@ def stats(server):
 
 
 def warmed(server, params=PARAMS):
-    """Plan ``params`` cold, then once more through the pool, which
-    records the stored plan's verification; returns the cold result."""
+    """Plan ``params`` cold, then once more (a warm hit on the record the
+    cold run's verify pass made); returns the cold result."""
     status, cold = plan(server, params)
     assert status == 200 and cold["result"]["meta"]["cache"] == "cold"
     status, first_hit = plan(server, params)
@@ -123,12 +125,15 @@ class TestLoopAnswer:
                                + stored.encode() + b', "meta": ')
         assert json.dumps(json.loads(body)).encode() == body
 
-    def test_meta_matches_a_pool_hit(self, server, pool):
+    def test_meta_matches_a_pool_hit(self, server, pool, tmp_path):
         warmed(server)
         _, loop_hit = plan(server, dict(PARAMS))
-        engine = PlanEngine(workers=1)
-        engine.plan(dict(PARAMS))
-        pool_meta = engine.plan(dict(PARAMS))["meta"]
+        PlanEngine(workers=1, cache_dir=tmp_path).plan(dict(PARAMS))
+        # a new engine has not built the graph: its hit runs in the pool
+        pool_meta = PlanEngine(workers=1, cache_dir=tmp_path).plan(
+            dict(PARAMS)
+        )["meta"]
+        assert pool_meta["cache"] == "warm"
         loop_meta = loop_hit["result"]["meta"]
         timed = ("plan_ms", "wall_ms", "timings")
         assert {k: v for k, v in loop_meta.items() if k not in timed} == {
@@ -140,6 +145,32 @@ class TestLoopAnswer:
             p.name for p in default_passes() if p.skip_when_planned
         ]
         assert sum(loop_meta["timings"].values()) <= loop_meta["wall_ms"]
+
+    def test_fresh_plan_is_checked_once_and_its_repeat_is_a_loop_answer(
+        self, monkeypatch
+    ):
+        """The cold run's verify pass checks the plan it stores and
+        records the check on the entry, so the first repeat is answered
+        by ``warm_plan`` and nothing checks the plan again."""
+        checks = []
+        check = PlanningContext.check_plan
+
+        def counting(self, plan, expected_iteration_time=None):
+            checks.append(plan)
+            return check(self, plan, expected_iteration_time)
+
+        monkeypatch.setattr(PlanningContext, "check_plan", counting)
+        engine = PlanEngine(workers=1)
+        cold = engine.plan(dict(PARAMS))
+        assert cold["meta"]["cache"] == "cold"
+        assert len(checks) == 1
+        before = engine.stats()["counters"].get("service.loop_answers", 0)
+        result, work = engine.warm_plan(dict(PARAMS))
+        assert work is None
+        assert result["meta"]["cache"] == "warm"
+        assert json.loads(result["plan"].text) == cold["plan"]
+        assert engine.stats()["counters"]["service.loop_answers"] == before + 1
+        assert len(checks) == 1
 
     def test_stats_count_loop_answers(self, server, pool):
         warmed(server)
@@ -165,19 +196,31 @@ class TestLoopAnswer:
 
 class TestPoolFallback:
     def test_cold_graph_and_unrecorded_entry_go_to_the_pool(
-        self, server, pool
+        self, tmp_path, monkeypatch
     ):
-        status, cold = plan(server)
-        assert status == 200
-        assert cold["result"]["meta"]["cache"] == "cold"
-        assert pool.calls == 1  # the graph was not built yet
-        status, hit = plan(server)
-        assert status == 200
-        assert hit["result"]["meta"]["cache"] == "warm"
-        assert pool.calls == 2  # the entry had no verification record
-        assert hit["result"]["plan"] == cold["result"]["plan"]
-        assert plan(server)[0] == 200
-        assert pool.calls == 2
+        """A cold graph goes to the pool, and so does an entry without a
+        verification record: here the plan promoted from disk once the
+        memory tier dropped it, as after a restart.  The pool's probe
+        checks and records it; the repeat after that is a loop answer."""
+        server = PlanServer(workers=2, cache_dir=tmp_path).start_in_thread()
+        try:
+            pool = PoolSpy(server, monkeypatch)
+            status, cold = plan(server)
+            assert status == 200
+            assert cold["result"]["meta"]["cache"] == "cold"
+            assert pool.calls == 1  # the graph was not built yet
+            server.engine.store.evict(
+                EVALUATED, cold["result"]["meta"]["fingerprint"]
+            )
+            status, hit = plan(server)
+            assert status == 200
+            assert hit["result"]["meta"]["cache"] == "warm"
+            assert pool.calls == 2  # the entry had no verification record
+            assert hit["result"]["plan"] == cold["result"]["plan"]
+            assert plan(server)[0] == 200
+            assert pool.calls == 2
+        finally:
+            server.stop()
 
     def test_entry_tampered_after_its_record_is_replanned_in_the_pool(
         self, server, pool

@@ -77,11 +77,18 @@ def main(argv=None) -> int:
     ok &= check(cold["meta"]["verified"] is True, "cold plan verified")
     ok &= check(bool(cold["plan"]["stages"]), "plan document has stages")
 
+    # the cold run's verify pass recorded its check on the stored plan,
+    # so the first repeat is already answered on the server's event loop
+    loop_before = client.stats()["counters"].get("service.loop_answers", 0)
     warm = client.plan(**REQUEST)
     ok &= check(warm["meta"]["cache"] == "warm", "repeat is a warm hit")
     ok &= check(warm["plan"] == cold["plan"], "warm plan is byte-identical")
+    ok &= check(
+        client.stats()["counters"].get("service.loop_answers", 0)
+        == loop_before + 1,
+        "the first repeat is a loop answer",
+    )
 
-    # from here on a repeat is answered on the server's event loop
     warm_before = client.stats()["counters"]["service.warm_results"]
     repeats = [client.plan(**REQUEST) for _ in range(WARM_REPEATS)]
     ok &= check(
