@@ -21,7 +21,9 @@ answers are ranked as soon as it finishes, and the best flush makespan
 so far bounds the sweeps after it: an answer whose objective is over
 ``sweep_bound`` cannot beat or tie that makespan, so the sweep drops
 it and every table cell that could only lead to it (DESIGN.md
-deviation D2c).
+deviation D2c).  On a homogeneous cluster a sweep the shared context
+stored for an earlier run answers a later one whose memory budget
+masks the same band entries below the bound (DESIGN.md deviation D2d).
 
 Aligning ``D`` to whole nodes keeps each pipeline inside as few nodes as
 possible, which is why stage-to-stage transfers are costed at intra-node
@@ -130,12 +132,15 @@ def form_stage(
         tracer: optional tracer; each node level gets a ``search.level``
             span (its ``pruned_mb`` lists the microbatch counts skipped,
             ``bounds`` each sweep's bound, ``incumbent`` the level's best
-            flush makespan and ``answers_bounded`` the answers the
-            bounds removed) and each sweep made a ``dp.form_stage_dp``
+            flush makespan, ``answers_bounded`` the answers the
+            bounds removed and ``sweeps_reused`` the sweeps a stored
+            sweep answered) and each sweep made a ``dp.form_stage_dp``
             span under it.
         metrics: optional metrics registry, forwarded to every DP call;
-            ``search.sweeps_pruned`` counts the sweeps skipped and
-            ``search.answers_bounded`` the answers the bounds removed.
+            ``search.sweeps_pruned`` counts the sweeps skipped,
+            ``search.answers_bounded`` the answers the bounds removed
+            and ``search.sweeps_reused`` the sweeps a stored sweep
+            answered.
 
     Returns:
         A :class:`SearchResult`, or ``None`` if no configuration fits.
@@ -217,6 +222,7 @@ def form_stage(
                 for bs in ctx.plane_batch_sizes(D, R, MB)[0]
             )
             bounded_before = run.answers_bounded
+            reused_before = run.sweeps_reused
             sweeps_before = len(run.sweep_bounds)
             # each sweep is ranked as soon as it finishes: the best flush
             # makespan so far bounds the sweeps after it (DESIGN.md,
@@ -245,8 +251,10 @@ def form_stage(
                 rank_ms += (time.perf_counter() - rank_started) * 1e3
             dp_calls += len(swept)
             bounded = run.answers_bounded - bounded_before
+            reused = run.sweeps_reused - reused_before
             if metrics is not None:
                 metrics.counter("search.answers_bounded").inc(bounded)
+                metrics.counter("search.sweeps_reused").inc(reused)
             # every stage count of the level competes, not only the first
             # feasible one (DESIGN.md, deviation D2); candidate order (S
             # outer, MB inner) fixes the tie-break, and an answer the
@@ -263,6 +271,7 @@ def form_stage(
                     candidates=len(solutions),
                     bounds=run.sweep_bounds[sweeps_before:],
                     answers_bounded=bounded,
+                    sweeps_reused=reused,
                 )
             if solutions:
                 best = min(

@@ -55,7 +55,7 @@ import math
 from bisect import bisect_right
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -80,6 +80,12 @@ INFEASIBLE = None
 #: width), which bounds the per-column temporaries at a few MiB on bands
 #: hundreds of blocks wide
 PLANE_CHUNK_CELLS = 1 << 18
+
+#: capacities whose fit tables a context keeps, newest first: a run reads
+#: two, the device capacity its bands are sized for and its sweeps' cap
+FIT_TABLES_KEPT = 4
+#: stored sweeps a context keeps per sweep key, newest first
+SWEEPS_KEPT = 8
 
 
 @dataclass(frozen=True)
@@ -168,6 +174,21 @@ class DPSolution:
         return self._iteration_time
 
 
+class StoredSweep(NamedTuple):
+    """One finished homogeneous sweep (:meth:`DPContext.store_sweep`)."""
+
+    bound: float                     # inf: unbounded
+    mask: np.ndarray                 # np.packbits(band.mem > cap)
+    answers: Dict[int, DPSolution]   # the feasible answers, per S
+
+    def nbytes(self) -> int:
+        # an answer holds 6 numbers, and per stage a boundary, a device
+        # count and 7 profile fields
+        return self.mask.nbytes + sum(
+            8 * (6 + 9 * sol.num_stages) for sol in self.answers.values()
+        )
+
+
 @dataclass
 class BandedProfile:
     """Banded candidate-stage profiles for one ``(D, R, MB)`` key.
@@ -215,12 +236,16 @@ class DPContext:
     cluster, budget, metrics and counters) lives in a :class:`DPRun`
     each caller builds.
 
-    The caches (range matrices, per-batch time prefixes, fit tables and
-    profile bands) fill on demand, and every fill is idempotent: two
-    runs that build the same entry at once build the same values and
-    the last write wins (a band sized for a larger capacity may replace
-    a narrower one; DESIGN.md D1c).  So concurrent runs may share one
-    context without a lock.
+    The caches (range matrices, per-batch time prefixes, fit tables,
+    profile bands and the sweep memo) fill on demand, and every fill is
+    idempotent: two runs that build the same entry at once build the
+    same values and the last write wins (a band sized for a larger
+    capacity may replace a narrower one; DESIGN.md D1c).  So concurrent
+    runs may share one context without a lock.  The fit tables keep the
+    :data:`FIT_TABLES_KEPT` most recent capacities, and the sweep memo
+    the :data:`SWEEPS_KEPT` most recent sweeps per key (a homogeneous
+    sweep's band, stage counts and band shape; DESIGN.md D2d), each
+    replaced by one store of a new tuple.
     """
 
     def __init__(
@@ -269,9 +294,13 @@ class DPContext:
         self._range_mats: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = None
-        #: ``_fit_width``'s per-span thresholds, per capacity
-        self._fit_tables: Dict[float, List[int]] = {}
+        #: ``(capacity, _fit_width's per-span thresholds)`` of the most
+        #: recent capacities, newest first
+        self._fit_tables: Tuple[Tuple[float, List[int]], ...] = ()
         self._band_cache: Dict[Tuple[int, int, int], BandedProfile] = {}
+        #: ``(bound, packed memory mask, {S: answer})`` of the most recent
+        #: sweeps per key, newest first (:meth:`recall_sweep`)
+        self._sweep_memo: Dict[tuple, Tuple[StoredSweep, ...]] = {}
 
     # ------------------------------------------------------------------
     # The two readers below may run while another run inserts into the
@@ -285,14 +314,58 @@ class DPContext:
     def nbytes(self) -> int:
         """Bytes of every array the context holds: the block membership
         and the saved/KV prefixes, the range matrices, the per-batch
-        time prefixes and the profile bands (the artifact store weighs
-        its memory tier with it)."""
+        time prefixes, the fit tables, the profile bands and the sweep
+        memo (the artifact store weighs its memory tier with it).  A fit
+        table or a stored answer counts 8 bytes per number it holds."""
         arrays = [self._member_task, self._member_block,
                   self._saved_prefix, self._kv_prefix, *self._block_idx]
         arrays.extend(self._range_mats or ())
         for pair in list(self._time_prefix.values()):
             arrays.extend(pair)
-        return sum(a.nbytes for a in arrays) + self.band_bytes
+        fit_bytes = sum(8 * len(table) for _, table in self._fit_tables)
+        return (
+            sum(a.nbytes for a in arrays) + fit_bytes + self.band_bytes
+            + sum(stored.nbytes() for kept in list(self._sweep_memo.values())
+                  for stored in kept)
+        )
+
+    # ------------------------------------------------------------------
+    def recall_sweep(
+        self,
+        key: tuple,
+        bound: float,
+        mask: np.ndarray,
+        fits: Optional[np.ndarray],
+    ) -> Optional[StoredSweep]:
+        """The stored sweep under ``key`` that answers a homogeneous sweep
+        at ``bound`` with packed memory mask ``mask``, if one does
+        (DESIGN.md D2d): its bound is at least ``bound``, and its mask
+        equals ``mask`` on the entries of ``fits``, the packed ``t_f +
+        t_b <= bound`` (``None`` for an unbounded sweep: everywhere).
+        Its answers at or below ``bound`` are then the sweep's."""
+        for stored in self._sweep_memo.get(key, ()):
+            if stored.bound < bound:
+                continue
+            diff = stored.mask ^ mask
+            if fits is not None:
+                diff &= fits
+            if not diff.any():
+                return stored
+        return None
+
+    def store_sweep(
+        self,
+        key: tuple,
+        bound: float,
+        mask: np.ndarray,
+        answers: Dict[int, DPSolution],
+    ) -> None:
+        """Keep a finished sweep for :meth:`recall_sweep`: its bound, its
+        packed memory mask and its feasible answers."""
+        kept = self._sweep_memo.get(key, ())
+        self._sweep_memo[key] = (
+            StoredSweep(bound, mask, answers), *kept[:SWEEPS_KEPT - 1]
+        )
 
     # ------------------------------------------------------------------
     def _time_prefix_at(self, bs: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -616,9 +689,13 @@ class DPContext:
         gets the largest ``bs <= BS`` at which it fits
         (:func:`_fit_thresholds`); the per-span maxima answer every
         ``bs`` of that capacity by bisection."""
-        table = self._fit_tables.get(capacity)
+        tables = self._fit_tables
+        table = next((t for cap, t in tables if cap == capacity), None)
         if table is None:
-            table = self._fit_tables[capacity] = self._fit_table(capacity)
+            table = self._fit_table(capacity)
+            self._fit_tables = (
+                (capacity, table), *tables[:FIT_TABLES_KEPT - 1]
+            )
         return bisect_right(table, -bs)
 
     def _fit_table(self, capacity: float) -> List[int]:
@@ -696,6 +773,8 @@ class DPRun:
         #: (DESIGN.md D2c), and each sweep's bound (``None``: unbounded)
         self.answers_bounded = 0
         self.sweep_bounds: List[Optional[float]] = []
+        #: sweeps a stored sweep of the memo answered (DESIGN.md D2d)
+        self.sweeps_reused = 0
 
     @property
     def usable_memory(self) -> float:
@@ -1133,8 +1212,9 @@ def form_stage_dp(
             carrying ``(S, D, R, MB)`` (``S`` the largest stage count,
             ``S_min`` the smallest), the bound, the state count, the
             feasible stage counts, the slab width (``band_width``), the
-            candidate cells float-reduced (``cells_reduced``) and the
-            answers found above the bound (``answers_bounded``).
+            candidate cells float-reduced (``cells_reduced``), the
+            answers found above the bound (``answers_bounded``) and
+            whether a stored sweep answered (``reused``; DESIGN.md D2d).
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
             records ``dp.calls``, ``dp.states_evaluated`` (total and per
             ``(D, MB)`` point), ``dp.cells_reduced`` and the
@@ -1158,7 +1238,8 @@ def form_stage_dp(
     :meth:`DPRun.price_layout` prices it as it stands (one state)
     and the table starts at ``S = 2``.  One call is one DP call in the
     counters, whatever the range, and its state count is the number of
-    table cells inside the sweep's bounds (plus one for ``S = 1``).
+    table cells inside the sweep's bounds (plus one for ``S = 1``), also
+    when a sweep the context stored answers it (DESIGN.md D2d).
 
     The transition for every ``(b, d)`` cell of one stage is evaluated
     as a tensor reduction over the banded profiles: the loop runs over
@@ -1237,8 +1318,9 @@ def _form_stage_dp_body(
             bounded = 1
         states = 1
         lo = 2
+    reused = False
     if lo <= hi:
-        t_states, cells, width, t_bounded = _sweep_table(
+        t_states, cells, width, t_bounded, reused = _sweep_table(
             run, lo, hi, D, R, MB, slots, bound, results
         )
         states += t_states
@@ -1247,6 +1329,7 @@ def _form_stage_dp_body(
     run.cells_reduced += cells
     run.band_width_max = max(run.band_width_max, width)
     run.answers_bounded += bounded
+    run.sweeps_reused += reused
     feasible = [s for s, sol in results.items() if sol is not None]
     if metrics is not None:
         metrics.counter("dp.calls").inc()
@@ -1264,6 +1347,7 @@ def _form_stage_dp_body(
             cells_reduced=cells,
             band_width=width,
             answers_bounded=bounded,
+            reused=reused,
             feasible=bool(feasible),
             feasible_stages=feasible,
         )
@@ -1280,13 +1364,13 @@ def _sweep_table(
     slots: Optional[Tuple[np.ndarray, np.ndarray]],
     bound: float,
     results: Dict[int, Optional[DPSolution]],
-) -> Tuple[int, int, int, int]:
+) -> Tuple[int, int, int, int, bool]:
     """Fill one Algorithm-1 table up to ``s_hi`` stages (``s_lo >= 2``),
     store the solution of every ``S`` in ``[s_lo, s_hi]`` into
     ``results`` and return the state count (the table cells inside the
-    sweep's bounds), the candidate cells float-reduced, the slab width
-    and the answer cells found above ``bound``.  ``slots``: see
-    :meth:`DPRun.price_layout`.
+    sweep's bounds), the candidate cells float-reduced, the slab width,
+    the answer cells found above ``bound`` and whether a stored sweep
+    answered.  ``slots``: see :meth:`DPRun.price_layout`.
 
     Each stage float-reduces only the rows that can still reach block
     ``k`` in the ``s_hi - s`` stages left, each at most the slab width
@@ -1300,6 +1384,13 @@ def _sweep_table(
     band entries over it are poisoned like those over the memory cap
     (narrowing the slab), and after each stage every cell over it is
     cleared.  Every cell at or below it keeps its value and parent.
+
+    On a homogeneous cluster the sweep reads the cap only through the
+    mask ``over`` of band entries over it, so a stored sweep of the same
+    key whose mask agrees on the entries at or below ``bound``, at a
+    bound no lower, answers it: its answers at or below ``bound``, with
+    the state count of the table and no cell reduced (DESIGN.md D2d).
+    The answers it drops count as found above the bound.
     """
     k = run.memo.k
     # every stage that can still reach (S, k, D) for some S >= s_lo spans
@@ -1312,11 +1403,28 @@ def _sweep_table(
     cap = _sweep_cap(run, slots)
     over = bands.mem[:n_planes] > cap
     has_bound = math.isfinite(bound)
-    if has_bound and slots is None:
-        # every candidate through a stage over the bound is over it too
-        # (on a heterogeneous cluster the times scale per slot, so only
-        # the cells are cleared)
-        over |= bands.tf[:n_planes] + bands.tb[:n_planes] > bound
+    states = _table_states(k, D, s_lo, s_hi)
+    if slots is None:
+        # the sweep reads the cap only through ``over`` (DESIGN.md D2d)
+        memo_key = (D, R, MB, s_lo, s_hi, over.shape)
+        mask = np.packbits(over)
+        fits = None
+        if has_bound:
+            # every candidate through a stage over the bound is over it
+            # too (on a heterogeneous cluster the times scale per slot,
+            # so only the cells are cleared)
+            above = bands.tf[:n_planes] + bands.tb[:n_planes] > bound
+            fits = np.packbits(~above)
+            over |= above
+        stored = run.memo.recall_sweep(memo_key, bound, mask, fits)
+        if stored is not None:
+            dropped = 0
+            for S, sol in stored.answers.items():
+                if sol.objective <= bound:
+                    results[S] = sol
+                else:
+                    dropped += 1
+            return states, 0, _slab_width(over, nb_max), dropped, True
     # every stage wider than the band is over the cap too: the band was
     # sized for a capacity of at least ``cap``
     width = _slab_width(over, nb_max)
@@ -1337,14 +1445,12 @@ def _sweep_table(
     # docstring): only the empty prefix is a valid 0-stage state.
     V[0, 0, 0] = 0.0
 
-    states = cells = answers_bounded = 0
+    cells = answers_bounded = 0
     for s in range(1, s_hi + 1):
-        # the bounds of the smallest stage count S >= s of the sweep:
-        # its S - s later stages each need a block and a device
+        # the bounds :func:`_table_states` counts
         slack = max(s_lo - s, 0)
         b_hi = k - slack
         d_hi = D - slack
-        states += (b_hi - s + 1) * (d_hi - s + 1)
         # no stage is wider than the slab, so a row below b_back cannot
         # reach block k in the s_hi - s stages left
         cells += _band_stage(
@@ -1378,7 +1484,23 @@ def _sweep_table(
             boundaries, device_counts, R, MB, slots
         )
         assert failure is None, "the DP kept a layout that does not fit"
-    return states, cells, width, answers_bounded
+    if slots is None:
+        run.memo.store_sweep(memo_key, bound, mask, {
+            S: results[S] for S in range(s_lo, s_hi + 1)
+            if results[S] is not None
+        })
+    return states, cells, width, answers_bounded, False
+
+
+def _table_states(k: int, D: int, s_lo: int, s_hi: int) -> int:
+    """The table cells inside a sweep's bounds: stage ``s`` fills ``b =
+    s .. k - slack`` and ``d = s .. D - slack``, the bounds of the
+    smallest stage count ``S >= s`` of the sweep, whose ``slack = S - s``
+    later stages each need a block and a device."""
+    return sum(
+        (k - max(s_lo - s, 0) - s + 1) * (D - max(s_lo - s, 0) - s + 1)
+        for s in range(1, s_hi + 1)
+    )
 
 
 def _sweep_cap(

@@ -220,11 +220,13 @@ class StageSearchPass(PlannerPass):
             "band_width_max": run.band_width_max,
             "band_bytes": dp_ctx.band_bytes,
             # the winner's flush makespan (the winning level's final
-            # incumbent), each sweep's bound (None: unbounded) and the
-            # answers found above a bound (DESIGN.md D2c)
+            # incumbent), each sweep's bound (None: unbounded), the
+            # answers found above a bound (DESIGN.md D2c) and the sweeps
+            # a stored sweep answered (D2d)
             "incumbent": result.solution.estimated_iteration_time(),
             "sweep_bounds": run.sweep_bounds,
             "answers_bounded": run.answers_bounded,
+            "sweeps_reused": run.sweeps_reused,
         }
 
 

@@ -286,7 +286,7 @@ class PlanEngine:
         if req is None:
             return None, params
         looked_up = time.perf_counter()
-        work = _Normalized(req, (looked_up - started) * 1e3)
+        work = self._timed_normalize(req, started, looked_up)
         if self._closing.is_set() or not self.store.graph_validated(
             req.model_key
         ):
@@ -610,7 +610,9 @@ class PlanEngine:
             "counters": {
                 name: value
                 for name, value in self.metrics.snapshot().items()
-                if name.startswith(("service.", "verify.", "validate."))
+                if name.startswith(
+                    ("service.", "verify.", "validate.", "search.")
+                )
             },
             "store": self.store.stats(),
             "spans": len(self.tracer),
@@ -668,7 +670,22 @@ class PlanEngine:
             return params
         started = time.perf_counter()
         req = self._normalize(params)
-        return _Normalized(req, (time.perf_counter() - started) * 1e3)
+        return self._timed_normalize(req, started, time.perf_counter())
+
+    def _timed_normalize(
+        self, req: PlanRequest, started: float, done: float
+    ) -> _Normalized:
+        """``req`` with its normalization time, recorded as one
+        ``service.normalize`` span: a request gets one, on the loop
+        when its graph was built already and in the pool otherwise."""
+        self.tracer.add_span(
+            "service.normalize",
+            category="service",
+            start=started,
+            duration=done - started,
+            attrs={"fingerprint": req.key},
+        )
+        return _Normalized(req, (done - started) * 1e3)
 
     def _coalesced_plan(self, work: _Normalized) -> Tuple[str, Dict[str, Any]]:
         """``(deployment JSON, meta)``: one pipeline run per in-flight
@@ -755,7 +772,8 @@ class PlanEngine:
             span.set(outcome="ok", cache=cache_kind)
         self._planned_models.add(req.model_key)
         self.metrics.counter(f"service.{cache_kind}_results").inc()
-        for name in ("verify.memo_hits", "validate.memo_hits"):
+        for name in ("verify.memo_hits", "validate.memo_hits",
+                     "search.sweeps_reused"):
             hits = ctx.metrics.get(name)
             if hits is not None:
                 self.metrics.counter(name).inc(hits.value)

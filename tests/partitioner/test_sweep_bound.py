@@ -262,13 +262,23 @@ def test_random_dags_exact(seed, k, memory_kib, budget_kib, nodes,
 
 def test_bound_is_reported():
     """The ``stage_search`` detail and the ``search.level`` span carry the
-    incumbent, each sweep's bound and the answers found above one."""
+    incumbent, each sweep's bound, the answers found above one and the
+    sweeps a stored sweep answered (DESIGN.md D2d): a second budget on
+    the first run's context masks the same band entries, so it reuses
+    every sweep."""
     from repro.models import BertConfig, build_bert
     from repro.planner import PlannerConfig, PlanningContext
+    from repro.planner.replan import ensure_store
 
     graph = build_bert(BertConfig(hidden_size=64, num_layers=4, num_heads=4))
-    ctx = PlanningContext(graph, paper_cluster(1),
-                          PlannerConfig(batch_size=32, trace=True))
+    base = PlanningContext(graph, paper_cluster(1),
+                           PlannerConfig(batch_size=32, trace=True))
+    base.run()
+    ctx = PlanningContext(
+        graph, paper_cluster(1),
+        PlannerConfig(batch_size=32, trace=True, memory_budget=16 * GiB),
+        store=ensure_store(base),
+    )
     plan = ctx.run()
     detail = ctx.events.find("stage_search").detail
     level = ctx.tracer.spans("partitioner.search")[-1]
@@ -284,6 +294,9 @@ def test_bound_is_reported():
     assert detail["answers_bounded"] == level.attrs["answers_bounded"] == (
         sum(s.attrs["answers_bounded"] for s in dp_spans)
     ) == ctx.metrics.counter("search.answers_bounded").value
+    assert detail["sweeps_reused"] == level.attrs["sweeps_reused"] == (
+        sum(s.attrs["reused"] for s in dp_spans)
+    ) == ctx.metrics.counter("search.sweeps_reused").value == len(dp_spans)
 
 
 # ----------------------------------------------------------------------

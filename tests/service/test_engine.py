@@ -288,6 +288,37 @@ class TestWarmPath:
             assert sorted(meta["timings"]) == sorted(self.TIMINGS)
             assert sum(meta["timings"].values()) <= meta["wall_ms"]
 
+    def test_one_normalize_span_per_request(self):
+        """A cold request is normalized in the pool, a warm repeat on the
+        loop, and a delta whose graph is built on the loop too: each
+        records one ``service.normalize`` span."""
+        engine = PlanEngine(workers=1)
+
+        def normalize_spans():
+            return [s for s in engine.tracer.spans("service")
+                    if s.name == "service.normalize"]
+
+        requests = [
+            PARAMS, PARAMS, dict(PARAMS, cluster={"preset": "v100x16"}),
+        ]
+        for n, params in enumerate(requests, 1):
+            engine.plan(dict(params))
+            spans = normalize_spans()
+            assert len(spans) == n
+            assert spans[-1].duration > 0
+        assert len({s.attrs["fingerprint"] for s in spans}) == 2
+
+    def test_sweeps_reused_in_stats(self):
+        """A budget that masks the same band entries as the base plan's
+        reuses its Algorithm-1 sweeps (DESIGN.md D2d), and ``/v1/stats``
+        counts them."""
+        engine = PlanEngine(workers=1)
+        engine.plan(dict(PARAMS))
+        assert engine.stats()["counters"].get("search.sweeps_reused", 0) == 0
+        delta = engine.plan(dict(PARAMS, options={"memory_budget_gb": 16}))
+        assert delta["meta"]["cache"] == "delta"
+        assert engine.stats()["counters"]["search.sweeps_reused"] > 0
+
     def test_memo_counters_in_stats(self):
         engine = PlanEngine(workers=1)
         for _ in range(3):

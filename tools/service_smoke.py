@@ -4,7 +4,8 @@
 Exercises the daemon's whole contract end to end against a live
 socket -- cold plan, warm repeats (answered on the server's event loop
 and counted in ``/v1/stats``), delta replan through ``/v1/replan``,
-concurrent same-model replans over one shared DP context, in-place
+concurrent same-model replans over one shared DP context, a second
+budget that reuses the first's Algorithm-1 sweeps, in-place
 repair through ``/v1/repair``, a preset cluster planned under the
 topology comm model, a malformed option, the removed ``schedule`` and
 ``comm_model`` options and malformed numbers rejected as
@@ -139,6 +140,24 @@ def main(argv=None) -> int:
                                 batch_size=params["batch_size"])
         ok &= check(checked["verified"] is True,
                     f"{label} round-trip verifies")
+
+    # 20 and 20.001 GiB mask the same band entries: the second budget's
+    # stage search reuses the first's Algorithm-1 sweeps
+    budgets = [
+        dict(REQUEST, cluster={"preset": "v100x16"},
+             options={"memory_budget_gb": gb})
+        for gb in (20, 20.001)
+    ]
+    first = client.plan(**budgets[0])
+    reused_before = client.stats()["counters"].get("search.sweeps_reused", 0)
+    second = client.plan(**budgets[1])
+    ok &= check(second["plan"] == first["plan"],
+                "a budget that masks the same entries plans the same")
+    ok &= check(
+        client.stats()["counters"].get("search.sweeps_reused", 0)
+        > reused_before,
+        "stats count the sweeps the second budget reused",
+    )
 
     # a node loss on the two-node plan repairs in place and
     # re-verifies the repaired plan
