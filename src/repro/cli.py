@@ -444,7 +444,8 @@ def _render_events(ctx) -> str:
     lines.append("-" * 72)
     for event in ctx.events:
         keys = ("reason", "reuse", "fingerprint", "dp_calls", "candidates_tried",
-                "answers_bounded", "sweeps_reused", "states_evaluated",
+                "answers_bounded", "sweeps_reused", "sweeps_skipped",
+                "seed_fallbacks", "states_evaluated",
                 "band_width_max",
                 "band_bytes",
                 "num_components", "num_blocks", "levels", "merges", "moves",

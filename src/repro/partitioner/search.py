@@ -23,7 +23,10 @@ so far bounds the sweeps after it: an answer whose objective is over
 it and every table cell that could only lead to it (DESIGN.md
 deviation D2c).  On a homogeneous cluster a sweep the shared context
 stored for an earlier run answers a later one whose memory budget
-masks the same band entries below the bound (DESIGN.md deviation D2d).
+masks the same band entries below the bound (DESIGN.md deviation D2d),
+a sweep in which no layout fits fills no table (D2e), and the best
+stored answer of a level that still fits bounds the level from its
+first sweep (D2f).
 
 Aligning ``D`` to whole nodes keeps each pipeline inside as few nodes as
 possible, which is why stage-to-stage transfers are costed at intra-node
@@ -133,21 +136,28 @@ def form_stage(
             span (its ``pruned_mb`` lists the microbatch counts skipped,
             ``bounds`` each sweep's bound, ``incumbent`` the level's best
             flush makespan, ``answers_bounded`` the answers the
-            bounds removed and ``sweeps_reused`` the sweeps a stored
-            sweep answered) and each sweep made a ``dp.form_stage_dp``
-            span under it.
+            bounds removed, ``sweeps_reused`` the sweeps a stored
+            sweep answered, ``sweeps_skipped`` those in which no layout
+            fits, ``stored_incumbent`` the stored makespan that seeded
+            the level (``None``: unseeded) and ``seed_fallback`` whether
+            the level reran unseeded) and each sweep made a
+            ``dp.form_stage_dp`` span under it.
         metrics: optional metrics registry, forwarded to every DP call;
             ``search.sweeps_pruned`` counts the sweeps skipped,
-            ``search.answers_bounded`` the answers the bounds removed
-            and ``search.sweeps_reused`` the sweeps a stored sweep
-            answered.
+            ``search.answers_bounded`` the answers the bounds removed,
+            ``search.sweeps_reused`` the sweeps a stored sweep
+            answered, ``search.sweeps_skipped`` those in which no
+            layout fits, ``search.levels_seeded`` the levels a stored
+            incumbent bounded and ``search.seed_fallbacks`` those that
+            reran unseeded.
 
     Returns:
         A :class:`SearchResult`, or ``None`` if no configuration fits.
-        Its ``dp_calls`` counts the sweeps made (at most one per node
-        level and microbatch count), ``states_evaluated`` their table
-        cells and ``candidates_tried`` the ``(S, MB)`` answers ranked:
-        the feasible candidates the sweep bounds kept.
+        Its ``dp_calls`` counts the sweeps made (one per node level and
+        microbatch count, twice for a level that reran unseeded),
+        ``states_evaluated`` their table cells and ``candidates_tried``
+        the ``(S, MB)`` answers ranked: the feasible candidates the
+        sweep bounds kept.
     """
     ctx = run.memo
     if batch_size != ctx.batch_size:
@@ -223,38 +233,60 @@ def form_stage(
             )
             bounded_before = run.answers_bounded
             reused_before = run.sweeps_reused
+            skipped_before = run.sweeps_skipped
             sweeps_before = len(run.sweep_bounds)
-            # each sweep is ranked as soon as it finishes: the best flush
-            # makespan so far bounds the sweeps after it (DESIGN.md,
-            # deviation D2c)
-            incumbent = math.inf
-            ranked = {}
+            # a layout the memo stored for this level that still fits
+            # bounds the level from its first sweep (DESIGN.md, deviation
+            # D2f)
+            seed = stored = run.stored_incumbent(stage_counts, D, R, swept)
+            fallback = False
             rank_ms = 0.0
-            for MB in swept:
-                bound = sweep_bound(incumbent, s_hi, MB)
-                # ``form_stage_dp`` and ``sweep_bound`` are looked up as
-                # module globals at call time, so a wrapper installed on
-                # ``search`` sees every sweep
-                answers = form_stage_dp(
-                    run, stage_counts, D, batch_size, R, MB,
-                    bound=bound, tracer=tracer, metrics=metrics,
-                )
-                # ranking simulates each answer's flush schedule: the
-                # search's cost outside the DP sweeps
-                rank_started = time.perf_counter()
-                for S, sol in answers.items():
-                    if sol is not None:
-                        ranked[S, MB] = sol
-                        incumbent = min(
-                            incumbent, sol.estimated_iteration_time()
-                        )
-                rank_ms += (time.perf_counter() - rank_started) * 1e3
-            dp_calls += len(swept)
+            while True:
+                # each sweep is ranked as soon as it finishes: the best
+                # flush makespan so far bounds the sweeps after it
+                # (DESIGN.md, deviation D2c)
+                incumbent = math.inf
+                ranked = {}
+                for MB in swept:
+                    bound = sweep_bound(min(incumbent, stored), s_hi, MB)
+                    # ``form_stage_dp`` and ``sweep_bound`` are looked up
+                    # as module globals at call time, so a wrapper
+                    # installed on ``search`` sees every sweep
+                    answers = form_stage_dp(
+                        run, stage_counts, D, batch_size, R, MB,
+                        bound=bound, tracer=tracer, metrics=metrics,
+                    )
+                    # ranking simulates each answer's flush schedule: the
+                    # search's cost outside the DP sweeps
+                    rank_started = time.perf_counter()
+                    for S, sol in answers.items():
+                        if sol is not None:
+                            ranked[S, MB] = sol
+                            incumbent = min(
+                                incumbent, sol.estimated_iteration_time()
+                            )
+                    rank_ms += (time.perf_counter() - rank_started) * 1e3
+                dp_calls += len(swept)
+                # an answer the seed removed is strictly slower than it,
+                # so it cannot beat or tie a best at or below the seed;
+                # otherwise (nothing ranked included) the level reruns
+                # unseeded
+                if incumbent <= stored:
+                    break
+                stored = math.inf
+                fallback = True
+            seeded = seed < math.inf
+            run.levels_seeded += seeded
+            run.seed_fallbacks += fallback
             bounded = run.answers_bounded - bounded_before
             reused = run.sweeps_reused - reused_before
+            skipped = run.sweeps_skipped - skipped_before
             if metrics is not None:
                 metrics.counter("search.answers_bounded").inc(bounded)
                 metrics.counter("search.sweeps_reused").inc(reused)
+                metrics.counter("search.sweeps_skipped").inc(skipped)
+                metrics.counter("search.levels_seeded").inc(seeded)
+                metrics.counter("search.seed_fallbacks").inc(fallback)
             # every stage count of the level competes, not only the first
             # feasible one (DESIGN.md, deviation D2); candidate order (S
             # outer, MB inner) fixes the tie-break, and an answer the
@@ -272,6 +304,9 @@ def form_stage(
                     bounds=run.sweep_bounds[sweeps_before:],
                     answers_bounded=bounded,
                     sweeps_reused=reused,
+                    sweeps_skipped=skipped,
+                    stored_incumbent=seed if seeded else None,
+                    seed_fallback=fallback,
                 )
             if solutions:
                 best = min(

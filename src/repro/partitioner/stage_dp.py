@@ -86,6 +86,9 @@ PLANE_CHUNK_CELLS = 1 << 18
 FIT_TABLES_KEPT = 4
 #: stored sweeps a context keeps per sweep key, newest first
 SWEEPS_KEPT = 8
+#: the parent ``b'`` of a table cell no transition reached: below every
+#: candidate ``b'``, so an infeasible candidate never ties with it
+NO_PARENT = np.iinfo(np.int64).min
 
 
 @dataclass(frozen=True)
@@ -180,12 +183,15 @@ class StoredSweep(NamedTuple):
     bound: float                     # inf: unbounded
     mask: np.ndarray                 # np.packbits(band.mem > cap)
     answers: Dict[int, DPSolution]   # the feasible answers, per S
+    #: every answer's peak stage memory, in ``answers`` order: the fit
+    #: test of the level's stored incumbent (DESIGN.md D2f)
+    peaks: Tuple[float, ...]
 
     def nbytes(self) -> int:
-        # an answer holds 6 numbers, and per stage a boundary, a device
-        # count and 7 profile fields
+        # an answer holds 7 numbers (its peak included), and per stage a
+        # boundary, a device count and 7 profile fields
         return self.mask.nbytes + sum(
-            8 * (6 + 9 * sol.num_stages) for sol in self.answers.values()
+            8 * (7 + 9 * sol.num_stages) for sol in self.answers.values()
         )
 
 
@@ -361,10 +367,15 @@ class DPContext:
         answers: Dict[int, DPSolution],
     ) -> None:
         """Keep a finished sweep for :meth:`recall_sweep`: its bound, its
-        packed memory mask and its feasible answers."""
+        packed memory mask and its feasible answers, with their peak
+        stage memory (:meth:`DPRun.stored_incumbent`)."""
+        peaks = tuple(
+            max(p.memory for p in sol.stage_profiles)
+            for sol in answers.values()
+        )
         kept = self._sweep_memo.get(key, ())
         self._sweep_memo[key] = (
-            StoredSweep(bound, mask, answers), *kept[:SWEEPS_KEPT - 1]
+            StoredSweep(bound, mask, answers, peaks), *kept[:SWEEPS_KEPT - 1]
         )
 
     # ------------------------------------------------------------------
@@ -773,8 +784,14 @@ class DPRun:
         #: (DESIGN.md D2c), and each sweep's bound (``None``: unbounded)
         self.answers_bounded = 0
         self.sweep_bounds: List[Optional[float]] = []
-        #: sweeps a stored sweep of the memo answered (DESIGN.md D2d)
+        #: sweeps a stored sweep of the memo answered (DESIGN.md D2d),
+        #: and those in which no layout fits (D2e)
         self.sweeps_reused = 0
+        self.sweeps_skipped = 0
+        #: node levels a stored incumbent bounded, and those of them
+        #: that reran unseeded (DESIGN.md D2f)
+        self.levels_seeded = 0
+        self.seed_fallbacks = 0
 
     @property
     def usable_memory(self) -> float:
@@ -803,6 +820,45 @@ class DPRun:
                 self.memory_budget,
             )
         return self._slot_tables[key]
+
+    def stored_incumbent(
+        self,
+        stage_counts: range,
+        D: int,
+        R: int,
+        microbatch_counts: Sequence[int],
+    ) -> float:
+        """The best flush makespan among the memo's stored answers for a
+        node level that still fit :attr:`usable_memory` (``inf``: none
+        does, or the cluster is heterogeneous: its stages are capped and
+        paced per slot, so a stored homogeneous answer is not priced as
+        its layout would be).
+
+        Only the sweeps of the level's table (``(D, R)``, its stage
+        counts from two up) at one of ``microbatch_counts`` count, the
+        level's swept ones: a stage profile does not depend on the cap,
+        so a stored answer whose peak stage memory fits is a layout the
+        level may take (DESIGN.md D2f).  The search ranked every stored
+        answer, so its makespan is memoized: the scan prices nothing."""
+        if self.cluster.is_heterogeneous:
+            return math.inf
+        memo = self.memo
+        # the table :func:`_form_stage_dp_body` fills for ``stage_counts``
+        table = (
+            max(stage_counts.start, 2),
+            min(stage_counts.stop - 1, memo.k, D),
+        )
+        wanted = set(microbatch_counts)
+        cap = self.usable_memory
+        best = math.inf
+        for key, kept in list(memo._sweep_memo.items()):
+            if key[:2] != (D, R) or key[3:5] != table or key[2] not in wanted:
+                continue
+            for stored in kept:
+                for peak, sol in zip(stored.peaks, stored.answers.values()):
+                    if peak <= cap:
+                        best = min(best, sol.estimated_iteration_time())
+        return best
 
     def price_layout(
         self,
@@ -1163,7 +1219,8 @@ def _band_stage(
         cur = best[rows, g]
         cur_bp = best_bp[rows, g]
         # strict improvement, or an equal value from a smaller b' (equal
-        # (value, b') keeps the earlier -- smaller -- d')
+        # (value, b') keeps the earlier -- smaller -- d'); a cell no
+        # transition reached holds NO_PARENT, so INF never ties into it
         upd = (vd < cur) | ((vd == cur) & (bpg < cur_bp))
         if upd.any():
             best[rows, g] = np.where(upd, vd, cur)
@@ -1213,8 +1270,9 @@ def form_stage_dp(
             ``S_min`` the smallest), the bound, the state count, the
             feasible stage counts, the slab width (``band_width``), the
             candidate cells float-reduced (``cells_reduced``), the
-            answers found above the bound (``answers_bounded``) and
-            whether a stored sweep answered (``reused``; DESIGN.md D2d).
+            answers found above the bound (``answers_bounded``),
+            whether a stored sweep answered (``reused``; DESIGN.md D2d)
+            and whether no layout fits (``skipped``; D2e).
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
             records ``dp.calls``, ``dp.states_evaluated`` (total and per
             ``(D, MB)`` point), ``dp.cells_reduced`` and the
@@ -1318,18 +1376,20 @@ def _form_stage_dp_body(
             bounded = 1
         states = 1
         lo = 2
-    reused = False
+    table = None
     if lo <= hi:
-        t_states, cells, width, t_bounded, reused = _sweep_table(
+        t_states, cells, width, t_bounded, table = _sweep_table(
             run, lo, hi, D, R, MB, slots, bound, results
         )
         states += t_states
         bounded += t_bounded
+    reused, skipped = table == "reused", table == "skipped"
     run.states_evaluated += states
     run.cells_reduced += cells
     run.band_width_max = max(run.band_width_max, width)
     run.answers_bounded += bounded
     run.sweeps_reused += reused
+    run.sweeps_skipped += skipped
     feasible = [s for s, sol in results.items() if sol is not None]
     if metrics is not None:
         metrics.counter("dp.calls").inc()
@@ -1348,6 +1408,7 @@ def _form_stage_dp_body(
             band_width=width,
             answers_bounded=bounded,
             reused=reused,
+            skipped=skipped,
             feasible=bool(feasible),
             feasible_stages=feasible,
         )
@@ -1364,13 +1425,15 @@ def _sweep_table(
     slots: Optional[Tuple[np.ndarray, np.ndarray]],
     bound: float,
     results: Dict[int, Optional[DPSolution]],
-) -> Tuple[int, int, int, int, bool]:
+) -> Tuple[int, int, int, int, str]:
     """Fill one Algorithm-1 table up to ``s_hi`` stages (``s_lo >= 2``),
     store the solution of every ``S`` in ``[s_lo, s_hi]`` into
     ``results`` and return the state count (the table cells inside the
     sweep's bounds), the candidate cells float-reduced, the slab width,
-    the answer cells found above ``bound`` and whether a stored sweep
-    answered.  ``slots``: see :meth:`DPRun.price_layout`.
+    the answer cells found above ``bound`` and how the sweep was
+    answered: ``"filled"`` (its table), ``"reused"`` (a stored sweep) or
+    ``"skipped"`` (no layout fits).  ``slots``: see
+    :meth:`DPRun.price_layout`.
 
     Each stage float-reduces only the rows that can still reach block
     ``k`` in the ``s_hi - s`` stages left, each at most the slab width
@@ -1390,7 +1453,10 @@ def _sweep_table(
     key whose mask agrees on the entries at or below ``bound``, at a
     bound no lower, answers it: its answers at or below ``bound``, with
     the state count of the table and no cell reduced (DESIGN.md D2d).
-    The answers it drops count as found above the bound.
+    The answers it drops count as found above the bound.  On a miss, a
+    sweep in which no layout of the entries off ``over`` can cover the
+    blocks on ``D`` devices (:func:`_has_layout`) has no answer: it fills
+    no table, and is stored with none (DESIGN.md D2e).
     """
     k = run.memo.k
     # every stage that can still reach (S, k, D) for some S >= s_lo spans
@@ -1416,6 +1482,10 @@ def _sweep_table(
             above = bands.tf[:n_planes] + bands.tb[:n_planes] > bound
             fits = np.packbits(~above)
             over |= above
+    # every stage wider than the band is over the cap too: the band was
+    # sized for a capacity of at least ``cap``
+    width = _slab_width(over, nb_max)
+    if slots is None:
         stored = run.memo.recall_sweep(memo_key, bound, mask, fits)
         if stored is not None:
             dropped = 0
@@ -1424,10 +1494,13 @@ def _sweep_table(
                     results[S] = sol
                 else:
                     dropped += 1
-            return states, 0, _slab_width(over, nb_max), dropped, True
-    # every stage wider than the band is over the cap too: the band was
-    # sized for a capacity of at least ``cap``
-    width = _slab_width(over, nb_max)
+            return states, 0, width, dropped, "reused"
+        # no layout fits the entries off ``over``: the table would end
+        # with no answer (DESIGN.md D2e)
+        if not _has_layout(over[:, :, :width], bands.plane_of_r, D,
+                           s_lo, s_hi):
+            run.memo.store_sweep(memo_key, bound, mask, {})
+            return states, 0, width, 0, "skipped"
     tbv = bands.tb[:n_planes, :, :width]
     memv = bands.mem[:n_planes, :, :width]
     tfp = bands.tf[:n_planes, :, :width]
@@ -1439,7 +1512,7 @@ def _sweep_table(
     V = np.full(shape, np.inf)
     tf = np.zeros(shape)
     tb = np.zeros(shape)
-    parent_b = np.full(shape, -1, dtype=np.int64)
+    parent_b = np.full(shape, NO_PARENT, dtype=np.int64)
     parent_d = np.full(shape, -1, dtype=np.int64)
     # deviation from the pseudocode's blanket V[0, b, d] = 0 (see module
     # docstring): only the empty prefix is a valid 0-stage state.
@@ -1489,7 +1562,7 @@ def _sweep_table(
             S: results[S] for S in range(s_lo, s_hi + 1)
             if results[S] is not None
         })
-    return states, cells, width, answers_bounded, False
+    return states, cells, width, answers_bounded, "filled"
 
 
 def _table_states(k: int, D: int, s_lo: int, s_hi: int) -> int:
@@ -1592,5 +1665,47 @@ def _can_cover(fits: List[int], k: int, D: int, s_lo: int, s_hi: int) -> bool:
     for s in range(1, s_hi + 1):
         cover = (cover[src] + gain).max(axis=1)
         if s >= s_lo and cover[D] >= k:
+            return True
+    return False
+
+
+def _has_layout(
+    over: np.ndarray,
+    plane_of_r: np.ndarray,
+    D: int,
+    s_lo: int,
+    s_hi: int,
+) -> bool:
+    """Whether some layout of ``S`` stages, ``s_lo <= S <= s_hi``, on
+    ``D`` devices uses only band entries off ``over`` (a homogeneous
+    sweep's ``(P, k+1, w)`` mask of entries over its cap or bound): a
+    sweep without one has no answer (DESIGN.md D2e).
+
+    A stage of such a layout sits on ``r <= r_top`` replicas, the most
+    of at most ``D - s_lo + 1`` that still get a plane, and at least
+    ``r_min``, the fewest whose plane holds its entry off ``over``.  So
+    unless some ``S`` in range has ``md_S[k] <= D <= S * r_top``, with
+    ``md_S[b]`` the fewest devices ``S`` such stages covering blocks
+    ``(0, b]`` take, no split of ``D`` devices fits.  Each stage of the
+    min-plus recursion is one gather, one add and one min."""
+    P, n, w = over.shape
+    r_top = int((plane_of_r[1:D - s_lo + 2] >= 0).sum())
+    if s_hi * r_top < D:
+        return False
+    # planes come in ``r`` order, so a plane's fewest replicas is where
+    # it first appears
+    first_r = np.searchsorted(plane_of_r[1:r_top + 1], np.arange(P)) + 1
+    off = ~over
+    r_min = np.where(
+        off.any(axis=0), first_r[off.argmax(axis=0)], np.inf
+    )
+    # entry [b, j] holds blocks (b - 1 - j, b]; those reaching below
+    # block 0 are over on every plane
+    src = np.maximum(np.arange(n)[:, None] - 1 - np.arange(w)[None, :], 0)
+    md = np.full(n, np.inf)
+    md[0] = 0.0
+    for S in range(1, s_hi + 1):
+        md = (md[src] + r_min).min(axis=1)
+        if S >= s_lo and md[-1] <= D <= S * r_top:
             return True
     return False

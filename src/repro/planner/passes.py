@@ -221,12 +221,16 @@ class StageSearchPass(PlannerPass):
             "band_bytes": dp_ctx.band_bytes,
             # the winner's flush makespan (the winning level's final
             # incumbent), each sweep's bound (None: unbounded), the
-            # answers found above a bound (DESIGN.md D2c) and the sweeps
-            # a stored sweep answered (D2d)
+            # answers found above a bound (DESIGN.md D2c), the sweeps a
+            # stored sweep answered (D2d), those in which no layout fits
+            # (D2e) and the levels a stored incumbent seeded that reran
+            # unseeded (D2f)
             "incumbent": result.solution.estimated_iteration_time(),
             "sweep_bounds": run.sweep_bounds,
             "answers_bounded": run.answers_bounded,
             "sweeps_reused": run.sweeps_reused,
+            "sweeps_skipped": run.sweeps_skipped,
+            "seed_fallbacks": run.seed_fallbacks,
         }
 
 

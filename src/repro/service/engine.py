@@ -773,7 +773,8 @@ class PlanEngine:
         self._planned_models.add(req.model_key)
         self.metrics.counter(f"service.{cache_kind}_results").inc()
         for name in ("verify.memo_hits", "validate.memo_hits",
-                     "search.sweeps_reused"):
+                     "search.sweeps_reused", "search.sweeps_skipped",
+                     "search.levels_seeded", "search.seed_fallbacks"):
             hits = ctx.metrics.get(name)
             if hits is not None:
                 self.metrics.counter(name).inc(hits.value)

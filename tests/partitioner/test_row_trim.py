@@ -32,6 +32,7 @@ from tests.partitioner.test_band_width import (
     solution_key,
     whole_model_memory,
 )
+from tests.partitioner.test_sweep_seed import unskipped
 
 K = 16
 #: a chain of equal layers: blocks of one size, so the widest stage that
@@ -100,10 +101,13 @@ class TestTrimIsLossless:
     @pytest.mark.parametrize("lo", [1, 3])
     def test_chain_under_tight_caps(self, mode, frac, lo):
         cap = frac * whole_model_memory(CHAIN, mode, k=K)
-        cut = assert_trim_lossless(
-            lambda: make_ctx(CHAIN, cluster_with(cap), k=K, mode=mode),
-            range(lo, 5), 4, 1, (1, 2, 4),
-        )
+        # the tightest caps leave some sweeps no layout, and those fill
+        # no table unless the skip is off (DESIGN.md D2e)
+        with unskipped():
+            cut = assert_trim_lossless(
+                lambda: make_ctx(CHAIN, cluster_with(cap), k=K, mode=mode),
+                range(lo, 5), 4, 1, (1, 2, 4),
+            )
         assert cut
 
     @pytest.mark.parametrize("seed", [1, 3, 6])
@@ -112,10 +116,12 @@ class TestTrimIsLossless:
         of one block, is on the answer's path."""
         graph = build_random_dag(seed=seed, num_nodes=40)
         cap = 0.2 * whole_model_memory(graph, k=K, batch_size=32)
-        cut = assert_trim_lossless(
-            lambda: make_ctx(graph, cluster_with(cap), k=K, batch_size=32),
-            range(1, 5), 4, 1, (1, 2),
-        )
+        with unskipped():
+            cut = assert_trim_lossless(
+                lambda: make_ctx(graph, cluster_with(cap), k=K,
+                                 batch_size=32),
+                range(1, 5), 4, 1, (1, 2),
+            )
         assert cut
 
     @settings(max_examples=12, deadline=None)

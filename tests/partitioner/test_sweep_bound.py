@@ -261,11 +261,13 @@ def test_random_dags_exact(seed, k, memory_kib, budget_kib, nodes,
 
 
 def test_bound_is_reported():
-    """The ``stage_search`` detail and the ``search.level`` span carry the
-    incumbent, each sweep's bound, the answers found above one and the
-    sweeps a stored sweep answered (DESIGN.md D2d): a second budget on
-    the first run's context masks the same band entries, so it reuses
-    every sweep."""
+    """The ``stage_search`` detail, the ``search.level`` span, the DP
+    spans and the metrics agree on the incumbent, each sweep's bound,
+    the answers found above one, the sweeps a stored sweep answered
+    (DESIGN.md D2d), those skipped with no layout (D2e) and the levels
+    a stored incumbent seeded and that fell back (D2f).  The cold run
+    skips sweeps; a second budget on its context masks the same band
+    entries, so it is seeded and reuses every sweep."""
     from repro.models import BertConfig, build_bert
     from repro.planner import PlannerConfig, PlanningContext
     from repro.planner.replan import ensure_store
@@ -273,30 +275,51 @@ def test_bound_is_reported():
     graph = build_bert(BertConfig(hidden_size=64, num_layers=4, num_heads=4))
     base = PlanningContext(graph, paper_cluster(1),
                            PlannerConfig(batch_size=32, trace=True))
-    base.run()
-    ctx = PlanningContext(
+    plans = {"base": base.run()}
+    delta = PlanningContext(
         graph, paper_cluster(1),
         PlannerConfig(batch_size=32, trace=True, memory_budget=16 * GiB),
         store=ensure_store(base),
     )
-    plan = ctx.run()
-    detail = ctx.events.find("stage_search").detail
-    level = ctx.tracer.spans("partitioner.search")[-1]
-    dp_spans = ctx.tracer.spans("partitioner.dp")
-    assert detail["incumbent"] == level.attrs["incumbent"] == (
-        plan.diagnostics.pipeline_time
-    )
-    assert detail["sweep_bounds"] == level.attrs["bounds"] == [
-        s.attrs["bound"] for s in dp_spans
-    ]
+    plans["delta"] = delta.run()
+    reported = {}
+    for name, ctx in (("base", base), ("delta", delta)):
+        detail = ctx.events.find("stage_search").detail
+        levels = ctx.tracer.spans("partitioner.search")
+        level = levels[-1]
+        dp_spans = ctx.tracer.spans("partitioner.dp")
+        counter = ctx.metrics.counter
+        assert detail["incumbent"] == level.attrs["incumbent"] == (
+            plans[name].diagnostics.pipeline_time
+        )
+        assert detail["sweep_bounds"] == level.attrs["bounds"] == [
+            s.attrs["bound"] for s in dp_spans
+        ]
+        assert all(b > 0 for b in detail["sweep_bounds"][1:])
+        assert detail["answers_bounded"] == level.attrs["answers_bounded"] == (
+            sum(s.attrs["answers_bounded"] for s in dp_spans)
+        ) == counter("search.answers_bounded").value
+        for field, attr in (("sweeps_reused", "reused"),
+                            ("sweeps_skipped", "skipped")):
+            assert detail[field] == level.attrs[field] == (
+                sum(s.attrs[attr] for s in dp_spans)
+            ) == counter(f"search.{field}").value
+        seeded = [s for s in levels if s.attrs["stored_incumbent"] is not None]
+        assert counter("search.levels_seeded").value == len(seeded)
+        assert detail["seed_fallbacks"] == (
+            sum(s.attrs["seed_fallback"] for s in levels)
+        ) == counter("search.seed_fallbacks").value == 0
+        reported[name] = detail, len(seeded), dp_spans, level
+    detail, seeded, _, _ = reported["base"]
     assert detail["sweep_bounds"][0] is None
-    assert all(b > 0 for b in detail["sweep_bounds"][1:])
-    assert detail["answers_bounded"] == level.attrs["answers_bounded"] == (
-        sum(s.attrs["answers_bounded"] for s in dp_spans)
-    ) == ctx.metrics.counter("search.answers_bounded").value
-    assert detail["sweeps_reused"] == level.attrs["sweeps_reused"] == (
-        sum(s.attrs["reused"] for s in dp_spans)
-    ) == ctx.metrics.counter("search.sweeps_reused").value == len(dp_spans)
+    assert detail["sweeps_skipped"] > 0 and seeded == 0
+    detail, seeded, dp_spans, level = reported["delta"]
+    assert seeded == 1 and detail["sweeps_reused"] == len(dp_spans)
+    # the seed bounds the level's first sweep
+    assert detail["sweep_bounds"][0] == sweep_bound(
+        level.attrs["stored_incumbent"], level.attrs["D"],
+        dp_spans[0].attrs["MB"],
+    )
 
 
 # ----------------------------------------------------------------------

@@ -319,6 +319,23 @@ class TestWarmPath:
         assert delta["meta"]["cache"] == "delta"
         assert engine.stats()["counters"]["search.sweeps_reused"] > 0
 
+    def test_seeds_and_skips_in_stats(self):
+        """A cold plan skips sweeps with no layout (DESIGN.md D2e); a
+        budget delta's node level is seeded by a stored answer that
+        still fits (D2f) and falls back to no unseeded rerun.
+        ``/v1/stats`` counts all three."""
+        engine = PlanEngine(workers=1)
+        engine.plan(dict(PARAMS))
+        counters = engine.stats()["counters"]
+        assert counters.get("search.levels_seeded", 0) == 0
+        skipped = counters["search.sweeps_skipped"]
+        assert skipped > 0
+        engine.plan(dict(PARAMS, options={"memory_budget_gb": 16}))
+        counters = engine.stats()["counters"]
+        assert counters["search.levels_seeded"] > 0
+        assert counters["search.seed_fallbacks"] == 0
+        assert counters["search.sweeps_skipped"] >= skipped
+
     def test_memo_counters_in_stats(self):
         engine = PlanEngine(workers=1)
         for _ in range(3):

@@ -5,7 +5,8 @@ Exercises the daemon's whole contract end to end against a live
 socket -- cold plan, warm repeats (answered on the server's event loop
 and counted in ``/v1/stats``), delta replan through ``/v1/replan``,
 concurrent same-model replans over one shared DP context, a second
-budget that reuses the first's Algorithm-1 sweeps, in-place
+budget that reuses the first's Algorithm-1 sweeps, a third whose node
+levels a stored answer seeds, in-place
 repair through ``/v1/repair``, a preset cluster planned under the
 topology comm model, a malformed option, the removed ``schedule`` and
 ``comm_model`` options and malformed numbers rejected as
@@ -158,6 +159,18 @@ def main(argv=None) -> int:
         > reused_before,
         "stats count the sweeps the second budget reused",
     )
+    # a third budget's node levels start from the stored answers that
+    # still fit it, and no seeded level falls back
+    counters = client.stats()["counters"]
+    seeded_before = counters.get("search.levels_seeded", 0)
+    third = client.plan(**dict(budgets[0], options={"memory_budget_gb": 14}))
+    ok &= check(third["meta"]["verified"] is True,
+                "a third budget's plan is verified")
+    counters = client.stats()["counters"]
+    ok &= check(counters.get("search.levels_seeded", 0) > seeded_before,
+                "stats count the levels a stored answer seeded")
+    ok &= check(counters.get("search.seed_fallbacks", 0) == 0,
+                "no seeded level fell back")
 
     # a node loss on the two-node plan repairs in place and
     # re-verifies the repaired plan
