@@ -58,12 +58,12 @@ def test_dmin_pruning(once):
             t_ref = time.perf_counter() - t0
             ctx = fresh()
             t0 = time.perf_counter()
-            sol = form_stage_dp(ctx, S, D, BS, R, MB)
+            sol = form_stage_dp(ctx, range(S, S + 1), D, R, MB)[S]
             t_dp = time.perf_counter() - t0
             rows.append((S, answer(ref), answer(sol), visited,
                          ctx.states_evaluated, t_ref, t_dp))
         sweep_ctx = fresh()
-        sweep = form_stage_dp(sweep_ctx, STAGE_COUNTS, D, BS, R, MB)
+        sweep = form_stage_dp(sweep_ctx, STAGE_COUNTS, D, R, MB)
         return rows, sweep, sweep_ctx.states_evaluated
 
     rows, sweep, sweep_states = once(run)

@@ -36,6 +36,7 @@ from typing import List, Optional
 
 from repro.hardware import Precision
 from repro.partitioner import PartitioningError
+from repro.partitioner.stage_dp import TOTAL_METRICS
 from repro.service.protocol import (
     CLUSTER_PRESETS,
     MODEL_PRESETS,
@@ -443,10 +444,7 @@ def _render_events(ctx) -> str:
              "  detail"]
     lines.append("-" * 72)
     for event in ctx.events:
-        keys = ("reason", "reuse", "fingerprint", "dp_calls", "candidates_tried",
-                "answers_bounded", "sweeps_reused", "sweeps_skipped",
-                "seed_fallbacks", "states_evaluated",
-                "band_width_max",
+        keys = ("reason", "reuse", "fingerprint", *TOTAL_METRICS,
                 "band_bytes",
                 "num_components", "num_blocks", "levels", "merges", "moves",
                 "compaction", "range_entries",

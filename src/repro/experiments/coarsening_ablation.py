@@ -174,7 +174,7 @@ def run_coarsening_ablation(
             for MB in covering_sweeps(
                 run, range(S, S + 1), D, R, microbatch_counts
             ):
-                sol = form_stage_dp(run, S, D, batch_size, R, MB)
+                sol = form_stage_dp(run, range(S, S + 1), D, R, MB)[S]
                 if sol is None:
                     continue
                 # re-cost the chosen plan with the TRUE merged profile

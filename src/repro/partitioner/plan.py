@@ -90,10 +90,16 @@ class PlanDiagnostics:
     rendering.
     """
 
-    # search statistics (StageSearchPass)
-    dp_calls: int = 0
-    candidates_tried: int = 0
-    states_evaluated: int = 0
+    # the stage search's totals (``DPRun.totals``; empty for a plan no
+    # search produced), three of them also read as attributes
+    search: Dict[str, int] = field(default_factory=dict)
+    dp_calls = property(lambda self: self.search.get("dp_calls", 0))
+    candidates_tried = property(
+        lambda self: self.search.get("candidates_tried", 0)
+    )
+    states_evaluated = property(
+        lambda self: self.search.get("states_evaluated", 0)
+    )
     num_blocks: int = 0
     num_atomic_components: int = 0
     # throughput breakdown (EvaluatePass / evaluate_plan)
@@ -116,9 +122,7 @@ class PlanDiagnostics:
     def as_dict(self) -> Dict[str, float]:
         """Flat float view (per-pass timings keyed ``pass_time.<name>``)."""
         doc: Dict[str, float] = {
-            "dp_calls": float(self.dp_calls),
-            "candidates_tried": float(self.candidates_tried),
-            "states_evaluated": float(self.states_evaluated),
+            **{name: float(v) for name, v in self.search.items()},
             "num_blocks": float(self.num_blocks),
             "num_atomic_components": float(self.num_atomic_components),
             "pipeline_time": self.pipeline_time,

@@ -26,7 +26,8 @@ stored for an earlier run answers a later one whose memory budget
 masks the same band entries below the bound (DESIGN.md deviation D2d),
 a sweep in which no layout fits fills no table (D2e), and the best
 stored answer of a level that still fits bounds the level from its
-first sweep (D2f).
+first sweep (D2f).  Every count of the search is a total over the
+records the run keeps of its levels and sweeps (:meth:`DPRun.totals`).
 
 Aligning ``D`` to whole nodes keeps each pipeline inside as few nodes as
 possible, which is why stage-to-stage transfers are costed at intra-node
@@ -39,15 +40,16 @@ import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.partitioner.stage_dp import (
     DPRun,
     DPSolution,
+    LevelRecord,
     covering_sweeps,
     form_stage_dp,
+    sweep_totals,
 )
 
 #: relative slack of :func:`sweep_bound`: it covers the rounding of the
@@ -81,10 +83,11 @@ class SearchResult:
     num_pipeline_nodes: int   # n: nodes spanned by one pipeline
     devices_per_pipeline: int  # D
     replica_factor: int        # R
-    candidates_tried: int
-    dp_calls: int
-    #: table cells the search's sweeps evaluated
-    states_evaluated: int
+    #: the search's totals (:meth:`DPRun.totals`); three read as attributes
+    totals: Dict[str, int]
+    candidates_tried = property(lambda self: self.totals["candidates_tried"])
+    dp_calls = property(lambda self: self.totals["dp_calls"])
+    states_evaluated = property(lambda self: self.totals["states_evaluated"])
 
     @property
     def num_stages(self) -> int:
@@ -111,65 +114,38 @@ def microbatch_candidates(mb_cap: int) -> List[int]:
 
 def form_stage(
     run: DPRun,
-    num_nodes: int,
-    devices_per_node: int,
-    batch_size: int,
     max_microbatches: Optional[int] = None,
     tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
 ) -> Optional[SearchResult]:
     """Algorithm 2: search over (n, S, MB) for the best feasible plan.
 
     Args:
         run: the run's use of the DP context over the block list (the
-            context fixes the model + profiler, the run the cluster and
-            memory budget the sweeps apply).
-        num_nodes: total compute nodes N of the run's cluster.
-        devices_per_node: devices per node (D_node) of the run's
-            cluster; a shape that differs raises ``ValueError``.  Each
-            level's ``D``, ``R`` and stage-count range come from the
-            cluster's per-node rank offsets (``D = D_node x n`` and
-            ``R = N / n`` on a homogeneous cluster).
-        batch_size: global batch size BS.
+            context fixes the model, profiler and global batch size BS,
+            the run the cluster and memory budget the sweeps apply).
+            Each level's ``D``, ``R`` and stage-count range come from
+            the cluster's per-node rank offsets (``D = D_node x n`` and
+            ``R = N / n`` on a homogeneous cluster of ``N`` nodes).
+            The search adds a :class:`LevelRecord` per node level to the
+            run, and each sweep its :class:`SweepRecord`.
         max_microbatches: optional cap on MB (None: up to BS / R).
         tracer: optional tracer; each node level gets a ``search.level``
-            span (its ``pruned_mb`` lists the microbatch counts skipped,
-            ``bounds`` each sweep's bound, ``incumbent`` the level's best
-            flush makespan, ``answers_bounded`` the answers the
-            bounds removed, ``sweeps_reused`` the sweeps a stored
-            sweep answered, ``sweeps_skipped`` those in which no layout
-            fits, ``stored_incumbent`` the stored makespan that seeded
-            the level (``None``: unseeded) and ``seed_fallback`` whether
-            the level reran unseeded) and each sweep made a
-            ``dp.form_stage_dp`` span under it.
-        metrics: optional metrics registry, forwarded to every DP call;
-            ``search.sweeps_pruned`` counts the sweeps skipped,
-            ``search.answers_bounded`` the answers the bounds removed,
-            ``search.sweeps_reused`` the sweeps a stored sweep
-            answered, ``search.sweeps_skipped`` those in which no
-            layout fits, ``search.levels_seeded`` the levels a stored
-            incumbent bounded and ``search.seed_fallbacks`` those that
-            reran unseeded.
+            span carrying its record, each sweep's bound and the
+            :func:`sweep_totals` of its sweeps, and each sweep made a
+            ``dp.form_stage_dp`` span under it (docs/OBSERVABILITY.md
+            names their attributes).
 
     Returns:
-        A :class:`SearchResult`, or ``None`` if no configuration fits.
-        Its ``dp_calls`` counts the sweeps made (one per node level and
-        microbatch count, twice for a level that reran unseeded),
-        ``states_evaluated`` their table cells and ``candidates_tried``
-        the ``(S, MB)`` answers ranked: the feasible candidates the
-        sweep bounds kept.
+        A :class:`SearchResult` carrying the run's totals, or ``None``
+        if no configuration fits: ``dp_calls`` counts the sweeps made
+        (twice for a level that reran unseeded) and ``candidates_tried``
+        the answers the sweep bounds kept.
     """
     ctx = run.memo
-    if batch_size != ctx.batch_size:
-        raise ValueError("batch size mismatch with DPContext")
     if tracer is not None and not tracer.enabled:
         tracer = None
-    states_before = run.states_evaluated
     cluster = run.cluster
-    if (num_nodes, devices_per_node) != (
-        cluster.num_nodes, cluster.devices_per_node
-    ):
-        raise ValueError("cluster shape mismatch with the run's cluster")
+    num_nodes = cluster.num_nodes
     # level ``n`` spans the first ``n`` nodes: ``D`` is their device
     # total, and its stage counts are those too many for the first
     # ``n - 1`` nodes' devices
@@ -194,15 +170,13 @@ def form_stage(
             if num_nodes % lvl == 0:
                 levels.append(lvl)
             lvl *= 2
-    dp_calls = 0
-    tried = 0
     for n in levels:
         D = offsets[n]
         R = cluster.total_devices // D
         s_lo = offsets[n - 1] + 1
         s_hi = D
         microbatch_counts = microbatch_candidates(
-            microbatch_cap(batch_size, R, max_microbatches)
+            microbatch_cap(ctx.batch_size, R, max_microbatches)
         )
 
         level_cm = (
@@ -221,20 +195,13 @@ def form_stage(
                 run, stage_counts, D, R, microbatch_counts
             )
             pruned = [MB for MB in microbatch_counts if MB not in swept]
-            if metrics is not None:
-                metrics.counter("search.sweeps_pruned").inc(len(pruned))
-            if level_span is not None:
-                level_span.set(pruned_mb=pruned)
             # every sweep below builds a band over its batch sizes:
             # price them all in one pass over the blocks
             ctx.fill_time_prefixes(
                 bs for MB in swept
                 for bs in ctx.plane_batch_sizes(D, R, MB)[0]
             )
-            bounded_before = run.answers_bounded
-            reused_before = run.sweeps_reused
-            skipped_before = run.sweeps_skipped
-            sweeps_before = len(run.sweep_bounds)
+            first_sweep = len(run.sweeps)
             # a layout the memo stored for this level that still fits
             # bounds the level from its first sweep (DESIGN.md, deviation
             # D2f)
@@ -253,8 +220,8 @@ def form_stage(
                     # as module globals at call time, so a wrapper
                     # installed on ``search`` sees every sweep
                     answers = form_stage_dp(
-                        run, stage_counts, D, batch_size, R, MB,
-                        bound=bound, tracer=tracer, metrics=metrics,
+                        run, stage_counts, D, R, MB,
+                        bound=bound, tracer=tracer,
                     )
                     # ranking simulates each answer's flush schedule: the
                     # search's cost outside the DP sweeps
@@ -266,7 +233,6 @@ def form_stage(
                                 incumbent, sol.estimated_iteration_time()
                             )
                     rank_ms += (time.perf_counter() - rank_started) * 1e3
-                dp_calls += len(swept)
                 # an answer the seed removed is strictly slower than it,
                 # so it cannot beat or tie a best at or below the seed;
                 # otherwise (nothing ranked included) the level reruns
@@ -276,17 +242,6 @@ def form_stage(
                 stored = math.inf
                 fallback = True
             seeded = seed < math.inf
-            run.levels_seeded += seeded
-            run.seed_fallbacks += fallback
-            bounded = run.answers_bounded - bounded_before
-            reused = run.sweeps_reused - reused_before
-            skipped = run.sweeps_skipped - skipped_before
-            if metrics is not None:
-                metrics.counter("search.answers_bounded").inc(bounded)
-                metrics.counter("search.sweeps_reused").inc(reused)
-                metrics.counter("search.sweeps_skipped").inc(skipped)
-                metrics.counter("search.levels_seeded").inc(seeded)
-                metrics.counter("search.seed_fallbacks").inc(fallback)
             # every stage count of the level competes, not only the first
             # feasible one (DESIGN.md, deviation D2); candidate order (S
             # outer, MB inner) fixes the tie-break, and an answer the
@@ -297,14 +252,16 @@ def form_stage(
                 for MB in swept
                 if (S, MB) in ranked
             ]
-            tried += len(solutions)
+            run.levels.append(LevelRecord(
+                tuple(pruned), seeded, fallback, len(solutions)
+            ))
             if level_span is not None:
+                sweeps = run.sweeps[first_sweep:]
                 level_span.set(
+                    pruned_mb=pruned,
                     candidates=len(solutions),
-                    bounds=run.sweep_bounds[sweeps_before:],
-                    answers_bounded=bounded,
-                    sweeps_reused=reused,
-                    sweeps_skipped=skipped,
+                    bounds=[s.bound for s in sweeps],
+                    **sweep_totals(sweeps),
                     stored_incumbent=seed if seeded else None,
                     seed_fallback=fallback,
                 )
@@ -324,8 +281,6 @@ def form_stage(
                     num_pipeline_nodes=n,
                     devices_per_pipeline=D,
                     replica_factor=R,
-                    candidates_tried=tried,
-                    dp_calls=dp_calls,
-                    states_evaluated=run.states_evaluated - states_before,
+                    totals=run.totals(),
                 )
     return None

@@ -12,7 +12,7 @@ minimizing ``V = max_i t_f(stage_i) + max_i t_b(stage_i)`` where each
 stage is profiled at per-replica microbatch ``BS / R / MB / (d_i -
 d_{i-1})``, subject to the device-memory bound.  ``S`` only bounds the
 reachable cells of the table ``V[s, b, d]``, so one table answers a
-whole range of stage counts (``form_stage_dp(ctx, range(...), ...)``);
+whole range of stage counts (``form_stage_dp(run, range(...), ...)``);
 Algorithm 2 makes one such sweep per node level and microbatch count.
 
 Deviation noted from the pseudocode: we initialize ``V[0, b, d] = 0`` only
@@ -55,7 +55,7 @@ import math
 from bisect import bisect_right
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -195,6 +195,73 @@ class StoredSweep(NamedTuple):
         )
 
 
+def sweep_key(
+    D: int, R: int, s_lo: int, s_hi: int, MB: int, shape: tuple
+) -> Tuple[Tuple[int, int, int, int], Tuple[int, tuple]]:
+    """The sweep memo's key of a homogeneous sweep: its node level's
+    table (``D``, ``R`` and the stage counts ``s_lo..s_hi`` it fills),
+    under which the memo holds all of the level's sweeps, then its
+    microbatch count and band shape."""
+    return (D, R, s_lo, s_hi), (MB, shape)
+
+
+class SweepRecord(NamedTuple):
+    """One Algorithm-1 sweep of a run (:func:`form_stage_dp`)."""
+
+    D: int
+    R: int
+    MB: int
+    stages: range              # the stage counts it answers
+    bound: Optional[float]     # None: unbounded (DESIGN.md D2c)
+    outcome: str               # "filled", "reused" (D2d) or "skipped" (D2e)
+    states: int                # table cells inside its bounds
+    cells: int                 # candidate cells float-reduced
+    width: int                 # its slab width
+    answers_bounded: int       # answers found above the bound (D2c)
+    feasible: Tuple[int, ...]  # the stage counts with an answer
+
+
+class LevelRecord(NamedTuple):
+    """One Algorithm-2 node level of a run (``search.form_stage``)."""
+
+    pruned_mb: Tuple[int, ...]  # microbatch counts not swept (D2b)
+    seeded: bool                # a stored incumbent bounded it (D2f)
+    fell_back: bool             # it reran unseeded (D2f)
+    candidates: int             # the answers it ranked
+
+
+#: every search total (:meth:`DPRun.totals`) and the metric it is
+#: published as: ``dp.band_width_max`` a gauge, every other a counter
+TOTAL_METRICS = {
+    "dp_calls": "dp.calls",
+    "states_evaluated": "dp.states_evaluated",
+    "cells_reduced": "dp.cells_reduced",
+    "band_width_max": "dp.band_width_max",
+    "answers_bounded": "search.answers_bounded",
+    "sweeps_reused": "search.sweeps_reused",
+    "sweeps_skipped": "search.sweeps_skipped",
+    "candidates_tried": "search.candidates_tried",
+    "sweeps_pruned": "search.sweeps_pruned",
+    "levels_seeded": "search.levels_seeded",
+    "seed_fallbacks": "search.seed_fallbacks",
+    "band_builds": "profiler.band_builds",
+    "band_cache_hits": "profiler.band_cache_hits",
+}
+
+
+def sweep_totals(sweeps: Sequence[SweepRecord]) -> Dict[str, int]:
+    """The totals of :data:`TOTAL_METRICS` that sweep records sum to."""
+    return {
+        "dp_calls": len(sweeps),
+        "states_evaluated": sum(s.states for s in sweeps),
+        "cells_reduced": sum(s.cells for s in sweeps),
+        "band_width_max": max((s.width for s in sweeps), default=0),
+        "answers_bounded": sum(s.answers_bounded for s in sweeps),
+        "sweeps_reused": sum(s.outcome == "reused" for s in sweeps),
+        "sweeps_skipped": sum(s.outcome == "skipped" for s in sweeps),
+    }
+
+
 @dataclass
 class BandedProfile:
     """Banded candidate-stage profiles for one ``(D, R, MB)`` key.
@@ -239,7 +306,7 @@ class DPContext:
     artifact store keys the ``dp_context`` artifact on -- so one context
     serves every run that reaches it through a store, whatever its
     cluster shape, capacity or memory budget.  A run's own state (its
-    cluster, budget, metrics and counters) lives in a :class:`DPRun`
+    cluster, budget and search records) lives in a :class:`DPRun`
     each caller builds.
 
     The caches (range matrices, per-batch time prefixes, fit tables,
@@ -249,9 +316,8 @@ class DPContext:
     capacity may replace a narrower one; DESIGN.md D1c).  So concurrent
     runs may share one context without a lock.  The fit tables keep the
     :data:`FIT_TABLES_KEPT` most recent capacities, and the sweep memo
-    the :data:`SWEEPS_KEPT` most recent sweeps per key (a homogeneous
-    sweep's band, stage counts and band shape; DESIGN.md D2d), each
-    replaced by one store of a new tuple.
+    the :data:`SWEEPS_KEPT` most recent sweeps per :func:`sweep_key`
+    (DESIGN.md D2d), each replaced by one store of a new tuple.
     """
 
     def __init__(
@@ -304,9 +370,9 @@ class DPContext:
         #: recent capacities, newest first
         self._fit_tables: Tuple[Tuple[float, List[int]], ...] = ()
         self._band_cache: Dict[Tuple[int, int, int], BandedProfile] = {}
-        #: ``(bound, packed memory mask, {S: answer})`` of the most recent
-        #: sweeps per key, newest first (:meth:`recall_sweep`)
-        self._sweep_memo: Dict[tuple, Tuple[StoredSweep, ...]] = {}
+        #: the most recent stored sweeps, newest first, per
+        #: :func:`sweep_key` (a level's, then a sweep's within it)
+        self._sweep_memo: Dict[tuple, Dict[tuple, tuple]] = {}
 
     # ------------------------------------------------------------------
     # The two readers below may run while another run inserts into the
@@ -331,8 +397,8 @@ class DPContext:
         fit_bytes = sum(8 * len(table) for _, table in self._fit_tables)
         return (
             sum(a.nbytes for a in arrays) + fit_bytes + self.band_bytes
-            + sum(stored.nbytes() for kept in list(self._sweep_memo.values())
-                  for stored in kept)
+            + sum(stored.nbytes() for level in list(self._sweep_memo.values())
+                  for kept in list(level.values()) for stored in kept)
         )
 
     # ------------------------------------------------------------------
@@ -343,13 +409,15 @@ class DPContext:
         mask: np.ndarray,
         fits: Optional[np.ndarray],
     ) -> Optional[StoredSweep]:
-        """The stored sweep under ``key`` that answers a homogeneous sweep
+        """The stored sweep under ``key`` (a :func:`sweep_key`) that
+        answers a homogeneous sweep
         at ``bound`` with packed memory mask ``mask``, if one does
         (DESIGN.md D2d): its bound is at least ``bound``, and its mask
         equals ``mask`` on the entries of ``fits``, the packed ``t_f +
         t_b <= bound`` (``None`` for an unbounded sweep: everywhere).
         Its answers at or below ``bound`` are then the sweep's."""
-        for stored in self._sweep_memo.get(key, ()):
+        level, sweep = key
+        for stored in self._sweep_memo.get(level, {}).get(sweep, ()):
             if stored.bound < bound:
                 continue
             diff = stored.mask ^ mask
@@ -373,8 +441,10 @@ class DPContext:
             max(p.memory for p in sol.stage_profiles)
             for sol in answers.values()
         )
-        kept = self._sweep_memo.get(key, ())
-        self._sweep_memo[key] = (
+        level, sweep = key
+        sweeps = self._sweep_memo.setdefault(level, {})
+        kept = sweeps.get(sweep, ())
+        sweeps[sweep] = (
             StoredSweep(bound, mask, answers, peaks), *kept[:SWEEPS_KEPT - 1]
         )
 
@@ -748,10 +818,13 @@ class DPRun:
 
     Holds what depends on the run rather than on the memo's address: the
     run's cluster and memory budget (the caps a sweep applies to the
-    cached bands, and the heterogeneous slot tables), its metrics sink
-    (``profiler.band_*`` counters) and its search counters, which start
-    at zero.  Each caller builds its own, so concurrent runs over one
-    context share nothing mutable but the memo's idempotent fills.
+    cached bands, and the heterogeneous slot tables) and the search's
+    accounting: a :class:`SweepRecord` per sweep, a :class:`LevelRecord`
+    per node level and its band builds and cache hits, from which every
+    total is derived (:meth:`totals`; each reads as an attribute,
+    ``run.dp_calls``).  Each caller builds its own, so concurrent runs
+    over one context share nothing mutable but the memo's idempotent
+    fills.
     """
 
     def __init__(
@@ -759,7 +832,6 @@ class DPRun:
         memo: DPContext,
         cluster: "ClusterSpec",
         memory_budget: Optional[float] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.memo = memo
         self.cluster = cluster
@@ -767,31 +839,54 @@ class DPRun:
         #: (``PlannerConfig.memory_budget``); bounds the DP's feasibility
         #: check without touching the profiles themselves
         self.memory_budget = memory_budget
-        self.metrics = metrics
         self._slot_tables: Dict[
             Tuple[int, int], Tuple[np.ndarray, np.ndarray]
         ] = {}
-        self.dp_calls = 0
-        #: table cells ``(s, b, d)`` inside the sweeps' bounds
-        self.states_evaluated = 0
-        #: candidate ``(b', b, d')`` cells the stage reductions
-        #: float-reduced (the band-width cut and the row trim show here;
-        #: ``states_evaluated`` does not move)
-        self.cells_reduced = 0
-        #: widest stage slab any sweep of the run reduced
-        self.band_width_max = 0
-        #: answers the sweeps found above their bound and dropped
-        #: (DESIGN.md D2c), and each sweep's bound (``None``: unbounded)
-        self.answers_bounded = 0
-        self.sweep_bounds: List[Optional[float]] = []
-        #: sweeps a stored sweep of the memo answered (DESIGN.md D2d),
-        #: and those in which no layout fits (D2e)
-        self.sweeps_reused = 0
-        self.sweeps_skipped = 0
-        #: node levels a stored incumbent bounded, and those of them
-        #: that reran unseeded (DESIGN.md D2f)
-        self.levels_seeded = 0
-        self.seed_fallbacks = 0
+        self.sweeps: List[SweepRecord] = []
+        self.levels: List[LevelRecord] = []
+        #: :meth:`profile_bands` calls that built a band, and cache hits
+        self.band_builds = self.band_cache_hits = 0
+
+    def totals(self) -> Dict[str, int]:
+        """The search totals, keyed as :data:`TOTAL_METRICS`."""
+        return {
+            **sweep_totals(self.sweeps),
+            "candidates_tried": sum(lv.candidates for lv in self.levels),
+            "sweeps_pruned": sum(len(lv.pruned_mb) for lv in self.levels),
+            "levels_seeded": sum(lv.seeded for lv in self.levels),
+            "seed_fallbacks": sum(lv.fell_back for lv in self.levels),
+            "band_builds": self.band_builds,
+            "band_cache_hits": self.band_cache_hits,
+        }
+
+    def __getattr__(self, name: str) -> int:
+        # only reached for a name the run does not hold: a total
+        if name in TOTAL_METRICS:
+            return self.totals()[name]
+        raise AttributeError(name)
+
+    #: each sweep's bound, in order (``None``: unbounded)
+    sweep_bounds = property(lambda self: [s.bound for s in self.sweeps])
+
+    def publish(self, metrics: MetricsRegistry) -> None:
+        """Record the :meth:`totals` in ``metrics``, each sweep's states
+        at its ``(D, MB)`` point and in ``dp.states_per_call`` (and in
+        ``dp.infeasible`` when it has no answer), and the cached bands'
+        bytes if the run built one."""
+        for name, value in self.totals().items():
+            if name == "band_width_max":
+                metrics.gauge(TOTAL_METRICS[name]).set(value)
+            else:
+                metrics.counter(TOTAL_METRICS[name]).inc(value)
+        for sweep in self.sweeps:
+            metrics.counter(
+                point_name("dp.states_evaluated", D=sweep.D, MB=sweep.MB)
+            ).inc(sweep.states)
+            metrics.histogram("dp.states_per_call").observe(sweep.states)
+            if not sweep.feasible:
+                metrics.counter("dp.infeasible").inc()
+        if self.band_builds:
+            metrics.gauge("profiler.band_bytes").set(self.memo.band_bytes)
 
     @property
     def usable_memory(self) -> float:
@@ -842,17 +937,15 @@ class DPRun:
         answer, so its makespan is memoized: the scan prices nothing."""
         if self.cluster.is_heterogeneous:
             return math.inf
-        memo = self.memo
-        # the table :func:`_form_stage_dp_body` fills for ``stage_counts``
-        table = (
-            max(stage_counts.start, 2),
-            min(stage_counts.stop - 1, memo.k, D),
-        )
+        # the level of the table :func:`_form_stage_dp_body` fills
+        level, _ = sweep_key(D, R, max(stage_counts.start, 2),
+                             min(stage_counts.stop - 1, self.memo.k, D), 0, ())
         wanted = set(microbatch_counts)
         cap = self.usable_memory
         best = math.inf
-        for key, kept in list(memo._sweep_memo.items()):
-            if key[:2] != (D, R) or key[3:5] != table or key[2] not in wanted:
+        stored_sweeps = self.memo._sweep_memo.get(level, {})
+        for (MB, _), kept in list(stored_sweeps.items()):
+            if MB not in wanted:
                 continue
             for stored in kept:
                 for peak, sol in zip(stored.peaks, stored.answers.values()):
@@ -938,14 +1031,11 @@ class DPRun:
                 and cached.span >= cached.fit_width
             )
         ):
-            if self.metrics is not None:
-                self.metrics.counter("profiler.band_cache_hits").inc()
+            self.band_cache_hits += 1
             return cached
         band = memo._build_bands(D, R, MB, span, capacity)
         memo._band_cache[key] = band
-        if self.metrics is not None:
-            self.metrics.counter("profiler.band_builds").inc()
-            self.metrics.gauge("profiler.band_bytes").set(memo.band_bytes)
+        self.band_builds += 1
         return band
 
 
@@ -1237,26 +1327,23 @@ def _band_stage(
 
 def form_stage_dp(
     run: DPRun,
-    S: Union[int, range],
+    stage_counts: range,
     D: int,
-    BS: int,
     R: int,
     MB: int,
     *,
     bound: float = math.inf,
     tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> Union[Optional[DPSolution], Dict[int, Optional[DPSolution]]]:
+) -> Dict[int, Optional[DPSolution]]:
     """Algorithm 1: DP over stage boundaries and device allocations.
 
     Args:
         run: the run's use of the memo over the block list (its
-            :class:`DPContext` carries ``BS``); the call adds to its
-            counters.
-        S: number of stages, or a contiguous ``range`` of stage counts
-            to answer from one DP sweep.
+            :class:`DPContext` carries the global batch size); a sweep
+            adds its :class:`SweepRecord` to the run's.
+        stage_counts: the contiguous ``range`` of stage counts to answer
+            from one DP sweep (``range(S, S + 1)`` for one).
         D: number of devices available to one pipeline.
-        BS: global batch size (must equal the memo's ``batch_size``).
         R: replica factor (whole-pipeline copies).
         MB: number of microbatches.
         bound: the largest objective an answer may have (``inf``: no
@@ -1266,21 +1353,12 @@ def form_stage_dp(
             unbounded sweep's (DESIGN.md D2c).
         tracer: optional :class:`~repro.obs.tracer.Tracer`; when given,
             the whole call is wrapped in a ``dp.form_stage_dp`` span
-            carrying ``(S, D, R, MB)`` (``S`` the largest stage count,
-            ``S_min`` the smallest), the bound, the state count, the
-            feasible stage counts, the slab width (``band_width``), the
-            candidate cells float-reduced (``cells_reduced``), the
-            answers found above the bound (``answers_bounded``),
-            whether a stored sweep answered (``reused``; DESIGN.md D2d)
-            and whether no layout fits (``skipped``; D2e).
-        metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
-            records ``dp.calls``, ``dp.states_evaluated`` (total and per
-            ``(D, MB)`` point), ``dp.cells_reduced`` and the
-            ``dp.states_per_call`` histogram.
+            carrying the sweep's record (docs/OBSERVABILITY.md names
+            its attributes).
 
     Returns:
-        The best :class:`DPSolution`, or ``None`` (INFEASIBLE); for a
-        ``range`` of stage counts, ``{S: solution or None}`` over it.
+        ``{S: solution or None}`` over ``stage_counts``: the best
+        :class:`DPSolution` per stage count, or ``None`` (INFEASIBLE).
 
     **One sweep, every stage count.**  The table ``V[s, b, d]`` does not
     depend on the target stage count: ``S`` only bounds which cells can
@@ -1294,10 +1372,11 @@ def form_stage_dp(
     needs no table: a lone stage has one layout, blocks ``(0, |B|]`` on
     all ``D`` devices, run without activation checkpointing, so
     :meth:`DPRun.price_layout` prices it as it stands (one state)
-    and the table starts at ``S = 2``.  One call is one DP call in the
-    counters, whatever the range, and its state count is the number of
-    table cells inside the sweep's bounds (plus one for ``S = 1``), also
-    when a sweep the context stored answers it (DESIGN.md D2d).
+    and the table starts at ``S = 2``.  One call is one sweep record,
+    whatever the range, and its state count is the number of table
+    cells inside the sweep's bounds (plus one for ``S = 1``), also when
+    a sweep the context stored answers it (DESIGN.md D2d).  A range
+    with no stage count a sweep can fill records nothing.
 
     The transition for every ``(b, d)`` cell of one stage is evaluated
     as a tensor reduction over the banded profiles: the loop runs over
@@ -1316,9 +1395,6 @@ def form_stage_dp(
     through, and the equivalence tests hold every answer to the pruned
     loop of the test suite's reference.
     """
-    if BS != run.memo.batch_size:
-        raise ValueError("batch size mismatch with DPContext")
-    stage_counts = S if isinstance(S, range) else range(S, S + 1)
     if stage_counts.step != 1:
         raise ValueError("stage counts must be a contiguous range")
     with ExitStack() as stack:
@@ -1334,10 +1410,7 @@ def form_stage_dp(
                     bound=bound if math.isfinite(bound) else None,
                 )
             )
-        results = _form_stage_dp_body(
-            run, stage_counts, D, R, MB, bound, sp, metrics
-        )
-    return results if isinstance(S, range) else results[S]
+        return _form_stage_dp_body(run, stage_counts, D, R, MB, bound, sp)
 
 
 def _form_stage_dp_body(
@@ -1348,7 +1421,6 @@ def _form_stage_dp_body(
     MB: int,
     bound: float,
     sp: Optional[Span],
-    metrics: Optional[MetricsRegistry],
 ) -> Dict[int, Optional[DPSolution]]:
     results: Dict[int, Optional[DPSolution]] = dict.fromkeys(
         stage_counts, INFEASIBLE
@@ -1361,12 +1433,11 @@ def _form_stage_dp_body(
         if sp is not None:
             sp.set(feasible=False, reason="stage count out of range")
         return results
-    run.dp_calls += 1
-    run.sweep_bounds.append(bound if math.isfinite(bound) else None)
     # on a heterogeneous cluster the memory cap and stage speed depend on
     # WHICH cumulative-device slots [d', d) a stage lands on
     slots = run.hetero_tables(D, R) if run.cluster.is_heterogeneous else None
     states = cells = width = bounded = 0
+    outcome = "filled"
     if lo == 1:
         # a lone stage has one layout, blocks (0, k] on all D devices:
         # one state, priced without checkpointing
@@ -1376,39 +1447,25 @@ def _form_stage_dp_body(
             bounded = 1
         states = 1
         lo = 2
-    table = None
     if lo <= hi:
-        t_states, cells, width, t_bounded, table = _sweep_table(
+        t_states, cells, width, t_bounded, outcome = _sweep_table(
             run, lo, hi, D, R, MB, slots, bound, results
         )
         states += t_states
         bounded += t_bounded
-    reused, skipped = table == "reused", table == "skipped"
-    run.states_evaluated += states
-    run.cells_reduced += cells
-    run.band_width_max = max(run.band_width_max, width)
-    run.answers_bounded += bounded
-    run.sweeps_reused += reused
-    run.sweeps_skipped += skipped
     feasible = [s for s, sol in results.items() if sol is not None]
-    if metrics is not None:
-        metrics.counter("dp.calls").inc()
-        metrics.counter("dp.states_evaluated").inc(states)
-        metrics.counter("dp.cells_reduced").inc(cells)
-        metrics.counter(
-            point_name("dp.states_evaluated", D=D, MB=MB)
-        ).inc(states)
-        metrics.histogram("dp.states_per_call").observe(states)
-        if not feasible:
-            metrics.counter("dp.infeasible").inc()
+    run.sweeps.append(SweepRecord(
+        D, R, MB, stage_counts, bound if math.isfinite(bound) else None,
+        outcome, states, cells, width, bounded, tuple(feasible),
+    ))
     if sp is not None:
         sp.set(
             states_evaluated=states,
             cells_reduced=cells,
             band_width=width,
             answers_bounded=bounded,
-            reused=reused,
-            skipped=skipped,
+            reused=outcome == "reused",
+            skipped=outcome == "skipped",
             feasible=bool(feasible),
             feasible_stages=feasible,
         )
@@ -1472,7 +1529,7 @@ def _sweep_table(
     states = _table_states(k, D, s_lo, s_hi)
     if slots is None:
         # the sweep reads the cap only through ``over`` (DESIGN.md D2d)
-        memo_key = (D, R, MB, s_lo, s_hi, over.shape)
+        memo_key = sweep_key(D, R, s_lo, s_hi, MB, over.shape)
         mask = np.packbits(over)
         fits = None
         if has_bound:
@@ -1595,7 +1652,7 @@ def covering_sweeps(
     microbatch_counts: Sequence[int],
 ) -> List[int]:
     """The microbatch counts ``MB`` whose sweep ``form_stage_dp(run,
-    stage_counts, D, BS, R, MB)`` can have an answer, in order; the
+    stage_counts, D, R, MB)`` can have an answer, in order; the
     sweep of any other has none (DESIGN.md D2b).
 
     A feasible stage on ``r`` replicas spans at most ``fit(r)`` blocks,

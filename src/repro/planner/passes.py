@@ -182,20 +182,16 @@ class StageSearchPass(PlannerPass):
         dp_ctx = ctx.require(DP_CONTEXT)
         # the budget gates feasibility only: each sweep applies it to the
         # cached profile bands, so a reused context keeps them all
-        run = DPRun(
-            dp_ctx, ctx.cluster, ctx.config.memory_budget, ctx.metrics
-        )
+        run = DPRun(dp_ctx, ctx.cluster, ctx.config.memory_budget)
         result = form_stage(
             run,
-            num_nodes=ctx.cluster.num_nodes,
-            devices_per_node=ctx.cluster.devices_per_node,
-            batch_size=ctx.config.batch_size,
             max_microbatches=ctx.config.max_microbatches,
             # fine-grained per-candidate spans are opt-in; the search
-            # counters are cheap (per DP call, not per cell) and always on
+            # records are cheap (per DP call, not per cell) and always on
             tracer=ctx.tracer if ctx.config.trace else None,
-            metrics=ctx.metrics,
         )
+        # the run's totals, once per search, feasible or not
+        run.publish(ctx.metrics)
         stats = profiler.stats()
         for name, value in stats.items():
             ctx.metrics.gauge(f"profiler.{name}").set(value)
@@ -208,29 +204,16 @@ class StageSearchPass(PlannerPass):
             )
         ctx.put(SEARCH_RESULT, result)
         return {
-            "dp_calls": result.dp_calls,
-            "candidates_tried": result.candidates_tried,
-            "states_evaluated": result.states_evaluated,
+            **result.totals,
             "num_stages": result.num_stages,
             "replica_factor": result.replica_factor,
             "devices_per_pipeline": result.devices_per_pipeline,
-            # slab cells the sweeps reduced, the widest slab, and the
-            # cached bands
-            "cells_reduced": run.cells_reduced,
-            "band_width_max": run.band_width_max,
+            # the cached bands, the winner's flush makespan (the winning
+            # level's final incumbent) and each sweep's bound (None:
+            # unbounded)
             "band_bytes": dp_ctx.band_bytes,
-            # the winner's flush makespan (the winning level's final
-            # incumbent), each sweep's bound (None: unbounded), the
-            # answers found above a bound (DESIGN.md D2c), the sweeps a
-            # stored sweep answered (D2d), those in which no layout fits
-            # (D2e) and the levels a stored incumbent seeded that reran
-            # unseeded (D2f)
             "incumbent": result.solution.estimated_iteration_time(),
             "sweep_bounds": run.sweep_bounds,
-            "answers_bounded": run.answers_bounded,
-            "sweeps_reused": run.sweeps_reused,
-            "sweeps_skipped": run.sweeps_skipped,
-            "seed_fallbacks": run.seed_fallbacks,
         }
 
 
@@ -263,9 +246,7 @@ class EvaluatePass(PlannerPass):
             mode=config.mode,
         )
         diag = plan.diagnostics
-        diag.dp_calls = result.dp_calls
-        diag.candidates_tried = result.candidates_tried
-        diag.states_evaluated = result.states_evaluated
+        diag.search = dict(result.totals)
         diag.num_blocks = len(ctx.get(BLOCKS, ()))
         diag.num_atomic_components = len(ctx.get(COMPONENTS, ()))
         ctx.put(EVALUATED, plan)

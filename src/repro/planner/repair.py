@@ -43,7 +43,7 @@ from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
 from repro.partitioner.plan import PartitionPlan
 from repro.partitioner.search import SearchResult, microbatch_candidates, microbatch_cap
-from repro.partitioner.stage_dp import DPRun
+from repro.partitioner.stage_dp import DPRun, LevelRecord
 from repro.planner.context import (
     BLOCKS,
     COMPONENTS,
@@ -324,6 +324,8 @@ class FixedLayoutPass(PlannerPass):
                 f"{failure.cap / 2**30:.2f} GiB on surviving devices"
             )
         best = min(solutions, key=lambda s: s.estimated_iteration_time())
+        # one level of priced layouts, and no sweep
+        run.levels.append(LevelRecord((), False, False, len(solutions)))
         ctx.put(
             SEARCH_RESULT,
             SearchResult(
@@ -331,9 +333,7 @@ class FixedLayoutPass(PlannerPass):
                 num_pipeline_nodes=-(-D // ctx.cluster.devices_per_node),
                 devices_per_pipeline=D,
                 replica_factor=R,
-                candidates_tried=len(solutions),
-                dp_calls=0,
-                states_evaluated=0,
+                totals=run.totals(),
             ),
         )
         return {

@@ -70,8 +70,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Gauge, MetricsRegistry
 from repro.obs.tracer import Tracer
+from repro.partitioner.stage_dp import TOTAL_METRICS
 from repro.planner import PartitioningError, PlanningContext, default_passes
 from repro.planner.store import ArtifactStore, DiskBackend
 from repro.service.protocol import (
@@ -610,9 +611,8 @@ class PlanEngine:
             "counters": {
                 name: value
                 for name, value in self.metrics.snapshot().items()
-                if name.startswith(
-                    ("service.", "verify.", "validate.", "search.")
-                )
+                if name.startswith(("service.", "verify.", "validate.",
+                                     "search.", "dp.", "profiler."))
             },
             "store": self.store.stats(),
             "spans": len(self.tracer),
@@ -772,12 +772,15 @@ class PlanEngine:
             span.set(outcome="ok", cache=cache_kind)
         self._planned_models.add(req.model_key)
         self.metrics.counter(f"service.{cache_kind}_results").inc()
+        # the run's store memo hits and search totals: counters sum over
+        # runs, a gauge (the widest slab) holds the latest run's value
         for name in ("verify.memo_hits", "validate.memo_hits",
-                     "search.sweeps_reused", "search.sweeps_skipped",
-                     "search.levels_seeded", "search.seed_fallbacks"):
-            hits = ctx.metrics.get(name)
-            if hits is not None:
-                self.metrics.counter(name).inc(hits.value)
+                     *TOTAL_METRICS.values()):
+            metric = ctx.metrics.get(name)
+            if isinstance(metric, Gauge):
+                self.metrics.gauge(name).set(metric.value)
+            elif metric is not None:
+                self.metrics.counter(name).inc(metric.value)
         encode_started = time.perf_counter()
         # the verify pass or the store probe encoded the document its
         # verification record hashes; a run that recorded none encodes

@@ -103,11 +103,10 @@ def run_sweeps(ctx, stage_counts, D, R, mbs):
     before = (ctx.dp_calls, ctx.states_evaluated)
     answers = {}
     for MB in mbs:
-        sweep = form_stage_dp(
-            ctx, stage_counts, D, ctx.memo.batch_size, R, MB, metrics=m
-        )
+        sweep = form_stage_dp(ctx, stage_counts, D, R, MB)
         for S, sol in sweep.items():
             answers[S, MB] = solution_key(sol)
+    ctx.publish(m)
     counters = (
         ctx.dp_calls - before[0],
         ctx.states_evaluated - before[1],
@@ -319,12 +318,13 @@ class TestReusedContext:
     def test_budget_lowered_then_raised(self):
         cluster = cluster_with(4 * MIB)
         memo = make_ctx(self.GRAPH, cluster).memo
-        m = MetricsRegistry()
+        builds = 0
         for budget in (None, 2.0 * MIB, None, 1.5 * MIB, 3.0 * MIB):
-            run = DPRun(memo, cluster, budget, m)
+            run = DPRun(memo, cluster, budget)
             assert self.answer(run) == self.fresh(cluster, budget), budget
+            builds += run.band_builds
         # the budget never rebuilds a band: one build per key
-        assert m.counter("profiler.band_builds").value == len(self.MBS)
+        assert builds == len(self.MBS)
 
     def test_rebind_to_larger_capacity_rebuilds_wider(self):
         """A run on a larger capacity than the context's bands were
@@ -336,8 +336,8 @@ class TestReusedContext:
         assert self.answer(first) == self.fresh(small)
         narrow = {key: b.span for key, b in memo._band_cache.items()}
 
-        m = MetricsRegistry()
-        assert self.answer(DPRun(memo, large, metrics=m)) == self.fresh(large)
+        run = DPRun(memo, large)
+        assert self.answer(run) == self.fresh(large)
         fresh_large = make_ctx(self.GRAPH, large)
         self.answer(fresh_large)
         # never narrower than a fresh context's band at the new capacity
@@ -348,13 +348,13 @@ class TestReusedContext:
             memo._band_cache[key].span > span for key, span in narrow.items()
         )
         # at most one build per key
-        assert 0 < m.counter("profiler.band_builds").value <= len(self.MBS)
+        assert 0 < run.band_builds <= len(self.MBS)
 
         # back down: the wider bands serve the smaller capacity
-        m2 = MetricsRegistry()
-        assert self.answer(DPRun(memo, small, metrics=m2)) == self.fresh(small)
-        assert m2.counter("profiler.band_builds").value == 0
-        assert m2.counter("profiler.band_cache_hits").value > 0
+        run = DPRun(memo, small)
+        assert self.answer(run) == self.fresh(small)
+        assert run.band_builds == 0
+        assert run.band_cache_hits > 0
 
     def test_one_band_per_key(self):
         # the S >= 2 table of each sweep builds the one band of its

@@ -88,11 +88,12 @@ def solution_key(sol):
     )
 
 
-def sweep_with_counters(ctx, stage_counts, D, BS, R, MB):
+def sweep_with_counters(ctx, stage_counts, D, R, MB):
     """One sweep plus the counters it moved (context and metrics)."""
     m = MetricsRegistry()
     before = ctx.states_evaluated
-    sweep = form_stage_dp(ctx, stage_counts, D, BS, R, MB, metrics=m)
+    sweep = form_stage_dp(ctx, stage_counts, D, R, MB)
+    ctx.publish(m)
     counters = (
         ctx.states_evaluated - before,
         m.counter("dp.states_evaluated").value,
@@ -143,16 +144,13 @@ class TestBandedConstruction:
 
     def test_band_cache_grows_monotonically(self):
         ctx = make_ctx()
-        m = MetricsRegistry()
-        ctx.metrics = m
         narrow = ctx.profile_bands(4, 1, 2, 2)
         assert narrow.span == 2
         wide = ctx.profile_bands(4, 1, 2, 4)
         assert wide.span == 4
         again = ctx.profile_bands(4, 1, 2, 3)  # narrower: cache hit
         assert again is wide
-        assert m.counter("profiler.band_builds").value == 2
-        assert m.counter("profiler.band_cache_hits").value == 1
+        assert (ctx.band_builds, ctx.band_cache_hits) == (2, 1)
 
     def test_plane_dedup_by_microbatch(self):
         ctx = make_ctx(batch_size=32)
@@ -179,7 +177,7 @@ class TestEngineBitIdentity:
             with chunking(name):
                 ctx = make_ctx(seed=seed, k=6, batch_size=32)
                 results[name] = sweep_with_counters(
-                    ctx, range(S, 5), 4, 32, 1, MB
+                    ctx, range(S, 5), 4, 1, MB
                 )
         assert results["default"] == results["one_plane"]
 
@@ -194,7 +192,7 @@ class TestEngineBitIdentity:
             with chunking(name):
                 ctx = make_ctx(graph=g, k=8, batch_size=64, cluster=cluster)
                 results[name] = sweep_with_counters(
-                    ctx, range(1, 5), 4, 64, 1, 2
+                    ctx, range(1, 5), 4, 1, 2
                 )
         assert results["default"] == results["one_plane"]
         # the one-plane passes really split the columns: batch 64 at MB=2
@@ -217,7 +215,7 @@ class TestStageCountSweep:
     )
     def test_sweep_matches_reference_per_stage_count(self, seed, lo, MB, R):
         ctx = make_ctx(seed=seed, k=6, batch_size=32)
-        sweep = form_stage_dp(ctx, range(lo, 5), 4, 32, R, MB)
+        sweep = form_stage_dp(ctx, range(lo, 5), 4, R, MB)
         assert sorted(sweep) == list(range(lo, 5))
         for S, sol in sweep.items():
             ref = reference_form_stage_dp(ctx, S, 4, 32, R, MB)
@@ -233,7 +231,7 @@ class TestStageCountSweep:
         g = build_mlp((64, 256, 256, 256, 256, 64))
         ctx = make_ctx(graph=g, k=8, batch_size=64, cluster=cluster)
         for MB in (1, 4, 16):
-            sweep = form_stage_dp(ctx, range(1, 5), 4, 64, 1, MB)
+            sweep = form_stage_dp(ctx, range(1, 5), 4, 1, MB)
             for S, sol in sweep.items():
                 ref = reference_form_stage_dp(ctx, S, 4, 64, 1, MB)
                 assert solution_key(sol) == solution_key(ref), (S, MB)
@@ -241,25 +239,26 @@ class TestStageCountSweep:
     def test_one_dp_call_per_sweep(self):
         ctx = make_ctx(k=6, batch_size=32)
         m = MetricsRegistry()
-        form_stage_dp(ctx, range(1, 5), 4, 32, 1, 2, metrics=m)
+        form_stage_dp(ctx, range(1, 5), 4, 1, 2)
+        ctx.publish(m)
         assert ctx.dp_calls == m.counter("dp.calls").value == 1
         assert ctx.states_evaluated == m.counter(
             "dp.states_evaluated[D=4,MB=2]"
         ).value > 0
         # stage counts beyond the devices: answered, but no DP call
-        out = form_stage_dp(ctx, range(5, 7), 4, 32, 1, 2, metrics=m)
+        out = form_stage_dp(ctx, range(5, 7), 4, 1, 2)
         assert out == {5: None, 6: None}
         assert ctx.dp_calls == 1
 
     def test_stage_counts_must_be_contiguous(self):
         ctx = make_ctx()
         with pytest.raises(ValueError, match="contiguous"):
-            form_stage_dp(ctx, range(1, 5, 2), 4, 32, 1, 1)
+            form_stage_dp(ctx, range(1, 5, 2), 4, 1, 1)
 
     def test_unknown_engine_rejected(self):
         ctx = make_ctx()
         with pytest.raises(TypeError, match="engine"):
-            form_stage_dp(ctx, 2, 4, 32, 1, 1, engine="numpy")
+            form_stage_dp(ctx, range(2, 3), 4, 1, 1, engine="numpy")
 
 
 # ----------------------------------------------------------------------
@@ -293,7 +292,7 @@ class TestReusedContextBudget:
             ctx = DPRun(memo, cluster, budget)
             answer = {}
             for MB in (1, 4, 16):
-                sweep = form_stage_dp(ctx, range(1, 5), 4, 64, 1, MB)
+                sweep = form_stage_dp(ctx, range(1, 5), 4, 1, MB)
                 for S, sol in sweep.items():
                     ref = reference_form_stage_dp(ctx, S, 4, 64, 1, MB)
                     assert solution_key(sol) == solution_key(ref), (
@@ -344,7 +343,7 @@ class TestHeterogeneousSweep:
             memory_budget=None if budget_mib is None else budget_mib * 2**20,
         )
         D, R = shape
-        sweep = form_stage_dp(ctx, range(lo, 5), D, 64, R, MB)
+        sweep = form_stage_dp(ctx, range(lo, 5), D, R, MB)
         for S, sol in sweep.items():
             ref = reference_form_stage_dp(ctx, S, D, 64, R, MB)
             assert solution_key(sol) == solution_key(ref), S
@@ -363,9 +362,7 @@ class TestHeterogeneousSweep:
             ctx = make_ctx(graph=g, k=8, batch_size=64, cluster=cluster)
             return {
                 S: solution_key(sol)
-                for S, sol in form_stage_dp(
-                    ctx, range(1, 5), 4, 64, 1, 4
-                ).items()
+                for S, sol in form_stage_dp(ctx, range(1, 5), 4, 1, 4).items()
             }
 
         ample = solve(64.0, 1.0)
@@ -384,7 +381,8 @@ class TestSearchBackends:
         ctx = make_ctx(k=8, batch_size=32)
         m = MetricsRegistry()
         with mock.patch("os.cpu_count", return_value=cpus):
-            res = form_stage(ctx, 1, 4, 32, metrics=m)
+            res = form_stage(ctx)
+        ctx.publish(m)
         assert res is not None
         return res, (
             solution_key(res.solution),
@@ -403,7 +401,7 @@ class TestSearchBackends:
     def test_unknown_backend_rejected(self):
         ctx = make_ctx()
         with pytest.raises(TypeError, match="backend"):
-            form_stage(ctx, 1, 4, 32, backend="thread")
+            form_stage(ctx, backend="thread")
 
 
 # ----------------------------------------------------------------------

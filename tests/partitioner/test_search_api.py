@@ -32,7 +32,7 @@ class TestFormStage:
                                memory_bytes=1024**3)
         g = build_mlp((32, 64, 64, 16))
         ctx = make_ctx(g, cluster, 16)
-        result = form_stage(ctx, 2, 2, 16)
+        result = form_stage(ctx)
         assert result is not None
         # tiny model: one pipeline per node, replicated across nodes
         assert result.num_pipeline_nodes == 1
@@ -45,7 +45,7 @@ class TestFormStage:
                                memory_bytes=36 * 1024**2)
         g = build_mlp((256, 1024, 1024, 1024, 1024, 256))
         ctx = make_ctx(g, cluster, 8)
-        result = form_stage(ctx, 2, 2, 8)
+        result = form_stage(ctx)
         assert result is not None
         assert result.num_pipeline_nodes == 2
         assert result.replica_factor == 1
@@ -56,7 +56,7 @@ class TestFormStage:
                                memory_bytes=1024**2)
         g = build_mlp((256, 1024, 1024, 256))
         ctx = make_ctx(g, cluster, 8)
-        assert form_stage(ctx, 1, 2, 8) is None
+        assert form_stage(ctx) is None
 
     def test_first_feasible_stage_count_is_no_faster(self):
         """DESIGN.md D2: the pseudocode returns the first stage count with
@@ -67,10 +67,11 @@ class TestFormStage:
                                memory_bytes=28 * 1024**2)
         g = build_mlp((256, 1024, 1024, 1024, 1024, 256))
         ctx = make_ctx(g, cluster, 16)
-        result = form_stage(ctx, 1, 4, 16)
+        result = form_stage(ctx)
         answers = {
             S: [sol for MB in (1, 2, 4, 8, 16)
-                if (sol := form_stage_dp(ctx, S, 4, 16, 1, MB)) is not None]
+                if (sol := form_stage_dp(ctx, range(S, S + 1), 4, 1,
+                                         MB)[S]) is not None]
             for S in range(1, 5)
         }
         first = min(S for S, sols in answers.items() if sols)
@@ -91,7 +92,7 @@ class TestFormStage:
                                memory_bytes=1024**3)
         g = build_mlp((32, 64, 16))
         ctx = make_ctx(g, cluster, 64, k=4)
-        result = form_stage(ctx, 1, 2, 64, max_microbatches=2)
+        result = form_stage(ctx, max_microbatches=2)
         assert result is not None
         assert result.solution.num_microbatches <= 2
 
@@ -106,7 +107,7 @@ class TestFormStage:
                                memory_bytes=memory_mib * 1024**2)
         g = build_mlp((256, 1024, 1024, 1024, 1024, 256))
         ctx = make_ctx(g, cluster, 8, k=6)
-        result = form_stage(ctx, 2, 2, 8)
+        result = form_stage(ctx)
 
         for n, (D, R) in enumerate([(2, 2), (4, 1)], start=1):
             pairs = [(S, MB) for S in range(D - 1, D + 1)
@@ -131,13 +132,6 @@ class TestFormStage:
         assert result.solution.device_counts == best.device_counts
         assert result.solution.num_microbatches == best.num_microbatches
         assert result.solution.objective == best.objective
-
-    def test_batch_mismatch(self):
-        cluster = tiny_cluster()
-        g = build_mlp((8, 8))
-        ctx = make_ctx(g, cluster, 8, k=2)
-        with pytest.raises(ValueError, match="batch size"):
-            form_stage(ctx, 1, 4, 16)
 
 
 class TestAllocation:

@@ -65,7 +65,7 @@ class TestStageProfile:
 class TestFormStageDP:
     def test_single_stage(self):
         ctx, _ = make_ctx()
-        sol = form_stage_dp(ctx, 1, 4, 32, 1, 1)
+        sol = form_stage_dp(ctx, range(1, 2), 4, 1, 1)[1]
         assert sol is not None
         assert sol.boundaries == [ctx.memo.k]
         assert sol.device_counts == [4]
@@ -73,7 +73,7 @@ class TestFormStageDP:
     def test_full_coverage_and_devices(self):
         ctx, _ = make_ctx()
         for S in (2, 3, 4):
-            sol = form_stage_dp(ctx, S, 4, 32, 1, 2)
+            sol = form_stage_dp(ctx, range(S, S + 1), 4, 1, 2)[S]
             if sol is None:
                 continue
             assert sol.boundaries[-1] == ctx.memo.k
@@ -84,11 +84,11 @@ class TestFormStageDP:
 
     def test_infeasible_when_stages_exceed_blocks(self):
         ctx, _ = make_ctx(k=3)
-        assert form_stage_dp(ctx, 5, 4, 32, 1, 1) is None
+        assert form_stage_dp(ctx, range(5, 6), 4, 1, 1)[5] is None
 
     def test_infeasible_when_stages_exceed_devices(self):
         ctx, _ = make_ctx()
-        assert form_stage_dp(ctx, 5, 4, 32, 1, 1) is None
+        assert form_stage_dp(ctx, range(5, 6), 4, 1, 1)[5] is None
 
     def test_memory_infeasibility(self):
         cluster = tiny_cluster(num_nodes=1, devices_per_node=2,
@@ -98,16 +98,11 @@ class TestFormStageDP:
         blocks = block_partition(g, atomic_partition(g), profiler, cluster,
                                  num_blocks=4)
         ctx = DPRun(DPContext(g, blocks, profiler, 8), cluster)
-        assert form_stage_dp(ctx, 1, 2, 8, 1, 1) is None
-
-    def test_batch_mismatch_raises(self):
-        ctx, _ = make_ctx(batch_size=32)
-        with pytest.raises(ValueError, match="batch size"):
-            form_stage_dp(ctx, 1, 4, 64, 1, 1)
+        assert form_stage_dp(ctx, range(1, 2), 2, 1, 1)[1] is None
 
     def test_objective_is_max_tf_plus_max_tb(self):
         ctx, _ = make_ctx()
-        sol = form_stage_dp(ctx, 2, 4, 32, 1, 2)
+        sol = form_stage_dp(ctx, range(2, 3), 4, 1, 2)[2]
         assert sol is not None
         tf = max(p.time_fwd for p in sol.stage_profiles)
         tb = max(p.time_bwd for p in sol.stage_profiles)
@@ -120,7 +115,7 @@ class TestFormStageDP:
         the best over all boundary/device assignments."""
         ctx, _ = make_ctx(k=5, batch_size=16)
         S, D, MB = 2, 3, 1
-        sol = form_stage_dp(ctx, S, D, 16, 1, MB)
+        sol = form_stage_dp(ctx, range(S, S + 1), D, 1, MB)[S]
         assert sol is not None
 
         best = float("inf")
@@ -148,14 +143,14 @@ class TestFormStageDP:
         ctx1, _ = make_ctx()
         ctx2, _ = make_ctx()
         a = reference_form_stage_dp(ctx1, 3, 4, 32, 1, 2)
-        b = form_stage_dp(ctx2, 3, 4, 32, 1, 2)
+        b = form_stage_dp(ctx2, range(3, 4), 4, 1, 2)[3]
         assert (a is None) == (b is None)
         if a is not None:
             assert a.objective == pytest.approx(b.objective)
 
     def test_estimated_iteration_time_positive(self):
         ctx, _ = make_ctx()
-        sol = form_stage_dp(ctx, 2, 4, 32, 1, 2)
+        sol = form_stage_dp(ctx, range(2, 3), 4, 1, 2)[2]
         assert sol.estimated_iteration_time() > 0
 
 
@@ -164,7 +159,7 @@ class TestEngineEquivalence:
                                         (2, 3, 4), (4, 4, 1)])
     def test_matches_reference(self, S, D, MB):
         ctx, _ = make_ctx()
-        fast = form_stage_dp(ctx, S, D, 32, 1, MB)
+        fast = form_stage_dp(ctx, range(S, S + 1), D, 1, MB)[S]
         ref = reference_form_stage_dp(ctx, S, D, 32, 1, MB)
         assert (fast is None) == (ref is None)
         if fast is not None:
@@ -181,7 +176,7 @@ class TestEngineEquivalence:
     )
     def test_matches_reference_property(self, S, D, MB, R):
         ctx, _ = make_ctx(batch_size=32)
-        fast = form_stage_dp(ctx, S, D, 32, R, MB)
+        fast = form_stage_dp(ctx, range(S, S + 1), D, R, MB)[S]
         ref = reference_form_stage_dp(ctx, S, D, 32, R, MB)
         assert (fast is None) == (ref is None)
         if fast is not None:
@@ -196,7 +191,7 @@ class TestOnBert:
             num_blocks=8,
         )
         ctx = DPRun(DPContext(tiny_bert, blocks, profiler, 32), cluster)
-        sol = form_stage_dp(ctx, 4, 8, 32, 4, 2)
+        sol = form_stage_dp(ctx, range(4, 5), 8, 4, 2)[4]
         assert sol is not None
         assert len(sol.boundaries) == 4
         assert sum(sol.device_counts) == 8
@@ -245,7 +240,7 @@ class TestOneStageAnswer:
     def test_matches_reference(self, seed, D, R, MB, kib, hetero,
                                budget_kib):
         ctx = self.ctx_for(seed, kib, hetero, budget_kib)
-        got = form_stage_dp(ctx, 1, D, self.BS, R, MB)
+        got = form_stage_dp(ctx, range(1, 2), D, R, MB)[1]
         ref = reference_form_stage_dp(ctx, 1, D, self.BS, R, MB)
         assert solution_key(got) == solution_key(ref)
 
@@ -253,17 +248,17 @@ class TestOneStageAnswer:
         # R * MB * D > BS: the microbatch collapses
         ctx = self.ctx_for(0, 128.0, False, None)
         assert ctx.memo.stage_profile(0, ctx.memo.k, 4, 2, 8, False) is None
-        assert form_stage_dp(ctx, 1, 4, self.BS, 2, 8) is None
+        assert form_stage_dp(ctx, range(1, 2), 4, 2, 8)[1] is None
         # over the cap on every device count
         ctx = self.ctx_for(0, 4.0, False, None)
         assert ctx.memo.stage_profile(0, ctx.memo.k, 1, 1, 1, False) is not None
-        assert form_stage_dp(ctx, 1, 1, self.BS, 1, 1) is None
+        assert form_stage_dp(ctx, range(1, 2), 1, 1, 1)[1] is None
         # heterogeneous: the budget, not the devices, decides, and the
         # answer runs at the straggler's pace
         roomy = self.ctx_for(0, 128.0, True, None)
-        sol = form_stage_dp(roomy, 1, 4, self.BS, 2, 1)
+        sol = form_stage_dp(roomy, range(1, 2), 4, 2, 1)[1]
         plain = roomy.memo.stage_profile(0, roomy.memo.k, 4, 2, 1, False)
         assert sol.stage_profiles[0].time_fwd == plain.time_fwd * 1.5
         assert sol.objective == sol.max_tf + sol.max_tb
         capped = self.ctx_for(0, 128.0, True, plain.memory / KIB / 2)
-        assert form_stage_dp(capped, 1, 4, self.BS, 2, 1) is None
+        assert form_stage_dp(capped, range(1, 2), 4, 2, 1)[1] is None

@@ -86,8 +86,8 @@ def search_both(dp, max_microbatches=None):
     for bounded in (True, False):
         swept = {}
 
-        def recording_sweep(run, stage_counts, D, BS, R, MB, **kw):
-            out = sweep(run, stage_counts, D, BS, R, MB, **kw)
+        def recording_sweep(run, stage_counts, D, R, MB, **kw):
+            out = sweep(run, stage_counts, D, R, MB, **kw)
             swept[D, R, MB] = (kw["bound"], out)
             return out
 
@@ -95,11 +95,8 @@ def search_both(dp, max_microbatches=None):
         m = MetricsRegistry()
         with mock.patch.object(search, "form_stage_dp", recording_sweep), \
                 (nullcontext() if bounded else no_bound()):
-            res = form_stage(
-                run, dp.cluster.num_nodes, dp.cluster.devices_per_node,
-                dp.memo.batch_size, max_microbatches=max_microbatches,
-                metrics=m,
-            )
+            res = form_stage(run, max_microbatches=max_microbatches)
+        run.publish(m)
         runs[bounded] = (res, run, m, swept)
     return runs
 
@@ -421,7 +418,7 @@ def test_a_tighter_memory_cap_can_change_the_answer():
     answers = {}
     for budget in (None, 21.5 * GiB):
         run = toy_run(budget)
-        sol = form_stage_dp(run, 3, 3, 1, 1, 1)
+        sol = form_stage_dp(run, range(3, 4), 3, 1, 1)[3]
         ref = reference_form_stage_dp(run, 3, 3, 1, 1, 1)
         assert (sol.boundaries, sol.objective) == (
             ref.boundaries, ref.objective

@@ -38,6 +38,7 @@ from repro.partitioner.stage_dp import (
     DPRun,
     covering_sweeps,
     form_stage_dp,
+    sweep_key,
 )
 from repro.planner import PlannerConfig, PlanningContext
 from repro.planner.passes import DP_CONTEXT, SEARCH_RESULT
@@ -90,8 +91,8 @@ def searched(run, memo=True):
     sweep = search.form_stage_dp
     swept = []
 
-    def recording_sweep(run, stage_counts, D, BS, R, MB, **kw):
-        out = sweep(run, stage_counts, D, BS, R, MB, **kw)
+    def recording_sweep(run, stage_counts, D, R, MB, **kw):
+        out = sweep(run, stage_counts, D, R, MB, **kw)
         swept.append((D, R, MB, kw["bound"],
                       {S: solution_key(sol) for S, sol in out.items()}))
         return out
@@ -99,10 +100,8 @@ def searched(run, memo=True):
     m = MetricsRegistry()
     with mock.patch.object(search, "form_stage_dp", recording_sweep), \
             (nullcontext() if memo else no_memo()):
-        res = form_stage(
-            run, run.cluster.num_nodes, run.cluster.devices_per_node,
-            run.memo.batch_size, metrics=m,
-        )
+        res = form_stage(run)
+    run.publish(m)
     return res, m, swept
 
 
@@ -207,8 +206,7 @@ def one_node(graphs):  # noqa: F811
 
 def sweep(memo, cluster, MB, budget=None, bound=math.inf):
     run = DPRun(memo, cluster, budget)
-    answers = form_stage_dp(run, STAGES, D, memo.batch_size, R, MB,
-                            bound=bound)
+    answers = form_stage_dp(run, STAGES, D, R, MB, bound=bound)
     return {S: solution_key(sol) for S, sol in answers.items()}, run
 
 
@@ -303,20 +301,19 @@ def test_a_band_that_grew_is_a_new_key(one_node):
     MB = swept_mb(one_node)
     cluster = one_node.cluster
     memo = fresh(one_node).memo
-    BS = memo.batch_size
-    narrow = form_stage_dp(DPRun(memo, cluster), range(5, 9), D, BS, R, MB)
+    narrow = form_stage_dp(DPRun(memo, cluster), range(5, 9), D, R, MB)
     span = memo._band_cache[D, R, MB].span
-    form_stage_dp(DPRun(memo, cluster), range(2, 9), D, BS, R, MB)
+    form_stage_dp(DPRun(memo, cluster), range(2, 9), D, R, MB)
     assert memo._band_cache[D, R, MB].span > span
     run = DPRun(memo, cluster)
-    again = form_stage_dp(run, range(5, 9), D, BS, R, MB)
+    again = form_stage_dp(run, range(5, 9), D, R, MB)
     assert run.sweeps_reused == 0
     assert {S: solution_key(s) for S, s in again.items()} == {
         S: solution_key(s) for S, s in narrow.items()
     }
     # the same band again is a hit
     run = DPRun(memo, cluster)
-    form_stage_dp(run, range(5, 9), D, BS, R, MB)
+    form_stage_dp(run, range(5, 9), D, R, MB)
     assert run.sweeps_reused == 1
 
 
@@ -356,8 +353,7 @@ def test_concurrent_runs_share_the_memo(graphs):  # noqa: F811
 
     def one(budget):
         run = DPRun(memo, cluster, budget)
-        res = form_stage(run, cluster.num_nodes, cluster.devices_per_node,
-                         memo.batch_size)
+        res = form_stage(run)
         assert plan_key(res) == plan_key(expected[budget])
         assert 1 <= res.candidates_tried <= (
             expected[budget].candidates_tried
@@ -373,7 +369,9 @@ def test_concurrent_runs_share_the_memo(graphs):  # noqa: F811
     finally:
         sys.setswitchinterval(interval)
     assert sum(done) > 0
-    assert all(len(kept) <= SWEEPS_KEPT for kept in memo._sweep_memo.values())
+    assert all(len(kept) <= SWEEPS_KEPT
+               for level in memo._sweep_memo.values()
+               for kept in level.values())
     assert len(memo._fit_tables) <= FIT_TABLES_KEPT
 
 
@@ -429,7 +427,8 @@ def test_reused_solutions_are_not_mutated(graphs):  # noqa: F811
     memo = base.require(DP_CONTEXT)
     snapshot = [
         (stored, {S: solution_key(sol) for S, sol in stored.answers.items()})
-        for kept in memo._sweep_memo.values() for stored in kept
+        for level in memo._sweep_memo.values()
+        for kept in level.values() for stored in kept
     ]
     stored_ids = {
         id(sol) for stored, _ in snapshot for sol in stored.answers.values()
@@ -455,11 +454,12 @@ def test_reused_solutions_are_not_mutated(graphs):  # noqa: F811
 
 def test_the_memo_keeps_the_newest_sweeps_per_key(one_node):
     memo = fresh(one_node).memo
-    key = (D, R, 1, 2, 8, (1, 2, 3))
+    key = sweep_key(D, R, 2, 8, 1, (1, 2, 3))
     masks = [np.packbits(np.arange(24) == i) for i in range(SWEEPS_KEPT + 4)]
     for mask in masks:
         memo.store_sweep(key, math.inf, mask, {})
-    kept = memo._sweep_memo[key]
+    level, sweep = key
+    kept = memo._sweep_memo[level][sweep]
     assert len(kept) == SWEEPS_KEPT
     assert [s.mask.tobytes() for s in kept] == [
         m.tobytes() for m in masks[::-1][:SWEEPS_KEPT]
@@ -473,8 +473,8 @@ def test_nbytes_counts_the_sweep_memo(one_node):
     searched(DPRun(memo, one_node.cluster))
     assert memo._sweep_memo
     memo_bytes = sum(
-        stored.nbytes() for kept in memo._sweep_memo.values()
-        for stored in kept
+        stored.nbytes() for level in memo._sweep_memo.values()
+        for kept in level.values() for stored in kept
     )
     assert memo_bytes > 0
     total = memo.nbytes()

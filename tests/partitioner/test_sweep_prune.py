@@ -116,8 +116,8 @@ def search_both(dp, max_microbatches=None):
     for prune in (True, False):
         swept = {}
 
-        def recording_sweep(ctx, stage_counts, D, BS, R, MB, **kw):
-            out = sweep(ctx, stage_counts, D, BS, R, MB, **kw)
+        def recording_sweep(ctx, stage_counts, D, R, MB, **kw):
+            out = sweep(ctx, stage_counts, D, R, MB, **kw)
             swept[stage_counts, D, R, MB] = out
             return out
 
@@ -128,11 +128,8 @@ def search_both(dp, max_microbatches=None):
         )
         with mock.patch.object(search, "covering_sweeps", cover), \
                 mock.patch.object(search, "form_stage_dp", recording_sweep):
-            res = form_stage(
-                ctx, cluster.num_nodes, cluster.devices_per_node,
-                dp.memo.batch_size, max_microbatches=max_microbatches,
-                metrics=m,
-            )
+            res = form_stage(ctx, max_microbatches=max_microbatches)
+        ctx.publish(m)
         runs[prune] = (res, ctx, m, swept)
     return runs, skipped
 

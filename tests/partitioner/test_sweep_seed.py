@@ -64,11 +64,8 @@ def traced(run, max_microbatches=None):
     metrics."""
     tracer = Tracer()
     m = MetricsRegistry()
-    res = form_stage(
-        run, run.cluster.num_nodes, run.cluster.devices_per_node,
-        run.memo.batch_size, max_microbatches=max_microbatches,
-        tracer=tracer, metrics=m,
-    )
+    res = form_stage(run, max_microbatches=max_microbatches, tracer=tracer)
+    run.publish(m)
     spans = tracer.spans("partitioner.search")
     levels = [
         tuple(s.attrs.get(a) for a in ("n", "D", "R", "winner_stages",
@@ -149,9 +146,9 @@ def recording():
     sweep = search.form_stage_dp
     swept = []
 
-    def record(run, stage_counts, D, BS, R, MB, **kw):
+    def record(run, stage_counts, D, R, MB, **kw):
         before = run.sweeps_skipped
-        out = sweep(run, stage_counts, D, BS, R, MB, **kw)
+        out = sweep(run, stage_counts, D, R, MB, **kw)
         swept.append((run.memory_budget, stage_counts, D, R, MB, kw["bound"],
                       run.sweeps_skipped > before))
         return out
@@ -176,13 +173,12 @@ def test_daemon_budgets_are_seeded_and_skip(graphs):  # noqa: F811
             seeded += on.levels_seeded
             skipped += on.sweeps_skipped
     assert seeded > 0 and skipped > 0
-    BS = on_memo.batch_size
     for budget, stage_counts, D, R, MB, bound, was_skipped in swept:
         if not was_skipped:
             continue
         with unskipped():
             full = form_stage_dp(DPRun(fresh(base).memo, base.cluster, budget),
-                                 stage_counts, D, BS, R, MB, bound=bound)
+                                 stage_counts, D, R, MB, bound=bound)
         assert all(full[S] is None for S in stage_counts if S >= 2)
 
 
@@ -199,7 +195,8 @@ def test_a_seed_comes_from_the_swept_microbatch_counts(graphs):  # noqa: F811
     base = base_run(graphs, "bert-base", "fp32", 1)
     on_memo, off_memo = fresh(base).memo, fresh(base).memo
     assert_cuts_exact(on_memo, off_memo, base.cluster, None)
-    stored_mbs = {key[2] for key in on_memo._sweep_memo}
+    stored_mbs = {MB for level in on_memo._sweep_memo.values()
+                  for MB, _ in level}
     assert max(stored_mbs) > 8
     # at 20 GiB only answers at 32 microbatches fit
     for gib, seeded in ((None, 1), (20, 0)):
@@ -302,12 +299,10 @@ def assert_skip_exact(make, stage_counts, MB, bound=math.inf, D=4):
     """A sweep answers and counts like its table run anyway, and when it
     is skipped the table has no answer.  Returns whether it was."""
     run = make()
-    answers = form_stage_dp(run, stage_counts, D, run.memo.batch_size, 1,
-                            MB, bound=bound)
+    answers = form_stage_dp(run, stage_counts, D, 1, MB, bound=bound)
     with unskipped():
         full_run = make()
-        full = form_stage_dp(full_run, stage_counts, D,
-                             run.memo.batch_size, 1, MB, bound=bound)
+        full = form_stage_dp(full_run, stage_counts, D, 1, MB, bound=bound)
     assert {S: solution_key(s) for S, s in answers.items()} == {
         S: solution_key(s) for S, s in full.items()
     }
@@ -346,8 +341,7 @@ def test_random_dag_sweeps_skip_exactly(seed, k, memory_kib, budget_kib,
         # a fraction of the best unbounded answer of the sweep's range
         with unskipped():
             probe = make()
-            answers = form_stage_dp(probe, range(lo, 5), 4, batch_size, 1,
-                                    MB)
+            answers = form_stage_dp(probe, range(lo, 5), 4, 1, MB)
         objectives = [s.objective for s in answers.values() if s]
         if objectives:
             bound = min(objectives) * bound_frac
@@ -361,7 +355,7 @@ def test_a_layout_on_exactly_every_device_is_kept():
     make = tiny_run(seed=3, k=6, memory_kib=1024, batch_size=8)
     assert not assert_skip_exact(make, range(2, 5), 8)
     run = make()
-    answers = form_stage_dp(run, range(2, 5), 4, 8, 1, 8)
+    answers = form_stage_dp(run, range(2, 5), 4, 1, 8)
     assert [S for S, s in answers.items() if s] == [4]
 
 
@@ -385,7 +379,7 @@ def test_the_skip_reads_the_bound():
     bound, not only those over the cap."""
     make = tiny_run(seed=3, k=6, memory_kib=1024, batch_size=64)
     probe = make()
-    answers = form_stage_dp(probe, range(2, 5), 4, 64, 1, 1)
+    answers = form_stage_dp(probe, range(2, 5), 4, 1, 1)
     bound = 0.9 * min(s.objective for s in answers.values() if s)
     has_layout = stage_dp._has_layout
     masks = []
@@ -396,7 +390,7 @@ def test_the_skip_reads_the_bound():
 
     run = make()
     with mock.patch.object(stage_dp, "_has_layout", recording):
-        form_stage_dp(run, range(2, 5), 4, 64, 1, 1, bound=bound)
+        form_stage_dp(run, range(2, 5), 4, 1, 1, bound=bound)
     (over,) = masks
     n_planes, _, width = over.shape
     bands = run.profile_bands(4, 1, 1, run.memo.k - 1)
@@ -429,7 +423,7 @@ def test_unreached_cells_keep_no_parent(graphs):  # noqa: F811
     )
     with mock.patch.object(stage_dp, "_band_stage", recording):
         for MB in mbs:
-            form_stage_dp(run, range(1, 9), 8, run.memo.batch_size, 1, MB)
+            form_stage_dp(run, range(1, 9), 8, 1, MB)
     assert run.sweeps_skipped < len(mbs)
     unreached = 0
     for best, parent, initial in tables:

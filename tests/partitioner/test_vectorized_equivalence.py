@@ -226,7 +226,7 @@ class TestProfileTensors:
     def test_dispatch_uses_vectorized_builder(self):
         # the sweep reads the very bands that match the oracle
         ctx = make_ctx()
-        form_stage_dp(ctx, 2, 4, 32, 1, 2)
+        form_stage_dp(ctx, range(2, 3), 4, 1, 2)[2]
         (key, bands), = ctx.memo._band_cache.items()
         assert key == (4, 1, 2)
         assert bands is ctx.profile_bands(4, 1, 2, ctx.memo.k - 1)
@@ -279,7 +279,7 @@ class TestProfileTensors:
         # and the DP table is filled from them: two stages on one device
         # each carry the doubled forward times, and so do the profiles
         # the backtrack attaches to them
-        sol = form_stage_dp(ctx, 2, 2, 32, 1, 1)
+        sol = form_stage_dp(ctx, range(2, 3), 2, 1, 1)[2]
         lo, hi = 0, sol.boundaries[0]
         assert sol.stage_profiles[0].time_fwd == ref[0][lo, hi, 1]
         assert sol.max_tf == max(p.time_fwd for p in sol.stage_profiles)
@@ -287,7 +287,7 @@ class TestProfileTensors:
         one = profile_tensors_reference(
             ctx, 1, 1, 1, False, stage_profile=doubled_reference
         )
-        sol = form_stage_dp(ctx, 1, 1, 32, 1, 1)
+        sol = form_stage_dp(ctx, range(1, 2), 1, 1, 1)[1]
         assert sol.max_tf == one[0][0, k, 1]
         assert sol.stage_profiles[0].time_fwd == sol.max_tf
 
@@ -302,7 +302,7 @@ class TestDPEngineEquivalence:
     )
     def test_full_engine_matches_reference(self, S, D, MB, R):
         ctx = make_ctx()
-        fast = form_stage_dp(ctx, S, D, 32, R, MB)
+        fast = form_stage_dp(ctx, range(S, S + 1), D, R, MB)[S]
         ref = reference_form_stage_dp(ctx, S, D, 32, R, MB)
         assert solution_key(fast) == solution_key(ref)
 
@@ -315,7 +315,7 @@ class TestDPEngineEquivalence:
     def test_tight_memory_matches_reference(self, S, MB, mem_mib):
         """Small memory caps, equal answers."""
         ctx = make_ctx(memory_bytes=mem_mib * 1024**2)
-        fast = form_stage_dp(ctx, S, 4, 32, 1, MB)
+        fast = form_stage_dp(ctx, range(S, S + 1), 4, 1, MB)[S]
         ref = reference_form_stage_dp(ctx, S, 4, 32, 1, MB)
         assert solution_key(fast) == solution_key(ref)
 
@@ -327,14 +327,16 @@ class TestDPEngineEquivalence:
         ctx = make_ctx()
         for S, MB in itertools.product((1, 2, 3, 4), (1, 2, 4)):
             expected[(S, MB)] = solution_key(
-                form_stage_dp(ctx, S, 4, 32, 1, MB)
+                form_stage_dp(ctx, range(S, S + 1), 4, 1, MB)[S]
             )
         full_states = ctx.states_evaluated
 
         monkeypatch.setattr(stage_dp_mod, "PLANE_CHUNK_CELLS", 1)
         ctx2 = make_ctx()
         for (S, MB), want in expected.items():
-            got = solution_key(form_stage_dp(ctx2, S, 4, 32, 1, MB))
+            got = solution_key(
+                form_stage_dp(ctx2, range(S, S + 1), 4, 1, MB)[S]
+            )
             assert got == want, (S, MB)
         assert ctx2.states_evaluated == full_states
 
@@ -344,7 +346,7 @@ class TestDPEngineEquivalence:
         pruned = make_ctx(memory_bytes=48 * 1024**2)
         unpruned = make_ctx(memory_bytes=48 * 1024**2)
         a, visited = reference_dp_visits(pruned, 2, 4, 32, 1, 2)
-        b = form_stage_dp(unpruned, 2, 4, 32, 1, 2)
+        b = form_stage_dp(unpruned, range(2, 3), 4, 1, 2)[2]
         assert (a is None) == (b is None)
         if a is not None:
             assert a.objective == b.objective
@@ -369,7 +371,7 @@ class TestDPEngineEquivalence:
             graph = build_random_dag(seed=seed, num_nodes=40)
             cap = frac * whole_model_memory(graph, k=8, batch_size=32)
             ctx = dag_ctx(graph, cluster_with(cap), k=8, batch_size=32)
-            fast = form_stage_dp(ctx, S, 4, 32, 1, MB)
+            fast = form_stage_dp(ctx, range(S, S + 1), 4, 1, MB)[S]
             ref, visited = reference_dp_visits(ctx, S, 4, 32, 1, MB)
             assert solution_key(fast) == solution_key(ref)
             assert visited <= ctx.states_evaluated
@@ -384,9 +386,9 @@ class TestAlgorithm2:
         serial = make_ctx(num_nodes=2, batch_size=32)
         threaded = make_ctx(num_nodes=2, batch_size=32)
         monkeypatch.setattr("os.cpu_count", lambda: 1)
-        a = form_stage(serial, 2, 4, 32)
+        a = form_stage(serial)
         monkeypatch.setattr("os.cpu_count", lambda: 4)
-        b = form_stage(threaded, 2, 4, 32)
+        b = form_stage(threaded)
         assert (a is None) == (b is None)
         assert solution_key(a.solution) == solution_key(b.solution)
         assert a.num_pipeline_nodes == b.num_pipeline_nodes
@@ -401,14 +403,14 @@ class TestAlgorithm2:
         """3 nodes at n=2 used to raise ValueError mid-search; the level
         must be skipped and the search continue."""
         ctx = make_ctx(num_nodes=3, batch_size=48)
-        result = form_stage(ctx, 3, 4, 48)
+        result = form_stage(ctx)
         assert result is not None
         assert result.num_pipeline_nodes == 1
         assert result.replica_factor == 3
 
     def test_estimated_iteration_time_memoized(self, monkeypatch):
         ctx = make_ctx()
-        sol = form_stage_dp(ctx, 2, 4, 32, 1, 2)
+        sol = form_stage_dp(ctx, range(2, 3), 4, 1, 2)[2]
         assert sol is not None
 
         import repro.pipeline.simulator as sim_mod

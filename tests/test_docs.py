@@ -79,3 +79,16 @@ class TestChecker:
         assert len(errors) == 1
         assert errors[0].endswith("unrecognized arguments: --cluster v100x8")
         assert f"{tmp_path / 'cli.md'}:6:" in errors[0]
+
+    def test_undocumented_search_counter_detected(self, tmp_path):
+        text = (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text()
+        doc = tmp_path / "obs.md"
+        doc.write_text(
+            text.replace("dp.band_width_max", "dp.widest")
+            .replace("fell_back", "fell")
+        )
+        errors = check_docs.check_search_accounting(REPO_ROOT, doc)
+        assert len(errors) == 2
+        assert "'fell_back'" in errors[0]
+        assert "'dp.band_width_max'" in errors[1]
+        assert check_docs.check_search_accounting(REPO_ROOT) == []

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checks, run by the CI ``docs`` job.
 
-Four checks:
+Five checks:
 
 1. **Intra-repo links** — every relative markdown link in the checked
    files must point at a file (or directory) that exists.  External
@@ -20,6 +20,10 @@ Four checks:
    continuations joined, a ``$`` prompt, environment assignments and
    ``# comments`` dropped) must parse with the CLI's own argument
    parser.  Commands are parsed, never run.
+5. **Search accounting coverage** — every field of the stage search's
+   per-sweep and per-level records, every search total and every
+   ``dp.*``/``search.*`` metric name the run publishes must appear in
+   :data:`OBSERVABILITY_DOC`, so a new counter cannot land undocumented.
 
 Usage::
 
@@ -75,6 +79,9 @@ DOCTEST_DOCS = (
 
 #: files searched by the PlannerConfig coverage check
 COVERAGE_DOCS = LINKED_DOCS
+
+#: the document that must name every search record field and metric
+OBSERVABILITY_DOC = "docs/OBSERVABILITY.md"
 
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FENCE_RE = re.compile(r"```python\n(.*?)```", re.DOTALL)
@@ -155,6 +162,52 @@ def check_config_coverage(root: Path, rel_paths=COVERAGE_DOCS) -> List[str]:
                     f"doc ({', '.join(rel_paths[:3])}, ...)"
                 )
     return errors
+
+
+def search_accounting_names() -> List[str]:
+    """The record fields, the totals and the ``dp.*``/``search.*``
+    metric names (point labels dropped) of the stage search: a run with
+    one infeasible sweep and one level publishes every metric name."""
+    from repro.obs.metrics import MetricsRegistry
+    from repro.partitioner.stage_dp import (
+        TOTAL_METRICS,
+        DPRun,
+        LevelRecord,
+        SweepRecord,
+    )
+
+    run = DPRun(None, None)
+    run.sweeps.append(
+        SweepRecord(1, 1, 1, range(1, 2), None, "filled", 1, 0, 0, 0, ())
+    )
+    run.levels.append(LevelRecord((), False, False, 0))
+    metrics = MetricsRegistry()
+    run.publish(metrics)
+    published = {
+        name.split("[")[0] for name in metrics.snapshot()
+        if name.startswith(("dp.", "search."))
+    }
+    return list(dict.fromkeys([
+        *SweepRecord._fields, *LevelRecord._fields, *TOTAL_METRICS,
+        *sorted(published),
+    ]))
+
+
+def check_search_accounting(root: Path, rel: str = OBSERVABILITY_DOC
+                            ) -> List[str]:
+    """One error per search record field, total or published metric
+    name that ``rel`` does not mention as a whole word."""
+    sys.path.insert(0, str(root / "src"))
+    try:
+        names = search_accounting_names()
+    finally:
+        sys.path.pop(0)
+    text = (root / rel).read_text()
+    return [
+        f"{rel}: search record field or metric {name!r} not documented"
+        for name in names
+        if not re.search(rf"(?<![\w.]){re.escape(name)}(?!\w)", text)
+    ]
 
 
 def documented_commands(text: str) -> List[Tuple[int, List[str]]]:
@@ -247,6 +300,15 @@ def main(argv=None) -> int:
             print(f"COVERAGE FAIL  {err}")
     else:
         print("PlannerConfig coverage OK (every field documented)")
+
+    accounting_errors = check_search_accounting(args.root)
+    if accounting_errors:
+        rc = 1
+        for err in accounting_errors:
+            print(f"ACCOUNTING FAIL  {err}")
+    else:
+        print("search accounting coverage OK (every record field and "
+              "metric documented)")
 
     command_errors = check_commands(args.root)
     if command_errors:

@@ -6,7 +6,8 @@ socket -- cold plan, warm repeats (answered on the server's event loop
 and counted in ``/v1/stats``), delta replan through ``/v1/replan``,
 concurrent same-model replans over one shared DP context, a second
 budget that reuses the first's Algorithm-1 sweeps, a third whose node
-levels a stored answer seeds, in-place
+levels a stored answer seeds (the stats count the seeded levels and the
+answers the sweep bounds removed), in-place
 repair through ``/v1/repair``, a preset cluster planned under the
 topology comm model, a malformed option, the removed ``schedule`` and
 ``comm_model`` options and malformed numbers rejected as
@@ -171,6 +172,8 @@ def main(argv=None) -> int:
                 "stats count the levels a stored answer seeded")
     ok &= check(counters.get("search.seed_fallbacks", 0) == 0,
                 "no seeded level fell back")
+    ok &= check("search.answers_bounded" in counters,
+                "stats count the answers the sweep bounds removed")
 
     # a node loss on the two-node plan repairs in place and
     # re-verifies the repaired plan
