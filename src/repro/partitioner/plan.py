@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.hardware.cluster import ClusterSpec
@@ -119,6 +119,17 @@ class PlanDiagnostics:
     # escape hatch for experiment-specific annotations
     extra: Dict[str, float] = field(default_factory=dict)
 
+    def copy(self) -> "PlanDiagnostics":
+        """A copy with dicts of its own: stamping it leaves this one as
+        it is."""
+        return replace(
+            self,
+            search=dict(self.search),
+            profiler_stats=dict(self.profiler_stats),
+            pass_timings=dict(self.pass_timings),
+            extra=dict(self.extra),
+        )
+
     def as_dict(self) -> Dict[str, float]:
         """Flat float view (per-pass timings keyed ``pass_time.<name>``)."""
         doc: Dict[str, float] = {
@@ -159,6 +170,17 @@ class PartitionPlan:
     iteration_time: float = 0.0
     throughput: float = 0.0
     diagnostics: PlanDiagnostics = field(default_factory=PlanDiagnostics)
+
+    def view(self) -> "PartitionPlan":
+        """A plan sharing this one's stages, device assignment and
+        cluster, with a stage list and diagnostics of its own: what a
+        run may stamp or reorder without reaching this plan (the
+        artifact store's plan of a layout, shared by every run and entry
+        of that layout, is read through views; read their assignment and
+        cluster, never change them)."""
+        return replace(
+            self, stages=list(self.stages), diagnostics=self.diagnostics.copy()
+        )
 
     @property
     def num_stages(self) -> int:

@@ -13,11 +13,18 @@ keyword arguments; :func:`replan` builds the context of a delta run
 over the previous run's store; :func:`repair` runs plan repair as a
 pipeline.  Every run yields a structured per-pass event log
 (``repro plan --explain``) on its context.
+
+The repair names (:func:`repair`, the cluster events, ...) load
+:mod:`repro.planner.repair` on first use (PEP 562), so importing the
+planner loads no network-topology or contention model.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import importlib
+import sys
+import types
+from typing import Any, List, Optional
 
 from repro.graph.ir import TaskGraph
 from repro.hardware.cluster import ClusterSpec
@@ -50,18 +57,44 @@ from repro.planner.passes import (
     ValidatePass,
     VerifyPass,
 )
-from repro.planner.repair import (
-    ClusterEvent,
-    NodeLoss,
-    Preemption,
-    RepairResult,
-    ScaleUp,
-    repair,
-    survivor_map,
-)
 from repro.planner.replan import ensure_store, replan
 from repro.planner.store import Artifact, ArtifactStore, DiskBackend
 from repro.profiler.profiler import GraphProfiler
+
+
+#: the names :mod:`repro.planner.repair` provides, loaded on first use
+_REPAIR_NAMES = (
+    "ClusterEvent",
+    "NodeLoss",
+    "Preemption",
+    "RepairResult",
+    "ScaleUp",
+    "repair",
+    "survivor_map",
+)
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _REPAIR_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module("repro.planner.repair")
+    for attr in _REPAIR_NAMES:
+        globals()[attr] = getattr(module, attr)
+    return globals()[name]
+
+
+class _Package(types.ModuleType):
+    """This package's module type.  Loading the ``repair`` submodule
+    binds it to the package's ``repair`` name; that name stays the
+    function, as it was when the package imported it eagerly."""
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        if name == "repair" and isinstance(value, types.ModuleType):
+            value = value.repair
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 
 def default_passes() -> List[PlannerPass]:

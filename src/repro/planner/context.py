@@ -19,7 +19,7 @@ from repro.profiler.profiler import GraphProfiler
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.partitioner.plan import PartitionPlan
     from repro.planner.manager import PlannerPass
-    from repro.planner.store import ArtifactStore
+    from repro.planner.store import ArtifactStore, LayoutPlan
 
 #: canonical artifact names produced by the built-in passes
 VALIDATED = "validated"
@@ -189,6 +189,11 @@ class PlanningContext:
         self.plan_document: Optional[str] = None
         self.plan_report: Optional[Any] = None
         self.store: Optional["ArtifactStore"] = store
+        #: the store's plan of this run's stage layout (store-backed runs
+        #: only): the evaluate pass's ``evaluated`` artifact is a view of
+        #: it, and the verify pass checks it under the run's budget
+        self.layout: Optional["LayoutPlan"] = None
+        self._facets: Optional[Dict[str, str]] = None
 
     def run(
         self, passes: Optional[Sequence["PlannerPass"]] = None
@@ -241,10 +246,13 @@ class PlanningContext:
     # ------------------------------------------------------------------
     def facets(self) -> Dict[str, str]:
         """Digest of every input facet of this run (see
-        :mod:`repro.planner.facets`)."""
-        from repro.planner.facets import compute_facets
+        :mod:`repro.planner.facets`), computed once: the inputs are fixed
+        at construction."""
+        if self._facets is None:
+            from repro.planner.facets import compute_facets
 
-        return compute_facets(self.graph, self.cluster, self.config)
+            self._facets = compute_facets(self.graph, self.cluster, self.config)
+        return self._facets
 
     # ------------------------------------------------------------------
     def check_plan(

@@ -10,9 +10,12 @@ tracer** rather than its own store: :meth:`EventLog.record` appends a
 completed :class:`~repro.obs.tracer.Span` (category
 :data:`PASS_CATEGORY`, the pass's status and detail as span attributes)
 to the backing :class:`~repro.obs.tracer.Tracer`, and every read-side
-accessor reconstructs :class:`PassEvent` records from those spans.  One
-store means ``repro plan --explain`` tables and an exported Perfetto
-``trace.json`` can never disagree about what the planner did.
+accessor reconstructs :class:`PassEvent` records from the spans it
+recorded.  One store means ``repro plan --explain`` tables and an
+exported Perfetto ``trace.json`` can never disagree about what the
+planner did.  The tracer may be shared (the plan service records every
+request's passes under its ``service.plan`` span); a log reads only its
+own run's spans.
 
 A pass can be ``skipped`` because its work is not needed (the detail
 carries a ``reason``) or because the artifact store already holds its
@@ -67,6 +70,8 @@ class EventLog:
 
     def __init__(self, tracer: Optional[Tracer] = None) -> None:
         self.tracer = tracer if tracer is not None else Tracer()
+        #: the spans this log recorded on the tracer, in order
+        self._spans: List[Span] = []
 
     def record(
         self,
@@ -90,12 +95,15 @@ class EventLog:
             start=start,
             attrs={"status": status, **(detail or {})},
         )
+        if self.tracer.enabled:
+            self._spans.append(span)
         return _event_of(span)
 
     @property
     def events(self) -> List[PassEvent]:
-        """The pass events, reconstructed from the tracer's spans."""
-        return [_event_of(s) for s in self.tracer.spans(PASS_CATEGORY)]
+        """The pass events, reconstructed from the spans this log
+        recorded."""
+        return [_event_of(s) for s in self._spans]
 
     def find(self, name: str) -> Optional[PassEvent]:
         """The most recent event of pass ``name``, if any."""

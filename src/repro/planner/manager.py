@@ -32,6 +32,7 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.rss import peak_rss_bytes
+from repro.obs.tracer import NULL_TRACER
 from repro.planner.context import EVALUATED, PlanningContext
 from repro.planner.events import FAILED, OK, SKIPPED
 from repro.planner.facets import fingerprint_chain, plan_address
@@ -103,16 +104,22 @@ class PassManager:
         fps: Dict[str, str] = {}
         probed: Optional[PlannerPass] = None
         planned = False
+        # the manager's own work between passes (fingerprints and probe,
+        # store writes, the closing bookkeeping) is traced in
+        # store-backed runs, which do it
+        tracer = ctx.tracer if store is not None else NULL_TRACER
         if store is not None:
-            fps = fingerprint_chain(
-                self.passes,
-                ctx.facets(),
-                ctx.artifact_fps,
-                # a pre-supplied artifact is skipped, not produced: it
-                # has no content address to chain through
-                feeds=lambda p: not all(ctx.has(a) for a in p.produces),
-            )
-            probed, planned = self._probe_plan(ctx, store, fps)
+            with tracer.span("planner.probe", category="planner") as span:
+                fps = fingerprint_chain(
+                    self.passes,
+                    ctx.facets(),
+                    ctx.artifact_fps,
+                    # a pre-supplied artifact is skipped, not produced:
+                    # it has no content address to chain through
+                    feeds=lambda p: not all(ctx.has(a) for a in p.produces),
+                )
+                probed, planned = self._probe_plan(ctx, store, fps)
+                span.set(hit=planned)
         reused_passes = 0
         artifacts_loaded = int(planned)
         store_misses = int(probed is not None and not planned)
@@ -215,17 +222,21 @@ class PassManager:
                     )
             ctx.events.record(p.name, OK, elapsed, detail, start=start)
             if fp is not None:
-                for artifact in p.produces:
-                    store.put(artifact, fp, ctx.get(artifact), ctx)
-                    ctx.artifact_fps[artifact] = fp
-        if store is not None:
-            self._finish_store_run(
-                ctx, store, reused_passes, artifacts_loaded, store_misses
-            )
-        rss = peak_rss_bytes()
-        if rss is not None:
-            ctx.metrics.gauge("planner.peak_rss_bytes").set(float(rss))
-        self._stamp_diagnostics(ctx)
+                with tracer.span(
+                    "planner.put", category="planner", **{"pass": p.name}
+                ):
+                    for artifact in p.produces:
+                        store.put(artifact, fp, ctx.get(artifact), ctx)
+                        ctx.artifact_fps[artifact] = fp
+        with tracer.span("planner.finish", category="planner"):
+            if store is not None:
+                self._finish_store_run(
+                    ctx, store, reused_passes, artifacts_loaded, store_misses
+                )
+            rss = peak_rss_bytes()
+            if rss is not None:
+                ctx.metrics.gauge("planner.peak_rss_bytes").set(float(rss))
+            self._stamp_diagnostics(ctx)
         return ctx
 
     def _probe_plan(

@@ -24,6 +24,7 @@ pass manager skips them all when the store serves the finished plan.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from typing import Any, Dict, Optional
 
@@ -31,7 +32,11 @@ from repro.graph.validate import validate_graph
 from repro.partitioner.allocation import boundary_report
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import BlockPartitioner
-from repro.partitioner.deployment import build_plan, graph_fingerprint
+from repro.partitioner.deployment import (
+    build_plan,
+    graph_fingerprint,
+    plan_to_json,
+)
 from repro.partitioner.search import form_stage
 from repro.partitioner.stage_dp import DPContext, DPRun
 from repro.planner.context import (
@@ -45,6 +50,7 @@ from repro.planner.context import (
     PlanningContext,
 )
 from repro.planner.manager import PartitioningError, PlannerPass
+from repro.planner.store import LayoutPlan
 
 
 class ValidatePass(PlannerPass):
@@ -220,7 +226,16 @@ class StageSearchPass(PlannerPass):
 class EvaluatePass(PlannerPass):
     """Turn the winning DP solution into the finished plan: its stages
     placed on device ranks and its iteration time and throughput filled
-    by the pipeline simulator (:func:`~repro.partitioner.deployment.build_plan`)."""
+    by the pipeline simulator (:func:`~repro.partitioner.deployment.build_plan`).
+
+    In a store-backed run the plan is addressed by its layout too
+    (:meth:`layout_key`): a layout the store's memory tier already
+    holds a verified plan of (:meth:`~repro.planner.store.ArtifactStore.layout_plan`)
+    is not built again.  Either way the run's plan is a view of the
+    store's :class:`~repro.planner.store.LayoutPlan` (``ctx.layout``)
+    with this run's diagnostics; ``layout_hits`` in the detail and the
+    ``evaluate.layout_hits`` counter say whether it was known.
+    """
 
     name = "evaluate"
     requires = (SEARCH_RESULT, DP_CONTEXT)
@@ -229,22 +244,65 @@ class EvaluatePass(PlannerPass):
     cacheable = True
     facets = ("cluster_shape", "comm", "batch")
 
+    def layout_key(self, ctx: PlanningContext) -> Optional[str]:
+        """The plan's address by value: a digest of the layout the stage
+        search returned (boundaries, device counts, stage profiles with
+        their microbatch sizes, ``MB``, ``R``) and of everything else this
+        pass reads -- its facets and the DP context's fingerprint, which
+        chains the graph, blocks, batch, precision and mode.  The memory
+        budget reaches the plan only through the search's choice of
+        layout, so it is left out.  ``None`` unless the run has a store
+        and content-addressed search result and DP context."""
+        fps = ctx.artifact_fps
+        if ctx.store is None or SEARCH_RESULT not in fps or DP_CONTEXT not in fps:
+            return None
+        result = ctx.require(SEARCH_RESULT)
+        sol = result.solution
+        facets = ctx.facets()
+        # repr is exact for the ints and floats a layout is made of
+        doc = (
+            [facets[name] for name in self.facets],
+            fps[DP_CONTEXT],
+            sol.boundaries,
+            sol.device_counts,
+            sol.stage_profiles,
+            sol.num_microbatches,
+            result.replica_factor,
+        )
+        return hashlib.sha256(repr(doc).encode()).hexdigest()
+
     def run(self, ctx: PlanningContext) -> Optional[Dict[str, Any]]:
         result = ctx.require(SEARCH_RESULT)
         sol = result.solution
         config = ctx.config
-        plan, timing = build_plan(
-            ctx.require(DP_CONTEXT).stage_specs(
-                sol.boundaries, sol.device_counts, sol.stage_profiles
-            ),
-            model_name=ctx.graph.name,
-            num_microbatches=sol.num_microbatches,
-            replica_factor=result.replica_factor,
-            batch_size=config.batch_size,
-            precision=config.precision,
-            cluster=ctx.cluster,
-            mode=config.mode,
-        )
+        key = self.layout_key(ctx)
+        layout = ctx.store.layout_plan(key) if key is not None else None
+        detail: Dict[str, Any] = {}
+        if key is not None:
+            detail["layout_hits"] = int(layout is not None)
+        if layout is not None:
+            ctx.metrics.counter("evaluate.layout_hits").inc()
+        else:
+            plan, timing = build_plan(
+                ctx.require(DP_CONTEXT).stage_specs(
+                    sol.boundaries, sol.device_counts, sol.stage_profiles
+                ),
+                model_name=ctx.graph.name,
+                num_microbatches=sol.num_microbatches,
+                replica_factor=result.replica_factor,
+                batch_size=config.batch_size,
+                precision=config.precision,
+                cluster=ctx.cluster,
+                mode=config.mode,
+            )
+            if key is not None:
+                layout = LayoutPlan(
+                    key, plan, timing, plan_to_json(plan, ctx.graph)
+                )
+        if layout is not None:
+            # the shared plan stays as built; the run stamps its own view
+            ctx.layout = layout
+            plan, timing = layout.plan.view(), layout.timing
         diag = plan.diagnostics
         diag.search = dict(result.totals)
         diag.num_blocks = len(ctx.get(BLOCKS, ()))
@@ -259,13 +317,13 @@ class EvaluatePass(PlannerPass):
             ctx.metrics.gauge(f"comm.{name}").set(value)
         ctx.metrics.gauge("comm.allreduce_time").set(diag.allreduce_time)
         ctx.metrics.gauge("comm.pipeline_time").set(diag.pipeline_time)
-        detail: Dict[str, Any] = {
+        detail.update({
             "num_stages": plan.num_stages,
             **report,
             "iteration_time": plan.iteration_time,
             "throughput": plan.throughput,
             "comm_model": diag.comm_model,
-        }
+        })
         if diag.allreduce_algorithm:
             detail["allreduce_algorithm"] = diag.allreduce_algorithm
         # the flush schedule's measured bubble (Fig. 1, quantified):
@@ -284,11 +342,12 @@ class VerifyPass(PlannerPass):
     """Hold the finished plan to the :mod:`repro.verify` invariants.
 
     Runs after :class:`EvaluatePass` on every fresh plan.  A fresh plan
-    the run stored is checked here once per content address: the pass
-    records its report on the store entry
-    (:meth:`~repro.planner.store.ArtifactStore.record_verification`) and
-    keeps the deployment JSON the record key encodes as
-    ``ctx.plan_document``.  A plan served whole from the store, from
+    the run stored is checked through its layout
+    (:meth:`~repro.planner.store.ArtifactStore.verify_layout`): the
+    budget-free checks once per layout, the budget check on every run.
+    The pass records the report on the store entry and keeps the
+    layout's deployment JSON as ``ctx.plan_document``.  A plan served
+    whole from the store, from
     either tier, comes with the report the probe reused or made
     (:meth:`~repro.planner.store.ArtifactStore.verified_plan`): this
     pass reports that ``ctx.plan_report`` instead of checking again.
@@ -309,18 +368,19 @@ class VerifyPass(PlannerPass):
         report = ctx.plan_report
         if report is None:
             search = ctx.get(SEARCH_RESULT)
-            report = ctx.check_plan(
-                plan,
-                expected_iteration_time=(
-                    search.solution.estimated_iteration_time()
-                    if search is not None
-                    else None
-                ),
+            expected = (
+                search.solution.estimated_iteration_time()
+                if search is not None
+                else None
             )
             fp = ctx.artifact_fps.get(EVALUATED)
-            if fp is not None and ctx.store is not None:
-                ctx.plan_document = ctx.store.record_verification(
-                    fp, plan, ctx, report
+            if fp is not None and ctx.layout is not None:
+                report, ctx.plan_document = ctx.store.verify_layout(
+                    fp, plan, ctx, expected
+                )
+            else:
+                report = ctx.check_plan(
+                    plan, expected_iteration_time=expected
                 )
         ctx.metrics.gauge("verify.invariants_checked").set(
             report.invariants_checked

@@ -28,13 +28,23 @@ manager probes it before running any pass (see
 :mod:`repro.verify` under the run's inputs, and the check runs once per
 content address: the verify pass of the run that stored a plan records
 its pass on the memory-tier entry
-(:meth:`ArtifactStore.record_verification`), and an entry without a
+(:meth:`ArtifactStore.verify_layout`), and an entry without a
 matching record (one promoted from disk) is checked at the probe
 (:meth:`ArtifactStore.verified_plan`).  So a repeated hit costs a
 fingerprint, one probe, a copy and an encode (the plan service answers
 it without the copy through :meth:`ArtifactStore.recorded_plan`, see
 :mod:`repro.service.engine`).  The store also
 remembers which graphs passed ``validate_graph``.
+
+Beside the input addresses, the memory tier gives each finished plan a
+second, value-based one: the digest of its stage layout and of what the
+evaluate pass reads besides it, which leaves out the memory budget
+(:class:`LayoutPlan`).  Every ``evaluated`` entry of one layout is an
+alias of that one payload -- a view with diagnostics of its own -- so a
+budget whose search returns a known layout adds a view to the tier, not
+a copy, and the payload is weighed once.  Its verification is split the
+same way: the budget-free report is recorded per layout, and every run
+is held to its own budget (:meth:`ArtifactStore.verify_layout`).
 
 Reusing a loaded plan needs one run-specific fix-up: it is deep-copied
 so later mutation cannot leak between runs (:func:`materialize_for_reuse`;
@@ -53,9 +63,9 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, is_dataclass, fields as dc_fields
+from dataclasses import dataclass, field, is_dataclass, fields as dc_fields
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -93,10 +103,42 @@ class Artifact:
     payload: Any = None
     nbytes: int = 0
     verified: Optional[Tuple[Tuple[str, str, int], Any]] = None
+    #: ``evaluated`` aliases only: the layout plan ``payload`` is a view
+    #: of; the first of its entries also carries its weight in ``nbytes``
+    layout: Optional["LayoutPlan"] = None
 
     @property
     def key(self) -> str:
         return f"{self.name}:{self.fingerprint}"
+
+
+@dataclass(eq=False)
+class LayoutPlan:
+    """The finished plan of one stage layout, shared by every
+    ``evaluated`` entry (alias) and run of that layout.
+
+    ``key`` digests the layout the stage search returned and everything
+    else the evaluate pass reads, and nothing that reads the memory
+    budget (:meth:`~repro.planner.passes.EvaluatePass.layout_key`), so
+    two budgets whose searches return the same layout share it.  The
+    plan, its flush timing and its deployment JSON are fixed once
+    built: runs and entries read the plan through
+    :meth:`~repro.partitioner.plan.PartitionPlan.view` and never change
+    it.  ``verified`` is ``(check key, budget-free report)`` once the
+    plan has passed every check that does not read the budget (see
+    :meth:`ArtifactStore.verify_layout`); from then on the store's layout
+    index serves it while an entry holds it.
+    """
+
+    key: str
+    plan: Any
+    timing: Any
+    document: str
+    nbytes: int = 0
+    verified: Optional[Tuple[tuple, Any]] = None
+    #: the memory-tier entries holding it, oldest first; the first one
+    #: carries its weight (the store's lock guards this list)
+    holders: List[Artifact] = field(default_factory=list)
 
 
 def _estimate_nbytes(obj: Any, depth: int = 0) -> int:
@@ -346,6 +388,22 @@ def _plan_digest(plan: Any, document: str) -> str:
     return digest.hexdigest()
 
 
+def _views(plan: Any, layout: LayoutPlan) -> bool:
+    """Whether ``plan`` is ``layout``'s plan but for its diagnostics: a
+    view of it that shares its stages and agrees on every other field,
+    so the layout's deployment JSON is the plan's."""
+    shared = layout.plan
+    if len(plan.stages) != len(shared.stages) or any(
+        mine is not theirs for mine, theirs in zip(plan.stages, shared.stages)
+    ):
+        return False
+    return all(
+        getattr(plan, f.name) == getattr(shared, f.name)
+        for f in dc_fields(plan)
+        if f.name not in ("stages", "diagnostics")
+    )
+
+
 # ----------------------------------------------------------------------
 # reuse fix-up
 # ----------------------------------------------------------------------
@@ -396,8 +454,10 @@ class ArtifactStore:
     a memory miss that hits disk re-materializes the payload and
     promotes it.
 
-    The memory tier never aliases a caller's plan: ``evaluated``
-    payloads are copied on ``put`` (and again on reuse).
+    The memory tier never aliases a caller's plan: an ``evaluated``
+    payload is copied on ``put`` (and again on reuse), unless it is the
+    run's view of its :class:`LayoutPlan`, which the entry then holds as
+    an alias (a view of its own).
     Beside the artifacts the store remembers the graph fingerprints that
     passed ``validate_graph`` (at most :data:`VALIDATED_GRAPHS_MAX`,
     oldest dropped first).
@@ -435,6 +495,8 @@ class ArtifactStore:
         #: read-only disk); the memory tier kept those entries
         self.write_errors = 0
         self._validated: "OrderedDict[str, None]" = OrderedDict()
+        #: the layout index: verified layout plans an entry still holds
+        self._layouts: Dict[str, LayoutPlan] = {}
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -499,13 +561,28 @@ class ArtifactStore:
         payload: Any,
         ctx: Optional[PlanningContext] = None,
     ) -> Artifact:
-        if name == EVALUATED:
-            # the run keeps mutating its plan (diagnostics stamping, the
-            # caller); the entry must not see that
-            payload = copy.deepcopy(payload)
-        nbytes = self._payload_nbytes(name, payload)
+        layout = None
+        if name == EVALUATED and ctx is not None:
+            layout = ctx.layout
+        if layout is None or not _views(payload, layout):
+            layout = None
+            if name == EVALUATED:
+                # the run keeps mutating its plan (diagnostics stamping,
+                # the caller); the entry must not see that
+                payload = copy.deepcopy(payload)
+            nbytes = self._payload_nbytes(name, payload)
+        else:
+            # an alias of the run's layout plan: a view of its own (the
+            # diagnostics as stamped so far), weighed without the shared
+            # plan, which the layout's first entry carries
+            payload = payload.view()
+            nbytes = _estimate_nbytes(payload.diagnostics)
+            if not layout.nbytes:
+                layout.nbytes = _estimate_nbytes(layout.plan) + len(
+                    layout.document
+                )
         with self._lock:
-            art = self._insert(name, fingerprint, payload, nbytes)
+            art = self._insert(name, fingerprint, payload, nbytes, layout)
         self._write_disk(art, ctx)
         return art
 
@@ -515,7 +592,7 @@ class ArtifactStore:
         with self._lock:
             art = self._mem.pop(f"{name}:{fingerprint}", None)
             if art is not None:
-                self._mem_bytes -= art.nbytes
+                self._drop(art)
 
     def verified_plan(
         self, fingerprint: str, ctx: PlanningContext
@@ -533,7 +610,7 @@ class ArtifactStore:
         (:func:`_plan_digest`, taken afresh on every hit), and the
         version pins the invariant set.  The verify pass of the run that
         stored a plan records its check
-        (:meth:`record_verification`), so a hit whose key matches the
+        (:meth:`verify_layout`), so a hit whose key matches the
         record reuses its report.  Any other hit (an entry promoted from
         disk, one stored without a check, or one changed since) is
         checked in place: a pass is recorded, a failure evicts the entry
@@ -554,47 +631,115 @@ class ArtifactStore:
         document, report = checked
         return plan, document, report
 
-    def record_verification(
-        self, fingerprint: str, plan: Any, ctx: PlanningContext, report: Any
-    ) -> Optional[str]:
-        """Record ``report``, the verify pass's check of ``plan``, on the
-        memory-tier ``evaluated`` entry at ``fingerprint`` that the same
-        run stored (a copy of ``plan``).  Returns the plan's deployment
-        JSON, which the record key hashes; ``None`` when the memory tier
-        no longer holds the entry or the report failed, which evicts it.
-        """
-        with self._lock:
-            art = self._mem.get(f"{EVALUATED}:{fingerprint}")
-        if art is None:
-            return None
-        checked = self._verify_entry(art, plan, ctx, report)
-        return None if checked is None else checked[0]
-
     def _verify_entry(
-        self,
-        art: Artifact,
-        plan: Any,
-        ctx: PlanningContext,
-        report: Any = None,
+        self, art: Artifact, plan: Any, ctx: PlanningContext
     ) -> Optional[Tuple[str, Any]]:
-        """``(deployment JSON, report)`` of ``plan``, the payload of the
-        ``evaluated`` entry ``art`` or a copy of it, once it has passed
+        """``(deployment JSON, report)`` of ``plan``, a copy of the
+        payload of the ``evaluated`` entry ``art``, once it has passed
         :mod:`repro.verify`; ``None`` once it failed, which evicts
-        ``art``.  Without a ``report`` a record whose key matches is
-        reused, and otherwise the plan is checked here; a pass is
-        recorded on ``art``."""
+        ``art``.  A record whose key matches is reused, and otherwise the
+        plan is checked here; a pass is recorded on ``art``."""
         document, key = _record_key(art.fingerprint, plan, ctx.graph)
-        if report is None:
-            record = art.verified
-            if record is not None and record[0] == key:
-                ctx.metrics.counter("verify.memo_hits").inc()
-                return document, record[1]
-            report = ctx.check_plan(plan)
+        record = art.verified
+        if record is not None and record[0] == key:
+            ctx.metrics.counter("verify.memo_hits").inc()
+            return document, record[1]
+        report = ctx.check_plan(plan)
         if not report.ok:
             self.evict(EVALUATED, art.fingerprint)
             return None
         art.verified = (key, report)
         return document, report
+
+    def layout_plan(self, key: str) -> Optional[LayoutPlan]:
+        """The verified :class:`LayoutPlan` at ``key`` while a memory-tier
+        entry holds it; ``None`` otherwise."""
+        with self._lock:
+            return self._layouts.get(key)
+
+    def verify_layout(
+        self,
+        fingerprint: str,
+        plan: Any,
+        ctx: PlanningContext,
+        expected_iteration_time: Optional[float],
+    ) -> Tuple[Any, str]:
+        """``(report, deployment JSON)`` of ``plan``, the run's view of
+        its layout plan ``ctx.layout``, which the run stored as the
+        ``evaluated`` entry at ``fingerprint``.  The verify pass's check
+        of a fresh plan in a store-backed run.
+
+        Only the memory family's budget check reads the memory budget.
+        Everything else :func:`~repro.verify.check_plan` reports -- the
+        budget-free report -- is recorded on the layout under the key
+        of exactly what those checks read: the graph fingerprint, the
+        cluster, precision, optimizer and mode, the plan's digest
+        (:func:`_plan_digest`, taken afresh), the expected iteration
+        time and ``VERIFIER_VERSION``.  A run whose key matches the
+        record reuses that report and holds the plan to its own budget
+        (:func:`~repro.verify.check_budget`); any other run checks the
+        plan in full, under its budget, and a pass splits off the
+        budget-free report (:func:`~repro.verify.plan_checks.without_budget`).
+
+        A pass is recorded on the entry at ``fingerprint`` (under the
+        key :meth:`verified_plan` reads) and the first passing
+        budget-free report on the layout, which enters the layout index
+        while an entry holds it.  A failure evicts the entry.
+        """
+        from repro.partitioner.deployment import (
+            graph_fingerprint,
+            plan_to_json,
+        )
+        from repro.verify import plan_checks
+
+        layout = ctx.layout
+        config = ctx.config
+        document = (
+            layout.document
+            if _views(plan, layout)
+            else plan_to_json(plan, ctx.graph)
+        )
+        digest = _plan_digest(plan, document)
+        check_key = (
+            graph_fingerprint(ctx.graph),
+            ctx.cluster,
+            config.precision,
+            config.optimizer,
+            config.mode,
+            digest,
+            expected_iteration_time,
+            plan_checks.VERIFIER_VERSION,
+        )
+        record = layout.verified
+        if record is not None and record[0] == check_key:
+            report = plan_checks.check_budget(
+                record[1], plan, config.memory_budget
+            )
+        else:
+            report = ctx.check_plan(plan, expected_iteration_time)
+            if report.ok and record is None:
+                record = (
+                    check_key,
+                    plan_checks.without_budget(
+                        report, plan, config.memory_budget
+                    ),
+                )
+        key = f"{EVALUATED}:{fingerprint}"
+        with self._lock:
+            if record is not None and layout.verified is None:
+                layout.verified = record
+            art = self._mem.get(key)
+            if not report.ok:
+                if art is not None:
+                    self._drop(self._mem.pop(key))
+            elif art is not None and art.layout is layout:
+                art.verified = (
+                    (fingerprint, digest, plan_checks.VERIFIER_VERSION),
+                    report,
+                )
+            if layout.verified is not None and layout.holders:
+                self._layouts.setdefault(layout.key, layout)
+        return report, document
 
     def recorded_plan(
         self, fingerprint: str, graph: Any
@@ -667,21 +812,45 @@ class ArtifactStore:
         fingerprint: str,
         payload: Any,
         nbytes: int,
+        layout: Optional[LayoutPlan] = None,
     ) -> Artifact:
         key = f"{name}:{fingerprint}"
         old = self._mem.pop(key, None)
         if old is not None:
-            self._mem_bytes -= old.nbytes
+            self._drop(old)
         art = Artifact(
             name=name,
             fingerprint=fingerprint,
             payload=payload,
             nbytes=nbytes,
+            layout=layout,
         )
+        if layout is not None:
+            if not layout.holders:
+                art.nbytes += layout.nbytes
+            layout.holders.append(art)
         self._mem[key] = art
         self._mem_bytes += art.nbytes
         self._evict_over_budget(keep=key)
         return art
+
+    def _drop(self, art: Artifact) -> None:
+        """Account for ``art``, just popped from the memory tier.  The
+        weight of a layout it carried passes to the layout's next entry;
+        a layout no entry holds leaves the layout index."""
+        self._mem_bytes -= art.nbytes
+        layout = art.layout
+        if layout is None:
+            return
+        holders = layout.holders
+        index = next(i for i, held in enumerate(holders) if held is art)
+        del holders[index]
+        if not holders:
+            if self._layouts.get(layout.key) is layout:
+                del self._layouts[layout.key]
+        elif index == 0:
+            holders[0].nbytes += layout.nbytes
+            self._mem_bytes += layout.nbytes
 
     def _evict_over_budget(self, keep: str) -> None:
         """Drop least recently used entries until the memory tier fits
@@ -692,7 +861,7 @@ class ArtifactStore:
             return
         for key in list(self._mem):
             if key != keep:
-                self._mem_bytes -= self._mem.pop(key).nbytes
+                self._drop(self._mem.pop(key))
                 self.memory_evictions += 1
                 if self._mem_bytes <= budget:
                     return
@@ -708,7 +877,12 @@ class ArtifactStore:
         if self.disk is None or codec is None or ctx is None:
             return
         try:
-            data = codec.encode(art.payload, ctx)
+            # an alias writes its layout's deployment JSON as it stands
+            data = (
+                art.layout.document.encode()
+                if art.layout is not None
+                else codec.encode(art.payload, ctx)
+            )
         except (TypeError, ValueError):  # pragma: no cover - defensive
             return
         try:

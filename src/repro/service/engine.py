@@ -74,6 +74,7 @@ from repro.obs.metrics import Gauge, MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.partitioner.stage_dp import TOTAL_METRICS
 from repro.planner import PartitioningError, PlanningContext, default_passes
+from repro.planner.events import OK
 from repro.planner.store import ArtifactStore, DiskBackend
 from repro.service.protocol import (
     PlanRequest,
@@ -87,6 +88,15 @@ __all__ = ["PlanEngine"]
 #: built graphs a :class:`PlanEngine` keeps, least recently used
 #: dropped first
 GRAPH_CACHE_MAX = 32
+
+#: the run metrics a pool request adds to the engine's: the store memo
+#: hits, the known layouts and the search totals
+FOLDED_METRICS = (
+    "verify.memo_hits",
+    "validate.memo_hits",
+    "evaluate.layout_hits",
+    *TOTAL_METRICS.values(),
+)
 
 #: the passes a whole-plan store hit skips, in pipeline order: the
 #: ``reused_passes`` of every warm answer
@@ -612,7 +622,8 @@ class PlanEngine:
                 name: value
                 for name, value in self.metrics.snapshot().items()
                 if name.startswith(("service.", "verify.", "validate.",
-                                     "search.", "dp.", "profiler."))
+                                     "evaluate.", "search.", "dp.",
+                                     "profiler."))
             },
             "store": self.store.stats(),
             "spans": len(self.tracer),
@@ -752,8 +763,14 @@ class PlanEngine:
         the plan's deployment JSON and the response meta."""
         from repro.partitioner.deployment import plan_to_json
 
+        # the run records its passes on the engine's tracer, under the
+        # request's ``service.plan`` span
         ctx = PlanningContext(
-            req.graph, req.cluster, req.config, store=self.store
+            req.graph,
+            req.cluster,
+            req.config,
+            tracer=self.tracer,
+            store=self.store,
         )
         run_started = time.perf_counter()
         with self.tracer.span(
@@ -768,24 +785,27 @@ class PlanEngine:
             except PartitioningError as exc:
                 span.set(outcome="infeasible")
                 raise ServiceError("infeasible", str(exc)) from exc
-            cache_kind, reused = self._classify(ctx)
+            with self.tracer.span("service.classify", category="service"):
+                cache_kind, reused = self._classify(ctx)
             span.set(outcome="ok", cache=cache_kind)
-        self._planned_models.add(req.model_key)
-        self.metrics.counter(f"service.{cache_kind}_results").inc()
-        # the run's store memo hits and search totals: counters sum over
-        # runs, a gauge (the widest slab) holds the latest run's value
-        for name in ("verify.memo_hits", "validate.memo_hits",
-                     *TOTAL_METRICS.values()):
-            metric = ctx.metrics.get(name)
-            if isinstance(metric, Gauge):
-                self.metrics.gauge(name).set(metric.value)
-            elif metric is not None:
-                self.metrics.counter(name).inc(metric.value)
-        encode_started = time.perf_counter()
-        # the verify pass or the store probe encoded the document its
-        # verification record hashes; a run that recorded none encodes
-        # it here
-        document = ctx.plan_document or plan_to_json(plan, req.graph)
+            with self.tracer.span("service.fold", category="service"):
+                self._planned_models.add(req.model_key)
+                self.metrics.counter(f"service.{cache_kind}_results").inc()
+                # the run's store memo hits and search totals: counters
+                # sum over runs, a gauge (the widest slab) holds the
+                # latest run's value
+                for name in FOLDED_METRICS:
+                    metric = ctx.metrics.get(name)
+                    if isinstance(metric, Gauge):
+                        self.metrics.gauge(name).set(metric.value)
+                    elif metric is not None:
+                        self.metrics.counter(name).inc(metric.value)
+            encode_started = time.perf_counter()
+            with self.tracer.span("service.encode", category="service"):
+                # the verify pass or the store probe encoded the document
+                # its verification record hashes; a run that recorded
+                # none encodes it here
+                document = ctx.plan_document or plan_to_json(plan, req.graph)
         done = time.perf_counter()
         meta = _plan_meta(
             req, cache_kind, reused, plan, (done - run_started) * 1e3,
@@ -799,22 +819,26 @@ class PlanEngine:
     @staticmethod
     def _classify(ctx: PlanningContext) -> Tuple[str, List[str]]:
         """``(cache kind, reused pass names)`` from the run's event log.
+        The kind says whether the run computed the plan:
 
-        * ``warm``: the store served the finished plan, or every compute
-          pass up to ``evaluate`` was reused from it;
-        * ``delta``: a proper prefix was reused (the pipeline reran only
-          the invalidated suffix);
+        * ``warm``: no compute pass ran (the store served the finished
+          plan, or every compute pass's artifacts);
+        * ``delta``: some passes were reused and the rest ran (the
+          pipeline reran only the invalidated suffix) -- also a run
+          whose stage search returned a known layout, which ``evaluate``
+          then took from the store: it searched;
         * ``cold``: nothing was reused.
         """
         reused = []
+        computed = False
         for event in ctx.events:
             if event.detail.get("reuse"):
                 reused.append(event.name)
-        if "evaluate" in reused:
-            return "warm", reused
-        if reused:
-            return "delta", reused
-        return "cold", reused
+            elif event.status == OK and event.name in WARM_REUSED_PASSES:
+                computed = True
+        if not reused:
+            return "cold", reused
+        return ("delta" if computed else "warm"), reused
 
     def _observe_latency(self, kind: str, wall_ms: float) -> None:
         self.metrics.histogram(f"service.latency_ms.{kind}").observe(wall_ms)

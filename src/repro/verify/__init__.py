@@ -23,6 +23,7 @@ from repro.verify.plan_checks import (
     PlanVerificationError,
     VerificationReport,
     Violation,
+    check_budget,
     check_plan,
     verify_plan,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "PlanVerificationError",
     "VerificationReport",
     "Violation",
+    "check_budget",
     "check_plan",
     "verify_plan",
 ]

@@ -29,7 +29,8 @@ The invariant families (see ``docs/VERIFICATION.md``):
   ``microbatch_size`` equals ``batch_size // (R * MB * devices)`` with at
   least one sample per replica.
 * **memory** -- each stage's stored peak memory fits the device's usable
-  memory and, when the run set one, its memory budget; the memory
+  memory and, when the run set one, its memory budget (the one check
+  that reads the budget, :func:`check_budget`, run last); the memory
   *re-derived* from
   :mod:`repro.profiler.memory` via a fresh profile of the stage's tasks
   agrees with the stored value within :data:`MEM_REL_TOL` (and also fits).
@@ -96,8 +97,10 @@ __all__ = [
     "PlanVerificationError",
     "VerificationReport",
     "Violation",
+    "check_budget",
     "check_plan",
     "verify_plan",
+    "without_budget",
 ]
 
 #: relative tolerance of the DP estimate vs. the re-simulation
@@ -177,7 +180,6 @@ class _Checker:
         profiler: Optional[GraphProfiler],
         optimizer: OptimizerKind,
         expected_iteration_time: Optional[float],
-        memory_budget: Optional[float],
     ) -> None:
         self.plan = plan
         self.graph = graph
@@ -185,7 +187,6 @@ class _Checker:
         self.profiler = profiler
         self.optimizer = optimizer
         self.expected_iteration_time = expected_iteration_time
-        self.memory_budget = memory_budget
         self.report = VerificationReport(model_name=plan.model_name)
         # the table of the profiler the re-derivation checks use carries
         # the non-constant flags (the forward traversal of
@@ -461,7 +462,6 @@ class _Checker:
 
     def _check_memory_static(self) -> None:
         limits = self._stage_limits()
-        budget = self.memory_budget
         for stage, (usable, _factor) in zip(self.plan.stages, limits):
             self._checked()
             if stage.profile.memory > usable * (1.0 + MEM_REL_TOL):
@@ -470,16 +470,6 @@ class _Checker:
                     f"stage {stage.index} stores peak memory "
                     f"{stage.profile.memory / 2**30:.3f} GiB exceeding "
                     f"usable device memory {usable / 2**30:.3f} GiB",
-                )
-            if budget is None:
-                continue
-            self._checked()
-            if stage.profile.memory > budget * (1.0 + MEM_REL_TOL):
-                self._fail(
-                    "memory",
-                    f"stage {stage.index} stores peak memory "
-                    f"{stage.profile.memory / 2**30:.3f} GiB exceeding "
-                    f"the run's memory budget {budget / 2**30:.3f} GiB",
                 )
 
     # ------------------------------------------------------------------
@@ -723,16 +713,82 @@ def check_plan(
             memory must fit it too.  ``None``: the devices' capacity
             only.
     """
-    checker = _Checker(
+    report = _Checker(
         plan,
         graph,
         cluster if cluster is not None else plan.cluster,
         profiler,
         optimizer,
         expected_iteration_time,
-        memory_budget,
+    ).run()
+    if memory_budget is None:
+        return report
+    return check_budget(report, plan, memory_budget)
+
+
+def check_budget(
+    report: VerificationReport,
+    plan: PartitionPlan,
+    memory_budget: Optional[float],
+) -> VerificationReport:
+    """``report`` completed by the memory family's budget check, the one
+    check that reads a run's memory budget: every stage's stored peak
+    memory must fit ``memory_budget`` (``None``: no check).
+
+    ``report`` is a :func:`check_plan` report of ``plan`` made without a
+    budget, and the result equals :func:`check_plan` of the plan under
+    ``memory_budget``: its violations, then this check's.  It is a new
+    report and ``report`` stays as it is, so the artifact store can
+    keep one budget-free report per plan layout and hold every run to
+    its own budget (:meth:`~repro.planner.store.ArtifactStore.verify_layout`).
+    """
+    checked = _budget_checks(plan, memory_budget)
+    violations = [
+        Violation(
+            "memory",
+            f"stage {stage.index} stores peak memory "
+            f"{stage.profile.memory / 2**30:.3f} GiB exceeding "
+            f"the run's memory budget {memory_budget / 2**30:.3f} GiB",
+        )
+        for stage in plan.stages
+        if checked and stage.profile.memory > memory_budget * (1.0 + MEM_REL_TOL)
+    ]
+    return VerificationReport(
+        model_name=report.model_name,
+        violations=[*report.violations, *violations],
+        invariants_checked=report.invariants_checked + checked,
+        stats=dict(report.stats),
     )
-    return checker.run()
+
+
+def without_budget(
+    report: VerificationReport,
+    plan: PartitionPlan,
+    memory_budget: Optional[float],
+) -> VerificationReport:
+    """The budget-free report of a *passing* ``report``, made by
+    :func:`check_plan` of ``plan`` under ``memory_budget``: what
+    :func:`check_plan` reports without the budget, so that
+    :func:`check_budget` of it under ``memory_budget`` gives ``report``
+    back.  A failed report does not split (its violations may be the
+    budget's): ``ValueError``."""
+    if not report.ok:
+        raise ValueError("only a passing report splits off its budget check")
+    return VerificationReport(
+        model_name=report.model_name,
+        invariants_checked=(
+            report.invariants_checked - _budget_checks(plan, memory_budget)
+        ),
+        stats=dict(report.stats),
+    )
+
+
+def _budget_checks(
+    plan: PartitionPlan, memory_budget: Optional[float]
+) -> int:
+    """How many invariants the budget check counts: one per stage under
+    a budget."""
+    return len(plan.stages) if memory_budget is not None else 0
 
 
 def verify_plan(

@@ -15,9 +15,11 @@ from repro.models.random_dag import build_random_dag
 from repro.partitioner import auto_partition
 from repro.verify import (
     PlanVerificationError,
+    check_budget,
     check_plan,
     verify_plan,
 )
+from repro.verify.plan_checks import without_budget
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +273,28 @@ class TestMemoryBudget:
         assert not check_plan(
             plan, graph, cluster, memory_budget=0.75 * peak
         ).ok
+
+    @pytest.mark.parametrize("fraction", [None, 0.75, 1.0, 2.0])
+    def test_budget_check_on_its_own(self, pipelined, fraction):
+        """The budget check completes a budget-free report into exactly
+        the report of a check under the budget, and a passing report
+        splits back into its budget-free part."""
+        graph, cluster, plan = pipelined
+        peak = max(s.profile.memory for s in plan.stages)
+        budget = None if fraction is None else fraction * peak
+        free = check_plan(plan, graph, cluster)
+        whole = check_plan(plan, graph, cluster, memory_budget=budget)
+        composed = check_budget(free, plan, budget)
+        assert composed == whole
+        assert composed is not free and free == check_plan(plan, graph, cluster)
+        if whole.ok:
+            assert without_budget(whole, plan, budget) == free
+        else:
+            assert [v.invariant for v in whole.violations] == ["memory"] * len(
+                whole.violations
+            )
+            with pytest.raises(ValueError):
+                without_budget(whole, plan, budget)
 
 
 class TestCollectThenRaise:

@@ -4,7 +4,9 @@
 Exercises the daemon's whole contract end to end against a live
 socket -- cold plan, warm repeats (answered on the server's event loop
 and counted in ``/v1/stats``), delta replan through ``/v1/replan``,
-concurrent same-model replans over one shared DP context, a second
+a budget whose search returns the primed layout (a delta that takes
+the stored plan of that layout, counted in ``/v1/stats``), concurrent
+same-model replans over one shared DP context, a second
 budget that reuses the first's Algorithm-1 sweeps, a third whose node
 levels a stored answer seeds (the stats count the seeded levels and the
 answers the sweep bounds removed), in-place
@@ -106,6 +108,23 @@ def main(argv=None) -> int:
     ok &= check(
         warm_after - warm_before == WARM_REPEATS,
         f"stats count the {WARM_REPEATS} warm repeats",
+    )
+
+    # a budget whose search returns the primed layout takes the stored
+    # plan of that layout: still a delta (it searched), verified under
+    # its own budget, and counted as a layout hit
+    hits_before = client.stats()["counters"].get("evaluate.layout_hits", 0)
+    known = client.plan(**dict(REQUEST, options={"memory_budget_gb": 30}))
+    ok &= check(known["meta"]["cache"] == "delta",
+                "a budget on the primed layout is a delta")
+    ok &= check(known["meta"]["verified"] is True,
+                "a budget on the primed layout is verified")
+    ok &= check(known["plan"] == cold["plan"],
+                "a budget on the primed layout plans that layout")
+    ok &= check(
+        client.stats()["counters"].get("evaluate.layout_hits", 0)
+        == hits_before + 1,
+        "stats count the layout hit",
     )
 
     delta = client.replan(**dict(REQUEST, cluster={"preset": "v100x16"}))
