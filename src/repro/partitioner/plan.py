@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.device import Precision
@@ -34,11 +35,6 @@ class StageSpec:
     microbatch_size: int
     profile: ProfileResult
 
-    def __deepcopy__(self, memo: dict) -> "StageSpec":
-        # frozen, and every field is immutable: a copied plan shares its
-        # stages and copies only the containers around them
-        return self
-
     @property
     def time_fwd(self) -> float:
         return self.profile.time_fwd
@@ -56,10 +52,20 @@ class DeviceAssignment:
     ranks ``[r*D, (r+1)*D)`` and its stages take consecutive ranks inside
     that range, so adjacent stages land on the same node whenever possible
     (the alignment Algorithm 2 aims at with ``D = D_node x n``).
+
+    Immutable, ``ranks`` included (a read-only mapping): the artifact
+    store shares one assignment between every view of a stored plan.
     """
 
-    ranks: Dict[Tuple[int, int], Tuple[int, ...]]
+    ranks: Mapping[Tuple[int, int], Tuple[int, ...]]
     cluster: ClusterSpec
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ranks", MappingProxyType(dict(self.ranks)))
+
+    def __reduce__(self):
+        # a read-only mapping does not pickle or deep-copy by itself
+        return type(self), (dict(self.ranks), self.cluster)
 
     def devices_of(self, replica: int, stage: int) -> Tuple[int, ...]:
         return self.ranks[(replica, stage)]

@@ -12,9 +12,10 @@ Passes additionally declare the input *facets* they read (see
 cacheable pass's input fingerprint (facet digests + the fingerprints of
 its required artifacts) before running any pass.  It first probes the
 store for the finished ``evaluated`` plan: a hit that has passed
-:mod:`repro.verify` under the run's inputs (checked once per content
-address, see :meth:`~repro.planner.store.ArtifactStore.verified_plan`)
-installs it and skips every ``skip_when_planned`` pass, reading one
+:mod:`repro.verify` under the run's inputs (checked once per plan and
+held to the run's budget, see
+:meth:`~repro.planner.store.ArtifactStore.verified_plan`) installs a
+view of it and skips every ``skip_when_planned`` pass, reading one
 entry and no intermediate artifact; a hit that fails the check is
 evicted and counts as a miss.  Otherwise, a store hit on every
 artifact a pass produces skips that pass and installs the stored
@@ -36,7 +37,6 @@ from repro.obs.tracer import NULL_TRACER
 from repro.planner.context import EVALUATED, PlanningContext
 from repro.planner.events import FAILED, OK, SKIPPED
 from repro.planner.facets import fingerprint_chain, plan_address
-from repro.planner.store import materialize_for_reuse
 
 
 class PartitioningError(RuntimeError):
@@ -153,12 +153,7 @@ class PassManager:
                     arts.append(art)
                 if len(arts) == len(p.produces):
                     for artifact, art in zip(p.produces, arts):
-                        ctx.put(
-                            artifact,
-                            materialize_for_reuse(
-                                artifact, art.payload, ctx
-                            ),
-                        )
+                        ctx.put(artifact, art.payload)
                         ctx.artifact_fps[artifact] = fp
                     reused_passes += 1
                     artifacts_loaded += len(arts)

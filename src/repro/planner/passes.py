@@ -344,10 +344,9 @@ class VerifyPass(PlannerPass):
     Runs after :class:`EvaluatePass` on every fresh plan.  A fresh plan
     the run stored is checked through its layout
     (:meth:`~repro.planner.store.ArtifactStore.verify_layout`): the
-    budget-free checks once per layout, the budget check on every run.
-    The pass records the report on the store entry and keeps the
-    layout's deployment JSON as ``ctx.plan_document``.  A plan served
-    whole from the store, from
+    budget-free checks once per layout, recorded on it, and the budget
+    check on every run.  The pass keeps the layout's deployment JSON as
+    ``ctx.plan_document``.  A plan served whole from the store, from
     either tier, comes with the report the probe reused or made
     (:meth:`~repro.planner.store.ArtifactStore.verified_plan`): this
     pass reports that ``ctx.plan_report`` instead of checking again.

@@ -24,46 +24,37 @@ Two backends:
 
 The ``evaluated`` entry is the store's whole-plan cache: the pass
 manager probes it before running any pass (see
-:mod:`repro.planner.manager`).  A served plan must have passed
-:mod:`repro.verify` under the run's inputs, and the check runs once per
-content address: the verify pass of the run that stored a plan records
-its pass on the memory-tier entry
-(:meth:`ArtifactStore.verify_layout`), and an entry without a
-matching record (one promoted from disk) is checked at the probe
-(:meth:`ArtifactStore.verified_plan`).  So a repeated hit costs a
-fingerprint, one probe, a copy and an encode (the plan service answers
-it without the copy through :meth:`ArtifactStore.recorded_plan`, see
-:mod:`repro.service.engine`).  The store also
-remembers which graphs passed ``validate_graph``.
+:mod:`repro.planner.manager`).  A finished plan has one form here, a
+:class:`LayoutPlan`: the plan, fixed once built, its deployment JSON
+and its one verification record.  Every ``evaluated`` entry holds one,
+and entries and readers alike read its plan through views
+(:meth:`~repro.partitioner.plan.PartitionPlan.view`), so nothing a run
+or a caller stamps reaches it and no plan is copied.  A plan built in a
+store-backed run is also addressed by its stage layout, which leaves
+out the memory budget: a budget whose search returns a known layout
+adds a view to the memory tier, and the plan is weighed once.
 
-Beside the input addresses, the memory tier gives each finished plan a
-second, value-based one: the digest of its stage layout and of what the
-evaluate pass reads besides it, which leaves out the memory budget
-(:class:`LayoutPlan`).  Every ``evaluated`` entry of one layout is an
-alias of that one payload -- a view with diagnostics of its own -- so a
-budget whose search returns a known layout adds a view to the tier, not
-a copy, and the payload is weighed once.  Its verification is split the
-same way: the budget-free report is recorded per layout, and every run
-is held to its own budget (:meth:`ArtifactStore.verify_layout`).
-
-Reusing a loaded plan needs one run-specific fix-up: it is deep-copied
-so later mutation cannot leak between runs (:func:`materialize_for_reuse`;
-the copy shares the frozen stages and copies only their containers).
-Every other payload is reused as it stands; a ``dp_context`` is a
-content-addressed memo that each run reads through its own
-:class:`~repro.partitioner.stage_dp.DPRun`.
+A served plan has passed :mod:`repro.verify` under the run's inputs,
+by one rule for the probe, the plan service's event loop and the
+verify pass (:meth:`ArtifactStore._verified`): the layout's record --
+the budget-free report, keyed by exactly what those checks read -- is
+reused when its key matches, else the plan is checked in full; either
+way the run's own budget check runs.  The store also remembers which
+graphs passed ``validate_graph``.  Every other payload is reused as it
+stands; a ``dp_context`` is a content-addressed memo that each run
+reads through its own :class:`~repro.partitioner.stage_dp.DPRun`.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import os
 import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, is_dataclass, fields as dc_fields
+from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import fields as dc_fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -88,23 +79,18 @@ class Artifact:
         name: artifact kind (``blocks``, ``dp_context``, ...).
         fingerprint: the producing pass's input fingerprint; together
             with ``name`` this is the store address.
-        payload: the live artifact object.
+        payload: the live artifact object; for ``evaluated``, the
+            entry's view of ``layout.plan``.
         nbytes: estimated in-memory size (LRU accounting).
-        verified: ``evaluated`` entries only: ``(key, report)`` of the
-            last :mod:`repro.verify` pass of the payload, keyed by
-            ``(fingerprint, plan digest, VERIFIER_VERSION)`` (recorded
-            by the verify pass of the run that stored it, or by
-            :meth:`ArtifactStore.verified_plan`).  In process only: it is
-            never persisted and goes when the entry is evicted.
+        layout: ``evaluated`` entries only: the :class:`LayoutPlan` the
+            entry holds; the first of its entries also carries its
+            weight in ``nbytes``.
     """
 
     name: str
     fingerprint: str
     payload: Any = None
     nbytes: int = 0
-    verified: Optional[Tuple[Tuple[str, str, int], Any]] = None
-    #: ``evaluated`` aliases only: the layout plan ``payload`` is a view
-    #: of; the first of its entries also carries its weight in ``nbytes``
     layout: Optional["LayoutPlan"] = None
 
     @property
@@ -112,30 +98,43 @@ class Artifact:
         return f"{self.name}:{self.fingerprint}"
 
 
+@dataclass(frozen=True)
+class VerificationRecord:
+    """A pass of :mod:`repro.verify` on a stored plan, as its layout
+    keeps it: the budget-free ``report``
+    (:func:`~repro.verify.plan_checks.without_budget`) under the
+    ``inputs`` those checks read -- graph fingerprint, cluster,
+    precision, optimizer, mode, plan digest, ``VERIFIER_VERSION`` --
+    and the ``expected`` iteration time of the differential check
+    (``None``: not made)."""
+
+    inputs: tuple
+    expected: Optional[float]
+    report: Any
+
+
 @dataclass(eq=False)
 class LayoutPlan:
-    """The finished plan of one stage layout, shared by every
-    ``evaluated`` entry (alias) and run of that layout.
+    """A finished plan as the store holds it, shared by every
+    ``evaluated`` entry and run of it.
 
     ``key`` digests the layout the stage search returned and everything
-    else the evaluate pass reads, and nothing that reads the memory
-    budget (:meth:`~repro.planner.passes.EvaluatePass.layout_key`), so
-    two budgets whose searches return the same layout share it.  The
-    plan, its flush timing and its deployment JSON are fixed once
-    built: runs and entries read the plan through
-    :meth:`~repro.partitioner.plan.PartitionPlan.view` and never change
-    it.  ``verified`` is ``(check key, budget-free report)`` once the
-    plan has passed every check that does not read the budget (see
-    :meth:`ArtifactStore.verify_layout`); from then on the store's layout
-    index serves it while an entry holds it.
+    else the evaluate pass reads but the memory budget
+    (:meth:`~repro.planner.passes.EvaluatePass.layout_key`); a plan
+    decoded from disk or seeded into a store has no key (nor ``timing``)
+    and never enters the layout index.  The plan, its timing and its
+    deployment JSON are fixed once built: readers take views
+    (:meth:`~repro.partitioner.plan.PartitionPlan.view`).  ``verified``
+    is the plan's one :class:`VerificationRecord`; once it is set, the
+    layout index serves a keyed layout while an entry holds it.
     """
 
-    key: str
+    key: Optional[str]
     plan: Any
     timing: Any
     document: str
     nbytes: int = 0
-    verified: Optional[Tuple[tuple, Any]] = None
+    verified: Optional[VerificationRecord] = None
     #: the memory-tier entries holding it, oldest first; the first one
     #: carries its weight (the store's lock guards this list)
     holders: List[Artifact] = field(default_factory=list)
@@ -389,51 +388,10 @@ def _plan_digest(plan: Any, document: str) -> str:
 
 
 def _views(plan: Any, layout: LayoutPlan) -> bool:
-    """Whether ``plan`` is ``layout``'s plan but for its diagnostics: a
-    view of it that shares its stages and agrees on every other field,
-    so the layout's deployment JSON is the plan's."""
+    """Whether ``plan`` is ``layout``'s plan but for its diagnostics, so
+    the layout's deployment JSON is the plan's."""
     shared = layout.plan
-    if len(plan.stages) != len(shared.stages) or any(
-        mine is not theirs for mine, theirs in zip(plan.stages, shared.stages)
-    ):
-        return False
-    return all(
-        getattr(plan, f.name) == getattr(shared, f.name)
-        for f in dc_fields(plan)
-        if f.name not in ("stages", "diagnostics")
-    )
-
-
-# ----------------------------------------------------------------------
-# reuse fix-up
-# ----------------------------------------------------------------------
-def materialize_for_reuse(
-    name: str, payload: Any, ctx: PlanningContext
-) -> Any:
-    """Prepare a stored payload for use in a new planning run."""
-    if name == EVALUATED:
-        # plans are mutated downstream (diagnostics stamping, callers);
-        # isolate each run with a copy
-        return copy.deepcopy(payload)
-    return payload
-
-
-def _record_key(
-    fingerprint: str, plan: Any, graph: Any
-) -> Tuple[str, Tuple[str, str, int]]:
-    """``(deployment JSON, record key)`` of a plan stored at
-    ``fingerprint``: the key ``(fingerprint, plan digest,
-    VERIFIER_VERSION)`` its verification is recorded under."""
-    from repro.partitioner.deployment import plan_to_json
-    from repro.verify import plan_checks
-
-    document = plan_to_json(plan, graph)
-    key = (
-        fingerprint,
-        _plan_digest(plan, document),
-        plan_checks.VERIFIER_VERSION,
-    )
-    return document, key
+    return replace(plan, diagnostics=shared.diagnostics) == shared
 
 
 # ----------------------------------------------------------------------
@@ -454,10 +412,6 @@ class ArtifactStore:
     a memory miss that hits disk re-materializes the payload and
     promotes it.
 
-    The memory tier never aliases a caller's plan: an ``evaluated``
-    payload is copied on ``put`` (and again on reuse), unless it is the
-    run's view of its :class:`LayoutPlan`, which the entry then holds as
-    an alias (a view of its own).
     Beside the artifacts the store remembers the graph fingerprints that
     passed ``validate_graph`` (at most :data:`VALIDATED_GRAPHS_MAX`,
     oldest dropped first).
@@ -471,10 +425,10 @@ class ArtifactStore:
     and the walk that sizes an entry (a whole ``dp_context`` memo on
     ``refresh``) run outside it, so a memory-tier lookup never waits on
     another request's I/O or on a large entry being weighed.
-    Payloads handed out by ``get`` are shared as they stand: plans are
-    copied on reuse, and a ``dp_context`` only grows by idempotent memo
-    fills, which concurrent runs may make at once (``refresh`` weighs it
-    while they do).
+    Payloads handed out by ``get`` are shared as they stand: a stored
+    plan is never changed (its readers take views), and a ``dp_context``
+    only grows by idempotent memo fills, which concurrent runs may make
+    at once (``refresh`` weighs it while they do).
     """
 
     def __init__(
@@ -541,14 +495,18 @@ class ArtifactStore:
             with self._lock:
                 self.misses += 1
             return None
-        nbytes = self._payload_nbytes(name, payload)
+        layout = None
+        if name == EVALUATED:
+            payload, nbytes, layout = self._evaluated(payload, None, ctx)
+        else:
+            nbytes = self._payload_nbytes(name, payload)
         with self._lock:
             art = self._mem.get(key)
             if art is None:
-                art = self._insert(name, fingerprint, payload, nbytes)
+                art = self._insert(name, fingerprint, payload, nbytes, layout)
             else:
                 # another run promoted the entry meanwhile: keep it and
-                # its verification record
+                # its layout's verification record
                 self._mem.move_to_end(key)
             self.hits += 1
             self.disk_hits += 1
@@ -562,100 +520,95 @@ class ArtifactStore:
         ctx: Optional[PlanningContext] = None,
     ) -> Artifact:
         layout = None
-        if name == EVALUATED and ctx is not None:
-            layout = ctx.layout
-        if layout is None or not _views(payload, layout):
-            layout = None
-            if name == EVALUATED:
-                # the run keeps mutating its plan (diagnostics stamping,
-                # the caller); the entry must not see that
-                payload = copy.deepcopy(payload)
-            nbytes = self._payload_nbytes(name, payload)
+        if name == EVALUATED:
+            payload, nbytes, layout = self._evaluated(
+                payload, ctx.layout, ctx
+            )
         else:
-            # an alias of the run's layout plan: a view of its own (the
-            # diagnostics as stamped so far), weighed without the shared
-            # plan, which the layout's first entry carries
-            payload = payload.view()
-            nbytes = _estimate_nbytes(payload.diagnostics)
-            if not layout.nbytes:
-                layout.nbytes = _estimate_nbytes(layout.plan) + len(
-                    layout.document
-                )
+            nbytes = self._payload_nbytes(name, payload)
         with self._lock:
             art = self._insert(name, fingerprint, payload, nbytes, layout)
         self._write_disk(art, ctx)
         return art
 
+    @staticmethod
+    def _evaluated(
+        plan: Any, layout: Optional[LayoutPlan], ctx: PlanningContext
+    ) -> Tuple[Any, int, LayoutPlan]:
+        """``(payload, nbytes, layout)`` of an ``evaluated`` entry of
+        ``plan``, the run's view of ``layout``: a view of its own,
+        weighed without the shared plan (the layout's first entry
+        carries it).  Any other plan -- decoded from disk, or seeded by
+        a run without a store -- gets a layout of its own, with no key."""
+        if layout is None or not _views(plan, layout):
+            from repro.partitioner.deployment import plan_to_json
+
+            layout = LayoutPlan(
+                None, plan.view(), None, plan_to_json(plan, ctx.graph)
+            )
+        payload = plan.view()
+        if not layout.nbytes:
+            layout.nbytes = _estimate_nbytes(layout.plan) + len(
+                layout.document
+            )
+        return payload, _estimate_nbytes(payload.diagnostics), layout
+
     def evict(self, name: str, fingerprint: str) -> None:
-        """Drop an entry (and its verification record) from the memory
-        tier; a disk copy stays until a later ``put`` overwrites it."""
+        """Drop an entry from the memory tier; a disk copy stays until a
+        later ``put`` overwrites it."""
         with self._lock:
             art = self._mem.pop(f"{name}:{fingerprint}", None)
             if art is not None:
                 self._drop(art)
-
-    def verified_plan(
-        self, fingerprint: str, ctx: PlanningContext
-    ) -> Optional[Tuple[Any, str, Any]]:
-        """``(plan, deployment JSON, verification report)`` of the stored
-        ``evaluated`` entry at ``fingerprint`` once it has passed
-        :mod:`repro.verify`; ``None`` for a miss.  The pass manager's
-        probe: the entry may come from either tier and the run gets its
-        own copy of the plan.
-
-        A pass is recorded on the entry under ``(fingerprint, plan
-        digest, VERIFIER_VERSION)``: the fingerprint pins every input the
-        check reads besides the plan (graph, cluster, precision,
-        optimizer, mode), the digest pins the plan itself
-        (:func:`_plan_digest`, taken afresh on every hit), and the
-        version pins the invariant set.  The verify pass of the run that
-        stored a plan records its check
-        (:meth:`verify_layout`), so a hit whose key matches the
-        record reuses its report.  Any other hit (an entry promoted from
-        disk, one stored without a check, or one changed since) is
-        checked in place: a pass is recorded, a failure evicts the entry
-        and is a miss.  With ``config.verify`` off nothing is checked or
-        recorded and the report is ``None``.
-        """
-        from repro.partitioner.deployment import plan_to_json
-
-        art = self.get(EVALUATED, fingerprint, ctx)
-        if art is None:
-            return None
-        plan = materialize_for_reuse(EVALUATED, art.payload, ctx)
-        if not ctx.config.verify:
-            return plan, plan_to_json(plan, ctx.graph), None
-        checked = self._verify_entry(art, plan, ctx)
-        if checked is None:
-            return None
-        document, report = checked
-        return plan, document, report
-
-    def _verify_entry(
-        self, art: Artifact, plan: Any, ctx: PlanningContext
-    ) -> Optional[Tuple[str, Any]]:
-        """``(deployment JSON, report)`` of ``plan``, a copy of the
-        payload of the ``evaluated`` entry ``art``, once it has passed
-        :mod:`repro.verify`; ``None`` once it failed, which evicts
-        ``art``.  A record whose key matches is reused, and otherwise the
-        plan is checked here; a pass is recorded on ``art``."""
-        document, key = _record_key(art.fingerprint, plan, ctx.graph)
-        record = art.verified
-        if record is not None and record[0] == key:
-            ctx.metrics.counter("verify.memo_hits").inc()
-            return document, record[1]
-        report = ctx.check_plan(plan)
-        if not report.ok:
-            self.evict(EVALUATED, art.fingerprint)
-            return None
-        art.verified = (key, report)
-        return document, report
 
     def layout_plan(self, key: str) -> Optional[LayoutPlan]:
         """The verified :class:`LayoutPlan` at ``key`` while a memory-tier
         entry holds it; ``None`` otherwise."""
         with self._lock:
             return self._layouts.get(key)
+
+    def verified_plan(
+        self, fingerprint: str, ctx: PlanningContext
+    ) -> Optional[Tuple[Any, str, Any]]:
+        """``(plan view, deployment JSON, report)`` of the ``evaluated``
+        entry at ``fingerprint``, from either tier, once it has passed
+        :mod:`repro.verify` under ``ctx`` (:meth:`_verified`); ``None``
+        for a miss.  The pass manager's probe."""
+        art = self.get(EVALUATED, fingerprint, ctx)
+        if art is None:
+            return None
+        plan = art.payload.view()
+        report, document = self._verified(
+            fingerprint, art.layout, plan, ctx, metrics=ctx.metrics
+        )
+        if report is not None and not report.ok:
+            return None
+        return plan, document, report
+
+    def recorded_plan(
+        self, fingerprint: str, request: Any
+    ) -> Optional[Tuple[Any, str, Any]]:
+        """Like :meth:`verified_plan` for a plan ``request`` (its graph,
+        cluster and config), but from the memory tier only and with no
+        full check: ``None`` unless the layout's record serves the
+        request, and then the lookup is not counted.  The plan service's
+        event loop answers warm hits from it."""
+        key = f"{EVALUATED}:{fingerprint}"
+        with self._lock:
+            art = self._mem.get(key)
+        if art is None:
+            return None
+        plan = art.payload.view()
+        report, document = self._verified(
+            fingerprint, art.layout, plan, request, check=False
+        )
+        if report is None or not report.ok:
+            return None
+        with self._lock:
+            if self._mem.get(key) is art:
+                self._mem.move_to_end(key)
+            self.hits += 1
+        return plan, document, report
 
     def verify_layout(
         self,
@@ -665,26 +618,37 @@ class ArtifactStore:
         expected_iteration_time: Optional[float],
     ) -> Tuple[Any, str]:
         """``(report, deployment JSON)`` of ``plan``, the run's view of
-        its layout plan ``ctx.layout``, which the run stored as the
-        ``evaluated`` entry at ``fingerprint``.  The verify pass's check
-        of a fresh plan in a store-backed run.
+        ``ctx.layout``, stored as the ``evaluated`` entry at
+        ``fingerprint`` (:meth:`_verified`): the verify pass's check of a
+        fresh plan in a store-backed run."""
+        return self._verified(
+            fingerprint, ctx.layout, plan, ctx, expected_iteration_time
+        )
 
-        Only the memory family's budget check reads the memory budget.
-        Everything else :func:`~repro.verify.check_plan` reports -- the
-        budget-free report -- is recorded on the layout under the key
-        of exactly what those checks read: the graph fingerprint, the
-        cluster, precision, optimizer and mode, the plan's digest
-        (:func:`_plan_digest`, taken afresh), the expected iteration
-        time and ``VERIFIER_VERSION``.  A run whose key matches the
-        record reuses that report and holds the plan to its own budget
-        (:func:`~repro.verify.check_budget`); any other run checks the
-        plan in full, under its budget, and a pass splits off the
-        budget-free report (:func:`~repro.verify.plan_checks.without_budget`).
+    def _verified(
+        self,
+        fingerprint: str,
+        layout: LayoutPlan,
+        plan: Any,
+        request: Any,
+        expected: Optional[float] = None,
+        check: bool = True,
+        metrics: Any = None,
+    ) -> Tuple[Optional[Any], str]:
+        """``(report, deployment JSON)`` of ``plan``, a view of
+        ``layout.plan`` (unless changed since) that the ``evaluated``
+        entry at ``fingerprint`` serves to ``request`` (a planning
+        context or plan request): the one rule for serving a stored plan.
 
-        A pass is recorded on the entry at ``fingerprint`` (under the
-        key :meth:`verified_plan` reads) and the first passing
-        budget-free report on the layout, which enters the layout index
-        while an entry holds it.  A failure evicts the entry.
+        The layout's record is reused when its inputs are this lookup's,
+        the plan digest (:func:`_plan_digest`) taken afresh, and its
+        expected iteration time is ``expected`` (a lookup with none, a
+        stored plan's, takes any); ``metrics`` counts that as a
+        ``verify.memo_hits``.  Otherwise, with ``check``, the plan is
+        checked in full and a pass is recorded; without it the report is
+        ``None``.  Every report is held to ``request``'s budget
+        (:func:`~repro.verify.check_budget`), and a failure evicts the
+        entry.  With ``config.verify`` off the report is ``None``.
         """
         from repro.partitioner.deployment import (
             graph_fingerprint,
@@ -692,76 +656,54 @@ class ArtifactStore:
         )
         from repro.verify import plan_checks
 
-        layout = ctx.layout
-        config = ctx.config
+        graph, config = request.graph, request.config
         document = (
             layout.document
             if _views(plan, layout)
-            else plan_to_json(plan, ctx.graph)
+            else plan_to_json(plan, graph)
         )
-        digest = _plan_digest(plan, document)
-        check_key = (
-            graph_fingerprint(ctx.graph),
-            ctx.cluster,
+        if not config.verify:
+            return None, document
+        inputs = (
+            graph_fingerprint(graph),
+            request.cluster,
             config.precision,
             config.optimizer,
             config.mode,
-            digest,
-            expected_iteration_time,
+            _plan_digest(plan, document),
             plan_checks.VERIFIER_VERSION,
         )
         record = layout.verified
-        if record is not None and record[0] == check_key:
+        if (
+            record is not None
+            and record.inputs == inputs
+            and expected in (None, record.expected)
+        ):
+            if metrics is not None:
+                metrics.counter("verify.memo_hits").inc()
             report = plan_checks.check_budget(
-                record[1], plan, config.memory_budget
+                record.report, plan, config.memory_budget
             )
+        elif not check:
+            return None, document
         else:
-            report = ctx.check_plan(plan, expected_iteration_time)
-            if report.ok and record is None:
-                record = (
-                    check_key,
+            report = request.check_plan(plan, expected)
+            if report.ok:
+                record = VerificationRecord(
+                    inputs,
+                    expected,
                     plan_checks.without_budget(
                         report, plan, config.memory_budget
                     ),
                 )
-        key = f"{EVALUATED}:{fingerprint}"
-        with self._lock:
-            if record is not None and layout.verified is None:
+        if not report.ok:
+            self.evict(EVALUATED, fingerprint)
+        elif check:
+            with self._lock:
                 layout.verified = record
-            art = self._mem.get(key)
-            if not report.ok:
-                if art is not None:
-                    self._drop(self._mem.pop(key))
-            elif art is not None and art.layout is layout:
-                art.verified = (
-                    (fingerprint, digest, plan_checks.VERIFIER_VERSION),
-                    report,
-                )
-            if layout.verified is not None and layout.holders:
-                self._layouts.setdefault(layout.key, layout)
+                if layout.key is not None and layout.holders:
+                    self._layouts.setdefault(layout.key, layout)
         return report, document
-
-    def recorded_plan(
-        self, fingerprint: str, graph: Any
-    ) -> Optional[Tuple[Any, str, Any]]:
-        """``(plan, deployment JSON, verification report)`` of the
-        ``evaluated`` entry at ``fingerprint`` when the memory tier holds
-        it and its verification record matches its per-hit digest (see
-        :meth:`verified_plan`); ``None`` otherwise.  Nothing is read
-        from disk, decoded, copied or checked: the plan is the stored
-        one as it stands (read it, never change it).  The plan
-        service's event loop answers warm hits from it."""
-        with self._lock:
-            art = self._mem.get(f"{EVALUATED}:{fingerprint}")
-            if art is None or art.verified is None:
-                return None
-            self._mem.move_to_end(art.key)
-            self.hits += 1
-        record = art.verified
-        document, key = _record_key(fingerprint, art.payload, graph)
-        if record[0] != key:
-            return None
-        return art.payload, document, record[1]
 
     def graph_validated(self, graph_fp: str) -> bool:
         """Whether ``validate_graph`` passed on a graph with this
@@ -818,13 +760,7 @@ class ArtifactStore:
         old = self._mem.pop(key, None)
         if old is not None:
             self._drop(old)
-        art = Artifact(
-            name=name,
-            fingerprint=fingerprint,
-            payload=payload,
-            nbytes=nbytes,
-            layout=layout,
-        )
+        art = Artifact(name, fingerprint, payload, nbytes, layout)
         if layout is not None:
             if not layout.holders:
                 art.nbytes += layout.nbytes
@@ -877,7 +813,7 @@ class ArtifactStore:
         if self.disk is None or codec is None or ctx is None:
             return
         try:
-            # an alias writes its layout's deployment JSON as it stands
+            # an ``evaluated`` entry writes its layout's JSON as it stands
             data = (
                 art.layout.document.encode()
                 if art.layout is not None

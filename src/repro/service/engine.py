@@ -21,16 +21,16 @@ service.  It owns
   plan response.
 
 A warm hit that needs no computation -- its graph built and validated,
-its plan in the store's memory tier with a matching verification
-record -- is answered by :meth:`PlanEngine.warm_plan`: the request key,
-one memory-tier lookup and the per-hit digest of the stored plan, whose
-deployment JSON is the response body as it stands.  No worker hand-off,
-plan copy or pass runs (the HTTP server calls it on its event loop).
-Any other request goes through the pass manager, where a warm hit
-costs a probe, a plan copy and the same digest: the store verifies a
-stored plan once per content address and remembers validated graphs
-(see :mod:`repro.planner.store`).  A plan response is never parsed and
-re-encoded: results carry the document as
+its plan in the store's memory tier with a verification record that
+serves the request -- is answered by :meth:`PlanEngine.warm_plan`: the
+request key, one memory-tier lookup, the per-hit digest of the stored
+plan and the request's budget check; the plan's deployment JSON is the
+response body as it stands.  No worker hand-off or pass runs (the HTTP
+server calls it on its event loop).  Any other request goes through the
+pass manager, where a warm hit costs a probe and the same digest and
+budget check: the store verifies a stored plan once and remembers
+validated graphs (see :mod:`repro.planner.store`).  A plan response is
+never parsed and re-encoded: results carry the document as
 :class:`~repro.service.protocol.RawJSON` and only the in-process
 methods parse it.
 
@@ -279,9 +279,10 @@ class PlanEngine:
         nothing: the request's graph is in the graph cache (this path
         never builds one), the store remembers the graph as validated,
         and the plan's ``evaluated`` entry is in the store's memory tier
-        with a verification record that the entry's per-hit digest
-        matches (:meth:`ArtifactStore.recorded_plan`).  It reads no
-        file and runs no pass or check.
+        with a verification record that serves the request
+        (:meth:`ArtifactStore.recorded_plan`: the per-hit digest
+        matches, and the plan fits the request's budget).  It reads no
+        file and runs no pass and no full check.
 
         Returns ``(result, None)`` for an answer -- the stored document
         as it stands, with the counters and warm latency sample a pool
@@ -302,7 +303,7 @@ class PlanEngine:
             req.model_key
         ):
             return None, work
-        served = self.store.recorded_plan(req.key, req.graph)
+        served = self.store.recorded_plan(req.key, req)
         if served is None:
             return None, work
         plan, document, _report = served

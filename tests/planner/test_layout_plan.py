@@ -5,13 +5,14 @@ budgets give back a layout the store has already evaluated.  The
 evaluate pass addresses its plan by that layout too
 (:meth:`~repro.planner.passes.EvaluatePass.layout_key`): a known layout
 takes the stored plan, its deployment JSON and its budget-free
-verification report, and the run stores its ``evaluated`` entry as an
-alias of the same payload.  These tests hold that path to the plan a
+verification report, and the run stores its ``evaluated`` entry as a
+view of the same plan.  These tests hold that path to the plan a
 fresh store makes, to a budget check on every run, to the key the
 budget-free report is reused under, and to run-local diagnostics.
 """
 
 import concurrent.futures
+import dataclasses
 import sys
 import threading
 
@@ -155,6 +156,28 @@ class TestBudgetCheckEveryRun:
         _, ctx = run(graph, store, budget=peak / GiB)
         assert layout_hits(ctx) == 1
 
+    @pytest.mark.parametrize("reader", ["verified_plan", "recorded_plan"])
+    def test_a_record_is_held_to_the_readers_budget(
+        self, graph, checks, reader
+    ):
+        """The probe and the event loop serve a stored plan on its
+        layout's record only under the reader's own budget: a reader
+        whose budget the plan exceeds gets a miss, made without a full
+        check, and the failure evicts the entry."""
+        store = ArtifactStore()
+        base, base_ctx = run(graph, store)
+        fp = base_ctx.artifact_fps[EVALUATED]
+        peak = max(s.profile.memory for s in base.stages)
+        tight = PlanningContext(
+            graph,
+            paper_cluster(1),
+            PlannerConfig(batch_size=64, memory_budget=0.75 * peak),
+            store=store,
+        )
+        assert getattr(store, reader)(fp, tight) is None
+        assert len(checks) == 1  # the base run's own check
+        assert f"{EVALUATED}:{fp}" not in store
+
     def test_budget_check_counts_like_a_full_check(self, graph, checks):
         store = ArtifactStore()
         run(graph, store)
@@ -211,6 +234,21 @@ class TestReportKey:
         other_graph = change.pop("graph", graph)
         self.reverify(store, ctx, other_graph, **change)
         assert len(checks) == 2  # the other run's plan, then this one
+
+    def test_a_record_without_expected_time_checks_a_search_in_full(
+        self, primed, graph, checks
+    ):
+        """A record made with no expected iteration time (a stored
+        plan's check) serves lookups without one, never a verify pass
+        that has one."""
+        store, ctx = primed
+        record = ctx.layout.verified
+        ctx.layout.verified = dataclasses.replace(record, expected=None)
+        assert store.verified_plan(ctx.artifact_fps[EVALUATED], ctx)
+        assert len(checks) == 0
+        self.reverify(store, ctx, graph, budget=8)
+        assert len(checks) == 2  # the other run's plan, then this one
+        assert ctx.layout.verified.expected == record.expected
 
     @pytest.mark.parametrize("field", ["stages", "model_name", "timing"])
     def test_changed_plan_checks_in_full(self, primed, graph, checks, field):
@@ -276,6 +314,24 @@ class TestRunLocalDiagnostics:
         assert layout_hits(ctx) == 1
         assert plan_to_json(delta, graph) == served
         assert delta.iteration_time != 1.0
+
+
+class TestReadOnlyAssignment:
+    def test_editing_a_returned_plans_ranks_raises(self, graph):
+        """Every view of a stored plan shares its device assignment, so
+        the assignment is read-only: an edit raises instead of reaching
+        the next probe hit or layout hit."""
+        store = ArtifactStore()
+        base, _ = run(graph, store)
+        ranks = dict(base.assignment.ranks)
+        key = next(iter(ranks))
+        with pytest.raises(TypeError):
+            base.assignment.ranks[key] = tuple(reversed(ranks[key]))
+        warm, _ = run(graph, store)
+        delta, ctx = run(graph, store, budget=20)
+        assert warm.diagnostics.cache_hit and layout_hits(ctx) == 1
+        for plan in (warm, delta):
+            assert dict(plan.assignment.ranks) == ranks
 
 
 def weight(store):

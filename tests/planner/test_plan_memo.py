@@ -2,13 +2,13 @@
 per graph.
 
 The verify pass of the run that stores a plan records its passed
-:mod:`repro.verify` check on the ``evaluated`` entry under
-``(fingerprint, plan digest, VERIFIER_VERSION)``.  A hit
-whose key matches builds no profiler and calls neither ``check_plan``
-nor ``validate_graph``; a changed plan, a version bump or an evicted
-entry forces a fresh check, and a hit that fails it is a miss in both
-tiers.  The memory tier holds its own copy of every plan, so nothing a
-caller does to a returned plan reaches a later hit.
+:mod:`repro.verify` check on the plan's layout, keyed by what the check
+reads and the plan digest.  A hit whose key matches builds no profiler
+and calls neither ``check_plan`` nor ``validate_graph``; a changed
+plan, a version bump or an evicted entry forces a fresh check, and a
+hit that fails it is a miss in both tiers.  Every reader gets a view of
+the stored plan, so nothing a caller does to a returned plan reaches a
+later hit.
 """
 
 import concurrent.futures
@@ -104,7 +104,7 @@ class TestVerifyOnce:
         store = ArtifactStore()
         cold, ctx = run(tiny_bert, store)
         assert calls["check_plan"] == 1
-        assert entry(store, ctx).verified[1] is ctx.get(VERIFIED)
+        assert entry(store, ctx).layout.verified.report == ctx.get(VERIFIED)
         assert ctx.plan_document == plan_to_json(cold, tiny_bert)
         run(tiny_bert, store)
         run(tiny_bert, store)
@@ -161,7 +161,7 @@ class TestVerifyOnce:
         store = ArtifactStore(disk=DiskBackend(tmp_path))
         _, ctx = run(tiny_bert, store)
         run(tiny_bert, store)
-        assert entry(store, ctx).verified is not None
+        assert entry(store, ctx).layout.verified is not None
         store.memory_budget_bytes = 1
         store.put("blocks", "filler", ["x"])  # the LRU drops every older entry
         assert f"{EVALUATED}:{ctx.artifact_fps[EVALUATED]}" not in store
@@ -177,7 +177,7 @@ class TestVerifyOnce:
         _, ctx = run(tiny_bert, store, verify=False)
         warm, warm_ctx = run(tiny_bert, store, verify=False)
         assert warm.diagnostics.cache_hit
-        assert entry(store, ctx).verified is None
+        assert entry(store, ctx).layout.verified is None
         assert warm_ctx.plan_report is None
         assert not warm_ctx.has(VERIFIED)
 
@@ -201,7 +201,7 @@ class TestVerifyOnce:
             assert plan.diagnostics.cache_hit
             assert hit_ctx.plan_report.ok
             assert hit_ctx.plan_document == served
-        assert entry(store, ctx).verified[1].ok
+        assert entry(store, ctx).layout.verified.report.ok
 
 
 class TestFailuresAreMisses:
@@ -248,6 +248,29 @@ class TestIsolation:
         assert ctx.plan_document == served
         assert plan_to_json(warm, tiny_bert) == served
         assert warm.iteration_time == iteration_time
+
+    def test_every_reader_gets_a_view(self, tiny_bert):
+        """The probe, the event loop's lookup and a warm run each get a
+        plan of their own, and nothing stamped on one reaches the entry
+        or its layout."""
+        store = ArtifactStore()
+        _, ctx = run(tiny_bert, store)
+        fp = ctx.artifact_fps[EVALUATED]
+        stored = entry(store, ctx)
+        warm, _ = run(tiny_bert, store)
+        served = [
+            store.verified_plan(fp, ctx)[0],
+            store.recorded_plan(fp, ctx)[0],
+            warm,
+        ]
+        for plan in served:
+            for shared in (stored.payload, stored.layout.plan):
+                assert plan is not shared
+                assert plan.stages is not shared.stages
+                assert plan.diagnostics is not shared.diagnostics
+        assert warm.diagnostics.cache_hit
+        assert not stored.payload.diagnostics.cache_hit
+        assert stored.payload.diagnostics.pass_timings == {}
 
     def test_stamped_diagnostics_stay_with_the_run(self, tiny_bert):
         store = ArtifactStore()

@@ -2,7 +2,7 @@
 
 Covers the :class:`Artifact` value type, the size estimator behind the
 memory LRU, the byte-budgeted :class:`DiskBackend`, every disk codec's
-round trip, and the reuse fix-up hooks.
+round trip, and the views every reader of a stored plan gets.
 """
 
 import errno
@@ -31,7 +31,6 @@ from repro.planner.store import (
     CODECS,
     Artifact,
     _estimate_nbytes,
-    materialize_for_reuse,
 )
 
 
@@ -295,20 +294,50 @@ class TestFullDisk:
         assert not any(tmp_path.rglob("*.*"))
 
 
-class TestMaterializeForReuse:
-    def test_plan_is_deep_copied(self, planned_ctx):
-        plan = planned_ctx.require(EVALUATED)
-        copy1 = materialize_for_reuse(EVALUATED, plan, planned_ctx)
-        assert copy1 is not plan
-        assert copy1.stages == plan.stages
+class TestReadersGetViews:
+    """A stored plan is read through views: the entry and every reader
+    get a plan of their own that shares the frozen stages."""
 
-    def test_plan_copy_shares_the_frozen_stages(self, planned_ctx):
+    @pytest.fixture
+    def seeded(self, planned_ctx):
+        """A store seeded with the store-less run's plan, and what the
+        probe serves from it."""
+        store = ArtifactStore()
+        store.put(EVALUATED, "fp", planned_ctx.require(EVALUATED), planned_ctx)
+        served, _, report = store.verified_plan("fp", planned_ctx)
+        assert report.ok
+        return store.get(EVALUATED, "fp").payload, served
+
+    def test_plan_is_a_view(self, planned_ctx, seeded):
         plan = planned_ctx.require(EVALUATED)
-        copy1 = materialize_for_reuse(EVALUATED, plan, planned_ctx)
-        assert copy1.stages is not plan.stages
-        assert all(a is b for a, b in zip(copy1.stages, plan.stages))
-        assert copy1.diagnostics is not plan.diagnostics
+        stored, served = seeded
+        assert served is not stored and stored is not plan
+        assert served.stages == plan.stages
+        assert plan_to_json(served, planned_ctx.graph) == plan_to_json(
+            plan, planned_ctx.graph
+        )
+
+    def test_view_shares_the_frozen_stages(self, planned_ctx, seeded):
+        plan = planned_ctx.require(EVALUATED)
+        stored, served = seeded
+        assert served.stages is not stored.stages
+        assert stored.stages is not plan.stages
+        assert all(a is b for a, b in zip(served.stages, plan.stages))
+        assert served.diagnostics is not stored.diagnostics
+        assert stored.diagnostics is not plan.diagnostics
 
     def test_blocks_pass_through(self, planned_ctx):
-        blocks = planned_ctx.require(BLOCKS)
-        assert materialize_for_reuse(BLOCKS, blocks, planned_ctx) is blocks
+        store = ArtifactStore()
+        runs = []
+        for budget in (None, 16 * 2**30):
+            ctx = PlanningContext(
+                planned_ctx.graph,
+                planned_ctx.cluster,
+                PlannerConfig(batch_size=64, memory_budget=budget),
+                store=store,
+            )
+            ctx.run()
+            runs.append(ctx)
+        first, delta = runs
+        assert delta.events.find("coarsen").detail["reuse"]
+        assert delta.require(BLOCKS) is first.require(BLOCKS)

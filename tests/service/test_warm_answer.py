@@ -346,6 +346,30 @@ class TestInProcess:
         assert work is None
         assert result["meta"]["cache"] == "warm"
 
+    def test_a_declined_lookup_counts_one_store_hit(self, monkeypatch):
+        """The loop counts a store hit only when it answers: a lookup
+        whose record no longer serves is left to the pool, whose probe
+        counts it once (the store's ``hits``, which every run copies
+        into ``planner.store.hits``)."""
+        from repro.verify import plan_checks
+
+        engine = PlanEngine(workers=1)
+        engine.plan(dict(PARAMS))
+        engine.plan(dict(PARAMS))
+        counters = engine.metrics.snapshot
+        loop = counters()["service.loop_answers"]
+        hits = engine.stats()["store"]["hits"]
+        monkeypatch.setattr(
+            plan_checks, "VERIFIER_VERSION", plan_checks.VERIFIER_VERSION + 1
+        )
+        assert engine.plan(dict(PARAMS))["meta"]["cache"] == "warm"
+        assert counters()["service.loop_answers"] == loop
+        assert engine.stats()["store"]["hits"] == hits + 1
+        # the probe recorded its check: the next repeat is a loop answer
+        engine.plan(dict(PARAMS))
+        assert counters()["service.loop_answers"] == loop + 1
+        assert engine.stats()["store"]["hits"] == hits + 2
+
     def test_concurrent_loop_and_pool_hits_agree(self):
         engine = PlanEngine(workers=2)
         cold = engine.plan(dict(PARAMS))

@@ -17,10 +17,17 @@ topology comm model, a malformed option, the removed ``schedule`` and
 document, simulate, stats -- and exits non-zero the moment any response disagrees with
 ``docs/SERVICE.md``.
 
+With ``--restarted`` it checks a daemon started again on the cache
+directory a full run primed instead: the primed request is restored
+from disk (``warm``, verified, a store disk hit), and its repeat is an
+event-loop answer on the record the restoring check made.
+
 Usage (the server must already be listening)::
 
-    python -m repro serve --port 8321 &
+    python -m repro serve --port 8321 --cache-dir /tmp/plan_cache &
     PYTHONPATH=src python tools/service_smoke.py --port 8321
+    # stop the daemon, start it again on the same --cache-dir, then
+    PYTHONPATH=src python tools/service_smoke.py --port 8321 --restarted
 """
 
 from __future__ import annotations
@@ -60,12 +67,41 @@ def check(condition: bool, label: str) -> bool:
     return condition
 
 
+def check_restarted(client) -> bool:
+    """The primed request on a daemon restarted over the primed cache."""
+    primed = client.plan(**REQUEST)
+    ok = check(primed["meta"]["cache"] == "warm",
+               "after a restart the primed plan is warm")
+    ok &= check(primed["meta"]["verified"] is True,
+                "the restored plan is verified")
+    stats = client.stats()
+    ok &= check(stats["store"]["disk_hits"] >= 1,
+                "the restored plan was read from disk")
+    before = stats["counters"]
+    again = client.plan(**REQUEST)
+    after = client.stats()["counters"]
+    ok &= check(again["meta"]["cache"] == "warm"
+                and again["plan"] == primed["plan"],
+                "its repeat is warm and byte-identical")
+    # a loop answer makes no check: it reuses the record the restoring
+    # check made, or it is left to the pool
+    for counter, label in (
+        ("service.loop_answers", "its repeat is a loop answer"),
+        ("verify.memo_hits", "its repeat reuses the restoring check"),
+    ):
+        ok &= check(after.get(counter, 0) == before.get(counter, 0) + 1, label)
+    return ok
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--host", default="127.0.0.1")
     ap.add_argument("--port", type=int, default=8321)
     ap.add_argument("--timeout", type=float, default=60.0,
                     help="seconds to wait for the daemon to be healthy")
+    ap.add_argument("--restarted", action="store_true",
+                    help="check a daemon restarted on the cache "
+                         "directory a full run primed")
     args = ap.parse_args(argv)
 
     from repro.service import (
@@ -76,6 +112,11 @@ def main(argv=None) -> int:
 
     client = wait_until_healthy(args.host, args.port, timeout=args.timeout)
     ok = check(client.healthz()["status"] == "ok", "healthz answers")
+    if args.restarted:
+        ok &= check_restarted(client)
+        client.close()
+        print("smoke OK" if ok else "SMOKE FAIL")
+        return 0 if ok else 1
 
     cold = client.plan(**REQUEST)
     ok &= check(cold["meta"]["cache"] == "cold", "first plan is cold")
